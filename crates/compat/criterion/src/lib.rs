@@ -66,20 +66,8 @@ pub struct Bencher {
     iters: u64,
 }
 
-/// Default target measurement time per benchmark (milliseconds).
-const TARGET_MS: u64 = 200;
-
-/// Target measurement time per benchmark. `OUTRAN_BENCH_TARGET_MS`
-/// overrides the default (clamped to ≥ 10 ms) — CI's perf-smoke job uses
-/// a small value to run the whole microbench suite in quick mode.
-fn target() -> Duration {
-    let ms = std::env::var("OUTRAN_BENCH_TARGET_MS")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(TARGET_MS)
-        .max(10);
-    Duration::from_millis(ms)
-}
+/// Target measurement time per benchmark.
+const TARGET: Duration = Duration::from_millis(200);
 
 impl Bencher {
     fn new() -> Bencher {
@@ -92,7 +80,6 @@ impl Bencher {
     /// Time `routine`, calling it repeatedly until the target measurement
     /// time is filled.
     pub fn iter<O, R: FnMut() -> O>(&mut self, mut routine: R) {
-        let target = target();
         // Warm-up and calibration: double the batch until it costs ~1/10
         // of the measurement target.
         let mut batch: u64 = 1;
@@ -102,12 +89,12 @@ impl Bencher {
                 black_box(routine());
             }
             let dt = t.elapsed();
-            if dt >= target / 10 || batch >= 1 << 30 {
+            if dt >= TARGET / 10 || batch >= 1 << 30 {
                 break dt / (batch as u32).max(1);
             }
             batch *= 2;
         };
-        let iters = (target.as_nanos() / per_iter.as_nanos().max(1)).clamp(10, 1 << 30) as u64;
+        let iters = (TARGET.as_nanos() / per_iter.as_nanos().max(1)).clamp(10, 1 << 30) as u64;
         let t = Instant::now();
         for _ in 0..iters {
             black_box(routine());
@@ -124,10 +111,9 @@ impl Bencher {
         R: FnMut(I) -> O,
     {
         // Calibrate with single runs (setup cost excluded from timing).
-        let target = target();
         let mut total = Duration::ZERO;
         let mut iters: u64 = 0;
-        while total < target / 2 && iters < 1 << 20 {
+        while total < TARGET / 2 && iters < 1 << 20 {
             let input = setup();
             let t = Instant::now();
             black_box(routine(input));

@@ -101,6 +101,18 @@ pub struct ChannelConfig {
 }
 
 impl ChannelConfig {
+    /// Nominal cell capacity in bit/s under the peak MCS, derated for
+    /// typical channel conditions — the anchor for the load→arrival-rate
+    /// conversion of every runner.
+    pub fn nominal_capacity_bps(&self) -> f64 {
+        // The paper calibrates load against the cell's nominal capacity
+        // (97 Mbps for the 20 MHz testbed), which real mixed-CQI cells
+        // cannot actually sustain — that is why its high-"load" points
+        // (0.7/0.8) behave like saturation (Fig 15's PF blow-up). The
+        // mild derate keeps the same semantics.
+        self.radio.peak_rate_bps(self.table.peak_efficiency()) * 0.85
+    }
+
     /// Sensible LTE macro-cell defaults (pedestrian scenario, §3/§6.2).
     pub fn lte_default() -> ChannelConfig {
         ChannelConfig {

@@ -153,10 +153,6 @@ pub struct CellConfig {
     /// Per-UE PDCP flow-table admission cap (`None` = unbounded); when
     /// full, the least-recently-seen entry is evicted to admit new flows.
     pub max_flow_entries: Option<usize>,
-    /// Run the ingress event queue on the legacy `BinaryHeap` backend
-    /// instead of the hierarchical timer wheel (differential testing
-    /// escape hatch; both backends are bit-identical).
-    pub event_heap: bool,
 }
 
 impl CellConfig {
@@ -181,7 +177,6 @@ impl CellConfig {
             audit: AuditConfig::default(),
             watchdog: None,
             max_flow_entries: None,
-            event_heap: false,
         }
     }
 }

@@ -41,7 +41,6 @@ pub struct Experiment {
     watchdog: Option<Dur>,
     max_flow_entries: Option<usize>,
     dense: bool,
-    event_heap: bool,
     /// Periodic checkpointing: every `0` of simulated time, write a
     /// crash-safe snapshot into `1` (see [`crate::checkpoint`]).
     checkpoint: Option<(Dur, PathBuf)>,
@@ -76,7 +75,6 @@ impl Experiment {
             watchdog: None,
             max_flow_entries: None,
             dense: false,
-            event_heap: false,
             checkpoint: None,
             checkpoint_argv: Vec::new(),
         }
@@ -211,15 +209,6 @@ impl Experiment {
         self
     }
 
-    /// Run the ingress event queue on the legacy `BinaryHeap` backend
-    /// instead of the timer wheel. Results are bit-identical either way
-    /// (asserted by the differential tests); the switch exists for A/B
-    /// timing and for debugging the wheel itself.
-    pub fn event_heap(mut self, heap: bool) -> Self {
-        self.event_heap = heap;
-        self
-    }
-
     /// Write a crash-safe checkpoint into `dir` every `every` of
     /// *simulated* time (rounded up to whole-second epoch boundaries).
     /// `argv` is embedded in the checkpoint metadata so
@@ -231,19 +220,10 @@ impl Experiment {
         self
     }
 
-    /// Estimated cell capacity in bit/s under the scenario's peak MCS,
-    /// derated for typical channel conditions — the anchor for the
-    /// load→arrival-rate conversion.
+    /// Estimated cell capacity in bit/s for the scenario (see
+    /// [`outran_phy::channel::ChannelConfig::nominal_capacity_bps`]).
     pub fn capacity_bps(&self) -> f64 {
-        let ch = self.scenario.channel_config();
-        let peak_bits_per_re = ch.table.peak_efficiency();
-        // The paper calibrates load against the cell's nominal capacity
-        // (97 Mbps for the 20 MHz testbed), which real mixed-CQI cells
-        // cannot actually sustain — that is why its high-"load" points
-        // (0.7/0.8) behave like saturation (Fig 15's PF blow-up). The
-        // mild derate keeps the same semantics.
-        let derate = 0.85;
-        ch.radio.peak_rate_bps(peak_bits_per_re) * derate
+        self.scenario.channel_config().nominal_capacity_bps()
     }
 
     /// Build the configured cell with every Poisson arrival scheduled
@@ -266,7 +246,6 @@ impl Experiment {
         cfg.faults = self.faults.clone();
         cfg.watchdog = self.watchdog;
         cfg.max_flow_entries = self.max_flow_entries;
-        cfg.event_heap = self.event_heap;
         let mut cell = Cell::new(cfg);
         let mut gen = PoissonFlowGen::new(
             self.dist,

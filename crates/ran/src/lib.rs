@@ -41,7 +41,7 @@ pub mod qos;
 pub mod stages;
 pub mod webplt;
 
-pub use cell::{Cell, CellConfig, FlowDone, RlcMode, SchedulerKind, StepProfile};
+pub use cell::{Cell, CellConfig, FlowDone, RlcMode, SchedulerKind};
 pub use checkpoint::CheckpointMeta;
 pub use experiment::{Experiment, ExperimentReport};
 pub use multicell::{MultiCell, MultiCellRun};

@@ -99,10 +99,7 @@ impl MultiCell {
         let seed = self.seed + c as u64;
         let mut cfg = CellConfig::lte_default(self.ues_per_cell, self.scheduler, seed);
         cfg.channel = self.scenario.channel_config();
-        let capacity = {
-            let ch = &cfg.channel;
-            ch.radio.peak_rate_bps(ch.table.peak_efficiency()) * 0.85
-        };
+        let capacity = cfg.channel.nominal_capacity_bps();
         let mut cell = Cell::new(cfg);
         let mut gen = PoissonFlowGen::new(
             self.dist,

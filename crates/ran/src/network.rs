@@ -300,7 +300,7 @@ impl Network {
         // population, targeting `load` on every cell in aggregate.
         // Precomputed so the cursor is the only arrival state a
         // checkpoint must carry.
-        let per_cell_capacity = chan.radio.peak_rate_bps(chan.table.peak_efficiency()) * 0.85;
+        let per_cell_capacity = chan.nominal_capacity_bps();
         let mut gen = PoissonFlowGen::new(
             self.dist,
             self.load,

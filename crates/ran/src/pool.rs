@@ -115,8 +115,8 @@ pub fn default_threads() -> usize {
 /// (`items.len() < 2 × threads`), this degrades to a plain serial map on
 /// the calling thread: spawning and joining a scoped pool costs more
 /// than it saves until each worker has at least a couple of jobs to
-/// amortise it (the `speedup < 1` artifact the BENCH_2 sweep showed on
-/// small machines). Jobs known to be individually heavy can bypass the
+/// amortise it (an 8-job sweep on one core once clocked a 0.957×
+/// "speedup"). Jobs known to be individually heavy can bypass the
 /// heuristic with [`parallel_map_eager`].
 pub fn parallel_map<T, R, F>(threads: usize, items: Vec<T>, f: F) -> Vec<Result<R, WorkerFailure>>
 where

@@ -15,7 +15,7 @@ use outran_pdcp::FiveTuple;
 use outran_rlc::am::StatusPdu;
 use outran_rlc::um::DeliveredSdu;
 use outran_simcore::snap::{SnapError, SnapReader, SnapWriter};
-use outran_simcore::{Dur, EventBackend, EventQueue, Time};
+use outran_simcore::{Dur, EventQueue, Time};
 use outran_transport::{Segment, TcpReceiver, TcpSender};
 
 /// A completed-flow record emitted by [`IngressStage::accept_sdu`]; the
@@ -57,17 +57,11 @@ pub struct IngressStage {
 }
 
 impl IngressStage {
-    /// Fresh stage with no flows on the default event-queue backend.
+    /// Fresh stage with no flows.
     pub fn new() -> IngressStage {
-        IngressStage::with_backend(EventBackend::default())
-    }
-
-    /// Fresh stage with no flows, with the event queue on `backend`
-    /// (the `--event-heap` differential-testing escape hatch).
-    pub fn with_backend(backend: EventBackend) -> IngressStage {
         IngressStage {
             flows: Vec::new(), // outran-lint: allow(D10) -- one-shot constructor
-            events: EventQueue::with_backend(backend),
+            events: EventQueue::new(),
             open_flows: 0,
             injected_bytes: 0,
             cn_in_flight_bytes: 0,
@@ -524,9 +518,7 @@ impl IngressStage {
                 last_progress: r.time()?,
             })
         })?;
-        // Construct-then-overlay: the snapshot is backend-independent;
-        // keep whatever backend this stage was constructed with.
-        self.events = EventQueue::unsnap_with_backend(self.events.backend(), r, |r| {
+        self.events = EventQueue::unsnap_with(r, |r| {
             Ok(match r.u8()? {
                 0 => Ev::Arrival { flow: r.usize()? },
                 1 => Ev::PktAtEnb {
@@ -550,23 +542,6 @@ impl IngressStage {
         self.cn_in_flight_bytes = r.u64()?;
         self.dropped_bytes = r.u64()?;
         Ok(())
-    }
-
-    /// Dump incomplete-flow diagnostics (debug only).
-    pub fn debug_dump_stalled(&self) {
-        for (i, f) in self.flows.iter().enumerate() {
-            if !f.done {
-                println!(
-                    "flow {i} ue {} size {} cum {} snd_una {} in_flight {} rto {:?}",
-                    f.ue,
-                    f.size,
-                    f.receiver.cum(),
-                    f.sender.in_flight(),
-                    f.sender.in_flight(),
-                    f.sender.rto_deadline()
-                );
-            }
-        }
     }
 }
 

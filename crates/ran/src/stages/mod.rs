@@ -17,10 +17,11 @@
 //! ```
 //!
 //! The [`StageObserver`] trait is the single structural injection point
-//! for anything that wants to watch the pipeline run: the `--profile`
-//! wall-time attribution ([`StageTimer`]), the golden-trace determinism
-//! harness, and future fault/audit probes all attach here instead of
-//! being hand-woven through the step function.
+//! for anything that wants to watch the pipeline run: the benchmark's
+//! per-stage wall-time attribution, the golden-trace determinism
+//! harness, and future fault/audit probes all attach here (through
+//! [`crate::cell::Cell::set_stage_observer`]) instead of being
+//! hand-woven through the step function.
 
 pub mod delivery;
 pub mod housekeeping;
@@ -123,167 +124,47 @@ pub trait StageObserver {
     }
 }
 
-/// Per-stage wall-time attribution of the active-TTI pipeline, in
-/// nanoseconds (opt-in via [`crate::cell::Cell::enable_profiling`]).
-///
-/// Times are *exclusive*: RLC pull work re-entered from inside the PHY
-/// transmit is attributed to `rlc_down_ns`, not `phy_tx_ns`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StepProfile {
-    /// Event drain, TCP endpoints, RTO and watchdog scans.
-    pub ingress_ns: u64,
-    /// PDCP marking + RLC SDU admission and PDU pulls.
-    pub rlc_down_ns: u64,
-    /// Rate refresh, GBR carve-out and MAC scheduling.
-    pub mac_sched_ns: u64,
-    /// Channel evolution and the air-interface transmit.
-    pub phy_tx_ns: u64,
-    /// Reassembly, TCP receive and completion recording.
-    pub delivery_ns: u64,
-    /// Fault edges, RLC timers, GC and invariant audits.
-    pub housekeeping_ns: u64,
-}
-
-impl StepProfile {
-    /// Total attributed time across all stages, in nanoseconds.
-    pub fn total_ns(&self) -> u64 {
-        self.ingress_ns
-            + self.rlc_down_ns
-            + self.mac_sched_ns
-            + self.phy_tx_ns
-            + self.delivery_ns
-            + self.housekeeping_ns
-    }
-
-    fn slot(&mut self, id: StageId) -> &mut u64 {
-        match id {
-            StageId::Ingress => &mut self.ingress_ns,
-            StageId::RlcDown => &mut self.rlc_down_ns,
-            StageId::MacSched => &mut self.mac_sched_ns,
-            StageId::PhyTx => &mut self.phy_tx_ns,
-            StageId::Delivery => &mut self.delivery_ns,
-            StageId::Housekeeping => &mut self.housekeeping_ns,
-        }
-    }
-}
-
-/// The built-in profiling observer: attributes wall time exclusively to
-/// the innermost active stage via a stage stack.
-#[derive(Debug, Default)]
-pub struct StageTimer {
-    profile: StepProfile,
-    stack: Vec<StageId>,
-    last: Option<std::time::Instant>,
-}
-
-impl StageTimer {
-    /// Accumulated per-stage timings.
-    pub fn profile(&self) -> &StepProfile {
-        &self.profile
-    }
-
-    fn lap(&mut self) -> Option<u64> {
-        // outran-lint: allow(D1,S5) -- profiling lap timer, measurement only; never feeds sim state
-        let t = std::time::Instant::now();
-        let elapsed = self.last.map(|l| t.duration_since(l).as_nanos() as u64);
-        self.last = Some(t);
-        elapsed
-    }
-}
-
-impl StageObserver for StageTimer {
-    fn stage_enter(&mut self, id: StageId) {
-        let elapsed = self.lap();
-        if let (Some(ns), Some(&top)) = (elapsed, self.stack.last()) {
-            *self.profile.slot(top) += ns;
-        }
-        self.stack.push(id);
-    }
-
-    fn stage_exit(&mut self, id: StageId) {
-        let elapsed = self.lap();
-        if let Some(top) = self.stack.pop() {
-            debug_assert_eq!(top, id, "unbalanced stage brackets");
-            if let Some(ns) = elapsed {
-                *self.profile.slot(top) += ns;
-            }
-        }
-        if self.stack.is_empty() {
-            // Inter-stage gaps (orchestrator glue) stay unattributed.
-            self.last = None;
-        }
-    }
-}
-
 /// Owner of the optional pipeline observer. All hook calls are no-ops
-/// when nothing is attached, so the hot path pays one enum-tag check.
+/// when nothing is attached, so the hot path pays one `Option` check.
 #[derive(Default)]
 pub struct ObserverHost {
-    inner: Slot,
-}
-
-#[derive(Default)]
-enum Slot {
-    #[default]
-    None,
-    Timer(StageTimer),
-    Custom(Box<dyn StageObserver + Send>),
+    inner: Option<Box<dyn StageObserver + Send>>,
 }
 
 impl ObserverHost {
-    /// Attach the built-in profiling timer (replacing any observer).
-    pub(crate) fn install_timer(&mut self) {
-        self.inner = Slot::Timer(StageTimer::default());
-    }
-
-    /// Attach a custom observer (replacing any observer).
+    /// Attach an observer (replacing any previous one).
     pub(crate) fn install(&mut self, obs: Box<dyn StageObserver + Send>) {
-        self.inner = Slot::Custom(obs);
-    }
-
-    /// The profiling timer's figures, if [`ObserverHost::install_timer`]
-    /// is the active observer.
-    pub(crate) fn profile(&self) -> Option<&StepProfile> {
-        match &self.inner {
-            Slot::Timer(t) => Some(t.profile()),
-            _ => None,
-        }
+        self.inner = Some(obs);
     }
 
     /// Whether any observer is attached (lets callers skip summary
     /// assembly work when nobody is listening).
     #[inline]
     pub(crate) fn is_active(&self) -> bool {
-        !matches!(self.inner, Slot::None)
+        self.inner.is_some()
     }
 
     /// Bracket entry — see [`StageObserver::stage_enter`].
     #[inline]
     pub(crate) fn enter(&mut self, id: StageId) {
-        match &mut self.inner {
-            Slot::None => {}
-            Slot::Timer(t) => t.stage_enter(id),
-            Slot::Custom(o) => o.stage_enter(id),
+        if let Some(o) = &mut self.inner {
+            o.stage_enter(id);
         }
     }
 
     /// Bracket exit — see [`StageObserver::stage_exit`].
     #[inline]
     pub(crate) fn exit(&mut self, id: StageId) {
-        match &mut self.inner {
-            Slot::None => {}
-            Slot::Timer(t) => t.stage_exit(id),
-            Slot::Custom(o) => o.stage_exit(id),
+        if let Some(o) = &mut self.inner {
+            o.stage_exit(id);
         }
     }
 
     /// End-of-TTI notification — see [`StageObserver::on_tti`].
     #[inline]
     pub(crate) fn on_tti(&mut self, now: Time, summary: &TtiSummary) {
-        match &mut self.inner {
-            Slot::None => {}
-            Slot::Timer(t) => t.on_tti(now, summary),
-            Slot::Custom(o) => o.on_tti(now, summary),
+        if let Some(o) = &mut self.inner {
+            o.on_tti(now, summary);
         }
     }
 }

@@ -8,43 +8,24 @@
 //! Events scheduled for the same instant pop in FIFO order (insertion
 //! order), which keeps runs reproducible regardless of queue internals.
 //!
-//! ## Backends
+//! ## Implementation
 //!
-//! Two interchangeable backends implement the same `(time, seq)` total
-//! order, selectable via [`EventBackend`]:
+//! A hierarchical timer wheel: a TTI-granular near wheel (256 slots of
+//! ~1.05 ms, covering ~268 ms) backed by two coarse far wheels
+//! (64×~268 ms ≈ 17 s, 64×~17 s ≈ 18 min) and an overflow list beyond
+//! that. Near-term schedule/pop are O(1) amortized and recycle slot
+//! capacity, so the steady-state event path performs no heap allocation.
+//! `peek_time` stays O(1) `&self`, which the event-driven engine's
+//! `next_activity_time()` relies on.
 //!
-//! * [`EventBackend::Wheel`] (default) — a hierarchical timer wheel: a
-//!   TTI-granular near wheel (256 slots of ~1.05 ms, covering ~268 ms)
-//!   backed by two coarse far wheels (64×~268 ms ≈ 17 s, 64×~17 s ≈ 18 min)
-//!   and an overflow list beyond that. Near-term schedule/pop are O(1)
-//!   amortized and recycle slot capacity, so the steady-state event path
-//!   performs no heap allocation. `peek_time` stays O(1) `&self`, which the
-//!   event-driven engine's `next_activity_time()` relies on.
-//! * [`EventBackend::Heap`] — the original `BinaryHeap` implementation,
-//!   retained as a differential-testing oracle and CLI escape hatch
-//!   (`--event-heap`).
-//!
-//! Both backends produce bit-identical pop order for any insert sequence
-//! (enforced by a differential property test), so runs, golden traces and
-//! checkpoints do not depend on the backend choice.
+//! Pop order is exactly the `(time, seq)` total order of a binary heap
+//! for any insert sequence (enforced by a differential property test
+//! against a test-local `BinaryHeap` model), so runs, golden traces and
+//! checkpoints do not depend on the wheel's internal layout.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 use crate::time::Time;
-
-#[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
-struct Key(Time, u64);
-
-/// Which data structure backs an [`EventQueue`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EventBackend {
-    /// Hierarchical timer wheel (default): allocation-free steady state.
-    #[default]
-    Wheel,
-    /// Binary heap (original implementation): differential-test oracle.
-    Heap,
-}
 
 /// Log2 of the near-wheel tick in nanoseconds: 2^20 ns ≈ 1.05 ms ≈ 1 TTI.
 const TICK_SHIFT: u32 = 20;
@@ -382,40 +363,12 @@ impl<E> Wheel<E> {
     }
 }
 
-#[derive(Debug)]
-enum BackendImpl<E> {
-    Wheel(Wheel<E>),
-    Heap(BinaryHeap<Reverse<(Key, EventBox<E>)>>),
-}
-
 /// Priority queue of `(Time, E)` pairs, popping earliest-first and FIFO
 /// within an instant.
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    backend: BackendImpl<E>,
+    wheel: Wheel<E>,
     seq: u64,
-}
-
-/// Wrapper so `E` does not need `Ord`; ordering is fully determined by the
-/// key, and the payload comparison is never reached.
-#[derive(Debug)]
-struct EventBox<E>(E);
-
-impl<E> PartialEq for EventBox<E> {
-    fn eq(&self, _: &Self) -> bool {
-        true
-    }
-}
-impl<E> Eq for EventBox<E> {}
-impl<E> PartialOrd for EventBox<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for EventBox<E> {
-    fn cmp(&self, _: &Self) -> std::cmp::Ordering {
-        std::cmp::Ordering::Equal
-    }
 }
 
 impl<E> Default for EventQueue<E> {
@@ -425,27 +378,11 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// Create an empty queue on the default (timer-wheel) backend.
+    /// Create an empty queue.
     pub fn new() -> EventQueue<E> {
-        Self::with_backend(EventBackend::Wheel)
-    }
-
-    /// Create an empty queue on an explicit backend.
-    pub fn with_backend(backend: EventBackend) -> EventQueue<E> {
         EventQueue {
-            backend: match backend {
-                EventBackend::Wheel => BackendImpl::Wheel(Wheel::new()),
-                EventBackend::Heap => BackendImpl::Heap(BinaryHeap::new()),
-            },
+            wheel: Wheel::new(),
             seq: 0,
-        }
-    }
-
-    /// Which backend this queue runs on.
-    pub fn backend(&self) -> EventBackend {
-        match &self.backend {
-            BackendImpl::Wheel(_) => EventBackend::Wheel,
-            BackendImpl::Heap(_) => EventBackend::Heap,
         }
     }
 
@@ -453,26 +390,17 @@ impl<E> EventQueue<E> {
     pub fn schedule(&mut self, at: Time, event: E) {
         let seq = self.seq;
         self.seq += 1;
-        match &mut self.backend {
-            BackendImpl::Wheel(w) => w.schedule(at, seq, event),
-            BackendImpl::Heap(h) => h.push(Reverse((Key(at, seq), EventBox(event)))),
-        }
+        self.wheel.schedule(at, seq, event);
     }
 
     /// Time of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<Time> {
-        match &self.backend {
-            BackendImpl::Wheel(w) => w.peek().map(|(t, _)| t),
-            BackendImpl::Heap(h) => h.peek().map(|Reverse((Key(t, _), _))| *t),
-        }
+        self.wheel.peek().map(|(t, _)| t)
     }
 
     /// Pop the earliest event.
     pub fn pop(&mut self) -> Option<(Time, E)> {
-        match &mut self.backend {
-            BackendImpl::Wheel(w) => w.pop().map(|(t, _, e)| (t, e)),
-            BackendImpl::Heap(h) => h.pop().map(|Reverse((Key(t, _), EventBox(e)))| (t, e)),
-        }
+        self.wheel.pop().map(|(t, _, e)| (t, e))
     }
 
     /// Pop the earliest event only if it is due at or before `now`.
@@ -498,33 +426,21 @@ impl<E> EventQueue<E> {
     /// Schedule with an explicit sequence number (checkpoint restore
     /// only — normal scheduling must go through [`EventQueue::schedule`]).
     pub fn schedule_with_seq(&mut self, at: Time, seq: u64, event: E) {
-        match &mut self.backend {
-            BackendImpl::Wheel(w) => w.schedule(at, seq, event),
-            BackendImpl::Heap(h) => h.push(Reverse((Key(at, seq), EventBox(event)))),
-        }
+        self.wheel.schedule(at, seq, event);
     }
 
     /// All pending events in deterministic `(time, seq)` order, with
-    /// their exact sequence numbers (checkpointing). The backends'
-    /// internal layouts are not deterministic; the sorted view is.
+    /// their exact sequence numbers (checkpointing). The wheel's
+    /// internal layout is not deterministic; the sorted view is.
     pub fn sorted_entries(&self) -> Vec<(Time, u64, &E)> {
-        let mut out: Vec<(Time, u64, &E)> = match &self.backend {
-            BackendImpl::Wheel(w) => w.iter().collect(),
-            BackendImpl::Heap(h) => h
-                .iter()
-                .map(|Reverse((Key(t, seq), EventBox(e)))| (*t, *seq, e))
-                .collect(),
-        };
+        let mut out: Vec<(Time, u64, &E)> = self.wheel.iter().collect();
         out.sort_by_key(|&(t, seq, _)| (t, seq));
         out
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        match &self.backend {
-            BackendImpl::Wheel(w) => w.len(),
-            BackendImpl::Heap(h) => h.len(),
-        }
+        self.wheel.len()
     }
 
     /// Whether the queue is empty.
@@ -538,85 +454,73 @@ mod tests {
     use super::*;
     use crate::time::Dur;
 
-    fn both(f: impl Fn(EventQueue<i64>)) {
-        f(EventQueue::with_backend(EventBackend::Wheel));
-        f(EventQueue::with_backend(EventBackend::Heap));
-    }
-
     #[test]
     fn pops_in_time_order() {
-        for backend in [EventBackend::Wheel, EventBackend::Heap] {
-            let mut q = EventQueue::with_backend(backend);
-            q.schedule(Time::from_millis(5), "c");
-            q.schedule(Time::from_millis(1), "a");
-            q.schedule(Time::from_millis(3), "b");
-            let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-            assert_eq!(order, vec!["a", "b", "c"]);
-        }
+        let mut q = EventQueue::new();
+        q.schedule(Time::from_millis(5), "c");
+        q.schedule(Time::from_millis(1), "a");
+        q.schedule(Time::from_millis(3), "b");
+        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, vec!["a", "b", "c"]);
     }
 
     #[test]
     fn fifo_within_same_instant() {
-        both(|mut q| {
-            let t = Time::from_millis(1);
-            for i in 0..100 {
-                q.schedule(t, i);
-            }
-            let order: Vec<i64> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-            assert_eq!(order, (0..100).collect::<Vec<_>>());
-        });
+        let mut q = EventQueue::new();
+        let t = Time::from_millis(1);
+        for i in 0..100 {
+            q.schedule(t, i);
+        }
+        let order: Vec<i64> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, (0..100).collect::<Vec<_>>());
     }
 
     #[test]
     fn pop_due_respects_now() {
-        for backend in [EventBackend::Wheel, EventBackend::Heap] {
-            let mut q = EventQueue::with_backend(backend);
-            q.schedule(Time::from_millis(10), "later");
-            q.schedule(Time::from_millis(1), "soon");
-            assert_eq!(
-                q.pop_due(Time::from_millis(5)).map(|(_, e)| e),
-                Some("soon")
-            );
-            assert_eq!(q.pop_due(Time::from_millis(5)), None);
-            assert_eq!(q.len(), 1);
-            assert_eq!(
-                q.pop_due(Time::from_millis(10)).map(|(_, e)| e),
-                Some("later")
-            );
-            assert!(q.is_empty());
-        }
+        let mut q = EventQueue::new();
+        q.schedule(Time::from_millis(10), "later");
+        q.schedule(Time::from_millis(1), "soon");
+        assert_eq!(
+            q.pop_due(Time::from_millis(5)).map(|(_, e)| e),
+            Some("soon")
+        );
+        assert_eq!(q.pop_due(Time::from_millis(5)), None);
+        assert_eq!(q.len(), 1);
+        assert_eq!(
+            q.pop_due(Time::from_millis(10)).map(|(_, e)| e),
+            Some("later")
+        );
+        assert!(q.is_empty());
     }
 
     #[test]
     fn peek_time_matches_pop() {
-        both(|mut q| {
-            assert_eq!(q.peek_time(), None);
-            q.schedule(Time::from_millis(2), 0);
-            q.schedule(Time::from_millis(2) + Dur::from_nanos(1), 1);
-            assert_eq!(q.peek_time(), Some(Time::from_millis(2)));
-            let (t, _) = q.pop().unwrap();
-            assert_eq!(t, Time::from_millis(2));
-        });
+        let mut q = EventQueue::new();
+        assert_eq!(q.peek_time(), None);
+        q.schedule(Time::from_millis(2), 0);
+        q.schedule(Time::from_millis(2) + Dur::from_nanos(1), 1);
+        assert_eq!(q.peek_time(), Some(Time::from_millis(2)));
+        let (t, _) = q.pop().unwrap();
+        assert_eq!(t, Time::from_millis(2));
     }
 
     #[test]
     fn interleaved_schedule_and_pop_stays_sorted() {
-        both(|mut q| {
-            q.schedule(Time::from_millis(4), 4);
-            q.schedule(Time::from_millis(2), 2);
-            assert_eq!(q.pop().unwrap().1, 2);
-            q.schedule(Time::from_millis(1), 1); // earlier than remaining
-            q.schedule(Time::from_millis(3), 3);
-            assert_eq!(q.pop().unwrap().1, 1);
-            assert_eq!(q.pop().unwrap().1, 3);
-            assert_eq!(q.pop().unwrap().1, 4);
-        });
+        let mut q = EventQueue::new();
+        q.schedule(Time::from_millis(4), 4);
+        q.schedule(Time::from_millis(2), 2);
+        assert_eq!(q.pop().unwrap().1, 2);
+        q.schedule(Time::from_millis(1), 1); // earlier than remaining
+        q.schedule(Time::from_millis(3), 3);
+        assert_eq!(q.pop().unwrap().1, 1);
+        assert_eq!(q.pop().unwrap().1, 3);
+        assert_eq!(q.pop().unwrap().1, 4);
     }
 
     #[test]
     fn wheel_cascades_across_all_levels() {
         // One event per level: near wheel, mid wheel, far wheel, overflow.
-        let mut q = EventQueue::with_backend(EventBackend::Wheel);
+        let mut q = EventQueue::new();
         let near = Time::from_millis(5);
         let mid = Time::from_millis(2_000); // ~2 s: beyond the 268 ms near span
         let far = Time::from_millis(60_000); // ~1 min: beyond the 17 s mid span
@@ -637,7 +541,7 @@ mod tests {
     fn wheel_interleaves_near_events_with_cascaded_far_events() {
         // A far event must not be drained before near events that land
         // inside its window after the cascade.
-        let mut q = EventQueue::with_backend(EventBackend::Wheel);
+        let mut q = EventQueue::new();
         let far = Time::from_millis(30_000);
         q.schedule(far, 99);
         // Pop/refill so the cursor chases the far event, then schedule a
@@ -647,28 +551,5 @@ mod tests {
         q.schedule(far - Dur::from_nanos(1), 50);
         assert_eq!(q.pop().unwrap().1, 50);
         assert_eq!(q.pop().unwrap().1, 99);
-    }
-
-    #[test]
-    fn wheel_matches_heap_on_dense_same_tick_bursts() {
-        let mut wheel = EventQueue::with_backend(EventBackend::Wheel);
-        let mut heap = EventQueue::with_backend(EventBackend::Heap);
-        // Deterministic scatter across ticks, including exact tick
-        // boundaries (multiples of 2^20 ns) and same-instant bursts.
-        let mut t = 0u64;
-        for i in 0..2_000u64 {
-            t = (t.wrapping_mul(6364136223846793005).wrapping_add(i)) % (1 << 34);
-            let at = Time(t - t % if i % 3 == 0 { 1 << TICK_SHIFT } else { 1 });
-            wheel.schedule(at, i as i64);
-            heap.schedule(at, i as i64);
-        }
-        loop {
-            let a = wheel.pop();
-            let b = heap.pop();
-            assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
     }
 }

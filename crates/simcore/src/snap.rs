@@ -546,28 +546,14 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Restore a queue serialized with [`EventQueue::snap_with`] onto the
-    /// default backend.
+    /// Restore a queue serialized with [`EventQueue::snap_with`].
     pub fn unsnap_with<'a>(
-        r: &mut SnapReader<'a>,
-        f: impl FnMut(&mut SnapReader<'a>) -> Result<E, SnapError>,
-    ) -> Result<EventQueue<E>, SnapError> {
-        Self::unsnap_with_backend(crate::events::EventBackend::default(), r, f)
-    }
-
-    /// Restore a queue serialized with [`EventQueue::snap_with`] onto an
-    /// explicit backend. The serialized form (sorted entries plus the
-    /// insertion counter) is backend-independent, so a snapshot taken on
-    /// either backend restores onto either — the configured backend is
-    /// construct-then-overlay state, never persisted.
-    pub fn unsnap_with_backend<'a>(
-        backend: crate::events::EventBackend,
         r: &mut SnapReader<'a>,
         mut f: impl FnMut(&mut SnapReader<'a>) -> Result<E, SnapError>,
     ) -> Result<EventQueue<E>, SnapError> {
         let counter = r.u64()?;
         let n = r.usize()?;
-        let mut q = EventQueue::with_backend(backend);
+        let mut q = EventQueue::new();
         for _ in 0..n {
             let t = r.time()?;
             let seq = r.u64()?;

@@ -1,12 +1,42 @@
 //! Differential property test: the hierarchical timer wheel must pop in
-//! exactly the `(time, seq)` order of the `BinaryHeap` oracle for
+//! exactly the `(time, seq)` order of a `BinaryHeap` reference model for
 //! arbitrary interleavings of schedules and pops — including same-instant
 //! bursts, exact tick boundaries, far-wheel cascades, overflow horizons
 //! and scheduling "in the past" relative to the wheel cursor.
 
-use outran_simcore::events::EventBackend;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use outran_simcore::{Dur, EventQueue, Rng, Time};
 use proptest::prelude::*;
+
+/// Reference model: a `BinaryHeap` keyed on `(time, seq)` — the order
+/// the wheel must reproduce. `seq` is unique, so the payload never
+/// takes part in a comparison.
+#[derive(Default)]
+struct HeapModel<E: Ord> {
+    heap: BinaryHeap<Reverse<(Time, u64, E)>>,
+    seq: u64,
+}
+
+impl<E: Ord> HeapModel<E> {
+    fn schedule(&mut self, at: Time, event: E) {
+        self.heap.push(Reverse((at, self.seq, event)));
+        self.seq += 1;
+    }
+
+    fn pop(&mut self) -> Option<(Time, E)> {
+        self.heap.pop().map(|Reverse((t, _, e))| (t, e))
+    }
+
+    fn peek_time(&self) -> Option<Time> {
+        self.heap.peek().map(|Reverse((t, _, _))| *t)
+    }
+
+    fn len(&self) -> usize {
+        self.heap.len()
+    }
+}
 
 /// One tick of the near wheel in nanoseconds (2^20 ≈ 1.05 ms).
 const TICK: u64 = 1 << 20;
@@ -24,8 +54,8 @@ const HORIZONS: [u64; 5] = [
 
 fn drive(seed: u64, ops: u32, pop_bias: f64) -> Result<(), TestCaseError> {
     let mut rng = Rng::new(seed);
-    let mut wheel: EventQueue<u32> = EventQueue::with_backend(EventBackend::Wheel);
-    let mut heap: EventQueue<u32> = EventQueue::with_backend(EventBackend::Heap);
+    let mut wheel: EventQueue<u32> = EventQueue::new();
+    let mut heap: HeapModel<u32> = HeapModel::default();
     let mut now = Time::ZERO;
     let mut payload = 0u32;
     for _ in 0..ops {
@@ -67,7 +97,7 @@ fn drive(seed: u64, ops: u32, pop_bias: f64) -> Result<(), TestCaseError> {
             break;
         }
     }
-    prop_assert!(wheel.is_empty() && heap.is_empty());
+    prop_assert!(wheel.is_empty() && heap.len() == 0);
     Ok(())
 }
 
@@ -84,14 +114,36 @@ proptest! {
     }
 }
 
-/// Snapshots taken from either backend restore onto either backend with
-/// identical `(time, seq)` contents — the serialized form is sorted
-/// entries plus the insertion counter, independent of queue internals.
+/// Same-instant bursts and exact tick boundaries (multiples of 2^20 ns)
+/// scattered deterministically over ~17 s of ticks.
 #[test]
-fn sorted_entries_agree_across_backends() {
+fn wheel_matches_heap_on_dense_same_tick_bursts() {
+    let mut wheel: EventQueue<u64> = EventQueue::new();
+    let mut heap: HeapModel<u64> = HeapModel::default();
+    let mut t = 0u64;
+    for i in 0..2_000u64 {
+        t = (t.wrapping_mul(6364136223846793005).wrapping_add(i)) % (1 << 34);
+        let at = Time(t - t % if i % 3 == 0 { TICK } else { 1 });
+        wheel.schedule(at, i);
+        heap.schedule(at, i);
+    }
+    loop {
+        let a = wheel.pop();
+        assert_eq!(a, heap.pop());
+        if a.is_none() {
+            break;
+        }
+    }
+}
+
+/// The checkpoint view — sorted entries plus the insertion counter —
+/// carries exactly the model's `(time, seq)` contents, independent of
+/// where the wheel happens to hold each entry.
+#[test]
+fn sorted_entries_match_the_model() {
     let mut rng = Rng::new(7);
-    let mut wheel: EventQueue<u64> = EventQueue::with_backend(EventBackend::Wheel);
-    let mut heap: EventQueue<u64> = EventQueue::with_backend(EventBackend::Heap);
+    let mut wheel: EventQueue<u64> = EventQueue::new();
+    let mut heap: HeapModel<u64> = HeapModel::default();
     for i in 0..500 {
         let at = Time(rng.below(HORIZONS[(i % 5) as usize]));
         wheel.schedule(at, i);
@@ -106,10 +158,12 @@ fn sorted_entries_agree_across_backends() {
         .map(|(t, s, e)| (t, s, *e))
         .collect();
     let h: Vec<(Time, u64, u64)> = heap
-        .sorted_entries()
+        .heap
+        .into_sorted_vec()
         .into_iter()
-        .map(|(t, s, e)| (t, s, *e))
+        .rev()
+        .map(|Reverse(k)| k)
         .collect();
     assert_eq!(w, h);
-    assert_eq!(wheel.seq_counter(), heap.seq_counter());
+    assert_eq!(wheel.seq_counter(), heap.seq);
 }
