@@ -4,95 +4,30 @@
 //! binary. No external argument-parsing crates: a ~flag=value / flag
 //! value grammar over `std::env` keeps the dependency set minimal
 //! (smoltcp ethos).
+//!
+//! Every flag is declared once, as a row of `FLAGS` (or of the
+//! never-replayed `HOST_FLAGS`); [`parse_args`], [`canonical_argv`]
+//! and [`help`] all walk those rows, so a flag cannot be parsed but not
+//! replayed into checkpoints, or accepted by a subcommand that ignores
+//! it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::fmt;
 use std::path::{Path, PathBuf};
 
 use outran_core::OutRanConfig;
 use outran_faults::FaultPlan;
 use outran_mac::SrjfMode;
+use outran_metrics::{FctReport, SizeBucket, Table};
 use outran_phy::harq::HarqConfig;
 use outran_phy::Scenario;
 use outran_ran::checkpoint::{read_checkpoint, restore_cell};
-use outran_ran::{Experiment, ExperimentReport, Network, NetworkReport, RlcMode, SchedulerKind};
+use outran_ran::{Experiment, ExperimentReport, Network, NetworkRun, RlcMode, SchedulerKind};
 use outran_simcore::snap::write_atomic;
 use outran_simcore::{Dur, Time};
 use outran_workload::FlowSizeDist;
-
-/// Help text.
-pub const HELP: &str = "\
-outran-sim — OutRAN cell simulator (CoNEXT'22 reproduction)
-
-USAGE:
-  outran-sim [run] [FLAGS]      standard experiment report
-  outran-sim chaos [FLAGS]      same run under a seeded fault plan, with
-                                invariant auditing and a recovery summary
-  outran-sim metro [FLAGS]      coupled multi-cell network: hex-grid
-                                sites, load-coupled interference and
-                                deterministic A3 handover; prints FCT
-                                plus a handover health table
-  outran-sim resume CKPT        continue a checkpointed run to completion;
-                                the experiment configuration is replayed
-                                from the argv embedded in the checkpoint,
-                                and the final report is bit-identical to
-                                the uninterrupted run (single-cell and
-                                metro checkpoints both supported)
-
-CHAOS FLAGS:
-  --intensity X   fault-plan density, 0 (none) to 1 (hostile)   [0.5]
-
-METRO FLAGS (with the shared flags below; --users is ignored, --ues
-counts the network population):
-  --sites N         hex-grid cell sites (1, 7, 19, ...)          [7]
-  --sectors N       co-sited cells per site (1 = omni)           [3]
-  --isd M           inter-site distance in metres                [500]
-  --slots N         UE slots per cell (attach capacity)          [8]
-  --ues N           network UE population                        [96]
-  --vehicle-mps V   corridor speed in m/s                        [15]
-  --corridor-frac X fraction of UEs on vehicular corridors       [0.25]
-  --hysteresis DB   A3 hysteresis in dB                          [3]
-  --ttt N           A3 time-to-trigger in epochs                 [2]
-  --chaos X         layer a seeded chaos fault plan of this
-                    intensity on every cell, 0 to 1              [off]
-
-CHECKPOINT FLAGS (run and chaos; requires --reps 1):
-  --checkpoint-every N   write a crash-safe snapshot every N simulated
-                         seconds (atomic temp-file + rename)       [off]
-  --checkpoint-dir D     directory for ckpt-<secs>s.orsn files
-
-FLAGS (flag value  or  flag=value):
-  --scheduler K   pf | mt | rr | bet | mlwdf | srjf | pss | cqa | outran | strict-mlfq
-                  | outran:<eps>         (e.g. outran:0.4)      [outran]
-  --scenario S    lte | nr0|nr1|nr2|nr3 | rome | boston | powder
-                  | testbed                                     [lte]
-  --dist D        lte | mirage | websearch | incast             [per scenario]
-  --users N       number of UEs                                 [20]
-  --load X        offered load vs nominal capacity, 0-2         [0.6]
-  --secs N        simulated horizon in seconds                  [10]
-  --seed N        root seed (same seed = identical run)         [1]
-  --rlc M         um | am                                       [um]
-  --buffer N      per-UE RLC buffer capacity in SDUs            [128]
-  --tf-ms N       PF fairness window in ms                      [1000]
-  --cn-ms N       one-way wired core delay in ms                [10]
-  --epsilon X     OutRAN relaxation threshold                   [0.2]
-  --reset-ms N    OutRAN priority-reset period in ms            [off]
-  --harq          explicit HARQ processes (8, rtt 8 TTIs)       [folded]
-  --dense         force dense per-TTI stepping (disable the
-                  event-driven idle-skip engine; identical
-                  results, only slower on idle-heavy runs)       [off]
-  --loss X        residual post-HARQ segment loss prob          [0.002]
-  --srjf-mode M   waterfall | winner-only | backlog             [waterfall]
-  --reps N        run N seeds (seed..seed+N-1) and average; the
-                  runs fan out across the worker pool            [1]
-  --threads N     worker threads for --reps fan-out              [all cores]
-  --cdf B         also print a FCT CDF: short | medium | long | all
-                  (with --reps, prints the first rep's CDF)
-  --csv PATH      write per-flow records (size_bytes,fct_ms) to PATH
-                  (with --reps, writes the first rep's records)
-  -h, --help      this text
-";
 
 /// Which subcommand to execute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -242,22 +177,291 @@ impl Default for Opts {
     }
 }
 
+/// A spelled-out list of values: the one place an enum's CLI tokens are
+/// typed, read by parse, canonical print and help alike.
+type Tokens<T> = &'static [(&'static str, T)];
+
+const COMMANDS: Tokens<Command> = &[
+    ("run", Command::Run),
+    ("chaos", Command::Chaos),
+    ("metro", Command::Metro),
+    ("resume", Command::Resume),
+];
+
+const SCENARIOS: Tokens<Scenario> = &[
+    ("lte", Scenario::LtePedestrian),
+    ("nr0", Scenario::NrUrban(0)),
+    ("nr1", Scenario::NrUrban(1)),
+    ("nr2", Scenario::NrUrban(2)),
+    ("nr3", Scenario::NrUrban(3)),
+    ("rome", Scenario::ColosseumRome),
+    ("boston", Scenario::ColosseumBoston),
+    ("powder", Scenario::ColosseumPowder),
+    ("testbed", Scenario::Testbed),
+];
+
+const DISTS: Tokens<FlowSizeDist> = &[
+    ("lte", FlowSizeDist::LteCellular),
+    ("mirage", FlowSizeDist::MirageMobileApp),
+    ("websearch", FlowSizeDist::Websearch),
+    ("incast", FlowSizeDist::Incast8k),
+];
+
+const RLC_MODES: Tokens<RlcMode> = &[("um", RlcMode::Um), ("am", RlcMode::Am)];
+
+const SRJF_MODES: Tokens<SrjfMode> = &[
+    ("waterfall", SrjfMode::Waterfall),
+    ("winner-only", SrjfMode::WinnerOnly),
+    ("backlog", SrjfMode::WaterfallBacklog),
+];
+
+const CDFS: Tokens<CdfSel> = &[
+    ("short", CdfSel::Short),
+    ("medium", CdfSel::Medium),
+    ("long", CdfSel::Long),
+    ("all", CdfSel::All),
+];
+
+/// The schedulers with a fixed token; `outran:<eps>` rides on top.
+/// `OutRanOverMt` has no CLI spelling: only library callers can
+/// construct it.
+const SCHEDULERS: Tokens<SchedulerKind> = &[
+    ("pf", SchedulerKind::Pf),
+    ("mt", SchedulerKind::Mt),
+    ("rr", SchedulerKind::Rr),
+    ("bet", SchedulerKind::Bet),
+    ("mlwdf", SchedulerKind::Mlwdf),
+    ("srjf", SchedulerKind::Srjf),
+    ("pss", SchedulerKind::Pss),
+    ("cqa", SchedulerKind::Cqa),
+    ("outran", SchedulerKind::OutRan),
+    ("strict-mlfq", SchedulerKind::StrictMlfq),
+];
+
+/// The `a | b | c` grammar of a token list.
+fn alternatives<T>(list: Tokens<T>) -> String {
+    let toks: Vec<&str> = list.iter().map(|&(t, _)| t).collect();
+    toks.join(" | ")
+}
+
+/// The value `tok` spells.
+fn value_of<T: Copy>(list: Tokens<T>, tok: &str) -> Result<T, String> {
+    let found = list.iter().find(|(t, _)| *t == tok);
+    found
+        .map(|&(_, v)| v)
+        .ok_or_else(|| format!("'{tok}' is not one of: {}", alternatives(list)))
+}
+
+/// The token that spells `v`.
+fn token_of<T: PartialEq>(list: Tokens<T>, v: &T) -> Option<String> {
+    list.iter().find(|(_, x)| x == v).map(|&(t, _)| t.into())
+}
+
+fn scheduler_grammar() -> String {
+    format!("{} | outran:<eps in {UNIT}>", alternatives(SCHEDULERS))
+}
+
+fn scheduler_of(tok: &str) -> Result<SchedulerKind, String> {
+    match tok.strip_prefix("outran:") {
+        Some(eps) => real(eps, UNIT).map(SchedulerKind::OutRanEps),
+        None => value_of(SCHEDULERS, tok),
+    }
+}
+
+fn scheduler_token(k: SchedulerKind) -> Option<String> {
+    match k {
+        SchedulerKind::OutRanEps(e) => Some(format!("outran:{e}")),
+        k => token_of(SCHEDULERS, &k),
+    }
+}
+
+/// The numbers a flag accepts: `[lo, hi]`, or `(lo, hi]` when `open`.
+/// NaN and the infinities are outside every range.
+#[derive(Clone, Copy)]
+struct Range {
+    lo: f64,
+    hi: f64,
+    open: bool,
+}
+
+const fn closed(lo: f64, hi: f64) -> Range {
+    let open = false;
+    Range { lo, hi, open }
+}
+
+const fn above(lo: f64, hi: f64) -> Range {
+    let open = true;
+    Range { lo, hi, open }
+}
+
+/// No upper limit beyond finiteness (and what the field's type holds).
+const MAX: f64 = f64::MAX;
+const UNIT: Range = closed(0.0, 1.0);
+/// The longest horizon in whole seconds: a quarter of what `Time`'s
+/// nanosecond `u64` holds, so horizon + drain window + one checkpoint
+/// interval cannot overflow it.
+const MAX_SECS: f64 = (u64::MAX / 1_000_000_000 / 4) as f64;
+/// [`MAX_SECS`] in milliseconds, for the `-ms` flags.
+const MAX_MS: f64 = MAX_SECS * 1000.0;
+
+impl fmt::Display for Range {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let open = if self.open { '(' } else { '[' };
+        if self.hi == MAX {
+            write!(f, "{open}{}, inf)", self.lo)
+        } else {
+            write!(f, "{open}{}, {}]", self.lo, self.hi)
+        }
+    }
+}
+
+impl Range {
+    fn check(self, x: f64) -> Result<(), String> {
+        if x <= self.hi && if self.open { x > self.lo } else { x >= self.lo } {
+            return Ok(());
+        }
+        Err(format!("must be in {self}, got {x}"))
+    }
+}
+
+fn int(v: &str, range: Range) -> Result<u64, String> {
+    let n: u64 = v.parse().map_err(|_| format!("bad number '{v}'"))?;
+    range.check(n as f64).map(|()| n)
+}
+
+/// `f64`'s `FromStr` and `Display` are exact inverses, so every real
+/// survives the argv roundtrip bit for bit.
+fn real(v: &str, range: Range) -> Result<f64, String> {
+    let x: f64 = v.parse().map_err(|_| format!("bad number '{v}'"))?;
+    range.check(x).map(|()| x)
+}
+
+/// A present value, printed.
+fn show(v: impl ToString) -> Option<String> {
+    Some(v.to_string())
+}
+
+/// One command-line flag: the single place its spelling, scope, range
+/// and `Opts` field are written down.
+struct Flag {
+    name: &'static str,
+    /// The subcommands that read the flag. Giving it to any other is an
+    /// error, and [`canonical_argv`] emits it for exactly these.
+    scope: &'static [Command],
+    /// What the value looks like, for help; empty for a switch, which
+    /// takes none.
+    arg: fn() -> String,
+    /// The token `set` parses back to the field's current value: `None`
+    /// for an unset option, the empty token for a switch that is on.
+    get: fn(&Opts) -> Option<String>,
+    /// Parse, range-check and store a value.
+    set: fn(&mut Opts, &str) -> Result<(), String>,
+    help: &'static str,
+}
+
+const CELL: &[Command] = &[Command::Run, Command::Chaos];
+const METRO: &[Command] = &[Command::Metro];
+const ALL: &[Command] = &[Command::Run, Command::Chaos, Command::Metro];
+const N: fn() -> String = || "N".into();
+const X: fn() -> String = || "X".into();
+const PATH: fn() -> String = || "PATH".into();
+
+/// Every flag [`canonical_argv`] replays, in the order it emits them —
+/// which is the order checkpoints already on disk carry, so rows may be
+/// added but not renamed or reordered.
+#[rustfmt::skip]
+const FLAGS: &[Flag] = &[
+    Flag { name: "--intensity", scope: &[Command::Chaos], arg: X, help: "fault-plan density, 0 (none) to 1 (hostile)",
+           get: |o| show(o.intensity), set: |o, v| real(v, UNIT).map(|x| o.intensity = x) },
+    Flag { name: "--scheduler", scope: ALL, arg: scheduler_grammar, help: "MAC scheduler under test",
+           get: |o| scheduler_token(o.scheduler), set: |o, v| scheduler_of(v).map(|k| o.scheduler = k) },
+    Flag { name: "--scenario", scope: ALL, arg: || alternatives(SCENARIOS), help: "radio scenario",
+           get: |o| token_of(SCENARIOS, &o.scenario), set: |o, v| value_of(SCENARIOS, v).map(|s| o.scenario = s) },
+    Flag { name: "--dist", scope: ALL, arg: || alternatives(DISTS), help: "flow-size distribution (default: the scenario's own; lte for metro)",
+           get: |o| o.dist.and_then(|d| token_of(DISTS, &d)), set: |o, v| value_of(DISTS, v).map(|d| o.dist = Some(d)) },
+    Flag { name: "--users", scope: CELL, arg: N, help: "number of UEs",
+           get: |o| show(o.users), set: |o, v| int(v, closed(1.0, MAX)).map(|n| o.users = n as usize) },
+    Flag { name: "--sites", scope: METRO, arg: N, help: "hex-grid cell sites (1, 7, 19, ...)",
+           get: |o| show(o.sites), set: |o, v| int(v, closed(1.0, MAX)).map(|n| o.sites = n as usize) },
+    Flag { name: "--sectors", scope: METRO, arg: N, help: "co-sited cells per site (1 = omni)",
+           get: |o| show(o.sectors), set: |o, v| int(v, closed(1.0, MAX)).map(|n| o.sectors = n as usize) },
+    Flag { name: "--isd", scope: METRO, arg: X, help: "inter-site distance in metres",
+           get: |o| show(o.isd), set: |o, v| real(v, above(0.0, MAX)).map(|x| o.isd = x) },
+    Flag { name: "--slots", scope: METRO, arg: N, help: "UE slots per cell (attach capacity)",
+           get: |o| show(o.slots), set: |o, v| int(v, closed(1.0, MAX)).map(|n| o.slots = n as usize) },
+    Flag { name: "--ues", scope: METRO, arg: N, help: "network UE population",
+           get: |o| show(o.ues), set: |o, v| int(v, closed(1.0, MAX)).map(|n| o.ues = n as usize) },
+    Flag { name: "--vehicle-mps", scope: METRO, arg: X, help: "corridor speed in m/s",
+           get: |o| show(o.vehicle_mps), set: |o, v| real(v, closed(0.0, MAX)).map(|x| o.vehicle_mps = x) },
+    Flag { name: "--corridor-frac", scope: METRO, arg: X, help: "fraction of UEs on vehicular corridors",
+           get: |o| show(o.corridor_frac), set: |o, v| real(v, UNIT).map(|x| o.corridor_frac = x) },
+    Flag { name: "--hysteresis", scope: METRO, arg: X, help: "A3 hysteresis in dB",
+           get: |o| show(o.hysteresis), set: |o, v| real(v, closed(0.0, MAX)).map(|x| o.hysteresis = x) },
+    Flag { name: "--ttt", scope: METRO, arg: N, help: "A3 time-to-trigger in epochs",
+           get: |o| show(o.ttt), set: |o, v| int(v, closed(1.0, u32::MAX as f64)).map(|n| o.ttt = n as u32) },
+    Flag { name: "--load", scope: ALL, arg: X, help: "offered load vs nominal capacity",
+           get: |o| show(o.load), set: |o, v| real(v, above(0.0, 2.0)).map(|x| o.load = x) },
+    Flag { name: "--secs", scope: ALL, arg: N, help: "simulated horizon in seconds",
+           get: |o| show(o.secs), set: |o, v| int(v, closed(0.0, MAX_SECS)).map(|n| o.secs = n) },
+    Flag { name: "--seed", scope: ALL, arg: N, help: "root seed (same seed = identical run)",
+           get: |o| show(o.seed), set: |o, v| int(v, closed(0.0, MAX)).map(|n| o.seed = n) },
+    Flag { name: "--rlc", scope: CELL, arg: || alternatives(RLC_MODES), help: "RLC mode",
+           get: |o| token_of(RLC_MODES, &o.rlc), set: |o, v| value_of(RLC_MODES, v).map(|m| o.rlc = m) },
+    Flag { name: "--buffer", scope: CELL, arg: N, help: "per-UE RLC buffer capacity in SDUs",
+           get: |o| show(o.buffer), set: |o, v| int(v, closed(0.0, MAX)).map(|n| o.buffer = n as usize) },
+    Flag { name: "--tf-ms", scope: CELL, arg: N, help: "PF fairness window in ms",
+           get: |o| show(o.tf.as_millis()), set: |o, v| int(v, closed(0.0, MAX_MS)).map(|n| o.tf = Dur::from_millis(n)) },
+    Flag { name: "--cn-ms", scope: CELL, arg: N, help: "one-way wired core delay in ms",
+           get: |o| show(o.cn.as_millis()), set: |o, v| int(v, closed(0.0, MAX_MS)).map(|n| o.cn = Dur::from_millis(n)) },
+    Flag { name: "--epsilon", scope: ALL, arg: X, help: "OutRAN relaxation threshold",
+           get: |o| show(o.epsilon), set: |o, v| real(v, UNIT).map(|x| o.epsilon = x) },
+    Flag { name: "--reset-ms", scope: CELL, arg: N, help: "OutRAN priority-reset period in ms (default: never)",
+           get: |o| o.reset.and_then(|d| show(d.as_millis())), set: |o, v| int(v, closed(1.0, MAX_MS)).map(|n| o.reset = Some(Dur::from_millis(n))) },
+    Flag { name: "--harq", scope: CELL, arg: String::new, help: "explicit HARQ processes (8, rtt 8 TTIs) instead of the folded model",
+           get: |o| o.harq.then(String::new), set: |o, _| { o.harq = true; Ok(()) } },
+    Flag { name: "--dense", scope: CELL, arg: String::new, help: "dense per-TTI stepping: no idle-skip, identical results, slower when idle-heavy",
+           get: |o| o.dense.then(String::new), set: |o, _| { o.dense = true; Ok(()) } },
+    Flag { name: "--loss", scope: CELL, arg: X, help: "residual post-HARQ segment loss probability",
+           get: |o| show(o.loss), set: |o, v| real(v, UNIT).map(|x| o.loss = x) },
+    Flag { name: "--srjf-mode", scope: CELL, arg: || alternatives(SRJF_MODES), help: "how the SRJF oracle spends leftover capacity",
+           get: |o| token_of(SRJF_MODES, &o.srjf_mode), set: |o, v| value_of(SRJF_MODES, v).map(|m| o.srjf_mode = m) },
+    Flag { name: "--cdf", scope: CELL, arg: || alternatives(CDFS), help: "also print this bucket's FCT CDF (with --reps: the first rep's)",
+           get: |o| o.cdf.and_then(|c| token_of(CDFS, &c)), set: |o, v| value_of(CDFS, v).map(|c| o.cdf = Some(c)) },
+    Flag { name: "--csv", scope: CELL, arg: PATH, help: "write per-flow size_bytes,fct_ms records here (with --reps: the first rep's)",
+           get: |o| o.csv.clone(), set: |o, v| { o.csv = Some(v.into()); Ok(()) } },
+    Flag { name: "--chaos", scope: METRO, arg: X, help: "layer a seeded chaos fault plan of this intensity on every cell (default: none)",
+           get: |o| o.chaos.and_then(show), set: |o, v| real(v, UNIT).map(|x| o.chaos = Some(x)) },
+    Flag { name: "--checkpoint-every", scope: ALL, arg: N, help: "write a crash-safe snapshot every N simulated seconds (needs --checkpoint-dir)",
+           get: |o| o.checkpoint_every.and_then(show), set: |o, v| int(v, closed(1.0, MAX_SECS)).map(|n| o.checkpoint_every = Some(n)) },
+    Flag { name: "--checkpoint-dir", scope: ALL, arg: PATH, help: "directory for the .orsn snapshots that `resume` takes",
+           get: |o| o.checkpoint_dir.clone(), set: |o, v| { o.checkpoint_dir = Some(v.into()); Ok(()) } },
+];
+
+/// The fan-out knobs, parsed and documented like [`FLAGS`] but never
+/// replayed: a checkpoint captures exactly one run, on whatever host
+/// resumes it.
+#[rustfmt::skip]
+const HOST_FLAGS: &[Flag] = &[
+    Flag { name: "--reps", scope: &[Command::Run], arg: N, help: "run N seeds (seed..seed+N-1) across the worker pool and average",
+           get: |o| show(o.reps), set: |o, v| int(v, closed(1.0, MAX)).map(|n| o.reps = n as usize) },
+    Flag { name: "--threads", scope: &[Command::Run, Command::Metro], arg: N, help: "worker threads: the --reps fan-out, or metro cells between barriers",
+           get: |o| show(o.threads), set: |o, v| int(v, closed(1.0, MAX)).map(|n| o.threads = n as usize) },
+];
+
+/// `run, chaos` — the subcommand names of a scope, for messages.
+fn scope_names(scope: &[Command]) -> String {
+    let names = scope.iter().filter_map(|c| token_of(COMMANDS, c));
+    names.collect::<Vec<_>>().join(", ")
+}
+
 /// Parse a raw argument list (without the program name).
 pub fn parse_args(args: &[String]) -> Result<Opts, String> {
     let mut o = Opts::default();
     let mut args = args;
     // Optional leading subcommand (anything not starting with '-').
-    if let Some(first) = args.first() {
-        if !first.starts_with('-') {
-            o.command = match first.as_str() {
-                "run" => Command::Run,
-                "chaos" => Command::Chaos,
-                "metro" => Command::Metro,
-                "resume" => Command::Resume,
-                other => return Err(format!("unknown subcommand '{other}'")),
-            };
-            args = &args[1..];
-        }
+    if let Some(first) = args.first().filter(|a| !a.starts_with('-')) {
+        o.command = value_of(COMMANDS, first).map_err(|e| format!("unknown subcommand: {e}"))?;
+        args = &args[1..];
     }
     if o.command == Command::Resume {
         // `resume` takes exactly one positional: the checkpoint path.
@@ -270,145 +474,35 @@ pub fn parse_args(args: &[String]) -> Result<Opts, String> {
         }
         return Ok(o);
     }
-    let mut it = args.iter().peekable();
-    // flag=value and flag value are both accepted.
-    let next_value = |it: &mut std::iter::Peekable<std::slice::Iter<String>>,
-                      flag: &str,
-                      inline: Option<&str>|
-     -> Result<String, String> {
-        if let Some(v) = inline {
-            return Ok(v.to_string());
-        }
-        it.next()
-            .map(|s| s.to_string())
-            .ok_or_else(|| format!("{flag} needs a value"))
-    };
+    let mut it = args.iter();
     while let Some(raw) = it.next() {
-        let (flag, inline) = match raw.split_once('=') {
+        // flag=value and flag value are both accepted.
+        let (name, inline) = match raw.split_once('=') {
             Some((f, v)) => (f, Some(v)),
             None => (raw.as_str(), None),
         };
-        match flag {
-            "--scheduler" => {
-                let v = next_value(&mut it, flag, inline)?;
-                o.scheduler = parse_scheduler(&v)?;
-            }
-            "--scenario" => {
-                let v = next_value(&mut it, flag, inline)?;
-                o.scenario = parse_scenario(&v)?;
-            }
-            "--dist" => {
-                let v = next_value(&mut it, flag, inline)?;
-                o.dist = Some(match v.as_str() {
-                    "lte" => FlowSizeDist::LteCellular,
-                    "mirage" => FlowSizeDist::MirageMobileApp,
-                    "websearch" => FlowSizeDist::Websearch,
-                    "incast" => FlowSizeDist::Incast8k,
-                    other => return Err(format!("unknown dist '{other}'")),
-                });
-            }
-            "--users" => o.users = parse_num(&next_value(&mut it, flag, inline)?, flag)?,
-            "--load" => o.load = parse_f64(&next_value(&mut it, flag, inline)?, flag)?,
-            "--secs" => o.secs = parse_num(&next_value(&mut it, flag, inline)?, flag)? as u64,
-            "--seed" => o.seed = parse_num(&next_value(&mut it, flag, inline)?, flag)? as u64,
-            "--rlc" => {
-                o.rlc = match next_value(&mut it, flag, inline)?.as_str() {
-                    "um" => RlcMode::Um,
-                    "am" => RlcMode::Am,
-                    other => return Err(format!("unknown rlc mode '{other}'")),
-                };
-            }
-            "--buffer" => o.buffer = parse_num(&next_value(&mut it, flag, inline)?, flag)?,
-            "--tf-ms" => {
-                o.tf =
-                    Dur::from_millis(parse_num(&next_value(&mut it, flag, inline)?, flag)? as u64)
-            }
-            "--cn-ms" => {
-                o.cn =
-                    Dur::from_millis(parse_num(&next_value(&mut it, flag, inline)?, flag)? as u64)
-            }
-            "--epsilon" => o.epsilon = parse_f64(&next_value(&mut it, flag, inline)?, flag)?,
-            "--reset-ms" => {
-                o.reset = Some(Dur::from_millis(parse_num(
-                    &next_value(&mut it, flag, inline)?,
-                    flag,
-                )? as u64))
-            }
-            "--harq" => o.harq = true,
-            "--dense" => o.dense = true,
-            "--intensity" => o.intensity = parse_f64(&next_value(&mut it, flag, inline)?, flag)?,
-            "--loss" => o.loss = parse_f64(&next_value(&mut it, flag, inline)?, flag)?,
-            "--srjf-mode" => {
-                o.srjf_mode = match next_value(&mut it, flag, inline)?.as_str() {
-                    "waterfall" => SrjfMode::Waterfall,
-                    "winner-only" => SrjfMode::WinnerOnly,
-                    "backlog" => SrjfMode::WaterfallBacklog,
-                    other => return Err(format!("unknown srjf mode '{other}'")),
-                };
-            }
-            "--reps" => o.reps = parse_num(&next_value(&mut it, flag, inline)?, flag)?,
-            "--threads" => o.threads = parse_num(&next_value(&mut it, flag, inline)?, flag)?,
-            "--csv" => {
-                o.csv = Some(next_value(&mut it, flag, inline)?);
-            }
-            "--sites" => o.sites = parse_num(&next_value(&mut it, flag, inline)?, flag)?,
-            "--sectors" => o.sectors = parse_num(&next_value(&mut it, flag, inline)?, flag)?,
-            "--isd" => o.isd = parse_f64(&next_value(&mut it, flag, inline)?, flag)?,
-            "--slots" => o.slots = parse_num(&next_value(&mut it, flag, inline)?, flag)?,
-            "--ues" => o.ues = parse_num(&next_value(&mut it, flag, inline)?, flag)?,
-            "--vehicle-mps" => {
-                o.vehicle_mps = parse_f64(&next_value(&mut it, flag, inline)?, flag)?
-            }
-            "--corridor-frac" => {
-                o.corridor_frac = parse_f64(&next_value(&mut it, flag, inline)?, flag)?
-            }
-            "--hysteresis" => o.hysteresis = parse_f64(&next_value(&mut it, flag, inline)?, flag)?,
-            "--ttt" => o.ttt = parse_num(&next_value(&mut it, flag, inline)?, flag)? as u32,
-            "--chaos" => {
-                o.chaos = Some(parse_f64(&next_value(&mut it, flag, inline)?, flag)?);
-            }
-            "--checkpoint-every" => {
-                o.checkpoint_every =
-                    Some(parse_num(&next_value(&mut it, flag, inline)?, flag)? as u64);
-            }
-            "--checkpoint-dir" => {
-                o.checkpoint_dir = Some(next_value(&mut it, flag, inline)?);
-            }
-            "--cdf" => {
-                o.cdf = Some(match next_value(&mut it, flag, inline)?.as_str() {
-                    "short" => CdfSel::Short,
-                    "medium" => CdfSel::Medium,
-                    "long" => CdfSel::Long,
-                    "all" => CdfSel::All,
-                    other => return Err(format!("unknown cdf selection '{other}'")),
-                });
-            }
-            other => return Err(format!("unknown flag '{other}'")),
+        let mut flags = FLAGS.iter().chain(HOST_FLAGS);
+        let flag = flags
+            .find(|f| f.name == name)
+            .ok_or_else(|| format!("unknown flag '{name}'"))?;
+        if !flag.scope.contains(&o.command) {
+            return Err(format!(
+                "{name} is not read by the '{}' subcommand (only by: {})",
+                scope_names(&[o.command]),
+                scope_names(flag.scope)
+            ));
         }
-    }
-    if !(0.0..=2.0).contains(&o.load) || o.load == 0.0 {
-        return Err(format!("--load must be in (0, 2], got {}", o.load));
-    }
-    if !(0.0..=1.0).contains(&o.epsilon) {
-        return Err(format!("--epsilon must be in [0, 1], got {}", o.epsilon));
-    }
-    if o.users == 0 {
-        return Err("--users must be at least 1".into());
-    }
-    if !(0.0..=1.0).contains(&o.intensity) {
-        return Err(format!(
-            "--intensity must be in [0, 1], got {}",
-            o.intensity
-        ));
-    }
-    if o.reps == 0 {
-        return Err("--reps must be at least 1".into());
-    }
-    if o.threads == 0 {
-        return Err("--threads must be at least 1".into());
-    }
-    if o.checkpoint_every == Some(0) {
-        return Err("--checkpoint-every must be at least 1 second".into());
+        let is_switch = (flag.arg)().is_empty();
+        let tok = match inline {
+            Some(_) if is_switch => return Err(format!("{name} takes no value")),
+            None if is_switch => "",
+            Some(v) => v,
+            None => it.next().map_or("", |v| v.as_str()),
+        };
+        if tok.is_empty() && !is_switch {
+            return Err(format!("{name} needs a value"));
+        }
+        (flag.set)(&mut o, tok).map_err(|e| format!("{name}: {e}"))?;
     }
     if o.checkpoint_every.is_some() != o.checkpoint_dir.is_some() {
         return Err("--checkpoint-every and --checkpoint-dir must be given together".into());
@@ -416,236 +510,76 @@ pub fn parse_args(args: &[String]) -> Result<Opts, String> {
     if o.checkpoint_every.is_some() && o.reps > 1 {
         return Err("checkpointing covers a single run; it cannot be combined with --reps".into());
     }
-    if o.sites == 0 || o.sectors == 0 || o.slots == 0 || o.ues == 0 {
-        return Err("--sites, --sectors, --slots and --ues must all be at least 1".into());
-    }
-    if o.ues > o.sites * o.sectors * o.slots {
+    let attach_slots = o.sites.saturating_mul(o.sectors).saturating_mul(o.slots);
+    if o.ues > attach_slots {
         return Err(format!(
-            "--ues {} exceeds the {} attach slots ({} sites x {} sectors x {} slots)",
-            o.ues,
-            o.sites * o.sectors * o.slots,
-            o.sites,
-            o.sectors,
-            o.slots
+            "--ues {} exceeds the {attach_slots} attach slots ({} sites x {} sectors x {} slots)",
+            o.ues, o.sites, o.sectors, o.slots
         ));
-    }
-    if o.isd.is_nan() || o.isd <= 0.0 {
-        return Err(format!("--isd must be positive, got {}", o.isd));
-    }
-    if !(0.0..=1.0).contains(&o.corridor_frac) {
-        return Err(format!(
-            "--corridor-frac must be in [0, 1], got {}",
-            o.corridor_frac
-        ));
-    }
-    if o.hysteresis < 0.0 {
-        return Err(format!("--hysteresis must be >= 0, got {}", o.hysteresis));
-    }
-    if o.vehicle_mps < 0.0 {
-        return Err(format!("--vehicle-mps must be >= 0, got {}", o.vehicle_mps));
-    }
-    if o.ttt == 0 {
-        return Err("--ttt must be at least 1 epoch".into());
-    }
-    if let Some(x) = o.chaos {
-        if !(0.0..=1.0).contains(&x) {
-            return Err(format!("--chaos must be in [0, 1], got {x}"));
-        }
-    }
-    if o.command == Command::Metro && o.reps > 1 {
-        return Err("metro runs one coupled deployment; --reps is not supported".into());
     }
     Ok(o)
-}
-
-fn parse_scheduler(v: &str) -> Result<SchedulerKind, String> {
-    if let Some(eps) = v.strip_prefix("outran:") {
-        let e: f64 = eps.parse().map_err(|_| format!("bad epsilon in '{v}'"))?;
-        return Ok(SchedulerKind::OutRanEps(e));
-    }
-    Ok(match v {
-        "pf" => SchedulerKind::Pf,
-        "mt" => SchedulerKind::Mt,
-        "rr" => SchedulerKind::Rr,
-        "bet" => SchedulerKind::Bet,
-        "mlwdf" => SchedulerKind::Mlwdf,
-        "srjf" => SchedulerKind::Srjf,
-        "pss" => SchedulerKind::Pss,
-        "cqa" => SchedulerKind::Cqa,
-        "outran" => SchedulerKind::OutRan,
-        "strict-mlfq" => SchedulerKind::StrictMlfq,
-        other => return Err(format!("unknown scheduler '{other}'")),
-    })
-}
-
-fn parse_scenario(v: &str) -> Result<Scenario, String> {
-    Ok(match v {
-        "lte" => Scenario::LtePedestrian,
-        "nr0" => Scenario::NrUrban(0),
-        "nr1" => Scenario::NrUrban(1),
-        "nr2" => Scenario::NrUrban(2),
-        "nr3" => Scenario::NrUrban(3),
-        "rome" => Scenario::ColosseumRome,
-        "boston" => Scenario::ColosseumBoston,
-        "powder" => Scenario::ColosseumPowder,
-        "testbed" => Scenario::Testbed,
-        other => return Err(format!("unknown scenario '{other}'")),
-    })
 }
 
 /// Reconstruct a canonical argv (program name included) that re-parses
 /// to the same experiment. This — not the raw process argv — is what
 /// gets embedded in checkpoints, so `resume` rebuilds the identical run
 /// regardless of which of the two flag grammars, orderings or defaults
-/// the original invocation used. `--reps`/`--threads` are omitted: a
-/// checkpoint captures exactly one run.
+/// the original invocation used: every `FLAGS` row its subcommand
+/// reads, in table order, unset options omitted.
 pub fn canonical_argv(o: &Opts) -> Vec<String> {
-    let mut v = vec!["outran-sim".to_string()];
-    match o.command {
-        Command::Run | Command::Resume => v.push("run".into()),
-        Command::Chaos => {
-            v.push("chaos".into());
-            v.push(format!("--intensity={}", o.intensity));
+    let resumed = o.command == Command::Resume;
+    let command = if resumed { Command::Run } else { o.command };
+    let mut v = vec!["outran-sim".to_string(), scope_names(&[command])];
+    for f in FLAGS.iter().filter(|f| f.scope.contains(&command)) {
+        match (f.get)(o) {
+            Some(tok) if tok.is_empty() => v.push(f.name.into()),
+            Some(tok) => v.push(format!("{}={tok}", f.name)),
+            None => {}
         }
-        Command::Metro => {
-            // The metro form carries only the flags the network reads;
-            // `{}` on f64 prints the shortest string that parses back to
-            // the same bits, so every geometry knob survives exactly.
-            v.push("metro".into());
-            v.push(format!("--scheduler={}", scheduler_token(o.scheduler)));
-            v.push(format!("--scenario={}", scenario_token(o.scenario)));
-            if let Some(d) = o.dist {
-                v.push(format!("--dist={}", dist_token(d)));
-            }
-            v.push(format!("--sites={}", o.sites));
-            v.push(format!("--sectors={}", o.sectors));
-            v.push(format!("--isd={}", o.isd));
-            v.push(format!("--slots={}", o.slots));
-            v.push(format!("--ues={}", o.ues));
-            v.push(format!("--vehicle-mps={}", o.vehicle_mps));
-            v.push(format!("--corridor-frac={}", o.corridor_frac));
-            v.push(format!("--hysteresis={}", o.hysteresis));
-            v.push(format!("--ttt={}", o.ttt));
-            v.push(format!("--load={}", o.load));
-            v.push(format!("--secs={}", o.secs));
-            v.push(format!("--seed={}", o.seed));
-            v.push(format!("--epsilon={}", o.epsilon));
-            if let Some(x) = o.chaos {
-                v.push(format!("--chaos={x}"));
-            }
-            if let (Some(every), Some(dir)) = (o.checkpoint_every, &o.checkpoint_dir) {
-                v.push(format!("--checkpoint-every={every}"));
-                v.push(format!("--checkpoint-dir={dir}"));
-            }
-            return v;
-        }
-    }
-    v.push(format!("--scheduler={}", scheduler_token(o.scheduler)));
-    v.push(format!("--scenario={}", scenario_token(o.scenario)));
-    if let Some(d) = o.dist {
-        v.push(format!("--dist={}", dist_token(d)));
-    }
-    v.push(format!("--users={}", o.users));
-    v.push(format!("--load={}", o.load));
-    v.push(format!("--secs={}", o.secs));
-    v.push(format!("--seed={}", o.seed));
-    v.push(format!(
-        "--rlc={}",
-        match o.rlc {
-            RlcMode::Um => "um",
-            RlcMode::Am => "am",
-        }
-    ));
-    v.push(format!("--buffer={}", o.buffer));
-    v.push(format!("--tf-ms={}", o.tf.as_millis()));
-    v.push(format!("--cn-ms={}", o.cn.as_millis()));
-    v.push(format!("--epsilon={}", o.epsilon));
-    if let Some(r) = o.reset {
-        v.push(format!("--reset-ms={}", r.as_millis()));
-    }
-    if o.harq {
-        v.push("--harq".into());
-    }
-    if o.dense {
-        v.push("--dense".into());
-    }
-    v.push(format!("--loss={}", o.loss));
-    v.push(format!(
-        "--srjf-mode={}",
-        match o.srjf_mode {
-            SrjfMode::Waterfall => "waterfall",
-            SrjfMode::WinnerOnly => "winner-only",
-            SrjfMode::WaterfallBacklog => "backlog",
-        }
-    ));
-    if let Some(sel) = o.cdf {
-        let tok = match sel {
-            CdfSel::Short => "short",
-            CdfSel::Medium => "medium",
-            CdfSel::Long => "long",
-            CdfSel::All => "all",
-        };
-        v.push(format!("--cdf={tok}"));
-    }
-    if let Some(p) = &o.csv {
-        v.push(format!("--csv={p}"));
-    }
-    // Keep checkpointing active across resumes: a soak that crashes
-    // twice resumes from its latest snapshot, not its first.
-    if let (Some(every), Some(dir)) = (o.checkpoint_every, &o.checkpoint_dir) {
-        v.push(format!("--checkpoint-every={every}"));
-        v.push(format!("--checkpoint-dir={dir}"));
     }
     v
 }
 
-fn scheduler_token(k: SchedulerKind) -> String {
-    match k {
-        SchedulerKind::Pf => "pf".into(),
-        SchedulerKind::Mt => "mt".into(),
-        SchedulerKind::Rr => "rr".into(),
-        SchedulerKind::Bet => "bet".into(),
-        SchedulerKind::Mlwdf => "mlwdf".into(),
-        SchedulerKind::Srjf => "srjf".into(),
-        SchedulerKind::Pss => "pss".into(),
-        SchedulerKind::Cqa => "cqa".into(),
-        SchedulerKind::OutRan => "outran".into(),
-        // `{}` on f64 prints the shortest string that parses back to the
-        // same bits, so the epsilon survives the argv roundtrip exactly.
-        SchedulerKind::OutRanEps(e) => format!("outran:{e}"),
-        SchedulerKind::StrictMlfq => "strict-mlfq".into(),
-        // Not reachable from parse_args (no CLI spelling exists); only
-        // library callers can construct it.
-        SchedulerKind::OutRanOverMt(_) => unreachable!("OutRanOverMt has no CLI flag"),
+const USAGE: &str = "\
+outran-sim — OutRAN cell simulator (CoNEXT'22 reproduction)
+
+USAGE:
+  outran-sim [run] [FLAGS]      standard experiment report
+  outran-sim chaos [FLAGS]      same run under a seeded fault plan, with
+                                invariant auditing and a recovery summary
+  outran-sim metro [FLAGS]      coupled multi-cell network: hex-grid
+                                sites, load-coupled interference and
+                                deterministic A3 handover; prints FCT
+                                plus a handover health table
+  outran-sim resume CKPT        continue a single-cell or metro checkpoint
+                                to completion: the configuration is
+                                replayed from the argv embedded in it, and
+                                the final report is bit-identical to the
+                                uninterrupted run
+
+FLAGS (flag value  or  flag=value). Each entry ends with its [default]
+and the (subcommands) that read it; giving it to any other is an error.
+`metro` sizes its population with --ues, single cells with --users.
+";
+
+/// The help text: the usage block plus one entry per flag-table row,
+/// with defaults read from [`Opts::default`].
+pub fn help() -> String {
+    let defaults = Opts::default();
+    let mut out = String::from(USAGE);
+    for f in FLAGS.iter().chain(HOST_FLAGS) {
+        let default = (f.get)(&defaults).filter(|d| !d.is_empty());
+        let default = default.map(|d| format!(" [{d}]")).unwrap_or_default();
+        out.push_str(&format!(
+            "  {} {}\n        {}{default} ({})\n",
+            f.name,
+            (f.arg)(),
+            f.help,
+            scope_names(f.scope)
+        ));
     }
-}
-
-fn dist_token(d: FlowSizeDist) -> &'static str {
-    match d {
-        FlowSizeDist::LteCellular => "lte",
-        FlowSizeDist::MirageMobileApp => "mirage",
-        FlowSizeDist::Websearch => "websearch",
-        FlowSizeDist::Incast8k => "incast",
-    }
-}
-
-fn scenario_token(s: Scenario) -> String {
-    match s {
-        Scenario::LtePedestrian => "lte".into(),
-        Scenario::NrUrban(mu) => format!("nr{mu}"),
-        Scenario::ColosseumRome => "rome".into(),
-        Scenario::ColosseumBoston => "boston".into(),
-        Scenario::ColosseumPowder => "powder".into(),
-        Scenario::Testbed => "testbed".into(),
-    }
-}
-
-fn parse_num(v: &str, flag: &str) -> Result<usize, String> {
-    v.parse().map_err(|_| format!("{flag}: bad number '{v}'"))
-}
-
-fn parse_f64(v: &str, flag: &str) -> Result<f64, String> {
-    v.parse().map_err(|_| format!("{flag}: bad number '{v}'"))
+    out.push_str("  -h, --help\n        this text\n");
+    out
 }
 
 /// Execute the selected subcommand. `Err` means the run could not
@@ -659,15 +593,20 @@ pub fn run(o: &Opts) -> Result<(), String> {
     }
 }
 
+/// The scheduler to instantiate: plain `outran` takes its ε from
+/// `--epsilon`.
+fn scheduler_for(o: &Opts) -> SchedulerKind {
+    match o.scheduler {
+        SchedulerKind::OutRan => SchedulerKind::OutRanEps(o.epsilon),
+        k => k,
+    }
+}
+
 /// Build the coupled network described by the options (shared by `metro`
 /// and network-checkpoint `resume`, so a resumed deployment is built
 /// from exactly the configuration its checkpoint was taken under).
 fn build_network(o: &Opts) -> Network {
-    let scheduler = match o.scheduler {
-        SchedulerKind::OutRan => SchedulerKind::OutRanEps(o.epsilon),
-        k => k,
-    };
-    let mut net = Network::metro(o.scenario, scheduler, o.load);
+    let mut net = Network::metro(o.scenario, scheduler_for(o), o.load);
     net.n_sites = o.sites;
     net.sectors_per_site = o.sectors;
     net.isd_m = o.isd;
@@ -703,27 +642,43 @@ fn run_metro(o: &Opts) -> Result<(), String> {
         );
         println!("{}", net.faults.describe());
     }
-    let run = net.run();
-    print_network_report(o, &run.report);
-    if let Some(t) = run.aborted_at {
-        let ck = run
-            .checkpoint
-            .as_ref()
-            .map(|p| format!("; checkpoint at {}", p.display()))
-            .unwrap_or_default();
-        return Err(format!("watchdog aborted the run at {t}{ck}"));
+    finish_network(o, &net.run())
+}
+
+/// The FCT line shared by the single-cell and metro reports.
+fn print_fct(fct: &FctReport) {
+    println!(
+        "FCT (ms): overall {:.1}  S avg {:.1}  S p95 {:.1}  S p99 {:.1}  M {:.1}  L {:.1}",
+        fct.overall_mean_ms,
+        fct.short_mean_ms,
+        fct.short_p95_ms,
+        fct.short_p99_ms,
+        fct.medium_mean_ms,
+        fct.long_mean_ms
+    );
+}
+
+/// An event/count table (handover health, fault + recovery events).
+fn print_counts(title: &str, rows: &[(&'static str, u64)]) {
+    let mut t = Table::new(title, &["event", "count"]);
+    for (label, value) in rows {
+        t.rowd(&[label, value]);
     }
-    if run.report.total_violations > 0 {
-        return Err(format!(
-            "{} invariant violation(s) detected",
-            run.report.total_violations
-        ));
+    t.print();
+}
+
+/// Fail the subcommand when the invariant auditors recorded anything.
+fn check_violations(total: u64) -> Result<(), String> {
+    if total > 0 {
+        return Err(format!("{total} invariant violation(s) detected"));
     }
     Ok(())
 }
 
-/// The metro report: FCT summary plus the handover health table.
-fn print_network_report(o: &Opts, r: &NetworkReport) {
+/// The metro report — FCT summary plus the handover health table — and
+/// the exit status of a fresh or resumed network run.
+fn finish_network(o: &Opts, run: &NetworkRun) -> Result<(), String> {
+    let r = &run.report;
     println!(
         "metro: {} sites x {} sectors ({} cells)  ues {}  scheduler {}  load {}  {}s  seed {}",
         o.sites,
@@ -736,53 +691,44 @@ fn print_network_report(o: &Opts, r: &NetworkReport) {
         o.seed
     );
     println!("flows: {} completed / {} offered", r.completed, r.offered);
-    println!(
-        "FCT (ms): overall {:.1}  S avg {:.1}  S p95 {:.1}  S p99 {:.1}  M {:.1}  L {:.1}",
-        r.fct.overall_mean_ms,
-        r.fct.short_mean_ms,
-        r.fct.short_p95_ms,
-        r.fct.short_p99_ms,
-        r.fct.medium_mean_ms,
-        r.fct.long_mean_ms
-    );
-    let mut t = outran_metrics::table::Table::new("handover health", &["event", "count"]);
-    for (label, value) in r.handover.rows() {
-        t.row(&[label.to_string(), value.to_string()]);
-    }
-    t.print();
-    if r.fault_stats.rows().iter().any(|&(_, v)| v > 0) {
-        let mut t =
-            outran_metrics::table::Table::new("fault + recovery events", &["event", "count"]);
-        for (label, value) in r.fault_stats.rows() {
-            t.row(&[label.to_string(), value.to_string()]);
-        }
-        t.print();
+    print_fct(&r.fct);
+    print_counts("handover health", &r.handover.rows());
+    if r.fault_stats.total_events() > 0 {
+        print_counts("fault + recovery events", &r.fault_stats.rows());
     }
     println!(
         "per-cell completed: {:?}   invariant violations: {}",
         r.per_cell_completed, r.total_violations
     );
+    if let Some(t) = run.aborted_at {
+        let ck = run
+            .checkpoint
+            .as_ref()
+            .map(|p| format!("; checkpoint at {}", p.display()))
+            .unwrap_or_default();
+        return Err(format!("watchdog aborted the run at {t}{ck}"));
+    }
+    check_violations(r.total_violations)
 }
 
-/// Build the experiment described by the options (shared by both
-/// subcommands; `chaos` layers a fault plan on top).
+/// Build the experiment described by the options, `chaos` layering its
+/// fault plan on top — the one construction path shared by fresh runs
+/// and `resume`, so a resumed run is built from *exactly* the experiment
+/// its checkpoint was taken under.
 fn build_experiment(o: &Opts) -> Experiment {
     let dist = o.dist.unwrap_or(match o.scenario {
         Scenario::NrUrban(_) => FlowSizeDist::MirageMobileApp,
         _ => FlowSizeDist::LteCellular,
     });
-    let mut outran_cfg = OutRanConfig {
+    let outran_cfg = OutRanConfig {
         epsilon: o.epsilon,
         reset_period: o.reset,
+        buffer_sdus: o.buffer,
         ..OutRanConfig::default()
     };
-    outran_cfg.buffer_sdus = o.buffer;
     let mut exp = Experiment::lte_default()
         .scenario(o.scenario)
-        .scheduler(match o.scheduler {
-            SchedulerKind::OutRan => SchedulerKind::OutRanEps(o.epsilon),
-            k => k,
-        })
+        .scheduler(scheduler_for(o))
         .dist(dist)
         .users(o.users)
         .load(o.load)
@@ -802,26 +748,17 @@ fn build_experiment(o: &Opts) -> Experiment {
     if let (Some(every), Some(dir)) = (o.checkpoint_every, &o.checkpoint_dir) {
         exp = exp.checkpoint_every(Dur::from_secs(every), PathBuf::from(dir), canonical_argv(o));
     }
+    if o.command == Command::Chaos {
+        exp = exp
+            .faults(chaos_plan(o))
+            .watchdog(Some(Dur::from_millis(750)));
+    }
     exp
 }
 
-/// [`build_experiment`] plus the chaos fault layer when the options ask
-/// for it — the one construction path shared by fresh runs and `resume`,
-/// so a resumed run is built from *exactly* the experiment its
-/// checkpoint was taken under.
-fn experiment_for(o: &Opts) -> Experiment {
-    let exp = build_experiment(o);
-    if o.command == Command::Chaos {
-        exp.faults(FaultPlan::chaos(
-            o.seed,
-            Dur::from_secs(o.secs),
-            o.users,
-            o.intensity,
-        ))
-        .watchdog(Some(Dur::from_millis(750)))
-    } else {
-        exp
-    }
+/// The seeded fault plan of a `chaos` run.
+fn chaos_plan(o: &Opts) -> FaultPlan {
+    FaultPlan::chaos(o.seed, Dur::from_secs(o.secs), o.users, o.intensity)
 }
 
 fn run_resume(o: &Opts) -> Result<(), String> {
@@ -847,18 +784,10 @@ fn run_resume(o: &Opts) -> Result<(), String> {
                 "checkpoint '{path}' has a network section but its argv is not a metro run"
             ));
         }
-        let net = build_network(&ro);
-        let run = net
+        let run = build_network(&ro)
             .resume(&file)
             .map_err(|e| format!("restoring '{path}' into the rebuilt network failed: {e}"))?;
-        print_network_report(&ro, &run.report);
-        if run.report.total_violations > 0 {
-            return Err(format!(
-                "{} invariant violation(s) detected",
-                run.report.total_violations
-            ));
-        }
-        return Ok(());
+        return finish_network(&ro, &run);
     }
     if meta.n_cells != 1 {
         return Err(format!(
@@ -866,30 +795,16 @@ fn run_resume(o: &Opts) -> Result<(), String> {
             meta.n_cells
         ));
     }
-    let exp = experiment_for(&ro);
+    let exp = build_experiment(&ro);
     let mut cell = exp.build_cell();
     restore_cell(&file, 0, &mut cell)
         .map_err(|e| format!("restoring '{path}' into the rebuilt cell failed: {e}"))?;
-    let mut r = exp.run_cell(cell);
-    print_report(&ro, &r);
-    if ro.command == Command::Chaos {
-        print_chaos_summary(&r);
-    }
-    finish_report(&ro, &mut r)?;
-    if ro.command == Command::Chaos && r.total_violations > 0 {
-        return Err(format!(
-            "{} invariant violation(s) detected",
-            r.total_violations
-        ));
-    }
-    Ok(())
+    finish_cell(&ro, exp.run_cell(cell))
 }
 
 fn run_standard(o: &Opts) -> Result<(), String> {
     if o.reps <= 1 {
-        let mut r = build_experiment(o).run();
-        print_report(o, &r);
-        return finish_report(o, &mut r);
+        return finish_cell(o, build_experiment(o).run());
     }
     // Fan the repetitions across the worker pool; results come back in
     // seed order, so the output is reproducible regardless of thread
@@ -964,7 +879,7 @@ fn run_standard(o: &Opts) -> Result<(), String> {
 }
 
 fn run_chaos(o: &Opts) -> Result<(), String> {
-    let plan = FaultPlan::chaos(o.seed, Dur::from_secs(o.secs), o.users, o.intensity);
+    let plan = chaos_plan(o);
     println!(
         "chaos plan (seed {}, intensity {}, {} windows):",
         o.seed,
@@ -972,46 +887,13 @@ fn run_chaos(o: &Opts) -> Result<(), String> {
         plan.windows().len()
     );
     println!("{}", plan.describe());
-    let mut r = experiment_for(o).run();
-    print_report(o, &r);
-    print_chaos_summary(&r);
-    finish_report(o, &mut r)?;
-    if r.total_violations > 0 {
-        return Err(format!(
-            "{} invariant violation(s) detected",
-            r.total_violations
-        ));
-    }
-    Ok(())
+    finish_cell(o, build_experiment(o).run())
 }
 
-/// Fault/recovery summary printed after a chaos run (both when it ran
-/// start-to-finish and when it was resumed from a checkpoint).
-fn print_chaos_summary(r: &ExperimentReport) {
-    println!(
-        "residual losses: {}   flows evicted: {}",
-        r.residual_losses, r.fault_stats.flows_evicted
-    );
-    let mut t = outran_metrics::table::Table::new("fault + recovery events", &["event", "count"]);
-    for (label, value) in r.fault_stats.rows() {
-        t.row(&[label.to_string(), value.to_string()]);
-    }
-    t.print();
-    let survived = r.offered == 0 || r.completed as f64 / r.offered as f64 >= 0.5;
-    println!(
-        "survival: {}/{} flows completed ({})   invariant violations: {}",
-        r.completed,
-        r.offered,
-        if survived { "ok" } else { "degraded" },
-        r.total_violations
-    );
-    for v in &r.violations {
-        println!("  violation: {v}");
-    }
-}
-
-/// The standard report lines shared by both subcommands.
-fn print_report(o: &Opts, r: &ExperimentReport) {
+/// The report and exit status of a fresh or resumed single-cell run:
+/// the standard lines, the fault/recovery summary and violation gate
+/// under `chaos`, then the CSV/CDF exports.
+fn finish_cell(o: &Opts, mut r: ExperimentReport) -> Result<(), String> {
     println!(
         "scenario {}  scheduler {}  users {}  load {}  {}s  seed {}",
         o.scenario.name(),
@@ -1025,22 +907,36 @@ fn print_report(o: &Opts, r: &ExperimentReport) {
         "flows: {} completed / {} offered   buffer drops: {}   residual losses: {}",
         r.completed, r.offered, r.buffer_drops, r.residual_losses
     );
-    println!(
-        "FCT (ms): overall {:.1}  S avg {:.1}  S p95 {:.1}  S p99 {:.1}  M {:.1}  L {:.1}",
-        r.fct.overall_mean_ms,
-        r.fct.short_mean_ms,
-        r.fct.short_p95_ms,
-        r.fct.short_p99_ms,
-        r.fct.medium_mean_ms,
-        r.fct.long_mean_ms
-    );
+    print_fct(&r.fct);
     println!(
         "cell: SE {:.2} bit/s/Hz   fairness {:.3}   mean Q delay {:.1} ms (short {:.1} ms)",
         r.spectral_efficiency, r.fairness, r.mean_qdelay_ms, r.short_qdelay_ms
     );
+    if o.command != Command::Chaos {
+        return finish_report(o, &mut r);
+    }
+    println!(
+        "residual losses: {}   flows evicted: {}",
+        r.residual_losses, r.fault_stats.flows_evicted
+    );
+    print_counts("fault + recovery events", &r.fault_stats.rows());
+    let survived = r.offered == 0 || r.completed as f64 / r.offered as f64 >= 0.5;
+    println!(
+        "survival: {}/{} flows completed ({})   invariant violations: {}",
+        r.completed,
+        r.offered,
+        if survived { "ok" } else { "degraded" },
+        r.total_violations
+    );
+    for v in &r.violations {
+        println!("  violation: {v}");
+    }
+    finish_report(o, &mut r)?;
+    check_violations(r.total_violations)
 }
 
-/// CSV export and optional CDF print (shared tail of both subcommands).
+/// CSV export and optional CDF print (also the tail of a `--reps`
+/// sweep, on its first rep).
 fn finish_report(o: &Opts, r: &mut ExperimentReport) -> Result<(), String> {
     if let Some(path) = &o.csv {
         let mut out = String::from("size_bytes,fct_ms\n");
@@ -1055,9 +951,9 @@ fn finish_report(o: &Opts, r: &mut ExperimentReport) -> Result<(), String> {
     }
     if let Some(sel) = o.cdf {
         let bucket = match sel {
-            CdfSel::Short => Some(outran_metrics::SizeBucket::Short),
-            CdfSel::Medium => Some(outran_metrics::SizeBucket::Medium),
-            CdfSel::Long => Some(outran_metrics::SizeBucket::Long),
+            CdfSel::Short => Some(SizeBucket::Short),
+            CdfSel::Medium => Some(SizeBucket::Medium),
+            CdfSel::Long => Some(SizeBucket::Long),
             CdfSel::All => None,
         };
         let pts = r.fct_collector.cdf(bucket, 40);
@@ -1123,6 +1019,28 @@ mod tests {
         assert!(parse("--users 0").is_err());
         assert!(parse("--users").is_err());
         assert!(parse("--frobnicate 3").is_err());
+        // Non-finite, out-of-range and overflowing values are refused by
+        // the table's range, before anything multiplies them into
+        // nanoseconds.
+        for hostile in [
+            "--secs 99999999999999",
+            "--secs 18446744073709551615",
+            "--tf-ms 18446744073709551615",
+            "--cn-ms 99999999999999999",
+            "--reset-ms 99999999999999999",
+            "--reset-ms 0",
+            "--checkpoint-every 99999999999999 --checkpoint-dir /tmp/ck",
+            "--load inf",
+            "--load NaN",
+            "--loss 2",
+            "--epsilon NaN",
+            "--scheduler outran:NaN",
+            "--scheduler outran:7",
+            "--harq=1",
+            "--csv=",
+        ] {
+            assert!(parse(hostile).is_err(), "accepted '{hostile}'");
+        }
     }
 
     #[test]
@@ -1215,25 +1133,107 @@ mod tests {
         assert!(e.contains("cannot read checkpoint"), "{e}");
     }
 
+    /// A value `f` accepts that differs from its default (empty for a
+    /// switch, which takes none).
+    fn non_default(f: &Flag) -> String {
+        let default = (f.get)(&Opts::default());
+        let candidates: Vec<String> = match (f.arg)().as_str() {
+            "" => return String::new(),
+            "PATH" => vec!["/tmp/x".into()],
+            "N" => {
+                let d: Option<u64> = default.as_ref().map(|d| d.parse().unwrap());
+                vec![d.map_or(1, |d| d + 1).to_string()]
+            }
+            "X" => {
+                let d: f64 = default.as_ref().map_or(0.0, |d| d.parse().unwrap());
+                vec![(d + 0.125).to_string(), (d - 0.125).to_string()]
+            }
+            alternatives => alternatives.split(" | ").map(String::from).collect(),
+        };
+        let ok =
+            |c: &String| Some(c) != default.as_ref() && (f.set)(&mut Opts::default(), c).is_ok();
+        candidates.into_iter().find(ok).unwrap()
+    }
+
+    /// Walk the flag tables. On every subcommand that reads it, a flag
+    /// set to a non-default value takes effect and survives
+    /// `parse(canonical_argv(o))` — or, for the host-only flags, is
+    /// deliberately dropped. On every other subcommand it is an error
+    /// naming the flag and the subcommand, never parsed and ignored.
     #[test]
-    fn canonical_argv_roundtrips() {
-        for cmdline in [
-            "",
-            "run --users 8 --load 0.5 --secs 4 --seed 9 --rlc am --harq --dense",
+    fn every_flag_roundtrips_in_scope_and_errors_out_of_scope() {
+        for (table, replayed) in [(FLAGS, true), (HOST_FLAGS, false)] {
+            for f in table {
+                let partner = match f.name {
+                    "--checkpoint-every" => " --checkpoint-dir=/tmp/ck",
+                    "--checkpoint-dir" => " --checkpoint-every=1",
+                    _ => "",
+                };
+                for cmd in ALL {
+                    let cmd = token_of(COMMANDS, cmd).unwrap();
+                    let cmdline = format!("{cmd} {} {}{partner}", f.name, non_default(f));
+                    let plain = parse(&cmd).unwrap();
+                    if !f.scope.contains(&plain.command) {
+                        let e = parse(&cmdline).unwrap_err();
+                        assert!(e.contains(f.name) && e.contains(&format!("'{cmd}'")), "{e}");
+                        continue;
+                    }
+                    let o = parse(&cmdline).unwrap_or_else(|e| panic!("'{cmdline}': {e}"));
+                    assert_ne!(o, plain, "'{cmdline}' changed nothing");
+                    let argv = canonical_argv(&o);
+                    assert_eq!(argv[0], "outran-sim");
+                    let back = parse_args(&argv[1..]).unwrap();
+                    let expect = if replayed { o } else { plain };
+                    assert_eq!(back, expect, "roundtrip diverged for '{cmdline}'");
+                }
+            }
+        }
+        // Every optional flag at once, in the other grammar, also survives.
+        let o = parse(
             "chaos --intensity 0.7 --scheduler outran:0.35 --scenario nr2 \
-             --dist websearch --reset-ms 500 --cdf short --csv /tmp/x.csv",
-            "--checkpoint-every 2 --checkpoint-dir /tmp/ck --secs 6",
+             --dist websearch --reset-ms 500 --cdf short --csv /tmp/x.csv --harq --dense",
+        )
+        .unwrap();
+        assert_eq!(parse_args(&canonical_argv(&o)[1..]).unwrap(), o);
+    }
+
+    /// The exact tokens and order checkpoints on disk carry: a rename or
+    /// reorder in the flag table would strand them.
+    #[test]
+    fn canonical_argv_spelling_is_pinned() {
+        for (cmdline, pinned) in [
+            (
+                "run --scheduler outran:0.35 --scenario nr2 --dist websearch --users 8 \
+                 --load 0.5 --secs 4 --seed 9 --rlc am --buffer 256 --tf-ms 500 --cn-ms 20 \
+                 --epsilon 0.3 --reset-ms 500 --harq --dense --loss 0.01 \
+                 --srjf-mode winner-only --cdf short --csv /tmp/x.csv \
+                 --checkpoint-every 2 --checkpoint-dir /tmp/ck --reps 1 --threads 3",
+                "outran-sim run --scheduler=outran:0.35 --scenario=nr2 --dist=websearch \
+                 --users=8 --load=0.5 --secs=4 --seed=9 --rlc=am --buffer=256 --tf-ms=500 \
+                 --cn-ms=20 --epsilon=0.3 --reset-ms=500 --harq --dense --loss=0.01 \
+                 --srjf-mode=winner-only --cdf=short --csv=/tmp/x.csv \
+                 --checkpoint-every=2 --checkpoint-dir=/tmp/ck",
+            ),
+            (
+                "chaos --intensity 0.7",
+                "outran-sim chaos --intensity=0.7 --scheduler=outran --scenario=lte --users=20 \
+                 --load=0.6 --secs=10 --seed=1 --rlc=um --buffer=128 --tf-ms=1000 --cn-ms=10 \
+                 --epsilon=0.2 --loss=0.002 --srjf-mode=waterfall",
+            ),
+            (
+                "metro --sites 2 --sectors 1 --isd 350 --slots 8 --ues 6 --vehicle-mps 30 \
+                 --corridor-frac 0.5 --hysteresis 2.5 --ttt 3 --scheduler srjf --scenario nr1 \
+                 --dist websearch --load 0.3 --secs 4 --seed 5 --chaos 0.4 \
+                 --checkpoint-every 2 --checkpoint-dir /tmp/metro-ck",
+                "outran-sim metro --scheduler=srjf --scenario=nr1 --dist=websearch --sites=2 \
+                 --sectors=1 --isd=350 --slots=8 --ues=6 --vehicle-mps=30 --corridor-frac=0.5 \
+                 --hysteresis=2.5 --ttt=3 --load=0.3 --secs=4 --seed=5 --epsilon=0.2 --chaos=0.4 \
+                 --checkpoint-every=2 --checkpoint-dir=/tmp/metro-ck",
+            ),
         ] {
-            let o = parse(cmdline).unwrap();
-            let argv = canonical_argv(&o);
-            assert_eq!(argv[0], "outran-sim");
-            let back = parse_args(&argv[1..]).unwrap();
-            // reps/threads are deliberately dropped from the canonical
-            // form; everything that shapes the experiment must survive.
-            let mut expect = o.clone();
-            expect.reps = 1;
-            expect.threads = Opts::default().threads;
-            assert_eq!(back, expect, "roundtrip diverged for '{cmdline}'");
+            let argv = canonical_argv(&parse(cmdline).unwrap());
+            let pinned: Vec<&str> = pinned.split_whitespace().collect();
+            assert_eq!(argv, pinned);
         }
     }
 
@@ -1255,7 +1255,7 @@ mod tests {
         assert!(ckpt.exists(), "expected mid-run checkpoint at {ckpt:?}");
         let (meta, file) = read_checkpoint(&ckpt).unwrap();
         let ro = parse_args(&meta.argv[1..]).unwrap();
-        let exp = experiment_for(&ro);
+        let exp = build_experiment(&ro);
         let mut cell = exp.build_cell();
         restore_cell(&file, 0, &mut cell).unwrap();
         let resumed = exp.run_cell(cell);
@@ -1293,7 +1293,7 @@ mod tests {
             dense: false,
             n_cells: 1,
         };
-        let cell = experiment_for(&o).build_cell();
+        let cell = build_experiment(&o).build_cell();
         outran_ran::checkpoint::write_checkpoint(&ckpt, &meta, &[&cell]).unwrap();
         let e = run(&parse(&format!("resume {}", ckpt.display())).unwrap()).unwrap_err();
         assert!(
@@ -1333,27 +1333,20 @@ mod tests {
         assert!(parse("metro --corridor-frac 1.5").is_err());
         assert!(parse("metro --chaos 2").is_err());
         assert!(parse("metro --reps 3").is_err());
+        for hostile in [
+            "metro --hysteresis NaN",
+            "metro --hysteresis -1",
+            "metro --vehicle-mps NaN",
+            "metro --vehicle-mps inf",
+            "metro --isd inf",
+            "metro --isd NaN",
+            "metro --ttt 4294967296",
+            "metro --sites 18446744073709551615 --sectors 18446744073709551615 --ues 0",
+        ] {
+            assert!(parse(hostile).is_err(), "accepted '{hostile}'");
+        }
         // More UEs than attach slots.
         assert!(parse("metro --sites 1 --sectors 1 --slots 4 --ues 5").is_err());
-    }
-
-    #[test]
-    fn metro_canonical_argv_roundtrips() {
-        for cmdline in [
-            "metro",
-            "metro --sites 2 --sectors 1 --isd 350 --slots 8 --ues 6 \
-             --vehicle-mps 30 --corridor-frac 0.5 --hysteresis 2.5 --ttt 3 \
-             --scheduler srjf --scenario nr1 --dist websearch \
-             --load 0.3 --secs 4 --seed 5 --chaos 0.4",
-            "metro --checkpoint-every 2 --checkpoint-dir /tmp/metro-ck --secs 6",
-        ] {
-            let o = parse(cmdline).unwrap();
-            let argv = canonical_argv(&o);
-            let back = parse_args(&argv[1..]).unwrap();
-            let mut expect = o.clone();
-            expect.threads = Opts::default().threads;
-            assert_eq!(back, expect, "roundtrip diverged for '{cmdline}'");
-        }
     }
 
     #[test]

@@ -12,18 +12,18 @@
 
 #![forbid(unsafe_code)]
 
-use outran_cli::{parse_args, run, HELP};
+use outran_cli::{help, parse_args, run};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
-        println!("{HELP}");
+        println!("{}", help());
         return;
     }
     let opts = match parse_args(&args) {
         Ok(opts) => opts,
         Err(e) => {
-            eprintln!("error: {e}\n\n{HELP}");
+            eprintln!("error: {e}\n\n{}", help());
             std::process::exit(2);
         }
     };

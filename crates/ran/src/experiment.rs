@@ -41,8 +41,9 @@ pub struct Experiment {
     watchdog: Option<Dur>,
     max_flow_entries: Option<usize>,
     dense: bool,
-    /// Periodic checkpointing: every `0` of simulated time, write a
-    /// crash-safe snapshot into `1` (see [`crate::checkpoint`]).
+    /// Periodic checkpointing as `(interval, directory)`: once per
+    /// interval of simulated time, write a crash-safe snapshot into the
+    /// directory (see [`crate::checkpoint`]).
     checkpoint: Option<(Dur, PathBuf)>,
     /// Original argv embedded in checkpoint metadata so `resume` can
     /// rebuild the identical experiment.

@@ -19,13 +19,15 @@
 //! * [`webplt`] — the browser page-load driver for the PLT experiments
 //!   (Figures 12/21/22): object fetches over a loaded cell, ≤6
 //!   concurrent connections, HTML-first, render time.
-//! * [`multicell`] — the Colosseum-style multi-cell wrapper (Figure 19):
-//!   independent cells on separate carriers.
 //! * [`network`] — the coupled radio network: shared hex-grid geometry,
 //!   load-coupled interference and deterministic A3 handover.
 //! * [`pool`] — a std-only scoped-thread worker pool for fanning
 //!   independent experiment cells across cores with bit-identical
 //!   results versus serial execution.
+//!
+//! [`experiment`] (cell-owned geometry) and [`network`] (network-owned)
+//! are the two run harnesses; Figure 19's four separate-carrier cells
+//! are plain [`cell`]s its bench binary fans across the [`pool`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,7 +36,6 @@ pub mod cell;
 pub mod checkpoint;
 pub mod config;
 pub mod experiment;
-pub mod multicell;
 pub mod network;
 pub mod pool;
 pub mod qos;
@@ -44,7 +45,6 @@ pub mod webplt;
 pub use cell::{Cell, CellConfig, FlowDone, RlcMode, SchedulerKind};
 pub use checkpoint::CheckpointMeta;
 pub use experiment::{Experiment, ExperimentReport};
-pub use multicell::{MultiCell, MultiCellRun};
 pub use network::{Network, NetworkReport, NetworkRun};
 pub use pool::{default_threads, parallel_map, parallel_map_eager, WorkerFailure};
 pub use qos::{AppKind, BearerKind, QosProfile, TrafficClass};

@@ -1,9 +1,9 @@
 //! The coupled radio network: shared geometry, load-coupled
 //! interference and deterministic A3 handover over many cells.
 //!
-//! [`crate::multicell`] models cells as fully independent simulators on
-//! separate carriers. A [`Network`] lifts that worldview into one
-//! co-channel deployment:
+//! [`crate::experiment`] runs one cell that owns its own geometry. A
+//! [`Network`] owns the geometry of many cells in one co-channel
+//! deployment:
 //!
 //! * **Shared geometry** — sites sit on a hex grid
 //!   ([`outran_phy::geometry::hex_sites`]), each carrying
@@ -55,8 +55,8 @@ use crate::checkpoint::CheckpointMeta;
 use crate::pool::parallel_map_eager;
 
 /// Epoch length: the cadence of the barrier at which load is exchanged,
-/// mobility advances, A3 is evaluated and handovers execute. Matches the
-/// [`crate::multicell`] supervision epoch.
+/// mobility advances, A3 is evaluated and handovers execute; also the
+/// granularity of the wall-time watchdog and of checkpoints.
 const EPOCH: Dur = Dur(1_000_000_000);
 
 /// A coupled multi-cell deployment (builder + runner).
@@ -111,9 +111,11 @@ pub struct Network {
     /// Worker threads to shard cells across between barriers (1 =
     /// serial). The report is byte-identical for every value.
     pub threads: usize,
-    /// Wall-time watchdog per epoch (see [`crate::multicell::MultiCell`]):
-    /// exceeded ⇒ abort gracefully after the barrier, write a final
-    /// checkpoint when a directory is configured.
+    /// Wall-time watchdog: an epoch (cells + barrier) that takes longer
+    /// than this to compute presumes the run wedged and aborts it after
+    /// the barrier — a resumable checkpoint is written when a directory
+    /// is configured, and the statistics so far are still reported. The
+    /// wall clock never feeds a simulated quantity. `None` disables it.
     pub epoch_wall_limit: Option<std::time::Duration>,
     /// Periodic checkpointing interval in *simulated* time (rounded up
     /// to whole epochs). `None` disables periodic checkpoints.
@@ -329,8 +331,7 @@ impl Network {
         // the real per-UE geometry (no neighbor loads yet, so I+N is the
         // noise floor) and re-prime the CQI reports — construction
         // measured them at a placeholder distance.
-        for (c, cell) in st.cells.iter_mut().enumerate() {
-            let _ = c;
+        for cell in &mut st.cells {
             for s in 0..self.slots_per_cell {
                 cell.set_ue_geometry(s, self.isd_m, 0.0, chan.noise_dbm());
             }

@@ -10,6 +10,8 @@
 //!   at the target cell is sized exactly at the undelivered tail, and
 //!   the invariant auditors stay clean in every cell.
 //! * A mid-run checkpoint restores bit-identically under handover churn.
+//! * A wall-time watchdog abort leaves a checkpoint that resumes to the
+//!   uninterrupted run's report.
 
 use outran_faults::FaultPlan;
 use outran_phy::Scenario;
@@ -125,6 +127,36 @@ fn checkpoint_resume_is_bit_identical_under_churn() {
     assert!(
         resumed.report.handover.successes > 0,
         "resume path never exercised a handover"
+    );
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn watchdog_aborts_gracefully_with_resumable_checkpoint() {
+    let dir = std::env::temp_dir().join(format!("outran-net-wd-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+
+    let mut wedged = churny(9);
+    // A zero wall limit trips after the very first epoch.
+    wedged.epoch_wall_limit = Some(std::time::Duration::ZERO);
+    wedged.checkpoint_dir = Some(dir.clone());
+    let out = wedged.run();
+    assert_eq!(out.aborted_at, Some(Time::from_secs(1)));
+    let ckpt = out.checkpoint.expect("abort checkpoint should be written");
+    assert_eq!(ckpt, dir.join("metro-abort-1s.orsn"));
+
+    // The abort checkpoint is an ordinary network checkpoint: resuming
+    // it without the watchdog finishes the run the abort cut short.
+    let (meta, file) = outran_ran::checkpoint::read_checkpoint(&ckpt).unwrap();
+    assert_eq!(meta.n_cells, 6);
+    assert_eq!(meta.sim_time, Time::from_secs(1));
+    let resumed = churny(9).resume(&file).unwrap();
+    assert!(resumed.aborted_at.is_none());
+    assert_eq!(
+        format!("{:?}", churny(9).run().report),
+        format!("{:?}", resumed.report),
+        "run resumed from the abort checkpoint diverged from the uninterrupted one"
     );
 
     std::fs::remove_dir_all(&dir).ok();

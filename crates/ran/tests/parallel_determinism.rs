@@ -4,10 +4,8 @@
 //! that replay a seeded fault plan.
 
 use outran_faults::FaultPlan;
-use outran_phy::Scenario;
-use outran_ran::multicell::MultiCell;
 use outran_ran::{parallel_map, Experiment, ExperimentReport, SchedulerKind, WorkerFailure};
-use outran_simcore::{Dur, Time};
+use outran_simcore::Dur;
 
 /// Unwrap every supervised job result — these sweeps are expected to
 /// succeed; a `WorkerFailure` here is a real test failure.
@@ -62,24 +60,6 @@ fn parallel_chaos_sweep_replays_fault_plans_identically() {
     assert!(
         serial.iter().any(|r| r.fault_stats.total_events() > 0),
         "chaos plans injected no faults — weaken nothing, fix the plan"
-    );
-}
-
-/// Intra-run multi-cell parallelism: sharding the cells of one
-/// `MultiCell` run across 4 workers (with the per-epoch barrier) must
-/// merge to the same report as the serial loop, byte for byte.
-#[test]
-fn multicell_parallel_shards_match_serial() {
-    let mut serial = MultiCell::colosseum(Scenario::ColosseumRome, SchedulerKind::OutRan, 0.4);
-    serial.duration = Time::from_secs(3);
-    let mut parallel = serial.clone();
-    parallel.threads = 4;
-    let rs = serial.run();
-    let rp = parallel.run();
-    assert_eq!(
-        format!("{rs:?}"),
-        format!("{rp:?}"),
-        "sharded multi-cell run diverged from serial"
     );
 }
 
