@@ -9,8 +9,9 @@
 //!     --check BENCH_6.json                                         # gate
 //! ```
 //!
-//! Unlike the wall-clock benches (BENCH_2–5), everything gated here is
-//! *simulated* and therefore bit-deterministic: the coupled network
+//! Unlike the host-time metrics of `benchmark/` (the repo's one
+//! wall-clock measurement), everything gated here is *simulated* and
+//! therefore bit-deterministic: the coupled network
 //! replays byte-identically for any thread count and on any machine.
 //! `--check FILE` re-runs the deployment and fails (exit 1) unless the
 //! freshly produced `"sim"` block — FCT figures, completion counts, the

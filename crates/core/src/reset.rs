@@ -73,24 +73,8 @@ impl PriorityReset {
     }
 }
 
-use outran_simcore::snap::{SnapError, SnapReader, SnapWriter};
-
-impl PriorityReset {
-    /// Serialize the reset schedule (checkpointing). The period is
-    /// config-derived and not written.
-    pub fn snap(&self, w: &mut SnapWriter) {
-        w.time(self.next_at);
-        w.u64(self.resets);
-    }
-
-    /// Overwrite this driver's schedule from [`PriorityReset::snap`]
-    /// output, keeping the configured period.
-    pub fn load_snap(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.next_at = r.time()?;
-        self.resets = r.u64()?;
-        Ok(())
-    }
-}
+// The period is config-derived and not written.
+outran_simcore::snap_fields! { overlay PriorityReset { next_at, resets } rebuilt { period } }
 
 #[cfg(test)]
 mod tests {

@@ -282,132 +282,25 @@ impl InvariantAuditor {
     }
 }
 
-use outran_simcore::snap::{SnapError, SnapReader, SnapWriter};
+use outran_simcore::{snap_enum, snap_fields};
 
-impl ByteLedger {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.u64(self.injected);
-        w.u64(self.delivered);
-        w.u64(self.dropped);
-        w.u64(self.in_flight);
-    }
+snap_fields! { ByteLedger { injected, delivered, dropped, in_flight } }
+snap_enum! { ViolationKind, "unknown violation kind tag" {
+    0 => ByteConservation { ledger },
+    1 => RbOverCommit { used, available },
+    2 => ClockWentBackwards { prev, now },
+    3 => IntraFlowReorder { ue, flow, prev_sdu, sdu },
+    4 => QueueDepthExceeded { ue, depth, bound },
+} }
+snap_fields! { Violation { at, kind } }
 
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<ByteLedger, SnapError> {
-        Ok(ByteLedger {
-            injected: r.u64()?,
-            delivered: r.u64()?,
-            dropped: r.u64()?,
-            in_flight: r.u64()?,
-        })
+// The [`AuditConfig`] is not written; it is re-established from the run
+// configuration on restore.
+snap_fields! {
+    overlay InvariantAuditor {
+        violations, total_violations, checks_run, ttis_seen, last_clock, delivery_order,
     }
-}
-
-impl ViolationKind {
-    fn snap(&self, w: &mut SnapWriter) {
-        match self {
-            ViolationKind::ByteConservation { ledger } => {
-                w.u8(0);
-                ledger.snap(w);
-            }
-            ViolationKind::RbOverCommit { used, available } => {
-                w.u8(1);
-                w.u32(*used);
-                w.u32(*available);
-            }
-            ViolationKind::ClockWentBackwards { prev, now } => {
-                w.u8(2);
-                w.time(*prev);
-                w.time(*now);
-            }
-            ViolationKind::IntraFlowReorder {
-                ue,
-                flow,
-                prev_sdu,
-                sdu,
-            } => {
-                w.u8(3);
-                w.usize(*ue);
-                w.u64(*flow);
-                w.u64(*prev_sdu);
-                w.u64(*sdu);
-            }
-            ViolationKind::QueueDepthExceeded { ue, depth, bound } => {
-                w.u8(4);
-                w.usize(*ue);
-                w.usize(*depth);
-                w.usize(*bound);
-            }
-        }
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<ViolationKind, SnapError> {
-        Ok(match r.u8()? {
-            0 => ViolationKind::ByteConservation {
-                ledger: ByteLedger::unsnap(r)?,
-            },
-            1 => ViolationKind::RbOverCommit {
-                used: r.u32()?,
-                available: r.u32()?,
-            },
-            2 => ViolationKind::ClockWentBackwards {
-                prev: r.time()?,
-                now: r.time()?,
-            },
-            3 => ViolationKind::IntraFlowReorder {
-                ue: r.usize()?,
-                flow: r.u64()?,
-                prev_sdu: r.u64()?,
-                sdu: r.u64()?,
-            },
-            4 => ViolationKind::QueueDepthExceeded {
-                ue: r.usize()?,
-                depth: r.usize()?,
-                bound: r.usize()?,
-            },
-            _ => return Err(SnapError::Malformed("unknown violation kind tag")),
-        })
-    }
-}
-
-impl InvariantAuditor {
-    /// Serialize the auditor's dynamic state (checkpointing). The
-    /// [`AuditConfig`] is not written; it is re-established from the run
-    /// configuration on restore.
-    pub fn snap(&self, w: &mut SnapWriter) {
-        w.seq(self.violations.iter(), |w, v| {
-            w.time(v.at);
-            v.kind.snap(w);
-        });
-        w.u64(self.total_violations);
-        w.u64(self.checks_run);
-        w.u64(self.ttis_seen);
-        w.opt(&self.last_clock, |w, &t| w.time(t));
-        w.seq(self.delivery_order.iter(), |w, (&(ue, flow), &sdu)| {
-            w.usize(ue);
-            w.u64(flow);
-            w.u64(sdu);
-        });
-    }
-
-    /// Overwrite this auditor's dynamic state from [`InvariantAuditor::snap`]
-    /// output, keeping the configured cadence.
-    pub fn load_snap(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.violations = r.seq(|r| {
-            Ok(Violation {
-                at: r.time()?,
-                kind: ViolationKind::unsnap(r)?,
-            })
-        })?;
-        self.total_violations = r.u64()?;
-        self.checks_run = r.u64()?;
-        self.ttis_seen = r.u64()?;
-        self.last_clock = r.opt(|r| r.time())?;
-        self.delivery_order = r
-            .seq(|r| Ok(((r.usize()?, r.u64()?), r.u64()?)))?
-            .into_iter()
-            .collect();
-        Ok(())
-    }
+    rebuilt { cfg }
 }
 
 #[cfg(test)]

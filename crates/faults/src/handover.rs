@@ -1,7 +1,5 @@
 //! Counters describing inter-cell handover activity.
 
-use outran_simcore::snap::{SnapError, SnapReader, SnapWriter};
-
 /// What the network's A3 handover machinery decided and executed.
 ///
 /// Maintained by the network layer as epoch barriers execute handovers;
@@ -52,26 +50,11 @@ impl HandoverStats {
             ("flows_transferred", self.flows_transferred),
         ]
     }
+}
 
-    /// Serialize the counters (checkpointing). Uses the same stable order
-    /// as [`HandoverStats::rows`].
-    pub fn snap(&self, w: &mut SnapWriter) {
-        for (_, v) in self.rows() {
-            w.u64(v);
-        }
-    }
-
-    /// Restore from [`HandoverStats::snap`] output.
-    pub fn unsnap(r: &mut SnapReader<'_>) -> Result<HandoverStats, SnapError> {
-        Ok(HandoverStats {
-            attempts: r.u64()?,
-            successes: r.u64()?,
-            blocked: r.u64()?,
-            rlf_failures: r.u64()?,
-            ping_pongs: r.u64()?,
-            flows_transferred: r.u64()?,
-        })
-    }
+// Same stable order as [`HandoverStats::rows`].
+outran_simcore::snap_fields! {
+    HandoverStats { attempts, successes, blocked, rlf_failures, ping_pongs, flows_transferred }
 }
 
 #[cfg(test)]
@@ -107,6 +90,7 @@ mod tests {
 
     #[test]
     fn snap_roundtrip() {
+        use outran_simcore::snap::{Snap, SnapReader, SnapWriter, Unsnap};
         let s = HandoverStats {
             attempts: 7,
             successes: 5,

@@ -377,39 +377,10 @@ impl FaultPlan {
     }
 }
 
-use outran_simcore::snap::{SnapError, SnapReader, SnapWriter};
-
-impl ActiveFaults {
-    /// Serialize the flattened fault snapshot (checkpointing).
-    pub fn snap(&self, w: &mut SnapWriter) {
-        w.bool(self.cn_outage);
-        w.dur(self.cn_extra_delay);
-        w.f64(self.cn_loss);
-        w.f64(self.extra_loss);
-        w.bool(self.cqi_freeze_all);
-        w.seq(self.cqi_freeze_ues.iter(), |w, &u| w.usize(u));
-        w.bool(self.cqi_corrupt_all);
-        w.seq(self.cqi_corrupt_ues.iter(), |w, &u| w.usize(u));
-        w.seq(self.rlf_ues.iter(), |w, &u| w.usize(u));
-        w.seq(self.detached_ues.iter(), |w, &u| w.usize(u));
-        w.opt(&self.buffer_cap, |w, &c| w.usize(c));
-    }
-
-    /// Restore from [`ActiveFaults::snap`] output.
-    pub fn unsnap(r: &mut SnapReader<'_>) -> Result<ActiveFaults, SnapError> {
-        Ok(ActiveFaults {
-            cn_outage: r.bool()?,
-            cn_extra_delay: r.dur()?,
-            cn_loss: r.f64()?,
-            extra_loss: r.f64()?,
-            cqi_freeze_all: r.bool()?,
-            cqi_freeze_ues: r.seq(|r| r.usize())?,
-            cqi_corrupt_all: r.bool()?,
-            cqi_corrupt_ues: r.seq(|r| r.usize())?,
-            rlf_ues: r.seq(|r| r.usize())?,
-            detached_ues: r.seq(|r| r.usize())?,
-            buffer_cap: r.opt(|r| r.usize())?,
-        })
+outran_simcore::snap_fields! {
+    ActiveFaults {
+        cn_outage, cn_extra_delay, cn_loss, extra_loss, cqi_freeze_all, cqi_freeze_ues,
+        cqi_corrupt_all, cqi_corrupt_ues, rlf_ues, detached_ues, buffer_cap,
     }
 }
 

@@ -86,36 +86,12 @@ impl FaultStats {
     }
 }
 
-use outran_simcore::snap::{SnapError, SnapReader, SnapWriter};
-
-impl FaultStats {
-    /// Serialize the counters (checkpointing). Uses the same stable order
-    /// as [`FaultStats::rows`].
-    pub fn snap(&self, w: &mut SnapWriter) {
-        for (_, v) in self.rows() {
-            w.u64(v);
-        }
-    }
-
-    /// Restore from [`FaultStats::snap`] output.
-    pub fn unsnap(r: &mut SnapReader<'_>) -> Result<FaultStats, SnapError> {
-        Ok(FaultStats {
-            cn_dropped_pkts: r.u64()?,
-            cn_dropped_bytes: r.u64()?,
-            cn_delayed_pkts: r.u64()?,
-            spiked_losses: r.u64()?,
-            cqi_frozen_reports: r.u64()?,
-            cqi_corrupted_reports: r.u64()?,
-            rlf_events: r.u64()?,
-            reestablishments: r.u64()?,
-            detach_events: r.u64()?,
-            reattach_events: r.u64()?,
-            buffer_shrink_events: r.u64()?,
-            flushed_sdus: r.u64()?,
-            flushed_bytes: r.u64()?,
-            flows_evicted: r.u64()?,
-            watchdog_kicks: r.u64()?,
-        })
+// Same stable order as [`FaultStats::rows`].
+outran_simcore::snap_fields! {
+    FaultStats {
+        cn_dropped_pkts, cn_dropped_bytes, cn_delayed_pkts, spiked_losses, cqi_frozen_reports,
+        cqi_corrupted_reports, rlf_events, reestablishments, detach_events, reattach_events,
+        buffer_shrink_events, flushed_sdus, flushed_bytes, flows_evicted, watchdog_kicks,
     }
 }
 

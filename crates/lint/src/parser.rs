@@ -9,13 +9,15 @@
 //! bindings. Everything else (traits, macros-by-example, consts,
 //! `use` trees) is skipped.
 //!
-//! Degradation contract: when the parser meets a construct it cannot
-//! shape (token soup from an exotic macro, an item form it does not
-//! know), it records `degraded = true` on the file / function and
-//! recovers at the next item boundary. Semantic rules treat degraded
-//! regions as opaque — they assert nothing about them — so a parse
-//! limitation can cause a missed finding but never a false positive.
-//! The token rules (D1–D10) still run on the masked text regardless.
+//! Degradation contract: an item the parser cannot shape (an item-
+//! position macro call, an item form it does not know) is skipped as
+//! an opaque item and parsing resumes at the next item boundary; a
+//! function whose signature or body it cannot shape is recorded with
+//! `degraded = true`. Semantic rules assert nothing about degraded
+//! functions, and an item that was never shaped contributes no facts —
+//! so a parse limitation can cause a missed finding but never a false
+//! positive. The token rules (D1–D10) still run on the masked text
+//! regardless.
 
 use crate::lexer::MaskedFile;
 
@@ -177,7 +179,7 @@ pub struct FieldDef {
 }
 
 /// A struct with named fields (tuple/unit structs keep an empty field
-/// list — S3/S4 only reason about named fields).
+/// list — the semantic rules only reason about named fields).
 #[derive(Debug, Clone)]
 pub struct StructDef {
     pub name: String,
@@ -267,9 +269,6 @@ pub struct FnDef {
     /// Non-self parameters: (name, type).
     pub params: Vec<(String, TypeRef)>,
     pub events: Vec<Event>,
-    /// Deduplicated identifiers appearing anywhere in the body
-    /// (S3 field-mention coverage).
-    pub idents: Vec<String>,
 }
 
 /// Parse result for one file.
@@ -280,9 +279,6 @@ pub struct ParsedFile {
     /// local types for the same-file S4 allowance).
     pub enums: Vec<String>,
     pub fns: Vec<FnDef>,
-    /// File-level degradation: an *item* failed to parse (fn-body
-    /// degradation is tracked per-fn).
-    pub degraded: bool,
 }
 
 /// Keywords that can prefix an item before the item keyword proper.
@@ -586,9 +582,9 @@ impl<'a> Parser<'a> {
                     self.bump();
                     self.recover();
                 }
+                Some(_) if self.at_macro_call() => self.item_macro_call(),
                 _ => {
-                    // Unknown item shape: degrade and recover.
-                    self.out.degraded = true;
+                    // Unknown item shape: skip it as an opaque item.
                     if self.pos == start {
                         self.bump();
                     }
@@ -597,9 +593,47 @@ impl<'a> Parser<'a> {
             }
             if self.pos == start {
                 // No progress — avoid livelock.
-                self.out.degraded = true;
                 self.bump();
             }
+        }
+    }
+
+    /// Whether the cursor sits on an item-position macro call:
+    /// `path::to::name ! <group>`.
+    fn at_macro_call(&self) -> bool {
+        let mut n = 0;
+        while matches!(self.peek_at(n), Some(Tok::Ident(_))) {
+            if matches!(self.peek_at(n + 1), Some(Tok::P('!'))) {
+                return matches!(
+                    self.peek_at(n + 2),
+                    Some(Tok::P('{')) | Some(Tok::P('(')) | Some(Tok::P('['))
+                );
+            }
+            if !(matches!(self.peek_at(n + 1), Some(Tok::P(':')))
+                && matches!(self.peek_at(n + 2), Some(Tok::P(':'))))
+            {
+                return false;
+            }
+            n += 3;
+        }
+        false
+    }
+
+    /// Skip an item-position macro call (`name! { … }`, `name!(…);`,
+    /// `name![…];`) as one opaque item: what it expands to is unknown,
+    /// so it contributes no facts, and nothing around it degrades.
+    fn item_macro_call(&mut self) {
+        while !self.is_p('!') {
+            self.bump();
+        }
+        self.bump(); // `!`
+        let skipped = match self.peek() {
+            Some(Tok::P('{')) => self.skip_group('{', '}'),
+            Some(Tok::P('(')) => self.skip_group('(', ')'),
+            _ => self.skip_group('[', ']'),
+        };
+        if skipped && self.is_p(';') {
+            self.bump();
         }
     }
 
@@ -649,7 +683,6 @@ impl<'a> Parser<'a> {
         let line = self.line();
         self.bump(); // `struct`
         let Some(name) = self.ident_text().map(str::to_string) else {
-            self.out.degraded = true;
             self.recover();
             return;
         };
@@ -688,7 +721,6 @@ impl<'a> Parser<'a> {
             return;
         }
         if !self.is_p('{') {
-            self.out.degraded = true;
             self.recover();
             return;
         }
@@ -701,7 +733,6 @@ impl<'a> Parser<'a> {
                 break;
             }
             if self.peek().is_none() {
-                self.out.degraded = true;
                 break;
             }
             // Visibility.
@@ -713,13 +744,11 @@ impl<'a> Parser<'a> {
             }
             let fline = self.line();
             let Some(fname) = self.ident_text().map(str::to_string) else {
-                self.out.degraded = true;
                 self.recover();
                 break;
             };
             self.bump();
             if !self.is_p(':') {
-                self.out.degraded = true;
                 self.recover();
                 break;
             }
@@ -790,13 +819,11 @@ impl<'a> Parser<'a> {
             }
         }
         if !self.is_p('{') {
-            self.out.degraded = true;
             self.recover();
             return;
         }
         self.bump(); // `{`
         let Some(ty) = type_name else {
-            self.out.degraded = true;
             // Still walk the body so the brace nesting stays balanced.
             let mut depth = 1i32;
             while let Some(t) = self.bump() {
@@ -863,7 +890,6 @@ impl<'a> Parser<'a> {
         let in_test = self.in_test_here();
         self.bump(); // `fn`
         let Some(name) = self.ident_text().map(str::to_string) else {
-            self.out.degraded = true;
             self.recover();
             return;
         };
@@ -976,7 +1002,6 @@ impl<'a> Parser<'a> {
             return;
         }
         if !self.is_p('{') {
-            self.out.degraded = true;
             self.recover();
             return;
         }
@@ -987,31 +1012,28 @@ impl<'a> Parser<'a> {
         }
         let body_end = self.pos.saturating_sub(1); // exclusive of `}`
         let body = &self.toks[body_start..body_end.max(body_start)];
-        let (events, idents, body_degraded) = extract_events(body);
+        let events = extract_events(body);
         self.out.fns.push(FnDef {
             name,
             line,
             is_pub,
             in_test,
-            degraded: degraded || body_degraded,
+            degraded,
             impl_of: impl_of.map(str::to_string),
             is_trait_impl: trait_impl,
             self_param,
             params,
             events,
-            idents,
         });
     }
 }
 
 /// Flatten a fn-body token slice into events. Never fails — anything
-/// unshapeable is skipped (and the body stream stays usable); the
-/// degraded flag is reserved for structural breakage (unbalanced
-/// groups), which `skip_group` already caught upstream.
-fn extract_events(body: &[Token]) -> (Vec<Event>, Vec<String>, bool) {
+/// unshapeable is skipped (and the body stream stays usable);
+/// structural breakage (unbalanced groups) was already caught by
+/// `skip_group` upstream and recorded on the function.
+fn extract_events(body: &[Token]) -> Vec<Event> {
     let mut events = Vec::new();
-    let mut idents: Vec<String> = Vec::new();
-    let degraded = false;
     let mut i = 0;
     let n = body.len();
 
@@ -1021,9 +1043,6 @@ fn extract_events(body: &[Token]) -> (Vec<Event>, Vec<String>, bool) {
     while i < n {
         match &body[i].kind {
             Tok::Ident(id) => {
-                if !idents.contains(id) {
-                    idents.push(id.clone());
-                }
                 let line = body[i].line;
                 // Macro?
                 if is_p(i + 1, '!') {
@@ -1060,14 +1079,6 @@ fn extract_events(body: &[Token]) -> (Vec<Event>, Vec<String>, bool) {
                     if let Some(ev) = ev {
                         events.push(ev);
                     }
-                    // Also collect idents we may have stepped over.
-                    for t in &body[i..next.min(n)] {
-                        if let Tok::Ident(s) = &t.kind {
-                            if !idents.contains(s) {
-                                idents.push(s.clone());
-                            }
-                        }
-                    }
                     i = next.max(i + 1);
                     continue;
                 }
@@ -1100,7 +1111,7 @@ fn extract_events(body: &[Token]) -> (Vec<Event>, Vec<String>, bool) {
             }
         }
     }
-    (events, idents, degraded)
+    events
 }
 
 /// `let <pat> …`: returns (name, tokens consumed through the pattern)
@@ -1467,7 +1478,6 @@ mod tests {
         assert_eq!(s.fields[0].ty.base, "Rng");
         assert_eq!(s.fields[1].ty.base, "Vec");
         assert_eq!(s.fields[1].ty.elem.as_deref(), Some("FlowRt"));
-        assert!(!p.degraded);
     }
 
     #[test]
@@ -1599,18 +1609,36 @@ mod tests {
         let p = parse_src(
             "mod inner {\n    pub struct W<T: Clone> where T: Default {\n        items: Vec<T>,\n    }\n    impl<T: Clone + Default> W<T> where T: Send {\n        pub fn get(&self, i: usize) -> &T { &self.items[i] }\n    }\n}\n",
         );
-        assert!(!p.degraded);
         assert_eq!(p.structs.len(), 1);
         assert_eq!(p.structs[0].fields.len(), 1);
         assert_eq!(p.fns.len(), 1);
         assert_eq!(p.fns[0].impl_of.as_deref(), Some("W"));
     }
 
+    /// Item-position macro calls — every delimiter, path-qualified,
+    /// with braces inside parentheses, at module level and inside an
+    /// impl — are opaque items: the neighbours parse undisturbed and
+    /// undegraded, with the right impl attribution.
     #[test]
-    fn unknown_item_degrades_without_panicking() {
-        let p = parse_src("bizarre_macro_output! {}\nfn ok() { work(); }\n");
-        // The macro invocation at item level is unshaped; the parser
-        // must still find `fn ok`.
+    fn item_position_macro_calls_are_opaque_items() {
+        let p = parse_src(
+            "snap_fields! { overlay FooStage { a, b: fixed } rebuilt { c } }\n\
+             fn first() { work(); }\n\
+             outran_simcore::snap_enum!(Ev, \"tag\" { 0 => A { x }, 1 => B(y) });\n\
+             thread_local![static X: u8 = 0];\n\
+             impl FooStage {\n    lazy! { fn hidden(&self) {} }\n    pub fn run(&mut self) { self.a += 1; }\n}\n\
+             fn last() {}\n",
+        );
+        let names: Vec<&str> = p.fns.iter().map(|f| f.name.as_str()).collect();
+        assert_eq!(names, ["first", "run", "last"]);
+        assert!(p.fns.iter().all(|f| !f.degraded));
+        assert_eq!(p.fns[1].impl_of.as_deref(), Some("FooStage"));
+        assert_eq!(p.fns[2].impl_of, None);
+    }
+
+    #[test]
+    fn unknown_item_is_skipped_without_panicking() {
+        let p = parse_src("@@ bizarre token soup {}\nfn ok() { work(); }\n");
         assert!(p.fns.iter().any(|f| f.name == "ok"));
     }
 }

@@ -50,15 +50,6 @@ pub enum RuleId {
     /// functions from which a live (un-suppressed) panic site is
     /// reachable through workspace-internal calls.
     S2,
-    /// AST-level snapshot coverage (semantic): every named field of a
-    /// `*Stage` struct must be mentioned inside a `fn snap` /
-    /// `fn load_snap` body of an impl of that stage, resolved across
-    /// the workspace — robust to field reordering and split impls.
-    /// Network-layer state structs in `crates/ran/src/network.rs` that
-    /// carry snapshot impls are held to the same coverage bar (the
-    /// ORSN `network` section). Replaces the retired line-heuristic
-    /// rule D9.
-    S3,
     /// Stage purity (semantic): `*Stage` methods may only touch their
     /// own fields, private same-file helper types, and the typed
     /// pipeline message/context structs.
@@ -78,7 +69,7 @@ pub enum RuleId {
 impl RuleId {
     /// All catalog rules (excludes the `L1xx` suppression-hygiene
     /// meta-rules, which are always on).
-    pub const CATALOG: [RuleId; 14] = [
+    pub const CATALOG: [RuleId; 13] = [
         RuleId::D1,
         RuleId::D2,
         RuleId::D3,
@@ -90,7 +81,6 @@ impl RuleId {
         RuleId::D10,
         RuleId::S1,
         RuleId::S2,
-        RuleId::S3,
         RuleId::S4,
         RuleId::S5,
     ];
@@ -109,7 +99,6 @@ impl RuleId {
             RuleId::D10 => "D10",
             RuleId::S1 => "S1",
             RuleId::S2 => "S2",
-            RuleId::S3 => "S3",
             RuleId::S4 => "S4",
             RuleId::S5 => "S5",
             RuleId::L100 => "L100",
@@ -132,7 +121,6 @@ impl RuleId {
             "D10" => Some(RuleId::D10),
             "S1" => Some(RuleId::S1),
             "S2" => Some(RuleId::S2),
-            "S3" => Some(RuleId::S3),
             "S4" => Some(RuleId::S4),
             "S5" => Some(RuleId::S5),
             "L100" => Some(RuleId::L100),

@@ -3,7 +3,7 @@
 //! Built on the item model from [`crate::parser`], this module
 //! resolves types and impls across the workspace, types place
 //! expressions through struct fields and local bindings, builds an
-//! intra-workspace call graph, and runs the five semantic rules:
+//! intra-workspace call graph, and runs the four semantic rules:
 //!
 //! * **S1** — RNG-taint reachability: `DeliveryStage::run` must not
 //!   reach an `Rng` draw; each `*Stage` draws only from its own
@@ -11,13 +11,13 @@
 //! * **S2** — transitive panic reachability: public sim-crate
 //!   functions must not reach a live panic site through workspace
 //!   calls (direct sites are D5's business).
-//! * **S3** — snapshot coverage: every `*Stage` field is mentioned in
-//!   a `snap`/`load_snap` body of an impl of that stage, resolved
-//!   workspace-wide; network.rs state structs carrying snapshot impls
-//!   get the same field-coverage check for the ORSN `network` section.
 //! * **S4** — stage purity: stage methods touch only their own
 //!   fields, same-file helper types, and the typed pipeline structs.
 //! * **S5** — wall-clock taint: D1 extended transitively.
+//!
+//! (Snapshot field coverage used to be a rule here. It is a compile
+//! error now: `outran_simcore::snap_fields!` destructures every
+//! persisted struct exhaustively.)
 //!
 //! Resolution is deliberately conservative: an edge or a type is only
 //! recorded when it can be resolved with high confidence (unique name
@@ -500,9 +500,6 @@ pub fn analyze_workspace(
     if on(RuleId::S2) {
         rule_s2(&model, &mut files, &facts, &edges, &mut raw);
     }
-    if on(RuleId::S3) {
-        rule_s3(&model, &files, &mut raw);
-    }
     if on(RuleId::S4) {
         rule_s4(&model, &files, &facts, &mut raw);
     }
@@ -801,148 +798,6 @@ fn rule_s2(
                     func.name, w.what, w.path, w.line
                 ),
             });
-        }
-    }
-}
-
-/// S3 — workspace-resolved snapshot coverage for stage structs, plus
-/// the network-layer state structs that back the ORSN `network`
-/// checkpoint section.
-fn rule_s3(model: &Model, files: &[FileCtx], raw: &mut Vec<Diagnostic>) {
-    rule_s3_network(model, files, raw);
-    for f in files.iter() {
-        if !f.rel.starts_with("crates/ran/src/stages/") || f.class.is_testish {
-            continue;
-        }
-        if f.parsed.degraded {
-            continue; // cannot assert field sets we did not fully see
-        }
-        for s in &f.parsed.structs {
-            if !s.name.ends_with("Stage") || s.fields.is_empty() {
-                continue;
-            }
-            if f.masked
-                .in_test
-                .get(s.line.saturating_sub(1))
-                .copied()
-                .unwrap_or(false)
-            {
-                continue;
-            }
-            // Snapshot fns of this stage, anywhere in the workspace.
-            let mut mention: Vec<&str> = Vec::new();
-            let mut found = false;
-            for name in ["snap", "load_snap"] {
-                for &id in model
-                    .methods
-                    .get(&(s.name.clone(), name.to_string()))
-                    .map(|v| v.as_slice())
-                    .unwrap_or(&[])
-                {
-                    found = true;
-                    let func = model.fn_def(files, id);
-                    mention.extend(func.idents.iter().map(String::as_str));
-                }
-            }
-            if !found {
-                raw.push(Diagnostic {
-                    path: f.rel.clone(),
-                    line: s.line,
-                    rule: RuleId::S3,
-                    message: format!(
-                        "stage struct `{}` has no `fn snap`/`fn load_snap` impl anywhere \
-                         in the workspace; stages must be checkpointable (see \
-                         checkpoint.rs)",
-                        s.name
-                    ),
-                });
-                continue;
-            }
-            for field in &s.fields {
-                if !mention.contains(&field.name.as_str()) {
-                    raw.push(Diagnostic {
-                        path: f.rel.clone(),
-                        line: field.line,
-                        rule: RuleId::S3,
-                        message: format!(
-                            "field `{}` of stage struct `{}` is not covered by the \
-                             snapshot impls; serialize it in snap/load_snap, or suppress \
-                             with a reason why restore re-derives it",
-                            field.name, s.name
-                        ),
-                    });
-                }
-            }
-        }
-    }
-}
-
-/// S3, network arm — snapshot coverage for `crates/ran/src/network.rs`.
-/// Any struct there carrying a `snap`/`load_snap`/`unsnap` impl is
-/// checkpointable run state (it lands in the ORSN `network` section):
-/// every named field must be mentioned inside one of those bodies, or
-/// carry a reason-suppression explaining how restore re-derives it.
-/// Structs without snapshot impls (configuration, reports) are exempt —
-/// they are rebuilt from the embedded argv, not overlaid.
-///
-/// Unlike the stages arm, the file-level `degraded` flag is not a
-/// reason to bail out here: item recovery keeps struct field lists
-/// complete even when some other item in the file failed to shape.
-/// What *would* cause a false positive is an incomplete ident set from
-/// a degraded snapshot-fn body, so that is checked per fn below.
-fn rule_s3_network(model: &Model, files: &[FileCtx], raw: &mut Vec<Diagnostic>) {
-    for f in files.iter() {
-        if f.rel != "crates/ran/src/network.rs" || f.class.is_testish {
-            continue;
-        }
-        for s in &f.parsed.structs {
-            if s.fields.is_empty()
-                || f.masked
-                    .in_test
-                    .get(s.line.saturating_sub(1))
-                    .copied()
-                    .unwrap_or(false)
-            {
-                continue;
-            }
-            let mut mention: Vec<&str> = Vec::new();
-            let mut found = false;
-            let mut opaque = false;
-            for name in ["snap", "load_snap", "unsnap"] {
-                for &id in model
-                    .methods
-                    .get(&(s.name.clone(), name.to_string()))
-                    .map(|v| v.as_slice())
-                    .unwrap_or(&[])
-                {
-                    found = true;
-                    let func = model.fn_def(files, id);
-                    if func.degraded {
-                        // An incompletely-seen body could be the one
-                        // serializing the field: assert nothing.
-                        opaque = true;
-                    }
-                    mention.extend(func.idents.iter().map(String::as_str));
-                }
-            }
-            if !found || opaque {
-                continue;
-            }
-            for field in &s.fields {
-                if !mention.contains(&field.name.as_str()) {
-                    raw.push(Diagnostic {
-                        path: f.rel.clone(),
-                        line: field.line,
-                        rule: RuleId::S3,
-                        message: format!(
-                            "field `{}` of network state struct `{}` is not covered by \
-                             its snapshot impls; serialize it in snap/load_snap/unsnap, \
-                             or suppress with a reason why restore re-derives it",
-                            field.name, s.name
-                        ),
-                    });
-                }
-            }
         }
     }
 }

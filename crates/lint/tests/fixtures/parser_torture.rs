@@ -48,6 +48,19 @@ macro_rules! twice {
     };
 }
 
+// Item-position macro calls, every delimiter, inside an impl too: each
+// is one opaque item and what follows still parses.
+twice! { "x.unwrap() in a call is still string data" }
+std::thread_local!(static DEPTH: u8 = 0);
+
+impl<T: Clone> Wrapper<T> {
+    twice![1];
+
+    pub fn tag(&self) -> char {
+        self.tag
+    }
+}
+
 pub enum Shape<'a> {
     Dot,
     Line { from: &'a str, to: &'a str },

@@ -8,9 +8,12 @@ struct BetaStage {
     count: u64,
 }
 
+snap_fields! { overlay AlphaStage { count } }
+outran_simcore::snap_fields!(overlay BetaStage { count });
+
 impl AlphaStage {
     pub fn poke(&mut self, other: &mut BetaStage, msg: &SduIngress) {
-        other.count += 1; // line 13: S4 — another stage's state
+        other.count += 1; // line 16: S4 — another stage's state
         self.count = msg.bytes; // own field + typed message: clean
     }
 }

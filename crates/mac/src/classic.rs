@@ -5,7 +5,8 @@
 
 use outran_simcore::{Dur, Ewma, Time};
 
-use crate::types::{Allocation, RateSource, Scheduler, SnapError, SnapReader, SnapWriter, UeTti};
+use crate::types::{Allocation, RateSource, Scheduler, UeTti};
+use outran_simcore::snap_fields;
 
 /// Blind Equal Throughput: metric `1 / r̃_u` — equalises *throughput*
 /// across users regardless of channel (unlike PF, which equalises a
@@ -25,6 +26,8 @@ impl BetScheduler {
         }
     }
 }
+
+snap_fields! { overlay BetScheduler { avg: fixed } }
 
 impl Scheduler for BetScheduler {
     fn allocate(&mut self, _now: Time, ues: &[UeTti], rates: &dyn RateSource) -> Allocation {
@@ -68,19 +71,6 @@ impl Scheduler for BetScheduler {
     fn name(&self) -> &'static str {
         "BET"
     }
-
-    fn save_state(&self, w: &mut SnapWriter) {
-        w.seq(self.avg.iter(), |w, e| e.snap(w));
-    }
-
-    fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let avg = r.seq(Ewma::unsnap)?;
-        if avg.len() != self.avg.len() {
-            return Err(SnapError::Malformed("BET UE count mismatch"));
-        }
-        self.avg = avg;
-        Ok(())
-    }
 }
 
 /// Modified Largest Weighted Delay First: metric
@@ -111,6 +101,9 @@ impl MlwdfScheduler {
         MlwdfScheduler::new(n_ues, tf, tti, Dur::from_millis(100), 0.05)
     }
 }
+
+// `weight` is config-derived; only the averages move.
+snap_fields! { overlay MlwdfScheduler { avg: fixed } rebuilt { weight } }
 
 impl Scheduler for MlwdfScheduler {
     fn allocate(&mut self, _now: Time, ues: &[UeTti], rates: &dyn RateSource) -> Allocation {
@@ -156,20 +149,6 @@ impl Scheduler for MlwdfScheduler {
 
     fn name(&self) -> &'static str {
         "M-LWDF"
-    }
-
-    fn save_state(&self, w: &mut SnapWriter) {
-        // `weight` is config-derived; only the averages move.
-        w.seq(self.avg.iter(), |w, e| e.snap(w));
-    }
-
-    fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let avg = r.seq(Ewma::unsnap)?;
-        if avg.len() != self.avg.len() {
-            return Err(SnapError::Malformed("M-LWDF UE count mismatch"));
-        }
-        self.avg = avg;
-        Ok(())
     }
 }
 

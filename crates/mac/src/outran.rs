@@ -21,7 +21,9 @@ use outran_simcore::{Dur, Time};
 
 use crate::cache::{allocate_by_subband, SubbandMetricCache};
 use crate::pf::PfCore;
-use crate::types::{Allocation, RateSource, Scheduler, SnapError, SnapReader, SnapWriter, UeTti};
+use crate::types::{Allocation, RateSource, Scheduler, UeTti};
+use outran_simcore::snap::{LoadSnap, Snap, SnapError, SnapReader, SnapWriter};
+use outran_simcore::snap_fields;
 
 /// The legacy metric OutRAN relaxes.
 #[derive(Debug, Clone)]
@@ -49,6 +51,24 @@ impl BaseMetric {
     fn decay(&mut self, k: u64) {
         if let BaseMetric::Pf(core) = self {
             core.decay(k);
+        }
+    }
+}
+
+/// Irregular: untagged. The variant comes from the run config, so the
+/// wire carries only the PF core's state when there is one.
+impl Snap for BaseMetric {
+    fn snap(&self, w: &mut SnapWriter) {
+        if let BaseMetric::Pf(core) = self {
+            core.snap(w);
+        }
+    }
+}
+impl LoadSnap for BaseMetric {
+    fn load_snap(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        match self {
+            BaseMetric::Pf(core) => core.load_snap(r),
+            BaseMetric::Mt => Ok(()),
         }
     }
 }
@@ -99,6 +119,8 @@ impl OutRanScheduler {
         ue.head_priority.map_or(u8::MAX, |p| p.0)
     }
 }
+
+snap_fields! { overlay OutRanScheduler { base } rebuilt { epsilon, cache } }
 
 impl Scheduler for OutRanScheduler {
     fn allocate(&mut self, _now: Time, ues: &[UeTti], rates: &dyn RateSource) -> Allocation {
@@ -175,21 +197,6 @@ impl Scheduler for OutRanScheduler {
 
     fn name(&self) -> &'static str {
         "OutRAN"
-    }
-
-    fn save_state(&self, w: &mut SnapWriter) {
-        // The base variant and epsilon come from the run config; only the
-        // PF core (if any) carries dynamic state.
-        if let BaseMetric::Pf(core) = &self.base {
-            core.save_state(w);
-        }
-    }
-
-    fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        if let BaseMetric::Pf(core) = &mut self.base {
-            core.load_state(r)?;
-        }
-        Ok(())
     }
 }
 

@@ -14,7 +14,8 @@
 use outran_simcore::{Dur, Ewma, Time};
 
 use crate::cache::{allocate_by_subband, SubbandMetricCache};
-use crate::types::{Allocation, RateSource, Scheduler, SnapError, SnapReader, SnapWriter, UeTti};
+use crate::types::{Allocation, RateSource, Scheduler, UeTti};
+use outran_simcore::snap_fields;
 
 /// The PF metric core: per-UE long-term average throughput with a
 /// T_f-derived smoothing factor. Shared by [`PfScheduler`] and
@@ -96,27 +97,10 @@ impl PfCore {
     pub fn rev(&self, ue: usize) -> u64 {
         self.rev[ue]
     }
-
-    /// Serialize the per-UE averages and revision stamps (checkpointing).
-    /// `window_ttis` is derived from the run config and not written.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.seq(self.avg.iter(), |w, e| e.snap(w));
-        w.seq(self.rev.iter(), |w, &v| w.u64(v));
-    }
-
-    /// Restore state written by [`PfCore::save_state`] into a core built
-    /// for the same UE count.
-    pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let avg = r.seq(Ewma::unsnap)?;
-        let rev = r.seq(|r| r.u64())?;
-        if avg.len() != self.avg.len() || rev.len() != self.rev.len() {
-            return Err(SnapError::Malformed("PF core UE count mismatch"));
-        }
-        self.avg = avg;
-        self.rev = rev;
-        Ok(())
-    }
 }
+
+// `window_ttis` is derived from the run config and not written.
+snap_fields! { overlay PfCore { avg: fixed, rev: fixed } rebuilt { window_ttis } }
 
 /// The Proportional Fair scheduler (the de-facto baseline, §6 Baselines).
 #[derive(Debug, Clone)]
@@ -148,6 +132,9 @@ impl PfScheduler {
         &self.core
     }
 }
+
+// The subband metric cache is a pure memo and re-derives itself.
+snap_fields! { overlay PfScheduler { core } rebuilt { cache } }
 
 impl Scheduler for PfScheduler {
     fn allocate(&mut self, _now: Time, ues: &[UeTti], rates: &dyn RateSource) -> Allocation {
@@ -190,15 +177,6 @@ impl Scheduler for PfScheduler {
     fn name(&self) -> &'static str {
         "PF"
     }
-
-    fn save_state(&self, w: &mut SnapWriter) {
-        // The subband metric cache is a pure memo and re-derives itself.
-        self.core.save_state(w);
-    }
-
-    fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.core.load_state(r)
-    }
 }
 
 /// The Max Throughput scheduler: pure `r_{u,b}` metric.
@@ -212,6 +190,8 @@ impl Scheduler for PfScheduler {
 pub struct MtScheduler {
     cache: SubbandMetricCache,
 }
+
+snap_fields! { overlay MtScheduler {} rebuilt { cache } }
 
 impl Scheduler for MtScheduler {
     fn allocate(&mut self, _now: Time, ues: &[UeTti], rates: &dyn RateSource) -> Allocation {
@@ -250,6 +230,8 @@ pub struct RrScheduler {
     next: usize,
 }
 
+snap_fields! { overlay RrScheduler { next } }
+
 impl Scheduler for RrScheduler {
     fn allocate(&mut self, _now: Time, ues: &[UeTti], rates: &dyn RateSource) -> Allocation {
         let n_rbs = rates.n_rbs();
@@ -275,15 +257,6 @@ impl Scheduler for RrScheduler {
 
     fn name(&self) -> &'static str {
         "RR"
-    }
-
-    fn save_state(&self, w: &mut SnapWriter) {
-        w.usize(self.next);
-    }
-
-    fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.next = r.usize()?;
-        Ok(())
     }
 }
 

@@ -20,7 +20,8 @@
 use outran_simcore::{Dur, Time};
 
 use crate::pf::PfCore;
-use crate::types::{Allocation, RateSource, Scheduler, SnapError, SnapReader, SnapWriter, UeTti};
+use crate::types::{Allocation, RateSource, Scheduler, UeTti};
+use outran_simcore::snap_fields;
 
 /// Shared QoS parameters for the baselines.
 #[derive(Debug, Clone, Copy)]
@@ -54,6 +55,8 @@ impl PssScheduler {
         }
     }
 }
+
+snap_fields! { overlay PssScheduler { core } }
 
 impl Scheduler for PssScheduler {
     fn allocate(&mut self, _now: Time, ues: &[UeTti], rates: &dyn RateSource) -> Allocation {
@@ -112,14 +115,6 @@ impl Scheduler for PssScheduler {
     fn name(&self) -> &'static str {
         "PSS"
     }
-
-    fn save_state(&self, w: &mut SnapWriter) {
-        self.core.save_state(w);
-    }
-
-    fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.core.load_state(r)
-    }
 }
 
 /// Channel & QoS Aware scheduler.
@@ -146,6 +141,8 @@ impl CqaScheduler {
         urgency.powf(self.params.beta)
     }
 }
+
+snap_fields! { overlay CqaScheduler { core } rebuilt { params } }
 
 impl Scheduler for CqaScheduler {
     fn allocate(&mut self, _now: Time, ues: &[UeTti], rates: &dyn RateSource) -> Allocation {
@@ -183,14 +180,6 @@ impl Scheduler for CqaScheduler {
 
     fn name(&self) -> &'static str {
         "CQA"
-    }
-
-    fn save_state(&self, w: &mut SnapWriter) {
-        self.core.save_state(w);
-    }
-
-    fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.core.load_state(r)
     }
 }
 

@@ -50,6 +50,8 @@ impl SrjfScheduler {
     }
 }
 
+outran_simcore::snap_fields! { overlay SrjfScheduler {} rebuilt { mode } }
+
 impl Scheduler for SrjfScheduler {
     fn allocate(&mut self, _now: Time, ues: &[UeTti], rates: &dyn RateSource) -> Allocation {
         let n_rbs = rates.n_rbs();

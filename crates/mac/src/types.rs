@@ -1,6 +1,7 @@
 //! Shared scheduler interfaces.
 
 use outran_pdcp::Priority;
+use outran_simcore::snap::LoadSnap;
 use outran_simcore::{Dur, Time};
 
 /// What the MAC knows about one UE at the start of a TTI.
@@ -179,7 +180,13 @@ impl Allocation {
 }
 
 /// A downlink MAC scheduler. Called once per TTI.
-pub trait Scheduler {
+///
+/// Checkpointing rides the [`LoadSnap`] supertrait: a scheduler's wire
+/// layout is its dynamic state only (stateless schedulers write
+/// nothing). Configuration (window lengths, epsilon, QoS params) never
+/// travels — the restore path reconstructs the scheduler from the run
+/// config first, then overlays the snapshot.
+pub trait Scheduler: LoadSnap {
     /// Compute the RB allocation for this TTI.
     ///
     /// `ues[i]` describes UE `i`; `rates` provides `r_{u,b}(t)`.
@@ -203,25 +210,7 @@ pub trait Scheduler {
 
     /// Scheduler name for reports.
     fn name(&self) -> &'static str;
-
-    /// Serialize the scheduler's dynamic state for checkpointing.
-    /// Stateless schedulers (the default) write nothing. Configuration
-    /// (window lengths, epsilon, QoS params) is not written — the restore
-    /// path reconstructs the scheduler from the run config first, then
-    /// overlays this state via [`Scheduler::load_state`].
-    fn save_state(&self, w: &mut SnapWriter) {
-        let _ = w;
-    }
-
-    /// Restore the dynamic state written by [`Scheduler::save_state`]
-    /// into a scheduler freshly built from the same run configuration.
-    fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let _ = r;
-        Ok(())
-    }
 }
-
-pub use outran_simcore::snap::{SnapError, SnapReader, SnapWriter};
 
 #[cfg(test)]
 mod tests {

@@ -214,61 +214,15 @@ impl CellMetrics {
     }
 }
 
-use outran_simcore::snap::{SnapError, SnapReader, SnapWriter};
-
-impl CellMetrics {
-    /// Serialize the dynamic telemetry state (checkpointing). The
-    /// configuration-derived fields (`bandwidth_hz`, `tti`,
-    /// `sample_ttis`) are re-established by constructing from the run
-    /// config before [`CellMetrics::load_snap`].
-    pub fn snap(&self, w: &mut SnapWriter) {
-        w.u32(self.tti_in_window);
-        w.f64(self.bits_in_window);
-        w.seq(self.window_ue_bits.iter(), |w, &b| w.f64(b));
-        w.seq(self.window_ue_active.iter(), |w, &a| w.bool(a));
-        self.se_samples.snap(w);
-        self.fairness_samples.snap(w);
-        w.seq(self.se_series.iter(), |w, &v| w.f64(v));
-        w.seq(self.fairness_series.iter(), |w, &v| w.f64(v));
-        w.seq(self.ue_avg.iter(), |w, e| e.snap(w));
-        w.f64(self.total_bits);
-        w.u64(self.total_ttis);
-        self.qdelay_all.snap(w);
-        self.qdelay_short.snap(w);
-        self.qdelay_short_p.snap(w);
+// The configuration-derived fields are re-established by constructing
+// from the run config; the per-UE vectors must keep its UE count.
+outran_simcore::snap_fields! {
+    overlay CellMetrics {
+        tti_in_window, bits_in_window, window_ue_bits: fixed, window_ue_active: fixed,
+        se_samples, fairness_samples, se_series, fairness_series, ue_avg: fixed,
+        total_bits, total_ttis, qdelay_all, qdelay_short, qdelay_short_p,
     }
-
-    /// Overwrite this collector's dynamic state from
-    /// [`CellMetrics::snap`] output (UE count is checked).
-    pub fn load_snap(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.tti_in_window = r.u32()?;
-        self.bits_in_window = r.f64()?;
-        let window_ue_bits = r.seq(|r| r.f64())?;
-        let window_ue_active = r.seq(|r| r.bool())?;
-        let ue_n = self.window_ue_bits.len();
-        if window_ue_bits.len() != ue_n || window_ue_active.len() != ue_n {
-            return Err(SnapError::Malformed(
-                "UE count mismatch in metrics snapshot",
-            ));
-        }
-        self.window_ue_bits = window_ue_bits;
-        self.window_ue_active = window_ue_active;
-        self.se_samples = Percentiles::unsnap(r)?;
-        self.fairness_samples = Percentiles::unsnap(r)?;
-        self.se_series = r.seq(|r| r.f64())?;
-        self.fairness_series = r.seq(|r| r.f64())?;
-        let ue_avg = r.seq(Ewma::unsnap)?;
-        if ue_avg.len() != ue_n {
-            return Err(SnapError::Malformed("UE count mismatch in metrics EWMAs"));
-        }
-        self.ue_avg = ue_avg;
-        self.total_bits = r.f64()?;
-        self.total_ttis = r.u64()?;
-        self.qdelay_all = RunningStats::unsnap(r)?;
-        self.qdelay_short = RunningStats::unsnap(r)?;
-        self.qdelay_short_p = Percentiles::unsnap(r)?;
-        Ok(())
-    }
+    rebuilt { bandwidth_hz, tti, sample_ttis }
 }
 
 #[cfg(test)]

@@ -135,27 +135,7 @@ impl FctReport {
     }
 }
 
-use outran_simcore::snap::{SnapError, SnapReader, SnapWriter};
-
-impl FctCollector {
-    /// Serialize the collector (checkpointing).
-    pub fn snap(&self, w: &mut SnapWriter) {
-        self.all.snap(w);
-        self.short.snap(w);
-        self.medium.snap(w);
-        self.long.snap(w);
-    }
-
-    /// Restore a collector from [`FctCollector::snap`] output.
-    pub fn unsnap(r: &mut SnapReader<'_>) -> Result<FctCollector, SnapError> {
-        Ok(FctCollector {
-            all: Percentiles::unsnap(r)?,
-            short: Percentiles::unsnap(r)?,
-            medium: Percentiles::unsnap(r)?,
-            long: Percentiles::unsnap(r)?,
-        })
-    }
-}
+outran_simcore::snap_fields! { FctCollector { all, short, medium, long } }
 
 #[cfg(test)]
 mod tests {

@@ -279,62 +279,15 @@ impl FlowTable {
     }
 }
 
-use outran_simcore::snap::{SnapError, SnapReader, SnapWriter};
+use outran_simcore::snap_fields;
 
-impl FiveTuple {
-    /// Serialize the key (checkpointing).
-    pub fn snap(&self, w: &mut SnapWriter) {
-        w.u32(self.src_ip);
-        w.u32(self.dst_ip);
-        w.u16(self.src_port);
-        w.u16(self.dst_port);
-        w.u8(self.proto);
-    }
+snap_fields! { Priority { 0 } }
+snap_fields! { FiveTuple { src_ip, dst_ip, src_port, dst_port, proto } }
+snap_fields! { FlowState { sent_bytes, first_seen, last_seen } }
 
-    /// Restore a key.
-    pub fn unsnap(r: &mut SnapReader<'_>) -> Result<FiveTuple, SnapError> {
-        Ok(FiveTuple {
-            src_ip: r.u32()?,
-            dst_ip: r.u32()?,
-            src_port: r.u16()?,
-            dst_port: r.u16()?,
-            proto: r.u8()?,
-        })
-    }
-}
-
-impl FlowTable {
-    /// Serialize the dynamic table state (checkpointing). The MLFQ
-    /// config, idle timeout and entry cap come from the experiment
-    /// configuration and are re-established by the restoring side
-    /// before [`FlowTable::load_snap`] is called.
-    pub fn snap(&self, w: &mut SnapWriter) {
-        w.u64(self.evicted);
-        w.seq(self.flows.iter(), |w, (t, st)| {
-            t.snap(w);
-            w.u64(st.sent_bytes);
-            w.time(st.first_seen);
-            w.time(st.last_seen);
-        });
-    }
-
-    /// Overlay checkpointed dynamic state onto a freshly built table.
-    pub fn load_snap(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.evicted = r.u64()?;
-        self.flows.clear();
-        let n = r.usize()?;
-        for _ in 0..n {
-            let t = FiveTuple::unsnap(r)?;
-            let st = FlowState {
-                sent_bytes: r.u64()?,
-                first_seen: r.time()?,
-                last_seen: r.time()?,
-            };
-            self.flows.insert(t, st);
-        }
-        Ok(())
-    }
-}
+// The MLFQ config, idle timeout and entry cap come from the experiment
+// configuration and are re-established by the restoring side.
+snap_fields! { overlay FlowTable { evicted, flows } rebuilt { mlfq, idle_timeout, max_entries } }
 
 #[cfg(test)]
 mod tests {

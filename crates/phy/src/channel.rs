@@ -756,148 +756,131 @@ pub fn ue_index(id: UeId) -> usize {
     id.0 as usize
 }
 
-use outran_simcore::snap::{SnapError, SnapReader, SnapWriter};
+use outran_simcore::snap::{LoadSnap, Snap, SnapError, SnapReader, SnapWriter};
+use outran_simcore::snap_fields;
+
+/// One UE's slice of the channel planes — the unit of the wire format,
+/// which predates the structure-of-arrays layout and is unchanged by it.
+struct UeRecord {
+    walker: RandomWalk,
+    taps: Vec<(f64, f64)>,
+    wb: (f64, f64),
+    rho: f64,
+    flatness: f64,
+    fade_rng: Rng,
+    shadow_db: f64,
+    reported: Vec<Cqi>,
+    reported_rev: u64,
+    pending: Vec<Cqi>,
+    pending_fresh: bool,
+    pending_due: Time,
+    next_report_at: Time,
+    rng: Rng,
+}
+
+snap_fields! {
+    UeRecord {
+        walker, taps, wb, rho, flatness, fade_rng, shadow_db, reported, reported_rev,
+        pending, pending_fresh, pending_due, next_report_at, rng,
+    }
+}
 
 impl CellChannel {
-    /// Serialize the dynamic channel state (checkpointing). The
-    /// configuration and derived layout (`cfg`, `rbs_per_subband`) are
-    /// re-established by constructing the channel from the run config
-    /// before [`CellChannel::load_snap`].
-    ///
-    /// The wire format is unchanged from the per-UE-struct layout: a
-    /// sequence of per-UE records (walker, fading taps + ρ + flatness +
-    /// fading RNG, shadow, reported/pending CQI rows, reporting clocks,
-    /// general RNG) followed by the cell-wide fields.
-    pub fn snap(&self, w: &mut SnapWriter) {
-        w.seq(0..self.n_ues, |w, ue| {
-            let base = ue * self.n_subbands;
-            self.walkers[ue].snap(w);
-            w.seq(base..base + self.n_subbands, |w, i| {
-                w.f64(self.fade_sb_re[i]);
-                w.f64(self.fade_sb_im[i]);
-            });
-            w.f64(self.fade_wb_re[ue]);
-            w.f64(self.fade_wb_im[ue]);
-            w.f64(self.fade_rho[ue]);
-            w.f64(self.fade_flatness[ue]);
-            self.fade_rng[ue].snap(w);
-            w.f64(self.shadow_db[ue]);
-            w.seq(
-                self.reported[base..base + self.n_subbands].iter(),
-                |w, c| w.u8(c.0),
-            );
-            w.u64(self.reported_rev[ue]);
-            w.seq(self.pending[base..base + self.n_subbands].iter(), |w, c| {
-                w.u8(c.0)
-            });
-            w.bool(self.pending_fresh[ue]);
-            w.time(self.pending_due[ue]);
-            w.time(self.next_report_at[ue]);
-            self.ue_rng[ue].snap(w);
-        });
-        w.u64(self.tti_index);
-        w.seq(self.dist_since_shadow.iter(), |w, &d| w.f64(d));
-        w.seq(self.cqi_frozen.iter(), |w, &b| w.bool(b));
-        w.seq(self.cqi_corrupt.iter(), |w, &b| w.bool(b));
-        w.u64(self.cqi_frozen_reports);
-        w.u64(self.cqi_corrupted_reports);
-        // Network-coupling planes (noise-only / zero in an isolated cell).
-        w.seq(self.iplusn_dbm.iter(), |w, &v| w.f64(v));
-        w.seq(self.ext_dist_m.iter(), |w, &v| w.f64(v));
+    /// Gather UE `ue`'s record out of the planes.
+    fn ue_record(&self, ue: usize) -> UeRecord {
+        let sb = ue * self.n_subbands..(ue + 1) * self.n_subbands;
+        UeRecord {
+            walker: self.walkers[ue].clone(),
+            taps: sb
+                .clone()
+                .map(|i| (self.fade_sb_re[i], self.fade_sb_im[i]))
+                .collect(),
+            wb: (self.fade_wb_re[ue], self.fade_wb_im[ue]),
+            rho: self.fade_rho[ue],
+            flatness: self.fade_flatness[ue],
+            fade_rng: self.fade_rng[ue].clone(),
+            shadow_db: self.shadow_db[ue],
+            reported: self.reported[sb.clone()].to_vec(),
+            reported_rev: self.reported_rev[ue],
+            pending: self.pending[sb].to_vec(),
+            pending_fresh: self.pending_fresh[ue],
+            pending_due: self.pending_due[ue],
+            next_report_at: self.next_report_at[ue],
+            rng: self.ue_rng[ue].clone(),
+        }
     }
 
-    /// Overwrite this channel's dynamic state from [`CellChannel::snap`]
-    /// output. The channel must have been constructed with the same
-    /// configuration (UE count and subband count are checked).
-    pub fn load_snap(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        struct UeRecord {
-            walker: RandomWalk,
-            taps: Vec<(f64, f64)>,
-            wb: (f64, f64),
-            rho: f64,
-            flatness: f64,
-            fade_rng: Rng,
-            shadow_db: f64,
-            reported: Vec<Cqi>,
-            reported_rev: u64,
-            pending: Vec<Cqi>,
-            pending_fresh: bool,
-            pending_due: Time,
-            next_report_at: Time,
-            rng: Rng,
+    /// Scatter a restored record back into UE `ue`'s plane slots.
+    fn set_ue_record(&mut self, ue: usize, rec: UeRecord) -> Result<(), SnapError> {
+        let n = self.n_subbands;
+        if rec.taps.len() != n || rec.reported.len() != n || rec.pending.len() != n {
+            return Err(SnapError::Malformed(
+                "subband count mismatch in channel snapshot",
+            ));
         }
-        let ues = r.seq(|r| {
-            Ok(UeRecord {
-                walker: RandomWalk::unsnap(r)?,
-                taps: r.seq(|r| Ok((r.f64()?, r.f64()?)))?,
-                wb: (r.f64()?, r.f64()?),
-                rho: r.f64()?,
-                flatness: r.f64()?,
-                fade_rng: Rng::unsnap(r)?,
-                shadow_db: r.f64()?,
-                reported: r.seq(|r| Ok(Cqi(r.u8()?)))?,
-                reported_rev: r.u64()?,
-                pending: r.seq(|r| Ok(Cqi(r.u8()?)))?,
-                pending_fresh: r.bool()?,
-                pending_due: r.time()?,
-                next_report_at: r.time()?,
-                rng: Rng::unsnap(r)?,
-            })
-        })?;
+        let sb = ue * n..(ue + 1) * n;
+        self.walkers[ue] = rec.walker;
+        for (i, (re, im)) in sb.clone().zip(rec.taps) {
+            self.fade_sb_re[i] = re;
+            self.fade_sb_im[i] = im;
+        }
+        (self.fade_wb_re[ue], self.fade_wb_im[ue]) = rec.wb;
+        self.fade_rho[ue] = rec.rho;
+        self.fade_flatness[ue] = rec.flatness;
+        self.fade_rng[ue] = rec.fade_rng;
+        self.shadow_db[ue] = rec.shadow_db;
+        self.reported[sb.clone()].copy_from_slice(&rec.reported);
+        self.pending[sb].copy_from_slice(&rec.pending);
+        self.reported_rev[ue] = rec.reported_rev;
+        self.pending_fresh[ue] = rec.pending_fresh;
+        self.pending_due[ue] = rec.pending_due;
+        self.next_report_at[ue] = rec.next_report_at;
+        self.ue_rng[ue] = rec.rng;
+        Ok(())
+    }
+}
+
+/// Irregular: the state lives in structure-of-arrays planes, the wire
+/// format is a sequence of per-UE `UeRecord`s (the transposition)
+/// followed by the cell-wide fields. The configuration, the derived
+/// layout (`n_subbands`, `rbs_per_subband`, the rate table) and the
+/// cached large-scale terms never travel: the channel is constructed
+/// from the run configuration first, and the caches are rebuilt from
+/// the restored state.
+impl Snap for CellChannel {
+    fn snap(&self, w: &mut SnapWriter) {
+        w.seq(0..self.n_ues, |w, ue| self.ue_record(ue).snap(w));
+        self.tti_index.snap(w);
+        self.dist_since_shadow.snap(w);
+        self.cqi_frozen.snap(w);
+        self.cqi_corrupt.snap(w);
+        self.cqi_frozen_reports.snap(w);
+        self.cqi_corrupted_reports.snap(w);
+        // Network-coupling planes (noise-only / zero in an isolated cell).
+        self.iplusn_dbm.snap(w);
+        self.ext_dist_m.snap(w);
+    }
+}
+
+impl LoadSnap for CellChannel {
+    fn load_snap(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let ues: Vec<UeRecord> = r.get()?;
         if ues.len() != self.n_ues {
             return Err(SnapError::Malformed(
                 "UE count mismatch in channel snapshot",
             ));
         }
         for (ue, rec) in ues.into_iter().enumerate() {
-            if rec.taps.len() != self.n_subbands
-                || rec.reported.len() != self.n_subbands
-                || rec.pending.len() != self.n_subbands
-            {
-                return Err(SnapError::Malformed(
-                    "subband count mismatch in channel snapshot",
-                ));
-            }
-            let base = ue * self.n_subbands;
-            self.walkers[ue] = rec.walker;
-            for (i, (re, im)) in rec.taps.into_iter().enumerate() {
-                self.fade_sb_re[base + i] = re;
-                self.fade_sb_im[base + i] = im;
-            }
-            self.fade_wb_re[ue] = rec.wb.0;
-            self.fade_wb_im[ue] = rec.wb.1;
-            self.fade_rho[ue] = rec.rho;
-            self.fade_flatness[ue] = rec.flatness;
-            self.fade_rng[ue] = rec.fade_rng;
-            self.shadow_db[ue] = rec.shadow_db;
-            self.reported[base..base + self.n_subbands].copy_from_slice(&rec.reported);
-            self.pending[base..base + self.n_subbands].copy_from_slice(&rec.pending);
-            self.reported_rev[ue] = rec.reported_rev;
-            self.pending_fresh[ue] = rec.pending_fresh;
-            self.pending_due[ue] = rec.pending_due;
-            self.next_report_at[ue] = rec.next_report_at;
-            self.ue_rng[ue] = rec.rng;
+            self.set_ue_record(ue, rec)?;
         }
-        self.tti_index = r.u64()?;
-        self.dist_since_shadow = r.seq(|r| r.f64())?;
-        self.cqi_frozen = r.seq(|r| r.bool())?;
-        self.cqi_corrupt = r.seq(|r| r.bool())?;
-        if self.dist_since_shadow.len() != self.n_ues
-            || self.cqi_frozen.len() != self.n_ues
-            || self.cqi_corrupt.len() != self.n_ues
-        {
-            return Err(SnapError::Malformed("per-UE vector length mismatch"));
-        }
-        self.cqi_frozen_reports = r.u64()?;
-        self.cqi_corrupted_reports = r.u64()?;
-        self.iplusn_dbm = r.seq(|r| r.f64())?;
-        self.ext_dist_m = r.seq(|r| r.f64())?;
-        if self.iplusn_dbm.len() != self.n_ues || self.ext_dist_m.len() != self.n_ues {
-            return Err(SnapError::Malformed(
-                "coupling-plane length mismatch in channel snapshot",
-            ));
-        }
-        // Rebuild the cached large-scale terms from the restored state.
+        self.tti_index = r.get()?;
+        r.fixed(&mut self.dist_since_shadow)?;
+        r.fixed(&mut self.cqi_frozen)?;
+        r.fixed(&mut self.cqi_corrupt)?;
+        self.cqi_frozen_reports = r.get()?;
+        self.cqi_corrupted_reports = r.get()?;
+        r.fixed(&mut self.iplusn_dbm)?;
+        r.fixed(&mut self.ext_dist_m)?;
         for ue in 0..self.n_ues {
             self.refresh_large_scale(ue);
         }

@@ -14,6 +14,8 @@
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Cqi(pub u8);
 
+outran_simcore::snap_fields! { Cqi { 0 } }
+
 impl Cqi {
     /// The out-of-range value.
     pub const OUT_OF_RANGE: Cqi = Cqi(0);

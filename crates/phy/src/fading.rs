@@ -153,45 +153,24 @@ impl FadingProcess {
     }
 }
 
-use outran_simcore::snap::{SnapError, SnapReader, SnapWriter};
+use outran_simcore::snap::SnapError;
+use outran_simcore::snap_fields;
+
+snap_fields! { Tap { re, im } }
 
 impl FadingProcess {
-    /// Serialize the fading process (checkpointing). Tap values are f64
-    /// bit patterns, so the restored process is bit-identical.
-    pub fn snap(&self, w: &mut SnapWriter) {
-        w.seq(self.subband.iter(), |w, t| {
-            w.f64(t.re);
-            w.f64(t.im);
-        });
-        w.f64(self.wideband.re);
-        w.f64(self.wideband.im);
-        w.f64(self.rho);
-        w.f64(self.flatness);
-        self.rng.snap(w);
-    }
-
-    /// Restore a fading process from [`FadingProcess::snap`] output.
-    pub fn unsnap(r: &mut SnapReader<'_>) -> Result<FadingProcess, SnapError> {
-        let subband = r.seq(|r| {
-            Ok(Tap {
-                re: r.f64()?,
-                im: r.f64()?,
-            })
-        })?;
-        if subband.is_empty() {
+    fn check_subbands(&mut self) -> Result<(), SnapError> {
+        if self.subband.is_empty() {
             return Err(SnapError::Malformed("fading process with no subbands"));
         }
-        Ok(FadingProcess {
-            subband,
-            wideband: Tap {
-                re: r.f64()?,
-                im: r.f64()?,
-            },
-            rho: r.f64()?,
-            flatness: r.f64()?,
-            rng: outran_simcore::Rng::unsnap(r)?,
-        })
+        Ok(())
     }
+}
+// Tap values are f64 bit patterns, so the restored process is
+// bit-identical.
+snap_fields! {
+    FadingProcess { subband, wideband, rho, flatness, rng }
+    then FadingProcess::check_subbands
 }
 
 #[cfg(test)]

@@ -24,7 +24,7 @@
 //! the channel's cached `sinr_const_db` plane, so dense per-TTI kernels
 //! stay branch-free.
 
-use outran_simcore::snap::{SnapError, SnapReader, SnapWriter};
+use outran_simcore::snap_fields;
 use outran_simcore::{Dur, Rng};
 
 use crate::mobility::Pos;
@@ -251,35 +251,9 @@ impl CorridorWalk {
         }
         self.frac = self.frac.clamp(0.0, 1.0);
     }
-
-    /// Serialize the walk (checkpointing).
-    pub fn snap(&self, w: &mut SnapWriter) {
-        w.f64(self.a.x);
-        w.f64(self.a.y);
-        w.f64(self.b.x);
-        w.f64(self.b.y);
-        w.f64(self.frac);
-        w.f64(self.dir);
-        w.f64(self.speed_mps);
-    }
-
-    /// Restore a walk from [`CorridorWalk::snap`] output.
-    pub fn unsnap(r: &mut SnapReader<'_>) -> Result<CorridorWalk, SnapError> {
-        Ok(CorridorWalk {
-            a: Pos {
-                x: r.f64()?,
-                y: r.f64()?,
-            },
-            b: Pos {
-                x: r.f64()?,
-                y: r.f64()?,
-            },
-            frac: r.f64()?,
-            dir: r.f64()?,
-            speed_mps: r.f64()?,
-        })
-    }
 }
+
+snap_fields! { CorridorWalk { a, b, frac, dir, speed_mps } }
 
 #[cfg(test)]
 mod tests {
@@ -386,6 +360,7 @@ mod tests {
 
     #[test]
     fn corridor_snap_roundtrip() {
+        use outran_simcore::snap::{Snap, SnapReader, SnapWriter, Unsnap};
         let a = Pos { x: -700.0, y: 30.0 };
         let b = Pos { x: 900.0, y: -60.0 };
         let mut rng = Rng::new(11);

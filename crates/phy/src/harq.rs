@@ -160,51 +160,12 @@ impl<T> HarqQueue<T> {
     }
 }
 
-use outran_simcore::snap::{SnapError, SnapReader, SnapWriter};
+use outran_simcore::snap_fields;
 
-impl<T> HarqQueue<T> {
-    /// Serialize the queue (checkpointing); `f` serializes one payload.
-    /// The config is re-established by the caller via [`HarqQueue::new`].
-    pub fn snap_with(&self, w: &mut SnapWriter, mut f: impl FnMut(&mut SnapWriter, &T)) {
-        w.seq(self.pending.iter(), |w, (due, tb)| {
-            w.time(*due);
-            f(w, &tb.payload);
-            w.f64(tb.bits);
-            w.usize(tb.subband);
-            w.u8(tb.attempts);
-        });
-        w.u64(self.dropped_tbs);
-        w.u64(self.retx_served);
-    }
+snap_fields! { HarqTb<T> { payload, bits, subband, attempts } }
 
-    /// Restore from [`HarqQueue::snap_with`] output; `f` restores one
-    /// payload.
-    pub fn unsnap_with(
-        cfg: HarqConfig,
-        r: &mut SnapReader<'_>,
-        mut f: impl FnMut(&mut SnapReader<'_>) -> Result<T, SnapError>,
-    ) -> Result<HarqQueue<T>, SnapError> {
-        let pending: VecDeque<(Time, HarqTb<T>)> = r
-            .seq(|r| {
-                let due = r.time()?;
-                let tb = HarqTb {
-                    payload: f(r)?,
-                    bits: r.f64()?,
-                    subband: r.usize()?,
-                    attempts: r.u8()?,
-                };
-                Ok((due, tb))
-            })?
-            .into_iter()
-            .collect();
-        Ok(HarqQueue {
-            cfg,
-            pending,
-            dropped_tbs: r.u64()?,
-            retx_served: r.u64()?,
-        })
-    }
-}
+// The config is re-established by the owner via [`HarqQueue::new`].
+snap_fields! { overlay HarqQueue<T> { pending, dropped_tbs, retx_served } rebuilt { cfg } }
 
 #[cfg(test)]
 mod tests {

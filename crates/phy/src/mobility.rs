@@ -118,38 +118,14 @@ impl RandomWalk {
     }
 }
 
-use outran_simcore::snap::{SnapError, SnapReader, SnapWriter};
+use outran_simcore::snap_fields;
 
-impl RandomWalk {
-    /// Serialize the walker (checkpointing). All fields go to the wire —
-    /// the walker carries its own RNG stream, which must continue exactly
-    /// where it left off.
-    pub fn snap(&self, w: &mut SnapWriter) {
-        w.f64(self.pos.x);
-        w.f64(self.pos.y);
-        w.f64(self.speed_mps);
-        w.f64(self.heading);
-        w.f64(self.radius);
-        w.dur(self.turn_period);
-        w.dur(self.until_turn);
-        self.rng.snap(w);
-    }
+snap_fields! { Pos { x, y } }
 
-    /// Restore a walker from [`RandomWalk::snap`] output.
-    pub fn unsnap(r: &mut SnapReader<'_>) -> Result<RandomWalk, SnapError> {
-        Ok(RandomWalk {
-            pos: Pos {
-                x: r.f64()?,
-                y: r.f64()?,
-            },
-            speed_mps: r.f64()?,
-            heading: r.f64()?,
-            radius: r.f64()?,
-            turn_period: r.dur()?,
-            until_turn: r.dur()?,
-            rng: outran_simcore::Rng::unsnap(r)?,
-        })
-    }
+// All fields go to the wire — the walker carries its own RNG stream,
+// which must continue exactly where it left off.
+snap_fields! {
+    RandomWalk { pos, speed_mps, heading, radius, turn_period, until_turn, rng }
 }
 
 #[cfg(test)]

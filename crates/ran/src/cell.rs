@@ -34,7 +34,8 @@ use outran_metrics::{CellMetrics, FctCollector};
 use outran_pdcp::FiveTuple;
 use outran_rlc::am::AmPdu;
 use outran_rlc::sdu::RlcSegment;
-use outran_simcore::snap::{SnapError, SnapReader, SnapWriter};
+use outran_simcore::snap::SnapError;
+use outran_simcore::snap_fields;
 use outran_simcore::{Dur, PoolStats, Rng, Time, VecPool};
 
 use crate::stages::HarqData;
@@ -45,7 +46,7 @@ use crate::stages::HarqData;
 /// Pools are *runtime machinery*, not simulation state: their contents
 /// never influence an outcome (a pooled `Vec` and a fresh one behave
 /// identically), so they are never serialized and are rebuilt on
-/// [`Cell::load_snap`] (construct-then-overlay). Each pool is
+/// `load_snap` (construct-then-overlay). Each pool is
 /// pre-populated with [`CellPools::PREWARM`] zero-capacity buffers at
 /// construction, so a take only misses when more payloads are
 /// simultaneously in flight (held by HARQ) than the arena was sized
@@ -184,7 +185,7 @@ impl Cell {
             now: Time::ZERO,
             tti,
             ues: UeContext::build_all(&cfg),
-            ingress: IngressStage::new(),
+            ingress: IngressStage::new(cfg.tcp),
             rlc_down: RlcDownStage::new(&cfg),
             mac: MacSchedStage::new(&cfg, tti),
             phy: PhyTxStage::new(&cfg, &root),
@@ -771,63 +772,27 @@ impl Cell {
         self.pools.retained_bytes()
     }
 
-    /// Serialize the cell's full dynamic state (checkpointing): the
-    /// clock, every per-UE context, all six pipeline stages and the
-    /// collectors. The configuration and the TTI length are *not*
-    /// written — restore is construct-then-overlay: build the cell from
-    /// the identical [`CellConfig`], then [`Cell::load_snap`] the
-    /// dynamic state on top. The pipeline observer is runtime-only
-    /// wiring and does not travel.
-    pub fn snap(&self, w: &mut SnapWriter) {
-        w.time(self.now);
-        w.seq(self.ues.iter(), |w, u| u.snap(w));
-        self.ingress.snap(w);
-        self.rlc_down.snap(w);
-        self.mac.snap(w);
-        self.phy.snap(w);
-        self.delivery.snap(w);
-        self.hk.snap(w);
-        self.gbr_latency.snap(w);
-        self.fct.snap(w);
-        self.metrics.snap(w);
-        w.u64(self.idle_ttis);
-        w.u64(self.skipped_ttis);
-        w.u64(self.pending_idle);
-        w.u64(self.used_rbs_cum);
-    }
-
-    /// Overlay checkpointed state from [`Cell::snap`] output onto a
-    /// cell freshly built from the *same* configuration. After this, the
-    /// cell continues bit-identically to the one that was snapshotted —
-    /// in both dense and event-driven stepping.
-    pub fn load_snap(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.now = r.time()?;
-        let n_ues = r.usize()?;
-        if n_ues != self.ues.len() {
-            return Err(SnapError::Malformed(
-                "UE count disagrees with configuration",
-            ));
-        }
-        for ue in &mut self.ues {
-            ue.load_snap(&self.cfg, r)?;
-        }
-        self.ingress.load_snap(&self.cfg, r)?;
-        self.rlc_down.load_snap(r)?;
-        self.mac.load_snap(r)?;
-        self.phy.load_snap(r)?;
-        self.delivery.load_snap(r)?;
-        self.hk.load_snap(r)?;
-        self.gbr_latency = outran_simcore::Percentiles::unsnap(r)?;
-        self.fct = FctCollector::unsnap(r)?;
-        self.metrics.load_snap(r)?;
-        self.idle_ttis = r.u64()?;
-        self.skipped_ttis = r.u64()?;
-        self.pending_idle = r.u64()?;
-        self.used_rbs_cum = r.u64()?;
-        // Pools are runtime machinery: never serialized, rebuilt empty
-        // here so a restored cell matches a freshly constructed one
-        // (they re-warm identically; contents never affect outcomes).
+    /// Pools are runtime machinery: never serialized, rebuilt empty on
+    /// restore so a restored cell matches a freshly constructed one
+    /// (they re-warm identically; contents never affect outcomes).
+    fn reset_pools(&mut self) -> Result<(), SnapError> {
         self.pools = CellPools::new();
         Ok(())
     }
+}
+
+// The cell's full dynamic state: the clock, every per-UE context, all
+// six pipeline stages and the collectors. The configuration and the TTI
+// length do not travel — restore is construct-then-overlay: build the
+// cell from the identical [`CellConfig`], then `load_snap` the dynamic
+// state on top; the cell then continues bit-identically to the one that
+// was snapshotted, in both dense and event-driven stepping. The
+// pipeline observer is runtime-only wiring.
+snap_fields! {
+    overlay Cell {
+        now, ues: fixed, ingress, rlc_down, mac, phy, delivery, hk, gbr_latency, fct, metrics,
+        idle_ttis, skipped_ttis, pending_idle, used_rbs_cum,
+    }
+    rebuilt { cfg, tti, pools, observer }
+    then Cell::reset_pools
 }

@@ -7,11 +7,11 @@
 //!   the *identical* experiment configuration), the simulation instant
 //!   of the snapshot, the stepping mode and the cell count;
 //! * one `cell.<i>` section per cell — the full dynamic state captured
-//!   by [`Cell::snap`].
+//!   by the cell's [`Snap`] layout.
 //!
 //! Restore is construct-then-overlay: rebuild each [`Cell`] from the run
 //! configuration (construction draws the same RNG forks), then overlay
-//! the checkpointed dynamic state with [`Cell::load_snap`]. A resumed
+//! the checkpointed dynamic state with [`LoadSnap::load_snap`]. A resumed
 //! run is bit-identical to an uninterrupted one — the golden-digest
 //! tests in `crates/ran/tests/checkpoint_resume.rs` prove it in both
 //! stepping modes with chaos faults active.
@@ -22,8 +22,10 @@
 
 use std::path::Path;
 
-use outran_simcore::snap::{write_atomic, SnapError, SnapReader, SnapWriter, SnapshotFile};
-use outran_simcore::Time;
+use outran_simcore::snap::{
+    write_atomic, LoadSnap, Snap, SnapError, SnapReader, SnapWriter, SnapshotFile, Unsnap,
+};
+use outran_simcore::{snap_fields, Time};
 
 use crate::cell::Cell;
 
@@ -44,23 +46,7 @@ pub struct CheckpointMeta {
     pub n_cells: usize,
 }
 
-impl CheckpointMeta {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.seq(self.argv.iter(), |w, a| w.str(a));
-        w.time(self.sim_time);
-        w.bool(self.dense);
-        w.usize(self.n_cells);
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<CheckpointMeta, SnapError> {
-        Ok(CheckpointMeta {
-            argv: r.seq(|r| r.str())?,
-            sim_time: r.time()?,
-            dense: r.bool()?,
-            n_cells: r.usize()?,
-        })
-    }
-}
+snap_fields! { CheckpointMeta { argv, sim_time, dense, n_cells } }
 
 /// Name of cell section `i`.
 fn cell_section(i: usize) -> String {
@@ -203,6 +189,32 @@ mod tests {
         restore_cell(&file, 0, &mut fresh).unwrap();
         assert_eq!(fresh.now(), cell.now());
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Every strict prefix of a full cell section — UE contexts, TCP
+    /// endpoints, the event queue, channel planes, collectors — must
+    /// surface as an error from whichever layout runs out of bytes:
+    /// never a panic, never a silently short restore.
+    #[test]
+    fn every_truncation_of_a_cell_section_is_an_error() {
+        let mut cell = tiny_cell();
+        cell.run_until(Time::from_millis(40)); // mid-transfer: queues and events populated
+        let meta = CheckpointMeta {
+            argv: vec!["x".into()],
+            sim_time: cell.now(),
+            dense: false,
+            n_cells: 1,
+        };
+        let file = snapshot_cell(&meta, &cell);
+        let section = file.section("cell.0").unwrap();
+        let mut target = tiny_cell();
+        for cut in 0..section.len() {
+            let mut r = SnapReader::new(&section[..cut]);
+            assert!(target.load_snap(&mut r).is_err(), "prefix of {cut} bytes");
+        }
+        let mut r = SnapReader::new(section);
+        target.load_snap(&mut r).unwrap();
+        assert!(r.is_exhausted());
     }
 
     #[test]

@@ -195,6 +195,9 @@ pub struct GbrBearer {
     pub interval: Dur,
 }
 
+outran_simcore::snap_fields! { GbrBearer { ue, pkt_bytes, interval } }
+outran_simcore::snap_fields! { FlowDone { id, ue, bytes, spawn, fct } }
+
 impl GbrBearer {
     /// A VoLTE-like bearer at the Table 1 GBR of 14 kbps.
     pub fn volte(ue: usize) -> GbrBearer {

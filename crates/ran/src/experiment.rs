@@ -231,7 +231,7 @@ impl Experiment {
     /// up-front, ready to advance. Used by [`Experiment::run`] and by
     /// checkpoint restore (construct-then-overlay: a restored run
     /// rebuilds this exact cell, then overlays the snapshot's dynamic
-    /// state with [`Cell::load_snap`]).
+    /// state with `load_snap`).
     pub fn build_cell(&self) -> Cell {
         let mut cfg = CellConfig::lte_default(self.n_ues, self.scheduler, self.seed);
         cfg.channel = self.scenario.channel_config();

@@ -46,8 +46,10 @@ use outran_metrics::{FctCollector, FctReport};
 use outran_phy::geometry::{self, CorridorWalk, NetGeometry};
 use outran_phy::mobility::{Pos, RandomWalk};
 use outran_phy::{ChannelConfig, Scenario};
-use outran_simcore::snap::{write_atomic, SnapError, SnapReader, SnapWriter, SnapshotFile};
-use outran_simcore::{Dur, Normal, Rng, Time};
+use outran_simcore::snap::{
+    write_atomic, LoadSnap, Snap, SnapError, SnapReader, SnapWriter, SnapshotFile,
+};
+use outran_simcore::{snap_enum, snap_fields, Dur, Normal, Rng, Time};
 use outran_workload::{FlowArrival, FlowSizeDist, PoissonFlowGen};
 
 use crate::cell::{Cell, CellConfig, SchedulerKind};
@@ -705,49 +707,16 @@ impl NetUe {
             NetMobility::Corridor(c) => c.advance(span),
         }
     }
+}
 
-    /// Serialize the UE (checkpointing).
-    fn snap(&self, w: &mut SnapWriter) {
-        match &self.mobility {
-            NetMobility::Walk { site, walk } => {
-                w.u8(0);
-                w.usize(*site);
-                walk.snap(w);
-            }
-            NetMobility::Corridor(c) => {
-                w.u8(1);
-                c.snap(w);
-            }
-        }
-        w.seq(self.shadow_site_db.iter(), |w, &v| w.f64(v));
-        w.usize(self.serving);
-        w.usize(self.slot);
-        w.opt(&self.a3_target, |w, &t| w.usize(t));
-        w.u32(self.a3_count);
-        w.opt(&self.prev_cell, |w, &c| w.usize(c));
-        w.u64(self.last_ho_epoch);
-    }
+snap_enum! { NetMobility, "unknown mobility tag" { 0 => Walk { site, walk }, 1 => Corridor(c) } }
 
-    /// Restore a UE from [`NetUe::snap`] output.
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<NetUe, SnapError> {
-        let mobility = match r.u8()? {
-            0 => NetMobility::Walk {
-                site: r.usize()?,
-                walk: RandomWalk::unsnap(r)?,
-            },
-            1 => NetMobility::Corridor(CorridorWalk::unsnap(r)?),
-            _ => return Err(SnapError::Malformed("unknown mobility tag")),
-        };
-        Ok(NetUe {
-            mobility,
-            shadow_site_db: r.seq(|r| r.f64())?,
-            serving: r.usize()?,
-            slot: r.usize()?,
-            a3_target: r.opt(|r| r.usize())?,
-            a3_count: r.u32()?,
-            prev_cell: r.opt(|r| r.usize())?,
-            last_ho_epoch: r.u64()?,
-        })
+// Overlay-shaped so the per-site shadowing vector keeps the configured
+// site count (`rsrp_cell` indexes it by site).
+snap_fields! {
+    overlay NetUe {
+        mobility, shadow_site_db: fixed, serving, slot, a3_target, a3_count, prev_cell,
+        last_ho_epoch,
     }
 }
 
@@ -767,7 +736,6 @@ struct FlowOrigin {
 /// state (pure functions of the configuration / the UE registry) and are
 /// rebuilt on restore rather than serialized.
 struct NetState {
-    // outran-lint: allow(S3) -- cells snapshot through their own `cell.<i>` ORSN sections
     cells: Vec<Cell>,
     ues: Vec<NetUe>,
     /// Per cell, per slot: the network UE occupying it.
@@ -778,7 +746,6 @@ struct NetState {
     prev_rbs: Vec<u64>,
     /// Precomputed arrival schedule (not serialized; rebuilt on
     /// construct).
-    // outran-lint: allow(S3) -- pure function of the configuration, rebuilt on construct
     arrivals: Vec<FlowArrival>,
     /// Next arrival to inject.
     cursor: usize,
@@ -795,62 +762,18 @@ struct NetState {
 }
 
 impl NetState {
-    /// Serialize the network section.
-    fn snap(&self, w: &mut SnapWriter) {
-        w.u64(self.epoch);
-        w.usize(self.cursor);
-        w.usize(self.completed);
-        w.seq(self.ues.iter(), |w, u| u.snap(w));
-        w.seq(self.loads.iter(), |w, &v| w.f64(v));
-        w.seq(self.prev_rbs.iter(), |w, &v| w.u64(v));
-        w.seq(self.origins.iter(), |w, (&(c, f), o)| {
-            w.usize(c);
-            w.usize(f);
-            w.u64(o.bytes);
-            w.time(o.spawn);
-        });
-        self.fct.snap(w);
-        self.stats.snap(w);
-    }
-
-    /// Overlay the network section onto freshly built state, rebuilding
-    /// the slot-owner table from the restored UE registry.
-    fn load_snap(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.epoch = r.u64()?;
-        self.cursor = r.usize()?;
-        self.completed = r.usize()?;
-        let ues = r.seq(NetUe::unsnap)?;
-        if ues.len() != self.ues.len() {
-            return Err(SnapError::Malformed(
-                "UE count disagrees with configuration",
-            ));
-        }
-        self.ues = ues;
-        let loads = r.seq(|r| r.f64())?;
-        if loads.len() != self.loads.len() {
-            return Err(SnapError::Malformed(
-                "cell count disagrees with configuration",
-            ));
-        }
-        self.loads = loads;
-        self.prev_rbs = r.seq(|r| r.u64())?;
-        self.origins = r
-            .seq(|r| {
-                let key = (r.usize()?, r.usize()?);
-                let o = FlowOrigin {
-                    bytes: r.u64()?,
-                    spawn: r.time()?,
-                };
-                Ok((key, o))
-            })?
-            .into_iter()
-            .collect();
-        self.fct = FctCollector::unsnap(r)?;
-        self.stats = HandoverStats::unsnap(r)?;
+    /// Rebuild the slot-owner table from the restored UE registry,
+    /// refusing a registry that does not fit the deployment.
+    fn rebuild_slot_owner(&mut self) -> Result<(), SnapError> {
         for slots in &mut self.slot_owner {
             slots.fill(None);
         }
         for (i, ue) in self.ues.iter().enumerate() {
+            if let NetMobility::Walk { site, .. } = ue.mobility {
+                if site >= ue.shadow_site_db.len() {
+                    return Err(SnapError::Malformed("UE anchor site out of range"));
+                }
+            }
             if ue.serving >= self.slot_owner.len() || ue.slot >= self.slot_owner[ue.serving].len() {
                 return Err(SnapError::Malformed("UE slot out of range"));
             }
@@ -861,6 +784,20 @@ impl NetState {
         }
         Ok(())
     }
+}
+
+snap_fields! { FlowOrigin { bytes, spawn } }
+
+// The `network` section. Cells snapshot through their own `cell.<i>`
+// sections; the arrival schedule is a pure function of the
+// configuration; the slot-owner table is rebuilt from the UE registry.
+// Every per-UE and per-cell vector keeps its configured length.
+snap_fields! {
+    overlay NetState {
+        epoch, cursor, completed, ues: fixed, loads: fixed, prev_rbs: fixed, origins, fct, stats,
+    }
+    rebuilt { cells, slot_owner, arrivals }
+    then NetState::rebuild_slot_owner
 }
 
 /// Results of one network run.

@@ -14,7 +14,7 @@ use outran_metrics::{CellMetrics, FctCollector};
 use outran_rlc::am::AmPdu;
 use outran_rlc::sdu::RlcSegment;
 use outran_rlc::um::DeliveredSdu;
-use outran_simcore::snap::{SnapError, SnapReader, SnapWriter};
+use outran_simcore::snap_fields;
 use outran_simcore::Time;
 
 /// The delivery stage (see module docs).
@@ -24,7 +24,7 @@ pub struct DeliveryStage {
     delivered_bytes: u64,
     // Reusable per-PDU reassembly output; drained inside every call,
     // never read across a TTI boundary and never snapshotted.
-    sdus: Vec<DeliveredSdu>, // outran-lint: allow(S3) -- per-TTI scratch
+    sdus: Vec<DeliveredSdu>,
 }
 
 impl DeliveryStage {
@@ -149,36 +149,13 @@ impl DeliveryStage {
         std::mem::take(&mut self.completions)
     }
 
-    /// Serialize the stage (checkpointing): completions not yet drained
-    /// by the harness plus the delivered-bytes ledger term.
-    pub fn snap(&self, w: &mut SnapWriter) {
-        w.seq(self.completions.iter(), |w, d| {
-            w.usize(d.id);
-            w.usize(d.ue);
-            w.u64(d.bytes);
-            w.time(d.spawn);
-            w.dur(d.fct);
-        });
-        w.u64(self.delivered_bytes);
-    }
-
-    /// Restore from [`DeliveryStage::snap`] output.
-    pub fn load_snap(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.completions = r.seq(|r| {
-            Ok(FlowDone {
-                id: r.usize()?,
-                ue: r.usize()?,
-                bytes: r.u64()?,
-                spawn: r.time()?,
-                fct: r.dur()?,
-            })
-        })?;
-        self.delivered_bytes = r.u64()?;
-        Ok(())
-    }
-
     /// Bytes delivered to the UE stacks (byte-conservation ledger term).
     pub fn delivered_bytes(&self) -> u64 {
         self.delivered_bytes
     }
 }
+
+// Completions not yet drained by the harness plus the delivered-bytes
+// ledger term; the reassembly output buffer is drained inside every
+// call.
+snap_fields! { overlay DeliveryStage { completions, delivered_bytes } rebuilt { sdus } }

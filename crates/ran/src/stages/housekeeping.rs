@@ -10,7 +10,7 @@ use crate::config::CellConfig;
 use crate::stages::{PhyTxStage, RlcRx, RlcTx, UeContext};
 use outran_core::PriorityReset;
 use outran_faults::{ActiveFaults, AuditSnapshot, FaultStats, InvariantAuditor};
-use outran_simcore::snap::{SnapError, SnapReader, SnapWriter};
+use outran_simcore::snap_fields;
 use outran_simcore::{Dur, Rng, Time};
 
 /// The housekeeping stage (see module docs).
@@ -25,7 +25,7 @@ pub struct HousekeepingStage {
     /// Whether delivered-SDU ordering is a valid invariant for this
     /// configuration (explicit HARQ, priority reset and the SRJF oracle
     /// all legitimately reorder intra-flow delivery).
-    audit_order: bool, // outran-lint: allow(S3) -- re-derived from CellConfig
+    audit_order: bool,
     reset: Option<PriorityReset>,
     last_gc: Time,
     /// Cached next fault-window edge at or after `now` (`None` when the
@@ -301,45 +301,16 @@ impl HousekeepingStage {
     pub fn dropped_bytes(&self) -> u64 {
         self.dropped_bytes
     }
+}
 
-    /// Serialize the stage (checkpointing): the previous-TTI fault
-    /// snapshot (edge detection), the fault RNG, the counters, the
-    /// auditor, the reset schedule, the GC clock and the cached window
-    /// edge. The fault *plan* itself is a pure function of the cell
-    /// configuration and is not written.
-    pub fn snap(&self, w: &mut SnapWriter) {
-        self.faults_active.snap(w);
-        self.fault_rng.snap(w);
-        self.fault_counters.snap(w);
-        self.auditor.snap(w);
-        w.opt(&self.reset, |w, reset| reset.snap(w));
-        w.time(self.last_gc);
-        w.opt(&self.next_fault_edge, |w, &t| w.time(t));
-        w.u64(self.dropped_bytes);
+// The fault *plan* is a pure function of the cell configuration and does
+// not travel; the reset schedule must agree with it — a snapshot with
+// (without) a reset driver cannot load into a configuration without
+// (with) one.
+snap_fields! {
+    overlay HousekeepingStage {
+        faults_active, fault_rng, fault_counters, auditor, reset: fixed_opt, last_gc,
+        next_fault_edge, dropped_bytes,
     }
-
-    /// Restore from [`HousekeepingStage::snap`] output. The reset
-    /// schedule must agree with the configuration the stage was built
-    /// from: a snapshot with (without) a reset driver cannot load into a
-    /// configuration without (with) one.
-    pub fn load_snap(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.faults_active = ActiveFaults::unsnap(r)?;
-        self.fault_rng = Rng::unsnap(r)?;
-        self.fault_counters = FaultStats::unsnap(r)?;
-        self.auditor.load_snap(r)?;
-        let had_reset = r.bool()?;
-        match (&mut self.reset, had_reset) {
-            (Some(reset), true) => reset.load_snap(r)?,
-            (None, false) => {}
-            _ => {
-                return Err(SnapError::Malformed(
-                    "priority-reset presence disagrees with configuration",
-                ))
-            }
-        }
-        self.last_gc = r.time()?;
-        self.next_fault_edge = r.opt(|r| r.time())?;
-        self.dropped_bytes = r.u64()?;
-        Ok(())
-    }
+    rebuilt { audit_order }
 }

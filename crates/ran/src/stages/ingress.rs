@@ -14,9 +14,8 @@ use crate::stages::{
 use outran_pdcp::FiveTuple;
 use outran_rlc::am::StatusPdu;
 use outran_rlc::um::DeliveredSdu;
-use outran_simcore::snap::{SnapError, SnapReader, SnapWriter};
-use outran_simcore::{Dur, EventQueue, Time};
-use outran_transport::{Segment, TcpReceiver, TcpSender};
+use outran_simcore::{snap_enum, snap_fields, Dur, EventQueue, Time};
+use outran_transport::{Segment, TcpConfig, TcpReceiver, TcpSender};
 
 /// A completed-flow record emitted by [`IngressStage::accept_sdu`]; the
 /// delivery stage folds it into the cell's FCT collector.
@@ -53,13 +52,17 @@ pub struct IngressStage {
     injected_bytes: u64,
     cn_in_flight_bytes: u64,
     dropped_bytes: u64,
-    emit_scratch: Vec<Segment>, // outran-lint: allow(S3) -- per-TTI scratch, drained before snap
+    /// Endpoint configuration every flow's sender is built against.
+    tcp: TcpConfig,
+    /// Per-TTI scratch, drained before any TTI boundary.
+    emit_scratch: Vec<Segment>,
 }
 
 impl IngressStage {
-    /// Fresh stage with no flows.
-    pub fn new() -> IngressStage {
+    /// Fresh stage with no flows; senders will run under `tcp`.
+    pub fn new(tcp: TcpConfig) -> IngressStage {
         IngressStage {
+            tcp,
             flows: Vec::new(), // outran-lint: allow(D10) -- one-shot constructor
             events: EventQueue::new(),
             open_flows: 0,
@@ -96,7 +99,7 @@ impl IngressStage {
             size: bytes,
             spawn: at,
             tuple,
-            sender: TcpSender::with_initial_rtt(cfg.tcp, bytes, handshake_rtt),
+            sender: TcpSender::with_initial_rtt(self.tcp, bytes, handshake_rtt),
             receiver: TcpReceiver::new(bytes),
             started: false,
             done: false,
@@ -455,98 +458,49 @@ impl IngressStage {
     pub fn dropped_bytes(&self) -> u64 {
         self.dropped_bytes
     }
+}
 
-    /// Serialize the stage (checkpointing): every flow's TCP endpoints
-    /// and watchdog state plus the discrete event queue (the queue's
-    /// sequence counter travels too, so restored tie-breaking is exact).
-    pub fn snap(&self, w: &mut SnapWriter) {
-        w.seq(self.flows.iter(), |w, f| {
-            w.usize(f.ue);
-            w.u64(f.size);
-            w.time(f.spawn);
-            f.tuple.snap(w);
-            f.sender.snap(w);
-            f.receiver.snap(w);
-            w.bool(f.started);
-            w.bool(f.done);
-            w.u64(f.last_cum);
-            w.time(f.last_progress);
-        });
-        self.events.snap_with(w, |w, ev| match ev {
-            Ev::Arrival { flow } => {
-                w.u8(0);
-                w.usize(*flow);
-            }
-            Ev::PktAtEnb { flow, seq, len } => {
-                w.u8(1);
-                w.usize(*flow);
-                w.u64(*seq);
-                w.u32(*len);
-            }
-            Ev::AckAtServer { flow, cum } => {
-                w.u8(2);
-                w.usize(*flow);
-                w.u64(*cum);
-            }
-            Ev::StatusAtEnb { ue, status } => {
-                w.u8(3);
-                w.usize(*ue);
-                status.snap(w);
-            }
-        });
-        w.u64(self.open_flows);
-        w.u64(self.injected_bytes);
-        w.u64(self.cn_in_flight_bytes);
-        w.u64(self.dropped_bytes);
-    }
+snap_enum! { Ev, "unknown ingress event tag" {
+    0 => Arrival { flow },
+    1 => PktAtEnb { flow, seq, len },
+    2 => AckAtServer { flow, cum },
+    3 => StatusAtEnb { ue, status },
+} }
 
-    /// Restore from [`IngressStage::snap`] output. TCP senders are
-    /// rebuilt against `cfg.tcp` (the endpoint configuration is not part
-    /// of the snapshot).
-    pub fn load_snap(&mut self, cfg: &CellConfig, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.flows = r.seq(|r| {
-            Ok(FlowRt {
-                ue: r.usize()?,
-                size: r.u64()?,
-                spawn: r.time()?,
-                tuple: FiveTuple::unsnap(r)?,
-                sender: TcpSender::unsnap(cfg.tcp, r)?,
-                receiver: TcpReceiver::unsnap(r)?,
-                started: r.bool()?,
-                done: r.bool()?,
-                last_cum: r.u64()?,
-                last_progress: r.time()?,
-            })
-        })?;
-        self.events = EventQueue::unsnap_with(r, |r| {
-            Ok(match r.u8()? {
-                0 => Ev::Arrival { flow: r.usize()? },
-                1 => Ev::PktAtEnb {
-                    flow: r.usize()?,
-                    seq: r.u64()?,
-                    len: r.u32()?,
-                },
-                2 => Ev::AckAtServer {
-                    flow: r.usize()?,
-                    cum: r.u64()?,
-                },
-                3 => Ev::StatusAtEnb {
-                    ue: r.usize()?,
-                    status: StatusPdu::unsnap(r)?,
-                },
-                _ => return Err(SnapError::Malformed("unknown ingress event tag")),
-            })
-        })?;
-        self.open_flows = r.u64()?;
-        self.injected_bytes = r.u64()?;
-        self.cn_in_flight_bytes = r.u64()?;
-        self.dropped_bytes = r.u64()?;
-        Ok(())
+/// A blank flow against the endpoint configuration, ready for its
+/// checkpointed state to be overlaid (the TCP configuration is not part
+/// of the snapshot).
+impl From<&TcpConfig> for FlowRt {
+    fn from(tcp: &TcpConfig) -> FlowRt {
+        FlowRt {
+            ue: 0,
+            size: 0,
+            spawn: Time::ZERO,
+            tuple: FiveTuple::simulated(0, 0),
+            sender: TcpSender::new(*tcp, 0),
+            receiver: TcpReceiver::new(0),
+            started: false,
+            done: false,
+            last_cum: 0,
+            last_progress: Time::ZERO,
+        }
     }
 }
 
-impl Default for IngressStage {
-    fn default() -> Self {
-        IngressStage::new()
+snap_fields! {
+    overlay FlowRt {
+        ue, size, spawn, tuple, sender, receiver, started, done, last_cum, last_progress,
     }
+}
+
+// Every flow's TCP endpoints and watchdog state plus the discrete event
+// queue (its sequence counter travels too, so restored tie-breaking is
+// exact). The flow *count* is snapshot-driven — handover continuations
+// are registered at run time — so the table grows from the snapshot.
+snap_fields! {
+    overlay IngressStage {
+        flows: grow(tcp), events, open_flows, injected_bytes, cn_in_flight_bytes,
+        dropped_bytes,
+    }
+    rebuilt { tcp, emit_scratch }
 }

@@ -14,7 +14,8 @@ use outran_mac::{
     RrScheduler, Scheduler, SrjfScheduler, UeTti,
 };
 use outran_phy::channel::CellChannel;
-use outran_simcore::snap::{SnapError, SnapReader, SnapWriter};
+use outran_simcore::snap::SnapError;
+use outran_simcore::snap_fields;
 use outran_simcore::{Dur, Percentiles, Time};
 
 #[derive(Debug, Clone)]
@@ -30,9 +31,9 @@ pub struct MacSchedStage {
     // `rates` is rebuilt from the restored channel's report versions on
     // the first refresh after resume (fresh rows carry version
     // u64::MAX); `ues_tti`/`had_data` are rebuilt every active TTI.
-    rates: TtiRates, // outran-lint: allow(S3) -- re-derived on first refresh_rates
-    ues_tti: Vec<UeTti>, // outran-lint: allow(S3) -- rebuilt every active TTI
-    had_data: Vec<bool>, // outran-lint: allow(S3) -- rebuilt every active TTI
+    rates: TtiRates,
+    ues_tti: Vec<UeTti>,
+    had_data: Vec<bool>,
     gbr: Vec<GbrRuntime>,
     // O(1) GBR work probes: the earliest pending generation instant and
     // the total queued packet count across bearers. Maintained by
@@ -267,52 +268,28 @@ impl MacSchedStage {
         &self.had_data
     }
 
-    /// Serialize the stage (checkpointing): the scheduler's long-term
-    /// state and the GBR runtime. The rate matrix and per-TTI scheduler
-    /// inputs are not written: a fresh stage starts with
-    /// `versions = u64::MAX` so the first `refresh_rates` after restore
-    /// rebuilds every row from the restored channel's report versions,
-    /// reproducing the exact values and version tags; `ues_tti` and
-    /// `had_data` are rebuilt from scratch every active TTI.
-    pub fn snap(&self, w: &mut SnapWriter) {
-        self.scheduler.save_state(w);
-        w.seq(self.gbr.iter(), |w, g| {
-            w.usize(g.bearer.ue);
-            w.u32(g.bearer.pkt_bytes);
-            w.dur(g.bearer.interval);
-            w.time(g.next_gen);
-            w.seq(g.queue.iter(), |w, &(at, bytes)| {
-                w.time(at);
-                w.u32(bytes);
-            });
-        });
-    }
-
-    /// Restore from [`MacSchedStage::snap`] output. GBR bearers are
-    /// attached at runtime (not part of [`CellConfig`]), so the full
-    /// bearer definitions travel with the snapshot.
-    pub fn load_snap(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.scheduler.load_state(r)?;
-        self.gbr = r.seq(|r| {
-            let bearer = GbrBearer {
-                ue: r.usize()?,
-                pkt_bytes: r.u32()?,
-                interval: r.dur()?,
-            };
-            let next_gen = r.time()?;
-            let queue = r.seq(|r| Ok((r.time()?, r.u32()?)))?;
-            Ok(GbrRuntime {
-                bearer,
-                next_gen,
-                queue: queue.into(),
-            })
-        })?;
-        // Rebuild the O(1) work-probe caches from the restored bearers
-        // (derived state; not part of the wire format).
+    /// Rebuild the O(1) work-probe caches from the restored bearers
+    /// (derived state; not part of the wire format).
+    fn rebuild_gbr_probes(&mut self) -> Result<(), SnapError> {
         self.gbr_min_next_gen = self.gbr.iter().map(|g| g.next_gen).min();
         self.gbr_queued_pkts = self.gbr.iter().map(|g| g.queue.len()).sum();
         Ok(())
     }
+}
+
+snap_fields! { GbrRuntime { bearer, next_gen, queue } }
+
+// The scheduler's long-term state and the GBR runtime travel (bearers
+// are attached at runtime, not part of [`CellConfig`], so their full
+// definitions ride along). A fresh stage starts with
+// `versions = u64::MAX`, so the first `refresh_rates` after restore
+// rebuilds every row from the restored channel's report versions,
+// reproducing the exact values and version tags; `ues_tti` and
+// `had_data` are rebuilt from scratch every active TTI.
+snap_fields! {
+    overlay MacSchedStage { scheduler, gbr }
+    rebuilt { rates, ues_tti, had_data, gbr_min_next_gen, gbr_queued_pkts }
+    then MacSchedStage::rebuild_gbr_probes
 }
 
 fn build_scheduler(cfg: &CellConfig, tti: Dur) -> Box<dyn Scheduler + Send> {

@@ -42,8 +42,7 @@ use outran_pdcp::{FlowTable, MlfqConfig};
 use outran_rlc::am::{AmConfig, AmPdu, AmRx, AmTx};
 use outran_rlc::sdu::{RlcSdu, RlcSegment};
 use outran_rlc::um::{UmConfig, UmRx, UmTx};
-use outran_simcore::snap::{SnapError, SnapReader, SnapWriter};
-use outran_simcore::Time;
+use outran_simcore::{snap_enum, snap_fields, Time};
 
 /// Identifies one stage of the active-TTI pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -321,8 +320,7 @@ pub struct UeContext {
     pub flows: Vec<usize>,
 }
 
-/// MLFQ level count for a configuration (shared between construction
-/// and snapshot restore).
+/// MLFQ level count for a configuration.
 fn mlfq_levels(cfg: &CellConfig) -> usize {
     if cfg.scheduler.uses_mlfq() {
         cfg.outran.mlfq_queues
@@ -357,6 +355,14 @@ fn am_config(cfg: &CellConfig) -> AmConfig {
     }
 }
 
+// The RLC entities were built in the configured mode, so a UM snapshot
+// cannot load into an AM cell (and vice versa).
+snap_enum! { overlay RlcTx, "RLC tx mode disagrees with configuration" { 0 => Um(um), 1 => Am(am) } }
+snap_enum! { overlay RlcRx, "RLC rx mode disagrees with configuration" { 0 => Um(um), 1 => Am(am) } }
+snap_enum! { HarqData, "unknown HARQ payload tag" { 0 => Um(segs), 1 => Am(pdus) } }
+snap_fields! { HarqPayload { bytes, data } }
+snap_fields! { overlay UeContext { flow_table, rlc_tx, rlc_rx, harq, flows } }
+
 impl UeContext {
     /// Build the per-UE contexts for a configuration (one shared MLFQ
     /// config across flow tables; per-mode RLC entities).
@@ -387,84 +393,6 @@ impl UeContext {
                 }
             })
             .collect()
-    }
-
-    /// Serialize this UE's pipeline state (checkpointing): flow table,
-    /// both RLC entities (mode-tagged), HARQ processes and the active
-    /// flow list.
-    pub fn snap(&self, w: &mut SnapWriter) {
-        self.flow_table.snap(w);
-        match &self.rlc_tx {
-            RlcTx::Um(um) => {
-                w.u8(0);
-                um.snap(w);
-            }
-            RlcTx::Am(am) => {
-                w.u8(1);
-                am.snap(w);
-            }
-        }
-        match &self.rlc_rx {
-            RlcRx::Um(um) => {
-                w.u8(0);
-                um.snap(w);
-            }
-            RlcRx::Am(am) => {
-                w.u8(1);
-                am.snap(w);
-            }
-        }
-        self.harq.snap_with(w, |w, p| {
-            w.u64(p.bytes);
-            match &p.data {
-                HarqData::Um(segs) => {
-                    w.u8(0);
-                    w.seq(segs.iter(), |w, s| s.snap(w));
-                }
-                HarqData::Am(pdus) => {
-                    w.u8(1);
-                    w.seq(pdus.iter(), |w, p| p.snap(w));
-                }
-            }
-        });
-        w.seq(self.flows.iter(), |w, &f| w.usize(f));
-    }
-
-    /// Overlay checkpointed state from [`UeContext::snap`] output onto a
-    /// freshly built context. The RLC mode tags must agree with
-    /// `cfg.rlc_mode` — a UM snapshot cannot load into an AM cell.
-    pub fn load_snap(&mut self, cfg: &CellConfig, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.flow_table.load_snap(r)?;
-        self.rlc_tx = match (r.u8()?, cfg.rlc_mode) {
-            (0, RlcMode::Um) => RlcTx::Um(UmTx::unsnap(um_config(cfg), r)?),
-            (1, RlcMode::Am) => RlcTx::Am(AmTx::unsnap(am_config(cfg), r)?),
-            _ => {
-                return Err(SnapError::Malformed(
-                    "RLC tx mode disagrees with configuration",
-                ))
-            }
-        };
-        self.rlc_rx = match (r.u8()?, cfg.rlc_mode) {
-            (0, RlcMode::Um) => RlcRx::Um(UmRx::unsnap(r)?),
-            (1, RlcMode::Am) => RlcRx::Am(AmRx::unsnap(AmConfig::default(), r)?),
-            _ => {
-                return Err(SnapError::Malformed(
-                    "RLC rx mode disagrees with configuration",
-                ))
-            }
-        };
-        self.harq =
-            outran_phy::harq::HarqQueue::unsnap_with(cfg.harq.unwrap_or_default(), r, |r| {
-                let bytes = r.u64()?;
-                let data = match r.u8()? {
-                    0 => HarqData::Um(r.seq(RlcSegment::unsnap)?),
-                    1 => HarqData::Am(r.seq(AmPdu::unsnap)?),
-                    _ => return Err(SnapError::Malformed("unknown HARQ payload tag")),
-                };
-                Ok(HarqPayload { bytes, data })
-            })?;
-        self.flows = r.seq(|r| r.usize())?;
-        Ok(())
     }
 
     /// Whether this UE's RLC/HARQ state can generate work this TTI.

@@ -21,7 +21,7 @@ use outran_faults::ActiveFaults;
 use outran_mac::Allocation;
 use outran_phy::channel::CellChannel;
 use outran_rlc::sdu::RlcSegment;
-use outran_simcore::snap::{SnapError, SnapReader, SnapWriter};
+use outran_simcore::snap_fields;
 use outran_simcore::{Dur, Rng, Time};
 
 /// The PHY transmit stage (see module docs).
@@ -34,11 +34,11 @@ pub struct PhyTxStage {
     dropped_bytes: u64,
     // Reusable per-TTI buffers (no per-tick allocation); drained or
     // rewritten inside every active TTI, never read across a boundary.
-    group_bits: Vec<f64>,  // outran-lint: allow(S3) -- per-TTI scratch
-    fresh_ok: Vec<bool>,   // outran-lint: allow(S3) -- per-TTI scratch
-    segs: Vec<RlcSegment>, // outran-lint: allow(S3) -- per-TTI scratch
-    transmitted: Vec<f64>, // outran-lint: allow(S3) -- per-TTI scratch
-    delivered: Vec<f64>,   // outran-lint: allow(S3) -- per-TTI scratch
+    group_bits: Vec<f64>,
+    fresh_ok: Vec<bool>,
+    segs: Vec<RlcSegment>,
+    transmitted: Vec<f64>,
+    delivered: Vec<f64>,
     deliveries: Vec<AirDelivery>,
 }
 
@@ -100,6 +100,10 @@ impl PhyTxStage {
         pools: &mut CellPools,
         obs: &mut ObserverHost,
     ) {
+        debug_assert!(
+            self.deliveries.is_empty(),
+            "previous TTI's delivery batch not drained"
+        );
         let n_ues = cfg.n_ues;
         let n_sb = cfg.channel.n_subbands;
         let group_bits = &mut self.group_bits;
@@ -368,34 +372,13 @@ impl PhyTxStage {
     pub fn dropped_bytes(&self) -> u64 {
         self.dropped_bytes
     }
+}
 
-    /// Serialize the stage (checkpointing): the full channel state, the
-    /// main simulation RNG and the air-interface counters. The per-TTI
-    /// scratch buffers (`group_bits`, `segs`, `transmitted`, `delivered`,
-    /// `deliveries`) are drained/rewritten inside every active TTI and
-    /// never read across a TTI boundary, so they are not written.
-    pub fn snap(&self, w: &mut SnapWriter) {
-        debug_assert!(
-            self.deliveries.is_empty(),
-            "checkpointing mid-TTI: delivery batch not drained"
-        );
-        self.channel.snap(w);
-        self.rng.snap(w);
-        w.u64(self.harq_wasted_tbs);
-        w.u64(self.residual_losses);
-        w.u64(self.harq_held_bytes);
-        w.u64(self.dropped_bytes);
+// The per-TTI scratch buffers are drained/rewritten inside every active
+// TTI and never read across a TTI boundary, so they do not travel.
+snap_fields! {
+    overlay PhyTxStage {
+        channel, rng, harq_wasted_tbs, residual_losses, harq_held_bytes, dropped_bytes,
     }
-
-    /// Restore from [`PhyTxStage::snap`] output. The scratch buffers are
-    /// left empty, matching the between-TTI state at snapshot time.
-    pub fn load_snap(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.channel.load_snap(r)?;
-        self.rng = Rng::unsnap(r)?;
-        self.harq_wasted_tbs = r.u64()?;
-        self.residual_losses = r.u64()?;
-        self.harq_held_bytes = r.u64()?;
-        self.dropped_bytes = r.u64()?;
-        Ok(())
-    }
+    rebuilt { group_bits, fresh_ok, segs, transmitted, delivered, deliveries }
 }

@@ -10,7 +10,7 @@ use crate::config::CellConfig;
 use crate::stages::{SduIngress, UeContext};
 use outran_rlc::am::StatusPdu;
 use outran_rlc::sdu::RlcSdu;
-use outran_simcore::snap::{SnapError, SnapReader, SnapWriter};
+use outran_simcore::snap_fields;
 use outran_simcore::Time;
 
 /// The RLC-down stage (see module docs).
@@ -20,7 +20,7 @@ pub struct RlcDownStage {
     dropped_bytes: u64,
     /// Whether the SRJF oracle overrides PDCP's MLFQ marking with a
     /// priority quantized from the flow's remaining size.
-    oracle_priority: bool, // outran-lint: allow(S3) -- re-derived from CellConfig
+    oracle_priority: bool,
 }
 
 impl RlcDownStage {
@@ -80,23 +80,11 @@ impl RlcDownStage {
     pub fn dropped_bytes(&self) -> u64 {
         self.dropped_bytes
     }
+}
 
-    /// Serialize the stage (checkpointing). `oracle_priority` is
-    /// config-derived and not written.
-    pub fn snap(&self, w: &mut SnapWriter) {
-        w.u64(self.next_sdu_id);
-        w.u64(self.buffer_drops);
-        w.u64(self.dropped_bytes);
-    }
-
-    /// Restore from [`RlcDownStage::snap`] output, keeping the
-    /// config-derived oracle flag.
-    pub fn load_snap(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.next_sdu_id = r.u64()?;
-        self.buffer_drops = r.u64()?;
-        self.dropped_bytes = r.u64()?;
-        Ok(())
-    }
+snap_fields! {
+    overlay RlcDownStage { next_sdu_id, buffer_drops, dropped_bytes }
+    rebuilt { oracle_priority }
 }
 
 /// Quantize a flow's remaining size into one of 16 strict-priority

@@ -11,15 +11,23 @@
 use std::path::PathBuf;
 
 use outran_faults::FaultPlan;
-use outran_ran::cell::{Cell, SchedulerKind};
+use outran_phy::Scenario;
+use outran_ran::cell::{Cell, GbrBearer, SchedulerKind};
 use outran_ran::checkpoint::{
-    read_checkpoint, restore_cell, snapshot_cell, write_checkpoint, CheckpointMeta,
+    read_checkpoint, restore_cell, snapshot_cell, snapshot_cells, write_checkpoint, CheckpointMeta,
 };
-use outran_ran::Experiment;
+use outran_ran::{Experiment, Network};
+use outran_simcore::snap::{fnv1a, SNAP_VERSION};
 use outran_simcore::{Dur, Time};
 
 const SECS: u64 = 4;
 const SEED: u64 = 0xD1CE;
+
+/// Wire-format pins (see `wire_format_is_pinned`), recorded at commit
+/// 2575d6d — the last one with hand-mirrored snapshot functions.
+const PIN_UM_OUTRAN: u64 = 0x97d6_31b7_dd98_027a;
+const PIN_AM_PF_CHAOS: u64 = 0xa32a_0261_ef0f_b1ff;
+const PIN_NETWORK: u64 = 0x6489_136e_a3df_eade;
 
 /// A chaos-active experiment, identical every call (one root seed).
 fn experiment(dense: bool) -> Experiment {
@@ -204,4 +212,71 @@ fn checkpointed_run_report_matches_plain_run() {
         );
         std::fs::remove_dir_all(&dir).ok();
     }
+}
+
+/// FNV-1a digest of `cell`'s full single-cell checkpoint at `t = 1 s`.
+fn pinned_cell_digest(mut cell: Cell) -> u64 {
+    cell.run_until(Time::from_secs(1));
+    let meta = CheckpointMeta {
+        argv: vec!["pin".into()],
+        sim_time: cell.now(),
+        dense: false,
+        n_cells: 1,
+    };
+    fnv1a(&snapshot_cells(&meta, &[&cell]).to_bytes())
+}
+
+/// Wire-format pin: the exact bytes of three small deterministic
+/// checkpoints. The ORSN format is not self-describing, so *any* moved,
+/// added or dropped byte must come with a `SNAP_VERSION` bump — this is
+/// the test that enforces that comment.
+#[test]
+fn wire_format_is_pinned() {
+    const HINT: &str = "layout changed: bump `SNAP_VERSION` and re-record";
+    assert_eq!(SNAP_VERSION, 1, "{HINT}");
+
+    let um_outran = Experiment::lte_default()
+        .scheduler(SchedulerKind::OutRan)
+        .users(3)
+        .load(0.5)
+        .duration_secs(2)
+        .seed(0x5EED)
+        .build_cell();
+    assert_eq!(pinned_cell_digest(um_outran), PIN_UM_OUTRAN, "{HINT}");
+
+    let mut am_pf_chaos = Experiment::lte_default()
+        .scheduler(SchedulerKind::Pf)
+        .users(3)
+        .load(0.5)
+        .duration_secs(2)
+        .seed(0x5EED)
+        .rlc_mode(outran_ran::cell::RlcMode::Am)
+        .harq(Some(outran_phy::harq::HarqConfig::default()))
+        .residual_loss(0.02)
+        .faults(FaultPlan::chaos(0x5EED, Dur::from_secs(2), 3, 0.6))
+        .watchdog(Some(Dur::from_millis(750)))
+        .build_cell();
+    am_pf_chaos.add_gbr_bearer(GbrBearer::volte(0));
+    assert_eq!(pinned_cell_digest(am_pf_chaos), PIN_AM_PF_CHAOS, "{HINT}");
+
+    let dir = tmp_dir("pin-net");
+    let mut net = Network::metro(Scenario::LtePedestrian, SchedulerKind::OutRan, 0.25);
+    net.n_sites = 3;
+    net.isd_m = 350.0;
+    net.slots_per_cell = 4;
+    net.n_ues = 9;
+    net.corridor_frac = 0.5;
+    net.vehicle_speed_mps = 30.0;
+    net.duration = Time::from_secs(2);
+    net.seed = 0x5EED;
+    net.checkpoint_every = Some(Dur::from_secs(1));
+    net.checkpoint_dir = Some(dir.clone());
+    net.run();
+    let (_meta, file) = read_checkpoint(&dir.join("metro-ckpt-1s.orsn")).unwrap();
+    assert_eq!(
+        fnv1a(file.section("network").unwrap()),
+        PIN_NETWORK,
+        "{HINT}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }

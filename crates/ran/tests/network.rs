@@ -12,11 +12,14 @@
 //! * A mid-run checkpoint restores bit-identically under handover churn.
 //! * A wall-time watchdog abort leaves a checkpoint that resumes to the
 //!   uninterrupted run's report.
+//! * A digest-valid `network` section whose per-cell vectors disagree
+//!   with the configuration is refused, not indexed out of bounds.
 
 use outran_faults::FaultPlan;
 use outran_phy::Scenario;
 use outran_ran::network::Network;
 use outran_ran::SchedulerKind;
+use outran_simcore::snap::{SnapError, SnapWriter, SnapshotFile};
 use outran_simcore::{Dur, Time};
 
 const SECS: u64 = 5;
@@ -160,4 +163,56 @@ fn watchdog_aborts_gracefully_with_resumable_checkpoint() {
     );
 
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Little-endian `u64` at byte `at` of `bytes`.
+fn u64_at(bytes: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap())
+}
+
+#[test]
+fn short_per_cell_vector_in_network_section_is_malformed_not_a_panic() {
+    let dir = std::env::temp_dir().join(format!("outran-net-short-{}", std::process::id()));
+    let mut ck = churny(9);
+    ck.checkpoint_every = Some(Dur::from_secs(2));
+    ck.checkpoint_dir = Some(dir.clone());
+    ck.run();
+    let (_meta, good) =
+        outran_ran::checkpoint::read_checkpoint(&dir.join("metro-ckpt-2s.orsn")).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+
+    // `loads` then `prev_rbs` are the only place two six-element (one
+    // per cell) sequences of 8-byte values sit back to back.
+    let net = good.section("network").unwrap();
+    let n_cells = 6u64;
+    let stride = 8 + 8 * n_cells as usize;
+    let hits: Vec<usize> = (0..net.len() - 2 * stride)
+        .filter(|&at| u64_at(net, at) == n_cells && u64_at(net, at + stride) == n_cells)
+        .collect();
+    assert_eq!(hits.len(), 1, "could not locate loads/prev_rbs: {hits:?}");
+    let prev_rbs_at = hits[0] + stride;
+
+    // Drop the last `prev_rbs` element and say so in the length prefix;
+    // rebuilding the file recomputes every FNV digest, so the only
+    // defence left is the layout's own length check.
+    let mut short = net.to_vec();
+    short[prev_rbs_at..prev_rbs_at + 8].copy_from_slice(&(n_cells - 1).to_le_bytes());
+    short.drain(prev_rbs_at + stride - 8..prev_rbs_at + stride);
+    let mut bad = SnapshotFile::new();
+    for name in good.section_names() {
+        let payload = match name {
+            "network" => &short[..],
+            _ => good.section(name).unwrap(),
+        };
+        let mut w = SnapWriter::new();
+        payload.iter().for_each(|&b| w.u8(b));
+        bad.add(name, w);
+    }
+    let bad = SnapshotFile::from_bytes(&bad.to_bytes()).expect("digests are valid");
+
+    assert!(matches!(
+        churny(9).resume(&bad),
+        Err(SnapError::Malformed(_))
+    ));
+    assert!(churny(9).resume(&good).is_ok());
 }

@@ -618,156 +618,31 @@ impl AmRx {
     }
 }
 
-use outran_simcore::snap::{SnapError, SnapReader, SnapWriter};
+use outran_simcore::snap_fields;
 
-impl StatusPdu {
-    /// Serialize the STATUS PDU (checkpointing).
-    pub fn snap(&self, w: &mut SnapWriter) {
-        w.u32(self.ack_sn);
-        w.seq(self.nacks.iter(), |w, &sn| w.u32(sn));
-    }
+snap_fields! { StatusPdu { ack_sn, nacks } }
+snap_fields! { AmPdu { sn, seg, poll } }
 
-    /// Restore a STATUS PDU.
-    pub fn unsnap(r: &mut SnapReader<'_>) -> Result<StatusPdu, SnapError> {
-        Ok(StatusPdu {
-            ack_sn: r.u32()?,
-            nacks: r.seq(|r| r.u32())?,
-        })
+// The config is re-established by the owner via [`AmTx::new`]; the
+// scratch buffers are always drained before `pull_into`/`on_status`
+// return.
+snap_fields! {
+    overlay AmTx {
+        txq, retxq, ctrlq, flight, next_sn, pdus_since_poll, poll_outstanding,
+        dropped_pdus, dropped_sdus, retx_count,
     }
+    rebuilt { cfg, seg_scratch, ack_scratch }
 }
 
-impl AmPdu {
-    /// Serialize the data PDU (checkpointing).
-    pub fn snap(&self, w: &mut SnapWriter) {
-        w.u32(self.sn);
-        self.seg.snap(w);
-        w.bool(self.poll);
-    }
+snap_fields! { RxPartial { received, next_offset, sdu_len, flow_id, seq } }
 
-    /// Restore a data PDU.
-    pub fn unsnap(r: &mut SnapReader<'_>) -> Result<AmPdu, SnapError> {
-        Ok(AmPdu {
-            sn: r.u32()?,
-            seg: RlcSegment::unsnap(r)?,
-            poll: r.bool()?,
-        })
+// Both maps iterate in key order, so the byte stream is deterministic.
+snap_fields! {
+    overlay AmRx {
+        window, rx_next, highest_seen, partials, last_status_at, status_requested,
+        delivered_count,
     }
-}
-
-impl AmTx {
-    /// Serialize the dynamic transmitter state (checkpointing). The
-    /// config is re-established by the caller via [`AmTx::unsnap`].
-    pub fn snap(&self, w: &mut SnapWriter) {
-        self.txq.snap(w);
-        w.seq(self.retxq.iter(), |w, p| p.snap(w));
-        w.seq(self.ctrlq.iter(), |w, &b| w.u32(b));
-        w.seq(self.flight.iter(), |w, (&sn, (pdu, retx))| {
-            w.u32(sn);
-            pdu.snap(w);
-            w.u8(*retx);
-        });
-        w.u32(self.next_sn);
-        w.u32(self.pdus_since_poll);
-        w.opt(&self.poll_outstanding, |w, &t| w.time(t));
-        w.u64(self.dropped_pdus);
-        w.u64(self.dropped_sdus);
-        w.u64(self.retx_count);
-    }
-
-    /// Restore a transmitter: `cfg` comes from the run configuration,
-    /// everything dynamic from the snapshot.
-    pub fn unsnap(cfg: AmConfig, r: &mut SnapReader<'_>) -> Result<AmTx, SnapError> {
-        let txq = MlfqQueues::unsnap(r)?;
-        let retxq: VecDeque<AmPdu> = r.seq(AmPdu::unsnap)?.into_iter().collect();
-        let ctrlq: VecDeque<u32> = r.seq(|r| r.u32())?.into_iter().collect();
-        let flight: BTreeMap<u32, (AmPdu, u8)> = r
-            .seq(|r| {
-                let sn = r.u32()?;
-                let pdu = AmPdu::unsnap(r)?;
-                let retx = r.u8()?;
-                Ok((sn, (pdu, retx)))
-            })?
-            .into_iter()
-            .collect();
-        Ok(AmTx {
-            cfg,
-            txq,
-            retxq,
-            ctrlq,
-            flight,
-            next_sn: r.u32()?,
-            pdus_since_poll: r.u32()?,
-            poll_outstanding: r.opt(|r| r.time())?,
-            dropped_pdus: r.u64()?,
-            dropped_sdus: r.u64()?,
-            retx_count: r.u64()?,
-            seg_scratch: Vec::new(), // outran-lint: allow(D10) -- rebuilt empty on restore
-            ack_scratch: Vec::new(), // outran-lint: allow(D10) -- rebuilt empty on restore
-        })
-    }
-}
-
-impl AmRx {
-    /// Serialize the receiver (checkpointing). Both maps iterate in key
-    /// order, so the byte stream is deterministic.
-    pub fn snap(&self, w: &mut SnapWriter) {
-        w.seq(self.window.iter(), |w, (&sn, pdu)| {
-            w.u32(sn);
-            pdu.snap(w);
-        });
-        w.u32(self.rx_next);
-        w.opt(&self.highest_seen, |w, &sn| w.u32(sn));
-        w.seq(self.partials.iter(), |w, (&id, p)| {
-            w.u64(id);
-            w.u32(p.received);
-            w.u32(p.next_offset);
-            w.u32(p.sdu_len);
-            w.u64(p.flow_id);
-            w.u64(p.seq);
-        });
-        w.opt(&self.last_status_at, |w, &t| w.time(t));
-        w.bool(self.status_requested);
-        w.u64(self.delivered_count);
-    }
-
-    /// Restore a receiver: `cfg` comes from the run configuration,
-    /// everything dynamic from the snapshot.
-    pub fn unsnap(cfg: AmConfig, r: &mut SnapReader<'_>) -> Result<AmRx, SnapError> {
-        let window: BTreeMap<u32, AmPdu> = r
-            .seq(|r| {
-                let sn = r.u32()?;
-                let pdu = AmPdu::unsnap(r)?;
-                Ok((sn, pdu))
-            })?
-            .into_iter()
-            .collect();
-        let rx_next = r.u32()?;
-        let highest_seen = r.opt(|r| r.u32())?;
-        let partials: BTreeMap<u64, RxPartial> = r
-            .seq(|r| {
-                let id = r.u64()?;
-                let p = RxPartial {
-                    received: r.u32()?,
-                    next_offset: r.u32()?,
-                    sdu_len: r.u32()?,
-                    flow_id: r.u64()?,
-                    seq: r.u64()?,
-                };
-                Ok((id, p))
-            })?
-            .into_iter()
-            .collect();
-        Ok(AmRx {
-            cfg,
-            window,
-            rx_next,
-            highest_seen,
-            partials,
-            last_status_at: r.opt(|r| r.time())?,
-            status_requested: r.bool()?,
-            delivered_count: r.u64()?,
-        })
-    }
+    rebuilt { cfg }
 }
 
 #[cfg(test)]

@@ -347,68 +347,40 @@ impl MlfqQueues {
     }
 }
 
-use outran_simcore::snap::{SnapError, SnapReader, SnapWriter};
+use outran_simcore::snap::SnapError;
+use outran_simcore::snap_fields;
 
 impl MlfqQueues {
-    /// Serialize the queue contents and configuration knobs
-    /// (checkpointing). Byte/occupancy aggregates are recomputed on
-    /// restore, so only the SDUs themselves and the mutable knobs
-    /// (capacity can shrink mid-run under a buffer fault) go to the wire.
-    pub fn snap(&self, w: &mut SnapWriter) {
-        w.usize(self.queues.len());
-        for q in &self.queues {
-            w.seq(q.iter(), |w, s| s.snap(w));
-        }
-        w.seq(self.promoted.iter(), |w, s| s.snap(w));
-        w.usize(self.capacity_sdus);
-        w.bool(self.promote_segments);
-        w.bool(self.pushout);
-    }
-
-    /// Restore from [`MlfqQueues::snap`] output. The `bytes`, `occupied`,
-    /// `promoted_bytes`, and `n_sdus` aggregates are rebuilt from the
-    /// restored SDUs, guaranteeing internal consistency.
-    pub fn unsnap(r: &mut SnapReader<'_>) -> Result<MlfqQueues, SnapError> {
-        let k = r.usize()?;
+    /// Rebuild the byte/occupancy aggregates from the restored SDUs,
+    /// guaranteeing internal consistency.
+    fn rebuild_aggregates(&mut self) -> Result<(), SnapError> {
+        let k = self.queues.len();
         if k == 0 || k > 64 {
             return Err(SnapError::Malformed("mlfq level count out of range"));
         }
-        let mut queues: Vec<VecDeque<RlcSdu>> = Vec::with_capacity(k);
-        for _ in 0..k {
-            queues.push(r.seq(RlcSdu::unsnap)?.into_iter().collect());
-        }
-        let promoted: VecDeque<RlcSdu> = r.seq(RlcSdu::unsnap)?.into_iter().collect();
-        let capacity_sdus = r.usize()?;
-        let promote_segments = r.bool()?;
-        let pushout = r.bool()?;
-
-        let mut bytes = vec![0u64; k]; // outran-lint: allow(D10) -- one-shot snapshot restore
-        let mut n_sdus = promoted.len();
-        for (level, q) in queues.iter().enumerate() {
-            for s in q {
-                bytes[level] += s.remaining() as u64;
-            }
-            n_sdus += q.len();
-        }
-        let mut occupied = 0u64;
-        for (level, &b) in bytes.iter().enumerate() {
+        self.bytes = self
+            .queues
+            .iter()
+            .map(|q| q.iter().map(|s| s.remaining() as u64).sum())
+            .collect();
+        self.occupied = 0;
+        for (level, &b) in self.bytes.iter().enumerate() {
             if b > 0 {
-                occupied |= 1 << level;
+                self.occupied |= 1 << level;
             }
         }
-        let promoted_bytes = promoted.iter().map(|s| s.remaining() as u64).sum();
-        Ok(MlfqQueues {
-            queues,
-            promoted,
-            bytes,
-            occupied,
-            promoted_bytes,
-            n_sdus,
-            capacity_sdus,
-            promote_segments,
-            pushout,
-        })
+        self.promoted_bytes = self.promoted.iter().map(|s| s.remaining() as u64).sum();
+        self.n_sdus = self.promoted.len() + self.queues.iter().map(VecDeque::len).sum::<usize>();
+        Ok(())
     }
+}
+
+// Only the SDUs themselves and the mutable knobs (capacity can shrink
+// mid-run under a buffer fault) go to the wire.
+snap_fields! {
+    MlfqQueues { queues, promoted, capacity_sdus, promote_segments, pushout }
+    rebuilt { bytes, occupied, promoted_bytes, n_sdus }
+    then MlfqQueues::rebuild_aggregates
 }
 
 #[cfg(test)]

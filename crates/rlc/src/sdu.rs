@@ -77,64 +77,11 @@ impl RlcSegment {
     }
 }
 
-use outran_simcore::snap::{SnapError, SnapReader, SnapWriter};
+use outran_simcore::snap_fields;
 
-impl RlcSdu {
-    /// Serialize the SDU (checkpointing).
-    pub fn snap(&self, w: &mut SnapWriter) {
-        w.u64(self.id);
-        w.u64(self.flow_id);
-        self.tuple.snap(w);
-        w.u32(self.len);
-        w.u32(self.offset);
-        w.u8(self.priority.0);
-        w.time(self.arrival);
-        w.u64(self.seq);
-    }
-
-    /// Restore an SDU.
-    pub fn unsnap(r: &mut SnapReader<'_>) -> Result<RlcSdu, SnapError> {
-        Ok(RlcSdu {
-            id: r.u64()?,
-            flow_id: r.u64()?,
-            tuple: FiveTuple::unsnap(r)?,
-            len: r.u32()?,
-            offset: r.u32()?,
-            priority: Priority(r.u8()?),
-            arrival: r.time()?,
-            seq: r.u64()?,
-        })
-    }
-}
-
-impl RlcSegment {
-    /// Serialize the segment (checkpointing).
-    pub fn snap(&self, w: &mut SnapWriter) {
-        w.u64(self.sdu_id);
-        w.u64(self.flow_id);
-        self.tuple.snap(w);
-        w.u32(self.offset);
-        w.u32(self.len);
-        w.u32(self.sdu_len);
-        w.u64(self.seq);
-        w.opt(&self.pdcp_sn, |w, &sn| w.u32(sn));
-        w.time(self.arrival);
-    }
-
-    /// Restore a segment.
-    pub fn unsnap(r: &mut SnapReader<'_>) -> Result<RlcSegment, SnapError> {
-        Ok(RlcSegment {
-            sdu_id: r.u64()?,
-            flow_id: r.u64()?,
-            tuple: FiveTuple::unsnap(r)?,
-            offset: r.u32()?,
-            len: r.u32()?,
-            sdu_len: r.u32()?,
-            seq: r.u64()?,
-            pdcp_sn: r.opt(|r| r.u32())?,
-            arrival: r.time()?,
-        })
-    }
+snap_fields! { RlcSdu { id, flow_id, tuple, len, offset, priority, arrival, seq } }
+snap_fields! {
+    RlcSegment { sdu_id, flow_id, tuple, offset, len, sdu_len, seq, pdcp_sn, arrival }
 }
 
 #[cfg(test)]

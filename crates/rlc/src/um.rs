@@ -309,72 +309,15 @@ impl UmRx {
     }
 }
 
-use outran_simcore::snap::{SnapError, SnapReader, SnapWriter};
+use outran_simcore::snap_fields;
 
-impl UmTx {
-    /// Serialize the dynamic transmitter state (checkpointing). The
-    /// config is re-established by the caller via [`UmTx::new`].
-    pub fn snap(&self, w: &mut SnapWriter) {
-        self.queues.snap(w);
-        w.u64(self.dropped_sdus);
-    }
+// The config is re-established by the owner via [`UmTx::new`].
+snap_fields! { overlay UmTx { queues, dropped_sdus } rebuilt { cfg } }
 
-    /// Restore a transmitter: `cfg` comes from the run configuration,
-    /// everything dynamic from the snapshot.
-    pub fn unsnap(cfg: UmConfig, r: &mut SnapReader<'_>) -> Result<UmTx, SnapError> {
-        let queues = MlfqQueues::unsnap(r)?;
-        let dropped_sdus = r.u64()?;
-        Ok(UmTx {
-            cfg,
-            queues,
-            dropped_sdus,
-        })
-    }
-}
+snap_fields! { Partial { received, next_offset, sdu_len, flow_id, seq, deadline } }
 
-impl UmRx {
-    /// Serialize the receiver (checkpointing). BTreeMap iteration is
-    /// key-ordered, so the byte stream is deterministic.
-    pub fn snap(&self, w: &mut SnapWriter) {
-        w.seq(self.partials.iter(), |w, (&id, p)| {
-            w.u64(id);
-            w.u32(p.received);
-            w.u32(p.next_offset);
-            w.u32(p.sdu_len);
-            w.u64(p.flow_id);
-            w.u64(p.seq);
-            w.time(p.deadline);
-        });
-        w.u64(self.discarded_sdus);
-        w.u64(self.discarded_bytes);
-        w.dur(self.window);
-    }
-
-    /// Restore a receiver from [`UmRx::snap`] output.
-    pub fn unsnap(r: &mut SnapReader<'_>) -> Result<UmRx, SnapError> {
-        let entries = r.seq(|r| {
-            let id = r.u64()?;
-            let p = Partial {
-                received: r.u32()?,
-                next_offset: r.u32()?,
-                sdu_len: r.u32()?,
-                flow_id: r.u64()?,
-                seq: r.u64()?,
-                deadline: r.time()?,
-            };
-            Ok((id, p))
-        })?;
-        let discarded_sdus = r.u64()?;
-        let discarded_bytes = r.u64()?;
-        let window = r.dur()?;
-        Ok(UmRx {
-            partials: entries.into_iter().collect(),
-            discarded_sdus,
-            discarded_bytes,
-            window,
-        })
-    }
-}
+// BTreeMap iteration is key-ordered, so the byte stream is deterministic.
+snap_fields! { UmRx { partials, discarded_sdus, discarded_bytes, window } }
 
 #[cfg(test)]
 mod tests {

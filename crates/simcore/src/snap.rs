@@ -4,12 +4,27 @@
 //! Long soaks (metro-scale scenarios, chaos endurance runs) are
 //! multi-hour jobs; a panic or CI timeout must not throw the run away.
 //! This module provides the byte-level plumbing every crate's snapshot
-//! impl builds on:
+//! layout builds on:
 //!
 //! * [`SnapWriter`] / [`SnapReader`] — little-endian primitive codec.
 //!   Floats travel as IEEE-754 bit patterns ([`f64::to_bits`]) so a
 //!   round trip is bit-exact, which is what makes a resumed run
 //!   *bit-identical* to an uninterrupted one rather than merely close.
+//! * [`Snap`] / [`Unsnap`] / [`LoadSnap`] — the three traits every
+//!   persisted type implements: one writer (`snap`) and the two restore
+//!   shapes. *By value* (`T::unsnap(r)`): the bytes alone rebuild the
+//!   value. *Construct-then-overlay* (`x.load_snap(r)`): the owner
+//!   rebuilds the object from the run configuration, then overlays the
+//!   dynamic state — the shape for anything holding configuration,
+//!   caches or scratch that never travels. Every by-value type is
+//!   overlay-able (the overlay just replaces it), and [`LoadSnap`] is
+//!   object-safe, so `Box<dyn Scheduler>` restores through it.
+//! * [`snap_fields!`](crate::snap_fields) / [`snap_enum!`](crate::snap_enum)
+//!   — declare a type's wire layout **once**, as an ordered field (or
+//!   tagged-variant) list; writer and reader are generated from it, so
+//!   they cannot disagree. The struct form destructures `Self { .. }`
+//!   exhaustively: a field that is neither persisted nor named under
+//!   `rebuilt` is a compile error.
 //! * [`SnapshotFile`] — a container of named sections, each guarded by
 //!   an FNV-1a digest, behind a magic number and a format version.
 //! * [`write_atomic`] — temp-file + rename persistence so an
@@ -18,8 +33,14 @@
 //! The format is deliberately not self-describing: readers must know
 //! the layout (the version field exists so they can refuse layouts
 //! they don't). Sections keep corruption localized and give resume
-//! errors a name to point at.
+//! errors a name to point at. Blanket impls cover the primitives and
+//! the std containers (length-prefixed sequences, presence-byte
+//! options, field-by-field tuples); only layouts that no field list
+//! can express keep a hand-written impl, each documented where it
+//! lives ([`Rng`], [`EventQueue`], and the cell channel's
+//! planes-to-records transposition in `outran-phy`).
 
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::io::Write as _;
 use std::path::Path;
@@ -66,8 +87,10 @@ impl fmt::Display for SnapError {
                     "unsupported snapshot version {v} (expected {SNAP_VERSION})"
                 )
             }
-            SnapError::DigestMismatch(s) => write!(f, "section '{s}' failed its digest check"),
-            SnapError::MissingSection(s) => write!(f, "section '{s}' missing"),
+            SnapError::DigestMismatch(s) => {
+                write!(f, "snapshot section '{s}' failed its digest check")
+            }
+            SnapError::MissingSection(s) => write!(f, "snapshot section '{s}' missing"),
             SnapError::Malformed(what) => write!(f, "malformed snapshot data: {what}"),
             SnapError::Io(e) => write!(f, "snapshot i/o: {e}"),
         }
@@ -170,17 +193,6 @@ impl SnapWriter {
         self.buf.extend_from_slice(s.as_bytes());
     }
 
-    /// Write an `Option` via a presence byte plus the closure on `Some`.
-    pub fn opt<T>(&mut self, v: &Option<T>, f: impl FnOnce(&mut SnapWriter, &T)) {
-        match v {
-            Some(x) => {
-                self.bool(true);
-                f(self, x);
-            }
-            None => self.bool(false),
-        }
-    }
-
     /// Write a sequence via a length prefix plus the closure per item.
     pub fn seq<T>(
         &mut self,
@@ -213,7 +225,9 @@ impl<'a> SnapReader<'a> {
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], SnapError> {
-        if self.pos + n > self.buf.len() {
+        // Compare against the bytes *remaining*: `pos + n` overflows for
+        // a hostile length field.
+        if n > self.buf.len() - self.pos {
             return Err(SnapError::Truncated);
         }
         let s = &self.buf[self.pos..self.pos + n];
@@ -290,18 +304,6 @@ impl<'a> SnapReader<'a> {
         String::from_utf8(b.to_vec()).map_err(|_| SnapError::Malformed("utf-8 string"))
     }
 
-    /// Read an `Option` via its presence byte.
-    pub fn opt<T>(
-        &mut self,
-        f: impl FnOnce(&mut SnapReader<'a>) -> Result<T, SnapError>,
-    ) -> Result<Option<T>, SnapError> {
-        if self.bool()? {
-            Ok(Some(f(self)?))
-        } else {
-            Ok(None)
-        }
-    }
-
     /// Read a length-prefixed sequence into a `Vec`.
     pub fn seq<T>(
         &mut self,
@@ -318,6 +320,49 @@ impl<'a> SnapReader<'a> {
             out.push(f(self)?);
         }
         Ok(out)
+    }
+
+    /// Read any by-value type (the target type is inferred).
+    pub fn get<T: Unsnap>(&mut self) -> Result<T, SnapError> {
+        T::unsnap(self)
+    }
+
+    /// Overlay a sequence whose length is fixed by the configuration:
+    /// the stored count must equal the constructed one, then every
+    /// element is overlaid in place.
+    pub fn fixed<T: LoadSnap>(&mut self, items: &mut [T]) -> Result<(), SnapError> {
+        if self.usize()? != items.len() {
+            return Err(SnapError::Malformed(
+                "sequence length disagrees with the configuration",
+            ));
+        }
+        items.iter_mut().try_for_each(|it| it.load_snap(self))
+    }
+
+    /// Overlay an `Option` whose presence is fixed by the configuration.
+    pub fn fixed_opt<T: LoadSnap>(&mut self, slot: &mut Option<T>) -> Result<(), SnapError> {
+        match (self.bool()?, slot) {
+            (true, Some(x)) => x.load_snap(self),
+            (false, None) => Ok(()),
+            _ => Err(SnapError::Malformed(
+                "optional state disagrees with the configuration",
+            )),
+        }
+    }
+
+    /// Restore a sequence of overlay-shaped elements whose *count*
+    /// travels with the snapshot: each element is built from the
+    /// configuration context `ctx`, then overlaid.
+    pub fn grow<C, T>(&mut self, items: &mut Vec<T>, ctx: &C) -> Result<(), SnapError>
+    where
+        T: LoadSnap + for<'c> From<&'c C>,
+    {
+        *items = self.seq(|r| {
+            let mut it = T::from(ctx);
+            it.load_snap(r)?;
+            Ok(it)
+        })?;
+        Ok(())
     }
 }
 
@@ -444,20 +489,299 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), SnapError> {
 }
 
 // ---------------------------------------------------------------------------
-// Snapshot impls for simcore's own stateful types. These live here (same
-// crate) so the types' fields can stay private.
+// The layout traits, their blanket impls and the declaration macros.
 // ---------------------------------------------------------------------------
 
-impl Rng {
-    /// The raw xoshiro256** state, for checkpointing.
-    pub fn snap(&self, w: &mut SnapWriter) {
+/// Writer half of a snapshot layout: append this value's wire form.
+pub trait Snap {
+    /// Serialize `self` (checkpointing).
+    fn snap(&self, w: &mut SnapWriter);
+}
+
+/// Restore shape 1 — *by value*: the bytes alone rebuild the value.
+pub trait Unsnap: Snap + Sized {
+    /// Rebuild a value from [`Snap::snap`] output.
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError>;
+}
+
+/// Restore shape 2 — *construct-then-overlay*: `self` was freshly built
+/// from the run configuration; overwrite its dynamic state from
+/// [`Snap::snap`] output, keeping whatever the configuration fixed.
+/// Object-safe. Every [`Unsnap`] type gets it for free (the overlay
+/// replaces the value).
+pub trait LoadSnap: Snap {
+    /// Overlay checkpointed state onto `self`.
+    fn load_snap(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError>;
+}
+
+impl<T: Unsnap> LoadSnap for T {
+    fn load_snap(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        *self = T::unsnap(r)?;
+        Ok(())
+    }
+}
+
+impl<T: Snap + ?Sized> Snap for &T {
+    fn snap(&self, w: &mut SnapWriter) {
+        (**self).snap(w);
+    }
+}
+
+/// Primitives: `type: codec-method(deref)`.
+macro_rules! snap_prims {
+    ($($ty:ty: $m:ident($($deref:tt)?)),* $(,)?) => {$(
+        impl Snap for $ty {
+            fn snap(&self, w: &mut SnapWriter) {
+                w.$m($($deref)? self);
+            }
+        }
+        impl Unsnap for $ty {
+            fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+                r.$m()
+            }
+        }
+    )*};
+}
+snap_prims!(
+    u8: u8(*), u16: u16(*), u32: u32(*), u64: u64(*), i64: i64(*), usize: usize(*),
+    f64: f64(*), bool: bool(*), Time: time(*), Dur: dur(*), String: str(),
+);
+
+impl<T: Snap> Snap for Option<T> {
+    fn snap(&self, w: &mut SnapWriter) {
+        w.bool(self.is_some());
+        if let Some(x) = self {
+            x.snap(w);
+        }
+    }
+}
+impl<T: Unsnap> Unsnap for Option<T> {
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        Ok(if r.bool()? { Some(r.get()?) } else { None })
+    }
+}
+
+/// Length-prefixed collections: `[params: extra reader bound] Type, of Item;`.
+macro_rules! snap_seqs {
+    ($([$($p:ident $(: $b:ident)?),+] $ty:ty, of $item:ty;)*) => {$(
+        impl<$($p: Snap),+> Snap for $ty {
+            fn snap(&self, w: &mut SnapWriter) {
+                w.seq(self.iter(), |w, x| x.snap(w));
+            }
+        }
+        impl<$($p: Unsnap $(+ $b)?),+> Unsnap for $ty {
+            fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+                Ok(r.seq(<$item>::unsnap)?.into_iter().collect())
+            }
+        }
+    )*};
+}
+snap_seqs! {
+    [T] Vec<T>, of T;
+    [T] VecDeque<T>, of T;
+    [K: Ord, V] BTreeMap<K, V>, of (K, V);
+}
+
+/// Tuples travel field by field, no framing.
+macro_rules! snap_tuples {
+    ($(($($t:ident . $i:tt),+))*) => {$(
+        impl<$($t: Snap),+> Snap for ($($t,)+) {
+            fn snap(&self, w: &mut SnapWriter) {
+                $(self.$i.snap(w);)+
+            }
+        }
+        impl<$($t: Unsnap),+> Unsnap for ($($t,)+) {
+            fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+                Ok(($($t::unsnap(r)?,)+))
+            }
+        }
+    )*};
+}
+snap_tuples!((A.0, B.1)(A.0, B.1, C.2));
+
+/// Declare a struct's snapshot layout **once**: an ordered list of the
+/// persisted fields, from which writer and reader are both generated.
+///
+/// ```
+/// use outran_simcore::snap::{SnapReader, SnapWriter, Snap, Unsnap};
+///
+/// #[derive(Debug, PartialEq)]
+/// struct Counter { hits: u64, label: String, scratch: Vec<u8> }
+/// outran_simcore::snap_fields! { Counter { hits, label } rebuilt { scratch } }
+///
+/// let mut w = SnapWriter::new();
+/// Counter { hits: 3, label: "x".into(), scratch: vec![9] }.snap(&mut w);
+/// let bytes = w.into_bytes();
+/// let back = Counter::unsnap(&mut SnapReader::new(&bytes)).unwrap();
+/// assert_eq!(back, Counter { hits: 3, label: "x".into(), scratch: vec![] });
+/// ```
+///
+/// Two shapes, matching the two restore traits:
+///
+/// * `Type { a, b } [rebuilt { c }] [then path]` — by value: implements
+///   [`Snap`] + [`Unsnap`]; `rebuilt` fields start as `Default` and the
+///   optional `then` step (`fn(&mut Self) -> Result<(), SnapError>`)
+///   derives them and validates cross-field conditions.
+/// * `overlay Type { a, b: fixed, c: grow(d) } [rebuilt { d }] [then path]`
+///   — construct-then-overlay: implements [`Snap`] + [`LoadSnap`]; each
+///   field is overlaid with its own `load_snap`, or through the named
+///   [`SnapReader`] helper ([`SnapReader::fixed`] for a length the
+///   configuration fixes, [`SnapReader::fixed_opt`],
+///   [`SnapReader::grow`] with sibling fields as context).
+///
+/// Fields are named by identifier or tuple index (`Wrapper { 0 }`), and
+/// one list of type parameters is accepted (`Queue<T> { .. }`, each
+/// bounded by [`Unsnap`]). The writer destructures `Self { .. }`
+/// *exhaustively*, so a field in neither list does not build:
+///
+/// ```compile_fail
+/// struct Leaky { kept: u64, forgotten: u64 }
+/// outran_simcore::snap_fields! { Leaky { kept } }
+/// ```
+#[macro_export]
+macro_rules! snap_fields {
+    (
+        $ty:ident $(<$($g:ident),+>)? { $($f:tt),* $(,)? }
+        $(rebuilt { $($d:tt),* $(,)? })?
+        $(then $post:path)?
+    ) => {
+        impl $(<$($g: $crate::snap::Unsnap),+>)? $crate::snap::Snap for $ty $(<$($g),+>)? {
+            fn snap(&self, w: &mut $crate::snap::SnapWriter) {
+                let Self { $($f: _,)* $($($d: _,)*)? } = self;
+                $($crate::snap::Snap::snap(&self.$f, w);)*
+            }
+        }
+        impl $(<$($g: $crate::snap::Unsnap),+>)? $crate::snap::Unsnap for $ty $(<$($g),+>)? {
+            fn unsnap(
+                r: &mut $crate::snap::SnapReader<'_>,
+            ) -> ::std::result::Result<Self, $crate::snap::SnapError> {
+                #[allow(unused_mut)]
+                let mut v = Self {
+                    $($f: $crate::snap::Unsnap::unsnap(r)?,)*
+                    $($($d: ::std::default::Default::default(),)*)?
+                };
+                $($post(&mut v)?;)?
+                Ok(v)
+            }
+        }
+    };
+    (
+        overlay $ty:ident $(<$($g:ident),+>)?
+        { $($f:tt $(: $how:ident $(($($ctx:tt),*))?)?),* $(,)? }
+        $(rebuilt { $($d:tt),* $(,)? })?
+        $(then $post:path)?
+    ) => {
+        impl $(<$($g: $crate::snap::Unsnap),+>)? $crate::snap::Snap for $ty $(<$($g),+>)? {
+            fn snap(&self, w: &mut $crate::snap::SnapWriter) {
+                #[allow(unused_imports)]
+                use $crate::snap::Snap as _;
+                let Self { $($f: _,)* $($($d: _,)*)? } = self;
+                $(self.$f.snap(w);)*
+            }
+        }
+        impl $(<$($g: $crate::snap::Unsnap),+>)? $crate::snap::LoadSnap for $ty $(<$($g),+>)? {
+            fn load_snap(
+                &mut self,
+                r: &mut $crate::snap::SnapReader<'_>,
+            ) -> ::std::result::Result<(), $crate::snap::SnapError> {
+                #[allow(unused_imports)]
+                use $crate::snap::LoadSnap as _;
+                $($crate::snap_fields!(@load self r $f $($how $(($($ctx),*))?)?);)*
+                $($post(self)?;)?
+                Ok(())
+            }
+        }
+    };
+    (@load $s:ident $r:ident $f:tt) => { $s.$f.load_snap($r)? };
+    (@load $s:ident $r:ident $f:tt $how:ident $(($($ctx:tt),*))?) => {
+        $r.$how(&mut $s.$f $($(, &$s.$ctx)*)?)?
+    };
+}
+
+/// Declare an enum's snapshot layout once: a `u8` tag per variant, then
+/// the variant's fields in the listed order. `what` names the enum in
+/// the `Malformed` error an unknown (or, for `overlay`, disagreeing)
+/// tag yields. The generated `match self` is exhaustive, so an unlisted
+/// variant does not build.
+///
+/// * `Type, what { 0 => Unit, 1 => Tuple(a, b), 2 => Struct { x, y } }`
+///   — by value ([`Snap`] + [`Unsnap`]).
+/// * `overlay Type, what { 0 => A(a), 1 => B(b) }` — single-payload
+///   variants whose payloads restore by overlay ([`Snap`] +
+///   [`LoadSnap`]): the variant was fixed at construction, so the
+///   stored tag must equal the constructed one.
+#[macro_export]
+macro_rules! snap_enum {
+    (
+        $ty:ident, $what:literal
+        { $($tag:literal => $v:ident $({ $($f:ident),* $(,)? })? $(( $($t:ident),* ))?),* $(,)? }
+    ) => {
+        impl $crate::snap::Snap for $ty {
+            fn snap(&self, w: &mut $crate::snap::SnapWriter) {
+                match self {$(
+                    Self::$v $({ $($f),* })? $(( $($t),* ))? => {
+                        w.u8($tag);
+                        $($($crate::snap::Snap::snap($f, w);)*)?
+                        $($($crate::snap::Snap::snap($t, w);)*)?
+                    }
+                )*}
+            }
+        }
+        impl $crate::snap::Unsnap for $ty {
+            fn unsnap(
+                r: &mut $crate::snap::SnapReader<'_>,
+            ) -> ::std::result::Result<Self, $crate::snap::SnapError> {
+                Ok(match r.u8()? {
+                    $($tag => Self::$v
+                        $({ $($f: r.get()?),* })?
+                        $(( $($crate::snap_enum!(@get r $t)),* ))?,)*
+                    _ => return Err($crate::snap::SnapError::Malformed($what)),
+                })
+            }
+        }
+    };
+    (overlay $ty:ident, $what:literal { $($tag:literal => $v:ident($p:ident)),* $(,)? }) => {
+        impl $crate::snap::Snap for $ty {
+            fn snap(&self, w: &mut $crate::snap::SnapWriter) {
+                match self {$(
+                    Self::$v($p) => {
+                        w.u8($tag);
+                        $crate::snap::Snap::snap($p, w);
+                    }
+                )*}
+            }
+        }
+        impl $crate::snap::LoadSnap for $ty {
+            fn load_snap(
+                &mut self,
+                r: &mut $crate::snap::SnapReader<'_>,
+            ) -> ::std::result::Result<(), $crate::snap::SnapError> {
+                match (r.u8()?, self) {
+                    $(($tag, Self::$v($p)) => $crate::snap::LoadSnap::load_snap($p, r),)*
+                    _ => Err($crate::snap::SnapError::Malformed($what)),
+                }
+            }
+        }
+    };
+    (@get $r:ident $t:ident) => { $r.get()? };
+}
+
+// ---------------------------------------------------------------------------
+// Layouts of simcore's own stateful types. These live here (same crate)
+// so the types' fields can stay private.
+// ---------------------------------------------------------------------------
+
+/// Irregular: the four raw xoshiro256** words with no length prefix,
+/// and the all-zero state (the generator's one fixed point) is refused.
+impl Snap for Rng {
+    fn snap(&self, w: &mut SnapWriter) {
         for &word in self.state() {
             w.u64(word);
         }
     }
-
-    /// Restore a generator from a checkpointed state.
-    pub fn unsnap(r: &mut SnapReader<'_>) -> Result<Rng, SnapError> {
+}
+impl Unsnap for Rng {
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<Rng, SnapError> {
         let s = [r.u64()?, r.u64()?, r.u64()?, r.u64()?];
         if s == [0, 0, 0, 0] {
             return Err(SnapError::Malformed("all-zero rng state"));
@@ -466,101 +790,50 @@ impl Rng {
     }
 }
 
-impl RunningStats {
-    /// Serialize the accumulator (exact bit patterns, including the
-    /// ±infinity min/max sentinels of an empty accumulator).
-    pub fn snap(&self, w: &mut SnapWriter) {
-        w.u64(self.n);
-        w.f64(self.mean);
-        w.f64(self.m2);
-        w.f64(self.min);
-        w.f64(self.max);
-    }
-
-    /// Restore an accumulator.
-    pub fn unsnap(r: &mut SnapReader<'_>) -> Result<RunningStats, SnapError> {
-        Ok(RunningStats {
-            n: r.u64()?,
-            mean: r.f64()?,
-            m2: r.f64()?,
-            min: r.f64()?,
-            max: r.f64()?,
-        })
-    }
-}
+// Exact bit patterns, including the ±infinity min/max sentinels of an
+// empty accumulator.
+snap_fields! { RunningStats { n, mean, m2, min, max } }
 
 impl Ewma {
-    /// Serialize the average, including the priming flag (an unprimed
-    /// average must stay unprimed across a resume — `get()` masks the
-    /// difference but `update()` does not).
-    pub fn snap(&self, w: &mut SnapWriter) {
-        w.f64(self.alpha);
-        w.f64(self.value);
-        w.bool(self.primed);
-    }
-
-    /// Restore an average.
-    pub fn unsnap(r: &mut SnapReader<'_>) -> Result<Ewma, SnapError> {
-        let alpha = r.f64()?;
-        if !(alpha > 0.0 && alpha <= 1.0) {
+    fn check_alpha(&mut self) -> Result<(), SnapError> {
+        if !(self.alpha > 0.0 && self.alpha <= 1.0) {
             return Err(SnapError::Malformed("ewma alpha out of range"));
         }
-        Ok(Ewma {
-            alpha,
-            value: r.f64()?,
-            primed: r.bool()?,
-        })
+        Ok(())
     }
 }
+// The priming flag travels: an unprimed average must stay unprimed
+// across a resume — `get()` masks the difference but `update()` does not.
+snap_fields! { Ewma { alpha, value, primed } then Ewma::check_alpha }
 
-impl Percentiles {
-    /// Serialize retained samples in their *current* order plus the
-    /// lazy-sort flag: `percentile()` reorders samples in place, so
-    /// capturing order is required for bit-identical resumption.
-    pub fn snap(&self, w: &mut SnapWriter) {
-        w.bool(self.sorted);
-        w.seq(self.samples.iter(), |w, &x| w.f64(x));
-    }
+// Retained samples travel in their *current* order plus the lazy-sort
+// flag: `percentile()` reorders samples in place, so capturing order is
+// required for bit-identical resumption.
+snap_fields! { Percentiles { sorted, samples } }
 
-    /// Restore a collector.
-    pub fn unsnap(r: &mut SnapReader<'_>) -> Result<Percentiles, SnapError> {
-        let sorted = r.bool()?;
-        let samples = r.seq(|r| r.f64())?;
-        Ok(Percentiles { samples, sorted })
-    }
-}
-
-impl<E> EventQueue<E> {
-    /// Serialize pending events in deterministic `(time, seq)` order,
-    /// preserving the exact sequence numbers and the allocation counter
-    /// so a restored queue pops in the identical order and continues
-    /// numbering where the original left off.
-    pub fn snap_with(&self, w: &mut SnapWriter, mut f: impl FnMut(&mut SnapWriter, &E)) {
+/// Irregular: the wheel's internal layout is not deterministic, so the
+/// wire form is the `(time, seq)`-sorted dump of pending events with
+/// their exact sequence numbers, behind the allocation counter — a
+/// restored queue pops in the identical order and continues numbering
+/// where the original left off.
+impl<E: Snap> Snap for EventQueue<E> {
+    fn snap(&self, w: &mut SnapWriter) {
         w.u64(self.seq_counter());
-        let entries = self.sorted_entries();
-        w.usize(entries.len());
-        for (t, seq, e) in entries {
+        w.seq(self.sorted_entries().into_iter(), |w, (t, seq, e)| {
             w.time(t);
             w.u64(seq);
-            f(w, e);
-        }
+            e.snap(w);
+        });
     }
-
-    /// Restore a queue serialized with [`EventQueue::snap_with`].
-    pub fn unsnap_with<'a>(
-        r: &mut SnapReader<'a>,
-        mut f: impl FnMut(&mut SnapReader<'a>) -> Result<E, SnapError>,
-    ) -> Result<EventQueue<E>, SnapError> {
+}
+impl<E: Unsnap> Unsnap for EventQueue<E> {
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<EventQueue<E>, SnapError> {
         let counter = r.u64()?;
-        let n = r.usize()?;
         let mut q = EventQueue::new();
-        for _ in 0..n {
-            let t = r.time()?;
-            let seq = r.u64()?;
+        for (t, seq, e) in r.get::<Vec<(Time, u64, E)>>()? {
             if seq >= counter {
                 return Err(SnapError::Malformed("event seq beyond counter"));
             }
-            let e = f(r)?;
             q.schedule_with_seq(t, seq, e);
         }
         q.set_seq_counter(counter);
@@ -586,8 +859,8 @@ mod tests {
         w.str("hello snapshot");
         w.time(Time::from_millis(5));
         w.dur(Dur::from_micros(125));
-        w.opt(&Some(9u64), |w, &v| w.u64(v));
-        w.opt(&None::<u64>, |w, &v| w.u64(v));
+        Some(9u64).snap(&mut w);
+        None::<u64>.snap(&mut w);
         let bytes = w.into_bytes();
         let mut r = SnapReader::new(&bytes);
         assert_eq!(r.u8().unwrap(), 7);
@@ -601,8 +874,8 @@ mod tests {
         assert_eq!(r.str().unwrap(), "hello snapshot");
         assert_eq!(r.time().unwrap(), Time::from_millis(5));
         assert_eq!(r.dur().unwrap(), Dur::from_micros(125));
-        assert_eq!(r.opt(|r| r.u64()).unwrap(), Some(9));
-        assert_eq!(r.opt(|r| r.u64()).unwrap(), None);
+        assert_eq!(r.get::<Option<u64>>().unwrap(), Some(9));
+        assert_eq!(r.get::<Option<u64>>().unwrap(), None);
         assert!(r.is_exhausted());
     }
 
@@ -613,6 +886,36 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = SnapReader::new(&bytes[..4]);
         assert!(matches!(r.u64(), Err(SnapError::Truncated)));
+    }
+
+    /// A hostile `u64::MAX` length must compare against the bytes
+    /// remaining, not overflow `pos + n` — in a string, in a section
+    /// name, and in a section's `payload_len` (all read before any
+    /// digest is verified).
+    #[test]
+    fn absurd_length_fields_are_truncation_not_overflow() {
+        let mut w = SnapWriter::new();
+        w.u64(u64::MAX);
+        let bytes = w.into_bytes();
+        assert!(matches!(
+            SnapReader::new(&bytes).str(),
+            Err(SnapError::Truncated)
+        ));
+
+        let mut f = SnapshotFile::new();
+        let mut w = SnapWriter::new();
+        w.u64(7);
+        f.add("meta", w);
+        let good = f.to_bytes();
+        // magic 4 | version 4 | count 4 | name_len 8 | "meta" 4 | payload_len 8 | …
+        for field_at in [12, 24] {
+            let mut bad = good.clone();
+            bad[field_at..field_at + 8].fill(0xFF);
+            assert!(
+                matches!(SnapshotFile::from_bytes(&bad), Err(SnapError::Truncated)),
+                "length field at byte {field_at}"
+            );
+        }
     }
 
     #[test]
@@ -742,9 +1045,9 @@ mod tests {
         q.schedule(t, 30); // same instant as the first — FIFO order matters
         let _ = q.pop(); // consume the earliest, counter keeps running
         let mut w = SnapWriter::new();
-        q.snap_with(&mut w, |w, &e| w.u32(e));
+        q.snap(&mut w);
         let bytes = w.into_bytes();
-        let mut back = EventQueue::unsnap_with(&mut SnapReader::new(&bytes), |r| r.u32()).unwrap();
+        let mut back = EventQueue::<u32>::unsnap(&mut SnapReader::new(&bytes)).unwrap();
         assert_eq!(back.len(), 2);
         // New events in both queues get the same sequence numbers.
         q.schedule(t, 40);
@@ -764,5 +1067,178 @@ mod tests {
         write_atomic(&path, b"second-longer").unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), b"second-longer");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The helpers that pin a shape to the configuration refuse any
+    /// other shape instead of adopting it.
+    #[test]
+    fn fixed_shapes_refuse_a_different_length_or_presence() {
+        let mut w = SnapWriter::new();
+        vec![1u64, 2].snap(&mut w);
+        Some(5u32).snap(&mut w);
+        let bytes = w.into_bytes();
+
+        let mut r = SnapReader::new(&bytes);
+        let (mut two, mut slot) = ([0u64; 2], Some(0u32));
+        r.fixed(&mut two).unwrap();
+        r.fixed_opt(&mut slot).unwrap();
+        assert!(r.is_exhausted());
+        assert_eq!((two, slot), ([1, 2], Some(5)));
+
+        let mut r = SnapReader::new(&bytes);
+        assert!(matches!(
+            r.fixed(&mut [0u64; 3]),
+            Err(SnapError::Malformed(_))
+        ));
+        let mut r = SnapReader::new(&bytes[24..]);
+        assert!(matches!(
+            r.fixed_opt(&mut None::<u32>),
+            Err(SnapError::Malformed(_))
+        ));
+    }
+
+    #[derive(Debug, PartialEq)]
+    enum Shape {
+        Unit,
+        Pair(u8, Time),
+        Named { id: u64, tags: Vec<u16> },
+    }
+    snap_enum! { Shape, "unknown shape tag" {
+        0 => Unit,
+        1 => Pair(a, b),
+        2 => Named { id, tags },
+    } }
+
+    #[derive(Debug, PartialEq)]
+    struct Wrapper(u32);
+    snap_fields! { Wrapper { 0 } }
+
+    /// Overlay shape with every field marker: `limit` is configuration
+    /// and must survive, `lanes` has a configured length, `extra` grows
+    /// from the snapshot with `limit` as construction context.
+    #[derive(Debug, PartialEq)]
+    struct Lanes {
+        limit: u32,
+        lanes: Vec<u64>,
+        extra: Vec<Lane>,
+        total: u64,
+    }
+    #[derive(Debug, PartialEq)]
+    struct Lane {
+        limit: u32,
+        used: u32,
+    }
+    impl From<&u32> for Lane {
+        fn from(limit: &u32) -> Lane {
+            Lane {
+                limit: *limit,
+                used: 0,
+            }
+        }
+    }
+    snap_fields! { overlay Lane { used } rebuilt { limit } }
+    impl Lanes {
+        fn retotal(&mut self) -> Result<(), SnapError> {
+            self.total = self.lanes.iter().sum();
+            Ok(())
+        }
+    }
+    snap_fields! {
+        overlay Lanes { lanes: fixed, extra: grow(limit) }
+        rebuilt { limit, total }
+        then Lanes::retotal
+    }
+
+    fn roundtrip<T: Unsnap + PartialEq + std::fmt::Debug>(x: &T) {
+        let mut w = SnapWriter::new();
+        x.snap(&mut w);
+        let bytes = w.into_bytes();
+        let mut r = SnapReader::new(&bytes);
+        assert_eq!(&T::unsnap(&mut r).unwrap(), x);
+        assert!(r.is_exhausted(), "reader not exhausted");
+        // No strict prefix decodes: truncation is an error, never a panic.
+        for cut in 0..bytes.len() {
+            assert!(T::unsnap(&mut SnapReader::new(&bytes[..cut])).is_err());
+        }
+    }
+
+    #[test]
+    fn macro_generated_layouts_roundtrip() {
+        roundtrip(&Shape::Unit);
+        roundtrip(&Shape::Pair(9, Time::from_millis(4)));
+        roundtrip(&Shape::Named {
+            id: 77,
+            tags: vec![1, 2, 3],
+        });
+        roundtrip(&Wrapper(0xABCD));
+        assert!(matches!(
+            Shape::unsnap(&mut SnapReader::new(&[9])),
+            Err(SnapError::Malformed("unknown shape tag"))
+        ));
+
+        let src = Lanes {
+            limit: 1,
+            lanes: vec![3, 4],
+            extra: vec![Lane { limit: 1, used: 5 }],
+            total: 7,
+        };
+        let mut w = SnapWriter::new();
+        src.snap(&mut w);
+        let bytes = w.into_bytes();
+        let mut dst = Lanes {
+            limit: 8,
+            lanes: vec![0, 0],
+            extra: Vec::new(),
+            total: 0,
+        };
+        dst.load_snap(&mut SnapReader::new(&bytes)).unwrap();
+        let want = Lanes {
+            limit: 8,
+            lanes: vec![3, 4],
+            extra: vec![Lane { limit: 8, used: 5 }],
+            total: 7,
+        };
+        assert_eq!(dst, want);
+        dst.lanes.push(0);
+        assert!(dst.load_snap(&mut SnapReader::new(&bytes)).is_err());
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// `T::unsnap(snap(x)) == x` with the reader exhausted, for
+        /// every blanket impl (floats compare by bit pattern upstream;
+        /// here they are finite so `==` is exact).
+        #[test]
+        fn blanket_impls_roundtrip(
+            ints in (0u64..u64::MAX, 0u32..u32::MAX, 0u32..0x1_0000, 0u32..256),
+            signed in 0u64..u64::MAX,
+            x in -1e12f64..1e12,
+            flag in prop::bool::ANY,
+            words in prop::collection::vec(0u64..u64::MAX, 0..6),
+            keys in prop::collection::vec((0usize..50, 0u64..50), 0..6),
+        ) {
+            let (a, b, c, d) = ints;
+            roundtrip(&(a, b, c as u16));
+            roundtrip(&(d as u8, signed as i64, a as usize));
+            roundtrip(&(x, flag));
+            roundtrip(&(Time::from_nanos(a), Dur::from_nanos(signed)));
+            roundtrip(&format!("s{a:x}"));
+            roundtrip(&flag.then_some(b));
+            roundtrip(&words);
+            roundtrip(&words.iter().copied().collect::<VecDeque<u64>>());
+            let nested: BTreeMap<(usize, u64), Vec<Option<Time>>> = keys
+                .iter()
+                .map(|&(k, v)| {
+                    let times = (0..v % 4)
+                        .map(|i| (i != 1).then_some(Time::from_nanos(v + i)))
+                        .collect();
+                    ((k, v), times)
+                })
+                .collect();
+            roundtrip(&nested);
+        }
     }
 }

@@ -93,33 +93,8 @@ impl TcpReceiver {
     }
 }
 
-use outran_simcore::snap::{SnapError, SnapReader, SnapWriter};
-
-impl TcpReceiver {
-    /// Serialize the receiver (checkpointing). BTreeMap iteration is
-    /// key-ordered, so the byte stream is deterministic.
-    pub fn snap(&self, w: &mut SnapWriter) {
-        w.u64(self.flow_size);
-        w.u64(self.cum);
-        w.u64(self.bytes_seen);
-        w.seq(self.ooo.iter(), |w, (&s, &e)| {
-            w.u64(s);
-            w.u64(e);
-        });
-    }
-
-    /// Restore a receiver from [`TcpReceiver::snap`] output.
-    pub fn unsnap(r: &mut SnapReader<'_>) -> Result<TcpReceiver, SnapError> {
-        let flow_size = r.u64()?;
-        let mut rx = TcpReceiver::new(flow_size);
-        rx.cum = r.u64()?;
-        rx.bytes_seen = r.u64()?;
-        for (s, e) in r.seq(|r| Ok((r.u64()?, r.u64()?)))? {
-            rx.ooo.insert(s, e);
-        }
-        Ok(rx)
-    }
-}
+// BTreeMap iteration is key-ordered, so the byte stream is deterministic.
+outran_simcore::snap_fields! { TcpReceiver { flow_size, cum, bytes_seen, ooo } }
 
 #[cfg(test)]
 mod tests {

@@ -412,82 +412,22 @@ impl TcpSender {
     }
 }
 
-use outran_simcore::snap::{SnapError, SnapReader, SnapWriter};
+use outran_simcore::{snap_enum, snap_fields};
 
-impl TcpSender {
-    /// Serialize the full sender state (checkpointing). The config is
-    /// not serialized: the restoring side rebuilds it from the
-    /// experiment configuration and passes it to [`TcpSender::unsnap`].
-    pub fn snap(&self, w: &mut SnapWriter) {
-        w.u64(self.flow_size);
-        w.u64(self.snd_una);
-        w.u64(self.snd_nxt);
-        w.f64(self.cwnd);
-        w.f64(self.ssthresh);
-        w.u8(match self.phase {
-            Phase::SlowStart => 0,
-            Phase::CongestionAvoidance => 1,
-            Phase::FastRecovery => 2,
-        });
-        w.u32(self.dup_acks);
-        w.u64(self.recover);
-        w.opt(&self.retx_pending, |w, seg| {
-            w.u64(seg.seq);
-            w.u32(seg.len);
-            w.bool(seg.is_retx);
-        });
-        w.opt(&self.rtt.srtt, |w, &v| w.f64(v));
-        w.f64(self.rtt.rttvar);
-        w.f64(self.rtt.rto);
-        w.opt(&self.sample_seq, |w, &(seq, at)| {
-            w.u64(seq);
-            w.time(at);
-        });
-        w.opt(&self.rto_deadline, |w, &t| w.time(t));
-        w.u64(self.retx_bytes);
-        w.u64(self.timeouts);
-        w.opt(&self.last_rtt, |w, &d| w.dur(d));
-        w.opt(&self.cubic.epoch_start, |w, &t| w.time(t));
-        w.f64(self.cubic.w_max);
-        w.f64(self.cubic.k);
-    }
+snap_fields! { Segment { seq, len, is_retx } }
+snap_enum! { Phase, "tcp phase tag" { 0 => SlowStart, 1 => CongestionAvoidance, 2 => FastRecovery } }
+snap_fields! { overlay RttEstimator { srtt, rttvar, rto } rebuilt { min_rto, max_rto } }
+snap_fields! { CubicState { epoch_start, w_max, k } }
 
-    /// Restore a sender from [`TcpSender::snap`] output under `cfg`.
-    pub fn unsnap(cfg: TcpConfig, r: &mut SnapReader<'_>) -> Result<TcpSender, SnapError> {
-        let flow_size = r.u64()?;
-        let mut s = TcpSender::new(cfg, flow_size);
-        s.snd_una = r.u64()?;
-        s.snd_nxt = r.u64()?;
-        s.cwnd = r.f64()?;
-        s.ssthresh = r.f64()?;
-        s.phase = match r.u8()? {
-            0 => Phase::SlowStart,
-            1 => Phase::CongestionAvoidance,
-            2 => Phase::FastRecovery,
-            _ => return Err(SnapError::Malformed("tcp phase tag")),
-        };
-        s.dup_acks = r.u32()?;
-        s.recover = r.u64()?;
-        s.retx_pending = r.opt(|r| {
-            Ok(Segment {
-                seq: r.u64()?,
-                len: r.u32()?,
-                is_retx: r.bool()?,
-            })
-        })?;
-        s.rtt.srtt = r.opt(|r| r.f64())?;
-        s.rtt.rttvar = r.f64()?;
-        s.rtt.rto = r.f64()?;
-        s.sample_seq = r.opt(|r| Ok((r.u64()?, r.time()?)))?;
-        s.rto_deadline = r.opt(|r| r.time())?;
-        s.retx_bytes = r.u64()?;
-        s.timeouts = r.u64()?;
-        s.last_rtt = r.opt(|r| r.dur())?;
-        s.cubic.epoch_start = r.opt(|r| r.time())?;
-        s.cubic.w_max = r.f64()?;
-        s.cubic.k = r.f64()?;
-        Ok(s)
+// The config is not serialized: the restoring side builds the sender
+// from the experiment configuration with [`TcpSender::new`], then
+// overlays the full dynamic state (flow size included).
+snap_fields! {
+    overlay TcpSender {
+        flow_size, snd_una, snd_nxt, cwnd, ssthresh, phase, dup_acks, recover,
+        retx_pending, rtt, sample_seq, rto_deadline, retx_bytes, timeouts, last_rtt, cubic,
     }
+    rebuilt { cfg }
 }
 
 #[cfg(test)]
