@@ -19,72 +19,96 @@
 
 use outran_simcore::Empirical;
 
-/// Expected bytes a flow sends between cumulative sizes `lo` and `hi`:
-/// `E[min(S,hi) − min(S,lo)]`, computed by numerical integration over
-/// the quantile function.
-fn expected_bytes_between(cdf: &Empirical, lo: f64, hi: f64) -> f64 {
-    debug_assert!(lo <= hi);
-    let n = 600;
-    let mut acc = 0.0;
-    for i in 0..n {
-        let p = (i as f64 + 0.5) / n as f64;
-        let s = cdf.quantile(p);
-        acc += (s.min(hi) - s.min(lo)).max(0.0);
+/// Midpoint-rule resolution of the objective's integrals over the
+/// quantile function.
+const N_QUANTILES: usize = 600;
+
+/// Everything the objective reads from the CDF — the midpoint quantiles
+/// and the mean — tabulated once, so a solve that scores ~1 500
+/// candidate vectors pays for the `ln`/`exp` work once instead of once
+/// per candidate and queue. Sums run over the table in quantile order,
+/// the order the direct integration used, so every value is the same
+/// bit pattern.
+struct SizeTable {
+    sizes: Vec<f64>,
+    mean: f64,
+}
+
+impl SizeTable {
+    fn new(cdf: &Empirical) -> SizeTable {
+        SizeTable {
+            sizes: (0..N_QUANTILES)
+                .map(|i| cdf.quantile((i as f64 + 0.5) / N_QUANTILES as f64))
+                .collect(),
+            mean: cdf.mean(),
+        }
     }
-    acc / n as f64
+
+    /// Expected bytes a flow sends between cumulative sizes `lo` and
+    /// `hi`: `E[min(S,hi) − min(S,lo)]`.
+    fn expected_bytes_between(&self, lo: f64, hi: f64) -> f64 {
+        debug_assert!(lo <= hi);
+        let mut acc = 0.0;
+        for &s in &self.sizes {
+            acc += (s.min(hi) - s.min(lo)).max(0.0);
+        }
+        acc / N_QUANTILES as f64
+    }
+
+    /// The PIAS mean-delay objective over the tabulated sizes.
+    fn objective(&self, thresholds: &[f64], load: f64) -> f64 {
+        let mean_size = self.mean;
+        // λ per unit capacity so that Σρ = load.
+        let lam = load / mean_size;
+        let mut bounds = Vec::with_capacity(thresholds.len() + 2);
+        bounds.push(0.0);
+        bounds.extend_from_slice(thresholds);
+        bounds.push(f64::INFINITY);
+        // Per-queue loads.
+        let k = bounds.len() - 1;
+        let mut rho = Vec::with_capacity(k);
+        for j in 0..k {
+            rho.push(lam * self.expected_bytes_between(bounds[j], bounds[j + 1]));
+        }
+        // Cumulative delay factor and per-queue waiting time. A flow being
+        // serviced in queue j progresses at 1/factor_j of the line rate
+        // (higher-priority work preempts it), and each queue it enters costs
+        // an M/G/1-style waiting term W_j = R·Σρ_{i≤j}/(1−Σρ_{i≤j}) with the
+        // mean residual R of the flow-size distribution. The waiting term is
+        // what penalises a bloated P1: *every* flow starts in P1, and 90 %
+        // of flows are short, so their count dominates the mean FCT.
+        let mut cum = 0.0;
+        let mut delay_factor = Vec::with_capacity(k);
+        let mut wait = Vec::with_capacity(k);
+        let residual = mean_size / 2.0;
+        for &r in &rho {
+            cum = (cum + r).min(0.999);
+            delay_factor.push(1.0 / (1.0 - cum));
+            wait.push(residual * cum / (1.0 - cum));
+        }
+        // E_S[ Σ_{queues traversed} (W_j + bytes_j · factor_j) ] via quantiles.
+        let mut acc = 0.0;
+        for &s in &self.sizes {
+            for j in 0..k {
+                let lo = bounds[j];
+                let hi = bounds[j + 1];
+                if s <= lo && j > 0 {
+                    break; // flow finished before reaching this queue
+                }
+                let bytes = (s.min(hi) - s.min(lo)).max(0.0);
+                acc += wait[j] + bytes * delay_factor[j];
+                if s <= hi {
+                    break;
+                }
+            }
+        }
+        acc / N_QUANTILES as f64
+    }
 }
 
 /// The PIAS mean-delay objective for a threshold vector (lower = better).
 pub fn objective(cdf: &Empirical, thresholds: &[f64], load: f64) -> f64 {
-    let mean_size = cdf.mean();
-    // λ per unit capacity so that Σρ = load.
-    let lam = load / mean_size;
-    let mut bounds = Vec::with_capacity(thresholds.len() + 2);
-    bounds.push(0.0);
-    bounds.extend_from_slice(thresholds);
-    bounds.push(f64::INFINITY);
-    // Per-queue loads.
-    let k = bounds.len() - 1;
-    let mut rho = Vec::with_capacity(k);
-    for j in 0..k {
-        rho.push(lam * expected_bytes_between(cdf, bounds[j], bounds[j + 1]));
-    }
-    // Cumulative delay factor and per-queue waiting time. A flow being
-    // serviced in queue j progresses at 1/factor_j of the line rate
-    // (higher-priority work preempts it), and each queue it enters costs
-    // an M/G/1-style waiting term W_j = R·Σρ_{i≤j}/(1−Σρ_{i≤j}) with the
-    // mean residual R of the flow-size distribution. The waiting term is
-    // what penalises a bloated P1: *every* flow starts in P1, and 90 %
-    // of flows are short, so their count dominates the mean FCT.
-    let mut cum = 0.0;
-    let mut delay_factor = Vec::with_capacity(k);
-    let mut wait = Vec::with_capacity(k);
-    let residual = mean_size / 2.0;
-    for &r in &rho {
-        cum = (cum + r).min(0.999);
-        delay_factor.push(1.0 / (1.0 - cum));
-        wait.push(residual * cum / (1.0 - cum));
-    }
-    // E_S[ Σ_{queues traversed} (W_j + bytes_j · factor_j) ] via quantiles.
-    let n = 600;
-    let mut acc = 0.0;
-    for i in 0..n {
-        let p = (i as f64 + 0.5) / n as f64;
-        let s = cdf.quantile(p);
-        for j in 0..k {
-            let lo = bounds[j];
-            let hi = bounds[j + 1];
-            if s <= lo && j > 0 {
-                break; // flow finished before reaching this queue
-            }
-            let bytes = (s.min(hi) - s.min(lo)).max(0.0);
-            acc += wait[j] + bytes * delay_factor[j];
-            if s <= hi {
-                break;
-            }
-        }
-    }
-    acc / n as f64
+    SizeTable::new(cdf).objective(thresholds, load)
 }
 
 /// Optimize `k − 1` demotion thresholds for a flow-size CDF at a target
@@ -109,7 +133,8 @@ pub fn optimize_thresholds(cdf: &Empirical, k: usize, load: f64) -> Vec<u64> {
     th.sort_by(|a, b| a.total_cmp(b));
     dedup_increasing(&mut th);
 
-    let mut best = objective(cdf, &th, load);
+    let table = SizeTable::new(cdf);
+    let mut best = table.objective(&th, load);
     for _round in 0..8 {
         let mut improved = false;
         for idx in 0..th.len() {
@@ -126,7 +151,7 @@ pub fn optimize_thresholds(cdf: &Empirical, k: usize, load: f64) -> Vec<u64> {
                 }
                 let mut cand = th.clone();
                 cand[idx] = g;
-                let v = objective(cdf, &cand, load);
+                let v = table.objective(&cand, load);
                 if v < best - 1e-9 {
                     best = v;
                     best_here = g;
@@ -212,6 +237,36 @@ mod tests {
             optimize_thresholds(&cdf, 4, 0.6),
             optimize_thresholds(&cdf, 4, 0.6)
         );
+    }
+
+    /// Solver output and objective bits recorded at e9aa854, before the
+    /// quantile table replaced per-candidate integration: the table must
+    /// reproduce the direct integration exactly, not approximately.
+    #[test]
+    fn solver_is_pinned_bit_for_bit() {
+        let cdf = FlowSizeDist::LteCellular.cdf();
+        let pins: [(usize, f64, &[u64], u64); 5] = [
+            (2, 0.6, &[1085015], 0x4102bd0dfcdb24a4),
+            (4, 0.3, &[38743, 749257, 3294960], 0x40f6b80188c74c45),
+            (4, 0.6, &[56104, 1305684, 4771501], 0x40ff6a0a0f9c2e76),
+            (4, 0.8, &[97770, 1890789, 5741923], 0x4106092572778863),
+            (
+                8,
+                0.6,
+                &[104, 125, 5056, 81246, 749257, 2275335, 5741923],
+                0x40fe2e0f28097979,
+            ),
+        ];
+        for (k, load, want, want_bits) in pins {
+            let th = optimize_thresholds(&cdf, k, load);
+            assert_eq!(th, want, "k={k} load={load}");
+            let thf: Vec<f64> = th.iter().map(|&t| t as f64).collect();
+            assert_eq!(
+                objective(&cdf, &thf, load).to_bits(),
+                want_bits,
+                "k={k} load={load}"
+            );
+        }
     }
 
     #[test]

@@ -698,6 +698,27 @@ impl Cell {
         self.ingress.n_completed()
     }
 
+    /// Flow entries the ingress RTO and watchdog scans have visited so
+    /// far — a deterministic work counter (not serialized, so it counts
+    /// from the restore in a resumed cell).
+    #[doc(hidden)]
+    pub fn ingress_scan_visits(&self) -> u64 {
+        self.ingress.scan_visits()
+    }
+
+    /// Started-but-incomplete flows right now.
+    #[doc(hidden)]
+    pub fn open_flows(&self) -> u64 {
+        self.ingress.open_flows()
+    }
+
+    /// Check ingress's live-flow index against the flow table (O(flows),
+    /// for tests).
+    #[doc(hidden)]
+    pub fn check_live_index(&self) -> Result<(), String> {
+        self.ingress.check_live_index()
+    }
+
     /// Aggregate PDCP flow-table state bytes (Fig 13 memory accounting).
     pub fn flow_state_bytes(&self) -> usize {
         self.ues

@@ -3,9 +3,12 @@
 //! Owns the TCP endpoints, the discrete event queue (flow arrivals,
 //! packet/ACK propagation, AM STATUS PDUs), the RTO and stalled-flow
 //! watchdog scans, and the CN-side terms of the byte-conservation
-//! ledger. Downlink packets that survive the CN link are handed to the
-//! RLC-down stage as typed [`SduIngress`] messages; the delivery stage
-//! hands reassembled SDUs back via [`IngressStage::accept_sdu`].
+//! ledger. The scans walk a live-flow index rather than the flow table,
+//! so an active TTI costs what its open flows cost, not what the run
+//! has ever scheduled. Downlink packets that survive the CN link are
+//! handed to the RLC-down stage as typed [`SduIngress`] messages; the
+//! delivery stage hands reassembled SDUs back via
+//! [`IngressStage::accept_sdu`].
 
 use crate::config::CellConfig;
 use crate::stages::{
@@ -14,6 +17,7 @@ use crate::stages::{
 use outran_pdcp::FiveTuple;
 use outran_rlc::am::StatusPdu;
 use outran_rlc::um::DeliveredSdu;
+use outran_simcore::snap::SnapError;
 use outran_simcore::{snap_enum, snap_fields, Dur, EventQueue, Time};
 use outran_transport::{Segment, TcpConfig, TcpReceiver, TcpSender};
 
@@ -48,6 +52,15 @@ pub struct IngressStage {
     events: EventQueue<Ev>,
     /// Started-but-incomplete flows — the O(1) core of the idle test.
     open_flows: u64,
+    /// Live-flow index: the ids of the `started ∧ ¬done` flows in
+    /// ascending id order — the order the scans emit in, which feeds
+    /// event-queue sequence numbers — plus entries that went `done`
+    /// since the last scan, which the next scan drops. Derived from
+    /// `flows`: never serialized, rebuilt after a restore.
+    live: Vec<usize>,
+    /// Flow entries the RTO and watchdog scans have visited: a work
+    /// counter for tests (never serialized, in no report).
+    scan_visits: u64,
     // CN-side byte-conservation ledger terms.
     injected_bytes: u64,
     cn_in_flight_bytes: u64,
@@ -66,6 +79,8 @@ impl IngressStage {
             flows: Vec::new(), // outran-lint: allow(D10) -- one-shot constructor
             events: EventQueue::new(),
             open_flows: 0,
+            live: Vec::new(), // outran-lint: allow(D10) -- one-shot constructor
+            scan_visits: 0,
             injected_bytes: 0,
             cn_in_flight_bytes: 0,
             dropped_bytes: 0,
@@ -134,7 +149,8 @@ impl IngressStage {
     /// marks it done so no further server emission, delivery or ACK
     /// processing happens, and returns the bytes not yet cumulatively
     /// ACKed — the size of the continuation flow at the target. In-flight
-    /// CN copies drain through the stale-packet path of the byte ledger.
+    /// CN copies drain through the stale-packet path of the byte ledger;
+    /// a started flow's live-index entry is dropped by the next scan.
     /// Returns 0 (and does nothing) if the flow already completed.
     pub fn abort_flow(&mut self, fi: usize) -> u64 {
         let f = &mut self.flows[fi];
@@ -173,6 +189,15 @@ impl IngressStage {
                     if !self.flows[flow].done {
                         self.flows[flow].started = true;
                         self.open_flows += 1;
+                        // Ids are handed out in registration order, not
+                        // arrival order: a later id may arrive earlier.
+                        match self.live.last() {
+                            Some(&last) if last > flow => {
+                                let at = self.live.partition_point(|&f| f < flow);
+                                self.live.insert(at, flow);
+                            }
+                            _ => self.live.push(flow),
+                        }
                         self.server_emit(now, cfg, hk, flow);
                     }
                 }
@@ -202,48 +227,48 @@ impl IngressStage {
             }
         }
 
-        // 2. RTO scan.
-        for flow in 0..self.flows.len() {
-            let f = &self.flows[flow];
-            if f.done || !f.started {
-                continue;
+        // 2. RTO scan over the live flows, dropping the entries that
+        // completed (or were aborted) since the last scan. Nothing
+        // inside `run` sets `done`, so the watchdog below sees only
+        // open flows.
+        debug_assert!(self.live_index_is_sound());
+        let mut live = std::mem::take(&mut self.live);
+        live.retain(|&flow| {
+            self.scan_visits += 1;
+            let f = &mut self.flows[flow];
+            if f.done {
+                return false;
             }
-            if let Some(deadline) = f.sender.rto_deadline() {
-                if deadline <= now {
-                    self.flows[flow].sender.on_rto(now);
-                    self.server_emit(now, cfg, hk, flow);
-                }
+            if f.sender.rto_deadline().is_some_and(|d| d <= now) {
+                f.sender.on_rto(now);
+                self.server_emit(now, cfg, hk, flow);
             }
-        }
+            true
+        });
 
         // 2b. Stalled-flow watchdog: a started flow whose cumulative ACK
         // has not moved for the configured interval gets a forced TCP
         // timeout (go-back-N refill) — the recovery of last resort when
         // every in-flight copy of a segment was lost to faults.
         if let Some(stall) = cfg.watchdog {
-            for flow in 0..self.flows.len() {
-                let kick = {
-                    let f = &mut self.flows[flow];
-                    if f.done || !f.started {
-                        continue;
-                    }
-                    let cum = f.receiver.cum();
-                    if cum > f.last_cum {
-                        f.last_cum = cum;
-                        f.last_progress = now;
-                        false
-                    } else {
-                        now.saturating_since(f.last_progress) >= stall
-                    }
-                };
-                if kick && hk.faults().link_up(self.flows[flow].ue) {
-                    self.flows[flow].last_progress = now;
-                    self.flows[flow].sender.on_rto(now);
+            self.scan_visits += live.len() as u64;
+            for &flow in &live {
+                let f = &mut self.flows[flow];
+                let cum = f.receiver.cum();
+                if cum > f.last_cum {
+                    f.last_cum = cum;
+                    f.last_progress = now;
+                } else if now.saturating_since(f.last_progress) >= stall
+                    && hk.faults().link_up(f.ue)
+                {
+                    f.last_progress = now;
+                    f.sender.on_rto(now);
                     hk.note_watchdog_kick();
                     self.server_emit(now, cfg, hk, flow);
                 }
             }
         }
+        self.live = live;
     }
 
     /// Let the server push whatever the flow's window allows.
@@ -359,6 +384,39 @@ impl IngressStage {
         self.open_flows
     }
 
+    /// Flow entries visited by the RTO and watchdog scans so far.
+    pub fn scan_visits(&self) -> u64 {
+        self.scan_visits
+    }
+
+    /// The O(live) half of the index contract, checked at every scan:
+    /// strictly ascending ids of started flows, of which exactly
+    /// `open_flows` are not done. With `open_flows` right (the other
+    /// half, [`IngressStage::check_live_index`]) that pins the open
+    /// entries to *the* set of `started ∧ ¬done` flows.
+    fn live_index_is_sound(&self) -> bool {
+        self.live.windows(2).all(|w| w[0] < w[1])
+            && self.live.iter().all(|&f| self.flows[f].started)
+            && self.live.iter().filter(|&&f| !self.flows[f].done).count() as u64 == self.open_flows
+    }
+
+    /// The full index contract against the flow table, O(flows): the
+    /// index, less its not-yet-compacted `done` entries, is the
+    /// ascending list of `started ∧ ¬done` flow ids, and `open_flows`
+    /// is its length. For tests; a run never pays for it.
+    pub fn check_live_index(&self) -> Result<(), String> {
+        let open = |&f: &usize| self.flows[f].started && !self.flows[f].done;
+        let want: Vec<usize> = (0..self.flows.len()).filter(open).collect();
+        let got: Vec<usize> = self.live.iter().copied().filter(open).collect();
+        if !self.live_index_is_sound() || got != want || want.len() as u64 != self.open_flows {
+            return Err(format!(
+                "live index {:?} (open: {got:?}) vs open flows {want:?}, open_flows = {}",
+                self.live, self.open_flows
+            ));
+        }
+        Ok(())
+    }
+
     /// Instant of the earliest queued event, if any.
     pub fn peek_event_time(&self) -> Option<Time> {
         self.events.peek_time()
@@ -431,16 +489,15 @@ impl IngressStage {
 
     /// Mean of the last RTT samples across flows.
     pub fn mean_last_rtt_ms(&self) -> f64 {
-        let rtts: Vec<f64> = self
+        let (sum, n) = self
             .flows
             .iter()
             .filter_map(|f| f.sender.last_rtt)
-            .map(|d| d.as_millis_f64())
-            .collect();
-        if rtts.is_empty() {
+            .fold((0.0, 0u64), |(sum, n), d| (sum + d.as_millis_f64(), n + 1));
+        if n == 0 {
             f64::NAN
         } else {
-            rtts.iter().sum::<f64>() / rtts.len() as f64
+            sum / n as f64
         }
     }
 
@@ -457,6 +514,22 @@ impl IngressStage {
     /// Bytes terminally dropped at ingress (CN loss, stale packets).
     pub fn dropped_bytes(&self) -> u64 {
         self.dropped_bytes
+    }
+
+    /// Derive the live-flow index from the restored flow table. A
+    /// snapshot whose open-flow count disagrees with its own flows is
+    /// refused here rather than tripping the idle test later.
+    fn rebuild_live(&mut self) -> Result<(), SnapError> {
+        let flows = &self.flows;
+        self.live.clear();
+        self.live
+            .extend((0..flows.len()).filter(|&f| flows[f].started && !flows[f].done));
+        if self.live.len() as u64 != self.open_flows {
+            return Err(SnapError::Malformed(
+                "ingress open-flow count disagrees with the flow table",
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -502,5 +575,26 @@ snap_fields! {
         flows: grow(tcp), events, open_flows, injected_bytes, cn_in_flight_bytes,
         dropped_bytes,
     }
-    rebuilt { tcp, emit_scratch }
+    rebuilt { tcp, emit_scratch, live, scan_visits }
+    then IngressStage::rebuild_live
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use outran_simcore::snap::{LoadSnap, Snap, SnapReader, SnapWriter};
+
+    #[test]
+    fn restore_refuses_an_open_flow_count_the_flow_table_contradicts() {
+        let tcp = CellConfig::lte_default(1, crate::SchedulerKind::Pf, 1).tcp;
+        let mut lying = IngressStage::new(tcp);
+        lying.open_flows = 1;
+        let mut w = SnapWriter::new();
+        lying.snap(&mut w);
+        let bytes = w.into_bytes();
+        assert!(matches!(
+            IngressStage::new(tcp).load_snap(&mut SnapReader::new(&bytes)),
+            Err(SnapError::Malformed(_))
+        ));
+    }
 }

@@ -113,6 +113,10 @@ impl Normal {
 pub struct Empirical {
     /// (value, cumulative probability), strictly increasing in both.
     knots: Vec<(f64, f64)>,
+    /// `ln(value)` per knot, so a quantile costs one `exp` and no `ln`.
+    ln_values: Vec<f64>,
+    /// `ln` of the nominal minimum one decade below the first knot.
+    ln_floor: f64,
 }
 
 impl Empirical {
@@ -138,6 +142,8 @@ impl Empirical {
         );
         Empirical {
             knots: knots.to_vec(),
+            ln_values: knots.iter().map(|&(v, _)| v.ln()).collect(),
+            ln_floor: (knots[0].0 * 0.1).ln(),
         }
     }
 
@@ -153,16 +159,15 @@ impl Empirical {
         if p <= first.1 {
             // Below the first knot: interpolate from a nominal minimum one
             // decade below the first knot value.
-            let lo_v = first.0 * 0.1;
             let f = p / first.1;
-            return (lo_v.ln() + f * (first.0.ln() - lo_v.ln())).exp();
+            return (self.ln_floor + f * (self.ln_values[0] - self.ln_floor)).exp();
         }
-        for w in self.knots.windows(2) {
-            let (v0, p0) = w[0];
-            let (v1, p1) = w[1];
+        for (w, ln) in self.knots.windows(2).zip(self.ln_values.windows(2)) {
+            let (_, p0) = w[0];
+            let (_, p1) = w[1];
             if p <= p1 {
                 let f = (p - p0) / (p1 - p0);
-                return (v0.ln() + f * (v1.ln() - v0.ln())).exp();
+                return (ln[0] + f * (ln[1] - ln[0])).exp();
             }
         }
         // outran-lint: allow(D5,S2) -- constructor asserts >= 2 knots; the scan above returns for every p <= 1.0
@@ -176,15 +181,14 @@ impl Empirical {
             return 0.0;
         }
         if v <= first.0 {
-            let lo_v = first.0 * 0.1;
-            let f = (v.ln() - lo_v.ln()) / (first.0.ln() - lo_v.ln());
+            let f = (v.ln() - self.ln_floor) / (self.ln_values[0] - self.ln_floor);
             return f * first.1;
         }
-        for w in self.knots.windows(2) {
-            let (v0, p0) = w[0];
+        for (w, ln) in self.knots.windows(2).zip(self.ln_values.windows(2)) {
+            let (_, p0) = w[0];
             let (v1, p1) = w[1];
             if v <= v1 {
-                let f = (v.ln() - v0.ln()) / (v1.ln() - v0.ln());
+                let f = (v.ln() - ln[0]) / (ln[1] - ln[0]);
                 return p0 + f * (p1 - p0);
             }
         }

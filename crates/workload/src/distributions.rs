@@ -91,6 +91,54 @@ impl FlowSizeDist {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use outran_simcore::snap::fnv1a;
+
+    /// FNV-1a digests of `quantile(p).to_bits()` (and of the `cdf` of
+    /// that value) over p = 0, 1e-4, …, 1, plus `mean().to_bits()`,
+    /// recorded at e9aa854 when every call still took the `ln` of both
+    /// bracketing knots: the per-knot `ln` table must not move a bit.
+    #[test]
+    fn quantile_bits_are_pinned() {
+        let pins = [
+            (
+                FlowSizeDist::LteCellular,
+                0x80f519a907aa6d49,
+                0x90f531a293fa2149,
+                0x40f2be71239e4865,
+            ),
+            (
+                FlowSizeDist::MirageMobileApp,
+                0xb96716da4811aae2,
+                0xa094b721c0aaa016,
+                0x40df7fa11dce9ec7,
+            ),
+            (
+                FlowSizeDist::Websearch,
+                0x176a460f3e05c49c,
+                0x51a298588e4d5c27,
+                0x413c8ce289ec9e99,
+            ),
+            (
+                FlowSizeDist::Incast8k,
+                0xa9419643c03dfb0d,
+                0x9582e42dac3dcb25,
+                0x40bf8ade35725a0b,
+            ),
+        ];
+        for (dist, want_quantile, want_cdf, want_mean) in pins {
+            let cdf = dist.cdf();
+            let (mut q, mut c) = (Vec::new(), Vec::new());
+            for i in 0..=10_000u32 {
+                let v = cdf.quantile(i as f64 / 10_000.0);
+                q.extend(v.to_bits().to_le_bytes());
+                c.extend(cdf.cdf(v).to_bits().to_le_bytes());
+            }
+            let (q, c) = (fnv1a(&q), fnv1a(&c));
+            assert_eq!(q, want_quantile, "{dist:?} quantile sweep");
+            assert_eq!(c, want_cdf, "{dist:?} cdf sweep");
+            assert_eq!(cdf.mean().to_bits(), want_mean, "{dist:?} mean");
+        }
+    }
 
     #[test]
     fn lte_cellular_anchor_point() {
