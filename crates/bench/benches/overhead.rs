@@ -3,8 +3,6 @@
 //! flow-table observation (hash + MLFQ marking), ciphering, and the
 //! RLC MLFQ push/pull discipline.
 
-#![forbid(unsafe_code)]
-
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use outran_pdcp::{CipherStream, FiveTuple, FlowTable, MlfqConfig, Priority};
 use outran_rlc::{MlfqQueues, RlcSdu};

@@ -4,8 +4,6 @@
 //! per-RB pass keeps the same O(|U|·|B|) complexity as PF, so its cost
 //! ratio over PF stays constant as either dimension grows.
 
-#![forbid(unsafe_code)]
-
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use outran_mac::{types::FlatRates, OutRanScheduler, PfScheduler, Scheduler, SrjfScheduler, UeTti};
 use outran_pdcp::Priority;

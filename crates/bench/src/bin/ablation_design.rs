@@ -11,8 +11,6 @@
 //! 3. **MLFQ thresholds** — the PIAS-style optimizer vs a naive
 //!    log-split, validating the §4.2 parameter-choice machinery.
 
-#![forbid(unsafe_code)]
-
 use outran_bench::{run_avg, SEEDS};
 use outran_core::OutRanConfig;
 use outran_metrics::table::f1;

@@ -11,8 +11,6 @@
 //! cargo run --release -p outran-bench --bin chaos_soak
 //! ```
 
-#![forbid(unsafe_code)]
-
 use outran_faults::FaultPlan;
 use outran_metrics::table::f1;
 use outran_metrics::Table;

@@ -4,8 +4,6 @@
 //! vs OutRAN. QUIC is enabled: QUIC pages multiplex objects over one
 //! five-tuple, exercising the §4.2 limitation.
 
-#![forbid(unsafe_code)]
-
 use outran_metrics::table::f1;
 use outran_metrics::Table;
 use outran_phy::Scenario;

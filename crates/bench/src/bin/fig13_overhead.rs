@@ -7,8 +7,6 @@
 //! The Criterion bench `cargo bench -p outran-bench` measures the same
 //! hot paths with statistical rigour.
 
-#![forbid(unsafe_code)]
-
 use std::time::Instant;
 
 use outran_metrics::table::{f1, f2};

@@ -3,8 +3,6 @@
 //! MAC scheduler, so the per-TTI scheduling cost and achieved throughput
 //! track the vanilla scheduler at every bandwidth.
 
-#![forbid(unsafe_code)]
-
 use std::time::Instant;
 
 use outran_metrics::table::{f1, f2};

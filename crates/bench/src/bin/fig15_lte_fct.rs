@@ -3,8 +3,6 @@
 //! (a) overall average, (b) short-flow 95th percentile,
 //! (c) medium-flow average, (d) long-flow average.
 
-#![forbid(unsafe_code)]
-
 use outran_bench::{run_avg_grid, AvgReport, SEEDS};
 use outran_metrics::table::f1;
 use outran_metrics::Table;

@@ -1,8 +1,6 @@
 //! Figure 16 — [NS-3 LTE] overall spectral efficiency vs fairness for
 //! every scheduler across cell loads (the scatter plot).
 
-#![forbid(unsafe_code)]
-
 use outran_bench::{run_avg, SEEDS};
 use outran_metrics::table::{f2, f3};
 use outran_metrics::Table;

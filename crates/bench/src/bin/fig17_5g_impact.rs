@@ -3,8 +3,6 @@
 //! reporting ① RTT, ② average queueing delay, ③ short-flow queueing
 //! delay, ④ short-flow 95th-percentile FCT, for PF vs OutRAN.
 
-#![forbid(unsafe_code)]
-
 use outran_bench::run_avg;
 use outran_metrics::table::f1;
 use outran_metrics::Table;

@@ -2,8 +2,6 @@
 //! behaves like round robin (high fairness, lower SE), a huge T_f drifts
 //! toward MT (max SE, lower fairness).
 
-#![forbid(unsafe_code)]
-
 use outran_bench::{run_avg, SEEDS};
 use outran_metrics::table::{f2, f3};
 use outran_metrics::Table;

@@ -6,8 +6,6 @@
 //! scheduler; the inter-user scheduler contributes more as T_f grows
 //! (+11 % at T_f = 10 s), and full OutRAN always wins.
 
-#![forbid(unsafe_code)]
-
 use outran_bench::{run_avg, SEEDS};
 use outran_metrics::table::f2;
 use outran_metrics::Table;

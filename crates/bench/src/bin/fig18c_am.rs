@@ -3,8 +3,6 @@
 //! versus UM; OutRAN helps in both modes by prioritising the Tx queue
 //! within the opportunity left after Ctrl/Retx (§4.4).
 
-#![forbid(unsafe_code)]
-
 use outran_bench::{pooled_fct_cdf, run_avg, SEEDS};
 use outran_metrics::table::{f1, print_series};
 use outran_metrics::SizeBucket;

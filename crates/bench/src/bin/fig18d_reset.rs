@@ -3,8 +3,6 @@
 //! where unbounded MLFQ demotion would penalise long flows; sweeping the
 //! reset period S trades the short-flow gain against long-flow recovery.
 
-#![forbid(unsafe_code)]
-
 use outran_core::OutRanConfig;
 use outran_metrics::table::f2;
 use outran_metrics::{FctCollector, Table};

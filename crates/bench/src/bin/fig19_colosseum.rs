@@ -7,8 +7,6 @@
 //! UEs" (§6.1) on separate carriers: four independent [`Cell`]s with
 //! per-cell seeds, their completions merged.
 
-#![forbid(unsafe_code)]
-
 use outran_metrics::table::f1;
 use outran_metrics::{FctCollector, FctReport, Table};
 use outran_phy::Scenario;

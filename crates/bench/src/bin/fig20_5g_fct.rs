@@ -2,8 +2,6 @@
 //! mobile-app workload, plus the SE/fairness scatter. On the stable
 //! 5G-LENA-like channel SRJF performs ideally (Appendix B).
 
-#![forbid(unsafe_code)]
-
 use outran_bench::{run_avg, SEEDS};
 use outran_metrics::table::{f1, f2, f3};
 use outran_metrics::Table;

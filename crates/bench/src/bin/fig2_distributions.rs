@@ -1,8 +1,6 @@
 //! Figure 2 — (a) downlink flow-size CDFs and (b) the SINR distribution
 //! across UEs in the pedestrian LTE cell.
 
-#![forbid(unsafe_code)]
-
 use outran_metrics::table::print_series;
 use outran_phy::channel::CellChannel;
 use outran_phy::Scenario;

@@ -6,8 +6,6 @@
 //! (b) With a ×5 per-user buffer, PF's short FCT inflates (bufferbloat)
 //!     while SRJF's stays low.
 
-#![forbid(unsafe_code)]
-
 use outran_bench::{run_avg, SEEDS};
 use outran_metrics::table::f2;
 use outran_metrics::Table;

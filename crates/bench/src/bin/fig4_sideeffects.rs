@@ -2,8 +2,6 @@
 //! SRJF costs spectral efficiency (paper −48 %) and fairness (−47 %)
 //! relative to PF, shown as time series of the windowed samples.
 
-#![forbid(unsafe_code)]
-
 use outran_bench::{run_avg, SEEDS};
 use outran_metrics::table::{f2, f3, print_series};
 use outran_ran::{Experiment, SchedulerKind};

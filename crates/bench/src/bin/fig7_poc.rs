@@ -2,8 +2,6 @@
 //! short/long FCT for OutRAN (ε = 0.2) vs strict MLFQ (ε = 1) vs PF,
 //! plus the ε = 0 (intra-user-only) tail comparison.
 
-#![forbid(unsafe_code)]
-
 use outran_bench::{pooled_fct_cdf, run_avg, SEEDS};
 use outran_metrics::table::{f1, f2, f3, print_series};
 use outran_metrics::SizeBucket;

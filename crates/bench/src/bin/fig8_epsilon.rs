@@ -3,8 +3,6 @@
 //! baseline at ε = 0. The paper observes steady performance for ε < 0.4
 //! and picks ε = 0.2.
 
-#![forbid(unsafe_code)]
-
 use outran_bench::{run_avg_grid, SEEDS};
 use outran_metrics::table::{f1, f2, f3};
 use outran_metrics::Table;

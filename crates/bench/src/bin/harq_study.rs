@@ -7,8 +7,6 @@
 //! insensitive to the choice, i.e. the folded default does not bias the
 //! reproduction.
 
-#![forbid(unsafe_code)]
-
 use outran_bench::{run_avg, SEEDS};
 use outran_metrics::table::{f1, f2, f3};
 use outran_metrics::Table;

@@ -1,7 +1,7 @@
-//! Metro-scale coupled-network benchmark — per-scheduler FCT under
-//! handover churn on the two-ring 19-site / 57-cell layout with 1200
-//! mobile UEs, plus the handover/ping-pong health table
-//! (`BENCH_6.json`).
+//! Metro-scale coupled-network table and determinism gate —
+//! per-scheduler FCT under handover churn on the two-ring 19-site /
+//! 57-cell layout with 1200 mobile UEs, plus the handover/ping-pong
+//! health table (`BENCH_6.json`).
 //!
 //! ```console
 //! cargo run --release -p outran-bench --bin metro                  # measure
@@ -9,10 +9,12 @@
 //!     --check BENCH_6.json                                         # gate
 //! ```
 //!
-//! Unlike the host-time metrics of `benchmark/` (the repo's one
-//! wall-clock measurement), everything gated here is *simulated* and
-//! therefore bit-deterministic: the coupled network
-//! replays byte-identically for any thread count and on any machine.
+//! Not a performance measurement (that is `benchmark/`, whose `metro`
+//! workload times a smaller layout; the per-scheduler wall seconds
+//! written here are informational and never compared). Everything
+//! gated here is *simulated* and therefore bit-deterministic: the
+//! coupled network replays byte-identically for any thread count and
+//! on any machine.
 //! `--check FILE` re-runs the deployment and fails (exit 1) unless the
 //! freshly produced `"sim"` block — FCT figures, completion counts, the
 //! full handover table and an FNV fingerprint of each scheduler's
@@ -24,8 +26,6 @@
 //! every scheduler's run must execute handovers (a churn bench without
 //! churn is vacuous), finish without a watchdog abort, and audit to
 //! zero invariant violations.
-
-#![forbid(unsafe_code)]
 
 use outran_phy::Scenario;
 use outran_ran::{Network, NetworkReport, SchedulerKind};

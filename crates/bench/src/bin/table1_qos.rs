@@ -4,8 +4,6 @@
 //! 5G NSA testbed: all internet traffic shares the default best-effort
 //! bearer (QCI 6); only VoIP gets a dedicated GBR bearer.
 
-#![forbid(unsafe_code)]
-
 use outran_metrics::Table;
 use outran_ran::qos::{table1_rows, AppKind, BearerKind};
 

@@ -1,7 +1,5 @@
 //! Table 2 — flow statistics of the QUIC-supported webpages.
 
-#![forbid(unsafe_code)]
-
 use outran_metrics::Table;
 use outran_simcore::Rng;
 use outran_workload::WebPage;

@@ -9,7 +9,6 @@
 //! Shared plumbing lives here: multi-seed averaging of experiment
 //! reports, and the standard figure-row formatting.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use outran_metrics::table::{f1, f2, f3};

@@ -11,7 +11,6 @@
 //! replayed into checkpoints, or accepted by a subcommand that ignores
 //! it.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::fmt;

@@ -10,8 +10,6 @@
 //! experiment report (FCT buckets, spectral efficiency, fairness) and,
 //! on request, figure-style CDFs.
 
-#![forbid(unsafe_code)]
-
 use outran_cli::{help, parse_args, run};
 
 fn main() {

@@ -47,7 +47,6 @@
 //! assert_eq!(alphas.len(), 3);
 //! assert!(alphas.windows(2).all(|w| w[0] < w[1]));
 //! ```
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod reset;

@@ -12,8 +12,6 @@
 //! * [`stats`] — counters ([`FaultStats`]) describing what was injected
 //!   and what the recovery paths did, surfaced in metric summaries.
 
-#![forbid(unsafe_code)]
-
 pub mod audit;
 pub mod handover;
 pub mod plan;

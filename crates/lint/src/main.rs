@@ -1,7 +1,7 @@
 //! CLI for `outran-lint`.
 //!
 //! ```text
-//! cargo run -p outran-lint --release -- [--json] [--rule <id>]... [--max-ms <n>] [paths…]
+//! cargo run -p outran-lint --release -- [--rule <id>]... [paths…]
 //! ```
 //!
 //! With no paths, lints the whole workspace. Paths (files or
@@ -9,37 +9,26 @@
 //! the scan. `--rule` restricts the catalog to the named rules (the
 //! suppression-hygiene meta-rules still run; the stale-suppression
 //! check L102 is disabled under a filter); unknown rule names exit
-//! non-zero with the known-rule list. `--max-ms` enforces a wall-time
-//! budget on the analysis (CI uses it to keep the sweep from becoming
-//! a tax). Exits non-zero on any diagnostic.
-
-#![forbid(unsafe_code)]
+//! non-zero with the known-rule list. Exits non-zero on any diagnostic.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use std::time::Instant;
 
 use outran_lint::{find_workspace_root, lint_files, workspace_files, RuleId};
 
-/// The known-rule list for error messages, derived from the catalog
-/// (plus the always-on suppression-hygiene meta-rules), so it can
-/// never go stale against [`RuleId::CATALOG`].
+/// The known-rule list for error messages, read off the rule table.
 fn known_rules() -> String {
-    let mut names: Vec<&str> = RuleId::CATALOG.iter().map(|r| r.name()).collect();
-    names.extend(["L100", "L101", "L102"]);
+    let names: Vec<&str> = RuleId::TABLE.iter().map(|&(_, name, _)| name).collect();
     names.join(", ")
 }
 
 fn main() -> ExitCode {
-    let mut json = false;
     let mut rules: Vec<RuleId> = Vec::new();
     let mut paths: Vec<String> = Vec::new();
-    let mut max_ms: Option<u64> = None;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--json" => json = true,
             "--rule" => {
                 let Some(name) = args.next() else {
                     eprintln!(
@@ -57,21 +46,15 @@ fn main() -> ExitCode {
                 };
                 rules.push(rule);
             }
-            "--max-ms" => {
-                let parsed = args.next().and_then(|v| v.parse::<u64>().ok());
-                let Some(ms) = parsed else {
-                    eprintln!("error: --max-ms needs a positive integer argument");
-                    return ExitCode::from(2);
-                };
-                max_ms = Some(ms);
-            }
             "--help" | "-h" => {
                 println!(
                     "outran-lint: determinism & simulation-soundness checks\n\
-                     usage: outran-lint [--json] [--rule <id>]... [--max-ms <n>] [paths...]\n\
-                     rules: {}",
-                    known_rules()
+                     usage: outran-lint [--rule <id>]... [paths...]\n\
+                     rules:"
                 );
+                for (_, name, summary) in RuleId::TABLE {
+                    println!("  {name:<5} {summary}");
+                }
                 return ExitCode::SUCCESS;
             }
             other if other.starts_with('-') => {
@@ -84,9 +67,14 @@ fn main() -> ExitCode {
 
     let cwd = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
     let manifest_dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    let root = find_workspace_root(&cwd)
-        .or_else(|| find_workspace_root(&manifest_dir))
-        .unwrap_or(cwd);
+    let Some(root) = find_workspace_root(&cwd).or_else(|| find_workspace_root(&manifest_dir))
+    else {
+        eprintln!(
+            "error: no workspace root (a Cargo.toml with `members`) above {}",
+            cwd.display()
+        );
+        return ExitCode::from(2);
+    };
 
     let all = match workspace_files(&root) {
         Ok(f) => f,
@@ -121,7 +109,6 @@ fn main() -> ExitCode {
         rules
     };
 
-    let started = Instant::now();
     let report = match lint_files(&root, &files, &enabled, check_stale) {
         Ok(r) => r,
         Err(e) => {
@@ -129,26 +116,15 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let elapsed_ms = started.elapsed().as_millis() as u64;
 
-    if json {
-        print!("{}", report.to_json());
-    } else {
-        for d in &report.diagnostics {
-            println!("{d}");
-        }
-        eprintln!(
-            "outran-lint: {} file(s) checked, {} diagnostic(s), {elapsed_ms} ms",
-            report.checked_files,
-            report.diagnostics.len()
-        );
+    for d in &report.diagnostics {
+        println!("{d}");
     }
-    if let Some(budget) = max_ms {
-        if elapsed_ms > budget {
-            eprintln!("error: analysis took {elapsed_ms} ms, over the --max-ms {budget} budget");
-            return ExitCode::from(3);
-        }
-    }
+    eprintln!(
+        "outran-lint: {} file(s) checked, {} diagnostic(s)",
+        report.checked_files,
+        report.diagnostics.len()
+    );
     if report.is_clean() {
         ExitCode::SUCCESS
     } else {

@@ -14,3 +14,9 @@ pub fn stale(x: u32) -> u32 {
     // outran-lint: allow(d5) -- nothing to suppress here; line 14: L102
     x + 1
 }
+
+pub fn retired_rules(x: u32) -> u32 {
+    // outran-lint: allow(s2) -- retired with the call-graph pass; line 19: L101
+    // outran-lint: allow(d10) -- retired for the pool-miss test; line 20: L101
+    x
+}

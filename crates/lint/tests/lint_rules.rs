@@ -2,8 +2,6 @@
 //! false-positive traps, suppression hygiene, and a clean-pass run
 //! over the real workspace (the same gate CI enforces).
 
-#![forbid(unsafe_code)]
-
 use std::path::Path;
 
 use outran_lint::{analyze_source, find_workspace_root, lint_workspace, RuleId};
@@ -37,37 +35,8 @@ fn d1_allowlisted_in_bench_and_tests() {
     assert!(analyze_source("crates/bench/src/bin/x.rs", &src, &[RuleId::D1], false).is_empty());
     assert!(analyze_source("crates/cli/src/lib.rs", &src, &[RuleId::D1], false).is_empty());
     assert!(analyze_source("crates/ran/tests/x.rs", &src, &[RuleId::D1], false).is_empty());
-}
-
-#[test]
-fn d2_hash_iteration_fires() {
-    let got = run_at(SIM_LIB, "d2_hash_iter.rs");
-    assert_eq!(
-        got,
-        vec![
-            (11, RuleId::D2),
-            (16, RuleId::D2),
-            (21, RuleId::D2),
-            (23, RuleId::D2),
-            (27, RuleId::D2),
-        ]
-    );
-}
-
-#[test]
-fn d2_is_scoped_to_sim_crates() {
-    let src = fixture("d2_hash_iter.rs");
-    assert!(analyze_source("crates/cli/src/lib.rs", &src, &[RuleId::D2], false).is_empty());
-    assert!(analyze_source("crates/lint/src/x.rs", &src, &[RuleId::D2], false).is_empty());
-}
-
-#[test]
-fn d3_ambient_rng_fires() {
-    let got = run_at(SIM_LIB, "d3_ambient_rng.rs");
-    assert_eq!(
-        got,
-        vec![(3, RuleId::D3), (8, RuleId::D3), (12, RuleId::D3)]
-    );
+    // The linter itself is held to D1: it has no timing of its own.
+    assert!(!analyze_source("crates/lint/src/main.rs", &src, &[RuleId::D1], false).is_empty());
 }
 
 #[test]
@@ -112,40 +81,8 @@ fn d6_stub_markers_fire() {
 }
 
 #[test]
-fn d7_missing_forbid_fires_on_crate_roots_only() {
-    let src = fixture("d7_missing_forbid.rs");
-    let roots = [
-        "crates/phy/src/lib.rs",
-        "crates/cli/src/main.rs",
-        "crates/bench/src/bin/fig1.rs",
-        "crates/bench/benches/b.rs",
-        "examples/demo.rs",
-        "src/lib.rs",
-    ];
-    for rel in roots {
-        let got = analyze_source(rel, &src, &[RuleId::D7], false);
-        assert_eq!(got.len(), 1, "{rel} should need the forbid attribute");
-        assert_eq!(got[0].rule, RuleId::D7);
-    }
-    // Non-root modules are exempt.
-    assert!(analyze_source("crates/phy/src/harq.rs", &src, &[RuleId::D7], false).is_empty());
-    assert!(analyze_source("crates/ran/tests/t.rs", &src, &[RuleId::D7], false).is_empty());
-}
-
-#[test]
 fn d8_stage_pub_fields_fire() {
-    // Scope to D8 only: the fixture's stage structs have no snapshot
-    // impls, so the full catalog would also raise D9 on them.
-    let src = fixture("d8_stage_fields.rs");
-    let got: Vec<(usize, RuleId)> = analyze_source(
-        "crates/ran/src/stages/fixture.rs",
-        &src,
-        &[RuleId::D8],
-        false,
-    )
-    .into_iter()
-    .map(|d| (d.line, d.rule))
-    .collect();
+    let got = run_at("crates/ran/src/stages/fixture.rs", "d8_stage_fields.rs");
     assert_eq!(got, vec![(4, RuleId::D8), (5, RuleId::D8), (9, RuleId::D8)]);
 }
 
@@ -154,34 +91,6 @@ fn d8_is_scoped_to_stage_files() {
     let src = fixture("d8_stage_fields.rs");
     assert!(analyze_source("crates/ran/src/cell.rs", &src, &[RuleId::D8], false).is_empty());
     assert!(analyze_source("crates/mac/src/lib.rs", &src, &[RuleId::D8], false).is_empty());
-}
-
-#[test]
-fn d10_alloc_in_data_path_fires() {
-    let got = run_at("crates/rlc/src/fixture.rs", "d10_alloc_hot.rs");
-    assert_eq!(
-        got,
-        vec![
-            (5, RuleId::D10),
-            (6, RuleId::D10),
-            (7, RuleId::D10),
-            (8, RuleId::D10),
-        ]
-    );
-    // Same hits from the RAN stage directory.
-    let src = fixture("d10_alloc_hot.rs");
-    let got = analyze_source("crates/ran/src/stages/x.rs", &src, &[RuleId::D10], false);
-    assert_eq!(got.len(), 4);
-}
-
-#[test]
-fn d10_is_scoped_to_data_path_crates() {
-    let src = fixture("d10_alloc_hot.rs");
-    // Outside the data-path directories (including rlc's own tests and
-    // the non-stage parts of ran), allocation is fine.
-    assert!(analyze_source("crates/ran/src/cell.rs", &src, &[RuleId::D10], false).is_empty());
-    assert!(analyze_source("crates/rlc/tests/x.rs", &src, &[RuleId::D10], false).is_empty());
-    assert!(analyze_source("crates/simcore/src/pool.rs", &src, &[RuleId::D10], false).is_empty());
 }
 
 #[test]
@@ -196,6 +105,8 @@ fn valid_suppressions_silence_and_are_not_stale() {
     assert_eq!(got, vec![]);
 }
 
+/// Lines 19–20 name retired rules (S2, D10): a directive left behind
+/// by the old catalog is an unknown-rule error, not a silent no-op.
 #[test]
 fn suppression_hygiene_failures() {
     let got = run_at(SIM_LIB, "suppressed_bad.rs");
@@ -206,6 +117,8 @@ fn suppression_hygiene_failures() {
             (5, RuleId::D5),
             (9, RuleId::L101),
             (14, RuleId::L102),
+            (19, RuleId::L101),
+            (20, RuleId::L101),
         ]
     );
 }
@@ -220,128 +133,22 @@ fn rule_filter_disables_other_rules() {
     );
 }
 
-/// Analyze a fixture at `rel` under a single-rule filter.
-fn run_rule_at(rel: &str, name: &str, rule: RuleId) -> Vec<(usize, RuleId)> {
-    analyze_source(rel, &fixture(name), &[rule], false)
-        .into_iter()
-        .map(|d| (d.line, d.rule))
-        .collect()
-}
-
-#[test]
-fn s1_rng_taint_fires() {
-    let got = run_rule_at(
-        "crates/ran/src/stages/fixture.rs",
-        "s1_rng_taint.rs",
-        RuleId::S1,
-    );
-    // (17) delivery reaches a draw through helper.noise();
-    // (22) draw from another stage's fork; (28)/(38) label collision.
-    assert_eq!(
-        got,
-        vec![
-            (17, RuleId::S1),
-            (22, RuleId::S1),
-            (28, RuleId::S1),
-            (38, RuleId::S1),
-        ]
-    );
-}
-
-#[test]
-fn s1_clean_stage_rng_discipline_passes() {
-    let got = run_rule_at(
-        "crates/ran/src/stages/fixture.rs",
-        "s1_clean.rs",
-        RuleId::S1,
-    );
-    assert_eq!(got, vec![]);
-}
-
-#[test]
-fn s2_panic_reachability_fires_at_public_caller() {
-    let got = run_rule_at(SIM_LIB, "s2_panic_reach.rs", RuleId::S2);
-    assert_eq!(got, vec![(7, RuleId::S2)]);
-}
-
-#[test]
-fn s2_seed_suppression_clears_callers_and_is_not_stale() {
-    // Full catalog + stale checking: the allow(D5,S2) at the panic
-    // site must silence the direct D5 diagnostic, remove the taint
-    // seed (so `pub fn entry` stays clean), and count as used.
-    let got = run_at(SIM_LIB, "s2_clean.rs");
-    assert_eq!(got, vec![]);
-}
-
-#[test]
-fn s4_stage_purity_fires_on_foreign_stage_fields() {
-    let got = run_rule_at(
-        "crates/ran/src/stages/fixture.rs",
-        "s4_purity.rs",
-        RuleId::S4,
-    );
-    // The fixture declares its snapshot layouts with item-position
-    // macro calls ahead of the impl: they must not cost S4 coverage.
-    assert_eq!(got, vec![(16, RuleId::S4)]);
-}
-
-#[test]
-fn s4_own_fields_helpers_and_contract_types_pass() {
-    let got = run_rule_at(
-        "crates/ran/src/stages/fixture.rs",
-        "s4_clean.rs",
-        RuleId::S4,
-    );
-    assert_eq!(got, vec![]);
-}
-
-#[test]
-fn s5_wall_clock_taint_fires_at_public_caller() {
-    let got = run_rule_at(SIM_LIB, "s5_wall_clock.rs", RuleId::S5);
-    assert_eq!(got, vec![(8, RuleId::S5)]);
-}
-
-#[test]
-fn s5_seed_suppression_clears_callers_and_is_not_stale() {
-    let got = run_at(SIM_LIB, "s5_clean.rs");
-    assert_eq!(got, vec![]);
-}
-
-/// The parser must cross generics, where-clauses, trait impls, nested
-/// modules, macro definitions, item-position macro calls, turbofish,
-/// lifetimes, and literals containing rule-trigger text without a
-/// single false positive.
-#[test]
-fn parser_torture_file_stays_clean() {
-    let got = run_at(SIM_LIB, "parser_torture.rs");
-    assert_eq!(got, vec![], "parser torture fixture must stay clean");
-}
-
-#[test]
-fn json_report_carries_schema_version() {
-    let here = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let root = find_workspace_root(here).expect("workspace root above crates/lint");
-    let json = lint_workspace(&root).expect("workspace walk").to_json();
-    assert!(
-        json.contains("\"schema_version\": 2"),
-        "JSON report must lead with the schema version:\n{json}"
-    );
-}
-
-/// `--rule` with an unknown name must exit non-zero and list the
-/// known rules, so typos in CI configs fail loudly instead of
-/// silently linting nothing.
+/// `--rule` with an unknown name — here a retired one — must exit
+/// non-zero and list the known rules, so typos and stale names in CI
+/// configs fail loudly instead of silently linting nothing.
 #[test]
 fn cli_rejects_unknown_rule_names() {
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_outran-lint"))
-        .args(["--rule", "BOGUS"])
+        .args(["--rule", "S1"])
         .output()
         .expect("run outran-lint");
     assert_eq!(out.status.code(), Some(2), "unknown rule must exit 2");
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("unknown rule `BOGUS`"), "{stderr}");
-    assert!(stderr.contains("known rules:"), "{stderr}");
-    assert!(stderr.contains("S1"), "{stderr}");
+    assert!(stderr.contains("unknown rule `S1`"), "{stderr}");
+    assert!(
+        stderr.contains("known rules: D1, D4, D5, D6, D8, L100, L101, L102"),
+        "{stderr}"
+    );
 }
 
 /// The real workspace must lint clean — the same invariant the CI
@@ -352,7 +159,9 @@ fn workspace_is_clean() {
     let here = Path::new(env!("CARGO_MANIFEST_DIR"));
     let root = find_workspace_root(here).expect("workspace root above crates/lint");
     let report = lint_workspace(&root).expect("workspace walk");
-    assert!(report.checked_files > 80, "walk found too few files");
+    // A walk rooted in the wrong directory (or an empty one) must not
+    // pass as "clean".
+    assert!(report.checked_files > 100, "walk found too few files");
     let rendered: Vec<String> = report.diagnostics.iter().map(|d| d.to_string()).collect();
     assert!(
         report.is_clean(),

@@ -42,7 +42,6 @@
 //! let alloc = sched.allocate(Time::ZERO, &ues, &rates);
 //! assert!(alloc.rb_to_ue.iter().all(|&u| u == Some(1)));
 //! ```
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cache;

@@ -12,7 +12,6 @@
 //! * [`table`] — plain-text table/series renderers so each bench binary
 //!   prints rows directly comparable to the paper's tables and figures.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cell;

@@ -107,7 +107,8 @@ pub struct FlowTable {
     mlfq: Arc<MlfqConfig>,
     /// Tuple-ordered so every traversal (export, GC, eviction scan) is
     /// deterministic; the paper's hash table would iterate in hasher
-    /// order and poison replay fingerprints (outran-lint D2).
+    /// order and poison replay fingerprints (hashed maps are refused by
+    /// `clippy.toml`).
     flows: BTreeMap<FiveTuple, FlowState>,
     /// Idle entries older than this are evicted on [`FlowTable::gc`].
     idle_timeout: Dur,

@@ -34,7 +34,6 @@
 //! for _ in 0..7 { table.observe(flow, 1_500, Time::ZERO); }
 //! assert_eq!(table.priority_of(&flow), Priority(1));
 //! ```
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod flow_table;

@@ -49,7 +49,6 @@
 //! let r = cell.reported_rate_per_rb(0, 10);
 //! assert!(r >= 0.0);
 //! ```
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bler;

@@ -29,7 +29,6 @@
 //! are the two run harnesses; Figure 19's four separate-carrier cells
 //! are plain [`cell`]s its bench binary fans across the [`pool`].
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cell;

@@ -291,9 +291,9 @@ impl Network {
                     best = Some((r, c));
                 }
             }
-            // outran-lint: allow(D5,S2) -- n_ues <= cells*slots is validated at build entry, so some cell always has a free slot
+            // outran-lint: allow(D5) -- n_ues <= cells*slots is validated at build entry, so some cell always has a free slot
             let (_, c) = best.expect("attach capacity checked above");
-            // outran-lint: allow(D5,S2) -- cell c was selected because this scan found a free slot two loops above
+            // outran-lint: allow(D5) -- cell c was selected because this scan found a free slot two loops above
             let slot = slot_owner[c].iter().position(|s| s.is_none()).unwrap();
             slot_owner[c][slot] = Some(i);
             ue.serving = c;
@@ -542,7 +542,7 @@ impl Network {
             }
             // The watchdog gates only *whether the run continues*, never
             // any simulated quantity.
-            // outran-lint: allow(D1,S5) -- wall-time watchdog, measurement only; never feeds sim state
+            // outran-lint: allow(D1) -- wall-time watchdog, measurement only; never feeds sim state
             let epoch_start = std::time::Instant::now();
             st.cells = parallel_map_eager(self.threads, std::mem::take(&mut st.cells), |mut c| {
                 c.run_until(t_next);

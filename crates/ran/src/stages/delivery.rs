@@ -91,7 +91,7 @@ impl DeliveryStage {
             metrics.on_queue_delay(now.saturating_since(seg.arrival), short);
         }
         let RlcRx::Um(rx) = &mut ues[ue].rlc_rx else {
-            // outran-lint: allow(D5,S2) -- rx/tx RLC modes are paired per-UE at construction
+            // outran-lint: allow(D5) -- rx/tx RLC modes are paired per-UE at construction
             unreachable!("UM tx with AM rx");
         };
         if let Some(d) = rx.on_segment(&seg, now) {
@@ -125,7 +125,7 @@ impl DeliveryStage {
                 metrics.on_queue_delay(now.saturating_since(pdu.seg.arrival), short);
             }
             let RlcRx::Am(rx) = &mut ues[ue].rlc_rx else {
-                // outran-lint: allow(D5,S2) -- rx/tx RLC modes are paired per-UE at construction
+                // outran-lint: allow(D5) -- rx/tx RLC modes are paired per-UE at construction
                 unreachable!("AM tx with UM rx");
             };
             let status = rx.on_pdu_into(pdu, now, &mut self.sdus);

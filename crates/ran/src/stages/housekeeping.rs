@@ -7,7 +7,7 @@
 //! fault-attributable events through the `note_*` methods.
 
 use crate::config::CellConfig;
-use crate::stages::{PhyTxStage, RlcRx, RlcTx, UeContext};
+use crate::stages::{PhyTxStage, RlcRx, RlcTx, UeContext, FAULT_FORK};
 use outran_core::PriorityReset;
 use outran_faults::{ActiveFaults, AuditSnapshot, FaultStats, InvariantAuditor};
 use outran_simcore::snap_fields;
@@ -44,7 +44,7 @@ impl HousekeepingStage {
             cfg.harq.is_none() && reset.is_none() && !cfg.scheduler.uses_oracle_priority();
         HousekeepingStage {
             faults_active: ActiveFaults::default(),
-            fault_rng: root.fork(0xFA17),
+            fault_rng: root.fork(FAULT_FORK),
             fault_counters: FaultStats::default(),
             auditor: InvariantAuditor::new(cfg.audit),
             audit_order,

@@ -76,15 +76,15 @@ impl IngressStage {
     pub fn new(tcp: TcpConfig) -> IngressStage {
         IngressStage {
             tcp,
-            flows: Vec::new(), // outran-lint: allow(D10) -- one-shot constructor
+            flows: Vec::new(),
             events: EventQueue::new(),
             open_flows: 0,
-            live: Vec::new(), // outran-lint: allow(D10) -- one-shot constructor
+            live: Vec::new(),
             scan_visits: 0,
             injected_bytes: 0,
             cn_in_flight_bytes: 0,
             dropped_bytes: 0,
-            emit_scratch: Vec::new(), // outran-lint: allow(D10) -- one-shot constructor
+            emit_scratch: Vec::new(),
         }
     }
 

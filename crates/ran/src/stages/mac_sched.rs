@@ -50,10 +50,9 @@ impl MacSchedStage {
         MacSchedStage {
             scheduler: build_scheduler(cfg, tti),
             rates: TtiRates::default(),
-            // outran-lint: allow(D10) -- one-shot constructor (next 3 lines)
             ues_tti: Vec::new(),
-            had_data: Vec::new(), // outran-lint: allow(D10) -- one-shot constructor
-            gbr: Vec::new(),      // outran-lint: allow(D10) -- one-shot constructor
+            had_data: Vec::new(),
+            gbr: Vec::new(),
             gbr_min_next_gen: None,
             gbr_queued_pkts: 0,
         }
@@ -108,14 +107,12 @@ impl MacSchedStage {
         let n_ues = cfg.n_ues;
         let n_rbs = channel.n_rbs() as usize;
         if rates.n_sb != n_sb || rates.n_ues != n_ues || rates.rb_to_sb.len() != n_rbs {
-            // outran-lint: allow(D10) -- geometry change only, never per-TTI
             rates.per_ue_sb = vec![0.0; n_ues * n_sb];
             rates.rb_to_sb = (0..channel.n_rbs())
                 .map(|rb| channel.subband_of_rb(rb))
                 .collect();
             rates.n_sb = n_sb;
             rates.n_ues = n_ues;
-            // outran-lint: allow(D10) -- geometry change only, never per-TTI
             rates.versions = vec![u64::MAX; n_ues];
         }
         rates.reserved.clear();

@@ -44,6 +44,14 @@ use outran_rlc::sdu::{RlcSdu, RlcSegment};
 use outran_rlc::um::{UmConfig, UmRx, UmTx};
 use outran_simcore::{snap_enum, snap_fields, Time};
 
+/// RNG fork labels of the two stages that draw from the cell's root
+/// stream: `PhyTxStage`'s main stream and `HousekeepingStage`'s fault
+/// stream. Equal labels would hand both stages the same stream, so a
+/// collision is a compile error.
+pub(crate) const PHY_TX_FORK: u64 = 0xCE11;
+pub(crate) const FAULT_FORK: u64 = 0xFA17;
+const _: () = assert!(PHY_TX_FORK != FAULT_FORK);
+
 /// Identifies one stage of the active-TTI pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StageId {
@@ -389,7 +397,7 @@ impl UeContext {
                         RlcMode::Am => RlcRx::Am(AmRx::new(AmConfig::default())),
                     },
                     harq: outran_phy::harq::HarqQueue::new(cfg.harq.unwrap_or_default()),
-                    flows: Vec::new(), // outran-lint: allow(D10) -- one-shot constructor
+                    flows: Vec::new(),
                 }
             })
             .collect()

@@ -16,6 +16,7 @@ use crate::cell::CellPools;
 use crate::config::CellConfig;
 use crate::stages::{
     AirDelivery, HarqPayload, HousekeepingStage, ObserverHost, RlcTx, StageId, TtiRates, UeContext,
+    PHY_TX_FORK,
 };
 use outran_faults::ActiveFaults;
 use outran_mac::Allocation;
@@ -47,18 +48,17 @@ impl PhyTxStage {
     pub fn new(cfg: &CellConfig, root: &Rng) -> PhyTxStage {
         PhyTxStage {
             channel: CellChannel::new(cfg.channel, cfg.n_ues, root),
-            rng: root.fork(0xCE11),
+            rng: root.fork(PHY_TX_FORK),
             harq_wasted_tbs: 0,
             residual_losses: 0,
             harq_held_bytes: 0,
             dropped_bytes: 0,
-            // outran-lint: allow(D10) -- one-shot constructor (next 6 lines)
             group_bits: Vec::new(),
-            fresh_ok: Vec::new(), // outran-lint: allow(D10) -- one-shot constructor
-            segs: Vec::new(),     // outran-lint: allow(D10) -- one-shot constructor
-            transmitted: Vec::new(), // outran-lint: allow(D10) -- one-shot constructor
-            delivered: Vec::new(), // outran-lint: allow(D10) -- one-shot constructor
-            deliveries: Vec::new(), // outran-lint: allow(D10) -- one-shot constructor
+            fresh_ok: Vec::new(),
+            segs: Vec::new(),
+            transmitted: Vec::new(),
+            delivered: Vec::new(),
+            deliveries: Vec::new(),
         }
     }
 

@@ -91,7 +91,7 @@ pub fn load_page(
 
     let mut pending: VecDeque<WebObject> = objects.into_iter().collect();
     // Ordered maps: no iteration today, but keeping the sim crates
-    // hash-free means a future traversal cannot regress replay (D2).
+    // hash-free (`clippy.toml`) means a future traversal cannot regress replay.
     let mut in_flight: BTreeMap<usize, (u64, Time)> = BTreeMap::new(); // flow -> (conn, launch)
     let mut active_conns: BTreeMap<u64, usize> = BTreeMap::new(); // conn -> live objects
     let mut object_fcts = Vec::new();

@@ -6,8 +6,6 @@
 //! This is the golden-digest guarantee the checkpoint layer promises:
 //! crash + resume is indistinguishable from never having crashed.
 
-#![forbid(unsafe_code)]
-
 use std::path::PathBuf;
 
 use outran_faults::FaultPlan;

@@ -10,8 +10,6 @@
 //! edge → version parity flip → row recompute, with every other UE's
 //! cached row untouched.
 
-#![forbid(unsafe_code)]
-
 use outran_faults::FaultPlan;
 use outran_mac::SubbandMetricCache;
 use outran_phy::channel::CellChannel;

@@ -157,7 +157,7 @@ fn record_golden_trace() {
 #[test]
 fn pipeline_matches_recorded_golden_trace() {
     let fixture = std::fs::read_to_string(fixture_path()).expect("fixture present");
-    let mut recorded = std::collections::HashMap::new();
+    let mut recorded = std::collections::BTreeMap::new();
     for line in fixture.lines() {
         let (name, hex) = line.split_once(' ').expect("fixture line format");
         recorded.insert(

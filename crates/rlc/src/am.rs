@@ -155,8 +155,8 @@ impl AmTx {
             dropped_pdus: 0,
             dropped_sdus: 0,
             retx_count: 0,
-            seg_scratch: Vec::new(), // outran-lint: allow(D10) -- one-shot constructor
-            ack_scratch: Vec::new(), // outran-lint: allow(D10) -- one-shot constructor
+            seg_scratch: Vec::new(),
+            ack_scratch: Vec::new(),
         }
     }
 
@@ -185,7 +185,7 @@ impl AmTx {
     /// Allocating wrapper around [`AmTx::pull_into`]; hot per-TTI callers
     /// should pass a pooled buffer instead.
     pub fn pull(&mut self, budget: u64, now: Time) -> (Vec<AmPdu>, u64, u64) {
-        let mut out = Vec::new(); // outran-lint: allow(D10) -- cold compat wrapper, not a hot caller
+        let mut out = Vec::new();
         let (ctrl_bytes, used) = self.pull_into(&mut out, budget, now);
         (out, ctrl_bytes, used)
     }
@@ -221,7 +221,6 @@ impl AmTx {
             self.retx_count += 1;
             pdu.poll = self.should_poll(now);
             let retx = self.flight.get(&pdu.sn).map(|(_, r)| *r).unwrap_or(0);
-            // outran-lint: allow(D10) -- AmPdu is a flat POD; stack copy, no heap
             self.flight.insert(pdu.sn, (pdu.clone(), retx));
             out.push(pdu);
         }
@@ -239,7 +238,6 @@ impl AmTx {
                 self.next_sn = self.next_sn.wrapping_add(1);
                 let poll = self.should_poll(now);
                 let pdu = AmPdu { sn, seg, poll };
-                // outran-lint: allow(D10) -- AmPdu is a flat POD; stack copy, no heap
                 self.flight.insert(sn, (pdu.clone(), 0));
                 out.push(pdu);
             }
@@ -305,7 +303,7 @@ impl AmTx {
                     self.flight.remove(&sn);
                     self.dropped_pdus += 1;
                 } else {
-                    let p = pdu.clone(); // outran-lint: allow(D10) -- flat POD; stack copy, no heap
+                    let p = pdu.clone();
                     self.retxq.push_back(p);
                 }
             }
@@ -330,7 +328,7 @@ impl AmTx {
                 self.poll_outstanding = None;
                 if let Some((&sn, (pdu, _))) = self.flight.iter().next() {
                     if !self.retxq.iter().any(|p| p.sn == sn) {
-                        let mut p = pdu.clone(); // outran-lint: allow(D10) -- flat POD; stack copy, no heap
+                        let mut p = pdu.clone();
                         p.poll = true;
                         self.retxq.push_back(p);
                         self.retx_count += 1; // will be re-counted on send; diagnostic only
@@ -456,7 +454,8 @@ pub struct AmRx {
     window: BTreeMap<u32, AmPdu>,
     rx_next: u32,
     highest_seen: Option<u32>,
-    /// Keyed by SDU id, ordered for deterministic traversal (outran-lint D2).
+    /// Keyed by SDU id, ordered for deterministic traversal (hashed
+    /// maps are refused by `clippy.toml`).
     partials: BTreeMap<u64, RxPartial>,
     last_status_at: Option<Time>,
     status_requested: bool,
@@ -486,7 +485,7 @@ impl AmRx {
     /// Allocating wrapper around [`AmRx::on_pdu_into`]; hot per-TTI
     /// callers should pass a recycled buffer instead.
     pub fn on_pdu(&mut self, pdu: AmPdu, now: Time) -> (Vec<DeliveredSdu>, Option<StatusPdu>) {
-        let mut delivered = Vec::new(); // outran-lint: allow(D10) -- cold compat wrapper, not a hot caller
+        let mut delivered = Vec::new();
         let status = self.on_pdu_into(pdu, now, &mut delivered);
         (delivered, status)
     }
@@ -569,7 +568,6 @@ impl AmRx {
     pub fn build_status(&self) -> StatusPdu {
         // STATUS PDUs are occasional poll-paced control messages, not
         // per-TTI; the NACK list is owned by the uplink event.
-        // outran-lint: allow(D10) -- poll-paced control message, not per-TTI
         let mut nacks = Vec::new();
         if let Some(high) = self.highest_seen {
             for sn in self.rx_next..=high {

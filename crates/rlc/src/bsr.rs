@@ -22,7 +22,7 @@ impl BufferStatus {
     /// An empty report with `k` priority levels.
     pub fn empty(k: usize) -> BufferStatus {
         BufferStatus {
-            bytes_per_priority: vec![0; k], // outran-lint: allow(D10) -- diagnostic/report path
+            bytes_per_priority: vec![0; k],
             ctrl_and_retx_bytes: 0,
         }
     }

@@ -47,7 +47,6 @@
 //! let delivered = rx.on_segment(&segs[0], Time::from_millis(1)).unwrap();
 //! assert_eq!(delivered.len, 3000);
 //! ```
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod am;

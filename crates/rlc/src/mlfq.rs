@@ -55,7 +55,7 @@ impl MlfqQueues {
         MlfqQueues {
             queues: (0..k).map(|_| VecDeque::new()).collect(),
             promoted: VecDeque::new(),
-            bytes: vec![0; k], // outran-lint: allow(D10) -- one-shot constructor
+            bytes: vec![0; k],
             occupied: 0,
             promoted_bytes: 0,
             n_sdus: 0,
@@ -106,7 +106,6 @@ impl MlfqQueues {
     pub fn bytes_per_priority(&self) -> Vec<u64> {
         // The MAC path reads O(1) occupancy instead (see mac_sched);
         // this accessor serves tests and diagnostics.
-        // outran-lint: allow(D10) -- BSR report accessor, tests/diagnostics only
         let mut v = self.bytes.clone();
         v[0] += self.promoted_bytes;
         v
@@ -190,7 +189,7 @@ impl MlfqQueues {
     /// (promotion disabled / legacy FIFO — where the head position makes
     /// it next anyway).
     pub fn pull(&mut self, budget: u64, header_bytes: u32) -> (Vec<RlcSegment>, u64) {
-        let mut out = Vec::new(); // outran-lint: allow(D10) -- cold compat wrapper, not a hot caller
+        let mut out = Vec::new();
         let used = self.pull_into(&mut out, budget, header_bytes);
         (out, used)
     }
@@ -284,7 +283,7 @@ impl MlfqQueues {
     /// caller can account the lost bytes.
     pub fn set_capacity(&mut self, capacity_sdus: usize) -> Vec<RlcSdu> {
         self.capacity_sdus = capacity_sdus;
-        let mut evicted = Vec::new(); // outran-lint: allow(D10) -- fault-edge path, not per-TTI
+        let mut evicted = Vec::new();
         while self.n_sdus > self.capacity_sdus {
             let victim_level = (0..self.queues.len())
                 .rev()

@@ -202,7 +202,8 @@ struct Partial {
 #[derive(Debug, Clone, Default)]
 pub struct UmRx {
     /// Keyed by SDU id, ordered so held-bytes accounting and expiry
-    /// sweeps traverse deterministically (outran-lint D2).
+    /// sweeps traverse deterministically (hashed maps are refused by
+    /// `clippy.toml`).
     partials: BTreeMap<u64, Partial>,
     /// SDUs discarded because the reassembly window expired (§4.4 hazard).
     pub discarded_sdus: u64,

@@ -133,7 +133,7 @@ impl Empirical {
             assert!(v > 0.0, "values must be positive, got {v}");
             assert!(p > 0.0 && p <= 1.0, "probs in (0,1], got {p}");
         }
-        // outran-lint: allow(D5,S2) -- `knots.len() >= 2` asserted at entry
+        // outran-lint: allow(D5) -- `knots.len() >= 2` asserted at entry
         let last = knots.last().unwrap();
         assert!(
             (last.1 - 1.0).abs() < 1e-9,
@@ -170,7 +170,7 @@ impl Empirical {
                 return (ln[0] + f * (ln[1] - ln[0])).exp();
             }
         }
-        // outran-lint: allow(D5,S2) -- constructor asserts >= 2 knots; the scan above returns for every p <= 1.0
+        // outran-lint: allow(D5) -- constructor asserts >= 2 knots; the scan above returns for every p <= 1.0
         self.knots.last().unwrap().0
     }
 

@@ -311,7 +311,7 @@ impl<T> Slab<T> {
                 next_free,
             } = *slot
             else {
-                // outran-lint: allow(D5,S2) -- free-list entries are vacant by construction
+                // outran-lint: allow(D5) -- free-list entries are vacant by construction
                 unreachable!("free list points at an occupied slot");
             };
             self.free_head = next_free;
@@ -376,7 +376,7 @@ impl<T> Slab<T> {
                 self.stats.returns += 1;
                 match old {
                     Slot::Occupied { value, .. } => Some(value),
-                    // outran-lint: allow(D5,S2) -- outer match arm already proved occupancy
+                    // outran-lint: allow(D5) -- outer match arm already proved occupancy
                     Slot::Vacant { .. } => unreachable!("matched occupied above"),
                 }
             }

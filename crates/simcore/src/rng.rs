@@ -4,11 +4,8 @@
 //! flow-size sampling, shadowing, fast fading, TCP jitter — draws from a
 //! [`Rng`] that is explicitly seeded by the experiment configuration.
 //! The generator is xoshiro256\*\* (Blackman & Vigna), implemented locally
-//! so that the exact stream never changes underneath us when the `rand`
-//! crate revs. `rand`'s distribution machinery still works with it through
-//! the [`rand::RngCore`] impl.
-
-use rand::RngCore;
+//! so that the exact stream can never change underneath us: there is no
+//! external generator crate to rev.
 
 /// xoshiro256\*\* generator with SplitMix64 seeding.
 ///
@@ -146,28 +143,6 @@ impl Rng {
     }
 }
 
-impl RngCore for Rng {
-    fn next_u32(&mut self) -> u32 {
-        (self.next_u64_raw() >> 32) as u32
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        self.next_u64_raw()
-    }
-
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        for chunk in dest.chunks_mut(8) {
-            let v = self.next_u64_raw().to_le_bytes();
-            chunk.copy_from_slice(&v[..chunk.len()]);
-        }
-    }
-
-    fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), rand::Error> {
-        self.fill_bytes(dest);
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -248,15 +223,6 @@ mod tests {
         let mut sorted = xs.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn rngcore_fill_bytes_covers_partial_chunks() {
-        let mut r = Rng::new(3);
-        let mut buf = [0u8; 13];
-        r.fill_bytes(&mut buf);
-        // Non-zero with overwhelming probability.
-        assert!(buf.iter().any(|&b| b != 0));
     }
 
     #[test]

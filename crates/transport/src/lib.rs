@@ -44,7 +44,6 @@
 //! }
 //! assert!(tx.done());
 //! ```
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod receiver;

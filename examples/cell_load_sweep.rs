@@ -8,8 +8,6 @@
 //!   OUTRAN_RESIDUAL_LOSS=0.01    post-HARQ segment loss probability
 //!   OUTRAN_BUFFER_SDUS=64       per-UE RLC buffer capacity
 
-#![forbid(unsafe_code)]
-
 use outran::ran::{Experiment, SchedulerKind};
 
 fn main() {

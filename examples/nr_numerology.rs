@@ -4,8 +4,6 @@
 //!
 //! Usage: cargo run --release --example nr_numerology [-- <load>]
 
-#![forbid(unsafe_code)]
-
 use outran::ran::{Experiment, SchedulerKind};
 use outran::simcore::Dur;
 

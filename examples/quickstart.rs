@@ -2,8 +2,6 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-#![forbid(unsafe_code)]
-
 use outran::ran::{Experiment, SchedulerKind};
 
 fn main() {

@@ -6,8 +6,6 @@
 //!
 //! Usage: cargo run --release --example volte_isolation
 
-#![forbid(unsafe_code)]
-
 use outran::ran::cell::{Cell, CellConfig, GbrBearer, SchedulerKind};
 use outran::simcore::{Rng, Time};
 use outran::workload::{FlowSizeDist, PoissonFlowGen};

@@ -7,8 +7,6 @@
 //! `page` is an Alexa-top-20 name (default "google.com"); `runs` is the
 //! number of page loads to average (default 5).
 
-#![forbid(unsafe_code)]
-
 use outran::phy::Scenario;
 use outran::ran::cell::{Cell, CellConfig, SchedulerKind};
 use outran::ran::webplt::load_page;

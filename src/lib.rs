@@ -40,8 +40,6 @@
 //! println!("short-flow mean FCT: {:.1} ms", report.fct.short_mean_ms());
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub use outran_core as core;
 pub use outran_faults as faults;
 pub use outran_mac as mac;

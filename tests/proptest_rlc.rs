@@ -33,13 +33,13 @@ proptest! {
     ) {
         let mut tx = UmTx::new(UmConfig { header_bytes: 0, capacity_sdus: 1000, ..UmConfig::default() });
         let mut rx = UmRx::new(Dur::from_secs(3600)); // effectively no window
-        let mut expected = std::collections::HashMap::new();
+        let mut expected = std::collections::BTreeMap::new();
         for (i, &len) in lens.iter().enumerate() {
             let s = sdu(i as u64, i as u64, len, prios[i % prios.len()]);
             expected.insert(s.id, len);
             tx.write_sdu(s).unwrap();
         }
-        let mut delivered = std::collections::HashMap::new();
+        let mut delivered = std::collections::BTreeMap::new();
         let mut t = Time::ZERO;
         let mut pull_iter = pulls.iter().cycle();
         let mut guard = 0;
