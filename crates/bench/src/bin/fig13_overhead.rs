@@ -3,9 +3,6 @@
 //! flow identification + MLFQ marking (wall clock), (b) the flow-table
 //! memory footprint (the §7 41 B/flow state), and (c) the achieved DL
 //! throughput relative to the theoretical maximum.
-//!
-//! The Criterion bench `cargo bench -p outran-bench` measures the same
-//! hot paths with statistical rigour.
 
 use std::time::Instant;
 

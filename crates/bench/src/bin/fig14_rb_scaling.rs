@@ -59,6 +59,6 @@ fn main() {
         "\npaper: negligible overhead at every RB count — the whole-simulator\n\
          cost here stays well under one TTI (1000 us) of wall time, and the\n\
          OutRAN/PF cost ratio stays ~constant (same O(U*B) complexity).\n\
-         The `schedulers` Criterion bench isolates the allocator itself."
+         The benchmark's `mac.allocate_*_us` arms isolate the allocator itself."
     );
 }

@@ -2,9 +2,7 @@
 //!
 //! The harness that regenerates every table and figure of the paper's
 //! evaluation. One binary per figure/table under `src/bin/` (see the
-//! DESIGN.md experiment index for the full mapping) plus Criterion
-//! micro-benchmarks under `benches/` for the Figure 13/14 overhead
-//! claims.
+//! DESIGN.md experiment index for the full mapping).
 //!
 //! Shared plumbing lives here: multi-seed averaging of experiment
 //! reports, and the standard figure-row formatting.
@@ -61,9 +59,8 @@ pub struct AvgReport {
 }
 
 /// Worker threads for sweep fan-out: `--threads N` (or `--threads=N`)
-/// on the command line wins, else the `OUTRAN_THREADS` environment
-/// variable, else every available core. Every figure binary inherits
-/// the flag through [`run_avg`] / [`run_avg_grid`].
+/// on the command line wins, else every available core. Every figure
+/// binary inherits the flag through [`run_avg`] / [`run_avg_grid`].
 pub fn configured_threads() -> usize {
     let args: Vec<String> = std::env::args().collect();
     threads_from_args(&args).unwrap_or_else(outran_ran::default_threads)
@@ -134,7 +131,6 @@ where
 /// Average already-computed reports (all from the same scheduler).
 pub fn average(runs: Vec<ExperimentReport>) -> AvgReport {
     assert!(!runs.is_empty());
-    let n = runs.len() as f64;
     let mean = |f: &dyn Fn(&ExperimentReport) -> f64| -> f64 {
         let vals: Vec<f64> = runs.iter().map(f).filter(|v| !v.is_nan()).collect();
         if vals.is_empty() {
@@ -143,7 +139,6 @@ pub fn average(runs: Vec<ExperimentReport>) -> AvgReport {
             vals.iter().sum::<f64>() / vals.len() as f64
         }
     };
-    let _ = n;
     AvgReport {
         scheduler: runs[0].scheduler.clone(),
         overall_mean_ms: mean(&|r| r.fct.overall_mean_ms),
@@ -178,20 +173,6 @@ impl AvgReport {
             f1(self.long_mean_ms),
             f2(self.spectral_efficiency),
             f3(self.fairness),
-        ]
-    }
-
-    /// Standard headers matching [`AvgReport::fct_row`].
-    pub fn fct_headers() -> Vec<&'static str> {
-        vec![
-            "scheduler",
-            "overall(ms)",
-            "S avg(ms)",
-            "S p95(ms)",
-            "M avg(ms)",
-            "L avg(ms)",
-            "SE(b/s/Hz)",
-            "fairness",
         ]
     }
 
@@ -254,7 +235,6 @@ mod tests {
         assert_eq!(avg.runs.len(), 2);
         assert!(avg.completed > 0);
         assert!(!avg.fct_row().is_empty());
-        assert_eq!(avg.fct_row().len(), AvgReport::fct_headers().len());
     }
 
     #[test]

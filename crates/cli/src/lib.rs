@@ -18,7 +18,7 @@ use std::path::{Path, PathBuf};
 
 use outran_core::OutRanConfig;
 use outran_faults::FaultPlan;
-use outran_mac::SrjfMode;
+use outran_mac::{OutRanScheduler, SrjfMode};
 use outran_metrics::{FctReport, SizeBucket, Table};
 use outran_phy::harq::HarqConfig;
 use outran_phy::Scenario;
@@ -134,27 +134,36 @@ pub enum CdfSel {
 }
 
 impl Default for Opts {
+    /// The libraries' own defaults ([`Experiment::lte_default`],
+    /// [`Network::metro`]), so `--help` cannot drift from them. Two
+    /// deliberate differences: the CLI demonstrates OutRAN where the
+    /// library baseline is PF, and `metro` shares the cell runs' seed 1.
     fn default() -> Self {
+        let exp = Experiment::lte_default();
+        let cell = exp.config();
+        let scenario = Scenario::LtePedestrian;
+        let scheduler = SchedulerKind::OutRan;
+        let net = Network::metro(scenario, scheduler, exp.load);
         Opts {
             command: Command::Run,
             intensity: 0.5,
-            scheduler: SchedulerKind::OutRan,
-            scenario: Scenario::LtePedestrian,
+            scheduler,
+            scenario,
             dist: None,
-            users: 20,
-            load: 0.6,
-            secs: 10,
+            users: cell.n_ues,
+            load: exp.load,
+            secs: exp.duration.as_nanos() / 1_000_000_000,
             seed: 1,
-            rlc: RlcMode::Um,
-            buffer: 128,
-            tf: Dur::from_millis(1000),
-            cn: Dur::from_millis(10),
-            epsilon: 0.2,
-            reset: None,
+            rlc: cell.rlc_mode,
+            buffer: cell.buffer_sdus,
+            tf: cell.tf,
+            cn: cell.cn_delay,
+            epsilon: OutRanScheduler::DEFAULT_EPSILON,
+            reset: cell.outran.reset_period,
             harq: false,
             dense: false,
-            loss: 0.002,
-            srjf_mode: SrjfMode::Waterfall,
+            loss: cell.residual_loss,
+            srjf_mode: cell.srjf_mode,
             reps: 1,
             threads: outran_ran::default_threads(),
             cdf: None,
@@ -162,15 +171,15 @@ impl Default for Opts {
             checkpoint_every: None,
             checkpoint_dir: None,
             resume: None,
-            sites: 7,
-            sectors: 3,
-            isd: 500.0,
-            slots: 8,
-            ues: 96,
-            vehicle_mps: 15.0,
-            corridor_frac: 0.25,
-            hysteresis: 3.0,
-            ttt: 2,
+            sites: net.n_sites,
+            sectors: net.sectors_per_site,
+            isd: net.isd_m,
+            slots: net.slots_per_cell,
+            ues: net.n_ues,
+            vehicle_mps: net.vehicle_speed_mps,
+            corridor_frac: net.corridor_frac,
+            hysteresis: net.hysteresis_db,
+            ttt: net.ttt_epochs,
             chaos: None,
         }
     }
@@ -720,9 +729,7 @@ fn build_experiment(o: &Opts) -> Experiment {
         _ => FlowSizeDist::LteCellular,
     });
     let outran_cfg = OutRanConfig {
-        epsilon: o.epsilon,
         reset_period: o.reset,
-        buffer_sdus: o.buffer,
         ..OutRanConfig::default()
     };
     let mut exp = Experiment::lte_default()
@@ -1061,6 +1068,27 @@ mod tests {
         assert!(o.dense);
         assert_eq!(o.srjf_mode, SrjfMode::WinnerOnly);
         assert_eq!(o.cdf, Some(CdfSel::Short));
+    }
+
+    /// ε has one home, the scheduler selection, whichever flag spelled
+    /// it; the buffer size has one, the cell configuration.
+    #[test]
+    fn epsilon_and_buffer_reach_the_cell_config() {
+        for flags in [
+            "--scheduler outran --epsilon 0.35",
+            "--scheduler outran:0.35",
+        ] {
+            for rlc in ["um", "am"] {
+                let o = parse(&format!(
+                    "{flags} --buffer 64 --rlc {rlc} --users 2 --secs 0"
+                ))
+                .unwrap();
+                let cell = build_experiment(&o).build_cell();
+                assert_eq!(cell.config().scheduler, SchedulerKind::OutRanEps(0.35));
+                assert_eq!(cell.config().buffer_sdus, 64);
+                assert_eq!(cell.config().rlc_mode, o.rlc);
+            }
+        }
     }
 
     #[test]

@@ -150,13 +150,6 @@ impl SubbandMetricCache {
     pub fn column(&self, sb: usize) -> &[f64] {
         &self.cols[sb * self.n_ues..(sb + 1) * self.n_ues]
     }
-
-    /// Drop every cached row (all keys invalidated); the matrix refills
-    /// on the next [`SubbandMetricCache::refresh`]. Used when UE-side
-    /// state changes outside the version contract (tests/faults).
-    pub fn invalidate_all(&mut self) {
-        self.key_ok.fill(false);
-    }
 }
 
 /// Drive a per-subband winner function over the RB grid.
@@ -349,26 +342,6 @@ mod tests {
         cache.refresh(&tti, |_| 0, |_, r| r);
         assert_eq!(cache.column(0), &[1.0, 3.0, 5.0]);
         assert_eq!(cache.column(1), &[2.0, 4.0, 6.0]);
-    }
-
-    #[test]
-    fn invalidate_all_forces_recompute() {
-        let tti = TtiRates {
-            per_ue_sb: vec![1.0],
-            rb_to_sb: vec![0],
-            n_sb: 1,
-            n_ues: 1,
-            reserved: vec![false],
-            versions: vec![0],
-        };
-        let mut cache = SubbandMetricCache::new();
-        cache.refresh(&tti, |_| 0, |_, r| r);
-        cache.refresh(&tti, |_| 0, |_, r| r);
-        assert_eq!(cache.hits, 1);
-        cache.invalidate_all();
-        cache.refresh(&tti, |_| 0, |_, r| r);
-        assert_eq!(cache.hits, 1);
-        assert_eq!(cache.misses, 2);
     }
 
     #[test]

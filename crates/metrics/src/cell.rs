@@ -14,7 +14,7 @@ use outran_simcore::{Dur, Ewma, Percentiles, RunningStats};
 ///   during the window (demand-aware: an idle UE has no throughput to be
 ///   fair about, while a backlogged-but-starved UE drags the index down
 ///   — which is exactly how SRJF's 47 % fairness collapse in Fig 4b
-///   manifests). A long-term `r̃_u` EWMA is also kept for diagnostics.
+///   manifests).
 /// * **Queueing delay** — sojourn of each SDU in the RLC buffer, split
 ///   by short-flow membership (the Fig 17 ②/③ columns).
 #[derive(Debug, Clone)]
@@ -30,11 +30,14 @@ pub struct CellMetrics {
     fairness_samples: Percentiles,
     se_series: Vec<f64>,
     fairness_series: Vec<f64>,
+    /// Long-term `r̃_u` per UE. Nothing reads it; it stays because the
+    /// version-1 snapshot layout carries it.
     ue_avg: Vec<Ewma>,
     total_bits: f64,
     total_ttis: u64,
     qdelay_all: RunningStats,
     qdelay_short: RunningStats,
+    /// Nothing reads it; carried by the version-1 snapshot layout.
     qdelay_short_p: Percentiles,
 }
 
@@ -134,18 +137,6 @@ impl CellMetrics {
         self.total_ttis += k;
     }
 
-    /// Jain's index over the long-term `r̃_u` of UEs with any accumulated
-    /// service (diagnostics; the windowed samples drive the reports).
-    pub fn fairness_now(&self) -> f64 {
-        let tputs: Vec<f64> = self
-            .ue_avg
-            .iter()
-            .map(|e| e.get())
-            .filter(|&x| x > 0.0)
-            .collect();
-        jain_fairness(&tputs)
-    }
-
     /// Record the RLC-buffer sojourn of one delivered SDU.
     pub fn on_queue_delay(&mut self, delay: Dur, short_flow: bool) {
         let ms = delay.as_millis_f64();
@@ -201,11 +192,6 @@ impl CellMetrics {
     /// Mean queueing delay of short-flow SDUs (ms) — Fig 17 ③.
     pub fn short_qdelay_ms(&self) -> f64 {
         self.qdelay_short.mean()
-    }
-
-    /// Percentile of short-flow queueing delay (ms).
-    pub fn short_qdelay_percentile(&mut self, p: f64) -> f64 {
-        self.qdelay_short_p.percentile(p)
     }
 
     /// Total bits delivered.
@@ -293,7 +279,6 @@ mod tests {
         for _ in 0..200 {
             c.on_tti(&[5_000.0; 4], &ALL);
         }
-        assert!((c.fairness_now() - 1.0).abs() < 1e-9);
         assert!((c.mean_fairness() - 1.0).abs() < 1e-9);
     }
 
@@ -305,7 +290,6 @@ mod tests {
         c.on_queue_delay(Dur::from_millis(100), false);
         assert!((c.short_qdelay_ms() - 20.0).abs() < 1e-9);
         assert!((c.mean_qdelay_ms() - 140.0 / 3.0).abs() < 1e-9);
-        assert!(c.short_qdelay_percentile(100.0) >= 30.0);
     }
 
     #[test]

@@ -67,11 +67,6 @@ impl FctCollector {
         self.all.count()
     }
 
-    /// Per-bucket sample counts (S, M, L).
-    pub fn bucket_counts(&self) -> (usize, usize, usize) {
-        (self.short.count(), self.medium.count(), self.long.count())
-    }
-
     /// Produce the summary report (milliseconds).
     pub fn report(&mut self) -> FctReport {
         FctReport {
@@ -163,7 +158,6 @@ mod tests {
         assert!((r.medium_mean_ms - 100.0).abs() < 1e-9);
         assert!((r.long_mean_ms - 1000.0).abs() < 1e-9);
         assert!((r.overall_mean_ms - 285.0).abs() < 1e-9);
-        assert_eq!(c.bucket_counts(), (2, 1, 1));
     }
 
     #[test]

@@ -81,11 +81,6 @@ impl MlfqConfig {
             .count();
         Priority(demotions as u8)
     }
-
-    /// The lowest (base) priority PK.
-    pub fn base_priority(&self) -> Priority {
-        Priority(self.thresholds.len() as u8)
-    }
 }
 
 /// State kept for one flow.
@@ -110,8 +105,6 @@ pub struct FlowTable {
     /// order and poison replay fingerprints (hashed maps are refused by
     /// `clippy.toml`).
     flows: BTreeMap<FiveTuple, FlowState>,
-    /// Idle entries older than this are evicted on [`FlowTable::gc`].
-    idle_timeout: Dur,
     /// Admission-control cap on tracked entries (`None` = unbounded).
     max_entries: Option<usize>,
     /// Entries evicted by admission control (not idle GC).
@@ -121,6 +114,9 @@ pub struct FlowTable {
 impl FlowTable {
     /// Per-flow state footprint in bytes (§7: 41 B = 37 B key + 4 B counter).
     pub const STATE_BYTES_PER_FLOW: usize = FiveTuple::STATE_BYTES + 4;
+
+    /// Idle entries older than this are evicted on [`FlowTable::gc`].
+    const IDLE_TIMEOUT: Dur = Dur::from_secs(30);
 
     /// Create a table with the given MLFQ config.
     pub fn new(mlfq: MlfqConfig) -> FlowTable {
@@ -133,7 +129,6 @@ impl FlowTable {
         FlowTable {
             mlfq,
             flows: BTreeMap::new(),
-            idle_timeout: Dur::from_secs(30),
             max_entries: None,
             evicted: 0,
         }
@@ -204,16 +199,10 @@ impl FlowTable {
     /// Evict entries idle for longer than the timeout. Returns how many
     /// entries were removed.
     pub fn gc(&mut self, now: Time) -> usize {
-        let timeout = self.idle_timeout;
         let before = self.flows.len();
         self.flows
-            .retain(|_, st| now.saturating_since(st.last_seen) < timeout);
+            .retain(|_, st| now.saturating_since(st.last_seen) < Self::IDLE_TIMEOUT);
         before - self.flows.len()
-    }
-
-    /// Change the idle-eviction timeout.
-    pub fn set_idle_timeout(&mut self, timeout: Dur) {
-        self.idle_timeout = timeout;
     }
 
     /// Cap the number of tracked entries. When a new flow arrives at a
@@ -288,7 +277,7 @@ snap_fields! { FlowState { sent_bytes, first_seen, last_seen } }
 
 // The MLFQ config, idle timeout and entry cap come from the experiment
 // configuration and are re-established by the restoring side.
-snap_fields! { overlay FlowTable { evicted, flows } rebuilt { mlfq, idle_timeout, max_entries } }
+snap_fields! { overlay FlowTable { evicted, flows } rebuilt { mlfq, max_entries } }
 
 #[cfg(test)]
 mod tests {
@@ -332,7 +321,7 @@ mod tests {
     #[test]
     fn base_priority_is_floor() {
         let mlfq = MlfqConfig::default();
-        assert_eq!(mlfq.priority_for(u64::MAX), mlfq.base_priority());
+        assert_eq!(mlfq.priority_for(u64::MAX), Priority(3));
         assert_eq!(mlfq.num_queues(), 4);
     }
 
@@ -361,10 +350,9 @@ mod tests {
     #[test]
     fn gc_evicts_idle_flows() {
         let mut ft = FlowTable::new(MlfqConfig::default());
-        ft.set_idle_timeout(Dur::from_secs(1));
         ft.observe(tuple(1), 100, Time::ZERO);
-        ft.observe(tuple(2), 100, Time::from_secs(5));
-        let evicted = ft.gc(Time::from_secs(5));
+        ft.observe(tuple(2), 100, Time::from_secs(50));
+        let evicted = ft.gc(Time::from_secs(50));
         assert_eq!(evicted, 1);
         assert_eq!(ft.len(), 1);
         assert_eq!(ft.sent_bytes(&tuple(2)), 100);

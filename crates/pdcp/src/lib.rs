@@ -41,5 +41,5 @@ pub mod packet;
 pub mod sn;
 
 pub use flow_table::{FlowTable, MlfqConfig, Priority};
-pub use packet::{FiveTuple, IpPacket};
+pub use packet::FiveTuple;
 pub use sn::{CipherStream, PdcpRx, PdcpTx, SnMode};

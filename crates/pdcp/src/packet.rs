@@ -1,12 +1,10 @@
-//! IP packet abstraction and five-tuple identification.
+//! Five-tuple flow identification.
 //!
 //! OutRAN identifies flows "based on the five tuple information (src/dst
 //! IPs, src/dst ports, protocol)" (§4.2). The simulator carries packets as
 //! light metadata records; a real byte-level header parser is provided for
 //! the unit tests and for parity with the srsRAN patch (which inspects
 //! headers before PDCP header compression).
-
-use bytes::Bytes;
 
 /// Transport-protocol numbers we care about.
 pub mod proto {
@@ -96,46 +94,6 @@ impl FiveTuple {
         h[20..22].copy_from_slice(&self.src_port.to_be_bytes());
         h[22..24].copy_from_slice(&self.dst_port.to_be_bytes());
     }
-
-    /// Render a minimal IPv4+L4 header carrying this tuple (for tests and
-    /// the header-inspection benchmarks). Allocates a fresh `Vec` per
-    /// call; per-packet paths should prefer
-    /// [`FiveTuple::write_ipv4_header`].
-    pub fn to_ipv4_header(&self) -> Vec<u8> {
-        let mut h = [0u8; Self::IPV4_HEADER_LEN];
-        self.write_ipv4_header(&mut h);
-        h.to_vec()
-    }
-}
-
-/// A downlink IP packet as carried through the simulator.
-#[derive(Debug, Clone)]
-pub struct IpPacket {
-    /// Flow key.
-    pub tuple: FiveTuple,
-    /// Total length in bytes (header + payload) — what counts against
-    /// sent-bytes and transmission opportunities.
-    pub len: u32,
-    /// Application flow identifier (simulator-side bookkeeping; a real
-    /// eNodeB has only the tuple).
-    pub flow_id: u64,
-    /// Transport sequence number of the first payload byte.
-    pub seq: u64,
-    /// Optional literal payload (only materialised by ciphering tests).
-    pub payload: Option<Bytes>,
-}
-
-impl IpPacket {
-    /// Make a metadata-only packet.
-    pub fn new(tuple: FiveTuple, len: u32, flow_id: u64, seq: u64) -> IpPacket {
-        IpPacket {
-            tuple,
-            len,
-            flow_id,
-            seq,
-            payload: None,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -151,12 +109,10 @@ mod tests {
             dst_port: 51234,
             proto: proto::TCP,
         };
-        let buf = t.to_ipv4_header();
+        // Stale scratch contents must not leak into the header.
+        let mut buf = [0xFFu8; FiveTuple::IPV4_HEADER_LEN];
+        t.write_ipv4_header(&mut buf);
         assert_eq!(FiveTuple::parse_ipv4(&buf), Some(t));
-        // The write-into form renders the identical bytes.
-        let mut scratch = [0xFFu8; FiveTuple::IPV4_HEADER_LEN];
-        t.write_ipv4_header(&mut scratch);
-        assert_eq!(scratch.as_slice(), buf.as_slice());
     }
 
     #[test]

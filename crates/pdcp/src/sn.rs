@@ -20,8 +20,6 @@
 //! structure of EEA2/NEA2 counter mode without pulling in a crypto
 //! dependency — the *synchronisation* property is what matters here).
 
-use bytes::Bytes;
-
 /// When SN assignment + ciphering happen.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SnMode {
@@ -45,7 +43,7 @@ impl CipherStream {
 
     /// XOR `data` with the keystream for `count` (involutive: applying it
     /// twice with the same count restores the plaintext).
-    pub fn apply(&self, count: u32, data: &[u8]) -> Bytes {
+    pub fn apply(&self, count: u32, data: &[u8]) -> Vec<u8> {
         let mut out = Vec::with_capacity(data.len());
         let mut state = self
             .key
@@ -63,7 +61,7 @@ impl CipherStream {
             }
             out.push(b ^ (ks >> ((i % 8) * 8)) as u8);
         }
-        Bytes::from(out)
+        out
     }
 }
 
@@ -73,7 +71,7 @@ pub struct PdcpPdu {
     /// Assigned sequence number (None while numbering is deferred).
     pub sn: Option<u32>,
     /// Payload, ciphered iff `sn` is assigned.
-    pub payload: Bytes,
+    pub payload: Vec<u8>,
 }
 
 /// PDCP transmitter entity for one bearer.
@@ -109,7 +107,7 @@ impl PdcpTx {
     /// * `AtIngress`: assign SN now and cipher.
     /// * `Delayed`: pass through unnumbered/plaintext; call
     ///   [`PdcpTx::finalize`] at dequeue time.
-    pub fn on_ingress(&mut self, payload: Bytes) -> PdcpPdu {
+    pub fn on_ingress(&mut self, payload: Vec<u8>) -> PdcpPdu {
         match self.mode {
             SnMode::AtIngress => {
                 let sn = self.bump();
@@ -163,7 +161,7 @@ impl PdcpRx {
     /// sender's SN field is *not* consulted for keystream selection —
     /// this mirrors the synchronisation hazard of §4.4: if transmission
     /// order diverged from numbering order, the keystreams mismatch).
-    pub fn on_arrival(&mut self, pdu: &PdcpPdu) -> Bytes {
+    pub fn on_arrival(&mut self, pdu: &PdcpPdu) -> Vec<u8> {
         let count = self.expected_count;
         self.expected_count = self.expected_count.wrapping_add(1);
         self.cipher.apply(count, &pdu.payload)
@@ -174,8 +172,8 @@ impl PdcpRx {
 mod tests {
     use super::*;
 
-    fn payloads() -> Vec<Bytes> {
-        (0..5u8).map(|i| Bytes::from(vec![i; 32])).collect()
+    fn payloads() -> Vec<Vec<u8>> {
+        (0..5u8).map(|i| vec![i; 32]).collect()
     }
 
     #[test]
@@ -229,7 +227,7 @@ mod tests {
         pdus.swap(0, 3);
         pdus.swap(1, 4);
         // ...then numbering+ciphering happen in transmission order.
-        let expected: Vec<Bytes> = pdus.iter().map(|p| p.payload.clone()).collect();
+        let expected: Vec<Vec<u8>> = pdus.iter().map(|p| p.payload.clone()).collect();
         for (i, pdu) in pdus.iter_mut().enumerate() {
             tx.finalize(pdu);
             assert_eq!(pdu.sn, Some(i as u32));
@@ -241,7 +239,7 @@ mod tests {
     #[test]
     fn finalize_is_idempotent_for_ingress_mode() {
         let mut tx = PdcpTx::new(SnMode::AtIngress, 9);
-        let mut pdu = tx.on_ingress(Bytes::from_static(b"x"));
+        let mut pdu = tx.on_ingress(b"x".to_vec());
         let before = pdu.payload.clone();
         tx.finalize(&mut pdu);
         assert_eq!(pdu.payload, before);
@@ -252,7 +250,7 @@ mod tests {
     fn sn_increments_monotonically() {
         let mut tx = PdcpTx::new(SnMode::AtIngress, 0);
         for i in 0..100u32 {
-            let pdu = tx.on_ingress(Bytes::from_static(b"y"));
+            let pdu = tx.on_ingress(b"y".to_vec());
             assert_eq!(pdu.sn, Some(i));
         }
     }

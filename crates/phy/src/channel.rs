@@ -47,7 +47,6 @@ use crate::bler::BlerModel;
 use crate::cqi::{Cqi, CqiTable};
 use crate::mobility::RandomWalk;
 use crate::numerology::RadioConfig;
-use crate::UeId;
 
 /// Static configuration of the cell channel.
 #[derive(Debug, Clone, Copy)]
@@ -179,10 +178,8 @@ pub struct CellChannel {
     /// Cached `((tx − pathloss) − noise) + shadow` per UE — the exact
     /// large-scale prefix of the SINR composition.
     sinr_const_db: Vec<f64>,
-    /// Hoisted `cfg.noise_dbm()` (pure function of the config).
-    noise_dbm: f64,
     /// Per-UE interference-plus-noise power (dBm). Initialised to the
-    /// thermal `noise_dbm` (an isolated cell sees no interference); a
+    /// thermal `cfg.noise_dbm()` (an isolated cell sees no interference); a
     /// network layer overwrites it at epoch boundaries with the
     /// load-coupled neighbor interference, which then flows into the
     /// cached `sinr_const_db` plane so the dense kernels stay branch-free.
@@ -259,7 +256,6 @@ impl CellChannel {
             dist_since_shadow: vec![0.0; n_ues],
             pathloss_db: vec![0.0; n_ues],
             sinr_const_db: vec![0.0; n_ues],
-            noise_dbm: cfg.noise_dbm(),
             iplusn_dbm: vec![cfg.noise_dbm(); n_ues],
             ext_dist_m: vec![0.0; n_ues],
             ext_geometry: cfg.external_geometry,
@@ -682,12 +678,6 @@ impl CellChannel {
         }
     }
 
-    /// Thermal noise floor (dBm) hoisted from the config — the I+N value
-    /// an interference-free UE sees.
-    pub fn noise_floor_dbm(&self) -> f64 {
-        self.noise_dbm
-    }
-
     /// Whether geometry is owned by an external network layer.
     pub fn external_geometry(&self) -> bool {
         self.ext_geometry
@@ -749,11 +739,6 @@ fn rate_lut(cfg: &ChannelConfig) -> [f64; 16] {
         *slot = cfg.table.efficiency(Cqi(c as u8)) * cfg.radio.data_re_per_rb();
     }
     lut
-}
-
-/// Identifier helper: convert a [`UeId`] to the dense index used here.
-pub fn ue_index(id: UeId) -> usize {
-    id.0 as usize
 }
 
 use outran_simcore::snap::{LoadSnap, Snap, SnapError, SnapReader, SnapWriter};

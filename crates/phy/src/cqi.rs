@@ -17,8 +17,6 @@ pub struct Cqi(pub u8);
 outran_simcore::snap_fields! { Cqi { 0 } }
 
 impl Cqi {
-    /// The out-of-range value.
-    pub const OUT_OF_RANGE: Cqi = Cqi(0);
     /// Highest quality.
     pub const MAX: Cqi = Cqi(15);
 

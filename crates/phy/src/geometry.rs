@@ -157,30 +157,6 @@ impl NetGeometry {
         let dy = pos.y - self.sites[s].y;
         (dx * dx + dy * dy).sqrt()
     }
-
-    /// The site closest to `pos` (lowest index wins ties — deterministic).
-    pub fn nearest_site(&self, pos: Pos) -> usize {
-        let mut best = 0;
-        let mut best_d = self.dist_to_site(0, pos);
-        for s in 1..self.sites.len() {
-            let d = self.dist_to_site(s, pos);
-            if d < best_d {
-                best = s;
-                best_d = d;
-            }
-        }
-        best
-    }
-
-    /// Radius (m) of the smallest origin-centred disc containing every
-    /// site plus one cell radius of slack — a bound for mobility models.
-    pub fn span_m(&self, cell_radius_m: f64) -> f64 {
-        self.sites
-            .iter()
-            .map(|p| p.dist_origin())
-            .fold(0.0, f64::max)
-            + cell_radius_m
-    }
 }
 
 /// Vehicular corridor mobility: ping-pong motion along a fixed segment
@@ -291,14 +267,6 @@ mod tests {
         for s in &sites[7..] {
             let d = s.dist_origin();
             assert!(d > 500.0 + 1e-9 && d <= 2.0 * 500.0 + 1e-9, "d={d}");
-        }
-    }
-
-    #[test]
-    fn nearest_site_of_a_site_is_itself() {
-        let g = NetGeometry::hex(19, 500.0);
-        for s in 0..19 {
-            assert_eq!(g.nearest_site(g.site(s)), s);
         }
     }
 

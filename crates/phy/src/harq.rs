@@ -132,16 +132,6 @@ impl<T> HarqQueue<T> {
         Some(tb)
     }
 
-    /// Bits owed to retransmissions due at `now` (the MAC should grant
-    /// at least this much before fresh data).
-    pub fn due_bits(&self, now: Time) -> f64 {
-        self.pending
-            .iter()
-            .take_while(|(due, _)| *due <= now)
-            .map(|(_, tb)| tb.bits)
-            .sum()
-    }
-
     /// Blocks currently awaiting retransmission.
     pub fn len(&self) -> usize {
         self.pending.len()
@@ -233,7 +223,6 @@ mod tests {
         let tti = Dur::from_millis(1);
         q.on_failure(tb(5000.0), Time::ZERO, tti);
         let due = Time::from_millis(8);
-        assert!((q.due_bits(due) - 5000.0).abs() < 1e-9);
         assert!(q.pop_due(due, 4000.0).is_none(), "budget too small");
         assert!(q.pop_due(due, 5000.0).is_some());
     }

@@ -65,13 +65,3 @@ pub use channel::{CellChannel, ChannelConfig};
 pub use cqi::{Cqi, CqiTable};
 pub use numerology::{Numerology, RadioConfig};
 pub use scenario::Scenario;
-
-/// Identifier of a user equipment within a cell.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct UeId(pub u16);
-
-impl std::fmt::Display for UeId {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "UE{}", self.0)
-    }
-}

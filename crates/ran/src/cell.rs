@@ -580,11 +580,6 @@ impl Cell {
         self.hk.auditor()
     }
 
-    /// The current byte-conservation ledger (UM mode only).
-    pub fn byte_ledger(&self) -> Option<ByteLedger> {
-        self.audit_snapshot().bytes
-    }
-
     /// Fault and recovery counters, merged with the live PHY/PDCP views.
     pub fn fault_stats(&self) -> FaultStats {
         let mut s = self.hk.counters();

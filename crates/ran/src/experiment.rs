@@ -11,43 +11,31 @@ use outran_core::OutRanConfig;
 use outran_faults::{FaultPlan, FaultStats, HandoverStats, Violation};
 use outran_phy::Scenario;
 use outran_simcore::{Dur, Rng, Time};
-use outran_transport::TcpConfig;
 use outran_workload::{FlowSizeDist, PoissonFlowGen};
 
 use crate::cell::{Cell, CellConfig, RlcMode, SchedulerKind};
 use crate::checkpoint::{write_checkpoint, CheckpointMeta};
 
-/// Builder for a standard Poisson-load cell experiment.
+/// Builder for a standard Poisson-load cell experiment: a
+/// [`CellConfig`] plus the arrival process and horizon that drive it.
+/// Every cell-level builder below writes straight through to that one
+/// configuration, which [`Experiment::build_cell`] hands to
+/// [`Cell::new`] unchanged.
 #[derive(Debug, Clone)]
 pub struct Experiment {
-    scenario: Scenario,
-    scheduler: SchedulerKind,
-    n_ues: usize,
-    load: f64,
+    cell: CellConfig,
+    /// Target cell load (offered bits / capacity).
+    pub load: f64,
     dist: FlowSizeDist,
-    duration: Time,
+    /// Arrival horizon; the run drains 4 extra seconds beyond it.
+    pub duration: Time,
     warmup: Dur,
-    seed: u64,
-    tf: Dur,
-    rlc_mode: RlcMode,
-    buffer_sdus: usize,
-    cn_delay: Dur,
-    outran: OutRanConfig,
-    tcp: TcpConfig,
-    residual_loss: f64,
-    srjf_mode: outran_mac::srjf::SrjfMode,
-    harq: Option<outran_phy::harq::HarqConfig>,
-    faults: FaultPlan,
-    watchdog: Option<Dur>,
-    max_flow_entries: Option<usize>,
     dense: bool,
-    /// Periodic checkpointing as `(interval, directory)`: once per
+    /// Periodic checkpointing as `(interval, directory, argv)`: once per
     /// interval of simulated time, write a crash-safe snapshot into the
-    /// directory (see [`crate::checkpoint`]).
-    checkpoint: Option<(Dur, PathBuf)>,
-    /// Original argv embedded in checkpoint metadata so `resume` can
-    /// rebuild the identical experiment.
-    checkpoint_argv: Vec<String>,
+    /// directory (see [`crate::checkpoint`]), embedding the argv in its
+    /// metadata so `resume` can rebuild the identical experiment.
+    checkpoint: Option<(Dur, PathBuf, Vec<String>)>,
 }
 
 impl Experiment {
@@ -55,57 +43,44 @@ impl Experiment {
     /// sizes, PF unless overridden.
     pub fn lte_default() -> Experiment {
         Experiment {
-            scenario: Scenario::LtePedestrian,
-            scheduler: SchedulerKind::Pf,
-            n_ues: 20,
+            cell: CellConfig::lte_default(20, SchedulerKind::Pf, 1),
             load: 0.6,
             dist: FlowSizeDist::LteCellular,
             duration: Time::from_secs(10),
             warmup: Dur::from_secs(1),
-            seed: 1,
-            tf: Dur::from_millis(1000),
-            rlc_mode: RlcMode::Um,
-            buffer_sdus: 128,
-            cn_delay: Dur::from_millis(10),
-            outran: OutRanConfig::default(),
-            tcp: TcpConfig::default(),
-            residual_loss: 0.002,
-            srjf_mode: outran_mac::srjf::SrjfMode::Waterfall,
-            harq: None,
-            faults: FaultPlan::new(),
-            watchdog: None,
-            max_flow_entries: None,
             dense: false,
             checkpoint: None,
-            checkpoint_argv: Vec::new(),
         }
     }
 
     /// The 5G setting of §6.2 (NR urban, MIRAGE sizes).
     pub fn nr_default(mu: u8) -> Experiment {
-        Experiment {
-            scenario: Scenario::NrUrban(mu),
-            dist: FlowSizeDist::MirageMobileApp,
-            n_ues: 40,
-            ..Experiment::lte_default()
-        }
+        Experiment::lte_default()
+            .scenario(Scenario::NrUrban(mu))
+            .dist(FlowSizeDist::MirageMobileApp)
+            .users(40)
+    }
+
+    /// The cell configuration built so far (read-only).
+    pub fn config(&self) -> &CellConfig {
+        &self.cell
     }
 
     /// Select the scenario preset.
     pub fn scenario(mut self, s: Scenario) -> Self {
-        self.scenario = s;
+        self.cell.channel = s.channel_config();
         self
     }
 
     /// Select the MAC scheduler.
     pub fn scheduler(mut self, k: SchedulerKind) -> Self {
-        self.scheduler = k;
+        self.cell.scheduler = k;
         self
     }
 
     /// Number of UEs.
     pub fn users(mut self, n: usize) -> Self {
-        self.n_ues = n;
+        self.cell.n_ues = n;
         self
     }
 
@@ -129,69 +104,69 @@ impl Experiment {
 
     /// Root seed.
     pub fn seed(mut self, s: u64) -> Self {
-        self.seed = s;
+        self.cell.seed = s;
         self
     }
 
     /// PF fairness window T_f.
     pub fn fairness_window(mut self, tf: Dur) -> Self {
-        self.tf = tf;
+        self.cell.tf = tf;
         self
     }
 
     /// RLC mode (UM default).
     pub fn rlc_mode(mut self, m: RlcMode) -> Self {
-        self.rlc_mode = m;
+        self.cell.rlc_mode = m;
         self
     }
 
     /// RLC buffer capacity in SDUs (Fig 3b sweeps ×1 / ×5).
     pub fn buffer_sdus(mut self, n: usize) -> Self {
-        self.buffer_sdus = n;
+        self.cell.buffer_sdus = n;
         self
     }
 
     /// One-way CN propagation delay (Fig 17: 20 ms remote, 5 ms MEC).
     pub fn cn_delay(mut self, d: Dur) -> Self {
-        self.cn_delay = d;
+        self.cell.cn_delay = d;
         self
     }
 
     /// OutRAN policy configuration.
     pub fn outran(mut self, c: OutRanConfig) -> Self {
-        self.outran = c;
+        self.cell.outran = c;
         self
     }
 
     /// Post-HARQ residual segment-loss probability (fault injection).
     pub fn residual_loss(mut self, p: f64) -> Self {
         assert!((0.0..=1.0).contains(&p));
-        self.residual_loss = p;
+        self.cell.residual_loss = p;
         self
     }
 
     /// SRJF leftover-capacity policy (see [`outran_mac::srjf::SrjfMode`]).
     pub fn srjf_mode(mut self, m: outran_mac::srjf::SrjfMode) -> Self {
-        self.srjf_mode = m;
+        self.cell.srjf_mode = m;
         self
     }
 
     /// Explicit HARQ retransmission modelling (`None` = folded model).
     pub fn harq(mut self, h: Option<outran_phy::harq::HarqConfig>) -> Self {
-        self.harq = h;
+        self.cell.harq = h;
         self
     }
 
     /// Scripted fault plan consulted each TTI (chaos runs).
     pub fn faults(mut self, p: FaultPlan) -> Self {
-        self.faults = p;
+        self.cell.faults = p;
         self
     }
 
     /// Stalled-flow watchdog: force a retransmission after this long
     /// without cumulative-ACK progress.
     pub fn watchdog(mut self, stall: Option<Dur>) -> Self {
-        self.watchdog = stall;
+        self.cell.watchdog = stall;
         self
     }
 
@@ -206,7 +181,7 @@ impl Experiment {
 
     /// Flow-table admission-control cap (LRU eviction beyond it).
     pub fn max_flow_entries(mut self, cap: Option<usize>) -> Self {
-        self.max_flow_entries = cap;
+        self.cell.max_flow_entries = cap;
         self
     }
 
@@ -216,15 +191,14 @@ impl Experiment {
     /// `outran-sim resume <ckpt>` can rebuild the identical experiment.
     pub fn checkpoint_every(mut self, every: Dur, dir: PathBuf, argv: Vec<String>) -> Self {
         assert!(every > Dur::ZERO, "checkpoint interval must be positive");
-        self.checkpoint = Some((every, dir));
-        self.checkpoint_argv = argv;
+        self.checkpoint = Some((every, dir, argv));
         self
     }
 
     /// Estimated cell capacity in bit/s for the scenario (see
     /// [`outran_phy::channel::ChannelConfig::nominal_capacity_bps`]).
     pub fn capacity_bps(&self) -> f64 {
-        self.scenario.channel_config().nominal_capacity_bps()
+        self.cell.channel.nominal_capacity_bps()
     }
 
     /// Build the configured cell with every Poisson arrival scheduled
@@ -233,27 +207,13 @@ impl Experiment {
     /// rebuilds this exact cell, then overlays the snapshot's dynamic
     /// state with `load_snap`).
     pub fn build_cell(&self) -> Cell {
-        let mut cfg = CellConfig::lte_default(self.n_ues, self.scheduler, self.seed);
-        cfg.channel = self.scenario.channel_config();
-        cfg.tf = self.tf;
-        cfg.rlc_mode = self.rlc_mode;
-        cfg.buffer_sdus = self.buffer_sdus;
-        cfg.cn_delay = self.cn_delay;
-        cfg.outran = self.outran.clone();
-        cfg.tcp = self.tcp;
-        cfg.residual_loss = self.residual_loss;
-        cfg.srjf_mode = self.srjf_mode;
-        cfg.harq = self.harq;
-        cfg.faults = self.faults.clone();
-        cfg.watchdog = self.watchdog;
-        cfg.max_flow_entries = self.max_flow_entries;
-        let mut cell = Cell::new(cfg);
+        let mut cell = Cell::new(self.cell.clone());
         let mut gen = PoissonFlowGen::new(
             self.dist,
             self.load,
             self.capacity_bps(),
-            self.n_ues,
-            Rng::new(self.seed ^ 0xA11CE),
+            self.cell.n_ues,
+            Rng::new(self.cell.seed ^ 0xA11CE),
         );
         for a in gen.take_until(self.duration) {
             cell.schedule_flow(a.at, a.ue, a.bytes, None);
@@ -289,7 +249,7 @@ impl Experiment {
         // Run past the horizon to let late flows finish (bounded drain).
         let drain_end = Time(self.duration.0 + Time::from_secs(4).0);
         match &self.checkpoint {
-            Some((every, dir)) => {
+            Some((every, dir, argv)) => {
                 let every = Dur::from_secs(every.as_nanos().div_ceil(Time::from_secs(1).0));
                 let mut next = Time(cell.now().0 + every.as_nanos());
                 while cell.now() < drain_end {
@@ -297,7 +257,7 @@ impl Experiment {
                     self.advance(&mut cell, to);
                     if cell.now() >= next {
                         let meta = CheckpointMeta {
-                            argv: self.checkpoint_argv.clone(),
+                            argv: argv.clone(),
                             sim_time: cell.now(),
                             dense: self.dense,
                             n_cells: 1,
@@ -342,7 +302,7 @@ impl Experiment {
         // Final invariant sweep so end-of-run state is always audited.
         cell.audit_now();
         ExperimentReport {
-            scheduler: self.scheduler.label(),
+            scheduler: self.cell.scheduler.label(),
             fct: report,
             spectral_efficiency: se,
             fairness,
@@ -446,6 +406,83 @@ mod tests {
         let b = tiny(SchedulerKind::OutRan);
         assert_eq!(a.fct.count, b.fct.count);
         assert_eq!(a.spectral_efficiency, b.spectral_efficiency);
+    }
+
+    /// Every builder set to a non-default value lands in the
+    /// configuration the cell is built from (or, for the arrival-process
+    /// builders, in the schedule); fields with no builder keep the
+    /// `CellConfig::lte_default` values.
+    #[test]
+    fn every_builder_reaches_the_built_cell() {
+        let dbg = |x: &dyn std::fmt::Debug| format!("{x:?}");
+        let outran = OutRanConfig {
+            mlfq_queues: 6,
+            pushout: false,
+            ..OutRanConfig::default()
+        };
+        let harq = outran_phy::harq::HarqConfig {
+            max_tx: 2,
+            ..Default::default()
+        };
+        let faults = FaultPlan::chaos(3, Dur::from_secs(2), 5, 0.5);
+        let exp = Experiment::lte_default()
+            .scenario(Scenario::NrUrban(1))
+            .scheduler(SchedulerKind::OutRanEps(0.35))
+            .users(5)
+            .load(0.3)
+            .dist(FlowSizeDist::Websearch)
+            .duration_secs(2)
+            .seed(77)
+            .fairness_window(Dur::from_millis(250))
+            .rlc_mode(RlcMode::Am)
+            .buffer_sdus(64)
+            .cn_delay(Dur::from_millis(5))
+            .outran(outran.clone())
+            .residual_loss(0.01)
+            .srjf_mode(outran_mac::srjf::SrjfMode::WinnerOnly)
+            .harq(Some(harq))
+            .faults(faults.clone())
+            .watchdog(Some(Dur::from_millis(750)))
+            .max_flow_entries(Some(9));
+        let cell = exp.build_cell();
+        let c = cell.config();
+        let channel = Scenario::NrUrban(1).channel_config();
+        assert_eq!(dbg(&c.channel), dbg(&channel));
+        assert_eq!(c.scheduler, SchedulerKind::OutRanEps(0.35));
+        assert_eq!(c.n_ues, 5);
+        assert_eq!(c.seed, 77);
+        assert_eq!(c.tf, Dur::from_millis(250));
+        assert_eq!(c.rlc_mode, RlcMode::Am);
+        assert_eq!(c.buffer_sdus, 64);
+        assert_eq!(c.cn_delay, Dur::from_millis(5));
+        assert_eq!(dbg(&c.outran), dbg(&outran));
+        assert_eq!(c.residual_loss, 0.01);
+        assert_eq!(c.srjf_mode, outran_mac::srjf::SrjfMode::WinnerOnly);
+        assert_eq!(dbg(&c.harq), dbg(&Some(harq)));
+        assert_eq!(c.faults, faults);
+        assert_eq!(c.watchdog, Some(Dur::from_millis(750)));
+        assert_eq!(c.max_flow_entries, Some(9));
+        let d = CellConfig::lte_default(5, c.scheduler, 77);
+        assert_eq!(c.ul_air_delay, d.ul_air_delay);
+        assert_eq!(dbg(&c.tcp), dbg(&d.tcp));
+        assert_eq!(dbg(&c.audit), dbg(&d.audit));
+        // The buffer size reaches the RLC transmit entity of either mode.
+        for mode in [RlcMode::Um, RlcMode::Am] {
+            let exp = exp.clone().rlc_mode(mode);
+            let ues = crate::stages::UeContext::build_all(exp.config());
+            assert!(ues.iter().all(|u| u.rlc_tx.capacity_sdus() == 64));
+        }
+        // load, dist, duration and seed drive the arrival schedule.
+        let mut gen = PoissonFlowGen::new(
+            FlowSizeDist::Websearch,
+            0.3,
+            channel.nominal_capacity_bps(),
+            5,
+            Rng::new(77 ^ 0xA11CE),
+        );
+        let expected = gen.take_until(Time::from_secs(2)).len();
+        assert!(expected > 0);
+        assert_eq!(cell.n_flows(), expected);
     }
 
     #[test]

@@ -4,10 +4,9 @@
 //!
 //! Design constraints (see DESIGN.md "Performance model"):
 //!
-//! * **No new dependencies.** The workspace builds offline against
-//!   `crates/compat/*` shims, so the pool is built from
-//!   [`std::thread::scope`] plus a [`Mutex`]-guarded job queue. No
-//!   `rayon`, no channels beyond std.
+//! * **No new dependencies.** The workspace builds offline, so the
+//!   pool is built from [`std::thread::scope`] plus a [`Mutex`]-guarded
+//!   job queue. No `rayon`, no channels beyond std.
 //! * **Bit-identical to serial execution.** Each job is a pure function
 //!   of its input (every `Experiment::run()` forks its own RNG tree from
 //!   the root seed), so the only thing parallelism could perturb is
@@ -89,17 +88,9 @@ where
     }
 }
 
-/// The default worker count: the `OUTRAN_THREADS` environment variable
-/// if set to a positive integer, otherwise the machine's available
-/// parallelism, otherwise 1.
+/// The default worker count: the machine's available parallelism, or 1
+/// when it cannot be determined.
 pub fn default_threads() -> usize {
-    if let Ok(v) = std::env::var("OUTRAN_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
-    }
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)

@@ -63,13 +63,6 @@ pub struct QosProfile {
     pub service: &'static str,
 }
 
-impl QosProfile {
-    /// Whether this profile is best-effort (the OutRAN target class).
-    pub fn is_best_effort(&self) -> bool {
-        self.bearer == BearerKind::Default
-    }
-}
-
 /// Classify an application the way the commercial network of Table 1
 /// does.
 pub fn classify(app: AppKind) -> QosProfile {
@@ -132,7 +125,7 @@ mod tests {
                 assert_eq!(p.qci, 1);
                 assert_eq!(p.gbr_bps, Some(14_000));
             } else {
-                assert!(p.is_best_effort(), "{app:?} must be best-effort");
+                assert_eq!(p.bearer, BearerKind::Default, "{app:?} must be best-effort");
                 assert!(p.gbr_bps.is_none());
             }
         }
@@ -155,6 +148,6 @@ mod tests {
     fn ims_is_qci5_best_effort() {
         let ims = classify(AppKind::ImsSignaling);
         assert_eq!(ims.qci, 5);
-        assert!(ims.is_best_effort());
+        assert_eq!(ims.bearer, BearerKind::Default);
     }
 }

@@ -458,16 +458,6 @@ impl IngressStage {
         self.flows[fi].tuple
     }
 
-    /// Bytes of flow `fi` cumulatively ACKed so far.
-    pub fn flow_cum(&self, fi: usize) -> u64 {
-        self.flows[fi].receiver.cum()
-    }
-
-    /// Whether flow `fi`'s arrival has fired at the server.
-    pub fn flow_started(&self, fi: usize) -> bool {
-        self.flows[fi].started
-    }
-
     /// Total flows registered.
     pub fn n_flows(&self) -> usize {
         self.flows.len()

@@ -93,14 +93,6 @@ pub struct StatusPdu {
     pub nacks: Vec<u32>,
 }
 
-impl StatusPdu {
-    /// Wire size of this STATUS PDU (2 B fixed + 2 B per NACK, roughly
-    /// the TS 36.322 encoding).
-    pub fn wire_bytes(&self) -> u32 {
-        2 + 2 * self.nacks.len() as u32
-    }
-}
-
 /// A numbered AM data PDU (one RLC segment + AM header state).
 #[derive(Debug, Clone)]
 pub struct AmPdu {

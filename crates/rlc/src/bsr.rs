@@ -32,11 +32,6 @@ impl BufferStatus {
         self.ctrl_and_retx_bytes + self.bytes_per_priority.iter().sum::<u64>()
     }
 
-    /// Whether the UE has anything to send.
-    pub fn has_data(&self) -> bool {
-        self.total() > 0
-    }
-
     /// The highest-priority non-empty MLFQ level — the "user priority"
     /// `P_u = max_{f∈F_u} Priority(f)` of eq. (2). `None` when the MLFQ
     /// is empty (the UE may still have ctrl/retx data).
@@ -60,7 +55,6 @@ mod tests {
     fn empty_report() {
         let b = BufferStatus::empty(4);
         assert_eq!(b.total(), 0);
-        assert!(!b.has_data());
         assert_eq!(b.head_priority(), None);
     }
 
@@ -78,7 +72,6 @@ mod tests {
     fn ctrl_bytes_count_toward_total_but_not_priority() {
         let mut b = BufferStatus::empty(4);
         b.ctrl_and_retx_bytes = 50;
-        assert!(b.has_data());
         assert_eq!(b.total(), 50);
         assert_eq!(b.head_priority(), None);
     }

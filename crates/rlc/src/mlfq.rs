@@ -65,11 +65,6 @@ impl MlfqQueues {
         }
     }
 
-    /// Legacy single-FIFO configuration (the vanilla srsRAN tx queue).
-    pub fn fifo(capacity_sdus: usize) -> MlfqQueues {
-        MlfqQueues::new(1, capacity_sdus)
-    }
-
     /// Disable/enable segmented-SDU promotion (§4.4 ablation knob).
     pub fn set_promote_segments(&mut self, on: bool) {
         self.promote_segments = on;
@@ -79,11 +74,6 @@ impl MlfqQueues {
     /// (ablation knob; K=1 queues behave identically either way).
     pub fn set_pushout(&mut self, on: bool) {
         self.pushout = on;
-    }
-
-    /// Number of priority levels.
-    pub fn num_levels(&self) -> usize {
-        self.queues.len()
     }
 
     /// Total queued SDUs (whole + partial).
@@ -556,7 +546,7 @@ mod tests {
 
     #[test]
     fn clamps_priority_to_levels() {
-        let mut q = MlfqQueues::fifo(128);
+        let mut q = MlfqQueues::new(1, 128);
         q.push(sdu(1, 100, 3)).unwrap(); // clamped to level 0
         assert_eq!(q.head_priority(), Some(Priority::TOP));
         let (segs, _) = q.pull(1000, 0);

@@ -34,11 +34,6 @@ impl RlcSdu {
     pub fn remaining(&self) -> u32 {
         self.len - self.offset
     }
-
-    /// Whether some but not all bytes have been emitted.
-    pub fn is_partially_sent(&self) -> bool {
-        self.offset > 0 && self.offset < self.len
-    }
 }
 
 /// A transmitted piece of an SDU (possibly the whole of it).
@@ -105,8 +100,6 @@ mod tests {
     fn remaining_math() {
         assert_eq!(sdu(1500, 0).remaining(), 1500);
         assert_eq!(sdu(1500, 600).remaining(), 900);
-        assert!(sdu(1500, 600).is_partially_sent());
-        assert!(!sdu(1500, 0).is_partially_sent());
     }
 
     #[test]

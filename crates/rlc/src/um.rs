@@ -140,11 +140,6 @@ impl UmTx {
         self.queues.is_empty()
     }
 
-    /// Direct access to the MLFQ (used by the AM wrapper and tests).
-    pub fn queues_mut(&mut self) -> &mut MlfqQueues {
-        &mut self.queues
-    }
-
     /// Current tx-buffer capacity in SDUs.
     pub fn capacity_sdus(&self) -> usize {
         self.queues.capacity()

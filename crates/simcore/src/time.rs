@@ -79,11 +79,6 @@ impl Dur {
     pub const fn mul(self, k: u64) -> Dur {
         Dur(self.0 * k)
     }
-
-    /// Integer division by a factor.
-    pub const fn div(self, k: u64) -> Dur {
-        Dur(self.0 / k)
-    }
 }
 
 impl Add for Dur {

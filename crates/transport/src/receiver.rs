@@ -82,11 +82,6 @@ impl TcpReceiver {
         self.cum >= self.flow_size
     }
 
-    /// Number of buffered out-of-order ranges (diagnostics).
-    pub fn ooo_ranges(&self) -> usize {
-        self.ooo.len()
-    }
-
     /// Expected flow size.
     pub fn flow_size(&self) -> u64 {
         self.flow_size
@@ -114,7 +109,7 @@ mod tests {
         let mut r = TcpReceiver::new(4200);
         assert_eq!(r.on_segment(1400, 1400), 0);
         assert_eq!(r.on_segment(2800, 1400), 0);
-        assert_eq!(r.ooo_ranges(), 1, "adjacent ranges merge");
+        assert_eq!(r.ooo.len(), 1, "adjacent ranges merge");
         assert_eq!(r.on_segment(0, 1400), 4200);
         assert!(r.complete());
     }
@@ -133,7 +128,7 @@ mod tests {
         let mut r = TcpReceiver::new(3000);
         r.on_segment(1000, 500); // [1000,1500)
         r.on_segment(1200, 800); // extends to [1000,2000)
-        assert_eq!(r.ooo_ranges(), 1);
+        assert_eq!(r.ooo.len(), 1);
         assert_eq!(r.on_segment(0, 1000), 2000);
     }
 
@@ -165,6 +160,6 @@ mod tests {
         }
         assert!(r.complete());
         assert_eq!(r.cum(), n * 1000);
-        assert_eq!(r.ooo_ranges(), 0);
+        assert_eq!(r.ooo.len(), 0);
     }
 }

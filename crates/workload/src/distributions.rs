@@ -81,11 +81,6 @@ impl FlowSizeDist {
     pub fn mean_bytes(self) -> f64 {
         self.cdf().mean()
     }
-
-    /// Short-flow boundary used throughout the evaluation (< 10 KB = "S").
-    pub const SHORT_BYTES: u64 = 10_000;
-    /// Medium/long boundary (0.1 MB): (10 KB, 0.1 MB] = "M", above = "L".
-    pub const LONG_BYTES: u64 = 100_000;
 }
 
 #[cfg(test)]
