@@ -21,8 +21,16 @@ use outran_simcore::{Dur, Time};
 const SECS: u64 = 4;
 const SEED: u64 = 0xD1CE;
 
-/// Wire-format pins (see `wire_format_is_pinned`), recorded at commit
-/// 2575d6d — the last one with hand-mirrored snapshot functions.
+/// Wire-format pins (see `wire_format_is_pinned`).
+///
+/// The `_T0` pins hash each cell straight after construction, before
+/// any TTI runs, so they see every field's position but no value a
+/// running TTI produced. Recorded on the code of ab80f83.
+const PIN_UM_OUTRAN_T0: u64 = 0x0840_468e_53af_8fcf;
+const PIN_AM_PF_CHAOS_T0: u64 = 0xe488_6db5_0e3a_0891;
+/// The running pins hash the same cells at `t = 1 s` (the network pin a
+/// 1 s metro checkpoint's `network` section). Recorded at 2575d6d, the
+/// last commit with hand-mirrored snapshot functions.
 const PIN_UM_OUTRAN: u64 = 0x97d6_31b7_dd98_027a;
 const PIN_AM_PF_CHAOS: u64 = 0xa32a_0261_ef0f_b1ff;
 const PIN_NETWORK: u64 = 0x6489_136e_a3df_eade;
@@ -212,16 +220,15 @@ fn checkpointed_run_report_matches_plain_run() {
     }
 }
 
-/// FNV-1a digest of `cell`'s full single-cell checkpoint at `t = 1 s`.
-fn pinned_cell_digest(mut cell: Cell) -> u64 {
-    cell.run_until(Time::from_secs(1));
+/// FNV-1a digest of `cell`'s full single-cell checkpoint as it stands.
+fn cell_digest(cell: &Cell) -> u64 {
     let meta = CheckpointMeta {
         argv: vec!["pin".into()],
         sim_time: cell.now(),
         dense: false,
         n_cells: 1,
     };
-    fnv1a(&snapshot_cells(&meta, &[&cell]).to_bytes())
+    fnv1a(&snapshot_cells(&meta, &[cell]).to_bytes())
 }
 
 /// Wire-format pin: the exact bytes of three small deterministic
@@ -233,14 +240,16 @@ fn wire_format_is_pinned() {
     const HINT: &str = "layout changed: bump `SNAP_VERSION` and re-record";
     assert_eq!(SNAP_VERSION, 1, "{HINT}");
 
-    let um_outran = Experiment::lte_default()
+    let mut um_outran = Experiment::lte_default()
         .scheduler(SchedulerKind::OutRan)
         .users(3)
         .load(0.5)
         .duration_secs(2)
         .seed(0x5EED)
         .build_cell();
-    assert_eq!(pinned_cell_digest(um_outran), PIN_UM_OUTRAN, "{HINT}");
+    assert_eq!(cell_digest(&um_outran), PIN_UM_OUTRAN_T0, "{HINT}");
+    um_outran.run_until(Time::from_secs(1));
+    assert_eq!(cell_digest(&um_outran), PIN_UM_OUTRAN, "{HINT}");
 
     let mut am_pf_chaos = Experiment::lte_default()
         .scheduler(SchedulerKind::Pf)
@@ -255,7 +264,9 @@ fn wire_format_is_pinned() {
         .watchdog(Some(Dur::from_millis(750)))
         .build_cell();
     am_pf_chaos.add_gbr_bearer(GbrBearer::volte(0));
-    assert_eq!(pinned_cell_digest(am_pf_chaos), PIN_AM_PF_CHAOS, "{HINT}");
+    assert_eq!(cell_digest(&am_pf_chaos), PIN_AM_PF_CHAOS_T0, "{HINT}");
+    am_pf_chaos.run_until(Time::from_secs(1));
+    assert_eq!(cell_digest(&am_pf_chaos), PIN_AM_PF_CHAOS, "{HINT}");
 
     let dir = tmp_dir("pin-net");
     let mut net = Network::metro(Scenario::LtePedestrian, SchedulerKind::OutRan, 0.25);
