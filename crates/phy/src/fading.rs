@@ -38,8 +38,12 @@ impl Tap {
     fn advance(&mut self, rho: f64, rng: &mut Rng) {
         let g = outran_simcore::Normal::new(0.0, std::f64::consts::FRAC_1_SQRT_2);
         let w = (1.0 - rho * rho).sqrt();
-        self.re = rho * self.re + w * g.sample(rng);
-        self.im = rho * self.im + w * g.sample(rng);
+        // `fill`, not `sample`: the same kernels `CellChannel` advances
+        // its tap planes with, so the two stay bit-identical.
+        let mut z = [0.0; 2];
+        g.fill(rng, &mut z);
+        self.re = rho * self.re + w * z[0];
+        self.im = rho * self.im + w * z[1];
     }
 
     /// Instantaneous power gain |h|² (mean 1.0).

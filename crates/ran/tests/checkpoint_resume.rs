@@ -28,11 +28,17 @@ const SEED: u64 = 0xD1CE;
 /// running TTI produced. Recorded on the code of ab80f83.
 const PIN_UM_OUTRAN_T0: u64 = 0x0840_468e_53af_8fcf;
 const PIN_AM_PF_CHAOS_T0: u64 = 0xe488_6db5_0e3a_0891;
-/// The running pins hash the same cells at `t = 1 s` (the network pin a
-/// 1 s metro checkpoint's `network` section). Recorded at 2575d6d, the
-/// last commit with hand-mirrored snapshot functions.
-const PIN_UM_OUTRAN: u64 = 0x97d6_31b7_dd98_027a;
-const PIN_AM_PF_CHAOS: u64 = 0xa32a_0261_ef0f_b1ff;
+/// The running pins hash the same cells at `t = 1 s`, so they contain
+/// fading-tap mantissas. First recorded at 2575d6d (the last commit with
+/// hand-mirrored snapshot functions) as `0x97d6_31b7_dd98_027a` and
+/// `0xa32a_0261_ef0f_b1ff`; re-recorded when `advance_fading` moved from
+/// libm to `Normal::fill`, which changes tap values in their last bits
+/// and no byte's position — the `_T0` pins above, untouched by that
+/// commit, are the proof.
+const PIN_UM_OUTRAN: u64 = 0xbf19_d3f4_fe03_f3e4;
+const PIN_AM_PF_CHAOS: u64 = 0x09ab_4643_e8d1_59df;
+/// A 1 s metro checkpoint's `network` section (no taps in it). Recorded
+/// at 2575d6d.
 const PIN_NETWORK: u64 = 0x6489_136e_a3df_eade;
 
 /// A chaos-active experiment, identical every call (one root seed).

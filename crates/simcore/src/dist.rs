@@ -4,13 +4,16 @@
 //!   processes used in §3, §6.1 and §6.2 of the paper.
 //! * [`Poisson`] — counting distribution (used for burst sizing in the
 //!   incast case study).
-//! * [`Normal`] — Box–Muller; log-normal shadowing in the channel model.
+//! * [`Normal`] — Box–Muller; log-normal shadowing in the channel model
+//!   one value at a time, and the per-TTI fading innovations a batch at
+//!   a time ([`Normal::fill`]).
 //! * [`Empirical`] — inverse-CDF sampling of tabulated flow-size
 //!   distributions (the LTE cellular distribution of Huang et al. \[41\],
 //!   MIRAGE mobile-app \[12\], websearch \[13\]) with log-linear interpolation
 //!   between knots, which matches how heavy-tailed size CDFs are usually
 //!   digitised from published figures.
 
+use crate::math::{cos_tau, ln_unit};
 use crate::rng::Rng;
 
 /// Exponential distribution with rate `lambda` (mean `1/lambda`).
@@ -79,8 +82,25 @@ impl Poisson {
     }
 }
 
+/// Values per pass of [`Normal::fill`]: two stack arrays of this many
+/// uniforms. One UE's fading advance (2·(8 + 1) draws at the default
+/// sub-band count) fits in a single pass.
+const FILL_CHUNK: usize = 32;
+
 /// Normal distribution via Box–Muller (one value per draw; the antithetic
 /// twin is discarded to keep the sampler stateless).
+///
+/// Two entry points share one stream contract: every value consumes
+/// exactly two `u64` from the [`Rng`] — `f64_open` for the radius, then
+/// `f64` for the angle — so `n` calls of [`Normal::sample`] and one
+/// [`Normal::fill`] of `n` values leave the generator in the same state.
+/// They differ in who computes `ln` and `cos`: `sample` calls the host's
+/// libm and is the reference; `fill` runs the crate's own kernels
+/// (`math::ln_unit`, `math::cos_tau`) and agrees with it to `1e-15 · sd`
+/// per unit of Box–Muller radius (~1e-15 typically, under 3e-15 in the
+/// tails), not bit for bit. `sample` stays on libm because static
+/// shadowing draws feed comparisons that a 1-ulp change can flip (see
+/// DESIGN.md "Gaussian kernels").
 #[derive(Debug, Clone, Copy)]
 pub struct Normal {
     mean: f64,
@@ -100,6 +120,29 @@ impl Normal {
         let u2 = rng.f64();
         let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
         self.mean + self.sd * z
+    }
+
+    /// Fill `out` with samples, drawing from `rng` in [`Normal::sample`]'s
+    /// order (see the type's stream contract).
+    ///
+    /// Works a chunk at a time: first every uniform of the chunk (the
+    /// generator is one serial dependency chain), then the transform as a
+    /// loop with no call and no branch in it, which is what the batching
+    /// buys — consecutive values overlap in the pipeline.
+    pub fn fill(&self, rng: &mut Rng, out: &mut [f64]) {
+        let mut u1 = [0.0; FILL_CHUNK];
+        let mut u2 = [0.0; FILL_CHUNK];
+        for chunk in out.chunks_mut(FILL_CHUNK) {
+            let n = chunk.len();
+            for (a, b) in u1[..n].iter_mut().zip(&mut u2[..n]) {
+                *a = rng.f64_open();
+                *b = rng.f64();
+            }
+            for ((o, &a), &b) in chunk.iter_mut().zip(&u1[..n]).zip(&u2[..n]) {
+                let z = (-2.0 * ln_unit(a)).sqrt() * cos_tau(b);
+                *o = self.mean + self.sd * z;
+            }
+        }
     }
 }
 
@@ -215,6 +258,7 @@ impl Empirical {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn exponential_mean() {
@@ -263,6 +307,107 @@ mod tests {
         let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
         assert!((mean - 5.0).abs() < 0.02, "mean={mean}");
         assert!((var - 4.0).abs() < 0.1, "var={var}");
+    }
+
+    /// `fill` against `sample` as the reference: same stream position,
+    /// values within `1e-15 · sd` per unit of Box–Muller radius (the
+    /// kernels' `cos` error, ≤ 6.4e-16, is multiplied by the radius).
+    fn assert_fill_matches_sample(d: Normal, seed: u64, len: usize) {
+        let mut batched = Rng::new(seed);
+        let mut reference = batched.clone();
+        let mut got = vec![f64::NAN; len];
+        d.fill(&mut batched, &mut got);
+        for (i, &v) in got.iter().enumerate() {
+            let radius = (-2.0 * reference.clone().f64_open().ln()).sqrt();
+            let want = d.sample(&mut reference);
+            assert!(
+                (v - want).abs() <= 1e-15 * d.sd * radius.max(1.0),
+                "len {len} value {i}: fill={v} sample={want}"
+            );
+        }
+        assert_eq!(batched.state(), reference.state(), "len {len}");
+    }
+
+    #[test]
+    fn fill_matches_sample_across_every_chunk_boundary() {
+        for len in 0..=2 * FILL_CHUNK + 6 {
+            assert_fill_matches_sample(Normal::new(0.0, 1.0), 100 + len as u64, len);
+            assert_fill_matches_sample(Normal::new(0.0, 0.25), 200 + len as u64, len);
+        }
+    }
+
+    #[test]
+    fn fill_with_zero_sd_is_the_mean_and_still_draws() {
+        let mut rng = Rng::new(8);
+        let mut out = [0.0; 5];
+        Normal::new(3.5, 0.0).fill(&mut rng, &mut out);
+        assert_eq!(out, [3.5; 5]);
+        let mut skipped = Rng::new(8);
+        for _ in 0..10 {
+            skipped.next_u64_raw();
+        }
+        assert_eq!(rng.state(), skipped.state());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        /// Filling two adjacent sub-slices is filling the whole slice:
+        /// no value depends on where the chunking put it.
+        #[test]
+        fn fill_on_sub_slices_composes(
+            seed in 0u64..1 << 40,
+            len in 0usize..150,
+            cut in 0usize..150,
+            mean in -10.0f64..10.0,
+            sd in 0.0f64..5.0,
+        ) {
+            let cut = cut.min(len);
+            let d = Normal::new(mean, sd);
+            let mut whole = vec![0.0; len];
+            d.fill(&mut Rng::new(seed), &mut whole);
+            let mut parts = vec![0.0; len];
+            let mut rng = Rng::new(seed);
+            let (a, b) = parts.split_at_mut(cut);
+            d.fill(&mut rng, a);
+            d.fill(&mut rng, b);
+            let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&whole), bits(&parts));
+        }
+    }
+
+    /// Φ(x) by Abramowitz & Stegun 7.1.26 (|error| < 1.5e-7).
+    fn normal_cdf(x: f64) -> f64 {
+        let t = 1.0 / (1.0 + 0.327_591_1 * x.abs() / std::f64::consts::SQRT_2);
+        let poly = t
+            * (0.254_829_592
+                + t * (-0.284_496_736
+                    + t * (1.421_413_741 + t * (-1.453_152_027 + t * 1.061_405_429))));
+        let erf = 1.0 - poly * (-x * x / 2.0).exp();
+        0.5 * (1.0 + erf.copysign(x))
+    }
+
+    #[test]
+    fn fill_is_normally_distributed() {
+        let n = 100_000;
+        let mut xs = vec![0.0; n];
+        Normal::new(5.0, 2.0).fill(&mut Rng::new(5), &mut xs);
+        assert!(xs.iter().all(|x| x.is_finite()));
+        let mean = xs.iter().sum::<f64>() / n as f64;
+        let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
+        assert!((mean - 5.0).abs() < 0.02, "mean={mean}");
+        assert!((var - 4.0).abs() < 0.1, "var={var}");
+        // Kolmogorov–Smirnov distance to N(5, 2²); the 0.1 % critical
+        // value at n = 10⁵ is 1.95 / √n ≈ 0.0062.
+        xs.sort_by(f64::total_cmp);
+        let ks = xs
+            .iter()
+            .enumerate()
+            .map(|(i, &x)| {
+                let f = normal_cdf((x - 5.0) / 2.0);
+                (f - i as f64 / n as f64).max((i + 1) as f64 / n as f64 - f)
+            })
+            .fold(0.0, f64::max);
+        assert!(ks < 0.0062, "ks={ks}");
     }
 
     fn toy_cdf() -> Empirical {
