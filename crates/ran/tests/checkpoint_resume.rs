@@ -15,7 +15,7 @@ use outran_ran::checkpoint::{
     read_checkpoint, restore_cell, snapshot_cell, snapshot_cells, write_checkpoint, CheckpointMeta,
 };
 use outran_ran::{Experiment, Network};
-use outran_simcore::snap::{fnv1a, SNAP_VERSION};
+use outran_simcore::snap::{fnv1a, SnapshotFile, SNAP_VERSION};
 use outran_simcore::{Dur, Time};
 
 const SECS: u64 = 4;
@@ -40,6 +40,17 @@ const PIN_AM_PF_CHAOS: u64 = 0x09ab_4643_e8d1_59df;
 /// A 1 s metro checkpoint's `network` section (no taps in it). Recorded
 /// at 2575d6d.
 const PIN_NETWORK: u64 = 0x6489_136e_a3df_eade;
+/// Whole-file pins (`SnapshotFile::digest`) of metro checkpoints, cell
+/// sections and their fading taps included: the 1 s checkpoint above,
+/// and the CI smoke shape (2 sites × 3 sectors, 8 slots, 12 UEs, 30 m/s
+/// corridors) checkpointed once a handover has landed in a slot that
+/// was empty until then, without and with a chaos plan on every cell.
+/// Recorded at fc7d677, where every slot — occupied or empty — was
+/// stepped on every active TTI: a checkpoint that holds these bytes
+/// wrote its empty slots exactly as stepping them would have left them.
+const PIN_METRO_FILE: u64 = 0xc70f_58d8_d3f2_5609;
+const PIN_METRO_CHURN_FILE: u64 = 0xd525_d368_c93e_ec85;
+const PIN_METRO_CHURN_CHAOS_FILE: u64 = 0x7880_3fdd_6df6_76fe;
 
 /// A chaos-active experiment, identical every call (one root seed).
 fn experiment(dense: bool) -> Experiment {
@@ -293,5 +304,55 @@ fn wire_format_is_pinned() {
         PIN_NETWORK,
         "{HINT}"
     );
+    assert_eq!(file.digest(), PIN_METRO_FILE, "{HINT}");
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The 6 s checkpoint of the CI smoke deployment (its first handovers
+/// execute at the 4 s and 5 s barriers), optionally under a chaos plan
+/// of `chaos` intensity on every cell.
+fn churny_checkpoint(tag: &str, chaos: Option<f64>) -> SnapshotFile {
+    let dir = tmp_dir(tag);
+    let mut net = Network::metro(Scenario::LtePedestrian, SchedulerKind::OutRan, 0.25);
+    net.n_sites = 2;
+    net.isd_m = 350.0;
+    net.slots_per_cell = 8;
+    net.n_ues = 12;
+    net.corridor_frac = 0.5;
+    net.vehicle_speed_mps = 30.0;
+    net.duration = Time::from_secs(5);
+    net.seed = 7;
+    if let Some(x) = chaos {
+        net.faults = FaultPlan::chaos(7, Dur::from_secs(5), 12, x);
+    }
+    net.checkpoint_every = Some(Dur::from_secs(6));
+    net.checkpoint_dir = Some(dir.clone());
+    net.run();
+    let (_meta, file) = read_checkpoint(&dir.join("metro-ckpt-6s.orsn")).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    file
+}
+
+/// `HandoverStats::successes` of a network checkpoint: the stats are the
+/// last field of the `network` section, six `u64`s, successes second.
+fn handover_successes(file: &SnapshotFile) -> u64 {
+    let net = file.section("network").unwrap();
+    let at = net.len() - 5 * 8;
+    u64::from_le_bytes(net[at..at + 8].try_into().unwrap())
+}
+
+/// Metro checkpoints taken under handover churn are pinned byte for
+/// byte. With 12 UEs in 48 slots every handover lands in an empty slot,
+/// so a checkpoint with a success on its books holds a cell whose
+/// channel state was handed to a UE that did not own it from t = 0.
+#[test]
+fn metro_checkpoints_under_churn_are_pinned() {
+    const HINT: &str = "a metro checkpoint's bytes moved";
+    let plain = churny_checkpoint("pin-churn", None);
+    assert!(handover_successes(&plain) > 0, "no handover before 6 s");
+    assert_eq!(plain.digest(), PIN_METRO_CHURN_FILE, "{HINT}");
+
+    let chaos = churny_checkpoint("pin-churn-chaos", Some(0.6));
+    assert!(handover_successes(&chaos) > 0, "no handover before 6 s");
+    assert_eq!(chaos.digest(), PIN_METRO_CHURN_CHAOS_FILE, "{HINT} (chaos)");
 }
