@@ -9,7 +9,9 @@
 //! * `actual_sinr_db(ue, rb)` — ground truth at transmission time, feeding
 //!   the BLER model for link-layer losses;
 //! * `advance_tti()` — evolves fading/mobility/shadowing and refreshes CQI
-//!   reports on their period.
+//!   reports on their period, for every *live* slot; a slot the network
+//!   layer detached (no UE in it) is caught up later, exactly (see "Live
+//!   and lagging slots").
 //!
 //! SINR composition (all in dB):
 //!
@@ -38,6 +40,40 @@
 //! the historical draw order, so results are bit-identical to the
 //! previous per-UE-struct implementation (locked in by the golden-trace
 //! digest tests in `outran-ran`).
+//!
+//! ## Live and lagging slots
+//!
+//! A network cell is provisioned with more UE slots than it has UEs. In
+//! external-geometry mode the network layer tells the channel which
+//! slots are empty ([`CellChannel::detach_slot`] /
+//! [`CellChannel::attach_slot`]); an own-geometry channel keeps every
+//! slot live. A slot is **live** — stepped by every advance — unless it
+//! is detached with both CQI fault flags clear; such a slot **lags**:
+//! advances skip it, and while at least one slot lags each advance call
+//! is appended to a run-length-encoded log (one run per stretch of
+//! consecutive one-TTI advances, a new run only after an idle gap, at
+//! most `LAG_LOG_MAX_RUNS` runs — on overflow every lagging slot is
+//! caught up and the log restarts).
+//!
+//! The contract: a lagging slot's state, once [`CellChannel::sync`] has
+//! run, is bit for bit what stepping it live would have produced — tap
+//! values, both RNG stream positions, reported and pending rows, the
+//! report version, the reporting clocks. It holds because there is **one
+//! step function**: `fade_slot` and `report_slot` are the only code that
+//! moves a slot's state, the live passes call them for every live slot,
+//! and `sync` calls the same pair once per logged call, in log order,
+//! with the logged `(now, k)`. A slot's streams are its own, so stepping
+//! it later draws what stepping it then would have drawn. Two things
+//! keep the replay free of history it cannot see: a slot with a CQI
+//! fault flag set stays live (so the shared fault counters and the
+//! corruption draws never lag, and a replay only ever runs with both
+//! flags clear), and every `&mut self` entry that reads or writes a
+//! slot's state — attach, a flag *change*, a geometry or I+N push,
+//! re-priming, the outcome draws — syncs the slot first (a skipped
+//! measurement must see the geometry of its own TTI). `&self` accessors
+//! cannot sync and see a lagging slot as of its last step. None of this
+//! is serialized: a snapshot writes a lagging slot as if caught up, and a
+//! restored channel starts with every slot at the restored TTI index.
 
 use std::f64::consts::FRAC_1_SQRT_2;
 
@@ -231,7 +267,50 @@ pub struct CellChannel {
     pub cqi_frozen_reports: u64,
     /// Reports replaced by corruption windows (diagnostics).
     pub cqi_corrupted_reports: u64,
+
+    // Empty-slot laziness (module docs, "Live and lagging slots"). All
+    // of it is derived state: none of it is serialized.
+    /// Slots the network layer marked as holding no UE.
+    detached: Vec<bool>,
+    /// Slots [`CellChannel::advance_span`] steps: every slot that is not
+    /// detached, plus detached ones with a CQI fault flag set.
+    live: Vec<bool>,
+    /// For a slot that is not live, the TTI index it is stepped through.
+    slot_tti: Vec<u64>,
+    /// How many slots are not live.
+    n_lagging: usize,
+    /// The advance calls since the oldest lagging slot's `slot_tti`,
+    /// run-length-encoded; empty while every slot is live.
+    lag_log: Vec<LagRun>,
+    /// Work counters (see [`CellChannel::fading_draws`]).
+    fading_draws: u64,
+    live_slot_steps: u64,
+    replayed_slot_steps: u64,
 }
+
+/// `count` consecutive advance calls a lagging slot has not seen yet:
+/// `advance_span(now, k)` starting at TTI index `from`, then `count − 1`
+/// one-TTI advances at `now + i · tti`. An active stretch of any length
+/// is one run; only an idle gap (`k > 1`) starts the next.
+#[derive(Debug, Clone, Copy)]
+struct LagRun {
+    from: u64,
+    now: Time,
+    k: u64,
+    count: u64,
+}
+
+impl LagRun {
+    /// TTI index after the run's last call.
+    fn end(&self) -> u64 {
+        self.from + self.k + self.count - 1
+    }
+}
+
+/// Runs the lag log holds before every lagging slot is caught up and
+/// the log restarts. A run is one active stretch between two idle gaps:
+/// a loaded 21-cell metro run logs 5–42 of them per cell in 14 s.
+const LAG_LOG_MAX_RUNS: usize = 128;
 
 impl CellChannel {
     /// Create a channel with `n_ues` UEs placed per the config.
@@ -282,6 +361,14 @@ impl CellChannel {
             cqi_corrupt: vec![false; n_ues],
             cqi_frozen_reports: 0,
             cqi_corrupted_reports: 0,
+            detached: vec![false; n_ues],
+            live: vec![true; n_ues],
+            slot_tti: vec![0; n_ues],
+            n_lagging: 0,
+            lag_log: Vec::with_capacity(LAG_LOG_MAX_RUNS),
+            fading_draws: 0,
+            live_slot_steps: 0,
+            replayed_slot_steps: 0,
         };
 
         for i in 0..n_ues {
@@ -471,6 +558,7 @@ impl CellChannel {
         min_bits: f64,
         out: &mut [bool],
     ) {
+        self.sync(ue);
         let n_sb = self.n_subbands;
         debug_assert!(bits_per_sb.len() >= n_sb && out.len() >= n_sb);
         let base = ue * n_sb;
@@ -502,6 +590,7 @@ impl CellChannel {
     /// Like [`CellChannel::transmission_succeeds`], with an extra
     /// effective-SINR gain in dB (HARQ chase combining).
     pub fn transmission_succeeds_with_gain(&mut self, ue: usize, sb: usize, gain_db: f64) -> bool {
+        self.sync(ue);
         let cqi = self.reported[ue * self.n_subbands + sb];
         let actual = self.actual_sinr_db_subband(ue, sb) + gain_db;
         let p_err = self.cfg.bler.error_prob(self.cfg.table, cqi, actual);
@@ -546,13 +635,23 @@ impl CellChannel {
     /// unchanged (for the shared general stream: shadowing innovations in
     /// the mobility pass still precede that UE's corruption draws in the
     /// reporting pass).
+    ///
+    /// Only live slots are stepped. While any slot lags, the call is
+    /// logged first, so [`CellChannel::sync`] can put that slot through
+    /// the same [`CellChannel::fade_slot`] / [`CellChannel::report_slot`]
+    /// pair later — per slot, the two orders are the same order.
     fn advance_span(&mut self, now: Time, k: u64) {
+        debug_assert!(k > 0, "advance_span by zero TTIs");
+        if self.n_lagging > 0 {
+            self.log_call(now, k);
+        }
         let from = self.tti_index;
         self.tti_index += k;
         let tti = self.cfg.radio.tti();
         let mobility_every = (self.cfg.mobility_step.as_nanos() / tti.as_nanos()).max(1);
         let crossings = self.tti_index / mobility_every - from / mobility_every;
 
+        self.live_slot_steps += (self.n_ues - self.n_lagging) as u64;
         self.advance_fading(k);
         // In external-geometry mode the network layer owns positions and
         // shadowing (pushed at epoch boundaries); the per-cell walkers
@@ -563,45 +662,50 @@ impl CellChannel {
         self.reporting_pass(now, tti);
     }
 
-    /// Batched AR(1) fading advance: one walk down each UE's fading
+    /// Batched AR(1) fading advance: one walk down each live UE's fading
     /// stream, updating the flat tap planes in place.
     fn advance_fading(&mut self, k: u64) {
-        if k == 0 {
-            return;
+        for ue in 0..self.n_ues {
+            if self.live[ue] {
+                self.fade_slot(ue, k);
+            }
         }
-        let g = Normal::new(0.0, FRAC_1_SQRT_2);
+    }
+
+    /// One slot's `k`-TTI fading step — the only code that moves a tap.
+    #[inline]
+    fn fade_slot(&mut self, ue: usize, k: u64) {
+        let rho = self.fade_rho[ue];
+        if rho >= 1.0 {
+            return; // static channel: no draws
+        }
         let n_sb = self.n_subbands;
         debug_assert_eq!(self.fade_z.len(), 2 * (n_sb + 1));
-        for ue in 0..self.n_ues {
-            let rho = self.fade_rho[ue];
-            if rho >= 1.0 {
-                continue; // static channel: no draws
-            }
-            // k-step AR(1) composition: coefficient ρᵏ, one draw pair per
-            // tap (k == 1 keeps ρ itself, matching the historical
-            // single-step path bit for bit).
-            let rho_k = if k == 1 {
-                rho
-            } else {
-                rho.powi(k.min(i32::MAX as u64) as i32)
-            };
-            let w = (1.0 - rho_k * rho_k).sqrt();
-            // All of this UE's innovations in one batch, in stream order:
-            // sub-band j's re is z[2j] and its im z[2j + 1], for j
-            // ascending; the wideband pair sits last, at z[2·n_sb].
-            g.fill(&mut self.fade_rng[ue], &mut self.fade_z);
-            let (sb_z, wb_z) = self.fade_z.split_at(2 * n_sb);
-            let sb = ue * n_sb..(ue + 1) * n_sb;
-            let taps = self.fade_sb_re[sb.clone()]
-                .iter_mut()
-                .zip(&mut self.fade_sb_im[sb]);
-            for ((re, im), z) in taps.zip(sb_z.chunks_exact(2)) {
-                *re = rho_k * *re + w * z[0];
-                *im = rho_k * *im + w * z[1];
-            }
-            self.fade_wb_re[ue] = rho_k * self.fade_wb_re[ue] + w * wb_z[0];
-            self.fade_wb_im[ue] = rho_k * self.fade_wb_im[ue] + w * wb_z[1];
+        // k-step AR(1) composition: coefficient ρᵏ, one draw pair per
+        // tap (k == 1 keeps ρ itself, matching the historical
+        // single-step path bit for bit).
+        let rho_k = if k == 1 {
+            rho
+        } else {
+            rho.powi(k.min(i32::MAX as u64) as i32)
+        };
+        let w = (1.0 - rho_k * rho_k).sqrt();
+        // All of this UE's innovations in one batch, in stream order:
+        // sub-band j's re is z[2j] and its im z[2j + 1], for j
+        // ascending; the wideband pair sits last, at z[2·n_sb].
+        Normal::new(0.0, FRAC_1_SQRT_2).fill(&mut self.fade_rng[ue], &mut self.fade_z);
+        self.fading_draws += self.fade_z.len() as u64;
+        let (sb_z, wb_z) = self.fade_z.split_at(2 * n_sb);
+        let sb = ue * n_sb..(ue + 1) * n_sb;
+        let taps = self.fade_sb_re[sb.clone()]
+            .iter_mut()
+            .zip(&mut self.fade_sb_im[sb]);
+        for ((re, im), z) in taps.zip(sb_z.chunks_exact(2)) {
+            *re = rho_k * *re + w * z[0];
+            *im = rho_k * *im + w * z[1];
         }
+        self.fade_wb_re[ue] = rho_k * self.fade_wb_re[ue] + w * wb_z[0];
+        self.fade_wb_im[ue] = rho_k * self.fade_wb_im[ue] + w * wb_z[1];
     }
 
     /// Composed mobility + shadowing pass over all UEs, refreshing the
@@ -630,49 +734,212 @@ impl CellChannel {
         }
     }
 
-    /// CQI reporting pass: deliver aged pending reports, take new
-    /// measurements on the reporting period, honour fault windows.
+    /// CQI reporting pass over the live slots: deliver aged pending
+    /// reports, take new measurements on the reporting period, honour
+    /// fault windows.
     fn reporting_pass(&mut self, now: Time, tti: Dur) {
         for ue in 0..self.n_ues {
-            // Freeze fault: the reporting loop stalls — no pending
-            // delivery, no new measurement. The scheduler keeps acting on
-            // the last delivered report while the channel drifts.
-            if self.cqi_frozen[ue] {
-                if self.next_report_at[ue] <= now {
-                    self.cqi_frozen_reports += 1;
-                    self.next_report_at[ue] = now + tti.mul(self.cfg.cqi_period_ttis as u64);
-                }
-                continue;
-            }
-            // Deliver a pending report that has aged past the delay —
-            // once per measurement (the fresh flag stops the old
-            // per-TTI re-clone of an already-delivered report).
-            if self.pending_fresh[ue] && self.pending_due[ue] <= now {
-                let base = ue * self.n_subbands;
-                for i in base..base + self.n_subbands {
-                    std::mem::swap(&mut self.reported[i], &mut self.pending[i]);
-                }
-                self.pending_fresh[ue] = false;
-                self.reported_rev[ue] += 1;
-            }
-            // Take a new measurement on the reporting period.
-            if self.next_report_at[ue] <= now {
-                if self.cqi_corrupt[ue] {
-                    // Corruption fault: the report is garbage, drawn from
-                    // the UE's own stream so runs stay deterministic.
-                    self.cqi_corrupted_reports += 1;
-                    let base = ue * self.n_subbands;
-                    for sb in 0..self.n_subbands {
-                        self.pending[base + sb] = Cqi(self.ue_rng[ue].index(16) as u8);
-                    }
-                } else {
-                    self.measure_into_pending(ue);
-                }
-                self.pending_fresh[ue] = true;
-                self.pending_due[ue] = now + tti.mul(self.cfg.cqi_delay_ttis as u64);
-                self.next_report_at[ue] = now + tti.mul(self.cfg.cqi_period_ttis as u64);
+            if self.live[ue] {
+                self.report_slot(ue, now, tti);
             }
         }
+    }
+
+    /// One slot's turn of the CQI reporting loop at `now` — the only
+    /// code that moves a report, a reporting clock or a fault counter.
+    #[inline]
+    fn report_slot(&mut self, ue: usize, now: Time, tti: Dur) {
+        // Freeze fault: the reporting loop stalls — no pending
+        // delivery, no new measurement. The scheduler keeps acting on
+        // the last delivered report while the channel drifts.
+        if self.cqi_frozen[ue] {
+            if self.next_report_at[ue] <= now {
+                self.cqi_frozen_reports += 1;
+                self.next_report_at[ue] = now + tti.mul(self.cfg.cqi_period_ttis as u64);
+            }
+            return;
+        }
+        // Deliver a pending report that has aged past the delay —
+        // once per measurement (the fresh flag stops the old
+        // per-TTI re-clone of an already-delivered report).
+        if self.pending_fresh[ue] && self.pending_due[ue] <= now {
+            let base = ue * self.n_subbands;
+            for i in base..base + self.n_subbands {
+                std::mem::swap(&mut self.reported[i], &mut self.pending[i]);
+            }
+            self.pending_fresh[ue] = false;
+            self.reported_rev[ue] += 1;
+        }
+        // Take a new measurement on the reporting period.
+        if self.next_report_at[ue] <= now {
+            if self.cqi_corrupt[ue] {
+                // Corruption fault: the report is garbage, drawn from
+                // the UE's own stream so runs stay deterministic.
+                self.cqi_corrupted_reports += 1;
+                let base = ue * self.n_subbands;
+                for sb in 0..self.n_subbands {
+                    self.pending[base + sb] = Cqi(self.ue_rng[ue].index(16) as u8);
+                }
+            } else {
+                self.measure_into_pending(ue);
+            }
+            self.pending_fresh[ue] = true;
+            self.pending_due[ue] = now + tti.mul(self.cfg.cqi_delay_ttis as u64);
+            self.next_report_at[ue] = now + tti.mul(self.cfg.cqi_period_ttis as u64);
+        }
+    }
+
+    /// Mark slot `ue` as holding no UE (the network layer calls this when
+    /// a UE hands over out of the slot and for every slot the initial
+    /// attach leaves empty). In external-geometry mode, unless a CQI fault
+    /// flag is set on it, the slot stops being stepped and lags until
+    /// something needs it; a channel that owns its geometry keeps every
+    /// slot live (its mobility pass shares the slot's general stream).
+    pub fn detach_slot(&mut self, ue: usize) {
+        self.detached[ue] = true;
+        self.refresh_live(ue);
+    }
+
+    /// Mark slot `ue` as occupied again: replay the advances it missed
+    /// ([`CellChannel::sync`]) and step it with the others from now on.
+    pub fn attach_slot(&mut self, ue: usize) {
+        self.detached[ue] = false;
+        self.refresh_live(ue);
+    }
+
+    /// Whether slot `ue` is marked as holding no UE.
+    pub fn slot_detached(&self, ue: usize) -> bool {
+        self.detached[ue]
+    }
+
+    /// Bring slot `ue` to the channel's TTI index by replaying, in order,
+    /// every advance call it was not stepped in — through the same
+    /// `fade_slot` / `report_slot` pair the live passes call, so its
+    /// taps, streams, reports and clocks end up bit for bit where
+    /// stepping it live would have left them. A no-op on a live slot.
+    ///
+    /// Every `&mut self` entry point that reads or writes a slot's state
+    /// calls this first; the `&self` accessors cannot, and see a lagging
+    /// slot as of its last step.
+    #[inline]
+    pub fn sync(&mut self, ue: usize) {
+        if self.is_behind(ue) {
+            self.replay(ue);
+        }
+    }
+
+    /// [`CellChannel::sync`] for every slot. Checkpoint writers call it
+    /// so the lag log restarts there and no checkpoint replays a span an
+    /// earlier one already did.
+    pub fn sync_all(&mut self) {
+        for ue in 0..self.n_ues {
+            self.sync(ue);
+        }
+    }
+
+    fn is_behind(&self, ue: usize) -> bool {
+        !self.live[ue] && self.slot_tti[ue] < self.tti_index
+    }
+
+    fn replay(&mut self, ue: usize) {
+        let tti = self.cfg.radio.tti();
+        let mut at = self.slot_tti[ue];
+        for i in 0..self.lag_log.len() {
+            let run = self.lag_log[i];
+            if at >= run.end() {
+                continue;
+            }
+            // Calls of this run the slot has been through already.
+            let done = if at == run.from {
+                0
+            } else {
+                debug_assert!(at >= run.from + run.k, "slot stopped inside a call");
+                at - (run.from + run.k) + 1
+            };
+            for j in done..run.count {
+                self.fade_slot(ue, if j == 0 { run.k } else { 1 });
+                self.report_slot(ue, run.now + tti.mul(j), tti);
+            }
+            self.replayed_slot_steps += run.count - done;
+            at = run.end();
+        }
+        debug_assert_eq!(at, self.tti_index, "lag log does not reach the present");
+        self.slot_tti[ue] = self.tti_index;
+        self.trim_log();
+    }
+
+    /// Append `advance_span(now, k)` — about to run — to the lag log.
+    fn log_call(&mut self, now: Time, k: u64) {
+        let tti = self.cfg.radio.tti();
+        if let Some(last) = self.lag_log.last_mut() {
+            debug_assert_eq!(last.end(), self.tti_index, "lag log has a hole");
+            if k == 1 && now == last.now + tti.mul(last.count) {
+                last.count += 1;
+                return;
+            }
+        }
+        if self.lag_log.len() == LAG_LOG_MAX_RUNS {
+            self.sync_all();
+            debug_assert!(self.lag_log.is_empty(), "a full log nobody is behind");
+        }
+        self.lag_log.push(LagRun {
+            from: self.tti_index,
+            now,
+            k,
+            count: 1,
+        });
+    }
+
+    /// Drop the runs every lagging slot is already past.
+    fn trim_log(&mut self) {
+        let oldest = (0..self.n_ues)
+            .filter(|&ue| !self.live[ue])
+            .map(|ue| self.slot_tti[ue])
+            .min()
+            .unwrap_or(self.tti_index);
+        let past = self
+            .lag_log
+            .iter()
+            .take_while(|run| run.end() <= oldest)
+            .count();
+        self.lag_log.drain(..past);
+    }
+
+    /// Re-derive whether slot `ue` is stepped live, after its detached
+    /// mark or one of its CQI fault flags changed. A flagged slot stays
+    /// live so the fault counters and the corruption draws never lag.
+    fn refresh_live(&mut self, ue: usize) {
+        let live =
+            !self.ext_geometry || !self.detached[ue] || self.cqi_frozen[ue] || self.cqi_corrupt[ue];
+        if live == self.live[ue] {
+            return;
+        }
+        if live {
+            self.sync(ue);
+            self.live[ue] = true;
+            self.n_lagging -= 1;
+            self.trim_log();
+        } else {
+            self.live[ue] = false;
+            self.slot_tti[ue] = self.tti_index;
+            self.n_lagging += 1;
+        }
+    }
+
+    /// Gaussians drawn by the fading step so far, live and replayed — a
+    /// deterministic work counter (not serialized, so it counts from the
+    /// restore in a resumed channel).
+    #[doc(hidden)]
+    pub fn fading_draws(&self) -> u64 {
+        self.fading_draws
+    }
+
+    /// Slot steps so far, as the bookkeeping counts them: live slots per
+    /// advance call, summed, and calls replayed by [`CellChannel::sync`].
+    /// Each step draws `2 · (n_subbands + 1)` Gaussians.
+    #[doc(hidden)]
+    pub fn slot_steps(&self) -> (u64, u64) {
+        (self.live_slot_steps, self.replayed_slot_steps)
     }
 
     /// Distance of `ue` from the base station (m).
@@ -698,6 +965,8 @@ impl CellChannel {
             self.ext_geometry,
             "set_ue_geometry on a channel that owns its own geometry"
         );
+        // The measurements a lagging slot skipped saw the old geometry.
+        self.sync(ue);
         self.ext_dist_m[ue] = dist_m;
         self.shadow_db[ue] = shadow_db;
         self.iplusn_dbm[ue] = iplusn_dbm;
@@ -707,6 +976,7 @@ impl CellChannel {
     /// Update only `ue`'s interference-plus-noise term (the epoch-boundary
     /// load-coupling path; position and shadowing are unchanged).
     pub fn set_ue_iplusn(&mut self, ue: usize, iplusn_dbm: f64) {
+        self.sync(ue);
         self.iplusn_dbm[ue] = iplusn_dbm;
         self.refresh_large_scale(ue);
     }
@@ -717,6 +987,7 @@ impl CellChannel {
     /// reports. Draws no randomness; bumps each report version.
     pub fn reprime_reports(&mut self) {
         for u in 0..self.n_ues {
+            self.sync(u);
             self.measure_into_pending(u);
             let base = u * self.n_subbands;
             self.reported[base..base + self.n_subbands]
@@ -728,13 +999,21 @@ impl CellChannel {
 
     /// Fault injection: freeze or unfreeze `ue`'s CQI reporting loop.
     pub fn set_cqi_frozen(&mut self, ue: usize, frozen: bool) {
-        self.cqi_frozen[ue] = frozen;
+        if self.cqi_frozen[ue] != frozen {
+            self.sync(ue);
+            self.cqi_frozen[ue] = frozen;
+            self.refresh_live(ue);
+        }
     }
 
     /// Fault injection: corrupt (or stop corrupting) `ue`'s new CQI
     /// measurements.
     pub fn set_cqi_corrupt(&mut self, ue: usize, corrupt: bool) {
-        self.cqi_corrupt[ue] = corrupt;
+        if self.cqi_corrupt[ue] != corrupt {
+            self.sync(ue);
+            self.cqi_corrupt[ue] = corrupt;
+            self.refresh_live(ue);
+        }
     }
 }
 
@@ -837,9 +1116,17 @@ impl CellChannel {
 /// layout (`n_subbands`, `rbs_per_subband`, the rate table) and the
 /// cached large-scale terms never travel: the channel is constructed
 /// from the run configuration first, and the caches are rebuilt from
-/// the restored state.
+/// the restored state. Neither does the lag state: a lagging slot's
+/// record is written as if caught up (a copy of the channel is synced
+/// when the caller did not sync the original), and a restored channel
+/// starts with every slot at the restored TTI index.
 impl Snap for CellChannel {
     fn snap(&self, w: &mut SnapWriter) {
+        if (0..self.n_ues).any(|ue| self.is_behind(ue)) {
+            let mut caught_up = self.clone();
+            caught_up.sync_all();
+            return caught_up.snap(w);
+        }
         w.seq(0..self.n_ues, |w, ue| self.ue_record(ue).snap(w));
         self.tti_index.snap(w);
         self.dist_since_shadow.snap(w);
@@ -872,8 +1159,12 @@ impl LoadSnap for CellChannel {
         self.cqi_corrupted_reports = r.get()?;
         r.fixed(&mut self.iplusn_dbm)?;
         r.fixed(&mut self.ext_dist_m)?;
+        self.lag_log.clear();
+        self.n_lagging = 0;
+        self.live.fill(true);
         for ue in 0..self.n_ues {
             self.refresh_large_scale(ue);
+            self.refresh_live(ue);
         }
         Ok(())
     }
@@ -883,6 +1174,7 @@ impl LoadSnap for CellChannel {
 mod tests {
     use super::*;
     use crate::fading::FadingProcess;
+    use proptest::prelude::*;
 
     fn small_channel() -> CellChannel {
         let mut cfg = ChannelConfig::lte_default();
@@ -1287,6 +1579,173 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Everything slot `ue` owns, as bits: taps, both stream positions,
+    /// the report rows and their version, the reporting clocks.
+    fn slot_bits(ch: &CellChannel, ue: usize) -> Vec<u64> {
+        let sb = ue * ch.n_subbands..(ue + 1) * ch.n_subbands;
+        let mut bits = vec![
+            ch.fade_wb_re[ue].to_bits(),
+            ch.fade_wb_im[ue].to_bits(),
+            ch.reported_rev[ue],
+            ch.pending_fresh[ue] as u64,
+            ch.pending_due[ue].as_nanos(),
+            ch.next_report_at[ue].as_nanos(),
+        ];
+        bits.extend(ch.fade_sb_re[sb.clone()].iter().map(|x| x.to_bits()));
+        bits.extend(ch.fade_sb_im[sb.clone()].iter().map(|x| x.to_bits()));
+        bits.extend(ch.fade_rng[ue].state());
+        bits.extend(ch.ue_rng[ue].state());
+        bits.extend(ch.reported[sb.clone()].iter().map(|c| c.0 as u64));
+        bits.extend(ch.pending[sb].iter().map(|c| c.0 as u64));
+        bits
+    }
+
+    fn snap_bytes(ch: &CellChannel) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        ch.snap(&mut w);
+        w.into_bytes()
+    }
+
+    /// `lazy`, lagging slots and all, is where the never-detaching
+    /// `eager` is: equal snapshot bytes as it stands, equal fault
+    /// counters, and every slot's state equal once caught up.
+    fn assert_lazy_is_eager(eager: &CellChannel, lazy: &CellChannel) {
+        assert_eq!(snap_bytes(eager), snap_bytes(lazy), "snapshot bytes");
+        assert_eq!(eager.cqi_frozen_reports, lazy.cqi_frozen_reports);
+        assert_eq!(eager.cqi_corrupted_reports, lazy.cqi_corrupted_reports);
+        let mut caught_up = lazy.clone();
+        caught_up.sync_all();
+        assert!(caught_up.lag_log.is_empty());
+        for ue in 0..eager.n_ues {
+            assert_eq!(slot_bits(eager, ue), slot_bits(&caught_up, ue), "slot {ue}");
+        }
+    }
+
+    fn external_pair(seed: u64, n_ues: usize) -> (CellChannel, CellChannel) {
+        let mut cfg = ChannelConfig::lte_default();
+        cfg.n_subbands = 4;
+        cfg.external_geometry = true;
+        let mk = || CellChannel::new(cfg, n_ues, &Rng::new(seed));
+        (mk(), mk())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// Two external-geometry channels from one seed take the same
+        /// advances, fault flags, geometry pushes and outcome draws; one
+        /// of them also detaches and attaches slots at random. They never
+        /// differ in a bit.
+        #[test]
+        fn lazy_slots_match_eager_reference(seed in 0u64..u64::MAX) {
+            const N: usize = 6;
+            let (mut eager, mut lazy) = external_pair(seed, N);
+            let tti = eager.config().radio.tti();
+            let mut ops = Rng::new(seed ^ 0x1A2);
+            let mut idx = 0u64;
+            let bits = [0.0, 120.0, 7.9, 9000.0];
+            let (mut out_e, mut out_l) = ([false; 4], [false; 4]);
+            for _ in 0..600 {
+                let ue = ops.index(N);
+                match ops.below(20) {
+                    0..=9 => {
+                        idx += [1, 1, 1, 1, 1, 3, 7, 250][ops.index(8)];
+                        let now = Time::ZERO + tti.mul(idx);
+                        eager.advance_to(now);
+                        lazy.advance_to(now);
+                    }
+                    10 | 11 => lazy.detach_slot(ue),
+                    12 => {
+                        lazy.attach_slot(ue);
+                        prop_assert!(lazy.live[ue]);
+                        prop_assert_eq!(slot_bits(&eager, ue), slot_bits(&lazy, ue));
+                    }
+                    13 => {
+                        let on = ops.chance(0.4);
+                        eager.set_cqi_frozen(ue, on);
+                        lazy.set_cqi_frozen(ue, on);
+                    }
+                    14 => {
+                        let on = ops.chance(0.4);
+                        eager.set_cqi_corrupt(ue, on);
+                        lazy.set_cqi_corrupt(ue, on);
+                    }
+                    15 => {
+                        let (d, sh, ipn) = (
+                            ops.range_f64(20.0, 400.0),
+                            ops.range_f64(-8.0, 8.0),
+                            ops.range_f64(-120.0, -90.0),
+                        );
+                        eager.set_ue_geometry(ue, d, sh, ipn);
+                        lazy.set_ue_geometry(ue, d, sh, ipn);
+                    }
+                    16 => {
+                        let ipn = ops.range_f64(-120.0, -90.0);
+                        eager.set_ue_iplusn(ue, ipn);
+                        lazy.set_ue_iplusn(ue, ipn);
+                    }
+                    17 => {
+                        eager.fresh_outcomes(ue, &bits, 8.0, &mut out_e);
+                        lazy.fresh_outcomes(ue, &bits, 8.0, &mut out_l);
+                        prop_assert_eq!(out_e, out_l);
+                        prop_assert_eq!(
+                            eager.transmission_succeeds_with_gain(ue, 1, 3.0),
+                            lazy.transmission_succeeds_with_gain(ue, 1, 3.0)
+                        );
+                    }
+                    18 if ops.chance(0.1) => {
+                        eager.reprime_reports();
+                        lazy.reprime_reports();
+                    }
+                    _ => assert_lazy_is_eager(&eager, &lazy),
+                }
+                prop_assert!(lazy.lag_log.len() <= LAG_LOG_MAX_RUNS);
+                prop_assert_eq!(lazy.n_lagging, lazy.live.iter().filter(|&&l| !l).count());
+            }
+            assert_lazy_is_eager(&eager, &lazy);
+            // The walk did lag and replay, and never stepped a slot twice.
+            let (live, replayed) = lazy.slot_steps();
+            prop_assert!(replayed > 0 && live + replayed <= eager.slot_steps().0);
+            prop_assert_eq!(lazy.fading_draws(), 10 * (live + replayed));
+        }
+    }
+
+    #[test]
+    fn lag_log_is_bounded_and_overflow_sync_is_exact() {
+        // Every call an idle gap: each one is a run of its own, the worst
+        // case for the log.
+        let (mut eager, mut lazy) = external_pair(11, 3);
+        lazy.detach_slot(1);
+        let tti = eager.config().radio.tti();
+        for call in 1..=3 * LAG_LOG_MAX_RUNS as u64 + 5 {
+            let now = Time::ZERO + tti.mul(2 * call);
+            eager.advance_to(now);
+            lazy.advance_to(now);
+            assert!(lazy.lag_log.len() <= LAG_LOG_MAX_RUNS);
+            assert!(
+                lazy.lag_log.capacity() == LAG_LOG_MAX_RUNS,
+                "log reallocated"
+            );
+        }
+        // Nothing attached or read slot 1: only the overflow syncs
+        // stepped it, three logs' worth so far.
+        assert_eq!(lazy.slot_steps().1, 3 * LAG_LOG_MAX_RUNS as u64);
+        assert!(!lazy.live[1]);
+        assert_lazy_is_eager(&eager, &lazy);
+        // A dense stretch of any length is one run.
+        let mut now = Time::ZERO + tti.mul(10_000);
+        lazy.advance_to(now);
+        eager.advance_to(now);
+        lazy.sync_all();
+        for _ in 0..5_000 {
+            now += tti;
+            eager.advance_tti(now);
+            lazy.advance_tti(now);
+        }
+        assert_eq!(lazy.lag_log.len(), 1);
+        assert_lazy_is_eager(&eager, &lazy);
     }
 
     #[test]

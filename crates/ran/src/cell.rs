@@ -225,6 +225,10 @@ impl Cell {
     pub fn schedule_flow(&mut self, at: Time, ue: usize, bytes: u64, conn: Option<u64>) -> usize {
         assert!(ue < self.cfg.n_ues);
         assert!(bytes > 0);
+        debug_assert!(
+            !self.phy.channel().slot_detached(ue),
+            "flow toward a slot with no UE"
+        );
         self.ingress
             .schedule_flow(self.now, self.tti, &self.cfg, at, ue, bytes, conn)
     }
@@ -614,13 +618,34 @@ impl Cell {
     /// Network-layer geometry push for one UE slot (external-geometry
     /// mode only): serving-site distance, shadowing and I+N.
     pub fn set_ue_geometry(&mut self, ue: usize, dist_m: f64, shadow_db: f64, iplusn_dbm: f64) {
-        self.phy.set_ue_geometry(ue, dist_m, shadow_db, iplusn_dbm);
+        self.phy
+            .channel_mut()
+            .set_ue_geometry(ue, dist_m, shadow_db, iplusn_dbm);
     }
 
     /// Re-prime CQI reports after the initial geometry push (see
     /// [`outran_phy::channel::CellChannel::reprime_reports`]).
     pub fn reprime_reports(&mut self) {
-        self.phy.reprime_reports();
+        self.phy.channel_mut().reprime_reports();
+    }
+
+    /// Tell the channel whether slot `ue` holds a UE. An empty slot's
+    /// fading and CQI loop are not stepped; the TTIs it skips are
+    /// replayed, exactly, when it is occupied again (see
+    /// [`outran_phy::channel::CellChannel::detach_slot`]).
+    pub(crate) fn set_slot_occupied(&mut self, ue: usize, occupied: bool) {
+        let channel = self.phy.channel_mut();
+        if occupied {
+            channel.attach_slot(ue);
+        } else {
+            channel.detach_slot(ue);
+        }
+    }
+
+    /// Catch every lagging channel slot up (checkpoint writers call this
+    /// first, so no checkpoint replays what an earlier one already did).
+    pub(crate) fn sync_channel(&mut self) {
+        self.phy.channel_mut().sync_all();
     }
 
     /// Detach `ue` from this cell at the epoch barrier (handover source
@@ -628,7 +653,10 @@ impl Cell {
     /// (the undelivered tail becomes a continuation flow at the target),
     /// the PDCP flow state is exported, and the RLC entities + HARQ are
     /// flushed through the same re-establishment the RLF machinery uses.
-    /// The slot is left clean for a future occupant.
+    /// The slot is left clean for a future occupant, and its channel is
+    /// detached: fading and the CQI loop are not stepped while it is
+    /// empty, and on the next attach its channel state is bit for bit
+    /// what stepping it all along would have produced.
     pub fn handover_detach(&mut self, ue: usize) -> HandoverExport {
         assert!(ue < self.cfg.n_ues);
         let mut flows = Vec::new();
@@ -653,6 +681,7 @@ impl Cell {
         self.ues[ue].flows.clear();
         self.hk
             .handover_reestablish(ue, &mut self.ues[ue], &mut self.phy);
+        self.set_slot_occupied(ue, false);
         HandoverExport { pdcp, flows }
     }
 
@@ -664,6 +693,7 @@ impl Cell {
     /// so the caller can map completions back to flow origins.
     pub fn handover_attach(&mut self, ue: usize, export: &HandoverExport) -> Vec<usize> {
         assert!(ue < self.cfg.n_ues);
+        self.set_slot_occupied(ue, true);
         self.ues[ue].flow_table.import(&export.pdcp, self.now);
         let now = self.now;
         export
@@ -699,6 +729,20 @@ impl Cell {
     #[doc(hidden)]
     pub fn ingress_scan_visits(&self) -> u64 {
         self.ingress.scan_visits()
+    }
+
+    /// Gaussians the channel's fading step has drawn so far — a
+    /// deterministic work counter (not serialized).
+    #[doc(hidden)]
+    pub fn fading_draws(&self) -> u64 {
+        self.phy.channel().fading_draws()
+    }
+
+    /// Channel slot steps so far, `(live, replayed)`; each one accounts
+    /// for `2 · (subbands + 1)` of [`Cell::fading_draws`].
+    #[doc(hidden)]
+    pub fn channel_slot_steps(&self) -> (u64, u64) {
+        self.phy.channel().slot_steps()
     }
 
     /// Started-but-incomplete flows right now.

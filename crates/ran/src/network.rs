@@ -75,6 +75,9 @@ pub struct Network {
     pub isd_m: f64,
     /// UE slots provisioned per cell — the attach capacity. Handovers
     /// into a full cell are blocked (counted, not silently dropped).
+    /// Headroom is cheap: an empty slot's fading and CQI loop are not
+    /// stepped, and its channel state on the next attach is bit for bit
+    /// what stepping it would have produced.
     pub slots_per_cell: usize,
     /// Network UEs (must fit in `n_sites · sectors_per_site ·
     /// slots_per_cell` slots, with headroom for handover churn).
@@ -342,6 +345,7 @@ impl Network {
         for cell in &mut st.cells {
             cell.reprime_reports();
         }
+        st.mark_slot_occupancy();
         st
     }
 
@@ -502,7 +506,10 @@ impl Network {
 
     /// Write a full network checkpoint (`meta` + `cell.<i>` sections +
     /// the `network` section) atomically.
-    fn write_checkpoint(&self, st: &NetState, t: Time, path: &Path) -> Result<(), SnapError> {
+    fn write_checkpoint(&self, st: &mut NetState, t: Time, path: &Path) -> Result<(), SnapError> {
+        for cell in &mut st.cells {
+            cell.sync_channel();
+        }
         let meta = CheckpointMeta {
             argv: self.argv.clone(),
             sim_time: t,
@@ -562,7 +569,7 @@ impl Network {
                 if let Some(dir) = &self.checkpoint_dir {
                     let secs = t.as_nanos() / 1_000_000_000;
                     let path = dir.join(format!("metro-abort-{secs}s.orsn"));
-                    match self.write_checkpoint(&st, t, &path) {
+                    match self.write_checkpoint(&mut st, t, &path) {
                         Ok(()) => checkpoint = Some(path),
                         Err(e) => {
                             eprintln!("warning: abort checkpoint {} failed: {e}", path.display())
@@ -575,7 +582,7 @@ impl Network {
                 if st.epoch.is_multiple_of(every) && t < end {
                     let secs = t.as_nanos() / 1_000_000_000;
                     let path = dir.join(format!("metro-ckpt-{secs}s.orsn"));
-                    if let Err(e) = self.write_checkpoint(&st, t, &path) {
+                    if let Err(e) = self.write_checkpoint(&mut st, t, &path) {
                         eprintln!("warning: checkpoint {} failed: {e}", path.display());
                     }
                 }
@@ -585,10 +592,17 @@ impl Network {
         let per_cell_completed = st.cells.iter().map(|c| c.n_completed()).collect();
         let mut fault_stats = FaultStats::default();
         let mut total_violations = 0;
+        let mut channel_work = ChannelWork::default();
         for cell in &mut st.cells {
             cell.audit_now();
             total_violations += cell.total_violations();
             fault_stats.merge(&cell.fault_stats());
+            let (live, replayed) = cell.channel_slot_steps();
+            channel_work.fading_draws += cell.fading_draws();
+            channel_work.live_slot_steps += live;
+            channel_work.replayed_slot_steps += replayed;
+            channel_work.active_cell_ttis +=
+                cell.now().as_nanos() / cell.tti().as_nanos() - cell.idle_ttis;
         }
         NetworkRun {
             report: NetworkReport {
@@ -603,6 +617,7 @@ impl Network {
             },
             aborted_at,
             checkpoint,
+            channel_work,
         }
     }
 }
@@ -782,7 +797,18 @@ impl NetState {
             }
             self.slot_owner[ue.serving][ue.slot] = Some(i);
         }
+        self.mark_slot_occupancy();
         Ok(())
+    }
+
+    /// Tell every cell's channel which of its slots `slot_owner` leaves
+    /// empty (derived state, like the table itself).
+    fn mark_slot_occupancy(&mut self) {
+        for (cell, slots) in self.cells.iter_mut().zip(&self.slot_owner) {
+            for (slot, owner) in slots.iter().enumerate() {
+                cell.set_slot_occupied(slot, owner.is_some());
+            }
+        }
     }
 }
 
@@ -834,6 +860,25 @@ pub struct NetworkRun {
     pub aborted_at: Option<Time>,
     /// Path of the final checkpoint written on abort, when requested.
     pub checkpoint: Option<PathBuf>,
+    /// Channel work done, summed over cells.
+    #[doc(hidden)]
+    pub channel_work: ChannelWork,
+}
+
+/// Deterministic channel work counters of one network run, summed over
+/// its cells. They are not serialized (a resumed run counts from the
+/// restore) and not part of the report, so no digest sees them.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ChannelWork {
+    /// Gaussians drawn by the fading step ([`Cell::fading_draws`]).
+    pub fading_draws: u64,
+    /// Slots stepped by a channel advance as it ran.
+    pub live_slot_steps: u64,
+    /// Slot steps replayed later, for a slot that was empty at the time.
+    pub replayed_slot_steps: u64,
+    /// Active cell-TTIs: each is one channel advance of one cell.
+    pub active_cell_ttis: u64,
 }
 
 #[cfg(test)]

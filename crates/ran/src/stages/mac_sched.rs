@@ -96,6 +96,9 @@ impl MacSchedStage {
     /// row is rewritten only when its content version moved: a new CQI
     /// report was delivered, or the link went down/up (down rows are
     /// zeros, tagged with an odd version so they never alias live ones).
+    /// The row of a slot with no UE is left alone — nothing reads it (no
+    /// RLC data, so the slot's input is [`UeTti::idle`]), and its version
+    /// mismatch is still there to rewrite it once a UE attaches.
     pub fn refresh_rates(
         &mut self,
         cfg: &CellConfig,
@@ -118,6 +121,9 @@ impl MacSchedStage {
         rates.reserved.clear();
         rates.reserved.resize(n_rbs, false);
         for u in 0..n_ues {
+            if channel.slot_detached(u) {
+                continue;
+            }
             let link_up = faults.link_up(u);
             let want = channel.report_version(u) * 2 + (!link_up) as u64;
             if rates.versions[u] == want {

@@ -171,6 +171,14 @@ impl PhyTxStage {
                     }
                 }
             }
+            // A UE with no sub-band grant of a byte or more draws nothing
+            // and pulls nothing below.
+            if !group_bits[ue * n_sb..(ue + 1) * n_sb]
+                .iter()
+                .any(|&bits| bits >= 8.0)
+            {
+                continue;
+            }
             // Fresh transmissions: outcomes for the whole UE are drawn in
             // one batched channel pass (after the HARQ retransmissions
             // above, which share the UE's RNG stream, and after they have
@@ -323,24 +331,10 @@ impl PhyTxStage {
         &self.channel
     }
 
-    /// Network-layer geometry push for one UE slot (external-geometry
-    /// mode): serving-site distance, shadowing and interference-plus-
-    /// noise (see [`CellChannel::set_ue_geometry`]).
-    pub fn set_ue_geometry(&mut self, ue: usize, dist_m: f64, shadow_db: f64, iplusn_dbm: f64) {
-        self.channel
-            .set_ue_geometry(ue, dist_m, shadow_db, iplusn_dbm);
-    }
-
-    /// Epoch-boundary interference update for one UE slot (see
-    /// [`CellChannel::set_ue_iplusn`]).
-    pub fn set_ue_iplusn(&mut self, ue: usize, iplusn_dbm: f64) {
-        self.channel.set_ue_iplusn(ue, iplusn_dbm);
-    }
-
-    /// Re-prime CQI reports after an external geometry push (see
-    /// [`CellChannel::reprime_reports`]).
-    pub fn reprime_reports(&mut self) {
-        self.channel.reprime_reports();
+    /// The PHY channel, for the network layer's pushes: geometry,
+    /// report re-priming, slot attach/detach, checkpoint sync.
+    pub fn channel_mut(&mut self) -> &mut CellChannel {
+        &mut self.channel
     }
 
     /// Per-UE bits put on the air this TTI.

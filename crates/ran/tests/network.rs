@@ -18,7 +18,7 @@
 use outran_faults::FaultPlan;
 use outran_phy::Scenario;
 use outran_ran::network::Network;
-use outran_ran::SchedulerKind;
+use outran_ran::{Experiment, SchedulerKind};
 use outran_simcore::snap::{SnapError, SnapWriter, SnapshotFile};
 use outran_simcore::{Dur, Time};
 
@@ -163,6 +163,51 @@ fn watchdog_aborts_gracefully_with_resumable_checkpoint() {
     );
 
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The fading work a network does follows its occupied slots, not its
+/// provisioned ones — and counts the same on any number of threads.
+#[test]
+fn fading_draws_follow_occupied_slots() {
+    let serial = churny(7).run();
+    let mut threaded = churny(7);
+    threaded.threads = 3;
+    let w = serial.channel_work;
+    assert_eq!(w, threaded.run().channel_work);
+    assert!(serial.report.handover.successes > 0);
+
+    // Every slot step, live or replayed, is one draw of 2·(8 + 1)
+    // Gaussians; handovers into empty slots replayed some.
+    let per_step = 2 * (8 + 1);
+    assert!(w.replayed_slot_steps > 0, "{w:?}");
+    assert_eq!(
+        w.fading_draws,
+        per_step * (w.live_slot_steps + w.replayed_slot_steps),
+        "{w:?}"
+    );
+    // 12 UEs in 48 slots: most of what stepping every slot on every
+    // active TTI would draw is never drawn.
+    let eager = per_step * 8 * w.active_cell_ttis;
+    assert!(w.fading_draws < eager / 2, "{w:?} vs {eager}");
+    assert!(w.fading_draws >= per_step * 2 * w.active_cell_ttis, "{w:?}");
+}
+
+/// In a single cell nothing ever lags: every slot is stepped once per
+/// channel advance, and a composed idle jump is one advance.
+#[test]
+fn single_cell_steps_every_slot_on_every_advance() {
+    let mut cell = Experiment::lte_default()
+        .scheduler(SchedulerKind::OutRan)
+        .users(4)
+        .load(0.2)
+        .duration_secs(2)
+        .seed(5)
+        .build_cell();
+    cell.run_until(Time::from_secs(3));
+    assert!(cell.skipped_ttis > 0, "no idle jump in the run");
+    let advances = cell.now().as_nanos() / cell.tti().as_nanos() - cell.idle_ttis;
+    assert_eq!(cell.channel_slot_steps(), (4 * advances, 0));
+    assert_eq!(cell.fading_draws(), 4 * advances * 2 * (8 + 1));
 }
 
 /// Little-endian `u64` at byte `at` of `bytes`.
