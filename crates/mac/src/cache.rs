@@ -13,7 +13,10 @@
 //!
 //! [`SubbandMetricCache`] exploits both: it keeps a `|SB| × |U|` matrix
 //! of metric values plus a per-UE `(rates_version, metric_rev)` key, and
-//! only recomputes the rows whose key changed. Ineligible entries
+//! only recomputes the rows whose key changed — and only looks at the
+//! rows it is asked for, which the schedulers make the active UEs: an
+//! idle UE's PF average still decays every TTI, but its eight divisions
+//! wait until the TTI it has data again. Ineligible entries
 //! (rate ≤ 0) are stored as [`f64::NEG_INFINITY`] so a strict-`>` argmax
 //! over rows folds the eligibility test into the comparison — `-inf`
 //! can never beat an eligible metric (metrics are strictly positive for
@@ -23,10 +26,10 @@
 //!
 //! The matrix is stored **subband-major** (`cols[sb * n_ues + ue]`) and
 //! the validity keys column-wise (one flat plane per key component), so
-//! the schedulers' per-subband argmax scans a contiguous column of
-//! `n_ues` doubles — the loop the allocator runs once per subband per
-//! TTI — while the refresh writes strided but runs only on version
-//! misses. When the [`RateSource`] exposes its backing planes
+//! the schedulers' per-subband argmax reads one column of `n_ues`
+//! doubles — the loop the allocator runs once per subband per TTI —
+//! while the refresh writes strided but runs only on version misses.
+//! When the [`RateSource`] exposes its backing planes
 //! ([`RateSource::planes`]), both refresh and allocation run without any
 //! per-element virtual dispatch.
 
@@ -70,7 +73,22 @@ impl SubbandMetricCache {
         }
     }
 
-    /// Bring the matrix up to date for this TTI.
+    /// Bring every row of the matrix up to date for this TTI — see
+    /// [`SubbandMetricCache::refresh_rows`].
+    pub fn refresh(
+        &mut self,
+        rates: &dyn RateSource,
+        metric_rev: impl Fn(usize) -> u64,
+        metric: impl Fn(usize, f64) -> f64,
+    ) {
+        self.refresh_rows(rates, 0..rates.n_ues(), metric_rev, metric);
+    }
+
+    /// Bring the rows of the UEs in `rows` up to date for this TTI. No
+    /// other row is touched, and none may be read before a later call
+    /// names it: a row left out keeps the key it was last computed
+    /// under, so the call that names it again recomputes it unless
+    /// nothing behind it moved in between.
     ///
     /// `metric_rev(ue)` must change whenever the scheduler-side state
     /// behind `metric` changes for that UE (e.g. PF's EWMA average);
@@ -78,9 +96,10 @@ impl SubbandMetricCache {
     /// positive rate. A UE's row is recomputed when either its rate row
     /// version ([`RateSource::rates_version`]) or its metric revision
     /// moved — or always, for sources that report no version.
-    pub fn refresh(
+    pub fn refresh_rows(
         &mut self,
         rates: &dyn RateSource,
+        rows: impl Iterator<Item = usize>,
         metric_rev: impl Fn(usize) -> u64,
         metric: impl Fn(usize, f64) -> f64,
     ) {
@@ -91,7 +110,7 @@ impl SubbandMetricCache {
             // Flat path: rate rows read straight out of the source's
             // UE-major plane, metrics scattered into the subband-major
             // columns. Same values as the virtual path below.
-            for ue in 0..n_ues {
+            for ue in rows {
                 let rv = p.versions[ue];
                 let mr = metric_rev(ue);
                 if self.key_ok[ue] && self.key_rv[ue] == rv && self.key_mr[ue] == mr {
@@ -112,7 +131,7 @@ impl SubbandMetricCache {
                 }
             }
         } else {
-            for ue in 0..n_ues {
+            for ue in rows {
                 match rates.rates_version(ue) {
                     Some(rv) => {
                         let mr = metric_rev(ue);
@@ -146,10 +165,27 @@ impl SubbandMetricCache {
     }
 
     /// The contiguous metric column of subband `sb`: one entry per UE.
-    /// This is the slice the per-subband argmax loops scan.
+    /// This is the slice the per-subband argmax loops read, at the
+    /// indices of the active UEs.
     pub fn column(&self, sb: usize) -> &[f64] {
         &self.cols[sb * self.n_ues..(sb + 1) * self.n_ues]
     }
+}
+
+/// The listed UE with the largest entry of `col`, and that entry: a
+/// strict-`>` argmax from -inf in list order, so ties go to the lowest
+/// index and an ineligible (-inf) entry never wins.
+pub(crate) fn best_of(col: &[f64], active: &[u16]) -> Option<(u16, f64)> {
+    let mut best = None;
+    let mut best_m = f64::NEG_INFINITY;
+    for &u in active {
+        let m = col[u as usize];
+        if m > best_m {
+            best = Some(u);
+            best_m = m;
+        }
+    }
+    best.map(|u| (u, best_m))
 }
 
 /// Drive a per-subband winner function over the RB grid.

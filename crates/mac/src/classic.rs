@@ -30,15 +30,20 @@ impl BetScheduler {
 snap_fields! { overlay BetScheduler { avg: fixed } }
 
 impl Scheduler for BetScheduler {
-    fn allocate(&mut self, _now: Time, ues: &[UeTti], rates: &dyn RateSource) -> Allocation {
+    fn allocate_into(
+        &mut self,
+        _now: Time,
+        ues: &[UeTti],
+        active: &[u16],
+        rates: &dyn RateSource,
+        alloc: &mut Allocation,
+    ) {
         let n_rbs = rates.n_rbs();
-        let mut alloc = Allocation::empty(n_rbs, ues.len());
+        alloc.reset(n_rbs, ues.len());
         for rb in 0..n_rbs {
             let mut best: Option<(usize, f64, f64)> = None;
-            for (u, ue) in ues.iter().enumerate() {
-                if !ue.active {
-                    continue;
-                }
+            for &u in active {
+                let u = u as usize;
                 let r = rates.rate(u, rb);
                 if r <= 0.0 {
                     continue;
@@ -53,7 +58,6 @@ impl Scheduler for BetScheduler {
                 alloc.assign(rb, u as u16, r);
             }
         }
-        alloc
     }
 
     fn on_served(&mut self, served_bits: &[f64]) {
@@ -106,15 +110,20 @@ impl MlwdfScheduler {
 snap_fields! { overlay MlwdfScheduler { avg: fixed } rebuilt { weight } }
 
 impl Scheduler for MlwdfScheduler {
-    fn allocate(&mut self, _now: Time, ues: &[UeTti], rates: &dyn RateSource) -> Allocation {
+    fn allocate_into(
+        &mut self,
+        _now: Time,
+        ues: &[UeTti],
+        active: &[u16],
+        rates: &dyn RateSource,
+        alloc: &mut Allocation,
+    ) {
         let n_rbs = rates.n_rbs();
-        let mut alloc = Allocation::empty(n_rbs, ues.len());
+        alloc.reset(n_rbs, ues.len());
         for rb in 0..n_rbs {
             let mut best: Option<(usize, f64, f64)> = None;
-            for (u, ue) in ues.iter().enumerate() {
-                if !ue.active {
-                    continue;
-                }
+            for &u in active {
+                let u = u as usize;
                 let r = rates.rate(u, rb);
                 if r <= 0.0 {
                     continue;
@@ -122,7 +131,7 @@ impl Scheduler for MlwdfScheduler {
                 let avg = self.avg[u].get();
                 let pf = if avg <= 0.0 { r * 1e9 } else { r / avg };
                 // +1 TTI so a freshly arrived queue is not zero-weighted.
-                let hol = ue.hol_delay.as_secs_f64() + 1e-3;
+                let hol = ues[u].hol_delay.as_secs_f64() + 1e-3;
                 let m = self.weight * hol * pf;
                 if best.is_none_or(|(_, bm, _)| m > bm) {
                     best = Some((u, m, r));
@@ -132,7 +141,6 @@ impl Scheduler for MlwdfScheduler {
                 alloc.assign(rb, u as u16, r);
             }
         }
-        alloc
     }
 
     fn on_served(&mut self, served_bits: &[f64]) {

@@ -19,7 +19,7 @@
 
 use outran_simcore::{Dur, Time};
 
-use crate::cache::{allocate_by_subband, SubbandMetricCache};
+use crate::cache::{allocate_by_subband, best_of, SubbandMetricCache};
 use crate::pf::PfCore;
 use crate::types::{Allocation, RateSource, Scheduler, UeTti};
 use outran_simcore::snap::{LoadSnap, Snap, SnapError, SnapReader, SnapWriter};
@@ -123,14 +123,23 @@ impl OutRanScheduler {
 snap_fields! { overlay OutRanScheduler { base } rebuilt { epsilon, cache } }
 
 impl Scheduler for OutRanScheduler {
-    fn allocate(&mut self, _now: Time, ues: &[UeTti], rates: &dyn RateSource) -> Allocation {
-        let mut alloc = Allocation::empty(rates.n_rbs(), ues.len());
-        // Metrics are cached per (UE, subband) and revalidated only when
-        // the UE's rate row or PF average moved; the two Algorithm 1
-        // passes then run once per subband instead of once per RB.
+    fn allocate_into(
+        &mut self,
+        _now: Time,
+        ues: &[UeTti],
+        active: &[u16],
+        rates: &dyn RateSource,
+        alloc: &mut Allocation,
+    ) {
+        alloc.reset(rates.n_rbs(), ues.len());
+        // Metrics are cached per (UE, subband) and revalidated, for the
+        // active UEs, only when the UE's rate row or PF average moved;
+        // the two Algorithm 1 passes then run once per subband instead
+        // of once per RB.
         let base = &self.base;
-        self.cache.refresh(
+        self.cache.refresh_rows(
             rates,
+            active.iter().map(|&u| u as usize),
             |u| match base {
                 BaseMetric::Pf(core) => core.rev(u),
                 BaseMetric::Mt => 0,
@@ -139,41 +148,30 @@ impl Scheduler for OutRanScheduler {
         );
         let cache = &self.cache;
         let epsilon = self.epsilon;
-        allocate_by_subband(&mut alloc, rates, |sb| {
-            // Both Algorithm 1 passes scan the subband's contiguous
-            // metric column (one entry per UE).
+        allocate_by_subband(alloc, rates, |sb| {
+            // Both Algorithm 1 passes read the subband's metric column
+            // at the active UEs.
             let col = cache.column(sb);
             // First iteration: legacy best (Algorithm 1 lines 4–8).
             // Ineligible rows are -inf and can never win the strict
             // argmax, matching the old per-RB skip.
-            let mut m_max = f64::NEG_INFINITY;
-            let mut best: Option<usize> = None;
-            for (u, ue) in ues.iter().enumerate() {
-                if !ue.active {
-                    continue;
-                }
-                let m = col[u];
-                if m > m_max {
-                    m_max = m;
-                    best = Some(u);
-                }
-            }
-            let legacy_best = best?; // no eligible user for this subband
-                                     // Second iteration: re-select within the ε band by MLFQ
-                                     // priority (Algorithm 1 lines 10–16).
+            // No eligible user for this subband: leave its RBs idle.
+            let (legacy_best, m_max) = best_of(col, active)?;
+            // Second iteration: re-select within the ε band by MLFQ
+            // priority (Algorithm 1 lines 10–16).
             let floor = (1.0 - epsilon) * m_max;
             let mut selected = legacy_best;
-            let mut sel_prio = Self::user_prio(&ues[legacy_best]);
+            let mut sel_prio = Self::user_prio(&ues[legacy_best as usize]);
             let mut sel_metric = m_max;
-            for (u, ue) in ues.iter().enumerate() {
-                if u == legacy_best || !ue.active {
+            for &u in active {
+                if u == legacy_best {
                     continue;
                 }
-                let m = col[u];
+                let m = col[u as usize];
                 if m < floor {
                     continue;
                 }
-                let p = Self::user_prio(ue);
+                let p = Self::user_prio(&ues[u as usize]);
                 // Higher MLFQ priority = numerically smaller level. Ties
                 // go to the better metric so ε→0 matches legacy exactly.
                 if p < sel_prio || (p == sel_prio && m > sel_metric) {
@@ -182,9 +180,8 @@ impl Scheduler for OutRanScheduler {
                     sel_metric = m;
                 }
             }
-            Some(selected as u16)
+            Some(selected)
         });
-        alloc
     }
 
     fn on_served(&mut self, served_bits: &[f64]) {
@@ -197,6 +194,10 @@ impl Scheduler for OutRanScheduler {
 
     fn name(&self) -> &'static str {
         "OutRAN"
+    }
+
+    fn metric_rows_refreshed(&self) -> u64 {
+        self.cache.misses
     }
 }
 

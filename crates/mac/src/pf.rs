@@ -13,7 +13,7 @@
 
 use outran_simcore::{Dur, Ewma, Time};
 
-use crate::cache::{allocate_by_subband, SubbandMetricCache};
+use crate::cache::{allocate_by_subband, best_of, SubbandMetricCache};
 use crate::types::{Allocation, RateSource, Scheduler, UeTti};
 use outran_simcore::snap_fields;
 
@@ -137,33 +137,29 @@ impl PfScheduler {
 snap_fields! { overlay PfScheduler { core } rebuilt { cache } }
 
 impl Scheduler for PfScheduler {
-    fn allocate(&mut self, _now: Time, ues: &[UeTti], rates: &dyn RateSource) -> Allocation {
-        let mut alloc = Allocation::empty(rates.n_rbs(), ues.len());
+    fn allocate_into(
+        &mut self,
+        _now: Time,
+        ues: &[UeTti],
+        active: &[u16],
+        rates: &dyn RateSource,
+        alloc: &mut Allocation,
+    ) {
+        alloc.reset(rates.n_rbs(), ues.len());
         let core = &self.core;
-        self.cache
-            .refresh(rates, |u| core.rev(u), |u, r| core.metric(u, r));
+        self.cache.refresh_rows(
+            rates,
+            active.iter().map(|&u| u as usize),
+            |u| core.rev(u),
+            |u, r| core.metric(u, r),
+        );
         let cache = &self.cache;
-        allocate_by_subband(&mut alloc, rates, |sb| {
-            // Strict-`>` argmax from -inf over the subband's contiguous
-            // metric column: ineligible rows (rate <= 0, stored as -inf)
-            // can never win, so this matches the old per-RB loop that
-            // skipped them explicitly.
-            let col = cache.column(sb);
-            let mut best: Option<u16> = None;
-            let mut best_m = f64::NEG_INFINITY;
-            for (u, ue) in ues.iter().enumerate() {
-                if !ue.active {
-                    continue;
-                }
-                let m = col[u];
-                if m > best_m {
-                    best = Some(u as u16);
-                    best_m = m;
-                }
-            }
-            best
+        // Ineligible rows (rate <= 0, stored as -inf) can never win the
+        // argmax, so this matches the old per-RB loop that skipped them
+        // explicitly.
+        allocate_by_subband(alloc, rates, |sb| {
+            best_of(cache.column(sb), active).map(|(u, _)| u)
         });
-        alloc
     }
 
     fn on_served(&mut self, served_bits: &[f64]) {
@@ -176,6 +172,10 @@ impl Scheduler for PfScheduler {
 
     fn name(&self) -> &'static str {
         "PF"
+    }
+
+    fn metric_rows_refreshed(&self) -> u64 {
+        self.cache.misses
     }
 }
 
@@ -194,33 +194,31 @@ pub struct MtScheduler {
 snap_fields! { overlay MtScheduler {} rebuilt { cache } }
 
 impl Scheduler for MtScheduler {
-    fn allocate(&mut self, _now: Time, ues: &[UeTti], rates: &dyn RateSource) -> Allocation {
-        let mut alloc = Allocation::empty(rates.n_rbs(), ues.len());
-        self.cache.refresh(rates, |_| 0, |_, r| r);
+    fn allocate_into(
+        &mut self,
+        _now: Time,
+        ues: &[UeTti],
+        active: &[u16],
+        rates: &dyn RateSource,
+        alloc: &mut Allocation,
+    ) {
+        alloc.reset(rates.n_rbs(), ues.len());
+        self.cache
+            .refresh_rows(rates, active.iter().map(|&u| u as usize), |_| 0, |_, r| r);
         let cache = &self.cache;
-        allocate_by_subband(&mut alloc, rates, |sb| {
-            let col = cache.column(sb);
-            let mut best: Option<u16> = None;
-            let mut best_r = f64::NEG_INFINITY;
-            for (u, ue) in ues.iter().enumerate() {
-                if !ue.active {
-                    continue;
-                }
-                let r = col[u];
-                if r > best_r {
-                    best = Some(u as u16);
-                    best_r = r;
-                }
-            }
-            best
+        allocate_by_subband(alloc, rates, |sb| {
+            best_of(cache.column(sb), active).map(|(u, _)| u)
         });
-        alloc
     }
 
     fn on_served(&mut self, _served_bits: &[f64]) {}
 
     fn name(&self) -> &'static str {
         "MT"
+    }
+
+    fn metric_rows_refreshed(&self) -> u64 {
+        self.cache.misses
     }
 }
 
@@ -233,24 +231,24 @@ pub struct RrScheduler {
 snap_fields! { overlay RrScheduler { next } }
 
 impl Scheduler for RrScheduler {
-    fn allocate(&mut self, _now: Time, ues: &[UeTti], rates: &dyn RateSource) -> Allocation {
+    fn allocate_into(
+        &mut self,
+        _now: Time,
+        ues: &[UeTti],
+        active: &[u16],
+        rates: &dyn RateSource,
+        alloc: &mut Allocation,
+    ) {
         let n_rbs = rates.n_rbs();
-        let mut alloc = Allocation::empty(n_rbs, ues.len());
-        let active: Vec<usize> = ues
-            .iter()
-            .enumerate()
-            .filter(|(_, u)| u.active)
-            .map(|(i, _)| i)
-            .collect();
+        alloc.reset(n_rbs, ues.len());
         if active.is_empty() {
-            return alloc;
+            return;
         }
         for rb in 0..n_rbs {
             let u = active[self.next % active.len()];
             self.next = self.next.wrapping_add(1);
-            alloc.assign(rb, u as u16, rates.rate(u, rb));
+            alloc.assign(rb, u, rates.rate(u as usize, rb));
         }
-        alloc
     }
 
     fn on_served(&mut self, _served_bits: &[f64]) {}

@@ -59,16 +59,24 @@ impl PssScheduler {
 snap_fields! { overlay PssScheduler { core } }
 
 impl Scheduler for PssScheduler {
-    fn allocate(&mut self, _now: Time, ues: &[UeTti], rates: &dyn RateSource) -> Allocation {
+    fn allocate_into(
+        &mut self,
+        _now: Time,
+        ues: &[UeTti],
+        active: &[u16],
+        rates: &dyn RateSource,
+        alloc: &mut Allocation,
+    ) {
         let n_rbs = rates.n_rbs();
-        let mut alloc = Allocation::empty(n_rbs, ues.len());
-        let any_qos = ues.iter().any(|u| u.active && u.oracle_has_qos_flow);
+        alloc.reset(n_rbs, ues.len());
+        let any_qos = active.iter().any(|&u| ues[u as usize].oracle_has_qos_flow);
         for rb in 0..n_rbs {
             // Pass 1: PF among the priority set (QoS UEs), if any.
             let mut best: Option<(usize, f64, f64)> = None;
             if any_qos {
-                for (u, ue) in ues.iter().enumerate() {
-                    if !ue.active || !ue.oracle_has_qos_flow {
+                for &u in active {
+                    let u = u as usize;
+                    if !ues[u].oracle_has_qos_flow {
                         continue;
                     }
                     let r = rates.rate(u, rb);
@@ -83,10 +91,8 @@ impl Scheduler for PssScheduler {
             }
             // Pass 2: ordinary PF fallback.
             if best.is_none() {
-                for (u, ue) in ues.iter().enumerate() {
-                    if !ue.active {
-                        continue;
-                    }
+                for &u in active {
+                    let u = u as usize;
                     let r = rates.rate(u, rb);
                     if r <= 0.0 {
                         continue;
@@ -101,7 +107,6 @@ impl Scheduler for PssScheduler {
                 alloc.assign(rb, u as u16, r);
             }
         }
-        alloc
     }
 
     fn on_served(&mut self, served_bits: &[f64]) {
@@ -145,20 +150,25 @@ impl CqaScheduler {
 snap_fields! { overlay CqaScheduler { core } rebuilt { params } }
 
 impl Scheduler for CqaScheduler {
-    fn allocate(&mut self, _now: Time, ues: &[UeTti], rates: &dyn RateSource) -> Allocation {
+    fn allocate_into(
+        &mut self,
+        _now: Time,
+        ues: &[UeTti],
+        active: &[u16],
+        rates: &dyn RateSource,
+        alloc: &mut Allocation,
+    ) {
         let n_rbs = rates.n_rbs();
-        let mut alloc = Allocation::empty(n_rbs, ues.len());
+        alloc.reset(n_rbs, ues.len());
         for rb in 0..n_rbs {
             let mut best: Option<(usize, f64, f64)> = None;
-            for (u, ue) in ues.iter().enumerate() {
-                if !ue.active {
-                    continue;
-                }
+            for &u in active {
+                let u = u as usize;
                 let r = rates.rate(u, rb);
                 if r <= 0.0 {
                     continue;
                 }
-                let m = self.core.metric(u, r) * self.weight(ue);
+                let m = self.core.metric(u, r) * self.weight(&ues[u]);
                 if best.is_none_or(|(_, bm, _)| m > bm) {
                     best = Some((u, m, r));
                 }
@@ -167,7 +177,6 @@ impl Scheduler for CqaScheduler {
                 alloc.assign(rb, u as u16, r);
             }
         }
-        alloc
     }
 
     fn on_served(&mut self, served_bits: &[f64]) {

@@ -41,33 +41,45 @@ pub enum SrjfMode {
 pub struct SrjfScheduler {
     /// Leftover-capacity policy.
     pub mode: SrjfMode,
+    /// The TTI's visiting order (scratch, rewritten by every allocation).
+    order: Vec<u16>,
 }
 
 impl SrjfScheduler {
     /// Create with an explicit mode.
     pub fn with_mode(mode: SrjfMode) -> SrjfScheduler {
-        SrjfScheduler { mode }
+        SrjfScheduler {
+            mode,
+            order: Vec::new(),
+        }
     }
 }
 
-outran_simcore::snap_fields! { overlay SrjfScheduler {} rebuilt { mode } }
+outran_simcore::snap_fields! { overlay SrjfScheduler {} rebuilt { mode, order } }
 
 impl Scheduler for SrjfScheduler {
-    fn allocate(&mut self, _now: Time, ues: &[UeTti], rates: &dyn RateSource) -> Allocation {
+    fn allocate_into(
+        &mut self,
+        _now: Time,
+        ues: &[UeTti],
+        active: &[u16],
+        rates: &dyn RateSource,
+        alloc: &mut Allocation,
+    ) {
         let n_rbs = rates.n_rbs();
-        let mut alloc = Allocation::empty(n_rbs, ues.len());
-        let mut order: Vec<usize> = ues
-            .iter()
-            .enumerate()
-            .filter(|(_, u)| u.active)
-            .map(|(i, _)| i)
-            .collect();
-        order.sort_by_key(|&i| ues[i].oracle_min_remaining.unwrap_or(u64::MAX));
+        alloc.reset(n_rbs, ues.len());
+        // Stable sort of the ascending list: equal remainders keep
+        // index order.
+        self.order.clear();
+        self.order.extend_from_slice(active);
+        self.order
+            .sort_by_key(|&u| ues[u as usize].oracle_min_remaining.unwrap_or(u64::MAX));
         // Plane-backed sources feed the sequential RB walk straight from
         // their flat arrays (same values as `rate()`: reserved RBs read 0).
         let planes = rates.planes();
         let mut rb: u16 = 0;
-        for u in order {
+        for &u in &self.order {
+            let u = u as usize;
             let ue = &ues[u];
             let need = match self.mode {
                 SrjfMode::WinnerOnly | SrjfMode::Waterfall => ue
@@ -100,7 +112,6 @@ impl Scheduler for SrjfScheduler {
                 break;
             }
         }
-        alloc
     }
 
     fn on_served(&mut self, _served_bits: &[f64]) {}

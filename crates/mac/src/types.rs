@@ -161,6 +161,15 @@ impl Allocation {
         }
     }
 
+    /// Make this an empty allocation for `n_rbs` RBs and `n_ues` UEs,
+    /// keeping the buffers.
+    pub fn reset(&mut self, n_rbs: u16, n_ues: usize) {
+        self.rb_to_ue.clear();
+        self.rb_to_ue.resize(n_rbs as usize, None);
+        self.bits_per_ue.clear();
+        self.bits_per_ue.resize(n_ues, 0.0);
+    }
+
     /// Assign `rb` to `ue` at `bits` per this RB.
     pub fn assign(&mut self, rb: u16, ue: u16, bits: f64) {
         debug_assert!(self.rb_to_ue[rb as usize].is_none(), "RB double-assigned");
@@ -187,10 +196,34 @@ impl Allocation {
 /// travels — the restore path reconstructs the scheduler from the run
 /// config first, then overlays the snapshot.
 pub trait Scheduler: LoadSnap {
-    /// Compute the RB allocation for this TTI.
+    /// Compute the RB allocation for this TTI into `alloc`, which is
+    /// overwritten (a caller that keeps it across TTIs allocates nothing).
     ///
-    /// `ues[i]` describes UE `i`; `rates` provides `r_{u,b}(t)`.
-    fn allocate(&mut self, now: Time, ues: &[UeTti], rates: &dyn RateSource) -> Allocation;
+    /// `ues[i]` describes UE `i`; `rates` provides `r_{u,b}(t)`; `active`
+    /// lists, ascending, exactly the UEs with `ues[u].active`. A
+    /// scheduler looks at no other UE: an inactive UE's `ues` entry, rate
+    /// row and any state cached for it are not read, so the cost of a
+    /// TTI follows the UEs with something to send.
+    fn allocate_into(
+        &mut self,
+        now: Time,
+        ues: &[UeTti],
+        active: &[u16],
+        rates: &dyn RateSource,
+        alloc: &mut Allocation,
+    );
+
+    /// [`Scheduler::allocate_into`] for a caller that has neither the
+    /// active list nor a buffer: derives the one, allocates the other.
+    fn allocate(&mut self, now: Time, ues: &[UeTti], rates: &dyn RateSource) -> Allocation {
+        let active: Vec<u16> = (0..ues.len() as u16)
+            .filter(|&u| ues[u as usize].active)
+            .collect();
+        // Sized by `allocate_into`'s reset.
+        let mut alloc = Allocation::empty(0, 0);
+        self.allocate_into(now, ues, &active, rates, &mut alloc);
+        alloc
+    }
 
     /// Feed back the bits actually served to each UE this TTI (PF-family
     /// schedulers update their long-term average `r̃_u` from this; others
@@ -210,6 +243,13 @@ pub trait Scheduler: LoadSnap {
 
     /// Scheduler name for reports.
     fn name(&self) -> &'static str;
+
+    /// Metric-cache rows recomputed so far (0 for a scheduler without a
+    /// [`crate::SubbandMetricCache`]) — a deterministic work counter.
+    #[doc(hidden)]
+    fn metric_rows_refreshed(&self) -> u64 {
+        0
+    }
 }
 
 #[cfg(test)]

@@ -74,13 +74,36 @@
 //! cannot sync and see a lagging slot as of its last step. None of this
 //! is serialized: a snapshot writes a lagging slot as if caught up, and a
 //! restored channel starts with every slot at the restored TTI index.
+//!
+//! ## CQI classification
+//!
+//! A CQI measurement needs `10·log10` of each sub-band's fading power
+//! only to learn which of 15 thresholds the SINR clears. The host's
+//! `log10` and an early-exit threshold scan both branch on their
+//! (random) argument, so the measurement (`measure_into_pending`) computes
+//! the SINR through the branch-free `ln_positive` instead and counts the
+//! thresholds at or below it. That SINR is an approximation of the one
+//! the reference expression ([`CellChannel::actual_sinr_db_subband`],
+//! then [`CqiTable::sinr_to_cqi`]) produces: the two differ by the
+//! logarithms' rounding, far below `cqi_guard_db`. A CQI can therefore
+//! differ only where the fast SINR lies within the guard of a
+//! threshold, and whenever any sub-band of a row does, the whole row is
+//! redone with the reference expression. The stored row is the
+//! reference row, byte for byte, on every input; which path produced it
+//! is visible only in [`CellChannel::cqi_classifications`].
+//!
+//! The pass that calls it keeps a wake time — the earliest reporting
+//! clock of any live slot — and returns at once before it: with every
+//! UE on the same 5-TTI period and 2-TTI delay that is three TTIs of
+//! five.
 
 use std::f64::consts::FRAC_1_SQRT_2;
 
+use outran_simcore::math::ln_positive;
 use outran_simcore::{Dur, Normal, Rng, Time};
 
 use crate::bler::BlerModel;
-use crate::cqi::{Cqi, CqiTable};
+use crate::cqi::{classify_guarded, Cqi, CqiTable};
 use crate::mobility::RandomWalk;
 use crate::numerology::RadioConfig;
 
@@ -240,6 +263,9 @@ pub struct CellChannel {
     /// Scratch for one UE's innovations in [`CellChannel::advance_fading`]:
     /// `2 · (n_subbands + 1)` values, overwritten per UE, never persisted.
     fade_z: Vec<f64>,
+    /// Scratch for one UE's fast per-subband SINRs in
+    /// [`CellChannel::measure_into_pending`], likewise.
+    sinr_z: Vec<f64>,
 
     // CQI reporting planes.
     /// Reported CQI per (UE, subband) — what the scheduler sees.
@@ -282,10 +308,21 @@ pub struct CellChannel {
     /// The advance calls since the oldest lagging slot's `slot_tti`,
     /// run-length-encoded; empty while every slot is live.
     lag_log: Vec<LagRun>,
+    /// No live slot has a report to deliver or a measurement to take
+    /// before this instant, so [`CellChannel::reporting_pass`] returns at
+    /// once until then. Derived, never serialized; `Time::ZERO` ("look")
+    /// after anything but the pass itself touched a live slot's clocks
+    /// (`refresh_live`, which every flag change, attach and restore goes
+    /// through, and `reprime_reports`).
+    report_wake: Time,
     /// Work counters (see [`CellChannel::fading_draws`]).
     fading_draws: u64,
     live_slot_steps: u64,
     replayed_slot_steps: u64,
+    /// (UE, subband) CQIs stored from the fast classification / redone
+    /// through the host's `log10`.
+    cqi_fast: u64,
+    cqi_exact: u64,
 }
 
 /// `count` consecutive advance calls a lagging slot has not seen yet:
@@ -349,6 +386,7 @@ impl CellChannel {
             fade_flatness: vec![cfg.flatness; n_ues],
             fade_rng: Vec::with_capacity(n_ues),
             fade_z: vec![0.0; 2 * (n_subbands + 1)],
+            sinr_z: vec![0.0; n_subbands],
             reported: vec![Cqi(0); n_ues * n_subbands],
             pending: vec![Cqi(0); n_ues * n_subbands],
             reported_rev: vec![0; n_ues],
@@ -366,9 +404,12 @@ impl CellChannel {
             slot_tti: vec![0; n_ues],
             n_lagging: 0,
             lag_log: Vec::with_capacity(LAG_LOG_MAX_RUNS),
+            report_wake: Time::ZERO,
             fading_draws: 0,
             live_slot_steps: 0,
             replayed_slot_steps: 0,
+            cqi_fast: 0,
+            cqi_exact: 0,
         };
 
         for i in 0..n_ues {
@@ -485,9 +526,51 @@ impl CellChannel {
     }
 
     /// Measure the current CQI of every subband of `ue` into its pending
-    /// row (no allocation — the hot-path replacement of the old
-    /// measure-into-a-fresh-`Vec`).
+    /// row: what [`CellChannel::measure_row_exact`] would store, byte
+    /// for byte, usually without calling the host's `log10` (see "CQI
+    /// classification" in the module docs).
     fn measure_into_pending(&mut self, ue: usize) {
+        let n_sb = self.n_subbands;
+        let base = ue * n_sb;
+        let w =
+            self.fade_wb_re[ue] * self.fade_wb_re[ue] + self.fade_wb_im[ue] * self.fade_wb_im[ue];
+        let flat = self.fade_flatness[ue];
+        let sinr_const = self.sinr_const_db[ue];
+        let scale = self.cfg.fading_scale;
+        let cap = self.cfg.sinr_cap_db;
+        let guard = cqi_guard_db(scale);
+        let taps = self.fade_sb_re[base..base + n_sb]
+            .iter()
+            .zip(&self.fade_sb_im[base..base + n_sb]);
+        // Two loops, not one: the first is call- and branch-free
+        // arithmetic the compiler keeps in vector registers, which it
+        // gives up on once the threshold count sits in the same body.
+        debug_assert_eq!(self.sinr_z.len(), n_sb);
+        let mut uncertain = false;
+        for ((re, im), sinr) in taps.zip(&mut self.sinr_z) {
+            // The same linear power `fading_gain_db` takes the log of.
+            let gain = (flat * w + (1.0 - flat) * (re * re + im * im)).max(1e-12);
+            // `ln_positive` takes finite input only; an infinite power
+            // (a tap restored from a corrupt checkpoint) goes the exact way.
+            uncertain |= gain == f64::INFINITY;
+            *sinr = fast_sinr_db(sinr_const, gain.min(f64::MAX), scale, cap);
+        }
+        for (&sinr, cqi) in self.sinr_z.iter().zip(&mut self.pending[base..base + n_sb]) {
+            let near;
+            (*cqi, near) = classify_guarded(sinr, guard);
+            uncertain |= near;
+        }
+        if uncertain {
+            self.measure_row_exact(ue);
+            self.cqi_exact += n_sb as u64;
+        } else {
+            self.cqi_fast += n_sb as u64;
+        }
+    }
+
+    /// The reference measurement: the ground-truth SINR of each subband
+    /// through the host's `log10`, mapped by the table.
+    fn measure_row_exact(&mut self, ue: usize) {
         let base = ue * self.n_subbands;
         for sb in 0..self.n_subbands {
             let sinr = self.actual_sinr_db_subband(ue, sb);
@@ -736,13 +819,25 @@ impl CellChannel {
 
     /// CQI reporting pass over the live slots: deliver aged pending
     /// reports, take new measurements on the reporting period, honour
-    /// fault windows.
+    /// fault windows. A pass before `report_wake` would find every
+    /// condition of [`CellChannel::report_slot`] false on every live
+    /// slot, so it is not made.
     fn reporting_pass(&mut self, now: Time, tti: Dur) {
+        if now < self.report_wake {
+            return;
+        }
+        let mut wake = Time(u64::MAX);
         for ue in 0..self.n_ues {
             if self.live[ue] {
                 self.report_slot(ue, now, tti);
+                wake = wake.min(self.next_report_at[ue]);
+                // A frozen slot delivers nothing, whatever is pending.
+                if self.pending_fresh[ue] && !self.cqi_frozen[ue] {
+                    wake = wake.min(self.pending_due[ue]);
+                }
             }
         }
+        self.report_wake = wake;
     }
 
     /// One slot's turn of the CQI reporting loop at `now` — the only
@@ -909,6 +1004,10 @@ impl CellChannel {
     /// mark or one of its CQI fault flags changed. A flagged slot stays
     /// live so the fault counters and the corruption draws never lag.
     fn refresh_live(&mut self, ue: usize) {
+        // Whatever changed may have armed a clock the wake time left out
+        // (a thaw re-arms a pending delivery; a slot going live brings
+        // its own clocks): have the next reporting pass look.
+        self.report_wake = Time::ZERO;
         let live =
             !self.ext_geometry || !self.detached[ue] || self.cqi_frozen[ue] || self.cqi_corrupt[ue];
         if live == self.live[ue] {
@@ -940,6 +1039,15 @@ impl CellChannel {
     #[doc(hidden)]
     pub fn slot_steps(&self) -> (u64, u64) {
         (self.live_slot_steps, self.replayed_slot_steps)
+    }
+
+    /// (UE, subband) CQI measurements so far, `(fast, exact)`: stored
+    /// from the log-free classification, or redone through the host's
+    /// `log10` because a sub-band of the row sat inside the guard band of
+    /// a threshold. A deterministic work counter (not serialized).
+    #[doc(hidden)]
+    pub fn cqi_classifications(&self) -> (u64, u64) {
+        (self.cqi_fast, self.cqi_exact)
     }
 
     /// Distance of `ue` from the base station (m).
@@ -995,6 +1103,7 @@ impl CellChannel {
             self.pending_fresh[u] = false;
             self.reported_rev[u] += 1;
         }
+        self.report_wake = Time::ZERO;
     }
 
     /// Fault injection: freeze or unfreeze `ue`'s CQI reporting loop.
@@ -1015,6 +1124,27 @@ impl CellChannel {
             self.refresh_live(ue);
         }
     }
+}
+
+/// `10 / ln 10`: decibels per neper, so `10·log10(x) = DB_PER_NEPER·ln(x)`.
+const DB_PER_NEPER: f64 = 10.0 * std::f64::consts::LOG10_E;
+
+/// [`CellChannel::actual_sinr_db_subband`] with `ln_positive` in place
+/// of the host's `log10`, from the clamped linear fading power `gain`.
+#[inline]
+fn fast_sinr_db(sinr_const_db: f64, gain: f64, fading_scale: f64, cap_db: f64) -> f64 {
+    (sinr_const_db + DB_PER_NEPER * ln_positive(gain) * fading_scale).min(cap_db)
+}
+
+/// Half-width (dB) of the band around each CQI threshold inside which
+/// the fast SINR of [`CellChannel::measure_into_pending`] is not
+/// trusted. The fast and the exact SINR differ only in the logarithm,
+/// whose error (a few ulp of at most ~3 100 dB, so under 2e-12 dB) is
+/// multiplied by `fading_scale`; the guard leaves three orders of
+/// magnitude over that, and the classifier sweep fails a host whose
+/// `log10` eats more than a hundredth of it.
+fn cqi_guard_db(fading_scale: f64) -> f64 {
+    1e-9 * fading_scale.abs().max(1.0)
 }
 
 /// Precompute achievable bits/RB/TTI for every CQI value.
@@ -1653,6 +1783,8 @@ mod tests {
                     0..=9 => {
                         idx += [1, 1, 1, 1, 1, 3, 7, 250][ops.index(8)];
                         let now = Time::ZERO + tti.mul(idx);
+                        // The reference arm never skips a reporting pass.
+                        eager.report_wake = Time::ZERO;
                         eager.advance_to(now);
                         lazy.advance_to(now);
                     }
@@ -1710,6 +1842,196 @@ mod tests {
             prop_assert!(replayed > 0 && live + replayed <= eager.slot_steps().0);
             prop_assert_eq!(lazy.fading_draws(), 10 * (live + replayed));
         }
+    }
+
+    /// One UE whose taps, large-scale SINR and config the classifier
+    /// tests overwrite directly.
+    fn classifier_probe(scale: f64, cap: f64) -> CellChannel {
+        let mut cfg = ChannelConfig::lte_default();
+        cfg.fading_scale = scale;
+        cfg.sinr_cap_db = cap;
+        CellChannel::new(cfg, 1, &Rng::new(5))
+    }
+
+    /// Measure UE 0's row both ways: the stored row must be the libm
+    /// row, and each sub-band's fast SINR within a hundredth of the
+    /// guard of the exact one. Returns whether the row fell back.
+    fn fast_row_is_exact_row(ch: &mut CellChannel) -> bool {
+        let n_sb = ch.n_subbands;
+        let (scale, cap) = (ch.cfg.fading_scale, ch.cfg.sinr_cap_db);
+        let exact_before = ch.cqi_exact;
+        ch.measure_into_pending(0);
+        let stored = ch.pending[..n_sb].to_vec();
+        ch.measure_row_exact(0);
+        assert_eq!(stored, ch.pending[..n_sb], "fast row is not the libm row");
+        for sb in 0..n_sb {
+            let gain = ch.fading_gain_linear(0, sb).max(1e-12);
+            if gain == f64::INFINITY {
+                continue;
+            }
+            let fast = fast_sinr_db(ch.sinr_const_db[0], gain, scale, cap);
+            let exact = ch.actual_sinr_db_subband(0, sb);
+            assert!(
+                (fast - exact).abs() <= cqi_guard_db(scale) / 100.0,
+                "gain {gain:e}: fast {fast} vs exact {exact}"
+            );
+        }
+        ch.cqi_exact > exact_before
+    }
+
+    #[test]
+    fn classifier_matches_libm_reference_on_seeded_sweep() {
+        // 10⁷ tap powers, log-uniform over 1e-13…1e3 (so some sit under
+        // the 1e-12 clamp), against every whole-dB `sinr_const` from −40
+        // to +60 plus a random fraction, under three fading scales and
+        // random wideband mixing.
+        let mut rng = Rng::new(0xC01);
+        let mut fallbacks = 0u64;
+        let mut rows = 0u64;
+        for scale in [1.0, 0.25, 3.0] {
+            let mut ch = classifier_probe(scale, 45.0);
+            let n_sb = ch.n_subbands;
+            let rows_per_scale = if scale == 1.0 { 1_000_000 } else { 125_000 };
+            for row in 0..rows_per_scale {
+                for sb in 0..n_sb {
+                    let power = 10f64.powf(rng.range_f64(-13.0, 3.0));
+                    let phase = rng.range_f64(0.0, std::f64::consts::TAU);
+                    ch.fade_sb_re[sb] = power.sqrt() * phase.cos();
+                    ch.fade_sb_im[sb] = power.sqrt() * phase.sin();
+                }
+                ch.fade_wb_re[0] = rng.range_f64(-2.0, 2.0);
+                ch.fade_wb_im[0] = rng.range_f64(-2.0, 2.0);
+                ch.fade_flatness[0] = if row % 4 == 0 { 0.0 } else { rng.f64() };
+                ch.sinr_const_db[0] = (row % 101) as f64 - 40.0 + rng.f64();
+                fallbacks += fast_row_is_exact_row(&mut ch) as u64;
+                rows += 1;
+            }
+            let (fast, exact) = ch.cqi_classifications();
+            // +1: the row measured by the constructor.
+            assert_eq!(fast + exact, (rows_per_scale + 1) * n_sb as u64);
+        }
+        // Nearly every row is classified without the host's `log10`.
+        assert!(fallbacks * 10_000 < rows, "{fallbacks} of {rows} fell back");
+    }
+
+    #[test]
+    fn classifier_falls_back_on_adversarial_inputs() {
+        use crate::cqi::CQI_THRESH_DB;
+        let nudge = |x: f64, ulps: i64| f64::from_bits((x.to_bits() as i64 + ulps) as u64);
+        let mut ch = classifier_probe(1.0, 45.0);
+        let n_sb = ch.n_subbands;
+        ch.fade_flatness[0] = 0.0;
+        ch.fade_sb_im[..n_sb].fill(0.0);
+        let mut fallbacks = 0u64;
+        for &t in &CQI_THRESH_DB {
+            // Unit fading power: the SINR is `sinr_const` exactly, on
+            // both paths — the threshold and its neighbours ± 4 ulp.
+            ch.fade_sb_re[..n_sb].fill(1.0);
+            for ulps in -4..=4 {
+                ch.sinr_const_db[0] = nudge(t, ulps);
+                assert!(fast_row_is_exact_row(&mut ch), "on threshold {t}");
+                fallbacks += 1;
+            }
+            // A fading power solved to land the SINR on the threshold,
+            // and its neighbours: here the two logarithms disagree in
+            // the last bits, on either side of `t`.
+            for sinr_const in [-12.5, 3.0, 31.0] {
+                ch.sinr_const_db[0] = sinr_const;
+                let gain = 10f64.powf((t - sinr_const) / 10.0);
+                for ulps in -8..=8 {
+                    ch.fade_sb_re[..n_sb].fill(nudge(gain, ulps).sqrt());
+                    assert!(fast_row_is_exact_row(&mut ch), "around threshold {t}");
+                    fallbacks += 1;
+                }
+            }
+        }
+        // On and around the 1e-12 clamp (−120 dB of fading).
+        ch.sinr_const_db[0] = 120.0 + CQI_THRESH_DB[3];
+        for ulps in -4..=4 {
+            ch.fade_sb_re[..n_sb].fill(nudge(1e-12, ulps).sqrt());
+            fast_row_is_exact_row(&mut ch);
+        }
+        ch.fade_sb_re[..n_sb].fill(0.0);
+        assert!(fast_row_is_exact_row(&mut ch), "clamped onto a threshold");
+        // On the SINR cap: far above every threshold it is classified
+        // fast; a cap sitting on (or just beside) a threshold is not.
+        ch.fade_sb_re[..n_sb].fill(1.0);
+        ch.sinr_const_db[0] = 60.0;
+        assert!(!fast_row_is_exact_row(&mut ch));
+        for cap in [CQI_THRESH_DB[14], CQI_THRESH_DB[9] + 5e-10] {
+            ch.cfg.sinr_cap_db = cap;
+            assert!(fast_row_is_exact_row(&mut ch), "cap {cap}");
+        }
+        // An infinite power is outside `ln_positive`'s domain.
+        ch.cfg.sinr_cap_db = 45.0;
+        ch.fade_sb_re[0] = f64::INFINITY;
+        assert!(fast_row_is_exact_row(&mut ch));
+        assert!(ch.cqi_classifications().1 >= fallbacks * n_sb as u64);
+    }
+
+    #[test]
+    fn classifications_count_every_measured_subband() {
+        // Every measurement but the last of each UE has been delivered
+        // (one version bump each) or is still pending.
+        let mut ch = small_channel();
+        let tti = ch.config().radio.tti();
+        let mut now = Time::ZERO;
+        for step in 0..2_000u64 {
+            now += tti.mul(if step % 97 == 0 { 40 } else { 1 });
+            ch.advance_to(now);
+        }
+        let measurements: u64 = (0..ch.n_ues())
+            .map(|u| ch.report_version(u) + ch.pending_fresh[u] as u64)
+            .sum();
+        let (fast, exact) = ch.cqi_classifications();
+        assert_eq!(fast + exact, ch.n_subbands as u64 * measurements);
+        assert!(fast > 100 * exact.max(1), "fast {fast} exact {exact}");
+    }
+
+    #[test]
+    fn reporting_pass_wakes_exactly_when_a_slot_is_due() {
+        // One channel skips passes by the wake time, its twin is forced
+        // to look every TTI; faults, thaws and idle gaps in between.
+        let (mut skipping, mut looking) = (small_channel(), small_channel());
+        let tti = skipping.config().radio.tti();
+        let mut ops = Rng::new(77);
+        let mut idx = 0u64;
+        let mut skipped = 0u64;
+        for _ in 0..5_000 {
+            if ops.chance(0.02) {
+                let (ue, on) = (ops.index(8), ops.chance(0.5));
+                if ops.chance(0.5) {
+                    skipping.set_cqi_frozen(ue, on);
+                    looking.set_cqi_frozen(ue, on);
+                } else {
+                    skipping.set_cqi_corrupt(ue, on);
+                    looking.set_cqi_corrupt(ue, on);
+                }
+            }
+            idx += if ops.chance(0.05) {
+                1 + ops.below(30)
+            } else {
+                1
+            };
+            let now = Time::ZERO + tti.mul(idx);
+            skipped += (now < skipping.report_wake) as u64;
+            looking.report_wake = Time::ZERO;
+            skipping.advance_to(now);
+            looking.advance_to(now);
+            for ue in 0..8 {
+                assert_eq!(
+                    slot_bits(&skipping, ue),
+                    slot_bits(&looking, ue),
+                    "slot {ue}"
+                );
+            }
+        }
+        assert_eq!(skipping.cqi_frozen_reports, looking.cqi_frozen_reports);
+        assert_eq!(
+            skipping.cqi_corrupted_reports,
+            looking.cqi_corrupted_reports
+        );
+        assert!(skipped > 2_000, "only {skipped} passes skipped");
     }
 
     #[test]

@@ -203,40 +203,47 @@ impl CqiTable {
     }
 
     /// Map post-equalisation SINR (dB) to the highest CQI whose required
-    /// SINR is met, targeting ≈10 % initial BLER.
-    ///
-    /// Thresholds follow the widely used exponential-ESM calibration
-    /// (~1.9–2 dB per CQI step starting near −6 dB), as used by the LENA
-    /// module's default error model. CQI 0 below the bottom threshold.
+    /// SINR is met, targeting ≈10 % initial BLER: the number of entries of
+    /// [`CQI_THRESH_DB`] at or below `sinr_db` (CQI 0 below the bottom
+    /// threshold, and for NaN). Both tables share the thresholds; the
+    /// table only changes what a high CQI is worth.
     pub fn sinr_to_cqi(self, sinr_db: f64) -> Cqi {
-        // Required SINR (dB) to support CQI i+1 at 10% BLER.
-        const THRESH: [f64; 15] = [
-            -6.7, -4.7, -2.3, 0.2, 2.4, 4.3, 5.9, 8.1, 10.3, 11.7, 14.1, 16.3, 18.7, 21.0, 22.7,
-        ];
-        let mut cqi = 0u8;
-        for (i, &t) in THRESH.iter().enumerate() {
-            if sinr_db >= t {
-                cqi = (i + 1) as u8;
-            } else {
-                break;
-            }
-        }
-        // Clamp 256-QAM's top entries to realistic SINRs: same thresholds,
-        // the table only changes what a high CQI is worth.
-        Cqi(cqi)
+        classify_guarded(sinr_db, 0.0).0
     }
 
     /// The SINR (dB) required to sustain `cqi` at the 10 % BLER target —
     /// inverse of [`CqiTable::sinr_to_cqi`], used by the BLER truth model.
     pub fn required_sinr_db(self, cqi: Cqi) -> f64 {
-        const THRESH: [f64; 15] = [
-            -6.7, -4.7, -2.3, 0.2, 2.4, 4.3, 5.9, 8.1, 10.3, 11.7, 14.1, 16.3, 18.7, 21.0, 22.7,
-        ];
         if !cqi.usable() {
             return f64::NEG_INFINITY;
         }
-        THRESH[cqi.0 as usize - 1]
+        CQI_THRESH_DB[cqi.0 as usize - 1]
     }
+}
+
+/// Required SINR (dB) to support CQI `i + 1` at 10 % BLER, ascending.
+///
+/// Thresholds follow the widely used exponential-ESM calibration
+/// (~1.9–2 dB per CQI step starting near −6 dB), as used by the LENA
+/// module's default error model.
+pub const CQI_THRESH_DB: [f64; 15] = [
+    -6.7, -4.7, -2.3, 0.2, 2.4, 4.3, 5.9, 8.1, 10.3, 11.7, 14.1, 16.3, 18.7, 21.0, 22.7,
+];
+
+/// The CQI of `sinr_db` — 15 compares, counted, no branch — and whether
+/// `sinr_db` lies within `guard_db` of a threshold. The channel's CQI
+/// measurement classifies an approximate SINR through this and redoes
+/// the row exactly whenever the flag is set: an error smaller than the
+/// guard cannot carry a value across a threshold it is not flagged near.
+#[inline]
+pub(crate) fn classify_guarded(sinr_db: f64, guard_db: f64) -> (Cqi, bool) {
+    let mut cqi = 0u8;
+    let mut near = false;
+    for &t in &CQI_THRESH_DB {
+        cqi += (sinr_db >= t) as u8;
+        near |= (sinr_db - t).abs() <= guard_db;
+    }
+    (Cqi(cqi), near)
 }
 
 #[cfg(test)]
@@ -292,12 +299,35 @@ mod tests {
     }
 
     #[test]
-    fn required_sinr_inverts_mapping() {
-        let t = CqiTable::Qam64;
-        for c in 1..=15u8 {
-            let s = t.required_sinr_db(Cqi(c));
-            assert_eq!(t.sinr_to_cqi(s), Cqi(c));
-            assert!(t.sinr_to_cqi(s - 0.2).0 < c);
+    fn required_sinr_inverts_mapping_at_every_entry() {
+        // One table behind both directions: each threshold maps to its
+        // own CQI, and the next double below it to the CQI one lower.
+        assert!(CQI_THRESH_DB.windows(2).all(|w| w[0] < w[1]));
+        for t in [CqiTable::Qam64, CqiTable::Qam256] {
+            for (i, &thresh) in CQI_THRESH_DB.iter().enumerate() {
+                let c = Cqi(i as u8 + 1);
+                assert_eq!(t.required_sinr_db(c).to_bits(), thresh.to_bits());
+                assert_eq!(t.sinr_to_cqi(thresh), c);
+                // One ulp toward −∞ (the bit pattern of a negative double
+                // grows with its magnitude).
+                let step = if thresh > 0.0 { -1i64 } else { 1 };
+                let below = f64::from_bits((thresh.to_bits() as i64 + step) as u64);
+                assert!(below < thresh);
+                assert_eq!(t.sinr_to_cqi(below), Cqi(c.0 - 1), "below {thresh}");
+            }
+            assert_eq!(t.sinr_to_cqi(f64::NAN), Cqi(0));
         }
+    }
+
+    #[test]
+    fn guard_flags_exactly_the_band_around_each_threshold() {
+        for &t in &CQI_THRESH_DB {
+            assert!(classify_guarded(t, 0.0).1);
+            assert!(classify_guarded(t + 0.5e-9, 1e-9).1);
+            assert!(classify_guarded(t - 0.5e-9, 1e-9).1);
+            assert!(!classify_guarded(t + 2e-9, 1e-9).1);
+            assert!(!classify_guarded(t - 2e-9, 1e-9).1);
+        }
+        assert!(!classify_guarded(f64::NAN, 1e-9).1);
     }
 }

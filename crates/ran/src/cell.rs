@@ -400,8 +400,9 @@ impl Cell {
         // Fault engine: flatten the plan at `now` and apply window
         // edges (flush on RLF/detach entry, capacity clamps, …).
         self.observer.enter(StageId::Housekeeping);
-        self.hk
-            .apply_fault_edges(now, &self.cfg, &mut self.ues, &mut self.phy);
+        let faults_changed =
+            self.hk
+                .apply_fault_edges(now, &self.cfg, &mut self.ues, &mut self.phy);
         self.observer.exit(StageId::Housekeeping);
 
         // Ingress: event drain (arrivals, packets, ACKs, STATUS), RTO
@@ -421,7 +422,7 @@ impl Cell {
         // Channel evolution (CQI staleness/corruption pushed first).
         self.observer.enter(StageId::PhyTx);
         self.phy
-            .advance_channel(now, self.cfg.n_ues, self.hk.faults());
+            .advance_channel(now, self.cfg.n_ues, self.hk.faults(), faults_changed);
         self.observer.exit(StageId::PhyTx);
 
         // Scheduler inputs — semi-persistent GBR grants are carved out
@@ -438,45 +439,52 @@ impl Cell {
             self.hk.faults(),
             &mut self.ues,
         );
-        let (alloc, used_rbs, total_rbs) = self.mac.allocate(now);
+        let (used_rbs, total_rbs) = self.mac.allocate(now);
         self.hk.observe_rbs(now, used_rbs, total_rbs);
         self.used_rbs_cum += used_rbs as u64;
         self.observer.exit(StageId::MacSched);
 
-        // Transmission: per-(UE, subband) transport-block groups, HARQ
-        // and residual-error draws; survivors become the ordered
-        // delivery batch.
-        self.observer.enter(StageId::PhyTx);
-        self.phy.transmit(
-            now,
-            self.tti,
-            &self.cfg,
-            &alloc,
-            self.mac.rates(),
-            &mut self.ues,
-            &mut self.hk,
-            &mut self.pools,
-            &mut self.observer,
-        );
-        self.observer.exit(StageId::PhyTx);
+        if self.mac.active_ues().is_empty() {
+            // No UE has radio work (the TTI is active for its events):
+            // nothing to put on the air, nothing to deliver.
+            self.phy.no_transmission(self.cfg.n_ues);
+        } else {
+            // Transmission: per-(UE, subband) transport-block groups,
+            // HARQ and residual-error draws; survivors become the
+            // ordered delivery batch.
+            self.observer.enter(StageId::PhyTx);
+            self.phy.transmit(
+                now,
+                self.tti,
+                &self.cfg,
+                self.mac.allocation(),
+                self.mac.active_ues(),
+                self.mac.rates(),
+                &mut self.ues,
+                &mut self.hk,
+                &mut self.pools,
+                &mut self.observer,
+            );
+            self.observer.exit(StageId::PhyTx);
 
-        // Delivery: replay the batch into the UE stacks (reassembly,
-        // TCP receive, completion recording).
-        self.observer.enter(StageId::Delivery);
-        let mut batch = self.phy.take_deliveries();
-        self.delivery.run(
-            now,
-            &self.cfg,
-            &mut batch,
-            &mut self.ues,
-            &mut self.ingress,
-            &mut self.hk,
-            &mut self.fct,
-            &mut self.metrics,
-            &mut self.pools,
-        );
-        self.phy.restore_deliveries(batch);
-        self.observer.exit(StageId::Delivery);
+            // Delivery: replay the batch into the UE stacks (reassembly,
+            // TCP receive, completion recording).
+            self.observer.enter(StageId::Delivery);
+            let mut batch = self.phy.take_deliveries();
+            self.delivery.run(
+                now,
+                &self.cfg,
+                &mut batch,
+                &mut self.ues,
+                &mut self.ingress,
+                &mut self.hk,
+                &mut self.fct,
+                &mut self.metrics,
+                &mut self.pools,
+            );
+            self.phy.restore_deliveries(batch);
+            self.observer.exit(StageId::Delivery);
+        }
 
         // Scheduler feedback and telemetry.
         self.observer.enter(StageId::MacSched);
@@ -743,6 +751,31 @@ impl Cell {
     #[doc(hidden)]
     pub fn channel_slot_steps(&self) -> (u64, u64) {
         self.phy.channel().slot_steps()
+    }
+
+    /// (UE, subband) CQI measurements so far, `(fast, exact)`: stored
+    /// from the channel's log-free classification, or redone through the
+    /// host's `log10` inside a threshold's guard band — a deterministic
+    /// work counter (not serialized).
+    #[doc(hidden)]
+    pub fn cqi_classifications(&self) -> (u64, u64) {
+        self.phy.channel().cqi_classifications()
+    }
+
+    /// Scheduler metric-cache rows recomputed so far — a deterministic
+    /// work counter (not serialized); at most
+    /// [`Cell::active_ue_ttis`], since only active UEs' rows are looked
+    /// at.
+    #[doc(hidden)]
+    pub fn metric_rows_refreshed(&self) -> u64 {
+        self.mac.metric_rows_refreshed()
+    }
+
+    /// Σ over active TTIs of the number of UEs with radio work in that
+    /// TTI — a deterministic work counter (not serialized).
+    #[doc(hidden)]
+    pub fn active_ue_ttis(&self) -> u64 {
+        self.mac.active_ue_ttis()
     }
 
     /// Started-but-incomplete flows right now.

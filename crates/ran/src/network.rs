@@ -592,17 +592,21 @@ impl Network {
         let per_cell_completed = st.cells.iter().map(|c| c.n_completed()).collect();
         let mut fault_stats = FaultStats::default();
         let mut total_violations = 0;
-        let mut channel_work = ChannelWork::default();
+        let mut work = WorkCounters::default();
         for cell in &mut st.cells {
             cell.audit_now();
             total_violations += cell.total_violations();
             fault_stats.merge(&cell.fault_stats());
             let (live, replayed) = cell.channel_slot_steps();
-            channel_work.fading_draws += cell.fading_draws();
-            channel_work.live_slot_steps += live;
-            channel_work.replayed_slot_steps += replayed;
-            channel_work.active_cell_ttis +=
-                cell.now().as_nanos() / cell.tti().as_nanos() - cell.idle_ttis;
+            work.fading_draws += cell.fading_draws();
+            work.live_slot_steps += live;
+            work.replayed_slot_steps += replayed;
+            work.active_cell_ttis += cell.now().as_nanos() / cell.tti().as_nanos() - cell.idle_ttis;
+            let (fast, exact) = cell.cqi_classifications();
+            work.cqi_fast += fast;
+            work.cqi_exact += exact;
+            work.active_ue_ttis += cell.active_ue_ttis();
+            work.metric_rows_refreshed += cell.metric_rows_refreshed();
         }
         NetworkRun {
             report: NetworkReport {
@@ -617,7 +621,7 @@ impl Network {
             },
             aborted_at,
             checkpoint,
-            channel_work,
+            work,
         }
     }
 }
@@ -860,17 +864,17 @@ pub struct NetworkRun {
     pub aborted_at: Option<Time>,
     /// Path of the final checkpoint written on abort, when requested.
     pub checkpoint: Option<PathBuf>,
-    /// Channel work done, summed over cells.
+    /// Channel and scheduler work done, summed over cells.
     #[doc(hidden)]
-    pub channel_work: ChannelWork,
+    pub work: WorkCounters,
 }
 
-/// Deterministic channel work counters of one network run, summed over
-/// its cells. They are not serialized (a resumed run counts from the
+/// Deterministic work counters of one network run, summed over its
+/// cells. They are not serialized (a resumed run counts from the
 /// restore) and not part of the report, so no digest sees them.
 #[doc(hidden)]
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ChannelWork {
+pub struct WorkCounters {
     /// Gaussians drawn by the fading step ([`Cell::fading_draws`]).
     pub fading_draws: u64,
     /// Slots stepped by a channel advance as it ran.
@@ -879,6 +883,17 @@ pub struct ChannelWork {
     pub replayed_slot_steps: u64,
     /// Active cell-TTIs: each is one channel advance of one cell.
     pub active_cell_ttis: u64,
+    /// (UE, subband) CQIs stored from the log-free classification
+    /// ([`Cell::cqi_classifications`]).
+    pub cqi_fast: u64,
+    /// (UE, subband) CQIs redone through the host's `log10`.
+    pub cqi_exact: u64,
+    /// Σ over active cell-TTIs of the UEs with radio work
+    /// ([`Cell::active_ue_ttis`]).
+    pub active_ue_ttis: u64,
+    /// Scheduler metric-cache rows recomputed
+    /// ([`Cell::metric_rows_refreshed`]).
+    pub metric_rows_refreshed: u64,
 }
 
 #[cfg(test)]

@@ -10,6 +10,7 @@ use crate::config::CellConfig;
 use crate::stages::{PhyTxStage, RlcRx, RlcTx, UeContext, FAULT_FORK};
 use outran_core::PriorityReset;
 use outran_faults::{ActiveFaults, AuditSnapshot, FaultStats, InvariantAuditor};
+use outran_simcore::snap::SnapError;
 use outran_simcore::snap_fields;
 use outran_simcore::{Dur, Rng, Time};
 
@@ -34,6 +35,9 @@ pub struct HousekeepingStage {
     /// Bytes terminally dropped by fault actions (capacity-clamp and
     /// reestablishment tx flushes) — a byte-conservation ledger term.
     dropped_bytes: u64,
+    /// Whether `faults_active` has been checked against the plan since
+    /// this stage was built or restored (derived, not serialized).
+    plan_checked: bool,
 }
 
 impl HousekeepingStage {
@@ -58,41 +62,59 @@ impl HousekeepingStage {
                 Some(Time::ZERO)
             },
             dropped_bytes: 0,
+            plan_checked: false,
         }
     }
 
-    /// Fault engine entry: flatten the plan at `now` and apply window
-    /// edges (flush on RLF/detach entry, capacity clamps, …). Refreshes
-    /// the cached edge only when crossed: between edges the snapshot is
-    /// constant and idle spans may skip.
+    /// Fault engine entry: when `now` has crossed the cached edge,
+    /// flatten the plan and apply window edges (flush on RLF/detach
+    /// entry, capacity clamps, …), then cache the next edge. Between
+    /// edges the snapshot is constant
+    /// ([`outran_faults::FaultPlan::next_edge_after`]), so nothing is
+    /// flattened and idle spans may skip. The first active TTI of a
+    /// fresh or restored stage also flattens, so a restored snapshot the
+    /// configured plan disagrees with is corrected at once. Returns
+    /// whether the snapshot in force ([`HousekeepingStage::faults`])
+    /// was replaced.
     pub fn apply_fault_edges(
         &mut self,
         now: Time,
         cfg: &CellConfig,
         ues: &mut [UeContext],
         phy: &mut PhyTxStage,
-    ) {
-        if !cfg.faults.is_empty() || !self.faults_active.is_quiet() {
-            let active = cfg.faults.active_at(now);
-            self.apply_fault_transitions(cfg, ues, phy, active);
-            if self.next_fault_edge.is_some_and(|e| e <= now) {
-                self.next_fault_edge = cfg.faults.next_edge_after(now);
-            }
+    ) -> bool {
+        let crossed = self.next_fault_edge.is_some_and(|e| e <= now);
+        if !crossed && self.plan_checked {
+            return false;
         }
+        self.plan_checked = true;
+        let active = cfg.faults.active_at(now);
+        if crossed {
+            self.next_fault_edge = cfg.faults.next_edge_after(now);
+        }
+        self.apply_fault_transitions(cfg, ues, phy, active)
     }
 
-    /// Diff the new fault snapshot against the previous TTI's and run the
-    /// edge actions: RLC re-establishment on RLF/detach entry, re-attach
-    /// accounting on exit, and RLC capacity clamps for shrink windows.
+    /// Recheck the restored snapshot against the plan on the next TTI.
+    fn recheck_plan(&mut self) -> Result<(), SnapError> {
+        self.plan_checked = false;
+        Ok(())
+    }
+
+    /// Diff the new fault snapshot against the one in force and, if it
+    /// differs, replace that and run the edge actions: RLC
+    /// re-establishment on RLF/detach entry, re-attach accounting on
+    /// exit, and RLC capacity clamps for shrink windows. Returns whether
+    /// it differed.
     fn apply_fault_transitions(
         &mut self,
         cfg: &CellConfig,
         ues: &mut [UeContext],
         phy: &mut PhyTxStage,
         active: ActiveFaults,
-    ) {
+    ) -> bool {
         if active == self.faults_active {
-            return;
+            return false;
         }
         let prev = std::mem::replace(&mut self.faults_active, active);
         for (ue, ctx) in ues.iter_mut().enumerate() {
@@ -125,6 +147,7 @@ impl HousekeepingStage {
                 self.dropped_bytes += bytes;
             }
         }
+        true
     }
 
     /// RLC re-establishment for one UE (TS 36.322 §5.4): flush both
@@ -312,5 +335,6 @@ snap_fields! {
         faults_active, fault_rng, fault_counters, auditor, reset: fixed_opt, last_gc,
         next_fault_edge, dropped_bytes,
     }
-    rebuilt { audit_order }
+    rebuilt { audit_order, plan_checked }
+    then HousekeepingStage::recheck_plan
 }

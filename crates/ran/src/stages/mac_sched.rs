@@ -1,10 +1,12 @@
 //! Stage 3 — **MAC scheduling**: rates, GBR carve-out, RB allocation.
 //!
 //! Owns the dynamic scheduler, the reusable per-TTI rate matrix
-//! ([`TtiRates`]) and scheduler-input vectors, and the semi-persistent
-//! GBR bearers. Each active TTI it refreshes the rate matrix from the
-//! PHY channel's delivered CQI reports, carves out the GBR region,
-//! builds the per-UE scheduler inputs, and invokes the scheduler.
+//! ([`TtiRates`]), scheduler-input vectors and allocation, and the
+//! semi-persistent GBR bearers. Each active TTI it refreshes the rate
+//! matrix from the PHY channel's delivered CQI reports, carves out the
+//! GBR region, builds the per-UE scheduler inputs and the list of active
+//! UEs, and invokes the scheduler — which, like the transmit stage after
+//! it, walks that list and no other UE.
 
 use crate::config::{CellConfig, GbrBearer, SchedulerKind};
 use crate::stages::{IngressStage, TtiRates, UeContext};
@@ -33,7 +35,13 @@ pub struct MacSchedStage {
     // u64::MAX); `ues_tti`/`had_data` are rebuilt every active TTI.
     rates: TtiRates,
     ues_tti: Vec<UeTti>,
+    /// The UEs with `ues_tti[u].active`, ascending.
+    active: Vec<u16>,
     had_data: Vec<bool>,
+    /// This TTI's allocation (all-idle when no UE is active).
+    alloc: Allocation,
+    /// Σ over active TTIs of the active-UE count (work counter).
+    active_ue_ttis: u64,
     gbr: Vec<GbrRuntime>,
     // O(1) GBR work probes: the earliest pending generation instant and
     // the total queued packet count across bearers. Maintained by
@@ -51,7 +59,10 @@ impl MacSchedStage {
             scheduler: build_scheduler(cfg, tti),
             rates: TtiRates::default(),
             ues_tti: Vec::new(),
+            active: Vec::new(),
             had_data: Vec::new(),
+            alloc: Allocation::empty(0, 0),
+            active_ue_ttis: 0,
             gbr: Vec::new(),
             gbr_min_next_gen: None,
             gbr_queued_pkts: 0,
@@ -190,7 +201,8 @@ impl MacSchedStage {
     }
 
     /// Build the per-UE scheduler inputs (O(1) occupancy reads, oracle
-    /// flow sizes for SRJF/PSS/CQA) and the per-UE had-data flags.
+    /// flow sizes for SRJF/PSS/CQA), the ascending list of active UEs
+    /// and the per-UE had-data flags.
     pub fn build_ue_inputs(
         &mut self,
         now: Time,
@@ -202,6 +214,7 @@ impl MacSchedStage {
         let out = &mut self.ues_tti;
         out.clear();
         out.reserve(cfg.n_ues);
+        self.active.clear();
         for (ue, ctx) in ues.iter_mut().enumerate() {
             // Prune completed flows from the per-UE active list.
             ctx.flows.retain(|&fi| !ingress.flow_done(fi));
@@ -232,6 +245,7 @@ impl MacSchedStage {
                     has_qos = true;
                 }
             }
+            self.active.push(ue as u16);
             out.push(UeTti {
                 active: true,
                 head_priority,
@@ -243,16 +257,39 @@ impl MacSchedStage {
         }
         self.had_data.clear();
         self.had_data.extend(out.iter().map(|u| u.active));
+        self.active_ue_ttis += self.active.len() as u64;
     }
 
-    /// Invoke the scheduler; returns the allocation plus (used, total)
-    /// RB counts, with GBR-reserved RBs counted as used.
-    pub fn allocate(&mut self, now: Time) -> (Allocation, u32, u32) {
-        let alloc = self.scheduler.allocate(now, &self.ues_tti, &self.rates);
-        let used_rbs = alloc.rb_to_ue.iter().filter(|a| a.is_some()).count()
-            + self.rates.reserved.iter().filter(|&&r| r).count();
-        let total_rbs = self.rates.rb_to_sb.len() as u32;
-        (alloc, used_rbs as u32, total_rbs)
+    /// Invoke the scheduler — not at all when no UE is active: every
+    /// scheduler leaves every RB idle then, and moves no state. Returns
+    /// the (used, total) RB counts, with GBR-reserved RBs counted as
+    /// used; the allocation stays here, in a buffer reused every TTI.
+    pub fn allocate(&mut self, now: Time) -> (u32, u32) {
+        let n_rbs = self.rates.rb_to_sb.len();
+        if self.active.is_empty() {
+            self.alloc.reset(n_rbs as u16, self.ues_tti.len());
+        } else {
+            self.scheduler.allocate_into(
+                now,
+                &self.ues_tti,
+                &self.active,
+                &self.rates,
+                &mut self.alloc,
+            );
+        }
+        let used_rbs = self.alloc.rbs_used() + self.rates.reserved.iter().filter(|&&r| r).count();
+        (used_rbs as u32, n_rbs as u32)
+    }
+
+    /// This TTI's allocation.
+    pub fn allocation(&self) -> &Allocation {
+        &self.alloc
+    }
+
+    /// The UEs that entered this TTI with queued or in-flight radio
+    /// data, ascending.
+    pub fn active_ues(&self) -> &[u16] {
+        &self.active
     }
 
     /// Feed the per-UE transmitted bits back into the scheduler's
@@ -271,6 +308,17 @@ impl MacSchedStage {
         &self.had_data
     }
 
+    /// Σ over active TTIs of the active-UE count — a deterministic work
+    /// counter, not serialized.
+    pub fn active_ue_ttis(&self) -> u64 {
+        self.active_ue_ttis
+    }
+
+    /// Metric-cache rows the scheduler recomputed — likewise.
+    pub fn metric_rows_refreshed(&self) -> u64 {
+        self.scheduler.metric_rows_refreshed()
+    }
+
     /// Rebuild the O(1) work-probe caches from the restored bearers
     /// (derived state; not part of the wire format).
     fn rebuild_gbr_probes(&mut self) -> Result<(), SnapError> {
@@ -287,11 +335,14 @@ snap_fields! { GbrRuntime { bearer, next_gen, queue } }
 // definitions ride along). A fresh stage starts with
 // `versions = u64::MAX`, so the first `refresh_rates` after restore
 // rebuilds every row from the restored channel's report versions,
-// reproducing the exact values and version tags; `ues_tti` and
-// `had_data` are rebuilt from scratch every active TTI.
+// reproducing the exact values and version tags; `ues_tti`, `active`,
+// `had_data` and `alloc` are rebuilt from scratch every active TTI.
 snap_fields! {
     overlay MacSchedStage { scheduler, gbr }
-    rebuilt { rates, ues_tti, had_data, gbr_min_next_gen, gbr_queued_pkts }
+    rebuilt {
+        rates, ues_tti, active, had_data, alloc, active_ue_ttis, gbr_min_next_gen,
+        gbr_queued_pkts,
+    }
     then MacSchedStage::rebuild_gbr_probes
 }
 

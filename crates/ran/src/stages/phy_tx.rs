@@ -62,21 +62,35 @@ impl PhyTxStage {
         }
     }
 
-    /// Channel evolution (CQI staleness/corruption pushed first).
-    /// `advance_to` composes any idle gap since the previous active TTI
-    /// into one distribution-preserving jump; with no gap it is the
-    /// plain per-TTI advance.
-    pub fn advance_channel(&mut self, now: Time, n_ues: usize, faults: &ActiveFaults) {
-        for ue in 0..n_ues {
-            self.channel.set_cqi_frozen(ue, faults.cqi_frozen(ue));
-            self.channel.set_cqi_corrupt(ue, faults.cqi_corrupted(ue));
+    /// Channel evolution. The CQI staleness/corruption flags are pushed
+    /// first when `faults_changed` says housekeeping replaced the fault
+    /// snapshot this TTI — they are a function of the snapshot, the
+    /// channel keeps them (and a checkpoint carries both), so between
+    /// replacements they are already in place. `advance_to` composes any
+    /// idle gap since the previous active TTI into one
+    /// distribution-preserving jump; with no gap it is the plain per-TTI
+    /// advance.
+    pub fn advance_channel(
+        &mut self,
+        now: Time,
+        n_ues: usize,
+        faults: &ActiveFaults,
+        faults_changed: bool,
+    ) {
+        if faults_changed {
+            for ue in 0..n_ues {
+                self.channel.set_cqi_frozen(ue, faults.cqi_frozen(ue));
+                self.channel.set_cqi_corrupt(ue, faults.cqi_corrupted(ue));
+            }
         }
         self.channel.advance_to(now);
     }
 
     /// Serve the allocation: pull RLC data per (UE, subband) group, draw
     /// HARQ/residual errors, and append surviving payloads to the
-    /// delivery batch in transmission order.
+    /// delivery batch in transmission order. Only the UEs in `active`
+    /// (the MAC stage's ascending list) are visited: a UE outside it
+    /// holds no grant and no HARQ block.
     ///
     /// Two air-interface error models are supported:
     /// * **folded HARQ** (default, `cfg.harq = None`): a failed TB is
@@ -94,6 +108,7 @@ impl PhyTxStage {
         tti: Dur,
         cfg: &CellConfig,
         alloc: &Allocation,
+        active: &[u16],
         rates: &TtiRates,
         ues: &mut [UeContext],
         hk: &mut HousekeepingStage,
@@ -106,6 +121,7 @@ impl PhyTxStage {
         );
         let n_ues = cfg.n_ues;
         let n_sb = cfg.channel.n_subbands;
+        self.no_transmission(n_ues);
         let group_bits = &mut self.group_bits;
         group_bits.clear();
         group_bits.resize(n_ues * n_sb, 0.0);
@@ -116,15 +132,13 @@ impl PhyTxStage {
                 group_bits[u * n_sb + sb] += rates.per_ue_sb[u * n_sb + sb];
             }
         }
-        self.transmitted.clear();
-        self.transmitted.resize(n_ues, 0.0);
-        self.delivered.clear();
-        self.delivered.resize(n_ues, 0.0);
         let explicit_harq = cfg.harq.is_some();
         // A loss-spike window adds to the configured residual loss.
         let eff_loss = (cfg.residual_loss + hk.faults().extra_loss).min(1.0);
         let spiking = hk.faults().extra_loss > 0.0;
-        for (ue, ctx) in ues.iter_mut().enumerate() {
+        for &ue in active {
+            let ue = ue as usize;
+            let ctx = &mut ues[ue];
             if explicit_harq {
                 // Serve due HARQ retransmissions ahead of fresh data,
                 // drawing on the UE's *whole* TTI grant (a retransmitted
@@ -305,6 +319,15 @@ impl PhyTxStage {
                 }
             }
         }
+    }
+
+    /// A TTI in which nothing goes on the air: zero per-UE transmitted
+    /// and delivered bits (what [`PhyTxStage::transmit`] starts from).
+    pub fn no_transmission(&mut self, n_ues: usize) {
+        self.transmitted.clear();
+        self.transmitted.resize(n_ues, 0.0);
+        self.delivered.clear();
+        self.delivered.resize(n_ues, 0.0);
     }
 
     /// Hand over this TTI's ordered delivery batch (allocation is

@@ -7,8 +7,8 @@
 //! under the even tag — even when no new CQI report was delivered in
 //! between. The `outran_mac` metric cache keys its rows on exactly that
 //! tag, so these tests pin the full invalidation cascade: fault window
-//! edge → version parity flip → row recompute, with every other UE's
-//! cached row untouched.
+//! edge → version parity flip → row recompute, with every other active
+//! UE's cached row untouched and an idle UE's row not looked at.
 
 use outran_faults::FaultPlan;
 use outran_mac::SubbandMetricCache;
@@ -85,33 +85,47 @@ fn metric_cache_tracks_fault_driven_versions() {
     // under test is version-driven, not metric-driven.
     let metric = |_u: usize, r: f64| r;
     let mut cache = SubbandMetricCache::new();
+    // UEs 1 and 3 have data; the schedulers ask for their rows alone.
+    let active = [1usize, 3];
 
     mac.refresh_rates(&cfg, &ch, &plan.active_at(now));
-    cache.refresh(mac.rates(), |_| 0, metric);
+    cache.refresh_rows(mac.rates(), active.into_iter(), |_| 0, metric);
     let live: Vec<u64> = (0..n_sb).map(|sb| cache.metric(1, sb).to_bits()).collect();
     assert!(
         (0..n_sb).any(|sb| cache.metric(1, sb) > 0.0),
         "warmed UE must be eligible somewhere"
     );
     let misses0 = cache.misses;
-    assert_eq!(misses0, UES as u64);
+    assert_eq!(misses0, active.len() as u64, "idle rows are not computed");
 
     // Detach: the UE's cached row collapses to -inf (ineligible in any
-    // argmax/ε-band); everyone else is a version hit.
+    // argmax/ε-band); the other active UE is a version hit.
     mac.refresh_rates(&cfg, &ch, &plan.active_at(down_at));
-    cache.refresh(mac.rates(), |_| 0, metric);
+    cache.refresh_rows(mac.rates(), active.into_iter(), |_| 0, metric);
     for sb in 0..n_sb {
         assert_eq!(cache.metric(1, sb), f64::NEG_INFINITY, "sb {sb}");
     }
     assert_eq!(cache.misses, misses0 + 1);
-    assert_eq!(cache.hits, (UES - 1) as u64);
+    assert_eq!(cache.hits, 1);
 
     // Re-attach without a fresh report: bit-identical metrics return,
     // again at the cost of exactly one recomputed row.
     mac.refresh_rates(&cfg, &ch, &plan.active_at(up_at));
-    cache.refresh(mac.rates(), |_| 0, metric);
+    cache.refresh_rows(mac.rates(), active.into_iter(), |_| 0, metric);
     let back: Vec<u64> = (0..n_sb).map(|sb| cache.metric(1, sb).to_bits()).collect();
     assert_eq!(live, back);
     assert_eq!(cache.misses, misses0 + 2);
-    assert_eq!(cache.hits, 2 * (UES - 1) as u64);
+    assert_eq!(cache.hits, 2);
+
+    // UE 0 has data for the first time: its row is keyed and computed
+    // now, from today's rates — three refreshes went by without it.
+    cache.refresh_rows(mac.rates(), [0usize, 1, 3].into_iter(), |_| 0, metric);
+    let mut want = vec![0.0; n_sb];
+    ch.fill_reported_rates(0, &mut want);
+    for (sb, &r) in want.iter().enumerate() {
+        let m = if r > 0.0 { r } else { f64::NEG_INFINITY };
+        assert_eq!(cache.metric(0, sb), m, "sb {sb}");
+    }
+    assert_eq!(cache.misses, misses0 + 3);
+    assert_eq!(cache.hits, 4);
 }

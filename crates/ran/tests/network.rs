@@ -172,8 +172,8 @@ fn fading_draws_follow_occupied_slots() {
     let serial = churny(7).run();
     let mut threaded = churny(7);
     threaded.threads = 3;
-    let w = serial.channel_work;
-    assert_eq!(w, threaded.run().channel_work);
+    let w = serial.work;
+    assert_eq!(w, threaded.run().work);
     assert!(serial.report.handover.successes > 0);
 
     // Every slot step, live or replayed, is one draw of 2·(8 + 1)
@@ -190,6 +190,52 @@ fn fading_draws_follow_occupied_slots() {
     let eager = per_step * 8 * w.active_cell_ttis;
     assert!(w.fading_draws < eager / 2, "{w:?} vs {eager}");
     assert!(w.fading_draws >= per_step * 2 * w.active_cell_ttis, "{w:?}");
+}
+
+/// The CQI-classification and metric-row counters are deterministic
+/// work: the same on any number of threads and in both stepping modes,
+/// every measured sub-band is counted once, and a scheduler recomputes
+/// rows of active UEs only.
+#[test]
+fn classification_and_metric_row_counters_follow_the_work() {
+    let w = churny(7).run().work;
+    let mut threaded = churny(7);
+    threaded.threads = 3;
+    assert_eq!(w, threaded.run().work);
+    // A report is measured one 8-sub-band row at a time; nearly all of
+    // them without the host's `log10`.
+    assert_eq!((w.cqi_fast + w.cqi_exact) % 8, 0, "{w:?}");
+    assert!(w.cqi_fast > 1_000 * w.cqi_exact.max(1), "{w:?}");
+    // Only an active UE's metric row is ever recomputed, and most
+    // occupied slots are idle in most TTIs.
+    assert!(w.metric_rows_refreshed > 0, "{w:?}");
+    assert!(w.metric_rows_refreshed <= w.active_ue_ttis, "{w:?}");
+    assert!(w.active_ue_ttis < 8 * w.active_cell_ttis / 2, "{w:?}");
+
+    let run = |dense: bool| {
+        let mut cell = Experiment::lte_default()
+            .scheduler(SchedulerKind::OutRan)
+            .users(6)
+            .load(0.3)
+            .duration_secs(3)
+            .seed(11)
+            .build_cell();
+        if dense {
+            cell.run_until_dense(Time::from_secs(4));
+        } else {
+            cell.run_until(Time::from_secs(4));
+        }
+        (
+            cell.skipped_ttis,
+            cell.cqi_classifications(),
+            cell.active_ue_ttis(),
+            cell.metric_rows_refreshed(),
+        )
+    };
+    let (skipped, cqi, active, rows) = run(false);
+    assert!(skipped > 0, "no idle jump in the event-driven run");
+    assert_eq!((0, cqi, active, rows), run(true));
+    assert!(rows > 0 && rows <= active, "rows {rows} active {active}");
 }
 
 /// In a single cell nothing ever lags: every slot is stepped once per

@@ -13,7 +13,7 @@
 //!   between knots, which matches how heavy-tailed size CDFs are usually
 //!   digitised from published figures.
 
-use crate::math::{cos_tau, ln_unit};
+use crate::math::{cos_tau, ln_positive};
 use crate::rng::Rng;
 
 /// Exponential distribution with rate `lambda` (mean `1/lambda`).
@@ -96,7 +96,7 @@ const FILL_CHUNK: usize = 32;
 /// [`Normal::fill`] of `n` values leave the generator in the same state.
 /// They differ in who computes `ln` and `cos`: `sample` calls the host's
 /// libm and is the reference; `fill` runs the crate's own kernels
-/// (`math::ln_unit`, `math::cos_tau`) and agrees with it to `1e-15 · sd`
+/// (`math::ln_positive`, `math::cos_tau`) and agrees with it to `1e-15 · sd`
 /// per unit of Box–Muller radius (~1e-15 typically, under 3e-15 in the
 /// tails), not bit for bit. `sample` stays on libm because static
 /// shadowing draws feed comparisons that a 1-ulp change can flip (see
@@ -139,7 +139,7 @@ impl Normal {
                 *b = rng.f64();
             }
             for ((o, &a), &b) in chunk.iter_mut().zip(&u1[..n]).zip(&u2[..n]) {
-                let z = (-2.0 * ln_unit(a)).sqrt() * cos_tau(b);
+                let z = (-2.0 * ln_positive(a)).sqrt() * cos_tau(b);
                 *o = self.mean + self.sd * z;
             }
         }

@@ -13,11 +13,11 @@
 //! * [`Rng`] — a self-contained xoshiro256** generator seeded explicitly.
 //!   We implement it ourselves (no external generator crate) so the
 //!   stream is stable across toolchains and platforms.
-//! * `math` (private) — `cos_tau` and `ln_unit`, the two elementary
-//!   functions under [`Normal::fill`]: the second thing implemented
-//!   locally so the stream can never change underneath us. The per-TTI
-//!   fading draws go through them, so tap values no longer depend on
-//!   which libm the host ships.
+//! * [`math`] — `cos_tau` (private) and [`math::ln_positive`], the two
+//!   elementary functions under [`Normal::fill`]: the second thing
+//!   implemented locally so the stream can never change underneath us.
+//!   The per-TTI fading draws go through them, so tap values no longer
+//!   depend on which libm the host ships.
 //! * [`EventQueue`] — a monotonic priority queue of `(Time, E)` events with
 //!   stable FIFO ordering for simultaneous events.
 //! * [`dist`] — samplers used throughout the evaluation: exponential
@@ -53,7 +53,7 @@
 
 pub mod dist;
 pub mod events;
-mod math;
+pub mod math;
 pub mod pool;
 pub mod rng;
 pub mod snap;

@@ -3,7 +3,9 @@
 //! never change underneath us. [`Normal::fill`](crate::Normal::fill)
 //! computes every Gaussian of the per-TTI fading advance through these
 //! kernels, so the fading taps do not depend on which libm the host
-//! ships.
+//! ships. [`ln_positive`] is also the logarithm under the PHY channel's
+//! CQI classifier, which only ever uses it as an approximation it then
+//! certifies against the host's `log10` (`outran-phy`, `channel.rs`).
 //!
 //! Both are straight-line code (no branch, no call, no table), which is
 //! what lets the loop in `fill` pipeline: libm's `cos` spends most of its
@@ -13,8 +15,8 @@
 //! distributable) and keep fdlibm's names; each is written as the shortest
 //! decimal that parses to fdlibm's double.
 //!
-//! Each kernel is specialised to the domain the draw feeds it and is
-//! **not** a general replacement for `f64::cos` / `f64::ln` outside it.
+//! Each kernel is specialised to the domain stated on it and is **not** a
+//! general replacement for `f64::cos` / `f64::ln` outside it.
 
 use std::f64::consts::TAU;
 
@@ -89,16 +91,19 @@ pub(crate) fn cos_tau(u: f64) -> f64 {
     f64::from_bits(picked ^ (negate << 63))
 }
 
-/// `ln(x)` for `x ∈ (0, 1]` and normal (in use: `x ≥ 2⁻⁵³`).
+/// `ln(x)` for any positive, normal, finite `x` (in use: the Box–Muller
+/// radius, `x ∈ [2⁻⁵³, 1]`, and the channel's fading power, `x ≥ 1e-12`).
 ///
-/// fdlibm's `e_log` without its special cases: `x = 2ᵏ·(1 + f)` with
-/// `1 + f ∈ [√½, √2)`, `s = f / (2 + f)`, and
-/// `ln(1 + f) = f − f²/2 + s·(f²/2 + R(s²))`. Returns exactly `0.0` at
-/// `x = 1.0` and a negative value everywhere below it, so
-/// `(-2.0 * ln_unit(x)).sqrt()` is never NaN.
+/// fdlibm's `e_log` without its special cases (zero, subnormal, negative,
+/// infinite and NaN inputs give garbage, not an error): `x = 2ᵏ·(1 + f)`
+/// with `1 + f ∈ [√½, √2)`, `s = f / (2 + f)`, and
+/// `ln(1 + f) = f − f²/2 + s·(f²/2 + R(s²))`; under 1 ulp of error.
+/// Returns exactly `0.0` at `x = 1.0` and a negative value everywhere
+/// below it, so `(-2.0 * ln_positive(x)).sqrt()` is never NaN for
+/// `x ≤ 1`.
 #[inline]
-pub(crate) fn ln_unit(x: f64) -> f64 {
-    debug_assert!((f64::MIN_POSITIVE..=1.0).contains(&x), "x={x}");
+pub fn ln_positive(x: f64) -> f64 {
+    debug_assert!(x.is_normal() && x > 0.0, "x={x}");
     let bits = x.to_bits();
     let hi = (bits >> 32) + (ONE_HI - SQRT_HALF_HI);
     let k = (hi >> 20) as i32 - 0x3ff;
@@ -130,13 +135,13 @@ mod tests {
     }
 
     fn check_ln(x: f64) {
-        let got = ln_unit(x);
+        let got = ln_positive(x);
         let want = x.ln();
         assert!(
             (got - want).abs() <= 4e-16 * want.abs(),
             "x={x:e} got={got} want={want}"
         );
-        assert!(got <= 0.0, "x={x:e} got={got}");
+        assert_eq!(got <= 0.0, x <= 1.0, "x={x:e} got={got}");
     }
 
     #[test]
@@ -169,23 +174,28 @@ mod tests {
     }
 
     #[test]
-    fn ln_unit_matches_libm_on_seeded_inputs() {
+    fn ln_positive_matches_libm_on_seeded_inputs() {
         let mut rng = Rng::new(0x109);
         for _ in 0..N {
             check_ln(rng.f64_open());
         }
         // `f64_open` almost never lands below 2⁻²⁰; sweep the exponents
-        // it can reach with random mantissas.
+        // the draw can reach with random mantissas, and as far above 1
+        // as a fading power can get.
         for _ in 0..N / 10 {
             let e = rng.below(53) as i32;
             check_ln(rng.f64_open() * 2f64.powi(-e));
+            check_ln(rng.f64_open() * 2f64.powi(e));
         }
     }
 
     #[test]
-    fn ln_unit_edges() {
+    fn ln_positive_edges() {
         let eps = 2f64.powi(-53);
-        assert_eq!(ln_unit(1.0).to_bits(), 0.0f64.to_bits());
+        assert_eq!(ln_positive(1.0).to_bits(), 0.0f64.to_bits());
+        check_ln(f64::MIN_POSITIVE);
+        check_ln(f64::MAX);
+        check_ln(1.0 + f64::EPSILON);
         check_ln(1.0 - eps);
         check_ln(eps);
         check_ln(0.5);
