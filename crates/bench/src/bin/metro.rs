@@ -10,11 +10,10 @@
 //! ```
 //!
 //! Not a performance measurement (that is `benchmark/`, whose `metro`
-//! workload times a smaller layout; the per-scheduler wall seconds
-//! written here are informational and never compared). Everything
-//! gated here is *simulated* and therefore bit-deterministic: the
-//! coupled network replays byte-identically for any thread count and
-//! on any machine.
+//! workload times a smaller layout; the per-scheduler wall seconds go to
+//! stderr and into no file). Everything gated here is *simulated* and
+//! therefore bit-deterministic: the coupled network replays
+//! byte-identically for any thread count and on any machine.
 //! `--check FILE` re-runs the deployment and fails (exit 1) unless the
 //! freshly produced `"sim"` block — FCT figures, completion counts, the
 //! full handover table and an FNV fingerprint of each scheduler's
@@ -58,7 +57,6 @@ const KINDS: [SchedulerKind; 5] = [
 /// One measured deployment.
 struct MetroRow {
     name: &'static str,
-    wall_secs: f64,
     report: NetworkReport,
 }
 
@@ -122,7 +120,6 @@ fn measure() -> Vec<MetroRow> {
             }
             MetroRow {
                 name: kind.name(),
-                wall_secs,
                 report: r,
             }
         })
@@ -181,10 +178,9 @@ fn sim_json(rows: &[MetroRow]) -> String {
     json
 }
 
-/// Assemble the full BENCH_6.json: layout + wall clocks (informational,
-/// machine-dependent) followed by the gated `"sim"` block, which is
-/// deliberately the final key so the gate can compare the raw tail of
-/// the file.
+/// Assemble the full BENCH_6.json: the layout, then the gated `"sim"`
+/// block, which is deliberately the final key so the gate can compare
+/// the raw tail of the file.
 fn metro_json(rows: &[MetroRow]) -> String {
     let mut json = String::from("{\n  \"schema\": \"outran-metro-v1\",\n");
     json.push_str(&format!(
@@ -193,16 +189,6 @@ fn metro_json(rows: &[MetroRow]) -> String {
          \"secs\": {SECS}, \"seed\": {SEED},\n",
         SITES * SECTORS
     ));
-    json.push_str("  \"wall\": [\n");
-    for (i, row) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"scheduler\": \"{}\", \"wall_secs\": {:.2}}}{}\n",
-            row.name,
-            row.wall_secs,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n");
     json.push_str("  \"sim\": ");
     json.push_str(&sim_json(rows));
     json.push_str("\n}\n");

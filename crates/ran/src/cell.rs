@@ -699,9 +699,12 @@ impl Cell {
     /// MLFQ sent-bytes keep counting) sized at the undelivered tail.
     /// Returns the continuation flow indices, in `export.flows` order,
     /// so the caller can map completions back to flow origins.
+    ///
+    /// Draws nothing and leaves the slot's channel as it is: the network
+    /// marks the slot occupied (`set_slot_occupied`, where the skipped
+    /// TTIs are replayed) in the pooled half of the same barrier.
     pub fn handover_attach(&mut self, ue: usize, export: &HandoverExport) -> Vec<usize> {
         assert!(ue < self.cfg.n_ues);
-        self.set_slot_occupied(ue, true);
         self.ues[ue].flow_table.import(&export.pdcp, self.now);
         let now = self.now;
         export

@@ -30,16 +30,20 @@
 //!   attributed to the *original* spawn via an origin chain that
 //!   survives repeated handovers.
 //!
-//! Every inter-cell decision happens serially at the barrier in a fixed
-//! order, and cells only run in parallel *between* barriers, so the
-//! merged report is byte-identical for any thread count. Checkpoints
-//! extend the ORSN format with a `network` section (UE registry, A3
-//! timers, load vector, origin map) next to the usual per-cell sections;
-//! resume is construct-then-overlay, bit-identical to an uninterrupted
-//! run.
+//! Every inter-cell *decision* happens serially at the barrier in a
+//! fixed order and draws nothing; what a decision costs a cell — the
+//! channel attach of a slot a handover filled (the exact replay of the
+//! TTIs it skipped) and the geometry pushes — is applied per cell through
+//! the worker pool, as the cells' own epochs are. Cells share no mutable
+//! state, so the merged report is byte-identical for any thread count.
+//! Checkpoints extend the ORSN format with a `network` section (UE
+//! registry, A3 timers, load vector, origin map) next to the usual
+//! per-cell sections; resume is construct-then-overlay, bit-identical to
+//! an uninterrupted run.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use outran_faults::{FaultPlan, FaultStats, HandoverStats};
 use outran_metrics::{FctCollector, FctReport};
@@ -54,7 +58,7 @@ use outran_workload::{FlowArrival, FlowSizeDist, PoissonFlowGen};
 
 use crate::cell::{Cell, CellConfig, SchedulerKind};
 use crate::checkpoint::CheckpointMeta;
-use crate::pool::parallel_map_eager;
+use crate::pool::for_each_mut;
 
 /// Epoch length: the cadence of the barrier at which load is exchanged,
 /// mobility advances, A3 is evaluated and handovers execute; also the
@@ -215,14 +219,22 @@ impl Network {
         let geo = NetGeometry::hex(self.n_sites, self.isd_m);
         let chan = self.channel_config();
 
-        let mut cells = Vec::with_capacity(n_cells);
-        for c in 0..n_cells {
-            let mut cfg =
-                CellConfig::lte_default(self.slots_per_cell, self.scheduler, self.seed + c as u64);
-            cfg.channel = chan;
-            cfg.faults = self.faults.clone();
-            cells.push(Cell::new(cfg));
+        // Every cell runs the same policy: solve its MLFQ thresholds once
+        // here and hand each cell the vector (a lone `Cell::new` solves).
+        let mut cfg = CellConfig::lte_default(self.slots_per_cell, self.scheduler, self.seed);
+        cfg.channel = chan;
+        cfg.faults = self.faults.clone();
+        if self.scheduler.uses_mlfq() {
+            cfg.outran.thresholds = Some(cfg.outran.resolve_mlfq().thresholds);
         }
+        let cells = (0..n_cells)
+            .map(|c| {
+                Cell::new(CellConfig {
+                    seed: self.seed + c as u64,
+                    ..cfg.clone()
+                })
+            })
+            .collect();
 
         // UE registry. Each UE forks its own stream and draws, in fixed
         // order: static per-site shadowing, the mobility-class coin, the
@@ -273,23 +285,19 @@ impl Network {
 
         // Initial attach, in UE id order: strongest cell with a free
         // slot, lowest free slot index.
+        let plan = BarrierPlan {
+            rsrp: self.rsrp_table(&geo, &chan, &ues),
+            attached: vec![Vec::new(); n_cells],
+        };
         let mut slot_owner: Vec<Vec<Option<usize>>> =
             vec![vec![None; self.slots_per_cell]; n_cells];
         for (i, ue) in ues.iter_mut().enumerate() {
-            let pos = ue.pos(&geo);
             let mut best: Option<(f64, usize)> = None;
             for (c, slots) in slot_owner.iter().enumerate() {
                 if !slots.iter().any(|s| s.is_none()) {
                     continue;
                 }
-                let r = rsrp_cell(
-                    &geo,
-                    &chan,
-                    self.sectors_per_site,
-                    c,
-                    pos,
-                    &ue.shadow_site_db,
-                );
+                let r = plan.rsrp[i * n_cells + c];
                 if best.map(|(b, _)| r > b).unwrap_or(true) {
                     best = Some((r, c));
                 }
@@ -330,6 +338,7 @@ impl Network {
             fct: FctCollector::new(),
             stats: HandoverStats::default(),
             epoch: 0,
+            end: Time(self.duration.0 + Time::from_secs(4).0),
         };
 
         // Initial geometry: park every slot at the cell edge, then push
@@ -341,7 +350,7 @@ impl Network {
                 cell.set_ue_geometry(s, self.isd_m, 0.0, chan.noise_dbm());
             }
         }
-        self.push_geometry(&geo, &chan, &mut st);
+        self.barrier_apply(&geo, &chan, &mut st, &plan);
         for cell in &mut st.cells {
             cell.reprime_reports();
         }
@@ -349,44 +358,62 @@ impl Network {
         st
     }
 
-    /// Push every attached UE's serving-link geometry (distance, shadow
-    /// + sector gain) and load-coupled I+N into its cell's channel.
-    fn push_geometry(&self, geo: &NetGeometry, chan: &ChannelConfig, st: &mut NetState) {
-        let sectors = self.sectors_per_site;
-        for ue in &st.ues {
-            let pos = ue.pos(geo);
-            let site = ue.serving / sectors;
-            let dist = geo.dist_to_site(site, pos);
-            let gain = serving_gain(geo, sectors, ue.serving, pos);
-            let ipn = geometry::iplusn_dbm(
-                chan.noise_dbm(),
-                (0..st.loads.len())
-                    .filter(|&c| c != ue.serving && st.loads[c] > 0.0)
-                    .map(|c| {
-                        (
-                            st.loads[c],
-                            rsrp_cell(geo, chan, sectors, c, pos, &ue.shadow_site_db),
-                        )
-                    }),
-            );
-            st.cells[ue.serving].set_ue_geometry(
-                ue.slot,
-                dist,
-                ue.shadow_site_db[site] + gain,
-                ipn,
-            );
-        }
+    /// RSRP (dBm) of every cell at every UE's position, row-major by UE:
+    /// the one evaluation per (UE, cell) pair that attachment, A3 and the
+    /// I+N sums of a barrier all read. Rows are filled through the worker
+    /// pool in chunks; each entry is a pure function of its pair.
+    fn rsrp_table(&self, geo: &NetGeometry, chan: &ChannelConfig, ues: &[NetUe]) -> Vec<f64> {
+        /// Rows below which a chunk is not worth a thread of its own.
+        const MIN_CHUNK_ROWS: usize = 64;
+        let n_cells = self.n_cells();
+        let rows = ues.len().div_ceil(self.threads.max(1)).max(MIN_CHUNK_ROWS);
+        let mut table = vec![0.0; ues.len() * n_cells];
+        let mut chunks: Vec<&mut [f64]> = table.chunks_mut(rows * n_cells).collect();
+        for_each_mut(self.threads, &mut chunks, |k, chunk| {
+            for (ue, row) in ues[k * rows..].iter().zip(chunk.chunks_mut(n_cells)) {
+                let pos = ue.pos(geo);
+                for (c, r) in row.iter_mut().enumerate() {
+                    *r = rsrp_cell(geo, chan, self.sectors_per_site, c, pos, &ue.shadow_site_db);
+                }
+            }
+        });
+        table
     }
 
-    /// The epoch barrier: drain completions, publish loads, advance
-    /// mobility, evaluate A3, execute handovers in `(source cell, UE)`
-    /// order, then push the refreshed geometry. Everything here runs
-    /// serially in a fixed order — the determinism anchor.
-    fn barrier(&self, geo: &NetGeometry, chan: &ChannelConfig, st: &mut NetState, span: Dur) {
+    /// The epoch barrier: the serial decisions, then their pooled
+    /// per-cell application.
+    fn barrier(
+        &self,
+        geo: &NetGeometry,
+        chan: &ChannelConfig,
+        st: &mut NetState,
+        span: Dur,
+        work: &mut WorkCounters,
+    ) {
+        let plan = self.barrier_decide(geo, chan, st, span);
+        let (pushes, replayed) = self.barrier_apply(geo, chan, st, &plan);
+        work.barrier_rsrp_evals += plan.rsrp.len() as u64;
+        work.barrier_geometry_pushes += pushes;
+        work.barrier_replayed_slot_steps += replayed;
+    }
+
+    /// The serial half of the barrier — the determinism anchor: drain
+    /// completions, publish loads, advance mobility, evaluate A3 and
+    /// execute handovers in `(source cell, UE)` order. Draws nothing and
+    /// steps no channel: a slot a handover fills is only *noted* in the
+    /// plan, and stays detached until [`Network::barrier_apply`].
+    fn barrier_decide(
+        &self,
+        geo: &NetGeometry,
+        chan: &ChannelConfig,
+        st: &mut NetState,
+        span: Dur,
+    ) -> BarrierPlan {
         let warmup_end = Time::ZERO + self.warmup;
+        let n_cells = st.cells.len();
 
         // 1. Completions, in cell-index order, attributed to origins.
-        for c in 0..st.cells.len() {
+        for c in 0..n_cells {
             for d in st.cells[c].take_completions() {
                 st.completed += 1;
                 let (bytes, spawn, fct) = match st.origins.remove(&(c, d.id)) {
@@ -410,29 +437,28 @@ impl Network {
             st.loads[c] = (delta as f64 / (epoch_ttis * rbs_per_tti) as f64).clamp(0.0, 1.0);
         }
 
-        // 3. Mobility, in UE id order.
+        // 3. Mobility, in UE id order; then every cell's RSRP at the new
+        // positions, which do not move again before the next barrier.
         for ue in &mut st.ues {
             ue.advance(span, chan.mobility_step);
         }
+        let mut plan = BarrierPlan {
+            rsrp: self.rsrp_table(geo, chan, &st.ues),
+            attached: vec![Vec::new(); n_cells],
+        };
 
         // 4. A3 measurement, in UE id order.
-        let sectors = self.sectors_per_site;
         let mut requests: Vec<(usize, usize, usize)> = Vec::new();
         for (i, ue) in st.ues.iter_mut().enumerate() {
-            let pos = ue.pos(geo);
-            let serving = rsrp_cell(geo, chan, sectors, ue.serving, pos, &ue.shadow_site_db);
+            let row = &plan.rsrp[i * n_cells..(i + 1) * n_cells];
             let mut best: Option<(f64, usize)> = None;
-            for c in 0..st.loads.len() {
-                if c == ue.serving {
-                    continue;
-                }
-                let r = rsrp_cell(geo, chan, sectors, c, pos, &ue.shadow_site_db);
-                if best.map(|(b, _)| r > b).unwrap_or(true) {
+            for (c, &r) in row.iter().enumerate() {
+                if c != ue.serving && best.map(|(b, _)| r > b).unwrap_or(true) {
                     best = Some((r, c));
                 }
             }
             match best {
-                Some((r, target)) if r > serving + self.hysteresis_db => {
+                Some((r, target)) if r > row[ue.serving] + self.hysteresis_db => {
                     if ue.a3_target == Some(target) {
                         ue.a3_count += 1;
                     } else {
@@ -474,6 +500,7 @@ impl Network {
             let export = st.cells[src].handover_detach(src_slot);
             st.slot_owner[src][src_slot] = None;
             let conts = st.cells[dst].handover_attach(dst_slot, &export);
+            plan.attached[dst].push(dst_slot);
             st.stats.flows_transferred += export.flows.len() as u64;
             for (hf, &ni) in export.flows.iter().zip(&conts) {
                 let origin = st
@@ -498,18 +525,71 @@ impl Network {
             ue.a3_target = None;
             ue.a3_count = 0;
         }
+        plan
+    }
 
-        // 6. Refresh every UE's geometry under the new loads and
-        // assignments.
-        self.push_geometry(geo, chan, st);
+    /// The pooled half of the barrier, one job per cell: attach the
+    /// channel of every slot a handover filled, in request order (the
+    /// exact replay of the TTIs the slot skipped while empty, under the
+    /// geometry it was left with), then push each attached UE's
+    /// serving-link geometry (distance, shadow + sector gain) and
+    /// load-coupled I+N under the new loads and assignments. A job
+    /// touches its own cell and reads the rest, so the pass leaves the
+    /// same bytes on any number of threads. Returns the geometry pushes
+    /// made and the slot steps replayed.
+    fn barrier_apply(
+        &self,
+        geo: &NetGeometry,
+        chan: &ChannelConfig,
+        st: &mut NetState,
+        plan: &BarrierPlan,
+    ) -> (u64, u64) {
+        let sectors = self.sectors_per_site;
+        let (pushes, replayed) = (AtomicU64::new(0), AtomicU64::new(0));
+        let NetState {
+            cells,
+            ues,
+            slot_owner,
+            loads,
+            ..
+        } = st;
+        let n_cells = loads.len();
+        for_each_mut(self.threads, cells, |c, cell| {
+            let before = cell.channel_slot_steps().1;
+            for &slot in &plan.attached[c] {
+                cell.set_slot_occupied(slot, true);
+            }
+            replayed.fetch_add(cell.channel_slot_steps().1 - before, Ordering::Relaxed);
+            let site = c / sectors;
+            let mut pushed = 0;
+            for (slot, owner) in slot_owner[c].iter().enumerate() {
+                let Some(i) = *owner else { continue };
+                let ue = &ues[i];
+                let pos = ue.pos(geo);
+                let row = &plan.rsrp[i * n_cells..(i + 1) * n_cells];
+                let ipn = geometry::iplusn_dbm(
+                    chan.noise_dbm(),
+                    (0..n_cells)
+                        .filter(|&o| o != c && loads[o] > 0.0)
+                        .map(|o| (loads[o], row[o])),
+                );
+                cell.set_ue_geometry(
+                    slot,
+                    geo.dist_to_site(site, pos),
+                    ue.shadow_site_db[site] + serving_gain(geo, sectors, c, pos),
+                    ipn,
+                );
+                pushed += 1;
+            }
+            pushes.fetch_add(pushed, Ordering::Relaxed);
+        });
+        (pushes.into_inner(), replayed.into_inner())
     }
 
     /// Write a full network checkpoint (`meta` + `cell.<i>` sections +
     /// the `network` section) atomically.
     fn write_checkpoint(&self, st: &mut NetState, t: Time, path: &Path) -> Result<(), SnapError> {
-        for cell in &mut st.cells {
-            cell.sync_channel();
-        }
+        for_each_mut(self.threads, &mut st.cells, |_, cell| cell.sync_channel());
         let meta = CheckpointMeta {
             argv: self.argv.clone(),
             sim_time: t,
@@ -524,11 +604,30 @@ impl Network {
         write_atomic(path, &file.to_bytes())
     }
 
+    /// One epoch between two barriers: inject its arrivals into each UE's
+    /// *current* serving cell, then run every cell to `t_next` through
+    /// the worker pool. `conn` carries the global arrival index so
+    /// five-tuples are collision-free network-wide (continuations keep
+    /// their original tuple).
+    fn advance_cells(&self, st: &mut NetState, t_next: Time) {
+        while st.cursor < st.arrivals.len() && st.arrivals[st.cursor].at <= t_next {
+            let a: FlowArrival = st.arrivals[st.cursor];
+            let ue = &st.ues[a.ue];
+            st.cells[ue.serving].schedule_flow(a.at, ue.slot, a.bytes, Some(st.cursor as u64));
+            st.cursor += 1;
+        }
+        for_each_mut(self.threads, &mut st.cells, |_, cell| {
+            cell.run_until(t_next)
+        });
+        st.epoch += 1;
+    }
+
     /// The epoch loop over an initial (or restored) state.
     fn run_state(&self, mut st: NetState) -> NetworkRun {
         let geo = NetGeometry::hex(self.n_sites, self.isd_m);
         let chan = self.channel_config();
-        let end = Time(self.duration.0 + Time::from_secs(4).0);
+        let end = st.end;
+        let mut work = WorkCounters::default();
         let ckpt_epochs = self
             .checkpoint_every
             .map(|d| d.as_nanos().div_ceil(EPOCH.as_nanos()).max(1));
@@ -537,28 +636,14 @@ impl Network {
         let mut checkpoint = None;
         while t < end {
             let t_next = (t + EPOCH).min(end);
-            // Inject this epoch's arrivals into each UE's *current*
-            // serving cell before the cells advance; `conn` carries the
-            // global arrival index so five-tuples are collision-free
-            // network-wide (continuations keep their original tuple).
-            while st.cursor < st.arrivals.len() && st.arrivals[st.cursor].at <= t_next {
-                let a: FlowArrival = st.arrivals[st.cursor];
-                let ue = &st.ues[a.ue];
-                st.cells[ue.serving].schedule_flow(a.at, ue.slot, a.bytes, Some(st.cursor as u64));
-                st.cursor += 1;
-            }
             // The watchdog gates only *whether the run continues*, never
             // any simulated quantity.
             // outran-lint: allow(D1) -- wall-time watchdog, measurement only; never feeds sim state
             let epoch_start = std::time::Instant::now();
-            st.cells = parallel_map_eager(self.threads, std::mem::take(&mut st.cells), |mut c| {
-                c.run_until(t_next);
-                c
-            });
+            self.advance_cells(&mut st, t_next);
             let span = t_next.since(t);
             t = t_next;
-            st.epoch += 1;
-            self.barrier(&geo, &chan, &mut st, span);
+            self.barrier(&geo, &chan, &mut st, span, &mut work);
             let over_limit = self
                 .epoch_wall_limit
                 .map(|limit| epoch_start.elapsed() > limit)
@@ -592,7 +677,6 @@ impl Network {
         let per_cell_completed = st.cells.iter().map(|c| c.n_completed()).collect();
         let mut fault_stats = FaultStats::default();
         let mut total_violations = 0;
-        let mut work = WorkCounters::default();
         for cell in &mut st.cells {
             cell.audit_now();
             total_violations += cell.total_violations();
@@ -778,12 +862,21 @@ struct NetState {
     stats: HandoverStats,
     /// Completed epochs.
     epoch: u64,
+    /// End of the drain window (not serialized; the configuration's).
+    end: Time,
 }
 
 impl NetState {
     /// Rebuild the slot-owner table from the restored UE registry,
-    /// refusing a registry that does not fit the deployment.
+    /// refusing a registry that does not fit the deployment and a clock
+    /// or an arrival cursor that does not fit the configured run.
     fn rebuild_slot_owner(&mut self) -> Result<(), SnapError> {
+        if self.epoch > self.end.as_nanos().div_ceil(EPOCH.as_nanos()) {
+            return Err(SnapError::Malformed("epoch beyond the configured horizon"));
+        }
+        if self.cursor > self.arrivals.len() {
+            return Err(SnapError::Malformed("arrival cursor beyond the schedule"));
+        }
         for slots in &mut self.slot_owner {
             slots.fill(None);
         }
@@ -826,7 +919,7 @@ snap_fields! {
     overlay NetState {
         epoch, cursor, completed, ues: fixed, loads: fixed, prev_rbs: fixed, origins, fct, stats,
     }
-    rebuilt { cells, slot_owner, arrivals }
+    rebuilt { cells, slot_owner, arrivals, end }
     then NetState::rebuild_slot_owner
 }
 
@@ -894,6 +987,24 @@ pub struct WorkCounters {
     /// Scheduler metric-cache rows recomputed
     /// ([`Cell::metric_rows_refreshed`]).
     pub metric_rows_refreshed: u64,
+    /// (UE, cell) RSRPs evaluated at epoch barriers: one table of
+    /// `n_ues · n_cells` per barrier.
+    pub barrier_rsrp_evals: u64,
+    /// Per-UE geometry pushes made at epoch barriers: `n_ues` per barrier.
+    pub barrier_geometry_pushes: u64,
+    /// The part of `replayed_slot_steps` replayed at epoch barriers, for
+    /// slots a handover filled (the rest is replayed inside a cell's own
+    /// epoch, or for a checkpoint).
+    pub barrier_replayed_slot_steps: u64,
+}
+
+/// What the serial half of a barrier hands its pooled half.
+struct BarrierPlan {
+    /// [`Network::rsrp_table`] at the UEs' current positions.
+    rsrp: Vec<f64>,
+    /// Per cell, the slots a handover filled at this barrier, in request
+    /// order: their channels are still detached.
+    attached: Vec<Vec<usize>>,
 }
 
 #[cfg(test)]
@@ -929,6 +1040,80 @@ mod tests {
         let a = tiny().run();
         let b = tiny().run();
         assert_eq!(format!("{:?}", a.report), format!("{:?}", b.report));
+    }
+
+    /// Whole-file digest of the 8 s checkpoint of [`packed`], recorded at
+    /// 9b1b68f, where `handover_attach` replayed a slot's skipped TTIs
+    /// inside the serial `(source cell, UE id)` loop.
+    const PIN_PACKED_FILE: u64 = 0x23ff_efb4_4ae9_53a6;
+
+    /// Nine cells of four slots with three slots free in all, and fast
+    /// corridor UEs under a hair-trigger A3: most handovers are blocked,
+    /// and the ones that succeed land in slots vacated moments ago.
+    fn packed() -> Network {
+        let mut net = tiny();
+        net.n_sites = 3;
+        net.isd_m = 250.0;
+        net.slots_per_cell = 4;
+        net.n_ues = 33;
+        net.corridor_frac = 0.9;
+        net.vehicle_speed_mps = 50.0;
+        net.hysteresis_db = 1.0;
+        net.ttt_epochs = 1;
+        net.duration = Time::from_secs(8);
+        net.seed = 22;
+        net
+    }
+
+    #[test]
+    fn serial_half_steps_no_channel_and_the_split_keeps_the_serial_order_exact() {
+        let mut net = packed();
+        net.threads = 3;
+        let (geo, chan) = (
+            NetGeometry::hex(net.n_sites, net.isd_m),
+            net.channel_config(),
+        );
+        let mut st = net.build_state();
+        let replayed =
+            |st: &NetState| -> u64 { st.cells.iter().map(|c| c.channel_slot_steps().1).sum() };
+        let (mut refilled, mut attach_then_detach, mut in_apply) = (0, 0, 0);
+        for e in 1..=8 {
+            net.advance_cells(&mut st, Time::from_secs(e));
+            let owners = st.slot_owner.clone();
+            let before = replayed(&st);
+            let plan = net.barrier_decide(&geo, &chan, &mut st, EPOCH);
+            assert_eq!(replayed(&st), before, "the serial half replayed a slot");
+            for (c, slots) in plan.attached.iter().enumerate() {
+                let vacated = |s: usize| owners[c][s].is_some_and(|u| st.ues[u].serving != c);
+                for &s in slots {
+                    // The slot was vacated and filled inside this barrier.
+                    refilled += vacated(s) as u32;
+                    // The request that filled it sorted before a request
+                    // that vacated another slot of the same cell.
+                    let from = owners.iter().position(|o| o.contains(&st.slot_owner[c][s]));
+                    attach_then_detach += (from < Some(c)
+                        && (0..owners[c].len()).any(|o| o != s && vacated(o)))
+                        as u32;
+                }
+            }
+            in_apply += net.barrier_apply(&geo, &chan, &mut st, &plan).1;
+        }
+        assert!(
+            refilled > 0 && attach_then_detach > 0,
+            "{refilled} {attach_then_detach}"
+        );
+        assert!(
+            in_apply > 0,
+            "no handover landed in a slot that had skipped TTIs"
+        );
+
+        let dir = std::env::temp_dir().join(format!("outran-net-packed-{}", std::process::id()));
+        let path = dir.join("metro-ckpt-8s.orsn");
+        net.write_checkpoint(&mut st, Time::from_secs(8), &path)
+            .unwrap();
+        let file = SnapshotFile::read_file(&path).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(file.digest(), PIN_PACKED_FILE);
     }
 
     #[test]

@@ -23,7 +23,9 @@
 //!   5000-point sweep reports one bad point instead of losing the other
 //!   4999. [`parallel_map_eager`] keeps the old propagate-the-panic
 //!   contract: its callers thread non-`Clone` state (whole [`Cell`]s)
-//!   through the pool and cannot re-run a job whose input was consumed.
+//!   through the pool and cannot re-run a job whose input was consumed;
+//!   so does `for_each_mut`, which the network runs its cells under in
+//!   place.
 //!
 //! [`Cell`]: crate::cell::Cell
 
@@ -147,6 +149,55 @@ where
     pooled_map(workers, items, |_, item| f(item))
 }
 
+/// Run `f(index, &mut item)` over `items` in place on up to `threads`
+/// worker threads, which take the items in index order off one shared
+/// iterator. For jobs that mutate long-lived, independent objects (the
+/// cells of a network): nothing is moved through the pool, so there is no
+/// order to restore. A worker panic propagates out of the scope, as in
+/// [`parallel_map_eager`].
+pub(crate) fn for_each_mut<T, F>(threads: usize, items: &mut [T], f: F)
+where
+    T: Send,
+    F: Fn(usize, &mut T) + Sync,
+{
+    let workers = threads.max(1).min(items.len().max(1));
+    if workers <= 1 {
+        items
+            .iter_mut()
+            .enumerate()
+            .for_each(|(i, item)| f(i, item));
+        return;
+    }
+    let jobs = Mutex::new(items.iter_mut().enumerate());
+    let work = || loop {
+        // Poison recovery as in `pooled_map`: the other worker's panic is
+        // re-raised below, and an iterator that handed out its items is
+        // still sound.
+        let job = jobs
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .next();
+        match job {
+            Some((i, item)) => f(i, item),
+            None => break,
+        }
+    };
+    std::thread::scope(|s| {
+        let spawned: Vec<_> = (1..workers).map(|_| s.spawn(work)).collect();
+        work();
+        // Joined by handle, not left to the scope: the scope's own wait
+        // ends when a worker's closure returns, a join when its thread is
+        // gone. Passes run back to back, and a thread still exiting holds
+        // on to its allocator arena, so the next pass's threads would open
+        // new ones and strand the freed memory of the old.
+        for worker in spawned {
+            if let Err(panic) = worker.join() {
+                std::panic::resume_unwind(panic);
+            }
+        }
+    });
+}
+
 fn pooled_map<T, R, F>(workers: usize, items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
@@ -242,6 +293,22 @@ mod tests {
         let items: Vec<u64> = (0..7).collect();
         let serial: Vec<u64> = items.iter().map(|&x| x * 3).collect();
         assert_eq!(parallel_map_eager(4, items, |x| x * 3), serial);
+    }
+
+    #[test]
+    fn for_each_mut_visits_every_item_once_with_its_index() {
+        for threads in [1, 2, 3, 8] {
+            let mut items: Vec<u64> = (0..7).collect();
+            for_each_mut(threads, &mut items, |i, x| *x = *x * 10 + i as u64);
+            assert_eq!(items, [0, 11, 22, 33, 44, 55, 66], "threads={threads}");
+        }
+        for_each_mut(4, &mut Vec::<u64>::new(), |_, _| unreachable!());
+    }
+
+    #[test]
+    #[should_panic]
+    fn for_each_mut_worker_panic_propagates() {
+        for_each_mut(2, &mut [0, 1, 2, 3], |i, _| assert_ne!(i, 2, "boom"));
     }
 
     #[test]

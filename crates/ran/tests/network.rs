@@ -12,8 +12,11 @@
 //! * A mid-run checkpoint restores bit-identically under handover churn.
 //! * A wall-time watchdog abort leaves a checkpoint that resumes to the
 //!   uninterrupted run's report.
-//! * A digest-valid `network` section whose per-cell vectors disagree
-//!   with the configuration is refused, not indexed out of bounds.
+//! * A digest-valid `network` section whose per-cell vectors, epoch or
+//!   arrival cursor disagree with the configuration is refused, not
+//!   indexed out of bounds, overflowed or reported from.
+//! * The epoch barrier's work is counted, in closed form, and the same
+//!   on any number of threads.
 
 use outran_faults::FaultPlan;
 use outran_phy::Scenario;
@@ -192,6 +195,27 @@ fn fading_draws_follow_occupied_slots() {
     assert!(w.fading_draws >= per_step * 2 * w.active_cell_ttis, "{w:?}");
 }
 
+/// The barrier evaluates each (UE, cell) RSRP once and pushes each UE's
+/// geometry once, whatever the handovers did; what it replays is part of
+/// what the run replayed. (`fading_draws_follow_occupied_slots` holds the
+/// whole of `WorkCounters` equal on one thread and three.)
+#[test]
+fn barrier_work_has_a_closed_form() {
+    let mut net = churny(7);
+    net.threads = 2;
+    let run = net.run();
+    let w = run.work;
+    assert!(run.report.handover.successes > 0);
+    let (barriers, n_ues, n_cells) = (SECS + 4, 12, 6);
+    assert_eq!(w.barrier_rsrp_evals, barriers * n_ues * n_cells, "{w:?}");
+    assert_eq!(w.barrier_geometry_pushes, barriers * n_ues, "{w:?}");
+    assert!(w.barrier_replayed_slot_steps > 0, "{w:?}");
+    assert!(
+        w.barrier_replayed_slot_steps <= w.replayed_slot_steps,
+        "{w:?}"
+    );
+}
+
 /// The CQI-classification and metric-row counters are deterministic
 /// work: the same on any number of threads and in both stepping modes,
 /// every measured sub-band is counted once, and a scheduler recomputes
@@ -261,16 +285,39 @@ fn u64_at(bytes: &[u8], at: usize) -> u64 {
     u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap())
 }
 
-#[test]
-fn short_per_cell_vector_in_network_section_is_malformed_not_a_panic() {
-    let dir = std::env::temp_dir().join(format!("outran-net-short-{}", std::process::id()));
+/// The 2 s checkpoint of `churny(9)` and the arrivals that run offers.
+fn churny_checkpoint(tag: &str) -> (SnapshotFile, usize) {
+    let dir = std::env::temp_dir().join(format!("outran-net-{tag}-{}", std::process::id()));
     let mut ck = churny(9);
     ck.checkpoint_every = Some(Dur::from_secs(2));
     ck.checkpoint_dir = Some(dir.clone());
-    ck.run();
+    let offered = ck.run().report.offered;
     let (_meta, good) =
         outran_ran::checkpoint::read_checkpoint(&dir.join("metro-ckpt-2s.orsn")).unwrap();
     std::fs::remove_dir_all(&dir).ok();
+    (good, offered)
+}
+
+/// `good` with its `network` section replaced. Rebuilding the file
+/// recomputes every FNV digest, so the only defence left is the
+/// layout's own checks.
+fn with_network_section(good: &SnapshotFile, network: &[u8]) -> SnapshotFile {
+    let mut bad = SnapshotFile::new();
+    for name in good.section_names() {
+        let payload = match name {
+            "network" => network,
+            _ => good.section(name).unwrap(),
+        };
+        let mut w = SnapWriter::new();
+        payload.iter().for_each(|&b| w.u8(b));
+        bad.add(name, w);
+    }
+    SnapshotFile::from_bytes(&bad.to_bytes()).expect("digests are valid")
+}
+
+#[test]
+fn short_per_cell_vector_in_network_section_is_malformed_not_a_panic() {
+    let (good, _) = churny_checkpoint("short");
 
     // `loads` then `prev_rbs` are the only place two six-element (one
     // per cell) sequences of 8-byte values sit back to back.
@@ -283,27 +330,53 @@ fn short_per_cell_vector_in_network_section_is_malformed_not_a_panic() {
     assert_eq!(hits.len(), 1, "could not locate loads/prev_rbs: {hits:?}");
     let prev_rbs_at = hits[0] + stride;
 
-    // Drop the last `prev_rbs` element and say so in the length prefix;
-    // rebuilding the file recomputes every FNV digest, so the only
-    // defence left is the layout's own length check.
+    // Drop the last `prev_rbs` element and say so in the length prefix.
     let mut short = net.to_vec();
     short[prev_rbs_at..prev_rbs_at + 8].copy_from_slice(&(n_cells - 1).to_le_bytes());
     short.drain(prev_rbs_at + stride - 8..prev_rbs_at + stride);
-    let mut bad = SnapshotFile::new();
-    for name in good.section_names() {
-        let payload = match name {
-            "network" => &short[..],
-            _ => good.section(name).unwrap(),
-        };
-        let mut w = SnapWriter::new();
-        payload.iter().for_each(|&b| w.u8(b));
-        bad.add(name, w);
-    }
-    let bad = SnapshotFile::from_bytes(&bad.to_bytes()).expect("digests are valid");
+    let bad = with_network_section(&good, &short);
 
     assert!(matches!(
         churny(9).resume(&bad),
         Err(SnapError::Malformed(_))
     ));
     assert!(churny(9).resume(&good).is_ok());
+}
+
+/// The section opens with the epoch count and the arrival cursor. An
+/// epoch past the run's last multiplies into a wrapped clock; a cursor
+/// past the schedule is reported as the flows offered.
+#[test]
+fn out_of_range_epoch_or_cursor_in_network_section_is_malformed() {
+    let (good, offered) = churny_checkpoint("clock");
+    let net = good.section("network").unwrap();
+    assert_eq!(u64_at(net, 0), 2, "epoch is not the section's first field");
+    assert!(u64_at(net, 8) > 0 && u64_at(net, 8) <= offered as u64);
+
+    let last_epoch = SECS + 4;
+    let mutations = [
+        (0, last_epoch + 1),
+        (0, u64::MAX / 1_000_000_000 + 1),
+        (0, u64::MAX),
+        (8, offered as u64 + 1),
+        (8, u64::MAX),
+    ];
+    let patched = |at: usize, value: u64| {
+        let mut bytes = net.to_vec();
+        bytes[at..at + 8].copy_from_slice(&value.to_le_bytes());
+        with_network_section(&good, &bytes)
+    };
+    for (at, value) in mutations {
+        let refused = churny(9).resume(&patched(at, value));
+        assert!(
+            matches!(refused, Err(SnapError::Malformed(_))),
+            "{value} at byte {at}: {:?}",
+            refused.map(|run| run.report.offered)
+        );
+    }
+    // Both ends of the valid range still load: the cursor at the end of
+    // the schedule, the epoch at the end of the run (nothing left to do).
+    for (at, value) in [(0, last_epoch), (8, offered as u64)] {
+        assert!(churny(9).resume(&patched(at, value)).is_ok());
+    }
 }
