@@ -41,26 +41,25 @@ fn main() {
         ],
     );
     let mut total_violations = 0u64;
+    let args: Vec<String> = std::env::args().collect();
+    let threads =
+        outran_bench::threads_from_args(&args).unwrap_or_else(outran_ran::default_threads);
     // Each intensity is an independent seeded experiment: fan them out.
-    let runs = outran_ran::parallel_map(
-        outran_bench::configured_threads(),
-        intensities.to_vec(),
-        |intensity| {
-            let plan = FaultPlan::chaos(SEED, Dur::from_secs(SECS), USERS, intensity);
-            let windows = plan.windows().len();
-            let r = Experiment::lte_default()
-                .scheduler(SchedulerKind::OutRan)
-                .users(USERS)
-                .load(0.5)
-                .duration_secs(SECS)
-                .seed(SEED)
-                .faults(plan)
-                .watchdog(Some(Dur::from_millis(750)))
-                .max_flow_entries(Some(256))
-                .run();
-            (intensity, windows, r)
-        },
-    );
+    let runs = outran_ran::parallel_map(threads, intensities.to_vec(), |intensity| {
+        let plan = FaultPlan::chaos(SEED, Dur::from_secs(SECS), USERS, intensity);
+        let windows = plan.windows().len();
+        let r = Experiment::lte_default()
+            .scheduler(SchedulerKind::OutRan)
+            .users(USERS)
+            .load(0.5)
+            .duration_secs(SECS)
+            .seed(SEED)
+            .faults(plan)
+            .watchdog(Some(Dur::from_millis(750)))
+            .max_flow_entries(Some(256))
+            .run();
+        (intensity, windows, r)
+    });
     for res in runs {
         let (intensity, windows, r) = match res {
             Ok(point) => point,

@@ -74,8 +74,7 @@ fn build_network(kind: SchedulerKind, threads: usize) -> Network {
 
 /// Run every scheduler's deployment; aborts the bench if any run trips
 /// the hard invariants (no handovers, watchdog abort, audit violation).
-fn measure() -> Vec<MetroRow> {
-    let threads = outran_bench::configured_threads();
+fn measure(threads: usize) -> Vec<MetroRow> {
     KINDS
         .into_iter()
         .map(|kind| {
@@ -280,7 +279,9 @@ fn main() {
             std::process::exit(2);
         })
     });
-    let rows = measure();
+    let threads =
+        outran_bench::threads_from_args(&args).unwrap_or_else(outran_ran::default_threads);
+    let rows = measure(threads);
     print_tables(&rows);
     if let Some(baseline) = baseline {
         check(&baseline, &rows);

@@ -111,16 +111,23 @@ pub fn f3(x: f64) -> String {
     }
 }
 
-/// Print an (x, y) series as a compact two-column listing with a name —
-/// the textual equivalent of one figure curve.
-pub fn print_series(name: &str, points: &[(f64, f64)], max_rows: usize) {
-    println!("-- series: {name} ({} points) --", points.len());
+/// Render an (x, y) series as a compact two-column listing with a
+/// name — the textual equivalent of one figure curve.
+pub fn render_series(name: &str, points: &[(f64, f64)], max_rows: usize) -> String {
+    let mut out = String::new();
+    let _ = writeln!(out, "-- series: {name} ({} points) --", points.len());
     let step = (points.len() / max_rows.max(1)).max(1);
     for (i, (x, y)) in points.iter().enumerate() {
         if i % step == 0 || i == points.len() - 1 {
-            println!("  {x:>12.4}  {y:>8.4}");
+            let _ = writeln!(out, "  {x:>12.4}  {y:>8.4}");
         }
     }
+    out
+}
+
+/// Print [`render_series`] to stdout.
+pub fn print_series(name: &str, points: &[(f64, f64)], max_rows: usize) {
+    print!("{}", render_series(name, points, max_rows));
 }
 
 #[cfg(test)]
