@@ -26,8 +26,8 @@ fn lte40(load: f64, kind: SchedulerKind, seed: u64) -> Experiment {
 pub type Figure = (&'static str, fn(usize, &mut String));
 
 /// One module per figure, each with a `run`, listed once, in the
-/// paper's order. `outran-fig` and the `results/` check know figures
-/// only through [`FIGURES`].
+/// paper's order (the studies beyond the paper last). `outran-fig` and
+/// the `results/` check know figures only through [`FIGURES`].
 macro_rules! figures {
     ($($name:ident),* $(,)?) => {
         $(mod $name;)*
@@ -57,6 +57,8 @@ figures![
     fig20_5g_fct,
     harq_study,
     ablation_design,
+    metro,
+    chaos_soak,
 ];
 
 #[cfg(test)]

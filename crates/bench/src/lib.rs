@@ -1,10 +1,10 @@
 //! # outran-bench
 //!
 //! The harness that regenerates every table and figure of the paper's
-//! evaluation. Each is one function in [`figures`], listed once in
-//! [`figures::FIGURES`]; the `outran-fig` binary prints them, writes
-//! them to `results/` and checks `results/` against them (see the
-//! DESIGN.md experiment index for the full mapping).
+//! evaluation, plus the metro and chaos-soak studies beyond it. Each is
+//! one function in [`figures`], listed once in [`figures::FIGURES`]; the
+//! `outran-fig` binary prints them, writes them to `results/` and checks
+//! `results/` against them (DESIGN.md's experiment index has the mapping).
 //!
 //! Shared plumbing lives here: the (point, seed) grid fan-out and the
 //! multi-seed averaging of experiment reports.
@@ -50,20 +50,6 @@ pub struct AvgReport {
     pub mean_rtt_ms: f64,
     /// The individual reports (for CDFs, series and event counts).
     pub runs: Vec<ExperimentReport>,
-}
-
-/// Parse `--threads N` / `--threads=N` out of an argument list.
-pub fn threads_from_args(args: &[String]) -> Option<usize> {
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if let Some(v) = a.strip_prefix("--threads=") {
-            return v.parse().ok().filter(|&n| n >= 1);
-        }
-        if a == "--threads" {
-            return it.next()?.parse().ok().filter(|&n| n >= 1);
-        }
-    }
-    None
 }
 
 /// Run every `(point, seed)` combination of a sweep grid on up to
@@ -149,20 +135,9 @@ mod tests {
             .seed(seed)
     }
 
-    #[test]
-    fn threads_flag_parsing() {
-        let a = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        assert_eq!(threads_from_args(&a(&["bin", "--threads", "8"])), Some(8));
-        assert_eq!(threads_from_args(&a(&["bin", "--threads=2"])), Some(2));
-        assert_eq!(threads_from_args(&a(&["bin", "--threads=0"])), None);
-        assert_eq!(threads_from_args(&a(&["bin", "--threads"])), None);
-        assert_eq!(threads_from_args(&a(&["bin"])), None);
-    }
-
     /// A 2-point x 2-seed grid is the same bytes — everything a figure
     /// can read, through `Debug` — submitted one point at a time, and
-    /// on 1, 2 and 3 threads (4 jobs on 3 workers run inline under
-    /// `parallel_map`'s two-jobs-per-worker rule; 2 workers do pool).
+    /// on 1, 2 and 3 threads.
     #[test]
     fn grid_depends_on_neither_grouping_nor_threads() {
         let grid = |threads, loads: Vec<f64>| run_avg_grid(threads, loads, &[1, 2], build);

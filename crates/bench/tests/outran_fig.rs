@@ -1,6 +1,6 @@
 //! `outran-fig` as CI drives it: exit codes, and what `--check` names.
 //! Only the three figures that simulate nothing are run (a debug build
-//! is fast enough for those); the `figures` CI job runs all 21.
+//! is fast enough for those); the `figures` CI job runs them all.
 
 const CHEAP: [&str; 3] = ["table1_qos", "table2_quic", "fig2_distributions"];
 

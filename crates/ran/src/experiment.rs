@@ -8,7 +8,7 @@
 use std::path::PathBuf;
 
 use outran_core::OutRanConfig;
-use outran_faults::{FaultPlan, FaultStats, HandoverStats, Violation};
+use outran_faults::{FaultPlan, FaultStats, Violation};
 use outran_phy::Scenario;
 use outran_simcore::{Dur, Rng, Time};
 use outran_workload::{FlowSizeDist, PoissonFlowGen};
@@ -314,7 +314,6 @@ impl Experiment {
             buffer_drops: cell.buffer_drops(),
             residual_losses: cell.residual_losses(),
             fault_stats: cell.fault_stats(),
-            handover: HandoverStats::default(),
             violations: cell.violations().to_vec(),
             total_violations: cell.total_violations(),
             se_cdf: cell.metrics.se_cdf(200),
@@ -354,10 +353,6 @@ pub struct ExperimentReport {
     pub residual_losses: u64,
     /// Injected-fault and recovery-path counters.
     pub fault_stats: FaultStats,
-    /// Handover counters — always zero for a single isolated cell; the
-    /// field exists so single-cell and network health tables share one
-    /// shape (see [`crate::network::NetworkReport`]).
-    pub handover: HandoverStats,
     /// Recorded invariant violations (bounded; see `total_violations`).
     pub violations: Vec<Violation>,
     /// Total invariant violations, including any past the record cap.

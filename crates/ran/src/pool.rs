@@ -5,31 +5,28 @@
 //! Design constraints (see DESIGN.md "Performance model"):
 //!
 //! * **No new dependencies.** The workspace builds offline, so the
-//!   pool is built from [`std::thread::scope`] plus a [`Mutex`]-guarded
-//!   job queue. No `rayon`, no channels beyond std.
+//!   pool is [`std::thread::scope`] plus one [`Mutex`]-guarded iterator
+//!   that hands out the jobs. No `rayon`, no channels.
 //! * **Bit-identical to serial execution.** Each job is a pure function
 //!   of its input (every `Experiment::run()` forks its own RNG tree from
-//!   the root seed), so the only thing parallelism could perturb is
-//!   *ordering*. Jobs carry their index and results are sorted back into
-//!   submission order before returning, making `parallel_map` an exact
-//!   drop-in for `items.into_iter().map(f).collect()` up to the
+//!   the root seed), so parallelism could only perturb *ordering*, and a
+//!   job's result is written into the slot its input was taken from:
+//!   `parallel_map` is `items.into_iter().map(f).collect()` up to the
 //!   per-job `Result` wrapper.
-//! * **Supervised execution.** A panicking job no longer aborts the
-//!   whole sweep: [`parallel_map`] catches the unwind, retries the job
-//!   once on its cloned input (a deterministic failure fails twice; a
-//!   transient one — exhausted address space, a poisoned downstream
-//!   lock — may recover) and surfaces a persistent failure as a
-//!   structured [`WorkerFailure`] in that job's result slot, so a
-//!   5000-point sweep reports one bad point instead of losing the other
-//!   4999. [`parallel_map_eager`] keeps the old propagate-the-panic
-//!   contract: its callers thread non-`Clone` state (whole [`Cell`]s)
-//!   through the pool and cannot re-run a job whose input was consumed;
-//!   so does `for_each_mut`, which the network runs its cells under in
-//!   place.
+//! * **One rule for when a pool spins up:** `threads > 1` and at least
+//!   two items; otherwise the jobs run on the calling thread.
+//! * **Supervised execution.** [`parallel_map`] catches a job's panic,
+//!   retries the job once on its cloned input (a deterministic failure
+//!   fails twice; a transient one — exhausted address space, a poisoned
+//!   downstream lock — may recover) and surfaces a persistent failure as
+//!   a [`WorkerFailure`] in that job's result slot, so a 5000-point
+//!   sweep reports one bad point instead of losing the other 4999.
+//!   [`parallel_map_eager`] and `for_each_mut` propagate the panic:
+//!   their callers thread non-`Clone` state (whole [`Cell`]s) through
+//!   the pool and cannot re-run a job whose input was consumed.
 //!
 //! [`Cell`]: crate::cell::Cell
 
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
 
@@ -101,52 +98,45 @@ pub fn default_threads() -> usize {
 /// Map `f` over `items` on up to `threads` worker threads, returning the
 /// per-job results in submission order. Each job runs supervised: a
 /// panic is caught and retried once on the job's cloned input, and a job
-/// that panics twice yields `Err(WorkerFailure)` in its slot instead of
-/// aborting the sweep.
-///
-/// With `threads <= 1`, or fewer than two jobs per worker
-/// (`items.len() < 2 × threads`), this degrades to a plain serial map on
-/// the calling thread: spawning and joining a scoped pool costs more
-/// than it saves until each worker has at least a couple of jobs to
-/// amortise it (an 8-job sweep on one core once clocked a 0.957×
-/// "speedup"). Jobs known to be individually heavy can bypass the
-/// heuristic with [`parallel_map_eager`].
+/// that panics twice yields `Err(WorkerFailure)` in its slot.
 pub fn parallel_map<T, R, F>(threads: usize, items: Vec<T>, f: F) -> Vec<Result<R, WorkerFailure>>
 where
     T: Send + Clone,
     R: Send,
     F: Fn(T) -> R + Sync,
 {
-    let n = items.len();
-    let workers = threads.max(1).min(n.max(1));
-    if workers <= 1 || n < 2 * workers {
-        return items
-            .into_iter()
-            .enumerate()
-            .map(|(i, item)| run_supervised(i, item, &f))
-            .collect();
-    }
-    pooled_map(workers, items, |i, item| run_supervised(i, item, &f))
+    pooled_map(threads, items, |i, item| run_supervised(i, item, &f))
 }
 
-/// [`parallel_map`] without the jobs-per-worker heuristic or the
-/// supervision wrapper: pools whenever `threads > 1` and there are at
-/// least two items, and a worker panic propagates out of the scope (its
-/// callers thread non-`Clone` state — whole cells — through the pool,
-/// so a retry has no input to re-run). For coarse-grained jobs (whole
-/// cells, multi-second epochs) where the pool setup cost is negligible
-/// against a single job.
+/// [`parallel_map`] without the supervision wrapper: a worker panic
+/// propagates to the caller (its callers thread non-`Clone` state —
+/// whole cells — through the pool, so a retry has no input to re-run).
 pub fn parallel_map_eager<T, R, F>(threads: usize, items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
     R: Send,
     F: Fn(T) -> R + Sync,
 {
-    let workers = threads.max(1).min(items.len().max(1));
-    if workers <= 1 {
-        return items.into_iter().map(f).collect();
-    }
-    pooled_map(workers, items, |_, item| f(item))
+    pooled_map(threads, items, |_, item| f(item))
+}
+
+/// [`for_each_mut`] over one slot per job: the input is taken out of
+/// its slot, the result written into the same slot.
+fn pooled_map<T, R, F>(threads: usize, items: Vec<T>, f: F) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    F: Fn(usize, T) -> R + Sync,
+{
+    let mut slots: Vec<_> = items.into_iter().map(|x| (Some(x), None::<R>)).collect();
+    for_each_mut(threads, &mut slots, |i, (item, out)| {
+        *out = item.take().map(|x| f(i, x))
+    });
+    slots
+        .into_iter()
+        // outran-lint: allow(D5) -- `for_each_mut` returns once every slot was visited, or re-raises a job's panic
+        .map(|(_, out)| out.expect("every slot was visited"))
+        .collect()
 }
 
 /// Run `f(index, &mut item)` over `items` in place on up to `threads`
@@ -170,9 +160,9 @@ where
     }
     let jobs = Mutex::new(items.iter_mut().enumerate());
     let work = || loop {
-        // Poison recovery as in `pooled_map`: the other worker's panic is
-        // re-raised below, and an iterator that handed out its items is
-        // still sound.
+        // Poison recovery instead of panicking: a poisoned lock means
+        // another worker already panicked; that panic is re-raised below,
+        // and an iterator that handed out its items is still sound.
         let job = jobs
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -196,49 +186,6 @@ where
             }
         }
     });
-}
-
-fn pooled_map<T, R, F>(workers: usize, items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, T) -> R + Sync,
-{
-    let n = items.len();
-    let jobs: Mutex<VecDeque<(usize, T)>> = Mutex::new(items.into_iter().enumerate().collect());
-    let results: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(n));
-    let f = &f;
-
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                // Poison recovery instead of panicking: a poisoned lock
-                // means another worker already panicked, and the scope
-                // will re-raise that panic at join; the queue itself is
-                // still structurally sound.
-                let job = jobs
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .pop_front();
-                match job {
-                    Some((idx, item)) => {
-                        let out = f(idx, item);
-                        results
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner)
-                            .push((idx, out));
-                    }
-                    None => break,
-                }
-            });
-        }
-    });
-
-    let mut out = results
-        .into_inner()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    out.sort_by_key(|&(idx, _)| idx);
-    out.into_iter().map(|(_, r)| r).collect()
 }
 
 #[cfg(test)]
@@ -274,18 +221,6 @@ mod tests {
     fn more_threads_than_items() {
         let out = parallel_map(16, vec![1, 2, 3], |x| x * 10);
         assert_eq!(oks(&out), vec![10, 20, 30]);
-    }
-
-    #[test]
-    fn small_sweeps_run_inline() {
-        // Fewer than two jobs per worker: no pool is spun up, the map
-        // runs on the calling thread.
-        let main = std::thread::current().id();
-        let out = parallel_map(4, vec![1, 2, 3], |x| {
-            assert_eq!(std::thread::current().id(), main);
-            x + 1
-        });
-        assert_eq!(oks(&out), vec![2, 3, 4]);
     }
 
     #[test]

@@ -159,6 +159,40 @@ fn recovers_from_cn_outage_mid_flow() {
 }
 
 #[test]
+fn recovers_from_cn_degradation_mid_flow() {
+    let plan = FaultPlan::new().cn_degrade(
+        Time::from_millis(150),
+        Time::from_millis(600),
+        Dur::from_millis(40),
+        0.0,
+    );
+    let end = plan.last_end();
+    let mut cell = tiny_cell(|c| c.faults = plan);
+    for i in 0..8u64 {
+        cell.schedule_flow(
+            Time::from_millis(10 + i * 30),
+            (i % 4) as usize,
+            30_000,
+            None,
+        );
+    }
+    let violations = run_and_audit(&mut cell, end);
+    let s = cell.fault_stats();
+    assert!(
+        s.cn_delayed_pkts > 0,
+        "degrade window never delayed a packet"
+    );
+    assert_eq!(s.cn_dropped_pkts, 0, "a loss-free degrade dropped packets");
+    assert_eq!(
+        cell.n_completed(),
+        8,
+        "flows must finish through the degraded CN: {}/8",
+        cell.n_completed()
+    );
+    assert_eq!(violations, 0, "violations: {:?}", cell.violations());
+}
+
+#[test]
 fn survives_stale_and_corrupt_cqi() {
     let plan = FaultPlan::new()
         .cqi_freeze(Time::from_millis(100), Time::from_millis(900), None)
