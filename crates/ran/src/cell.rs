@@ -185,7 +185,7 @@ impl Cell {
             now: Time::ZERO,
             tti,
             ues: UeContext::build_all(&cfg),
-            ingress: IngressStage::new(cfg.tcp),
+            ingress: IngressStage::new(&cfg, tti),
             rlc_down: RlcDownStage::new(&cfg),
             mac: MacSchedStage::new(&cfg, tti),
             phy: PhyTxStage::new(&cfg, &root),
@@ -229,8 +229,7 @@ impl Cell {
             !self.phy.channel().slot_detached(ue),
             "flow toward a slot with no UE"
         );
-        self.ingress
-            .schedule_flow(self.now, self.tti, &self.cfg, at, ue, bytes, conn)
+        self.ingress.schedule_flow(self.now, at, ue, bytes, conn)
     }
 
     /// Attach a dedicated GBR bearer (semi-persistent grants, outside
@@ -711,15 +710,8 @@ impl Cell {
             .flows
             .iter()
             .map(|hf| {
-                self.ingress.schedule_flow_with_tuple(
-                    now,
-                    self.tti,
-                    &self.cfg,
-                    now,
-                    ue,
-                    hf.remaining,
-                    hf.tuple,
-                )
+                self.ingress
+                    .schedule_flow_with_tuple(now, now, ue, hf.remaining, hf.tuple)
             })
             .collect()
     }
@@ -787,11 +779,39 @@ impl Cell {
         self.ingress.open_flows()
     }
 
+    /// TCP endpoint pairs, `(live, high_water)`: alive right now (one per
+    /// open flow, so always [`Cell::open_flows`]) and the most alive at
+    /// once — the size the endpoint slab grew to. A deterministic work
+    /// counter (not serialized: a resumed cell's high water starts at
+    /// the flows open in the checkpoint).
+    #[doc(hidden)]
+    pub fn flow_endpoints(&self) -> (u64, u64) {
+        (
+            self.ingress.open_flows(),
+            self.ingress.endpoint_slab().high_water,
+        )
+    }
+
+    /// Traffic of the endpoint slab: a hit opened a flow on a recycled
+    /// slot, a miss built one. After warm-up `misses` must stop
+    /// advancing, like [`Cell::pool_stats`]'s.
+    #[doc(hidden)]
+    pub fn flow_endpoint_stats(&self) -> PoolStats {
+        self.ingress.endpoint_slab()
+    }
+
     /// Check ingress's live-flow index against the flow table (O(flows),
     /// for tests).
     #[doc(hidden)]
     pub fn check_live_index(&self) -> Result<(), String> {
         self.ingress.check_live_index()
+    }
+
+    /// Bytes terminally dropped at ingress (CN loss, stale packets of
+    /// finished flows) — a term of the byte-conservation ledger.
+    #[doc(hidden)]
+    pub fn ingress_dropped_bytes(&self) -> u64 {
+        self.ingress.dropped_bytes()
     }
 
     /// Aggregate PDCP flow-table state bytes (Fig 13 memory accounting).
@@ -866,6 +886,19 @@ impl Cell {
     /// Bytes parked in the payload pools' free lists.
     pub fn pool_retained_bytes(&self) -> usize {
         self.pools.retained_bytes()
+    }
+
+    /// Where the ingress stage's bytes lie inside this cell's snapshot
+    /// section (the layout below, up to and including `ingress`).
+    #[cfg(test)]
+    pub(crate) fn ingress_snap_span(&self) -> std::ops::Range<usize> {
+        use outran_simcore::snap::{Snap, SnapWriter};
+        let mut w = SnapWriter::new();
+        self.now.snap(&mut w);
+        self.ues.snap(&mut w);
+        let start = w.len();
+        self.ingress.snap(&mut w);
+        start..w.len()
     }
 
     /// Pools are runtime machinery: never serialized, rebuilt empty on

@@ -126,6 +126,34 @@ mod tests {
         cell
     }
 
+    /// [`tiny_cell`] plus two flows that keep transferring and one yet
+    /// to arrive, stopped at 40 ms: the flow table holds two done, two
+    /// open and a pending record, and queues and events are populated.
+    fn mid_transfer_cell() -> (Cell, CheckpointMeta) {
+        let mut cell = mid_transfer_target();
+        cell.run_until(Time::from_millis(40));
+        assert_eq!(
+            (cell.n_flows(), cell.n_completed(), cell.open_flows()),
+            (5, 2, 2),
+            "want every flow state in the table"
+        );
+        let meta = CheckpointMeta {
+            argv: vec!["x".into()],
+            sim_time: cell.now(),
+            dense: false,
+            n_cells: 1,
+        };
+        (cell, meta)
+    }
+
+    fn mid_transfer_target() -> Cell {
+        let mut cell = tiny_cell();
+        cell.schedule_flow(Time::from_millis(2), 1, 400_000, None);
+        cell.schedule_flow(Time::from_millis(900), 0, 8_000, None);
+        cell.schedule_flow(Time::from_millis(5), 0, 300_000, None);
+        cell
+    }
+
     #[test]
     fn meta_roundtrip() {
         let meta = CheckpointMeta {
@@ -191,23 +219,17 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Every strict prefix of a full cell section — UE contexts, TCP
-    /// endpoints, the event queue, channel planes, collectors — must
-    /// surface as an error from whichever layout runs out of bytes:
-    /// never a panic, never a silently short restore.
+    /// Every strict prefix of a full cell section — UE contexts, flow
+    /// records in every state, the open flows' TCP endpoints, the event
+    /// queue, channel planes, collectors — must surface as an error from
+    /// whichever layout runs out of bytes: never a panic, never a
+    /// silently short restore.
     #[test]
     fn every_truncation_of_a_cell_section_is_an_error() {
-        let mut cell = tiny_cell();
-        cell.run_until(Time::from_millis(40)); // mid-transfer: queues and events populated
-        let meta = CheckpointMeta {
-            argv: vec!["x".into()],
-            sim_time: cell.now(),
-            dense: false,
-            n_cells: 1,
-        };
+        let (cell, meta) = mid_transfer_cell();
         let file = snapshot_cell(&meta, &cell);
         let section = file.section("cell.0").unwrap();
-        let mut target = tiny_cell();
+        let mut target = mid_transfer_target();
         for cut in 0..section.len() {
             let mut r = SnapReader::new(&section[..cut]);
             assert!(target.load_snap(&mut r).is_err(), "prefix of {cut} bytes");
@@ -215,6 +237,89 @@ mod tests {
         let mut r = SnapReader::new(section);
         target.load_snap(&mut r).unwrap();
         assert!(r.is_exhausted());
+    }
+
+    /// A structure-aware walk over the flow table's bytes in a real cell
+    /// section (format v2: records, endpoint count, `(id, endpoints)`
+    /// for the open flows): every field of every record, the count and
+    /// the first endpoint id are overwritten with hostile values. Each
+    /// result is either refused with a `SnapError`, or — where the
+    /// layout cannot tell it from the truth — restores into a cell that
+    /// then runs a simulated second with its live index sound.
+    #[test]
+    fn mutated_flow_table_is_refused_or_runs() {
+        let (cell, meta) = mid_transfer_cell();
+        let file = snapshot_cell(&meta, &cell);
+        let section = file.section("cell.0").unwrap();
+        let table_at = cell.ingress_snap_span().start;
+
+        // n_flows u64, then per record: ue u32 | size u64 | spawn u64 |
+        // tuple 13 | state tag u8 | done: last_rtt opt Dur, probe opt (u64, Time).
+        let n_flows = cell.n_flows();
+        let mut at = table_at + 8;
+        let mut mutations: Vec<(usize, Vec<u8>)> = Vec::new();
+        let mut by_state: [Vec<u64>; 3] = Default::default(); // pending, open, done
+        for fi in 0..n_flows {
+            mutations.push((at, 2u32.to_le_bytes().to_vec())); // ue = n_ues
+            mutations.push((at, u32::MAX.to_le_bytes().to_vec()));
+            for field in [at + 4, at + 12] {
+                mutations.push((field, 0u64.to_le_bytes().to_vec())); // size, spawn
+                mutations.push((field, u64::MAX.to_le_bytes().to_vec()));
+            }
+            mutations.push((at + 20, vec![0xFF; 13])); // tuple
+            let tag = section[at + 33];
+            by_state[tag as usize].push(fi as u64);
+            mutations.extend((0..=3u8).filter(|&t| t != tag).map(|t| (at + 33, vec![t])));
+            at += 34;
+            if tag == 2 {
+                for width in [8, 16] {
+                    mutations.push((at, vec![2])); // non-canonical presence byte
+                    at += 1 + if section[at] == 1 { width } else { 0 };
+                }
+            }
+        }
+        let count = u64::from_le_bytes(section[at..at + 8].try_into().unwrap());
+        assert_eq!(count, cell.open_flows(), "walked off the records");
+        for hostile in [0, count - 1, count + 1, u64::MAX] {
+            mutations.push((at, hostile.to_le_bytes().to_vec()));
+        }
+        let first_id = u64::from_le_bytes(section[at + 8..at + 16].try_into().unwrap());
+        assert_eq!(first_id, by_state[1][0]);
+        // Past the table, on a pending flow, on a done one, on the next
+        // open one (so that one comes twice), absurd.
+        let (pending, next_open, done) = (by_state[0][0], by_state[1][1], by_state[2][0]);
+        for hostile in [n_flows as u64, pending, done, next_open, u64::MAX] {
+            mutations.push((at + 8, hostile.to_le_bytes().to_vec()));
+        }
+
+        let (mut refused, mut ran) = (0, 0);
+        for (at, bytes) in mutations {
+            let mut hostile = section.to_vec();
+            hostile[at..at + bytes.len()].copy_from_slice(&bytes);
+            let mut target = mid_transfer_target();
+            if target.load_snap(&mut SnapReader::new(&hostile)).is_err() {
+                refused += 1;
+                continue;
+            }
+            target.check_live_index().unwrap();
+            target.run_until(target.now() + Dur::from_secs(1));
+            target.check_live_index().unwrap();
+            ran += 1;
+        }
+        assert!(refused >= 20 && ran >= 20, "{refused} refused, {ran} ran");
+    }
+
+    /// A v2 reader refuses a v1 file by its header, whatever follows.
+    #[test]
+    fn version_1_header_is_refused() {
+        let (cell, meta) = mid_transfer_cell();
+        let mut bytes = snapshot_cell(&meta, &cell).to_bytes();
+        assert_eq!(bytes[4..8], 2u32.to_le_bytes());
+        bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+        assert!(matches!(
+            SnapshotFile::from_bytes(&bytes),
+            Err(SnapError::BadVersion(1))
+        ));
     }
 
     #[test]
@@ -230,6 +335,5 @@ mod tests {
         // Different UE count must be rejected, not mis-restored.
         let mut wrong = Cell::new(CellConfig::lte_default(3, SchedulerKind::OutRan, 7));
         assert!(restore_cell(&file, 0, &mut wrong).is_err());
-        let _ = Dur::ZERO;
     }
 }

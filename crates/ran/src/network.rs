@@ -691,6 +691,7 @@ impl Network {
             work.cqi_exact += exact;
             work.active_ue_ttis += cell.active_ue_ttis();
             work.metric_rows_refreshed += cell.metric_rows_refreshed();
+            work.flow_endpoints_high_water += cell.flow_endpoints().1;
         }
         NetworkRun {
             report: NetworkReport {
@@ -987,6 +988,10 @@ pub struct WorkCounters {
     /// Scheduler metric-cache rows recomputed
     /// ([`Cell::metric_rows_refreshed`]).
     pub metric_rows_refreshed: u64,
+    /// Σ over cells of the most TCP endpoint pairs the cell held at once
+    /// ([`Cell::flow_endpoints`]) — what its flow table costs beyond one
+    /// thin record a flow.
+    pub flow_endpoints_high_water: u64,
     /// (UE, cell) RSRPs evaluated at epoch barriers: one table of
     /// `n_ues · n_cells` per barrier.
     pub barrier_rsrp_evals: u64,
@@ -1043,9 +1048,14 @@ mod tests {
     }
 
     /// Whole-file digest of the 8 s checkpoint of [`packed`], recorded at
-    /// 9b1b68f, where `handover_attach` replayed a slot's skipped TTIs
-    /// inside the serial `(source cell, UE id)` loop.
-    const PIN_PACKED_FILE: u64 = 0x23ff_efb4_4ae9_53a6;
+    /// 9b1b68f (`0x23ff_efb4_4ae9_53a6`), where `handover_attach`
+    /// replayed a slot's skipped TTIs inside the serial `(source cell,
+    /// UE id)` loop. Re-recorded once, for format v2 (flow records plus
+    /// the open flows' endpoints): with the ingress stage cut out of
+    /// `Cell`'s layout on both trees and the header version made equal,
+    /// 49e7801 and the v2 code write this file with one digest,
+    /// `0xe2c9_29ec_6f51_1ae5`.
+    const PIN_PACKED_FILE: u64 = 0xfd48_4970_8a7a_2295;
 
     /// Nine cells of four slots with three slots free in all, and fast
     /// corridor UEs under a hair-trigger A3: most handovers are blocked,

@@ -1,16 +1,18 @@
 //! Stage 1 — **ingress**: the server/CN side of the pipeline.
 //!
-//! Owns the TCP endpoints, the discrete event queue (flow arrivals,
-//! packet/ACK propagation, AM STATUS PDUs), the RTO and stalled-flow
-//! watchdog scans, and the CN-side terms of the byte-conservation
-//! ledger. The scans walk a live-flow index rather than the flow table,
-//! so an active TTI costs what its open flows cost, not what the run
-//! has ever scheduled. Downlink packets that survive the CN link are
-//! handed to the RLC-down stage as typed [`SduIngress`] messages; the
-//! delivery stage hands reassembled SDUs back via
+//! Owns the flow table (a record per registered flow, TCP endpoints
+//! only for the open ones — `stages/flow_store.rs`), the discrete
+//! event queue (flow arrivals, packet/ACK propagation, AM STATUS PDUs),
+//! the RTO and stalled-flow watchdog scans, and the CN-side terms of the
+//! byte-conservation ledger. The scans walk a live-flow index rather
+//! than the flow table, so an active TTI costs what its open flows cost,
+//! not what the run has ever scheduled. Downlink packets that survive
+//! the CN link are handed to the RLC-down stage as typed [`SduIngress`]
+//! messages; the delivery stage hands reassembled SDUs back via
 //! [`IngressStage::accept_sdu`].
 
 use crate::config::CellConfig;
+use crate::stages::flow_store::FlowStore;
 use crate::stages::{
     HousekeepingStage, ObserverHost, RlcDownStage, SduIngress, StageId, UeContext,
 };
@@ -18,8 +20,8 @@ use outran_pdcp::FiveTuple;
 use outran_rlc::am::StatusPdu;
 use outran_rlc::um::DeliveredSdu;
 use outran_simcore::snap::SnapError;
-use outran_simcore::{snap_enum, snap_fields, Dur, EventQueue, Time};
-use outran_transport::{Segment, TcpConfig, TcpReceiver, TcpSender};
+use outran_simcore::{snap_enum, snap_fields, Dur, EventQueue, PoolStats, Time};
+use outran_transport::Segment;
 
 /// A completed-flow record emitted by [`IngressStage::accept_sdu`]; the
 /// delivery stage folds it into the cell's FCT collector.
@@ -32,32 +34,16 @@ enum Ev {
     StatusAtEnb { ue: usize, status: StatusPdu },
 }
 
-struct FlowRt {
-    ue: usize,
-    size: u64,
-    spawn: Time,
-    tuple: FiveTuple,
-    sender: TcpSender,
-    receiver: TcpReceiver,
-    started: bool,
-    done: bool,
-    /// Watchdog state: highest cumulative ACK seen, and when it moved.
-    last_cum: u64,
-    last_progress: Time,
-}
-
 /// The ingress stage (see module docs).
 pub struct IngressStage {
-    flows: Vec<FlowRt>,
+    flows: FlowStore,
     events: EventQueue<Ev>,
-    /// Started-but-incomplete flows — the O(1) core of the idle test.
-    open_flows: u64,
-    /// Live-flow index: the ids of the `started ∧ ¬done` flows in
-    /// ascending id order — the order the scans emit in, which feeds
-    /// event-queue sequence numbers — plus entries that went `done`
-    /// since the last scan, which the next scan drops. Derived from
-    /// `flows`: never serialized, rebuilt after a restore.
-    live: Vec<usize>,
+    /// Live-flow index: `(id, endpoint slot)` of the open (`started ∧
+    /// ¬done`) flows in ascending id order — the order the scans emit
+    /// in, which feeds event-queue sequence numbers — plus entries that
+    /// went `done` since the last scan, which the next scan drops.
+    /// Derived from `flows`: never serialized, rebuilt after a restore.
+    live: Vec<(usize, u32)>,
     /// Flow entries the RTO and watchdog scans have visited: a work
     /// counter for tests (never serialized, in no report).
     scan_visits: u64,
@@ -65,20 +51,19 @@ pub struct IngressStage {
     injected_bytes: u64,
     cn_in_flight_bytes: u64,
     dropped_bytes: u64,
-    /// Endpoint configuration every flow's sender is built against.
-    tcp: TcpConfig,
     /// Per-TTI scratch, drained before any TTI boundary.
     emit_scratch: Vec<Segment>,
 }
 
 impl IngressStage {
-    /// Fresh stage with no flows; senders will run under `tcp`.
-    pub fn new(tcp: TcpConfig) -> IngressStage {
+    /// Fresh stage with no flows; senders will run under `cfg.tcp`.
+    pub fn new(cfg: &CellConfig, tti: Dur) -> IngressStage {
+        // The connection handshake already sampled one wired+air RTT.
+        let handshake_rtt =
+            Dur(2 * (cfg.cn_delay.as_nanos() + cfg.ul_air_delay.as_nanos()) + tti.as_nanos() * 4);
         IngressStage {
-            tcp,
-            flows: Vec::new(),
+            flows: FlowStore::new(cfg.tcp, handshake_rtt, cfg.n_ues),
             events: EventQueue::new(),
-            open_flows: 0,
             live: Vec::new(),
             scan_visits: 0,
             injected_bytes: 0,
@@ -89,79 +74,48 @@ impl IngressStage {
     }
 
     /// Register a flow of `bytes` toward `ue`, starting at the server at
-    /// `at` (≥ now). `conn` groups flows onto a shared five-tuple.
-    #[allow(clippy::too_many_arguments)]
+    /// `at` (≥ now). `conn` groups flows onto a shared five-tuple. Only
+    /// a record is kept until the arrival fires: the endpoints are built
+    /// then.
     pub fn schedule_flow(
         &mut self,
         now: Time,
-        tti: Dur,
-        cfg: &CellConfig,
         at: Time,
         ue: usize,
         bytes: u64,
         conn: Option<u64>,
     ) -> usize {
-        let id = self.flows.len();
-        let tuple = match conn {
-            Some(c) => FiveTuple::simulated(c, ue as u16),
-            None => FiveTuple::simulated(1_000_000 + id as u64, ue as u16),
-        };
-        // The connection handshake already sampled one wired+air RTT.
-        let handshake_rtt =
-            Dur(2 * (cfg.cn_delay.as_nanos() + cfg.ul_air_delay.as_nanos()) + tti.as_nanos() * 4);
-        self.flows.push(FlowRt {
-            ue,
-            size: bytes,
-            spawn: at,
-            tuple,
-            sender: TcpSender::with_initial_rtt(self.tcp, bytes, handshake_rtt),
-            receiver: TcpReceiver::new(bytes),
-            started: false,
-            done: false,
-            last_cum: 0,
-            last_progress: at,
-        });
-        self.events.schedule(at.max(now), Ev::Arrival { flow: id });
-        id
+        let conn = conn.unwrap_or(1_000_000 + self.flows.len() as u64);
+        self.schedule_flow_with_tuple(now, at, ue, bytes, FiveTuple::simulated(conn, ue as u16))
     }
 
     /// Register a flow carrying an *explicit* five-tuple — the handover
     /// attach path: the continuation flow at the target cell must keep
     /// the tuple it had at the source so the imported PDCP state (MLFQ
     /// sent-bytes) keys onto it.
-    #[allow(clippy::too_many_arguments)]
     pub fn schedule_flow_with_tuple(
         &mut self,
         now: Time,
-        tti: Dur,
-        cfg: &CellConfig,
         at: Time,
         ue: usize,
         bytes: u64,
         tuple: FiveTuple,
     ) -> usize {
-        let id = self.schedule_flow(now, tti, cfg, at, ue, bytes, None);
-        self.flows[id].tuple = tuple;
+        let id = self.flows.register(ue, bytes, at, tuple);
+        self.events.schedule(at.max(now), Ev::Arrival { flow: id });
         id
     }
 
     /// Terminally abort flow `fi` (handover detach from the source cell):
     /// marks it done so no further server emission, delivery or ACK
-    /// processing happens, and returns the bytes not yet cumulatively
-    /// ACKed — the size of the continuation flow at the target. In-flight
-    /// CN copies drain through the stale-packet path of the byte ledger;
-    /// a started flow's live-index entry is dropped by the next scan.
-    /// Returns 0 (and does nothing) if the flow already completed.
+    /// processing happens, releases its endpoints, and returns the bytes
+    /// not yet cumulatively ACKed — the size of the continuation flow at
+    /// the target. In-flight CN copies drain through the stale-packet
+    /// path of the byte ledger; a started flow's live-index entry is
+    /// dropped by the next scan. Returns 0 (and does nothing) if the
+    /// flow already completed.
     pub fn abort_flow(&mut self, fi: usize) -> u64 {
-        let f = &mut self.flows[fi];
-        if f.done {
-            return 0;
-        }
-        f.done = true;
-        if f.started {
-            self.open_flows -= 1;
-        }
-        f.size.saturating_sub(f.receiver.cum())
+        self.flows.finish(fi).unwrap_or(0)
     }
 
     /// Per-TTI ingress pass: drain due events (arrivals, packets, ACKs,
@@ -186,17 +140,15 @@ impl IngressStage {
                 Ev::Arrival { flow } => {
                     // A flow aborted before its arrival fired (handover
                     // detach) must not open: `done` is terminal.
-                    if !self.flows[flow].done {
-                        self.flows[flow].started = true;
-                        self.open_flows += 1;
+                    if let Some(slot) = self.flows.open(flow) {
                         // Ids are handed out in registration order, not
                         // arrival order: a later id may arrive earlier.
                         match self.live.last() {
-                            Some(&last) if last > flow => {
-                                let at = self.live.partition_point(|&f| f < flow);
-                                self.live.insert(at, flow);
+                            Some(&(last, _)) if last > flow => {
+                                let at = self.live.partition_point(|&(f, _)| f < flow);
+                                self.live.insert(at, (flow, slot));
                             }
-                            _ => self.live.push(flow),
+                            _ => self.live.push((flow, slot)),
                         }
                         self.server_emit(now, cfg, hk, flow);
                     }
@@ -213,10 +165,11 @@ impl IngressStage {
                 Ev::AckAtServer { flow, cum } => {
                     if hk.cn_loses_packet() {
                         hk.note_cn_dropped_ack();
-                    } else {
-                        let f = &mut self.flows[flow];
-                        f.sender.on_ack(now, cum);
+                    } else if let Some(ep) = self.flows.endpoints_mut(flow) {
+                        ep.sender.on_ack(now, cum);
                         self.server_emit(now, cfg, hk, flow);
+                    } else {
+                        self.flows.late_ack(flow, now, cum);
                     }
                 }
                 Ev::StatusAtEnb { ue, status } => {
@@ -233,14 +186,13 @@ impl IngressStage {
         // open flows.
         debug_assert!(self.live_index_is_sound());
         let mut live = std::mem::take(&mut self.live);
-        live.retain(|&flow| {
+        live.retain(|&(flow, slot)| {
             self.scan_visits += 1;
-            let f = &mut self.flows[flow];
-            if f.done {
+            let Some(ep) = self.flows.slot_mut(flow, slot) else {
                 return false;
-            }
-            if f.sender.rto_deadline().is_some_and(|d| d <= now) {
-                f.sender.on_rto(now);
+            };
+            if ep.sender.rto_deadline().is_some_and(|d| d <= now) {
+                ep.sender.on_rto(now);
                 self.server_emit(now, cfg, hk, flow);
             }
             true
@@ -252,17 +204,19 @@ impl IngressStage {
         // every in-flight copy of a segment was lost to faults.
         if let Some(stall) = cfg.watchdog {
             self.scan_visits += live.len() as u64;
-            for &flow in &live {
-                let f = &mut self.flows[flow];
-                let cum = f.receiver.cum();
-                if cum > f.last_cum {
-                    f.last_cum = cum;
-                    f.last_progress = now;
-                } else if now.saturating_since(f.last_progress) >= stall
-                    && hk.faults().link_up(f.ue)
+            for &(flow, slot) in &live {
+                let Some(ep) = self.flows.slot_mut(flow, slot) else {
+                    continue;
+                };
+                let cum = ep.receiver.cum();
+                if cum > ep.last_cum {
+                    ep.last_cum = cum;
+                    ep.last_progress = now;
+                } else if now.saturating_since(ep.last_progress) >= stall
+                    && hk.faults().link_up(ep.ue as usize)
                 {
-                    f.last_progress = now;
-                    f.sender.on_rto(now);
+                    ep.last_progress = now;
+                    ep.sender.on_rto(now);
                     hk.note_watchdog_kick();
                     self.server_emit(now, cfg, hk, flow);
                 }
@@ -279,17 +233,13 @@ impl IngressStage {
         hk: &mut HousekeepingStage,
         flow: usize,
     ) {
+        let Some(ep) = self.flows.endpoints_mut(flow) else {
+            return;
+        };
         // Emit into the recycled scratch buffer: no per-call allocation.
         let mut segs = std::mem::take(&mut self.emit_scratch);
         segs.clear();
-        {
-            let f = &mut self.flows[flow];
-            if f.done {
-                self.emit_scratch = segs;
-                return;
-            }
-            f.sender.emit_into(now, &mut segs);
-        }
+        ep.sender.emit_into(now, &mut segs);
         let delay = cfg.cn_delay + hk.cn_extra_delay();
         let degraded = hk.cn_extra_delay() > Dur::ZERO;
         for seg in segs.drain(..) {
@@ -322,23 +272,20 @@ impl IngressStage {
         seq: u64,
         len: u32,
     ) {
-        let (ue, tuple, size) = {
-            let f = &self.flows[flow];
-            (f.ue, f.tuple, f.size)
-        };
-        if self.flows[flow].done {
+        if self.flows.is_done(flow) {
             // Stale retransmission of a completed flow: terminal for the
             // byte ledger.
             self.dropped_bytes += len as u64;
             return;
         }
+        let ue = self.flows.ue(flow);
         let msg = SduIngress {
             flow,
             ue,
-            tuple,
+            tuple: self.flows.tuple(flow),
             seq,
             len,
-            oracle_remaining: size.saturating_sub(seq),
+            oracle_remaining: self.flows.size(flow).saturating_sub(seq),
         };
         obs.enter(StageId::RlcDown);
         rlc.ingest(now, msg, &mut ues[ue]);
@@ -350,26 +297,24 @@ impl IngressStage {
     /// completion record when this SDU finished the flow.
     pub fn accept_sdu(&mut self, now: Time, ul_delay: Dur, d: &DeliveredSdu) -> Option<FlowDone> {
         let flow = d.flow_id as usize;
-        let f = &mut self.flows[flow];
-        if f.done {
-            return None;
-        }
-        let cum = f.receiver.on_segment(d.seq, d.len);
+        // `None`: the flow is done (a duplicate outlived it).
+        let ep = self.flows.endpoints_mut(flow)?;
+        let cum = ep.receiver.on_segment(d.seq, d.len);
+        let complete = ep.receiver.complete();
         self.events
             .schedule(now + ul_delay, Ev::AckAtServer { flow, cum });
-        if f.receiver.complete() {
-            f.done = true;
-            self.open_flows -= 1;
-            let dur = now.saturating_since(f.spawn);
-            return Some(FlowDone {
-                id: flow,
-                ue: f.ue,
-                bytes: f.size,
-                spawn: f.spawn,
-                fct: dur,
-            });
+        if !complete {
+            return None;
         }
-        None
+        self.flows.finish(flow);
+        let spawn = self.flows.spawn(flow);
+        Some(FlowDone {
+            id: flow,
+            ue: self.flows.ue(flow),
+            bytes: self.flows.size(flow),
+            spawn,
+            fct: now.saturating_since(spawn),
+        })
     }
 
     /// Schedule an AM STATUS PDU's uplink arrival at the xNodeB.
@@ -379,9 +324,18 @@ impl IngressStage {
 
     // ---- read-side accessors ------------------------------------------
 
-    /// Started-but-incomplete flow count.
+    /// Started-but-incomplete flow count — the O(1) core of the idle
+    /// test, and the number of live endpoint pairs.
     pub fn open_flows(&self) -> u64 {
-        self.open_flows
+        self.flows.open_flows()
+    }
+
+    /// Traffic of the endpoint slab: `hits` opened a flow on a recycled
+    /// slot, `misses` built one, `high_water` is the most flows open at
+    /// once (never serialized: counts from the restore in a resumed
+    /// cell).
+    pub fn endpoint_slab(&self) -> PoolStats {
+        self.flows.slab_stats()
     }
 
     /// Flow entries visited by the RTO and watchdog scans so far.
@@ -390,28 +344,34 @@ impl IngressStage {
     }
 
     /// The O(live) half of the index contract, checked at every scan:
-    /// strictly ascending ids of started flows, of which exactly
-    /// `open_flows` are not done. With `open_flows` right (the other
-    /// half, [`IngressStage::check_live_index`]) that pins the open
-    /// entries to *the* set of `started ∧ ¬done` flows.
+    /// strictly ascending ids of open or done flows, of which exactly
+    /// `open_flows` are open. With the slab sound (the other half,
+    /// [`IngressStage::check_live_index`]) that pins the open entries to
+    /// *the* set of open flows.
     fn live_index_is_sound(&self) -> bool {
-        self.live.windows(2).all(|w| w[0] < w[1])
-            && self.live.iter().all(|&f| self.flows[f].started)
-            && self.live.iter().filter(|&&f| !self.flows[f].done).count() as u64 == self.open_flows
+        let ids = self.live.iter().map(|&(f, _)| f);
+        let open = ids.clone().filter(|&f| self.flows.is_open(f));
+        self.live.windows(2).all(|w| w[0].0 < w[1].0)
+            && open.count() as u64 == self.flows.open_flows()
+            && ids
+                .clone()
+                .all(|f| self.flows.is_open(f) || self.flows.is_done(f))
     }
 
     /// The full index contract against the flow table, O(flows): the
     /// index, less its not-yet-compacted `done` entries, is the
-    /// ascending list of `started ∧ ¬done` flow ids, and `open_flows`
-    /// is its length. For tests; a run never pays for it.
+    /// ascending list of open flow ids, `open_flows` is its length, the
+    /// `done` counter counts the done records, and every open record
+    /// owns one endpoint slot. For tests; a run never pays for it.
     pub fn check_live_index(&self) -> Result<(), String> {
-        let open = |&f: &usize| self.flows[f].started && !self.flows[f].done;
-        let want: Vec<usize> = (0..self.flows.len()).filter(open).collect();
-        let got: Vec<usize> = self.live.iter().copied().filter(open).collect();
-        if !self.live_index_is_sound() || got != want || want.len() as u64 != self.open_flows {
+        self.flows.check()?;
+        let want: Vec<(usize, u32)> = self.flows.open_slots().collect();
+        let got = (self.live.iter().copied()).filter(|&(f, _)| self.flows.is_open(f));
+        if !self.live_index_is_sound() || got.ne(want.iter().copied()) {
             return Err(format!(
-                "live index {:?} (open: {got:?}) vs open flows {want:?}, open_flows = {}",
-                self.live, self.open_flows
+                "live index {:?} vs open flows {want:?}, open_flows = {}",
+                self.live,
+                self.flows.open_flows()
             ));
         }
         Ok(())
@@ -422,40 +382,39 @@ impl IngressStage {
         self.events.peek_time()
     }
 
-    /// Whether flow `fi` has completed.
+    /// Whether flow `fi` has completed (or was aborted).
     pub fn flow_done(&self, fi: usize) -> bool {
-        self.flows[fi].done
+        self.flows.is_done(fi)
     }
 
     /// Whether flow `fi` is short (≤ 10 kB — the QoS-oracle class).
     pub fn flow_is_short(&self, fi: usize) -> bool {
-        self.flows[fi].size <= 10_000
+        self.flows.size(fi) <= 10_000
     }
 
-    /// Bytes of flow `fi` not yet cumulatively ACKed.
+    /// Bytes of flow `fi` not yet cumulatively ACKed (0 once done).
     pub fn flow_remaining(&self, fi: usize) -> u64 {
-        let f = &self.flows[fi];
-        f.size.saturating_sub(f.receiver.cum())
+        self.flows.remaining(fi)
     }
 
     /// Destination UE of flow `fi`.
     pub fn flow_ue(&self, fi: usize) -> usize {
-        self.flows[fi].ue
+        self.flows.ue(fi)
     }
 
     /// Total size of flow `fi` in bytes.
     pub fn flow_size(&self, fi: usize) -> u64 {
-        self.flows[fi].size
+        self.flows.size(fi)
     }
 
     /// Server-side spawn instant of flow `fi`.
     pub fn flow_spawn(&self, fi: usize) -> Time {
-        self.flows[fi].spawn
+        self.flows.spawn(fi)
     }
 
     /// Five-tuple of flow `fi`.
     pub fn flow_tuple(&self, fi: usize) -> FiveTuple {
-        self.flows[fi].tuple
+        self.flows.tuple(fi)
     }
 
     /// Total flows registered.
@@ -463,27 +422,28 @@ impl IngressStage {
         self.flows.len()
     }
 
-    /// Number of completed flows.
+    /// Number of done flows — completed, or aborted by a handover (the
+    /// continuation counts again where it finishes). A counter: O(1).
     pub fn n_completed(&self) -> usize {
-        self.flows.iter().filter(|f| f.done).count()
+        self.flows.done_flows() as usize
     }
 
-    /// The most recent RTT observed by any flow of `ue`.
+    /// The most recent RTT observed by any flow of `ue`: the sample of
+    /// its highest-numbered flow that has one (searched from the back).
     pub fn last_rtt_of_ue(&self, ue: usize) -> Option<Dur> {
-        self.flows
-            .iter()
-            .filter(|f| f.ue == ue)
-            .filter_map(|f| f.sender.last_rtt)
-            .next_back()
+        let mut of_ue = self.flows.last_rtts().filter(|&(u, _)| u == ue);
+        of_ue.next_back().map(|(_, rtt)| rtt)
     }
 
-    /// Mean of the last RTT samples across flows.
+    /// Mean of the last RTT samples across flows, summed in flow-id
+    /// order (the mean is in every report digest).
     pub fn mean_last_rtt_ms(&self) -> f64 {
         let (sum, n) = self
             .flows
-            .iter()
-            .filter_map(|f| f.sender.last_rtt)
-            .fold((0.0, 0u64), |(sum, n), d| (sum + d.as_millis_f64(), n + 1));
+            .last_rtts()
+            .fold((0.0, 0u64), |(sum, n), (_, d)| {
+                (sum + d.as_millis_f64(), n + 1)
+            });
         if n == 0 {
             f64::NAN
         } else {
@@ -506,19 +466,11 @@ impl IngressStage {
         self.dropped_bytes
     }
 
-    /// Derive the live-flow index from the restored flow table. A
-    /// snapshot whose open-flow count disagrees with its own flows is
-    /// refused here rather than tripping the idle test later.
+    /// Derive the live-flow index from the restored flow table (which
+    /// has already refused endpoints that contradict its records).
     fn rebuild_live(&mut self) -> Result<(), SnapError> {
-        let flows = &self.flows;
         self.live.clear();
-        self.live
-            .extend((0..flows.len()).filter(|&f| flows[f].started && !flows[f].done));
-        if self.live.len() as u64 != self.open_flows {
-            return Err(SnapError::Malformed(
-                "ingress open-flow count disagrees with the flow table",
-            ));
-        }
+        self.live.extend(self.flows.open_slots());
         Ok(())
     }
 }
@@ -530,61 +482,14 @@ snap_enum! { Ev, "unknown ingress event tag" {
     3 => StatusAtEnb { ue, status },
 } }
 
-/// A blank flow against the endpoint configuration, ready for its
-/// checkpointed state to be overlaid (the TCP configuration is not part
-/// of the snapshot).
-impl From<&TcpConfig> for FlowRt {
-    fn from(tcp: &TcpConfig) -> FlowRt {
-        FlowRt {
-            ue: 0,
-            size: 0,
-            spawn: Time::ZERO,
-            tuple: FiveTuple::simulated(0, 0),
-            sender: TcpSender::new(*tcp, 0),
-            receiver: TcpReceiver::new(0),
-            started: false,
-            done: false,
-            last_cum: 0,
-            last_progress: Time::ZERO,
-        }
-    }
-}
-
-snap_fields! {
-    overlay FlowRt {
-        ue, size, spawn, tuple, sender, receiver, started, done, last_cum, last_progress,
-    }
-}
-
-// Every flow's TCP endpoints and watchdog state plus the discrete event
-// queue (its sequence counter travels too, so restored tie-breaking is
-// exact). The flow *count* is snapshot-driven — handover continuations
-// are registered at run time — so the table grows from the snapshot.
+// The flow table (records, and endpoints for the open flows only) plus
+// the discrete event queue (its sequence counter travels too, so
+// restored tie-breaking is exact). The open-flow count is the table's
+// own: it does not travel.
 snap_fields! {
     overlay IngressStage {
-        flows: grow(tcp), events, open_flows, injected_bytes, cn_in_flight_bytes,
-        dropped_bytes,
+        flows, events, injected_bytes, cn_in_flight_bytes, dropped_bytes,
     }
-    rebuilt { tcp, emit_scratch, live, scan_visits }
+    rebuilt { emit_scratch, live, scan_visits }
     then IngressStage::rebuild_live
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use outran_simcore::snap::{LoadSnap, Snap, SnapReader, SnapWriter};
-
-    #[test]
-    fn restore_refuses_an_open_flow_count_the_flow_table_contradicts() {
-        let tcp = CellConfig::lte_default(1, crate::SchedulerKind::Pf, 1).tcp;
-        let mut lying = IngressStage::new(tcp);
-        lying.open_flows = 1;
-        let mut w = SnapWriter::new();
-        lying.snap(&mut w);
-        let bytes = w.into_bytes();
-        assert!(matches!(
-            IngressStage::new(tcp).load_snap(&mut SnapReader::new(&bytes)),
-            Err(SnapError::Malformed(_))
-        ));
-    }
 }

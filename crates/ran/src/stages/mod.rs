@@ -24,6 +24,7 @@
 //! hand-woven through the step function.
 
 pub mod delivery;
+mod flow_store;
 pub mod housekeeping;
 pub mod ingress;
 pub mod mac_sched;

@@ -21,36 +21,54 @@ use outran_simcore::{Dur, Time};
 const SECS: u64 = 4;
 const SEED: u64 = 0xD1CE;
 
-/// Wire-format pins (see `wire_format_is_pinned`).
+/// Wire-format pins (see `wire_format_is_pinned`), format v2.
 ///
 /// The `_T0` pins hash each cell straight after construction, before
 /// any TTI runs, so they see every field's position but no value a
-/// running TTI produced. Recorded on the code of ab80f83.
-const PIN_UM_OUTRAN_T0: u64 = 0x0840_468e_53af_8fcf;
-const PIN_AM_PF_CHAOS_T0: u64 = 0xe488_6db5_0e3a_0891;
-/// The running pins hash the same cells at `t = 1 s`, so they contain
-/// fading-tap mantissas. First recorded at 2575d6d (the last commit with
-/// hand-mirrored snapshot functions) as `0x97d6_31b7_dd98_027a` and
-/// `0xa32a_0261_ef0f_b1ff`; re-recorded when `advance_fading` moved from
-/// libm to `Normal::fill`, which changes tap values in their last bits
-/// and no byte's position — the `_T0` pins above, untouched by that
-/// commit, are the proof.
-const PIN_UM_OUTRAN: u64 = 0xbf19_d3f4_fe03_f3e4;
-const PIN_AM_PF_CHAOS: u64 = 0x09ab_4643_e8d1_59df;
-/// A 1 s metro checkpoint's `network` section (no taps in it). Recorded
-/// at 2575d6d.
+/// running TTI produced; the running pins hash the same cells at
+/// `t = 1 s`, fading-tap mantissas included. The whole-file pins
+/// (`SnapshotFile::digest`) are metro checkpoints, cell sections and
+/// their taps included: a 1 s checkpoint, and the CI smoke shape
+/// (2 sites × 3 sectors, 8 slots, 12 UEs, 30 m/s corridors) checkpointed
+/// once a handover has landed in a slot that was empty until then,
+/// without and with a chaos plan on every cell.
+///
+/// All seven were re-recorded **once**, when format v2 replaced the
+/// eager per-flow layout of the ingress stage (a sender and a receiver
+/// for every flow ever registered) with flow records plus the open
+/// flows' endpoints. What they pinned before carries over: with the
+/// ingress stage cut out of `Cell`'s snapshot layout on both trees (and
+/// the header version made equal), 49e7801 and the v2 code produce the
+/// same digest for each of the seven — every byte outside the flow
+/// table, `CellChannel`'s lagging slots written as if caught up
+/// included, is where and what it was:
+///
+/// | pin | v1 (recorded at) | both trees, ingress cut | v2 |
+/// |---|---|---|---|
+/// | `UM_OUTRAN_T0` | `0840468e53af8fcf` (ab80f83) | `302ed7702c823b8e` | below |
+/// | `AM_PF_CHAOS_T0` | `e4886db50e3a0891` (ab80f83) | `a894fe393d663166` | |
+/// | `UM_OUTRAN` | `bf19d3f4fe03f3e4` (`Normal::fill`) | `e3402c8b5b1c144a` | |
+/// | `AM_PF_CHAOS` | `09ab4643e8d159df` (`Normal::fill`) | `914b7a43b9a8584e` | |
+/// | `METRO_FILE` | `c70f58d8d3f25609` (fc7d677) | `862f5879135c4749` | |
+/// | `METRO_CHURN_FILE` | `d525d368c93eec85` (fc7d677) | `51fa9deb46cec574` | |
+/// | `METRO_CHURN_CHAOS_FILE` | `78803fdd6df676fe` (fc7d677) | `daa3f11ea74c7497` | |
+///
+/// The v1 whole-file pins were recorded at fc7d677, where every slot —
+/// occupied or empty — was stepped on every active TTI, so a checkpoint
+/// that holds the v2 bytes still wrote its empty slots exactly as
+/// stepping them would have left them. A change that moves tap *values*
+/// only re-records the `t = 1 s` pins and must leave the `_T0` pins
+/// alone.
+const PIN_UM_OUTRAN_T0: u64 = 0x1c35_5738_f300_c6fe;
+const PIN_AM_PF_CHAOS_T0: u64 = 0x01e9_4c15_afc2_0161;
+const PIN_UM_OUTRAN: u64 = 0x10cb_f638_cf66_5d40;
+const PIN_AM_PF_CHAOS: u64 = 0x3141_817c_9963_21d8;
+/// A 1 s metro checkpoint's `network` section (no taps, no flow table
+/// in it). Recorded at 2575d6d; format v2 left it alone.
 const PIN_NETWORK: u64 = 0x6489_136e_a3df_eade;
-/// Whole-file pins (`SnapshotFile::digest`) of metro checkpoints, cell
-/// sections and their fading taps included: the 1 s checkpoint above,
-/// and the CI smoke shape (2 sites × 3 sectors, 8 slots, 12 UEs, 30 m/s
-/// corridors) checkpointed once a handover has landed in a slot that
-/// was empty until then, without and with a chaos plan on every cell.
-/// Recorded at fc7d677, where every slot — occupied or empty — was
-/// stepped on every active TTI: a checkpoint that holds these bytes
-/// wrote its empty slots exactly as stepping them would have left them.
-const PIN_METRO_FILE: u64 = 0xc70f_58d8_d3f2_5609;
-const PIN_METRO_CHURN_FILE: u64 = 0xd525_d368_c93e_ec85;
-const PIN_METRO_CHURN_CHAOS_FILE: u64 = 0x7880_3fdd_6df6_76fe;
+const PIN_METRO_FILE: u64 = 0x91d8_a150_f6b9_a40b;
+const PIN_METRO_CHURN_FILE: u64 = 0x3ac6_c1a3_1a97_a2f8;
+const PIN_METRO_CHURN_CHAOS_FILE: u64 = 0x08b6_a322_5030_df3e;
 
 /// A chaos-active experiment, identical every call (one root seed).
 fn experiment(dense: bool) -> Experiment {
@@ -255,7 +273,7 @@ fn cell_digest(cell: &Cell) -> u64 {
 #[test]
 fn wire_format_is_pinned() {
     const HINT: &str = "layout changed: bump `SNAP_VERSION` and re-record";
-    assert_eq!(SNAP_VERSION, 1, "{HINT}");
+    assert_eq!(SNAP_VERSION, 2, "{HINT}");
 
     let mut um_outran = Experiment::lte_default()
         .scheduler(SchedulerKind::OutRan)

@@ -15,6 +15,7 @@ use outran_faults::FaultPlan;
 use outran_ran::cell::{Cell, CellConfig, RlcMode, SchedulerKind};
 use outran_ran::checkpoint::{restore_cell, snapshot_cell, CheckpointMeta};
 use outran_ran::stages::{StageObserver, TtiSummary};
+use outran_ran::webplt::idle_heavy_arrivals;
 use outran_ran::Experiment;
 use outran_simcore::{Dur, Time};
 
@@ -204,6 +205,55 @@ fn index_is_rebuilt_on_restore_with_flows_open() {
     step_checked(&mut resumed, end);
     assert_eq!(digest(&resumed), digest(&straight));
     assert_eq!(resumed.n_completed(), straight.n_completed());
+}
+
+/// A 2-UE browsing soak to `secs`, stopped at every whole second to
+/// check the endpoint slab against the flow records. Returns
+/// `(n_flows, n_completed, endpoint high water)`.
+fn soak(secs: u64, dense: bool) -> (usize, usize, u64) {
+    let mut cfg = CellConfig::lte_default(2, SchedulerKind::OutRan, 42);
+    cfg.channel.radio = outran_phy::numerology::RadioConfig::lte_rbs(25);
+    cfg.channel.n_subbands = 4;
+    let mut cell = Cell::new(cfg);
+    let horizon = Time::from_secs(secs);
+    for (at, ue, bytes) in idle_heavy_arrivals(horizon, Dur::from_secs(300), 2, 42) {
+        cell.schedule_flow(at, ue, bytes, None);
+    }
+    for s in 1..=secs + 4 {
+        if dense {
+            cell.run_until_dense(Time::from_secs(s));
+        } else {
+            cell.run_until(Time::from_secs(s));
+        }
+        let (live, high_water) = cell.flow_endpoints();
+        assert_eq!(live, cell.open_flows());
+        assert!(live <= high_water);
+        if live > 0 || s % 300 == 0 {
+            cell.check_live_index().unwrap();
+        }
+    }
+    (cell.n_flows(), cell.n_completed(), cell.flow_endpoints().1)
+}
+
+/// The memory a flow's TCP endpoints take follows the flows open at
+/// once — here, the objects of one page — not the flows the run has
+/// registered: three simulated hours of browsing register over a
+/// thousand flows and never hold more endpoint pairs than one page has
+/// objects. The high water is deterministic work: dense stepping reads
+/// what event-driven stepping reads.
+#[test]
+fn endpoints_follow_open_flows_not_flows_scheduled() {
+    let (n_flows, completed, high_water) = soak(3 * 3_600, false);
+    assert!(
+        n_flows >= 1_000 && completed == n_flows,
+        "{completed} of {n_flows}"
+    );
+    // A page is a few dozen objects, 3 ms apart: 27 are open at once at
+    // most, seven times the flows after 25 minutes raise that from 18.
+    assert!(high_water < 32, "{high_water} endpoint pairs at once");
+    let short = soak(1_500, false);
+    assert!(short.0 * 7 < n_flows && short.2 >= 10, "{short:?}");
+    assert_eq!(soak(1_500, true), short);
 }
 
 /// Records every active TTI's summary (what the golden trace digests).

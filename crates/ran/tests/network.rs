@@ -188,6 +188,14 @@ fn fading_draws_follow_occupied_slots() {
         per_step * (w.live_slot_steps + w.replayed_slot_steps),
         "{w:?}"
     );
+    // Handed-over flows hold endpoints at both ends in turn, never a
+    // pair per flow registered.
+    assert!(
+        w.flow_endpoints_high_water > 0
+            && w.flow_endpoints_high_water < serial.report.offered as u64,
+        "{w:?} vs {} offered",
+        serial.report.offered
+    );
     // 12 UEs in 48 slots: most of what stepping every slot on every
     // active TTI would draw is never drawn.
     let eager = per_step * 8 * w.active_cell_ttis;

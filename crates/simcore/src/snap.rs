@@ -37,8 +37,9 @@
 //! the std containers (length-prefixed sequences, presence-byte
 //! options, field-by-field tuples); only layouts that no field list
 //! can express keep a hand-written impl, each documented where it
-//! lives ([`Rng`], [`EventQueue`], and the cell channel's
-//! planes-to-records transposition in `outran-phy`).
+//! lives ([`Rng`], [`EventQueue`], the cell channel's planes-to-records
+//! transposition in `outran-phy`, and the ingress flow table's
+//! records-plus-open-endpoints form in `outran-ran`).
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
@@ -55,7 +56,7 @@ pub const SNAP_MAGIC: [u8; 4] = *b"ORSN";
 
 /// Current snapshot format version. Bump on ANY layout change — the
 /// reader refuses other versions rather than misinterpreting bytes.
-pub const SNAP_VERSION: u32 = 1;
+pub const SNAP_VERSION: u32 = 2;
 
 /// Errors surfaced while reading or persisting a snapshot.
 #[derive(Debug)]
@@ -349,21 +350,6 @@ impl<'a> SnapReader<'a> {
             )),
         }
     }
-
-    /// Restore a sequence of overlay-shaped elements whose *count*
-    /// travels with the snapshot: each element is built from the
-    /// configuration context `ctx`, then overlaid.
-    pub fn grow<C, T>(&mut self, items: &mut Vec<T>, ctx: &C) -> Result<(), SnapError>
-    where
-        T: LoadSnap + for<'c> From<&'c C>,
-    {
-        *items = self.seq(|r| {
-            let mut it = T::from(ctx);
-            it.load_snap(r)?;
-            Ok(it)
-        })?;
-        Ok(())
-    }
 }
 
 /// A snapshot file: named, digest-guarded sections behind a magic and
@@ -622,12 +608,11 @@ snap_tuples!((A.0, B.1)(A.0, B.1, C.2));
 ///   [`Snap`] + [`Unsnap`]; `rebuilt` fields start as `Default` and the
 ///   optional `then` step (`fn(&mut Self) -> Result<(), SnapError>`)
 ///   derives them and validates cross-field conditions.
-/// * `overlay Type { a, b: fixed, c: grow(d) } [rebuilt { d }] [then path]`
+/// * `overlay Type { a, b: fixed, c: fixed_opt } [rebuilt { d }] [then path]`
 ///   — construct-then-overlay: implements [`Snap`] + [`LoadSnap`]; each
 ///   field is overlaid with its own `load_snap`, or through the named
 ///   [`SnapReader`] helper ([`SnapReader::fixed`] for a length the
-///   configuration fixes, [`SnapReader::fixed_opt`],
-///   [`SnapReader::grow`] with sibling fields as context).
+///   configuration fixes, [`SnapReader::fixed_opt`] for a presence).
 ///
 /// Fields are named by identifier or tuple index (`Wrapper { 0 }`), and
 /// one list of type parameters is accepted (`Queue<T> { .. }`, each
@@ -667,7 +652,7 @@ macro_rules! snap_fields {
     };
     (
         overlay $ty:ident $(<$($g:ident),+>)?
-        { $($f:tt $(: $how:ident $(($($ctx:tt),*))?)?),* $(,)? }
+        { $($f:tt $(: $how:ident)?),* $(,)? }
         $(rebuilt { $($d:tt),* $(,)? })?
         $(then $post:path)?
     ) => {
@@ -686,16 +671,14 @@ macro_rules! snap_fields {
             ) -> ::std::result::Result<(), $crate::snap::SnapError> {
                 #[allow(unused_imports)]
                 use $crate::snap::LoadSnap as _;
-                $($crate::snap_fields!(@load self r $f $($how $(($($ctx),*))?)?);)*
+                $($crate::snap_fields!(@load self r $f $($how)?);)*
                 $($post(self)?;)?
                 Ok(())
             }
         }
     };
     (@load $s:ident $r:ident $f:tt) => { $s.$f.load_snap($r)? };
-    (@load $s:ident $r:ident $f:tt $how:ident $(($($ctx:tt),*))?) => {
-        $r.$how(&mut $s.$f $($(, &$s.$ctx)*)?)?
-    };
+    (@load $s:ident $r:ident $f:tt $how:ident) => { $r.$how(&mut $s.$f)? };
 }
 
 /// Declare an enum's snapshot layout once: a `u8` tag per variant, then
@@ -1113,30 +1096,16 @@ mod tests {
     struct Wrapper(u32);
     snap_fields! { Wrapper { 0 } }
 
-    /// Overlay shape with every field marker: `limit` is configuration
-    /// and must survive, `lanes` has a configured length, `extra` grows
-    /// from the snapshot with `limit` as construction context.
+    /// Overlay shape with both field markers: `limit` is configuration
+    /// and must survive, `lanes` has a configured length, `spare` a
+    /// configured presence.
     #[derive(Debug, PartialEq)]
     struct Lanes {
         limit: u32,
         lanes: Vec<u64>,
-        extra: Vec<Lane>,
+        spare: Option<u64>,
         total: u64,
     }
-    #[derive(Debug, PartialEq)]
-    struct Lane {
-        limit: u32,
-        used: u32,
-    }
-    impl From<&u32> for Lane {
-        fn from(limit: &u32) -> Lane {
-            Lane {
-                limit: *limit,
-                used: 0,
-            }
-        }
-    }
-    snap_fields! { overlay Lane { used } rebuilt { limit } }
     impl Lanes {
         fn retotal(&mut self) -> Result<(), SnapError> {
             self.total = self.lanes.iter().sum();
@@ -1144,7 +1113,7 @@ mod tests {
         }
     }
     snap_fields! {
-        overlay Lanes { lanes: fixed, extra: grow(limit) }
+        overlay Lanes { lanes: fixed, spare: fixed_opt }
         rebuilt { limit, total }
         then Lanes::retotal
     }
@@ -1179,7 +1148,7 @@ mod tests {
         let src = Lanes {
             limit: 1,
             lanes: vec![3, 4],
-            extra: vec![Lane { limit: 1, used: 5 }],
+            spare: Some(5),
             total: 7,
         };
         let mut w = SnapWriter::new();
@@ -1188,14 +1157,14 @@ mod tests {
         let mut dst = Lanes {
             limit: 8,
             lanes: vec![0, 0],
-            extra: Vec::new(),
+            spare: Some(0),
             total: 0,
         };
         dst.load_snap(&mut SnapReader::new(&bytes)).unwrap();
         let want = Lanes {
             limit: 8,
             lanes: vec![3, 4],
-            extra: vec![Lane { limit: 8, used: 5 }],
+            spare: Some(5),
             total: 7,
         };
         assert_eq!(dst, want);

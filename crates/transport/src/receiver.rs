@@ -30,6 +30,17 @@ impl TcpReceiver {
         }
     }
 
+    /// Make this the fresh receiver of a `flow_size`-byte flow, keeping
+    /// the range map's root node: emptied entry by entry rather than
+    /// cleared, a recycled receiver takes its first out-of-order range
+    /// without allocating.
+    pub fn reset(&mut self, flow_size: u64) {
+        while self.ooo.pop_first().is_some() {}
+        self.flow_size = flow_size;
+        self.cum = 0;
+        self.bytes_seen = 0;
+    }
+
     /// Process an arriving segment; returns the cumulative ACK to send.
     pub fn on_segment(&mut self, seq: u64, len: u32) -> u64 {
         self.bytes_seen += len as u64;

@@ -213,6 +213,17 @@ impl TcpSender {
         self.flow_size
     }
 
+    /// The RTT sample in flight: `(seq, sent_at)` of the segment whose
+    /// ACK will produce the next sample. It is what a sender that emits
+    /// nothing more still owes [`TcpSender::last_rtt`]: since
+    /// `seq ≥ snd_una` always holds (a sample is taken at `snd_nxt`, and
+    /// an ACK that passes `seq` clears it), the first later ACK with
+    /// `cum > seq` sets `last_rtt = now − sent_at`, and no other does.
+    pub fn rtt_probe(&self) -> Option<(u64, Time)> {
+        debug_assert!(!matches!(self.sample_seq, Some((seq, _)) if seq < self.snd_una));
+        self.sample_seq
+    }
+
     /// Emit segments permitted by the window at `now`. Call after every
     /// state change (ack/timeout) and at flow start.
     ///
