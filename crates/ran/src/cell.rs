@@ -773,6 +773,15 @@ impl Cell {
         self.mac.active_ue_ttis()
     }
 
+    /// Events the ingress queue has sent to its far tier (the heap) — a
+    /// deterministic work counter (not serialized: a resumed cell counts
+    /// from the restore). Only flow arrivals should go there, so it is at
+    /// most [`Cell::n_flows`].
+    #[doc(hidden)]
+    pub fn event_far_pushes(&self) -> u64 {
+        self.ingress.event_far_pushes()
+    }
+
     /// Started-but-incomplete flows right now.
     #[doc(hidden)]
     pub fn open_flows(&self) -> u64 {
@@ -888,17 +897,15 @@ impl Cell {
         self.pools.retained_bytes()
     }
 
-    /// Where the ingress stage's bytes lie inside this cell's snapshot
-    /// section (the layout below, up to and including `ingress`).
+    /// Where the ingress flow table's and event queue's bytes lie inside
+    /// this cell's snapshot section (the layout below, up to `ingress`).
     #[cfg(test)]
-    pub(crate) fn ingress_snap_span(&self) -> std::ops::Range<usize> {
+    pub(crate) fn ingress_snap_spans(&self) -> [std::ops::Range<usize>; 2] {
         use outran_simcore::snap::{Snap, SnapWriter};
         let mut w = SnapWriter::new();
         self.now.snap(&mut w);
         self.ues.snap(&mut w);
-        let start = w.len();
-        self.ingress.snap(&mut w);
-        start..w.len()
+        self.ingress.snap_spans(&mut w)
     }
 
     /// Pools are runtime machinery: never serialized, rebuilt empty on

@@ -116,7 +116,7 @@ pub fn restore_cell(file: &SnapshotFile, i: usize, cell: &mut Cell) -> Result<()
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cell::{CellConfig, SchedulerKind};
+    use crate::cell::{CellConfig, RlcMode, SchedulerKind};
     use outran_simcore::Dur;
 
     fn tiny_cell() -> Cell {
@@ -137,21 +137,74 @@ mod tests {
             (5, 2, 2),
             "want every flow state in the table"
         );
-        let meta = CheckpointMeta {
+        let meta = meta_at(&cell);
+        (cell, meta)
+    }
+
+    fn meta_at(cell: &Cell) -> CheckpointMeta {
+        CheckpointMeta {
             argv: vec!["x".into()],
             sim_time: cell.now(),
             dense: false,
             n_cells: 1,
-        };
-        (cell, meta)
+        }
     }
 
     fn mid_transfer_target() -> Cell {
-        let mut cell = tiny_cell();
-        cell.schedule_flow(Time::from_millis(2), 1, 400_000, None);
-        cell.schedule_flow(Time::from_millis(900), 0, 8_000, None);
-        cell.schedule_flow(Time::from_millis(5), 0, 300_000, None);
+        mid_transfer_target_in(RlcMode::Um)
+    }
+
+    /// [`tiny_cell`]'s flows plus the three of [`mid_transfer_cell`].
+    fn mid_transfer_target_in(rlc_mode: RlcMode) -> Cell {
+        let mut cfg = CellConfig::lte_default(2, SchedulerKind::OutRan, 7);
+        cfg.rlc_mode = rlc_mode;
+        let mut cell = Cell::new(cfg);
+        for (ms, ue, bytes) in [
+            (1, 0, 40_000),
+            (3, 1, 8_000),
+            (2, 1, 400_000),
+            (900, 0, 8_000),
+            (5, 0, 300_000),
+        ] {
+            cell.schedule_flow(Time::from_millis(ms), ue, bytes, None);
+        }
         cell
+    }
+
+    /// Start and state tag of every record in a cell section's flow
+    /// table — format v2: n_flows u64, then per record ue u32 | size u64
+    /// | spawn u64 | tuple 13 | state tag u8 | done: last_rtt opt Dur,
+    /// probe opt (u64, Time) — and where the endpoint count follows.
+    fn walk_records(section: &[u8], cell: &Cell) -> (Vec<(usize, u8)>, usize) {
+        let mut at = cell.ingress_snap_spans()[0].start + 8;
+        let mut recs = Vec::new();
+        for _ in 0..cell.n_flows() {
+            let tag = section[at + 33];
+            recs.push((at, tag));
+            at += 34;
+            if tag == 2 {
+                for width in [8, 16] {
+                    at += 1 + if section[at] == 1 { width } else { 0 };
+                }
+            }
+        }
+        (recs, at)
+    }
+
+    /// Load `hostile` into a fresh [`mid_transfer_target_in`] cell:
+    /// `false` if refused as malformed; otherwise the cell must run a
+    /// simulated second with its live index sound.
+    fn loads_and_runs(hostile: &[u8], rlc_mode: RlcMode) -> bool {
+        let mut target = mid_transfer_target_in(rlc_mode);
+        match target.load_snap(&mut SnapReader::new(hostile)) {
+            Err(SnapError::Malformed(_)) => return false,
+            Err(e) => panic!("refused, but not as malformed: {e:?}"),
+            Ok(()) => {}
+        }
+        target.check_live_index().unwrap();
+        target.run_until(target.now() + Dur::from_secs(1));
+        target.check_live_index().unwrap();
+        true
     }
 
     #[test]
@@ -251,31 +304,26 @@ mod tests {
         let (cell, meta) = mid_transfer_cell();
         let file = snapshot_cell(&meta, &cell);
         let section = file.section("cell.0").unwrap();
-        let table_at = cell.ingress_snap_span().start;
-
-        // n_flows u64, then per record: ue u32 | size u64 | spawn u64 |
-        // tuple 13 | state tag u8 | done: last_rtt opt Dur, probe opt (u64, Time).
         let n_flows = cell.n_flows();
-        let mut at = table_at + 8;
+        let (recs, at) = walk_records(section, &cell);
         let mut mutations: Vec<(usize, Vec<u8>)> = Vec::new();
         let mut by_state: [Vec<u64>; 3] = Default::default(); // pending, open, done
-        for fi in 0..n_flows {
-            mutations.push((at, 2u32.to_le_bytes().to_vec())); // ue = n_ues
-            mutations.push((at, u32::MAX.to_le_bytes().to_vec()));
-            for field in [at + 4, at + 12] {
+        for (fi, &(rec, tag)) in recs.iter().enumerate() {
+            mutations.push((rec, 2u32.to_le_bytes().to_vec())); // ue = n_ues
+            mutations.push((rec, u32::MAX.to_le_bytes().to_vec()));
+            for field in [rec + 4, rec + 12] {
                 mutations.push((field, 0u64.to_le_bytes().to_vec())); // size, spawn
                 mutations.push((field, u64::MAX.to_le_bytes().to_vec()));
             }
-            mutations.push((at + 20, vec![0xFF; 13])); // tuple
-            let tag = section[at + 33];
+            mutations.push((rec + 20, vec![0xFF; 13])); // tuple
             by_state[tag as usize].push(fi as u64);
-            mutations.extend((0..=3u8).filter(|&t| t != tag).map(|t| (at + 33, vec![t])));
-            at += 34;
+            mutations.extend((0..=3u8).filter(|&t| t != tag).map(|t| (rec + 33, vec![t])));
             if tag == 2 {
-                for width in [8, 16] {
-                    mutations.push((at, vec![2])); // non-canonical presence byte
-                    at += 1 + if section[at] == 1 { width } else { 0 };
-                }
+                // Non-canonical presence bytes of the two options.
+                let last_rtt = rec + 34;
+                let probe = last_rtt + 1 + if section[last_rtt] == 1 { 8 } else { 0 };
+                mutations.push((last_rtt, vec![2]));
+                mutations.push((probe, vec![2]));
             }
         }
         let count = u64::from_le_bytes(section[at..at + 8].try_into().unwrap());
@@ -296,17 +344,123 @@ mod tests {
         for (at, bytes) in mutations {
             let mut hostile = section.to_vec();
             hostile[at..at + bytes.len()].copy_from_slice(&bytes);
-            let mut target = mid_transfer_target();
-            if target.load_snap(&mut SnapReader::new(&hostile)).is_err() {
+            if loads_and_runs(&hostile, RlcMode::Um) {
+                ran += 1;
+            } else {
                 refused += 1;
-                continue;
             }
-            target.check_live_index().unwrap();
-            target.run_until(target.now() + Dur::from_secs(1));
-            target.check_live_index().unwrap();
-            ran += 1;
         }
         assert!(refused >= 20 && ran >= 20, "{refused} refused, {ran} ran");
+    }
+
+    /// The queued ingress events of a real AM cell section — `Arrival`,
+    /// `PktAtEnb`, `AckAtServer` naming a flow, `StatusAtEnb` a UE — with
+    /// the first of each kind's id overwritten: past the table (or the
+    /// UE count) and absurd values are refused as malformed, since they
+    /// would index out of bounds when the event fires; in-range ids load
+    /// and run a simulated second.
+    #[test]
+    fn mutated_ingress_events_are_refused_or_run() {
+        // Stop at the first millisecond with every kind of event queued.
+        let mut cell = mid_transfer_target_in(RlcMode::Am);
+        let (section, firsts) = loop {
+            cell.run_until(cell.now() + Dur::from_millis(1));
+            assert!(
+                cell.now() < Time::from_millis(800),
+                "no STATUS PDU in flight"
+            );
+            let file = snapshot_cell(&meta_at(&cell), &cell);
+            let section = file.section("cell.0").unwrap().to_vec();
+            if let [Some(a), Some(p), Some(k), Some(s)] = first_event_ids(&section, &cell) {
+                break (section, [a, p, k, s]);
+            }
+        };
+        let n_flows = cell.n_flows() as u64;
+        for (tag, id_at) in firsts.into_iter().enumerate() {
+            let limit = if tag == 3 { 2 } else { n_flows };
+            for (id, in_range) in [
+                (limit, false),
+                (u64::MAX, false),
+                (limit - 1, true),
+                (0, true),
+            ] {
+                let mut hostile = section.to_vec();
+                hostile[id_at..id_at + 8].copy_from_slice(&id.to_le_bytes());
+                assert_eq!(
+                    loads_and_runs(&hostile, RlcMode::Am),
+                    in_range,
+                    "event tag {tag}, id {id}"
+                );
+            }
+        }
+    }
+
+    /// Offset of the id (flow or UE, a u64 right after the tag) of the
+    /// first queued event of each kind, by tag. The queue's layout:
+    /// counter u64 | n u64, then per event time u64 | seq u64 | tag u8 |
+    /// id u64 | `PktAtEnb`: seq u64, len u32 | `AckAtServer`: cum u64 |
+    /// `StatusAtEnb`: ack_sn u32, n u64, n × u32.
+    fn first_event_ids(section: &[u8], cell: &Cell) -> [Option<usize>; 4] {
+        let events = cell.ingress_snap_spans()[1].clone();
+        let u64_at = |at: usize| u64::from_le_bytes(section[at..at + 8].try_into().unwrap());
+        let mut firsts = [None; 4];
+        let mut at = events.start + 16;
+        for _ in 0..u64_at(events.start + 8) {
+            let tag = section[at + 16];
+            firsts[tag as usize].get_or_insert(at + 17);
+            at += 25
+                + match tag {
+                    0 => 0,
+                    1 => 12,
+                    2 => 8,
+                    _ => 12 + 4 * u64_at(at + 29) as usize,
+                };
+        }
+        assert_eq!(at, events.end, "walked off the event queue");
+        firsts
+    }
+
+    /// Each hostile value the next RTO arm would panic on — non-finite or
+    /// negative `srtt`, `rttvar`, `rto`, or an `rto` past the 60 s
+    /// `max_rto` — written into the first open flow's sender: refused as
+    /// malformed. The bounds themselves load and run.
+    #[test]
+    fn hostile_rtt_estimate_is_refused() {
+        let (cell, meta) = mid_transfer_cell();
+        let file = snapshot_cell(&meta, &cell);
+        let section = file.section("cell.0").unwrap();
+        // Count u64 | first id u64 | sender: flow_size, snd_una, snd_nxt
+        // u64 | cwnd, ssthresh f64 | phase u8 | dup_acks u32 | recover
+        // u64 | retx_pending opt (u64, u32, u8) | rtt: srtt opt f64,
+        // rttvar f64, rto f64.
+        let (_, count_at) = walk_records(section, &cell);
+        let retx_pending = count_at + 16 + 53;
+        let srtt = retx_pending + 1 + if section[retx_pending] == 1 { 13 } else { 0 };
+        assert_eq!(section[srtt], 1, "the handshake seeded srtt");
+        let (srtt, rttvar, rto) = (srtt + 1, srtt + 9, srtt + 17);
+        let f64_at = |at: usize| f64::from_le_bytes(section[at..at + 8].try_into().unwrap());
+        assert!(
+            f64_at(rto) > 0.0 && f64_at(rto) <= 60.0,
+            "walked off the sender"
+        );
+        let hostile = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1e-9];
+        for (field, value, accepted) in [srtt, rttvar, rto]
+            .into_iter()
+            .flat_map(|f| hostile.map(|v| (f, v, false)))
+            .chain([
+                (rto, 60.0 + 1e-9, false),
+                (rto, 60.0, true),
+                (srtt, 0.0, true),
+            ])
+        {
+            let mut bytes = section.to_vec();
+            bytes[field..field + 8].copy_from_slice(&value.to_le_bytes());
+            assert_eq!(
+                loads_and_runs(&bytes, RlcMode::Um),
+                accepted,
+                "{value} at {field}"
+            );
+        }
     }
 
     /// A v2 reader refuses a v1 file by its header, whatever follows.

@@ -324,6 +324,11 @@ impl FlowStore {
         self.recs.len()
     }
 
+    /// The cell's UE count, which every record's `ue` is below.
+    pub fn n_ues(&self) -> usize {
+        self.n_ues
+    }
+
     /// Started-but-incomplete flows: the live endpoints.
     #[inline]
     pub fn open_flows(&self) -> u64 {

@@ -466,9 +466,44 @@ impl IngressStage {
         self.dropped_bytes
     }
 
-    /// Derive the live-flow index from the restored flow table (which
+    /// Events this stage's queue has sent to its far tier — only flow
+    /// arrivals should go there (not serialized).
+    pub fn event_far_pushes(&self) -> u64 {
+        self.events.far_pushes()
+    }
+
+    /// Write the flow table and the event queue — this stage's layout
+    /// begins with them — to `w`, returning where each landed.
+    #[cfg(test)]
+    pub(crate) fn snap_spans(
+        &self,
+        w: &mut outran_simcore::snap::SnapWriter,
+    ) -> [std::ops::Range<usize>; 2] {
+        use outran_simcore::snap::Snap;
+        let start = w.len();
+        self.flows.snap(w);
+        let mid = w.len();
+        self.events.snap(w);
+        [start..mid, mid..w.len()]
+    }
+
+    /// Refuse restored events naming a flow past the table or a UE the
+    /// cell lacks (they would index out of bounds when they fire), then
+    /// derive the live-flow index from the restored flow table (which
     /// has already refused endpoints that contradict its records).
-    fn rebuild_live(&mut self) -> Result<(), SnapError> {
+    fn check_events_and_rebuild_live(&mut self) -> Result<(), SnapError> {
+        let (n_flows, n_ues) = (self.flows.len(), self.flows.n_ues());
+        let in_range = |ev: &Ev| match *ev {
+            Ev::Arrival { flow } | Ev::PktAtEnb { flow, .. } | Ev::AckAtServer { flow, .. } => {
+                flow < n_flows
+            }
+            Ev::StatusAtEnb { ue, .. } => ue < n_ues,
+        };
+        if !self.events.sorted_entries().iter().all(|e| in_range(e.2)) {
+            return Err(SnapError::Malformed(
+                "ingress event names a flow or UE the cell lacks",
+            ));
+        }
         self.live.clear();
         self.live.extend(self.flows.open_slots());
         Ok(())
@@ -491,5 +526,5 @@ snap_fields! {
         flows, events, injected_bytes, cn_in_flight_bytes, dropped_bytes,
     }
     rebuilt { emit_scratch, live, scan_visits }
-    then IngressStage::rebuild_live
+    then IngressStage::check_events_and_rebuild_live
 }

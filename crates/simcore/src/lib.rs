@@ -19,7 +19,8 @@
 //!   The per-TTI fading draws go through them, so tap values no longer
 //!   depend on which libm the host ships.
 //! * [`EventQueue`] — a monotonic priority queue of `(Time, E)` events with
-//!   stable FIFO ordering for simultaneous events.
+//!   stable FIFO ordering for simultaneous events: a 64-slot near wheel
+//!   for the link-delay traffic, one `BinaryHeap` for the far future.
 //! * [`dist`] — samplers used throughout the evaluation: exponential
 //!   inter-arrivals (Poisson processes), empirical flow-size CDFs with
 //!   log-linear interpolation, Box–Muller normals for shadowing.

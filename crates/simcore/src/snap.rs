@@ -794,8 +794,8 @@ snap_fields! { Ewma { alpha, value, primed } then Ewma::check_alpha }
 // required for bit-identical resumption.
 snap_fields! { Percentiles { sorted, samples } }
 
-/// Irregular: the wheel's internal layout is not deterministic, so the
-/// wire form is the `(time, seq)`-sorted dump of pending events with
+/// Irregular: which tier holds an event depends on the queue's history,
+/// so the wire form is the `(time, seq)`-sorted dump of pending events with
 /// their exact sequence numbers, behind the allocation counter — a
 /// restored queue pops in the identical order and continues numbering
 /// where the original left off.

@@ -1,8 +1,10 @@
-//! Differential property test: the hierarchical timer wheel must pop in
-//! exactly the `(time, seq)` order of a `BinaryHeap` reference model for
-//! arbitrary interleavings of schedules and pops — including same-instant
-//! bursts, exact tick boundaries, far-wheel cascades, overflow horizons
-//! and scheduling "in the past" relative to the wheel cursor.
+//! Differential property test: the two-tier event queue (a 64-slot near
+//! wheel plus a far `BinaryHeap`) must pop in exactly the `(time, seq)`
+//! order of a `BinaryHeap` reference model for arbitrary interleavings
+//! of schedules and pops — including same-instant bursts, exact tick
+//! boundaries, heap entries pulled in at a window edge onto ticks the
+//! near slots already hold, horizons hours out, and scheduling "in the
+//! past" relative to the wheel cursor.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -41,15 +43,13 @@ impl<E: Ord> HeapModel<E> {
 /// One tick of the near wheel in nanoseconds (2^20 ≈ 1.05 ms).
 const TICK: u64 = 1 << 20;
 
-/// Time horizons that exercise every wheel level: within a near slot,
-/// across the near span (268 ms), across the mid span (17 s), across the
-/// far span (18 min), and beyond into the overflow list.
-const HORIZONS: [u64; 5] = [
-    4 * TICK,
-    300 * TICK,        // past the 256-tick near span
-    20_000 * TICK,     // past the 2^14-tick mid span
-    1_200_000 * TICK,  // past the 2^20-tick far span
-    40_000_000 * TICK, // deep overflow (~11.7 h)
+/// Time horizons that exercise both tiers: inside the 64-tick near span
+/// (≈ 67 ms), just past it (so heap entries reach the near window a few
+/// ticks after they were pushed), and hours out.
+const HORIZONS: [u64; 3] = [
+    40 * TICK,
+    90 * TICK,         // just past the near span
+    40_000_000 * TICK, // ~11.7 h
 ];
 
 fn drive(seed: u64, ops: u32, pop_bias: f64) -> Result<(), TestCaseError> {
@@ -88,7 +88,7 @@ fn drive(seed: u64, ops: u32, pop_bias: f64) -> Result<(), TestCaseError> {
         prop_assert_eq!(wheel.len(), heap.len());
         prop_assert_eq!(wheel.peek_time(), heap.peek_time());
     }
-    // Drain to empty: full cascade of whatever is left in the far wheels.
+    // Drain to empty: every heap entry is pulled in on the way.
     loop {
         let a = wheel.pop();
         let b = heap.pop();
@@ -115,7 +115,7 @@ proptest! {
 }
 
 /// Same-instant bursts and exact tick boundaries (multiples of 2^20 ns)
-/// scattered deterministically over ~17 s of ticks.
+/// scattered deterministically over ~18 s.
 #[test]
 fn wheel_matches_heap_on_dense_same_tick_bursts() {
     let mut wheel: EventQueue<u64> = EventQueue::new();
@@ -138,14 +138,14 @@ fn wheel_matches_heap_on_dense_same_tick_bursts() {
 
 /// The checkpoint view — sorted entries plus the insertion counter —
 /// carries exactly the model's `(time, seq)` contents, independent of
-/// where the wheel happens to hold each entry.
+/// which tier happens to hold each entry.
 #[test]
 fn sorted_entries_match_the_model() {
     let mut rng = Rng::new(7);
     let mut wheel: EventQueue<u64> = EventQueue::new();
     let mut heap: HeapModel<u64> = HeapModel::default();
     for i in 0..500 {
-        let at = Time(rng.below(HORIZONS[(i % 5) as usize]));
+        let at = Time(rng.below(HORIZONS[(i % 3) as usize]));
         wheel.schedule(at, i);
         heap.schedule(at, i);
         if i % 7 == 0 {
@@ -166,4 +166,42 @@ fn sorted_entries_match_the_model() {
         .collect();
     assert_eq!(w, h);
     assert_eq!(wheel.seq_counter(), heap.seq);
+}
+
+/// A cursor that crawls a tick or two at a time while every schedule
+/// lands 56–72 ticks ahead: each tick is first reached by heap pushes
+/// (more than 64 ticks out) and later by near-slot entries that sit past
+/// `window_end` until the window advances and the heap entries are
+/// pulled onto the same ticks — ties at the same instant included.
+#[test]
+fn near_entries_past_window_end_merge_with_heap_entries_on_shared_ticks() {
+    let mut rng = Rng::new(11);
+    let mut wheel: EventQueue<u64> = EventQueue::new();
+    let mut heap: HeapModel<u64> = HeapModel::default();
+    let mut now = Time::ZERO;
+    wheel.schedule(now, 0);
+    heap.schedule(now, 0);
+    for i in 1..20_000u64 {
+        if i % 3 == 0 {
+            let a = wheel.pop();
+            assert_eq!(a, heap.pop());
+            now = a.map_or(now, |(t, _)| t);
+        } else {
+            // Few distinct instants per tick, so same-instant ties recur.
+            let ticks = 56 + rng.below(17);
+            let at = Time(((now.0 >> 20) + ticks) << 20) + Dur::from_nanos(rng.below(4) << 18);
+            wheel.schedule(at, i);
+            heap.schedule(at, i);
+        }
+        assert_eq!(wheel.peek_time(), heap.peek_time());
+    }
+    let pushes = wheel.far_pushes();
+    assert!(pushes > 1_000 && pushes < 12_000, "{pushes} heap pushes");
+    loop {
+        let a = wheel.pop();
+        assert_eq!(a, heap.pop());
+        if a.is_none() {
+            break;
+        }
+    }
 }

@@ -1,5 +1,6 @@
 //! TCP sender: window management, loss recovery, RTT estimation.
 
+use outran_simcore::snap::SnapError;
 use outran_simcore::{Dur, Time};
 
 /// Congestion-control algorithm.
@@ -103,6 +104,19 @@ impl RttEstimator {
 
     fn backoff(&mut self) {
         self.rto = (self.rto * 2.0).min(self.max_rto);
+    }
+
+    /// Refuse restored state the next RTO arm would panic on: a
+    /// non-finite or negative estimate, or an `rto` above any this
+    /// estimator can reach (its 1 s initial value or `max_rto`).
+    fn check_restored(&mut self) -> Result<(), SnapError> {
+        let sane = |v: f64| v.is_finite() && v >= 0.0;
+        if !(self.srtt.is_none_or(sane) && sane(self.rttvar) && sane(self.rto))
+            || self.rto > self.max_rto.max(1.0)
+        {
+            return Err(SnapError::Malformed("tcp rtt estimate out of range"));
+        }
+        Ok(())
     }
 }
 
@@ -427,7 +441,11 @@ use outran_simcore::{snap_enum, snap_fields};
 
 snap_fields! { Segment { seq, len, is_retx } }
 snap_enum! { Phase, "tcp phase tag" { 0 => SlowStart, 1 => CongestionAvoidance, 2 => FastRecovery } }
-snap_fields! { overlay RttEstimator { srtt, rttvar, rto } rebuilt { min_rto, max_rto } }
+snap_fields! {
+    overlay RttEstimator { srtt, rttvar, rto }
+    rebuilt { min_rto, max_rto }
+    then RttEstimator::check_restored
+}
 snap_fields! { CubicState { epoch_start, w_max, k } }
 
 // The config is not serialized: the restoring side builds the sender
