@@ -433,8 +433,7 @@ mod tests {
         // u64 | cwnd, ssthresh f64 | phase u8 | dup_acks u32 | recover
         // u64 | retx_pending opt (u64, u32, u8) | rtt: srtt opt f64,
         // rttvar f64, rto f64.
-        let (_, count_at) = walk_records(section, &cell);
-        let retx_pending = count_at + 16 + 53;
+        let retx_pending = first_sender(section, &cell) + 53;
         let srtt = retx_pending + 1 + if section[retx_pending] == 1 { 13 } else { 0 };
         assert_eq!(section[srtt], 1, "the handshake seeded srtt");
         let (srtt, rttvar, rto) = (srtt + 1, srtt + 9, srtt + 17);
@@ -461,6 +460,92 @@ mod tests {
                 "{value} at {field}"
             );
         }
+    }
+
+    /// Each hostile value the sender's own arithmetic would trip on,
+    /// written into the first open flow's sender: `snd_una > snd_nxt` or
+    /// `snd_nxt > flow_size` (`in_flight` and `emit_into` underflow), an
+    /// RTT sample before `snd_una` (`rtt_probe` asserts against it), and a
+    /// NaN, negative or infinite `cwnd`, `ssthresh`, CUBIC `w_max` or `k`
+    /// — refused as malformed. The boundaries, `ssthresh`'s initial +∞
+    /// among them, load and run.
+    #[test]
+    fn hostile_tcp_sender_is_refused() {
+        let (cell, meta) = mid_transfer_cell();
+        let file = snapshot_cell(&meta, &cell);
+        let section = file.section("cell.0").unwrap();
+        // flow_size, snd_una, snd_nxt u64 | cwnd, ssthresh f64 | phase u8
+        // | dup_acks u32 | recover u64 | retx_pending opt (u64, u32, u8) |
+        // rtt: srtt opt f64, rttvar, rto f64 | sample_seq opt (u64, Time)
+        // | rto_deadline opt Time | retx_bytes, timeouts u64 | last_rtt
+        // opt Dur | cubic: epoch_start opt Time, w_max, k f64.
+        let at = first_sender(section, &cell);
+        let (flow_size, snd_una, snd_nxt) = (at, at + 8, at + 16);
+        let (cwnd, ssthresh) = (at + 24, at + 32);
+        // Steps `end` past an option of `width` payload bytes; returns
+        // the offset of its presence byte.
+        let option = |end: &mut usize, width: usize| {
+            let tag = *end;
+            *end += 1 + if section[tag] == 1 { width } else { 0 };
+            tag
+        };
+        let mut end = at + 53;
+        option(&mut end, 13); // retx_pending
+        assert_eq!(section[option(&mut end, 8)], 1, "the handshake seeded srtt");
+        end += 16; // rttvar, rto
+        let sample_tag = option(&mut end, 16);
+        option(&mut end, 8); // rto_deadline
+        end += 16; // retx_bytes, timeouts
+        option(&mut end, 8); // last_rtt
+        option(&mut end, 8); // epoch_start
+        let (w_max, k) = (end, end + 8);
+        assert_eq!(section[sample_tag], 1, "a sample is in flight");
+        let sample = sample_tag + 1;
+
+        let u64_at = |at: usize| u64::from_le_bytes(section[at..at + 8].try_into().unwrap());
+        let (size, una, nxt, seq) = (
+            u64_at(flow_size),
+            u64_at(snd_una),
+            u64_at(snd_nxt),
+            u64_at(sample),
+        );
+        assert!(
+            0 < una && una <= seq && seq < nxt && nxt < size,
+            "walked off the sender: {una} {seq} {nxt} {size}"
+        );
+        let mut cases: Vec<(usize, [u8; 8], bool)> = [
+            (snd_nxt, una - 1, false),
+            (snd_nxt, size + 1, false),
+            (sample, una - 1, false),
+            (snd_nxt, size, true),
+            (snd_una, seq, true),
+            (snd_una, 0, true),
+        ]
+        .map(|(at, v, ok)| (at, v.to_le_bytes(), ok))
+        .into();
+        let hostile = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1e-9];
+        for field in [cwnd, ssthresh, w_max, k] {
+            for v in hostile {
+                let ok = field == ssthresh && v == f64::INFINITY;
+                cases.push((field, v.to_le_bytes(), ok));
+            }
+            cases.push((field, 0f64.to_le_bytes(), true));
+        }
+        for (field, bytes, accepted) in cases {
+            let mut mutated = section.to_vec();
+            mutated[field..field + 8].copy_from_slice(&bytes);
+            assert_eq!(
+                loads_and_runs(&mutated, RlcMode::Um),
+                accepted,
+                "{bytes:?} at {field}"
+            );
+        }
+    }
+
+    /// Offset of the first open flow's sender in a cell section: past
+    /// the flow records, the endpoint count and the flow's id.
+    fn first_sender(section: &[u8], cell: &Cell) -> usize {
+        walk_records(section, cell).1 + 16
     }
 
     /// A v2 reader refuses a v1 file by its header, whatever follows.

@@ -428,6 +428,28 @@ impl TcpSender {
         let max = (self.cfg.max_cwnd_segs * self.cfg.mss) as f64;
         self.cwnd = self.cwnd.clamp(self.cfg.mss as f64, max);
     }
+
+    /// Refuse restored state the sender's own arithmetic would trip on.
+    /// Required: `snd_una ≤ snd_nxt ≤ flow_size` (`in_flight` and
+    /// `emit_into` subtract across them), an RTT sample at or past
+    /// `snd_una` (what `rtt_probe` asserts), and a finite, non-negative
+    /// window and CUBIC state (`ssthresh` may also be +∞, its initial
+    /// value).
+    fn check_restored(&mut self) -> Result<(), SnapError> {
+        let sane = |v: f64| v.is_finite() && v >= 0.0;
+        let ordered = self.snd_una <= self.snd_nxt && self.snd_nxt <= self.flow_size;
+        let sampled = self.sample_seq.is_none_or(|(seq, _)| seq >= self.snd_una);
+        if !(ordered
+            && sampled
+            && sane(self.cwnd)
+            && self.ssthresh >= 0.0
+            && sane(self.cubic.w_max)
+            && sane(self.cubic.k))
+        {
+            return Err(SnapError::Malformed("tcp sender state out of range"));
+        }
+        Ok(())
+    }
 }
 
 impl TcpSender {
@@ -457,6 +479,7 @@ snap_fields! {
         retx_pending, rtt, sample_seq, rto_deadline, retx_bytes, timeouts, last_rtt, cubic,
     }
     rebuilt { cfg }
+    then TcpSender::check_restored
 }
 
 #[cfg(test)]
