@@ -6,7 +6,7 @@
 use super::*;
 use outran_core::OutRanConfig;
 use outran_metrics::FctCollector;
-use outran_ran::{parallel_map_eager, Cell, CellConfig};
+use outran_ran::{Cell, CellConfig};
 use outran_simcore::{Rng, Time};
 use outran_workload::{FlowSizeDist, PoissonFlowGen};
 
@@ -68,7 +68,7 @@ pub(super) fn run(threads: usize, out: &mut String) {
         .iter()
         .flat_map(|&(_, kind, reset)| seeds.map(|seed| (kind, reset, seed)))
         .collect();
-    let runs = parallel_map_eager(threads, jobs, |(kind, reset, seed)| {
+    let runs = run_jobs(threads, jobs, |(kind, reset, seed)| {
         run_seed(kind, reset, seed)
     });
     let mut avgs = runs.chunks(seeds.len()).map(|per_seed| {

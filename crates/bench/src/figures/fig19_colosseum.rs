@@ -10,7 +10,7 @@
 use super::*;
 use outran_metrics::{FctCollector, FctReport};
 use outran_phy::Scenario;
-use outran_ran::{parallel_map_eager, Cell, CellConfig};
+use outran_ran::{Cell, CellConfig};
 use outran_simcore::{Rng, Time};
 use outran_workload::{FlowSizeDist, PoissonFlowGen};
 
@@ -31,7 +31,7 @@ fn colosseum(
     let duration = Time::from_secs(secs);
     // Run past the horizon to let late flows finish (bounded drain).
     let end = Time::from_secs(secs + 4);
-    let per_cell = parallel_map_eager(threads, (0..CELLS).collect(), |c| {
+    let per_cell = run_jobs(threads, (0..CELLS).collect(), |c| {
         let seed = SEED + c;
         let mut cfg = CellConfig::lte_default(UES_PER_CELL, kind, seed);
         cfg.channel = scenario.channel_config();

@@ -52,6 +52,21 @@ pub struct AvgReport {
     pub runs: Vec<ExperimentReport>,
 }
 
+/// [`outran_ran::parallel_map`] for a figure: the results in submission
+/// order, or a panic naming the first job that failed even after the
+/// pool's deterministic retry. A missing point would silently skew a
+/// published table, so the figure stops instead.
+pub fn run_jobs<T, R>(threads: usize, jobs: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<R>
+where
+    T: Send + Clone,
+    R: Send,
+{
+    outran_ran::parallel_map(threads, jobs, f)
+        .into_iter()
+        .map(|r| r.unwrap_or_else(|f| panic!("figure job failed permanently: {f}")))
+        .collect()
+}
+
 /// Run every `(point, seed)` combination of a sweep grid on up to
 /// `threads` workers, then average each point's seeds. One job per
 /// combination keeps all cores busy even when `seeds.len()` is small;
@@ -67,12 +82,7 @@ pub fn run_avg_grid<T: Send + Sync>(
     let jobs: Vec<(usize, u64)> = (0..points.len())
         .flat_map(|p| seeds.iter().map(move |&s| (p, s)))
         .collect();
-    let runs = outran_ran::parallel_map(threads, jobs, |(p, s)| build(&points[p], s).run());
-    // A point that failed even after the pool's deterministic retry would
-    // silently skew the published average: stop with the failure instead.
-    let mut it = runs
-        .into_iter()
-        .map(|r| r.unwrap_or_else(|f| panic!("figure job failed permanently: {f}")));
+    let mut it = run_jobs(threads, jobs, |(p, s)| build(&points[p], s).run()).into_iter();
     let n_seeds = seeds.len();
     points
         .into_iter()

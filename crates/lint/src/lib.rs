@@ -24,14 +24,12 @@ use std::path::{Path, PathBuf};
 pub use rules::{analyze_source, Diagnostic, RuleId};
 
 /// Directories never descended into during the workspace walk.
-const SKIP_DIRS: [&str; 4] = ["target", ".git", "compat", "fixtures"];
+const SKIP_DIRS: [&str; 3] = ["target", ".git", "fixtures"];
 
 /// Collect all lintable `.rs` files under `root`, workspace-relative.
 ///
-/// Skips build output, vendored compat shims (third-party API surface
-/// not held to in-house rules), and this crate's own known-bad test
-/// fixtures. Results are sorted so diagnostics order is stable across
-/// filesystems.
+/// Skips build output and this crate's own known-bad test fixtures.
+/// Results are sorted so diagnostics order is stable across filesystems.
 pub fn workspace_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
     let mut out = Vec::new();
     let mut stack = vec![root.to_path_buf()];

@@ -8,7 +8,6 @@
 use outran_mac::{MtScheduler, OutRanScheduler, PfScheduler, RateSource, Scheduler, UeTti};
 use outran_pdcp::Priority;
 use outran_simcore::{Dur, Rng, Time};
-use proptest::prelude::*;
 
 /// A mutable rate world. `versioned = true` exposes per-UE content
 /// versions (enabling the scheduler-side cache); `false` hides them,
@@ -107,22 +106,21 @@ fn random_ues(n: usize, rng: &mut Rng) -> Vec<UeTti> {
         .collect()
 }
 
-/// Drive `cached` (versioned source) and `fresh` (unversioned source)
-/// through `rounds` TTIs of random world churn; their allocations and
-/// serve feedback must stay identical throughout.
-fn run_world(
-    mut cached: Box<dyn Scheduler>,
-    mut fresh: Box<dyn Scheduler>,
-    n_ues: usize,
-    n_sb: usize,
-    rbs_per_sb: usize,
-    rounds: u32,
-    seed: u64,
-) -> Result<(), TestCaseError> {
-    let mut rng = Rng::new(seed);
-    let mut world = World::new(n_ues, n_sb, rbs_per_sb);
+/// A random world shape: 2–6 UEs, 1–5 sub-bands of 1–3 RBs each.
+fn random_world(rng: &mut Rng) -> World {
+    World::new(2 + rng.index(5), 1 + rng.index(5), 1 + rng.index(3))
+}
+
+/// Drive two schedulers from `make`, one on a versioned source
+/// (`cached`) and one on an unversioned source (`fresh`), through
+/// `rounds` TTIs of random world churn; their allocations and serve
+/// feedback must stay identical throughout.
+fn run_world(make: fn(usize) -> Box<dyn Scheduler>, rounds: u32, rng: &mut Rng) {
+    let mut world = random_world(rng);
+    let (n_ues, n_sb) = (world.n_ues, world.n_sb);
+    let (mut cached, mut fresh) = (make(n_ues), make(n_ues));
     for ue in 0..n_ues {
-        world.mutate_row(ue, &mut rng);
+        world.mutate_row(ue, rng);
     }
     let mut now = Time::ZERO;
     for round in 0..rounds {
@@ -130,7 +128,7 @@ fn run_world(
         // CQI churn: most rounds leave most rows untouched (cache hits).
         for ue in 0..n_ues {
             if rng.chance(0.3) {
-                world.mutate_row(ue, &mut rng);
+                world.mutate_row(ue, rng);
             }
         }
         // Link drop/restore: a zeroed row with its own version.
@@ -147,20 +145,16 @@ fn run_world(
         for r in world.reserved.iter_mut() {
             *r = rng.chance(0.2);
         }
-        let ues = random_ues(n_ues, &mut rng);
+        let ues = random_ues(n_ues, rng);
         let a = cached.allocate(now, &ues, &world);
         let b = fresh.allocate(now, &ues, &world.unversioned());
-        prop_assert_eq!(
-            &a.rb_to_ue,
-            &b.rb_to_ue,
+        assert_eq!(
+            &a.rb_to_ue, &b.rb_to_ue,
             "round {}: cached {:?} != fresh {:?}",
-            round,
-            a.rb_to_ue,
-            b.rb_to_ue
+            round, a.rb_to_ue, b.rb_to_ue
         );
-        prop_assert_eq!(
-            &a.bits_per_ue,
-            &b.bits_per_ue,
+        assert_eq!(
+            &a.bits_per_ue, &b.bits_per_ue,
             "round {}: bits diverged",
             round
         );
@@ -168,67 +162,48 @@ fn run_world(
         cached.on_served(&a.bits_per_ue);
         fresh.on_served(&b.bits_per_ue);
     }
-    Ok(())
 }
 
 const TF: Dur = Dur::from_millis(1000);
 const TTI: Dur = Dur::from_millis(1);
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+#[test]
+fn cached_pf_matches_from_scratch() {
+    outran_simcore::check("cached_pf_matches_from_scratch", 24, |rng| {
+        run_world(|n| Box::new(PfScheduler::with_tf(n, TF, TTI)), 40, rng);
+    });
+}
 
-    #[test]
-    fn cached_pf_matches_from_scratch(
-        n_ues in 2usize..7,
-        n_sb in 1usize..6,
-        rbs_per_sb in 1usize..4,
-        seed in 0u64..u64::MAX,
-    ) {
+#[test]
+fn cached_outran_matches_from_scratch() {
+    outran_simcore::check("cached_outran_matches_from_scratch", 24, |rng| {
         run_world(
-            Box::new(PfScheduler::with_tf(n_ues, TF, TTI)),
-            Box::new(PfScheduler::with_tf(n_ues, TF, TTI)),
-            n_ues, n_sb, rbs_per_sb, 40, seed,
-        )?;
-    }
+            |n| Box::new(OutRanScheduler::over_pf(n, TF, TTI, 0.2)),
+            40,
+            rng,
+        );
+    });
+}
 
-    #[test]
-    fn cached_outran_matches_from_scratch(
-        n_ues in 2usize..7,
-        n_sb in 1usize..6,
-        rbs_per_sb in 1usize..4,
-        seed in 0u64..u64::MAX,
-    ) {
-        run_world(
-            Box::new(OutRanScheduler::over_pf(n_ues, TF, TTI, 0.2)),
-            Box::new(OutRanScheduler::over_pf(n_ues, TF, TTI, 0.2)),
-            n_ues, n_sb, rbs_per_sb, 40, seed,
-        )?;
-    }
-
-    #[test]
-    fn cached_mt_matches_per_rb_brute_force(
-        n_ues in 2usize..7,
-        n_sb in 1usize..6,
-        rbs_per_sb in 1usize..4,
-        seed in 0u64..u64::MAX,
-    ) {
-        // MT is stateless, so the reference can be rebuilt from first
-        // principles: per-RB strict argmax over positive rates.
-        let mut rng = Rng::new(seed);
-        let mut world = World::new(n_ues, n_sb, rbs_per_sb);
+#[test]
+fn cached_mt_matches_per_rb_brute_force() {
+    // MT is stateless, so the reference can be rebuilt from first
+    // principles: per-RB strict argmax over positive rates.
+    outran_simcore::check("cached_mt_matches_per_rb_brute_force", 24, |rng| {
+        let mut world = random_world(rng);
         let mut mt = MtScheduler::default();
         let mut now = Time::ZERO;
         for _ in 0..40 {
             now += Dur::from_millis(1);
-            for ue in 0..n_ues {
+            for ue in 0..world.n_ues {
                 if rng.chance(0.4) {
-                    world.mutate_row(ue, &mut rng);
+                    world.mutate_row(ue, rng);
                 }
             }
             for r in world.reserved.iter_mut() {
                 *r = rng.chance(0.2);
             }
-            let ues = random_ues(n_ues, &mut rng);
+            let ues = random_ues(world.n_ues, rng);
             let got = mt.allocate(now, &ues, &world);
             let want: Vec<Option<u16>> = (0..world.n_rbs())
                 .map(|rb| {
@@ -247,7 +222,7 @@ proptest! {
                     best
                 })
                 .collect();
-            prop_assert_eq!(&got.rb_to_ue, &want);
+            assert_eq!(&got.rb_to_ue, &want);
         }
-    }
+    });
 }

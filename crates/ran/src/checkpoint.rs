@@ -465,9 +465,11 @@ mod tests {
     /// Each hostile value the sender's own arithmetic would trip on,
     /// written into the first open flow's sender: `snd_una > snd_nxt` or
     /// `snd_nxt > flow_size` (`in_flight` and `emit_into` underflow), an
-    /// RTT sample before `snd_una` (`rtt_probe` asserts against it), and a
-    /// NaN, negative or infinite `cwnd`, `ssthresh`, CUBIC `w_max` or `k`
-    /// — refused as malformed. The boundaries, `ssthresh`'s initial +∞
+    /// RTT sample before `snd_una` (`rtt_probe` asserts against it), a
+    /// `recover` past `flow_size`, a pending retransmission that is empty,
+    /// starts before `snd_una` or ends past `flow_size`, and a NaN,
+    /// negative or infinite `cwnd`, `ssthresh`, CUBIC `w_max` or `k` —
+    /// refused as malformed. The boundaries, `ssthresh`'s initial +∞
     /// among them, load and run.
     #[test]
     fn hostile_tcp_sender_is_refused() {
@@ -481,7 +483,7 @@ mod tests {
         // opt Dur | cubic: epoch_start opt Time, w_max, k f64.
         let at = first_sender(section, &cell);
         let (flow_size, snd_una, snd_nxt) = (at, at + 8, at + 16);
-        let (cwnd, ssthresh) = (at + 24, at + 32);
+        let (cwnd, ssthresh, recover) = (at + 24, at + 32, at + 45);
         // Steps `end` past an option of `width` payload bytes; returns
         // the offset of its presence byte.
         let option = |end: &mut usize, width: usize| {
@@ -490,7 +492,8 @@ mod tests {
             tag
         };
         let mut end = at + 53;
-        option(&mut end, 13); // retx_pending
+        let retx_tag = option(&mut end, 13);
+        assert_eq!(section[retx_tag], 0, "emit takes a pending retransmission");
         assert_eq!(section[option(&mut end, 8)], 1, "the handshake seeded srtt");
         end += 16; // rttvar, rto
         let sample_tag = option(&mut end, 16);
@@ -517,9 +520,11 @@ mod tests {
             (snd_nxt, una - 1, false),
             (snd_nxt, size + 1, false),
             (sample, una - 1, false),
+            (recover, size + 1, false),
             (snd_nxt, size, true),
             (snd_una, seq, true),
             (snd_una, 0, true),
+            (recover, nxt, true),
         ]
         .map(|(at, v, ok)| (at, v.to_le_bytes(), ok))
         .into();
@@ -538,6 +543,25 @@ mod tests {
                 loads_and_runs(&mutated, RlcMode::Um),
                 accepted,
                 "{bytes:?} at {field}"
+            );
+        }
+        // A pending retransmission `(seq, len)`, spliced in as `Some`.
+        for (seq, len, accepted) in [
+            (una, 0u32, false),
+            (una - 1, 1, false),
+            (size - 1, 2, false),
+            (u64::MAX, 1, false),
+            (size - 1, 1, true),
+            (una, 1400, true),
+        ] {
+            let mut mutated = section.to_vec();
+            let seg = [&seq.to_le_bytes()[..], &len.to_le_bytes(), &[1]].concat();
+            mutated[retx_tag] = 1;
+            mutated.splice(retx_tag + 1..retx_tag + 1, seg);
+            assert_eq!(
+                loads_and_runs(&mutated, RlcMode::Um),
+                accepted,
+                "retransmission of {len} bytes at {seq}"
             );
         }
     }

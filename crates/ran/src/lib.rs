@@ -45,5 +45,5 @@ pub use cell::{Cell, CellConfig, FlowDone, RlcMode, SchedulerKind};
 pub use checkpoint::CheckpointMeta;
 pub use experiment::{Experiment, ExperimentReport};
 pub use network::{Network, NetworkReport, NetworkRun};
-pub use pool::{default_threads, parallel_map, parallel_map_eager, WorkerFailure};
+pub use pool::{default_threads, parallel_map, WorkerFailure};
 pub use qos::{AppKind, BearerKind, QosProfile, TrafficClass};

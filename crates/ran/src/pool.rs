@@ -21,12 +21,16 @@
 //!   downstream lock — may recover) and surfaces a persistent failure as
 //!   a [`WorkerFailure`] in that job's result slot, so a 5000-point
 //!   sweep reports one bad point instead of losing the other 4999.
-//!   [`parallel_map_eager`] and `for_each_mut` propagate the panic:
-//!   their callers thread non-`Clone` state (whole [`Cell`]s) through
-//!   the pool and cannot re-run a job whose input was consumed.
+//!   `for_each_mut` propagates the panic instead: its caller, the
+//!   network's epoch barrier, mutates whole [`Cell`]s in place, and a
+//!   job that stopped half way through a cell has no input to re-run.
+//! * **Two entry points.** [`parallel_map`] for jobs whose inputs are
+//!   `Clone` and whose cells are built inside the job (experiment
+//!   sweeps, figures), `for_each_mut` for long-lived objects.
 //!
 //! [`Cell`]: crate::cell::Cell
 
+use outran_simcore::check::panic_message;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
 
@@ -54,18 +58,6 @@ impl std::fmt::Display for WorkerFailure {
     }
 }
 
-/// Stringify a caught panic payload.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else {
-        payload
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_else(|| "non-string panic payload".to_string())
-    }
-}
-
 /// Run one job under supervision: catch a panic, retry once on the
 /// cloned input, surface a second panic as [`WorkerFailure`].
 fn run_supervised<T, R, F>(index: usize, item: T, f: &F) -> Result<R, WorkerFailure>
@@ -81,7 +73,7 @@ where
             Err(payload) => Err(WorkerFailure {
                 index,
                 attempts: 2,
-                message: panic_message(payload.as_ref()),
+                message: panic_message(payload.as_ref()).to_string(),
             }),
         },
     }
@@ -105,36 +97,13 @@ where
     R: Send,
     F: Fn(T) -> R + Sync,
 {
-    pooled_map(threads, items, |i, item| run_supervised(i, item, &f))
-}
-
-/// [`parallel_map`] without the supervision wrapper: a worker panic
-/// propagates to the caller (its callers thread non-`Clone` state —
-/// whole cells — through the pool, so a retry has no input to re-run).
-pub fn parallel_map_eager<T, R, F>(threads: usize, items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    pooled_map(threads, items, |_, item| f(item))
-}
-
-/// [`for_each_mut`] over one slot per job: the input is taken out of
-/// its slot, the result written into the same slot.
-fn pooled_map<T, R, F>(threads: usize, items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, T) -> R + Sync,
-{
-    let mut slots: Vec<_> = items.into_iter().map(|x| (Some(x), None::<R>)).collect();
+    let mut slots: Vec<_> = items.into_iter().map(|x| (Some(x), None)).collect();
     for_each_mut(threads, &mut slots, |i, (item, out)| {
-        *out = item.take().map(|x| f(i, x))
+        *out = item.take().map(|x| run_supervised(i, x, &f))
     });
     slots
         .into_iter()
-        // outran-lint: allow(D5) -- `for_each_mut` returns once every slot was visited, or re-raises a job's panic
+        // outran-lint: allow(D5) -- `for_each_mut` returns once every slot was visited, or re-raises a panic
         .map(|(_, out)| out.expect("every slot was visited"))
         .collect()
 }
@@ -143,8 +112,7 @@ where
 /// worker threads, which take the items in index order off one shared
 /// iterator. For jobs that mutate long-lived, independent objects (the
 /// cells of a network): nothing is moved through the pool, so there is no
-/// order to restore. A worker panic propagates out of the scope, as in
-/// [`parallel_map_eager`].
+/// order to restore. A worker panic propagates out of the scope.
 pub(crate) fn for_each_mut<T, F>(threads: usize, items: &mut [T], f: F)
 where
     T: Send,
@@ -224,13 +192,6 @@ mod tests {
     }
 
     #[test]
-    fn eager_matches_serial() {
-        let items: Vec<u64> = (0..7).collect();
-        let serial: Vec<u64> = items.iter().map(|&x| x * 3).collect();
-        assert_eq!(parallel_map_eager(4, items, |x| x * 3), serial);
-    }
-
-    #[test]
     fn for_each_mut_visits_every_item_once_with_its_index() {
         for threads in [1, 2, 3, 8] {
             let mut items: Vec<u64> = (0..7).collect();
@@ -280,17 +241,6 @@ mod tests {
         });
         assert_eq!(out, vec![Ok(6)]);
         assert_eq!(tries.load(Ordering::SeqCst), 2);
-    }
-
-    #[test]
-    #[should_panic]
-    fn eager_worker_panic_still_propagates() {
-        parallel_map_eager(2, vec![0, 1, 2, 3], |x| {
-            if x == 2 {
-                panic!("boom");
-            }
-            x
-        });
     }
 
     #[test]

@@ -11,7 +11,6 @@ use outran_ran::cell::{Cell, CellConfig, GbrBearer, SchedulerKind};
 use outran_ran::webplt::idle_heavy_arrivals;
 use outran_ran::{Experiment, RlcMode};
 use outran_simcore::{Dur, Time};
-use proptest::prelude::*;
 
 fn small_cfg(kind: SchedulerKind, seed: u64, n_ues: usize) -> CellConfig {
     let mut cfg = CellConfig::lte_default(n_ues, kind, seed);
@@ -144,20 +143,19 @@ fn dense_and_event_driven_agree_in_am_mode_with_gbr() {
     assert_eq!(dense.idle_ttis, event.idle_ttis);
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(10))]
-
-    /// Skip-soundness: `next_activity_time()` is never later than the
-    /// first TTI at which dense stepping actually does work. Runs the
-    /// dense loop and checks the predicate before every step; any
-    /// active step earlier than the predicted activity instant is a
-    /// bug that would make the event-driven loop skip real work.
-    #[test]
-    fn next_activity_time_is_never_late(
-        seed in 0u64..512,
-        flows in prop::collection::vec((5u64..3000, 1_000u64..200_000), 1..8),
-        with_faults in prop::bool::ANY,
-    ) {
+/// Skip-soundness: `next_activity_time()` is never later than the
+/// first TTI at which dense stepping actually does work. Runs the
+/// dense loop and checks the predicate before every step; any
+/// active step earlier than the predicted activity instant is a
+/// bug that would make the event-driven loop skip real work.
+#[test]
+fn next_activity_time_is_never_late() {
+    outran_simcore::check("next_activity_time_is_never_late", 10, |rng| {
+        let seed = rng.below(512);
+        let flows: Vec<(u64, u64)> = (0..1 + rng.index(7))
+            .map(|_| (5 + rng.below(2995), 1_000 + rng.below(199_000)))
+            .collect();
+        let with_faults = rng.chance(0.5);
         let mut cfg = CellConfig::lte_default(3, SchedulerKind::Pf, seed);
         cfg.channel.radio = outran_phy::numerology::RadioConfig::lte_rbs(15);
         cfg.channel.n_subbands = 4;
@@ -182,7 +180,7 @@ proptest! {
             if cell.idle_ttis == idle_before {
                 // This step did work: it must not predate the predicted
                 // next activity.
-                prop_assert!(
+                assert!(
                     na <= cell.now(),
                     "dense stepping worked at {:?} but next_activity_time said {:?}",
                     cell.now(),
@@ -190,5 +188,5 @@ proptest! {
                 );
             }
         }
-    }
+    });
 }

@@ -18,7 +18,6 @@ use outran_faults::FaultPlan;
 use outran_ran::cell::{Cell, CellConfig, RlcMode, SchedulerKind};
 use outran_ran::stages::{StageObserver, TtiSummary};
 use outran_simcore::{Dur, Time};
-use proptest::prelude::*;
 
 /// FNV-1a 64-bit fold.
 #[derive(Clone, Copy)]
@@ -177,22 +176,17 @@ fn pipeline_matches_recorded_golden_trace() {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    /// The per-TTI trace fingerprint is stepping-mode invariant: dense
-    /// and event-driven runs emit identical `on_tti` streams (idle TTIs
-    /// produce none in either mode).
-    #[test]
-    fn trace_digest_is_stepping_mode_invariant(
-        idx in 0usize..4,
-        am in prop::bool::ANY,
-        chaos in prop::bool::ANY,
-    ) {
-        let kind = SCHEDULERS[idx].0;
-        let mode = if am { RlcMode::Am } else { RlcMode::Um };
+/// The per-TTI trace fingerprint is stepping-mode invariant: dense
+/// and event-driven runs emit identical `on_tti` streams (idle TTIs
+/// produce none in either mode).
+#[test]
+fn trace_digest_is_stepping_mode_invariant() {
+    outran_simcore::check("trace_digest_is_stepping_mode_invariant", 6, |rng| {
+        let kind = SCHEDULERS[rng.index(SCHEDULERS.len())].0;
+        let mode = [RlcMode::Um, RlcMode::Am][rng.index(2)];
+        let chaos = rng.chance(0.5);
         let dense = run_digest(kind, mode, chaos, true);
         let event = run_digest(kind, mode, chaos, false);
-        prop_assert_eq!(dense, event);
-    }
+        assert_eq!(dense, event);
+    });
 }

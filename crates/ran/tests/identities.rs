@@ -57,3 +57,16 @@ fn one_ue_cell_is_epsilon_independent() {
         }
     }
 }
+
+/// Strict MLFQ is OutRAN's inter-user step with its whole room given to
+/// the MLFQ: ε = 1. Premise guard: on the same cells ε = 0.5 does differ
+/// from strict MLFQ, so the comparison sees ε.
+#[test]
+fn outran_at_epsilon_one_is_strict_mlfq() {
+    for seed in SEEDS {
+        let strict = report(cell(6, SchedulerKind::StrictMlfq, seed));
+        let at = |eps: f64| report(cell(6, SchedulerKind::OutRanEps(eps), seed));
+        assert_eq!(at(1.0), strict, "seed {seed}");
+        assert_ne!(at(0.5), strict, "seed {seed}: ε = 0.5 ran as strict MLFQ");
+    }
+}

@@ -258,7 +258,6 @@ impl Empirical {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     #[test]
     fn exponential_mean() {
@@ -349,20 +348,15 @@ mod tests {
         assert_eq!(rng.state(), skipped.state());
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-        /// Filling two adjacent sub-slices is filling the whole slice:
-        /// no value depends on where the chunking put it.
-        #[test]
-        fn fill_on_sub_slices_composes(
-            seed in 0u64..1 << 40,
-            len in 0usize..150,
-            cut in 0usize..150,
-            mean in -10.0f64..10.0,
-            sd in 0.0f64..5.0,
-        ) {
-            let cut = cut.min(len);
-            let d = Normal::new(mean, sd);
+    /// Filling two adjacent sub-slices is filling the whole slice:
+    /// no value depends on where the chunking put it.
+    #[test]
+    fn fill_on_sub_slices_composes() {
+        crate::check("fill_on_sub_slices_composes", 64, |rng| {
+            let seed = rng.below(1 << 40);
+            let len = rng.index(150);
+            let cut = rng.index(150).min(len);
+            let d = Normal::new(rng.range_f64(-10.0, 10.0), rng.range_f64(0.0, 5.0));
             let mut whole = vec![0.0; len];
             d.fill(&mut Rng::new(seed), &mut whole);
             let mut parts = vec![0.0; len];
@@ -371,8 +365,8 @@ mod tests {
             d.fill(&mut rng, a);
             d.fill(&mut rng, b);
             let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            prop_assert_eq!(bits(&whole), bits(&parts));
-        }
+            assert_eq!(bits(&whole), bits(&parts));
+        });
     }
 
     /// Φ(x) by Abramowitz & Stegun 7.1.26 (|error| < 1.5e-7).
@@ -399,14 +393,7 @@ mod tests {
         // Kolmogorov–Smirnov distance to N(5, 2²); the 0.1 % critical
         // value at n = 10⁵ is 1.95 / √n ≈ 0.0062.
         xs.sort_by(f64::total_cmp);
-        let ks = xs
-            .iter()
-            .enumerate()
-            .map(|(i, &x)| {
-                let f = normal_cdf((x - 5.0) / 2.0);
-                (f - i as f64 / n as f64).max((i + 1) as f64 / n as f64 - f)
-            })
-            .fold(0.0, f64::max);
+        let ks = crate::stats::ks_distance(&xs, |x| normal_cdf((x - 5.0) / 2.0));
         assert!(ks < 0.0062, "ks={ks}");
     }
 

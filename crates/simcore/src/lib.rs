@@ -27,6 +27,7 @@
 //! * [`stats`] — running mean/variance, exponentially-weighted moving
 //!   averages (the PF scheduler's long-term throughput `r̃_u`),
 //!   and percentile helpers.
+//! * [`check()`] — the seeded case loop every property test runs on.
 //!
 //! Everything here is `no_std`-shaped in spirit (no I/O, no globals) but
 //! uses `std` collections for simplicity, following smoltcp's "simplicity
@@ -52,6 +53,7 @@
 //! ```
 #![warn(missing_docs)]
 
+pub mod check;
 pub mod dist;
 pub mod events;
 pub mod math;
@@ -61,6 +63,7 @@ pub mod snap;
 pub mod stats;
 pub mod time;
 
+pub use check::check;
 pub use dist::{Empirical, Exponential, Normal, Poisson};
 pub use events::EventQueue;
 pub use pool::{PoolStats, VecPool};

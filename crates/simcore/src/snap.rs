@@ -1172,28 +1172,27 @@ mod tests {
         assert!(dst.load_snap(&mut SnapReader::new(&bytes)).is_err());
     }
 
-    use proptest::prelude::*;
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-
-        /// `T::unsnap(snap(x)) == x` with the reader exhausted, for
-        /// every blanket impl (floats compare by bit pattern upstream;
-        /// here they are finite so `==` is exact).
-        #[test]
-        fn blanket_impls_roundtrip(
-            ints in (0u64..u64::MAX, 0u32..u32::MAX, 0u32..0x1_0000, 0u32..256),
-            signed in 0u64..u64::MAX,
-            x in -1e12f64..1e12,
-            flag in prop::bool::ANY,
-            words in prop::collection::vec(0u64..u64::MAX, 0..6),
-            keys in prop::collection::vec((0usize..50, 0u64..50), 0..6),
-        ) {
-            let (a, b, c, d) = ints;
-            roundtrip(&(a, b, c as u16));
-            roundtrip(&(d as u8, signed as i64, a as usize));
+    /// `T::unsnap(snap(x)) == x` with the reader exhausted, for
+    /// every blanket impl (floats compare by bit pattern upstream;
+    /// here they are finite so `==` is exact).
+    #[test]
+    fn blanket_impls_roundtrip() {
+        crate::check("blanket_impls_roundtrip", 64, |rng| {
+            let a = rng.next_u64_raw();
+            let b = rng.next_u64_raw() as u32;
+            let c = rng.below(0x1_0000) as u16;
+            let d = rng.below(256) as u8;
+            let signed = rng.next_u64_raw() as i64;
+            let x = rng.range_f64(-1e12, 1e12);
+            let flag = rng.chance(0.5);
+            let words: Vec<u64> = (0..rng.index(6)).map(|_| rng.next_u64_raw()).collect();
+            let keys: Vec<(usize, u64)> = (0..rng.index(6))
+                .map(|_| (rng.index(50), rng.below(50)))
+                .collect();
+            roundtrip(&(a, b, c));
+            roundtrip(&(d, signed, a as usize));
             roundtrip(&(x, flag));
-            roundtrip(&(Time::from_nanos(a), Dur::from_nanos(signed)));
+            roundtrip(&(Time::from_nanos(a), Dur::from_nanos(signed as u64)));
             roundtrip(&format!("s{a:x}"));
             roundtrip(&flag.then_some(b));
             roundtrip(&words);
@@ -1208,6 +1207,6 @@ mod tests {
                 })
                 .collect();
             roundtrip(&nested);
-        }
+        });
     }
 }

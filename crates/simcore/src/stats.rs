@@ -9,6 +9,8 @@
 //! * [`Percentiles`] — exact percentiles over a retained sample vector
 //!   (the evaluation's sample counts — tens of thousands of flows — make
 //!   exact retention cheap).
+//! * [`ks_distance`] — the Kolmogorov–Smirnov statistic of a sample
+//!   against a reference CDF, for the distribution tests.
 
 /// Welford online mean/variance with min/max tracking.
 #[derive(Debug, Clone, Default)]
@@ -310,6 +312,20 @@ pub fn jain_fairness(xs: &[f64]) -> f64 {
         return 1.0;
     }
     sum * sum / (xs.len() as f64 * sum_sq)
+}
+
+/// Kolmogorov–Smirnov distance `sup |F_n(x) − cdf(x)|` between the
+/// empirical CDF of `sorted` (ascending) and `cdf`. 0.0 for no samples.
+pub fn ks_distance(sorted: &[f64], cdf: impl Fn(f64) -> f64) -> f64 {
+    let n = sorted.len() as f64;
+    sorted
+        .iter()
+        .enumerate()
+        .map(|(i, &x)| {
+            let f = cdf(x);
+            (f - i as f64 / n).max((i + 1) as f64 / n - f)
+        })
+        .fold(0.0, f64::max)
 }
 
 #[cfg(test)]

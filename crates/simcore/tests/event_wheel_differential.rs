@@ -10,7 +10,6 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use outran_simcore::{Dur, EventQueue, Rng, Time};
-use proptest::prelude::*;
 
 /// Reference model: a `BinaryHeap` keyed on `(time, seq)` — the order
 /// the wheel must reproduce. `seq` is unique, so the payload never
@@ -52,8 +51,7 @@ const HORIZONS: [u64; 3] = [
     40_000_000 * TICK, // ~11.7 h
 ];
 
-fn drive(seed: u64, ops: u32, pop_bias: f64) -> Result<(), TestCaseError> {
-    let mut rng = Rng::new(seed);
+fn drive(rng: &mut Rng, ops: u64, pop_bias: f64) {
     let mut wheel: EventQueue<u32> = EventQueue::new();
     let mut heap: HeapModel<u32> = HeapModel::default();
     let mut now = Time::ZERO;
@@ -62,7 +60,7 @@ fn drive(seed: u64, ops: u32, pop_bias: f64) -> Result<(), TestCaseError> {
         if rng.chance(pop_bias) {
             let a = wheel.pop();
             let b = heap.pop();
-            prop_assert_eq!(a, b);
+            assert_eq!(a, b);
             if let Some((t, _)) = a {
                 // The engine never travels backwards.
                 now = now.max(t);
@@ -85,33 +83,28 @@ fn drive(seed: u64, ops: u32, pop_bias: f64) -> Result<(), TestCaseError> {
                 payload += 1;
             }
         }
-        prop_assert_eq!(wheel.len(), heap.len());
-        prop_assert_eq!(wheel.peek_time(), heap.peek_time());
+        assert_eq!(wheel.len(), heap.len());
+        assert_eq!(wheel.peek_time(), heap.peek_time());
     }
     // Drain to empty: every heap entry is pulled in on the way.
     loop {
         let a = wheel.pop();
         let b = heap.pop();
-        prop_assert_eq!(a, b);
+        assert_eq!(a, b);
         if a.is_none() {
             break;
         }
     }
-    prop_assert!(wheel.is_empty() && heap.len() == 0);
-    Ok(())
+    assert!(wheel.is_empty() && heap.len() == 0);
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn wheel_pops_match_heap(
-        seed in 0u64..u64::MAX,
-        ops in 50u32..600,
-        pop_bias in 0.2f64..0.8,
-    ) {
-        drive(seed, ops, pop_bias)?;
-    }
+#[test]
+fn wheel_pops_match_heap() {
+    outran_simcore::check("wheel_pops_match_heap", 48, |rng| {
+        let ops = 50 + rng.below(550);
+        let pop_bias = rng.range_f64(0.2, 0.8);
+        drive(rng, ops, pop_bias);
+    });
 }
 
 /// Same-instant bursts and exact tick boundaries (multiples of 2^20 ns)

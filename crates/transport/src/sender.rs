@@ -432,15 +432,27 @@ impl TcpSender {
     /// Refuse restored state the sender's own arithmetic would trip on.
     /// Required: `snd_una ≤ snd_nxt ≤ flow_size` (`in_flight` and
     /// `emit_into` subtract across them), an RTT sample at or past
-    /// `snd_una` (what `rtt_probe` asserts), and a finite, non-negative
-    /// window and CUBIC state (`ssthresh` may also be +∞, its initial
-    /// value).
+    /// `snd_una` (what `rtt_probe` asserts), a pending retransmission
+    /// that is non-empty and inside `[snd_una, flow_size]` (the receiver
+    /// would otherwise ACK past the flow's end, or the cell inject an
+    /// empty or already-acknowledged segment), a `recover` point not past
+    /// `flow_size` (fast recovery would never end), and a finite,
+    /// non-negative window and CUBIC state (`ssthresh` may also be +∞,
+    /// its initial value).
     fn check_restored(&mut self) -> Result<(), SnapError> {
         let sane = |v: f64| v.is_finite() && v >= 0.0;
-        let ordered = self.snd_una <= self.snd_nxt && self.snd_nxt <= self.flow_size;
+        let ordered = self.snd_una <= self.snd_nxt
+            && self.snd_nxt <= self.flow_size
+            && self.recover <= self.flow_size;
         let sampled = self.sample_seq.is_none_or(|(seq, _)| seq >= self.snd_una);
+        let retx_inside = self.retx_pending.is_none_or(|seg| {
+            seg.len > 0
+                && seg.seq >= self.snd_una
+                && seg.seq.saturating_add(u64::from(seg.len)) <= self.flow_size
+        });
         if !(ordered
             && sampled
+            && retx_inside
             && sane(self.cwnd)
             && self.ssthresh >= 0.0
             && sane(self.cubic.w_max)

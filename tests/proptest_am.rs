@@ -3,8 +3,7 @@
 
 use outran::pdcp::{FiveTuple, Priority};
 use outran::rlc::{AmConfig, AmRx, AmTx, RlcSdu};
-use outran::simcore::{Dur, Time};
-use proptest::prelude::*;
+use outran::simcore::{check, Dur, Time};
 
 fn sdu(id: u64, len: u32) -> RlcSdu {
     RlcSdu {
@@ -19,17 +18,18 @@ fn sdu(id: u64, len: u32) -> RlcSdu {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn am_delivers_everything_in_order_under_loss(
-        lens in prop::collection::vec(64u32..4000, 1..15),
-        budgets in prop::collection::vec(64u64..6000, 4..64),
+#[test]
+fn am_delivers_everything_in_order_under_loss() {
+    check("am_delivers_everything_in_order_under_loss", 48, |rng| {
+        let lens: Vec<u32> = (0..1 + rng.index(14))
+            .map(|_| 64 + rng.below(3936) as u32)
+            .collect();
+        let budgets: Vec<u64> = (0..4 + rng.index(60))
+            .map(|_| 64 + rng.below(5936))
+            .collect();
         // Loss pattern over first transmissions (retx always delivered,
         // so the conversation terminates).
-        losses in prop::collection::vec(prop::bool::ANY, 64),
-    ) {
+        let losses: Vec<bool> = (0..64).map(|_| rng.chance(0.5)).collect();
         let cfg = AmConfig {
             header_bytes: 0,
             poll_pdu: 2,
@@ -53,15 +53,18 @@ proptest! {
             let (pdus, _ctrl, used) = tx.pull(*bi.next().unwrap(), now);
             if used == 0 {
                 idle_rounds += 1;
-                prop_assert!(idle_rounds < 5000, "AM stalled: {}/{} delivered, in-flight {}",
-                    delivered.len(), lens.len(), tx.in_flight());
+                assert!(
+                    idle_rounds < 5000,
+                    "AM stalled: {}/{} delivered, in-flight {}",
+                    delivered.len(),
+                    lens.len(),
+                    tx.in_flight()
+                );
                 continue;
             }
             idle_rounds = 0;
             for pdu in pdus {
                 sent += 1;
-                let retx = pdu.sn; // keep borrowck simple
-                let _ = retx;
                 // First transmissions may be lost; retransmissions are
                 // recognisable because AmTx counts them.
                 let lose = *li.next().unwrap() && !sent.is_multiple_of(3);
@@ -69,9 +72,7 @@ proptest! {
                     continue;
                 }
                 let (sdus, status) = rx.on_pdu(pdu, now);
-                for d in sdus {
-                    delivered.push(d.sdu_id);
-                }
+                delivered.extend(sdus.iter().map(|d| d.sdu_id));
                 if let Some(st) = status {
                     tx.on_status(&st);
                 }
@@ -84,6 +85,11 @@ proptest! {
         let mut seen = delivered.clone();
         seen.sort_unstable();
         seen.dedup();
-        prop_assert_eq!(seen.len(), lens.len(), "duplicates or misses: {:?}", delivered);
-    }
+        assert_eq!(
+            seen.len(),
+            lens.len(),
+            "duplicates or misses: {:?}",
+            delivered
+        );
+    });
 }

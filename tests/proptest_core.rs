@@ -4,8 +4,7 @@
 
 use outran::core::thresholds::objective;
 use outran::core::{optimize_thresholds, PriorityReset};
-use outran::simcore::{Dur, Empirical, Time};
-use proptest::prelude::*;
+use outran::simcore::{check, Dur, Empirical, Time};
 
 /// Build a random but valid heavy-tail-ish CDF from sorted knot values.
 fn cdf_from(mut values: Vec<f64>) -> Option<Empirical> {
@@ -23,24 +22,23 @@ fn cdf_from(mut values: Vec<f64>) -> Option<Empirical> {
     Some(Empirical::from_cdf(&knots))
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Thresholds are strictly increasing, inside the distribution's
-    /// body, and never worse than a naive equal-quantile split.
-    #[test]
-    fn optimizer_output_is_valid_and_competitive(
-        values in prop::collection::vec(100.0f64..1e8, 4..10),
-        load in 0.2f64..0.9,
-        k in 2usize..6,
-    ) {
+/// Thresholds are strictly increasing, inside the distribution's
+/// body, and never worse than a naive equal-quantile split.
+#[test]
+fn optimizer_output_is_valid_and_competitive() {
+    check("optimizer_output_is_valid_and_competitive", 24, |rng| {
+        let values = (0..4 + rng.index(6))
+            .map(|_| rng.range_f64(100.0, 1e8))
+            .collect();
+        let load = rng.range_f64(0.2, 0.9);
+        let k = 2 + rng.index(4);
         let Some(cdf) = cdf_from(values) else {
-            return Ok(());
+            return;
         };
         let th = optimize_thresholds(&cdf, k, load);
-        prop_assert_eq!(th.len(), k - 1);
+        assert_eq!(th.len(), k - 1);
         for w in th.windows(2) {
-            prop_assert!(w[0] < w[1]);
+            assert!(w[0] < w[1]);
         }
         let thf: Vec<f64> = th.iter().map(|&t| t as f64).collect();
         let naive: Vec<f64> = (1..k)
@@ -49,21 +47,22 @@ proptest! {
         // Guard against degenerate naive vectors.
         let naive_ok = naive.windows(2).all(|w| w[0] < w[1]);
         if naive_ok {
-            prop_assert!(
+            assert!(
                 objective(&cdf, &thf, load) <= objective(&cdf, &naive, load) * 1.01,
                 "optimizer must not lose to the naive split"
             );
         }
-    }
+    });
+}
 
-    /// The reset driver fires exactly floor(T/S) times over a horizon
-    /// when polled every tick, regardless of tick size.
-    #[test]
-    fn reset_fires_expected_count(
-        period_ms in 50u64..2000,
-        tick_ms in 1u64..40,
-        horizon_s in 1u64..10,
-    ) {
+/// The reset driver fires exactly floor(T/S) times over a horizon
+/// when polled every tick, regardless of tick size.
+#[test]
+fn reset_fires_expected_count() {
+    check("reset_fires_expected_count", 24, |rng| {
+        let period_ms = 50 + rng.below(1950);
+        let tick_ms = 1 + rng.below(39);
+        let horizon_s = 1 + rng.below(9);
         let mut r = PriorityReset::new(Dur::from_millis(period_ms), Time::ZERO);
         let mut t = Time::ZERO;
         let horizon = Time::from_secs(horizon_s);
@@ -73,11 +72,11 @@ proptest! {
         }
         let expected = t.as_nanos() / Dur::from_millis(period_ms).as_nanos();
         // Allow off-by-one at the boundary.
-        prop_assert!(
+        assert!(
             (r.resets as i64 - expected as i64).abs() <= 1,
             "resets={} expected≈{}",
             r.resets,
             expected
         );
-    }
+    });
 }

@@ -1,31 +1,27 @@
 //! Property-based tests on the TCP model: completion under arbitrary
 //! loss patterns, receiver monotonicity, and window sanity.
 
-use outran::simcore::{Dur, Time};
+use outran::simcore::{check, Dur, Time};
 use outran::transport::{TcpConfig, TcpReceiver, TcpSender};
-use proptest::prelude::*;
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// A flow completes against any (sub-certain) deterministic loss
-    /// pattern: drop every k-th segment on its first transmission.
-    #[test]
-    fn completes_under_periodic_loss(
-        flow_kb in 1u64..400,
-        drop_every in 2usize..12,
-        rtt_ms in 5u64..80,
-    ) {
+/// A flow completes against any (sub-certain) deterministic loss
+/// pattern: drop every k-th segment on its first transmission.
+#[test]
+fn completes_under_periodic_loss() {
+    check("completes_under_periodic_loss", 48, |rng| {
+        let flow_kb = 1 + rng.below(399);
+        let drop_every = 2 + rng.index(10);
+        let rtt_ms = 5 + rng.below(75);
         let size = flow_kb * 1000;
-        let mut tx = TcpSender::with_initial_rtt(
-            TcpConfig::default(), size, Dur::from_millis(rtt_ms));
+        let mut tx =
+            TcpSender::with_initial_rtt(TcpConfig::default(), size, Dur::from_millis(rtt_ms));
         let mut rx = TcpReceiver::new(size);
         let mut now = Time::ZERO;
         let mut sent = 0usize;
         let mut guard = 0;
         while !rx.complete() {
             guard += 1;
-            prop_assert!(guard < 30_000, "must complete: cum={} / {}", rx.cum(), size);
+            assert!(guard < 30_000, "must complete: cum={} / {}", rx.cum(), size);
             let segs = tx.emit(now);
             let mut acks = Vec::new();
             for seg in segs {
@@ -41,12 +37,8 @@ proptest! {
             if acks.is_empty() {
                 // Nothing arrived; rely on the RTO.
                 if let Some(d) = tx.rto_deadline() {
-                    if d <= now {
-                        tx.on_rto(now);
-                    } else {
-                        now = d;
-                        tx.on_rto(now);
-                    }
+                    now = now.max(d);
+                    tx.on_rto(now);
                 }
             } else {
                 for a in acks {
@@ -54,47 +46,46 @@ proptest! {
                 }
             }
         }
-        prop_assert_eq!(rx.cum(), size);
-    }
+        assert_eq!(rx.cum(), size);
+    });
+}
 
-    /// Receiver cumulative ACK is monotone non-decreasing and never
-    /// exceeds the flow size, for arbitrary segment arrivals.
-    #[test]
-    fn receiver_cum_monotone(
-        segs in prop::collection::vec((0u64..100u64, 1u32..1500), 1..300),
-        size in 1_000u64..100_000,
-    ) {
-        let mut rx = TcpReceiver::new(size);
+/// Receiver cumulative ACK is monotone non-decreasing and never
+/// exceeds the flow size, for arbitrary segment arrivals.
+#[test]
+fn receiver_cum_monotone() {
+    check("receiver_cum_monotone", 48, |rng| {
+        let mut rx = TcpReceiver::new(1_000 + rng.below(99_000));
         let mut prev = 0;
-        for (block, len) in segs {
+        for _ in 0..1 + rng.index(299) {
+            let (block, len) = (rng.below(100), 1 + rng.below(1499) as u32);
             let cum = rx.on_segment(block * 1400, len.min(1400));
-            prop_assert!(cum >= prev);
+            assert!(cum >= prev);
             prev = cum;
         }
-    }
+    });
+}
 
-    /// cwnd never collapses below one MSS and never exceeds the cap.
-    #[test]
-    fn cwnd_stays_in_bounds(
-        acks in prop::collection::vec(prop::bool::ANY, 1..200),
-    ) {
+/// cwnd never collapses below one MSS and never exceeds the cap.
+#[test]
+fn cwnd_stays_in_bounds() {
+    check("cwnd_stays_in_bounds", 48, |rng| {
         let cfg = TcpConfig::default();
         let mut tx = TcpSender::new(cfg, 10_000_000);
         let mut now = Time::ZERO;
         let mut delivered = 0u64;
-        for progress in acks {
+        for _ in 0..1 + rng.index(199) {
+            let progress = rng.chance(0.5);
             let segs = tx.emit(now);
-            if let Some(last) = segs.last() {
-                if progress {
-                    delivered = delivered.max(last.seq + last.len as u64);
-                }
+            if let Some(last) = segs.last().filter(|_| progress) {
+                delivered = delivered.max(last.seq + last.len as u64);
             }
             now += Dur::from_millis(20);
             // Either progress (new cum ack) or a dup ack.
             tx.on_ack(now, delivered);
             let mss = cfg.mss as f64;
-            prop_assert!(tx.cwnd() >= mss - 1e-9);
-            prop_assert!(tx.cwnd() <= (cfg.max_cwnd_segs as f64) * mss + 1e-9);
+            assert!(tx.cwnd() >= mss - 1e-9);
+            assert!(tx.cwnd() <= (cfg.max_cwnd_segs as f64) * mss + 1e-9);
         }
-    }
+    });
 }
