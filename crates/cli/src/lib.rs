@@ -77,8 +77,6 @@ pub struct Opts {
     pub reset: Option<Dur>,
     /// Explicit HARQ.
     pub harq: bool,
-    /// Force dense per-TTI stepping (disable idle-skip).
-    pub dense: bool,
     /// Residual loss.
     pub loss: f64,
     /// SRJF grant mode.
@@ -161,7 +159,6 @@ impl Default for Opts {
             epsilon: OutRanScheduler::DEFAULT_EPSILON,
             reset: cell.outran.reset_period,
             harq: false,
-            dense: false,
             loss: cell.residual_loss,
             srjf_mode: cell.srjf_mode,
             reps: 1,
@@ -305,6 +302,8 @@ const fn above(lo: f64, hi: f64) -> Range {
 /// No upper limit beyond finiteness (and what the field's type holds).
 const MAX: f64 = f64::MAX;
 const UNIT: Range = closed(0.0, 1.0);
+/// UE slots in one cell: the MAC indexes a UE as a `u16`.
+const UE_SLOTS: Range = closed(1.0, outran_ran::cell::MAX_UES as f64);
 /// The longest horizon in whole seconds: a quarter of what `Time`'s
 /// nanosecond `u64` holds, so horizon + drain window + one checkpoint
 /// interval cannot overflow it.
@@ -388,7 +387,7 @@ const FLAGS: &[Flag] = &[
     Flag { name: "--dist", scope: ALL, arg: || alternatives(DISTS), help: "flow-size distribution (default: the scenario's own; lte for metro)",
            get: |o| o.dist.and_then(|d| token_of(DISTS, &d)), set: |o, v| value_of(DISTS, v).map(|d| o.dist = Some(d)) },
     Flag { name: "--users", scope: CELL, arg: N, help: "number of UEs",
-           get: |o| show(o.users), set: |o, v| int(v, closed(1.0, MAX)).map(|n| o.users = n as usize) },
+           get: |o| show(o.users), set: |o, v| int(v, UE_SLOTS).map(|n| o.users = n as usize) },
     Flag { name: "--sites", scope: METRO, arg: N, help: "hex-grid cell sites (1, 7, 19, ...)",
            get: |o| show(o.sites), set: |o, v| int(v, closed(1.0, MAX)).map(|n| o.sites = n as usize) },
     Flag { name: "--sectors", scope: METRO, arg: N, help: "co-sited cells per site (1 = omni)",
@@ -396,7 +395,7 @@ const FLAGS: &[Flag] = &[
     Flag { name: "--isd", scope: METRO, arg: X, help: "inter-site distance in metres",
            get: |o| show(o.isd), set: |o, v| real(v, above(0.0, MAX)).map(|x| o.isd = x) },
     Flag { name: "--slots", scope: METRO, arg: N, help: "UE slots per cell (attach capacity)",
-           get: |o| show(o.slots), set: |o, v| int(v, closed(1.0, MAX)).map(|n| o.slots = n as usize) },
+           get: |o| show(o.slots), set: |o, v| int(v, UE_SLOTS).map(|n| o.slots = n as usize) },
     Flag { name: "--ues", scope: METRO, arg: N, help: "network UE population",
            get: |o| show(o.ues), set: |o, v| int(v, closed(1.0, MAX)).map(|n| o.ues = n as usize) },
     Flag { name: "--vehicle-mps", scope: METRO, arg: X, help: "corridor speed in m/s",
@@ -427,8 +426,6 @@ const FLAGS: &[Flag] = &[
            get: |o| o.reset.and_then(|d| show(d.as_millis())), set: |o, v| int(v, closed(1.0, MAX_MS)).map(|n| o.reset = Some(Dur::from_millis(n))) },
     Flag { name: "--harq", scope: CELL, arg: String::new, help: "explicit HARQ processes (8, rtt 8 TTIs) instead of the folded model",
            get: |o| o.harq.then(String::new), set: |o, _| { o.harq = true; Ok(()) } },
-    Flag { name: "--dense", scope: CELL, arg: String::new, help: "dense per-TTI stepping: no idle-skip, identical results, slower when idle-heavy",
-           get: |o| o.dense.then(String::new), set: |o, _| { o.dense = true; Ok(()) } },
     Flag { name: "--loss", scope: CELL, arg: X, help: "residual post-HARQ segment loss probability",
            get: |o| show(o.loss), set: |o, v| real(v, UNIT).map(|x| o.loss = x) },
     Flag { name: "--srjf-mode", scope: CELL, arg: || alternatives(SRJF_MODES), help: "how the SRJF oracle spends leftover capacity",
@@ -746,8 +743,7 @@ fn build_experiment(o: &Opts) -> Experiment {
         .cn_delay(o.cn)
         .outran(outran_cfg)
         .residual_loss(o.loss)
-        .srjf_mode(o.srjf_mode)
-        .dense_stepping(o.dense);
+        .srjf_mode(o.srjf_mode);
     if o.harq {
         exp = exp.harq(Some(HarqConfig::default()));
     }
@@ -1049,12 +1045,29 @@ mod tests {
         }
     }
 
+    /// One cell holds at most 65 536 UE slots, as many as the MAC's
+    /// `u16` UE index can name: a single cell's `--users` and a metro
+    /// cell's `--slots` stop there.
+    #[test]
+    fn ue_slots_per_cell_are_bounded_by_the_mac_index() {
+        assert_eq!(parse("--users 65536").unwrap().users, 65_536);
+        assert_eq!(parse("metro --slots 65536").unwrap().slots, 65_536);
+        for (hostile, flag) in [
+            ("--users 65537", "--users"),
+            ("chaos --users 18446744073709551615", "--users"),
+            ("metro --slots 65537", "--slots"),
+        ] {
+            let e = parse(hostile).unwrap_err();
+            assert!(e.contains(flag) && e.contains("65536"), "'{hostile}': {e}");
+        }
+    }
+
     #[test]
     fn full_flag_set() {
         let o = parse(
             "--scheduler outran --scenario lte --users 8 --load 0.5 --secs 4 \
              --seed 9 --rlc am --buffer 256 --tf-ms 500 --cn-ms 20 \
-             --epsilon 0.3 --reset-ms 500 --harq --dense --loss 0.01 \
+             --epsilon 0.3 --reset-ms 500 --harq --loss 0.01 \
              --srjf-mode winner-only --cdf short",
         )
         .unwrap();
@@ -1065,7 +1078,6 @@ mod tests {
         assert!((o.epsilon - 0.3).abs() < 1e-12);
         assert_eq!(o.reset, Some(Dur::from_millis(500)));
         assert!(o.harq);
-        assert!(o.dense);
         assert_eq!(o.srjf_mode, SrjfMode::WinnerOnly);
         assert_eq!(o.cdf, Some(CdfSel::Short));
     }
@@ -1218,7 +1230,7 @@ mod tests {
         // Every optional flag at once, in the other grammar, also survives.
         let o = parse(
             "chaos --intensity 0.7 --scheduler outran:0.35 --scenario nr2 \
-             --dist websearch --reset-ms 500 --cdf short --csv /tmp/x.csv --harq --dense",
+             --dist websearch --reset-ms 500 --cdf short --csv /tmp/x.csv --harq",
         )
         .unwrap();
         assert_eq!(parse_args(&canonical_argv(&o)[1..]).unwrap(), o);
@@ -1232,12 +1244,12 @@ mod tests {
             (
                 "run --scheduler outran:0.35 --scenario nr2 --dist websearch --users 8 \
                  --load 0.5 --secs 4 --seed 9 --rlc am --buffer 256 --tf-ms 500 --cn-ms 20 \
-                 --epsilon 0.3 --reset-ms 500 --harq --dense --loss 0.01 \
+                 --epsilon 0.3 --reset-ms 500 --harq --loss 0.01 \
                  --srjf-mode winner-only --cdf short --csv /tmp/x.csv \
                  --checkpoint-every 2 --checkpoint-dir /tmp/ck --reps 1 --threads 3",
                 "outran-sim run --scheduler=outran:0.35 --scenario=nr2 --dist=websearch \
                  --users=8 --load=0.5 --secs=4 --seed=9 --rlc=am --buffer=256 --tf-ms=500 \
-                 --cn-ms=20 --epsilon=0.3 --reset-ms=500 --harq --dense --loss=0.01 \
+                 --cn-ms=20 --epsilon=0.3 --reset-ms=500 --harq --loss=0.01 \
                  --srjf-mode=winner-only --cdf=short --csv=/tmp/x.csv \
                  --checkpoint-every=2 --checkpoint-dir=/tmp/ck",
             ),
@@ -1269,7 +1281,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("outran-cli-ckpt-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let dirs = dir.to_str().unwrap();
-        let flags = "--users 4 --load 0.3 --secs 3 --scheduler pf --seed 5 --dense";
+        let flags = "--users 4 --load 0.3 --secs 3 --scheduler pf --seed 5";
         // Uninterrupted reference run.
         let reference = build_experiment(&parse(flags).unwrap()).run();
         // Checkpointed run, then resume from the mid-run snapshot.
@@ -1296,38 +1308,40 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// The heap event-queue backend and its flag are retired: the flag
-    /// is unknown on the command line, and a checkpoint from a build
-    /// that still had it (the flag embedded in its argv) is refused with
-    /// a structured error, not a panic.
+    /// Retired flags — the heap event-queue backend's and dense
+    /// stepping's — are unknown on the command line, and a checkpoint
+    /// from a build that still had one (the flag embedded in its argv)
+    /// is refused with a structured error, not a panic.
     #[test]
-    fn retired_heap_backend_flag_is_rejected() {
-        // Spelled in two pieces so a tree-wide grep for the retired flag
-        // stays empty.
-        let flag = ["--event", "heap"].join("-");
-        let e = parse(&format!("run {flag}")).unwrap_err();
-        assert!(e.contains(&flag), "{e}");
+    fn retired_flags_are_rejected() {
+        // Spelled in pieces so a tree-wide grep for a retired flag stays
+        // empty.
+        for flag in [["--event", "heap"].join("-"), ["--", "dense"].concat()] {
+            let e = parse(&format!("run {flag}")).unwrap_err();
+            assert!(e.contains(&flag), "{e}");
 
-        let dir = std::env::temp_dir().join(format!("outran-cli-retired-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let ckpt = dir.join("old.orsn");
-        let o = parse("--users 2 --secs 1").unwrap();
-        let mut argv = canonical_argv(&o);
-        argv.push(flag);
-        let meta = outran_ran::CheckpointMeta {
-            argv,
-            sim_time: Time::ZERO,
-            dense: false,
-            n_cells: 1,
-        };
-        let cell = build_experiment(&o).build_cell();
-        outran_ran::checkpoint::write_checkpoint(&ckpt, &meta, &[&cell]).unwrap();
-        let e = run(&parse(&format!("resume {}", ckpt.display())).unwrap()).unwrap_err();
-        assert!(
-            e.contains("embedded argv") && e.contains("failed to parse"),
-            "{e}"
-        );
-        std::fs::remove_dir_all(&dir).ok();
+            let dir = std::env::temp_dir()
+                .join(format!("outran-cli-retired{flag}-{}", std::process::id()));
+            std::fs::create_dir_all(&dir).unwrap();
+            let ckpt = dir.join("old.orsn");
+            let o = parse("--users 2 --secs 1").unwrap();
+            let mut argv = canonical_argv(&o);
+            argv.push(flag.clone());
+            let meta = outran_ran::CheckpointMeta {
+                argv,
+                sim_time: Time::ZERO,
+                dense: false,
+                n_cells: 1,
+            };
+            let cell = build_experiment(&o).build_cell();
+            outran_ran::checkpoint::write_checkpoint(&ckpt, &meta, &[&cell]).unwrap();
+            let e = run(&parse(&format!("resume {}", ckpt.display())).unwrap()).unwrap_err();
+            assert!(
+                e.contains("embedded argv") && e.contains("failed to parse") && e.contains(&flag),
+                "{e}"
+            );
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]

@@ -8,9 +8,9 @@
 //! own substrate crate; this crate owns the *policy* and ties the pieces
 //! together behind one configuration type:
 //!
-//! * **PDCP** (`outran-pdcp`) — five-tuple inspection and the per-flow
-//!   sent-bytes table that drives MLFQ priorities (§4.2), plus delayed SN
-//!   numbering & ciphering (§4.4).
+//! * **PDCP** (`outran-pdcp`) — five-tuple flow keys and the per-flow
+//!   sent-bytes table that drives MLFQ priorities (§4.2). §4.4's delayed
+//!   SN numbering has no counterpart: packets carry no bytes to number.
 //! * **RLC** (`outran-rlc`) — the per-UE MLFQ replacing the FIFO tx
 //!   queue (intra-user flow scheduler, §4.2), segmented-SDU promotion,
 //!   and AM-mode queue precedence (§4.4).

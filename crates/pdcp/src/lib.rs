@@ -6,18 +6,20 @@
 //!
 //! Responsibilities reproduced from srsENB's PDCP plus the OutRAN patch:
 //!
-//! * **Header inspection** ([`packet`]) — parse the five-tuple of each
-//!   ingress IP packet *before* header compression.
+//! * **Flow identification** ([`packet`]) — the five-tuple key each
+//!   ingress packet carries. Packets are metadata records, so the key
+//!   travels with them instead of being parsed out of header bytes.
 //! * **Per-flow state** ([`flow_table`]) — a hash table keyed by
 //!   five-tuple holding `sent-bytes` so far (the 41-byte state of §7),
 //!   from which the MLFQ priority of the flow is derived.
 //! * **MLFQ marking** ([`flow_table::FlowTable::observe`]) — a new flow
 //!   starts at priority P1 and is demoted each time its cumulative bytes
 //!   cross a threshold α_i; "Priority Boost" resets (§6.3).
-//! * **SN numbering & ciphering** ([`sn`]) — the PDCP COUNT/SN machinery.
-//!   Legacy PDCP numbers and ciphers at ingress; OutRAN *delays* both to
-//!   RLC-dequeue time so that scheduler-induced reordering cannot desync
-//!   the UE's deciphering COUNT (§4.4 "Sequence numbering").
+//!
+//! §4.4's delayed SN numbering and ciphering has no counterpart: with no
+//! payload bytes there is nothing to number or cipher, and no COUNT that
+//! MLFQ reordering could desynchronise (`DESIGN.md`, "Why there is no
+//! PDCP SN").
 
 //!
 //! # Example
@@ -38,8 +40,6 @@
 
 pub mod flow_table;
 pub mod packet;
-pub mod sn;
 
 pub use flow_table::{FlowTable, MlfqConfig, Priority};
 pub use packet::FiveTuple;
-pub use sn::{CipherStream, PdcpRx, PdcpTx, SnMode};

@@ -1081,14 +1081,6 @@ impl CellChannel {
         self.refresh_large_scale(ue);
     }
 
-    /// Update only `ue`'s interference-plus-noise term (the epoch-boundary
-    /// load-coupling path; position and shadowing are unchanged).
-    pub fn set_ue_iplusn(&mut self, ue: usize, iplusn_dbm: f64) {
-        self.sync(ue);
-        self.iplusn_dbm[ue] = iplusn_dbm;
-        self.refresh_large_scale(ue);
-    }
-
     /// Re-prime every UE's reported CQI from the current channel state,
     /// exactly as construction does. Call after an external geometry push
     /// so the first scheduled TTIs don't act on placeholder-geometry
@@ -1547,6 +1539,107 @@ mod tests {
         }
     }
 
+    /// TTIs between draws meant to be independent: ρ¹⁰⁰⁰ ≈ 2e-9 at the
+    /// default pedestrian Doppler.
+    const DECORRELATED: u64 = 1_000;
+
+    /// Sub-bands of one UE share its wideband tap by the `flatness`
+    /// weight f: a sub-band's power is g = f·|w|² + (1−f)·|s|² with |w|²
+    /// and |s|² independent Exp(1), so two sub-bands correlate as
+    /// f²/(f² + (1−f)²), 0.155 at the default f = 0.3. Estimated over
+    /// 256 UEs × 100 draws [`DECORRELATED`] TTIs apart (25 600
+    /// independent samples), every sub-band pair of a sample pooled.
+    #[test]
+    fn subband_powers_correlate_by_the_flatness_weight() {
+        let cfg = ChannelConfig::lte_default();
+        let f = cfg.flatness;
+        let want = f * f / (f * f + (1.0 - f) * (1.0 - f));
+        let mut ch = CellChannel::new(cfg, 256, &Rng::new(3));
+        assert!(ch.fade_rho[0].powi(DECORRELATED as i32) < 1e-8);
+        let tti = ch.config().radio.tti();
+        let mut rows: Vec<Vec<f64>> = Vec::new();
+        for draw in 1..=100 {
+            ch.advance_to(Time::ZERO + tti.mul(draw * DECORRELATED));
+            for ue in 0..ch.n_ues {
+                rows.push(
+                    (0..ch.n_subbands)
+                        .map(|sb| ch.fading_gain_linear(ue, sb))
+                        .collect(),
+                );
+            }
+        }
+        let n_sb = ch.n_subbands as f64;
+        let n = rows.len() as f64 * n_sb;
+        let mean = rows.iter().flatten().sum::<f64>() / n;
+        let var = rows
+            .iter()
+            .flatten()
+            .map(|g| (g - mean).powi(2))
+            .sum::<f64>()
+            / n;
+        // Σ_{i≠j} dᵢ·dⱼ = (Σ d)² − Σ d² over one sample's sub-bands.
+        let cross: f64 = rows
+            .iter()
+            .map(|row| {
+                let s: f64 = row.iter().map(|g| g - mean).sum();
+                s * s - row.iter().map(|g| (g - mean).powi(2)).sum::<f64>()
+            })
+            .sum();
+        let corr = cross / (n * (n_sb - 1.0)) / var;
+        assert!((corr - want).abs() < 0.02, "corr {corr}, want {want}");
+    }
+
+    /// One `advance_to` jump of k TTIs is k one-TTI advances in
+    /// distribution, for k ∈ {5, 40}: from a start [`DECORRELATED`] TTIs
+    /// after the last sample, the tap power and the lag product
+    /// Re(x₀*·x_k) after either agree by a two-sample Kolmogorov–Smirnov
+    /// test at its 0.1 % critical value 1.95·√(2/n), over 10 rounds of
+    /// 2 048 taps a side.
+    #[test]
+    fn one_composed_jump_is_k_single_steps_in_distribution() {
+        let transitions = |k: u64, seed: u64, one_jump: bool| {
+            let mut ch = CellChannel::new(ChannelConfig::lte_default(), 256, &Rng::new(seed));
+            let tti = ch.config().radio.tti();
+            let (mut power, mut lag) = (Vec::new(), Vec::new());
+            let mut idx = 0;
+            for _ in 0..10 {
+                idx += DECORRELATED;
+                ch.advance_to(Time::ZERO + tti.mul(idx));
+                let (re0, im0) = (ch.fade_sb_re.clone(), ch.fade_sb_im.clone());
+                for step in if one_jump {
+                    vec![k]
+                } else {
+                    vec![1; k as usize]
+                } {
+                    idx += step;
+                    ch.advance_to(Time::ZERO + tti.mul(idx));
+                }
+                for t in 0..re0.len() {
+                    let (re, im) = (ch.fade_sb_re[t], ch.fade_sb_im[t]);
+                    power.push(re * re + im * im);
+                    lag.push(re0[t] * re + im0[t] * im);
+                }
+            }
+            power.sort_by(f64::total_cmp);
+            lag.sort_by(f64::total_cmp);
+            [power, lag]
+        };
+        // The other sample's empirical CDF makes `ks_distance` the
+        // two-sample statistic.
+        fn ecdf(sorted: &[f64]) -> impl Fn(f64) -> f64 + '_ {
+            |x| sorted.partition_point(|&y| y <= x) as f64 / sorted.len() as f64
+        }
+        for k in [5u64, 40] {
+            let jump = transitions(k, 2 * k, true);
+            let steps = transitions(k, 2 * k + 1, false);
+            for (i, what) in ["power", "lag product"].into_iter().enumerate() {
+                let crit = 1.95 * (2.0 / jump[i].len() as f64).sqrt();
+                let d = outran_simcore::stats::ks_distance(&jump[i], ecdf(&steps[i]));
+                assert!(d < crit, "k {k}, {what}: D {d}, critical {crit}");
+            }
+        }
+    }
+
     #[test]
     fn cqi_freeze_stalls_reports_and_counts() {
         let mut ch = small_channel();
@@ -1839,7 +1932,7 @@ mod tests {
                         eager.set_cqi_corrupt(ue, on);
                         lazy.set_cqi_corrupt(ue, on);
                     }
-                    15 => {
+                    15 | 16 => {
                         let (d, sh, ipn) = (
                             ops.range_f64(20.0, 400.0),
                             ops.range_f64(-8.0, 8.0),
@@ -1847,11 +1940,6 @@ mod tests {
                         );
                         eager.set_ue_geometry(ue, d, sh, ipn);
                         lazy.set_ue_geometry(ue, d, sh, ipn);
-                    }
-                    16 => {
-                        let ipn = ops.range_f64(-120.0, -90.0);
-                        eager.set_ue_iplusn(ue, ipn);
-                        lazy.set_ue_iplusn(ue, ipn);
                     }
                     17 => {
                         eager.fresh_outcomes(ue, &bits, 8.0, &mut out_e);

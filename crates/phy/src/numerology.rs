@@ -111,14 +111,9 @@ impl RadioConfig {
         }
     }
 
-    /// NR 100 MHz @ 30 kHz SCS (µ=1) — 273 RBs as in §4.1. For the Fig 17
-    /// numerology sweep use [`RadioConfig::nr100_mu`].
-    pub fn nr100() -> RadioConfig {
-        RadioConfig::nr100_mu(1)
-    }
-
-    /// NR 100 MHz with numerology µ. The RB count follows 3GPP TS 38.101
-    /// Table 5.3.2-1 transmission bandwidth configurations.
+    /// NR 100 MHz with numerology µ (µ = 1, 30 kHz SCS, is §4.1's 273
+    /// RBs). The RB count follows 3GPP TS 38.101 Table 5.3.2-1
+    /// transmission bandwidth configurations.
     pub fn nr100_mu(mu: u8) -> RadioConfig {
         RadioConfig {
             numerology: Numerology::Nr(mu),
@@ -194,7 +189,7 @@ mod tests {
     #[test]
     fn paper_rb_counts() {
         assert_eq!(RadioConfig::lte20().num_rbs(), 100);
-        assert_eq!(RadioConfig::nr100().num_rbs(), 273);
+        assert_eq!(RadioConfig::nr100_mu(1).num_rbs(), 273);
         assert_eq!(RadioConfig::lte_rbs(15).num_rbs(), 15);
     }
 

@@ -23,7 +23,7 @@
 //! sequences them. All randomness is forked from one seed: equal seeds
 //! ⇒ identical runs.
 
-pub use crate::config::{CellConfig, FlowDone, GbrBearer, RlcMode, SchedulerKind};
+pub use crate::config::{CellConfig, FlowDone, GbrBearer, RlcMode, SchedulerKind, MAX_UES};
 
 use crate::stages::{
     DeliveryStage, HousekeepingStage, IngressStage, MacSchedStage, ObserverHost, PhyTxStage,
@@ -178,6 +178,11 @@ pub struct Cell {
 impl Cell {
     /// Build a cell from its configuration.
     pub fn new(cfg: CellConfig) -> Cell {
+        assert!(
+            cfg.n_ues <= MAX_UES,
+            "{} UE slots: at most {MAX_UES}",
+            cfg.n_ues
+        );
         let root = Rng::new(cfg.seed);
         let tti = cfg.channel.radio.tti();
         let bandwidth_hz = cfg.channel.radio.bandwidth_khz as f64 * 1e3;
@@ -266,8 +271,8 @@ impl Cell {
     }
 
     /// Advance the simulation until `t` by stepping every TTI — the
-    /// pre-event-driven loop, kept as the reference arm for equivalence
-    /// tests and the dense side of the idle-heavy benchmark.
+    /// pre-event-driven loop, kept as the reference arm of the dense ≡
+    /// event-driven equivalence tests. No runner steps this way.
     pub fn run_until_dense(&mut self, t: Time) {
         while self.now < t {
             self.step();

@@ -38,9 +38,9 @@ pub struct CheckpointMeta {
     /// Simulation instant the snapshot was taken at (a whole-second
     /// epoch boundary).
     pub sim_time: Time,
-    /// Whether the run used dense per-TTI stepping (`false` =
-    /// event-driven). Recorded for diagnostics; both modes restore from
-    /// the same state and stay bit-identical.
+    /// Whether the run stepped every TTI densely. Every runner steps
+    /// event-driven and writes `false`; the field stays in the layout
+    /// (both stepping modes restore from the same state anyway).
     pub dense: bool,
     /// Number of `cell.<i>` sections present.
     pub n_cells: usize,
@@ -359,6 +359,13 @@ mod tests {
     /// UE count) and absurd values are refused as malformed, since they
     /// would index out of bounds when the event fires; in-range ids load
     /// and run a simulated second.
+    ///
+    /// Then the first STATUS PDU's payload. An `ack_sn` of 0 or
+    /// `u32::MAX`, or a NACK of an SN never sent, only acknowledges or
+    /// NACKs what is in flight: each loads and runs. A NACK count past
+    /// the bytes left is refused as malformed by the sequence guard; at
+    /// exactly that limit the guard (one byte per element) lets it
+    /// through and the reader runs out of bytes, a `Truncated` error.
     #[test]
     fn mutated_ingress_events_are_refused_or_run() {
         // Stop at the first millisecond with every kind of event queued.
@@ -393,6 +400,42 @@ mod tests {
                 );
             }
         }
+
+        // STATUS payload after the UE id: ack_sn u32 | n u64 | n × u32.
+        let ack_sn = firsts[3] + 8;
+        let (count_at, nacks_at) = (ack_sn + 4, ack_sn + 12);
+        let count = u64::from_le_bytes(section[count_at..count_at + 8].try_into().unwrap());
+        let limit = (section.len() - nacks_at) as u64;
+        let with = |at: usize, bytes: &[u8]| {
+            let mut hostile = section.clone();
+            hostile[at..at + bytes.len()].copy_from_slice(bytes);
+            hostile
+        };
+        let mut spliced = with(count_at, &(count + 1).to_le_bytes());
+        spliced.splice(nacks_at..nacks_at, u32::MAX.to_le_bytes());
+        for (what, hostile, runs) in [
+            ("ack_sn 0", with(ack_sn, &0u32.to_le_bytes()), true),
+            ("ack_sn max", with(ack_sn, &u32::MAX.to_le_bytes()), true),
+            ("NACK of u32::MAX", spliced, true),
+            (
+                "count past limit",
+                with(count_at, &(limit + 1).to_le_bytes()),
+                false,
+            ),
+            (
+                "count u64::MAX",
+                with(count_at, &u64::MAX.to_le_bytes()),
+                false,
+            ),
+        ] {
+            assert_eq!(loads_and_runs(&hostile, RlcMode::Am), runs, "{what}");
+        }
+        let at_limit = with(count_at, &limit.to_le_bytes());
+        let mut target = mid_transfer_target_in(RlcMode::Am);
+        assert!(matches!(
+            target.load_snap(&mut SnapReader::new(&at_limit)),
+            Err(SnapError::Truncated)
+        ));
     }
 
     /// Offset of the id (flow or UE, a u64 right after the tag) of the

@@ -101,12 +101,16 @@ pub enum RlcMode {
     Am,
 }
 
+/// The most UE slots one cell holds: the MAC stores a UE index as a
+/// `u16`.
+pub const MAX_UES: usize = 1 << 16;
+
 /// Full cell configuration.
 #[derive(Debug, Clone)]
 pub struct CellConfig {
     /// PHY/channel configuration (see [`outran_phy::scenario`]).
     pub channel: ChannelConfig,
-    /// Number of attached UEs.
+    /// Number of attached UEs, at most [`MAX_UES`].
     pub n_ues: usize,
     /// MAC scheduler.
     pub scheduler: SchedulerKind,

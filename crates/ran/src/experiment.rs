@@ -30,7 +30,6 @@ pub struct Experiment {
     /// Arrival horizon; the run drains 4 extra seconds beyond it.
     pub duration: Time,
     warmup: Dur,
-    dense: bool,
     /// Periodic checkpointing as `(interval, directory, argv)`: once per
     /// interval of simulated time, write a crash-safe snapshot into the
     /// directory (see [`crate::checkpoint`]), embedding the argv in its
@@ -48,7 +47,6 @@ impl Experiment {
             dist: FlowSizeDist::LteCellular,
             duration: Time::from_secs(10),
             warmup: Dur::from_secs(1),
-            dense: false,
             checkpoint: None,
         }
     }
@@ -170,15 +168,6 @@ impl Experiment {
         self
     }
 
-    /// Force dense per-TTI stepping instead of the event-driven
-    /// idle-skip loop. Results are bit-identical either way (asserted by
-    /// the equivalence tests); the switch exists for A/B timing and for
-    /// debugging the skip logic itself.
-    pub fn dense_stepping(mut self, dense: bool) -> Self {
-        self.dense = dense;
-        self
-    }
-
     /// Flow-table admission-control cap (LRU eviction beyond it).
     pub fn max_flow_entries(mut self, cap: Option<usize>) -> Self {
         self.cell.max_flow_entries = cap;
@@ -221,15 +210,6 @@ impl Experiment {
         cell
     }
 
-    /// Advance `cell` to `to` in the configured stepping mode.
-    fn advance(&self, cell: &mut Cell, to: Time) {
-        if self.dense {
-            cell.run_until_dense(to);
-        } else {
-            cell.run_until(to);
-        }
-    }
-
     /// Build the cell + arrivals and run to completion.
     pub fn run(self) -> ExperimentReport {
         let cell = self.build_cell();
@@ -254,12 +234,12 @@ impl Experiment {
                 let mut next = Time(cell.now().0 + every.as_nanos());
                 while cell.now() < drain_end {
                     let to = next.min(drain_end);
-                    self.advance(&mut cell, to);
+                    cell.run_until(to);
                     if cell.now() >= next {
                         let meta = CheckpointMeta {
                             argv: argv.clone(),
                             sim_time: cell.now(),
-                            dense: self.dense,
+                            dense: false,
                             n_cells: 1,
                         };
                         let secs = cell.now().as_nanos() / 1_000_000_000;
@@ -272,8 +252,8 @@ impl Experiment {
                 }
             }
             None => {
-                self.advance(&mut cell, self.duration);
-                self.advance(&mut cell, drain_end);
+                cell.run_until(self.duration);
+                cell.run_until(drain_end);
             }
         }
 

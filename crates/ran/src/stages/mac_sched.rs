@@ -223,7 +223,7 @@ impl MacSchedStage {
                 out.push(UeTti::idle());
                 continue;
             }
-            // O(1) occupancy reads — no BufferStatus materialisation.
+            // Occupancy read straight off the RLC entity, no report built.
             let (queued, head_priority, hol) = ctx.rlc_tx.occupancy();
             // Pending HARQ retransmissions keep a UE schedulable even
             // with an empty RLC buffer.

@@ -118,6 +118,18 @@ fn handed_thresholds_build_the_cell_a_solve_builds() {
     assert_eq!(run(&solving), run(&handed));
 }
 
+/// The MAC stores UE indices as `u16`: a cell with more slots than that
+/// indexes is refused, not run with UE `i` scheduled as `i mod 65 536`.
+#[test]
+#[should_panic(expected = "UE slots")]
+fn more_ue_slots_than_the_mac_indexes_are_refused() {
+    let _ = Cell::new(CellConfig::lte_default(
+        outran_ran::cell::MAX_UES + 1,
+        SchedulerKind::Pf,
+        1,
+    ));
+}
+
 #[test]
 fn outran_beats_pf_for_short_behind_long() {
     // One UE downloads a huge file; another UE's short flows must not

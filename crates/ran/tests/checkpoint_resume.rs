@@ -71,14 +71,13 @@ const PIN_METRO_CHURN_FILE: u64 = 0x3ac6_c1a3_1a97_a2f8;
 const PIN_METRO_CHURN_CHAOS_FILE: u64 = 0x08b6_a322_5030_df3e;
 
 /// A chaos-active experiment, identical every call (one root seed).
-fn experiment(dense: bool) -> Experiment {
+fn experiment() -> Experiment {
     Experiment::lte_default()
         .scheduler(SchedulerKind::OutRan)
         .users(4)
         .load(0.5)
         .duration_secs(SECS)
         .seed(SEED)
-        .dense_stepping(dense)
         .faults(FaultPlan::chaos(SEED, Dur::from_secs(SECS), 4, 0.6))
         .watchdog(Some(Dur::from_millis(750)))
 }
@@ -110,7 +109,7 @@ fn tmp_dir(tag: &str) -> PathBuf {
 
 fn kill_and_resume_case(dense: bool, ckpt_at: Time) {
     // Uninterrupted reference run.
-    let (want_digest, want_done) = final_digest(experiment(dense).build_cell(), dense);
+    let (want_digest, want_done) = final_digest(experiment().build_cell(), dense);
 
     // "Crashing" run: advance to an arbitrary mid-run instant with
     // faults landing, persist a checkpoint, drop everything.
@@ -118,7 +117,7 @@ fn kill_and_resume_case(dense: bool, ckpt_at: Time) {
     let path = dir.join("mid.orsn");
     let taken_at;
     {
-        let mut cell = experiment(dense).build_cell();
+        let mut cell = experiment().build_cell();
         advance(&mut cell, dense, ckpt_at);
         taken_at = cell.now();
         let meta = CheckpointMeta {
@@ -135,7 +134,7 @@ fn kill_and_resume_case(dense: bool, ckpt_at: Time) {
     let (meta, file) = read_checkpoint(&path).unwrap();
     assert_eq!(meta.sim_time, taken_at);
     assert_eq!(meta.dense, dense);
-    let mut cell = experiment(dense).build_cell();
+    let mut cell = experiment().build_cell();
     restore_cell(&file, 0, &mut cell).unwrap();
     assert_eq!(cell.now(), taken_at);
     let (got_digest, got_done) = final_digest(cell, dense);
@@ -162,7 +161,7 @@ fn pools_rebuild_empty_on_restore_and_run_stays_bit_identical() {
     // Explicit HARQ + elevated residual loss drives failed transport
     // blocks through the pooled HARQ-payload path.
     let exp = || {
-        experiment(true)
+        experiment()
             .harq(Some(outran_phy::harq::HarqConfig::default()))
             .residual_loss(0.05)
     };
@@ -222,37 +221,35 @@ fn kill_mid_run_and_resume_is_bit_identical_dense() {
 /// must reproduce the uninterrupted report byte-for-byte.
 #[test]
 fn checkpointed_run_report_matches_plain_run() {
-    for dense in [false, true] {
-        let want = experiment(dense).run();
+    let want = experiment().run();
 
-        let dir = tmp_dir(if dense { "rep-dense" } else { "rep-event" });
-        let got = experiment(dense)
-            .checkpoint_every(
-                Dur::from_secs(1),
-                dir.clone(),
-                vec!["outran-sim".into(), "run".into()],
-            )
-            .run();
-        assert_eq!(
-            format!("{want:?}"),
-            format!("{got:?}"),
-            "periodic checkpointing changed the report (dense={dense})"
-        );
+    let dir = tmp_dir("rep");
+    let got = experiment()
+        .checkpoint_every(
+            Dur::from_secs(1),
+            dir.clone(),
+            vec!["outran-sim".into(), "run".into()],
+        )
+        .run();
+    assert_eq!(
+        format!("{want:?}"),
+        format!("{got:?}"),
+        "periodic checkpointing changed the report"
+    );
 
-        // Resume from the 2 s snapshot and run to completion.
-        let ckpt = dir.join("ckpt-2s.orsn");
-        let (_meta, file) = read_checkpoint(&ckpt).expect("periodic checkpoint written");
-        let e = experiment(dense);
-        let mut cell = e.build_cell();
-        restore_cell(&file, 0, &mut cell).unwrap();
-        let resumed = e.run_cell(cell);
-        assert_eq!(
-            format!("{want:?}"),
-            format!("{resumed:?}"),
-            "resume from periodic checkpoint diverged (dense={dense})"
-        );
-        std::fs::remove_dir_all(&dir).ok();
-    }
+    // Resume from the 2 s snapshot and run to completion.
+    let ckpt = dir.join("ckpt-2s.orsn");
+    let (_meta, file) = read_checkpoint(&ckpt).expect("periodic checkpoint written");
+    let e = experiment();
+    let mut cell = e.build_cell();
+    restore_cell(&file, 0, &mut cell).unwrap();
+    let resumed = e.run_cell(cell);
+    assert_eq!(
+        format!("{want:?}"),
+        format!("{resumed:?}"),
+        "resume from periodic checkpoint diverged"
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// FNV-1a digest of `cell`'s full single-cell checkpoint as it stands.

@@ -50,7 +50,6 @@ fn chaos_experiment() -> Experiment {
         .load(0.6)
         .duration_secs(SECS)
         .seed(0xD1CE)
-        .dense_stepping(true)
         .rlc_mode(RlcMode::Am)
         .harq(Some(outran_phy::harq::HarqConfig::default()))
         .residual_loss(0.02)

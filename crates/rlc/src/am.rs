@@ -28,7 +28,6 @@ use std::collections::{BTreeMap, VecDeque};
 use outran_pdcp::Priority;
 use outran_simcore::{Dur, Time};
 
-use crate::bsr::BufferStatus;
 use crate::mlfq::MlfqQueues;
 use crate::sdu::{RlcSdu, RlcSegment};
 use crate::um::DeliveredSdu;
@@ -111,6 +110,9 @@ pub struct AmTx {
     txq: MlfqQueues,
     retxq: VecDeque<AmPdu>,
     /// Outgoing control PDUs (status for the reverse direction etc.).
+    /// The simulator never queues one (only a unit test calls
+    /// [`AmTx::queue_ctrl_pdu`]); it stays because the snapshot layout
+    /// writes it.
     ctrlq: VecDeque<u32>,
     /// Unacknowledged PDUs awaiting STATUS, by SN.
     flight: BTreeMap<u32, (AmPdu, u8)>,
@@ -331,29 +333,14 @@ impl AmTx {
         }
     }
 
-    /// Buffer status: MLFQ occupancy plus ctrl/retx bytes (always served
-    /// first, and *not* part of the eq. (2) user priority).
-    pub fn buffer_status(&self) -> BufferStatus {
-        let retx_bytes: u64 = self
-            .retxq
-            .iter()
-            .map(|p| p.seg.len as u64 + self.cfg.header_bytes as u64)
-            .sum();
-        let ctrl: u64 = self.ctrlq.iter().map(|&b| b as u64).sum();
-        BufferStatus {
-            bytes_per_priority: self.txq.bytes_per_priority(),
-            ctrl_and_retx_bytes: ctrl + retx_bytes,
-        }
-    }
-
-    /// The eq. (2) user priority (Tx Q only).
+    /// The eq. (2) user priority (Tx Q only: ctrl and retx bytes are
+    /// always served first and do not raise it).
     pub fn head_priority(&self) -> Option<Priority> {
         self.txq.head_priority()
     }
 
-    /// Total pending bytes (ctrl + retx + Tx Q) — equals
-    /// `buffer_status().total()` without materialising the per-priority
-    /// vector, for the per-TTI MAC input scan.
+    /// Total pending bytes (ctrl + retx with their headers + Tx Q), for
+    /// the per-TTI MAC input scan.
     pub fn pending_bytes(&self) -> u64 {
         let retx_bytes: u64 = self
             .retxq
@@ -661,27 +648,22 @@ mod tests {
     }
 
     #[test]
-    fn pending_bytes_matches_buffer_status_total() {
+    fn pending_bytes_counts_ctrl_retx_and_tx() {
         let mut tx = AmTx::new(AmConfig::default());
-        let mut rx = AmRx::new(AmConfig::default());
         for i in 0..4 {
             tx.write_sdu(sdu(i, 1000, (i % 2) as u8)).unwrap();
         }
-        assert_eq!(tx.pending_bytes(), tx.buffer_status().total());
-        let (pdus, _, _) = tx.pull(2500, Time::ZERO);
-        assert_eq!(tx.pending_bytes(), tx.buffer_status().total());
-        // Lose the first PDU so a retx lands on the queues too.
-        let mut status = None;
-        for p in pdus.into_iter().skip(1) {
-            let (_, s) = rx.on_pdu(p, Time::ZERO);
-            if let Some(s) = s {
-                status = Some(s);
-            }
-        }
-        if let Some(s) = status {
-            tx.on_status(&s);
-        }
-        assert_eq!(tx.pending_bytes(), tx.buffer_status().total());
+        assert_eq!(tx.pending_bytes(), 4000);
+        // Two whole SDUs and 485 bytes of a third, 5 header bytes each.
+        let _ = tx.pull(2500, Time::ZERO);
+        assert_eq!(tx.pending_bytes(), 1515);
+        // A NACKed PDU queues again with its header; ctrl bytes as given.
+        tx.on_status(&StatusPdu {
+            ack_sn: 3,
+            nacks: vec![0],
+        });
+        tx.queue_ctrl_pdu(10);
+        assert_eq!(tx.pending_bytes(), 1515 + 1005 + 10);
     }
 
     #[test]
@@ -751,8 +733,7 @@ mod tests {
         // Fresh data + a ctrl PDU.
         tx.write_sdu(sdu(1, 500, 0)).unwrap();
         tx.queue_ctrl_pdu(10);
-        let bs = tx.buffer_status();
-        assert!(bs.ctrl_and_retx_bytes >= 510);
+        assert_eq!(tx.pending_bytes(), 10 + 500 + 500);
         // Tiny budget: only ctrl fits.
         let (pdus, ctrl, used) = tx.pull(10, Time::ZERO);
         assert_eq!(ctrl, 10);

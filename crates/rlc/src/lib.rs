@@ -21,9 +21,12 @@
 //!   TS 38.322, poll-driven STATUS reporting, NACK-triggered
 //!   retransmission; OutRAN schedules only the Tx queue, within the
 //!   opportunity bytes left after Ctrl and Retx (§4.4, §6.3 case study).
-//! * [`bsr`] — the Buffer Status Report extended with the per-priority
-//!   queue occupancy the MAC-layer inter-user scheduler consumes
-//!   (Appendix B: "we add the 'priority' attribute to the BSR").
+//!
+//! Appendix B's Buffer Status Report "with the 'priority' attribute" is
+//! not a separate message here: the MAC reads each UE's queued bytes
+//! (`queued_bytes` / `pending_bytes`) and head priority
+//! (`head_priority`, O(1) on the MLFQ's occupancy bitmask) straight from
+//! its entity, without building a per-priority vector.
 
 //!
 //! # Example
@@ -50,13 +53,11 @@
 #![warn(missing_docs)]
 
 pub mod am;
-pub mod bsr;
 pub mod mlfq;
 pub mod sdu;
 pub mod um;
 
 pub use am::{AmConfig, AmRx, AmTx, StatusPdu};
-pub use bsr::BufferStatus;
 pub use mlfq::MlfqQueues;
 pub use sdu::{RlcSdu, RlcSegment};
 pub use um::{UmConfig, UmRx, UmTx};

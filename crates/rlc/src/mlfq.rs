@@ -92,7 +92,7 @@ impl MlfqQueues {
     }
 
     /// Queued bytes per priority level; promoted bytes count at level 0,
-    /// since that is where they are served (this is what the BSR reports).
+    /// since that is where they are served.
     pub fn bytes_per_priority(&self) -> Vec<u64> {
         // The MAC path reads O(1) occupancy instead (see mac_sched);
         // this accessor serves tests and diagnostics.

@@ -20,7 +20,6 @@ use std::collections::BTreeMap;
 use outran_pdcp::Priority;
 use outran_simcore::{Dur, Time};
 
-use crate::bsr::BufferStatus;
 use crate::mlfq::MlfqQueues;
 use crate::sdu::{RlcSdu, RlcSegment};
 
@@ -110,14 +109,6 @@ impl UmTx {
     /// vector (hot-path variant). Returns the bytes consumed.
     pub fn pull_into(&mut self, out: &mut Vec<RlcSegment>, budget: u64) -> u64 {
         self.queues.pull_into(out, budget, self.cfg.header_bytes)
-    }
-
-    /// Buffer status for the MAC (with OutRAN's per-priority occupancy).
-    pub fn buffer_status(&self) -> BufferStatus {
-        BufferStatus {
-            bytes_per_priority: self.queues.bytes_per_priority(),
-            ctrl_and_retx_bytes: 0,
-        }
     }
 
     /// The user priority of eq. (2).
@@ -431,14 +422,12 @@ mod tests {
     }
 
     #[test]
-    fn buffer_status_reports_priorities() {
+    fn reports_queued_bytes_and_head_priority() {
         let mut tx = UmTx::new(UmConfig::default());
-        tx.write_sdu(sdu(1, 100, 0)).unwrap();
-        tx.write_sdu(sdu(2, 900, 2)).unwrap();
-        let bs = tx.buffer_status();
-        assert_eq!(bs.bytes_per_priority, vec![100, 0, 900, 0]);
-        assert_eq!(bs.total(), 1000);
-        assert_eq!(bs.head_priority(), Some(Priority(0)));
+        tx.write_sdu(sdu(1, 900, 2)).unwrap();
+        assert_eq!(tx.head_priority(), Some(Priority(2)));
+        tx.write_sdu(sdu(2, 100, 0)).unwrap();
+        assert_eq!(tx.queued_bytes(), 1000);
         assert_eq!(tx.head_priority(), Some(Priority(0)));
     }
 

@@ -16,7 +16,7 @@
 //! |---|---|---|
 //! | [`simcore`] | `outran-simcore` | virtual time, RNG, event queue, stats |
 //! | [`phy`] | `outran-phy` | channel model, CQI/MCS, numerologies |
-//! | [`pdcp`] | `outran-pdcp` | flow inspection, SN numbering, ciphering |
+//! | [`pdcp`] | `outran-pdcp` | five-tuple flow keys, MLFQ marking |
 //! | [`rlc`] | `outran-rlc` | UM/AM entities, segmentation, MLFQ queues |
 //! | [`mac`] | `outran-mac` | per-RB schedulers incl. OutRAN inter-user |
 //! | [`transport`] | `outran-transport` | TCP (Cubic/Reno) endpoint model |
