@@ -22,62 +22,15 @@ use outran_simcore::{Dur, Time};
 use crate::cache::{allocate_by_subband, best_of, SubbandMetricCache};
 use crate::pf::PfCore;
 use crate::types::{Allocation, RateSource, Scheduler, UeTti};
-use outran_simcore::snap::{LoadSnap, Snap, SnapError, SnapReader, SnapWriter};
 use outran_simcore::snap_fields;
-
-/// The legacy metric OutRAN relaxes.
-#[derive(Debug, Clone)]
-pub enum BaseMetric {
-    /// Proportional Fair with its fairness-window state.
-    Pf(PfCore),
-    /// Max Throughput (rate-only metric).
-    Mt,
-}
-
-impl BaseMetric {
-    fn metric(&self, ue: usize, rate: f64) -> f64 {
-        match self {
-            BaseMetric::Pf(core) => core.metric(ue, rate),
-            BaseMetric::Mt => rate,
-        }
-    }
-
-    fn update(&mut self, served_bits: &[f64]) {
-        if let BaseMetric::Pf(core) = self {
-            core.update(served_bits);
-        }
-    }
-
-    fn decay(&mut self, k: u64) {
-        if let BaseMetric::Pf(core) = self {
-            core.decay(k);
-        }
-    }
-}
-
-/// Irregular: untagged. The variant comes from the run config, so the
-/// wire carries only the PF core's state when there is one.
-impl Snap for BaseMetric {
-    fn snap(&self, w: &mut SnapWriter) {
-        if let BaseMetric::Pf(core) = self {
-            core.snap(w);
-        }
-    }
-}
-impl LoadSnap for BaseMetric {
-    fn load_snap(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        match self {
-            BaseMetric::Pf(core) => core.load_snap(r),
-            BaseMetric::Mt => Ok(()),
-        }
-    }
-}
 
 /// The OutRAN MAC scheduler: a legacy metric core + the ε-relaxed
 /// re-selection by MLFQ priority.
 #[derive(Debug, Clone)]
 pub struct OutRanScheduler {
-    base: BaseMetric,
+    /// The legacy metric OutRAN relaxes: Proportional Fair with its
+    /// fairness-window state, or `None` for Max Throughput (rate only).
+    base: Option<PfCore>,
     epsilon: f64,
     cache: SubbandMetricCache,
 }
@@ -91,7 +44,7 @@ impl OutRanScheduler {
     pub fn over_pf(n_ues: usize, tf: Dur, tti: Dur, epsilon: f64) -> OutRanScheduler {
         assert!((0.0..=1.0).contains(&epsilon), "epsilon={epsilon}");
         OutRanScheduler {
-            base: BaseMetric::Pf(PfCore::new(n_ues, tf, tti)),
+            base: Some(PfCore::new(n_ues, tf, tti)),
             epsilon,
             cache: SubbandMetricCache::new(),
         }
@@ -101,7 +54,7 @@ impl OutRanScheduler {
     pub fn over_mt(epsilon: f64) -> OutRanScheduler {
         assert!((0.0..=1.0).contains(&epsilon));
         OutRanScheduler {
-            base: BaseMetric::Mt,
+            base: None,
             epsilon,
             cache: SubbandMetricCache::new(),
         }
@@ -114,13 +67,14 @@ impl OutRanScheduler {
 
     /// Effective user priority for re-selection: the head MLFQ priority,
     /// or a sentinel worse than any real level when the Tx queue is empty
-    /// (AM ctrl/retx-only users — §4.4 keeps per-flow state only for TxQ).
+    /// (AM retx-only users — §4.4 keeps per-flow state only for TxQ).
     fn user_prio(ue: &UeTti) -> u8 {
         ue.head_priority.map_or(u8::MAX, |p| p.0)
     }
 }
 
-snap_fields! { overlay OutRanScheduler { base } rebuilt { epsilon, cache } }
+// Whether there is a PF core is configuration: its presence must match.
+snap_fields! { overlay OutRanScheduler { base: fixed_opt } rebuilt { epsilon, cache } }
 
 impl Scheduler for OutRanScheduler {
     fn allocate_into(
@@ -140,11 +94,8 @@ impl Scheduler for OutRanScheduler {
         self.cache.refresh_rows(
             rates,
             active.iter().map(|&u| u as usize),
-            |u| match base {
-                BaseMetric::Pf(core) => core.rev(u),
-                BaseMetric::Mt => 0,
-            },
-            |u, r| base.metric(u, r),
+            |u| base.as_ref().map_or(0, |core| core.rev(u)),
+            |u, r| base.as_ref().map_or(r, |core| core.metric(u, r)),
         );
         let cache = &self.cache;
         let epsilon = self.epsilon;
@@ -185,11 +136,15 @@ impl Scheduler for OutRanScheduler {
     }
 
     fn on_served(&mut self, served_bits: &[f64]) {
-        self.base.update(served_bits);
+        if let Some(core) = &mut self.base {
+            core.update(served_bits);
+        }
     }
 
     fn on_idle(&mut self, k: u64) {
-        self.base.decay(k);
+        if let Some(core) = &mut self.base {
+            core.decay(k);
+        }
     }
 
     fn name(&self) -> &'static str {

@@ -11,7 +11,7 @@ pub struct UeTti {
     pub active: bool,
     /// Highest-priority non-empty MLFQ level — the user priority of
     /// eq. (2) carried in OutRAN's extended BSR. `None` when the Tx queue
-    /// is empty (ctrl/retx-only UEs report `None`).
+    /// is empty (retx-only UEs report `None`).
     pub head_priority: Option<Priority>,
     /// Total queued bytes (for diagnostics and RR short-circuits).
     pub queued_bytes: u64,

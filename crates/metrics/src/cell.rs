@@ -1,7 +1,7 @@
 //! Per-cell telemetry: spectral efficiency, fairness, queueing delay.
 
 use outran_simcore::stats::jain_fairness;
-use outran_simcore::{Dur, Ewma, Percentiles, RunningStats};
+use outran_simcore::{Dur, Percentiles, RunningStats};
 
 /// Collects per-TTI cell-level measurements.
 ///
@@ -26,33 +26,20 @@ pub struct CellMetrics {
     bits_in_window: f64,
     window_ue_bits: Vec<f64>,
     window_ue_active: Vec<bool>,
-    se_samples: Percentiles,
-    fairness_samples: Percentiles,
+    /// Windowed samples in time order: the one store behind both the
+    /// time series (Fig 4) and the CDFs (Fig 7).
     se_series: Vec<f64>,
     fairness_series: Vec<f64>,
-    /// Long-term `r̃_u` per UE. Nothing reads it; it stays because the
-    /// version-1 snapshot layout carries it.
-    ue_avg: Vec<Ewma>,
     total_bits: f64,
     total_ttis: u64,
     qdelay_all: RunningStats,
     qdelay_short: RunningStats,
-    /// Nothing reads it; carried by the version-1 snapshot layout.
-    qdelay_short_p: Percentiles,
 }
 
 impl CellMetrics {
     /// Create for a cell of `bandwidth_hz`, `n_ues` UEs, TTI length
-    /// `tti`; SE/fairness sampled every `sample_ttis` (paper: 50) with
-    /// the fairness window `tf` for `r̃_u`.
-    pub fn new(
-        bandwidth_hz: f64,
-        n_ues: usize,
-        tti: Dur,
-        sample_ttis: u32,
-        tf: Dur,
-    ) -> CellMetrics {
-        let window = (tf.as_nanos() / tti.as_nanos()).max(1);
+    /// `tti`; SE/fairness sampled every `sample_ttis` (paper: 50).
+    pub fn new(bandwidth_hz: f64, n_ues: usize, tti: Dur, sample_ttis: u32) -> CellMetrics {
         CellMetrics {
             bandwidth_hz,
             tti,
@@ -61,16 +48,12 @@ impl CellMetrics {
             bits_in_window: 0.0,
             window_ue_bits: vec![0.0; n_ues],
             window_ue_active: vec![false; n_ues],
-            se_samples: Percentiles::new(),
-            fairness_samples: Percentiles::new(),
             se_series: Vec::new(),
             fairness_series: Vec::new(),
-            ue_avg: vec![Ewma::from_window(window); n_ues],
             total_bits: 0.0,
             total_ttis: 0,
             qdelay_all: RunningStats::new(),
             qdelay_short: RunningStats::new(),
-            qdelay_short_p: Percentiles::new(),
         }
     }
 
@@ -83,13 +66,7 @@ impl CellMetrics {
         self.total_ttis += 1;
         self.bits_in_window += total;
         self.tti_in_window += 1;
-        for (u, (avg, &b)) in self
-            .ue_avg
-            .iter_mut()
-            .zip(delivered_bits_per_ue)
-            .enumerate()
-        {
-            avg.update(b);
+        for (u, &b) in delivered_bits_per_ue.iter().enumerate() {
             self.window_ue_bits[u] += b;
             if had_data.get(u).copied().unwrap_or(false) {
                 self.window_ue_active[u] = true;
@@ -98,7 +75,6 @@ impl CellMetrics {
         if self.tti_in_window >= self.sample_ttis {
             let window_secs = self.tti.as_secs_f64() * self.tti_in_window as f64;
             let se = self.bits_in_window / (window_secs * self.bandwidth_hz);
-            self.se_samples.push(se);
             self.se_series.push(se);
             // Fairness over the service received within the window by
             // the UEs that had demand in it (skip windows with at most
@@ -114,9 +90,7 @@ impl CellMetrics {
                 .map(|(&b, _)| b)
                 .collect();
             if demanded.len() >= 2 {
-                let f = jain_fairness(&demanded);
-                self.fairness_samples.push(f);
-                self.fairness_series.push(f);
+                self.fairness_series.push(jain_fairness(&demanded));
             }
             self.tti_in_window = 0;
             self.bits_in_window = 0.0;
@@ -129,10 +103,10 @@ impl CellMetrics {
     ///
     /// Only wall-clock accounting moves: `total_ttis` (the denominator of
     /// [`CellMetrics::spectral_efficiency`]) grows by `k`, while the
-    /// 50-TTI SE/fairness sampling windows and the per-UE EWMAs are
-    /// frozen — an all-zero TTI carries no service to smooth or be fair
-    /// about. Both the dense and event-driven cell loops call this for
-    /// idle TTIs, so the two modes book identical metrics.
+    /// 50-TTI SE/fairness sampling windows are frozen — an all-zero TTI
+    /// carries no service to be fair about. Both the dense and
+    /// event-driven cell loops call this for idle TTIs, so the two modes
+    /// book identical metrics.
     pub fn note_idle_ttis(&mut self, k: u64) {
         self.total_ttis += k;
     }
@@ -143,7 +117,6 @@ impl CellMetrics {
         self.qdelay_all.push(ms);
         if short_flow {
             self.qdelay_short.push(ms);
-            self.qdelay_short_p.push(ms);
         }
     }
 
@@ -156,22 +129,24 @@ impl CellMetrics {
         self.total_bits / (secs * self.bandwidth_hz)
     }
 
-    /// Mean of the windowed fairness samples.
-    pub fn mean_fairness(&mut self) -> f64 {
-        if self.fairness_samples.is_empty() {
+    /// Mean of the windowed fairness samples, summed in time order; NaN
+    /// when there are none.
+    pub fn mean_fairness(&self) -> f64 {
+        let n = self.fairness_series.len();
+        if n == 0 {
             return f64::NAN;
         }
-        self.fairness_samples.mean()
+        self.fairness_series.iter().sum::<f64>() / n as f64
     }
 
     /// CDF of windowed SE samples (Fig 7a).
-    pub fn se_cdf(&mut self, max_points: usize) -> Vec<(f64, f64)> {
-        self.se_samples.cdf_points(max_points)
+    pub fn se_cdf(&self, max_points: usize) -> Vec<(f64, f64)> {
+        cdf(&self.se_series, max_points)
     }
 
     /// CDF of windowed fairness samples (Fig 7b).
-    pub fn fairness_cdf(&mut self, max_points: usize) -> Vec<(f64, f64)> {
-        self.fairness_samples.cdf_points(max_points)
+    pub fn fairness_cdf(&self, max_points: usize) -> Vec<(f64, f64)> {
+        cdf(&self.fairness_series, max_points)
     }
 
     /// Windowed SE samples in time order (Fig 4a's time series).
@@ -200,13 +175,20 @@ impl CellMetrics {
     }
 }
 
+/// CDF points of a time-ordered series, from a sorted copy (the series
+/// keeps its order).
+fn cdf(series: &[f64], max_points: usize) -> Vec<(f64, f64)> {
+    let mut p = Percentiles::new();
+    series.iter().for_each(|&x| p.push(x));
+    p.cdf_points(max_points)
+}
+
 // The configuration-derived fields are re-established by constructing
 // from the run config; the per-UE vectors must keep its UE count.
 outran_simcore::snap_fields! {
     overlay CellMetrics {
         tti_in_window, bits_in_window, window_ue_bits: fixed, window_ue_active: fixed,
-        se_samples, fairness_samples, se_series, fairness_series, ue_avg: fixed,
-        total_bits, total_ttis, qdelay_all, qdelay_short, qdelay_short_p,
+        se_series, fairness_series, total_bits, total_ttis, qdelay_all, qdelay_short,
     }
     rebuilt { bandwidth_hz, tti, sample_ttis }
 }
@@ -216,7 +198,7 @@ mod tests {
     use super::*;
 
     fn m() -> CellMetrics {
-        CellMetrics::new(20e6, 4, Dur::from_millis(1), 50, Dur::from_millis(200))
+        CellMetrics::new(20e6, 4, Dur::from_millis(1), 50)
     }
 
     const ALL: [bool; 4] = [true; 4];
@@ -290,6 +272,51 @@ mod tests {
         c.on_queue_delay(Dur::from_millis(100), false);
         assert!((c.short_qdelay_ms() - 20.0).abs() < 1e-9);
         assert!((c.mean_qdelay_ms() - 140.0 / 3.0).abs() < 1e-9);
+    }
+
+    /// The window statistics of a seeded `on_tti` run, restored from a
+    /// snapshot halfway through, pinned bit for bit: the mean fairness,
+    /// then both CDFs (500 windows, so the 200-point down-sampling steps).
+    #[test]
+    fn window_statistics_are_pinned_across_a_restore() {
+        use outran_simcore::snap::{fnv1a, LoadSnap, Snap, SnapReader, SnapWriter};
+        use outran_simcore::Rng;
+        let mut rng = Rng::new(0xC311);
+        let mut tti = |c: &mut CellMetrics| {
+            let bits: Vec<f64> = (0..4)
+                .map(|_| rng.chance(0.8) as u8 as f64 * rng.range_f64(0.0, 40_000.0))
+                .collect();
+            let had_data: Vec<bool> = (0..4).map(|_| rng.chance(0.7)).collect();
+            c.on_tti(&bits, &had_data);
+        };
+        let mut first = m();
+        for _ in 0..12_345 {
+            tti(&mut first);
+        }
+        let mut w = SnapWriter::new();
+        first.snap(&mut w);
+        let bytes = w.into_bytes();
+        let mut c = m();
+        c.load_snap(&mut SnapReader::new(&bytes)).unwrap();
+        for _ in 12_345..25_000 {
+            tti(&mut c);
+        }
+        let digest = |points: &[(f64, f64)]| {
+            let words: Vec<u8> = points
+                .iter()
+                .flat_map(|&(x, p)| [x.to_bits(), p.to_bits()])
+                .flat_map(u64::to_le_bytes)
+                .collect();
+            fnv1a(&words)
+        };
+        let mean = c.mean_fairness();
+        let (se, fairness) = (c.se_cdf(200), c.fairness_cdf(200));
+        assert_eq!(mean.to_bits(), 0x3fef_b044_10ac_9b8b);
+        assert_eq!((se.len(), digest(&se)), (251, 0x880e_f166_1cd5_6463));
+        assert_eq!(
+            (fairness.len(), digest(&fairness)),
+            (251, 0x450a_765e_0fe3_affa)
+        );
     }
 
     #[test]

@@ -1149,99 +1149,17 @@ fn rate_lut(cfg: &ChannelConfig) -> [f64; 16] {
 }
 
 use outran_simcore::snap::{LoadSnap, Snap, SnapError, SnapReader, SnapWriter};
-use outran_simcore::snap_fields;
 
-/// One UE's slice of the channel planes — the unit of the wire format,
-/// which predates the structure-of-arrays layout and is unchanged by it.
-struct UeRecord {
-    walker: RandomWalk,
-    taps: Vec<(f64, f64)>,
-    wb: (f64, f64),
-    rho: f64,
-    flatness: f64,
-    fade_rng: Rng,
-    shadow_db: f64,
-    reported: Vec<Cqi>,
-    reported_rev: u64,
-    pending: Vec<Cqi>,
-    pending_fresh: bool,
-    pending_due: Time,
-    next_report_at: Time,
-    rng: Rng,
-}
-
-snap_fields! {
-    UeRecord {
-        walker, taps, wb, rho, flatness, fade_rng, shadow_db, reported, reported_rev,
-        pending, pending_fresh, pending_due, next_report_at, rng,
-    }
-}
-
-impl CellChannel {
-    /// Gather UE `ue`'s record out of the planes.
-    fn ue_record(&self, ue: usize) -> UeRecord {
-        let sb = ue * self.n_subbands..(ue + 1) * self.n_subbands;
-        UeRecord {
-            walker: self.walkers[ue].clone(),
-            taps: sb
-                .clone()
-                .map(|i| (self.fade_sb_re[i], self.fade_sb_im[i]))
-                .collect(),
-            wb: (self.fade_wb_re[ue], self.fade_wb_im[ue]),
-            rho: self.fade_rho[ue],
-            flatness: self.fade_flatness[ue],
-            fade_rng: self.fade_rng[ue].clone(),
-            shadow_db: self.shadow_db[ue],
-            reported: self.reported[sb.clone()].to_vec(),
-            reported_rev: self.reported_rev[ue],
-            pending: self.pending[sb].to_vec(),
-            pending_fresh: self.pending_fresh[ue],
-            pending_due: self.pending_due[ue],
-            next_report_at: self.next_report_at[ue],
-            rng: self.ue_rng[ue].clone(),
-        }
-    }
-
-    /// Scatter a restored record back into UE `ue`'s plane slots.
-    fn set_ue_record(&mut self, ue: usize, rec: UeRecord) -> Result<(), SnapError> {
-        let n = self.n_subbands;
-        if rec.taps.len() != n || rec.reported.len() != n || rec.pending.len() != n {
-            return Err(SnapError::Malformed(
-                "subband count mismatch in channel snapshot",
-            ));
-        }
-        let sb = ue * n..(ue + 1) * n;
-        self.walkers[ue] = rec.walker;
-        for (i, (re, im)) in sb.clone().zip(rec.taps) {
-            self.fade_sb_re[i] = re;
-            self.fade_sb_im[i] = im;
-        }
-        (self.fade_wb_re[ue], self.fade_wb_im[ue]) = rec.wb;
-        self.fade_rho[ue] = rec.rho;
-        self.fade_flatness[ue] = rec.flatness;
-        self.fade_rng[ue] = rec.fade_rng;
-        self.shadow_db[ue] = rec.shadow_db;
-        self.reported[sb.clone()].copy_from_slice(&rec.reported);
-        self.pending[sb].copy_from_slice(&rec.pending);
-        self.reported_rev[ue] = rec.reported_rev;
-        self.pending_fresh[ue] = rec.pending_fresh;
-        self.pending_due[ue] = rec.pending_due;
-        self.next_report_at[ue] = rec.next_report_at;
-        self.ue_rng[ue] = rec.rng;
-        Ok(())
-    }
-}
-
-/// Irregular: the state lives in structure-of-arrays planes, the wire
-/// format is a sequence of per-UE `UeRecord`s (the transposition)
-/// followed by the cell-wide fields. The configuration, the derived
-/// layout (`n_subbands`, `rbs_per_subband`, the rate table) and the
-/// cached large-scale terms never travel: the channel is constructed
-/// from the run configuration first, and the caches are rebuilt from
-/// the restored state. Neither does the lag state: a lagging slot's
-/// record is written as if caught up (a copy of the channel is synced
-/// when the caller did not sync the original), and a restored channel
-/// starts with every slot at the restored TTI index.
+/// Irregular: a lagging slot is written as if caught up (a copy of the
+/// channel is synced when the caller did not sync the original), and a
+/// restored channel starts with every slot at the restored TTI index —
+/// the lag state never travels. The structure-of-arrays planes go to the
+/// wire as they are, each refused unless its length is the constructed
+/// one. The configuration, the derived layout (`n_subbands`,
+/// `rbs_per_subband`, the rate table) and the cached large-scale terms
+/// never travel either: the channel is constructed from the run
+/// configuration first, and the caches are rebuilt from the restored
+/// state.
 impl Snap for CellChannel {
     fn snap(&self, w: &mut SnapWriter) {
         if (0..self.n_ues).any(|ue| self.is_behind(ue)) {
@@ -1249,7 +1167,22 @@ impl Snap for CellChannel {
             caught_up.sync_all();
             return caught_up.snap(w);
         }
-        w.seq(0..self.n_ues, |w, ue| self.ue_record(ue).snap(w));
+        self.walkers.snap(w);
+        self.fade_sb_re.snap(w);
+        self.fade_sb_im.snap(w);
+        self.fade_wb_re.snap(w);
+        self.fade_wb_im.snap(w);
+        self.fade_rho.snap(w);
+        self.fade_flatness.snap(w);
+        self.fade_rng.snap(w);
+        self.shadow_db.snap(w);
+        self.reported.snap(w);
+        self.reported_rev.snap(w);
+        self.pending.snap(w);
+        self.pending_fresh.snap(w);
+        self.pending_due.snap(w);
+        self.next_report_at.snap(w);
+        self.ue_rng.snap(w);
         self.tti_index.snap(w);
         self.dist_since_shadow.snap(w);
         self.cqi_frozen.snap(w);
@@ -1264,15 +1197,22 @@ impl Snap for CellChannel {
 
 impl LoadSnap for CellChannel {
     fn load_snap(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let ues: Vec<UeRecord> = r.get()?;
-        if ues.len() != self.n_ues {
-            return Err(SnapError::Malformed(
-                "UE count mismatch in channel snapshot",
-            ));
-        }
-        for (ue, rec) in ues.into_iter().enumerate() {
-            self.set_ue_record(ue, rec)?;
-        }
+        r.fixed(&mut self.walkers)?;
+        r.fixed(&mut self.fade_sb_re)?;
+        r.fixed(&mut self.fade_sb_im)?;
+        r.fixed(&mut self.fade_wb_re)?;
+        r.fixed(&mut self.fade_wb_im)?;
+        r.fixed(&mut self.fade_rho)?;
+        r.fixed(&mut self.fade_flatness)?;
+        r.fixed(&mut self.fade_rng)?;
+        r.fixed(&mut self.shadow_db)?;
+        r.fixed(&mut self.reported)?;
+        r.fixed(&mut self.reported_rev)?;
+        r.fixed(&mut self.pending)?;
+        r.fixed(&mut self.pending_fresh)?;
+        r.fixed(&mut self.pending_due)?;
+        r.fixed(&mut self.next_report_at)?;
+        r.fixed(&mut self.ue_rng)?;
         self.tti_index = r.get()?;
         r.fixed(&mut self.dist_since_shadow)?;
         r.fixed(&mut self.cqi_frozen)?;

@@ -157,26 +157,6 @@ impl FadingProcess {
     }
 }
 
-use outran_simcore::snap::SnapError;
-use outran_simcore::snap_fields;
-
-snap_fields! { Tap { re, im } }
-
-impl FadingProcess {
-    fn check_subbands(&mut self) -> Result<(), SnapError> {
-        if self.subband.is_empty() {
-            return Err(SnapError::Malformed("fading process with no subbands"));
-        }
-        Ok(())
-    }
-}
-// Tap values are f64 bit patterns, so the restored process is
-// bit-identical.
-snap_fields! {
-    FadingProcess { subband, wideband, rho, flatness, rng }
-    then FadingProcess::check_subbands
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

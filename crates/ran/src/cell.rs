@@ -30,7 +30,7 @@ use crate::stages::{
     RlcDownStage, RlcRx, RlcTx, StageId, StageObserver, TtiSummary, UeContext,
 };
 use outran_faults::{AuditSnapshot, ByteLedger, FaultStats, InvariantAuditor, Violation};
-use outran_metrics::{CellMetrics, FctCollector};
+use outran_metrics::CellMetrics;
 use outran_pdcp::FiveTuple;
 use outran_rlc::am::AmPdu;
 use outran_rlc::sdu::RlcSegment;
@@ -152,8 +152,6 @@ pub struct Cell {
     observer: ObserverHost,
     /// One-way air latency of delivered GBR packets (ms).
     pub gbr_latency: outran_simcore::Percentiles,
-    /// FCT statistics.
-    pub fct: FctCollector,
     /// Cell-level telemetry.
     pub metrics: CellMetrics,
     /// TTIs in which the cell had no work to do. Idle TTIs run O(1)
@@ -199,8 +197,7 @@ impl Cell {
             hk: HousekeepingStage::new(&cfg, &root),
             observer: ObserverHost::default(),
             gbr_latency: outran_simcore::Percentiles::new(),
-            fct: FctCollector::new(),
-            metrics: CellMetrics::new(bandwidth_hz, cfg.n_ues, tti, 50, cfg.tf),
+            metrics: CellMetrics::new(bandwidth_hz, cfg.n_ues, tti, 50),
             idle_ttis: 0,
             skipped_ttis: 0,
             pending_idle: 0,
@@ -482,7 +479,6 @@ impl Cell {
                 &mut self.ues,
                 &mut self.ingress,
                 &mut self.hk,
-                &mut self.fct,
                 &mut self.metrics,
                 &mut self.pools,
             );
@@ -512,7 +508,7 @@ impl Cell {
                 used_rbs,
                 total_rbs,
                 delivered_bytes: self.delivery.delivered_bytes(),
-                completed_flows: self.fct.count() as u64,
+                completed_flows: self.delivery.completed(),
             };
             self.observer.on_tti(now, &summary);
         }
@@ -931,7 +927,7 @@ impl Cell {
 // pipeline observer is runtime-only wiring.
 snap_fields! {
     overlay Cell {
-        now, ues: fixed, ingress, rlc_down, mac, phy, delivery, hk, gbr_latency, fct, metrics,
+        now, ues: fixed, ingress, rlc_down, mac, phy, delivery, hk, gbr_latency, metrics,
         idle_ttis, skipped_ttis, pending_idle, used_rbs_cum,
     }
     rebuilt { cfg, tti, pools, observer }

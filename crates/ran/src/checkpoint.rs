@@ -615,17 +615,20 @@ mod tests {
         walk_records(section, cell).1 + 16
     }
 
-    /// A v2 reader refuses a v1 file by its header, whatever follows.
+    /// A v3 reader refuses a v1 or v2 file by its header, whatever
+    /// follows.
     #[test]
     fn version_1_header_is_refused() {
         let (cell, meta) = mid_transfer_cell();
         let mut bytes = snapshot_cell(&meta, &cell).to_bytes();
-        assert_eq!(bytes[4..8], 2u32.to_le_bytes());
-        bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
-        assert!(matches!(
-            SnapshotFile::from_bytes(&bytes),
-            Err(SnapError::BadVersion(1))
-        ));
+        assert_eq!(bytes[4..8], 3u32.to_le_bytes());
+        for old in [1u32, 2] {
+            bytes[4..8].copy_from_slice(&old.to_le_bytes());
+            assert!(matches!(
+                SnapshotFile::from_bytes(&bytes),
+                Err(SnapError::BadVersion(v)) if v == old
+            ));
+        }
     }
 
     #[test]

@@ -1054,8 +1054,10 @@ mod tests {
     /// the open flows' endpoints): with the ingress stage cut out of
     /// `Cell`'s layout on both trees and the header version made equal,
     /// 49e7801 and the v2 code write this file with one digest,
-    /// `0xe2c9_29ec_6f51_1ae5`.
-    const PIN_PACKED_FILE: u64 = 0xfd48_4970_8a7a_2295;
+    /// `0xe2c9_29ec_6f51_1ae5`. Re-recorded once more, for format v3
+    /// (v2: `0xfd48_4970_8a7a_2295`): a copy of 338897a with only the v3
+    /// layout edits applied writes this digest (see `checkpoint_resume.rs`).
+    const PIN_PACKED_FILE: u64 = 0xbae6_4118_99a2_1987;
 
     /// Nine cells of four slots with three slots free in all, and fast
     /// corridor UEs under a hair-trigger A3: most handovers are blocked,

@@ -10,7 +10,7 @@
 use crate::cell::CellPools;
 use crate::config::{CellConfig, FlowDone};
 use crate::stages::{AirDelivery, HarqData, HousekeepingStage, IngressStage, RlcRx, UeContext};
-use outran_metrics::{CellMetrics, FctCollector};
+use outran_metrics::CellMetrics;
 use outran_rlc::am::AmPdu;
 use outran_rlc::sdu::RlcSegment;
 use outran_rlc::um::DeliveredSdu;
@@ -22,6 +22,7 @@ use outran_simcore::Time;
 pub struct DeliveryStage {
     completions: Vec<FlowDone>,
     delivered_bytes: u64,
+    completed: u64,
     // Reusable per-PDU reassembly output; drained inside every call,
     // never read across a TTI boundary and never snapshotted.
     sdus: Vec<DeliveredSdu>,
@@ -43,28 +44,27 @@ impl DeliveryStage {
         ues: &mut [UeContext],
         ingress: &mut IngressStage,
         hk: &mut HousekeepingStage,
-        fct: &mut FctCollector,
         metrics: &mut CellMetrics,
         pools: &mut CellPools,
     ) {
         for item in batch.drain(..) {
             match item {
                 AirDelivery::UmSeg { ue, seg } => {
-                    self.um_segment(now, cfg, ues, ingress, hk, fct, metrics, ue, seg);
+                    self.um_segment(now, cfg, ues, ingress, hk, metrics, ue, seg);
                 }
                 AirDelivery::AmPdus { ue, mut pdus } => {
-                    self.am_pdus(now, cfg, ues, ingress, hk, fct, metrics, ue, &mut pdus);
+                    self.am_pdus(now, cfg, ues, ingress, hk, metrics, ue, &mut pdus);
                     pools.pdus.put(pdus);
                 }
                 AirDelivery::Harq { ue, payload } => match payload.data {
                     HarqData::Um(mut segs) => {
                         for seg in segs.drain(..) {
-                            self.um_segment(now, cfg, ues, ingress, hk, fct, metrics, ue, seg);
+                            self.um_segment(now, cfg, ues, ingress, hk, metrics, ue, seg);
                         }
                         pools.segs.put(segs);
                     }
                     HarqData::Am(mut pdus) => {
-                        self.am_pdus(now, cfg, ues, ingress, hk, fct, metrics, ue, &mut pdus);
+                        self.am_pdus(now, cfg, ues, ingress, hk, metrics, ue, &mut pdus);
                         pools.pdus.put(pdus);
                     }
                 },
@@ -81,7 +81,6 @@ impl DeliveryStage {
         ues: &mut [UeContext],
         ingress: &mut IngressStage,
         hk: &mut HousekeepingStage,
-        fct: &mut FctCollector,
         metrics: &mut CellMetrics,
         ue: usize,
         seg: RlcSegment,
@@ -99,7 +98,7 @@ impl DeliveryStage {
             hk.observe_delivery(now, ue, d.flow_id, d.sdu_id);
             let ul_delay = cfg.cn_delay + cfg.ul_air_delay + hk.cn_extra_delay();
             if let Some(done) = ingress.accept_sdu(now, ul_delay, &d) {
-                fct.record(done.bytes, done.fct);
+                self.completed += 1;
                 self.completions.push(done);
             }
         }
@@ -114,7 +113,6 @@ impl DeliveryStage {
         ues: &mut [UeContext],
         ingress: &mut IngressStage,
         hk: &mut HousekeepingStage,
-        fct: &mut FctCollector,
         metrics: &mut CellMetrics,
         ue: usize,
         pdus: &mut Vec<AmPdu>,
@@ -134,7 +132,7 @@ impl DeliveryStage {
                 hk.observe_delivery(now, ue, d.flow_id, d.sdu_id);
                 let ul_delay = cfg.cn_delay + cfg.ul_air_delay + hk.cn_extra_delay();
                 if let Some(done) = ingress.accept_sdu(now, ul_delay, &d) {
-                    fct.record(done.bytes, done.fct);
+                    self.completed += 1;
                     self.completions.push(done);
                 }
             }
@@ -153,9 +151,16 @@ impl DeliveryStage {
     pub fn delivered_bytes(&self) -> u64 {
         self.delivered_bytes
     }
+
+    /// Flows completed since the start of the run, drained or not.
+    pub fn completed(&self) -> u64 {
+        self.completed
+    }
 }
 
 // Completions not yet drained by the harness plus the delivered-bytes
-// ledger term; the reassembly output buffer is drained inside every
-// call.
-snap_fields! { overlay DeliveryStage { completions, delivered_bytes } rebuilt { sdus } }
+// and completed-flows ledger terms; the reassembly output buffer is
+// drained inside every call.
+snap_fields! {
+    overlay DeliveryStage { completions, delivered_bytes, completed } rebuilt { sdus }
+}

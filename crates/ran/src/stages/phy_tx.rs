@@ -277,7 +277,7 @@ impl PhyTxStage {
                     RlcTx::Am(am) => {
                         let mut pdus = pools.pdus.take();
                         obs.enter(StageId::RlcDown);
-                        let (_ctrl, used) = am.pull_into(&mut pdus, budget, now);
+                        let used = am.pull_into(&mut pdus, budget, now);
                         obs.exit(StageId::RlcDown);
                         if used == 0 {
                             pools.pdus.put(pdus);

@@ -3,6 +3,7 @@
 //! They exercise the `Cell` orchestrator strictly through its public
 //! API.
 
+use outran_metrics::FctCollector;
 use outran_ran::cell::GbrBearer;
 use outran_ran::{Cell, CellConfig, RlcMode, SchedulerKind};
 use outran_simcore::{Dur, Time};
@@ -145,7 +146,11 @@ fn outran_beats_pf_for_short_behind_long() {
             cell.schedule_flow(Time::from_millis(300 + i * 300), 0, 5_000, None);
         }
         cell.run_until(Time::from_secs(8));
-        cell.fct.report().short_mean_ms
+        let mut fct = FctCollector::new();
+        for d in cell.take_completions() {
+            fct.record(d.bytes, d.fct);
+        }
+        fct.report().short_mean_ms
     };
     let pf = run(SchedulerKind::Pf);
     let or = run(SchedulerKind::OutRan);
@@ -207,7 +212,7 @@ fn metrics_populated() {
     cell.run_until(Time::from_secs(5));
     assert!(cell.metrics.spectral_efficiency() > 0.0);
     assert!(cell.metrics.mean_qdelay_ms() >= 0.0);
-    assert!(cell.fct.count() > 0);
+    assert!(!cell.take_completions().is_empty());
     assert!(cell.flow_state_bytes() > 0 || cell.flow_table_entries() == 0);
 }
 

@@ -21,7 +21,7 @@ use outran_simcore::{Dur, Time};
 const SECS: u64 = 4;
 const SEED: u64 = 0xD1CE;
 
-/// Wire-format pins (see `wire_format_is_pinned`), format v2.
+/// Wire-format pins (see `wire_format_is_pinned`), format v3.
 ///
 /// The `_T0` pins hash each cell straight after construction, before
 /// any TTI runs, so they see every field's position but no value a
@@ -59,16 +59,34 @@ const SEED: u64 = 0xD1CE;
 /// stepping them would have left them. A change that moves tap *values*
 /// only re-records the `t = 1 s` pins and must leave the `_T0` pins
 /// alone.
-const PIN_UM_OUTRAN_T0: u64 = 0x1c35_5738_f300_c6fe;
-const PIN_AM_PF_CHAOS_T0: u64 = 0x01e9_4c15_afc2_0161;
-const PIN_UM_OUTRAN: u64 = 0x10cb_f638_cf66_5d40;
-const PIN_AM_PF_CHAOS: u64 = 0x3141_817c_9963_21d8;
+///
+/// All seven were re-recorded once more for format v3, which writes
+/// each fact once (DESIGN.md "Checkpoint format v3"). A copy of 338897a
+/// with only the v3 layout edits applied — the removed state moved to
+/// `rebuilt`, the channel's planes written as they are, a presence byte
+/// before the OutRAN scheduler's PF core, the completed-flows ledger term
+/// counted where the cell's FCT collector recorded, the header version
+/// made equal — writes exactly these digests, so no state value moved:
+///
+/// | pin | v2 (338897a) | v3 |
+/// |---|---|---|
+/// | `UM_OUTRAN_T0` | `1c355738f300c6fe` | below |
+/// | `AM_PF_CHAOS_T0` | `01e94c15afc20161` | |
+/// | `UM_OUTRAN` | `10cbf638cf665d40` | |
+/// | `AM_PF_CHAOS` | `3141817c996321d8` | |
+/// | `METRO_FILE` | `91d8a150f6b9a40b` | |
+/// | `METRO_CHURN_FILE` | `3ac6c1a31a97a2f8` | |
+/// | `METRO_CHURN_CHAOS_FILE` | `08b6a3225030df3e` | |
+const PIN_UM_OUTRAN_T0: u64 = 0xc106_de32_b88b_6b05;
+const PIN_AM_PF_CHAOS_T0: u64 = 0xe37f_6184_b1d6_5d60;
+const PIN_UM_OUTRAN: u64 = 0xab88_5c48_d4b8_bc8c;
+const PIN_AM_PF_CHAOS: u64 = 0x85b0_5c8e_d727_3121;
 /// A 1 s metro checkpoint's `network` section (no taps, no flow table
-/// in it). Recorded at 2575d6d; format v2 left it alone.
+/// in it). Recorded at 2575d6d; formats v2 and v3 left it alone.
 const PIN_NETWORK: u64 = 0x6489_136e_a3df_eade;
-const PIN_METRO_FILE: u64 = 0x91d8_a150_f6b9_a40b;
-const PIN_METRO_CHURN_FILE: u64 = 0x3ac6_c1a3_1a97_a2f8;
-const PIN_METRO_CHURN_CHAOS_FILE: u64 = 0x08b6_a322_5030_df3e;
+const PIN_METRO_FILE: u64 = 0x94a1_62bd_aaee_9458;
+const PIN_METRO_CHURN_FILE: u64 = 0xe7c5_5bf6_2f42_a45a;
+const PIN_METRO_CHURN_CHAOS_FILE: u64 = 0x0251_dbe0_7819_096f;
 
 /// A chaos-active experiment, identical every call (one root seed).
 fn experiment() -> Experiment {
@@ -270,7 +288,7 @@ fn cell_digest(cell: &Cell) -> u64 {
 #[test]
 fn wire_format_is_pinned() {
     const HINT: &str = "layout changed: bump `SNAP_VERSION` and re-record";
-    assert_eq!(SNAP_VERSION, 2, "{HINT}");
+    assert_eq!(SNAP_VERSION, 3, "{HINT}");
 
     let mut um_outran = Experiment::lte_default()
         .scheduler(SchedulerKind::OutRan)

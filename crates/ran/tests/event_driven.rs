@@ -1,10 +1,11 @@
 //! The event-driven idle-skip stepper must be an *exact* replacement
-//! for dense per-TTI stepping: same FCT distributions, same completion
-//! records, same RNG draw sequence — only wall clock may differ. These
-//! tests pin that equivalence (including under a chaos fault plan and
-//! in AM mode with GBR bearers), the soundness of the activity
-//! predicate, and that the idle-heavy workload really is skipped (how
-//! much wall clock that saves is the benchmark's `idle_soak` workload).
+//! for dense per-TTI stepping: same completion records (so the same
+//! FCT distributions), same RNG draw sequence — only wall clock may
+//! differ. These tests pin that equivalence (including under a chaos
+//! fault plan and in AM mode with GBR bearers), the soundness of the
+//! activity predicate, and that the idle-heavy workload really is
+//! skipped (how much wall clock that saves is the benchmark's
+//! `idle_soak` workload).
 
 use outran_faults::FaultPlan;
 use outran_ran::cell::{Cell, CellConfig, GbrBearer, SchedulerKind};
@@ -33,9 +34,9 @@ fn idle_heavy_cell(seed: u64) -> Cell {
 }
 
 /// The acceptance bar: on the idle-heavy browsing workload the
-/// event-driven loop produces a bit-identical `FctReport` (and
-/// completion log, and metrics) while skipping over 90 % of the idle
-/// TTIs dense stepping walks through.
+/// event-driven loop produces a bit-identical completion log (every
+/// record, hence every FCT statistic) and metrics while skipping over
+/// 90 % of the idle TTIs dense stepping walks through.
 #[test]
 fn event_driven_is_bit_identical_and_skips_idle_heavy() {
     let end = Time::from_secs(1504);
@@ -51,13 +52,6 @@ fn event_driven_is_bit_identical_and_skips_idle_heavy() {
     let ec = event.take_completions();
     assert!(dc.len() > 50, "workload too thin: {} completions", dc.len());
     assert_eq!(dc, ec, "completion records diverged");
-    // Debug-string equality: bit-identical including NaN buckets (an
-    // empty size class reports NaN, and NaN != NaN under PartialEq).
-    assert_eq!(
-        format!("{:?}", dense.fct.report()),
-        format!("{:?}", event.fct.report()),
-        "FCT report diverged"
-    );
     assert_eq!(
         dense.metrics.total_bits(),
         event.metrics.total_bits(),
@@ -133,10 +127,12 @@ fn dense_and_event_driven_agree_in_am_mode_with_gbr() {
     let mut event = build();
     event.run_until(end);
 
-    assert_eq!(dense.take_completions(), event.take_completions());
+    let done = dense.take_completions();
+    assert!(!done.is_empty(), "no flow completed");
     assert_eq!(
-        format!("{:?}", dense.fct.report()),
-        format!("{:?}", event.fct.report())
+        done,
+        event.take_completions(),
+        "completion records diverged"
     );
     assert_eq!(dense.metrics.total_bits(), event.metrics.total_bits());
     assert_eq!(

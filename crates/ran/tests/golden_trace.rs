@@ -97,14 +97,15 @@ fn run_digest(kind: SchedulerKind, mode: RlcMode, chaos: bool, dense: bool) -> u
     let mut acc = *acc.lock().unwrap();
     // Fold the completion records and end-of-run counters on top of the
     // per-TTI stream so the fingerprint also pins final state.
-    for d in cell.take_completions() {
+    let done = cell.take_completions();
+    for d in &done {
         acc.u64(d.id as u64);
         acc.u64(d.ue as u64);
         acc.u64(d.bytes);
         acc.u64(d.spawn.0);
         acc.u64(d.fct.as_nanos());
     }
-    acc.u64(cell.fct.count() as u64);
+    acc.u64(done.len() as u64);
     acc.u64(cell.metrics.total_bits().to_bits());
     acc.u64(cell.idle_ttis);
     acc.0

@@ -111,10 +111,10 @@ fn index_survives_handover_detach_and_attach() {
     assert!(dst_open >= 2, "continuations never overlapped: {dst_open}");
     // Source: both UE 0 flows complete, both UE 1 flows stay aborted.
     assert_eq!((src.n_completed(), src.open_flows()), (4, 0));
-    assert_eq!(src.fct.count(), 2);
+    assert_eq!(src.take_completions().len(), 2);
     // Target: its own three flows and both continuations complete.
     assert_eq!((dst.n_completed(), dst.open_flows()), (5, 0));
-    assert_eq!(dst.fct.count(), 5);
+    assert_eq!(dst.take_completions().len(), 5);
 }
 
 /// The same contract inside a coupled network, where the barrier makes

@@ -1,12 +1,13 @@
 //! RLC Acknowledged Mode.
 //!
 //! AM "provides a bidirectional data transfer service and supports
-//! link-layer retransmission" (§4.4) through three queues of strictly
-//! decreasing priority:
-//!
-//! 1. **Ctrl Q** — control PDUs (link-layer STATUS = ACK/NACK);
-//! 2. **Retx Q** — PDUs NACKed (or re-polled) awaiting retransmission;
-//! 3. **Tx Q** — fresh SDUs waiting for a first transmission opportunity.
+//! link-layer retransmission" (§4.4) through queues of strictly
+//! decreasing priority: the Ctrl Q (link-layer STATUS = ACK/NACK), the
+//! Retx Q (PDUs NACKed or re-polled, awaiting retransmission) and the Tx
+//! Q (fresh SDUs waiting for a first transmission opportunity). The
+//! simulator carries no uplink data, so there is no reverse-direction
+//! STATUS to queue: the transmitter models the Retx Q and the Tx Q, and
+//! the receiver's STATUS for downlink data returns over the uplink delay.
 //!
 //! "OutRAN complies with the priority levels of each queue specified in
 //! the 3GPP standard … we only apply intra & inter-user scheduling on the
@@ -109,11 +110,6 @@ pub struct AmTx {
     cfg: AmConfig,
     txq: MlfqQueues,
     retxq: VecDeque<AmPdu>,
-    /// Outgoing control PDUs (status for the reverse direction etc.).
-    /// The simulator never queues one (only a unit test calls
-    /// [`AmTx::queue_ctrl_pdu`]); it stays because the snapshot layout
-    /// writes it.
-    ctrlq: VecDeque<u32>,
     /// Unacknowledged PDUs awaiting STATUS, by SN.
     flight: BTreeMap<u32, (AmPdu, u8)>,
     next_sn: u32,
@@ -141,7 +137,6 @@ impl AmTx {
             cfg,
             txq,
             retxq: VecDeque::new(),
-            ctrlq: VecDeque::new(),
             flight: BTreeMap::new(),
             next_sn: 0,
             pdus_since_poll: 0,
@@ -166,43 +161,25 @@ impl AmTx {
         })
     }
 
-    /// Enqueue an outgoing control PDU of the given wire size (models the
-    /// bidirectional service's reverse-direction STATUS traffic).
-    pub fn queue_ctrl_pdu(&mut self, bytes: u32) {
-        self.ctrlq.push_back(bytes);
-    }
-
-    /// Serve a transmission opportunity: Ctrl ≻ Retx ≻ Tx (§4.4).
-    /// Returns the data PDUs emitted, the control bytes emitted, and the
-    /// total bytes consumed.
+    /// Serve a transmission opportunity: Retx ≻ Tx (§4.4). Returns the
+    /// data PDUs emitted and the bytes consumed.
     ///
     /// Allocating wrapper around [`AmTx::pull_into`]; hot per-TTI callers
     /// should pass a pooled buffer instead.
-    pub fn pull(&mut self, budget: u64, now: Time) -> (Vec<AmPdu>, u64, u64) {
+    pub fn pull(&mut self, budget: u64, now: Time) -> (Vec<AmPdu>, u64) {
         let mut out = Vec::new();
-        let (ctrl_bytes, used) = self.pull_into(&mut out, budget, now);
-        (out, ctrl_bytes, used)
+        let used = self.pull_into(&mut out, budget, now);
+        (out, used)
     }
 
     /// Serve a transmission opportunity, appending emitted data PDUs to
-    /// `out` (not cleared). Returns `(control bytes, total bytes used)`.
-    pub fn pull_into(&mut self, out: &mut Vec<AmPdu>, budget: u64, now: Time) -> (u64, u64) {
+    /// `out` (not cleared). Returns the bytes consumed.
+    pub fn pull_into(&mut self, out: &mut Vec<AmPdu>, budget: u64, now: Time) -> u64 {
         let before = out.len();
         let mut used = 0u64;
-        let mut ctrl_bytes = 0u64;
         let hdr = self.cfg.header_bytes as u64;
 
-        // 1. Control queue.
-        while let Some(&b) = self.ctrlq.front() {
-            if used + b as u64 > budget {
-                break;
-            }
-            used += b as u64;
-            ctrl_bytes += b as u64;
-            self.ctrlq.pop_front();
-        }
-
-        // 2. Retransmission queue (whole PDUs).
+        // 1. Retransmission queue (whole PDUs).
         while let Some(front) = self.retxq.front() {
             let cost = hdr + front.seg.len as u64;
             if used + cost > budget {
@@ -219,7 +196,7 @@ impl AmTx {
             out.push(pdu);
         }
 
-        // 3. Tx queue (MLFQ / FIFO) within the leftover opportunity,
+        // 2. Tx queue (MLFQ / FIFO) within the leftover opportunity,
         // segmented into the reusable scratch buffer.
         if used < budget {
             let mut segs = std::mem::take(&mut self.seg_scratch);
@@ -255,7 +232,7 @@ impl AmTx {
             self.poll_outstanding = Some(now + self.cfg.t_poll_retransmit);
         }
 
-        (ctrl_bytes, used)
+        used
     }
 
     fn should_poll(&mut self, now: Time) -> bool {
@@ -333,22 +310,21 @@ impl AmTx {
         }
     }
 
-    /// The eq. (2) user priority (Tx Q only: ctrl and retx bytes are
-    /// always served first and do not raise it).
+    /// The eq. (2) user priority (Tx Q only: retx bytes are always
+    /// served first and do not raise it).
     pub fn head_priority(&self) -> Option<Priority> {
         self.txq.head_priority()
     }
 
-    /// Total pending bytes (ctrl + retx with their headers + Tx Q), for
-    /// the per-TTI MAC input scan.
+    /// Total pending bytes (retx with their headers + Tx Q), for the
+    /// per-TTI MAC input scan.
     pub fn pending_bytes(&self) -> u64 {
         let retx_bytes: u64 = self
             .retxq
             .iter()
             .map(|p| p.seg.len as u64 + self.cfg.header_bytes as u64)
             .sum();
-        let ctrl: u64 = self.ctrlq.iter().map(|&b| b as u64).sum();
-        ctrl + retx_bytes + self.txq.queued_bytes()
+        retx_bytes + self.txq.queued_bytes()
     }
 
     /// Unacknowledged PDUs in flight.
@@ -363,7 +339,7 @@ impl AmTx {
 
     /// Whether every queue is drained and nothing is unacknowledged.
     pub fn is_idle(&self) -> bool {
-        self.txq.is_empty() && self.retxq.is_empty() && self.ctrlq.is_empty()
+        self.txq.is_empty() && self.retxq.is_empty()
     }
 
     /// Whether the entity is fully quiescent: all queues drained, nothing
@@ -380,7 +356,7 @@ impl AmTx {
         self.txq.capacity()
     }
 
-    /// Queued Tx-Q SDUs (whole + partial; excludes retx/ctrl PDUs).
+    /// Queued Tx-Q SDUs (whole + partial; excludes retx PDUs).
     pub fn len_sdus(&self) -> usize {
         self.txq.len_sdus()
     }
@@ -407,7 +383,6 @@ impl AmTx {
             bytes += p.seg.len as u64;
             sdus += 1;
         }
-        self.ctrlq.clear();
         self.flight.clear();
         self.next_sn = 0;
         self.pdus_since_poll = 0;
@@ -605,7 +580,7 @@ snap_fields! { AmPdu { sn, seg, poll } }
 // return.
 snap_fields! {
     overlay AmTx {
-        txq, retxq, ctrlq, flight, next_sn, pdus_since_poll, poll_outstanding,
+        txq, retxq, flight, next_sn, pdus_since_poll, poll_outstanding,
         dropped_pdus, dropped_sdus, retx_count,
     }
     rebuilt { cfg, seg_scratch, ack_scratch }
@@ -648,7 +623,7 @@ mod tests {
     }
 
     #[test]
-    fn pending_bytes_counts_ctrl_retx_and_tx() {
+    fn pending_bytes_counts_retx_and_tx() {
         let mut tx = AmTx::new(AmConfig::default());
         for i in 0..4 {
             tx.write_sdu(sdu(i, 1000, (i % 2) as u8)).unwrap();
@@ -657,13 +632,12 @@ mod tests {
         // Two whole SDUs and 485 bytes of a third, 5 header bytes each.
         let _ = tx.pull(2500, Time::ZERO);
         assert_eq!(tx.pending_bytes(), 1515);
-        // A NACKed PDU queues again with its header; ctrl bytes as given.
+        // A NACKed PDU queues again with its header.
         tx.on_status(&StatusPdu {
             ack_sn: 3,
             nacks: vec![0],
         });
-        tx.queue_ctrl_pdu(10);
-        assert_eq!(tx.pending_bytes(), 1515 + 1005 + 10);
+        assert_eq!(tx.pending_bytes(), 1515 + 1005);
     }
 
     #[test]
@@ -673,7 +647,7 @@ mod tests {
         for i in 0..10 {
             tx.write_sdu(sdu(i, 1000, 0)).unwrap();
         }
-        let (pdus, _, _) = tx.pull(100_000, Time::ZERO);
+        let (pdus, _) = tx.pull(100_000, Time::ZERO);
         assert_eq!(pdus.len(), 10);
         let mut delivered = 0;
         for p in pdus {
@@ -693,7 +667,7 @@ mod tests {
         for i in 0..4 {
             tx.write_sdu(sdu(i, 1000, 0)).unwrap();
         }
-        let (pdus, _, _) = tx.pull(100_000, Time::ZERO);
+        let (pdus, _) = tx.pull(100_000, Time::ZERO);
         assert_eq!(pdus.len(), 4);
         // Lose PDU sn=1.
         let mut status = None;
@@ -710,7 +684,7 @@ mod tests {
         assert!(status.nacks.contains(&1), "nacks={:?}", status.nacks);
         tx.on_status(&status);
         // The NACKed PDU goes out ahead of nothing else and completes.
-        let (retx, _, _) = tx.pull(100_000, Time::from_millis(100));
+        let (retx, _) = tx.pull(100_000, Time::from_millis(100));
         assert_eq!(retx.len(), 1);
         assert_eq!(retx[0].sn, 1);
         assert_eq!(tx.retx_count, 1);
@@ -720,27 +694,21 @@ mod tests {
     }
 
     #[test]
-    fn ctrl_beats_retx_beats_tx() {
+    fn retx_beats_tx() {
         let mut tx = AmTx::new(cfg0());
         // Seed a NACKed PDU into retx.
         tx.write_sdu(sdu(0, 500, 0)).unwrap();
-        let (p0, _, _) = tx.pull(100_000, Time::ZERO);
+        let (p0, _) = tx.pull(100_000, Time::ZERO);
         tx.on_status(&StatusPdu {
             ack_sn: 1,
             nacks: vec![0],
         });
         assert_eq!(p0.len(), 1);
-        // Fresh data + a ctrl PDU.
+        // Fresh data behind it.
         tx.write_sdu(sdu(1, 500, 0)).unwrap();
-        tx.queue_ctrl_pdu(10);
-        assert_eq!(tx.pending_bytes(), 10 + 500 + 500);
-        // Tiny budget: only ctrl fits.
-        let (pdus, ctrl, used) = tx.pull(10, Time::ZERO);
-        assert_eq!(ctrl, 10);
-        assert_eq!(used, 10);
-        assert!(pdus.is_empty());
-        // Next budget: retx first, then fresh.
-        let (pdus2, _, _) = tx.pull(100_000, Time::ZERO);
+        assert_eq!(tx.pending_bytes(), 500 + 500);
+        // Retx first, then fresh.
+        let (pdus2, _) = tx.pull(100_000, Time::ZERO);
         assert_eq!(pdus2[0].sn, 0, "retx must precede new data");
         assert_eq!(pdus2[1].sn, 1);
     }
@@ -752,7 +720,7 @@ mod tests {
         for i in 0..3 {
             tx.write_sdu(sdu(i, 100, 0)).unwrap();
         }
-        let (pdus, _, _) = tx.pull(100_000, Time::ZERO);
+        let (pdus, _) = tx.pull(100_000, Time::ZERO);
         // Deliver 2 first: nothing released.
         let (d2, _) = rx.on_pdu(pdus[2].clone(), Time::ZERO);
         assert!(d2.is_empty());
@@ -790,7 +758,7 @@ mod tests {
         for i in 0..5 {
             tx.write_sdu(sdu(i, 100, 0)).unwrap();
         }
-        let (pdus, _, _) = tx.pull(100_000, Time::ZERO);
+        let (pdus, _) = tx.pull(100_000, Time::ZERO);
         let mut statuses = 0;
         for (i, p) in pdus.into_iter().enumerate() {
             // All within 5 ms => only the first status escapes.
@@ -806,11 +774,11 @@ mod tests {
         cfg.t_poll_retransmit = Dur::from_millis(20);
         let mut tx = AmTx::new(cfg);
         tx.write_sdu(sdu(0, 100, 0)).unwrap();
-        let (pdus, _, _) = tx.pull(100_000, Time::ZERO);
+        let (pdus, _) = tx.pull(100_000, Time::ZERO);
         assert!(pdus[0].poll, "drain poll expected");
         // STATUS never arrives; timer expires.
         tx.on_tick(Time::from_millis(25));
-        let (re, _, _) = tx.pull(100_000, Time::from_millis(26));
+        let (re, _) = tx.pull(100_000, Time::from_millis(26));
         assert_eq!(re.len(), 1);
         assert_eq!(re[0].sn, 0);
         assert!(re[0].poll);
@@ -823,7 +791,7 @@ mod tests {
         tx.write_sdu(sdu(0, 3000, 0)).unwrap();
         let mut delivered = Vec::new();
         for tti in 0..5 {
-            let (pdus, _, _) = tx.pull(1000, Time::from_millis(tti));
+            let (pdus, _) = tx.pull(1000, Time::from_millis(tti));
             for p in pdus {
                 let (d, s) = rx.on_pdu(p, Time::from_millis(tti));
                 delivered.extend(d);

@@ -17,10 +17,11 @@
 //! * [`um`] — Unacknowledged Mode: unidirectional transfer, tx buffer
 //!   capped at the srsENB default of 128 SDUs, receiver-side reassembly
 //!   window with discard of stale partials.
-//! * [`am`] — Acknowledged Mode: the Ctrl ≻ Retx ≻ Tx strict priority of
-//!   TS 38.322, poll-driven STATUS reporting, NACK-triggered
-//!   retransmission; OutRAN schedules only the Tx queue, within the
-//!   opportunity bytes left after Ctrl and Retx (§4.4, §6.3 case study).
+//! * [`am`] — Acknowledged Mode: the Retx ≻ Tx strict priority of
+//!   TS 38.322 (no uplink data, so no Ctrl queue to serve first),
+//!   poll-driven STATUS reporting, NACK-triggered retransmission; OutRAN
+//!   schedules only the Tx queue, within the opportunity bytes left after
+//!   Retx (§4.4, §6.3 case study).
 //!
 //! Appendix B's Buffer Status Report "with the 'priority' attribute" is
 //! not a separate message here: the MAC reads each UE's queued bytes

@@ -343,10 +343,6 @@ impl MlfqQueues {
     /// Rebuild the byte/occupancy aggregates from the restored SDUs,
     /// guaranteeing internal consistency.
     fn rebuild_aggregates(&mut self) -> Result<(), SnapError> {
-        let k = self.queues.len();
-        if k == 0 || k > 64 {
-            return Err(SnapError::Malformed("mlfq level count out of range"));
-        }
         self.bytes = self
             .queues
             .iter()
@@ -364,11 +360,13 @@ impl MlfqQueues {
     }
 }
 
-// Only the SDUs themselves and the mutable knobs (capacity can shrink
-// mid-run under a buffer fault) go to the wire.
+// Only the SDUs themselves and the capacity (it can shrink mid-run
+// under a buffer fault) go to the wire. The owner constructs the queues
+// from its RLC configuration, which fixes the level count and the two
+// policy switches.
 snap_fields! {
-    MlfqQueues { queues, promoted, capacity_sdus, promote_segments, pushout }
-    rebuilt { bytes, occupied, promoted_bytes, n_sdus }
+    overlay MlfqQueues { queues: fixed, promoted, capacity_sdus }
+    rebuilt { bytes, occupied, promoted_bytes, n_sdus, promote_segments, pushout }
     then MlfqQueues::rebuild_aggregates
 }
 

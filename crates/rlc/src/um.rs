@@ -304,7 +304,8 @@ snap_fields! { overlay UmTx { queues, dropped_sdus } rebuilt { cfg } }
 snap_fields! { Partial { received, next_offset, sdu_len, flow_id, seq, deadline } }
 
 // BTreeMap iteration is key-ordered, so the byte stream is deterministic.
-snap_fields! { UmRx { partials, discarded_sdus, discarded_bytes, window } }
+// The window is configuration: the owner constructs the receiver from it.
+snap_fields! { overlay UmRx { partials, discarded_sdus, discarded_bytes } rebuilt { window } }
 
 #[cfg(test)]
 mod tests {

@@ -37,9 +37,9 @@
 //! the std containers (length-prefixed sequences, presence-byte
 //! options, field-by-field tuples); only layouts that no field list
 //! can express keep a hand-written impl, each documented where it
-//! lives ([`Rng`], [`EventQueue`], the cell channel's planes-to-records
-//! transposition in `outran-phy`, and the ingress flow table's
-//! records-plus-open-endpoints form in `outran-ran`).
+//! lives ([`Rng`], [`EventQueue`], the cell channel's
+//! written-as-if-caught-up planes in `outran-phy`, and the ingress flow
+//! table's records-plus-open-endpoints form in `outran-ran`).
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
@@ -56,7 +56,7 @@ pub const SNAP_MAGIC: [u8; 4] = *b"ORSN";
 
 /// Current snapshot format version. Bump on ANY layout change — the
 /// reader refuses other versions rather than misinterpreting bytes.
-pub const SNAP_VERSION: u32 = 2;
+pub const SNAP_VERSION: u32 = 3;
 
 /// Errors surfaced while reading or persisting a snapshot.
 #[derive(Debug)]

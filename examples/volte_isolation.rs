@@ -6,6 +6,7 @@
 //!
 //! Usage: cargo run --release --example volte_isolation
 
+use outran::metrics::FctCollector;
 use outran::ran::cell::{Cell, CellConfig, GbrBearer, SchedulerKind};
 use outran::simcore::{Rng, Time};
 use outran::workload::{FlowSizeDist, PoissonFlowGen};
@@ -25,7 +26,11 @@ fn main() {
             cell.schedule_flow(a.at, a.ue, a.bytes, None);
         }
         cell.run_until(Time::from_secs(18));
-        let report = cell.fct.report();
+        let mut fct = FctCollector::new();
+        for d in cell.take_completions() {
+            fct.record(d.bytes, d.fct);
+        }
+        let report = fct.report();
         println!(
             "{:<8} {:>14.2} {:>14.2} {:>16.1} {:>16.1}",
             kind.name(),

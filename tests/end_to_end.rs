@@ -3,6 +3,7 @@
 //! as a downstream user would drive the library.
 
 use outran::core::OutRanConfig;
+use outran::metrics::FctCollector;
 use outran::phy::numerology::RadioConfig;
 use outran::ran::cell::{Cell, CellConfig, RlcMode, SchedulerKind};
 use outran::simcore::{Dur, Rng, Time};
@@ -31,7 +32,11 @@ fn contended_cell(kind: SchedulerKind, seed: u64, load: f64) -> Cell {
 fn run(kind: SchedulerKind, seed: u64, load: f64) -> (f64, f64, f64, f64) {
     let mut cell = contended_cell(kind, seed, load);
     cell.run_until(Time::from_secs(11));
-    let report = cell.fct.report();
+    let mut fct = FctCollector::new();
+    for d in cell.take_completions() {
+        fct.record(d.bytes, d.fct);
+    }
+    let report = fct.report();
     (
         report.short_mean_ms,
         report.short_p95_ms,

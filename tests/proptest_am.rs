@@ -50,7 +50,7 @@ fn am_delivers_everything_in_order_under_loss() {
         while delivered.len() < lens.len() {
             now += Dur::from_millis(1);
             tx.on_tick(now);
-            let (pdus, _ctrl, used) = tx.pull(*bi.next().unwrap(), now);
+            let (pdus, used) = tx.pull(*bi.next().unwrap(), now);
             if used == 0 {
                 idle_rounds += 1;
                 assert!(
