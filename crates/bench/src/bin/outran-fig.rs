@@ -34,6 +34,7 @@ fn fail(path: &Path, e: std::io::Error) -> ! {
 }
 
 fn render((name, run): Figure, threads: usize) -> String {
+    #[expect(clippy::disallowed_methods, reason = "timing printed to stderr only")]
     let t0 = Instant::now();
     let mut out = String::new();
     run(threads, &mut out);

@@ -22,6 +22,7 @@ fn per_sdu_cost_ns(n_flows: usize) -> (f64, usize) {
         ft.observe(*t, 1500, Time::ZERO);
     }
     let iters = 2_000_000usize;
+    #[expect(clippy::disallowed_methods, reason = "timing printed to stderr only")]
     let start = Instant::now();
     let mut sink = 0u32;
     for i in 0..iters {

@@ -23,6 +23,7 @@ fn run_cell(kind: SchedulerKind, rbs: u16) -> (f64, f64, f64) {
         cell.schedule_flow(Time::from_millis((i % 20) as u64), i % 16, 2_000_000, None);
     }
     let horizon = Time::from_secs(4);
+    #[expect(clippy::disallowed_methods, reason = "timing printed to stderr only")]
     let start = Instant::now();
     cell.run_until(horizon);
     let wall = start.elapsed().as_secs_f64();

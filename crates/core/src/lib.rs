@@ -49,6 +49,8 @@
 //! assert!(alphas.windows(2).all(|w| w[0] < w[1]));
 //! ```
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+#![warn(clippy::panic, clippy::unreachable)]
 
 pub mod reset;
 pub mod thresholds;

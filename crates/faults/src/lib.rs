@@ -12,6 +12,9 @@
 //! * [`stats`] — counters ([`FaultStats`]) describing what was injected
 //!   and what the recovery paths did, surfaced in metric summaries.
 
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+#![warn(clippy::panic, clippy::unreachable)]
+
 pub mod audit;
 pub mod handover;
 pub mod plan;

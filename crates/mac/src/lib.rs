@@ -43,6 +43,8 @@
 //! assert!(alloc.rb_to_ue.iter().all(|&u| u == Some(1)));
 //! ```
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+#![warn(clippy::panic, clippy::unreachable)]
 
 pub mod cache;
 pub mod classic;

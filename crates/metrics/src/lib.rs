@@ -13,6 +13,8 @@
 //!   prints rows directly comparable to the paper's tables and figures.
 
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+#![warn(clippy::panic, clippy::unreachable)]
 
 pub mod cell;
 pub mod fct;

@@ -37,6 +37,8 @@
 //! assert_eq!(table.priority_of(&flow), Priority(1));
 //! ```
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+#![warn(clippy::panic, clippy::unreachable)]
 
 pub mod flow_table;
 pub mod packet;

@@ -50,6 +50,8 @@
 //! assert!(r >= 0.0);
 //! ```
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+#![warn(clippy::panic, clippy::unreachable)]
 
 pub mod bler;
 pub mod channel;

@@ -30,6 +30,8 @@
 //! are plain [`cell`]s its bench binary fans across the [`pool`].
 
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+#![warn(clippy::panic, clippy::unreachable)]
 
 pub mod cell;
 pub mod checkpoint;

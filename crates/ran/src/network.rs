@@ -302,9 +302,15 @@ impl Network {
                     best = Some((r, c));
                 }
             }
-            // outran-lint: allow(D5) -- n_ues <= cells*slots is validated at build entry, so some cell always has a free slot
+            #[expect(
+                clippy::expect_used,
+                reason = "n_ues <= cells*slots is validated at build entry, so some cell always has a free slot"
+            )]
             let (_, c) = best.expect("attach capacity checked above");
-            // outran-lint: allow(D5) -- cell c was selected because this scan found a free slot two loops above
+            #[expect(
+                clippy::unwrap_used,
+                reason = "cell c was selected because this scan found a free slot two loops above"
+            )]
             let slot = slot_owner[c].iter().position(|s| s.is_none()).unwrap();
             slot_owner[c][slot] = Some(i);
             ue.serving = c;
@@ -638,7 +644,10 @@ impl Network {
             let t_next = (t + EPOCH).min(end);
             // The watchdog gates only *whether the run continues*, never
             // any simulated quantity.
-            // outran-lint: allow(D1) -- wall-time watchdog, measurement only; never feeds sim state
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "wall-time watchdog, measurement only; never feeds sim state"
+            )]
             let epoch_start = std::time::Instant::now();
             self.advance_cells(&mut st, t_next);
             let span = t_next.since(t);

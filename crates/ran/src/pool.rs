@@ -91,6 +91,10 @@ pub fn default_threads() -> usize {
 /// per-job results in submission order. Each job runs supervised: a
 /// panic is caught and retried once on the job's cloned input, and a job
 /// that panics twice yields `Err(WorkerFailure)` in its slot.
+#[expect(
+    clippy::expect_used,
+    reason = "`for_each_mut` returns once every slot was visited, or re-raises a panic"
+)]
 pub fn parallel_map<T, R, F>(threads: usize, items: Vec<T>, f: F) -> Vec<Result<R, WorkerFailure>>
 where
     T: Send + Clone,
@@ -103,7 +107,6 @@ where
     });
     slots
         .into_iter()
-        // outran-lint: allow(D5) -- `for_each_mut` returns once every slot was visited, or re-raises a panic
         .map(|(_, out)| out.expect("every slot was visited"))
         .collect()
 }
@@ -198,7 +201,7 @@ mod tests {
             for_each_mut(threads, &mut items, |i, x| *x = *x * 10 + i as u64);
             assert_eq!(items, [0, 11, 22, 33, 44, 55, 66], "threads={threads}");
         }
-        for_each_mut(4, &mut Vec::<u64>::new(), |_, _| unreachable!());
+        for_each_mut(4, &mut Vec::<u64>::new(), |_, _| panic!("no item to visit"));
     }
 
     #[test]

@@ -35,7 +35,7 @@ impl DeliveryStage {
     }
 
     /// Replay one TTI's delivery batch in transmission order.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "stages are borrowed disjointly")]
     pub fn run(
         &mut self,
         now: Time,
@@ -73,7 +73,7 @@ impl DeliveryStage {
     }
 
     /// Deliver one UM segment into the UE stack (reassembly + TCP).
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "stages are borrowed disjointly")]
     fn um_segment(
         &mut self,
         now: Time,
@@ -89,8 +89,12 @@ impl DeliveryStage {
             let short = ingress.flow_is_short(seg.flow_id as usize);
             metrics.on_queue_delay(now.saturating_since(seg.arrival), short);
         }
-        let RlcRx::Um(rx) = &mut ues[ue].rlc_rx else {
-            // outran-lint: allow(D5) -- rx/tx RLC modes are paired per-UE at construction
+        #[expect(
+            clippy::unreachable,
+            reason = "rx/tx RLC modes are paired per-UE at construction"
+        )]
+        let RlcRx::Um(rx) = &mut ues[ue].rlc_rx
+        else {
             unreachable!("UM tx with AM rx");
         };
         if let Some(d) = rx.on_segment(&seg, now) {
@@ -105,7 +109,7 @@ impl DeliveryStage {
     }
 
     /// Deliver AM PDUs into the UE stack (in-order delivery + STATUS).
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "stages are borrowed disjointly")]
     fn am_pdus(
         &mut self,
         now: Time,
@@ -122,8 +126,12 @@ impl DeliveryStage {
                 let short = ingress.flow_is_short(pdu.seg.flow_id as usize);
                 metrics.on_queue_delay(now.saturating_since(pdu.seg.arrival), short);
             }
-            let RlcRx::Am(rx) = &mut ues[ue].rlc_rx else {
-                // outran-lint: allow(D5) -- rx/tx RLC modes are paired per-UE at construction
+            #[expect(
+                clippy::unreachable,
+                reason = "rx/tx RLC modes are paired per-UE at construction"
+            )]
+            let RlcRx::Am(rx) = &mut ues[ue].rlc_rx
+            else {
                 unreachable!("AM tx with UM rx");
             };
             let status = rx.on_pdu_into(pdu, now, &mut self.sdus);

@@ -124,7 +124,6 @@ impl IngressStage {
     /// a degrade window loses them with probability `cn_loss`. Packets
     /// that reach the xNodeB cross into the RLC-down stage (bracketed
     /// for the observer, since that work belongs to the RLC layer).
-    #[allow(clippy::too_many_arguments)]
     pub fn run(
         &mut self,
         now: Time,
@@ -261,7 +260,7 @@ impl IngressStage {
     }
 
     /// A downlink packet arrives at the xNodeB: cross into RLC-down.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "stages are borrowed disjointly")]
     fn on_pkt_at_enb(
         &mut self,
         now: Time,

@@ -470,3 +470,33 @@ pub enum AirDelivery {
         payload: HarqPayload,
     },
 }
+
+#[cfg(test)]
+mod tests {
+    /// D8 and D4: `*Stage` fields stay private; `pop_due` is only a `while let` drain.
+    #[test]
+    fn stage_fields_are_private_and_pop_due_drains() {
+        let files = [
+            include_str!("delivery.rs"),
+            include_str!("housekeeping.rs"),
+            include_str!("ingress.rs"),
+            include_str!("mac_sched.rs"),
+            include_str!("phy_tx.rs"),
+            include_str!("rlc_down.rs"),
+        ];
+        let (mut stages, mut drains, mut in_stage) = (0, 0, false);
+        for line in files.iter().flat_map(|src| src.lines()).map(str::trim) {
+            if line.starts_with("pub struct ") && line.ends_with("Stage {") {
+                (stages, in_stage) = (stages + 1, true);
+            } else if in_stage {
+                in_stage = line != "}";
+                assert!(!line.starts_with("pub"), "public stage field: {line}");
+            }
+            if line.contains(".pop_due(") {
+                drains += 1;
+                assert!(line.starts_with("while let "), "lone pop_due: {line}");
+            }
+        }
+        assert_eq!((stages, drains), (6, 2), "stage structs, pop_due calls");
+    }
+}

@@ -101,7 +101,7 @@ impl PhyTxStage {
     ///   after the HARQ RTT with chase-combining gain, and are dropped
     ///   to the residual-loss path after `max_tx` attempts. Due
     ///   retransmissions are served ahead of fresh data.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "stages are borrowed disjointly")]
     pub fn transmit(
         &mut self,
         now: Time,

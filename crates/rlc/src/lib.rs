@@ -52,6 +52,8 @@
 //! assert_eq!(delivered.len, 3000);
 //! ```
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+#![warn(clippy::panic, clippy::unreachable)]
 
 pub mod am;
 pub mod mlfq;

@@ -21,6 +21,10 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Run `body` on `cases` seeded cases of the property `name`. Panics,
 /// naming the case and how to rebuild its generator, if any case does.
+#[expect(
+    clippy::panic,
+    reason = "re-raises a failing test case with the context to replay it"
+)]
 pub fn check(name: &str, cases: u32, mut body: impl FnMut(&mut Rng)) {
     let seed = fnv1a(name.as_bytes());
     let root = Rng::new(seed);
@@ -28,7 +32,6 @@ pub fn check(name: &str, cases: u32, mut body: impl FnMut(&mut Rng)) {
         let mut rng = root.fork(u64::from(case));
         if let Err(payload) = catch_unwind(AssertUnwindSafe(|| body(&mut rng))) {
             let msg = panic_message(payload.as_ref());
-            // outran-lint: allow(D5) -- re-raises a failing test case with the context to replay it
             panic!("{name}: case {case} of {cases} failed (replay with Rng::new({seed:#x}).fork({case})): {msg}");
         }
     }

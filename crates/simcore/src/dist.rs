@@ -176,7 +176,7 @@ impl Empirical {
             assert!(v > 0.0, "values must be positive, got {v}");
             assert!(p > 0.0 && p <= 1.0, "probs in (0,1], got {p}");
         }
-        // outran-lint: allow(D5) -- `knots.len() >= 2` asserted at entry
+        #[expect(clippy::unwrap_used, reason = "`knots.len() >= 2` asserted at entry")]
         let last = knots.last().unwrap();
         assert!(
             (last.1 - 1.0).abs() < 1e-9,
@@ -196,6 +196,10 @@ impl Empirical {
     }
 
     /// The value at cumulative probability `p` (0 ≤ p ≤ 1).
+    #[expect(
+        clippy::unwrap_used,
+        reason = "constructor asserts >= 2 knots; the scan above returns for every p <= 1.0"
+    )]
     pub fn quantile(&self, p: f64) -> f64 {
         let p = p.clamp(0.0, 1.0);
         let first = self.knots[0];
@@ -213,7 +217,6 @@ impl Empirical {
                 return (ln[0] + f * (ln[1] - ln[0])).exp();
             }
         }
-        // outran-lint: allow(D5) -- constructor asserts >= 2 knots; the scan above returns for every p <= 1.0
         self.knots.last().unwrap().0
     }
 

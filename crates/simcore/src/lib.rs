@@ -52,6 +52,8 @@
 //! assert_eq!(q.pop().unwrap().1, "sooner");
 //! ```
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+#![warn(clippy::panic, clippy::unreachable)]
 
 pub mod check;
 pub mod dist;

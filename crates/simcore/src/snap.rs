@@ -640,7 +640,7 @@ macro_rules! snap_fields {
             fn unsnap(
                 r: &mut $crate::snap::SnapReader<'_>,
             ) -> ::std::result::Result<Self, $crate::snap::SnapError> {
-                #[allow(unused_mut)]
+                #[allow(unused_mut, reason = "mutated only by a `then` hook")]
                 let mut v = Self {
                     $($f: $crate::snap::Unsnap::unsnap(r)?,)*
                     $($($d: ::std::default::Default::default(),)*)?
@@ -658,7 +658,7 @@ macro_rules! snap_fields {
     ) => {
         impl $(<$($g: $crate::snap::Unsnap),+>)? $crate::snap::Snap for $ty $(<$($g),+>)? {
             fn snap(&self, w: &mut $crate::snap::SnapWriter) {
-                #[allow(unused_imports)]
+                #[allow(unused_imports, reason = "the caller may have the trait in scope")]
                 use $crate::snap::Snap as _;
                 let Self { $($f: _,)* $($($d: _,)*)? } = self;
                 $(self.$f.snap(w);)*
@@ -669,7 +669,7 @@ macro_rules! snap_fields {
                 &mut self,
                 r: &mut $crate::snap::SnapReader<'_>,
             ) -> ::std::result::Result<(), $crate::snap::SnapError> {
-                #[allow(unused_imports)]
+                #[allow(unused_imports, reason = "unused when every field loads by helper")]
                 use $crate::snap::LoadSnap as _;
                 $($crate::snap_fields!(@load self r $f $($how)?);)*
                 $($post(self)?;)?

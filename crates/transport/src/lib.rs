@@ -45,6 +45,8 @@
 //! assert!(tx.done());
 //! ```
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+#![warn(clippy::panic, clippy::unreachable)]
 
 pub mod receiver;
 pub mod sender;

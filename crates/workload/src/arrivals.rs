@@ -67,7 +67,7 @@ impl PoissonFlowGen {
     }
 
     /// Generate the next arrival (strictly increasing times).
-    #[allow(clippy::should_implement_trait)]
+    #[allow(clippy::should_implement_trait, reason = "an endless arrival stream")]
     pub fn next(&mut self) -> FlowArrival {
         let dt = self.inter.sample(&mut self.rng);
         self.next_at += Dur::from_secs_f64(dt);

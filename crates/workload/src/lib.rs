@@ -18,6 +18,8 @@
 //!   §4.2 "Limitation" (persistent connections accumulating sent-bytes).
 
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+#![warn(clippy::panic, clippy::unreachable)]
 
 pub mod arrivals;
 pub mod distributions;

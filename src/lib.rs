@@ -40,6 +40,9 @@
 //! println!("short-flow mean FCT: {:.1} ms", report.fct.short_mean_ms());
 //! ```
 
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+#![warn(clippy::panic, clippy::unreachable)]
+
 pub use outran_core as core;
 pub use outran_faults as faults;
 pub use outran_mac as mac;
