@@ -162,7 +162,9 @@ pub struct InvariantAuditor {
     checks_run: u64,
     ttis_seen: u64,
     last_clock: Option<Time>,
-    // (ue, flow) -> highest delivered sdu id.
+    // (ue, flow) -> highest delivered sdu id, for open flows only: the
+    // cell forgets a flow when it completes, and a UE's flows when it
+    // re-establishes.
     delivery_order: BTreeMap<(usize, u64), u64>,
 }
 
@@ -232,6 +234,24 @@ impl InvariantAuditor {
     /// detach re-establishes RLC, which legitimately restarts SDU ids).
     pub fn forget_ue(&mut self, ue: usize) {
         self.delivery_order.retain(|&(u, _), _| u != ue);
+    }
+
+    /// Forget delivery-order history for one flow (it completed: no SDU
+    /// of it is accepted again).
+    pub fn forget_flow(&mut self, ue: usize, flow: u64) {
+        self.delivery_order.remove(&(ue, flow));
+    }
+
+    /// Keep the delivery-order history of the `(ue, flow)` pairs `keep`
+    /// accepts, and forget the rest.
+    pub fn retain_flows(&mut self, mut keep: impl FnMut(usize, u64) -> bool) {
+        self.delivery_order.retain(|&(ue, flow), _| keep(ue, flow));
+    }
+
+    /// Flows with delivery-order history — a memory probe for tests.
+    #[doc(hidden)]
+    pub fn order_entries(&self) -> usize {
+        self.delivery_order.len()
     }
 
     /// Whether the periodic full check is due this TTI.
@@ -379,6 +399,22 @@ mod tests {
         a.forget_ue(2);
         a.observe_delivery(t(2), 2, 5, 1);
         assert!(a.is_clean());
+    }
+
+    #[test]
+    fn forgotten_flows_leave_the_order_map() {
+        let mut a = InvariantAuditor::new(AuditConfig::default());
+        for (ue, flow) in [(0, 1), (0, 2), (1, 3), (1, 4)] {
+            a.observe_delivery(t(1), ue, flow, 10);
+        }
+        a.forget_flow(0, 1);
+        a.forget_flow(1, 1); // no such pair: nothing happens
+        assert_eq!(a.order_entries(), 3);
+        a.retain_flows(|_, flow| flow != 3);
+        assert_eq!(a.order_entries(), 2);
+        // History that is kept still checks order.
+        a.observe_delivery(t(2), 1, 4, 9);
+        assert_eq!(a.total_violations(), 1);
     }
 
     #[test]

@@ -783,6 +783,14 @@ impl Cell {
         self.ingress.event_far_pushes()
     }
 
+    /// `(len, capacity)` of the ingress queue's far tier: the heap gives
+    /// capacity back as it drains, so the capacity follows the pending
+    /// arrivals, not the most ever scheduled.
+    #[doc(hidden)]
+    pub fn event_far_footprint(&self) -> (usize, usize) {
+        self.ingress.event_far_footprint()
+    }
+
     /// Started-but-incomplete flows right now.
     #[doc(hidden)]
     pub fn open_flows(&self) -> u64 {
@@ -898,6 +906,13 @@ impl Cell {
         self.pools.retained_bytes()
     }
 
+    /// The housekeeping stage, for tests that plant state this code's
+    /// runs never leave behind.
+    #[cfg(test)]
+    pub(crate) fn hk_mut(&mut self) -> &mut HousekeepingStage {
+        &mut self.hk
+    }
+
     /// Where the ingress flow table's and event queue's bytes lie inside
     /// this cell's snapshot section (the layout below, up to `ingress`).
     #[cfg(test)]
@@ -909,11 +924,18 @@ impl Cell {
         self.ingress.snap_spans(&mut w)
     }
 
-    /// Pools are runtime machinery: never serialized, rebuilt empty on
-    /// restore so a restored cell matches a freshly constructed one
-    /// (they re-warm identically; contents never affect outcomes).
-    fn reset_pools(&mut self) -> Result<(), SnapError> {
+    /// Restore's last step. Pools are runtime machinery: never
+    /// serialized, rebuilt empty so a restored cell matches a freshly
+    /// constructed one (they re-warm identically; contents never affect
+    /// outcomes). The order audit keeps history for open flows only, so
+    /// entries a file holds for any other flow — one written before the
+    /// audit forgot completed flows holds thousands — are dropped.
+    fn after_load(&mut self) -> Result<(), SnapError> {
         self.pools = CellPools::new();
+        let ingress = &self.ingress;
+        self.hk.retain_order_history(|ue, flow| {
+            usize::try_from(flow).is_ok_and(|fi| ingress.flow_open(fi) && ingress.flow_ue(fi) == ue)
+        });
         Ok(())
     }
 }
@@ -931,5 +953,5 @@ snap_fields! {
         idle_ttis, skipped_ttis, pending_idle, used_rbs_cum,
     }
     rebuilt { cfg, tti, pools, observer }
-    then Cell::reset_pools
+    then Cell::after_load
 }

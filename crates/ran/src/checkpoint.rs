@@ -251,6 +251,41 @@ mod tests {
         assert_eq!(a.n_completed(), b.n_completed());
     }
 
+    /// A file written before the order audit forgot completed flows holds
+    /// history for every flow it ever delivered. Restore keeps only the
+    /// open flows' entries, so such a file resumes into the footprint a
+    /// running cell keeps, and the cell runs on clean.
+    #[test]
+    fn restore_prunes_order_history_to_the_open_flows() {
+        let (mut cell, meta) = mid_transfer_cell();
+        let kept = cell.auditor().order_entries();
+        assert!(kept > 0 && kept as u64 <= cell.open_flows(), "{kept}");
+        // What the older auditor kept: the completed flows' entries —
+        // plus one naming a flow past the table, and one an open flow
+        // under the wrong UE.
+        let now = cell.now();
+        let done = cell.take_completions();
+        assert_eq!(done.len(), 2);
+        // Flow i goes to UE `UES[i]`, and flow 3 has not arrived.
+        const UES: [usize; 5] = [0, 1, 1, 0, 0];
+        let open = (0..5).find(|&fi| fi != 3 && done.iter().all(|d| d.id != fi));
+        let open = open.expect("an open flow");
+        let planted = done.iter().map(|d| (d.ue, d.id as u64));
+        for (ue, flow) in planted.chain([(0, 12), (1 - UES[open], open as u64)]) {
+            cell.hk_mut().observe_delivery(now, ue, flow, 1);
+        }
+        assert_eq!(cell.auditor().order_entries(), kept + 4);
+        let file = snapshot_cell(&meta, &cell);
+
+        let mut back = mid_transfer_target();
+        restore_cell(&file, 0, &mut back).unwrap();
+        assert_eq!(back.auditor().order_entries(), kept);
+        back.run_until(back.now() + Dur::from_secs(1));
+        back.check_live_index().unwrap();
+        assert!(back.auditor().order_entries() as u64 <= back.open_flows());
+        assert_eq!(back.audit_now(), 0, "{:?}", back.violations());
+    }
+
     #[test]
     fn atomic_write_then_read_back() {
         let dir = std::env::temp_dir().join(format!("outran-ckpt-test-{}", std::process::id()));

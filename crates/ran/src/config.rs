@@ -61,6 +61,18 @@ impl SchedulerKind {
         matches!(self, SchedulerKind::Srjf)
     }
 
+    /// Whether the scheduler reads the oracle flow-size inputs
+    /// (`UeTti::oracle_min_remaining` / `oracle_has_qos_flow`): SRJF
+    /// ranks UEs by their shortest remaining flow, PSS and CQA by
+    /// whether they carry a short (QoS-class) flow. No other scheduler
+    /// does, so the MAC stage walks the UEs' flows only for these three.
+    pub fn uses_oracle_flow_sizes(self) -> bool {
+        matches!(
+            self,
+            SchedulerKind::Srjf | SchedulerKind::Pss | SchedulerKind::Cqa
+        )
+    }
+
     /// Display name. Allocation-free: parameterized variants render
     /// their family name — benches that sweep ε build their own labels,
     /// and [`SchedulerKind::label`] renders the parameter when needed.

@@ -1065,8 +1065,11 @@ mod tests {
     /// 49e7801 and the v2 code write this file with one digest,
     /// `0xe2c9_29ec_6f51_1ae5`. Re-recorded once more, for format v3
     /// (v2: `0xfd48_4970_8a7a_2295`): a copy of 338897a with only the v3
-    /// layout edits applied writes this digest (see `checkpoint_resume.rs`).
-    const PIN_PACKED_FILE: u64 = 0xbae6_4118_99a2_1987;
+    /// layout edits applied writes `0xbae6_4118_99a2_1987`. Re-recorded
+    /// when the order audit came to hold open flows only: a copy of
+    /// 9e6cdc8 that drops every other flow's order history before it
+    /// writes the file writes this digest (see `checkpoint_resume.rs`).
+    const PIN_PACKED_FILE: u64 = 0xd2e7_e89f_882c_aff9;
 
     /// Nine cells of four slots with three slots free in all, and fast
     /// corridor UEs under a hair-trigger A3: most handovers are blocked,

@@ -98,13 +98,34 @@ impl DeliveryStage {
             unreachable!("UM tx with AM rx");
         };
         if let Some(d) = rx.on_segment(&seg, now) {
-            self.delivered_bytes += d.len as u64;
-            hk.observe_delivery(now, ue, d.flow_id, d.sdu_id);
-            let ul_delay = cfg.cn_delay + cfg.ul_air_delay + hk.cn_extra_delay();
-            if let Some(done) = ingress.accept_sdu(now, ul_delay, &d) {
-                self.completed += 1;
-                self.completions.push(done);
-            }
+            self.accept(now, cfg, ingress, hk, ue, &d);
+        }
+    }
+
+    /// Hand one reassembled SDU to its flow's TCP receiver. The SDU of a
+    /// flow that is done already is discarded there unseen by the order
+    /// audit, and the SDU that completes a flow ends its audit history:
+    /// the audit holds open flows only, and checks every SDU a receiver
+    /// accepts.
+    fn accept(
+        &mut self,
+        now: Time,
+        cfg: &CellConfig,
+        ingress: &mut IngressStage,
+        hk: &mut HousekeepingStage,
+        ue: usize,
+        d: &DeliveredSdu,
+    ) {
+        self.delivered_bytes += d.len as u64;
+        if ingress.flow_done(d.flow_id as usize) {
+            return;
+        }
+        hk.observe_delivery(now, ue, d.flow_id, d.sdu_id);
+        let ul_delay = cfg.cn_delay + cfg.ul_air_delay + hk.cn_extra_delay();
+        if let Some(done) = ingress.accept_sdu(now, ul_delay, d) {
+            hk.forget_flow(ue, d.flow_id);
+            self.completed += 1;
+            self.completions.push(done);
         }
     }
 
@@ -134,16 +155,12 @@ impl DeliveryStage {
             else {
                 unreachable!("AM tx with UM rx");
             };
-            let status = rx.on_pdu_into(pdu, now, &mut self.sdus);
-            for d in self.sdus.drain(..) {
-                self.delivered_bytes += d.len as u64;
-                hk.observe_delivery(now, ue, d.flow_id, d.sdu_id);
-                let ul_delay = cfg.cn_delay + cfg.ul_air_delay + hk.cn_extra_delay();
-                if let Some(done) = ingress.accept_sdu(now, ul_delay, &d) {
-                    self.completed += 1;
-                    self.completions.push(done);
-                }
+            let mut sdus = std::mem::take(&mut self.sdus);
+            let status = rx.on_pdu_into(pdu, now, &mut sdus);
+            for d in sdus.drain(..) {
+                self.accept(now, cfg, ingress, hk, ue, &d);
             }
+            self.sdus = sdus;
             if let Some(status) = status {
                 ingress.schedule_status(now + cfg.ul_air_delay, ue, status);
             }

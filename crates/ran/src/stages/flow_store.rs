@@ -14,11 +14,15 @@
 //! SDUs are dropped on that answer), and the flow's last RTT sample —
 //! including the one its sender had in flight when the endpoints were
 //! released, which the flow's trailing ACK still delivers (the final ACK
-//! of *every* flow reaches the server after the receiver completed).
+//! of *every* flow reaches the server after the receiver completed). The
+//! record packs the last sample into its state; the sample in flight
+//! waits in a side map until that ACK closes it.
+
+use std::collections::BTreeMap;
 
 use outran_pdcp::FiveTuple;
-use outran_simcore::snap::{LoadSnap, Snap, SnapError, SnapReader, SnapWriter, Unsnap};
-use outran_simcore::{snap_fields, Dur, PoolStats, Time};
+use outran_simcore::snap::{LoadSnap, Snap, SnapError, SnapReader, SnapWriter};
+use outran_simcore::{snap_enum, snap_fields, Dur, PoolStats, Time};
 use outran_transport::{TcpConfig, TcpReceiver, TcpSender};
 
 /// What exists only while a flow is open.
@@ -59,7 +63,9 @@ impl FlowEndpoints {
     }
 }
 
-/// What a released sender still owes the flow's RTT statistics.
+/// What a released sender still owes the flow's RTT statistics: the
+/// `Done` state as it travels. In memory it is split between the record
+/// ([`PackedRtt`]) and [`FlowStore`]'s probe map.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct RttTail {
     /// The sender's last RTT sample at release.
@@ -71,45 +77,59 @@ struct RttTail {
 
 snap_fields! { RttTail { last_rtt, probe } }
 
+/// A `Done` record's last RTT sample in one word: its nanoseconds, or
+/// [`PackedRtt::NONE`]. A sample of exactly `u64::MAX` ns (585 years)
+/// would read as none, so a checkpoint holding one is refused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct PackedRtt(u64);
+
+impl PackedRtt {
+    const NONE: PackedRtt = PackedRtt(u64::MAX);
+
+    /// Pack a sample the run took; one of `u64::MAX` ns (only a hostile
+    /// restored sender can hold one) reads a nanosecond shorter.
+    fn new(rtt: Option<Dur>) -> PackedRtt {
+        rtt.map_or(PackedRtt::NONE, |d| {
+            PackedRtt(d.as_nanos().min(u64::MAX - 1))
+        })
+    }
+
+    fn get(self) -> Option<Dur> {
+        (self != PackedRtt::NONE).then_some(Dur(self.0))
+    }
+}
+
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 enum FlowState {
     /// Registered; the arrival event has not fired.
+    #[default]
     Pending,
     /// Started and incomplete: endpoints in this slab slot.
     Open(u32),
     /// Completed or aborted — terminal.
+    Done(PackedRtt),
+}
+
+/// A record's state as it travels. A slot number is an allocation
+/// artifact (two runs that agree on every simulated bit may disagree on
+/// it after a resume), so `Open` is its bare tag; `Done` carries its
+/// whole RTT tail, the probe included.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum WireState {
+    Pending,
+    Open,
     Done(RttTail),
 }
+
+snap_enum! { WireState, "unknown flow state tag" {
+    0 => Pending,
+    1 => Open,
+    2 => Done(tail),
+} }
 
 /// The slot of an `Open` record read from a snapshot, until
 /// [`FlowStore::load_snap`] assigns the real one.
 const UNSLOTTED: u32 = u32::MAX;
-
-/// Irregular: a slot number is an allocation artifact (two runs that
-/// agree on every simulated bit may disagree on it after a resume), so
-/// `Open` travels as its bare tag.
-impl Snap for FlowState {
-    fn snap(&self, w: &mut SnapWriter) {
-        match self {
-            FlowState::Pending => w.u8(0),
-            FlowState::Open(_) => w.u8(1),
-            FlowState::Done(tail) => {
-                w.u8(2);
-                tail.snap(w);
-            }
-        }
-    }
-}
-impl Unsnap for FlowState {
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<FlowState, SnapError> {
-        Ok(match r.u8()? {
-            0 => FlowState::Pending,
-            1 => FlowState::Open(UNSLOTTED),
-            2 => FlowState::Done(r.get()?),
-            _ => return Err(SnapError::Malformed("unknown flow state tag")),
-        })
-    }
-}
 
 /// The record kept for every registered flow.
 struct FlowRec {
@@ -120,7 +140,11 @@ struct FlowRec {
     state: FlowState,
 }
 
-snap_fields! { FlowRec { ue, size, spawn, tuple, state } }
+const _: () = assert!(std::mem::size_of::<FlowRec>() <= 56);
+
+// The state follows the record on the wire, written by the store as a
+// [`WireState`]: its RTT tail is split between record and probe map.
+snap_fields! { FlowRec { ue, size, spawn, tuple } rebuilt { state } }
 
 /// Records plus the endpoint slab (see module docs).
 pub(super) struct FlowStore {
@@ -129,6 +153,10 @@ pub(super) struct FlowStore {
     /// parked in `free`.
     slots: Vec<FlowEndpoints>,
     free: Vec<u32>,
+    /// The RTT sample each released sender had in flight, by flow id,
+    /// from release until a trailing ACK closes it
+    /// ([`FlowStore::late_ack`]). Every key is a `Done` record.
+    probes: BTreeMap<usize, (u64, Time)>,
     /// Slab traffic: a hit opens a flow on a recycled slot, a miss
     /// builds one; `high_water` is the most endpoints live at once.
     stats: PoolStats,
@@ -148,6 +176,7 @@ impl FlowStore {
             recs: Vec::new(),
             slots: Vec::new(),
             free: Vec::new(),
+            probes: BTreeMap::new(),
             stats: PoolStats::default(),
             done: 0,
             tcp,
@@ -208,22 +237,22 @@ impl FlowStore {
     /// slot goes back to the slab. `None` if it was `Done` already.
     pub fn finish(&mut self, fi: usize) -> Option<u64> {
         let rec = &mut self.recs[fi];
-        let (remaining, tail) = match rec.state {
+        let (remaining, last_rtt) = match rec.state {
             FlowState::Done(_) => return None,
-            FlowState::Pending => (rec.size, RttTail::default()),
+            FlowState::Pending => (rec.size, PackedRtt::NONE),
             FlowState::Open(slot) => {
                 let ep = &mut self.slots[slot as usize];
                 ep.flow = PARKED;
                 self.free.push(slot);
                 self.stats.returns += 1;
-                let tail = RttTail {
-                    last_rtt: ep.sender.last_rtt,
-                    probe: ep.sender.rtt_probe(),
-                };
-                (rec.size.saturating_sub(ep.receiver.cum()), tail)
+                if let Some(probe) = ep.sender.rtt_probe() {
+                    self.probes.insert(fi, probe);
+                }
+                let remaining = rec.size.saturating_sub(ep.receiver.cum());
+                (remaining, PackedRtt::new(ep.sender.last_rtt))
             }
         };
-        rec.state = FlowState::Done(tail);
+        rec.state = FlowState::Done(last_rtt);
         self.done += 1;
         Some(remaining)
     }
@@ -250,12 +279,11 @@ impl FlowStore {
     /// all it can still do is close the RTT sample the released sender
     /// had in flight.
     pub fn late_ack(&mut self, fi: usize, now: Time, cum: u64) {
-        if let FlowState::Done(tail) = &mut self.recs[fi].state {
-            if let Some((seq, sent_at)) = tail.probe {
-                if cum > seq {
-                    tail.last_rtt = Some(now.saturating_since(sent_at));
-                    tail.probe = None;
-                }
+        if let Some(&(seq, sent_at)) = self.probes.get(&fi) {
+            if cum > seq {
+                self.probes.remove(&fi);
+                let rtt = PackedRtt::new(Some(now.saturating_since(sent_at)));
+                self.recs[fi].state = FlowState::Done(rtt);
             }
         }
     }
@@ -308,7 +336,7 @@ impl FlowStore {
         match rec.state {
             FlowState::Pending => None,
             FlowState::Open(slot) => self.slots[slot as usize].sender.last_rtt,
-            FlowState::Done(tail) => tail.last_rtt,
+            FlowState::Done(rtt) => rtt.get(),
         }
     }
 
@@ -353,10 +381,11 @@ impl FlowStore {
         self.recs.iter().enumerate().filter_map(open)
     }
 
-    /// The counters and the slab against the records, O(flows): `done`
-    /// counts the `Done` records, and the `Open` records own distinct
-    /// slots — each tagged with its owner — that together with the free
-    /// list (tagged parked) are the whole slab.
+    /// The counters, the probe map and the slab against the records,
+    /// O(flows): `done` counts the `Done` records, every probe belongs to
+    /// one, and the `Open` records own distinct slots — each tagged with
+    /// its owner — that together with the free list (tagged parked) are
+    /// the whole slab.
     pub fn check(&self) -> Result<(), String> {
         let done = self
             .recs
@@ -367,6 +396,9 @@ impl FlowStore {
                 "done counter {} disagrees with the records",
                 self.done
             ));
+        }
+        if let Some(fi) = self.probes.keys().find(|&&fi| !self.is_done(fi)) {
+            return Err(format!("RTT probe kept for flow {fi}, which is not done"));
         }
         let mut owned = vec![false; self.slots.len()];
         let parked = self.free.iter().map(|&slot| (PARKED, slot));
@@ -381,16 +413,31 @@ impl FlowStore {
         }
         Ok(())
     }
+
+    /// Flow `fi`'s state as it travels.
+    fn wire_state(&self, fi: usize) -> WireState {
+        match self.recs[fi].state {
+            FlowState::Pending => WireState::Pending,
+            FlowState::Open(_) => WireState::Open,
+            FlowState::Done(rtt) => WireState::Done(RttTail {
+                last_rtt: rtt.get(),
+                probe: self.probes.get(&fi).copied(),
+            }),
+        }
+    }
 }
 
-/// Irregular: the records, then `(id, endpoints)` for the open flows
-/// only, in ascending id order. Slot numbers never travel (see
-/// [`FlowState`]); `load_snap` deals slots `0..` in id order, and
-/// refuses endpoints that do not pair off one to one with the `Open`
+/// Irregular: the records, each followed by its [`WireState`], then
+/// `(id, endpoints)` for the open flows only, in ascending id order.
+/// Slot numbers never travel; `load_snap` deals slots `0..` in id order,
+/// and refuses endpoints that do not pair off one to one with the `Open`
 /// records.
 impl Snap for FlowStore {
     fn snap(&self, w: &mut SnapWriter) {
-        self.recs.snap(w);
+        w.seq(self.recs.iter().enumerate(), |w, (fi, rec)| {
+            rec.snap(w);
+            self.wire_state(fi).snap(w);
+        });
         w.u64(self.open_flows());
         for (fi, slot) in self.open_slots() {
             w.usize(fi);
@@ -401,7 +448,27 @@ impl Snap for FlowStore {
 
 impl LoadSnap for FlowStore {
     fn load_snap(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.recs = r.get()?;
+        self.probes.clear();
+        let probes = &mut self.probes;
+        let mut fi = 0;
+        self.recs = r.seq(|r| {
+            let mut rec: FlowRec = r.get()?;
+            rec.state = match r.get()? {
+                WireState::Pending => FlowState::Pending,
+                WireState::Open => FlowState::Open(UNSLOTTED),
+                WireState::Done(tail) => {
+                    if tail.last_rtt == Some(Dur(PackedRtt::NONE.0)) {
+                        return Err(SnapError::Malformed("last RTT equals the packing sentinel"));
+                    }
+                    if let Some(probe) = tail.probe {
+                        probes.insert(fi, probe);
+                    }
+                    FlowState::Done(PackedRtt::new(tail.last_rtt))
+                }
+            };
+            fi += 1;
+            Ok(rec)
+        })?;
         self.slots.clear();
         self.free.clear();
         self.stats = PoolStats::default();
@@ -494,9 +561,13 @@ mod tests {
         w.into_bytes()
     }
 
+    fn wire_states(s: &FlowStore) -> Vec<WireState> {
+        (0..s.len()).map(|fi| s.wire_state(fi)).collect()
+    }
+
     /// The wire form, spelled out: `states` replaces the records' own,
     /// `eps` is `(id written, flow whose endpoints follow)`.
-    fn wire(s: &FlowStore, states: &[FlowState], count: u64, eps: &[(usize, usize)]) -> Vec<u8> {
+    fn wire(s: &FlowStore, states: &[WireState], count: u64, eps: &[(usize, usize)]) -> Vec<u8> {
         let mut w = SnapWriter::new();
         w.usize(s.recs.len());
         for (rec, state) in s.recs.iter().zip(states) {
@@ -546,6 +617,7 @@ mod tests {
     fn a_trailing_ack_closes_the_released_senders_rtt_sample() {
         let mut s = mixed();
         assert_eq!(s.last_rtts().count(), 0);
+        assert_eq!(s.probes.keys().collect::<Vec<_>>(), [&0]);
         // Stale duplicate first (cum not past the sampled segment).
         s.late_ack(0, Time::from_millis(35), 0);
         assert_eq!(s.last_rtts().count(), 0);
@@ -556,20 +628,21 @@ mod tests {
             [(0, Dur::from_millis(30))],
             "sampled once, at the first ACK past the probe"
         );
+        assert!(s.probes.is_empty(), "a closed probe is dropped");
         // An aborted-before-arrival flow and a pending one have nothing to close.
         s.late_ack(2, Time::from_millis(40), 9_000);
         s.late_ack(4, Time::from_millis(40), 700);
         assert_eq!(s.last_rtts().count(), 1);
+        s.check().unwrap();
     }
 
     #[test]
     fn snapshot_roundtrip_reslots_in_id_order() {
         let s = mixed();
         let bytes = snap_of(&s);
-        let states: Vec<FlowState> = s.recs.iter().map(|r| r.state).collect();
         assert_eq!(
             bytes,
-            wire(&s, &states, 2, &[(1, 1), (3, 3)]),
+            wire(&s, &wire_states(&s), 2, &[(1, 1), (3, 3)]),
             "layout drifted"
         );
         let back = load(&bytes).unwrap();
@@ -577,6 +650,7 @@ mod tests {
         assert_eq!(snap_of(&back), bytes);
         assert_eq!((back.open_flows(), back.done_flows()), (2, 2));
         assert_eq!(back.open_slots().collect::<Vec<_>>(), [(1, 0), (3, 1)]);
+        assert_eq!(back.probes, s.probes);
         assert_eq!(back.slab_stats().high_water, 2);
         for cut in 0..bytes.len() {
             assert!(load(&bytes[..cut]).is_err(), "prefix of {cut} bytes");
@@ -586,13 +660,17 @@ mod tests {
     #[test]
     fn endpoints_that_contradict_the_records_are_malformed() {
         let s = mixed();
-        let own: Vec<FlowState> = s.recs.iter().map(|r| r.state).collect();
-        let with = |fi: usize, state: FlowState| {
+        let own = wire_states(&s);
+        let with = |fi: usize, state: WireState| {
             let mut states = own.clone();
             states[fi] = state;
             states
         };
-        let hostile: [(&str, Vec<u8>); 9] = [
+        let sentinel = WireState::Done(RttTail {
+            last_rtt: Some(Dur(u64::MAX)),
+            probe: None,
+        });
+        let hostile: [(&str, Vec<u8>); 10] = [
             ("id beyond the table", wire(&s, &own, 2, &[(1, 1), (5, 3)])),
             ("id duplicated", wire(&s, &own, 2, &[(1, 1), (1, 3)])),
             ("ids descending", wire(&s, &own, 2, &[(3, 3), (1, 1)])),
@@ -611,9 +689,13 @@ mod tests {
             ),
             (
                 "count says fewer than the open records",
-                wire(&s, &with(4, FlowState::Open(0)), 2, &[(1, 1), (3, 3)]),
+                wire(&s, &with(4, WireState::Open), 2, &[(1, 1), (3, 3)]),
             ),
             ("absurd count", wire(&s, &own, u64::MAX, &[(1, 1), (3, 3)])),
+            (
+                "a last RTT equal to the packing sentinel",
+                wire(&s, &with(0, sentinel), 2, &[(1, 1), (3, 3)]),
+            ),
         ];
         for (what, bytes) in &hostile {
             assert!(
@@ -632,15 +714,15 @@ mod tests {
     #[test]
     fn accepted_mutations_build_a_sound_table() {
         let s = mixed();
-        let own: Vec<FlowState> = s.recs.iter().map(|r| r.state).collect();
+        let own = wire_states(&s);
         let probe = RttTail {
             last_rtt: None,
             probe: Some((u64::MAX, Time(u64::MAX))),
         };
         for (fi, state) in [
-            (4, FlowState::Done(RttTail::default())),
-            (2, FlowState::Pending),
-            (0, FlowState::Done(probe)),
+            (4, WireState::Done(RttTail::default())),
+            (2, WireState::Pending),
+            (0, WireState::Done(probe)),
         ] {
             let mut states = own.clone();
             states[fi] = state;

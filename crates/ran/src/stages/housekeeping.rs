@@ -287,6 +287,16 @@ impl HousekeepingStage {
         }
     }
 
+    /// Flow `flow_id` of `ue` completed: its delivery-order history goes.
+    pub fn forget_flow(&mut self, ue: usize, flow_id: u64) {
+        self.auditor.forget_flow(ue, flow_id);
+    }
+
+    /// Keep delivery-order history only for the flows `open` accepts.
+    pub fn retain_order_history(&mut self, open: impl FnMut(usize, u64) -> bool) {
+        self.auditor.retain_flows(open);
+    }
+
     /// Whether the periodic invariant audit is due.
     pub fn audit_due(&self) -> bool {
         self.auditor.due()

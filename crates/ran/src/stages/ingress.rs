@@ -386,6 +386,11 @@ impl IngressStage {
         self.flows.is_done(fi)
     }
 
+    /// Whether flow `fi` is a registered flow that is open now.
+    pub fn flow_open(&self, fi: usize) -> bool {
+        fi < self.flows.len() && self.flows.is_open(fi)
+    }
+
     /// Whether flow `fi` is short (≤ 10 kB — the QoS-oracle class).
     pub fn flow_is_short(&self, fi: usize) -> bool {
         self.flows.size(fi) <= 10_000
@@ -469,6 +474,11 @@ impl IngressStage {
     /// arrivals should go there (not serialized).
     pub fn event_far_pushes(&self) -> u64 {
         self.events.far_pushes()
+    }
+
+    /// `(len, capacity)` of this stage's far event tier.
+    pub fn event_far_footprint(&self) -> (usize, usize) {
+        self.events.far_footprint()
     }
 
     /// Write the flow table and the event queue — this stage's layout

@@ -50,6 +50,9 @@ pub struct MacSchedStage {
     // so the cache cannot go stale between TTIs).
     gbr_min_next_gen: Option<Time>,
     gbr_queued_pkts: usize,
+    /// RBs `serve_gbr` reserved this TTI (the prefix `0..n` of
+    /// `rates.reserved`).
+    gbr_reserved_rbs: usize,
 }
 
 impl MacSchedStage {
@@ -66,6 +69,7 @@ impl MacSchedStage {
             gbr: Vec::new(),
             gbr_min_next_gen: None,
             gbr_queued_pkts: 0,
+            gbr_reserved_rbs: 0,
         }
     }
 
@@ -198,6 +202,7 @@ impl MacSchedStage {
         }
         self.gbr_min_next_gen = min_next;
         self.gbr_queued_pkts = queued_pkts;
+        self.gbr_reserved_rbs = next_free_rb;
     }
 
     /// Build the per-UE scheduler inputs (O(1) occupancy reads, oracle
@@ -232,17 +237,20 @@ impl MacSchedStage {
                 out.push(UeTti::idle());
                 continue;
             }
-            // Oracle inputs for SRJF/PSS/CQA (§6.2 grants them flow sizes).
+            // Oracle inputs for SRJF/PSS/CQA (§6.2 grants them flow
+            // sizes); no other scheduler reads them.
             let mut min_remaining: Option<u64> = None;
             let mut has_qos = false;
-            for &fi in &ctx.flows {
-                let remaining = ingress.flow_remaining(fi);
-                if remaining == 0 {
-                    continue;
-                }
-                min_remaining = Some(min_remaining.map_or(remaining, |m| m.min(remaining)));
-                if ingress.flow_is_short(fi) {
-                    has_qos = true;
+            if cfg.scheduler.uses_oracle_flow_sizes() {
+                for &fi in &ctx.flows {
+                    let remaining = ingress.flow_remaining(fi);
+                    if remaining == 0 {
+                        continue;
+                    }
+                    min_remaining = Some(min_remaining.map_or(remaining, |m| m.min(remaining)));
+                    if ingress.flow_is_short(fi) {
+                        has_qos = true;
+                    }
                 }
             }
             self.active.push(ue as u16);
@@ -277,7 +285,7 @@ impl MacSchedStage {
                 &mut self.alloc,
             );
         }
-        let used_rbs = self.alloc.rbs_used() + self.rates.reserved.iter().filter(|&&r| r).count();
+        let used_rbs = self.alloc.rbs_used() + self.gbr_reserved_rbs;
         (used_rbs as u32, n_rbs as u32)
     }
 
@@ -341,7 +349,7 @@ snap_fields! {
     overlay MacSchedStage { scheduler, gbr }
     rebuilt {
         rates, ues_tti, active, had_data, alloc, active_ue_ttis, gbr_min_next_gen,
-        gbr_queued_pkts,
+        gbr_queued_pkts, gbr_reserved_rbs,
     }
     then MacSchedStage::rebuild_gbr_probes
 }

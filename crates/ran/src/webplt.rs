@@ -31,34 +31,33 @@ pub struct PltRun {
 /// a few milliseconds apart, approximating the browser fan-out), then
 /// the cell sits idle until the next page — the workload shape the
 /// event-driven stepper is built for (the overwhelming majority of TTIs
-/// carry no work). Returns `(at, ue, bytes)` triples for
-/// [`Cell::schedule_flow`], deterministic in `seed`.
+/// carry no work). Yields `(at, ue, bytes)` triples for
+/// [`Cell::schedule_flow`] in time order, deterministic in `seed`, one
+/// page at a time: a day of arrivals is never materialised beside the
+/// cell that schedules them.
 pub fn idle_heavy_arrivals(
     horizon: Time,
     think: Dur,
     n_ues: usize,
     seed: u64,
-) -> Vec<(Time, usize, u64)> {
+) -> impl Iterator<Item = (Time, usize, u64)> {
     assert!(n_ues > 0);
     assert!(think > Dur::ZERO);
     let pages = WebPage::table2();
     let mut rng = Rng::new(seed ^ 0x1D7E_CAFE);
-    let mut out = Vec::new();
-    let mut t = Time::from_millis(50);
-    let mut i = 0usize;
-    while t < horizon {
-        // Cycle the two smallest pages so each active burst stays short
-        // relative to the think gap.
-        let page = &pages[i % 2];
-        let ue = i % n_ues;
-        for (j, obj) in page.objects(&mut rng).into_iter().enumerate() {
-            let at = Time(t.0 + j as u64 * Dur::from_millis(3).0);
-            out.push((at, ue, obj.bytes.max(64)));
-        }
-        i += 1;
-        t += think;
-    }
-    out
+    let starts = (0usize..).map(move |i| (i, Time::from_millis(50) + Dur(think.0 * i as u64)));
+    starts
+        .take_while(move |&(_, t)| t < horizon)
+        .flat_map(move |(i, t)| {
+            // Cycle the two smallest pages so each active burst stays
+            // short relative to the think gap.
+            let ue = i % n_ues;
+            let objects = pages[i % 2].objects(&mut rng).into_iter().enumerate();
+            objects.map(move |(j, obj)| {
+                let at = Time(t.0 + j as u64 * Dur::from_millis(3).0);
+                (at, ue, obj.bytes.max(64))
+            })
+        })
 }
 
 /// Drive one page load on `cell` for `ue`, starting at the cell's

@@ -77,16 +77,31 @@ const SEED: u64 = 0xD1CE;
 /// | `METRO_FILE` | `91d8a150f6b9a40b` | |
 /// | `METRO_CHURN_FILE` | `3ac6c1a31a97a2f8` | |
 /// | `METRO_CHURN_CHAOS_FILE` | `08b6a3225030df3e` | |
+///
+/// The four pins of a checkpoint that holds a running OutRAN-over-UM
+/// cell — where the invariant auditor checks delivery order — were
+/// re-recorded once more when the order audit came to hold open flows
+/// only (the layout did not move: `SNAP_VERSION` stayed 3, and the two
+/// `_T0` pins held). A copy of the parent, 9e6cdc8, that drops the
+/// history of every flow not open just before it writes a checkpoint
+/// prints the new digests; the untouched parent prints the old ones:
+///
+/// | pin | 9e6cdc8 | 9e6cdc8, order history of open flows only |
+/// |---|---|---|
+/// | `UM_OUTRAN` | `ab885c48d4b8bc8c` | below |
+/// | `METRO_FILE` | `94a162bdaaee9458` | |
+/// | `METRO_CHURN_FILE` | `e7c55bf62f42a45a` | |
+/// | `METRO_CHURN_CHAOS_FILE` | `0251dbe07819096f` | |
 const PIN_UM_OUTRAN_T0: u64 = 0xc106_de32_b88b_6b05;
 const PIN_AM_PF_CHAOS_T0: u64 = 0xe37f_6184_b1d6_5d60;
-const PIN_UM_OUTRAN: u64 = 0xab88_5c48_d4b8_bc8c;
+const PIN_UM_OUTRAN: u64 = 0xf260_5edd_efba_9fe7;
 const PIN_AM_PF_CHAOS: u64 = 0x85b0_5c8e_d727_3121;
 /// A 1 s metro checkpoint's `network` section (no taps, no flow table
 /// in it). Recorded at 2575d6d; formats v2 and v3 left it alone.
 const PIN_NETWORK: u64 = 0x6489_136e_a3df_eade;
-const PIN_METRO_FILE: u64 = 0x94a1_62bd_aaee_9458;
-const PIN_METRO_CHURN_FILE: u64 = 0xe7c5_5bf6_2f42_a45a;
-const PIN_METRO_CHURN_CHAOS_FILE: u64 = 0x0251_dbe0_7819_096f;
+const PIN_METRO_FILE: u64 = 0x348b_886c_fbb0_048b;
+const PIN_METRO_CHURN_FILE: u64 = 0x9f14_7594_6d9f_d1ad;
+const PIN_METRO_CHURN_CHAOS_FILE: u64 = 0x9083_57b8_b938_9ae2;
 
 /// A chaos-active experiment, identical every call (one root seed).
 fn experiment() -> Experiment {

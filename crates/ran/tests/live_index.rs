@@ -206,10 +206,8 @@ fn index_is_rebuilt_on_restore_with_flows_open() {
     assert_eq!(resumed.n_completed(), straight.n_completed());
 }
 
-/// A 2-UE browsing soak to `secs`, stopped at every whole second to
-/// check the endpoint slab against the flow records. Returns
-/// `(n_flows, n_completed, endpoint high water)`.
-fn soak(secs: u64, dense: bool) -> (usize, usize, u64) {
+/// A 2-UE, 25-RB cell with `secs` of page loads scheduled up front.
+fn soak_cell(secs: u64) -> Cell {
     let mut cfg = CellConfig::lte_default(2, SchedulerKind::OutRan, 42);
     cfg.channel.radio = outran_phy::numerology::RadioConfig::lte_rbs(25);
     cfg.channel.n_subbands = 4;
@@ -218,6 +216,14 @@ fn soak(secs: u64, dense: bool) -> (usize, usize, u64) {
     for (at, ue, bytes) in idle_heavy_arrivals(horizon, Dur::from_secs(300), 2, 42) {
         cell.schedule_flow(at, ue, bytes, None);
     }
+    cell
+}
+
+/// A 2-UE browsing soak to `secs`, stopped at every whole second to
+/// check the endpoint slab against the flow records. Returns
+/// `(n_flows, n_completed, endpoint high water)`.
+fn soak(secs: u64, dense: bool) -> (usize, usize, u64) {
+    let mut cell = soak_cell(secs);
     for s in 1..=secs + 4 {
         if dense {
             cell.run_until_dense(Time::from_secs(s));
@@ -253,6 +259,69 @@ fn endpoints_follow_open_flows_not_flows_scheduled() {
     let short = soak(1_500, false);
     assert!(short.0 * 7 < n_flows && short.2 >= 10, "{short:?}");
     assert_eq!(soak(1_500, true), short);
+}
+
+/// Per-flow memory read at every whole second to `secs`: `(order-audit
+/// entries, far-heap length, far-heap capacity, open flows)`, each
+/// checked against its bound on the way.
+fn footprints(mut cell: Cell, secs: u64, dense: bool) -> Vec<(usize, usize, usize, u64)> {
+    (1..=secs)
+        .map(|s| {
+            if dense {
+                cell.run_until_dense(Time::from_secs(s));
+            } else {
+                cell.run_until(Time::from_secs(s));
+            }
+            let order = cell.auditor().order_entries();
+            let open = cell.open_flows();
+            let (len, cap) = cell.event_far_footprint();
+            assert!(
+                order as u64 <= open,
+                "at {s} s: {order} order entries, {open} open flows"
+            );
+            assert!(
+                cap <= (4 * len).max(64),
+                "at {s} s: far heap {len} in {cap}"
+            );
+            (order, len, cap, open)
+        })
+        .collect()
+}
+
+/// A finished flow costs its record and nothing else: the order audit
+/// holds history for open flows only, and the far event heap gives its
+/// capacity back as the arrivals it holds fire — checked at every whole
+/// second of the three-hour soak and of a busy 16-UE cell. The readings
+/// are deterministic work: dense stepping reads what event-driven
+/// stepping reads (over the soak's first 1 500 s; the whole soak steps
+/// event-driven only).
+#[test]
+fn memory_follows_open_flows() {
+    const SOAK: u64 = 3 * 3_600;
+    let soak = footprints(soak_cell(SOAK), SOAK + 4, false);
+    let (first, last) = (soak[0], soak[soak.len() - 1]);
+    assert!(first.1 > 1_000, "arrivals not on the heap: {first:?}");
+    assert_eq!(last, (0, 0, 0, 0), "a drained soak holds nothing");
+    assert_eq!(footprints(soak_cell(SOAK), 1_500, true), soak[..1_500]);
+
+    // A page is open for milliseconds, so the soak's whole seconds find
+    // none open; a busy cell's find audited flows open at every one.
+    let busy = || {
+        Experiment::lte_default()
+            .scheduler(SchedulerKind::OutRan)
+            .users(16)
+            .load(0.6)
+            .duration_secs(5)
+            .seed(42)
+            .build_cell()
+    };
+    let run = footprints(busy(), 9, false);
+    assert!(
+        run[..5].iter().all(|r| r.0 > 0),
+        "the order audit never ran: {run:?}"
+    );
+    assert_eq!(run[run.len() - 1].2, 0, "arrivals still held: {run:?}");
+    assert_eq!(footprints(busy(), 9, true), run);
 }
 
 /// Records every active TTI's summary (what the golden trace digests).

@@ -18,7 +18,9 @@
 //! what lies further out (in practice, flow arrivals); it is pulled into
 //! the near slots as the window advances, and jumped to directly when
 //! the near wheel is empty. `peek_time` stays O(1) `&self`, which the
-//! event-driven engine's `next_activity_time()` relies on.
+//! event-driven engine's `next_activity_time()` relies on. The heap gives
+//! its capacity back as it drains — a day of arrivals scheduled up front
+//! does not hold its peak allocation once the arrivals have fired.
 //!
 //! Pop order is exactly the `(time, seq)` total order of a binary heap
 //! for any insert sequence (enforced by a differential property test
@@ -211,6 +213,11 @@ impl<E> EventQueue<E> {
                 let Far(at, seq, e) = PeekMut::pop(top);
                 self.push_near(at, seq, e);
             }
+            // Less than a quarter in use: shrink to twice the length,
+            // so each reallocation is paid for by the pops before it.
+            if 4 * self.far.len() < self.far.capacity() {
+                self.far.shrink_to(2 * self.far.len());
+            }
         }
         // Descending, so the earliest (time, seq) pops from the end.
         self.drain.sort_by_key(|e| Reverse((e.0, e.1)));
@@ -266,6 +273,12 @@ impl<E> EventQueue<E> {
     #[doc(hidden)]
     pub fn far_pushes(&self) -> u64 {
         self.far_pushes
+    }
+
+    /// `(len, capacity)` of the heap tier — a memory probe for tests.
+    #[doc(hidden)]
+    pub fn far_footprint(&self) -> (usize, usize) {
+        (self.far.len(), self.far.capacity())
     }
 
     /// Number of pending events.
@@ -399,5 +412,25 @@ mod tests {
         q.schedule(far - Dur::from_nanos(1), 7);
         assert_eq!((q.pop().unwrap().1, q.pop().unwrap().1), (7, 8));
         assert_eq!(q.far_pushes(), 3);
+    }
+
+    #[test]
+    fn far_heap_gives_capacity_back_as_it_drains() {
+        // 10 000 arrivals scheduled up front, one every 3 ms past the
+        // near span, all go to the heap; draining them must not keep the
+        // peak allocation.
+        let mut q = EventQueue::new();
+        q.schedule(Time::ZERO, 0);
+        for i in 1..=10_000u64 {
+            q.schedule(Time::from_millis(100 + 3 * i), i);
+        }
+        let (len, cap) = q.far_footprint();
+        assert!(len == 10_000 && cap >= len, "{len} / {cap}");
+        for want in 0..=10_000u64 {
+            assert_eq!(q.pop().unwrap().1, want);
+            let (len, cap) = q.far_footprint();
+            assert!(cap <= 4 * len, "after pop {want}: {len} in {cap}");
+        }
+        assert_eq!(q.far_footprint(), (0, 0));
     }
 }
