@@ -217,7 +217,6 @@ const RLC_MODES: Tokens<RlcMode> = &[("um", RlcMode::Um), ("am", RlcMode::Am)];
 const SRJF_MODES: Tokens<SrjfMode> = &[
     ("waterfall", SrjfMode::Waterfall),
     ("winner-only", SrjfMode::WinnerOnly),
-    ("backlog", SrjfMode::WaterfallBacklog),
 ];
 
 const CDFS: Tokens<CdfSel> = &[
@@ -234,8 +233,6 @@ const SCHEDULERS: Tokens<SchedulerKind> = &[
     ("pf", SchedulerKind::Pf),
     ("mt", SchedulerKind::Mt),
     ("rr", SchedulerKind::Rr),
-    ("bet", SchedulerKind::Bet),
-    ("mlwdf", SchedulerKind::Mlwdf),
     ("srjf", SchedulerKind::Srjf),
     ("pss", SchedulerKind::Pss),
     ("cqa", SchedulerKind::Cqa),
@@ -1003,6 +1000,25 @@ mod tests {
             other => panic!("{other:?}"),
         }
         assert!(parse("--scheduler bogus").is_err());
+    }
+
+    /// The retired BET, M-LWDF and backlog-SRJF tokens are refused by
+    /// name, with every alternative that remains.
+    #[test]
+    fn retired_tokens_name_the_remaining_alternatives() {
+        let schedulers = "pf | mt | rr | srjf | pss | cqa | outran | strict-mlfq";
+        for (args, alternatives) in [
+            ("--scheduler bet", schedulers),
+            ("--scheduler mlwdf", schedulers),
+            ("--srjf-mode backlog", "waterfall | winner-only"),
+        ] {
+            let e = parse(args).unwrap_err();
+            let (flag, token) = args.split_once(' ').unwrap();
+            assert_eq!(
+                e,
+                format!("{flag}: '{token}' is not one of: {alternatives}")
+            );
+        }
     }
 
     #[test]

@@ -9,18 +9,19 @@
 //! §4.1: for each RB, iterate over users, compute a scalar metric
 //! `m_{u,b}(t)`, and give the RB to the best user — O(|U|·|B|) total.
 //!
-//! Implemented schedulers:
+//! Implemented schedulers — PF, MT and the OutRAN family are one type,
+//! [`OutRanScheduler`], a PF or MT metric core with or without
+//! Algorithm 1's second iteration:
 //!
-//! | type | per-RB metric | paper role |
+//! | constructor | per-RB metric | paper role |
 //! |---|---|---|
-//! | [`pf::PfScheduler`] | `r_{u,b} / r̃_u` (EWMA window = fairness window T_f) | the de-facto baseline |
-//! | [`pf::MtScheduler`] | `r_{u,b}` | max-throughput extreme of the T_f sweep |
+//! | [`PfScheduler::with_tf`] | `r_{u,b} / r̃_u` (EWMA window = fairness window T_f) | the de-facto baseline |
+//! | [`OutRanScheduler::mt`] | `r_{u,b}` | max-throughput extreme of the T_f sweep |
+//! | [`OutRanScheduler::over_pf`], [`OutRanScheduler::over_mt`] | either, then re-selection by MLFQ head in the ε-band | the paper's contribution (ε = 1: strict MLFQ) |
 //! | [`pf::RrScheduler`] | round-robin over active users | small-T_f extreme |
 //! | [`srjf::SrjfScheduler`] | oracle: min remaining flow size, channel-blind | the §3 motivation / upper bound |
 //! | [`qos::PssScheduler`] | PF restricted to the QoS (delay-budget) set first | QoS-aware baseline (NS-3 PSS) |
 //! | [`qos::CqaScheduler`] | HOL-delay-weighted PF | QoS-aware baseline (NS-3 CQA) |
-//! | [`outran::OutRanScheduler`] | Algorithm 1 around a PF/MT core | the paper's contribution |
-
 //!
 //! # Example
 //!
@@ -47,7 +48,6 @@
 #![warn(clippy::panic, clippy::unreachable)]
 
 pub mod cache;
-pub mod classic;
 pub mod outran;
 pub mod pf;
 pub mod qos;
@@ -56,9 +56,8 @@ pub mod srjf;
 pub mod types;
 
 pub use cache::SubbandMetricCache;
-pub use classic::{BetScheduler, MlwdfScheduler};
-pub use outran::OutRanScheduler;
-pub use pf::{MtScheduler, PfCore, PfScheduler, RrScheduler};
+pub use outran::{OutRanScheduler, PfScheduler};
+pub use pf::{PfCore, RrScheduler};
 pub use qos::{CqaScheduler, PssScheduler, QosParams};
 pub use rates::TtiRates;
 pub use srjf::{SrjfMode, SrjfScheduler};

@@ -1,4 +1,5 @@
-//! OutRAN's inter-user flow scheduler — Algorithm 1 of the paper.
+//! OutRAN's inter-user flow scheduler — Algorithm 1 of the paper — and
+//! the legacy schedulers it wraps, which are its first iteration alone.
 //!
 //! For every RB `b` of every TTI:
 //!
@@ -8,8 +9,11 @@
 //!    `U′ = { u : m_{u,b}(t) ≥ (1−ε)·m_max }` and re-select
 //!    `u* = argmax_{u∈U′} (max_{f∈F_u} Priority(f))` — the candidate whose
 //!    MLFQ head priority (carried in OutRAN's extended BSR) is highest,
-//!    ties broken toward the better metric (so ε = 0 degenerates to the
-//!    legacy scheduler exactly).
+//!    ties broken toward the better metric.
+//!
+//! PF and MT run the first iteration only. OutRAN at ε = 0 still runs
+//! the second: an *exact* metric tie then goes to the better MLFQ head,
+//! where the legacy scheduler keeps the lower UE index.
 //!
 //! This "guarantees at least (1−ε) of the per-RB metric … while expanding
 //! the room |ε| for SJF flow scheduling", keeps the legacy scheduler's
@@ -24,45 +28,57 @@ use crate::pf::PfCore;
 use crate::types::{Allocation, RateSource, Scheduler, UeTti};
 use outran_simcore::snap_fields;
 
-/// The OutRAN MAC scheduler: a legacy metric core + the ε-relaxed
-/// re-selection by MLFQ priority.
+/// The one Algorithm 1 kernel: a legacy metric core (PF or MT), and,
+/// for the OutRAN family, the ε-relaxed re-selection by MLFQ priority.
 #[derive(Debug, Clone)]
 pub struct OutRanScheduler {
-    /// The legacy metric OutRAN relaxes: Proportional Fair with its
-    /// fairness-window state, or `None` for Max Throughput (rate only).
+    /// The legacy metric: Proportional Fair with its fairness-window
+    /// state, or `None` for Max Throughput (rate only).
     base: Option<PfCore>,
-    epsilon: f64,
+    /// The relaxation threshold ε of the second iteration, or `None`
+    /// for the legacy scheduler alone.
+    epsilon: Option<f64>,
     cache: SubbandMetricCache,
 }
+
+/// The Proportional Fair scheduler (the de-facto baseline, §6
+/// Baselines): Algorithm 1's first iteration over the PF metric.
+pub type PfScheduler = OutRanScheduler;
 
 impl OutRanScheduler {
     /// The paper's default relaxation threshold (§4.3 Parameter choice:
     /// "We chose ε = 0.2 … the best balance").
     pub const DEFAULT_EPSILON: f64 = 0.2;
 
-    /// OutRAN over PF with the given fairness window.
-    pub fn over_pf(n_ues: usize, tf: Dur, tti: Dur, epsilon: f64) -> OutRanScheduler {
-        assert!((0.0..=1.0).contains(&epsilon), "epsilon={epsilon}");
+    fn new(base: Option<PfCore>, epsilon: Option<f64>) -> OutRanScheduler {
+        if let Some(e) = epsilon {
+            assert!((0.0..=1.0).contains(&e), "epsilon={e}");
+        }
         OutRanScheduler {
-            base: Some(PfCore::new(n_ues, tf, tti)),
+            base,
             epsilon,
             cache: SubbandMetricCache::new(),
         }
+    }
+
+    /// Proportional Fair with fairness window `tf`: `r_{u,b} / r̃_u`.
+    pub fn with_tf(n_ues: usize, tf: Dur, tti: Dur) -> OutRanScheduler {
+        OutRanScheduler::new(Some(PfCore::new(n_ues, tf, tti)), None)
+    }
+
+    /// Max Throughput: the pure `r_{u,b}` metric.
+    pub fn mt() -> OutRanScheduler {
+        OutRanScheduler::new(None, None)
+    }
+
+    /// OutRAN over PF with the given fairness window.
+    pub fn over_pf(n_ues: usize, tf: Dur, tti: Dur, epsilon: f64) -> OutRanScheduler {
+        OutRanScheduler::new(Some(PfCore::new(n_ues, tf, tti)), Some(epsilon))
     }
 
     /// OutRAN over the MT metric (used by the Fig 18b ablation).
     pub fn over_mt(epsilon: f64) -> OutRanScheduler {
-        assert!((0.0..=1.0).contains(&epsilon));
-        OutRanScheduler {
-            base: None,
-            epsilon,
-            cache: SubbandMetricCache::new(),
-        }
-    }
-
-    /// The relaxation threshold ε in force.
-    pub fn epsilon(&self) -> f64 {
-        self.epsilon
+        OutRanScheduler::new(None, Some(epsilon))
     }
 
     /// Effective user priority for re-selection: the head MLFQ priority,
@@ -88,8 +104,8 @@ impl Scheduler for OutRanScheduler {
         alloc.reset(rates.n_rbs(), ues.len());
         // Metrics are cached per (UE, subband) and revalidated, for the
         // active UEs, only when the UE's rate row or PF average moved;
-        // the two Algorithm 1 passes then run once per subband instead
-        // of once per RB.
+        // the Algorithm 1 passes then run once per subband instead of
+        // once per RB. MT's metric has no state: its revision stays 0.
         let base = &self.base;
         self.cache.refresh_rows(
             rates,
@@ -105,9 +121,12 @@ impl Scheduler for OutRanScheduler {
             let col = cache.column(sb);
             // First iteration: legacy best (Algorithm 1 lines 4–8).
             // Ineligible rows are -inf and can never win the strict
-            // argmax, matching the old per-RB skip.
+            // argmax, so ties go to the lowest index.
             // No eligible user for this subband: leave its RBs idle.
             let (legacy_best, m_max) = best_of(col, active)?;
+            let Some(epsilon) = epsilon else {
+                return Some(legacy_best);
+            };
             // Second iteration: re-select within the ε band by MLFQ
             // priority (Algorithm 1 lines 10–16).
             let floor = (1.0 - epsilon) * m_max;
@@ -123,8 +142,8 @@ impl Scheduler for OutRanScheduler {
                     continue;
                 }
                 let p = Self::user_prio(&ues[u as usize]);
-                // Higher MLFQ priority = numerically smaller level. Ties
-                // go to the better metric so ε→0 matches legacy exactly.
+                // Higher MLFQ priority = numerically smaller level; equal
+                // levels go to the better metric.
                 if p < sel_prio || (p == sel_prio && m > sel_metric) {
                     selected = u;
                     sel_prio = p;
@@ -147,10 +166,6 @@ impl Scheduler for OutRanScheduler {
         }
     }
 
-    fn name(&self) -> &'static str {
-        "OutRAN"
-    }
-
     fn metric_rows_refreshed(&self) -> u64 {
         self.cache.misses
     }
@@ -159,7 +174,6 @@ impl Scheduler for OutRanScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pf::PfScheduler;
     use crate::types::FlatRates;
     use outran_pdcp::Priority;
 
@@ -179,22 +193,26 @@ mod tests {
         Dur::from_millis(1)
     }
 
+    /// Equal metrics, heads P2 and P0: the legacy argmax keeps the lower
+    /// index, and OutRAN at ε = 0 still re-selects the exact tie by head
+    /// priority — so PF is not OutRAN at ε = 0.
     #[test]
-    fn epsilon_zero_matches_pf_exactly() {
+    fn epsilon_zero_breaks_exact_ties_by_priority_and_pf_does_not() {
         let rates = FlatRates {
-            per_ue: vec![100.0, 250.0, 180.0],
-            rbs: 10,
+            per_ue: vec![100.0, 100.0],
+            rbs: 4,
         };
-        let ues = vec![ue(true, Some(3)), ue(true, Some(0)), ue(true, Some(1))];
-        let mut pf = PfScheduler::with_tf(3, tf(), tti());
-        let mut or = OutRanScheduler::over_pf(3, tf(), tti(), 0.0);
-        for _ in 0..100 {
-            let a = pf.allocate(Time::ZERO, &ues, &rates);
-            let b = or.allocate(Time::ZERO, &ues, &rates);
-            assert_eq!(a.rb_to_ue, b.rb_to_ue);
-            pf.on_served(&a.bits_per_ue);
-            or.on_served(&b.bits_per_ue);
-        }
+        let ues = vec![ue(true, Some(2)), ue(true, Some(0))];
+        let mut pf = PfScheduler::with_tf(2, tf(), tti());
+        let mut or = OutRanScheduler::over_pf(2, tf(), tti(), 0.0);
+        let a = pf.allocate(Time::ZERO, &ues, &rates);
+        let b = or.allocate(Time::ZERO, &ues, &rates);
+        assert!(a.rb_to_ue.iter().all(|&x| x == Some(0)));
+        assert!(b.rb_to_ue.iter().all(|&x| x == Some(1)));
+        let a = OutRanScheduler::mt().allocate(Time::ZERO, &ues, &rates);
+        let b = OutRanScheduler::over_mt(0.0).allocate(Time::ZERO, &ues, &rates);
+        assert!(a.rb_to_ue.iter().all(|&x| x == Some(0)));
+        assert!(b.rb_to_ue.iter().all(|&x| x == Some(1)));
     }
 
     #[test]

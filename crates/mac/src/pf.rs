@@ -1,6 +1,7 @@
-//! Proportional Fair, Max Throughput, and Round Robin schedulers.
+//! The Proportional Fair metric core, and the Round Robin scheduler.
 //!
-//! eq. (1) of the paper:
+//! eq. (1) of the paper — both metrics run in
+//! [`crate::outran::OutRanScheduler`], PF through [`PfCore`]:
 //!
 //! ```text
 //! m_{u,b}(t) = r_{u,b}(t)              (MT)
@@ -13,18 +14,18 @@
 
 use outran_simcore::{Dur, Ewma, Time};
 
-use crate::cache::{allocate_by_subband, best_of, SubbandMetricCache};
 use crate::types::{Allocation, RateSource, Scheduler, UeTti};
 use outran_simcore::snap_fields;
 
 /// The PF metric core: per-UE long-term average throughput with a
-/// T_f-derived smoothing factor. Shared by [`PfScheduler`] and
-/// [`crate::outran::OutRanScheduler`].
+/// T_f-derived smoothing factor. Shared by the PF-based configurations
+/// of [`crate::outran::OutRanScheduler`] (PF, OutRAN over PF) and by the
+/// QoS baselines [`crate::qos::PssScheduler`] and
+/// [`crate::qos::CqaScheduler`].
 #[derive(Debug, Clone)]
 pub struct PfCore {
     avg: Vec<Ewma>,
     rev: Vec<u64>,
-    window_ttis: u64,
 }
 
 impl PfCore {
@@ -34,13 +35,7 @@ impl PfCore {
         PfCore {
             avg: vec![Ewma::from_window(window_ttis); n_ues],
             rev: vec![0; n_ues],
-            window_ttis,
         }
-    }
-
-    /// Number of TTIs in the averaging window.
-    pub fn window_ttis(&self) -> u64 {
-        self.window_ttis
     }
 
     /// The PF metric `r / r̃` for a given instantaneous rate. A UE that
@@ -53,11 +48,6 @@ impl PfCore {
         } else {
             rate / avg
         }
-    }
-
-    /// Current long-term average of a UE (bits/TTI).
-    pub fn avg(&self, ue: usize) -> f64 {
-        self.avg[ue].get()
     }
 
     /// Fold in the bits served this TTI (0 for unserved UEs — the
@@ -99,128 +89,7 @@ impl PfCore {
     }
 }
 
-// `window_ttis` is derived from the run config and not written.
-snap_fields! { overlay PfCore { avg: fixed, rev: fixed } rebuilt { window_ttis } }
-
-/// The Proportional Fair scheduler (the de-facto baseline, §6 Baselines).
-#[derive(Debug, Clone)]
-pub struct PfScheduler {
-    core: PfCore,
-    cache: SubbandMetricCache,
-}
-
-impl PfScheduler {
-    /// Default fairness window: 1 s (a "few seconds … should be
-    /// sufficient" per the §6.3 discussion of \[37, 57\]).
-    pub const DEFAULT_TF: Dur = Dur::from_millis(1000);
-
-    /// Create with the default T_f.
-    pub fn new(n_ues: usize, tti: Dur) -> PfScheduler {
-        PfScheduler::with_tf(n_ues, Self::DEFAULT_TF, tti)
-    }
-
-    /// Create with an explicit fairness window.
-    pub fn with_tf(n_ues: usize, tf: Dur, tti: Dur) -> PfScheduler {
-        PfScheduler {
-            core: PfCore::new(n_ues, tf, tti),
-            cache: SubbandMetricCache::new(),
-        }
-    }
-
-    /// Access the metric core (tests/ablations).
-    pub fn core(&self) -> &PfCore {
-        &self.core
-    }
-}
-
-// The subband metric cache is a pure memo and re-derives itself.
-snap_fields! { overlay PfScheduler { core } rebuilt { cache } }
-
-impl Scheduler for PfScheduler {
-    fn allocate_into(
-        &mut self,
-        _now: Time,
-        ues: &[UeTti],
-        active: &[u16],
-        rates: &dyn RateSource,
-        alloc: &mut Allocation,
-    ) {
-        alloc.reset(rates.n_rbs(), ues.len());
-        let core = &self.core;
-        self.cache.refresh_rows(
-            rates,
-            active.iter().map(|&u| u as usize),
-            |u| core.rev(u),
-            |u, r| core.metric(u, r),
-        );
-        let cache = &self.cache;
-        // Ineligible rows (rate <= 0, stored as -inf) can never win the
-        // argmax, so this matches the old per-RB loop that skipped them
-        // explicitly.
-        allocate_by_subband(alloc, rates, |sb| {
-            best_of(cache.column(sb), active).map(|(u, _)| u)
-        });
-    }
-
-    fn on_served(&mut self, served_bits: &[f64]) {
-        self.core.update(served_bits);
-    }
-
-    fn on_idle(&mut self, k: u64) {
-        self.core.decay(k);
-    }
-
-    fn name(&self) -> &'static str {
-        "PF"
-    }
-
-    fn metric_rows_refreshed(&self) -> u64 {
-        self.cache.misses
-    }
-}
-
-/// The Max Throughput scheduler: pure `r_{u,b}` metric.
-///
-/// Rides the same subband metric cache as PF (metric = rate, revision
-/// pinned to 0 since the metric has no scheduler-side state). The cached
-/// strict-`>` argmax from -inf selects exactly the UE the historical
-/// `best_r = 0.0` loop did: only strictly positive rates can win either
-/// way, and the iteration order is unchanged.
-#[derive(Debug, Clone, Default)]
-pub struct MtScheduler {
-    cache: SubbandMetricCache,
-}
-
-snap_fields! { overlay MtScheduler {} rebuilt { cache } }
-
-impl Scheduler for MtScheduler {
-    fn allocate_into(
-        &mut self,
-        _now: Time,
-        ues: &[UeTti],
-        active: &[u16],
-        rates: &dyn RateSource,
-        alloc: &mut Allocation,
-    ) {
-        alloc.reset(rates.n_rbs(), ues.len());
-        self.cache
-            .refresh_rows(rates, active.iter().map(|&u| u as usize), |_| 0, |_, r| r);
-        let cache = &self.cache;
-        allocate_by_subband(alloc, rates, |sb| {
-            best_of(cache.column(sb), active).map(|(u, _)| u)
-        });
-    }
-
-    fn on_served(&mut self, _served_bits: &[f64]) {}
-
-    fn name(&self) -> &'static str {
-        "MT"
-    }
-
-    fn metric_rows_refreshed(&self) -> u64 {
-        self.cache.misses
-    }
-}
+snap_fields! { overlay PfCore { avg: fixed, rev: fixed } }
 
 /// Round-robin over active UEs, RB by RB (the small-T_f limit of PF).
 #[derive(Debug, Clone, Default)]
@@ -252,15 +121,12 @@ impl Scheduler for RrScheduler {
     }
 
     fn on_served(&mut self, _served_bits: &[f64]) {}
-
-    fn name(&self) -> &'static str {
-        "RR"
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::outran::{OutRanScheduler, PfScheduler};
     use crate::types::FlatRates;
 
     fn active(n: usize) -> Vec<UeTti> {
@@ -275,7 +141,7 @@ mod tests {
 
     #[test]
     fn mt_picks_best_channel_always() {
-        let mut mt = MtScheduler::default();
+        let mut mt = OutRanScheduler::mt();
         let rates = FlatRates {
             per_ue: vec![10.0, 30.0, 20.0],
             rbs: 6,
@@ -331,7 +197,7 @@ mod tests {
 
     #[test]
     fn pf_skips_inactive_and_zero_rate() {
-        let mut pf = PfScheduler::new(3, Dur::from_millis(1));
+        let mut pf = PfScheduler::with_tf(3, Dur::from_secs(1), Dur::from_millis(1));
         let mut ues = active(3);
         ues[0].active = false;
         let rates = FlatRates {
@@ -344,7 +210,7 @@ mod tests {
 
     #[test]
     fn no_active_ues_leaves_rbs_idle() {
-        let mut pf = PfScheduler::new(2, Dur::from_millis(1));
+        let mut pf = PfScheduler::with_tf(2, Dur::from_secs(1), Dur::from_millis(1));
         let rates = FlatRates {
             per_ue: vec![100.0, 100.0],
             rbs: 4,
@@ -371,10 +237,16 @@ mod tests {
 
     #[test]
     fn pf_core_window_derivation() {
-        let core = PfCore::new(1, Dur::from_secs(1), Dur::from_millis(1));
-        assert_eq!(core.window_ttis(), 1000);
-        let core = PfCore::new(1, Dur::from_millis(10), Dur::from_micros(125));
-        assert_eq!(core.window_ttis(), 80);
+        let alpha = |tf, tti| PfCore::new(1, tf, tti).avg[0].alpha();
+        let from_window = |n| Ewma::from_window(n).alpha();
+        assert_eq!(
+            alpha(Dur::from_secs(1), Dur::from_millis(1)),
+            from_window(1000)
+        );
+        assert_eq!(
+            alpha(Dur::from_millis(10), Dur::from_micros(125)),
+            from_window(80)
+        );
     }
 
     #[test]

@@ -116,10 +116,6 @@ impl Scheduler for PssScheduler {
     fn on_idle(&mut self, k: u64) {
         self.core.decay(k);
     }
-
-    fn name(&self) -> &'static str {
-        "PSS"
-    }
 }
 
 /// Channel & QoS Aware scheduler.
@@ -185,10 +181,6 @@ impl Scheduler for CqaScheduler {
 
     fn on_idle(&mut self, k: u64) {
         self.core.decay(k);
-    }
-
-    fn name(&self) -> &'static str {
-        "CQA"
     }
 }
 

@@ -24,9 +24,6 @@ pub enum SrjfMode {
     /// next user (still channel-blind in the order and RB choice).
     #[default]
     Waterfall,
-    /// Like [`SrjfMode::Waterfall`] but each served user may drain its
-    /// whole queued backlog before the next user gets RBs.
-    WaterfallBacklog,
 }
 
 /// Channel-blind SRJF (requires the oracle flow-size inputs).
@@ -81,13 +78,10 @@ impl Scheduler for SrjfScheduler {
         for &u in &self.order {
             let u = u as usize;
             let ue = &ues[u];
-            let need = match self.mode {
-                SrjfMode::WinnerOnly | SrjfMode::Waterfall => ue
-                    .queued_bytes
-                    .min(ue.oracle_min_remaining.unwrap_or(u64::MAX))
-                    .max(1),
-                SrjfMode::WaterfallBacklog => ue.queued_bytes.max(1),
-            };
+            let need = ue
+                .queued_bytes
+                .min(ue.oracle_min_remaining.unwrap_or(u64::MAX))
+                .max(1);
             let need_bits = (need.saturating_mul(8)) as f64 + 256.0;
             let mut granted = 0.0;
             while rb < n_rbs && granted < need_bits {
@@ -115,10 +109,6 @@ impl Scheduler for SrjfScheduler {
     }
 
     fn on_served(&mut self, _served_bits: &[f64]) {}
-
-    fn name(&self) -> &'static str {
-        "SRJF"
-    }
 }
 
 #[cfg(test)]
@@ -207,21 +197,5 @@ mod tests {
         // The short-flow UE still goes first.
         assert_eq!(a.rb_to_ue[0], Some(0));
         assert!(a.rb_to_ue.contains(&Some(1)));
-    }
-
-    #[test]
-    fn waterfall_backlog_lets_head_drain_queue() {
-        let mut s = SrjfScheduler::with_mode(SrjfMode::WaterfallBacklog);
-        let rates = FlatRates {
-            per_ue: vec![100.0, 100.0],
-            rbs: 10,
-        };
-        // Head UE's backlog (10 KB = 800 bits×100...) exceeds the TTI:
-        // it takes everything despite its shortest flow being tiny.
-        let mut head = ue(true, Some(100));
-        head.queued_bytes = 10_000;
-        let tail = ue(true, Some(200));
-        let a = s.allocate(Time::ZERO, &[head, tail], &rates);
-        assert!(a.rb_to_ue.iter().all(|&x| x == Some(0)));
     }
 }

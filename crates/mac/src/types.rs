@@ -241,9 +241,6 @@ pub trait Scheduler: LoadSnap {
         let _ = k;
     }
 
-    /// Scheduler name for reports.
-    fn name(&self) -> &'static str;
-
     /// Metric-cache rows recomputed so far (0 for a scheduler without a
     /// [`crate::SubbandMetricCache`]) — a deterministic work counter.
     #[doc(hidden)]

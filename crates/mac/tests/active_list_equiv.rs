@@ -12,12 +12,11 @@
 //! state keep changing underneath them.
 
 use outran_mac::{
-    Allocation, BetScheduler, CqaScheduler, MlwdfScheduler, MtScheduler, OutRanScheduler, PfCore,
-    PfScheduler, PssScheduler, QosParams, RateSource, RrScheduler, Scheduler, SrjfMode,
-    SrjfScheduler, TtiRates, UeTti,
+    Allocation, CqaScheduler, OutRanScheduler, PfCore, PfScheduler, PssScheduler, QosParams,
+    RateSource, RrScheduler, Scheduler, SrjfMode, SrjfScheduler, TtiRates, UeTti,
 };
 use outran_pdcp::Priority;
-use outran_simcore::{Dur, Ewma, Rng, Time};
+use outran_simcore::{Dur, Rng, Time};
 
 const N_UES: usize = 12;
 const N_SB: usize = 4;
@@ -73,15 +72,12 @@ fn per_rb(
     alloc
 }
 
-fn pf_metric(avg: f64, rate: f64) -> f64 {
-    if avg <= 0.0 {
-        rate * 1e9
-    } else {
-        rate / avg
-    }
-}
-
-/// PF, MT, and OutRAN over either (ε = 0 is the legacy scheduler).
+/// PF, MT, and OutRAN over either. PF and MT are checked against ε = 0,
+/// which still breaks an exact metric tie by head priority where they
+/// keep the lower index; that agrees only because this file's
+/// continuous rates never tie exactly. The exact-tie rule is pinned by
+/// `epsilon_zero_breaks_exact_ties_by_priority_and_pf_does_not` in
+/// `outran.rs`.
 struct RefRelaxed {
     core: Option<PfCore>,
     epsilon: f64,
@@ -143,54 +139,6 @@ impl FullScan for RefRr {
     }
 }
 
-/// BET (`weight = None`) and M-LWDF.
-struct RefEwma {
-    avg: Vec<Ewma>,
-    weight: Option<f64>,
-}
-
-impl RefEwma {
-    fn new(weight: Option<f64>) -> RefEwma {
-        let window = (TF.as_nanos() / TTI.as_nanos()).max(1);
-        RefEwma {
-            avg: vec![Ewma::from_window(window); N_UES],
-            weight,
-        }
-    }
-}
-
-impl FullScan for RefEwma {
-    fn allocate(&mut self, ues: &[UeTti], rates: &TtiRates) -> Allocation {
-        per_rb(ues, rates, |rb| {
-            best_on_rb(
-                ues,
-                rates,
-                rb,
-                |_| true,
-                |u, r| {
-                    let avg = self.avg[u].get();
-                    match self.weight {
-                        None if avg <= 0.0 => f64::INFINITY,
-                        None => 1.0 / avg,
-                        Some(w) => w * (ues[u].hol_delay.as_secs_f64() + 1e-3) * pf_metric(avg, r),
-                    }
-                },
-            )
-            .map(|(u, _, r)| (u, r))
-        })
-    }
-    fn on_served(&mut self, bits: &[f64]) {
-        for (e, &s) in self.avg.iter_mut().zip(bits) {
-            e.update(s);
-        }
-    }
-    fn on_idle(&mut self, k: u64) {
-        for e in &mut self.avg {
-            e.decay(k);
-        }
-    }
-}
-
 struct RefSrjf {
     mode: SrjfMode,
 }
@@ -204,13 +152,10 @@ impl FullScan for RefSrjf {
         let mut rb = 0u16;
         for u in order {
             let ue = &ues[u];
-            let need = match self.mode {
-                SrjfMode::WinnerOnly | SrjfMode::Waterfall => ue
-                    .queued_bytes
-                    .min(ue.oracle_min_remaining.unwrap_or(u64::MAX))
-                    .max(1),
-                SrjfMode::WaterfallBacklog => ue.queued_bytes.max(1),
-            };
+            let need = ue
+                .queued_bytes
+                .min(ue.oracle_min_remaining.unwrap_or(u64::MAX))
+                .max(1);
             let need_bits = need.saturating_mul(8) as f64 + 256.0;
             let mut granted = 0.0;
             while rb < n_rbs && granted < need_bits {
@@ -419,73 +364,41 @@ fn assert_list_driven_is_full_scan(
 #[test]
 fn pf_mt_and_outran_over_both_match_a_full_scan() {
     let pf_core = || Some(PfCore::new(N_UES, TF, TTI));
-    let cases: Vec<(&str, Box<dyn Scheduler>, RefRelaxed)> = vec![
+    let relaxed = |core, epsilon| Box::new(RefRelaxed { core, epsilon });
+    let cases: Vec<(&str, Box<dyn Scheduler>, Box<RefRelaxed>)> = vec![
         (
             "PF",
             Box::new(PfScheduler::with_tf(N_UES, TF, TTI)),
-            RefRelaxed {
-                core: pf_core(),
-                epsilon: 0.0,
-            },
+            relaxed(pf_core(), 0.0),
         ),
-        (
-            "MT",
-            Box::new(MtScheduler::default()),
-            RefRelaxed {
-                core: None,
-                epsilon: 0.0,
-            },
-        ),
+        ("MT", Box::new(OutRanScheduler::mt()), relaxed(None, 0.0)),
         (
             "OutRAN/PF",
             Box::new(OutRanScheduler::over_pf(N_UES, TF, TTI, 0.2)),
-            RefRelaxed {
-                core: pf_core(),
-                epsilon: 0.2,
-            },
+            relaxed(pf_core(), 0.2),
         ),
         (
             "OutRAN/MT",
             Box::new(OutRanScheduler::over_mt(0.35)),
-            RefRelaxed {
-                core: None,
-                epsilon: 0.35,
-            },
+            relaxed(None, 0.35),
         ),
     ];
     for (seed, (name, sched, reference)) in cases.into_iter().enumerate() {
-        assert_list_driven_is_full_scan(name, sched, Box::new(reference), 0xAC7 + seed as u64);
+        assert_list_driven_is_full_scan(name, sched, reference, 0xAC7 + seed as u64);
     }
 }
 
 #[test]
-fn rr_bet_mlwdf_and_srjf_match_a_full_scan() {
+fn rr_and_srjf_match_a_full_scan() {
     assert_list_driven_is_full_scan(
         "RR",
         Box::new(RrScheduler::default()),
         Box::<RefRr>::default(),
         1,
     );
-    assert_list_driven_is_full_scan(
-        "BET",
-        Box::new(BetScheduler::new(N_UES, TF, TTI)),
-        Box::new(RefEwma::new(None)),
-        2,
-    );
-    let weight = -(0.05f64.ln()) / Dur::from_millis(100).as_secs_f64();
-    assert_list_driven_is_full_scan(
-        "M-LWDF",
-        Box::new(MlwdfScheduler::with_defaults(N_UES, TF, TTI)),
-        Box::new(RefEwma::new(Some(weight))),
-        3,
-    );
-    for (seed, mode) in [
-        SrjfMode::WinnerOnly,
-        SrjfMode::Waterfall,
-        SrjfMode::WaterfallBacklog,
-    ]
-    .into_iter()
-    .enumerate()
+    for (seed, mode) in [SrjfMode::WinnerOnly, SrjfMode::Waterfall]
+        .into_iter()
+        .enumerate()
     {
         assert_list_driven_is_full_scan(
             "SRJF",

@@ -5,7 +5,7 @@
 //! scratch each TTI), across random CQI mutations, link drops, GBR
 //! reservations and queue-priority churn.
 
-use outran_mac::{MtScheduler, OutRanScheduler, PfScheduler, RateSource, Scheduler, UeTti};
+use outran_mac::{OutRanScheduler, PfScheduler, RateSource, Scheduler, UeTti};
 use outran_pdcp::Priority;
 use outran_simcore::{Dur, Rng, Time};
 
@@ -191,7 +191,7 @@ fn cached_mt_matches_per_rb_brute_force() {
     // principles: per-RB strict argmax over positive rates.
     outran_simcore::check("cached_mt_matches_per_rb_brute_force", 24, |rng| {
         let mut world = random_world(rng);
-        let mut mt = MtScheduler::default();
+        let mut mt = OutRanScheduler::mt();
         let mut now = Time::ZERO;
         for _ in 0..40 {
             now += Dur::from_millis(1);

@@ -656,8 +656,8 @@ mod tests {
     fn version_1_header_is_refused() {
         let (cell, meta) = mid_transfer_cell();
         let mut bytes = snapshot_cell(&meta, &cell).to_bytes();
-        assert_eq!(bytes[4..8], 3u32.to_le_bytes());
-        for old in [1u32, 2] {
+        assert_eq!(bytes[4..8], 4u32.to_le_bytes());
+        for old in [1u32, 2, 3] {
             bytes[4..8].copy_from_slice(&old.to_le_bytes());
             assert!(matches!(
                 SnapshotFile::from_bytes(&bytes),

@@ -20,10 +20,6 @@ pub enum SchedulerKind {
     Mt,
     /// Round Robin.
     Rr,
-    /// Blind Equal Throughput (classic LTE baseline).
-    Bet,
-    /// Modified Largest Weighted Delay First (classic LTE baseline).
-    Mlwdf,
     /// Oracle SRJF (channel-blind, perfect flow sizes).
     Srjf,
     /// Priority Set Scheduler (QoS-aware baseline).
@@ -32,7 +28,9 @@ pub enum SchedulerKind {
     Cqa,
     /// OutRAN with the paper's default ε = 0.2 over PF.
     OutRan,
-    /// OutRAN with an explicit ε over PF (ε = 0 ⇒ intra-user only).
+    /// OutRAN with an explicit ε over PF. At ε = 0 the inter-user
+    /// re-selection still breaks exact metric ties toward the better
+    /// MLFQ head, where [`SchedulerKind::Pf`] keeps the lower UE index.
     OutRanEps(f64),
     /// OutRAN over the MT metric (Fig 18b ablation).
     OutRanOverMt(f64),
@@ -81,8 +79,6 @@ impl SchedulerKind {
             SchedulerKind::Pf => "PF",
             SchedulerKind::Mt => "MT",
             SchedulerKind::Rr => "RR",
-            SchedulerKind::Bet => "BET",
-            SchedulerKind::Mlwdf => "M-LWDF",
             SchedulerKind::Srjf => "SRJF",
             SchedulerKind::Pss => "PSS",
             SchedulerKind::Cqa => "CQA",

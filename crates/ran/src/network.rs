@@ -1068,8 +1068,11 @@ mod tests {
     /// layout edits applied writes `0xbae6_4118_99a2_1987`. Re-recorded
     /// when the order audit came to hold open flows only: a copy of
     /// 9e6cdc8 that drops every other flow's order history before it
-    /// writes the file writes this digest (see `checkpoint_resume.rs`).
-    const PIN_PACKED_FILE: u64 = 0xd2e7_e89f_882c_aff9;
+    /// writes the file writes `0xd2e7_e89f_882c_aff9` (see
+    /// `checkpoint_resume.rs`). Re-recorded once more, for format v4
+    /// (PF and MT take OutRAN's scheduler layout): a copy of 91e0766
+    /// with only the v4 layout edits applied writes this digest.
+    const PIN_PACKED_FILE: u64 = 0xd29e_67e3_da8f_7822;
 
     /// Nine cells of four slots with three slots free in all, and fast
     /// corridor UEs under a hair-trigger A3: most handovers are blocked,

@@ -12,8 +12,8 @@ use crate::config::{CellConfig, GbrBearer, SchedulerKind};
 use crate::stages::{IngressStage, TtiRates, UeContext};
 use outran_faults::ActiveFaults;
 use outran_mac::{
-    Allocation, CqaScheduler, MtScheduler, OutRanScheduler, PfScheduler, PssScheduler, QosParams,
-    RrScheduler, Scheduler, SrjfScheduler, UeTti,
+    Allocation, CqaScheduler, OutRanScheduler, PfScheduler, PssScheduler, QosParams, RrScheduler,
+    Scheduler, SrjfScheduler, UeTti,
 };
 use outran_phy::channel::CellChannel;
 use outran_simcore::snap::SnapError;
@@ -358,10 +358,8 @@ fn build_scheduler(cfg: &CellConfig, tti: Dur) -> Box<dyn Scheduler + Send> {
     let n = cfg.n_ues;
     match cfg.scheduler {
         SchedulerKind::Pf => Box::new(PfScheduler::with_tf(n, cfg.tf, tti)),
-        SchedulerKind::Mt => Box::new(MtScheduler::default()),
+        SchedulerKind::Mt => Box::new(OutRanScheduler::mt()),
         SchedulerKind::Rr => Box::new(RrScheduler::default()),
-        SchedulerKind::Bet => Box::new(outran_mac::BetScheduler::new(n, cfg.tf, tti)),
-        SchedulerKind::Mlwdf => Box::new(outran_mac::MlwdfScheduler::with_defaults(n, cfg.tf, tti)),
         SchedulerKind::Srjf => Box::new(SrjfScheduler::with_mode(cfg.srjf_mode)),
         SchedulerKind::Pss => Box::new(PssScheduler::new(n, cfg.tf, tti)),
         SchedulerKind::Cqa => Box::new(CqaScheduler::new(n, cfg.tf, tti, QosParams::default())),

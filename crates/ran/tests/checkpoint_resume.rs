@@ -21,7 +21,7 @@ use outran_simcore::{Dur, Time};
 const SECS: u64 = 4;
 const SEED: u64 = 0xD1CE;
 
-/// Wire-format pins (see `wire_format_is_pinned`), format v3.
+/// Wire-format pins (see `wire_format_is_pinned`), format v4.
 ///
 /// The `_T0` pins hash each cell straight after construction, before
 /// any TTI runs, so they see every field's position but no value a
@@ -92,16 +92,36 @@ const SEED: u64 = 0xD1CE;
 /// | `METRO_FILE` | `94a162bdaaee9458` | |
 /// | `METRO_CHURN_FILE` | `e7c55bf62f42a45a` | |
 /// | `METRO_CHURN_CHAOS_FILE` | `0251dbe07819096f` | |
-const PIN_UM_OUTRAN_T0: u64 = 0xc106_de32_b88b_6b05;
-const PIN_AM_PF_CHAOS_T0: u64 = 0xe37f_6184_b1d6_5d60;
-const PIN_UM_OUTRAN: u64 = 0xf260_5edd_efba_9fe7;
-const PIN_AM_PF_CHAOS: u64 = 0x85b0_5c8e_d727_3121;
+///
+/// All seven were re-recorded once more for format v4, in which PF and
+/// MT are configurations of the OutRAN scheduler type and take its
+/// layout: a presence byte before PF's core, a `false` byte for MT, and
+/// OutRAN's own layout unchanged. Every file's header says 4, so every
+/// whole-file pin moves, `PIN_NETWORK` (a section, no header) does not.
+/// A copy of 91e0766 with only those layout edits applied — a persisted
+/// `true` before `PfScheduler`'s core, a persisted `false` in
+/// `MtScheduler`, the header version 4 — writes exactly these digests;
+/// the untouched 91e0766 writes the v3 column:
+///
+/// | pin | v3 (91e0766) | v4 |
+/// |---|---|---|
+/// | `UM_OUTRAN_T0` | `c106de32b88b6b05` | below |
+/// | `AM_PF_CHAOS_T0` | `e37f6184b1d65d60` | |
+/// | `UM_OUTRAN` | `f2605eddefba9fe7` | |
+/// | `AM_PF_CHAOS` | `85b05c8ed7273121` | |
+/// | `METRO_FILE` | `348b886cfbb0048b` | |
+/// | `METRO_CHURN_FILE` | `9f1475946d9fd1ad` | |
+/// | `METRO_CHURN_CHAOS_FILE` | `908357b8b9389ae2` | |
+const PIN_UM_OUTRAN_T0: u64 = 0xb2d8_d252_139e_3c64;
+const PIN_AM_PF_CHAOS_T0: u64 = 0x1f32_eab2_b0e4_dc2a;
+const PIN_UM_OUTRAN: u64 = 0x0410_30a9_865e_7fde;
+const PIN_AM_PF_CHAOS: u64 = 0x1397_ace0_7ead_76bb;
 /// A 1 s metro checkpoint's `network` section (no taps, no flow table
-/// in it). Recorded at 2575d6d; formats v2 and v3 left it alone.
+/// in it). Recorded at 2575d6d; formats v2, v3 and v4 left it alone.
 const PIN_NETWORK: u64 = 0x6489_136e_a3df_eade;
-const PIN_METRO_FILE: u64 = 0x348b_886c_fbb0_048b;
-const PIN_METRO_CHURN_FILE: u64 = 0x9f14_7594_6d9f_d1ad;
-const PIN_METRO_CHURN_CHAOS_FILE: u64 = 0x9083_57b8_b938_9ae2;
+const PIN_METRO_FILE: u64 = 0x52f7_fedd_9482_2ae4;
+const PIN_METRO_CHURN_FILE: u64 = 0x010f_de7c_8c0e_7640;
+const PIN_METRO_CHURN_CHAOS_FILE: u64 = 0x90c8_47f6_0b23_5beb;
 
 /// A chaos-active experiment, identical every call (one root seed).
 fn experiment() -> Experiment {
@@ -303,7 +323,7 @@ fn cell_digest(cell: &Cell) -> u64 {
 #[test]
 fn wire_format_is_pinned() {
     const HINT: &str = "layout changed: bump `SNAP_VERSION` and re-record";
-    assert_eq!(SNAP_VERSION, 3, "{HINT}");
+    assert_eq!(SNAP_VERSION, 4, "{HINT}");
 
     let mut um_outran = Experiment::lte_default()
         .scheduler(SchedulerKind::OutRan)

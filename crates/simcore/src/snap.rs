@@ -56,7 +56,7 @@ pub const SNAP_MAGIC: [u8; 4] = *b"ORSN";
 
 /// Current snapshot format version. Bump on ANY layout change — the
 /// reader refuses other versions rather than misinterpreting bytes.
-pub const SNAP_VERSION: u32 = 3;
+pub const SNAP_VERSION: u32 = 4;
 
 /// Errors surfaced while reading or persisting a snapshot.
 #[derive(Debug)]
