@@ -33,10 +33,11 @@ fn run_cell(kind: SchedulerKind, rbs: u16) -> (f64, f64, f64) {
         kind.name(),
         wall * 1e6 / n_ttis
     );
+    let w = cell.work();
     (
         cell.metrics.total_bits() / horizon.as_secs_f64() / 1e6,
-        cell.metric_rows_refreshed() as f64 / n_ttis,
-        cell.active_ue_ttis() as f64 / n_ttis,
+        w.metric_rows_refreshed as f64 / n_ttis,
+        w.active_ue_ttis as f64 / n_ttis,
     )
 }
 

@@ -412,7 +412,7 @@ const FLAGS: &[Flag] = &[
     Flag { name: "--rlc", scope: CELL, arg: || alternatives(RLC_MODES), help: "RLC mode",
            get: |o| token_of(RLC_MODES, &o.rlc), set: |o, v| value_of(RLC_MODES, v).map(|m| o.rlc = m) },
     Flag { name: "--buffer", scope: CELL, arg: N, help: "per-UE RLC buffer capacity in SDUs",
-           get: |o| show(o.buffer), set: |o, v| int(v, closed(0.0, MAX)).map(|n| o.buffer = n as usize) },
+           get: |o| show(o.buffer), set: |o, v| int(v, closed(1.0, MAX)).map(|n| o.buffer = n as usize) },
     Flag { name: "--tf-ms", scope: CELL, arg: N, help: "PF fairness window in ms",
            get: |o| show(o.tf.as_millis()), set: |o, v| int(v, closed(0.0, MAX_MS)).map(|n| o.tf = Dur::from_millis(n)) },
     Flag { name: "--cn-ms", scope: CELL, arg: N, help: "one-way wired core delay in ms",
@@ -1129,6 +1129,17 @@ mod tests {
         assert!(parse("frobnicate").is_err());
         assert!(parse("chaos --intensity 1.5").is_err());
         assert!(parse("chaos --intensity -0.1").is_err());
+    }
+
+    /// A buffer of no SDUs would drop every packet and report NaN FCTs.
+    #[test]
+    fn zero_buffer_is_a_range_error() {
+        assert_eq!(parse("run --buffer 1").unwrap().buffer, 1);
+        let err = parse("run --buffer 0 --secs 1").unwrap_err();
+        assert!(
+            err.contains("--buffer") && err.contains("must be in [1, inf)"),
+            "{err}"
+        );
     }
 
     #[test]

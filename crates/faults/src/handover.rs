@@ -1,60 +1,27 @@
 //! Counters describing inter-cell handover activity.
 
-/// What the network's A3 handover machinery decided and executed.
-///
-/// Maintained by the network layer as epoch barriers execute handovers;
-/// surfaced alongside fault counters so metro runs can be summarized in
-/// one health table.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct HandoverStats {
-    /// A3 events that sustained time-to-trigger and requested a handover.
-    pub attempts: u64,
-    /// Handovers executed end-to-end (detach, transfer, attach).
-    pub successes: u64,
-    /// Handovers refused because the target cell had no free UE slot.
-    pub blocked: u64,
-    /// Handovers executed while the source radio link was down (the
-    /// transfer rides the RLF re-establishment path).
-    pub rlf_failures: u64,
-    /// Handovers back to the previous serving cell within the ping-pong
-    /// window (a subset of `successes`).
-    pub ping_pongs: u64,
-    /// Flow continuations created at target cells for interrupted flows.
-    pub flows_transferred: u64,
-}
-
-impl HandoverStats {
-    /// Sum every counter (quick "anything happened?" signal).
-    pub fn total_events(&self) -> u64 {
-        self.rows().iter().map(|&(_, v)| v).sum()
+outran_simcore::counters! {
+    /// What the network's A3 handover machinery decided and executed.
+    ///
+    /// Maintained by the network layer as epoch barriers execute handovers;
+    /// surfaced alongside fault counters so metro runs can be summarized in
+    /// one health table.
+    pub struct HandoverStats {
+        /// A3 events that sustained time-to-trigger and requested a handover.
+        pub attempts: u64,
+        /// Handovers executed end-to-end (detach, transfer, attach).
+        pub successes: u64,
+        /// Handovers refused because the target cell had no free UE slot.
+        pub blocked: u64,
+        /// Handovers executed while the source radio link was down (the
+        /// transfer rides the RLF re-establishment path).
+        pub rlf_failures: u64,
+        /// Handovers back to the previous serving cell within the ping-pong
+        /// window (a subset of `successes`).
+        pub ping_pongs: u64,
+        /// Flow continuations created at target cells for interrupted flows.
+        pub flows_transferred: u64,
     }
-
-    /// Accumulate another network's counters into this one.
-    pub fn merge(&mut self, other: &HandoverStats) {
-        self.attempts += other.attempts;
-        self.successes += other.successes;
-        self.blocked += other.blocked;
-        self.rlf_failures += other.rlf_failures;
-        self.ping_pongs += other.ping_pongs;
-        self.flows_transferred += other.flows_transferred;
-    }
-
-    /// `(label, value)` rows for summary tables, in a stable order.
-    pub fn rows(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("attempts", self.attempts),
-            ("successes", self.successes),
-            ("blocked", self.blocked),
-            ("rlf_failures", self.rlf_failures),
-            ("ping_pongs", self.ping_pongs),
-            ("flows_transferred", self.flows_transferred),
-        ]
-    }
-}
-
-// Same stable order as [`HandoverStats::rows`].
-outran_simcore::snap_fields! {
-    HandoverStats { attempts, successes, blocked, rlf_failures, ping_pongs, flows_transferred }
 }
 
 #[cfg(test)]
@@ -78,14 +45,6 @@ mod tests {
         assert_eq!(a.successes, 3);
         assert_eq!(a.ping_pongs, 1);
         assert_eq!(a.total_events(), 10);
-    }
-
-    #[test]
-    fn rows_cover_all_fields() {
-        // Compile-time-ish guard: if a field is added, update rows().
-        let s = HandoverStats::default();
-        assert_eq!(s.rows().len(), 6);
-        assert_eq!(s.total_events(), 0);
     }
 
     #[test]

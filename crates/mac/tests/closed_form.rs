@@ -10,7 +10,8 @@
 //! - MT gives each subband to the best rate, so its mean rate per RB is
 //!   `Σₖ R[k]·[F(G[k+1])ᴺ − F(G[k])ᴺ]` (the top step runs to ∞);
 //! - RR ignores the channel: the same sum with exponent 1;
-//! - PF over identical users gives each 1/*N* of the granted airtime;
+//! - PF over identical users gives each 1/*N* of the granted airtime
+//!   and of the throughput, and a cell rate between the two sums;
 //! - with unequal means, MT's edge user wins only when every other user
 //!   sits on a strictly lower step, `Σₖ [Fₑ(G[k+1]) − Fₑ(G[k])]·Π_c
 //!   F_c(G[k])`, while PF keeps equal shares where the rate laws are
@@ -26,6 +27,7 @@
 use outran_mac::{
     Allocation, OutRanScheduler, PfScheduler, RrScheduler, Scheduler, TtiRates, UeTti,
 };
+use outran_simcore::stats::jain_fairness;
 use outran_simcore::{Dur, Rng, Time};
 
 /// SNR thresholds (dB) and bits per RB of the 15 CQI steps, after the
@@ -69,11 +71,12 @@ fn best_of_n_rate(mean: f64, n: i32) -> f64 {
 }
 
 /// What a run saw: mean bits per RB, and each user's share of the
-/// granted RBs after the warm-up.
+/// granted RBs and the bits it was served after the warm-up.
 struct Run {
     mean_rate: f64,
     shares: Vec<f64>,
     granted: usize,
+    served: Vec<f64>,
 }
 
 fn run(sched: &mut dyn Scheduler, rate: fn(f64) -> f64, means: &[f64], seed: u64) -> Run {
@@ -96,6 +99,7 @@ fn run(sched: &mut dyn Scheduler, rate: fn(f64) -> f64, means: &[f64], seed: u64
     let active: Vec<u16> = (0..n as u16).collect();
     let mut alloc = Allocation::empty(0, 0);
     let (mut bits, mut won, mut granted) = (0.0, vec![0usize; n], 0);
+    let mut served = vec![0.0; n];
     for tti in 0..TTIS {
         for (u, &mean) in means.iter().enumerate() {
             for sb in 0..N_SB {
@@ -107,6 +111,9 @@ fn run(sched: &mut dyn Scheduler, rate: fn(f64) -> f64, means: &[f64], seed: u64
         sched.allocate_into(Time::ZERO, &ues, &active, &rates, &mut alloc);
         bits += alloc.total_bits();
         if tti >= WARMUP {
+            for (s, b) in served.iter_mut().zip(&alloc.bits_per_ue) {
+                *s += b;
+            }
             for (u, &sb) in alloc.rb_to_ue.iter().zip(&rates.rb_to_sb) {
                 if let Some(u) = u.filter(|&u| rates.per_ue_sb[u as usize * N_SB + sb] > 0.0) {
                     won[u as usize] += 1;
@@ -120,6 +127,7 @@ fn run(sched: &mut dyn Scheduler, rate: fn(f64) -> f64, means: &[f64], seed: u64
         mean_rate: bits / (TTIS * N_SB) as f64,
         shares: won.iter().map(|&w| w as f64 / granted as f64).collect(),
         granted,
+        served,
     }
 }
 
@@ -158,6 +166,35 @@ fn mt_and_rr_mean_rates_are_the_staircase_sums() {
                 got.mean_rate
             );
         }
+    }
+}
+
+/// PF's mean cell rate lies between RR's single-user sum and MT's
+/// best-of-*N* one. (Over identical users the averages `r̃` are nearly
+/// equal, so `r / r̃` ranks users as `r` does and PF comes within noise
+/// of MT.)
+#[test]
+fn pf_cell_rate_lies_between_rr_and_mt() {
+    for (seed, n) in [4, 16].into_iter().enumerate() {
+        let got = run(&mut pf(n), rate_of, &vec![GAMMA; n], 40 + seed as u64);
+        let (rr, mt) = (best_of_n_rate(GAMMA, 1), best_of_n_rate(GAMMA, n as i32));
+        let tol = rate_tolerance();
+        assert!(
+            rr + tol < got.mean_rate && got.mean_rate < mt + tol,
+            "PF, N = {n}: {} bits/RB, not within RR {rr} and MT {mt} ± {tol}",
+            got.mean_rate
+        );
+    }
+}
+
+/// Identical users under PF end up with the same throughput: Jain's
+/// index of what each was served is at least 0.99.
+#[test]
+fn pf_serves_identical_users_fairly() {
+    for (seed, n) in [4, 16].into_iter().enumerate() {
+        let got = run(&mut pf(n), rate_of, &vec![GAMMA; n], 50 + seed as u64);
+        let jain = jain_fairness(&got.served);
+        assert!(jain >= 0.99, "PF, N = {n}: Jain {jain} of {:?}", got.served);
     }
 }
 

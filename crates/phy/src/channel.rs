@@ -90,7 +90,7 @@
 //! threshold, and whenever any sub-band of a row does, the whole row is
 //! redone with the reference expression. The stored row is the
 //! reference row, byte for byte, on every input; which path produced it
-//! is visible only in [`CellChannel::cqi_classifications`].
+//! is visible only in [`CellChannel::work`].
 //!
 //! The pass that calls it keeps a wake time — the earliest reporting
 //! clock of any live slot — and returns at once before it: with every
@@ -315,14 +315,28 @@ pub struct CellChannel {
     /// (`refresh_live`, which every flag change, attach and restore goes
     /// through, and `reprime_reports`).
     report_wake: Time,
-    /// Work counters (see [`CellChannel::fading_draws`]).
-    fading_draws: u64,
-    live_slot_steps: u64,
-    replayed_slot_steps: u64,
-    /// (UE, subband) CQIs stored from the fast classification / redone
-    /// through the host's `log10`.
-    cqi_fast: u64,
-    cqi_exact: u64,
+    /// Work counters (see [`CellChannel::work`]).
+    work: ChannelWork,
+}
+
+outran_simcore::counters! {
+    /// Deterministic work a [`CellChannel`] has done so far. Not
+    /// serialized, so a resumed channel counts from the restore.
+    pub struct ChannelWork {
+        /// Gaussians drawn by the fading step, live and replayed.
+        pub fading_draws: u64,
+        /// Slot steps made by advance calls: the live slots of each call,
+        /// summed. Each step draws `2 · (n_subbands + 1)` Gaussians.
+        pub live_slot_steps: u64,
+        /// Slot steps replayed by [`CellChannel::sync`], for a slot that
+        /// was not live at the time.
+        pub replayed_slot_steps: u64,
+        /// (UE, subband) CQIs stored from the log-free classification.
+        pub cqi_fast: u64,
+        /// (UE, subband) CQIs redone through the host's `log10`, because
+        /// a sub-band of the row sat inside the guard band of a threshold.
+        pub cqi_exact: u64,
+    }
 }
 
 /// `count` consecutive advance calls a lagging slot has not seen yet:
@@ -405,11 +419,7 @@ impl CellChannel {
             n_lagging: 0,
             lag_log: Vec::with_capacity(LAG_LOG_MAX_RUNS),
             report_wake: Time::ZERO,
-            fading_draws: 0,
-            live_slot_steps: 0,
-            replayed_slot_steps: 0,
-            cqi_fast: 0,
-            cqi_exact: 0,
+            work: ChannelWork::default(),
         };
 
         for i in 0..n_ues {
@@ -562,9 +572,9 @@ impl CellChannel {
         }
         if uncertain {
             self.measure_row_exact(ue);
-            self.cqi_exact += n_sb as u64;
+            self.work.cqi_exact += n_sb as u64;
         } else {
-            self.cqi_fast += n_sb as u64;
+            self.work.cqi_fast += n_sb as u64;
         }
     }
 
@@ -699,11 +709,6 @@ impl CellChannel {
         }
     }
 
-    /// Number of TTIs the channel has advanced through.
-    pub fn tti_index(&self) -> u64 {
-        self.tti_index
-    }
-
     /// Advance all per-UE processes by `k` TTIs ending at `now`.
     ///
     /// Fading takes one composed AR(1) jump (`ρᵏ`), mobility takes one
@@ -734,7 +739,7 @@ impl CellChannel {
         let mobility_every = (self.cfg.mobility_step.as_nanos() / tti.as_nanos()).max(1);
         let crossings = self.tti_index / mobility_every - from / mobility_every;
 
-        self.live_slot_steps += (self.n_ues - self.n_lagging) as u64;
+        self.work.live_slot_steps += (self.n_ues - self.n_lagging) as u64;
         self.advance_fading(k);
         // In external-geometry mode the network layer owns positions and
         // shadowing (pushed at epoch boundaries); the per-cell walkers
@@ -777,7 +782,7 @@ impl CellChannel {
         // sub-band j's re is z[2j] and its im z[2j + 1], for j
         // ascending; the wideband pair sits last, at z[2·n_sb].
         Normal::new(0.0, FRAC_1_SQRT_2).fill(&mut self.fade_rng[ue], &mut self.fade_z);
-        self.fading_draws += self.fade_z.len() as u64;
+        self.work.fading_draws += self.fade_z.len() as u64;
         let (sb_z, wb_z) = self.fade_z.split_at(2 * n_sb);
         let sb = ue * n_sb..(ue + 1) * n_sb;
         let taps = self.fade_sb_re[sb.clone()]
@@ -955,7 +960,7 @@ impl CellChannel {
                 self.fade_slot(ue, if j == 0 { run.k } else { 1 });
                 self.report_slot(ue, run.now + tti.mul(j), tti);
             }
-            self.replayed_slot_steps += run.count - done;
+            self.work.replayed_slot_steps += run.count - done;
             at = run.end();
         }
         debug_assert_eq!(at, self.tti_index, "lag log does not reach the present");
@@ -1025,29 +1030,9 @@ impl CellChannel {
         }
     }
 
-    /// Gaussians drawn by the fading step so far, live and replayed — a
-    /// deterministic work counter (not serialized, so it counts from the
-    /// restore in a resumed channel).
-    #[doc(hidden)]
-    pub fn fading_draws(&self) -> u64 {
-        self.fading_draws
-    }
-
-    /// Slot steps so far, as the bookkeeping counts them: live slots per
-    /// advance call, summed, and calls replayed by [`CellChannel::sync`].
-    /// Each step draws `2 · (n_subbands + 1)` Gaussians.
-    #[doc(hidden)]
-    pub fn slot_steps(&self) -> (u64, u64) {
-        (self.live_slot_steps, self.replayed_slot_steps)
-    }
-
-    /// (UE, subband) CQI measurements so far, `(fast, exact)`: stored
-    /// from the log-free classification, or redone through the host's
-    /// `log10` because a sub-band of the row sat inside the guard band of
-    /// a threshold. A deterministic work counter (not serialized).
-    #[doc(hidden)]
-    pub fn cqi_classifications(&self) -> (u64, u64) {
-        (self.cqi_fast, self.cqi_exact)
+    /// The work counters so far.
+    pub fn work(&self) -> ChannelWork {
+        self.work
     }
 
     /// Distance of `ue` from the base station (m).
@@ -1057,11 +1042,6 @@ impl CellChannel {
         } else {
             self.walkers[ue].pos().dist_origin()
         }
-    }
-
-    /// Whether geometry is owned by an external network layer.
-    pub fn external_geometry(&self) -> bool {
-        self.ext_geometry
     }
 
     /// Network-layer geometry push for `ue`: serving-site distance (m),
@@ -1901,9 +1881,10 @@ mod tests {
             }
             assert_lazy_is_eager(&eager, &lazy);
             // The walk did lag and replay, and never stepped a slot twice.
-            let (live, replayed) = lazy.slot_steps();
-            assert!(replayed > 0 && live + replayed <= eager.slot_steps().0);
-            assert_eq!(lazy.fading_draws(), 10 * (live + replayed));
+            let w = lazy.work();
+            let (live, replayed) = (w.live_slot_steps, w.replayed_slot_steps);
+            assert!(replayed > 0 && live + replayed <= eager.work().live_slot_steps);
+            assert_eq!(w.fading_draws, 10 * (live + replayed));
         });
     }
 
@@ -1922,7 +1903,7 @@ mod tests {
     fn fast_row_is_exact_row(ch: &mut CellChannel) -> bool {
         let n_sb = ch.n_subbands;
         let (scale, cap) = (ch.cfg.fading_scale, ch.cfg.sinr_cap_db);
-        let exact_before = ch.cqi_exact;
+        let exact_before = ch.work().cqi_exact;
         ch.measure_into_pending(0);
         let stored = ch.pending[..n_sb].to_vec();
         ch.measure_row_exact(0);
@@ -1939,7 +1920,7 @@ mod tests {
                 "gain {gain:e}: fast {fast} vs exact {exact}"
             );
         }
-        ch.cqi_exact > exact_before
+        ch.work().cqi_exact > exact_before
     }
 
     #[test]
@@ -1969,9 +1950,13 @@ mod tests {
                 fallbacks += fast_row_is_exact_row(&mut ch) as u64;
                 rows += 1;
             }
-            let (fast, exact) = ch.cqi_classifications();
+            let ChannelWork {
+                cqi_fast,
+                cqi_exact,
+                ..
+            } = ch.work();
             // +1: the row measured by the constructor.
-            assert_eq!(fast + exact, (rows_per_scale + 1) * n_sb as u64);
+            assert_eq!(cqi_fast + cqi_exact, (rows_per_scale + 1) * n_sb as u64);
         }
         // Nearly every row is classified without the host's `log10`.
         assert!(fallbacks * 10_000 < rows, "{fallbacks} of {rows} fell back");
@@ -2029,7 +2014,7 @@ mod tests {
         ch.cfg.sinr_cap_db = 45.0;
         ch.fade_sb_re[0] = f64::INFINITY;
         assert!(fast_row_is_exact_row(&mut ch));
-        assert!(ch.cqi_classifications().1 >= fallbacks * n_sb as u64);
+        assert!(ch.work().cqi_exact >= fallbacks * n_sb as u64);
     }
 
     #[test]
@@ -2046,7 +2031,11 @@ mod tests {
         let measurements: u64 = (0..ch.n_ues())
             .map(|u| ch.report_version(u) + ch.pending_fresh[u] as u64)
             .sum();
-        let (fast, exact) = ch.cqi_classifications();
+        let ChannelWork {
+            cqi_fast: fast,
+            cqi_exact: exact,
+            ..
+        } = ch.work();
         assert_eq!(fast + exact, ch.n_subbands as u64 * measurements);
         assert!(fast > 100 * exact.max(1), "fast {fast} exact {exact}");
     }
@@ -2116,7 +2105,7 @@ mod tests {
         }
         // Nothing attached or read slot 1: only the overflow syncs
         // stepped it, three logs' worth so far.
-        assert_eq!(lazy.slot_steps().1, 3 * LAG_LOG_MAX_RUNS as u64);
+        assert_eq!(lazy.work().replayed_slot_steps, 3 * LAG_LOG_MAX_RUNS as u64);
         assert!(!lazy.live[1]);
         assert_lazy_is_eager(&eager, &lazy);
         // A dense stretch of any length is one run.

@@ -63,7 +63,7 @@ pub mod mobility;
 pub mod numerology;
 pub mod scenario;
 
-pub use channel::{CellChannel, ChannelConfig};
+pub use channel::{CellChannel, ChannelConfig, ChannelWork};
 pub use cqi::{Cqi, CqiTable};
 pub use numerology::{Numerology, RadioConfig};
 pub use scenario::Scenario;

@@ -39,6 +39,7 @@ use outran_simcore::snap_fields;
 use outran_simcore::{Dur, PoolStats, Rng, Time, VecPool};
 
 use crate::stages::HarqData;
+use crate::work::WorkCounters;
 
 /// Recycled payload-buffer pools threaded through the PHY-transmit and
 /// delivery stages each TTI.
@@ -727,60 +728,25 @@ impl Cell {
         self.ingress.n_completed()
     }
 
-    /// Flow entries the ingress RTO and watchdog scans have visited so
-    /// far — a deterministic work counter (not serialized, so it counts
-    /// from the restore in a resumed cell).
-    #[doc(hidden)]
-    pub fn ingress_scan_visits(&self) -> u64 {
-        self.ingress.scan_visits()
-    }
-
-    /// Gaussians the channel's fading step has drawn so far — a
-    /// deterministic work counter (not serialized).
-    #[doc(hidden)]
-    pub fn fading_draws(&self) -> u64 {
-        self.phy.channel().fading_draws()
-    }
-
-    /// Channel slot steps so far, `(live, replayed)`; each one accounts
-    /// for `2 · (subbands + 1)` of [`Cell::fading_draws`].
-    #[doc(hidden)]
-    pub fn channel_slot_steps(&self) -> (u64, u64) {
-        self.phy.channel().slot_steps()
-    }
-
-    /// (UE, subband) CQI measurements so far, `(fast, exact)`: stored
-    /// from the channel's log-free classification, or redone through the
-    /// host's `log10` inside a threshold's guard band — a deterministic
-    /// work counter (not serialized).
-    #[doc(hidden)]
-    pub fn cqi_classifications(&self) -> (u64, u64) {
-        self.phy.channel().cqi_classifications()
-    }
-
-    /// Scheduler metric-cache rows recomputed so far — a deterministic
-    /// work counter (not serialized); at most
-    /// [`Cell::active_ue_ttis`], since only active UEs' rows are looked
-    /// at.
-    #[doc(hidden)]
-    pub fn metric_rows_refreshed(&self) -> u64 {
-        self.mac.metric_rows_refreshed()
-    }
-
-    /// Σ over active TTIs of the number of UEs with radio work in that
-    /// TTI — a deterministic work counter (not serialized).
-    #[doc(hidden)]
-    pub fn active_ue_ttis(&self) -> u64 {
-        self.mac.active_ue_ttis()
-    }
-
-    /// Events the ingress queue has sent to its far tier (the heap) — a
-    /// deterministic work counter (not serialized: a resumed cell counts
-    /// from the restore). Only flow arrivals should go there, so it is at
-    /// most [`Cell::n_flows`].
-    #[doc(hidden)]
-    pub fn event_far_pushes(&self) -> u64 {
-        self.ingress.event_far_pushes()
+    /// The deterministic work this cell has done so far (not serialized:
+    /// a resumed cell counts from the restore). The `barrier_*` counters
+    /// are a network's and stay zero.
+    pub fn work(&self) -> WorkCounters {
+        let ch = self.phy.channel().work();
+        WorkCounters {
+            fading_draws: ch.fading_draws,
+            live_slot_steps: ch.live_slot_steps,
+            replayed_slot_steps: ch.replayed_slot_steps,
+            active_cell_ttis: self.now.as_nanos() / self.tti.as_nanos() - self.idle_ttis,
+            cqi_fast: ch.cqi_fast,
+            cqi_exact: ch.cqi_exact,
+            active_ue_ttis: self.mac.active_ue_ttis(),
+            metric_rows_refreshed: self.mac.metric_rows_refreshed(),
+            flow_endpoints_high_water: self.ingress.endpoint_slab().high_water,
+            ingress_scan_visits: self.ingress.scan_visits(),
+            event_far_pushes: self.ingress.event_far_pushes(),
+            ..WorkCounters::default()
+        }
     }
 
     /// `(len, capacity)` of the ingress queue's far tier: the heap gives
@@ -795,19 +761,6 @@ impl Cell {
     #[doc(hidden)]
     pub fn open_flows(&self) -> u64 {
         self.ingress.open_flows()
-    }
-
-    /// TCP endpoint pairs, `(live, high_water)`: alive right now (one per
-    /// open flow, so always [`Cell::open_flows`]) and the most alive at
-    /// once — the size the endpoint slab grew to. A deterministic work
-    /// counter (not serialized: a resumed cell's high water starts at
-    /// the flows open in the checkpoint).
-    #[doc(hidden)]
-    pub fn flow_endpoints(&self) -> (u64, u64) {
-        (
-            self.ingress.open_flows(),
-            self.ingress.endpoint_slab().high_water,
-        )
     }
 
     /// Traffic of the endpoint slab: a hit opened a flow on a recycled

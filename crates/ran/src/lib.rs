@@ -24,6 +24,7 @@
 //! * [`pool`] — a std-only scoped-thread worker pool for fanning
 //!   independent experiment cells across cores with bit-identical
 //!   results versus serial execution.
+//! * [`work`] — the deterministic work counters of a cell or network.
 //!
 //! [`experiment`] (cell-owned geometry) and [`network`] (network-owned)
 //! are the two run harnesses; Figure 19's four separate-carrier cells
@@ -42,6 +43,7 @@ pub mod pool;
 pub mod qos;
 pub mod stages;
 pub mod webplt;
+pub mod work;
 
 pub use cell::{Cell, CellConfig, FlowDone, RlcMode, SchedulerKind};
 pub use checkpoint::CheckpointMeta;
@@ -49,3 +51,4 @@ pub use experiment::{Experiment, ExperimentReport};
 pub use network::{Network, NetworkReport, NetworkRun};
 pub use pool::{default_threads, parallel_map, WorkerFailure};
 pub use qos::{AppKind, BearerKind, QosProfile, TrafficClass};
+pub use work::WorkCounters;

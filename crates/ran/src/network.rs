@@ -59,6 +59,7 @@ use outran_workload::{FlowArrival, FlowSizeDist, PoissonFlowGen};
 use crate::cell::{Cell, CellConfig, SchedulerKind};
 use crate::checkpoint::CheckpointMeta;
 use crate::pool::for_each_mut;
+use crate::work::WorkCounters;
 
 /// Epoch length: the cadence of the barrier at which load is exchanged,
 /// mobility advances, A3 is evaluated and handovers execute; also the
@@ -561,11 +562,11 @@ impl Network {
         } = st;
         let n_cells = loads.len();
         for_each_mut(self.threads, cells, |c, cell| {
-            let before = cell.channel_slot_steps().1;
+            let before = cell.work().replayed_slot_steps;
             for &slot in &plan.attached[c] {
                 cell.set_slot_occupied(slot, true);
             }
-            replayed.fetch_add(cell.channel_slot_steps().1 - before, Ordering::Relaxed);
+            replayed.fetch_add(cell.work().replayed_slot_steps - before, Ordering::Relaxed);
             let site = c / sectors;
             let mut pushed = 0;
             for (slot, owner) in slot_owner[c].iter().enumerate() {
@@ -690,17 +691,7 @@ impl Network {
             cell.audit_now();
             total_violations += cell.total_violations();
             fault_stats.merge(&cell.fault_stats());
-            let (live, replayed) = cell.channel_slot_steps();
-            work.fading_draws += cell.fading_draws();
-            work.live_slot_steps += live;
-            work.replayed_slot_steps += replayed;
-            work.active_cell_ttis += cell.now().as_nanos() / cell.tti().as_nanos() - cell.idle_ttis;
-            let (fast, exact) = cell.cqi_classifications();
-            work.cqi_fast += fast;
-            work.cqi_exact += exact;
-            work.active_ue_ttis += cell.active_ue_ttis();
-            work.metric_rows_refreshed += cell.metric_rows_refreshed();
-            work.flow_endpoints_high_water += cell.flow_endpoints().1;
+            work.merge(&cell.work());
         }
         NetworkRun {
             report: NetworkReport {
@@ -967,49 +958,8 @@ pub struct NetworkRun {
     pub aborted_at: Option<Time>,
     /// Path of the final checkpoint written on abort, when requested.
     pub checkpoint: Option<PathBuf>,
-    /// Channel and scheduler work done, summed over cells.
-    #[doc(hidden)]
+    /// Work done, summed over cells, plus the epoch barriers' own.
     pub work: WorkCounters,
-}
-
-/// Deterministic work counters of one network run, summed over its
-/// cells. They are not serialized (a resumed run counts from the
-/// restore) and not part of the report, so no digest sees them.
-#[doc(hidden)]
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WorkCounters {
-    /// Gaussians drawn by the fading step ([`Cell::fading_draws`]).
-    pub fading_draws: u64,
-    /// Slots stepped by a channel advance as it ran.
-    pub live_slot_steps: u64,
-    /// Slot steps replayed later, for a slot that was empty at the time.
-    pub replayed_slot_steps: u64,
-    /// Active cell-TTIs: each is one channel advance of one cell.
-    pub active_cell_ttis: u64,
-    /// (UE, subband) CQIs stored from the log-free classification
-    /// ([`Cell::cqi_classifications`]).
-    pub cqi_fast: u64,
-    /// (UE, subband) CQIs redone through the host's `log10`.
-    pub cqi_exact: u64,
-    /// Σ over active cell-TTIs of the UEs with radio work
-    /// ([`Cell::active_ue_ttis`]).
-    pub active_ue_ttis: u64,
-    /// Scheduler metric-cache rows recomputed
-    /// ([`Cell::metric_rows_refreshed`]).
-    pub metric_rows_refreshed: u64,
-    /// Σ over cells of the most TCP endpoint pairs the cell held at once
-    /// ([`Cell::flow_endpoints`]) — what its flow table costs beyond one
-    /// thin record a flow.
-    pub flow_endpoints_high_water: u64,
-    /// (UE, cell) RSRPs evaluated at epoch barriers: one table of
-    /// `n_ues · n_cells` per barrier.
-    pub barrier_rsrp_evals: u64,
-    /// Per-UE geometry pushes made at epoch barriers: `n_ues` per barrier.
-    pub barrier_geometry_pushes: u64,
-    /// The part of `replayed_slot_steps` replayed at epoch barriers, for
-    /// slots a handover filled (the rest is replayed inside a cell's own
-    /// epoch, or for a checkpoint).
-    pub barrier_replayed_slot_steps: u64,
 }
 
 /// What the serial half of a barrier hands its pooled half.
@@ -1102,7 +1052,7 @@ mod tests {
         );
         let mut st = net.build_state();
         let replayed =
-            |st: &NetState| -> u64 { st.cells.iter().map(|c| c.channel_slot_steps().1).sum() };
+            |st: &NetState| -> u64 { st.cells.iter().map(|c| c.work().replayed_slot_steps).sum() };
         let (mut refilled, mut attach_then_detach, mut in_apply) = (0, 0, 0);
         for e in 1..=8 {
             net.advance_cells(&mut st, Time::from_secs(e));

@@ -3,7 +3,7 @@
 //! delay ahead — packets at `cn_delay` plus any degraded-CN surcharge,
 //! ACKs and STATUS PDUs at `ul_air_delay` — must land there, so only
 //! flow arrivals, registered at arbitrary future instants, may go to the
-//! far tier (a `BinaryHeap`). `Cell::event_far_pushes` counts what went:
+//! far tier (a `BinaryHeap`). `WorkCounters::event_far_pushes` counts what went:
 //! at most one push per registered flow, and deterministic work, so
 //! dense stepping counts what event-driven stepping counts.
 
@@ -22,7 +22,7 @@ fn far_pushes(exp: &impl Fn() -> Experiment, gbr: bool, dense: bool) -> (u64, u6
     if gbr {
         cell.add_gbr_bearer(GbrBearer::volte(0));
     }
-    let at_build = cell.event_far_pushes();
+    let at_build = cell.work().event_far_pushes;
     let end = Time::from_secs(2 * SECS);
     if dense {
         cell.run_until_dense(end);
@@ -30,7 +30,7 @@ fn far_pushes(exp: &impl Fn() -> Experiment, gbr: bool, dense: bool) -> (u64, u6
         cell.run_until(end);
     }
     assert!(cell.n_completed() > 50, "{} flows done", cell.n_completed());
-    let in_run = cell.event_far_pushes() - at_build;
+    let in_run = cell.work().event_far_pushes - at_build;
     (at_build, in_run, cell.n_flows() as u64)
 }
 

@@ -230,14 +230,14 @@ fn soak(secs: u64, dense: bool) -> (usize, usize, u64) {
         } else {
             cell.run_until(Time::from_secs(s));
         }
-        let (live, high_water) = cell.flow_endpoints();
-        assert_eq!(live, cell.open_flows());
-        assert!(live <= high_water);
+        let live = cell.open_flows();
+        assert!(live <= cell.work().flow_endpoints_high_water);
         if live > 0 || s % 300 == 0 {
             cell.check_live_index().unwrap();
         }
     }
-    (cell.n_flows(), cell.n_completed(), cell.flow_endpoints().1)
+    let high_water = cell.work().flow_endpoints_high_water;
+    (cell.n_flows(), cell.n_completed(), high_water)
 }
 
 /// The memory a flow's TCP endpoints take follows the flows open at
@@ -380,7 +380,7 @@ fn scan_work_is_independent_of_flows_scheduled_beyond_the_horizon() {
             ]);
         }
         (
-            cell.ingress_scan_visits(),
+            cell.work().ingress_scan_visits,
             trace,
             open_sum,
             cell.n_completed() as u64,

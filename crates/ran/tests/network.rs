@@ -257,11 +257,12 @@ fn classification_and_metric_row_counters_follow_the_work() {
         } else {
             cell.run_until(Time::from_secs(4));
         }
+        let w = cell.work();
         (
             cell.skipped_ttis,
-            cell.cqi_classifications(),
-            cell.active_ue_ttis(),
-            cell.metric_rows_refreshed(),
+            (w.cqi_fast, w.cqi_exact),
+            w.active_ue_ttis,
+            w.metric_rows_refreshed,
         )
     };
     let (skipped, cqi, active, rows) = run(false);
@@ -284,8 +285,12 @@ fn single_cell_steps_every_slot_on_every_advance() {
     cell.run_until(Time::from_secs(3));
     assert!(cell.skipped_ttis > 0, "no idle jump in the run");
     let advances = cell.now().as_nanos() / cell.tti().as_nanos() - cell.idle_ttis;
-    assert_eq!(cell.channel_slot_steps(), (4 * advances, 0));
-    assert_eq!(cell.fading_draws(), 4 * advances * 2 * (8 + 1));
+    let w = cell.work();
+    assert_eq!(
+        (w.live_slot_steps, w.replayed_slot_steps),
+        (4 * advances, 0)
+    );
+    assert_eq!(w.fading_draws, 4 * advances * 2 * (8 + 1));
 }
 
 /// Little-endian `u64` at byte `at` of `bytes`.

@@ -80,7 +80,7 @@ fn pools_never_miss_after_warmup() {
         // Once the deepest backlog is behind the cell, opening a flow
         // allocates nothing: let it drain until one more second of the
         // same burst (100 flows), all open at once, would still fit.
-        let high_water = cell.flow_endpoints().1;
+        let high_water = cell.work().flow_endpoints_high_water;
         assert!(high_water > 100, "{}: {high_water}", kind.name());
         let mut t = horizon;
         while cell.open_flows() + 100 > high_water {

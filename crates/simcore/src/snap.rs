@@ -25,6 +25,8 @@
 //!   they cannot disagree. The struct form destructures `Self { .. }`
 //!   exhaustively: a field that is neither persisted nor named under
 //!   `rebuilt` is a compile error.
+//! * [`counters!`](crate::counters) — declare a set of `u64` event
+//!   counters once: struct, `merge`, `rows`, `total_events` and layout.
 //! * [`SnapshotFile`] — a container of named sections, each guarded by
 //!   an FNV-1a digest, behind a magic number and a format version.
 //! * [`write_atomic`] — temp-file + rename persistence so an
@@ -749,6 +751,64 @@ macro_rules! snap_enum {
     (@get $r:ident $t:ident) => { $r.get()? };
 }
 
+/// Declare a set of event counters **once**: a struct of documented
+/// `pub u64` fields, from which the derives (`Debug`, `Clone`, `Copy`,
+/// `Default`, `PartialEq`, `Eq`), `merge`, `rows`, `total_events` and
+/// the snapshot layout (through [`snap_fields!`](crate::snap_fields),
+/// in declaration order) are all generated, so no list can miss a field.
+///
+/// ```
+/// outran_simcore::counters! {
+///     /// What a toy link did.
+///     pub struct LinkStats {
+///         /// Packets sent.
+///         pub sent: u64,
+///         /// Packets dropped.
+///         pub dropped: u64,
+///     }
+/// }
+///
+/// let mut a = LinkStats { sent: 3, dropped: 1 };
+/// a.merge(&LinkStats { sent: 2, dropped: 0 });
+/// assert_eq!(a.rows(), [("sent", 5), ("dropped", 1)]);
+/// assert_eq!(a.total_events(), 6);
+/// ```
+#[macro_export]
+macro_rules! counters {
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $ty:ident {
+            $($(#[$fmeta:meta])* pub $f:ident: u64),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        $vis struct $ty {
+            $($(#[$fmeta])* pub $f: u64,)*
+        }
+
+        impl $ty {
+            /// Add every counter of `other` into this one.
+            pub fn merge(&mut self, other: &Self) {
+                $(self.$f += other.$f;)*
+            }
+
+            /// `(label, value)` rows for summary tables, in declaration
+            /// order.
+            pub fn rows(&self) -> ::std::vec::Vec<(&'static str, u64)> {
+                ::std::vec![$((::std::stringify!($f), self.$f)),*]
+            }
+
+            /// Sum of every counter (a quick "anything happened?" signal).
+            pub fn total_events(&self) -> u64 {
+                0 $(+ self.$f)*
+            }
+        }
+
+        $crate::snap_fields! { $ty { $($f),* } }
+    };
+}
+
 // ---------------------------------------------------------------------------
 // Layouts of simcore's own stateful types. These live here (same crate)
 // so the types' fields can stay private.
@@ -1207,6 +1267,46 @@ mod tests {
                 })
                 .collect();
             roundtrip(&nested);
+        });
+    }
+
+    crate::counters! {
+        /// Three counters, to check what `counters!` generates.
+        struct Tally {
+            /// First.
+            pub a: u64,
+            /// Second.
+            pub b: u64,
+            /// Third.
+            pub c: u64,
+        }
+    }
+
+    #[test]
+    fn counters_generate_every_field_list() {
+        crate::check("counters", 64, |rng| {
+            let mut draw = || Tally {
+                a: rng.below(1 << 40),
+                b: rng.below(1 << 40),
+                c: rng.below(1 << 40),
+            };
+            let (x, y) = (draw(), draw());
+            let mut sum = x;
+            sum.merge(&y);
+            assert_eq!(
+                sum,
+                Tally {
+                    a: x.a + y.a,
+                    b: x.b + y.b,
+                    c: x.c + y.c,
+                }
+            );
+            assert_eq!(x.rows(), [("a", x.a), ("b", x.b), ("c", x.c)]);
+            assert_eq!(x.total_events(), x.a + x.b + x.c);
+            roundtrip(&x);
+            let mut w = SnapWriter::new();
+            x.snap(&mut w);
+            assert_eq!(w.into_bytes().len(), 3 * 8, "one u64 a field");
         });
     }
 }

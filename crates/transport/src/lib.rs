@@ -1,9 +1,9 @@
 //! # outran-transport
 //!
-//! A windowed TCP endpoint model (TCP-Cubic by default, Reno available),
-//! the transport substrate under every evaluation scenario: "The
-//! transport protocol is TCP-Cubic \[39\] and the buffer size per-user at
-//! xNodeB is set to the default value of srsRAN" (§3, §6.2).
+//! A windowed TCP-Cubic endpoint model, the transport substrate under
+//! every evaluation scenario: "The transport protocol is TCP-Cubic
+//! \[39\] and the buffer size per-user at xNodeB is set to the default
+//! value of srsRAN" (§3, §6.2).
 //!
 //! Why a real window dynamic matters here: the whole motivation of the
 //! paper — queue build-up behind long flows, bufferbloat in the per-UE
@@ -13,10 +13,10 @@
 //! buffer-size sensitivity or the 5G queue-delay inflation of Figure 17.
 //!
 //! The model implements: slow start, congestion avoidance (Cubic window
-//! growth or Reno AIMD), duplicate-ACK fast retransmit with fast
-//! recovery, RTO with exponential backoff and go-back-N resume, and an
-//! RFC 6298 RTT estimator. The receiver tracks out-of-order ranges and
-//! produces cumulative ACKs.
+//! growth), duplicate-ACK fast retransmit with fast recovery, RTO with
+//! exponential backoff and go-back-N resume, and an RFC 6298 RTT
+//! estimator. The receiver tracks out-of-order ranges and produces
+//! cumulative ACKs.
 //!
 //! What is deliberately left out (and why it does not change the paper's
 //! phenomena): SACK (recovery is slightly slower without it — the same
@@ -52,4 +52,4 @@ pub mod receiver;
 pub mod sender;
 
 pub use receiver::TcpReceiver;
-pub use sender::{CcAlgo, Segment, TcpConfig, TcpSender};
+pub use sender::{Segment, TcpConfig, TcpSender};

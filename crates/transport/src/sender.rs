@@ -3,24 +3,14 @@
 use outran_simcore::snap::SnapError;
 use outran_simcore::{Dur, Time};
 
-/// Congestion-control algorithm.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CcAlgo {
-    /// CUBIC (RFC 8312-flavoured): the paper's transport (§3, §6.2).
-    Cubic,
-    /// Classic Reno AIMD (for comparisons/tests).
-    Reno,
-}
-
-/// Sender configuration.
+/// Sender configuration. Congestion avoidance is CUBIC
+/// (RFC 8312-flavoured), the paper's transport (§3, §6.2).
 #[derive(Debug, Clone, Copy)]
 pub struct TcpConfig {
     /// Maximum segment size (payload bytes per packet).
     pub mss: u32,
     /// Initial congestion window in segments (RFC 6928: 10).
     pub init_cwnd_segs: u32,
-    /// Congestion control algorithm.
-    pub algo: CcAlgo,
     /// Minimum retransmission timeout.
     pub min_rto: Dur,
     /// Maximum retransmission timeout.
@@ -38,7 +28,6 @@ impl Default for TcpConfig {
         TcpConfig {
             mss: 1400,
             init_cwnd_segs: 10,
-            algo: CcAlgo::Cubic,
             min_rto: Dur::from_millis(200),
             max_rto: Dur::from_secs(60),
             cubic_c: 0.4,
@@ -360,13 +349,9 @@ impl TcpSender {
     fn enter_fast_recovery(&mut self, now: Time) {
         self.phase = Phase::FastRecovery;
         self.recover = self.snd_nxt;
-        let beta = match self.cfg.algo {
-            CcAlgo::Cubic => self.cfg.cubic_beta,
-            CcAlgo::Reno => 0.5,
-        };
         // Cubic remembers the pre-loss window as W_max.
         self.cubic.w_max = self.cwnd / self.cfg.mss as f64;
-        self.ssthresh = (self.cwnd * beta).max((2 * self.cfg.mss) as f64);
+        self.ssthresh = (self.cwnd * self.cfg.cubic_beta).max((2 * self.cfg.mss) as f64);
         self.cwnd = self.ssthresh;
         self.cubic_epoch_reset(now);
         self.queue_retx();
@@ -384,33 +369,23 @@ impl TcpSender {
     }
 
     fn ca_growth(&mut self, now: Time, newly_acked: u64) {
-        match self.cfg.algo {
-            CcAlgo::Reno => {
-                // +1 MSS per RTT => per-byte share.
-                self.cwnd += (self.cfg.mss as f64) * (newly_acked as f64) * self.cfg.mss as f64
-                    / self.cwnd.max(1.0)
-                    / self.cfg.mss as f64;
-            }
-            CcAlgo::Cubic => {
-                let mss = self.cfg.mss as f64;
-                if self.cubic.epoch_start.is_none() {
-                    self.cubic_epoch_reset(now);
-                }
-                // Total: the reset above guarantees `Some`; fall back to
-                // a zero-length epoch rather than panicking.
-                let epoch = self.cubic.epoch_start.unwrap_or(now);
-                let t = now.saturating_since(epoch).as_secs_f64();
-                let target_segs = self.cfg.cubic_c * (t - self.cubic.k).powi(3) + self.cubic.w_max;
-                let target = target_segs * mss;
-                if target > self.cwnd {
-                    // Approach the cubic target over one RTT.
-                    let step = (target - self.cwnd) * (newly_acked as f64) / self.cwnd.max(mss);
-                    self.cwnd += step.min(mss * (newly_acked as f64) / mss); // ≤ slow-start pace
-                } else {
-                    // TCP-friendly minimal growth.
-                    self.cwnd += 0.01 * mss * (newly_acked as f64) / self.cwnd.max(mss);
-                }
-            }
+        let mss = self.cfg.mss as f64;
+        if self.cubic.epoch_start.is_none() {
+            self.cubic_epoch_reset(now);
+        }
+        // Total: the reset above guarantees `Some`; fall back to
+        // a zero-length epoch rather than panicking.
+        let epoch = self.cubic.epoch_start.unwrap_or(now);
+        let t = now.saturating_since(epoch).as_secs_f64();
+        let target_segs = self.cfg.cubic_c * (t - self.cubic.k).powi(3) + self.cubic.w_max;
+        let target = target_segs * mss;
+        if target > self.cwnd {
+            // Approach the cubic target over one RTT.
+            let step = (target - self.cwnd) * (newly_acked as f64) / self.cwnd.max(mss);
+            self.cwnd += step.min(mss * (newly_acked as f64) / mss); // ≤ slow-start pace
+        } else {
+            // TCP-friendly minimal growth.
+            self.cwnd += 0.01 * mss * (newly_acked as f64) / self.cwnd.max(mss);
         }
     }
 
@@ -623,29 +598,6 @@ mod tests {
             assert!(i < 799, "cubic must climb back toward w_max, w={w}");
         }
         assert!(w > w_after_loss);
-    }
-
-    #[test]
-    fn reno_ca_is_linear_ish() {
-        let mut c = cfg();
-        c.algo = CcAlgo::Reno;
-        let mut s = TcpSender::new(c, u64::MAX / 2);
-        // Force CA.
-        s.ssthresh = 2.0 * 1400.0;
-        let mut now = Time::ZERO;
-        let mut last = 0.0;
-        for _ in 0..10 {
-            let segs = s.emit(now);
-            let cum = segs
-                .last()
-                .map(|g| g.seq + g.len as u64)
-                .unwrap_or(s.snd_nxt);
-            now += Dur::from_millis(20);
-            s.on_ack(now, cum);
-            let w = s.cwnd();
-            assert!(w >= last);
-            last = w;
-        }
     }
 
     #[test]

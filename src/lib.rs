@@ -19,7 +19,7 @@
 //! | [`pdcp`] | `outran-pdcp` | five-tuple flow keys, MLFQ marking |
 //! | [`rlc`] | `outran-rlc` | UM/AM entities, segmentation, MLFQ queues |
 //! | [`mac`] | `outran-mac` | per-RB schedulers incl. OutRAN inter-user |
-//! | [`transport`] | `outran-transport` | TCP (Cubic/Reno) endpoint model |
+//! | [`transport`] | `outran-transport` | TCP-Cubic endpoint model |
 //! | [`workload`] | `outran-workload` | flow-size dists, arrivals, web pages |
 //! | [`metrics`] | `outran-metrics` | FCT/fairness/SE collectors, tables |
 //! | [`core`] | `outran-core` | the OutRAN scheduler itself + thresholds |

@@ -18,6 +18,74 @@ fn sdu(id: u64, len: u32) -> RlcSdu {
     }
 }
 
+/// Run one AM conversation: SDUs of `lens` bytes, transmission
+/// opportunities of `budgets` bytes in turn, and `losses` deciding (with
+/// every third PDU spared) which first transmissions are lost. Checks
+/// that every SDU is delivered exactly once.
+fn am_conversation(lens: &[u32], budgets: &[u64], losses: &[bool]) {
+    let cfg = AmConfig {
+        header_bytes: 0,
+        poll_pdu: 2,
+        t_status_prohibit: Dur::from_millis(1),
+        ..AmConfig::default()
+    };
+    let mut tx = AmTx::new(cfg);
+    let mut rx = AmRx::new(cfg);
+    for (i, &len) in lens.iter().enumerate() {
+        tx.write_sdu(sdu(i as u64, len)).unwrap();
+    }
+    let mut delivered: Vec<u64> = Vec::new();
+    let mut now = Time::ZERO;
+    let mut bi = budgets.iter().cycle();
+    let mut li = losses.iter().cycle();
+    let mut sent = 0usize;
+    let mut idle_rounds = 0;
+    while delivered.len() < lens.len() {
+        now += Dur::from_millis(1);
+        tx.on_tick(now);
+        let (pdus, used) = tx.pull(*bi.next().unwrap(), now);
+        if used == 0 {
+            idle_rounds += 1;
+            assert!(
+                idle_rounds < 5000,
+                "AM stalled: {}/{} delivered, in-flight {}",
+                delivered.len(),
+                lens.len(),
+                tx.in_flight()
+            );
+            continue;
+        }
+        idle_rounds = 0;
+        for pdu in pdus {
+            sent += 1;
+            // First transmissions may be lost; retransmissions are
+            // recognisable because AmTx counts them.
+            let lose = *li.next().unwrap() && !sent.is_multiple_of(3);
+            if lose && tx.retx_count == 0 {
+                continue;
+            }
+            let (sdus, status) = rx.on_pdu(pdu, now);
+            delivered.extend(sdus.iter().map(|d| d.sdu_id));
+            if let Some(st) = status {
+                tx.on_status(&st);
+            }
+        }
+    }
+    // Exactly once, in order (AM delivers in SN order and SDUs were
+    // written in id order at equal..mixed priorities — the AM TxQ is
+    // MLFQ, so delivery order follows the *transmission* order;
+    // verify uniqueness and completeness).
+    let mut seen = delivered.clone();
+    seen.sort_unstable();
+    seen.dedup();
+    assert_eq!(
+        seen.len(),
+        lens.len(),
+        "duplicates or misses: {:?}",
+        delivered
+    );
+}
+
 #[test]
 fn am_delivers_everything_in_order_under_loss() {
     check("am_delivers_everything_in_order_under_loss", 48, |rng| {
@@ -30,66 +98,17 @@ fn am_delivers_everything_in_order_under_loss() {
         // Loss pattern over first transmissions (retx always delivered,
         // so the conversation terminates).
         let losses: Vec<bool> = (0..64).map(|_| rng.chance(0.5)).collect();
-        let cfg = AmConfig {
-            header_bytes: 0,
-            poll_pdu: 2,
-            t_status_prohibit: Dur::from_millis(1),
-            ..AmConfig::default()
-        };
-        let mut tx = AmTx::new(cfg);
-        let mut rx = AmRx::new(cfg);
-        for (i, &len) in lens.iter().enumerate() {
-            tx.write_sdu(sdu(i as u64, len)).unwrap();
-        }
-        let mut delivered: Vec<u64> = Vec::new();
-        let mut now = Time::ZERO;
-        let mut bi = budgets.iter().cycle();
-        let mut li = losses.iter().cycle();
-        let mut sent = 0usize;
-        let mut idle_rounds = 0;
-        while delivered.len() < lens.len() {
-            now += Dur::from_millis(1);
-            tx.on_tick(now);
-            let (pdus, used) = tx.pull(*bi.next().unwrap(), now);
-            if used == 0 {
-                idle_rounds += 1;
-                assert!(
-                    idle_rounds < 5000,
-                    "AM stalled: {}/{} delivered, in-flight {}",
-                    delivered.len(),
-                    lens.len(),
-                    tx.in_flight()
-                );
-                continue;
-            }
-            idle_rounds = 0;
-            for pdu in pdus {
-                sent += 1;
-                // First transmissions may be lost; retransmissions are
-                // recognisable because AmTx counts them.
-                let lose = *li.next().unwrap() && !sent.is_multiple_of(3);
-                if lose && tx.retx_count == 0 {
-                    continue;
-                }
-                let (sdus, status) = rx.on_pdu(pdu, now);
-                delivered.extend(sdus.iter().map(|d| d.sdu_id));
-                if let Some(st) = status {
-                    tx.on_status(&st);
-                }
-            }
-        }
-        // Exactly once, in order (AM delivers in SN order and SDUs were
-        // written in id order at equal..mixed priorities — the AM TxQ is
-        // MLFQ, so delivery order follows the *transmission* order;
-        // verify uniqueness and completeness).
-        let mut seen = delivered.clone();
-        seen.sort_unstable();
-        seen.dedup();
-        assert_eq!(
-            seen.len(),
-            lens.len(),
-            "duplicates or misses: {:?}",
-            delivered
-        );
+        am_conversation(&lens, &budgets, &losses);
     });
+}
+
+/// A failing case once recorded, shrunk: five SDUs over four budgets,
+/// first transmissions lost at 6, 52, 53, 59 and 63 of 64.
+#[test]
+fn am_delivers_the_recorded_shrunk_case() {
+    let mut losses = [false; 64];
+    for i in [6, 52, 53, 59, 63] {
+        losses[i] = true;
+    }
+    am_conversation(&[1018, 1235, 64, 64, 175], &[64, 64, 2428, 64], &losses);
 }
