@@ -33,12 +33,9 @@ pub(super) fn run(threads: usize, out: &mut String) {
         ("no segment promotion", |c| c.promote_segments = false),
         ("drop-tail buffers", |c| c.pushout = false),
         ("naive log-split thresholds", |c| {
-            c.thresholds = Some(vec![1_000, 31_623, 1_000_000])
+            c.thresholds = vec![1_000, 31_623, 1_000_000]
         }),
-        ("K=2 queues", |c| {
-            c.mlfq_queues = 2;
-            c.thresholds = Some(vec![75_000]);
-        }),
+        ("K=2 queues", |c| c.thresholds = vec![75_000]),
         ("tight 6ms reassembly window", |c| {
             c.reassembly_window = Dur::from_millis(6)
         }),
@@ -47,10 +44,9 @@ pub(super) fn run(threads: usize, out: &mut String) {
             c.promote_segments = false;
         }),
         ("K=8 queues", |c| {
-            c.mlfq_queues = 8;
-            c.thresholds = Some(vec![
+            c.thresholds = vec![
                 4_000, 16_000, 64_000, 256_000, 1_000_000, 4_000_000, 16_000_000,
-            ]);
+            ]
         }),
     ];
     let results = run_avg_grid(threads, cases, &SEEDS, |(_, modify), seed| {

@@ -20,16 +20,16 @@
 //! This crate adds:
 //!
 //! * [`OutRanConfig`] — the policy knobs the cell simulator reads, with
-//!   the paper's defaults (K = 4 queues, promotion and push-out on, no
-//!   priority reset). ε travels with the scheduler selection and the
-//!   RLC buffer size and PF window T_f with the cell configuration
-//!   (`outran-ran`), so each is stored once.
+//!   the paper's defaults (the K = 4 [`PAPER_THRESHOLDS`], promotion
+//!   and push-out on, no priority reset). ε travels with the scheduler
+//!   selection and the RLC buffer size and PF window T_f with the cell
+//!   configuration (`outran-ran`), so each is stored once.
 //! * [`thresholds`] — the MLFQ demotion-threshold optimizer. The paper
 //!   "referred to the solution method presented in PIAS, which solves
 //!   the optimization problem of finding the MLFQ thresholds … using the
 //!   global optimization toolbox in SciPy" (§4.2); we implement the same
 //!   queueing-theoretic objective with a deterministic coordinate-descent
-//!   solver in pure Rust.
+//!   solver in pure Rust, and, as the paper did, solve it offline.
 //! * [`reset`] — the §6.3 "Priority Boost" safety measure.
 
 //!
@@ -39,10 +39,10 @@
 //! use outran_core::{optimize_thresholds, OutRanConfig};
 //! use outran_workload::FlowSizeDist;
 //!
-//! // The paper's default policy...
+//! // The paper's default policy: K = 4 queues...
 //! let cfg = OutRanConfig::default();
-//! assert_eq!(cfg.mlfq_queues, 4);
-//! // ...and PIAS-style thresholds for a given flow-size distribution.
+//! assert_eq!(cfg.thresholds.len() + 1, 4);
+//! // ...and PIAS-style thresholds for another flow-size distribution.
 //! let cdf = FlowSizeDist::Websearch.cdf();
 //! let alphas = optimize_thresholds(&cdf, 4, 0.6);
 //! assert_eq!(alphas.len(), 3);
@@ -61,14 +61,17 @@ use outran_simcore::{Dur, Time};
 pub use reset::PriorityReset;
 pub use thresholds::optimize_thresholds;
 
+/// The MLFQ demotion thresholds (bytes) [`optimize_thresholds`] finds
+/// for the LTE cellular distribution with K = 4 queues at load 0.6 —
+/// the paper's parameter choice (§4.2: steady for K > 4), recorded.
+pub const PAPER_THRESHOLDS: [u64; 3] = [56_104, 1_305_684, 4_771_501];
+
 /// OutRAN policy configuration with the paper's defaults.
 #[derive(Debug, Clone)]
 pub struct OutRanConfig {
-    /// MLFQ queue count K (§4.2: steady for K > 4; default 4).
-    pub mlfq_queues: usize,
-    /// Demotion thresholds; `None` = run [`optimize_thresholds`] against
-    /// the LTE cellular distribution at build time.
-    pub thresholds: Option<Vec<u64>>,
+    /// Demotion thresholds in bytes, strictly increasing; the queue
+    /// count K is their number plus one. Default [`PAPER_THRESHOLDS`].
+    pub thresholds: Vec<u64>,
     /// §6.3 priority-reset period S (`None` = disabled, the default).
     pub reset_period: Option<Dur>,
     /// Segmented-SDU promotion (§4.4; default on).
@@ -87,8 +90,7 @@ pub struct OutRanConfig {
 impl Default for OutRanConfig {
     fn default() -> Self {
         OutRanConfig {
-            mlfq_queues: 4,
-            thresholds: None,
+            thresholds: PAPER_THRESHOLDS.to_vec(),
             reset_period: None,
             promote_segments: true,
             pushout: true,
@@ -99,16 +101,10 @@ impl Default for OutRanConfig {
 }
 
 impl OutRanConfig {
-    /// Resolve the MLFQ thresholds (explicit, or optimized for the LTE
-    /// cellular distribution at 60 % load as the paper's defaults were).
+    /// The MLFQ marking configuration: K = `thresholds.len() + 1`
+    /// queues (panics unless the thresholds strictly increase).
     pub fn resolve_mlfq(&self) -> MlfqConfig {
-        match &self.thresholds {
-            Some(t) => MlfqConfig::new(t.clone()),
-            None => {
-                let cdf = outran_workload::FlowSizeDist::LteCellular.cdf();
-                MlfqConfig::new(optimize_thresholds(&cdf, self.mlfq_queues, 0.6))
-            }
-        }
+        MlfqConfig::new(self.thresholds.clone())
     }
 
     /// The priority-reset driver, if configured.
@@ -120,12 +116,12 @@ impl OutRanConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use outran_workload::FlowSizeDist;
 
     #[test]
     fn defaults_match_paper() {
         let c = OutRanConfig::default();
-        assert_eq!(c.mlfq_queues, 4);
-        assert!(c.thresholds.is_none());
+        assert_eq!(c.thresholds, PAPER_THRESHOLDS);
         assert!(c.reset_period.is_none());
         assert!(c.promote_segments);
         assert!(c.pushout);
@@ -133,22 +129,22 @@ mod tests {
         assert_eq!(c.reassembly_window, Dur::from_millis(50));
     }
 
+    /// The recorded default is the solver's answer for the paper's
+    /// inputs, so the constant cannot drift from the model.
     #[test]
-    fn resolve_mlfq_has_k_minus_1_thresholds() {
-        let c = OutRanConfig::default();
-        let mlfq = c.resolve_mlfq();
-        assert_eq!(mlfq.num_queues(), 4);
-        assert_eq!(mlfq.thresholds.len(), 3);
-        // Strictly increasing is enforced by MlfqConfig::new already;
-        // sanity-check the range is sane for the LTE distribution.
-        assert!(mlfq.thresholds[0] >= 1_000);
-        assert!(mlfq.thresholds[0] <= 100_000);
+    fn default_thresholds_are_the_pias_solution() {
+        let cdf = FlowSizeDist::LteCellular.cdf();
+        assert_eq!(
+            OutRanConfig::default().thresholds,
+            optimize_thresholds(&cdf, 4, 0.6)
+        );
+        assert_eq!(OutRanConfig::default().resolve_mlfq().num_queues(), 4);
     }
 
     #[test]
     fn explicit_thresholds_pass_through() {
         let c = OutRanConfig {
-            thresholds: Some(vec![1_000, 2_000, 3_000]),
+            thresholds: vec![1_000, 2_000, 3_000],
             ..OutRanConfig::default()
         };
         assert_eq!(c.resolve_mlfq().thresholds, vec![1_000, 2_000, 3_000]);

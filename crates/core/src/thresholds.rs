@@ -16,6 +16,11 @@
 //! The paper solved this with SciPy's global optimizer; a deterministic
 //! log-grid coordinate descent reaches the same fixed point for these
 //! smooth single-basin objectives and keeps the build dependency-free.
+//!
+//! Like the paper's, the solve is offline: no run calls it.
+//! [`crate::PAPER_THRESHOLDS`], `OutRanConfig`'s default, is its answer
+//! for the LTE cellular distribution at K = 4 and load 0.6, and a test
+//! holds the two equal.
 
 use outran_simcore::Empirical;
 
@@ -23,46 +28,12 @@ use outran_simcore::Empirical;
 /// quantile function.
 const N_QUANTILES: usize = 600;
 
-/// Candidates [`SizeTable::score_coordinate`] scores side by side. Each
-/// lane is an accumulator chain of its own, so one lane's adds issue
-/// while the others' wait on the add before them.
-const LANES: usize = 4;
-
 /// Everything the objective reads from the CDF — the midpoint quantiles
 /// and the mean — tabulated once per solve, so the candidate vectors a
-/// solve scores (611 in the default LTE, K = 4, load 0.6 solve; at most
-/// 8 rounds × (K − 1) coordinates × 64 grid points) pay for the
-/// `ln`/`exp` work once. The quantiles are non-decreasing, checked at
-/// construction.
-///
-/// Two evaluators read the table. [`SizeTable::objective`] is the
-/// direct one and the reference: it sums over the whole table in
-/// quantile order, the order the original per-candidate integration
-/// used. [`SizeTable::score_coordinate`] scores all of one coordinate's
-/// candidates in one call and returns the reference's bit patterns:
-///
-/// * *Per-lane order.* A lane adds the values the reference adds for its
-///   candidate, in the reference's order. Lanes interleave independent
-///   chains and never regroup a sum, so every rounding step is the
-///   reference's. Where a lane computes a term differently, the value is
-///   the same: with `lo < s ≤ hi`, `(min(s,hi) − min(s,lo)).max(0)` is
-///   exactly `s − lo`, with `s > hi` it is `(hi − lo).max(0)`, and the
-///   clamp at 0 returns a difference of ordered values unchanged.
-/// * *Exact-zero skips.* A term `(min(s,hi) − min(s,lo)).max(0)` with
-///   `s ≤ lo ≤ hi` is exactly `+0.0`, and adding `+0.0` to a sum of
-///   non-negative terms leaves it bit-identical. The table is sorted, so
-///   those terms are a prefix and a sum starts after it.
-/// * *Work common to the scan.* Moving `th[idx]` changes only the loads
-///   of queues `idx` and `idx + 1`, and the waiting terms from queue
-///   `idx` on. The other loads, the terms of the queues before `idx`,
-///   and the running sum over the sizes at or below `th[idx − 1]` (those
-///   flows finish before queue `idx`, and the sorted table makes them a
-///   prefix of the summation order) are computed once per scan.
-///
-/// The optimizer then replays its sequential acceptance (`v < best −
-/// 1e-9`, in grid order) over the returned values. A scan does not
-/// change `th` until it ends, so this is the one-candidate-at-a-time
-/// loop it replaced.
+/// solve scores (611 in the default LTE, K = 4, load 0.6 solve) pay for
+/// the `ln`/`exp` work once. Sums run over the table in quantile order,
+/// the order the original per-candidate integration used, so every
+/// value is that integration's bit pattern.
 struct SizeTable {
     sizes: Vec<f64>,
     mean: f64,
@@ -70,41 +41,23 @@ struct SizeTable {
 
 impl SizeTable {
     fn new(cdf: &Empirical) -> SizeTable {
-        let sizes: Vec<f64> = (0..N_QUANTILES)
-            .map(|i| cdf.quantile((i as f64 + 0.5) / N_QUANTILES as f64))
-            .collect();
-        assert!(
-            sizes.windows(2).all(|w| w[0] <= w[1]),
-            "the quantile function must not decrease"
-        );
         SizeTable {
-            sizes,
+            sizes: (0..N_QUANTILES)
+                .map(|i| cdf.quantile((i as f64 + 0.5) / N_QUANTILES as f64))
+                .collect(),
             mean: cdf.mean(),
         }
     }
 
     /// Expected bytes a flow sends between cumulative sizes `lo` and
-    /// `hi`: `E[min(S,hi) − min(S,lo)]`, summed from table index `from`
-    /// — 0, or past sizes at or below `lo`, whose terms are `+0.0`.
-    fn expected_bytes_between(&self, from: usize, lo: f64, hi: f64) -> f64 {
+    /// `hi`: `E[min(S,hi) − min(S,lo)]`.
+    fn expected_bytes_between(&self, lo: f64, hi: f64) -> f64 {
         debug_assert!(lo <= hi);
         let mut acc = 0.0;
-        for &s in &self.sizes[from..] {
+        for &s in &self.sizes {
             acc += (s.min(hi) - s.min(lo)).max(0.0);
         }
         acc / N_QUANTILES as f64
-    }
-
-    /// Number of tabulated sizes at or below `x`.
-    fn at_or_below(&self, x: f64) -> usize {
-        self.sizes.partition_point(|&s| s <= x)
-    }
-
-    /// Load `ρ_j` of queue `j` between `edges[j]` and `edges[j + 1]`,
-    /// summed past the sizes at or below its lower edge.
-    fn load_of(&self, j: usize, edges: &[f64], lam: f64) -> f64 {
-        let (lo, hi) = (edges[j], edges[j + 1]);
-        lam * self.expected_bytes_between(self.at_or_below(lo), lo, hi)
     }
 
     /// The PIAS mean-delay objective over the tabulated sizes.
@@ -120,7 +73,7 @@ impl SizeTable {
         let k = bounds.len() - 1;
         let mut rho = Vec::with_capacity(k);
         for j in 0..k {
-            rho.push(lam * self.expected_bytes_between(0, bounds[j], bounds[j + 1]));
+            rho.push(lam * self.expected_bytes_between(bounds[j], bounds[j + 1]));
         }
         // Cumulative delay factor and per-queue waiting time. A flow being
         // serviced in queue j progresses at 1/factor_j of the line rate
@@ -156,167 +109,6 @@ impl SizeTable {
         }
         acc / N_QUANTILES as f64
     }
-
-    /// [`SizeTable::objective`] of `th` with `th[idx]` replaced by each
-    /// of `cands` in turn, into `out` in that order, bit for bit (see the
-    /// type's docs). `th` must be non-decreasing and every candidate in
-    /// `(th[idx − 1], th[idx + 1]]` (0 and ∞ past the ends); the
-    /// optimizer's scan guarantees both.
-    fn score_coordinate(
-        &self,
-        th: &[f64],
-        idx: usize,
-        cands: &[f64],
-        load: f64,
-        out: &mut Vec<f64>,
-    ) {
-        let n = N_QUANTILES as f64;
-        let lam = load / self.mean;
-        let residual = self.mean / 2.0;
-        let k = th.len() + 1;
-        // The queues' edges 0, th…, ∞; a batch writes each lane's
-        // candidate into its slot before that lane's queues are built.
-        let mut edges: Vec<f64> = std::iter::once(0.0)
-            .chain(th.iter().copied())
-            .chain([f64::INFINITY])
-            .collect();
-        // Queue idx spans (lo, candidate], queue idx + 1 (candidate, hi].
-        let (lo, hi) = (edges[idx], edges[idx + 2]);
-        debug_assert!(th.windows(2).all(|w| w[0] <= w[1]));
-        debug_assert!(cands.iter().all(|&g| lo < g && g <= hi));
-
-        // One row of queues per lane. The queues before idx are the same
-        // in every lane and set once; the rest are set per batch.
-        let mut lanes = [(); LANES].map(|_| vec![Queue::default(); k]);
-        let mut cum = 0.0;
-        for j in 0..idx {
-            cum = (cum + self.load_of(j, &edges, lam)).min(0.999);
-            let queue = Queue::new(edges[j], edges[j + 1], cum, residual);
-            for lane in &mut lanes {
-                lane[j] = queue;
-            }
-        }
-        let cum_before = cum;
-        let rho_after: Vec<f64> = (idx + 2..k).map(|j| self.load_of(j, &edges, lam)).collect();
-        // Sizes at or below lo finish before queue idx: their part of the
-        // sum is the same for every candidate.
-        let split = if idx == 0 { 0 } else { self.at_or_below(lo) };
-        let (head, tail) = self.sizes.split_at(split);
-        let mut common = Chain::new(&lanes[0], 0, 0.0);
-        for &s in head {
-            common.add(s);
-        }
-        let common = common.acc;
-
-        out.clear();
-        for batch in cands.chunks(LANES) {
-            // A short last batch repeats its last candidate in the spare lanes.
-            let g: [f64; LANES] = std::array::from_fn(|l| batch[l.min(batch.len() - 1)]);
-            // Loads of queues idx and idx + 1. The skipped sizes are at or
-            // below lo and each candidate, so their terms are +0.0 in both;
-            // a kept size is above lo, so `min(s, lo)` is lo, and both
-            // differences are ordered, so the clamps at 0 are the identity.
-            let (mut below, mut above) = ([0.0; LANES], [0.0; LANES]);
-            for &s in tail {
-                let s_hi = min(s, hi);
-                for l in 0..LANES {
-                    let s_g = min(s, g[l]);
-                    below[l] += s_g - lo;
-                    above[l] += s_hi - s_g;
-                }
-            }
-            for (l, lane) in lanes.iter_mut().enumerate() {
-                edges[idx + 1] = g[l];
-                let rho = [lam * (below[l] / n), lam * (above[l] / n)];
-                let mut cum = cum_before;
-                for (j, r) in (idx..k).zip(rho.into_iter().chain(rho_after.iter().copied())) {
-                    cum = (cum + r).min(0.999);
-                    lane[j] = Queue::new(edges[j], edges[j + 1], cum, residual);
-                }
-            }
-            let mut chains: [Chain; LANES] =
-                std::array::from_fn(|l| Chain::new(&lanes[l], idx, common));
-            for &s in tail {
-                for chain in &mut chains {
-                    chain.add(s);
-                }
-            }
-            out.extend(chains[..batch.len()].iter().map(|c| c.acc / n));
-        }
-    }
-}
-
-/// `a.min(b)` for the table's values and edges, which are never NaN or
-/// `-0.0`: one compare-and-select. With `f64::min` and its NaN handling
-/// in the load sums, a whole solve took ≈ 1.35× as long.
-fn min(a: f64, b: f64) -> f64 {
-    if a < b {
-        a
-    } else {
-        b
-    }
-}
-
-/// One queue of one candidate vector, at its cumulative load.
-#[derive(Clone, Copy, Default)]
-struct Queue {
-    /// The queue serves a flow's bytes `(lo, hi]`.
-    lo: f64,
-    hi: f64,
-    factor: f64,
-    wait: f64,
-    /// The term a flow that passes the queue whole adds.
-    full: f64,
-}
-
-impl Queue {
-    /// The reference's factor, waiting term and whole-queue term.
-    fn new(lo: f64, hi: f64, cum: f64, residual: f64) -> Queue {
-        let factor = 1.0 / (1.0 - cum);
-        let wait = residual * cum / (1.0 - cum);
-        Queue {
-            lo,
-            hi,
-            factor,
-            wait,
-            full: wait + (hi - lo).max(0.0) * factor,
-        }
-    }
-}
-
-/// One lane's running objective sum over ascending sizes.
-struct Chain<'a> {
-    queues: &'a [Queue],
-    /// The queue the last size finished in; it only moves up.
-    q: usize,
-    at: Queue,
-    acc: f64,
-}
-
-impl<'a> Chain<'a> {
-    /// A sum `acc` whose next size is above `queues[q].lo`.
-    fn new(queues: &'a [Queue], q: usize, acc: f64) -> Chain<'a> {
-        Chain {
-            queues,
-            q,
-            at: queues[q],
-            acc,
-        }
-    }
-
-    /// Add the reference's terms for a flow of size `s`, in its order:
-    /// the whole-queue terms of the queues it passes, then
-    /// `wait + (s − lo)·factor` for the one it finishes in.
-    fn add(&mut self, s: f64) {
-        while s > self.at.hi {
-            self.q += 1;
-            self.at = self.queues[self.q];
-        }
-        for passed in &self.queues[..self.q] {
-            self.acc += passed.full;
-        }
-        self.acc += self.at.wait + (s - self.at.lo) * self.at.factor;
-    }
 }
 
 /// The PIAS mean-delay objective for a threshold vector (lower = better).
@@ -348,8 +140,6 @@ pub fn optimize_thresholds(cdf: &Empirical, k: usize, load: f64) -> Vec<u64> {
 
     let table = SizeTable::new(cdf);
     let mut best = table.objective(&th, load);
-    let mut cands = Vec::with_capacity(grid_n);
-    let mut scores = Vec::with_capacity(grid_n);
     for _round in 0..8 {
         let mut improved = false;
         for idx in 0..th.len() {
@@ -359,11 +149,11 @@ pub fn optimize_thresholds(cdf: &Empirical, k: usize, load: f64) -> Vec<u64> {
             } else {
                 f64::INFINITY
             };
-            cands.clear();
-            cands.extend(grid.iter().filter(|&&g| g > lo_bound && g < hi_bound));
-            table.score_coordinate(&th, idx, &cands, load, &mut scores);
+            let mut cand = th.clone();
             let mut best_here = th[idx];
-            for (&g, &v) in cands.iter().zip(&scores) {
+            for &g in grid.iter().filter(|&&g| g > lo_bound && g < hi_bound) {
+                cand[idx] = g;
+                let v = table.objective(&cand, load);
                 if v < best - 1e-9 {
                     best = v;
                     best_here = g;
@@ -398,7 +188,6 @@ fn dedup_increasing(v: &mut [f64]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use outran_simcore::Rng;
     use outran_workload::FlowSizeDist;
 
     #[test]
@@ -566,66 +355,6 @@ mod tests {
                 "{dist:?} k={k} load={load}"
             );
         }
-    }
-
-    /// The batch scorer against the direct evaluation, on random
-    /// increasing threshold vectors over every distribution. A third
-    /// of the thresholds and candidates are tabulated sizes themselves,
-    /// so `s == bound` ties occur on every path; the candidate counts
-    /// leave short last batches.
-    #[test]
-    fn batch_scorer_matches_direct_evaluation_bit_for_bit() {
-        let dists = [
-            FlowSizeDist::LteCellular,
-            FlowSizeDist::MirageMobileApp,
-            FlowSizeDist::Websearch,
-            FlowSizeDist::Incast8k,
-        ];
-        let tables = dists.map(|d| SizeTable::new(&d.cdf()));
-        let mut rng = Rng::new(26);
-        let mut scored = 0;
-        for case in 0..400 {
-            let table = &tables[rng.below(4) as usize];
-            let size = |rng: &mut Rng| {
-                if rng.below(3) == 0 {
-                    table.sizes[rng.below(N_QUANTILES as u64) as usize]
-                } else {
-                    rng.range_f64(64f64.ln(), 1e8f64.ln()).exp()
-                }
-            };
-            let mut th: Vec<f64> = (0..1 + rng.below(7)).map(|_| size(&mut rng)).collect();
-            th.sort_by(f64::total_cmp);
-            th.dedup();
-            // Candidates keep the vector increasing: (lo, hi], the upper
-            // neighbour itself included.
-            let idx = rng.below(th.len() as u64) as usize;
-            let lo = if idx == 0 { 0.0 } else { th[idx - 1] };
-            let hi = th.get(idx + 1).copied().unwrap_or(1e9);
-            let mut cands: Vec<f64> = (0..1 + rng.below(11))
-                .map(|_| match size(&mut rng) {
-                    g if g > lo && g <= hi => g,
-                    _ => Some(lo + (hi - lo) * rng.f64_open())
-                        .filter(|&g| g > lo)
-                        .unwrap_or(hi),
-                })
-                .collect();
-            cands.push(hi);
-            let load = rng.range_f64(0.05, 0.95);
-            let mut got = Vec::new();
-            table.score_coordinate(&th, idx, &cands, load, &mut got);
-            assert_eq!(got.len(), cands.len());
-            for (&g, v) in cands.iter().zip(got) {
-                let mut cand = th.clone();
-                cand[idx] = g;
-                assert_eq!(
-                    v.to_bits(),
-                    table.objective(&cand, load).to_bits(),
-                    "case {case}: th {th:?}, idx {idx}, candidate {g}, load {load}"
-                );
-                scored += 1;
-            }
-        }
-        assert!(scored > 2_000, "{scored} candidates scored");
     }
 
     #[test]

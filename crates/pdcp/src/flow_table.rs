@@ -35,11 +35,11 @@ impl Priority {
 /// MLFQ configuration: `K = thresholds.len() + 1` queues.
 ///
 /// The thresholds are the demotion boundaries `α_1 < α_2 < … < α_{K−1}` in
-/// cumulative sent bytes. See `outran-core::thresholds` for the PIAS-style
-/// optimizer that picks them from a flow-size distribution; the defaults
-/// here are the ones our optimizer produces for the LTE cellular
-/// distribution with K = 4 (the paper observed performance is steady for
-/// K > 4, §4.2 "Parameter choice").
+/// cumulative sent bytes. OutRAN cells take `outran-core`'s
+/// `PAPER_THRESHOLDS`, the PIAS-style optimizer's answer for the LTE
+/// cellular distribution with K = 4 (the paper observed performance is
+/// steady for K > 4, §4.2 "Parameter choice"); the round default here is
+/// what cells without an MLFQ carry.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MlfqConfig {
     /// Demotion thresholds in bytes, strictly increasing.

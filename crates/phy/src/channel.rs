@@ -232,8 +232,6 @@ pub struct CellChannel {
     walkers: Vec<RandomWalk>,
     shadow_db: Vec<f64>,
     dist_since_shadow: Vec<f64>,
-    /// Cached `pathloss_db(distance)` per UE.
-    pathloss_db: Vec<f64>,
     /// Cached `((tx − pathloss) − noise) + shadow` per UE — the exact
     /// large-scale prefix of the SINR composition.
     sinr_const_db: Vec<f64>,
@@ -255,9 +253,10 @@ pub struct CellChannel {
     fade_sb_im: Vec<f64>,
     fade_wb_re: Vec<f64>,
     fade_wb_im: Vec<f64>,
-    /// Per-UE AR(1) coefficient (snapshots may carry per-UE values).
+    /// Per-UE AR(1) coefficient. Configuration: set by `new` and
+    /// never written after; a restore refuses any other value.
     fade_rho: Vec<f64>,
-    /// Per-UE wideband mixing weight.
+    /// Per-UE wideband mixing weight (configuration, as `fade_rho`).
     fade_flatness: Vec<f64>,
     fade_rng: Vec<Rng>,
     /// Scratch for one UE's innovations in [`CellChannel::advance_fading`]:
@@ -387,7 +386,6 @@ impl CellChannel {
             walkers: Vec::with_capacity(n_ues),
             shadow_db: Vec::with_capacity(n_ues),
             dist_since_shadow: vec![0.0; n_ues],
-            pathloss_db: vec![0.0; n_ues],
             sinr_const_db: vec![0.0; n_ues],
             iplusn_dbm: vec![cfg.noise_dbm(); n_ues],
             ext_dist_m: vec![0.0; n_ues],
@@ -497,7 +495,6 @@ impl CellChannel {
             self.walkers[ue].pos().dist_origin()
         };
         let pl = self.pathloss_db(dist);
-        self.pathloss_db[ue] = pl;
         self.sinr_const_db[ue] =
             self.cfg.tx_power_dbm - pl - self.iplusn_dbm[ue] + self.shadow_db[ue];
     }
@@ -1182,8 +1179,8 @@ impl LoadSnap for CellChannel {
         r.fixed(&mut self.fade_sb_im)?;
         r.fixed(&mut self.fade_wb_re)?;
         r.fixed(&mut self.fade_wb_im)?;
-        r.fixed(&mut self.fade_rho)?;
-        r.fixed(&mut self.fade_flatness)?;
+        same_plane(r, &self.fade_rho, "restored fading coefficient disagrees")?;
+        same_plane(r, &self.fade_flatness, "restored flatness disagrees")?;
         r.fixed(&mut self.fade_rng)?;
         r.fixed(&mut self.shadow_db)?;
         r.fixed(&mut self.reported)?;
@@ -1210,6 +1207,21 @@ impl LoadSnap for CellChannel {
         }
         Ok(())
     }
+}
+
+/// Read a configuration plane and refuse it unless it is, bit for bit,
+/// the one the channel was constructed with.
+fn same_plane(r: &mut SnapReader<'_>, built: &[f64], what: &'static str) -> Result<(), SnapError> {
+    let mut read = built.to_vec();
+    r.fixed(&mut read)?;
+    if !read
+        .iter()
+        .map(|x| x.to_bits())
+        .eq(built.iter().map(|x| x.to_bits()))
+    {
+        return Err(SnapError::Malformed(what));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1725,6 +1737,29 @@ mod tests {
                 assert_eq!(
                     ch.reported_cqi_subband(u, sb),
                     restored.reported_cqi_subband(u, sb)
+                );
+            }
+        }
+    }
+
+    /// The fading coefficients are configuration. A NaN `ρ` would make
+    /// every tap NaN and every CQI 0 — a resumed run that silently
+    /// delivers nothing — so a restore refuses any plane that is not the
+    /// constructed one.
+    #[test]
+    fn restore_refuses_foreign_fading_coefficients() {
+        for bad in [f64::NAN, 2.0] {
+            for plane in 0..2 {
+                let mut hostile = small_channel();
+                match plane {
+                    0 => hostile.fade_rho[3] = bad,
+                    _ => hostile.fade_flatness[3] = bad,
+                }
+                let bytes = snap_bytes(&hostile);
+                let got = small_channel().load_snap(&mut SnapReader::new(&bytes));
+                assert!(
+                    matches!(got, Err(SnapError::Malformed(_))),
+                    "plane {plane} value {bad}: {got:?}"
                 );
             }
         }

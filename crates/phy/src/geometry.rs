@@ -24,6 +24,7 @@
 //! the channel's cached `sinr_const_db` plane, so dense per-TTI kernels
 //! stay branch-free.
 
+use outran_simcore::snap::SnapError;
 use outran_simcore::snap_fields;
 use outran_simcore::{Dur, Rng};
 
@@ -210,6 +211,12 @@ impl CorridorWalk {
             return;
         }
         let mut delta = self.speed_mps * dt.as_secs_f64() / len;
+        // A round trip of two lengths brings the walk back to where it
+        // was, heading the same way: fold those away (`%` is exact), so
+        // the loop below reflects at most twice.
+        if delta >= 2.0 {
+            delta %= 2.0;
+        }
         // Reflect until the remaining travel fits inside the segment.
         while delta > 0.0 {
             let room = if self.dir > 0.0 {
@@ -227,9 +234,19 @@ impl CorridorWalk {
         }
         self.frac = self.frac.clamp(0.0, 1.0);
     }
+
+    /// Refuse a restored walk that neither `new` nor `advance` makes.
+    fn check(&mut self) -> Result<(), SnapError> {
+        let heading = self.dir == 1.0 || self.dir == -1.0;
+        let speed = self.speed_mps.is_finite() && self.speed_mps >= 0.0;
+        if !heading || !(0.0..=1.0).contains(&self.frac) || !speed {
+            return Err(SnapError::Malformed("corridor walk out of range"));
+        }
+        Ok(())
+    }
 }
 
-snap_fields! { CorridorWalk { a, b, frac, dir, speed_mps } }
+snap_fields! { CorridorWalk { a, b, frac, dir, speed_mps } then CorridorWalk::check }
 
 #[cfg(test)]
 mod tests {
@@ -343,5 +360,55 @@ mod tests {
         w.advance(Dur::from_secs(100));
         w2.advance(Dur::from_secs(100));
         assert_eq!(w.pos(), w2.pos());
+    }
+
+    /// Travel of many lengths in one step folds its round trips away
+    /// instead of reflecting once per length.
+    #[test]
+    fn absurd_speed_advances_in_bounded_steps() {
+        let a = Pos { x: 0.0, y: 0.0 };
+        let b = Pos { x: 500.0, y: 0.0 };
+        let mut w = CorridorWalk::new(a, b, 1e300, &mut Rng::new(3));
+        w.advance(Dur::from_secs(1));
+        assert!((0.0..=500.0).contains(&w.pos().x));
+        // Two lengths exactly: back where it started, heading the same way.
+        let mut w = CorridorWalk::new(a, b, 1_000.0, &mut Rng::new(4));
+        let (before, dir) = (w.pos(), w.dir);
+        w.advance(Dur::from_secs(1));
+        assert_eq!((w.pos(), w.dir), (before, dir));
+    }
+
+    /// A restored heading of 0 left `advance` no room to move (it looped
+    /// forever); a progress off the segment or a speed no walk has is
+    /// refused alongside.
+    #[test]
+    fn corridor_restore_refuses_impossible_walks() {
+        use outran_simcore::snap::{Snap, SnapReader, SnapWriter, Unsnap};
+        let mut w = CorridorWalk::new(
+            Pos { x: 0.0, y: 0.0 },
+            Pos { x: 500.0, y: 0.0 },
+            15.0,
+            &mut Rng::new(5),
+        );
+        let restore = |w: &CorridorWalk| {
+            let mut sw = SnapWriter::new();
+            w.snap(&mut sw);
+            CorridorWalk::unsnap(&mut SnapReader::new(&sw.into_bytes())).map(|_| ())
+        };
+        assert!(restore(&w).is_ok());
+        for (frac, dir, speed) in [
+            (0.0, 0.0, 15.0),
+            (1.5, 1.0, 15.0),
+            (0.5, 0.5, 15.0),
+            (f64::NAN, 1.0, 15.0),
+            (0.5, -1.0, -1.0),
+            (0.5, 1.0, f64::INFINITY),
+        ] {
+            (w.frac, w.dir, w.speed_mps) = (frac, dir, speed);
+            assert!(
+                matches!(restore(&w), Err(SnapError::Malformed(_))),
+                "frac {frac} dir {dir} speed {speed}"
+            );
+        }
     }
 }

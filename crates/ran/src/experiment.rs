@@ -391,7 +391,7 @@ mod tests {
     fn every_builder_reaches_the_built_cell() {
         let dbg = |x: &dyn std::fmt::Debug| format!("{x:?}");
         let outran = OutRanConfig {
-            mlfq_queues: 6,
+            thresholds: vec![10_000, 50_000, 200_000, 1_000_000, 5_000_000],
             pushout: false,
             ..OutRanConfig::default()
         };

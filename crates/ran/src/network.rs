@@ -220,14 +220,9 @@ impl Network {
         let geo = NetGeometry::hex(self.n_sites, self.isd_m);
         let chan = self.channel_config();
 
-        // Every cell runs the same policy: solve its MLFQ thresholds once
-        // here and hand each cell the vector (a lone `Cell::new` solves).
         let mut cfg = CellConfig::lte_default(self.slots_per_cell, self.scheduler, self.seed);
         cfg.channel = chan;
         cfg.faults = self.faults.clone();
-        if self.scheduler.uses_mlfq() {
-            cfg.outran.thresholds = Some(cfg.outran.resolve_mlfq().thresholds);
-        }
         let cells = (0..n_cells)
             .map(|c| {
                 Cell::new(CellConfig {

@@ -332,7 +332,7 @@ pub struct UeContext {
 /// MLFQ level count for a configuration.
 fn mlfq_levels(cfg: &CellConfig) -> usize {
     if cfg.scheduler.uses_mlfq() {
-        cfg.outran.mlfq_queues
+        cfg.outran.thresholds.len() + 1
     } else if cfg.scheduler.uses_oracle_priority() {
         16 // fine-grained remaining-size levels for the SRJF oracle
     } else {

@@ -82,43 +82,6 @@ fn deterministic_across_runs() {
     assert_eq!(run(), run());
 }
 
-/// A cell handed the solved MLFQ thresholds (what `Network` does for all
-/// of its cells, after one solve) is the cell that solves them itself.
-#[test]
-fn handed_thresholds_build_the_cell_a_solve_builds() {
-    use outran_ran::checkpoint::{snapshot_cell, CheckpointMeta};
-    use outran_ran::Experiment;
-
-    let solving = outran_core::OutRanConfig::default();
-    assert!(solving.thresholds.is_none());
-    let handed = outran_core::OutRanConfig {
-        thresholds: Some(solving.resolve_mlfq().thresholds),
-        ..solving.clone()
-    };
-    assert_eq!(solving.resolve_mlfq(), handed.resolve_mlfq());
-
-    let run = |outran: &outran_core::OutRanConfig| {
-        let exp = Experiment::lte_default()
-            .scheduler(SchedulerKind::OutRan)
-            .users(4)
-            .load(0.5)
-            .duration_secs(2)
-            .seed(3)
-            .outran(outran.clone());
-        let mut cell = exp.build_cell();
-        cell.run_until(Time::from_secs(2));
-        let meta = CheckpointMeta {
-            argv: Vec::new(),
-            sim_time: cell.now(),
-            dense: false,
-            n_cells: 1,
-        };
-        let mid_run = snapshot_cell(&meta, &cell).digest();
-        (mid_run, format!("{:?}", exp.run_cell(cell)))
-    };
-    assert_eq!(run(&solving), run(&handed));
-}
-
 /// The MAC stores UE indices as `u16`: a cell with more slots than that
 /// indexes is refused, not run with UE `i` scheduled as `i mod 65 536`.
 #[test]

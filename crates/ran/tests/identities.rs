@@ -36,7 +36,7 @@ fn report(exp: Experiment) -> String {
 fn one_queue_outran_at_epsilon_zero_is_pf() {
     let never = 1 << 40; // bytes; the LTE CDF ends at 30 MB
     let one_queue = OutRanConfig {
-        thresholds: Some(vec![never, never + 1, never + 2]),
+        thresholds: vec![never, never + 1, never + 2],
         ..OutRanConfig::default()
     };
     for seed in SEEDS {

@@ -74,16 +74,6 @@ impl Default for AmConfig {
     }
 }
 
-impl AmConfig {
-    /// Legacy (PF baseline) configuration: FIFO Tx Q.
-    pub fn legacy() -> AmConfig {
-        AmConfig {
-            mlfq_levels: 1,
-            ..AmConfig::default()
-        }
-    }
-}
-
 /// A STATUS control PDU: cumulative ACK + selective NACKs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StatusPdu {

@@ -53,17 +53,6 @@ impl Default for UmConfig {
     }
 }
 
-impl UmConfig {
-    /// The vanilla srsRAN configuration: one FIFO, no flow scheduling.
-    pub fn legacy() -> UmConfig {
-        UmConfig {
-            mlfq_levels: 1,
-            promote_segments: true, // FIFO keeps partials at head anyway
-            ..UmConfig::default()
-        }
-    }
-}
-
 /// UM transmitting entity for one UE/bearer.
 #[derive(Debug, Clone)]
 pub struct UmTx {
@@ -434,7 +423,10 @@ mod tests {
 
     #[test]
     fn legacy_config_is_fifo() {
-        let mut tx = UmTx::new(UmConfig::legacy());
+        let mut tx = UmTx::new(UmConfig {
+            mlfq_levels: 1,
+            ..UmConfig::default()
+        });
         tx.write_sdu(sdu(1, 100, 3)).unwrap();
         tx.write_sdu(sdu(2, 100, 0)).unwrap();
         let (segs, _) = tx.pull(10_000);
