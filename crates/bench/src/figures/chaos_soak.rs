@@ -34,7 +34,7 @@ pub(super) fn run(threads: usize, out: &mut String) {
         ],
     );
     // Each intensity is an independent seeded experiment: fan them out.
-    let runs = run_jobs(threads, vec![0.0, 0.25, 0.5, 0.75, 1.0], |intensity| {
+    let runs = parallel_map(threads, vec![0.0, 0.25, 0.5, 0.75, 1.0], |intensity| {
         let plan = FaultPlan::chaos(SEED, Dur::from_secs(SECS), USERS, intensity);
         let windows = plan.windows().len();
         let r = Experiment::lte_default()

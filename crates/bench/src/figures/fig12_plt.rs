@@ -86,7 +86,7 @@ pub(super) fn run(threads: usize, out: &mut String) {
     let jobs = (0..pages.len())
         .flat_map(|p| [(p, SchedulerKind::Pf), (p, SchedulerKind::OutRan)])
         .collect();
-    let runs = run_jobs(threads, jobs, |(p, kind)| page_plt(&pages[p], kind, 7));
+    let runs = parallel_map(threads, jobs, |(p, kind)| page_plt(&pages[p], kind, 7));
     for (page, pair) in pages.iter().zip(runs.chunks(2)) {
         let ((pf_plt, pf_fct), (or_plt, or_fct)) = (pair[0], pair[1]);
         let dplt = 100.0 * (pf_plt - or_plt) / pf_plt;

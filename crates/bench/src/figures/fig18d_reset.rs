@@ -68,7 +68,7 @@ pub(super) fn run(threads: usize, out: &mut String) {
         .iter()
         .flat_map(|&(_, kind, reset)| seeds.map(|seed| (kind, reset, seed)))
         .collect();
-    let runs = run_jobs(threads, jobs, |(kind, reset, seed)| {
+    let runs = parallel_map(threads, jobs, |(kind, reset, seed)| {
         run_seed(kind, reset, seed)
     });
     let mut avgs = runs.chunks(seeds.len()).map(|per_seed| {

@@ -31,7 +31,7 @@ fn colosseum(
     let duration = Time::from_secs(secs);
     // Run past the horizon to let late flows finish (bounded drain).
     let end = Time::from_secs(secs + 4);
-    let per_cell = run_jobs(threads, (0..CELLS).collect(), |c| {
+    let per_cell = parallel_map(threads, (0..CELLS).collect(), |c| {
         let seed = SEED + c;
         let mut cfg = CellConfig::lte_default(UES_PER_CELL, kind, seed);
         cfg.channel = scenario.channel_config();

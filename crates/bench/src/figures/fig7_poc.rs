@@ -3,6 +3,7 @@
 //! plus the ε = 0 (intra-user-only) tail comparison.
 
 use super::*;
+use outran_metrics::cdf;
 
 pub(super) fn run(threads: usize, out: &mut String) {
     let points = vec![
@@ -18,7 +19,8 @@ pub(super) fn run(threads: usize, out: &mut String) {
 
     *out += "Figure 7(a): spectral-efficiency CDFs (windowed samples)\n\n";
     for r in [pf, outran, strict] {
-        *out += &render_series(&format!("{} SE CDF", r.scheduler), &r.runs[0].se_cdf, 12);
+        let se = cdf(&r.runs[0].se_series, 200);
+        *out += &render_series(&format!("{} SE CDF", r.scheduler), &se, 12);
     }
     *out += &format!(
         "\nmean SE: PF {}  OutRAN {} ({:.0} % of PF; paper ≥98 %)  strictMLFQ {}\n\n",
@@ -30,11 +32,8 @@ pub(super) fn run(threads: usize, out: &mut String) {
 
     *out += "Figure 7(b): fairness CDFs\n\n";
     for r in [pf, outran, strict] {
-        *out += &render_series(
-            &format!("{} fairness CDF", r.scheduler),
-            &r.runs[0].fairness_cdf,
-            12,
-        );
+        let fairness = cdf(&r.runs[0].fairness_series, 200);
+        *out += &render_series(&format!("{} fairness CDF", r.scheduler), &fairness, 12);
     }
     *out += &format!(
         "\nmean fairness: PF {}  OutRAN {} ({:.0} % of PF; paper ≥97 %)  strictMLFQ {}\n\n",

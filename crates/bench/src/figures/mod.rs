@@ -5,10 +5,10 @@
 //! byte equality. Host timings go to stderr.
 
 // The vocabulary the figures share; each starts `use super::*`.
-use crate::{fct_cdf_tail, run_avg_grid, run_jobs, SEEDS};
+use crate::{fct_cdf_tail, run_avg_grid, SEEDS};
 use outran_metrics::table::{f1, f2, f3, render_series};
 use outran_metrics::{SizeBucket, Table};
-use outran_ran::{Experiment, SchedulerKind};
+use outran_ran::{parallel_map, Experiment, SchedulerKind};
 use outran_simcore::Dur;
 
 /// The LTE cell most figures run (§6.2): 40 UEs, 20 s of arrivals.

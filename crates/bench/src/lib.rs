@@ -14,7 +14,7 @@
 pub mod figures;
 
 use outran_metrics::SizeBucket;
-use outran_ran::{Experiment, ExperimentReport};
+use outran_ran::{parallel_map, Experiment, ExperimentReport};
 
 /// Seeds used by default for averaged experiment points. Three seeds
 /// keeps each figure's runtime in seconds while smoothing the
@@ -52,21 +52,6 @@ pub struct AvgReport {
     pub runs: Vec<ExperimentReport>,
 }
 
-/// [`outran_ran::parallel_map`] for a figure: the results in submission
-/// order, or a panic naming the first job that failed even after the
-/// pool's deterministic retry. A missing point would silently skew a
-/// published table, so the figure stops instead.
-pub fn run_jobs<T, R>(threads: usize, jobs: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<R>
-where
-    T: Send + Clone,
-    R: Send,
-{
-    outran_ran::parallel_map(threads, jobs, f)
-        .into_iter()
-        .map(|r| r.unwrap_or_else(|f| panic!("figure job failed permanently: {f}")))
-        .collect()
-}
-
 /// Run every `(point, seed)` combination of a sweep grid on up to
 /// `threads` workers, then average each point's seeds. One job per
 /// combination keeps all cores busy even when `seeds.len()` is small;
@@ -82,7 +67,7 @@ pub fn run_avg_grid<T: Send + Sync>(
     let jobs: Vec<(usize, u64)> = (0..points.len())
         .flat_map(|p| seeds.iter().map(move |&s| (p, s)))
         .collect();
-    let mut it = run_jobs(threads, jobs, |(p, s)| build(&points[p], s).run()).into_iter();
+    let mut it = parallel_map(threads, jobs, |(p, s)| build(&points[p], s).run()).into_iter();
     let n_seeds = seeds.len();
     points
         .into_iter()
@@ -93,27 +78,20 @@ pub fn run_avg_grid<T: Send + Sync>(
 /// Average already-computed reports (all from the same scheduler).
 fn average(runs: Vec<ExperimentReport>) -> AvgReport {
     assert!(!runs.is_empty());
-    let mean = |f: &dyn Fn(&ExperimentReport) -> f64| -> f64 {
-        let vals: Vec<f64> = runs.iter().map(f).filter(|v| !v.is_nan()).collect();
-        if vals.is_empty() {
-            f64::NAN
-        } else {
-            vals.iter().sum::<f64>() / vals.len() as f64
-        }
-    };
+    let mean = |metric| ExperimentReport::mean(&runs, metric);
     AvgReport {
         scheduler: runs[0].scheduler.clone(),
-        overall_mean_ms: mean(&|r| r.fct.overall_mean_ms),
-        short_mean_ms: mean(&|r| r.fct.short_mean_ms),
-        short_p95_ms: mean(&|r| r.fct.short_p95_ms),
-        short_p99_ms: mean(&|r| r.fct.short_p99_ms),
-        medium_mean_ms: mean(&|r| r.fct.medium_mean_ms),
-        long_mean_ms: mean(&|r| r.fct.long_mean_ms),
-        spectral_efficiency: mean(&|r| r.spectral_efficiency),
-        fairness: mean(&|r| r.fairness),
-        mean_qdelay_ms: mean(&|r| r.mean_qdelay_ms),
-        short_qdelay_ms: mean(&|r| r.short_qdelay_ms),
-        mean_rtt_ms: mean(&|r| r.mean_rtt_ms),
+        overall_mean_ms: mean(|r| r.fct.overall_mean_ms),
+        short_mean_ms: mean(|r| r.fct.short_mean_ms),
+        short_p95_ms: mean(|r| r.fct.short_p95_ms),
+        short_p99_ms: mean(|r| r.fct.short_p99_ms),
+        medium_mean_ms: mean(|r| r.fct.medium_mean_ms),
+        long_mean_ms: mean(|r| r.fct.long_mean_ms),
+        spectral_efficiency: mean(|r| r.spectral_efficiency),
+        fairness: mean(|r| r.fairness),
+        mean_qdelay_ms: mean(|r| r.mean_qdelay_ms),
+        short_qdelay_ms: mean(|r| r.short_qdelay_ms),
+        mean_rtt_ms: mean(|r| r.mean_rtt_ms),
         runs,
     }
 }

@@ -307,6 +307,20 @@ const UE_SLOTS: Range = closed(1.0, outran_ran::cell::MAX_UES as f64);
 const MAX_SECS: f64 = (u64::MAX / 1_000_000_000 / 4) as f64;
 /// [`MAX_SECS`] in milliseconds, for the `-ms` flags.
 const MAX_MS: f64 = MAX_SECS * 1000.0;
+/// The most cells (`--sites` x `--sectors`) one metro run builds: every
+/// cell carries about 25 KB of state before its first UE slot and is
+/// visited at every epoch barrier, so 4096 cells, 72 times the metro
+/// figure's 57, hold about 100 MB.
+const MAX_CELLS: usize = 4096;
+/// The most attach slots (cells x `--slots`), and so UEs, in one metro
+/// run: every slot is a UE context of about 1.2 KB built before the
+/// first TTI, so 2 Mi slots hold about 2.5 GB, enough for a full
+/// [`UE_SLOTS`] cell at each of the default 21 cells.
+const MAX_ATTACH_SLOTS: usize = 1 << 21;
+/// The most (UE, cell) pairs (`--ues` x cells) in one metro run: the
+/// RSRP table holds one `f64` per pair and every epoch barrier
+/// re-evaluates all of them, so 16 Mi pairs are 128 MiB a barrier.
+const MAX_UE_CELL_PAIRS: usize = 1 << 24;
 
 impl fmt::Display for Range {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -386,15 +400,15 @@ const FLAGS: &[Flag] = &[
     Flag { name: "--users", scope: CELL, arg: N, help: "number of UEs",
            get: |o| show(o.users), set: |o, v| int(v, UE_SLOTS).map(|n| o.users = n as usize) },
     Flag { name: "--sites", scope: METRO, arg: N, help: "hex-grid cell sites (1, 7, 19, ...)",
-           get: |o| show(o.sites), set: |o, v| int(v, closed(1.0, MAX)).map(|n| o.sites = n as usize) },
+           get: |o| show(o.sites), set: |o, v| int(v, closed(1.0, MAX_CELLS as f64)).map(|n| o.sites = n as usize) },
     Flag { name: "--sectors", scope: METRO, arg: N, help: "co-sited cells per site (1 = omni)",
-           get: |o| show(o.sectors), set: |o, v| int(v, closed(1.0, MAX)).map(|n| o.sectors = n as usize) },
+           get: |o| show(o.sectors), set: |o, v| int(v, closed(1.0, MAX_CELLS as f64)).map(|n| o.sectors = n as usize) },
     Flag { name: "--isd", scope: METRO, arg: X, help: "inter-site distance in metres",
            get: |o| show(o.isd), set: |o, v| real(v, above(0.0, MAX)).map(|x| o.isd = x) },
     Flag { name: "--slots", scope: METRO, arg: N, help: "UE slots per cell (attach capacity)",
            get: |o| show(o.slots), set: |o, v| int(v, UE_SLOTS).map(|n| o.slots = n as usize) },
     Flag { name: "--ues", scope: METRO, arg: N, help: "network UE population",
-           get: |o| show(o.ues), set: |o, v| int(v, closed(1.0, MAX)).map(|n| o.ues = n as usize) },
+           get: |o| show(o.ues), set: |o, v| int(v, closed(1.0, MAX_ATTACH_SLOTS as f64)).map(|n| o.ues = n as usize) },
     Flag { name: "--vehicle-mps", scope: METRO, arg: X, help: "corridor speed in m/s",
            get: |o| show(o.vehicle_mps), set: |o, v| real(v, closed(0.0, MAX)).map(|x| o.vehicle_mps = x) },
     Flag { name: "--corridor-frac", scope: METRO, arg: X, help: "fraction of UEs on vehicular corridors",
@@ -512,14 +526,36 @@ pub fn parse_args(args: &[String]) -> Result<Opts, String> {
     if o.checkpoint_every.is_some() && o.reps > 1 {
         return Err("checkpointing covers a single run; it cannot be combined with --reps".into());
     }
-    let attach_slots = o.sites.saturating_mul(o.sectors).saturating_mul(o.slots);
+    let cells = within(o.sites, o.sectors, MAX_CELLS).ok_or_else(|| {
+        format!(
+            "--sites {} x --sectors {} exceeds {MAX_CELLS} cells",
+            o.sites, o.sectors
+        )
+    })?;
+    let attach_slots = within(cells, o.slots, MAX_ATTACH_SLOTS).ok_or_else(|| {
+        format!(
+            "{cells} cells x --slots {} exceeds {MAX_ATTACH_SLOTS} attach slots",
+            o.slots
+        )
+    })?;
     if o.ues > attach_slots {
         return Err(format!(
             "--ues {} exceeds the {attach_slots} attach slots ({} sites x {} sectors x {} slots)",
             o.ues, o.sites, o.sectors, o.slots
         ));
     }
+    within(o.ues, cells, MAX_UE_CELL_PAIRS).ok_or_else(|| {
+        format!(
+            "--ues {} x {cells} cells exceeds {MAX_UE_CELL_PAIRS} (UE, cell) pairs",
+            o.ues
+        )
+    })?;
     Ok(o)
+}
+
+/// `a × b` when it is at most `limit`.
+fn within(a: usize, b: usize, limit: usize) -> Option<usize> {
+    a.checked_mul(b).filter(|&n| n <= limit)
 }
 
 /// Reconstruct a canonical argv (program name included) that re-parses
@@ -809,7 +845,7 @@ fn run_standard(o: &Opts) -> Result<(), String> {
     // seed order, so the output is reproducible regardless of thread
     // count or interleaving.
     let seeds: Vec<u64> = (0..o.reps as u64).map(|i| o.seed + i).collect();
-    let results = outran_ran::parallel_map(o.threads, seeds.clone(), |s| {
+    let mut reports = outran_ran::parallel_map(o.threads, seeds.clone(), |s| {
         build_experiment(&Opts {
             seed: s,
             ..o.clone()
@@ -823,56 +859,25 @@ fn run_standard(o: &Opts) -> Result<(), String> {
         o.seed + o.reps as u64 - 1,
         o.threads
     );
-    // A rep that panicked (twice — the pool already retried it once) is
-    // reported and excluded from the averages; the sweep only fails when
-    // every rep died.
-    let mut reports: Vec<ExperimentReport> = Vec::with_capacity(results.len());
-    let mut failures = Vec::new();
-    for (s, res) in seeds.iter().zip(results) {
-        match res {
-            Ok(r) => {
-                println!(
-                    "  seed {s}: overall {:.1} ms  S p95 {:.1} ms  completed {}/{}",
-                    r.fct.overall_mean_ms, r.fct.short_p95_ms, r.completed, r.offered
-                );
-                reports.push(r);
-            }
-            Err(f) => {
-                eprintln!("warning: seed {s} failed: {f}");
-                failures.push(f);
-            }
-        }
-    }
-    if reports.is_empty() {
-        return Err(format!("all {} rep(s) failed", failures.len()));
-    }
-    if !failures.is_empty() {
+    for (s, r) in seeds.iter().zip(&reports) {
         println!(
-            "averaging {} surviving rep(s); {} failed",
-            reports.len(),
-            failures.len()
+            "  seed {s}: overall {:.1} ms  S p95 {:.1} ms  completed {}/{}",
+            r.fct.overall_mean_ms, r.fct.short_p95_ms, r.completed, r.offered
         );
     }
-    let mean = |f: &dyn Fn(&ExperimentReport) -> f64| -> f64 {
-        let vals: Vec<f64> = reports.iter().map(f).filter(|v| !v.is_nan()).collect();
-        if vals.is_empty() {
-            f64::NAN
-        } else {
-            vals.iter().sum::<f64>() / vals.len() as f64
-        }
-    };
+    let mean = |metric| ExperimentReport::mean(&reports, metric);
     println!(
         "mean FCT (ms): overall {:.1}  S avg {:.1}  S p95 {:.1}  M {:.1}  L {:.1}",
-        mean(&|r| r.fct.overall_mean_ms),
-        mean(&|r| r.fct.short_mean_ms),
-        mean(&|r| r.fct.short_p95_ms),
-        mean(&|r| r.fct.medium_mean_ms),
-        mean(&|r| r.fct.long_mean_ms)
+        mean(|r| r.fct.overall_mean_ms),
+        mean(|r| r.fct.short_mean_ms),
+        mean(|r| r.fct.short_p95_ms),
+        mean(|r| r.fct.medium_mean_ms),
+        mean(|r| r.fct.long_mean_ms)
     );
     println!(
         "mean cell: SE {:.2} bit/s/Hz   fairness {:.3}",
-        mean(&|r| r.spectral_efficiency),
-        mean(&|r| r.fairness)
+        mean(|r| r.spectral_efficiency),
+        mean(|r| r.fairness)
     );
     finish_report(o, &mut reports[0])
 }
@@ -1410,11 +1415,46 @@ mod tests {
             "metro --isd NaN",
             "metro --ttt 4294967296",
             "metro --sites 18446744073709551615 --sectors 18446744073709551615 --ues 0",
+            "metro --sites 4294967296 --sectors 4294967296 --secs 1",
+            "metro --sites 100000000 --ues 10 --secs 1",
+            "metro --sectors 100000 --secs 1",
+            "metro --ues 1000000000000 --sites 1000000000000 --secs 1",
         ] {
             assert!(parse(hostile).is_err(), "accepted '{hostile}'");
         }
         // More UEs than attach slots.
         assert!(parse("metro --sites 1 --sectors 1 --slots 4 --ues 5").is_err());
+    }
+
+    /// Each metro size flag has a finite range, and the deployment
+    /// products are refused past their limits even when every factor is
+    /// in range.
+    #[test]
+    fn metro_sizes_are_bounded() {
+        for (hostile, named) in [
+            (
+                "metro --sites 4294967296 --sectors 4294967296 --secs 1",
+                "--sites",
+            ),
+            ("metro --sites 100000000 --ues 10 --secs 1", "--sites"),
+            ("metro --sectors 100000 --secs 1", "--sectors"),
+            ("metro --ues 1000000000000 --sites 1000000000000", "--ues"),
+            ("metro --sites 4096 --sectors 2", "4096 cells"),
+            (
+                "metro --sites 64 --sectors 1 --slots 65536",
+                "2097152 attach slots",
+            ),
+            (
+                "metro --sites 4096 --sectors 1 --slots 8 --ues 32768",
+                "(UE, cell) pairs",
+            ),
+        ] {
+            let e = parse(hostile).unwrap_err();
+            assert!(e.contains(named), "'{hostile}': {e}");
+        }
+        let o = parse("metro --sites 4096 --sectors 1 --slots 512 --ues 4096").unwrap();
+        assert_eq!((o.sites, o.slots, o.ues), (4096, 512, 4096));
+        assert!(parse("metro --sites 8 --sectors 4 --slots 65536 --ues 524288").is_ok());
     }
 
     #[test]

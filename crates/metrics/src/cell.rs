@@ -139,22 +139,14 @@ impl CellMetrics {
         self.fairness_series.iter().sum::<f64>() / n as f64
     }
 
-    /// CDF of windowed SE samples (Fig 7a).
-    pub fn se_cdf(&self, max_points: usize) -> Vec<(f64, f64)> {
-        cdf(&self.se_series, max_points)
-    }
-
-    /// CDF of windowed fairness samples (Fig 7b).
-    pub fn fairness_cdf(&self, max_points: usize) -> Vec<(f64, f64)> {
-        cdf(&self.fairness_series, max_points)
-    }
-
-    /// Windowed SE samples in time order (Fig 4a's time series).
+    /// Windowed SE samples in time order (Fig 4a's time series; [`cdf`]
+    /// of it is Fig 7a).
     pub fn se_series(&self) -> &[f64] {
         &self.se_series
     }
 
-    /// Windowed fairness samples in time order (Fig 4b's time series).
+    /// Windowed fairness samples in time order (Fig 4b's time series;
+    /// [`cdf`] of it is Fig 7b).
     pub fn fairness_series(&self) -> &[f64] {
         &self.fairness_series
     }
@@ -175,9 +167,9 @@ impl CellMetrics {
     }
 }
 
-/// CDF points of a time-ordered series, from a sorted copy (the series
-/// keeps its order).
-fn cdf(series: &[f64], max_points: usize) -> Vec<(f64, f64)> {
+/// At most `max_points` CDF points of a time-ordered series, from a
+/// sorted copy (the series keeps its order).
+pub fn cdf(series: &[f64], max_points: usize) -> Vec<(f64, f64)> {
     let mut p = Percentiles::new();
     series.iter().for_each(|&x| p.push(x));
     p.cdf_points(max_points)
@@ -211,7 +203,7 @@ mod tests {
             c.on_tti(&[10_000.0, 10_000.0, 10_000.0, 10_000.0], &ALL);
         }
         assert!((c.spectral_efficiency() - 2.0).abs() < 1e-9);
-        let cdf = c.se_cdf(10);
+        let cdf = cdf(c.se_series(), 10);
         assert!(!cdf.is_empty());
         assert!((cdf[0].0 - 2.0).abs() < 1e-9);
     }
@@ -310,7 +302,7 @@ mod tests {
             fnv1a(&words)
         };
         let mean = c.mean_fairness();
-        let (se, fairness) = (c.se_cdf(200), c.fairness_cdf(200));
+        let (se, fairness) = (cdf(c.se_series(), 200), cdf(c.fairness_series(), 200));
         assert_eq!(mean.to_bits(), 0x3fef_b044_10ac_9b8b);
         assert_eq!((se.len(), digest(&se)), (251, 0x880e_f166_1cd5_6463));
         assert_eq!(
@@ -325,8 +317,8 @@ mod tests {
         for _ in 0..49 {
             c.on_tti(&[1000.0; 4], &ALL);
         }
-        assert!(c.se_cdf(10).is_empty(), "no full window yet");
+        assert!(cdf(c.se_series(), 10).is_empty(), "no full window yet");
         c.on_tti(&[1000.0; 4], &ALL);
-        assert_eq!(c.se_cdf(10).len(), 1);
+        assert_eq!(cdf(c.se_series(), 10).len(), 1);
     }
 }

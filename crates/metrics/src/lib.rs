@@ -20,6 +20,6 @@ pub mod cell;
 pub mod fct;
 pub mod table;
 
-pub use cell::CellMetrics;
+pub use cell::{cdf, CellMetrics};
 pub use fct::{FctCollector, FctReport, SizeBucket};
 pub use table::Table;

@@ -296,8 +296,6 @@ impl Experiment {
             fault_stats: cell.fault_stats(),
             violations: cell.violations().to_vec(),
             total_violations: cell.total_violations(),
-            se_cdf: cell.metrics.se_cdf(200),
-            fairness_cdf: cell.metrics.fairness_cdf(200),
             se_series: cell.metrics.se_series().to_vec(),
             fairness_series: cell.metrics.fairness_series().to_vec(),
             flow_records: records,
@@ -337,19 +335,28 @@ pub struct ExperimentReport {
     pub violations: Vec<Violation>,
     /// Total invariant violations, including any past the record cap.
     pub total_violations: u64,
-    /// CDF of windowed spectral-efficiency samples (Fig 7a).
-    pub se_cdf: Vec<(f64, f64)>,
-    /// CDF of windowed fairness samples (Fig 7b).
-    pub fairness_cdf: Vec<(f64, f64)>,
-    /// SE samples in time order (Fig 4a).
+    /// SE samples in time order (Figs 4a and 7a).
     pub se_series: Vec<f64>,
-    /// Fairness samples in time order (Fig 4b).
+    /// Fairness samples in time order (Figs 4b and 7b).
     pub fairness_series: Vec<f64>,
     /// Per-flow (size bytes, FCT ms) records for post-processing/CSV
     /// export (flows that started after warmup).
     pub flow_records: Vec<(u64, f64)>,
     /// The underlying collector (for CDFs/percentiles beyond the report).
     pub fct_collector: outran_metrics::FctCollector,
+}
+
+impl ExperimentReport {
+    /// The mean of `metric` over the seeds of `runs`, skipping a NaN (a
+    /// size bucket one seed saw no flow in); NaN when every seed's is.
+    pub fn mean(runs: &[ExperimentReport], metric: fn(&ExperimentReport) -> f64) -> f64 {
+        let vals: Vec<f64> = runs.iter().map(metric).filter(|v| !v.is_nan()).collect();
+        if vals.is_empty() {
+            f64::NAN
+        } else {
+            vals.iter().sum::<f64>() / vals.len() as f64
+        }
+    }
 }
 
 #[cfg(test)]

@@ -49,6 +49,6 @@ pub use cell::{Cell, CellConfig, FlowDone, RlcMode, SchedulerKind};
 pub use checkpoint::CheckpointMeta;
 pub use experiment::{Experiment, ExperimentReport};
 pub use network::{Network, NetworkReport, NetworkRun};
-pub use pool::{default_threads, parallel_map, WorkerFailure};
+pub use pool::{default_threads, parallel_map};
 pub use qos::{AppKind, BearerKind, QosProfile, TrafficClass};
 pub use work::WorkCounters;

@@ -169,9 +169,16 @@ impl Network {
         }
     }
 
-    /// Total cells in the deployment.
+    /// Total cells in the deployment. Panics when the product
+    /// overflows `usize`: no such deployment can be built.
+    #[expect(
+        clippy::expect_used,
+        reason = "a cell count past usize is a configuration no run can build"
+    )]
     pub fn n_cells(&self) -> usize {
-        self.n_sites * self.sectors_per_site
+        self.n_sites
+            .checked_mul(self.sectors_per_site)
+            .expect("sites x sectors overflows usize")
     }
 
     /// The shared channel configuration, switched to external geometry.
@@ -212,10 +219,12 @@ impl Network {
         let n_cells = self.n_cells();
         assert!(self.n_sites >= 1 && self.sectors_per_site >= 1);
         assert!(
-            self.n_ues <= n_cells * self.slots_per_cell,
-            "{} UEs need more than {} slots",
+            n_cells
+                .checked_mul(self.slots_per_cell)
+                .is_none_or(|slots| self.n_ues <= slots),
+            "{} UEs need more than {n_cells} cells x {} slots",
             self.n_ues,
-            n_cells * self.slots_per_cell
+            self.slots_per_cell
         );
         let geo = NetGeometry::hex(self.n_sites, self.isd_m);
         let chan = self.channel_config();

@@ -11,73 +11,18 @@
 //!   of its input (every `Experiment::run()` forks its own RNG tree from
 //!   the root seed), so parallelism could only perturb *ordering*, and a
 //!   job's result is written into the slot its input was taken from:
-//!   `parallel_map` is `items.into_iter().map(f).collect()` up to the
-//!   per-job `Result` wrapper.
+//!   `parallel_map` is `items.into_iter().map(f).collect()`.
 //! * **One rule for when a pool spins up:** `threads > 1` and at least
 //!   two items; otherwise the jobs run on the calling thread.
-//! * **Supervised execution.** [`parallel_map`] catches a job's panic,
-//!   retries the job once on its cloned input (a deterministic failure
-//!   fails twice; a transient one — exhausted address space, a poisoned
-//!   downstream lock — may recover) and surfaces a persistent failure as
-//!   a [`WorkerFailure`] in that job's result slot, so a 5000-point
-//!   sweep reports one bad point instead of losing the other 4999.
-//!   `for_each_mut` propagates the panic instead: its caller, the
-//!   network's epoch barrier, mutates whole [`Cell`]s in place, and a
-//!   job that stopped half way through a cell has no input to re-run.
-//! * **Two entry points.** [`parallel_map`] for jobs whose inputs are
-//!   `Clone` and whose cells are built inside the job (experiment
-//!   sweeps, figures), `for_each_mut` for long-lived objects.
-//!
-//! [`Cell`]: crate::cell::Cell
+//! * **A panicking job fails its sweep.** A worker's panic propagates
+//!   out of the pool to the caller. A retry would replay the same panic
+//!   (the job is pure), and a sweep that dropped a point would skew the
+//!   mean it feeds.
+//! * **Two entry points.** [`parallel_map`] for jobs whose cells are
+//!   built inside the job (experiment sweeps, figures), `for_each_mut`
+//!   for long-lived objects (the cells of a network).
 
-use outran_simcore::check::panic_message;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
-
-/// A job that panicked on its first run *and* on its deterministic
-/// retry, reported in the job's result slot instead of aborting the
-/// sweep.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WorkerFailure {
-    /// Submission index of the failed job.
-    pub index: usize,
-    /// Attempts made (always 2: the first run plus one retry).
-    pub attempts: u32,
-    /// The panic payload, stringified (`&str` / `String` payloads pass
-    /// through verbatim; anything else becomes a placeholder).
-    pub message: String,
-}
-
-impl std::fmt::Display for WorkerFailure {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "job {} panicked after {} attempts: {}",
-            self.index, self.attempts, self.message
-        )
-    }
-}
-
-/// Run one job under supervision: catch a panic, retry once on the
-/// cloned input, surface a second panic as [`WorkerFailure`].
-fn run_supervised<T, R, F>(index: usize, item: T, f: &F) -> Result<R, WorkerFailure>
-where
-    T: Clone,
-    F: Fn(T) -> R,
-{
-    let retry_input = item.clone();
-    match catch_unwind(AssertUnwindSafe(|| f(item))) {
-        Ok(r) => Ok(r),
-        Err(_) => match catch_unwind(AssertUnwindSafe(|| f(retry_input))) {
-            Ok(r) => Ok(r),
-            Err(payload) => Err(WorkerFailure {
-                index,
-                attempts: 2,
-                message: panic_message(payload.as_ref()).to_string(),
-            }),
-        },
-    }
-}
 
 /// The default worker count: the machine's available parallelism, or 1
 /// when it cannot be determined.
@@ -88,22 +33,20 @@ pub fn default_threads() -> usize {
 }
 
 /// Map `f` over `items` on up to `threads` worker threads, returning the
-/// per-job results in submission order. Each job runs supervised: a
-/// panic is caught and retried once on the job's cloned input, and a job
-/// that panics twice yields `Err(WorkerFailure)` in its slot.
+/// results in submission order. A job's panic propagates to the caller.
 #[expect(
     clippy::expect_used,
     reason = "`for_each_mut` returns once every slot was visited, or re-raises a panic"
 )]
-pub fn parallel_map<T, R, F>(threads: usize, items: Vec<T>, f: F) -> Vec<Result<R, WorkerFailure>>
+pub fn parallel_map<T, R, F>(threads: usize, items: Vec<T>, f: F) -> Vec<R>
 where
-    T: Send + Clone,
+    T: Send,
     R: Send,
     F: Fn(T) -> R + Sync,
 {
     let mut slots: Vec<_> = items.into_iter().map(|x| (Some(x), None)).collect();
-    for_each_mut(threads, &mut slots, |i, (item, out)| {
-        *out = item.take().map(|x| run_supervised(i, x, &f))
+    for_each_mut(threads, &mut slots, |_, (item, out)| {
+        *out = item.take().map(&f)
     });
     slots
         .into_iter()
@@ -163,20 +106,13 @@ where
 mod tests {
     use super::*;
 
-    fn oks<R: Clone>(results: &[Result<R, WorkerFailure>]) -> Vec<R> {
-        results
-            .iter()
-            .map(|r| r.as_ref().expect("unexpected worker failure").clone())
-            .collect()
-    }
-
     #[test]
     fn preserves_order() {
         let items: Vec<u64> = (0..100).collect();
         let serial: Vec<u64> = items.iter().map(|&x| x * x).collect();
         for threads in [1, 2, 4, 8] {
             let par = parallel_map(threads, items.clone(), |x| x * x);
-            assert_eq!(oks(&par), serial, "threads={threads}");
+            assert_eq!(par, serial, "threads={threads}");
         }
     }
 
@@ -184,14 +120,15 @@ mod tests {
     fn empty_and_single() {
         let empty = parallel_map(4, Vec::<u64>::new(), |x| x);
         assert!(empty.is_empty());
-        let one = parallel_map(4, vec![7u64], |x| x + 1);
-        assert_eq!(oks(&one), vec![8]);
+        assert_eq!(parallel_map(4, vec![7u64], |x| x + 1), vec![8]);
     }
 
     #[test]
     fn more_threads_than_items() {
-        let out = parallel_map(16, vec![1, 2, 3], |x| x * 10);
-        assert_eq!(oks(&out), vec![10, 20, 30]);
+        assert_eq!(
+            parallel_map(16, vec![1, 2, 3], |x| x * 10),
+            vec![10, 20, 30]
+        );
     }
 
     #[test]
@@ -211,39 +148,29 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_panic_surfaces_as_failure() {
-        // A deterministic panic fails both attempts and lands as a
-        // structured failure in its own slot; every other job survives.
+    fn a_job_panic_fails_the_sweep_with_its_message() {
+        // One job per worker, each held at a barrier until every worker
+        // has taken one, so job `k` panics on the calling thread for one
+        // `k` and on a spawned worker for the others. The sweep runs on
+        // a thread of its own, whose join hands back the payload.
         for threads in [1, 2, 4] {
-            let out = parallel_map(threads, vec![0u64, 1, 2, 3], |x| {
-                if x == 2 {
-                    panic!("boom at {x}");
-                }
-                x * 10
-            });
-            assert_eq!(out.len(), 4);
-            assert_eq!(out[0], Ok(0));
-            assert_eq!(out[1], Ok(10));
-            assert_eq!(out[3], Ok(30));
-            let failure = out[2].as_ref().unwrap_err();
-            assert_eq!(failure.index, 2);
-            assert_eq!(failure.attempts, 2);
-            assert!(failure.message.contains("boom at 2"), "{failure}");
-        }
-    }
-
-    #[test]
-    fn transient_panic_recovers_on_retry() {
-        use std::sync::atomic::{AtomicU32, Ordering};
-        let tries = AtomicU32::new(0);
-        let out = parallel_map(1, vec![5u64], |x| {
-            if tries.fetch_add(1, Ordering::SeqCst) == 0 {
-                panic!("transient");
+            for k in 0..threads as u64 {
+                let sweep = std::thread::spawn(move || {
+                    let all_taken = std::sync::Barrier::new(threads);
+                    parallel_map(threads, (0..threads as u64).collect(), |x| {
+                        all_taken.wait();
+                        assert_ne!(x, k, "boom at {x}");
+                        x * 10
+                    })
+                });
+                let payload = sweep.join().expect_err("a job panicked");
+                let message = payload.downcast_ref::<String>().map_or("", String::as_str);
+                assert!(
+                    message.contains(&format!("boom at {k}")),
+                    "threads={threads} k={k}: {message:?}"
+                );
             }
-            x + 1
-        });
-        assert_eq!(out, vec![Ok(6)]);
-        assert_eq!(tries.load(Ordering::SeqCst), 2);
+        }
     }
 
     #[test]

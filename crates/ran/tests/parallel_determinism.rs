@@ -4,17 +4,8 @@
 //! that replay a seeded fault plan.
 
 use outran_faults::FaultPlan;
-use outran_ran::{parallel_map, Experiment, ExperimentReport, SchedulerKind, WorkerFailure};
+use outran_ran::{parallel_map, Experiment, ExperimentReport, SchedulerKind};
 use outran_simcore::Dur;
-
-/// Unwrap every supervised job result — these sweeps are expected to
-/// succeed; a `WorkerFailure` here is a real test failure.
-fn all_ok(results: Vec<Result<ExperimentReport, WorkerFailure>>) -> Vec<ExperimentReport> {
-    results
-        .into_iter()
-        .map(|r| r.expect("sweep job failed"))
-        .collect()
-}
 
 const SECS: u64 = 3;
 
@@ -34,8 +25,8 @@ fn chaos(seed: u64) -> Experiment {
 }
 
 /// Debug output covers every public field of the report (FCT tables,
-/// CDFs, per-flow records, fault counters, violations), so equal debug
-/// strings mean byte-identical results.
+/// SE and fairness series, per-flow records, fault counters,
+/// violations), so equal debug strings mean byte-identical results.
 fn fingerprints(reports: &[ExperimentReport]) -> Vec<String> {
     reports.iter().map(|r| format!("{r:?}")).collect()
 }
@@ -44,7 +35,7 @@ fn fingerprints(reports: &[ExperimentReport]) -> Vec<String> {
 fn parallel_standard_sweep_is_bit_identical_to_serial() {
     let seeds = [11u64, 23, 47, 101, 202, 303];
     let serial: Vec<ExperimentReport> = seeds.iter().map(|&s| standard(s).run()).collect();
-    let parallel = all_ok(parallel_map(4, seeds.to_vec(), |s| standard(s).run()));
+    let parallel = parallel_map(4, seeds.to_vec(), |s| standard(s).run());
     assert_eq!(fingerprints(&serial), fingerprints(&parallel));
 }
 
@@ -52,7 +43,7 @@ fn parallel_standard_sweep_is_bit_identical_to_serial() {
 fn parallel_chaos_sweep_replays_fault_plans_identically() {
     let seeds = [7u64, 13, 29, 31];
     let serial: Vec<ExperimentReport> = seeds.iter().map(|&s| chaos(s).run()).collect();
-    let parallel = all_ok(parallel_map(4, seeds.to_vec(), |s| chaos(s).run()));
+    let parallel = parallel_map(4, seeds.to_vec(), |s| chaos(s).run());
     let (sf, pf) = (fingerprints(&serial), fingerprints(&parallel));
     assert_eq!(sf, pf);
     // The chaos plans actually did something (otherwise this test would
@@ -66,7 +57,7 @@ fn parallel_chaos_sweep_replays_fault_plans_identically() {
 #[test]
 fn thread_count_does_not_change_results() {
     let seeds = [5u64, 6, 7, 8, 9];
-    let one = all_ok(parallel_map(1, seeds.to_vec(), |s| standard(s).run()));
-    let many = all_ok(parallel_map(8, seeds.to_vec(), |s| standard(s).run()));
+    let one = parallel_map(1, seeds.to_vec(), |s| standard(s).run());
+    let many = parallel_map(8, seeds.to_vec(), |s| standard(s).run());
     assert_eq!(fingerprints(&one), fingerprints(&many));
 }

@@ -39,7 +39,7 @@ pub fn check(name: &str, cases: u32, mut body: impl FnMut(&mut Rng)) {
 
 /// The message of a caught panic: its `String` or `&str` payload, or a
 /// placeholder for any other payload type.
-pub fn panic_message(payload: &(dyn Any + Send)) -> &str {
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
     payload
         .downcast_ref::<String>()
         .map(String::as_str)
