@@ -16,14 +16,16 @@
 //! tests in `crates/ran/tests/checkpoint_resume.rs` prove it in both
 //! stepping modes with chaos faults active.
 //!
-//! Persistence is atomic: the file is written to a temp sibling and
-//! renamed into place, so a crash mid-write leaves either the previous
-//! checkpoint or none — never a torn one.
+//! Persistence streams and is atomic: [`write_checkpoint`] encodes the
+//! sections straight into a temp sibling, one chunk at a time, then
+//! fsyncs it and renames it into place, so a crash mid-write leaves
+//! either the previous checkpoint or none — never a torn one.
 
+use std::io::{self, Seek, Write};
 use std::path::Path;
 
 use outran_simcore::snap::{
-    write_atomic, LoadSnap, Snap, SnapError, SnapReader, SnapWriter, SnapshotFile, Unsnap,
+    write_atomic_with, LoadSnap, Snap, SnapEncoder, SnapError, SnapReader, SnapshotFile, Unsnap,
 };
 use outran_simcore::{snap_fields, Time};
 
@@ -53,18 +55,27 @@ fn cell_section(i: usize) -> String {
     format!("cell.{i}")
 }
 
-/// Assemble a checkpoint from `meta` and the cells' dynamic state.
-pub fn snapshot_cells(meta: &CheckpointMeta, cells: &[&Cell]) -> SnapshotFile {
+/// Encode `meta` and the cells' dynamic state as a checkpoint's
+/// sections: the one section list both the in-memory and the streamed
+/// checkpoint are written from.
+pub fn encode_cells<W: Write + Seek>(
+    enc: &mut SnapEncoder<W>,
+    meta: &CheckpointMeta,
+    cells: &[&Cell],
+) -> io::Result<()> {
     debug_assert_eq!(meta.n_cells, cells.len());
-    let mut f = SnapshotFile::new();
-    let mut w = SnapWriter::new();
-    meta.snap(&mut w);
-    f.add("meta", w);
+    enc.section("meta", |w| meta.snap(w))?;
     for (i, cell) in cells.iter().enumerate() {
-        let mut w = SnapWriter::new();
-        cell.snap(&mut w);
-        f.add(&cell_section(i), w);
+        enc.section(&cell_section(i), |w| cell.snap(w))?;
     }
+    Ok(())
+}
+
+/// Assemble a checkpoint from `meta` and the cells' dynamic state, in
+/// memory.
+pub fn snapshot_cells(meta: &CheckpointMeta, cells: &[&Cell]) -> SnapshotFile {
+    let mut f = SnapshotFile::new();
+    f.encode(|enc| encode_cells(enc, meta, cells));
     f
 }
 
@@ -73,14 +84,16 @@ pub fn snapshot_cell(meta: &CheckpointMeta, cell: &Cell) -> SnapshotFile {
     snapshot_cells(meta, &[cell])
 }
 
-/// Write a checkpoint to `path` atomically (temp sibling + rename).
+/// Stream a checkpoint to `path` atomically (temp sibling, fsync,
+/// rename): beside the cells, the write holds one chunk in memory.
 pub fn write_checkpoint(
     path: &Path,
     meta: &CheckpointMeta,
     cells: &[&Cell],
 ) -> Result<(), SnapError> {
-    let file = snapshot_cells(meta, cells);
-    write_atomic(path, &file.to_bytes())
+    write_atomic_with(path, |f| {
+        encode_cells(&mut SnapEncoder::new(f)?, meta, cells)
+    })
 }
 
 /// Read a checkpoint file and decode its `meta` section (sections are
@@ -117,6 +130,7 @@ pub fn restore_cell(file: &SnapshotFile, i: usize, cell: &mut Cell) -> Result<()
 mod tests {
     use super::*;
     use crate::cell::{CellConfig, RlcMode, SchedulerKind};
+    use outran_simcore::snap::SnapWriter;
     use outran_simcore::Dur;
 
     fn tiny_cell() -> Cell {

@@ -51,7 +51,7 @@ use outran_phy::geometry::{self, CorridorWalk, NetGeometry};
 use outran_phy::mobility::{Pos, RandomWalk};
 use outran_phy::{ChannelConfig, Scenario};
 use outran_simcore::snap::{
-    write_atomic, LoadSnap, Snap, SnapError, SnapReader, SnapWriter, SnapshotFile,
+    write_atomic_with, LoadSnap, Snap, SnapEncoder, SnapError, SnapReader, SnapshotFile,
 };
 use outran_simcore::{snap_enum, snap_fields, Dur, Normal, Rng, Time};
 use outran_workload::{FlowArrival, FlowSizeDist, PoissonFlowGen};
@@ -597,8 +597,8 @@ impl Network {
         (pushes.into_inner(), replayed.into_inner())
     }
 
-    /// Write a full network checkpoint (`meta` + `cell.<i>` sections +
-    /// the `network` section) atomically.
+    /// Stream a full network checkpoint (`meta` + `cell.<i>` sections +
+    /// the `network` section) to `path` atomically.
     fn write_checkpoint(&self, st: &mut NetState, t: Time, path: &Path) -> Result<(), SnapError> {
         for_each_mut(self.threads, &mut st.cells, |_, cell| cell.sync_channel());
         let meta = CheckpointMeta {
@@ -608,11 +608,11 @@ impl Network {
             n_cells: st.cells.len(),
         };
         let refs: Vec<&Cell> = st.cells.iter().collect();
-        let mut file = crate::checkpoint::snapshot_cells(&meta, &refs);
-        let mut w = SnapWriter::new();
-        st.snap(&mut w);
-        file.add("network", w);
-        write_atomic(path, &file.to_bytes())
+        write_atomic_with(path, |f| {
+            let mut enc = SnapEncoder::new(f)?;
+            crate::checkpoint::encode_cells(&mut enc, &meta, &refs)?;
+            enc.section("network", |w| st.snap(w))
+        })
     }
 
     /// One epoch between two barriers: inject its arrivals into each UE's

@@ -6,13 +6,13 @@
 //! This is the golden-digest guarantee the checkpoint layer promises:
 //! crash + resume is indistinguishable from never having crashed.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use outran_faults::FaultPlan;
 use outran_phy::Scenario;
 use outran_ran::cell::{Cell, GbrBearer, SchedulerKind};
 use outran_ran::checkpoint::{
-    read_checkpoint, restore_cell, snapshot_cell, snapshot_cells, write_checkpoint, CheckpointMeta,
+    read_checkpoint, restore_cell, snapshot_cell, write_checkpoint, CheckpointMeta,
 };
 use outran_ran::{Experiment, Network};
 use outran_simcore::snap::{fnv1a, SnapshotFile, SNAP_VERSION};
@@ -26,8 +26,9 @@ const SEED: u64 = 0xD1CE;
 /// The `_T0` pins hash each cell straight after construction, before
 /// any TTI runs, so they see every field's position but no value a
 /// running TTI produced; the running pins hash the same cells at
-/// `t = 1 s`, fading-tap mantissas included. The whole-file pins
-/// (`SnapshotFile::digest`) are metro checkpoints, cell sections and
+/// `t = 1 s`, fading-tap mantissas included. Every pin but `PIN_NETWORK`
+/// hashes the raw bytes of a file the checkpoint writers streamed to
+/// disk. The `METRO_*` pins are metro checkpoints, cell sections and
 /// their taps included: a 1 s checkpoint, and the CI smoke shape
 /// (2 sites × 3 sectors, 8 slots, 12 UEs, 30 m/s corridors) checkpointed
 /// once a handover has landed in a slot that was empty until then,
@@ -305,7 +306,8 @@ fn checkpointed_run_report_matches_plain_run() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// FNV-1a digest of `cell`'s full single-cell checkpoint as it stands.
+/// FNV-1a digest of the file `write_checkpoint` streams to disk for
+/// `cell` as it stands.
 fn cell_digest(cell: &Cell) -> u64 {
     let meta = CheckpointMeta {
         argv: vec!["pin".into()],
@@ -313,7 +315,17 @@ fn cell_digest(cell: &Cell) -> u64 {
         dense: false,
         n_cells: 1,
     };
-    fnv1a(&snapshot_cells(&meta, &[cell]).to_bytes())
+    let dir = tmp_dir("pin-cell");
+    let path = dir.join("cell.orsn");
+    write_checkpoint(&path, &meta, &[cell]).unwrap();
+    let digest = file_digest(&path);
+    std::fs::remove_dir_all(&dir).ok();
+    digest
+}
+
+/// FNV-1a digest of the raw bytes of the file at `path`.
+fn file_digest(path: &Path) -> u64 {
+    fnv1a(&std::fs::read(path).unwrap())
 }
 
 /// Wire-format pin: the exact bytes of three small deterministic
@@ -366,20 +378,21 @@ fn wire_format_is_pinned() {
     net.checkpoint_every = Some(Dur::from_secs(1));
     net.checkpoint_dir = Some(dir.clone());
     net.run();
-    let (_meta, file) = read_checkpoint(&dir.join("metro-ckpt-1s.orsn")).unwrap();
+    let path = dir.join("metro-ckpt-1s.orsn");
+    let (_meta, file) = read_checkpoint(&path).unwrap();
     assert_eq!(
         fnv1a(file.section("network").unwrap()),
         PIN_NETWORK,
         "{HINT}"
     );
-    assert_eq!(file.digest(), PIN_METRO_FILE, "{HINT}");
+    assert_eq!(file_digest(&path), PIN_METRO_FILE, "{HINT}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
 /// The 6 s checkpoint of the CI smoke deployment (its first handovers
 /// execute at the 4 s and 5 s barriers), optionally under a chaos plan
-/// of `chaos` intensity on every cell.
-fn churny_checkpoint(tag: &str, chaos: Option<f64>) -> SnapshotFile {
+/// of `chaos` intensity on every cell, with the digest of its raw file.
+fn churny_checkpoint(tag: &str, chaos: Option<f64>) -> (SnapshotFile, u64) {
     let dir = tmp_dir(tag);
     let mut net = Network::metro(Scenario::LtePedestrian, SchedulerKind::OutRan, 0.25);
     net.n_sites = 2;
@@ -396,9 +409,11 @@ fn churny_checkpoint(tag: &str, chaos: Option<f64>) -> SnapshotFile {
     net.checkpoint_every = Some(Dur::from_secs(6));
     net.checkpoint_dir = Some(dir.clone());
     net.run();
-    let (_meta, file) = read_checkpoint(&dir.join("metro-ckpt-6s.orsn")).unwrap();
+    let path = dir.join("metro-ckpt-6s.orsn");
+    let (_meta, file) = read_checkpoint(&path).unwrap();
+    let digest = file_digest(&path);
     std::fs::remove_dir_all(&dir).ok();
-    file
+    (file, digest)
 }
 
 /// `HandoverStats::successes` of a network checkpoint: the stats are the
@@ -416,11 +431,11 @@ fn handover_successes(file: &SnapshotFile) -> u64 {
 #[test]
 fn metro_checkpoints_under_churn_are_pinned() {
     const HINT: &str = "a metro checkpoint's bytes moved";
-    let plain = churny_checkpoint("pin-churn", None);
+    let (plain, digest) = churny_checkpoint("pin-churn", None);
     assert!(handover_successes(&plain) > 0, "no handover before 6 s");
-    assert_eq!(plain.digest(), PIN_METRO_CHURN_FILE, "{HINT}");
+    assert_eq!(digest, PIN_METRO_CHURN_FILE, "{HINT}");
 
-    let chaos = churny_checkpoint("pin-churn-chaos", Some(0.6));
+    let (chaos, digest) = churny_checkpoint("pin-churn-chaos", Some(0.6));
     assert!(handover_successes(&chaos) > 0, "no handover before 6 s");
-    assert_eq!(chaos.digest(), PIN_METRO_CHURN_CHAOS_FILE, "{HINT} (chaos)");
+    assert_eq!(digest, PIN_METRO_CHURN_CHAOS_FILE, "{HINT} (chaos)");
 }

@@ -10,6 +10,8 @@
 //!   Floats travel as IEEE-754 bit patterns ([`f64::to_bits`]) so a
 //!   round trip is bit-exact, which is what makes a resumed run
 //!   *bit-identical* to an uninterrupted one rather than merely close.
+//!   A writer either keeps its bytes or streams them to a sink in
+//!   [`SNAP_CHUNK`]s.
 //! * [`Snap`] / [`Unsnap`] / [`LoadSnap`] — the three traits every
 //!   persisted type implements: one writer (`snap`) and the two restore
 //!   shapes. *By value* (`T::unsnap(r)`): the bytes alone rebuild the
@@ -27,10 +29,17 @@
 //!   `rebuilt` is a compile error.
 //! * [`counters!`](crate::counters) — declare a set of `u64` event
 //!   counters once: struct, `merge`, `rows`, `total_events` and layout.
-//! * [`SnapshotFile`] — a container of named sections, each guarded by
-//!   an FNV-1a digest, behind a magic number and a format version.
-//! * [`write_atomic`] — temp-file + rename persistence so an
-//!   interrupted writer never leaves a torn checkpoint behind.
+//! * [`SnapEncoder`] — the one encoder of the container: named
+//!   sections, each guarded by an FNV-1a digest, behind a magic number
+//!   and a format version. Each payload streams to the sink, and the
+//!   encoder seeks back to fill in its length and digest, so writing a
+//!   checkpoint holds one chunk beside the live state.
+//! * [`SnapshotFile`] — the container in memory, one buffer with each
+//!   section a range into it: what a read kept, or what the encoder
+//!   wrote into a `Vec`.
+//! * [`write_atomic_with`] — the one durability routine: stream into a
+//!   temp sibling, fsync, rename. An interrupted or failed write never
+//!   leaves a torn checkpoint, or a temp file, behind.
 //!
 //! The format is deliberately not self-describing: readers must know
 //! the layout (the version field exists so they can refuse layouts
@@ -45,7 +54,9 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
-use std::io::Write as _;
+use std::fs::File;
+use std::io::{self, Cursor, Seek, SeekFrom, Write};
+use std::ops::Range;
 use std::path::Path;
 
 use crate::events::EventQueue;
@@ -105,7 +116,14 @@ impl std::error::Error for SnapError {}
 /// FNV-1a 64-bit over a byte slice — the same digest the golden-trace
 /// harness uses, cheap and std-only.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    fnv1a_extend(FNV_OFFSET, bytes)
+}
+
+/// FNV-1a's offset basis: the digest of no bytes.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Continue an FNV-1a digest `h` over `bytes`.
+fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
@@ -113,56 +131,149 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
+/// Bytes a streaming [`SnapWriter`] holds before it spills them to its
+/// sink: all a checkpoint write needs beside the live state.
+pub const SNAP_CHUNK: usize = 64 * 1024;
+
 /// Append-only little-endian encoder for snapshot payloads.
-#[derive(Debug, Default)]
-pub struct SnapWriter {
+///
+/// [`SnapWriter::new`] keeps every byte in memory for
+/// [`into_bytes`](SnapWriter::into_bytes). The writer that
+/// [`SnapEncoder`] hands each section's layout has a *sink* instead: it
+/// holds at most [`SNAP_CHUNK`] bytes, spills each full chunk to the
+/// sink, and keeps the section's running length and FNV-1a digest. The
+/// first spill error is kept and returned when the section ends; later
+/// spills are skipped.
+pub struct SnapWriter<'s> {
     buf: Vec<u8>,
+    sink: Option<&'s mut dyn Write>,
+    /// Bytes already spilled to `sink`.
+    spilled: usize,
+    /// FNV-1a state over the spilled bytes.
+    digest: u64,
+    err: Option<io::Error>,
 }
 
-impl SnapWriter {
-    /// Fresh empty writer.
-    pub fn new() -> SnapWriter {
-        SnapWriter { buf: Vec::new() }
+impl fmt::Debug for SnapWriter<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SnapWriter")
+            .field("len", &self.len())
+            .field("streaming", &self.sink.is_some())
+            .finish()
+    }
+}
+
+impl Default for SnapWriter<'_> {
+    fn default() -> Self {
+        SnapWriter::new()
+    }
+}
+
+impl<'s> SnapWriter<'s> {
+    /// Fresh empty in-memory writer.
+    pub fn new() -> SnapWriter<'s> {
+        SnapWriter {
+            buf: Vec::new(),
+            sink: None,
+            spilled: 0,
+            digest: FNV_OFFSET,
+            err: None,
+        }
     }
 
-    /// Finished payload bytes.
+    /// A writer that spills every full chunk to `sink`.
+    fn streaming(sink: &'s mut dyn Write) -> SnapWriter<'s> {
+        SnapWriter {
+            buf: Vec::with_capacity(SNAP_CHUNK),
+            sink: Some(sink),
+            ..SnapWriter::new()
+        }
+    }
+
+    /// Finished payload bytes of an in-memory writer.
     pub fn into_bytes(self) -> Vec<u8> {
+        debug_assert!(
+            self.sink.is_none(),
+            "a streaming writer's bytes are in its sink"
+        );
         self.buf
     }
 
-    /// Bytes written so far.
+    /// Bytes written so far, spilled ones included.
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.spilled + self.buf.len()
     }
 
     /// Whether nothing has been written yet.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.len() == 0
+    }
+
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        if self.sink.is_some() && self.buf.len() + bytes.len() >= SNAP_CHUNK {
+            self.put_spilling(bytes);
+        } else {
+            self.buf.extend_from_slice(bytes);
+        }
+    }
+
+    /// Fill the chunk, spill it, repeat: the buffer never grows.
+    fn put_spilling(&mut self, mut bytes: &[u8]) {
+        while !bytes.is_empty() {
+            let n = bytes.len().min(SNAP_CHUNK - self.buf.len());
+            self.buf.extend_from_slice(&bytes[..n]);
+            bytes = &bytes[n..];
+            if self.buf.len() == SNAP_CHUNK {
+                self.spill();
+            }
+        }
+    }
+
+    fn spill(&mut self) {
+        if self.err.is_none() {
+            if let Some(sink) = self.sink.as_mut() {
+                self.err = sink.write_all(&self.buf).err();
+            }
+        }
+        self.digest = fnv1a_extend(self.digest, &self.buf);
+        self.spilled += self.buf.len();
+        self.buf.clear();
+    }
+
+    /// Spill the tail of a streaming section; its length and digest, or
+    /// the first spill error.
+    fn finish(mut self) -> io::Result<(usize, u64)> {
+        self.spill();
+        match self.err {
+            Some(e) => Err(e),
+            None => Ok((self.spilled, self.digest)),
+        }
     }
 
     /// Write a single byte.
     pub fn u8(&mut self, v: u8) {
-        self.buf.push(v);
+        self.put(&[v]);
     }
 
     /// Write a `u16`.
     pub fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.put(&v.to_le_bytes());
     }
 
     /// Write a `u32`.
     pub fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.put(&v.to_le_bytes());
     }
 
     /// Write a `u64`.
     pub fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.put(&v.to_le_bytes());
     }
 
     /// Write an `i64`.
     pub fn i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.put(&v.to_le_bytes());
     }
 
     /// Write a `usize` (as `u64`; the simulator never exceeds that).
@@ -193,7 +304,7 @@ impl SnapWriter {
     /// Write a length-prefixed UTF-8 string.
     pub fn str(&mut self, s: &str) {
         self.usize(s.len());
-        self.buf.extend_from_slice(s.as_bytes());
+        self.put(s.as_bytes());
     }
 
     /// Write a sequence via a length prefix plus the closure per item.
@@ -363,57 +474,86 @@ impl<'a> SnapReader<'a> {
 /// magic "ORSN" | version u32 | section_count u32
 /// per section: name (len-prefixed str) | payload_len u64 | fnv1a u64 | payload
 /// ```
-#[derive(Debug, Default)]
+///
+/// [`SnapEncoder`] is the one writer of this layout; a `SnapshotFile` is
+/// the layout in memory: the container's bytes in one buffer, each
+/// section a range into it. [`read_file`](SnapshotFile::read_file) keeps
+/// the buffer it read, so a resume holds the file once.
 pub struct SnapshotFile {
-    sections: Vec<(String, Vec<u8>)>,
+    enc: SnapEncoder<Cursor<Vec<u8>>>,
+}
+
+impl fmt::Debug for SnapshotFile {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let sizes = self.enc.index.iter().map(|(n, r)| (n, r.len()));
+        f.debug_map().entries(sizes).finish()
+    }
+}
+
+impl Default for SnapshotFile {
+    fn default() -> Self {
+        SnapshotFile::new()
+    }
 }
 
 impl SnapshotFile {
     /// Empty container.
     pub fn new() -> SnapshotFile {
         SnapshotFile {
-            sections: Vec::new(),
+            enc: in_memory(SnapEncoder::new(Cursor::new(Vec::new()))),
         }
     }
 
-    /// Append a named section from a finished writer.
-    pub fn add(&mut self, name: &str, w: SnapWriter) {
-        self.sections.push((name.to_string(), w.into_bytes()));
+    /// Append sections through the container encoder, in memory. `body`
+    /// returns the encoder's errors, and in memory there are none.
+    pub fn encode(
+        &mut self,
+        body: impl FnOnce(&mut SnapEncoder<Cursor<Vec<u8>>>) -> io::Result<()>,
+    ) {
+        in_memory(body(&mut self.enc));
+    }
+
+    /// Append a named section from a finished in-memory writer.
+    pub fn add(&mut self, name: &str, w: SnapWriter<'_>) {
+        let payload = w.into_bytes();
+        self.encode(|enc| enc.section(name, |s| s.put(&payload)));
     }
 
     /// Borrow a section's payload by name.
     pub fn section(&self, name: &str) -> Result<&[u8], SnapError> {
-        self.sections
+        self.enc
+            .index
             .iter()
             .find(|(n, _)| n == name)
-            .map(|(_, b)| b.as_slice())
+            .map(|(_, r)| &self.bytes()[r.clone()])
             .ok_or_else(|| SnapError::MissingSection(name.to_string()))
     }
 
     /// Names of all sections, in file order.
     pub fn section_names(&self) -> Vec<&str> {
-        self.sections.iter().map(|(n, _)| n.as_str()).collect()
+        self.enc.index.iter().map(|(n, _)| n.as_str()).collect()
     }
 
-    /// Serialize the container to bytes.
+    /// The serialized container.
+    fn bytes(&self) -> &[u8] {
+        self.enc.out.get_ref()
+    }
+
+    /// A copy of the serialized container.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = SnapWriter::new();
-        w.buf.extend_from_slice(&SNAP_MAGIC);
-        w.u32(SNAP_VERSION);
-        w.u32(self.sections.len() as u32);
-        for (name, payload) in &self.sections {
-            w.str(name);
-            w.u64(payload.len() as u64);
-            w.u64(fnv1a(payload));
-            w.buf.extend_from_slice(payload);
-        }
-        w.into_bytes()
+        self.bytes().to_vec()
     }
 
     /// Parse a container from bytes, verifying magic, version and every
     /// section digest.
     pub fn from_bytes(bytes: &[u8]) -> Result<SnapshotFile, SnapError> {
-        let mut r = SnapReader::new(bytes);
+        SnapshotFile::parse(bytes.to_vec())
+    }
+
+    /// [`from_bytes`](SnapshotFile::from_bytes) over a buffer it keeps:
+    /// each section becomes a range into `bytes`.
+    fn parse(mut bytes: Vec<u8>) -> Result<SnapshotFile, SnapError> {
+        let mut r = SnapReader::new(&bytes);
         if r.take(4)? != SNAP_MAGIC {
             return Err(SnapError::BadMagic);
         }
@@ -422,58 +562,163 @@ impl SnapshotFile {
             return Err(SnapError::BadVersion(version));
         }
         let count = r.u32()? as usize;
-        let mut sections = Vec::with_capacity(count.min(64));
+        let mut index = Vec::with_capacity(count.min(64));
         for _ in 0..count {
             let name = r.str()?;
             let len = r.usize()?;
             let digest = r.u64()?;
-            let payload = r.take(len)?.to_vec();
-            if fnv1a(&payload) != digest {
+            let at = r.pos;
+            if fnv1a(r.take(len)?) != digest {
                 return Err(SnapError::DigestMismatch(name));
             }
-            sections.push((name, payload));
+            index.push((name, at..at + len));
         }
-        Ok(SnapshotFile { sections })
+        // Bytes past the last section are not part of the container.
+        let len = r.pos;
+        bytes.truncate(len);
+        let mut out = Cursor::new(bytes);
+        out.set_position(len as u64);
+        Ok(SnapshotFile {
+            enc: SnapEncoder {
+                out,
+                start: 0,
+                len,
+                index,
+            },
+        })
     }
 
     /// Digest of the whole serialized container — two snapshots are
     /// bit-identical iff these match.
     pub fn digest(&self) -> u64 {
-        fnv1a(&self.to_bytes())
-    }
-
-    /// Persist atomically to `path` (temp file in the same directory,
-    /// fsync, then rename).
-    pub fn write_atomic(&self, path: &Path) -> Result<(), SnapError> {
-        write_atomic(path, &self.to_bytes())
+        fnv1a(self.bytes())
     }
 
     /// Load and parse a snapshot file from disk.
     pub fn read_file(path: &Path) -> Result<SnapshotFile, SnapError> {
         let bytes = std::fs::read(path)
             .map_err(|e| SnapError::Io(format!("read {}: {e}", path.display())))?;
-        SnapshotFile::from_bytes(&bytes)
+        SnapshotFile::parse(bytes)
     }
 }
 
-/// Write `bytes` to `path` atomically: write to a sibling temp file,
-/// fsync, then rename over the destination. A crash mid-write leaves
-/// either the old file or nothing — never a torn one.
-pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), SnapError> {
-    let io = |e: std::io::Error| SnapError::Io(format!("{}: {e}", path.display()));
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent).map_err(io)?;
-        }
+/// Unwrap the result of encoding into a `Vec`.
+#[expect(
+    clippy::expect_used,
+    reason = "a Vec cursor fails neither a write nor a seek"
+)]
+fn in_memory<T>(r: io::Result<T>) -> T {
+    r.expect("in-memory snapshot encoding")
+}
+
+/// The one encoder of the [`SnapshotFile`] layout, over any seekable
+/// sink. Per section it writes the name and a 16-byte placeholder,
+/// streams the payload through a [`SnapWriter`] that spills to the sink
+/// in [`SNAP_CHUNK`]s, then seeks back to fill in the payload's length
+/// and digest and the header's section count. Every sink gets the same
+/// bytes; a file never holds more than one chunk of them in memory.
+#[derive(Debug)]
+pub struct SnapEncoder<W> {
+    out: W,
+    /// Where the header starts in `out`.
+    start: u64,
+    /// Bytes written from `start` on.
+    len: usize,
+    /// Each section's name and payload range, from `start`.
+    index: Vec<(String, Range<usize>)>,
+}
+
+impl<W: Write + Seek> SnapEncoder<W> {
+    /// Write a header that counts no section yet at `out`'s position.
+    pub fn new(mut out: W) -> io::Result<SnapEncoder<W>> {
+        let start = out.stream_position()?;
+        let mut head = SnapWriter::new();
+        head.put(&SNAP_MAGIC);
+        head.u32(SNAP_VERSION);
+        head.u32(0);
+        let head = head.into_bytes();
+        out.write_all(&head)?;
+        Ok(SnapEncoder {
+            out,
+            start,
+            len: head.len(),
+            index: Vec::new(),
+        })
+    }
+
+    /// Append section `name`, whose payload `body` writes.
+    pub fn section(
+        &mut self,
+        name: &str,
+        body: impl FnOnce(&mut SnapWriter<'_>),
+    ) -> io::Result<()> {
+        let count = u32::try_from(self.index.len() + 1)
+            .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "too many sections"))?;
+        let mut head = SnapWriter::new();
+        head.str(name);
+        let fill = self.len + head.len();
+        head.u64(0);
+        head.u64(0);
+        self.out.write_all(&head.into_bytes())?;
+        let mut w = SnapWriter::streaming(&mut self.out);
+        body(&mut w);
+        let (len, digest) = w.finish()?;
+        let payload = fill + 16;
+        self.len = payload + len;
+        self.write_at(
+            fill,
+            &[(len as u64).to_le_bytes(), digest.to_le_bytes()].concat(),
+        )?;
+        self.write_at(8, &count.to_le_bytes())?;
+        self.out
+            .seek(SeekFrom::Start(self.start + self.len as u64))?;
+        self.index.push((name.to_string(), payload..self.len));
+        Ok(())
+    }
+
+    fn write_at(&mut self, at: usize, bytes: &[u8]) -> io::Result<()> {
+        self.out.seek(SeekFrom::Start(self.start + at as u64))?;
+        self.out.write_all(bytes)
+    }
+}
+
+/// The one durability routine: `body` writes the file into a temp
+/// sibling of `path`, which is fsynced, then renamed over `path`, and
+/// the rename is made durable by syncing the directory. A crash leaves
+/// the old file or the new one, never a torn one. An error from `body`,
+/// the fsync or the rename removes the temp file and leaves `path` as
+/// it was.
+pub fn write_atomic_with(
+    path: &Path,
+    body: impl FnOnce(&mut File) -> io::Result<()>,
+) -> Result<(), SnapError> {
+    let io = |e: io::Error| SnapError::Io(format!("{}: {e}", path.display()));
+    let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+    if let Some(dir) = dir {
+        std::fs::create_dir_all(dir).map_err(io)?;
     }
     let tmp = path.with_extension("tmp~");
-    {
-        let mut f = std::fs::File::create(&tmp).map_err(io)?;
-        f.write_all(bytes).map_err(io)?;
-        f.sync_all().map_err(io)?;
+    let written = File::create(&tmp)
+        .and_then(|mut f| {
+            body(&mut f)?;
+            f.sync_all()
+        })
+        .and_then(|()| std::fs::rename(&tmp, path));
+    if written.is_err() {
+        // Best effort: the error being reported is the write's.
+        let _ = std::fs::remove_file(&tmp);
     }
-    std::fs::rename(&tmp, path).map_err(io)?;
+    written.map_err(io)?;
+    #[cfg(unix)]
+    File::open(dir.unwrap_or(Path::new(".")))
+        .and_then(|d| d.sync_all())
+        .map_err(io)?;
     Ok(())
+}
+
+/// [`write_atomic_with`] for bytes already in memory.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), SnapError> {
+    write_atomic_with(path, |f| f.write_all(bytes))
 }
 
 // ---------------------------------------------------------------------------
@@ -1109,6 +1354,194 @@ mod tests {
         assert_eq!(std::fs::read(&path).unwrap(), b"first");
         write_atomic(&path, b"second-longer").unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), b"second-longer");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A fresh directory under the system temp dir.
+    fn scratch_dir(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("outran-snap-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// The container layout written field by field from finished
+    /// payloads, independently of [`SnapEncoder`].
+    fn reference(sections: &[(String, Vec<u8>)]) -> Vec<u8> {
+        let mut out = SNAP_MAGIC.to_vec();
+        out.extend_from_slice(&SNAP_VERSION.to_le_bytes());
+        out.extend_from_slice(&(sections.len() as u32).to_le_bytes());
+        for (name, payload) in sections {
+            out.extend_from_slice(&(name.len() as u64).to_le_bytes());
+            out.extend_from_slice(name.as_bytes());
+            out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+            out.extend_from_slice(&fnv1a(payload).to_le_bytes());
+            out.extend_from_slice(payload);
+        }
+        out
+    }
+
+    /// Write `payload` in pieces of 1 to 40 bytes through the codec's
+    /// own calls, so chunk boundaries fall inside a write.
+    fn write_pieces(w: &mut SnapWriter<'_>, payload: &[u8], rng: &mut Rng) {
+        let mut rest = payload;
+        while !rest.is_empty() {
+            let n = (1 + rng.index(40)).min(rest.len());
+            let (piece, tail) = rest.split_at(n);
+            match piece.len() {
+                1 => w.u8(piece[0]),
+                8 => w.u64(u64::from_le_bytes(piece.try_into().unwrap())),
+                _ => piece.iter().for_each(|&b| w.u8(b)),
+            }
+            rest = tail;
+        }
+    }
+
+    /// Sections of 0, one chunk less one, one chunk, one chunk more one
+    /// and several chunks, streamed to a file through the durability
+    /// routine and encoded in memory: both are the reference bytes, and
+    /// both read back section by section.
+    #[test]
+    fn streamed_sections_equal_the_reference_layout() {
+        let dir = scratch_dir("stream");
+        let path = dir.join("s.orsn");
+        crate::check("streamed_sections_equal_the_reference_layout", 8, |rng| {
+            let several = 3 * SNAP_CHUNK + rng.index(SNAP_CHUNK);
+            let sizes = [0, SNAP_CHUNK - 1, SNAP_CHUNK, SNAP_CHUNK + 1, several];
+            let sections: Vec<(String, Vec<u8>)> = sizes
+                .iter()
+                .enumerate()
+                .map(|(i, &n)| {
+                    let payload = (0..n).map(|_| rng.below(256) as u8).collect();
+                    (format!("s{i}"), payload)
+                })
+                .collect();
+            let want = reference(&sections);
+
+            let (mut a, mut b) = (rng.clone(), rng.clone());
+            write_atomic_with(&path, |f| {
+                let mut enc = SnapEncoder::new(f)?;
+                for (name, payload) in &sections {
+                    enc.section(name, |w| write_pieces(w, payload, &mut a))?;
+                }
+                Ok(())
+            })
+            .unwrap();
+            assert!(std::fs::read(&path).unwrap() == want, "streamed file");
+
+            let mut file = SnapshotFile::new();
+            for (name, payload) in &sections {
+                file.encode(|enc| enc.section(name, |w| write_pieces(w, payload, &mut b)));
+            }
+            assert!(file.to_bytes() == want, "in-memory encoding");
+
+            let back = SnapshotFile::read_file(&path).unwrap();
+            for (name, payload) in &sections {
+                assert!(back.section(name).unwrap() == payload.as_slice(), "{name}");
+                assert!(file.section(name).unwrap() == payload.as_slice(), "{name}");
+            }
+        });
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Streaming a multi-MiB section, in small writes and in one write
+    /// of several chunks, never grows the writer's buffer past a chunk,
+    /// and `len()` counts every byte.
+    #[test]
+    fn streaming_holds_at_most_one_chunk() {
+        let big = vec![7u8; 3 * SNAP_CHUNK + 5];
+        let mut enc = SnapEncoder::new(Cursor::new(Vec::new())).unwrap();
+        enc.section("big", |w| {
+            let mut written = 0;
+            for i in 0..(2 << 20) / 8 {
+                w.u64(i);
+                written += 8;
+                assert!(w.buf.capacity() <= SNAP_CHUNK);
+            }
+            w.str(std::str::from_utf8(&big).unwrap());
+            written += 8 + big.len();
+            assert!(w.buf.capacity() <= SNAP_CHUNK);
+            assert_eq!(w.len(), written);
+        })
+        .unwrap();
+        let len = enc.index[0].1.len();
+        assert_eq!(len, (2 << 20) + 8 + big.len());
+    }
+
+    /// A sink that accepts `left` bytes and fails the next write. After
+    /// that it fails every write, or, if it `recovers`, none: a write
+    /// path that ignored the one failure would rename a file with a
+    /// hole in it.
+    struct FailAfter<'a> {
+        inner: &'a mut File,
+        left: Option<usize>,
+        recovers: bool,
+    }
+
+    impl Write for FailAfter<'_> {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            match self.left {
+                Some(0) => {
+                    self.left = if self.recovers { None } else { Some(0) };
+                    Err(io::Error::new(io::ErrorKind::StorageFull, "disk full"))
+                }
+                Some(left) => {
+                    let n = buf.len().min(left);
+                    self.left = Some(left - n);
+                    self.inner.write(&buf[..n])
+                }
+                None => self.inner.write(buf),
+            }
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            self.inner.flush()
+        }
+    }
+
+    impl Seek for FailAfter<'_> {
+        fn seek(&mut self, to: SeekFrom) -> io::Result<u64> {
+            self.inner.seek(to)
+        }
+    }
+
+    /// A sink that fails after N bytes — in the header, in a section
+    /// head, in the first spill, in a later spill, in the tail — once or
+    /// for good, makes the write an `Io` error that renames nothing: the
+    /// destination keeps its previous bytes and no temp sibling remains.
+    #[test]
+    fn a_failed_write_leaves_the_old_file_and_no_temp_file() {
+        let dir = scratch_dir("fail");
+        let path = dir.join("ckpt.orsn");
+        write_atomic(&path, b"previous").unwrap();
+        let payload = vec![1u8; 2 * SNAP_CHUNK + 100];
+        // Header 12 bytes, `meta` 28 + 8 + its 20 patched, `cell.0`'s
+        // head 30: its payload starts at byte 98 of what the sink takes.
+        let fail_ats = [0, 13, 30, 100, SNAP_CHUNK + 40, 2 * SNAP_CHUNK + 100];
+        for (fail_at, recovers) in fail_ats.into_iter().flat_map(|n| [(n, false), (n, true)]) {
+            let mut body_ran_to_its_end = false;
+            let result = write_atomic_with(&path, |f| {
+                let mut sink = FailAfter {
+                    inner: f,
+                    left: Some(fail_at),
+                    recovers,
+                };
+                let mut enc = SnapEncoder::new(&mut sink)?;
+                enc.section("meta", |w| w.u64(1))?;
+                enc.section("cell.0", |w| {
+                    payload.iter().for_each(|&b| w.u8(b));
+                    body_ran_to_its_end = true;
+                })
+            });
+            assert!(
+                matches!(&result, Err(SnapError::Io(e)) if e.contains("disk full")),
+                "fail at {fail_at} ({recovers}): {result:?}"
+            );
+            // A spill error is kept, not raised, so the layout that hit
+            // it still runs to its end; a failed head starts no layout.
+            assert_eq!(body_ran_to_its_end, fail_at >= 98, "fail at {fail_at}");
+            assert_eq!(std::fs::read(&path).unwrap(), b"previous", "{fail_at}");
+            assert!(!path.with_extension("tmp~").exists(), "{fail_at}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
