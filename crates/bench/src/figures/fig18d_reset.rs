@@ -6,6 +6,7 @@
 use super::*;
 use outran_core::OutRanConfig;
 use outran_metrics::FctCollector;
+use outran_ran::experiment::DRAIN;
 use outran_ran::{Cell, CellConfig};
 use outran_simcore::{Rng, Time};
 use outran_workload::{FlowSizeDist, PoissonFlowGen};
@@ -42,7 +43,7 @@ fn run_seed(kind: SchedulerKind, reset: Option<Dur>, seed: u64) -> (f64, f64) {
         }
         t += Dur::from_millis(50);
     }
-    cell.run_until(Time(horizon.0 + Time::from_secs(4).0));
+    cell.run_until(horizon + DRAIN);
     let mut fct = FctCollector::new();
     for d in cell.take_completions() {
         fct.record(d.bytes, d.fct);

@@ -10,6 +10,7 @@
 use super::*;
 use outran_metrics::{FctCollector, FctReport};
 use outran_phy::Scenario;
+use outran_ran::experiment::DRAIN;
 use outran_ran::{Cell, CellConfig};
 use outran_simcore::{Rng, Time};
 use outran_workload::{FlowSizeDist, PoissonFlowGen};
@@ -29,8 +30,7 @@ fn colosseum(
     threads: usize,
 ) -> FctReport {
     let duration = Time::from_secs(secs);
-    // Run past the horizon to let late flows finish (bounded drain).
-    let end = Time::from_secs(secs + 4);
+    let end = duration + DRAIN;
     let per_cell = parallel_map(threads, (0..CELLS).collect(), |c| {
         let seed = SEED + c;
         let mut cfg = CellConfig::lte_default(UES_PER_CELL, kind, seed);

@@ -2,7 +2,7 @@
 //!
 //! The [`InvariantAuditor`] is fed cheap observations every TTI (clock,
 //! RB usage, per-flow delivery order) and a fuller [`AuditSnapshot`]
-//! every `check_every_ttis` TTIs plus once at end-of-run. Failed checks
+//! every [`CHECK_EVERY_TTIS`] TTIs plus once at end-of-run. Failed checks
 //! become structured [`Violation`] records rather than panics, so a run
 //! under fault injection can finish and report everything it saw.
 
@@ -135,28 +135,14 @@ impl fmt::Display for Violation {
     }
 }
 
-/// Auditor configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct AuditConfig {
-    /// Full-snapshot cadence in TTIs.
-    pub check_every_ttis: u64,
-    /// Cap on retained violations (later ones are counted, not stored).
-    pub max_recorded: usize,
-}
-
-impl Default for AuditConfig {
-    fn default() -> Self {
-        AuditConfig {
-            check_every_ttis: 100,
-            max_recorded: 64,
-        }
-    }
-}
+/// Full-snapshot cadence in TTIs.
+pub const CHECK_EVERY_TTIS: u64 = 100;
+/// Cap on retained violations (later ones are counted, not stored).
+pub const MAX_RECORDED: usize = 64;
 
 /// Collects invariant violations over a run.
 #[derive(Debug, Default)]
 pub struct InvariantAuditor {
-    cfg: AuditConfig,
     violations: Vec<Violation>,
     total_violations: u64,
     checks_run: u64,
@@ -169,22 +155,9 @@ pub struct InvariantAuditor {
 }
 
 impl InvariantAuditor {
-    /// New auditor with the given cadence.
-    pub fn new(cfg: AuditConfig) -> InvariantAuditor {
-        InvariantAuditor {
-            cfg,
-            violations: Vec::new(),
-            total_violations: 0,
-            checks_run: 0,
-            ttis_seen: 0,
-            last_clock: None,
-            delivery_order: BTreeMap::new(),
-        }
-    }
-
     fn record(&mut self, at: Time, kind: ViolationKind) {
         self.total_violations += 1;
-        if self.violations.len() < self.cfg.max_recorded {
+        if self.violations.len() < MAX_RECORDED {
             self.violations.push(Violation { at, kind });
         }
     }
@@ -256,7 +229,7 @@ impl InvariantAuditor {
 
     /// Whether the periodic full check is due this TTI.
     pub fn due(&self) -> bool {
-        self.cfg.check_every_ttis > 0 && self.ttis_seen.is_multiple_of(self.cfg.check_every_ttis)
+        self.ttis_seen.is_multiple_of(CHECK_EVERY_TTIS)
     }
 
     /// Run the full snapshot check (periodically and at end-of-run).
@@ -314,13 +287,10 @@ snap_enum! { ViolationKind, "unknown violation kind tag" {
 } }
 snap_fields! { Violation { at, kind } }
 
-// The [`AuditConfig`] is not written; it is re-established from the run
-// configuration on restore.
 snap_fields! {
     overlay InvariantAuditor {
         violations, total_violations, checks_run, ttis_seen, last_clock, delivery_order,
     }
-    rebuilt { cfg }
 }
 
 #[cfg(test)]
@@ -333,7 +303,7 @@ mod tests {
 
     #[test]
     fn clean_run_stays_clean() {
-        let mut a = InvariantAuditor::new(AuditConfig::default());
+        let mut a = InvariantAuditor::default();
         for i in 0..500 {
             a.observe_clock(t(i));
             a.observe_rbs(t(i), 25, 25);
@@ -359,7 +329,7 @@ mod tests {
 
     #[test]
     fn each_invariant_trips() {
-        let mut a = InvariantAuditor::new(AuditConfig::default());
+        let mut a = InvariantAuditor::default();
         a.observe_clock(t(10));
         a.observe_clock(t(5));
         a.observe_rbs(t(10), 30, 25);
@@ -394,7 +364,7 @@ mod tests {
 
     #[test]
     fn forget_ue_allows_sdu_id_restart() {
-        let mut a = InvariantAuditor::new(AuditConfig::default());
+        let mut a = InvariantAuditor::default();
         a.observe_delivery(t(1), 2, 5, 40);
         a.forget_ue(2);
         a.observe_delivery(t(2), 2, 5, 1);
@@ -403,7 +373,7 @@ mod tests {
 
     #[test]
     fn forgotten_flows_leave_the_order_map() {
-        let mut a = InvariantAuditor::new(AuditConfig::default());
+        let mut a = InvariantAuditor::default();
         for (ue, flow) in [(0, 1), (0, 2), (1, 3), (1, 4)] {
             a.observe_delivery(t(1), ue, flow, 10);
         }
@@ -419,14 +389,11 @@ mod tests {
 
     #[test]
     fn retention_cap_counts_everything() {
-        let mut a = InvariantAuditor::new(AuditConfig {
-            check_every_ttis: 1,
-            max_recorded: 2,
-        });
-        for i in 0..5 {
+        let mut a = InvariantAuditor::default();
+        for i in 0..MAX_RECORDED as u64 + 3 {
             a.observe_rbs(t(i), 99, 1);
         }
-        assert_eq!(a.total_violations(), 5);
-        assert_eq!(a.violations().len(), 2);
+        assert_eq!(a.total_violations(), MAX_RECORDED as u64 + 3);
+        assert_eq!(a.violations().len(), MAX_RECORDED);
     }
 }

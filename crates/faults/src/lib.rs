@@ -20,9 +20,7 @@ pub mod handover;
 pub mod plan;
 pub mod stats;
 
-pub use audit::{
-    AuditConfig, AuditSnapshot, ByteLedger, InvariantAuditor, Violation, ViolationKind,
-};
+pub use audit::{AuditSnapshot, ByteLedger, InvariantAuditor, Violation, ViolationKind};
 pub use handover::HandoverStats;
 pub use plan::{ActiveFaults, FaultKind, FaultPlan, FaultWindow};
 pub use stats::FaultStats;

@@ -24,15 +24,20 @@
 //!
 //! ## Data layout
 //!
-//! The matrix is stored **subband-major** (`cols[sb * n_ues + ue]`) and
-//! the validity keys column-wise (one flat plane per key component), so
+//! The matrix is stored **subband-major** (`cols[sb * n_ues + ue]`), so
 //! the schedulers' per-subband argmax reads one column of `n_ues`
-//! doubles — the loop the allocator runs once per subband per TTI —
-//! while the refresh writes strided but runs only on version misses.
-//! When the [`RateSource`] exposes its backing planes
-//! ([`RateSource::planes`]), both refresh and allocation run without any
-//! per-element virtual dispatch.
+//! doubles, while the refresh writes strided but runs only on misses.
+//!
+//! ## The grid walk
+//!
+//! Every scheduler allocates through one RB-grid walk, the only code
+//! that reads GBR reservations ([`RateSource::rb_reserved`]) or grants
+//! an RB: PF, MT, OutRAN, PSS and CQA name a winner per subband run off
+//! the metric columns ([`allocate_by_subband`]); RR and SRJF name one
+//! per free RB. When the [`RateSource`] is the flat matrix
+//! ([`RateSource::planes`]), refresh and walk read its arrays directly.
 
+use crate::rates::TtiRates;
 use crate::types::{Allocation, RateSource};
 
 /// A `|SB| × |U|` subband-major matrix of cached metric values with
@@ -103,57 +108,45 @@ impl SubbandMetricCache {
         metric_rev: impl Fn(usize) -> u64,
         metric: impl Fn(usize, f64) -> f64,
     ) {
-        let n_ues = rates.n_ues();
-        let n_sb = rates.n_subbands();
-        self.resize_if_needed(n_ues, n_sb);
-        if let Some(p) = rates.planes() {
-            // Flat path: rate rows read straight out of the source's
-            // UE-major plane, metrics scattered into the subband-major
-            // columns. Same values as the virtual path below.
-            for ue in rows {
-                let rv = p.versions[ue];
-                let mr = metric_rev(ue);
-                if self.key_ok[ue] && self.key_rv[ue] == rv && self.key_mr[ue] == mr {
-                    self.hits += 1;
-                    continue;
-                }
-                self.misses += 1;
-                self.key_ok[ue] = true;
-                self.key_rv[ue] = rv;
-                self.key_mr[ue] = mr;
-                let row = &p.per_ue_sb[ue * n_sb..(ue + 1) * n_sb];
-                for (sb, &r) in row.iter().enumerate() {
-                    self.cols[sb * n_ues + ue] = if r > 0.0 {
-                        metric(ue, r)
-                    } else {
-                        f64::NEG_INFINITY
-                    };
-                }
-            }
-        } else {
-            for ue in rows {
-                match rates.rates_version(ue) {
-                    Some(rv) => {
-                        let mr = metric_rev(ue);
-                        if self.key_ok[ue] && self.key_rv[ue] == rv && self.key_mr[ue] == mr {
-                            self.hits += 1;
-                            continue;
-                        }
-                        self.key_ok[ue] = true;
-                        self.key_rv[ue] = rv;
-                        self.key_mr[ue] = mr;
+        self.resize_if_needed(rates.n_ues(), rates.n_subbands());
+        // One body, instantiated for the flat matrix (no per-element
+        // virtual dispatch) and for the virtual accessors.
+        match rates.planes() {
+            Some(t) => self.refresh_from(t, rows, metric_rev, metric),
+            None => self.refresh_from(rates, rows, metric_rev, metric),
+        }
+    }
+
+    fn refresh_from<R: RateSource + ?Sized>(
+        &mut self,
+        rates: &R,
+        rows: impl Iterator<Item = usize>,
+        metric_rev: impl Fn(usize) -> u64,
+        metric: impl Fn(usize, f64) -> f64,
+    ) {
+        let (n_ues, n_sb) = (self.n_ues, self.n_sb);
+        for ue in rows {
+            match rates.rates_version(ue) {
+                Some(rv) => {
+                    let mr = metric_rev(ue);
+                    if self.key_ok[ue] && self.key_rv[ue] == rv && self.key_mr[ue] == mr {
+                        self.hits += 1;
+                        continue;
                     }
-                    None => self.key_ok[ue] = false,
+                    self.key_ok[ue] = true;
+                    self.key_rv[ue] = rv;
+                    self.key_mr[ue] = mr;
                 }
-                self.misses += 1;
-                for sb in 0..n_sb {
-                    let r = rates.rate_in_subband(ue, sb);
-                    self.cols[sb * n_ues + ue] = if r > 0.0 {
-                        metric(ue, r)
-                    } else {
-                        f64::NEG_INFINITY
-                    };
-                }
+                None => self.key_ok[ue] = false,
+            }
+            self.misses += 1;
+            for sb in 0..n_sb {
+                let r = rates.rate_in_subband(ue, sb);
+                self.cols[sb * n_ues + ue] = if r > 0.0 {
+                    metric(ue, r)
+                } else {
+                    f64::NEG_INFINITY
+                };
             }
         }
     }
@@ -172,14 +165,14 @@ impl SubbandMetricCache {
     }
 }
 
-/// The listed UE with the largest entry of `col`, and that entry: a
+/// The listed UE with the largest `metric`, and that metric: a
 /// strict-`>` argmax from -inf in list order, so ties go to the lowest
 /// index and an ineligible (-inf) entry never wins.
-pub(crate) fn best_of(col: &[f64], active: &[u16]) -> Option<(u16, f64)> {
+pub(crate) fn best_of(active: &[u16], metric: impl Fn(usize) -> f64) -> Option<(u16, f64)> {
     let mut best = None;
     let mut best_m = f64::NEG_INFINITY;
     for &u in active {
-        let m = col[u as usize];
+        let m = metric(u as usize);
         if m > best_m {
             best = Some(u);
             best_m = m;
@@ -188,16 +181,61 @@ pub(crate) fn best_of(col: &[f64], active: &[u16]) -> Option<(u16, f64)> {
     best.map(|u| (u, best_m))
 }
 
-/// Drive a per-subband winner function over the RB grid.
+/// A UE's rate in a subband: read off the flat matrix when the source
+/// is one, through the virtual accessor otherwise.
+#[derive(Clone, Copy)]
+pub(crate) struct SubbandRates<'a> {
+    rates: &'a dyn RateSource,
+    planes: Option<&'a TtiRates>,
+}
+
+impl SubbandRates<'_> {
+    pub(crate) fn get(&self, ue: u16, sb: usize) -> f64 {
+        match self.planes {
+            Some(t) => t.rate_in_subband(ue as usize, sb),
+            None => self.rates.rate_in_subband(ue as usize, sb),
+        }
+    }
+}
+
+/// The one walk over the RB grid, which every scheduler allocates
+/// through: visits the RBs in order, skips the reserved ones (a GBR
+/// grant's RBs are not the dynamic scheduler's to give), and gives each
+/// free RB to the UE `pick(sb, rates)` names, at the rate it returns —
+/// the UE's rate in the RB's subband `sb`, read from `rates`. `None`
+/// leaves the RB idle.
+pub(crate) fn walk_free_rbs(
+    alloc: &mut Allocation,
+    rates: &dyn RateSource,
+    mut pick: impl FnMut(usize, SubbandRates<'_>) -> Option<(u16, f64)>,
+) {
+    let sr = SubbandRates {
+        rates,
+        planes: rates.planes(),
+    };
+    for rb in 0..rates.n_rbs() {
+        // One call site of `pick`, so it inlines into the loop.
+        let (sb, reserved) = match sr.planes {
+            Some(t) => (t.subband_of(rb), t.rb_reserved(rb)),
+            None => (rates.subband_of(rb), rates.rb_reserved(rb)),
+        };
+        if !reserved {
+            if let Some((u, r)) = pick(sb, sr) {
+                alloc.assign(rb, u, r);
+            }
+        }
+    }
+}
+
+/// Drive a per-subband winner function over the free RBs of the grid.
 ///
 /// Evaluates `winner_of(sb)` once per *contiguous run* of RBs in the
-/// same subband (subband ids are monotone in RB), assigns each
-/// non-reserved RB of the run to the returned UE at that UE's subband
-/// rate, and skips reserved RBs. The winner's subband rate is looked up
+/// same subband (subband ids are monotone in RB) and gives each free RB
+/// of the run to the returned UE. The winner's subband rate is looked up
 /// once per run (it is constant across the run — that is what a subband
-/// is), and the per-RB `assign` loop (one f64 add per RB) preserves the
-/// exact accumulation order of the old per-RB schedulers, so
-/// allocations stay bit-identical.
+/// is), and the per-RB `assign` (one f64 add per RB) keeps the exact
+/// accumulation order of a per-RB scheduler, so allocations stay
+/// bit-identical to one.
 pub fn allocate_by_subband(
     alloc: &mut Allocation,
     rates: &dyn RateSource,
@@ -205,44 +243,14 @@ pub fn allocate_by_subband(
 ) {
     // Winner and its rate, memoized per contiguous subband run.
     let mut memo: Option<(usize, Option<(u16, f64)>)> = None;
-    if let Some(p) = rates.planes() {
-        // Flat path: subband map and reservation flags read straight off
-        // the source's per-RB planes.
-        for (rb, (&sb, &resv)) in p.rb_to_sb.iter().zip(p.reserved.iter()).enumerate() {
-            if resv {
-                continue;
-            }
-            let w = match memo {
-                Some((s, w)) if s == sb => w,
-                _ => {
-                    let w = winner_of(sb).map(|u| (u, p.per_ue_sb[u as usize * p.n_sb + sb]));
-                    memo = Some((sb, w));
-                    w
-                }
-            };
-            if let Some((u, r)) = w {
-                alloc.assign(rb as u16, u, r);
-            }
+    walk_free_rbs(alloc, rates, |sb, sr| match memo {
+        Some((s, w)) if s == sb => w,
+        _ => {
+            let w = winner_of(sb).map(|u| (u, sr.get(u, sb)));
+            memo = Some((sb, w));
+            w
         }
-    } else {
-        for rb in 0..rates.n_rbs() {
-            if rates.rb_reserved(rb) {
-                continue;
-            }
-            let sb = rates.subband_of(rb);
-            let w = match memo {
-                Some((s, w)) if s == sb => w,
-                _ => {
-                    let w = winner_of(sb).map(|u| (u, rates.rate_in_subband(u as usize, sb)));
-                    memo = Some((sb, w));
-                    w
-                }
-            };
-            if let Some((u, r)) = w {
-                alloc.assign(rb, u, r);
-            }
-        }
-    }
+    });
 }
 
 #[cfg(test)]
@@ -258,8 +266,8 @@ mod tests {
             vers: Vec<u64>,
         }
         impl RateSource for Versioned {
-            fn rate(&self, ue: usize, rb: u16) -> f64 {
-                self.inner.rate(ue, rb)
+            fn rate_in_subband(&self, ue: usize, sb: usize) -> f64 {
+                self.inner.rate_in_subband(ue, sb)
             }
             fn n_rbs(&self) -> u16 {
                 self.inner.n_rbs()
@@ -323,9 +331,6 @@ mod tests {
         };
         struct NoPlanes<'a>(&'a TtiRates);
         impl RateSource for NoPlanes<'_> {
-            fn rate(&self, ue: usize, rb: u16) -> f64 {
-                self.0.rate(ue, rb)
-            }
             fn n_rbs(&self) -> u16 {
                 self.0.n_rbs()
             }
@@ -451,5 +456,61 @@ mod tests {
         allocate_by_subband(&mut alloc, &tti, |_| Some(0));
         assert_eq!(alloc.rb_to_ue, vec![Some(0), None, Some(0), Some(0)]);
         assert_eq!(alloc.bits_per_ue[0], 4.0 + 8.0 + 8.0);
+    }
+
+    /// With a GBR grant holding the lowest RBs, every scheduler still
+    /// fills the rest of a saturated grid, and none touches the grant.
+    #[test]
+    fn every_scheduler_grants_exactly_the_free_rbs() {
+        use crate::{
+            CqaScheduler, OutRanScheduler, PfScheduler, PssScheduler, RrScheduler, Scheduler,
+            SrjfMode, SrjfScheduler, UeTti,
+        };
+        use outran_pdcp::Priority;
+        use outran_simcore::{Dur, Time};
+        let (tf, tti) = (Dur::from_millis(100), Dur::from_millis(1));
+        let rates = TtiRates {
+            per_ue_sb: vec![
+                300.0, 200.0, 100.0, 400.0, //
+                250.0, 350.0, 150.0, 120.0, //
+                90.0, 60.0, 500.0, 210.0,
+            ],
+            rb_to_sb: vec![0, 0, 1, 1, 2, 2, 3, 3],
+            n_sb: 4,
+            n_ues: 3,
+            reserved: vec![true, true, false, false, false, false, false, false],
+            versions: vec![0; 3],
+        };
+        let ues: Vec<UeTti> = (0..3)
+            .map(|u| UeTti {
+                active: true,
+                head_priority: Some(Priority(u as u8)),
+                queued_bytes: 1_000_000,
+                oracle_min_remaining: Some(1_000_000),
+                hol_delay: Dur::from_millis(20),
+                oracle_has_qos_flow: u == 1,
+            })
+            .collect();
+        let schedulers: Vec<(&str, Box<dyn Scheduler>)> = vec![
+            ("PF", Box::new(PfScheduler::with_tf(3, tf, tti))),
+            ("MT", Box::new(OutRanScheduler::mt())),
+            (
+                "OutRAN",
+                Box::new(OutRanScheduler::over_pf(3, tf, tti, 0.2)),
+            ),
+            ("RR", Box::new(RrScheduler::default())),
+            ("SRJF", Box::new(SrjfScheduler::default())),
+            (
+                "SRJF winner-only",
+                Box::new(SrjfScheduler::with_mode(SrjfMode::WinnerOnly)),
+            ),
+            ("PSS", Box::new(PssScheduler::new(3, tf, tti))),
+            ("CQA", Box::new(CqaScheduler::new(3, tf, tti))),
+        ];
+        for (name, mut s) in schedulers {
+            let a = s.allocate(Time::ZERO, &ues, &rates);
+            assert_eq!(a.rb_to_ue[..2], [None, None], "{name} granted a GBR RB");
+            assert_eq!(a.rbs_used(), 6, "{name}: {:?}", a.rb_to_ue);
+        }
     }
 }

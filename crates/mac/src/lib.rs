@@ -6,22 +6,21 @@
 //! (§4.3, Algorithm 1) re-selects users within the ε-relaxed metric band.
 //!
 //! All schedulers share the practical per-RB-metric architecture of
-//! §4.1: for each RB, iterate over users, compute a scalar metric
-//! `m_{u,b}(t)`, and give the RB to the best user — O(|U|·|B|) total.
-//!
-//! Implemented schedulers — PF, MT and the OutRAN family are one type,
-//! [`OutRanScheduler`], a PF or MT metric core with or without
+//! §4.1 — for each RB, score the users and give the RB to the best —
+//! and allocate through one RB-grid walk ([`cache`]), the only code that
+//! skips the RBs a GBR grant holds. PF, MT and the OutRAN family are one
+//! type, [`OutRanScheduler`], a PF or MT metric core with or without
 //! Algorithm 1's second iteration:
 //!
-//! | constructor | per-RB metric | paper role |
-//! |---|---|---|
-//! | [`PfScheduler::with_tf`] | `r_{u,b} / r̃_u` (EWMA window = fairness window T_f) | the de-facto baseline |
-//! | [`OutRanScheduler::mt`] | `r_{u,b}` | max-throughput extreme of the T_f sweep |
-//! | [`OutRanScheduler::over_pf`], [`OutRanScheduler::over_mt`] | either, then re-selection by MLFQ head in the ε-band | the paper's contribution (ε = 1: strict MLFQ) |
-//! | [`pf::RrScheduler`] | round-robin over active users | small-T_f extreme |
-//! | [`srjf::SrjfScheduler`] | oracle: min remaining flow size, channel-blind | the §3 motivation / upper bound |
-//! | [`qos::PssScheduler`] | PF restricted to the QoS (delay-budget) set first | QoS-aware baseline (NS-3 PSS) |
-//! | [`qos::CqaScheduler`] | HOL-delay-weighted PF | QoS-aware baseline (NS-3 CQA) |
+//! | constructor | per-RB metric | picks | paper role |
+//! |---|---|---|---|
+//! | [`PfScheduler::with_tf`] | `r_{u,b} / r̃_u` (EWMA window = fairness window T_f) | per subband, cached | the de-facto baseline |
+//! | [`OutRanScheduler::mt`] | `r_{u,b}` | per subband, cached | max-throughput extreme of the T_f sweep |
+//! | [`OutRanScheduler::over_pf`], [`OutRanScheduler::over_mt`] | either, then re-selection by MLFQ head in the ε-band | per subband, cached | the paper's contribution (ε = 1: strict MLFQ) |
+//! | [`pf::RrScheduler`] | round-robin over active users | per free RB | small-T_f extreme |
+//! | [`srjf::SrjfScheduler`] | oracle: min remaining flow size, channel-blind | per free RB | the §3 motivation / upper bound |
+//! | [`qos::PssScheduler`] | PF restricted to the QoS (delay-budget) set first | per subband, cached | QoS-aware baseline (NS-3 PSS) |
+//! | [`qos::CqaScheduler`] | PF × HOL-delay urgency, weighed once per TTI | per subband, cached | QoS-aware baseline (NS-3 CQA) |
 //!
 //! # Example
 //!
@@ -58,7 +57,7 @@ pub mod types;
 pub use cache::SubbandMetricCache;
 pub use outran::{OutRanScheduler, PfScheduler};
 pub use pf::{PfCore, RrScheduler};
-pub use qos::{CqaScheduler, PssScheduler, QosParams};
+pub use qos::{CqaScheduler, PssScheduler};
 pub use rates::TtiRates;
 pub use srjf::{SrjfMode, SrjfScheduler};
-pub use types::{Allocation, RatePlanes, RateSource, Scheduler, UeTti};
+pub use types::{Allocation, RateSource, Scheduler, UeTti};

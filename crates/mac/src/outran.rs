@@ -123,7 +123,7 @@ impl Scheduler for OutRanScheduler {
             // Ineligible rows are -inf and can never win the strict
             // argmax, so ties go to the lowest index.
             // No eligible user for this subband: leave its RBs idle.
-            let (legacy_best, m_max) = best_of(col, active)?;
+            let (legacy_best, m_max) = best_of(active, |u| col[u])?;
             let Some(epsilon) = epsilon else {
                 return Some(legacy_best);
             };

@@ -14,6 +14,7 @@
 
 use outran_simcore::{Dur, Ewma, Time};
 
+use crate::cache::walk_free_rbs;
 use crate::types::{Allocation, RateSource, Scheduler, UeTti};
 use outran_simcore::snap_fields;
 
@@ -91,7 +92,8 @@ impl PfCore {
 
 snap_fields! { overlay PfCore { avg: fixed, rev: fixed } }
 
-/// Round-robin over active UEs, RB by RB (the small-T_f limit of PF).
+/// Round-robin over active UEs, free RB by free RB (the small-T_f limit
+/// of PF).
 #[derive(Debug, Clone, Default)]
 pub struct RrScheduler {
     next: usize,
@@ -108,16 +110,15 @@ impl Scheduler for RrScheduler {
         rates: &dyn RateSource,
         alloc: &mut Allocation,
     ) {
-        let n_rbs = rates.n_rbs();
-        alloc.reset(n_rbs, ues.len());
+        alloc.reset(rates.n_rbs(), ues.len());
         if active.is_empty() {
             return;
         }
-        for rb in 0..n_rbs {
+        walk_free_rbs(alloc, rates, |sb, sr| {
             let u = active[self.next % active.len()];
             self.next = self.next.wrapping_add(1);
-            alloc.assign(rb, u, rates.rate(u as usize, rb));
-        }
+            Some((u, sr.get(u, sb)))
+        });
     }
 
     fn on_served(&mut self, _served_bits: &[f64]) {}

@@ -19,32 +19,37 @@
 
 use outran_simcore::{Dur, Time};
 
+use crate::cache::{allocate_by_subband, best_of, SubbandMetricCache};
 use crate::pf::PfCore;
 use crate::types::{Allocation, RateSource, Scheduler, UeTti};
 use outran_simcore::snap_fields;
 
-/// Shared QoS parameters for the baselines.
-#[derive(Debug, Clone, Copy)]
-pub struct QosParams {
-    /// Packet delay budget of the low-latency class (paper: 50 ms).
-    pub delay_budget: Dur,
-    /// CQA urgency exponent β.
-    pub beta: f64,
-}
+/// Packet delay budget of the low-latency QoS class (§6.2: 50 ms).
+pub const DELAY_BUDGET: Dur = Dur::from_millis(50);
+/// CQA's urgency exponent β.
+pub const CQA_BETA: f64 = 2.0;
 
-impl Default for QosParams {
-    fn default() -> Self {
-        QosParams {
-            delay_budget: Dur::from_millis(50),
-            beta: 2.0,
-        }
-    }
+/// Bring `cache`'s rows of the active UEs up to date with `core`'s PF
+/// metric, as OutRAN over PF does.
+fn refresh_pf(
+    cache: &mut SubbandMetricCache,
+    core: &PfCore,
+    rates: &dyn RateSource,
+    active: &[u16],
+) {
+    cache.refresh_rows(
+        rates,
+        active.iter().map(|&u| u as usize),
+        |u| core.rev(u),
+        |u, r| core.metric(u, r),
+    );
 }
 
 /// Priority Set Scheduler.
 #[derive(Debug, Clone)]
 pub struct PssScheduler {
     core: PfCore,
+    cache: SubbandMetricCache,
 }
 
 impl PssScheduler {
@@ -52,11 +57,12 @@ impl PssScheduler {
     pub fn new(n_ues: usize, tf: Dur, tti: Dur) -> PssScheduler {
         PssScheduler {
             core: PfCore::new(n_ues, tf, tti),
+            cache: SubbandMetricCache::new(),
         }
     }
 }
 
-snap_fields! { overlay PssScheduler { core } }
+snap_fields! { overlay PssScheduler { core } rebuilt { cache } }
 
 impl Scheduler for PssScheduler {
     fn allocate_into(
@@ -67,46 +73,24 @@ impl Scheduler for PssScheduler {
         rates: &dyn RateSource,
         alloc: &mut Allocation,
     ) {
-        let n_rbs = rates.n_rbs();
-        alloc.reset(n_rbs, ues.len());
-        let any_qos = active.iter().any(|&u| ues[u as usize].oracle_has_qos_flow);
-        for rb in 0..n_rbs {
-            // Pass 1: PF among the priority set (QoS UEs), if any.
-            let mut best: Option<(usize, f64, f64)> = None;
-            if any_qos {
-                for &u in active {
-                    let u = u as usize;
-                    if !ues[u].oracle_has_qos_flow {
-                        continue;
-                    }
-                    let r = rates.rate(u, rb);
-                    if r <= 0.0 {
-                        continue;
-                    }
-                    let m = self.core.metric(u, r);
-                    if best.is_none_or(|(_, bm, _)| m > bm) {
-                        best = Some((u, m, r));
-                    }
+        alloc.reset(rates.n_rbs(), ues.len());
+        refresh_pf(&mut self.cache, &self.core, rates, active);
+        let cache = &self.cache;
+        allocate_by_subband(alloc, rates, |sb| {
+            // PF among the priority set (the UEs holding a QoS flow)
+            // first, then ordinary PF.
+            let col = cache.column(sb);
+            let in_set = |u: usize| {
+                if ues[u].oracle_has_qos_flow {
+                    col[u]
+                } else {
+                    f64::NEG_INFINITY
                 }
-            }
-            // Pass 2: ordinary PF fallback.
-            if best.is_none() {
-                for &u in active {
-                    let u = u as usize;
-                    let r = rates.rate(u, rb);
-                    if r <= 0.0 {
-                        continue;
-                    }
-                    let m = self.core.metric(u, r);
-                    if best.is_none_or(|(_, bm, _)| m > bm) {
-                        best = Some((u, m, r));
-                    }
-                }
-            }
-            if let Some((u, _, r)) = best {
-                alloc.assign(rb, u as u16, r);
-            }
-        }
+            };
+            best_of(active, in_set)
+                .or_else(|| best_of(active, |u| col[u]))
+                .map(|(u, _)| u)
+        });
     }
 
     fn on_served(&mut self, served_bits: &[f64]) {
@@ -116,34 +100,42 @@ impl Scheduler for PssScheduler {
     fn on_idle(&mut self, k: u64) {
         self.core.decay(k);
     }
+
+    fn metric_rows_refreshed(&self) -> u64 {
+        self.cache.misses
+    }
 }
 
 /// Channel & QoS Aware scheduler.
 #[derive(Debug, Clone)]
 pub struct CqaScheduler {
     core: PfCore,
-    params: QosParams,
+    cache: SubbandMetricCache,
+    /// The TTI's urgency weight per UE (scratch, valid at active UEs).
+    weight: Vec<f64>,
 }
 
 impl CqaScheduler {
-    /// Create with the given PF fairness window and QoS parameters.
-    pub fn new(n_ues: usize, tf: Dur, tti: Dur, params: QosParams) -> CqaScheduler {
+    /// Create with the given PF fairness window.
+    pub fn new(n_ues: usize, tf: Dur, tti: Dur) -> CqaScheduler {
         CqaScheduler {
             core: PfCore::new(n_ues, tf, tti),
-            params,
+            cache: SubbandMetricCache::new(),
+            weight: Vec::new(),
         }
-    }
-
-    fn weight(&self, ue: &UeTti) -> f64 {
-        if !ue.oracle_has_qos_flow {
-            return 1.0;
-        }
-        let urgency = 1.0 + ue.hol_delay.as_secs_f64() / self.params.delay_budget.as_secs_f64();
-        urgency.powf(self.params.beta)
     }
 }
 
-snap_fields! { overlay CqaScheduler { core } rebuilt { params } }
+/// CQA's weight on a UE's PF metric: `(1 + d_HOL/budget)^β` while it
+/// holds a QoS flow, 1 otherwise.
+fn urgency(ue: &UeTti) -> f64 {
+    if !ue.oracle_has_qos_flow {
+        return 1.0;
+    }
+    (1.0 + ue.hol_delay.as_secs_f64() / DELAY_BUDGET.as_secs_f64()).powf(CQA_BETA)
+}
+
+snap_fields! { overlay CqaScheduler { core } rebuilt { cache, weight } }
 
 impl Scheduler for CqaScheduler {
     fn allocate_into(
@@ -154,25 +146,17 @@ impl Scheduler for CqaScheduler {
         rates: &dyn RateSource,
         alloc: &mut Allocation,
     ) {
-        let n_rbs = rates.n_rbs();
-        alloc.reset(n_rbs, ues.len());
-        for rb in 0..n_rbs {
-            let mut best: Option<(usize, f64, f64)> = None;
-            for &u in active {
-                let u = u as usize;
-                let r = rates.rate(u, rb);
-                if r <= 0.0 {
-                    continue;
-                }
-                let m = self.core.metric(u, r) * self.weight(&ues[u]);
-                if best.is_none_or(|(_, bm, _)| m > bm) {
-                    best = Some((u, m, r));
-                }
-            }
-            if let Some((u, _, r)) = best {
-                alloc.assign(rb, u as u16, r);
-            }
+        alloc.reset(rates.n_rbs(), ues.len());
+        refresh_pf(&mut self.cache, &self.core, rates, active);
+        self.weight.resize(ues.len(), 1.0);
+        for &u in active {
+            self.weight[u as usize] = urgency(&ues[u as usize]);
         }
+        let (cache, weight) = (&self.cache, &self.weight);
+        allocate_by_subband(alloc, rates, |sb| {
+            let col = cache.column(sb);
+            best_of(active, |u| col[u] * weight[u]).map(|(u, _)| u)
+        });
     }
 
     fn on_served(&mut self, served_bits: &[f64]) {
@@ -181,6 +165,10 @@ impl Scheduler for CqaScheduler {
 
     fn on_idle(&mut self, k: u64) {
         self.core.decay(k);
+    }
+
+    fn metric_rows_refreshed(&self) -> u64 {
+        self.cache.misses
     }
 }
 
@@ -226,15 +214,9 @@ mod tests {
 
     #[test]
     fn cqa_weight_grows_with_hol_delay() {
-        let s = CqaScheduler::new(
-            1,
-            Dur::from_millis(100),
-            Dur::from_millis(1),
-            QosParams::default(),
-        );
-        let fresh = s.weight(&ue(true, true, 0));
-        let stale = s.weight(&ue(true, true, 50));
-        let non_qos = s.weight(&ue(true, false, 500));
+        let fresh = urgency(&ue(true, true, 0));
+        let stale = urgency(&ue(true, true, 50));
+        let non_qos = urgency(&ue(true, false, 500));
         assert!(stale > fresh);
         assert!((fresh - 1.0).abs() < 1e-9);
         assert!((non_qos - 1.0).abs() < 1e-9);
@@ -244,12 +226,7 @@ mod tests {
 
     #[test]
     fn cqa_prioritizes_urgent_qos_ue() {
-        let mut s = CqaScheduler::new(
-            2,
-            Dur::from_millis(100),
-            Dur::from_millis(1),
-            QosParams::default(),
-        );
+        let mut s = CqaScheduler::new(2, Dur::from_millis(100), Dur::from_millis(1));
         // Equalise PF averages first.
         s.on_served(&[100.0, 100.0]);
         let rates = FlatRates {

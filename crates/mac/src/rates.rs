@@ -2,16 +2,15 @@
 //! reports — the concrete plane-backed [`RateSource`] behind the
 //! scheduler kernels.
 
-use crate::types::{RatePlanes, RateSource};
+use crate::types::RateSource;
 
 /// Per-TTI rate matrix adapter (subband-granular) for the scheduler.
 /// Reused across TTIs: the MAC stage rewrites only the rows whose
 /// content version moved.
 ///
 /// All state is stored as flat planes (UE-major `per_ue_sb`, per-RB
-/// `rb_to_sb`/`reserved`, per-UE `versions`), exposed to scheduler
-/// kernels via [`RateSource::planes`] so the hot loops run over
-/// contiguous memory without virtual dispatch.
+/// `rb_to_sb`/`reserved`, per-UE `versions`), which the scheduler
+/// kernels read directly (see [`RateSource::planes`]).
 #[derive(Default)]
 pub struct TtiRates {
     /// Per-(UE, subband) deliverable bits per RB this TTI.
@@ -22,9 +21,8 @@ pub struct TtiRates {
     pub n_sb: usize,
     /// UE count.
     pub n_ues: usize,
-    /// RBs pre-empted by semi-persistent GBR grants this TTI: they read
-    /// as rate 0 to the dynamic scheduler, so every scheduler kind
-    /// respects the reservation without trait changes.
+    /// RBs pre-empted by semi-persistent GBR grants this TTI: the grid
+    /// walk every scheduler allocates through skips them.
     pub reserved: Vec<bool>,
     /// Per-UE content version of the `per_ue_sb` row: the delivered CQI
     /// report version doubled, plus one while the UE's link is down (a
@@ -34,12 +32,6 @@ pub struct TtiRates {
 }
 
 impl RateSource for TtiRates {
-    fn rate(&self, ue: usize, rb: u16) -> f64 {
-        if self.reserved[rb as usize] {
-            return 0.0;
-        }
-        self.per_ue_sb[ue * self.n_sb + self.rb_to_sb[rb as usize]]
-    }
     fn n_rbs(&self) -> u16 {
         self.rb_to_sb.len() as u16
     }
@@ -61,57 +53,7 @@ impl RateSource for TtiRates {
     fn rates_version(&self, ue: usize) -> Option<u64> {
         Some(self.versions[ue])
     }
-    fn planes(&self) -> Option<RatePlanes<'_>> {
-        Some(RatePlanes {
-            per_ue_sb: &self.per_ue_sb,
-            versions: &self.versions,
-            rb_to_sb: &self.rb_to_sb,
-            reserved: &self.reserved,
-            n_ues: self.n_ues,
-            n_sb: self.n_sb,
-        })
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn sample() -> TtiRates {
-        TtiRates {
-            per_ue_sb: vec![10.0, 20.0, 30.0, 40.0],
-            rb_to_sb: vec![0, 0, 1, 1],
-            n_sb: 2,
-            n_ues: 2,
-            reserved: vec![false, true, false, false],
-            versions: vec![3, 7],
-        }
-    }
-
-    #[test]
-    fn planes_view_agrees_with_accessors() {
-        let r = sample();
-        let p = r.planes().unwrap();
-        assert_eq!(p.n_ues, r.n_ues());
-        assert_eq!(p.n_sb, r.n_subbands());
-        for ue in 0..2 {
-            assert_eq!(Some(p.versions[ue]), r.rates_version(ue));
-            for sb in 0..2 {
-                assert_eq!(p.per_ue_sb[ue * 2 + sb], r.rate_in_subband(ue, sb));
-            }
-        }
-        for rb in 0..4u16 {
-            assert_eq!(p.rb_to_sb[rb as usize], r.subband_of(rb));
-            assert_eq!(p.reserved[rb as usize], r.rb_reserved(rb));
-        }
-    }
-
-    #[test]
-    fn reserved_rbs_read_zero_rate() {
-        let r = sample();
-        assert_eq!(r.rate(0, 1), 0.0);
-        assert_eq!(r.rate(0, 0), 10.0);
-        // The subband view ignores reservations (cache stability).
-        assert_eq!(r.rate_in_subband(0, 0), 10.0);
+    fn planes(&self) -> Option<&TtiRates> {
+        Some(self)
     }
 }

@@ -10,6 +10,7 @@
 
 use outran_simcore::Time;
 
+use crate::cache::walk_free_rbs;
 use crate::types::{Allocation, RateSource, Scheduler, UeTti};
 
 /// How the SRJF oracle spends a TTI's leftover capacity.
@@ -63,49 +64,43 @@ impl Scheduler for SrjfScheduler {
         rates: &dyn RateSource,
         alloc: &mut Allocation,
     ) {
-        let n_rbs = rates.n_rbs();
-        alloc.reset(n_rbs, ues.len());
+        alloc.reset(rates.n_rbs(), ues.len());
         // Stable sort of the ascending list: equal remainders keep
         // index order.
         self.order.clear();
         self.order.extend_from_slice(active);
         self.order
             .sort_by_key(|&u| ues[u as usize].oracle_min_remaining.unwrap_or(u64::MAX));
-        // Plane-backed sources feed the sequential RB walk straight from
-        // their flat arrays (same values as `rate()`: reserved RBs read 0).
-        let planes = rates.planes();
-        let mut rb: u16 = 0;
-        for &u in &self.order {
-            let u = u as usize;
-            let ue = &ues[u];
+        // The free RBs go, in order, to the head of the order until its
+        // shortest flow is covered or it has no rate on the next one
+        // (channel-blind: it gives up the rest), then to the next UE.
+        let need_bits = |u: u16| {
+            let ue = &ues[u as usize];
             let need = ue
                 .queued_bytes
                 .min(ue.oracle_min_remaining.unwrap_or(u64::MAX))
                 .max(1);
-            let need_bits = (need.saturating_mul(8)) as f64 + 256.0;
-            let mut granted = 0.0;
-            while rb < n_rbs && granted < need_bits {
-                let r = match planes {
-                    Some(p) => {
-                        if p.reserved[rb as usize] {
-                            0.0
-                        } else {
-                            p.per_ue_sb[u * p.n_sb + p.rb_to_sb[rb as usize]]
-                        }
-                    }
-                    None => rates.rate(u, rb),
-                };
-                if r <= 0.0 {
-                    break; // channel-blind: give up on this user's RBs
+            need.saturating_mul(8) as f64 + 256.0
+        };
+        let (order, mode) = (&self.order, self.mode);
+        // The head's place in the order, the UE, and the bits it needs.
+        let mut head = order.first().map(|&u| (0, u, need_bits(u)));
+        let mut granted = 0.0;
+        walk_free_rbs(alloc, rates, |sb, sr| {
+            while let Some((i, u, need)) = head {
+                let r = sr.get(u, sb);
+                if granted < need && r > 0.0 {
+                    granted += r;
+                    return Some((u, r));
                 }
-                alloc.assign(rb, u as u16, r);
-                granted += r;
-                rb += 1;
+                head = match order.get(i + 1) {
+                    Some(&v) if mode == SrjfMode::Waterfall => Some((i + 1, v, need_bits(v))),
+                    _ => None,
+                };
+                granted = 0.0;
             }
-            if rb >= n_rbs || self.mode == SrjfMode::WinnerOnly {
-                break;
-            }
-        }
+            None
+        });
     }
 
     fn on_served(&mut self, _served_bits: &[f64]) {}

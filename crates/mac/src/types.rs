@@ -4,6 +4,8 @@ use outran_pdcp::Priority;
 use outran_simcore::snap::LoadSnap;
 use outran_simcore::{Dur, Time};
 
+use crate::rates::TtiRates;
+
 /// What the MAC knows about one UE at the start of a TTI.
 #[derive(Debug, Clone, Copy)]
 pub struct UeTti {
@@ -13,7 +15,7 @@ pub struct UeTti {
     /// eq. (2) carried in OutRAN's extended BSR. `None` when the Tx queue
     /// is empty (retx-only UEs report `None`).
     pub head_priority: Option<Priority>,
-    /// Total queued bytes (for diagnostics and RR short-circuits).
+    /// Total queued bytes (SRJF bounds a UE's grant by it).
     pub queued_bytes: u64,
     /// Oracle knowledge: the smallest remaining flow size queued for this
     /// UE, in bytes. Only the SRJF/PSS/CQA baselines may read this — the
@@ -40,21 +42,23 @@ impl UeTti {
     }
 }
 
-/// Source of per-(UE, RB) achievable rates — implemented by the PHY
-/// channel. Rates are in **bits per RB per TTI** (the `r_{u,b}(t)` of
-/// eq. (1) integrated over one scheduling interval).
+/// Source of per-(UE, subband) achievable rates — implemented by the
+/// PHY channel. Rates are in **bits per RB per TTI** (the `r_{u,b}(t)` of
+/// eq. (1) integrated over one scheduling interval), constant across the
+/// RBs of a CQI subband.
 pub trait RateSource {
-    /// Achievable bits for `ue` on `rb` this TTI (reported CQI).
-    fn rate(&self, ue: usize, rb: u16) -> f64;
+    /// Achievable bits-per-RB for `ue` anywhere inside subband `sb`
+    /// (reported CQI), *ignoring* per-RB reservations (see
+    /// [`RateSource::rb_reserved`]).
+    fn rate_in_subband(&self, ue: usize, sb: usize) -> f64;
     /// Number of RBs.
     fn n_rbs(&self) -> u16;
     /// Number of UEs.
     fn n_ues(&self) -> usize;
 
-    /// Number of CQI subbands. Rates are constant across the RBs of a
-    /// subband, so schedulers may evaluate metrics once per subband
-    /// instead of once per RB. Defaults to one subband per RB, which is
-    /// always correct.
+    /// Number of CQI subbands. Schedulers evaluate metrics once per
+    /// subband instead of once per RB. Defaults to one subband per RB,
+    /// which is always correct.
     fn n_subbands(&self) -> usize {
         self.n_rbs() as usize
     }
@@ -65,16 +69,10 @@ pub trait RateSource {
         rb as usize
     }
 
-    /// Achievable bits-per-RB for `ue` anywhere inside subband `sb`,
-    /// *ignoring* per-RB reservations (see [`RateSource::rb_reserved`]).
-    fn rate_in_subband(&self, ue: usize, sb: usize) -> f64 {
-        self.rate(ue, sb as u16)
-    }
-
     /// Whether `rb` is reserved (e.g. by a semi-persistent GBR grant)
-    /// and must be skipped by the dynamic scheduler. Reserved RBs report
-    /// `rate() == 0` for every UE; the subband view keeps the real rate
-    /// so caches stay valid, and exposes the reservation here instead.
+    /// and must be skipped by the dynamic scheduler. The rates keep the
+    /// subband's real value so caches stay valid; the one RB-grid walk
+    /// every scheduler allocates through skips the reserved RBs.
     fn rb_reserved(&self, _rb: u16) -> bool {
         false
     }
@@ -87,39 +85,13 @@ pub trait RateSource {
         None
     }
 
-    /// A borrowed structure-of-arrays view of this source's backing
-    /// planes, when it keeps its data flat (see [`RatePlanes`]). Sources
-    /// that expose one let schedulers run their inner loops directly over
-    /// contiguous arrays — no per-element virtual dispatch. The view must
-    /// agree exactly with the per-call accessors (`rate_in_subband`,
-    /// `subband_of`, `rb_reserved`, `rates_version`). Defaults to `None`
-    /// (callers fall back to the virtual accessors).
-    fn planes(&self) -> Option<RatePlanes<'_>> {
+    /// This source as the flat per-TTI rate matrix, when it is one.
+    /// Schedulers then run their inner loops straight over its
+    /// contiguous arrays, with no per-element virtual dispatch. Defaults
+    /// to `None` (callers use the virtual accessors).
+    fn planes(&self) -> Option<&TtiRates> {
         None
     }
-}
-
-/// A flat, borrowed view of a [`RateSource`]'s backing arrays — the
-/// structure-of-arrays contract between the PHY-fed rate matrix and the
-/// scheduler kernels. Per-(UE, subband) data is UE-major
-/// (`per_ue_sb[ue * n_sb + sb]`); per-RB and per-UE planes are indexed
-/// directly.
-#[derive(Debug, Clone, Copy)]
-pub struct RatePlanes<'a> {
-    /// Achievable bits-per-RB for each `(ue, sb)`, ignoring reservations
-    /// (the [`RateSource::rate_in_subband`] values).
-    pub per_ue_sb: &'a [f64],
-    /// Per-UE rate-row version stamps ([`RateSource::rates_version`],
-    /// always present for plane-backed sources).
-    pub versions: &'a [u64],
-    /// RB index → subband index ([`RateSource::subband_of`]).
-    pub rb_to_sb: &'a [usize],
-    /// Per-RB reservation flags ([`RateSource::rb_reserved`]).
-    pub reserved: &'a [bool],
-    /// UE count.
-    pub n_ues: usize,
-    /// Subband count.
-    pub n_sb: usize,
 }
 
 /// A trivially uniform [`RateSource`] for unit tests.
@@ -132,7 +104,7 @@ pub struct FlatRates {
 }
 
 impl RateSource for FlatRates {
-    fn rate(&self, ue: usize, _rb: u16) -> f64 {
+    fn rate_in_subband(&self, ue: usize, _sb: usize) -> f64 {
         self.per_ue[ue]
     }
     fn n_rbs(&self) -> u16 {
@@ -192,9 +164,9 @@ impl Allocation {
 ///
 /// Checkpointing rides the [`LoadSnap`] supertrait: a scheduler's wire
 /// layout is its dynamic state only (stateless schedulers write
-/// nothing). Configuration (window lengths, epsilon, QoS params) never
-/// travels — the restore path reconstructs the scheduler from the run
-/// config first, then overlays the snapshot.
+/// nothing). Configuration (window lengths, epsilon) and metric caches
+/// never travel — the restore path reconstructs the scheduler from the
+/// run config first, then overlays the snapshot.
 pub trait Scheduler: LoadSnap {
     /// Compute the RB allocation for this TTI into `alloc`, which is
     /// overwritten (a caller that keeps it across TTIs allocates nothing).
@@ -281,7 +253,7 @@ mod tests {
             per_ue: vec![10.0, 20.0],
             rbs: 5,
         };
-        assert_eq!(r.rate(1, 4), 20.0);
+        assert_eq!(r.rate_in_subband(1, 4), 20.0);
         assert_eq!(r.n_rbs(), 5);
         assert_eq!(r.n_ues(), 2);
     }

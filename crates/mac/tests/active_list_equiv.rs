@@ -7,13 +7,15 @@
 //! before that — compute every metric from the current rates, visit
 //! every slot, skip the inactive ones — kept here, per RB and without a
 //! cache, so a stale row, a missed re-key or a wrong visiting order
-//! shows as a differing allocation. 10⁴ TTIs a scheduler, UEs flipping
+//! shows as a differing allocation. Every reference leaves the
+//! GBR-reserved RBs alone: they are not the dynamic scheduler's to give. 10⁴ TTIs a scheduler, UEs flipping
 //! between active and idle while their rate rows, link state and queue
 //! state keep changing underneath them.
 
+use outran_mac::qos::{CQA_BETA, DELAY_BUDGET};
 use outran_mac::{
-    Allocation, CqaScheduler, OutRanScheduler, PfCore, PfScheduler, PssScheduler, QosParams,
-    RateSource, RrScheduler, Scheduler, SrjfMode, SrjfScheduler, TtiRates, UeTti,
+    Allocation, CqaScheduler, OutRanScheduler, PfCore, PfScheduler, PssScheduler, RateSource,
+    RrScheduler, Scheduler, SrjfMode, SrjfScheduler, TtiRates, UeTti,
 };
 use outran_pdcp::Priority;
 use outran_simcore::{Dur, Rng, Time};
@@ -32,6 +34,16 @@ trait FullScan {
     fn on_idle(&mut self, _k: u64) {}
 }
 
+/// `u`'s rate on `rb`, reserved or not.
+fn rate(rates: &TtiRates, u: usize, rb: u16) -> f64 {
+    rates.per_ue_sb[u * N_SB + rates.rb_to_sb[rb as usize]]
+}
+
+/// The RBs no GBR grant holds, ascending.
+fn free_rbs(rates: &TtiRates) -> impl Iterator<Item = u16> + '_ {
+    (0..rates.n_rbs()).filter(|&rb| !rates.reserved[rb as usize])
+}
+
 /// Per-RB strict-`>` argmax of `metric(u, rate)` over every active slot
 /// with a usable rate, restricted to `eligible`.
 fn best_on_rb(
@@ -46,7 +58,7 @@ fn best_on_rb(
         if !ue.active || !eligible(ue) {
             continue;
         }
-        let r = rates.rate(u, rb);
+        let r = rate(rates, u, rb);
         if r <= 0.0 {
             continue;
         }
@@ -64,7 +76,7 @@ fn per_rb(
     mut winner: impl FnMut(u16) -> Option<(usize, f64)>,
 ) -> Allocation {
     let mut alloc = Allocation::empty(rates.n_rbs(), ues.len());
-    for rb in 0..rates.n_rbs() {
+    for rb in free_rbs(rates) {
         if let Some((u, r)) = winner(rb) {
             alloc.assign(rb, u as u16, r);
         }
@@ -92,7 +104,7 @@ impl FullScan for RefRelaxed {
             let floor = (1.0 - self.epsilon) * m_max;
             let (mut sel, mut sel_prio, mut sel_m) = (legacy, prio(&ues[legacy]), m_max);
             for (u, ue) in ues.iter().enumerate() {
-                let r = rates.rate(u, rb);
+                let r = rate(rates, u, rb);
                 if u == legacy || !ue.active || r <= 0.0 {
                     continue;
                 }
@@ -105,7 +117,7 @@ impl FullScan for RefRelaxed {
                     (sel, sel_prio, sel_m) = (u, p, m);
                 }
             }
-            Some((sel, rates.rate(sel, rb)))
+            Some((sel, rate(rates, sel, rb)))
         })
     }
     fn on_served(&mut self, bits: &[f64]) {
@@ -134,7 +146,7 @@ impl FullScan for RefRr {
             }
             let u = active[self.next % active.len()];
             self.next = self.next.wrapping_add(1);
-            Some((u, rates.rate(u, rb)))
+            Some((u, rate(rates, u, rb)))
         })
     }
 }
@@ -145,11 +157,11 @@ struct RefSrjf {
 
 impl FullScan for RefSrjf {
     fn allocate(&mut self, ues: &[UeTti], rates: &TtiRates) -> Allocation {
-        let n_rbs = rates.n_rbs();
-        let mut alloc = Allocation::empty(n_rbs, ues.len());
+        let mut alloc = Allocation::empty(rates.n_rbs(), ues.len());
+        let free: Vec<u16> = free_rbs(rates).collect();
         let mut order: Vec<usize> = (0..ues.len()).filter(|&u| ues[u].active).collect();
         order.sort_by_key(|&u| ues[u].oracle_min_remaining.unwrap_or(u64::MAX));
-        let mut rb = 0u16;
+        let mut i = 0;
         for u in order {
             let ue = &ues[u];
             let need = ue
@@ -158,16 +170,16 @@ impl FullScan for RefSrjf {
                 .max(1);
             let need_bits = need.saturating_mul(8) as f64 + 256.0;
             let mut granted = 0.0;
-            while rb < n_rbs && granted < need_bits {
-                let r = rates.rate(u, rb);
+            while i < free.len() && granted < need_bits {
+                let r = rate(rates, u, free[i]);
                 if r <= 0.0 {
                     break;
                 }
-                alloc.assign(rb, u as u16, r);
+                alloc.assign(free[i], u as u16, r);
                 granted += r;
-                rb += 1;
+                i += 1;
             }
-            if rb >= n_rbs || self.mode == SrjfMode::WinnerOnly {
+            if i >= free.len() || self.mode == SrjfMode::WinnerOnly {
                 break;
             }
         }
@@ -175,40 +187,41 @@ impl FullScan for RefSrjf {
     }
 }
 
-/// PSS (`cqa = None`) and CQA.
+/// PSS (`cqa = false`) and CQA.
 struct RefQos {
     core: PfCore,
-    cqa: Option<QosParams>,
+    cqa: bool,
 }
 
 impl FullScan for RefQos {
     fn allocate(&mut self, ues: &[UeTti], rates: &TtiRates) -> Allocation {
         let core = &self.core;
         per_rb(ues, rates, |rb| {
-            let best = match self.cqa {
-                None => best_on_rb(
-                    ues,
-                    rates,
-                    rb,
-                    |ue| ue.oracle_has_qos_flow,
-                    |u, r| core.metric(u, r),
-                )
-                .or_else(|| best_on_rb(ues, rates, rb, |_| true, |u, r| core.metric(u, r))),
-                Some(p) => best_on_rb(
+            let best = if self.cqa {
+                best_on_rb(
                     ues,
                     rates,
                     rb,
                     |_| true,
                     |u, r| {
                         let weight = if ues[u].oracle_has_qos_flow {
-                            let budget = p.delay_budget.as_secs_f64();
-                            (1.0 + ues[u].hol_delay.as_secs_f64() / budget).powf(p.beta)
+                            let budget = DELAY_BUDGET.as_secs_f64();
+                            (1.0 + ues[u].hol_delay.as_secs_f64() / budget).powf(CQA_BETA)
                         } else {
                             1.0
                         };
                         core.metric(u, r) * weight
                     },
-                ),
+                )
+            } else {
+                best_on_rb(
+                    ues,
+                    rates,
+                    rb,
+                    |ue| ue.oracle_has_qos_flow,
+                    |u, r| core.metric(u, r),
+                )
+                .or_else(|| best_on_rb(ues, rates, rb, |_| true, |u, r| core.metric(u, r)))
             };
             best.map(|(u, _, r)| (u, r))
         })
@@ -416,17 +429,16 @@ fn pss_and_cqa_match_a_full_scan() {
         Box::new(PssScheduler::new(N_UES, TF, TTI)),
         Box::new(RefQos {
             core: PfCore::new(N_UES, TF, TTI),
-            cqa: None,
+            cqa: false,
         }),
         7,
     );
-    let params = QosParams::default();
     assert_list_driven_is_full_scan(
         "CQA",
-        Box::new(CqaScheduler::new(N_UES, TF, TTI, params)),
+        Box::new(CqaScheduler::new(N_UES, TF, TTI)),
         Box::new(RefQos {
             core: PfCore::new(N_UES, TF, TTI),
-            cqa: Some(params),
+            cqa: true,
         }),
         8,
     );

@@ -58,12 +58,6 @@ impl World {
 }
 
 impl RateSource for World {
-    fn rate(&self, ue: usize, rb: u16) -> f64 {
-        if self.reserved[rb as usize] {
-            return 0.0;
-        }
-        self.per_ue_sb[ue * self.n_sb + self.rb_to_sb[rb as usize]]
-    }
     fn n_rbs(&self) -> u16 {
         self.rb_to_sb.len() as u16
     }
@@ -188,7 +182,7 @@ fn cached_outran_matches_from_scratch() {
 #[test]
 fn cached_mt_matches_per_rb_brute_force() {
     // MT is stateless, so the reference can be rebuilt from first
-    // principles: per-RB strict argmax over positive rates.
+    // principles: per free RB, strict argmax over positive rates.
     outran_simcore::check("cached_mt_matches_per_rb_brute_force", 24, |rng| {
         let mut world = random_world(rng);
         let mut mt = OutRanScheduler::mt();
@@ -207,13 +201,16 @@ fn cached_mt_matches_per_rb_brute_force() {
             let got = mt.allocate(now, &ues, &world);
             let want: Vec<Option<u16>> = (0..world.n_rbs())
                 .map(|rb| {
+                    if world.reserved[rb as usize] {
+                        return None;
+                    }
                     let mut best = None;
                     let mut best_r = 0.0;
                     for (u, ue) in ues.iter().enumerate() {
                         if !ue.active {
                             continue;
                         }
-                        let r = world.rate(u, rb);
+                        let r = world.rate_in_subband(u, world.subband_of(rb));
                         if r > best_r {
                             best_r = r;
                             best = Some(u as u16);

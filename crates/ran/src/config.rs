@@ -6,7 +6,7 @@
 //! source compatibility.
 
 use outran_core::OutRanConfig;
-use outran_faults::{AuditConfig, FaultPlan};
+use outran_faults::FaultPlan;
 use outran_phy::channel::ChannelConfig;
 use outran_simcore::{Dur, Time};
 use outran_transport::TcpConfig;
@@ -157,8 +157,6 @@ pub struct CellConfig {
     pub seed: u64,
     /// Scheduled fault timeline (empty = fault-free run).
     pub faults: FaultPlan,
-    /// Invariant-auditor cadence and retention.
-    pub audit: AuditConfig,
     /// Stalled-flow watchdog: force a TCP timeout after this long with
     /// no cumulative-ACK progress on a started flow (`None` disables).
     pub watchdog: Option<Dur>,
@@ -186,7 +184,6 @@ impl CellConfig {
             harq: None,
             seed,
             faults: FaultPlan::new(),
-            audit: AuditConfig::default(),
             watchdog: None,
             max_flow_entries: None,
         }

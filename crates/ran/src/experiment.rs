@@ -16,6 +16,13 @@ use outran_workload::{FlowSizeDist, PoissonFlowGen};
 use crate::cell::{Cell, CellConfig, RlcMode, SchedulerKind};
 use crate::checkpoint::{write_checkpoint, CheckpointMeta};
 
+/// Flows spawned before this are left out of the FCT report, in cell
+/// and network runs alike.
+pub const WARMUP: Dur = Dur::from_secs(1);
+/// How long a run continues past its arrival horizon, to let late flows
+/// finish.
+pub const DRAIN: Dur = Dur::from_secs(4);
+
 /// Builder for a standard Poisson-load cell experiment: a
 /// [`CellConfig`] plus the arrival process and horizon that drive it.
 /// Every cell-level builder below writes straight through to that one
@@ -27,9 +34,8 @@ pub struct Experiment {
     /// Target cell load (offered bits / capacity).
     pub load: f64,
     dist: FlowSizeDist,
-    /// Arrival horizon; the run drains 4 extra seconds beyond it.
+    /// Arrival horizon; the run drains [`DRAIN`] beyond it.
     pub duration: Time,
-    warmup: Dur,
     /// Periodic checkpointing as `(interval, directory, argv)`: once per
     /// interval of simulated time, write a crash-safe snapshot into the
     /// directory (see [`crate::checkpoint`]), embedding the argv in its
@@ -46,7 +52,6 @@ impl Experiment {
             load: 0.6,
             dist: FlowSizeDist::LteCellular,
             duration: Time::from_secs(10),
-            warmup: Dur::from_secs(1),
             checkpoint: None,
         }
     }
@@ -225,9 +230,7 @@ impl Experiment {
     /// TTI at a time. A checkpoint write failure is reported to stderr
     /// and the run continues: losing a checkpoint must not kill a soak.
     pub fn run_cell(self, mut cell: Cell) -> ExperimentReport {
-        let warmup_end = Time::ZERO + self.warmup;
-        // Run past the horizon to let late flows finish (bounded drain).
-        let drain_end = Time(self.duration.0 + Time::from_secs(4).0);
+        let drain_end = self.duration + DRAIN;
         match &self.checkpoint {
             Some((every, dir, argv)) => {
                 let every = Dur::from_secs(every.as_nanos().div_ceil(Time::from_secs(1).0));
@@ -271,7 +274,7 @@ impl Experiment {
                 "pipeline must emit completions in completion order"
             );
             last_done = done_at;
-            if d.spawn >= warmup_end {
+            if d.spawn >= Time::ZERO + WARMUP {
                 fct.record(d.bytes, d.fct);
                 records.push((d.bytes, d.fct.as_millis_f64()));
             }
@@ -447,7 +450,6 @@ mod tests {
         let d = CellConfig::lte_default(5, c.scheduler, 77);
         assert_eq!(c.ul_air_delay, d.ul_air_delay);
         assert_eq!(dbg(&c.tcp), dbg(&d.tcp));
-        assert_eq!(dbg(&c.audit), dbg(&d.audit));
         // The buffer size reaches the RLC transmit entity of either mode.
         for mode in [RlcMode::Um, RlcMode::Am] {
             let exp = exp.clone().rlc_mode(mode);

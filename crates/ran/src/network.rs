@@ -58,6 +58,7 @@ use outran_workload::{FlowArrival, FlowSizeDist, PoissonFlowGen};
 
 use crate::cell::{Cell, CellConfig, SchedulerKind};
 use crate::checkpoint::CheckpointMeta;
+use crate::experiment::{DRAIN, WARMUP};
 use crate::pool::for_each_mut;
 use crate::work::WorkCounters;
 
@@ -65,6 +66,10 @@ use crate::work::WorkCounters;
 /// mobility advances, A3 is evaluated and handovers execute; also the
 /// granularity of the wall-time watchdog and of checkpoints.
 const EPOCH: Dur = Dur(1_000_000_000);
+
+/// A handover back to the previous serving cell within this many epochs
+/// counts as a ping-pong.
+const PING_PONG_WINDOW: u64 = 4;
 
 /// A coupled multi-cell deployment (builder + runner).
 #[derive(Debug, Clone)]
@@ -97,9 +102,6 @@ pub struct Network {
     pub hysteresis_db: f64,
     /// A3 time-to-trigger, in epochs the condition must hold.
     pub ttt_epochs: u32,
-    /// A handover back to the previous serving cell within this many
-    /// epochs counts as a ping-pong.
-    pub ping_pong_window: u64,
     /// MAC scheduler under test (every cell runs the same one).
     pub scheduler: SchedulerKind,
     /// Offered load per cell (the network generator targets
@@ -110,11 +112,9 @@ pub struct Network {
     /// Scripted fault plan applied to *every* cell (chaos runs). Each
     /// cell flattens the same timeline against its own UE slots.
     pub faults: FaultPlan,
-    /// Arrival horizon; the run drains 4 extra seconds beyond it.
+    /// Arrival horizon; the run drains [`DRAIN`] beyond it. Flows whose
+    /// origin spawn falls before [`WARMUP`] are left out of the report.
     pub duration: Time,
-    /// Flows whose origin spawn falls before this are excluded from the
-    /// FCT report (matching [`crate::experiment::Experiment`]).
-    pub warmup: Dur,
     /// Root seed; cell `c` runs with `seed + c`, UEs and arrivals fork
     /// their own streams.
     pub seed: u64,
@@ -153,13 +153,11 @@ impl Network {
             vehicle_speed_mps: 15.0,
             hysteresis_db: 3.0,
             ttt_epochs: 2,
-            ping_pong_window: 4,
             scheduler,
             load,
             dist: FlowSizeDist::LteCellular,
             faults: FaultPlan::new(),
             duration: Time::from_secs(10),
-            warmup: Dur::from_secs(1),
             seed: 42,
             threads: 1,
             epoch_wall_limit: None,
@@ -349,7 +347,7 @@ impl Network {
             fct: FctCollector::new(),
             stats: HandoverStats::default(),
             epoch: 0,
-            end: Time(self.duration.0 + Time::from_secs(4).0),
+            end: self.duration + DRAIN,
         };
 
         // Initial geometry: park every slot at the cell edge, then push
@@ -420,7 +418,6 @@ impl Network {
         st: &mut NetState,
         span: Dur,
     ) -> BarrierPlan {
-        let warmup_end = Time::ZERO + self.warmup;
         let n_cells = st.cells.len();
 
         // 1. Completions, in cell-index order, attributed to origins.
@@ -431,7 +428,7 @@ impl Network {
                     Some(o) => (o.bytes, o.spawn, (d.spawn + d.fct).since(o.spawn)),
                     None => (d.bytes, d.spawn, d.fct),
                 };
-                if spawn >= warmup_end {
+                if spawn >= Time::ZERO + WARMUP {
                     st.fct.record(bytes, fct);
                 }
             }
@@ -525,7 +522,7 @@ impl Network {
             }
             st.slot_owner[dst][dst_slot] = Some(uid);
             let ue = &mut st.ues[uid];
-            if ue.prev_cell == Some(dst) && st.epoch - ue.last_ho_epoch <= self.ping_pong_window {
+            if ue.prev_cell == Some(dst) && st.epoch - ue.last_ho_epoch <= PING_PONG_WINDOW {
                 st.stats.ping_pongs += 1;
             }
             st.stats.successes += 1;

@@ -50,7 +50,7 @@ impl HousekeepingStage {
             faults_active: ActiveFaults::default(),
             fault_rng: root.fork(FAULT_FORK),
             fault_counters: FaultStats::default(),
-            auditor: InvariantAuditor::new(cfg.audit),
+            auditor: InvariantAuditor::default(),
             audit_order,
             reset,
             last_gc: Time::ZERO,

@@ -16,6 +16,7 @@ use crate::stages::flow_store::FlowStore;
 use crate::stages::{
     HousekeepingStage, ObserverHost, RlcDownStage, SduIngress, StageId, UeContext,
 };
+use outran_metrics::SizeBucket;
 use outran_pdcp::FiveTuple;
 use outran_rlc::am::StatusPdu;
 use outran_rlc::um::DeliveredSdu;
@@ -391,9 +392,10 @@ impl IngressStage {
         fi < self.flows.len() && self.flows.is_open(fi)
     }
 
-    /// Whether flow `fi` is short (≤ 10 kB — the QoS-oracle class).
+    /// Whether flow `fi` is short (the [`SizeBucket::Short`] bucket,
+    /// ≤ 10 kB — the QoS-oracle class).
     pub fn flow_is_short(&self, fi: usize) -> bool {
-        self.flows.size(fi) <= 10_000
+        SizeBucket::of(self.flows.size(fi)) == SizeBucket::Short
     }
 
     /// Bytes of flow `fi` not yet cumulatively ACKed (0 once done).

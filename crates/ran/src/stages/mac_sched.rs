@@ -12,8 +12,8 @@ use crate::config::{CellConfig, GbrBearer, SchedulerKind};
 use crate::stages::{IngressStage, TtiRates, UeContext};
 use outran_faults::ActiveFaults;
 use outran_mac::{
-    Allocation, CqaScheduler, OutRanScheduler, PfScheduler, PssScheduler, QosParams, RrScheduler,
-    Scheduler, SrjfScheduler, UeTti,
+    Allocation, CqaScheduler, OutRanScheduler, PfScheduler, PssScheduler, RrScheduler, Scheduler,
+    SrjfScheduler, UeTti,
 };
 use outran_phy::channel::CellChannel;
 use outran_simcore::snap::SnapError;
@@ -362,7 +362,7 @@ fn build_scheduler(cfg: &CellConfig, tti: Dur) -> Box<dyn Scheduler + Send> {
         SchedulerKind::Rr => Box::new(RrScheduler::default()),
         SchedulerKind::Srjf => Box::new(SrjfScheduler::with_mode(cfg.srjf_mode)),
         SchedulerKind::Pss => Box::new(PssScheduler::new(n, cfg.tf, tti)),
-        SchedulerKind::Cqa => Box::new(CqaScheduler::new(n, cfg.tf, tti, QosParams::default())),
+        SchedulerKind::Cqa => Box::new(CqaScheduler::new(n, cfg.tf, tti)),
         SchedulerKind::OutRan => Box::new(OutRanScheduler::over_pf(
             n,
             cfg.tf,

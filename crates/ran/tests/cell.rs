@@ -376,4 +376,42 @@ mod gbr {
         };
         assert_eq!(run(), run());
     }
+
+    /// VoLTE on every UE beside saturating best-effort load: whatever
+    /// the scheduler, no RB a GBR grant holds is granted again, and the
+    /// run audits clean.
+    #[test]
+    fn every_scheduler_leaves_the_gbr_grants_alone() {
+        use SchedulerKind::*;
+        for kind in [
+            Pf,
+            Mt,
+            Rr,
+            Srjf,
+            Pss,
+            Cqa,
+            OutRan,
+            OutRanEps(0.5),
+            OutRanOverMt(0.2),
+            StrictMlfq,
+        ] {
+            let mut cell = cell_with_volte(kind, 44);
+            for ue in 1..4 {
+                cell.add_gbr_bearer(GbrBearer::volte(ue));
+            }
+            for ue in 0..4 {
+                cell.schedule_flow(Time::from_millis(5 + ue as u64), ue, 5_000_000, None);
+            }
+            cell.run_until(Time::from_secs(3));
+            cell.audit_now();
+            assert_eq!(
+                cell.total_violations(),
+                0,
+                "{}: first {:?}",
+                kind.name(),
+                cell.violations().first()
+            );
+            assert!(cell.gbr_latency.count() > 400, "{}", kind.name());
+        }
+    }
 }

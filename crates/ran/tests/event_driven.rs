@@ -9,6 +9,7 @@
 
 use outran_faults::FaultPlan;
 use outran_ran::cell::{Cell, CellConfig, GbrBearer, SchedulerKind};
+use outran_ran::experiment::DRAIN;
 use outran_ran::webplt::idle_heavy_arrivals;
 use outran_ran::{Experiment, RlcMode};
 use outran_simcore::{Dur, Time};
@@ -94,7 +95,7 @@ fn dense_and_event_driven_replay_chaos_identically() {
             .seed(seed);
         let event = base.clone().run();
         let mut cell = base.build_cell();
-        cell.run_until_dense(base.duration + Dur::from_secs(4));
+        cell.run_until_dense(base.duration + DRAIN);
         let dense = base.run_cell(cell);
         assert_eq!(
             format!("{event:?}"),
