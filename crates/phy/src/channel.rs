@@ -59,7 +59,7 @@
 //! run, is bit for bit what stepping it live would have produced — tap
 //! values, both RNG stream positions, reported and pending rows, the
 //! report version, the reporting clocks. It holds because there is **one
-//! step function**: `fade_slot` and `report_slot` are the only code that
+//! step function**: `fade_slots` and `report_slot` are the only code that
 //! moves a slot's state, the live passes call them for every live slot,
 //! and `sync` calls the same pair once per logged call, in log order,
 //! with the logged `(now, k)`. A slot's streams are its own, so stepping
@@ -259,9 +259,16 @@ pub struct CellChannel {
     /// Per-UE wideband mixing weight (configuration, as `fade_rho`).
     fade_flatness: Vec<f64>,
     fade_rng: Vec<Rng>,
-    /// Scratch for one UE's innovations in [`CellChannel::advance_fading`]:
-    /// `2 · (n_subbands + 1)` values, overwritten per UE, never persisted.
+    /// Scratch of [`CellChannel::fade_slots`], room for every slot's
+    /// `2 · (n_subbands + 1)` innovations: their uniforms (`fade_radius`,
+    /// `fade_angle`), then the Gaussians (`fade_z`). Overwritten by each
+    /// call, never persisted.
+    fade_radius: Vec<f64>,
+    fade_angle: Vec<f64>,
     fade_z: Vec<f64>,
+    /// Scratch list of the slots [`CellChannel::advance_fading`] steps,
+    /// likewise.
+    fade_live: Vec<usize>,
     /// Scratch for one UE's fast per-subband SINRs in
     /// [`CellChannel::measure_into_pending`], likewise.
     sinr_z: Vec<f64>,
@@ -397,7 +404,10 @@ impl CellChannel {
             fade_rho: vec![rho; n_ues],
             fade_flatness: vec![cfg.flatness; n_ues],
             fade_rng: Vec::with_capacity(n_ues),
-            fade_z: vec![0.0; 2 * (n_subbands + 1)],
+            fade_radius: vec![0.0; n_ues * 2 * (n_subbands + 1)],
+            fade_angle: vec![0.0; n_ues * 2 * (n_subbands + 1)],
+            fade_z: vec![0.0; n_ues * 2 * (n_subbands + 1)],
+            fade_live: Vec::with_capacity(n_ues),
             sinr_z: vec![0.0; n_subbands],
             reported: vec![Cqi(0); n_ues * n_subbands],
             pending: vec![Cqi(0); n_ues * n_subbands],
@@ -723,7 +733,7 @@ impl CellChannel {
     ///
     /// Only live slots are stepped. While any slot lags, the call is
     /// logged first, so [`CellChannel::sync`] can put that slot through
-    /// the same [`CellChannel::fade_slot`] / [`CellChannel::report_slot`]
+    /// the same [`CellChannel::fade_slots`] / [`CellChannel::report_slot`]
     /// pair later — per slot, the two orders are the same order.
     fn advance_span(&mut self, now: Time, k: u64) {
         debug_assert!(k > 0, "advance_span by zero TTIs");
@@ -747,50 +757,77 @@ impl CellChannel {
         self.reporting_pass(now, tti);
     }
 
-    /// Batched AR(1) fading advance: one walk down each live UE's fading
-    /// stream, updating the flat tap planes in place.
+    /// Fading advance of every live slot, as one [`CellChannel::fade_slots`]
+    /// call.
     fn advance_fading(&mut self, k: u64) {
-        for ue in 0..self.n_ues {
-            if self.live[ue] {
-                self.fade_slot(ue, k);
-            }
-        }
+        let mut live = std::mem::take(&mut self.fade_live);
+        live.clear();
+        live.extend((0..self.n_ues).filter(|&ue| self.live[ue]));
+        self.fade_slots(&live, k);
+        self.fade_live = live;
     }
 
-    /// One slot's `k`-TTI fading step — the only code that moves a tap.
-    #[inline]
-    fn fade_slot(&mut self, ue: usize, k: u64) {
-        let rho = self.fade_rho[ue];
-        if rho >= 1.0 {
-            return; // static channel: no draws
+    /// The `k`-TTI fading step of every slot in `slots` — the only code
+    /// that moves a tap. The live pass calls it with every live slot,
+    /// [`CellChannel::sync`] with one.
+    ///
+    /// Three array passes: each slot's uniforms from its own stream into
+    /// the cell-wide scratch, one Box–Muller transform over all of them,
+    /// one AR(1) pass over the tap planes. A slot's innovations are the
+    /// ones [`Normal::fill`] on its stream alone would produce, bit for
+    /// bit, so which slots share a call never moves a value; the one long
+    /// transform is what lets wide vector units pay (DESIGN.md "Gaussian
+    /// kernels").
+    fn fade_slots(&mut self, slots: &[usize], k: u64) {
+        // A static channel (ρ ≥ 1) neither draws nor moves.
+        let fading = |ue: &&usize| self.fade_rho[**ue] < 1.0;
+        // Per slot, in stream order: sub-band j's re is z[2j] and its im
+        // z[2j + 1], for j ascending; the wideband pair sits last, at
+        // z[2·n_sb].
+        let per_slot = 2 * (self.n_subbands + 1);
+        let mut n = 0;
+        for &ue in slots.iter().filter(fading) {
+            Normal::uniforms(
+                &mut self.fade_rng[ue],
+                &mut self.fade_radius[n..n + per_slot],
+                &mut self.fade_angle[n..n + per_slot],
+            );
+            n += per_slot;
         }
+        Normal::new(0.0, FRAC_1_SQRT_2).transform(
+            &self.fade_radius[..n],
+            &self.fade_angle[..n],
+            &mut self.fade_z[..n],
+        );
+        self.work.fading_draws += n as u64;
         let n_sb = self.n_subbands;
-        debug_assert_eq!(self.fade_z.len(), 2 * (n_sb + 1));
-        // k-step AR(1) composition: coefficient ρᵏ, one draw pair per
-        // tap (k == 1 keeps ρ itself, matching the historical
-        // single-step path bit for bit).
-        let rho_k = if k == 1 {
-            rho
-        } else {
-            rho.powi(k.min(i32::MAX as u64) as i32)
-        };
-        let w = (1.0 - rho_k * rho_k).sqrt();
-        // All of this UE's innovations in one batch, in stream order:
-        // sub-band j's re is z[2j] and its im z[2j + 1], for j
-        // ascending; the wideband pair sits last, at z[2·n_sb].
-        Normal::new(0.0, FRAC_1_SQRT_2).fill(&mut self.fade_rng[ue], &mut self.fade_z);
-        self.work.fading_draws += self.fade_z.len() as u64;
-        let (sb_z, wb_z) = self.fade_z.split_at(2 * n_sb);
-        let sb = ue * n_sb..(ue + 1) * n_sb;
-        let taps = self.fade_sb_re[sb.clone()]
-            .iter_mut()
-            .zip(&mut self.fade_sb_im[sb]);
-        for ((re, im), z) in taps.zip(sb_z.chunks_exact(2)) {
-            *re = rho_k * *re + w * z[0];
-            *im = rho_k * *im + w * z[1];
+        for (&ue, z) in slots
+            .iter()
+            .filter(fading)
+            .zip(self.fade_z[..n].chunks_exact(per_slot))
+        {
+            let rho = self.fade_rho[ue];
+            // k-step AR(1) composition: coefficient ρᵏ, one draw pair per
+            // tap (k == 1 keeps ρ itself, matching the historical
+            // single-step path bit for bit).
+            let rho_k = if k == 1 {
+                rho
+            } else {
+                rho.powi(k.min(i32::MAX as u64) as i32)
+            };
+            let w = (1.0 - rho_k * rho_k).sqrt();
+            let (sb_z, wb_z) = z.split_at(2 * n_sb);
+            let sb = ue * n_sb..(ue + 1) * n_sb;
+            let taps = self.fade_sb_re[sb.clone()]
+                .iter_mut()
+                .zip(&mut self.fade_sb_im[sb]);
+            for ((re, im), z) in taps.zip(sb_z.chunks_exact(2)) {
+                *re = rho_k * *re + w * z[0];
+                *im = rho_k * *im + w * z[1];
+            }
+            self.fade_wb_re[ue] = rho_k * self.fade_wb_re[ue] + w * wb_z[0];
+            self.fade_wb_im[ue] = rho_k * self.fade_wb_im[ue] + w * wb_z[1];
         }
-        self.fade_wb_re[ue] = rho_k * self.fade_wb_re[ue] + w * wb_z[0];
-        self.fade_wb_im[ue] = rho_k * self.fade_wb_im[ue] + w * wb_z[1];
     }
 
     /// Composed mobility + shadowing pass over all UEs, refreshing the
@@ -911,7 +948,7 @@ impl CellChannel {
 
     /// Bring slot `ue` to the channel's TTI index by replaying, in order,
     /// every advance call it was not stepped in — through the same
-    /// `fade_slot` / `report_slot` pair the live passes call, so its
+    /// `fade_slots` / `report_slot` pair the live passes call, so its
     /// taps, streams, reports and clocks end up bit for bit where
     /// stepping it live would have left them. A no-op on a live slot.
     ///
@@ -954,7 +991,7 @@ impl CellChannel {
                 at - (run.from + run.k) + 1
             };
             for j in done..run.count {
-                self.fade_slot(ue, if j == 0 { run.k } else { 1 });
+                self.fade_slots(&[ue], if j == 0 { run.k } else { 1 });
                 self.report_slot(ue, run.now + tti.mul(j), tti);
             }
             self.work.replayed_slot_steps += run.count - done;
@@ -1921,6 +1958,66 @@ mod tests {
             assert!(replayed > 0 && live + replayed <= eager.work().live_slot_steps);
             assert_eq!(w.fading_draws, 10 * (live + replayed));
         });
+    }
+
+    /// The cell-wide live pass (every live slot's uniforms, one
+    /// transform, one AR(1) pass) is each slot stepped alone through
+    /// the replay path: `alone` keeps every slot detached, so only
+    /// `sync` ever steps one. `wide` detaches and attaches slots at
+    /// random, so its live lists have holes and its lagging slots are
+    /// caught up in between. Taps, both stream positions, report state
+    /// and the work counters agree, for several sub-band counts.
+    #[test]
+    fn cell_wide_pass_is_each_slot_replayed_alone() {
+        const N: usize = 7;
+        for n_sb in [1, 3, 8, 16] {
+            let mut cfg = ChannelConfig::lte_default();
+            cfg.n_subbands = n_sb;
+            cfg.external_geometry = true;
+            let mk = || CellChannel::new(cfg, N, &Rng::new(40 + n_sb as u64));
+            let (mut wide, mut alone) = (mk(), mk());
+            for ue in 0..N {
+                alone.detach_slot(ue);
+            }
+            let mut ops = Rng::new(n_sb as u64);
+            let tti = wide.config().radio.tti();
+            let mut idx = 0u64;
+            for _ in 0..400 {
+                idx += [1, 1, 1, 1, 2, 5, 40][ops.index(7)];
+                let now = Time::ZERO + tti.mul(idx);
+                wide.advance_to(now);
+                alone.advance_to(now);
+                let ue = ops.index(N);
+                match ops.below(4) {
+                    0 => wide.detach_slot(ue),
+                    1 => wide.attach_slot(ue),
+                    2 => alone.sync(ue),
+                    _ => wide.sync(ue),
+                }
+            }
+            wide.sync_all();
+            alone.sync_all();
+            for ue in 0..N {
+                assert_eq!(
+                    slot_bits(&wide, ue),
+                    slot_bits(&alone, ue),
+                    "{n_sb} sb, slot {ue}"
+                );
+            }
+            let (w, a) = (wide.work(), alone.work());
+            assert!(w.live_slot_steps > 0 && w.replayed_slot_steps > 0, "{w:?}");
+            assert_eq!(a.live_slot_steps, 0);
+            assert_eq!(
+                w.live_slot_steps + w.replayed_slot_steps,
+                a.replayed_slot_steps
+            );
+            assert_eq!(w.fading_draws, a.fading_draws);
+            assert_eq!(
+                w.fading_draws,
+                (2 * n_sb as u64 + 2) * a.replayed_slot_steps
+            );
+            assert_eq!((w.cqi_fast, w.cqi_exact), (a.cqi_fast, a.cqi_exact));
+        }
     }
 
     /// One UE whose taps, large-scale SINR and config the classifier

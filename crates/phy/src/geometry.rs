@@ -40,11 +40,6 @@ pub fn pathloss_db(ref_db: f64, exp: f64, dist_m: f64) -> f64 {
     ref_db + 10.0 * exp * d.log10()
 }
 
-/// Received power (dBm) over a shadowed log-distance link.
-pub fn rsrp_dbm(tx_power_dbm: f64, ref_db: f64, exp: f64, dist_m: f64, shadow_db: f64) -> f64 {
-    tx_power_dbm - pathloss_db(ref_db, exp, dist_m) + shadow_db
-}
-
 /// dBm → milliwatts.
 pub fn dbm_to_mw(dbm: f64) -> f64 {
     10f64.powf(dbm / 10.0)

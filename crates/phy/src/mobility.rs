@@ -30,6 +30,10 @@ pub struct RandomWalk {
     pos: Pos,
     speed_mps: f64,
     heading: f64,
+    /// `cos` and `sin` of `heading`, recomputed wherever it is assigned
+    /// (and on restore), so a step makes no trigonometric call.
+    cos_h: f64,
+    sin_h: f64,
     radius: f64,
     /// Mean time between heading changes.
     turn_period: Dur,
@@ -56,11 +60,20 @@ impl RandomWalk {
             },
             speed_mps,
             heading,
+            cos_h: heading.cos(),
+            sin_h: heading.sin(),
             radius,
             turn_period: Dur::from_secs(5),
             until_turn: Dur::from_secs(5),
             rng,
         }
+    }
+
+    /// Point the walker along `heading` (radians).
+    fn set_heading(&mut self, heading: f64) {
+        self.heading = heading;
+        self.cos_h = heading.cos();
+        self.sin_h = heading.sin();
     }
 
     /// Current position.
@@ -79,12 +92,13 @@ impl RandomWalk {
             return;
         }
         let secs = dt.as_secs_f64();
-        self.pos.x += self.speed_mps * secs * self.heading.cos();
-        self.pos.y += self.speed_mps * secs * self.heading.sin();
+        self.pos.x += self.speed_mps * secs * self.cos_h;
+        self.pos.y += self.speed_mps * secs * self.sin_h;
         // Reflect at the boundary: turn back toward the centre with jitter.
         if self.pos.dist_origin() > self.radius {
             let back = self.pos.y.atan2(self.pos.x) + std::f64::consts::PI;
-            self.heading = back + self.rng.range_f64(-0.5, 0.5);
+            let jitter = self.rng.range_f64(-0.5, 0.5);
+            self.set_heading(back + jitter);
             let d = self.pos.dist_origin();
             let scale = self.radius / d;
             self.pos.x *= scale;
@@ -92,7 +106,8 @@ impl RandomWalk {
         }
         // Occasional random heading changes.
         if dt >= self.until_turn {
-            self.heading = self.rng.f64() * std::f64::consts::TAU;
+            let heading = self.rng.f64() * std::f64::consts::TAU;
+            self.set_heading(heading);
             let next = outran_simcore::Exponential::from_mean(self.turn_period.as_secs_f64())
                 .sample(&mut self.rng);
             self.until_turn = Dur::from_secs_f64(next.max(0.1));
@@ -118,14 +133,23 @@ impl RandomWalk {
     }
 }
 
+use outran_simcore::snap::SnapError;
 use outran_simcore::snap_fields;
 
 snap_fields! { Pos { x, y } }
 
-// All fields go to the wire — the walker carries its own RNG stream,
-// which must continue exactly where it left off.
+// Every field but the heading's `cos`/`sin` goes to the wire — the walker
+// carries its own RNG stream, which must continue exactly where it left
+// off. The two are a function of the heading and are rebuilt from it.
 snap_fields! {
     RandomWalk { pos, speed_mps, heading, radius, turn_period, until_turn, rng }
+    rebuilt { cos_h, sin_h }
+    then rebuild_heading
+}
+
+fn rebuild_heading(walk: &mut RandomWalk) -> Result<(), SnapError> {
+    walk.set_heading(walk.heading);
+    Ok(())
 }
 
 #[cfg(test)]
@@ -168,6 +192,73 @@ mod tests {
         w.advance(Dur::from_secs(1));
         let moved = ((w.pos().x - p0.x).powi(2) + (w.pos().y - p0.y).powi(2)).sqrt();
         assert!((moved - 1.4).abs() < 1e-9, "moved={moved}");
+    }
+
+    /// [`RandomWalk::advance`] as it was before the heading's `cos`/`sin`
+    /// were kept: one trigonometric call per coordinate per step.
+    fn advance_with_trig_per_step(w: &mut RandomWalk, dt: Dur) {
+        let secs = dt.as_secs_f64();
+        w.pos.x += w.speed_mps * secs * w.heading.cos();
+        w.pos.y += w.speed_mps * secs * w.heading.sin();
+        if w.pos.dist_origin() > w.radius {
+            let back = w.pos.y.atan2(w.pos.x) + std::f64::consts::PI;
+            w.heading = back + w.rng.range_f64(-0.5, 0.5);
+            let d = w.pos.dist_origin();
+            let scale = w.radius / d;
+            w.pos.x *= scale;
+            w.pos.y *= scale;
+        }
+        if dt >= w.until_turn {
+            w.heading = w.rng.f64() * std::f64::consts::TAU;
+            let next = outran_simcore::Exponential::from_mean(w.turn_period.as_secs_f64())
+                .sample(&mut w.rng);
+            w.until_turn = Dur::from_secs_f64(next.max(0.1));
+        } else {
+            w.until_turn = w.until_turn - dt;
+        }
+    }
+
+    /// 10⁴ steps in a disc small enough to reflect often, with turns on
+    /// their own clock: position, heading and stream equal the
+    /// trig-per-step reference bit for bit after every step, and a
+    /// restore mid-walk rebuilds the kept `cos`/`sin`.
+    #[test]
+    fn kept_heading_trig_matches_trig_per_step() {
+        use outran_simcore::snap::{Snap, SnapReader, SnapWriter, Unsnap};
+        let mut kept = RandomWalk::new(30.0, 2.0, 9.0, Rng::new(17));
+        let mut reference = kept.clone();
+        let (mut reflections, mut turns) = (0, 0);
+        for step in 0..10_000 {
+            if step == 5_000 {
+                let mut w = SnapWriter::new();
+                kept.snap(&mut w);
+                let bytes = w.into_bytes();
+                kept = RandomWalk::unsnap(&mut SnapReader::new(&bytes)).unwrap();
+            }
+            let dt = Dur::from_millis(100);
+            let turn_due = dt >= reference.until_turn;
+            let heading = reference.heading;
+            kept.advance(dt);
+            advance_with_trig_per_step(&mut reference, dt);
+            turns += turn_due as u32;
+            reflections += (!turn_due && reference.heading != heading) as u32;
+            assert_eq!(
+                kept.pos.x.to_bits(),
+                reference.pos.x.to_bits(),
+                "step {step}"
+            );
+            assert_eq!(
+                kept.pos.y.to_bits(),
+                reference.pos.y.to_bits(),
+                "step {step}"
+            );
+            assert_eq!(kept.heading.to_bits(), reference.heading.to_bits());
+            assert_eq!(kept.rng.state(), reference.rng.state(), "step {step}");
+        }
+        assert!(
+            reflections > 100 && turns > 100,
+            "{reflections} reflections, {turns} turns"
+        );
     }
 
     #[test]

@@ -380,10 +380,8 @@ impl Network {
         let mut chunks: Vec<&mut [f64]> = table.chunks_mut(rows * n_cells).collect();
         for_each_mut(self.threads, &mut chunks, |k, chunk| {
             for (ue, row) in ues[k * rows..].iter().zip(chunk.chunks_mut(n_cells)) {
-                let pos = ue.pos(geo);
-                for (c, r) in row.iter_mut().enumerate() {
-                    *r = rsrp_cell(geo, chan, self.sectors_per_site, c, pos, &ue.shadow_site_db);
-                }
+                let (pos, shadow) = (ue.pos(geo), &ue.shadow_site_db);
+                rsrp_row(geo, chan, self.sectors_per_site, pos, shadow, row);
             }
         });
         table
@@ -717,36 +715,49 @@ fn boresight(sectors: usize, c: usize) -> f64 {
     (c % sectors) as f64 * std::f64::consts::TAU / sectors as f64
 }
 
+/// Bearing (radians) of global position `pos` from site `site`.
+fn bearing(geo: &NetGeometry, site: usize, pos: Pos) -> f64 {
+    let sp = geo.site(site);
+    (pos.y - sp.y).atan2(pos.x - sp.x)
+}
+
 /// Sector gain of cell `c` toward global position `pos` (0 dB for omni
 /// deployments).
 fn serving_gain(geo: &NetGeometry, sectors: usize, c: usize, pos: Pos) -> f64 {
     if sectors <= 1 {
         return 0.0;
     }
-    let sp = geo.site(c / sectors);
-    let bearing = (pos.y - sp.y).atan2(pos.x - sp.x);
-    geometry::sector_gain_db(boresight(sectors, c), bearing)
+    geometry::sector_gain_db(boresight(sectors, c), bearing(geo, c / sectors, pos))
 }
 
-/// RSRP (dBm) of cell `c` at `pos` through the UE's static per-site
-/// shadowing — the quantity both attachment and A3 rank on, built from
-/// the *same* path-loss law the serving channel uses.
-fn rsrp_cell(
+/// RSRP (dBm) of every cell at `pos` through the UE's static per-site
+/// shadowing, into `row` (one entry per cell) — the quantity both
+/// attachment and A3 rank on, built from the *same* path-loss law the
+/// serving channel uses. Distance, `tx − pathloss` and bearing are a
+/// site's, computed once for its co-sited sectors; each entry is
+/// `(tx − pathloss) + (shadow + sector gain)`.
+fn rsrp_row(
     geo: &NetGeometry,
     chan: &ChannelConfig,
     sectors: usize,
-    c: usize,
     pos: Pos,
     shadow_site_db: &[f64],
-) -> f64 {
-    let site = c / sectors;
-    geometry::rsrp_dbm(
-        chan.tx_power_dbm,
-        chan.pathloss_ref_db,
-        chan.pathloss_exp,
-        geo.dist_to_site(site, pos),
-        shadow_site_db[site] + serving_gain(geo, sectors, c, pos),
-    )
+    row: &mut [f64],
+) {
+    for (site, cells) in row.chunks_mut(sectors).enumerate() {
+        let pl = geometry::pathloss_db(
+            chan.pathloss_ref_db,
+            chan.pathloss_exp,
+            geo.dist_to_site(site, pos),
+        );
+        let rx = chan.tx_power_dbm - pl;
+        // Omni deployments take no bearing: their sector gain is 0 dB.
+        let toward = (sectors > 1).then(|| bearing(geo, site, pos));
+        for (c, r) in (site * sectors..).zip(cells) {
+            let gain = toward.map_or(0.0, |b| geometry::sector_gain_db(boresight(sectors, c), b));
+            *r = rx + (shadow_site_db[site] + gain);
+        }
+    }
 }
 
 /// A UE's mobility model in global coordinates.
@@ -1104,6 +1115,37 @@ mod tests {
             assert!(seen.insert((ue.serving, ue.slot)));
             assert!(ue.serving < net.n_cells());
             assert!(ue.slot < net.slots_per_cell);
+        }
+    }
+
+    /// The per-site RSRP row is the per-cell law `tx − pathloss + shadow`
+    /// with the cell's own sector gain, bit for bit, omni and sectorized.
+    #[test]
+    fn rsrp_row_shares_site_terms_exactly() {
+        let chan = ChannelConfig::lte_default();
+        let geo = NetGeometry::hex(7, 500.0);
+        let mut rng = Rng::new(11);
+        for sectors in [1, 3] {
+            let mut row = vec![0.0; 7 * sectors];
+            for _ in 0..200 {
+                let pos = Pos {
+                    x: rng.range_f64(-1200.0, 1200.0),
+                    y: rng.range_f64(-1200.0, 1200.0),
+                };
+                let shadow: Vec<f64> = (0..7).map(|_| rng.range_f64(-12.0, 12.0)).collect();
+                rsrp_row(&geo, &chan, sectors, pos, &shadow, &mut row);
+                for (c, &got) in row.iter().enumerate() {
+                    let site = c / sectors;
+                    let pl = geometry::pathloss_db(
+                        chan.pathloss_ref_db,
+                        chan.pathloss_exp,
+                        geo.dist_to_site(site, pos),
+                    );
+                    let want = chan.tx_power_dbm - pl
+                        + (shadow[site] + serving_gain(&geo, sectors, c, pos));
+                    assert_eq!(got.to_bits(), want.to_bits(), "{sectors} sectors, cell {c}");
+                }
+            }
         }
     }
 }

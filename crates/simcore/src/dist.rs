@@ -6,7 +6,8 @@
 //!   incast case study).
 //! * [`Normal`] — Box–Muller; log-normal shadowing in the channel model
 //!   one value at a time, and the per-TTI fading innovations a batch at
-//!   a time ([`Normal::fill`]).
+//!   a time ([`Normal::fill`]; a whole cell's streams through
+//!   [`Normal::uniforms`] and one [`Normal::transform`]).
 //! * [`Empirical`] — inverse-CDF sampling of tabulated flow-size
 //!   distributions (the LTE cellular distribution of Huang et al. \[41\],
 //!   MIRAGE mobile-app \[12\], websearch \[13\]) with log-linear interpolation
@@ -90,10 +91,11 @@ const FILL_CHUNK: usize = 32;
 /// Normal distribution via Box–Muller (one value per draw; the antithetic
 /// twin is discarded to keep the sampler stateless).
 ///
-/// Two entry points share one stream contract: every value consumes
+/// Every entry point shares one stream contract: every value consumes
 /// exactly two `u64` from the [`Rng`] — `f64_open` for the radius, then
-/// `f64` for the angle — so `n` calls of [`Normal::sample`] and one
-/// [`Normal::fill`] of `n` values leave the generator in the same state.
+/// `f64` for the angle — so `n` calls of [`Normal::sample`], one
+/// [`Normal::fill`] of `n` values and one [`Normal::uniforms`] of `n`
+/// values leave the generator in the same state.
 /// They differ in who computes `ln` and `cos`: `sample` calls the host's
 /// libm and is the reference; `fill` runs the crate's own kernels
 /// (`math::ln_positive`, `math::cos_tau`) and agrees with it to `1e-15 · sd`
@@ -125,23 +127,48 @@ impl Normal {
     /// Fill `out` with samples, drawing from `rng` in [`Normal::sample`]'s
     /// order (see the type's stream contract).
     ///
-    /// Works a chunk at a time: first every uniform of the chunk (the
-    /// generator is one serial dependency chain), then the transform as a
-    /// loop with no call and no branch in it, which is what the batching
-    /// buys — consecutive values overlap in the pipeline.
+    /// Works a chunk at a time: first every uniform of the chunk
+    /// ([`Normal::uniforms`]; the generator is one serial dependency
+    /// chain), then [`Normal::transform`], a loop with no call and no
+    /// branch in it, which is what the batching buys — consecutive values
+    /// overlap in the pipeline. A caller with several streams can run the
+    /// two pieces itself: every stream's uniforms into one buffer, then one
+    /// transform over all of them, bit for bit what `fill` per stream
+    /// produces.
     pub fn fill(&self, rng: &mut Rng, out: &mut [f64]) {
-        let mut u1 = [0.0; FILL_CHUNK];
-        let mut u2 = [0.0; FILL_CHUNK];
+        let mut radius = [0.0; FILL_CHUNK];
+        let mut angle = [0.0; FILL_CHUNK];
         for chunk in out.chunks_mut(FILL_CHUNK) {
             let n = chunk.len();
-            for (a, b) in u1[..n].iter_mut().zip(&mut u2[..n]) {
-                *a = rng.f64_open();
-                *b = rng.f64();
-            }
-            for ((o, &a), &b) in chunk.iter_mut().zip(&u1[..n]).zip(&u2[..n]) {
-                let z = (-2.0 * ln_positive(a)).sqrt() * cos_tau(b);
-                *o = self.mean + self.sd * z;
-            }
+            Normal::uniforms(rng, &mut radius[..n], &mut angle[..n]);
+            self.transform(&radius[..n], &angle[..n], chunk);
+        }
+    }
+
+    /// Draw the two uniforms of `radius.len()` values from `rng`, in
+    /// [`Normal::sample`]'s order: value `i` takes `f64_open` into
+    /// `radius[i]`, then `f64` into `angle[i]`. `angle` must be as long
+    /// as `radius`.
+    #[inline]
+    pub fn uniforms(rng: &mut Rng, radius: &mut [f64], angle: &mut [f64]) {
+        debug_assert_eq!(radius.len(), angle.len());
+        for (a, b) in radius.iter_mut().zip(angle) {
+            *a = rng.f64_open();
+            *b = rng.f64();
+        }
+    }
+
+    /// The Box–Muller transform of uniforms [`Normal::uniforms`] drew:
+    /// `out[i]` is the value `radius[i]` and `angle[i]` make, through the
+    /// crate's own `ln` and `cos` kernels. Each value depends on its own
+    /// pair only, so where a batch is cut never moves a bit. All three
+    /// slices must have one length.
+    #[inline]
+    pub fn transform(&self, radius: &[f64], angle: &[f64], out: &mut [f64]) {
+        debug_assert!(radius.len() == out.len() && angle.len() == out.len());
+        for ((o, &a), &b) in out.iter_mut().zip(radius).zip(angle) {
+            let z = (-2.0 * ln_positive(a)).sqrt() * cos_tau(b);
+            *o = self.mean + self.sd * z;
         }
     }
 }
@@ -349,6 +376,41 @@ mod tests {
             skipped.next_u64_raw();
         }
         assert_eq!(rng.state(), skipped.state());
+    }
+
+    /// Several streams' uniforms drawn into one buffer, then one
+    /// transform over all of them, is `fill` per stream, bit for bit:
+    /// for stream counts {1, 2, 3, 16, 33} and per-stream lengths on
+    /// both sides of `FILL_CHUNK` (one chunk, two, three).
+    #[test]
+    fn uniforms_then_one_transform_is_fill_per_stream() {
+        let d = Normal::new(0.0, std::f64::consts::FRAC_1_SQRT_2);
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for streams in [1usize, 2, 3, 16, 33] {
+            for len in [2usize, 18, FILL_CHUNK + 2, 2 * FILL_CHUNK + 3] {
+                let seeds = |s: usize| Rng::new(1000 * streams as u64 + s as u64).fork(len as u64);
+                let mut filled = vec![0.0; streams * len];
+                let mut by_fill: Vec<Rng> = (0..streams).map(seeds).collect();
+                for (rng, out) in by_fill.iter_mut().zip(filled.chunks_mut(len)) {
+                    d.fill(rng, out);
+                }
+                let (mut radius, mut angle) = (vec![0.0; streams * len], vec![0.0; streams * len]);
+                let mut by_parts: Vec<Rng> = (0..streams).map(seeds).collect();
+                for ((rng, r), a) in by_parts
+                    .iter_mut()
+                    .zip(radius.chunks_mut(len))
+                    .zip(angle.chunks_mut(len))
+                {
+                    Normal::uniforms(rng, r, a);
+                }
+                let mut composed = vec![f64::NAN; streams * len];
+                d.transform(&radius, &angle, &mut composed);
+                assert_eq!(bits(&composed), bits(&filled), "{streams} × {len}");
+                for (a, b) in by_parts.iter().zip(&by_fill) {
+                    assert_eq!(a.state(), b.state(), "{streams} × {len}");
+                }
+            }
+        }
     }
 
     /// Filling two adjacent sub-slices is filling the whole slice:
