@@ -57,6 +57,7 @@ figures![
     fig20_5g_fct,
     harq_study,
     ablation_design,
+    work_ledger,
     metro,
     chaos_soak,
 ];

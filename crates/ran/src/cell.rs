@@ -745,6 +745,7 @@ impl Cell {
             flow_endpoints_high_water: self.ingress.endpoint_slab().high_water,
             ingress_scan_visits: self.ingress.scan_visits(),
             event_far_pushes: self.ingress.event_far_pushes(),
+            event_near_high_water: self.ingress.event_near_footprint().0 as u64,
             ..WorkCounters::default()
         }
     }
@@ -755,6 +756,22 @@ impl Cell {
     #[doc(hidden)]
     pub fn event_far_footprint(&self) -> (usize, usize) {
         self.ingress.event_far_footprint()
+    }
+
+    /// `(high water, capacity)` of the ingress queue's near tier: one
+    /// node store for its 64 slots, so the capacity follows the most
+    /// events the slots held at once, not each slot's largest burst.
+    #[doc(hidden)]
+    pub fn event_near_footprint(&self) -> (usize, usize) {
+        self.ingress.event_near_footprint()
+    }
+
+    /// SDU buffer slots that empty MLFQ levels and promoted slots hold,
+    /// over every UE: zero, since a level that drains gives its buffer
+    /// back.
+    #[doc(hidden)]
+    pub fn mlfq_idle_capacity(&self) -> usize {
+        self.ues.iter().map(|ctx| ctx.rlc_tx.idle_capacity()).sum()
     }
 
     /// Started-but-incomplete flows right now.

@@ -188,8 +188,15 @@ impl Network {
 
     /// Run the deployment to the end of its drain window.
     pub fn run(&self) -> NetworkRun {
+        self.run_inspected(&mut |_, _| {})
+    }
+
+    /// [`Network::run`], calling `inspect(t, cells)` after each epoch's
+    /// barrier — a probe for tests that read the cells as the run goes.
+    #[doc(hidden)]
+    pub fn run_inspected(&self, inspect: &mut dyn FnMut(Time, &[Cell])) -> NetworkRun {
         let st = self.build_state();
-        self.run_state(st)
+        self.run_state(st, inspect)
     }
 
     /// Resume a run from a checkpoint written by this configuration.
@@ -207,7 +214,7 @@ impl Network {
         if !r.is_exhausted() {
             return Err(SnapError::Malformed("trailing bytes in network section"));
         }
-        Ok(self.run_state(st))
+        Ok(self.run_state(st, &mut |_, _| {}))
     }
 
     /// Build the full initial state: cells in external-geometry mode,
@@ -629,7 +636,7 @@ impl Network {
     }
 
     /// The epoch loop over an initial (or restored) state.
-    fn run_state(&self, mut st: NetState) -> NetworkRun {
+    fn run_state(&self, mut st: NetState, inspect: &mut dyn FnMut(Time, &[Cell])) -> NetworkRun {
         let geo = NetGeometry::hex(self.n_sites, self.isd_m);
         let chan = self.channel_config();
         let end = st.end;
@@ -653,6 +660,7 @@ impl Network {
             let span = t_next.since(t);
             t = t_next;
             self.barrier(&geo, &chan, &mut st, span, &mut work);
+            inspect(t, &st.cells);
             let over_limit = self
                 .epoch_wall_limit
                 .map(|limit| epoch_start.elapsed() > limit)

@@ -483,6 +483,11 @@ impl IngressStage {
         self.events.far_footprint()
     }
 
+    /// `(high water, capacity)` of this stage's near-tier node store.
+    pub fn event_near_footprint(&self) -> (usize, usize) {
+        self.events.near_footprint()
+    }
+
     /// Write the flow table and the event queue — this stage's layout
     /// begins with them — to `w`, returning where each landed.
     #[cfg(test)]

@@ -239,6 +239,15 @@ impl RlcTx {
         }
     }
 
+    /// Buffer slots held by empty MLFQ levels (see
+    /// [`outran_rlc::MlfqQueues::idle_capacity`]).
+    pub fn idle_capacity(&self) -> usize {
+        match self {
+            RlcTx::Um(um) => um.idle_capacity(),
+            RlcTx::Am(am) => am.idle_capacity(),
+        }
+    }
+
     /// Clamp the SDU capacity, flushing overflow; returns (SDUs, bytes)
     /// flushed.
     pub fn set_capacity(&mut self, capacity_sdus: usize) -> (u64, u64) {

@@ -39,6 +39,10 @@ outran_simcore::counters! {
         /// Events the ingress queue sent to its far tier (the heap): only
         /// flow arrivals should go there, so at most one a flow.
         pub event_far_pushes: u64,
+        /// Σ over cells of the most events the ingress queue's near tier
+        /// held at once — the size its node store grew to. A resumed
+        /// cell's starts at the near events pending in the checkpoint.
+        pub event_near_high_water: u64,
         /// (UE, cell) RSRPs evaluated at epoch barriers: one table of
         /// `n_ues · n_cells` per barrier.
         pub barrier_rsrp_evals: u64,

@@ -5,7 +5,9 @@
 //! flow arrivals, registered at arbitrary future instants, may go to the
 //! far tier (a `BinaryHeap`). `WorkCounters::event_far_pushes` counts what went:
 //! at most one push per registered flow, and deterministic work, so
-//! dense stepping counts what event-driven stepping counts.
+//! dense stepping counts what event-driven stepping counts. So is
+//! `WorkCounters::event_near_high_water`, the most events the near
+//! slots' one node store held at once.
 
 use outran_faults::FaultPlan;
 use outran_ran::cell::{GbrBearer, RlcMode, SchedulerKind};
@@ -15,9 +17,10 @@ use outran_simcore::{Dur, Time};
 const SECS: u64 = 4;
 
 /// `(far pushes while every arrival was registered, far pushes in the
-/// run, flows registered)`, the run going past the horizon through the
-/// 4 s drain window, in which the queue can run dry while RTOs fire.
-fn far_pushes(exp: &impl Fn() -> Experiment, gbr: bool, dense: bool) -> (u64, u64, u64) {
+/// run, flows registered, near-store high water)`, the run going past
+/// the horizon through the 4 s drain window, in which the queue can run
+/// dry while RTOs fire.
+fn far_pushes(exp: &impl Fn() -> Experiment, gbr: bool, dense: bool) -> (u64, u64, u64, u64) {
     let mut cell = exp().build_cell();
     if gbr {
         cell.add_gbr_bearer(GbrBearer::volte(0));
@@ -30,19 +33,26 @@ fn far_pushes(exp: &impl Fn() -> Experiment, gbr: bool, dense: bool) -> (u64, u6
         cell.run_until(end);
     }
     assert!(cell.n_completed() > 50, "{} flows done", cell.n_completed());
-    let in_run = cell.work().event_far_pushes - at_build;
-    (at_build, in_run, cell.n_flows() as u64)
+    let work = cell.work();
+    let in_run = work.event_far_pushes - at_build;
+    (
+        at_build,
+        in_run,
+        cell.n_flows() as u64,
+        work.event_near_high_water,
+    )
 }
 
 /// Every arrival is registered before the run, so the run itself must
 /// push nothing to the heap.
 fn check(exp: impl Fn() -> Experiment, gbr: bool) {
-    let (at_build, in_run, flows) = far_pushes(&exp, gbr, false);
+    let (at_build, in_run, flows, near) = far_pushes(&exp, gbr, false);
     assert!(0 < at_build && at_build <= flows, "{at_build} of {flows}");
     assert_eq!(in_run, 0, "a packet, ACK or STATUS event went to the heap");
+    assert!(near > 0, "no event went through the near slots");
     assert_eq!(
         far_pushes(&exp, gbr, true),
-        (at_build, 0, flows),
+        (at_build, 0, flows, near),
         "dense ≠ event-driven"
     );
 }

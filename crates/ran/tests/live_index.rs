@@ -261,10 +261,39 @@ fn endpoints_follow_open_flows_not_flows_scheduled() {
     assert_eq!(soak(1_500, true), short);
 }
 
-/// Per-flow memory read at every whole second to `secs`: `(order-audit
-/// entries, far-heap length, far-heap capacity, open flows)`, each
-/// checked against its bound on the way.
-fn footprints(mut cell: Cell, secs: u64, dense: bool) -> Vec<(usize, usize, usize, u64)> {
+/// Memory read at one whole second: order-audit entries, far-heap
+/// length and capacity, open flows, and the near store's high water and
+/// capacity.
+type Footprint = (usize, usize, usize, u64, usize, usize);
+
+/// `cell`'s memory at `s` seconds, each part checked against its bound:
+/// per-flow state follows the open flows, the far heap its pending
+/// arrivals, the near store its high water, and no drained MLFQ level
+/// holds a buffer.
+fn footprint(cell: &Cell, s: u64) -> Footprint {
+    let order = cell.auditor().order_entries();
+    let open = cell.open_flows();
+    let (len, cap) = cell.event_far_footprint();
+    let (near, near_cap) = cell.event_near_footprint();
+    assert!(
+        order as u64 <= open,
+        "at {s} s: {order} order entries, {open} open flows"
+    );
+    assert!(
+        cap <= (4 * len).max(64),
+        "at {s} s: far heap {len} in {cap}"
+    );
+    assert!(
+        near_cap <= 2 * near,
+        "at {s} s: near store {near} high water in {near_cap}"
+    );
+    let idle = cell.mlfq_idle_capacity();
+    assert_eq!(idle, 0, "at {s} s: drained MLFQ levels hold {idle} slots");
+    (order, len, cap, open, near, near_cap)
+}
+
+/// [`footprint`] at every whole second to `secs`.
+fn footprints(mut cell: Cell, secs: u64, dense: bool) -> Vec<Footprint> {
     (1..=secs)
         .map(|s| {
             if dense {
@@ -272,28 +301,22 @@ fn footprints(mut cell: Cell, secs: u64, dense: bool) -> Vec<(usize, usize, usiz
             } else {
                 cell.run_until(Time::from_secs(s));
             }
-            let order = cell.auditor().order_entries();
-            let open = cell.open_flows();
-            let (len, cap) = cell.event_far_footprint();
-            assert!(
-                order as u64 <= open,
-                "at {s} s: {order} order entries, {open} open flows"
-            );
-            assert!(
-                cap <= (4 * len).max(64),
-                "at {s} s: far heap {len} in {cap}"
-            );
-            (order, len, cap, open)
+            footprint(&cell, s)
         })
         .collect()
 }
 
 /// A finished flow costs its record and nothing else: the order audit
 /// holds history for open flows only, and the far event heap gives its
-/// capacity back as the arrivals it holds fire — checked at every whole
-/// second of the three-hour soak and of a busy 16-UE cell. The readings
-/// are deterministic work: dense stepping reads what event-driven
-/// stepping reads (over the soak's first 1 500 s; the whole soak steps
+/// capacity back as the arrivals it holds fire. Capacity follows what
+/// is live: the near event slots share one node store no larger than
+/// twice the most events they held at once, which stops growing once
+/// the busy cell is warm, and an MLFQ level that drains gives its
+/// buffer back. Checked at every whole second of the
+/// three-hour soak, of a busy 16-UE cell and of a small metro, whose
+/// handovers flush the leaving UEs' queues. The cell readings are
+/// deterministic work: dense stepping reads what event-driven stepping
+/// reads (over the soak's first 1 500 s; the whole soak steps
 /// event-driven only).
 #[test]
 fn memory_follows_open_flows() {
@@ -301,7 +324,13 @@ fn memory_follows_open_flows() {
     let soak = footprints(soak_cell(SOAK), SOAK + 4, false);
     let (first, last) = (soak[0], soak[soak.len() - 1]);
     assert!(first.1 > 1_000, "arrivals not on the heap: {first:?}");
-    assert_eq!(last, (0, 0, 0, 0), "a drained soak holds nothing");
+    assert_eq!(
+        (last.0, last.1, last.2, last.3),
+        (0, 0, 0, 0),
+        "a drained soak holds nothing"
+    );
+    // A page's events at most, not three hours' worth.
+    assert!(last.4 <= 2 * first.4, "near store {first:?} → {last:?}");
     assert_eq!(footprints(soak_cell(SOAK), 1_500, true), soak[..1_500]);
 
     // A page is open for milliseconds, so the soak's whole seconds find
@@ -321,7 +350,33 @@ fn memory_follows_open_flows() {
         "the order audit never ran: {run:?}"
     );
     assert_eq!(run[run.len() - 1].2, 0, "arrivals still held: {run:?}");
+    assert!(
+        run[2..].iter().all(|r| r.4 == run[2].4),
+        "the near store still grows after warm-up: {run:?}"
+    );
     assert_eq!(footprints(busy(), 9, true), run);
+
+    let mut net = outran_ran::Network::metro(
+        outran_phy::Scenario::LtePedestrian,
+        SchedulerKind::OutRan,
+        0.6,
+    );
+    net.duration = Time::from_secs(3);
+    let mut seconds = 0;
+    let r = net.run_inspected(&mut |t, cells| {
+        seconds += 1;
+        for (c, cell) in cells.iter().enumerate() {
+            let at = t.as_nanos() / 1_000_000_000;
+            let (order, .., near, _) = footprint(cell, at);
+            assert!(near > 0 || order == 0, "cell {c} at {at} s: no near event");
+        }
+    });
+    assert_eq!((net.n_sites, seconds), (7, 7));
+    assert!(
+        r.report.handover.flows_transferred > 0,
+        "no handover flushed a queue: {:?}",
+        r.report.handover
+    );
 }
 
 /// Records every active TTI's summary (what the golden trace digests).

@@ -327,6 +327,12 @@ impl AmTx {
         self.txq.oldest_head_arrival()
     }
 
+    /// See [`MlfqQueues::idle_capacity`].
+    #[doc(hidden)]
+    pub fn idle_capacity(&self) -> usize {
+        self.txq.idle_capacity()
+    }
+
     /// Whether every queue is drained and nothing is unacknowledged.
     pub fn is_idle(&self) -> bool {
         self.txq.is_empty() && self.retxq.is_empty()

@@ -13,12 +13,23 @@
 //!
 //! A K=1 instance is exactly the legacy FIFO, which is how the vanilla
 //! srsRAN baseline is expressed in this codebase.
+//!
+//! A level, or the promoted slot, that an operation leaves empty gives its
+//! buffer back, so a UE's queues hold capacity only for the SDUs they
+//! hold: a burst's peak returns to the allocator, where another UE's
+//! queues reuse it, instead of staying with the level that saw it. Two
+//! small buffers (of at most 8 SDUs) are kept back as the UE's spares
+//! for the next levels that fill, so a queue that drains and refills
+//! every TTI does not allocate every TTI.
 
 use std::collections::VecDeque;
 
 use outran_pdcp::Priority;
 
 use crate::sdu::{RlcSdu, RlcSegment};
+
+/// The largest drained buffer, in SDUs, a UE keeps as a spare (512 B).
+const SPARE_SLOTS: usize = 8;
 
 /// Strict-priority multi-queue with a promoted slot for segmented SDUs.
 #[derive(Debug, Clone)]
@@ -27,6 +38,9 @@ pub struct MlfqQueues {
     queues: Vec<VecDeque<RlcSdu>>,
     /// Partially-sent SDUs, served before everything else (§4.4).
     promoted: VecDeque<RlcSdu>,
+    /// Empty buffers of at most `SPARE_SLOTS` SDUs, or none: what the
+    /// next levels (or `promoted`) to fill without a buffer take.
+    spare: [VecDeque<RlcSdu>; 2],
     /// Remaining bytes per priority level.
     bytes: Vec<u64>,
     /// Occupancy bitmask: bit `l` set iff `bytes[l] > 0`. Makes
@@ -55,6 +69,7 @@ impl MlfqQueues {
         MlfqQueues {
             queues: (0..k).map(|_| VecDeque::new()).collect(),
             promoted: VecDeque::new(),
+            spare: Default::default(),
             bytes: vec![0; k],
             occupied: 0,
             promoted_bytes: 0,
@@ -159,12 +174,13 @@ impl MlfqQueues {
             self.sub_level_bytes(vl, victim.remaining() as u64);
             self.n_sdus -= 1;
             self.add_level_bytes(level, sdu.remaining() as u64);
-            self.queues[level].push_back(sdu);
+            with_buffer(&mut self.queues[level], &mut self.spare).push_back(sdu);
             self.n_sdus += 1;
+            release_if_empty(&mut self.queues[vl], &mut self.spare);
             return Err(victim);
         }
         self.add_level_bytes(level, sdu.remaining() as u64);
-        self.queues[level].push_back(sdu);
+        with_buffer(&mut self.queues[level], &mut self.spare).push_back(sdu);
         self.n_sdus += 1;
         Ok(())
     }
@@ -217,7 +233,7 @@ impl MlfqQueues {
                 // Partial: requeue for the next opportunity.
                 if self.promote_segments {
                     self.promoted_bytes += sdu.remaining() as u64;
-                    self.promoted.push_front(sdu);
+                    with_buffer(&mut self.promoted, &mut self.spare).push_front(sdu);
                 } else {
                     let level = (sdu.priority.0 as usize).min(self.queues.len() - 1);
                     self.add_level_bytes(level, sdu.remaining() as u64);
@@ -227,7 +243,31 @@ impl MlfqQueues {
                 break; // budget necessarily exhausted
             }
         }
+        // Only now: a level is empty between `pop_next` and the requeue
+        // of a partly sent SDU, and releasing there would reallocate
+        // every TTI for a backlogged UE.
+        self.release_drained();
         used
+    }
+
+    /// Give back the buffer of every empty level and of an empty
+    /// `promoted` — at the end of an operation that took SDUs out.
+    fn release_drained(&mut self) {
+        for q in &mut self.queues {
+            release_if_empty(q, &mut self.spare);
+        }
+        release_if_empty(&mut self.promoted, &mut self.spare);
+    }
+
+    /// Buffer slots held by empty levels and an empty `promoted`: zero
+    /// after every operation — a memory probe for tests.
+    #[doc(hidden)]
+    pub fn idle_capacity(&self) -> usize {
+        let queues = self.queues.iter().chain(std::iter::once(&self.promoted));
+        queues
+            .filter(|q| q.is_empty())
+            .map(VecDeque::capacity)
+            .sum()
     }
 
     /// Pop the next SDU in service order, accounting bytes out.
@@ -297,15 +337,16 @@ impl MlfqQueues {
             self.n_sdus -= 1;
             evicted.push(victim);
         }
+        self.release_drained();
         evicted
     }
 
     /// Drain every queued SDU (RLC re-establishment). Returns the flushed
     /// SDUs so the caller can account the lost bytes.
     pub fn flush(&mut self) -> Vec<RlcSdu> {
-        let mut out: Vec<RlcSdu> = self.promoted.drain(..).collect();
+        let mut out: Vec<RlcSdu> = std::mem::take(&mut self.promoted).into();
         for q in &mut self.queues {
-            out.extend(q.drain(..));
+            out.extend(std::mem::take(q));
         }
         self.promoted_bytes = 0;
         self.bytes.iter_mut().for_each(|b| *b = 0);
@@ -356,8 +397,35 @@ impl MlfqQueues {
         }
         self.promoted_bytes = self.promoted.iter().map(|s| s.remaining() as u64).sum();
         self.n_sdus = self.promoted.len() + self.queues.iter().map(VecDeque::len).sum::<usize>();
+        self.release_drained();
         Ok(())
     }
+}
+
+/// Take an empty queue's buffer away: into a free `spare` if the buffer
+/// is small, else back to the allocator.
+fn release_if_empty(q: &mut VecDeque<RlcSdu>, spare: &mut [VecDeque<RlcSdu>]) {
+    if q.is_empty() && q.capacity() > 0 {
+        let buf = std::mem::take(q);
+        if buf.capacity() <= SPARE_SLOTS {
+            if let Some(free) = spare.iter_mut().find(|s| s.capacity() == 0) {
+                *free = buf;
+            }
+        }
+    }
+}
+
+/// `q`, given a spare buffer if it has none of its own.
+fn with_buffer<'q>(
+    q: &'q mut VecDeque<RlcSdu>,
+    spare: &mut [VecDeque<RlcSdu>],
+) -> &'q mut VecDeque<RlcSdu> {
+    if q.capacity() == 0 {
+        if let Some(s) = spare.iter_mut().find(|s| s.capacity() > 0) {
+            std::mem::swap(q, s);
+        }
+    }
+    q
 }
 
 // Only the SDUs themselves and the capacity (it can shrink mid-run
@@ -366,7 +434,7 @@ impl MlfqQueues {
 // policy switches.
 snap_fields! {
     overlay MlfqQueues { queues: fixed, promoted, capacity_sdus }
-    rebuilt { bytes, occupied, promoted_bytes, n_sdus, promote_segments, pushout }
+    rebuilt { bytes, occupied, promoted_bytes, n_sdus, spare, promote_segments, pushout }
     then MlfqQueues::rebuild_aggregates
 }
 
@@ -580,6 +648,124 @@ mod tests {
         let _ = q.flush();
         check(&q);
         assert_eq!(q.head_priority(), None);
+    }
+
+    /// The buffer a level (or `promoted`) holds, as an address.
+    fn buffer(q: &VecDeque<RlcSdu>) -> *const RlcSdu {
+        q.as_slices().0.as_ptr()
+    }
+
+    #[test]
+    fn a_partly_sent_sdu_keeps_its_buffer_across_pulls() {
+        for (k, promote) in [(4, true), (4, false), (1, true), (1, false)] {
+            let mut q = MlfqQueues::new(k, 128);
+            q.set_promote_segments(promote);
+            q.push(sdu(1, 10_000, 2)).unwrap();
+            let _ = q.pull(600, 0);
+            // Where the remainder waits: promoted, or its own level (P2,
+            // clamped to the levels there are).
+            let holder = |q: &MlfqQueues| {
+                let q = if promote {
+                    &q.promoted
+                } else {
+                    &q.queues[2.min(k - 1)]
+                };
+                (buffer(q), q.capacity())
+            };
+            let first = holder(&q);
+            assert!(first.1 > 0, "k {k} promote {promote}: no buffer");
+            for round in 0..10 {
+                let (segs, used) = q.pull(600, 0);
+                assert_eq!((segs.len(), used), (1, 600));
+                assert_eq!(holder(&q), first, "k {k} promote {promote} round {round}");
+                assert_eq!(q.idle_capacity(), 0);
+            }
+            let _ = q.pull(u64::MAX, 0);
+            assert!(q.is_empty());
+            assert_eq!(holder(&q).1, 0, "a drained level keeps its buffer");
+        }
+    }
+
+    /// No empty level, nor an empty `promoted`, holds a buffer, and the
+    /// spares are small.
+    fn assert_drained_levels_hold_nothing(q: &MlfqQueues, what: &str) {
+        let all = q.queues.iter().chain(std::iter::once(&q.promoted));
+        for (l, level) in all.enumerate() {
+            assert!(
+                !level.is_empty() || level.capacity() == 0,
+                "{what}: empty level {l} holds {}",
+                level.capacity()
+            );
+        }
+        assert_eq!(q.idle_capacity(), 0, "{what}");
+        assert!(q
+            .spare
+            .iter()
+            .all(|s| s.is_empty() && s.capacity() <= SPARE_SLOTS));
+    }
+
+    #[test]
+    fn a_level_that_refills_takes_a_drained_buffer_back() {
+        let mut q = MlfqQueues::new(4, 128);
+        for i in 0..3 {
+            q.push(sdu(i, 100, 1)).unwrap();
+        }
+        let spares = |q: &MlfqQueues| q.spare.each_ref().map(VecDeque::capacity);
+        let _ = q.pull(u64::MAX, 0);
+        assert_eq!((q.queues[1].capacity(), spares(&q)), (0, [4, 0]));
+        // The next level to fill, any level, takes the drained buffer.
+        q.push(sdu(9, 100, 3)).unwrap();
+        assert_eq!((q.queues[3].capacity(), spares(&q)), (4, [0, 0]));
+        // A burst's buffer goes back to the allocator, not to a spare.
+        for i in 10..40 {
+            q.push(sdu(i, 100, 2)).unwrap();
+        }
+        let _ = q.pull(u64::MAX, 0);
+        assert_drained_levels_hold_nothing(&q, "after a burst");
+        assert_eq!(q.spare.iter().map(VecDeque::capacity).max(), Some(4));
+    }
+
+    #[test]
+    fn emptied_levels_give_their_buffers_back() {
+        // A partial in `promoted` and whole SDUs on every level.
+        let filled = || {
+            let mut q = MlfqQueues::new(4, 64);
+            q.push(sdu(1, 1_000, 0)).unwrap();
+            let _ = q.pull(300, 0);
+            for i in 2..40u64 {
+                q.push(sdu(i, 100, (i % 4) as u8)).unwrap();
+            }
+            assert!(!q.promoted.is_empty() && q.queues.iter().all(|l| l.len() >= 9));
+            q
+        };
+        let mut q = filled();
+        assert_eq!(q.flush().len(), 39);
+        assert_drained_levels_hold_nothing(&q, "flush");
+        assert!(q.promoted.capacity() == 0 && q.queues.iter().all(|l| l.capacity() == 0));
+
+        // Shedding down to 10 SDUs empties levels 3, 2 and 1 (9–10 each).
+        let mut q = filled();
+        assert_eq!(q.set_capacity(10).len(), 29);
+        assert!(q.queues[3].is_empty() && q.queues[2].is_empty());
+        assert_drained_levels_hold_nothing(&q, "set_capacity");
+        assert_eq!(q.set_capacity(0).len(), 10);
+        assert_drained_levels_hold_nothing(&q, "set_capacity to zero");
+
+        // Push-out takes level 3's only SDU.
+        let mut q = MlfqQueues::new(4, 2);
+        q.push(sdu(1, 100, 0)).unwrap();
+        q.push(sdu(2, 100, 3)).unwrap();
+        let victim = q.push(sdu(3, 100, 1)).unwrap_err();
+        assert_eq!(victim.id, 2);
+        assert_drained_levels_hold_nothing(&q, "push-out");
+
+        // A pull that drains levels leaves none of their buffers.
+        let mut q = filled();
+        let _ = q.pull(2_000, 0);
+        assert_drained_levels_hold_nothing(&q, "pull");
+        let _ = q.pull(u64::MAX, 0);
+        assert!(q.is_empty());
+        assert_drained_levels_hold_nothing(&q, "pull to empty");
     }
 
     #[test]

@@ -148,6 +148,12 @@ impl UmTx {
     pub fn oldest_head_arrival(&self) -> Option<Time> {
         self.queues.oldest_head_arrival()
     }
+
+    /// See [`MlfqQueues::idle_capacity`].
+    #[doc(hidden)]
+    pub fn idle_capacity(&self) -> usize {
+        self.queues.idle_capacity()
+    }
 }
 
 /// A fully reassembled SDU delivered up to PDCP/transport.

@@ -13,8 +13,11 @@
 //! Two tiers. A near wheel of 64 one-TTI slots (≈ 67 ms) takes every
 //! event scheduled a link delay ahead — packets, ACKs and STATUS PDUs,
 //! which land 9–50 ms out in every configuration the figures run — with
-//! O(1) amortized schedule/pop and recycled slot capacity, so the
-//! steady-state event path does not allocate. One `BinaryHeap` takes
+//! O(1) amortized schedule/pop. The slots are index-linked lists in one
+//! node store per queue, whose drained nodes go to a free list: the
+//! store grows to the most entries the slots held at once, not to the
+//! sum of each slot's largest burst, and once it has, the event path
+//! does not allocate. One `BinaryHeap` takes
 //! what lies further out (in practice, flow arrivals); it is pulled into
 //! the near slots as the window advances, and jumped to directly when
 //! the near wheel is empty. `peek_time` stays O(1) `&self`, which the
@@ -36,10 +39,20 @@ use crate::time::Time;
 const TICK_SHIFT: u32 = 20;
 /// Near wheel: 64 one-tick slots (≈ 67 ms span), one bit each in `occ`.
 const NEAR_SLOTS: u64 = 64;
+/// The null node index: the end of a slot's list or of the free list.
+const NIL: u32 = u32::MAX;
 
 #[inline]
 fn tick_of(t: Time) -> u64 {
     t.0 >> TICK_SHIFT
+}
+
+/// A node of the near tier's store: an entry and the next node of its
+/// slot's list — or, with no entry, of the free list.
+#[derive(Debug)]
+struct Node<E> {
+    entry: Option<(Time, u64, E)>,
+    next: u32,
 }
 
 /// A heap entry, ordered on `(time, seq)` *reversed* so the max-heap
@@ -80,12 +93,21 @@ impl<E> Ord for Far<E> {
 /// * The slots hold ticks in `[cur + 1, cur + 64]`, consecutive values,
 ///   so slot indexing (`tick % 64`) is collision-free; the heap holds
 ///   ticks at or past `window_end`.
+/// * Slot `s`'s list runs from `head[s]` to `tail[s]` in insertion order
+///   when bit `s` of `occ` is set (the two are stale otherwise); every
+///   other node of `nodes` is on the free list.
 /// * After any `&mut` operation, `drain` is non-empty whenever the queue
 ///   is non-empty (so `peek_time` can stay `&self`).
 #[derive(Debug)]
 pub struct EventQueue<E> {
     drain: Vec<(Time, u64, E)>,
-    slots: Vec<Vec<(Time, u64, E)>>,
+    /// The near tier's node store. It grows only when the free list is
+    /// empty, so its length is the most entries the slots held at once.
+    nodes: Vec<Node<E>>,
+    head: [u32; NEAR_SLOTS as usize],
+    tail: [u32; NEAR_SLOTS as usize],
+    /// First node of the free list.
+    free: u32,
     occ: u64,
     /// Entries in the slots (excludes `drain`).
     in_near: usize,
@@ -110,11 +132,12 @@ impl<E> Default for EventQueue<E> {
 impl<E> EventQueue<E> {
     /// Create an empty queue.
     pub fn new() -> EventQueue<E> {
-        let mut slots = Vec::new();
-        slots.resize_with(NEAR_SLOTS as usize, Vec::new);
         EventQueue {
             drain: Vec::new(),
-            slots,
+            nodes: Vec::new(),
+            head: [NIL; NEAR_SLOTS as usize],
+            tail: [NIL; NEAR_SLOTS as usize],
+            free: NIL,
             occ: 0,
             in_near: 0,
             far: BinaryHeap::new(),
@@ -161,8 +184,31 @@ impl<E> EventQueue<E> {
     /// Place an entry with `tick` in `(cur, cur + 64]` into its slot.
     fn push_near(&mut self, at: Time, seq: u64, event: E) {
         debug_assert!(tick_of(at) > self.cur && tick_of(at) - self.cur <= NEAR_SLOTS);
-        let s = tick_of(at) % NEAR_SLOTS;
-        self.slots[s as usize].push((at, seq, event));
+        let node = Node {
+            entry: Some((at, seq, event)),
+            next: NIL,
+        };
+        let mut i = self.free;
+        if let Some(free) = self.nodes.get_mut(i as usize) {
+            self.free = free.next;
+            *free = node;
+        } else {
+            // Grow by doubling, exactly: the capacity stays within twice
+            // the high water.
+            if self.nodes.len() == self.nodes.capacity() {
+                self.nodes.reserve_exact(self.nodes.len().max(1));
+            }
+            // A queue never holds 2^32 - 1 near entries.
+            i = self.nodes.len() as u32;
+            self.nodes.push(node);
+        }
+        let s = (tick_of(at) % NEAR_SLOTS) as usize;
+        if self.occ & (1 << s) == 0 {
+            self.head[s] = i;
+        } else {
+            self.nodes[self.tail[s] as usize].next = i;
+        }
+        self.tail[s] = i;
         self.occ |= 1 << s;
         self.in_near += 1;
     }
@@ -183,15 +229,23 @@ impl<E> EventQueue<E> {
     /// whenever the drain empties.
     fn refill(&mut self) {
         while self.drain.is_empty() && self.in_near + self.far.len() > 0 {
-            // 1. Drain the next occupied slot of the window; `append`
-            //    leaves the slot's capacity in place.
+            // 1. Drain the next occupied slot of the window (into the
+            //    empty drain, so it holds exactly the slot's entries),
+            //    then put its whole list on the free list.
             if let Some(tk) = self.next_near_in_window() {
                 self.cur = tk;
-                let s = tk % NEAR_SLOTS;
+                let s = (tk % NEAR_SLOTS) as usize;
                 self.occ &= !(1 << s);
-                let slot = &mut self.slots[s as usize];
-                self.in_near -= slot.len();
-                self.drain.append(slot);
+                let mut i = self.head[s];
+                while let Some(node) = self.nodes.get_mut(i as usize) {
+                    if let Some(e) = node.entry.take() {
+                        self.drain.push(e);
+                    }
+                    i = node.next;
+                }
+                self.nodes[self.tail[s] as usize].next = self.free;
+                self.free = self.head[s];
+                self.in_near -= self.drain.len();
                 continue;
             }
             // 2. Enter the next window — with the slots empty, the heap's
@@ -261,7 +315,8 @@ impl<E> EventQueue<E> {
     /// their exact sequence numbers (checkpointing). Which tier holds an
     /// entry depends on the queue's history; the sorted view does not.
     pub fn sorted_entries(&self) -> Vec<(Time, u64, &E)> {
-        let near = self.drain.iter().chain(self.slots.iter().flatten());
+        let slots = self.nodes.iter().filter_map(|n| n.entry.as_ref());
+        let near = self.drain.iter().chain(slots);
         let far = self.far.iter().map(|Far(t, s, e)| (*t, *s, e));
         let mut out: Vec<(Time, u64, &E)> = near.map(|(t, s, e)| (*t, *s, e)).chain(far).collect();
         out.sort_by_key(|&(t, seq, _)| (t, seq));
@@ -279,6 +334,14 @@ impl<E> EventQueue<E> {
     #[doc(hidden)]
     pub fn far_footprint(&self) -> (usize, usize) {
         (self.far.len(), self.far.capacity())
+    }
+
+    /// `(high water, capacity)` of the near tier's node store: the most
+    /// entries the slots held at once, and what the store allocated for
+    /// them — a memory probe for tests.
+    #[doc(hidden)]
+    pub fn near_footprint(&self) -> (usize, usize) {
+        (self.nodes.len(), self.nodes.capacity())
     }
 
     /// Number of pending events.
@@ -412,6 +475,30 @@ mod tests {
         q.schedule(far - Dur::from_nanos(1), 7);
         assert_eq!((q.pop().unwrap().1, q.pop().unwrap().1), (7, 8));
         assert_eq!(q.far_pushes(), 3);
+    }
+
+    #[test]
+    fn near_slots_share_one_node_store() {
+        // 40 events on each of the 64 slots in turn, behind one event due
+        // first (a queue that ran dry would re-base onto the burst's
+        // tick), never more than 41 pending: 64 per-slot buffers would
+        // each keep 40 entries, the one store keeps 40 in all.
+        let mut q = EventQueue::new();
+        for tick in 1..=256u64 {
+            q.schedule(Time(tick << TICK_SHIFT), 0);
+            for i in 1..=40 {
+                q.schedule(Time((tick + 5) << TICK_SHIFT), i);
+            }
+            for want in 0..=40 {
+                assert_eq!(q.pop().unwrap().1, want);
+            }
+        }
+        assert!(q.is_empty());
+        let (high_water, cap) = q.near_footprint();
+        assert!(
+            high_water == 40 && cap <= 2 * high_water,
+            "{high_water} / {cap}"
+        );
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Differential property test: the two-tier event queue (a 64-slot near
-//! wheel plus a far `BinaryHeap`) must pop in exactly the `(time, seq)`
+//! wheel on one node store plus a far `BinaryHeap`) must pop in exactly the `(time, seq)`
 //! order of a `BinaryHeap` reference model for arbitrary interleavings
 //! of schedules and pops — including same-instant bursts, exact tick
 //! boundaries, heap entries pulled in at a window edge onto ticks the
@@ -197,4 +197,53 @@ fn near_entries_past_window_end_merge_with_heap_entries_on_shared_ticks() {
             break;
         }
     }
+}
+
+/// Bursts of 200–400 events on one tick, drained with schedules onto
+/// other ticks interleaved, over and over: the order still matches the
+/// model, and the near tier's one node store recycles the drained nodes
+/// — its capacity stays within twice the most entries it held at once.
+#[test]
+fn same_tick_bursts_recycle_the_near_store() {
+    let mut rng = Rng::new(13);
+    let mut wheel: EventQueue<u64> = EventQueue::new();
+    let mut heap: HeapModel<u64> = HeapModel::default();
+    let mut now = Time::ZERO;
+    let mut payload = 0u64;
+    let mut live_high_water = 0;
+    for _ in 0..40 {
+        // One tick 2–60 ticks ahead takes the whole burst, behind an
+        // event due now (a queue that ran dry re-bases onto its next
+        // event's tick, and the burst would skip the slots).
+        wheel.schedule(now, payload);
+        heap.schedule(now, payload);
+        payload += 1;
+        let tick = (now.0 >> 20) + 2 + rng.below(59);
+        for _ in 0..200 + rng.below(201) {
+            let at = Time((tick << 20) + rng.below(TICK));
+            wheel.schedule(at, payload);
+            heap.schedule(at, payload);
+            payload += 1;
+        }
+        while heap.len() > 0 {
+            let a = wheel.pop();
+            assert_eq!(a, heap.pop());
+            now = a.map_or(now, |(t, _)| t);
+            if rng.chance(0.1) {
+                // A few stragglers onto other near ticks, each popped
+                // with the rest before the next burst.
+                let at = now + Dur::from_nanos(rng.below(50 * TICK));
+                wheel.schedule(at, payload);
+                heap.schedule(at, payload);
+                payload += 1;
+            }
+            live_high_water = live_high_water.max(heap.len());
+            assert_eq!(wheel.peek_time(), heap.peek_time());
+        }
+    }
+    let (high_water, cap) = wheel.near_footprint();
+    assert!(
+        (200..=live_high_water).contains(&high_water) && cap <= 2 * high_water,
+        "near store {high_water} / {cap}, live high water {live_high_water}"
+    );
 }
