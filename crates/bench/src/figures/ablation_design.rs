@@ -49,19 +49,20 @@ pub(super) fn run(threads: usize, out: &mut String) {
             ]
         }),
     ];
-    let results = run_avg_grid(threads, cases, &SEEDS, |(_, modify), seed| {
+    let results = run_grid(threads, cases, &SEEDS, |(_, modify), seed| {
         let mut oc = OutRanConfig::default();
         modify(&mut oc);
-        lte40(0.7, SchedulerKind::OutRan, seed).outran(oc)
+        lte40(0.7, SchedulerKind::OutRan, seed).outran(oc).run()
     });
-    for ((label, _), r) in results {
+    let mean = ExperimentReport::mean;
+    for ((label, _), runs) in results {
         t.row(&[
             label.to_string(),
-            f1(r.short_mean_ms),
-            f1(r.short_p95_ms),
-            f1(r.medium_mean_ms),
-            f1(r.long_mean_ms),
-            f1(r.overall_mean_ms),
+            f1(mean(&runs, |r| r.fct.short_mean_ms)),
+            f1(mean(&runs, |r| r.fct.short_p95_ms)),
+            f1(mean(&runs, |r| r.fct.medium_mean_ms)),
+            f1(mean(&runs, |r| r.fct.long_mean_ms)),
+            f1(mean(&runs, |r| r.fct.overall_mean_ms)),
         ]);
     }
     *out += &t.render();

@@ -36,20 +36,19 @@ pub(super) fn run(threads: usize, out: &mut String) {
         .iter()
         .flat_map(|&k| loads.iter().map(move |&l| (k, l)))
         .collect();
-    let results = run_avg_grid(threads, points, &SEEDS, |&(kind, load), seed| {
-        lte40(load, kind, seed).srjf_mode(outran_mac::SrjfMode::WinnerOnly)
+    let results = run_grid(threads, points, &SEEDS, |&(kind, load), seed| {
+        lte40(load, kind, seed).run()
     });
-    let mut it = results.into_iter();
-    for kind in KINDS {
+    let mean = ExperimentReport::mean;
+    for (kind, per_kind) in KINDS.iter().zip(results.chunks(loads.len())) {
         let mut rows: [Vec<String>; 4] = std::array::from_fn(|_| vec![kind.name().to_string()]);
         let mut health_sums = [0u64; 4];
-        for _ in &loads {
-            let (_, r) = it.next().expect("grid covers every (kind, load)");
-            rows[0].push(f1(r.overall_mean_ms));
-            rows[1].push(f1(r.short_p95_ms));
-            rows[2].push(f1(r.medium_mean_ms));
-            rows[3].push(f1(r.long_mean_ms));
-            for run in &r.runs {
+        for (_, runs) in per_kind {
+            rows[0].push(f1(mean(runs, |r| r.fct.overall_mean_ms)));
+            rows[1].push(f1(mean(runs, |r| r.fct.short_p95_ms)));
+            rows[2].push(f1(mean(runs, |r| r.fct.medium_mean_ms)));
+            rows[3].push(f1(mean(runs, |r| r.fct.long_mean_ms)));
+            for run in runs {
                 health_sums[0] += run.buffer_drops;
                 health_sums[1] += run.residual_losses;
                 health_sums[2] += run.fault_stats.total_events();

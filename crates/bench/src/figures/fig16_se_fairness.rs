@@ -18,15 +18,15 @@ pub(super) fn run(threads: usize, out: &mut String) {
     .iter()
     .flat_map(|&k| [0.4, 0.6, 0.8].map(|l| (k, l)))
     .collect();
-    let results = run_avg_grid(threads, points, &SEEDS, |&(kind, load), seed| {
-        lte40(load, kind, seed).srjf_mode(outran_mac::SrjfMode::WinnerOnly)
+    let results = run_grid(threads, points, &SEEDS, |&(kind, load), seed| {
+        lte40(load, kind, seed).run()
     });
-    for ((kind, load), r) in results {
+    for ((kind, load), runs) in results {
         t.row(&[
             kind.name().to_string(),
             format!("{load:.1}"),
-            f2(r.spectral_efficiency),
-            f3(r.fairness),
+            f2(ExperimentReport::mean(&runs, |r| r.spectral_efficiency)),
+            f3(ExperimentReport::mean(&runs, |r| r.fairness)),
         ]);
     }
     *out += &t.render();

@@ -19,7 +19,7 @@ pub(super) fn run(threads: usize, out: &mut String) {
             }
         }
     }
-    let results = run_avg_grid(
+    let results = run_grid(
         threads,
         points,
         &seeds,
@@ -30,8 +30,10 @@ pub(super) fn run(threads: usize, out: &mut String) {
                 .cn_delay(Dur::from_millis(prop_ms))
                 .scheduler(kind)
                 .seed(seed)
+                .run()
         },
     );
+    let mean = ExperimentReport::mean;
     // One table per (server, load): 4 numerologies x 2 schedulers.
     for block in results.chunks(8) {
         let (server, prop_ms, load, ..) = block[0].0;
@@ -49,14 +51,14 @@ pub(super) fn run(threads: usize, out: &mut String) {
                 "S p95 FCT(ms)",
             ],
         );
-        for ((_, _, _, mu, kind), r) in block {
+        for ((_, _, _, mu, kind), runs) in block {
             t.row(&[
                 format!("{} / {}", mu, 1000 >> mu),
                 kind.name().to_string(),
-                f1(r.mean_rtt_ms),
-                f1(r.mean_qdelay_ms),
-                f1(r.short_qdelay_ms),
-                f1(r.short_p95_ms),
+                f1(mean(runs, |r| r.mean_rtt_ms)),
+                f1(mean(runs, |r| r.mean_qdelay_ms)),
+                f1(mean(runs, |r| r.short_qdelay_ms)),
+                f1(mean(runs, |r| r.fct.short_p95_ms)),
             ]);
         }
         *out += &t.render();

@@ -17,12 +17,14 @@ pub(super) fn run(threads: usize, out: &mut String) {
         ("100s", Some(Dur::from_secs(100))),
         ("MT", None),
     ];
-    let results = run_avg_grid(threads, points, &SEEDS, |&(_, tf), seed| match tf {
-        Some(tf) => lte40(0.6, SchedulerKind::Pf, seed).fairness_window(tf),
-        None => lte40(0.6, SchedulerKind::Mt, seed),
+    let results = run_grid(threads, points, &SEEDS, |&(_, tf), seed| match tf {
+        Some(tf) => lte40(0.6, SchedulerKind::Pf, seed).fairness_window(tf).run(),
+        None => lte40(0.6, SchedulerKind::Mt, seed).run(),
     });
-    for ((label, _), r) in results {
-        t.row(&[label.into(), f2(r.spectral_efficiency), f3(r.fairness)]);
+    let mean = ExperimentReport::mean;
+    for ((label, _), runs) in results {
+        let (se, fairness) = (mean(&runs, |r| r.spectral_efficiency), mean(&runs, |r| r.fairness));
+        t.row(&[label.into(), f2(se), f3(fairness)]);
     }
     *out += &t.render();
     *out += "\npaper: fairness decreases monotonically from the 10 ms (RR-like)\n\

@@ -33,21 +33,23 @@ pub(super) fn run(threads: usize, out: &mut String) {
         .iter()
         .flat_map(|&(_, tf, kinds)| kinds.map(|kind| (tf, kind)))
         .collect();
-    let results = run_avg_grid(threads, points, &SEEDS, |&(tf, kind), seed| {
+    let results = run_grid(threads, points, &SEEDS, |&(tf, kind), seed| {
         let e = lte40(0.6, kind, seed);
         match tf {
             Some(tf) => e.fairness_window(tf),
             None => e,
         }
+        .run()
     });
-    for ((label, ..), runs) in cases.iter().zip(results.chunks(3)) {
-        let base = runs[0].1.overall_mean_ms;
+    let overall = |runs: &[ExperimentReport]| ExperimentReport::mean(runs, |r| r.fct.overall_mean_ms);
+    for ((label, ..), per_case) in cases.iter().zip(results.chunks(3)) {
+        let base = overall(&per_case[0].1);
         t.row(&[
             label.to_string(),
             f2(base),
             f2(1.0),
-            f2(runs[1].1.overall_mean_ms / base),
-            f2(runs[2].1.overall_mean_ms / base),
+            f2(overall(&per_case[1].1) / base),
+            f2(overall(&per_case[2].1) / base),
         ]);
     }
     *out += &t.render();

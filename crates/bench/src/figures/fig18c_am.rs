@@ -13,29 +13,24 @@ pub(super) fn run(threads: usize, out: &mut String) {
             [SchedulerKind::Pf, SchedulerKind::OutRan].map(|kind| (mode, mlabel, kind))
         })
         .collect();
-    let results = run_avg_grid(threads, points, &SEEDS, |&(mode, _, kind), seed| {
-        lte40(0.6, kind, seed).rlc_mode(mode)
+    let results = run_grid(threads, points, &SEEDS, |&(mode, _, kind), seed| {
+        lte40(0.6, kind, seed).rlc_mode(mode).run()
     });
     *out += "Fig 18(c): short-flow FCT tail CDFs, RLC UM vs AM\n\n";
-    let mut summary = Vec::new();
-    for ((_, mlabel, kind), mut r) in results {
-        let tail = fct_cdf_tail(&mut r, SizeBucket::Short);
+    let mut summary = format!(
+        "\nsummary:\n  {:<12} {:>10} {:>10} {:>12}\n",
+        "config", "S avg(ms)", "S p95(ms)", "overall(ms)"
+    );
+    for ((_, mlabel, kind), mut runs) in results {
+        let tail = fct_cdf_tail(&mut runs, SizeBucket::Short);
         let label = format!("{mlabel}+{}", kind.name());
         *out += &render_series(&format!("{label} short FCT (ms) CDF tail"), &tail, 10);
-        summary.push((label, r.short_mean_ms, r.short_p95_ms, r.overall_mean_ms));
+        let avg = f1(ExperimentReport::mean(&runs, |r| r.fct.short_mean_ms));
+        let p95 = f1(ExperimentReport::mean(&runs, |r| r.fct.short_p95_ms));
+        let overall = f1(ExperimentReport::mean(&runs, |r| r.fct.overall_mean_ms));
+        summary += &format!("  {label:<12} {avg:>10} {p95:>10} {overall:>12}\n");
     }
-    *out += "\nsummary:\n";
-    *out += &format!(
-        "  {:<12} {:>10} {:>10} {:>12}\n",
-        "config",
-        "S avg(ms)",
-        "S p95(ms)",
-        "overall(ms)"
-    );
-    for (label, avg, p95, overall) in summary {
-        let (avg, p95, overall) = (f1(avg), f1(p95), f1(overall));
-        *out += &format!("  {label:<12} {avg:>10} {p95:>10} {overall:>12}\n");
-    }
+    *out += &summary;
     *out += "\npaper: AM+PF is the worst tail; AM+OutRAN beats even UM+PF;\n\
          UM+OutRAN is best overall (avg FCT −30 % vs PF in AM mode)\n";
 }

@@ -53,8 +53,7 @@ fn run_seed(kind: SchedulerKind, reset: Option<Dur>, seed: u64) -> (f64, f64) {
 }
 
 pub(super) fn run(threads: usize, out: &mut String) {
-    let seeds = [11u64, 23, 47];
-    let cases = [
+    let cases = vec![
         ("PF", SchedulerKind::Pf, None),
         ("none", SchedulerKind::OutRan, None),
         ("10s", SchedulerKind::OutRan, Some(Dur::from_secs(10))),
@@ -63,20 +62,14 @@ pub(super) fn run(threads: usize, out: &mut String) {
         ("0.2s", SchedulerKind::OutRan, Some(Dur::from_millis(200))),
         ("0.1s", SchedulerKind::OutRan, Some(Dur::from_millis(100))),
     ];
-    // Not `Experiment`s (the incast arrivals are built here), so not a
-    // `run_avg_grid`: one job per (case, seed), averaged in seed order.
-    let jobs = cases
-        .iter()
-        .flat_map(|&(_, kind, reset)| seeds.map(|seed| (kind, reset, seed)))
-        .collect();
-    let runs = parallel_map(threads, jobs, |(kind, reset, seed)| {
+    let results = run_grid(threads, cases, &SEEDS, |&(_, kind, reset), seed| {
         run_seed(kind, reset, seed)
     });
-    let mut avgs = runs.chunks(seeds.len()).map(|per_seed| {
+    let mut avgs = results.iter().map(|(_, per_seed)| {
         let (s, l) = per_seed
             .iter()
             .fold((0.0, 0.0), |(s, l), &(a, b)| (s + a, l + b));
-        (s / seeds.len() as f64, l / seeds.len() as f64)
+        (s / SEEDS.len() as f64, l / SEEDS.len() as f64)
     });
     let (pf_s, pf_l) = avgs.next().expect("PF is the first case");
     let mut t = Table::new(
@@ -84,7 +77,7 @@ pub(super) fn run(threads: usize, out: &mut String) {
         &["reset period S", "short avg (norm)", "long avg (norm)"],
     );
     t.row(&["PF".into(), f2(1.0), f2(1.0)]);
-    for ((label, ..), (s, l)) in cases[1..].iter().zip(avgs) {
+    for (((label, ..), _), (s, l)) in results[1..].iter().zip(avgs) {
         t.row(&[format!("OutRAN {label}"), f2(s / pf_s), f2(l / pf_l)]);
     }
     *out += &t.render();

@@ -21,24 +21,26 @@ pub(super) fn run(threads: usize, out: &mut String) {
     .iter()
     .flat_map(|&kind| [0.4, 0.5, 0.6, 0.7, 0.8].map(|load| (kind, load)))
     .collect();
-    let results = run_avg_grid(threads, points, &SEEDS, |&(kind, load), seed| {
+    let results = run_grid(threads, points, &SEEDS, |&(kind, load), seed| {
         Experiment::nr_default(1)
             .load(load)
             .duration_secs(8)
             .scheduler(kind)
             .seed(seed)
+            .run()
     });
+    let mean = ExperimentReport::mean;
     for per_kind in results.chunks(5) {
         let kind = per_kind[0].0 .0;
         let mut row = vec![kind.name().to_string()];
-        for ((_, load), r) in per_kind {
-            row.push(f1(r.overall_mean_ms));
+        for ((_, load), runs) in per_kind {
+            row.push(f1(mean(runs, |r| r.fct.overall_mean_ms)));
             if (load - 0.4).abs() < 1e-9 || (load - 0.6).abs() < 1e-9 || (load - 0.8).abs() < 1e-9 {
                 sf.row(&[
                     kind.name().to_string(),
                     format!("{load:.1}"),
-                    f2(r.spectral_efficiency),
-                    f3(r.fairness),
+                    f2(mean(runs, |r| r.spectral_efficiency)),
+                    f3(mean(runs, |r| r.fairness)),
                 ]);
             }
         }

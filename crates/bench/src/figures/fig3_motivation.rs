@@ -15,12 +15,12 @@ pub(super) fn run(threads: usize, out: &mut String) {
         (SchedulerKind::Pf, "PF", "x1", 128),
         (SchedulerKind::Pf, "PF", "x5", 640),
     ];
-    let grid = run_avg_grid(threads, points, &SEEDS, |&(kind, _, _, buffer), seed| {
-        lte40(0.6, kind, seed)
-            .srjf_mode(outran_mac::SrjfMode::WinnerOnly)
-            .buffer_sdus(buffer)
+    let grid = run_grid(threads, points, &SEEDS, |&(kind, _, _, buffer), seed| {
+        lte40(0.6, kind, seed).buffer_sdus(buffer).run()
     });
     let (srjf, pf) = (&grid[0].1, &grid[2].1);
+    let short = |runs: &[ExperimentReport]| ExperimentReport::mean(runs, |r| r.fct.short_mean_ms);
+    let p99 = |runs: &[ExperimentReport]| ExperimentReport::mean(runs, |r| r.fct.short_p99_ms);
 
     *out += "Figure 3(a): SRJF vs PF, short-flow FCT (normalized to PF)\n\n";
     let mut t = Table::new(
@@ -33,13 +33,13 @@ pub(super) fn run(threads: usize, out: &mut String) {
             "S p99 (ms)",
         ],
     );
-    for r in [srjf, pf] {
+    for runs in [srjf, pf] {
         t.row(&[
-            r.scheduler.clone(),
-            f2(r.short_mean_ms / pf.short_mean_ms),
-            f2(r.short_p99_ms / pf.short_p99_ms),
-            f2(r.short_mean_ms),
-            f2(r.short_p99_ms),
+            runs[0].scheduler.clone(),
+            f2(short(runs) / short(pf)),
+            f2(p99(runs) / p99(pf)),
+            f2(short(runs)),
+            f2(p99(runs)),
         ]);
     }
     *out += &t.render();
@@ -50,12 +50,12 @@ pub(super) fn run(threads: usize, out: &mut String) {
         "Fig 3(b) buffer scaling",
         &["scheduler", "buffer", "S avg (norm)", "S avg (ms)"],
     );
-    for ((_, label, mult, _), r) in &grid {
+    for ((_, label, mult, _), runs) in &grid {
         t2.row(&[
             label.to_string(),
             mult.to_string(),
-            f2(r.short_mean_ms / pf.short_mean_ms),
-            f2(r.short_mean_ms),
+            f2(short(runs) / short(pf)),
+            f2(short(runs)),
         ]);
     }
     *out += &t2.render();

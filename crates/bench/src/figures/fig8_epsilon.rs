@@ -21,16 +21,17 @@ pub(super) fn run(threads: usize, out: &mut String) {
         .map(|&eps| (format!("{eps:.1}"), SchedulerKind::OutRanEps(eps)))
         .collect();
     points.push(("PF".into(), SchedulerKind::Pf));
-    let results = run_avg_grid(threads, points, &SEEDS, |(_, kind), seed| {
-        lte40(0.6, *kind, seed)
+    let results = run_grid(threads, points, &SEEDS, |(_, kind), seed| {
+        lte40(0.6, *kind, seed).run()
     });
-    for ((label, _), r) in results {
+    let mean = ExperimentReport::mean;
+    for ((label, _), runs) in results {
         t.row(&[
             label,
-            f2(r.spectral_efficiency),
-            f3(r.fairness),
-            f1(r.short_mean_ms),
-            f1(r.short_p95_ms),
+            f2(mean(&runs, |r| r.spectral_efficiency)),
+            f3(mean(&runs, |r| r.fairness)),
+            f1(mean(&runs, |r| r.fct.short_mean_ms)),
+            f1(mean(&runs, |r| r.fct.short_p95_ms)),
         ]);
     }
     *out += &t.render();

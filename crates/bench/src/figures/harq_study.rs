@@ -29,24 +29,26 @@ pub(super) fn run(threads: usize, out: &mut String) {
             [SchedulerKind::Pf, SchedulerKind::OutRan].map(|kind| (label, harq, kind))
         })
         .collect();
-    let results = run_avg_grid(threads, points, &SEEDS, |&(_, harq, kind), seed| {
-        lte40(0.6, kind, seed).harq(harq)
+    let results = run_grid(threads, points, &SEEDS, |&(_, harq, kind), seed| {
+        lte40(0.6, kind, seed).harq(harq).run()
     });
+    let mean = ExperimentReport::mean;
+    let p95 = |runs: &[ExperimentReport]| mean(runs, |r| r.fct.short_p95_ms);
     let mut ratios = String::new();
     for per_model in results.chunks(2) {
         let label = per_model[0].0 .0;
-        for ((_, _, kind), r) in per_model {
+        for ((_, _, kind), runs) in per_model {
             t.row(&[
                 label.into(),
                 kind.name().to_string(),
-                f1(r.short_mean_ms),
-                f1(r.short_p95_ms),
-                f1(r.overall_mean_ms),
-                f2(r.spectral_efficiency),
-                f3(r.fairness),
+                f1(mean(runs, |r| r.fct.short_mean_ms)),
+                f1(p95(runs)),
+                f1(mean(runs, |r| r.fct.overall_mean_ms)),
+                f2(mean(runs, |r| r.spectral_efficiency)),
+                f3(mean(runs, |r| r.fairness)),
             ]);
         }
-        let ratio = per_model[1].1.short_p95_ms / per_model[0].1.short_p95_ms;
+        let ratio = p95(&per_model[1].1) / p95(&per_model[0].1);
         ratios += &format!("  {label:<9} {ratio:.2}\n");
     }
     *out += &t.render();

@@ -5,16 +5,18 @@
 //! byte equality. Host timings go to stderr.
 
 // The vocabulary the figures share; each starts `use super::*`.
-use crate::{fct_cdf_tail, run_avg_grid, SEEDS};
+use crate::{fct_cdf_tail, run_grid, SEEDS};
 use outran_metrics::table::{f1, f2, f3, render_series};
 use outran_metrics::{SizeBucket, Table};
-use outran_ran::{parallel_map, Experiment, SchedulerKind};
+use outran_ran::{parallel_map, Experiment, ExperimentReport, SchedulerKind};
 use outran_simcore::Dur;
 
-/// The LTE cell most figures run (§6.2): 40 UEs, 20 s of arrivals.
-fn lte40(load: f64, kind: SchedulerKind, seed: u64) -> Experiment {
+/// The LTE cell most figures (and the claims test) run (§6.2): 40 UEs,
+/// 20 s of arrivals, SRJF as the paper's winner-takes-all grant.
+pub fn lte40(load: f64, kind: SchedulerKind, seed: u64) -> Experiment {
     Experiment::lte_default()
         .users(40)
+        .srjf_mode(outran_mac::SrjfMode::WinnerOnly)
         .load(load)
         .duration_secs(20)
         .scheduler(kind)

@@ -90,16 +90,6 @@ impl FctCollector {
             Some(SizeBucket::Long) => self.long.cdf_points(max_points),
         }
     }
-
-    /// Percentile of a bucket (ms).
-    pub fn percentile(&mut self, bucket: Option<SizeBucket>, p: f64) -> f64 {
-        match bucket {
-            None => self.all.percentile(p),
-            Some(SizeBucket::Short) => self.short.percentile(p),
-            Some(SizeBucket::Medium) => self.medium.percentile(p),
-            Some(SizeBucket::Long) => self.long.percentile(p),
-        }
-    }
 }
 
 /// The summary a bench binary prints as one table row.
@@ -121,13 +111,6 @@ pub struct FctReport {
     pub medium_mean_ms: f64,
     /// Mean FCT of long flows (ms) — Fig 15(d).
     pub long_mean_ms: f64,
-}
-
-impl FctReport {
-    /// Short-flow mean (convenience used in docs/examples).
-    pub fn short_mean_ms(&self) -> f64 {
-        self.short_mean_ms
-    }
 }
 
 outran_simcore::snap_fields! { FctCollector { all, short, medium, long } }
@@ -176,7 +159,7 @@ mod tests {
         for i in 1..=100u64 {
             c.record(1_000, Dur::from_millis(i));
         }
-        assert!((c.percentile(Some(SizeBucket::Short), 95.0) - 95.05).abs() < 0.1);
+        assert!((c.report().short_p95_ms - 95.05).abs() < 0.1);
         let cdf = c.cdf(Some(SizeBucket::Short), 10);
         assert!(cdf.len() >= 10);
         assert_eq!(cdf.last().unwrap().1, 1.0);

@@ -37,7 +37,7 @@
 //!     .scheduler(SchedulerKind::OutRan)
 //!     .seed(7)
 //!     .run();
-//! println!("short-flow mean FCT: {:.1} ms", report.fct.short_mean_ms());
+//! println!("short-flow mean FCT: {:.1} ms", report.fct.short_mean_ms);
 //! ```
 
 #![warn(clippy::unwrap_used, clippy::expect_used)]
