@@ -21,8 +21,8 @@ pub(super) fn run(threads: usize, out: &mut String) {
         "\nsummary:\n  {:<12} {:>10} {:>10} {:>12}\n",
         "config", "S avg(ms)", "S p95(ms)", "overall(ms)"
     );
-    for ((_, mlabel, kind), mut runs) in results {
-        let tail = fct_cdf_tail(&mut runs, SizeBucket::Short);
+    for ((_, mlabel, kind), runs) in results {
+        let tail = fct_cdf_tail(&runs, SizeBucket::Short);
         let label = format!("{mlabel}+{}", kind.name());
         *out += &render_series(&format!("{label} short FCT (ms) CDF tail"), &tail, 10);
         let avg = f1(ExperimentReport::mean(&runs, |r| r.fct.short_mean_ms));

@@ -12,7 +12,7 @@ pub(super) fn run(threads: usize, out: &mut String) {
         ("StrictMLFQ", SchedulerKind::StrictMlfq),
         ("OutRAN(e=0)", SchedulerKind::OutRanEps(0.0)),
     ];
-    let mut grid = run_grid(threads, points, &SEEDS, |&(_, kind), seed| {
+    let grid = run_grid(threads, points, &SEEDS, |&(_, kind), seed| {
         lte40(0.6, kind, seed).run()
     });
     let [pf, outran, strict, intra] = [0, 1, 2, 3].map(|i| &grid[i].1);
@@ -48,7 +48,7 @@ pub(super) fn run(threads: usize, out: &mut String) {
         .map(|runs| f1(ExperimentReport::mean(runs, |r| r.fct.short_p95_ms)));
 
     *out += "Figure 7(c): FCT distributions (tail region)\n\n";
-    for ((label, _), runs) in &mut grid {
+    for ((label, _), runs) in &grid {
         for (bucket, name, rows) in [
             (SizeBucket::Short, "short", 10),
             (SizeBucket::Long, "long", 6),

@@ -46,12 +46,10 @@ pub fn run_grid<T: Send + Sync, R: Send>(
 }
 
 /// The tail (p >= 0.9) of one bucket's FCT CDF, pooled over the seeds.
-pub fn fct_cdf_tail(runs: &mut [ExperimentReport], bucket: SizeBucket) -> Vec<(f64, f64)> {
+pub fn fct_cdf_tail(runs: &[ExperimentReport], bucket: SizeBucket) -> Vec<(f64, f64)> {
     let mut all = outran_simcore::Percentiles::new();
-    for run in runs {
-        for &(v, _) in &run.fct_collector.cdf(Some(bucket), usize::MAX) {
-            all.push(v);
-        }
+    for v in runs.iter().flat_map(|run| run.fcts(Some(bucket))) {
+        all.push(v);
     }
     let mut cdf = all.cdf_points(400);
     cdf.retain(|&(_, p)| p >= 0.9);

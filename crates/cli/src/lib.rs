@@ -960,7 +960,9 @@ fn finish_report(o: &Opts, r: &mut ExperimentReport) -> Result<(), String> {
             CdfSel::Long => Some(SizeBucket::Long),
             CdfSel::All => None,
         };
-        let pts = r.fct_collector.cdf(bucket, 40);
+        let mut fcts = outran_simcore::Percentiles::new();
+        r.fcts(bucket).for_each(|v| fcts.push(v));
+        let pts = fcts.cdf_points(40);
         outran_metrics::table::print_series("FCT (ms) CDF", &pts, 40);
     }
     Ok(())

@@ -30,9 +30,13 @@ pub struct ByteLedger {
 }
 
 impl ByteLedger {
-    /// Signed conservation error (0 when the ledger balances).
+    /// Signed conservation error (0 when the ledger balances), clamped
+    /// to `i64`: a term restored near `u64::MAX` reads as a huge
+    /// imbalance, not an overflow.
     pub fn imbalance(&self) -> i64 {
-        self.injected as i64 - (self.delivered + self.dropped + self.in_flight) as i64
+        let out = self.delivered as i128 + self.dropped as i128 + self.in_flight as i128;
+        let imbalance = self.injected as i128 - out;
+        imbalance.clamp(i64::MIN.into(), i64::MAX.into()) as i64
     }
 }
 
@@ -170,7 +174,7 @@ impl InvariantAuditor {
             }
         }
         self.last_clock = Some(now);
-        self.ttis_seen += 1;
+        self.ttis_seen = self.ttis_seen.saturating_add(1);
     }
 
     /// Observe one TTI's RB usage (cheap, called every TTI).
@@ -234,7 +238,7 @@ impl InvariantAuditor {
 
     /// Run the full snapshot check (periodically and at end-of-run).
     pub fn check(&mut self, now: Time, snap: &AuditSnapshot) {
-        self.checks_run += 1;
+        self.checks_run = self.checks_run.saturating_add(1);
         if let Some(ledger) = snap.bytes {
             if ledger.imbalance() != 0 {
                 self.record(now, ViolationKind::ByteConservation { ledger });

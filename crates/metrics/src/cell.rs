@@ -63,9 +63,9 @@ impl CellMetrics {
     pub fn on_tti(&mut self, delivered_bits_per_ue: &[f64], had_data: &[bool]) {
         let total: f64 = delivered_bits_per_ue.iter().sum();
         self.total_bits += total;
-        self.total_ttis += 1;
+        self.total_ttis = self.total_ttis.saturating_add(1);
         self.bits_in_window += total;
-        self.tti_in_window += 1;
+        self.tti_in_window = self.tti_in_window.saturating_add(1);
         for (u, &b) in delivered_bits_per_ue.iter().enumerate() {
             self.window_ue_bits[u] += b;
             if had_data.get(u).copied().unwrap_or(false) {
@@ -108,7 +108,7 @@ impl CellMetrics {
     /// event-driven cell loops call this for idle TTIs, so the two modes
     /// book identical metrics.
     pub fn note_idle_ttis(&mut self, k: u64) {
-        self.total_ttis += k;
+        self.total_ttis = self.total_ttis.saturating_add(k);
     }
 
     /// Record the RLC-buffer sojourn of one delivered SDU.

@@ -80,16 +80,6 @@ impl FctCollector {
             long_mean_ms: self.long.mean(),
         }
     }
-
-    /// CDF points of a bucket's FCT (ms), for figure-style output.
-    pub fn cdf(&mut self, bucket: Option<SizeBucket>, max_points: usize) -> Vec<(f64, f64)> {
-        match bucket {
-            None => self.all.cdf_points(max_points),
-            Some(SizeBucket::Short) => self.short.cdf_points(max_points),
-            Some(SizeBucket::Medium) => self.medium.cdf_points(max_points),
-            Some(SizeBucket::Long) => self.long.cdf_points(max_points),
-        }
-    }
 }
 
 /// The summary a bench binary prints as one table row.
@@ -160,8 +150,5 @@ mod tests {
             c.record(1_000, Dur::from_millis(i));
         }
         assert!((c.report().short_p95_ms - 95.05).abs() < 0.1);
-        let cdf = c.cdf(Some(SizeBucket::Short), 10);
-        assert!(cdf.len() >= 10);
-        assert_eq!(cdf.last().unwrap().1, 1.0);
     }
 }

@@ -1162,14 +1162,16 @@ fn rate_lut(cfg: &ChannelConfig) -> [f64; 16] {
     lut
 }
 
-use outran_simcore::snap::{LoadSnap, Snap, SnapError, SnapReader, SnapWriter};
+use outran_simcore::snap::{
+    check_counter, LoadSnap, Snap, SnapError, SnapReader, SnapWriter, COUNTER_MAX,
+};
 
 /// Irregular: a lagging slot is written as if caught up (a copy of the
 /// channel is synced when the caller did not sync the original), and a
 /// restored channel starts with every slot at the restored TTI index —
 /// the lag state never travels. The structure-of-arrays planes go to the
-/// wire as they are, each refused unless its length is the constructed
-/// one. The configuration, the derived layout (`n_subbands`,
+/// wire as they are, each under its own field name in a trace and
+/// refused unless its length is the constructed one. The configuration, the derived layout (`n_subbands`,
 /// `rbs_per_subband`, the rate table) and the cached large-scale terms
 /// never travel either: the channel is constructed from the run
 /// configuration first, and the caches are rebuilt from the restored
@@ -1181,31 +1183,31 @@ impl Snap for CellChannel {
             caught_up.sync_all();
             return caught_up.snap(w);
         }
-        self.walkers.snap(w);
-        self.fade_sb_re.snap(w);
-        self.fade_sb_im.snap(w);
-        self.fade_wb_re.snap(w);
-        self.fade_wb_im.snap(w);
-        self.fade_rho.snap(w);
-        self.fade_flatness.snap(w);
-        self.fade_rng.snap(w);
-        self.shadow_db.snap(w);
-        self.reported.snap(w);
-        self.reported_rev.snap(w);
-        self.pending.snap(w);
-        self.pending_fresh.snap(w);
-        self.pending_due.snap(w);
-        self.next_report_at.snap(w);
-        self.ue_rng.snap(w);
-        self.tti_index.snap(w);
-        self.dist_since_shadow.snap(w);
-        self.cqi_frozen.snap(w);
-        self.cqi_corrupt.snap(w);
-        self.cqi_frozen_reports.snap(w);
-        self.cqi_corrupted_reports.snap(w);
+        w.field("walkers", &self.walkers);
+        w.field("fade_sb_re", &self.fade_sb_re);
+        w.field("fade_sb_im", &self.fade_sb_im);
+        w.field("fade_wb_re", &self.fade_wb_re);
+        w.field("fade_wb_im", &self.fade_wb_im);
+        w.field("fade_rho", &self.fade_rho);
+        w.field("fade_flatness", &self.fade_flatness);
+        w.field("fade_rng", &self.fade_rng);
+        w.field("shadow_db", &self.shadow_db);
+        w.field("reported", &self.reported);
+        w.field("reported_rev", &self.reported_rev);
+        w.field("pending", &self.pending);
+        w.field("pending_fresh", &self.pending_fresh);
+        w.field("pending_due", &self.pending_due);
+        w.field("next_report_at", &self.next_report_at);
+        w.field("ue_rng", &self.ue_rng);
+        w.field("tti_index", &self.tti_index);
+        w.field("dist_since_shadow", &self.dist_since_shadow);
+        w.field("cqi_frozen", &self.cqi_frozen);
+        w.field("cqi_corrupt", &self.cqi_corrupt);
+        w.field("cqi_frozen_reports", &self.cqi_frozen_reports);
+        w.field("cqi_corrupted_reports", &self.cqi_corrupted_reports);
         // Network-coupling planes (noise-only / zero in an isolated cell).
-        self.iplusn_dbm.snap(w);
-        self.ext_dist_m.snap(w);
+        w.field("iplusn_dbm", &self.iplusn_dbm);
+        w.field("ext_dist_m", &self.ext_dist_m);
     }
 }
 
@@ -1223,11 +1225,24 @@ impl LoadSnap for CellChannel {
         r.fixed(&mut self.reported)?;
         r.fixed(&mut self.reported_rev)?;
         r.fixed(&mut self.pending)?;
+        // A report indexes the rate table: 4 bits, 0..=15.
+        if self
+            .reported
+            .iter()
+            .chain(&self.pending)
+            .any(|c| *c > Cqi::MAX)
+        {
+            return Err(SnapError::Malformed("restored CQI above 15"));
+        }
+        if self.reported_rev.iter().any(|&rev| rev > COUNTER_MAX) {
+            return Err(SnapError::Malformed("CQI report version past 2^62"));
+        }
         r.fixed(&mut self.pending_fresh)?;
         r.fixed(&mut self.pending_due)?;
         r.fixed(&mut self.next_report_at)?;
         r.fixed(&mut self.ue_rng)?;
         self.tti_index = r.get()?;
+        check_counter(self.tti_index, "channel TTI index past 2^62")?;
         r.fixed(&mut self.dist_since_shadow)?;
         r.fixed(&mut self.cqi_frozen)?;
         r.fixed(&mut self.cqi_corrupt)?;

@@ -142,6 +142,11 @@ impl<T> HarqQueue<T> {
         self.pending.is_empty()
     }
 
+    /// The blocks awaiting retransmission, in due order.
+    pub fn iter(&self) -> impl Iterator<Item = &HarqTb<T>> {
+        self.pending.iter().map(|(_, tb)| tb)
+    }
+
     /// Drop every pending block (RLC re-establishment / radio-link
     /// failure). Returns the payloads so the caller can account the
     /// lost bytes.

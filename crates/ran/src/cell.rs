@@ -34,7 +34,7 @@ use outran_metrics::CellMetrics;
 use outran_pdcp::FiveTuple;
 use outran_rlc::am::AmPdu;
 use outran_rlc::sdu::RlcSegment;
-use outran_simcore::snap::SnapError;
+use outran_simcore::snap::{check_counter, SnapError};
 use outran_simcore::snap_fields;
 use outran_simcore::{Dur, PoolStats, Rng, Time, VecPool};
 
@@ -361,7 +361,7 @@ impl Cell {
         );
         let k = to.since(self.now).as_nanos() / self.tti.as_nanos();
         self.now = to;
-        self.skipped_ttis += k;
+        self.skipped_ttis = self.skipped_ttis.saturating_add(k);
         self.idle_accrue(k);
     }
 
@@ -370,7 +370,7 @@ impl Cell {
     /// Yields the same state whether called once per idle TTI (dense)
     /// or once per skipped span (event-driven).
     fn idle_accrue(&mut self, k: u64) {
-        self.idle_ttis += k;
+        self.idle_ttis = self.idle_ttis.saturating_add(k);
         self.pending_idle += k;
         self.metrics.note_idle_ttis(k);
         self.hk.idle_reset_catch_up(self.now, &mut self.ues);
@@ -443,7 +443,7 @@ impl Cell {
         );
         let (used_rbs, total_rbs) = self.mac.allocate(now);
         self.hk.observe_rbs(now, used_rbs, total_rbs);
-        self.used_rbs_cum += used_rbs as u64;
+        self.used_rbs_cum = self.used_rbs_cum.saturating_add(used_rbs as u64);
         self.observer.exit(StageId::MacSched);
 
         if self.mac.active_ues().is_empty() {
@@ -548,19 +548,28 @@ impl Cell {
                     RlcRx::Um(um) => (um.held_bytes(), um.discarded_bytes),
                     RlcRx::Am(_) => (0, 0),
                 })
-                .fold((0u64, 0u64), |a, b| (a.0 + b.0, a.1 + b.1));
-            let dropped = self.ingress.dropped_bytes()
-                + self.rlc_down.dropped_bytes()
-                + self.phy.dropped_bytes()
-                + self.hk.dropped_bytes();
+                .fold((0u64, 0u64), |a, b| {
+                    (a.0.saturating_add(b.0), a.1.saturating_add(b.1))
+                });
+            // Saturating: a counter restored near `u64::MAX` unbalances
+            // the ledger, which the audit reports, instead of wrapping.
+            let sum = |terms: [u64; 4]| terms.into_iter().fold(0u64, u64::saturating_add);
+            let dropped = sum([
+                self.ingress.dropped_bytes(),
+                self.rlc_down.dropped_bytes(),
+                self.phy.dropped_bytes(),
+                self.hk.dropped_bytes(),
+            ]);
             ByteLedger {
                 injected: self.ingress.injected_bytes(),
                 delivered: self.delivery.delivered_bytes(),
-                dropped: dropped + discarded,
-                in_flight: self.ingress.cn_in_flight_bytes()
-                    + queued
-                    + self.phy.harq_held_bytes()
-                    + held,
+                dropped: dropped.saturating_add(discarded),
+                in_flight: sum([
+                    self.ingress.cn_in_flight_bytes(),
+                    queued,
+                    self.phy.harq_held_bytes(),
+                    held,
+                ]),
             }
         });
         AuditSnapshot {
@@ -883,24 +892,31 @@ impl Cell {
         &mut self.hk
     }
 
-    /// Where the ingress flow table's and event queue's bytes lie inside
-    /// this cell's snapshot section (the layout below, up to `ingress`).
-    #[cfg(test)]
-    pub(crate) fn ingress_snap_spans(&self) -> [std::ops::Range<usize>; 2] {
-        use outran_simcore::snap::{Snap, SnapWriter};
-        let mut w = SnapWriter::new();
-        self.now.snap(&mut w);
-        self.ues.snap(&mut w);
-        self.ingress.snap_spans(&mut w)
-    }
-
     /// Restore's last step. Pools are runtime machinery: never
     /// serialized, rebuilt empty so a restored cell matches a freshly
     /// constructed one (they re-warm identically; contents never affect
     /// outcomes). The order audit keeps history for open flows only, so
     /// entries a file holds for any other flow — one written before the
-    /// audit forgot completed flows holds thousands — are dropped.
+    /// audit forgot completed flows holds thousands — are dropped. A UE
+    /// state naming a flow past the table is refused: delivering it
+    /// would index out of bounds.
     fn after_load(&mut self) -> Result<(), SnapError> {
+        check_counter(self.now.as_nanos(), "clock past 2^62 ns")?;
+        let n_flows = self.ingress.n_flows();
+        if !self.ues.iter().all(|ue| ue.names_only_flows_below(n_flows)) {
+            return Err(SnapError::Malformed("UE state names a flow the cell lacks"));
+        }
+        let held: u64 = self
+            .ues
+            .iter()
+            .flat_map(|ue| ue.harq.iter())
+            .map(|tb| tb.payload.bytes)
+            .sum();
+        if held != self.phy.harq_held_bytes() {
+            return Err(SnapError::Malformed(
+                "HARQ bytes held disagree with the HARQ blocks",
+            ));
+        }
         self.pools = CellPools::new();
         let ingress = &self.ingress;
         self.hk.retain_order_history(|ue, flow| {

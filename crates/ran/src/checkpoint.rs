@@ -118,7 +118,12 @@ pub fn read_meta(file: &SnapshotFile) -> Result<CheckpointMeta, SnapError> {
 /// Overlay checkpointed state for cell `i` onto a cell freshly built
 /// from the same configuration the snapshot was taken under.
 pub fn restore_cell(file: &SnapshotFile, i: usize, cell: &mut Cell) -> Result<(), SnapError> {
-    let mut r = SnapReader::new(file.section(&cell_section(i))?);
+    overlay_cell(file.section(&cell_section(i))?, cell)
+}
+
+/// Overlay one cell section's payload onto `cell`, all of it.
+fn overlay_cell(payload: &[u8], cell: &mut Cell) -> Result<(), SnapError> {
+    let mut r = SnapReader::new(payload);
     cell.load_snap(&mut r)?;
     if !r.is_exhausted() {
         return Err(SnapError::Malformed("trailing bytes in cell section"));
@@ -130,8 +135,9 @@ pub fn restore_cell(file: &SnapshotFile, i: usize, cell: &mut Cell) -> Result<()
 mod tests {
     use super::*;
     use crate::cell::{CellConfig, RlcMode, SchedulerKind};
-    use outran_simcore::snap::SnapWriter;
+    use outran_simcore::snap::{SnapField, SnapKind, SnapTrace, SnapWriter};
     use outran_simcore::Dur;
+    use outran_transport::Segment;
 
     fn tiny_cell() -> Cell {
         let mut cell = Cell::new(CellConfig::lte_default(2, SchedulerKind::OutRan, 7));
@@ -144,7 +150,12 @@ mod tests {
     /// to arrive, stopped at 40 ms: the flow table holds two done, two
     /// open and a pending record, and queues and events are populated.
     fn mid_transfer_cell() -> (Cell, CheckpointMeta) {
-        let mut cell = mid_transfer_target();
+        mid_transfer_cell_in(RlcMode::Um)
+    }
+
+    /// [`mid_transfer_cell`] in either RLC mode.
+    fn mid_transfer_cell_in(rlc_mode: RlcMode) -> (Cell, CheckpointMeta) {
+        let mut cell = mid_transfer_target_in(rlc_mode);
         cell.run_until(Time::from_millis(40));
         assert_eq!(
             (cell.n_flows(), cell.n_completed(), cell.open_flows()),
@@ -185,40 +196,46 @@ mod tests {
         cell
     }
 
-    /// Start and state tag of every record in a cell section's flow
-    /// table — format v2: n_flows u64, then per record ue u32 | size u64
-    /// | spawn u64 | tuple 13 | state tag u8 | done: last_rtt opt Dur,
-    /// probe opt (u64, Time) — and where the endpoint count follows.
-    fn walk_records(section: &[u8], cell: &Cell) -> (Vec<(usize, u8)>, usize) {
-        let mut at = cell.ingress_snap_spans()[0].start + 8;
-        let mut recs = Vec::new();
-        for _ in 0..cell.n_flows() {
-            let tag = section[at + 33];
-            recs.push((at, tag));
-            at += 34;
-            if tag == 2 {
-                for width in [8, 16] {
-                    at += 1 + if section[at] == 1 { width } else { 0 };
-                }
-            }
-        }
-        (recs, at)
+    /// `cell`'s section as [`snapshot_cell`] writes it, and its trace.
+    fn traced(cell: &Cell) -> (Vec<u8>, SnapTrace) {
+        let mut w = SnapWriter::tracing();
+        cell.snap(&mut w);
+        let (bytes, trace) = w.into_traced();
+        let file = snapshot_cell(&meta_at(cell), cell);
+        assert!(
+            file.section("cell.0").unwrap() == bytes,
+            "tracing moved a byte"
+        );
+        (bytes, trace)
     }
 
-    /// Load `hostile` into a fresh [`mid_transfer_target_in`] cell:
-    /// `false` if refused as malformed; otherwise the cell must run a
-    /// simulated second with its live index sound.
-    fn loads_and_runs(hostile: &[u8], rlc_mode: RlcMode) -> bool {
+    /// The first primitive of `kind` at `path` in `trace`.
+    fn field<'t>(trace: &'t SnapTrace, path: &str, kind: SnapKind) -> &'t SnapField {
+        trace
+            .get(path, kind)
+            .unwrap_or_else(|| panic!("no {kind:?} at {path}"))
+    }
+
+    /// Overlay `hostile` onto a fresh [`mid_transfer_target_in`] cell,
+    /// as a resume does; if it loads, the cell must run a simulated
+    /// second with its live index sound.
+    fn restore_and_run(hostile: &[u8], rlc_mode: RlcMode) -> Result<(), SnapError> {
         let mut target = mid_transfer_target_in(rlc_mode);
-        match target.load_snap(&mut SnapReader::new(hostile)) {
-            Err(SnapError::Malformed(_)) => return false,
-            Err(e) => panic!("refused, but not as malformed: {e:?}"),
-            Ok(()) => {}
-        }
+        overlay_cell(hostile, &mut target)?;
         target.check_live_index().unwrap();
         target.run_until(target.now() + Dur::from_secs(1));
         target.check_live_index().unwrap();
-        true
+        Ok(())
+    }
+
+    /// [`restore_and_run`]: `false` if refused as malformed, `true` if it
+    /// ran.
+    fn loads_and_runs(hostile: &[u8], rlc_mode: RlcMode) -> bool {
+        match restore_and_run(hostile, rlc_mode) {
+            Ok(()) => true,
+            Err(SnapError::Malformed(_)) => false,
+            Err(e) => panic!("refused, but not as malformed: {e:?}"),
+        }
     }
 
     #[test]
@@ -341,65 +358,97 @@ mod tests {
         assert!(r.is_exhausted());
     }
 
-    /// A structure-aware walk over the flow table's bytes in a real cell
-    /// section (format v2: records, endpoint count, `(id, endpoints)`
-    /// for the open flows): every field of every record, the count and
-    /// the first endpoint id are overwritten with hostile values. Each
-    /// result is either refused with a `SnapError`, or — where the
-    /// layout cannot tell it from the truth — restores into a cell that
-    /// then runs a simulated second with its live index sound.
+    /// The generic hostile mutator. In the UM and the AM mid-transfer
+    /// cell section it takes one representative of every field the
+    /// layouts reach ([`firsts`]) and writes each of its kind's
+    /// [`hostile_values`] there. Each case is refused with a `SnapError`,
+    /// or restores into a cell that runs a simulated second with its
+    /// live index sound; a panic (a debug build's overflow checks
+    /// included) fails the test, naming every case that panicked.
     #[test]
-    fn mutated_flow_table_is_refused_or_runs() {
-        let (cell, meta) = mid_transfer_cell();
-        let file = snapshot_cell(&meta, &cell);
-        let section = file.section("cell.0").unwrap();
-        let n_flows = cell.n_flows();
-        let (recs, at) = walk_records(section, &cell);
-        let mut mutations: Vec<(usize, Vec<u8>)> = Vec::new();
-        let mut by_state: [Vec<u64>; 3] = Default::default(); // pending, open, done
-        for (fi, &(rec, tag)) in recs.iter().enumerate() {
-            mutations.push((rec, 2u32.to_le_bytes().to_vec())); // ue = n_ues
-            mutations.push((rec, u32::MAX.to_le_bytes().to_vec()));
-            for field in [rec + 4, rec + 12] {
-                mutations.push((field, 0u64.to_le_bytes().to_vec())); // size, spawn
-                mutations.push((field, u64::MAX.to_le_bytes().to_vec()));
+    fn every_field_of_a_cell_section_is_refused_or_runs() {
+        let mut panicked = Vec::new();
+        for mode in [RlcMode::Um, RlcMode::Am] {
+            let (section, trace) = traced(&mid_transfer_cell_in(mode).0);
+            let fields = firsts(&trace, &section);
+            let (mut refused, mut ran, before) = (0, 0, panicked.len());
+            for f in &fields {
+                for value in hostile_values(f, &section) {
+                    let hostile = f.with(&section, value);
+                    let run = || restore_and_run(&hostile, mode);
+                    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)) {
+                        Ok(Ok(())) => ran += 1,
+                        Ok(Err(_)) => refused += 1,
+                        Err(e) => panicked.push(format!(
+                            "{mode:?} {} {:?} = {value:#x}: {}",
+                            f.path,
+                            f.kind,
+                            panic_message(&*e)
+                        )),
+                    }
+                }
             }
-            mutations.push((rec + 20, vec![0xFF; 13])); // tuple
-            by_state[tag as usize].push(fi as u64);
-            mutations.extend((0..=3u8).filter(|&t| t != tag).map(|t| (rec + 33, vec![t])));
-            if tag == 2 {
-                // Non-canonical presence bytes of the two options.
-                let last_rtt = rec + 34;
-                let probe = last_rtt + 1 + if section[last_rtt] == 1 { 8 } else { 0 };
-                mutations.push((last_rtt, vec![2]));
-                mutations.push((probe, vec![2]));
+            let failed = panicked.len() - before;
+            eprintln!(
+                "{mode:?}: {} paths, {} cases: {refused} refused, {ran} ran, {failed} panicked",
+                fields.len(),
+                refused + ran + failed,
+            );
+            assert!(
+                refused > 0 && ran > 0,
+                "{mode:?}: {refused} refused, {ran} ran"
+            );
+        }
+        assert!(panicked.is_empty(), "{panicked:#?}");
+    }
+
+    /// The mutator's three panic classes, one field each: a flow id in a
+    /// UE's flow list, RLC queue or reassembly that names no flow of the
+    /// table, and a reported or pending CQI past 15, are refused as
+    /// malformed; an AM PDU numbered far past what its transmitter sent
+    /// restores and runs, its receiver's STATUS NACK list bounded.
+    #[test]
+    fn hostile_flow_ids_cqis_and_sns_are_refused_or_run() {
+        let (cell, _) = mid_transfer_cell();
+        let (section, trace) = traced(&cell);
+        let n_flows = cell.n_flows() as u64;
+        let cases = [
+            ("ues[0].flows[0]", SnapKind::Usize),
+            (
+                "ues[0].rlc_tx.um.queues.queues[0][0].flow_id",
+                SnapKind::U64,
+            ),
+            ("ues[0].rlc_rx.um.partials[0].1.flow_id", SnapKind::U64),
+        ];
+        for (path, kind) in cases {
+            let id = field(&trace, path, kind);
+            for (value, runs) in [(n_flows, false), (u64::MAX, false), (n_flows - 1, true)] {
+                let hostile = id.with(&section, value);
+                assert_eq!(
+                    loads_and_runs(&hostile, RlcMode::Um),
+                    runs,
+                    "{path} = {value}"
+                );
             }
         }
-        let count = u64::from_le_bytes(section[at..at + 8].try_into().unwrap());
-        assert_eq!(count, cell.open_flows(), "walked off the records");
-        for hostile in [0, count - 1, count + 1, u64::MAX] {
-            mutations.push((at, hostile.to_le_bytes().to_vec()));
-        }
-        let first_id = u64::from_le_bytes(section[at + 8..at + 16].try_into().unwrap());
-        assert_eq!(first_id, by_state[1][0]);
-        // Past the table, on a pending flow, on a done one, on the next
-        // open one (so that one comes twice), absurd.
-        let (pending, next_open, done) = (by_state[0][0], by_state[1][1], by_state[2][0]);
-        for hostile in [n_flows as u64, pending, done, next_open, u64::MAX] {
-            mutations.push((at + 8, hostile.to_le_bytes().to_vec()));
+        for plane in ["reported", "pending"] {
+            let cqi = field(&trace, &format!("phy.channel.{plane}[0].0"), SnapKind::U8);
+            for (value, runs) in [(16, false), (0xFF, false), (15, true)] {
+                let hostile = cqi.with(&section, value);
+                assert_eq!(
+                    loads_and_runs(&hostile, RlcMode::Um),
+                    runs,
+                    "{plane} CQI {value}"
+                );
+            }
         }
 
-        let (mut refused, mut ran) = (0, 0);
-        for (at, bytes) in mutations {
-            let mut hostile = section.to_vec();
-            hostile[at..at + bytes.len()].copy_from_slice(&bytes);
-            if loads_and_runs(&hostile, RlcMode::Um) {
-                ran += 1;
-            } else {
-                refused += 1;
-            }
+        let (section, trace) = traced(&mid_transfer_cell_in(RlcMode::Am).0);
+        let sn = field(&trace, "ues[0].rlc_tx.am.flight[0].1.0.sn", SnapKind::U32);
+        for value in [u32::MAX - 1, u32::MAX] {
+            let hostile = sn.with(&section, value.into());
+            assert!(loads_and_runs(&hostile, RlcMode::Am), "sn {value}");
         }
-        assert!(refused >= 20 && ran >= 20, "{refused} refused, {ran} ran");
     }
 
     /// The queued ingress events of a real AM cell section — `Arrival`,
@@ -419,96 +468,164 @@ mod tests {
     fn mutated_ingress_events_are_refused_or_run() {
         // Stop at the first millisecond with every kind of event queued.
         let mut cell = mid_transfer_target_in(RlcMode::Am);
-        let (section, firsts) = loop {
+        let (section, trace, firsts) = loop {
             cell.run_until(cell.now() + Dur::from_millis(1));
             assert!(
                 cell.now() < Time::from_millis(800),
                 "no STATUS PDU in flight"
             );
-            let file = snapshot_cell(&meta_at(&cell), &cell);
-            let section = file.section("cell.0").unwrap().to_vec();
-            if let [Some(a), Some(p), Some(k), Some(s)] = first_event_ids(&section, &cell) {
-                break (section, [a, p, k, s]);
+            let (section, trace) = traced(&cell);
+            if let [Some(a), Some(p), Some(k), Some(s)] = first_event_ids(&section, &trace) {
+                break (section, trace, [a, p, k, s]);
             }
         };
         let n_flows = cell.n_flows() as u64;
-        for (tag, id_at) in firsts.into_iter().enumerate() {
-            let limit = if tag == 3 { 2 } else { n_flows };
-            for (id, in_range) in [
+        for (tag, event) in firsts.iter().enumerate() {
+            let (id, limit) = match tag {
+                3 => (format!("{event}.ue"), 2),
+                _ => (format!("{event}.flow"), n_flows),
+            };
+            let id = field(&trace, &id, SnapKind::Usize);
+            for (value, in_range) in [
                 (limit, false),
                 (u64::MAX, false),
                 (limit - 1, true),
                 (0, true),
             ] {
-                let mut hostile = section.to_vec();
-                hostile[id_at..id_at + 8].copy_from_slice(&id.to_le_bytes());
                 assert_eq!(
-                    loads_and_runs(&hostile, RlcMode::Am),
+                    loads_and_runs(&id.with(&section, value), RlcMode::Am),
                     in_range,
-                    "event tag {tag}, id {id}"
+                    "event tag {tag}, id {value}"
                 );
             }
         }
 
-        // STATUS payload after the UE id: ack_sn u32 | n u64 | n × u32.
-        let ack_sn = firsts[3] + 8;
-        let (count_at, nacks_at) = (ack_sn + 4, ack_sn + 12);
-        let count = u64::from_le_bytes(section[count_at..count_at + 8].try_into().unwrap());
+        // The first STATUS PDU's payload.
+        let status = &firsts[3];
+        let ack_sn = field(&trace, &format!("{status}.status.ack_sn"), SnapKind::U32);
+        let count = field(&trace, &format!("{status}.status.nacks"), SnapKind::Len);
+        let (n, nacks_at) = (count.value(&section), count.span.end);
         let limit = (section.len() - nacks_at) as u64;
-        let with = |at: usize, bytes: &[u8]| {
-            let mut hostile = section.clone();
-            hostile[at..at + bytes.len()].copy_from_slice(bytes);
-            hostile
-        };
-        let mut spliced = with(count_at, &(count + 1).to_le_bytes());
+        let mut spliced = count.with(&section, n + 1);
         spliced.splice(nacks_at..nacks_at, u32::MAX.to_le_bytes());
         for (what, hostile, runs) in [
-            ("ack_sn 0", with(ack_sn, &0u32.to_le_bytes()), true),
-            ("ack_sn max", with(ack_sn, &u32::MAX.to_le_bytes()), true),
+            ("ack_sn 0", ack_sn.with(&section, 0), true),
+            ("ack_sn max", ack_sn.with(&section, u32::MAX.into()), true),
             ("NACK of u32::MAX", spliced, true),
-            (
-                "count past limit",
-                with(count_at, &(limit + 1).to_le_bytes()),
-                false,
-            ),
-            (
-                "count u64::MAX",
-                with(count_at, &u64::MAX.to_le_bytes()),
-                false,
-            ),
+            ("count past limit", count.with(&section, limit + 1), false),
+            ("count u64::MAX", count.with(&section, u64::MAX), false),
         ] {
             assert_eq!(loads_and_runs(&hostile, RlcMode::Am), runs, "{what}");
         }
-        let at_limit = with(count_at, &limit.to_le_bytes());
-        let mut target = mid_transfer_target_in(RlcMode::Am);
+        let at_limit = count.with(&section, limit);
         assert!(matches!(
-            target.load_snap(&mut SnapReader::new(&at_limit)),
+            restore_and_run(&at_limit, RlcMode::Am),
             Err(SnapError::Truncated)
         ));
     }
 
-    /// Offset of the id (flow or UE, a u64 right after the tag) of the
-    /// first queued event of each kind, by tag. The queue's layout:
-    /// counter u64 | n u64, then per event time u64 | seq u64 | tag u8 |
-    /// id u64 | `PktAtEnb`: seq u64, len u32 | `AckAtServer`: cum u64 |
-    /// `StatusAtEnb`: ack_sn u32, n u64, n × u32.
-    fn first_event_ids(section: &[u8], cell: &Cell) -> [Option<usize>; 4] {
-        let events = cell.ingress_snap_spans()[1].clone();
-        let u64_at = |at: usize| u64::from_le_bytes(section[at..at + 8].try_into().unwrap());
-        let mut firsts = [None; 4];
-        let mut at = events.start + 16;
-        for _ in 0..u64_at(events.start + 8) {
-            let tag = section[at + 16];
-            firsts[tag as usize].get_or_insert(at + 17);
-            at += 25
-                + match tag {
-                    0 => 0,
-                    1 => 12,
-                    2 => 8,
-                    _ => 12 + 4 * u64_at(at + 29) as usize,
-                };
+    /// One representative of every field the layouts reach in
+    /// `payload`: the first primitive of each index-erased path and
+    /// kind, and of a tag, the first of each variant it holds. In write
+    /// order.
+    fn firsts<'t>(trace: &'t SnapTrace, payload: &[u8]) -> Vec<&'t SnapField> {
+        let mut seen = std::collections::BTreeSet::new();
+        let mut first = |f: &&SnapField| {
+            let variant = (f.kind == SnapKind::Tag).then(|| f.value(payload));
+            seen.insert((erased_path(f), f.kind, variant))
+        };
+        trace.fields().iter().filter(|f| first(f)).collect()
+    }
+
+    /// `f`'s path with every sequence index erased (`flows[].size`).
+    fn erased_path(f: &SnapField) -> String {
+        let mut parts = f.path.split('[');
+        let root = parts.next().unwrap_or_default();
+        let indexed = parts.map(|p| p.trim_start_matches(|c: char| c.is_ascii_digit()));
+        [root]
+            .into_iter()
+            .chain(indexed)
+            .collect::<Vec<_>>()
+            .join("[")
+    }
+
+    /// The hostile values of `f`'s kind, each different from the value
+    /// `payload` holds: `0, 1, MAX-1, MAX` of an integer, instant or
+    /// span; `NaN, +-inf, -1, 1e308` of a float; `2` of a bool; the
+    /// neighbouring tags `n-1`, `n+1` (another variant's bytes under
+    /// this one's) and an unknown one, `0xFF`; a length of `n-1`, `n+1`
+    /// or `u64::MAX`.
+    fn hostile_values(f: &SnapField, payload: &[u8]) -> Vec<u64> {
+        let width = match f.kind {
+            SnapKind::Str => 8,
+            _ => f.span.len(),
+        };
+        let max = match width {
+            8 => u64::MAX,
+            w => (1u64 << (8 * w)) - 1,
+        };
+        let n = f.value(payload);
+        let values = match f.kind {
+            SnapKind::F64 => [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0, 1e308]
+                .map(f64::to_bits)
+                .to_vec(),
+            SnapKind::Bool => vec![2],
+            SnapKind::Tag => vec![n.wrapping_sub(1) & 0xFF, (n + 1) & 0xFF, 0xFF],
+            SnapKind::Len | SnapKind::Str => {
+                vec![n.wrapping_sub(1), n.wrapping_add(1), u64::MAX]
+            }
+            _ => vec![0, 1, max - 1, max],
+        };
+        let mut out: Vec<u64> = values.into_iter().filter(|&v| v != n).collect();
+        out.sort_unstable();
+        out.dedup();
+        out
+    }
+
+    #[test]
+    fn hostile_values_follow_the_kind_and_skip_the_held_value() {
+        let payload = [2, 7, 0, 2, 0, 0, 0, 0, 0, 0, 0];
+        let at = |kind, span| SnapField {
+            path: "x".into(),
+            kind,
+            span,
+        };
+        let cases = [
+            (at(SnapKind::Tag, 0..1), vec![1, 3, 0xFF]),
+            (at(SnapKind::U16, 1..3), vec![0, 1, 0xFFFE, 0xFFFF]),
+            (at(SnapKind::Len, 3..11), vec![1, 3, u64::MAX]),
+            (at(SnapKind::Bool, 2..3), vec![2]),
+            (at(SnapKind::U8, 0..1), vec![0, 1, 0xFE, 0xFF]),
+        ];
+        for (f, want) in cases {
+            assert_eq!(hostile_values(&f, &payload), want, "{:?}", f.kind);
         }
-        assert_eq!(at, events.end, "walked off the event queue");
+        let x = at(SnapKind::F64, 3..11);
+        assert_eq!(hostile_values(&x, &payload).len(), 5);
+        let mut w = SnapWriter::tracing();
+        (vec![Some(3u16), None], 1u8).snap(&mut w);
+        let (bytes, trace) = w.into_traced();
+        let erased: Vec<_> = firsts(&trace, &bytes)
+            .iter()
+            .map(|f| erased_path(f))
+            .collect();
+        assert_eq!(erased, ["0", "0[]", "0[]", "1"]);
+    }
+
+    /// The message a panic was raised with.
+    fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
+        let text = payload.downcast_ref::<String>().map(String::as_str);
+        text.or_else(|| payload.downcast_ref::<&str>().copied())
+            .unwrap_or("(no message)")
+    }
+
+    /// Path of the first queued event of each kind, by tag.
+    fn first_event_ids(section: &[u8], trace: &SnapTrace) -> [Option<String>; 4] {
+        let mut firsts = [None, None, None, None];
+        let tags = trace.fields().iter().filter(|f| f.kind == SnapKind::Tag);
+        for f in tags.filter(|f| erased_path(f) == "ingress.events[]") {
+            firsts[f.value(section) as usize].get_or_insert_with(|| f.path.clone());
+        }
         firsts
     }
 
@@ -518,22 +635,16 @@ mod tests {
     /// malformed. The bounds themselves load and run.
     #[test]
     fn hostile_rtt_estimate_is_refused() {
-        let (cell, meta) = mid_transfer_cell();
-        let file = snapshot_cell(&meta, &cell);
-        let section = file.section("cell.0").unwrap();
-        // Count u64 | first id u64 | sender: flow_size, snd_una, snd_nxt
-        // u64 | cwnd, ssthresh f64 | phase u8 | dup_acks u32 | recover
-        // u64 | retx_pending opt (u64, u32, u8) | rtt: srtt opt f64,
-        // rttvar f64, rto f64.
-        let retx_pending = first_sender(section, &cell) + 53;
-        let srtt = retx_pending + 1 + if section[retx_pending] == 1 { 13 } else { 0 };
-        assert_eq!(section[srtt], 1, "the handshake seeded srtt");
-        let (srtt, rttvar, rto) = (srtt + 1, srtt + 9, srtt + 17);
-        let f64_at = |at: usize| f64::from_le_bytes(section[at..at + 8].try_into().unwrap());
-        assert!(
-            f64_at(rto) > 0.0 && f64_at(rto) <= 60.0,
-            "walked off the sender"
+        let (section, trace) = traced(&mid_transfer_cell().0);
+        let sender =
+            |path: &str, kind| field(&trace, &format!("ingress.flows.sender.{path}"), kind);
+        assert_eq!(
+            sender("rtt.srtt", SnapKind::Bool).value(&section),
+            1,
+            "the handshake seeded srtt"
         );
+        let [srtt, rttvar, rto] =
+            ["srtt", "rttvar", "rto"].map(|f| sender(&format!("rtt.{f}"), SnapKind::F64));
         let hostile = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1e-9];
         for (field, value, accepted) in [srtt, rttvar, rto]
             .into_iter()
@@ -544,12 +655,11 @@ mod tests {
                 (srtt, 0.0, true),
             ])
         {
-            let mut bytes = section.to_vec();
-            bytes[field..field + 8].copy_from_slice(&value.to_le_bytes());
             assert_eq!(
-                loads_and_runs(&bytes, RlcMode::Um),
+                loads_and_runs(&field.with(&section, value.to_bits()), RlcMode::Um),
                 accepted,
-                "{value} at {field}"
+                "{value} at {}",
+                field.path
             );
         }
     }
@@ -565,50 +675,29 @@ mod tests {
     /// among them, load and run.
     #[test]
     fn hostile_tcp_sender_is_refused() {
-        let (cell, meta) = mid_transfer_cell();
-        let file = snapshot_cell(&meta, &cell);
-        let section = file.section("cell.0").unwrap();
-        // flow_size, snd_una, snd_nxt u64 | cwnd, ssthresh f64 | phase u8
-        // | dup_acks u32 | recover u64 | retx_pending opt (u64, u32, u8) |
-        // rtt: srtt opt f64, rttvar, rto f64 | sample_seq opt (u64, Time)
-        // | rto_deadline opt Time | retx_bytes, timeouts u64 | last_rtt
-        // opt Dur | cubic: epoch_start opt Time, w_max, k f64.
-        let at = first_sender(section, &cell);
-        let (flow_size, snd_una, snd_nxt) = (at, at + 8, at + 16);
-        let (cwnd, ssthresh, recover) = (at + 24, at + 32, at + 45);
-        // Steps `end` past an option of `width` payload bytes; returns
-        // the offset of its presence byte.
-        let option = |end: &mut usize, width: usize| {
-            let tag = *end;
-            *end += 1 + if section[tag] == 1 { width } else { 0 };
-            tag
-        };
-        let mut end = at + 53;
-        let retx_tag = option(&mut end, 13);
-        assert_eq!(section[retx_tag], 0, "emit takes a pending retransmission");
-        assert_eq!(section[option(&mut end, 8)], 1, "the handshake seeded srtt");
-        end += 16; // rttvar, rto
-        let sample_tag = option(&mut end, 16);
-        option(&mut end, 8); // rto_deadline
-        end += 16; // retx_bytes, timeouts
-        option(&mut end, 8); // last_rtt
-        option(&mut end, 8); // epoch_start
-        let (w_max, k) = (end, end + 8);
-        assert_eq!(section[sample_tag], 1, "a sample is in flight");
-        let sample = sample_tag + 1;
-
-        let u64_at = |at: usize| u64::from_le_bytes(section[at..at + 8].try_into().unwrap());
-        let (size, una, nxt, seq) = (
-            u64_at(flow_size),
-            u64_at(snd_una),
-            u64_at(snd_nxt),
-            u64_at(sample),
+        let (section, trace) = traced(&mid_transfer_cell().0);
+        let sender =
+            |path: &str, kind| field(&trace, &format!("ingress.flows.sender.{path}"), kind);
+        let [flow_size, snd_una, snd_nxt, recover] =
+            ["flow_size", "snd_una", "snd_nxt", "recover"].map(|f| sender(f, SnapKind::U64));
+        let [cwnd, ssthresh, w_max, k] =
+            ["cwnd", "ssthresh", "cubic.w_max", "cubic.k"].map(|f| sender(f, SnapKind::F64));
+        let retx_pending = sender("retx_pending", SnapKind::Bool);
+        assert_eq!(
+            retx_pending.value(&section),
+            0,
+            "emit takes a pending retransmission"
         );
-        assert!(
-            0 < una && una <= seq && seq < nxt && nxt < size,
-            "walked off the sender: {una} {seq} {nxt} {size}"
+        assert_eq!(
+            sender("sample_seq", SnapKind::Bool).value(&section),
+            1,
+            "a sample is in flight"
         );
-        let mut cases: Vec<(usize, [u8; 8], bool)> = [
+        let sample = sender("sample_seq.0", SnapKind::U64);
+        let [size, una, nxt, seq] =
+            [flow_size, snd_una, snd_nxt, sample].map(|f| f.value(&section));
+        assert!(0 < una && una <= seq && seq < nxt && nxt < size);
+        let mut cases: Vec<(&SnapField, u64, bool)> = vec![
             (snd_nxt, una - 1, false),
             (snd_nxt, size + 1, false),
             (sample, una - 1, false),
@@ -617,24 +706,21 @@ mod tests {
             (snd_una, seq, true),
             (snd_una, 0, true),
             (recover, nxt, true),
-        ]
-        .map(|(at, v, ok)| (at, v.to_le_bytes(), ok))
-        .into();
+        ];
         let hostile = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1e-9];
         for field in [cwnd, ssthresh, w_max, k] {
             for v in hostile {
                 let ok = field == ssthresh && v == f64::INFINITY;
-                cases.push((field, v.to_le_bytes(), ok));
+                cases.push((field, v.to_bits(), ok));
             }
-            cases.push((field, 0f64.to_le_bytes(), true));
+            cases.push((field, 0f64.to_bits(), true));
         }
-        for (field, bytes, accepted) in cases {
-            let mut mutated = section.to_vec();
-            mutated[field..field + 8].copy_from_slice(&bytes);
+        for (field, value, accepted) in cases {
             assert_eq!(
-                loads_and_runs(&mutated, RlcMode::Um),
+                loads_and_runs(&field.with(&section, value), RlcMode::Um),
                 accepted,
-                "{bytes:?} at {field}"
+                "{value:#x} at {}",
+                field.path
             );
         }
         // A pending retransmission `(seq, len)`, spliced in as `Some`.
@@ -646,22 +732,18 @@ mod tests {
             (size - 1, 1, true),
             (una, 1400, true),
         ] {
-            let mut mutated = section.to_vec();
-            let seg = [&seq.to_le_bytes()[..], &len.to_le_bytes(), &[1]].concat();
-            mutated[retx_tag] = 1;
-            mutated.splice(retx_tag + 1..retx_tag + 1, seg);
+            let mut seg = SnapWriter::new();
+            let is_retx = true;
+            Segment { seq, len, is_retx }.snap(&mut seg);
+            let mut mutated = retx_pending.with(&section, 1);
+            let at = retx_pending.span.end;
+            mutated.splice(at..at, seg.into_bytes());
             assert_eq!(
                 loads_and_runs(&mutated, RlcMode::Um),
                 accepted,
                 "retransmission of {len} bytes at {seq}"
             );
         }
-    }
-
-    /// Offset of the first open flow's sender in a cell section: past
-    /// the flow records, the endpoint count and the flow's id.
-    fn first_sender(section: &[u8], cell: &Cell) -> usize {
-        walk_records(section, cell).1 + 16
     }
 
     /// A v3 reader refuses a v1 or v2 file by its header, whatever

@@ -9,6 +9,7 @@ use std::path::PathBuf;
 
 use outran_core::OutRanConfig;
 use outran_faults::{FaultPlan, FaultStats, Violation};
+use outran_metrics::SizeBucket;
 use outran_phy::Scenario;
 use outran_simcore::{Dur, Rng, Time};
 use outran_workload::{FlowSizeDist, PoissonFlowGen};
@@ -302,7 +303,6 @@ impl Experiment {
             se_series: cell.metrics.se_series().to_vec(),
             fairness_series: cell.metrics.fairness_series().to_vec(),
             flow_records: records,
-            fct_collector: fct,
         }
     }
 }
@@ -342,14 +342,23 @@ pub struct ExperimentReport {
     pub se_series: Vec<f64>,
     /// Fairness samples in time order (Figs 4b and 7b).
     pub fairness_series: Vec<f64>,
-    /// Per-flow (size bytes, FCT ms) records for post-processing/CSV
-    /// export (flows that started after warmup).
+    /// Per-flow (size bytes, FCT ms) records of the flows that started
+    /// after warmup, in completion order: what `fct` summarises, and the
+    /// source of CSV exports and FCT CDFs.
     pub flow_records: Vec<(u64, f64)>,
-    /// The underlying collector (for CDFs/percentiles beyond the report).
-    pub fct_collector: outran_metrics::FctCollector,
 }
 
 impl ExperimentReport {
+    /// The FCTs (ms) of the post-warmup flows in `bucket`, or of every
+    /// one for `None`, in completion order.
+    pub fn fcts(&self, bucket: Option<SizeBucket>) -> impl Iterator<Item = f64> + '_ {
+        let kept = move |bytes: u64| bucket.is_none_or(|b| SizeBucket::of(bytes) == b);
+        self.flow_records
+            .iter()
+            .filter(move |&&(bytes, _)| kept(bytes))
+            .map(|&(_, ms)| ms)
+    }
+
     /// The mean of `metric` over the seeds of `runs`, skipping a NaN (a
     /// size bucket one seed saw no flow in); NaN when every seed's is.
     pub fn mean(runs: &[ExperimentReport], metric: fn(&ExperimentReport) -> f64) -> f64 {

@@ -51,7 +51,8 @@ use outran_phy::geometry::{self, CorridorWalk, NetGeometry};
 use outran_phy::mobility::{Pos, RandomWalk};
 use outran_phy::{ChannelConfig, Scenario};
 use outran_simcore::snap::{
-    write_atomic_with, LoadSnap, Snap, SnapEncoder, SnapError, SnapReader, SnapshotFile,
+    write_atomic_with, LoadSnap, Snap, SnapEncoder, SnapError, SnapReader, SnapTrace, SnapWriter,
+    SnapshotFile,
 };
 use outran_simcore::{snap_enum, snap_fields, Dur, Normal, Rng, Time};
 use outran_workload::{FlowArrival, FlowSizeDist, PoissonFlowGen};
@@ -215,6 +216,24 @@ impl Network {
             return Err(SnapError::Malformed("trailing bytes in network section"));
         }
         Ok(self.run_state(st, &mut |_, _| {}))
+    }
+
+    /// The field trace of `file`'s `network` section: the section is
+    /// overlaid onto this configuration's state, which a tracing writer
+    /// writes again, byte for byte. A probe for tests that address the
+    /// section's fields by path.
+    #[doc(hidden)]
+    pub fn network_section_trace(&self, file: &SnapshotFile) -> Result<SnapTrace, SnapError> {
+        let section = file.section("network")?;
+        let mut st = self.build_state();
+        st.load_snap(&mut SnapReader::new(section))?;
+        let mut w = SnapWriter::tracing();
+        st.snap(&mut w);
+        let (bytes, trace) = w.into_traced();
+        if bytes != section {
+            return Err(SnapError::Malformed("network section does not write back"));
+        }
+        Ok(trace)
     }
 
     /// Build the full initial state: cells in external-geometry mode,

@@ -518,6 +518,7 @@ impl LoadSnap for FlowStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use outran_simcore::snap::SnapKind;
 
     const N_UES: usize = 2;
 
@@ -704,8 +705,11 @@ mod tests {
                 load(bytes).err()
             );
         }
-        let mut toward_nobody = snap_of(&s);
-        toward_nobody[8..12].copy_from_slice(&(N_UES as u32).to_le_bytes());
+        let mut w = SnapWriter::tracing();
+        s.snap(&mut w);
+        let (bytes, trace) = w.into_traced();
+        let ue = trace.get("[0].ue", SnapKind::U32).unwrap();
+        let toward_nobody = ue.with(&bytes, N_UES as u64);
         assert!(matches!(load(&toward_nobody), Err(SnapError::Malformed(_))));
     }
 

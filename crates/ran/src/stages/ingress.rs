@@ -156,7 +156,7 @@ impl IngressStage {
                 Ev::PktAtEnb { flow, seq, len } => {
                     self.cn_in_flight_bytes -= len as u64;
                     if hk.cn_loses_packet() {
-                        self.dropped_bytes += len as u64;
+                        self.dropped_bytes = self.dropped_bytes.saturating_add(len as u64);
                         hk.note_cn_dropped_data(len as u64);
                     } else {
                         self.on_pkt_at_enb(now, ues, rlc, obs, flow, seq, len);
@@ -243,7 +243,7 @@ impl IngressStage {
         let delay = cfg.cn_delay + hk.cn_extra_delay();
         let degraded = hk.cn_extra_delay() > Dur::ZERO;
         for seg in segs.drain(..) {
-            self.injected_bytes += seg.len as u64;
+            self.injected_bytes = self.injected_bytes.saturating_add(seg.len as u64);
             self.cn_in_flight_bytes += seg.len as u64;
             if degraded {
                 hk.note_cn_delayed_pkt();
@@ -488,21 +488,6 @@ impl IngressStage {
         self.events.near_footprint()
     }
 
-    /// Write the flow table and the event queue — this stage's layout
-    /// begins with them — to `w`, returning where each landed.
-    #[cfg(test)]
-    pub(crate) fn snap_spans(
-        &self,
-        w: &mut outran_simcore::snap::SnapWriter,
-    ) -> [std::ops::Range<usize>; 2] {
-        use outran_simcore::snap::Snap;
-        let start = w.len();
-        self.flows.snap(w);
-        let mid = w.len();
-        self.events.snap(w);
-        [start..mid, mid..w.len()]
-    }
-
     /// Refuse restored events naming a flow past the table or a UE the
     /// cell lacks (they would index out of bounds when they fire), then
     /// derive the live-flow index from the restored flow table (which
@@ -515,9 +500,27 @@ impl IngressStage {
             }
             Ev::StatusAtEnb { ue, .. } => ue < n_ues,
         };
-        if !self.events.sorted_entries().iter().all(|e| in_range(e.2)) {
+        let events = self.events.sorted_entries();
+        if !events.iter().all(|e| in_range(e.2)) {
             return Err(SnapError::Malformed(
                 "ingress event names a flow or UE the cell lacks",
+            ));
+        }
+        // A packet lies within its flow, and the bytes in the core
+        // network are the queued packets' bytes.
+        let mut in_flight = 0u64;
+        for e in &events {
+            if let Ev::PktAtEnb { flow, seq, len } = *e.2 {
+                let end = seq.checked_add(len.into());
+                if end.is_none_or(|end| end > self.flows.size(flow)) {
+                    return Err(SnapError::Malformed("core-network packet past its flow"));
+                }
+                in_flight += u64::from(len);
+            }
+        }
+        if in_flight != self.cn_in_flight_bytes {
+            return Err(SnapError::Malformed(
+                "core-network bytes in flight disagree with the queued packets",
             ));
         }
         self.live.clear();

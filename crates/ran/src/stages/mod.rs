@@ -43,6 +43,7 @@ use outran_pdcp::{FlowTable, MlfqConfig};
 use outran_rlc::am::{AmConfig, AmPdu, AmRx, AmTx};
 use outran_rlc::sdu::{RlcSdu, RlcSegment};
 use outran_rlc::um::{UmConfig, UmRx, UmTx};
+use outran_simcore::snap::SnapError;
 use outran_simcore::{snap_enum, snap_fields, Time};
 
 /// RNG fork labels of the two stages that draw from the cell's root
@@ -378,10 +379,44 @@ fn am_config(cfg: &CellConfig) -> AmConfig {
 snap_enum! { overlay RlcTx, "RLC tx mode disagrees with configuration" { 0 => Um(um), 1 => Am(am) } }
 snap_enum! { overlay RlcRx, "RLC rx mode disagrees with configuration" { 0 => Um(um), 1 => Am(am) } }
 snap_enum! { HarqData, "unknown HARQ payload tag" { 0 => Um(segs), 1 => Am(pdus) } }
-snap_fields! { HarqPayload { bytes, data } }
+impl HarqPayload {
+    /// The cached ledger count is the payload's own.
+    fn check_bytes(&mut self) -> Result<(), SnapError> {
+        let bytes = match &self.data {
+            HarqData::Um(segs) => segs.iter().map(|s| u64::from(s.len)).sum(),
+            HarqData::Am(_) => 0,
+        };
+        if bytes != self.bytes {
+            return Err(SnapError::Malformed("HARQ payload byte count disagrees"));
+        }
+        Ok(())
+    }
+}
+
+snap_fields! { HarqPayload { bytes, data } then HarqPayload::check_bytes }
 snap_fields! { overlay UeContext { flow_table, rlc_tx, rlc_rx, harq, flows } }
 
 impl UeContext {
+    /// Whether every flow this UE's state names — its flow list, its
+    /// RLC entities' SDUs, PDUs and reassemblies, its HARQ blocks — is
+    /// one of the `n_flows` in the cell's table.
+    pub(crate) fn names_only_flows_below(&self, n_flows: usize) -> bool {
+        let below = |id: u64| usize::try_from(id).is_ok_and(|fi| fi < n_flows);
+        let tx = match &self.rlc_tx {
+            RlcTx::Um(tx) => tx.flow_ids().all(below),
+            RlcTx::Am(tx) => tx.flow_ids().all(below),
+        };
+        let rx = match &self.rlc_rx {
+            RlcRx::Um(rx) => rx.flow_ids().all(below),
+            RlcRx::Am(rx) => rx.flow_ids().all(below),
+        };
+        let harq = self.harq.iter().all(|tb| match &tb.payload.data {
+            HarqData::Um(segs) => segs.iter().all(|s| below(s.flow_id)),
+            HarqData::Am(pdus) => pdus.iter().all(|p| below(p.seg.flow_id)),
+        });
+        tx && rx && harq && self.flows.iter().all(|&fi| fi < n_flows)
+    }
+
     /// Build the per-UE contexts for a configuration (one shared MLFQ
     /// config across flow tables; per-mode RLC entities).
     pub(crate) fn build_all(cfg: &CellConfig) -> Vec<UeContext> {

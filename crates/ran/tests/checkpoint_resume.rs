@@ -15,7 +15,7 @@ use outran_ran::checkpoint::{
     read_checkpoint, restore_cell, snapshot_cell, write_checkpoint, CheckpointMeta,
 };
 use outran_ran::{Experiment, Network};
-use outran_simcore::snap::{fnv1a, SnapshotFile, SNAP_VERSION};
+use outran_simcore::snap::{fnv1a, SnapKind, SNAP_VERSION};
 use outran_simcore::{Dur, Time};
 
 const SECS: u64 = 4;
@@ -391,8 +391,9 @@ fn wire_format_is_pinned() {
 
 /// The 6 s checkpoint of the CI smoke deployment (its first handovers
 /// execute at the 4 s and 5 s barriers), optionally under a chaos plan
-/// of `chaos` intensity on every cell, with the digest of its raw file.
-fn churny_checkpoint(tag: &str, chaos: Option<f64>) -> (SnapshotFile, u64) {
+/// of `chaos` intensity on every cell: the digest of its raw file, and
+/// the handover successes its `network` section holds.
+fn churny_checkpoint(tag: &str, chaos: Option<f64>) -> (u64, u64) {
     let dir = tmp_dir(tag);
     let mut net = Network::metro(Scenario::LtePedestrian, SchedulerKind::OutRan, 0.25);
     net.n_sites = 2;
@@ -413,15 +414,9 @@ fn churny_checkpoint(tag: &str, chaos: Option<f64>) -> (SnapshotFile, u64) {
     let (_meta, file) = read_checkpoint(&path).unwrap();
     let digest = file_digest(&path);
     std::fs::remove_dir_all(&dir).ok();
-    (file, digest)
-}
-
-/// `HandoverStats::successes` of a network checkpoint: the stats are the
-/// last field of the `network` section, six `u64`s, successes second.
-fn handover_successes(file: &SnapshotFile) -> u64 {
-    let net = file.section("network").unwrap();
-    let at = net.len() - 5 * 8;
-    u64::from_le_bytes(net[at..at + 8].try_into().unwrap())
+    let trace = net.network_section_trace(&file).unwrap();
+    let successes = trace.get("stats.successes", SnapKind::U64).unwrap();
+    (digest, successes.value(file.section("network").unwrap()))
 }
 
 /// Metro checkpoints taken under handover churn are pinned byte for
@@ -431,11 +426,11 @@ fn handover_successes(file: &SnapshotFile) -> u64 {
 #[test]
 fn metro_checkpoints_under_churn_are_pinned() {
     const HINT: &str = "a metro checkpoint's bytes moved";
-    let (plain, digest) = churny_checkpoint("pin-churn", None);
-    assert!(handover_successes(&plain) > 0, "no handover before 6 s");
+    let (digest, successes) = churny_checkpoint("pin-churn", None);
+    assert!(successes > 0, "no handover before 6 s");
     assert_eq!(digest, PIN_METRO_CHURN_FILE, "{HINT}");
 
-    let (chaos, digest) = churny_checkpoint("pin-churn-chaos", Some(0.6));
-    assert!(handover_successes(&chaos) > 0, "no handover before 6 s");
+    let (digest, successes) = churny_checkpoint("pin-churn-chaos", Some(0.6));
+    assert!(successes > 0, "no handover before 6 s");
     assert_eq!(digest, PIN_METRO_CHURN_CHAOS_FILE, "{HINT} (chaos)");
 }

@@ -22,7 +22,7 @@ use outran_faults::FaultPlan;
 use outran_phy::Scenario;
 use outran_ran::network::Network;
 use outran_ran::{Experiment, SchedulerKind};
-use outran_simcore::snap::{SnapError, SnapWriter, SnapshotFile};
+use outran_simcore::snap::{SnapError, SnapField, SnapKind, SnapWriter, SnapshotFile};
 use outran_simcore::{Dur, Time};
 
 const SECS: u64 = 5;
@@ -293,11 +293,6 @@ fn single_cell_steps_every_slot_on_every_advance() {
     assert_eq!(w.fading_draws, 4 * advances * 2 * (8 + 1));
 }
 
-/// Little-endian `u64` at byte `at` of `bytes`.
-fn u64_at(bytes: &[u8], at: usize) -> u64 {
-    u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap())
-}
-
 /// The 2 s checkpoint of `churny(9)` and the arrivals that run offers.
 fn churny_checkpoint(tag: &str) -> (SnapshotFile, usize) {
     let dir = std::env::temp_dir().join(format!("outran-net-{tag}-{}", std::process::id()));
@@ -331,22 +326,17 @@ fn with_network_section(good: &SnapshotFile, network: &[u8]) -> SnapshotFile {
 #[test]
 fn short_per_cell_vector_in_network_section_is_malformed_not_a_panic() {
     let (good, _) = churny_checkpoint("short");
-
-    // `loads` then `prev_rbs` are the only place two six-element (one
-    // per cell) sequences of 8-byte values sit back to back.
     let net = good.section("network").unwrap();
-    let n_cells = 6u64;
-    let stride = 8 + 8 * n_cells as usize;
-    let hits: Vec<usize> = (0..net.len() - 2 * stride)
-        .filter(|&at| u64_at(net, at) == n_cells && u64_at(net, at + stride) == n_cells)
-        .collect();
-    assert_eq!(hits.len(), 1, "could not locate loads/prev_rbs: {hits:?}");
-    let prev_rbs_at = hits[0] + stride;
+    let trace = churny(9).network_section_trace(&good).unwrap();
 
-    // Drop the last `prev_rbs` element and say so in the length prefix.
-    let mut short = net.to_vec();
-    short[prev_rbs_at..prev_rbs_at + 8].copy_from_slice(&(n_cells - 1).to_le_bytes());
-    short.drain(prev_rbs_at + stride - 8..prev_rbs_at + stride);
+    // Drop the last `prev_rbs` element (one per cell) and say so in the
+    // length prefix.
+    let n_cells = 6u64;
+    let len = trace.get("prev_rbs", SnapKind::Len).unwrap();
+    assert_eq!(len.value(net), n_cells);
+    let last = trace.get("prev_rbs[5]", SnapKind::U64).unwrap();
+    let mut short = len.with(net, n_cells - 1);
+    short.drain(last.span.clone());
     let bad = with_network_section(&good, &short);
 
     assert!(matches!(
@@ -356,40 +346,40 @@ fn short_per_cell_vector_in_network_section_is_malformed_not_a_panic() {
     assert!(churny(9).resume(&good).is_ok());
 }
 
-/// The section opens with the epoch count and the arrival cursor. An
-/// epoch past the run's last multiplies into a wrapped clock; a cursor
-/// past the schedule is reported as the flows offered.
+/// An epoch past the run's last multiplies into a wrapped clock; an
+/// arrival cursor past the schedule is reported as the flows offered.
 #[test]
 fn out_of_range_epoch_or_cursor_in_network_section_is_malformed() {
     let (good, offered) = churny_checkpoint("clock");
     let net = good.section("network").unwrap();
-    assert_eq!(u64_at(net, 0), 2, "epoch is not the section's first field");
-    assert!(u64_at(net, 8) > 0 && u64_at(net, 8) <= offered as u64);
+    let trace = churny(9).network_section_trace(&good).unwrap();
+    let epoch = trace.get("epoch", SnapKind::U64).unwrap();
+    let cursor = trace.get("cursor", SnapKind::Usize).unwrap();
+    assert_eq!(epoch.value(net), 2);
+    assert!(cursor.value(net) > 0 && cursor.value(net) <= offered as u64);
 
     let last_epoch = SECS + 4;
     let mutations = [
-        (0, last_epoch + 1),
-        (0, u64::MAX / 1_000_000_000 + 1),
-        (0, u64::MAX),
-        (8, offered as u64 + 1),
-        (8, u64::MAX),
+        (epoch, last_epoch + 1),
+        (epoch, u64::MAX / 1_000_000_000 + 1),
+        (epoch, u64::MAX),
+        (cursor, offered as u64 + 1),
+        (cursor, u64::MAX),
     ];
-    let patched = |at: usize, value: u64| {
-        let mut bytes = net.to_vec();
-        bytes[at..at + 8].copy_from_slice(&value.to_le_bytes());
-        with_network_section(&good, &bytes)
-    };
-    for (at, value) in mutations {
-        let refused = churny(9).resume(&patched(at, value));
+    let patched =
+        |field: &SnapField, value: u64| with_network_section(&good, &field.with(net, value));
+    for (field, value) in mutations {
+        let refused = churny(9).resume(&patched(field, value));
         assert!(
             matches!(refused, Err(SnapError::Malformed(_))),
-            "{value} at byte {at}: {:?}",
+            "{value} at {}: {:?}",
+            field.path,
             refused.map(|run| run.report.offered)
         );
     }
     // Both ends of the valid range still load: the cursor at the end of
     // the schedule, the epoch at the end of the run (nothing left to do).
-    for (at, value) in [(0, last_epoch), (8, offered as u64)] {
-        assert!(churny(9).resume(&patched(at, value)).is_ok());
+    for (field, value) in [(epoch, last_epoch), (cursor, offered as u64)] {
+        assert!(churny(9).resume(&patched(field, value)).is_ok());
     }
 }

@@ -74,6 +74,12 @@ impl Default for AmConfig {
     }
 }
 
+/// The most gaps one STATUS PDU NACKs: LTE's AM window (TS 36.322
+/// `AM_Window_Size`), the most SNs a 3GPP transmitter has outstanding.
+/// A receiver restored with an SN far past what its transmitter sent
+/// then reports one bounded list, not one NACK per SN in between.
+pub const MAX_STATUS_NACKS: usize = 512;
+
 /// A STATUS control PDU: cumulative ACK + selective NACKs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StatusPdu {
@@ -179,7 +185,7 @@ impl AmTx {
                 break;
             };
             used += cost;
-            self.retx_count += 1;
+            self.retx_count = self.retx_count.saturating_add(1);
             pdu.poll = self.should_poll(now);
             let retx = self.flight.get(&pdu.sn).map(|(_, r)| *r).unwrap_or(0);
             self.flight.insert(pdu.sn, (pdu.clone(), retx));
@@ -226,7 +232,7 @@ impl AmTx {
     }
 
     fn should_poll(&mut self, now: Time) -> bool {
-        self.pdus_since_poll += 1;
+        self.pdus_since_poll = self.pdus_since_poll.saturating_add(1);
         if self.pdus_since_poll >= self.cfg.poll_pdu {
             self.pdus_since_poll = 0;
             self.poll_outstanding = Some(now + self.cfg.t_poll_retransmit);
@@ -292,7 +298,8 @@ impl AmTx {
                         let mut p = pdu.clone();
                         p.poll = true;
                         self.retxq.push_back(p);
-                        self.retx_count += 1; // will be re-counted on send; diagnostic only
+                        // Re-counted on send; diagnostic only.
+                        self.retx_count = self.retx_count.saturating_add(1);
                         self.poll_outstanding = Some(now + self.cfg.t_poll_retransmit);
                     }
                 }
@@ -355,6 +362,17 @@ impl AmTx {
     /// Queued Tx-Q SDUs (whole + partial; excludes retx PDUs).
     pub fn len_sdus(&self) -> usize {
         self.txq.len_sdus()
+    }
+
+    /// The flow of every SDU and PDU this entity holds: queued, awaiting
+    /// retransmission or in flight.
+    pub fn flow_ids(&self) -> impl Iterator<Item = u64> + '_ {
+        let pdus = self
+            .retxq
+            .iter()
+            .chain(self.flight.values().map(|(p, _)| p));
+        let sdus = self.txq.iter().map(|s| s.flow_id);
+        sdus.chain(pdus.map(|p| p.seg.flow_id))
     }
 
     /// Clamp the Tx Q to `capacity_sdus` (mid-run buffer shrink),
@@ -464,7 +482,8 @@ impl AmRx {
                 delivered.push(d);
             }
         }
-        self.delivered_count += (delivered.len() - before) as u64;
+        let n = (delivered.len() - before) as u64;
+        self.delivered_count = self.delivered_count.saturating_add(n);
         self.maybe_status(now)
     }
 
@@ -484,8 +503,13 @@ impl AmRx {
             flow_id: seg.flow_id,
             seq: seg.seq - seg.offset as u64,
         });
-        // AM delivers PDUs in SN order, so segments arrive in offset order.
-        debug_assert_eq!(seg.offset, p.next_offset, "AM segments must be in order");
+        // AM delivers PDUs in SN order, so segments arrive in offset
+        // order. Only a restored state that contradicts its own segments
+        // breaks that; the SDU is then lost, as a UM gap loses it.
+        if seg.offset != p.next_offset {
+            self.partials.remove(&seg.sdu_id);
+            return None;
+        }
         p.received += seg.len;
         p.next_offset += seg.len;
         if p.received == p.sdu_len {
@@ -514,22 +538,29 @@ impl AmRx {
         Some(self.build_status())
     }
 
-    /// Build the current STATUS PDU (cumulative ACK + gap NACKs).
+    /// Build the current STATUS PDU (cumulative ACK + gap NACKs). It
+    /// lists at most [`MAX_STATUS_NACKS`] gaps; past the last one listed
+    /// it acknowledges nothing, so every SN below `ack_sn` is received
+    /// or NACKed.
     pub fn build_status(&self) -> StatusPdu {
         // STATUS PDUs are occasional poll-paced control messages, not
         // per-TTI; the NACK list is owned by the uplink event.
         let mut nacks = Vec::new();
-        if let Some(high) = self.highest_seen {
-            for sn in self.rx_next..=high {
-                if !self.window.contains_key(&sn) {
-                    nacks.push(sn);
+        let Some(high) = self.highest_seen else {
+            return StatusPdu { ack_sn: 0, nacks };
+        };
+        for sn in self.rx_next..=high {
+            if !self.window.contains_key(&sn) {
+                if nacks.len() == MAX_STATUS_NACKS {
+                    return StatusPdu { ack_sn: sn, nacks };
                 }
+                nacks.push(sn);
             }
         }
         StatusPdu {
             // Everything up to the highest seen is covered by the report:
             // received SNs are implicitly ACKed, gaps are NACKed.
-            ack_sn: self.highest_seen.map_or(0, |h| h + 1),
+            ack_sn: high.saturating_add(1),
             nacks,
         }
     }
@@ -537,6 +568,12 @@ impl AmRx {
     /// Next in-sequence SN expected.
     pub fn rx_next(&self) -> u32 {
         self.rx_next
+    }
+
+    /// The flow of every PDU and partial reassembly held here.
+    pub fn flow_ids(&self) -> impl Iterator<Item = u64> + '_ {
+        let pdus = self.window.values().map(|p| p.seg.flow_id);
+        pdus.chain(self.partials.values().map(|p| p.flow_id))
     }
 
     /// Payload bytes currently held (out-of-order window + partial
@@ -566,7 +603,23 @@ impl AmRx {
     }
 }
 
+use outran_simcore::snap::SnapError;
 use outran_simcore::snap_fields;
+
+impl RxPartial {
+    /// What in-order reassembly keeps true: the bytes received are the
+    /// next offset, short of the SDU (a complete one is delivered), and
+    /// the SDU's bytes fit the transport sequence space.
+    fn check(&mut self) -> Result<(), SnapError> {
+        if self.received != self.next_offset
+            || self.next_offset >= self.sdu_len
+            || self.seq.checked_add(self.sdu_len.into()).is_none()
+        {
+            return Err(SnapError::Malformed("AM reassembly disagrees with itself"));
+        }
+        Ok(())
+    }
+}
 
 snap_fields! { StatusPdu { ack_sn, nacks } }
 snap_fields! { AmPdu { sn, seg, poll } }
@@ -582,7 +635,7 @@ snap_fields! {
     rebuilt { cfg, seg_scratch, ack_scratch }
 }
 
-snap_fields! { RxPartial { received, next_offset, sdu_len, flow_id, seq } }
+snap_fields! { RxPartial { received, next_offset, sdu_len, flow_id, seq } then RxPartial::check }
 
 // Both maps iterate in key order, so the byte stream is deterministic.
 snap_fields! {
@@ -798,5 +851,37 @@ mod tests {
         }
         assert_eq!(delivered.len(), 1);
         assert_eq!(delivered[0].len, 3000);
+    }
+
+    /// A PDU numbered far past the receiver's next expected SN — the
+    /// top of the SN space included — yields one STATUS of at most
+    /// `MAX_STATUS_NACKS` gaps, and every SN below its `ack_sn` is
+    /// received or NACKed.
+    #[test]
+    fn status_nacks_are_bounded_by_the_am_window() {
+        let mut tx = AmTx::new(cfg0());
+        for i in 0..3 {
+            tx.write_sdu(sdu(i, 100, 0)).unwrap();
+        }
+        let (pdus, _) = tx.pull(100_000, Time::ZERO);
+        for far in [600, u32::MAX - 1, u32::MAX] {
+            let mut rx = AmRx::new(cfg0());
+            for (i, mut p) in pdus.iter().cloned().enumerate() {
+                if i == 1 {
+                    p.sn = far;
+                }
+                rx.on_pdu(p, Time::ZERO);
+            }
+            let status = rx.build_status();
+            assert!(status.nacks.len() <= MAX_STATUS_NACKS, "{far}");
+            assert_eq!(status.nacks.first(), Some(&1), "{far}");
+            let received = [0, 2, far];
+            for sn in 0..status.ack_sn {
+                assert!(
+                    received.contains(&sn) ^ status.nacks.contains(&sn),
+                    "{sn} of {far}"
+                );
+            }
+        }
     }
 }

@@ -12,6 +12,14 @@
 //!   *bit-identical* to an uninterrupted one rather than merely close.
 //!   A writer either keeps its bytes or streams them to a sink in
 //!   [`SNAP_CHUNK`]s.
+//! * [`SnapTrace`] — what a *tracing* writer ([`SnapWriter::tracing`])
+//!   records beside the bytes: per primitive, the field path the layouts
+//!   named (`ingress.flows[3].size`), its [`SnapKind`] and its byte span.
+//!   The layouts stay the one description of the wire format: a test
+//!   addresses a field by path instead of by a hand-computed offset, and
+//!   a mutator can write kind-typed hostile values into each
+//!   [`SnapField`] of a real checkpoint section. The trace only reads:
+//!   the bytes are the plain writer's.
 //! * [`Snap`] / [`Unsnap`] / [`LoadSnap`] — the three traits every
 //!   persisted type implements: one writer (`snap`) and the two restore
 //!   shapes. *By value* (`T::unsnap(r)`): the bytes alone rebuild the
@@ -24,9 +32,11 @@
 //! * [`snap_fields!`](crate::snap_fields) / [`snap_enum!`](crate::snap_enum)
 //!   — declare a type's wire layout **once**, as an ordered field (or
 //!   tagged-variant) list; writer and reader are generated from it, so
-//!   they cannot disagree. The struct form destructures `Self { .. }`
-//!   exhaustively: a field that is neither persisted nor named under
-//!   `rebuilt` is a compile error.
+//!   they cannot disagree, and the writer names each field
+//!   ([`SnapWriter::open`]) and each tag ([`SnapWriter::tag`]) for a
+//!   trace. The struct form destructures `Self { .. }` exhaustively: a
+//!   field that is neither persisted nor named under `rebuilt` is a
+//!   compile error.
 //! * [`counters!`](crate::counters) — declare a set of `u64` event
 //!   counters once: struct, `merge`, `rows`, `total_events` and layout.
 //! * [`SnapEncoder`] — the one encoder of the container: named
@@ -50,7 +60,14 @@
 //! can express keep a hand-written impl, each documented where it
 //! lives ([`Rng`], [`EventQueue`], the cell channel's
 //! written-as-if-caught-up planes in `outran-phy`, and the ingress flow
-//! table's records-plus-open-endpoints form in `outran-ran`).
+//! table's records-plus-open-endpoints form in `outran-ran`). A
+//! hand-written impl names a member through [`SnapWriter::field`] (the
+//! cell channel names each plane); what it writes bare shares its own
+//! path, and the sequences and layouts it calls name theirs.
+//!
+//! A restore refuses a clock, id or version counter past
+//! [`COUNTER_MAX`] ([`check_counter`]): below it their increments cannot
+//! overflow.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
@@ -70,6 +87,21 @@ pub const SNAP_MAGIC: [u8; 4] = *b"ORSN";
 /// Current snapshot format version. Bump on ANY layout change — the
 /// reader refuses other versions rather than misinterpreting bytes.
 pub const SNAP_VERSION: u32 = 4;
+
+/// The largest clock, id or version counter a restore accepts: 2^62.
+/// No run comes near it (a nanosecond clock passes it after 146 years),
+/// and below it a counter's own increments cannot overflow, so a larger
+/// one marks a corrupt or hostile file.
+pub const COUNTER_MAX: u64 = 1 << 62;
+
+/// Refuse a restored clock, id or version counter `v` past
+/// [`COUNTER_MAX`] as [`SnapError::Malformed`]`(what)`.
+pub fn check_counter(v: u64, what: &'static str) -> Result<(), SnapError> {
+    if v > COUNTER_MAX {
+        return Err(SnapError::Malformed(what));
+    }
+    Ok(())
+}
 
 /// Errors surfaced while reading or persisting a snapshot.
 #[derive(Debug)]
@@ -144,6 +176,13 @@ pub const SNAP_CHUNK: usize = 64 * 1024;
 /// sink, and keeps the section's running length and FNV-1a digest. The
 /// first spill error is kept and returned when the section ends; later
 /// spills are skipped.
+///
+/// A *tracing* writer ([`SnapWriter::tracing`]) also records, for every
+/// primitive it writes, the field path the layouts named on the way
+/// down, the primitive's [`SnapKind`] and its byte span: a
+/// [`SnapTrace`]. The layouts name their fields whatever the writer;
+/// outside trace mode a name costs one call per field that returns at
+/// once.
 pub struct SnapWriter<'s> {
     buf: Vec<u8>,
     sink: Option<&'s mut dyn Write>,
@@ -152,6 +191,72 @@ pub struct SnapWriter<'s> {
     /// FNV-1a state over the spilled bytes.
     digest: u64,
     err: Option<io::Error>,
+    trace: Option<Box<Tracer>>,
+}
+
+/// A tracing writer's state: the path of the field being written, one
+/// frame per layout it is inside, and the primitives recorded so far.
+#[derive(Debug, Default)]
+struct Tracer {
+    path: String,
+    frames: Vec<Frame>,
+    fields: Vec<SnapField>,
+}
+
+/// A layout being traced: the path's length where it starts, the names
+/// of its fields still to come, each ended by a `,` (none for a
+/// sequence, whose elements are named `[i]`), and how many came before.
+#[derive(Debug)]
+struct Frame {
+    mark: usize,
+    names: &'static str,
+    next: usize,
+}
+
+/// What one primitive of a payload is: the writer method that wrote
+/// it, a sequence's length prefix, or an enum's tag byte.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum SnapKind {
+    /// [`SnapWriter::u8`].
+    U8,
+    /// [`SnapWriter::u16`].
+    U16,
+    /// [`SnapWriter::u32`].
+    U32,
+    /// [`SnapWriter::u64`].
+    U64,
+    /// [`SnapWriter::i64`].
+    I64,
+    /// [`SnapWriter::usize`].
+    Usize,
+    /// [`SnapWriter::f64`].
+    F64,
+    /// [`SnapWriter::bool`].
+    Bool,
+    /// [`SnapWriter::time`].
+    Time,
+    /// [`SnapWriter::dur`].
+    Dur,
+    /// [`SnapWriter::str`]: its length prefix and its bytes.
+    Str,
+    /// The length prefix of [`SnapWriter::seq`].
+    Len,
+    /// An enum's tag ([`SnapWriter::tag`]).
+    Tag,
+}
+
+/// One primitive of a traced payload.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SnapField {
+    /// Field names from the payload's root, `.`-separated, with `[i]`
+    /// for the `i`-th element of a sequence (`ingress.flows[3].size`).
+    /// A hand-written layout names nothing below its own field, so its
+    /// primitives share that path.
+    pub path: String,
+    /// What was written.
+    pub kind: SnapKind,
+    /// Where its bytes lie in the payload.
+    pub span: Range<usize>,
 }
 
 impl fmt::Debug for SnapWriter<'_> {
@@ -178,7 +283,23 @@ impl<'s> SnapWriter<'s> {
             spilled: 0,
             digest: FNV_OFFSET,
             err: None,
+            trace: None,
         }
+    }
+
+    /// An in-memory writer that traces every primitive it writes.
+    pub fn tracing() -> SnapWriter<'s> {
+        SnapWriter {
+            trace: Some(Box::default()),
+            ..SnapWriter::new()
+        }
+    }
+
+    /// Finished payload bytes of an in-memory writer and, if it was
+    /// [`tracing`](SnapWriter::tracing), their trace (else an empty one).
+    pub fn into_traced(mut self) -> (Vec<u8>, SnapTrace) {
+        let fields = self.trace.take().map(|t| t.fields).unwrap_or_default();
+        (self.into_bytes(), SnapTrace(fields))
     }
 
     /// A writer that spills every full chunk to `sink`.
@@ -251,71 +372,225 @@ impl<'s> SnapWriter<'s> {
         }
     }
 
+    /// Write one primitive of `kind`: the one copy of the write path
+    /// the primitive methods share.
+    #[inline(never)]
+    fn prim(&mut self, kind: SnapKind, bytes: &[u8]) {
+        if self.trace.is_some() {
+            self.record(kind, bytes.len());
+        }
+        self.put(bytes);
+    }
+
+    /// Trace the `len` bytes about to be written as one `kind`.
+    #[cold]
+    #[inline(never)]
+    fn record(&mut self, kind: SnapKind, len: usize) {
+        let at = self.len();
+        if let Some(t) = self.trace.as_deref_mut() {
+            t.fields.push(SnapField {
+                path: t.path.clone(),
+                kind,
+                span: at..at + len,
+            });
+        }
+    }
+
+    /// Write `v` as the field `name` of the value being written, so a
+    /// trace can name it: how a hand-written layout names a member.
+    pub fn field(&mut self, name: &str, v: &dyn Snap) {
+        self.open("");
+        if let Some(t) = self.trace.as_deref_mut() {
+            push_name(&mut t.path, name);
+        }
+        v.snap(self);
+        self.close();
+    }
+
+    /// Start a layout whose fields a trace names `names` (each ended by
+    /// a `,`: `"id,len,"`), in order, each as the layout writes it after
+    /// a [`next`](SnapWriter::next): what the layout macros emit. The
+    /// three calls stay out of line, so a layout costs a plain writer one
+    /// call per field.
+    #[inline(never)]
+    pub fn open(&mut self, names: &'static str) {
+        if let Some(t) = self.trace.as_deref_mut() {
+            let mark = t.path.len();
+            t.frames.push(Frame {
+                mark,
+                names,
+                next: 0,
+            });
+        }
+    }
+
+    /// Name what follows as the open layout's next field, or for a
+    /// sequence, its next element `[i]`.
+    #[inline(never)]
+    pub fn next(&mut self) {
+        if let Some(t) = self.trace.as_deref_mut() {
+            if let Some(f) = t.frames.last_mut() {
+                t.path.truncate(f.mark);
+                match f.names.split_once(',') {
+                    Some((name, rest)) => {
+                        push_name(&mut t.path, name);
+                        f.names = rest;
+                    }
+                    None => t.path.push_str(&format!("[{}]", f.next)),
+                }
+                f.next += 1;
+            }
+        }
+    }
+
+    /// End the layout the matching [`open`](SnapWriter::open) started.
+    #[inline(never)]
+    pub fn close(&mut self) {
+        if let Some(t) = self.trace.as_deref_mut() {
+            if let Some(f) = t.frames.pop() {
+                t.path.truncate(f.mark);
+            }
+        }
+    }
+
+    /// Write an enum's tag byte.
+    pub fn tag(&mut self, v: u8) {
+        self.prim(SnapKind::Tag, &[v]);
+    }
+
     /// Write a single byte.
     pub fn u8(&mut self, v: u8) {
-        self.put(&[v]);
+        self.prim(SnapKind::U8, &[v]);
     }
 
     /// Write a `u16`.
     pub fn u16(&mut self, v: u16) {
-        self.put(&v.to_le_bytes());
+        self.prim(SnapKind::U16, &v.to_le_bytes());
     }
 
     /// Write a `u32`.
     pub fn u32(&mut self, v: u32) {
-        self.put(&v.to_le_bytes());
+        self.prim(SnapKind::U32, &v.to_le_bytes());
     }
 
     /// Write a `u64`.
     pub fn u64(&mut self, v: u64) {
-        self.put(&v.to_le_bytes());
+        self.prim(SnapKind::U64, &v.to_le_bytes());
     }
 
     /// Write an `i64`.
     pub fn i64(&mut self, v: i64) {
-        self.put(&v.to_le_bytes());
+        self.prim(SnapKind::I64, &v.to_le_bytes());
     }
 
     /// Write a `usize` (as `u64`; the simulator never exceeds that).
     pub fn usize(&mut self, v: usize) {
-        self.u64(v as u64);
+        self.prim(SnapKind::Usize, &(v as u64).to_le_bytes());
     }
 
     /// Write an `f64` as its exact IEEE-754 bit pattern.
     pub fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
+        self.prim(SnapKind::F64, &v.to_bits().to_le_bytes());
     }
 
     /// Write a `bool` as one byte.
     pub fn bool(&mut self, v: bool) {
-        self.u8(v as u8);
+        self.prim(SnapKind::Bool, &[v as u8]);
     }
 
     /// Write a [`Time`] instant.
     pub fn time(&mut self, t: Time) {
-        self.u64(t.as_nanos());
+        self.prim(SnapKind::Time, &t.as_nanos().to_le_bytes());
     }
 
     /// Write a [`Dur`] span.
     pub fn dur(&mut self, d: Dur) {
-        self.u64(d.as_nanos());
+        self.prim(SnapKind::Dur, &d.as_nanos().to_le_bytes());
     }
 
     /// Write a length-prefixed UTF-8 string.
     pub fn str(&mut self, s: &str) {
-        self.usize(s.len());
+        if self.trace.is_some() {
+            self.record(SnapKind::Str, 8 + s.len());
+        }
+        self.put(&(s.len() as u64).to_le_bytes());
         self.put(s.as_bytes());
     }
 
-    /// Write a sequence via a length prefix plus the closure per item.
+    /// Write a sequence's length prefix and open its elements.
+    #[inline(never)]
+    fn open_seq(&mut self, n: usize) {
+        self.prim(SnapKind::Len, &(n as u64).to_le_bytes());
+        self.open("");
+    }
+
+    /// Write a sequence via a length prefix plus the closure per item;
+    /// a trace names the items `[0]`, `[1]`, ….
     pub fn seq<T>(
         &mut self,
         items: impl ExactSizeIterator<Item = T>,
         mut f: impl FnMut(&mut SnapWriter, T),
     ) {
-        self.usize(items.len());
+        self.open_seq(items.len());
         for it in items {
+            self.next();
             f(self, it);
+        }
+        self.close();
+    }
+}
+
+/// Append `.name` (`name` at the root) to a traced path.
+fn push_name(path: &mut String, name: &str) {
+    if !path.is_empty() {
+        path.push('.');
+    }
+    path.push_str(name);
+}
+
+/// The primitives a [`SnapWriter::tracing`] writer recorded, in write
+/// order: they tile the payload, one span after the other.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct SnapTrace(Vec<SnapField>);
+
+impl SnapTrace {
+    /// Every traced primitive, in write order.
+    pub fn fields(&self) -> &[SnapField] {
+        &self.0
+    }
+
+    /// The first primitive of `kind` written at `path`.
+    pub fn get(&self, path: &str, kind: SnapKind) -> Option<&SnapField> {
+        self.0.iter().find(|f| f.kind == kind && f.path == path)
+    }
+}
+
+impl SnapField {
+    /// The primitive's value in `payload`, little-endian: an `f64`'s bit
+    /// pattern, a string's length.
+    pub fn value(&self, payload: &[u8]) -> u64 {
+        let mut word = [0u8; 8];
+        let width = self.width();
+        word[..width].copy_from_slice(&payload[self.span.start..][..width]);
+        u64::from_le_bytes(word)
+    }
+
+    /// `payload` with this primitive's leading bytes set to `value`'s
+    /// low-order bytes, at the primitive's own width.
+    pub fn with(&self, payload: &[u8], value: u64) -> Vec<u8> {
+        let mut out = payload.to_vec();
+        let at = self.span.start;
+        let width = self.width();
+        out[at..at + width].copy_from_slice(&value.to_le_bytes()[..width]);
+        out
+    }
+
+    /// Bytes of the value [`with`](SnapField::with) rewrites: a string's
+    /// length prefix, all of any other primitive.
+    fn width(&self) -> usize {
+        match self.kind {
+            SnapKind::Str => 8,
+            _ => self.span.len(),
         }
     }
 }
@@ -760,6 +1035,12 @@ impl<T: Snap + ?Sized> Snap for &T {
     }
 }
 
+impl<T: Snap + ?Sized> Snap for Box<T> {
+    fn snap(&self, w: &mut SnapWriter) {
+        (**self).snap(w);
+    }
+}
+
 /// Primitives: `type: codec-method(deref)`.
 macro_rules! snap_prims {
     ($($ty:ty: $m:ident($($deref:tt)?)),* $(,)?) => {$(
@@ -780,6 +1061,7 @@ snap_prims!(
     f64: f64(*), bool: bool(*), Time: time(*), Dur: dur(*), String: str(),
 );
 
+/// A presence byte, then the value under the option's own path.
 impl<T: Snap> Snap for Option<T> {
     fn snap(&self, w: &mut SnapWriter) {
         w.bool(self.is_some());
@@ -815,12 +1097,15 @@ snap_seqs! {
     [K: Ord, V] BTreeMap<K, V>, of (K, V);
 }
 
-/// Tuples travel field by field, no framing.
+/// Tuples travel field by field, no framing; a trace names the
+/// fields `0`, `1`, ….
 macro_rules! snap_tuples {
     ($(($($t:ident . $i:tt),+))*) => {$(
         impl<$($t: Snap),+> Snap for ($($t,)+) {
             fn snap(&self, w: &mut SnapWriter) {
-                $(self.$i.snap(w);)+
+                w.open(concat!($(stringify!($i), ","),+));
+                $(w.next(); self.$i.snap(w);)+
+                w.close();
             }
         }
         impl<$($t: Unsnap),+> Unsnap for ($($t,)+) {
@@ -861,7 +1146,9 @@ snap_tuples!((A.0, B.1)(A.0, B.1, C.2));
 ///   [`SnapReader`] helper ([`SnapReader::fixed`] for a length the
 ///   configuration fixes, [`SnapReader::fixed_opt`] for a presence).
 ///
-/// Fields are named by identifier or tuple index (`Wrapper { 0 }`), and
+/// The writer names each field by its identifier in a trace
+/// ([`SnapWriter::open`]). Fields are named by identifier or tuple
+/// index (`Wrapper { 0 }`), and
 /// one list of type parameters is accepted (`Queue<T> { .. }`, each
 /// bounded by [`Unsnap`]). The writer destructures `Self { .. }`
 /// *exhaustively*, so a field in neither list does not build:
@@ -880,7 +1167,9 @@ macro_rules! snap_fields {
         impl $(<$($g: $crate::snap::Unsnap),+>)? $crate::snap::Snap for $ty $(<$($g),+>)? {
             fn snap(&self, w: &mut $crate::snap::SnapWriter) {
                 let Self { $($f: _,)* $($($d: _,)*)? } = self;
-                $($crate::snap::Snap::snap(&self.$f, w);)*
+                w.open(::std::concat!($(::std::stringify!($f), ","),*));
+                $(w.next(); $crate::snap::Snap::snap(&self.$f, w);)*
+                w.close();
             }
         }
         impl $(<$($g: $crate::snap::Unsnap),+>)? $crate::snap::Unsnap for $ty $(<$($g),+>)? {
@@ -905,10 +1194,10 @@ macro_rules! snap_fields {
     ) => {
         impl $(<$($g: $crate::snap::Unsnap),+>)? $crate::snap::Snap for $ty $(<$($g),+>)? {
             fn snap(&self, w: &mut $crate::snap::SnapWriter) {
-                #[allow(unused_imports, reason = "the caller may have the trait in scope")]
-                use $crate::snap::Snap as _;
                 let Self { $($f: _,)* $($($d: _,)*)? } = self;
-                $(self.$f.snap(w);)*
+                w.open(::std::concat!($(::std::stringify!($f), ","),*));
+                $(w.next(); $crate::snap::Snap::snap(&self.$f, w);)*
+                w.close();
             }
         }
         impl $(<$($g: $crate::snap::Unsnap),+>)? $crate::snap::LoadSnap for $ty $(<$($g),+>)? {
@@ -929,10 +1218,12 @@ macro_rules! snap_fields {
 }
 
 /// Declare an enum's snapshot layout once: a `u8` tag per variant, then
-/// the variant's fields in the listed order. `what` names the enum in
-/// the `Malformed` error an unknown (or, for `overlay`, disagreeing)
-/// tag yields. The generated `match self` is exhaustive, so an unlisted
-/// variant does not build.
+/// the variant's fields in the listed order. A trace records the tag as
+/// a [`SnapKind::Tag`] at the enum's own path and names each field by
+/// its binding in the list (`1 => Um(segs)` writes `….segs`). `what`
+/// names the enum in the `Malformed` error an unknown (or, for
+/// `overlay`, disagreeing) tag yields. The generated `match self` is
+/// exhaustive, so an unlisted variant does not build.
 ///
 /// * `Type, what { 0 => Unit, 1 => Tuple(a, b), 2 => Struct { x, y } }`
 ///   — by value ([`Snap`] + [`Unsnap`]).
@@ -950,9 +1241,14 @@ macro_rules! snap_enum {
             fn snap(&self, w: &mut $crate::snap::SnapWriter) {
                 match self {$(
                     Self::$v $({ $($f),* })? $(( $($t),* ))? => {
-                        w.u8($tag);
-                        $($($crate::snap::Snap::snap($f, w);)*)?
-                        $($($crate::snap::Snap::snap($t, w);)*)?
+                        w.tag($tag);
+                        w.open(::std::concat!(
+                            $($(::std::stringify!($f), ","),*)?
+                            $($(::std::stringify!($t), ","),*)?
+                        ));
+                        $($(w.next(); $crate::snap::Snap::snap($f, w);)*)?
+                        $($(w.next(); $crate::snap::Snap::snap($t, w);)*)?
+                        w.close();
                     }
                 )*}
             }
@@ -975,8 +1271,8 @@ macro_rules! snap_enum {
             fn snap(&self, w: &mut $crate::snap::SnapWriter) {
                 match self {$(
                     Self::$v($p) => {
-                        w.u8($tag);
-                        $crate::snap::Snap::snap($p, w);
+                        w.tag($tag);
+                        w.field(::std::stringify!($p), $p);
                     }
                 )*}
             }
@@ -1117,6 +1413,7 @@ impl<E: Snap> Snap for EventQueue<E> {
 impl<E: Unsnap> Unsnap for EventQueue<E> {
     fn unsnap(r: &mut SnapReader<'_>) -> Result<EventQueue<E>, SnapError> {
         let counter = r.u64()?;
+        check_counter(counter, "event sequence counter past 2^62")?;
         let mut q = EventQueue::new();
         for (t, seq, e) in r.get::<Vec<(Time, u64, E)>>()? {
             if seq >= counter {
@@ -1549,10 +1846,10 @@ mod tests {
     /// other shape instead of adopting it.
     #[test]
     fn fixed_shapes_refuse_a_different_length_or_presence() {
-        let mut w = SnapWriter::new();
+        let mut w = SnapWriter::tracing();
         vec![1u64, 2].snap(&mut w);
         Some(5u32).snap(&mut w);
-        let bytes = w.into_bytes();
+        let (bytes, trace) = w.into_traced();
 
         let mut r = SnapReader::new(&bytes);
         let (mut two, mut slot) = ([0u64; 2], Some(0u32));
@@ -1566,7 +1863,8 @@ mod tests {
             r.fixed(&mut [0u64; 3]),
             Err(SnapError::Malformed(_))
         ));
-        let mut r = SnapReader::new(&bytes[24..]);
+        let presence = trace.get("", SnapKind::Bool).unwrap().span.start;
+        let mut r = SnapReader::new(&bytes[presence..]);
         assert!(matches!(
             r.fixed_opt(&mut None::<u32>),
             Err(SnapError::Malformed(_))
@@ -1663,6 +1961,78 @@ mod tests {
         assert_eq!(dst, want);
         dst.lanes.push(0);
         assert!(dst.load_snap(&mut SnapReader::new(&bytes)).is_err());
+    }
+
+    /// A tracing writer writes the same bytes as a plain one, and its
+    /// trace names every primitive by field path, kind and span: the
+    /// spans tile the payload in write order.
+    #[test]
+    fn trace_names_every_primitive() {
+        #[derive(Debug, PartialEq)]
+        struct Doc {
+            shapes: Vec<Shape>,
+            label: String,
+            at: Option<(Dur, f64)>,
+        }
+        snap_fields! { Doc { shapes, label, at } }
+        let doc = Doc {
+            shapes: vec![
+                Shape::Unit,
+                Shape::Named {
+                    id: 7,
+                    tags: vec![1, 2],
+                },
+            ],
+            label: "ab".into(),
+            at: Some((Dur::from_micros(3), -0.5)),
+        };
+        let mut plain = SnapWriter::new();
+        doc.snap(&mut plain);
+        let mut w = SnapWriter::tracing();
+        doc.snap(&mut w);
+        let (bytes, trace) = w.into_traced();
+        assert_eq!(bytes, plain.into_bytes());
+
+        use SnapKind::{Bool, Len, Str, Tag, F64, U16, U64};
+        let want = [
+            ("shapes", Len, 8),
+            ("shapes[0]", Tag, 1),
+            ("shapes[1]", Tag, 1),
+            ("shapes[1].id", U64, 8),
+            ("shapes[1].tags", Len, 8),
+            ("shapes[1].tags[0]", U16, 2),
+            ("shapes[1].tags[1]", U16, 2),
+            ("label", Str, 10),
+            ("at", Bool, 1),
+            ("at.0", SnapKind::Dur, 8),
+            ("at.1", F64, 8),
+        ];
+        let got: Vec<_> = trace
+            .fields()
+            .iter()
+            .map(|f| (f.path.as_str(), f.kind, f.span.len()))
+            .collect();
+        assert_eq!(got, want);
+        let mut at = 0;
+        for f in trace.fields() {
+            assert_eq!(f.span.start, at, "{}", f.path);
+            at = f.span.end;
+        }
+        assert_eq!(at, bytes.len());
+
+        let tags = trace.get("shapes[1].tags", Len).unwrap();
+        assert_eq!(tags.value(&bytes), 2);
+        let label = trace.get("label", Str).unwrap();
+        let longer = label.with(&bytes, 3);
+        assert_eq!(
+            longer[label.span.clone()],
+            [3, 0, 0, 0, 0, 0, 0, 0, b'a', b'b']
+        );
+        assert!(Doc::unsnap(&mut SnapReader::new(&longer)).is_err());
+        let x = trace.get("at.1", F64).unwrap();
+        let nan = x.with(&bytes, f64::NAN.to_bits());
+        let back = Doc::unsnap(&mut SnapReader::new(&nan)).unwrap();
+        assert!(back.at.is_some_and(|(_, v)| v.is_nan()));
     }
 
     /// `T::unsnap(snap(x)) == x` with the reader exhausted, for

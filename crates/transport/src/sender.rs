@@ -243,7 +243,7 @@ impl TcpSender {
     pub fn emit_into(&mut self, now: Time, out: &mut Vec<Segment>) {
         let before = out.len();
         if let Some(seg) = self.retx_pending.take() {
-            self.retx_bytes += seg.len as u64;
+            self.retx_bytes = self.retx_bytes.saturating_add(seg.len as u64);
             out.push(seg);
         }
         let cwnd = self.cwnd.max(self.cfg.mss as f64) as u64;
