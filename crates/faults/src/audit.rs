@@ -174,7 +174,7 @@ impl InvariantAuditor {
             }
         }
         self.last_clock = Some(now);
-        self.ttis_seen = self.ttis_seen.saturating_add(1);
+        self.ttis_seen += 1;
     }
 
     /// Observe one TTI's RB usage (cheap, called every TTI).
@@ -238,7 +238,7 @@ impl InvariantAuditor {
 
     /// Run the full snapshot check (periodically and at end-of-run).
     pub fn check(&mut self, now: Time, snap: &AuditSnapshot) {
-        self.checks_run = self.checks_run.saturating_add(1);
+        self.checks_run += 1;
         if let Some(ledger) = snap.bytes {
             if ledger.imbalance() != 0 {
                 self.record(now, ViolationKind::ByteConservation { ledger });
@@ -293,7 +293,8 @@ snap_fields! { Violation { at, kind } }
 
 snap_fields! {
     overlay InvariantAuditor {
-        violations, total_violations, checks_run, ttis_seen, last_clock, delivery_order,
+        violations, total_violations, checks_run in counter, ttis_seen in counter, last_clock,
+        delivery_order,
     }
 }
 

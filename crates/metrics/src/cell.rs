@@ -63,9 +63,9 @@ impl CellMetrics {
     pub fn on_tti(&mut self, delivered_bits_per_ue: &[f64], had_data: &[bool]) {
         let total: f64 = delivered_bits_per_ue.iter().sum();
         self.total_bits += total;
-        self.total_ttis = self.total_ttis.saturating_add(1);
+        self.total_ttis += 1;
         self.bits_in_window += total;
-        self.tti_in_window = self.tti_in_window.saturating_add(1);
+        self.tti_in_window += 1;
         for (u, &b) in delivered_bits_per_ue.iter().enumerate() {
             self.window_ue_bits[u] += b;
             if had_data.get(u).copied().unwrap_or(false) {
@@ -108,7 +108,12 @@ impl CellMetrics {
     /// event-driven cell loops call this for idle TTIs, so the two modes
     /// book identical metrics.
     pub fn note_idle_ttis(&mut self, k: u64) {
-        self.total_ttis = self.total_ttis.saturating_add(k);
+        self.total_ttis += k;
+    }
+
+    /// TTIs booked, active and idle.
+    pub fn total_ttis(&self) -> u64 {
+        self.total_ttis
     }
 
     /// Record the RLC-buffer sojourn of one delivered SDU.
@@ -179,8 +184,9 @@ pub fn cdf(series: &[f64], max_points: usize) -> Vec<(f64, f64)> {
 // from the run config; the per-UE vectors must keep its UE count.
 outran_simcore::snap_fields! {
     overlay CellMetrics {
-        tti_in_window, bits_in_window, window_ue_bits: fixed, window_ue_active: fixed,
-        se_series, fairness_series, total_bits, total_ttis, qdelay_all, qdelay_short,
+        tti_in_window in counter, bits_in_window, window_ue_bits: fixed,
+        window_ue_active: fixed, se_series, fairness_series, total_bits,
+        total_ttis in counter, qdelay_all, qdelay_short,
     }
     rebuilt { bandwidth_hz, tti, sample_ttis }
 }

@@ -273,7 +273,7 @@ use outran_simcore::snap_fields;
 
 snap_fields! { Priority { 0 } }
 snap_fields! { FiveTuple { src_ip, dst_ip, src_port, dst_port, proto } }
-snap_fields! { FlowState { sent_bytes, first_seen, last_seen } }
+snap_fields! { FlowState { sent_bytes in counter, first_seen, last_seen } }
 
 // The MLFQ config, idle timeout and entry cap come from the experiment
 // configuration and are re-established by the restoring side.

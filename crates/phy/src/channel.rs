@@ -1162,94 +1162,25 @@ fn rate_lut(cfg: &ChannelConfig) -> [f64; 16] {
     lut
 }
 
-use outran_simcore::snap::{
-    check_counter, LoadSnap, Snap, SnapError, SnapReader, SnapWriter, COUNTER_MAX,
-};
+use outran_simcore::snap::{Snap, SnapError, SnapWriter};
+use outran_simcore::snap_fields;
 
-/// Irregular: a lagging slot is written as if caught up (a copy of the
-/// channel is synced when the caller did not sync the original), and a
-/// restored channel starts with every slot at the restored TTI index —
-/// the lag state never travels. The structure-of-arrays planes go to the
-/// wire as they are, each under its own field name in a trace and
-/// refused unless its length is the constructed one. The configuration, the derived layout (`n_subbands`,
-/// `rbs_per_subband`, the rate table) and the cached large-scale terms
-/// never travel either: the channel is constructed from the run
-/// configuration first, and the caches are rebuilt from the restored
-/// state.
-impl Snap for CellChannel {
-    fn snap(&self, w: &mut SnapWriter) {
-        if (0..self.n_ues).any(|ue| self.is_behind(ue)) {
-            let mut caught_up = self.clone();
-            caught_up.sync_all();
-            return caught_up.snap(w);
+impl CellChannel {
+    /// A lagging channel's snapshot: write a copy synced as if caught
+    /// up, and say so.
+    fn write_caught_up(&self, w: &mut SnapWriter) -> bool {
+        if !(0..self.n_ues).any(|ue| self.is_behind(ue)) {
+            return false;
         }
-        w.field("walkers", &self.walkers);
-        w.field("fade_sb_re", &self.fade_sb_re);
-        w.field("fade_sb_im", &self.fade_sb_im);
-        w.field("fade_wb_re", &self.fade_wb_re);
-        w.field("fade_wb_im", &self.fade_wb_im);
-        w.field("fade_rho", &self.fade_rho);
-        w.field("fade_flatness", &self.fade_flatness);
-        w.field("fade_rng", &self.fade_rng);
-        w.field("shadow_db", &self.shadow_db);
-        w.field("reported", &self.reported);
-        w.field("reported_rev", &self.reported_rev);
-        w.field("pending", &self.pending);
-        w.field("pending_fresh", &self.pending_fresh);
-        w.field("pending_due", &self.pending_due);
-        w.field("next_report_at", &self.next_report_at);
-        w.field("ue_rng", &self.ue_rng);
-        w.field("tti_index", &self.tti_index);
-        w.field("dist_since_shadow", &self.dist_since_shadow);
-        w.field("cqi_frozen", &self.cqi_frozen);
-        w.field("cqi_corrupt", &self.cqi_corrupt);
-        w.field("cqi_frozen_reports", &self.cqi_frozen_reports);
-        w.field("cqi_corrupted_reports", &self.cqi_corrupted_reports);
-        // Network-coupling planes (noise-only / zero in an isolated cell).
-        w.field("iplusn_dbm", &self.iplusn_dbm);
-        w.field("ext_dist_m", &self.ext_dist_m);
+        let mut caught_up = self.clone();
+        caught_up.sync_all();
+        caught_up.snap(w);
+        true
     }
-}
 
-impl LoadSnap for CellChannel {
-    fn load_snap(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.fixed(&mut self.walkers)?;
-        r.fixed(&mut self.fade_sb_re)?;
-        r.fixed(&mut self.fade_sb_im)?;
-        r.fixed(&mut self.fade_wb_re)?;
-        r.fixed(&mut self.fade_wb_im)?;
-        same_plane(r, &self.fade_rho, "restored fading coefficient disagrees")?;
-        same_plane(r, &self.fade_flatness, "restored flatness disagrees")?;
-        r.fixed(&mut self.fade_rng)?;
-        r.fixed(&mut self.shadow_db)?;
-        r.fixed(&mut self.reported)?;
-        r.fixed(&mut self.reported_rev)?;
-        r.fixed(&mut self.pending)?;
-        // A report indexes the rate table: 4 bits, 0..=15.
-        if self
-            .reported
-            .iter()
-            .chain(&self.pending)
-            .any(|c| *c > Cqi::MAX)
-        {
-            return Err(SnapError::Malformed("restored CQI above 15"));
-        }
-        if self.reported_rev.iter().any(|&rev| rev > COUNTER_MAX) {
-            return Err(SnapError::Malformed("CQI report version past 2^62"));
-        }
-        r.fixed(&mut self.pending_fresh)?;
-        r.fixed(&mut self.pending_due)?;
-        r.fixed(&mut self.next_report_at)?;
-        r.fixed(&mut self.ue_rng)?;
-        self.tti_index = r.get()?;
-        check_counter(self.tti_index, "channel TTI index past 2^62")?;
-        r.fixed(&mut self.dist_since_shadow)?;
-        r.fixed(&mut self.cqi_frozen)?;
-        r.fixed(&mut self.cqi_corrupt)?;
-        self.cqi_frozen_reports = r.get()?;
-        self.cqi_corrupted_reports = r.get()?;
-        r.fixed(&mut self.iplusn_dbm)?;
-        r.fixed(&mut self.ext_dist_m)?;
+    /// Restore's last step: every slot starts live at the restored TTI
+    /// index, and the large-scale caches follow the restored state.
+    fn after_load(&mut self) -> Result<(), SnapError> {
         self.lag_log.clear();
         self.n_lagging = 0;
         self.live.fill(true);
@@ -1261,25 +1192,35 @@ impl LoadSnap for CellChannel {
     }
 }
 
-/// Read a configuration plane and refuse it unless it is, bit for bit,
-/// the one the channel was constructed with.
-fn same_plane(r: &mut SnapReader<'_>, built: &[f64], what: &'static str) -> Result<(), SnapError> {
-    let mut read = built.to_vec();
-    r.fixed(&mut read)?;
-    if !read
-        .iter()
-        .map(|x| x.to_bits())
-        .eq(built.iter().map(|x| x.to_bits()))
-    {
-        return Err(SnapError::Malformed(what));
+// A lagging slot is written as if caught up: the lag state never
+// travels. Each plane must keep its constructed length, the fading
+// coefficients and flatness their constructed values. Configuration,
+// derived layout and cached large-scale terms are rebuilt.
+snap_fields! {
+    overlay CellChannel {
+        walkers: fixed, fade_sb_re: fixed, fade_sb_im: fixed, fade_wb_re: fixed,
+        fade_wb_im: fixed, fade_rho: same, fade_flatness: same, fade_rng: fixed,
+        shadow_db: fixed, reported: fixed, reported_rev: fixed in counter, pending: fixed,
+        pending_fresh: fixed, pending_due: fixed, next_report_at: fixed, ue_rng: fixed,
+        tti_index in counter, dist_since_shadow: fixed, cqi_frozen: fixed,
+        cqi_corrupt: fixed, cqi_frozen_reports in counter, cqi_corrupted_reports in counter,
+        // Network-coupling planes (noise-only / zero in an isolated cell).
+        iplusn_dbm: fixed, ext_dist_m: fixed,
     }
-    Ok(())
+    rebuilt {
+        cfg, n_ues, n_subbands, rbs_per_subband, sinr_const_db, ext_geometry, fade_radius,
+        fade_angle, fade_z, fade_live, sinr_z, rate_per_cqi, detached, live, slot_tti,
+        n_lagging, lag_log, report_wake, work,
+    }
+    written_as write_caught_up
+    then CellChannel::after_load
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fading::FadingProcess;
+    use outran_simcore::snap::{LoadSnap, Snap, SnapReader, SnapWriter};
 
     fn small_channel() -> CellChannel {
         let mut cfg = ChannelConfig::lte_default();

@@ -14,7 +14,8 @@
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Cqi(pub u8);
 
-outran_simcore::snap_fields! { Cqi { 0 } }
+// A report indexes the rate table: 4 bits, 0..=15.
+outran_simcore::snap_fields! { Cqi { 0 in le(15) } }
 
 impl Cqi {
     /// Highest quality.

@@ -24,7 +24,6 @@
 //! the channel's cached `sinr_const_db` plane, so dense per-TTI kernels
 //! stay branch-free.
 
-use outran_simcore::snap::SnapError;
 use outran_simcore::snap_fields;
 use outran_simcore::{Dur, Rng};
 
@@ -229,19 +228,14 @@ impl CorridorWalk {
         }
         self.frac = self.frac.clamp(0.0, 1.0);
     }
-
-    /// Refuse a restored walk that neither `new` nor `advance` makes.
-    fn check(&mut self) -> Result<(), SnapError> {
-        let heading = self.dir == 1.0 || self.dir == -1.0;
-        let speed = self.speed_mps.is_finite() && self.speed_mps >= 0.0;
-        if !heading || !(0.0..=1.0).contains(&self.frac) || !speed {
-            return Err(SnapError::Malformed("corridor walk out of range"));
-        }
-        Ok(())
-    }
 }
 
-snap_fields! { CorridorWalk { a, b, frac, dir, speed_mps } then CorridorWalk::check }
+// What `new` and `advance` make: progress on the segment, a heading of
+// exactly one way or the other (a 0 left `advance` no room to move), and
+// a speed a walk has.
+snap_fields! {
+    CorridorWalk { a, b, frac in ge(0) & le(1), dir in sign, speed_mps in ge(0) & finite }
+}
 
 #[cfg(test)]
 mod tests {
@@ -378,7 +372,7 @@ mod tests {
     /// refused alongside.
     #[test]
     fn corridor_restore_refuses_impossible_walks() {
-        use outran_simcore::snap::{Snap, SnapReader, SnapWriter, Unsnap};
+        use outran_simcore::snap::{Snap, SnapError, SnapReader, SnapWriter, Unsnap};
         let mut w = CorridorWalk::new(
             Pos { x: 0.0, y: 0.0 },
             Pos { x: 500.0, y: 0.0 },

@@ -157,10 +157,13 @@ impl<T> HarqQueue<T> {
 
 use outran_simcore::snap_fields;
 
-snap_fields! { HarqTb<T> { payload, bits, subband, attempts } }
+snap_fields! { HarqTb<T> { payload, bits, subband in index(subbands), attempts } }
 
 // The config is re-established by the owner via [`HarqQueue::new`].
-snap_fields! { overlay HarqQueue<T> { pending, dropped_tbs, retx_served } rebuilt { cfg } }
+snap_fields! {
+    overlay HarqQueue<T> { pending, dropped_tbs in counter, retx_served in counter }
+    rebuilt { cfg }
+}
 
 #[cfg(test)]
 mod tests {

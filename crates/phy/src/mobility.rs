@@ -142,7 +142,7 @@ snap_fields! { Pos { x, y } }
 // carries its own RNG stream, which must continue exactly where it left
 // off. The two are a function of the heading and are rebuilt from it.
 snap_fields! {
-    RandomWalk { pos, speed_mps, heading, radius, turn_period, until_turn, rng }
+    RandomWalk { pos, speed_mps, heading, radius, turn_period in gt(0), until_turn, rng }
     rebuilt { cos_h, sin_h }
     then rebuild_heading
 }

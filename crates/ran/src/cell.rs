@@ -34,7 +34,7 @@ use outran_metrics::CellMetrics;
 use outran_pdcp::FiveTuple;
 use outran_rlc::am::AmPdu;
 use outran_rlc::sdu::RlcSegment;
-use outran_simcore::snap::{check_counter, SnapError};
+use outran_simcore::snap::SnapError;
 use outran_simcore::snap_fields;
 use outran_simcore::{Dur, PoolStats, Rng, Time, VecPool};
 
@@ -239,7 +239,7 @@ impl Cell {
     /// the dynamic scheduler) — the Conversational class of Table 1.
     pub fn add_gbr_bearer(&mut self, bearer: GbrBearer) {
         assert!(bearer.ue < self.cfg.n_ues);
-        assert!(bearer.pkt_bytes > 0 && bearer.interval > Dur::ZERO);
+        assert!(bearer.pkt_bytes > 0 && bearer.interval >= Dur::from_micros(1));
         self.mac.add_gbr_bearer(self.now, bearer);
     }
 
@@ -361,7 +361,7 @@ impl Cell {
         );
         let k = to.since(self.now).as_nanos() / self.tti.as_nanos();
         self.now = to;
-        self.skipped_ttis = self.skipped_ttis.saturating_add(k);
+        self.skipped_ttis += k;
         self.idle_accrue(k);
     }
 
@@ -370,7 +370,7 @@ impl Cell {
     /// Yields the same state whether called once per idle TTI (dense)
     /// or once per skipped span (event-driven).
     fn idle_accrue(&mut self, k: u64) {
-        self.idle_ttis = self.idle_ttis.saturating_add(k);
+        self.idle_ttis += k;
         self.pending_idle += k;
         self.metrics.note_idle_ttis(k);
         self.hk.idle_reset_catch_up(self.now, &mut self.ues);
@@ -443,7 +443,7 @@ impl Cell {
         );
         let (used_rbs, total_rbs) = self.mac.allocate(now);
         self.hk.observe_rbs(now, used_rbs, total_rbs);
-        self.used_rbs_cum = self.used_rbs_cum.saturating_add(used_rbs as u64);
+        self.used_rbs_cum += used_rbs as u64;
         self.observer.exit(StageId::MacSched);
 
         if self.mac.active_ues().is_empty() {
@@ -551,8 +551,8 @@ impl Cell {
                 .fold((0u64, 0u64), |a, b| {
                     (a.0.saturating_add(b.0), a.1.saturating_add(b.1))
                 });
-            // Saturating: a counter restored near `u64::MAX` unbalances
-            // the ledger, which the audit reports, instead of wrapping.
+            // Saturating: four restored counters of up to 2^62 each can
+            // overflow a u64 together; the audit reports the imbalance.
             let sum = |terms: [u64; 4]| terms.into_iter().fold(0u64, u64::saturating_add);
             let dropped = sum([
                 self.ingress.dropped_bytes(),
@@ -732,6 +732,11 @@ impl Cell {
         self.ingress.n_flows()
     }
 
+    /// The channel's sub-band count.
+    fn n_subbands(&self) -> usize {
+        self.cfg.channel.n_subbands
+    }
+
     /// Number of completed flows.
     pub fn n_completed(&self) -> usize {
         self.ingress.n_completed()
@@ -897,14 +902,14 @@ impl Cell {
     /// constructed one (they re-warm identically; contents never affect
     /// outcomes). The order audit keeps history for open flows only, so
     /// entries a file holds for any other flow — one written before the
-    /// audit forgot completed flows holds thousands — are dropped. A UE
-    /// state naming a flow past the table is refused: delivering it
-    /// would index out of bounds.
+    /// audit forgot completed flows holds thousands — are dropped. The
+    /// clock must be the TTIs the metrics booked (a clock far past the
+    /// channel would have it catch up for as long), and the HARQ blocks
+    /// must hold the bytes the PHY stage's ledger says.
     fn after_load(&mut self) -> Result<(), SnapError> {
-        check_counter(self.now.as_nanos(), "clock past 2^62 ns")?;
-        let n_flows = self.ingress.n_flows();
-        if !self.ues.iter().all(|ue| ue.names_only_flows_below(n_flows)) {
-            return Err(SnapError::Malformed("UE state names a flow the cell lacks"));
+        let (now, tti) = (self.now.as_nanos(), self.tti.as_nanos());
+        if !now.is_multiple_of(tti) || now / tti != self.metrics.total_ttis() {
+            return Err(SnapError::Malformed("clock disagrees with the TTIs booked"));
         }
         let held: u64 = self
             .ues
@@ -933,11 +938,15 @@ impl Cell {
 // state on top; the cell then continues bit-identically to the one that
 // was snapshotted, in both dense and event-driven stepping. The
 // pipeline observer is runtime-only wiring.
+// A UE or sub-band id past the cell's is refused once the whole cell is
+// read.
 snap_fields! {
     overlay Cell {
-        now, ues: fixed, ingress, rlc_down, mac, phy, delivery, hk, gbr_latency, metrics,
-        idle_ttis, skipped_ttis, pending_idle, used_rbs_cum,
+        now in counter, ues: fixed, ingress, rlc_down, mac, phy, delivery, hk, gbr_latency,
+        metrics, idle_ttis in counter, skipped_ttis in counter, pending_idle,
+        used_rbs_cum in counter,
     }
     rebuilt { cfg, tti, pools, observer }
+    spaces { ues: ues.len(), subbands: n_subbands() }
     then Cell::after_load
 }

@@ -358,48 +358,203 @@ mod tests {
         assert!(r.is_exhausted());
     }
 
-    /// The generic hostile mutator. In the UM and the AM mid-transfer
-    /// cell section it takes one representative of every field the
-    /// layouts reach ([`firsts`]) and writes each of its kind's
-    /// [`hostile_values`] there. Each case is refused with a `SnapError`,
-    /// or restores into a cell that runs a simulated second with its
-    /// live index sound; a panic (a debug build's overflow checks
-    /// included) fails the test, naming every case that panicked.
+    /// The generic hostile mutator, over the UM and the AM mid-transfer
+    /// cell sections: see [`mutate`].
     #[test]
     fn every_field_of_a_cell_section_is_refused_or_runs() {
         let mut panicked = Vec::new();
         for mode in [RlcMode::Um, RlcMode::Am] {
-            let (section, trace) = traced(&mid_transfer_cell_in(mode).0);
-            let fields = firsts(&trace, &section);
-            let (mut refused, mut ran, before) = (0, 0, panicked.len());
-            for f in &fields {
-                for value in hostile_values(f, &section) {
-                    let hostile = f.with(&section, value);
-                    let run = || restore_and_run(&hostile, mode);
-                    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)) {
-                        Ok(Ok(())) => ran += 1,
-                        Ok(Err(_)) => refused += 1,
-                        Err(e) => panicked.push(format!(
-                            "{mode:?} {} {:?} = {value:#x}: {}",
-                            f.path,
-                            f.kind,
-                            panic_message(&*e)
-                        )),
-                    }
-                }
-            }
-            let failed = panicked.len() - before;
-            eprintln!(
-                "{mode:?}: {} paths, {} cases: {refused} refused, {ran} ran, {failed} panicked",
-                fields.len(),
-                refused + ran + failed,
-            );
-            assert!(
-                refused > 0 && ran > 0,
-                "{mode:?}: {refused} refused, {ran} ran"
-            );
+            let cell = mid_transfer_cell_in(mode).0;
+            let (section, trace) = traced(&cell);
+            let n_sb = cell.config().channel.n_subbands as u64;
+            let spaces = [
+                ("flows", cell.n_flows() as u64),
+                ("ues", 2),
+                ("subbands", n_sb),
+            ];
+            let restore = |hostile: &[u8]| restore_and_run(hostile, mode);
+            panicked.extend(mutate(
+                &format!("{mode:?}"),
+                &section,
+                &trace,
+                &spaces,
+                restore,
+            ));
         }
         assert!(panicked.is_empty(), "{panicked:#?}");
+    }
+
+    /// The cell of the `AM_PF_CHAOS` checkpoint pin: PF, RLC AM, explicit
+    /// HARQ, residual loss, a chaos fault plan and a GBR bearer.
+    fn am_chaos_cell() -> Cell {
+        let mut cell = crate::Experiment::lte_default()
+            .scheduler(SchedulerKind::Pf)
+            .users(3)
+            .load(0.5)
+            .duration_secs(2)
+            .seed(0x5EED)
+            .rlc_mode(RlcMode::Am)
+            .harq(Some(outran_phy::harq::HarqConfig::default()))
+            .residual_loss(0.02)
+            .faults(outran_faults::FaultPlan::chaos(
+                0x5EED,
+                Dur::from_secs(2),
+                3,
+                0.6,
+            ))
+            .watchdog(Some(Dur::from_millis(750)))
+            .build_cell();
+        cell.add_gbr_bearer(crate::config::GbrBearer::volte(0));
+        cell
+    }
+
+    /// [`mutate`] over the AM + chaos cell's section at 1 s, each case
+    /// restored into a fresh such cell and run a simulated second.
+    /// Release only (≈ 54 s in debug on two cores, ≈ 5 s in release): the
+    /// durability CI job runs it.
+    #[test]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "release only: the durability CI job runs it"
+    )]
+    fn every_field_of_an_am_chaos_section_is_refused_or_runs() {
+        let mut cell = am_chaos_cell();
+        cell.run_until(Time::from_secs(1));
+        let (section, trace) = traced(&cell);
+        let n_sb = cell.config().channel.n_subbands as u64;
+        let spaces = [
+            ("flows", cell.n_flows() as u64),
+            ("ues", 3),
+            ("subbands", n_sb),
+        ];
+        let restore = |hostile: &[u8]| {
+            let mut target = am_chaos_cell();
+            overlay_cell(hostile, &mut target)?;
+            target.run_until(target.now() + Dur::from_secs(1));
+            target.check_live_index().unwrap();
+            Ok(())
+        };
+        let panicked = mutate("AM chaos", &section, &trace, &spaces, restore);
+        assert!(panicked.is_empty(), "{panicked:#?}");
+    }
+
+    /// [`mutate`] over a metro checkpoint's `network` section: 6 cells
+    /// of 8 slots on 2 sites, 12 UEs half of them vehicular, checkpointed
+    /// after handovers; each case resumes the run to its end. Release
+    /// only (≈ 10 s in debug on two cores, which takes the debug
+    /// `outran-ran` lib tests past 30 s): the durability CI job runs it.
+    #[test]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "release only: the durability CI job runs it"
+    )]
+    fn every_field_of_a_network_section_is_refused_or_runs() {
+        use crate::network::Network;
+        use outran_phy::Scenario;
+        let net = || {
+            let mut net = Network::metro(Scenario::LtePedestrian, SchedulerKind::OutRan, 0.25);
+            (net.n_sites, net.isd_m, net.slots_per_cell, net.n_ues) = (2, 350.0, 8, 12);
+            (net.corridor_frac, net.vehicle_speed_mps) = (0.5, 30.0);
+            (net.duration, net.seed) = (Time::from_secs(1), 9);
+            net
+        };
+        let dir = std::env::temp_dir().join(format!("outran-net-mut-{}", std::process::id()));
+        let mut ck = net();
+        (ck.checkpoint_every, ck.checkpoint_dir) = (Some(Dur::from_secs(4)), Some(dir.clone()));
+        assert!(
+            ck.run().report.handover.successes > 0,
+            "no handover to mutate"
+        );
+        let (_, good) = read_checkpoint(&dir.join("metro-ckpt-4s.orsn")).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        let section = good.section("network").unwrap().to_vec();
+        let trace = net().network_section_trace(&good).unwrap();
+        let spaces = [("cells", 6), ("slots", 8), ("sites", 2)];
+        let restore = |hostile: &[u8]| {
+            let mut file = SnapshotFile::new();
+            for name in good.section_names() {
+                let payload = if name == "network" {
+                    hostile
+                } else {
+                    good.section(name)?
+                };
+                file.encode(|enc| enc.section(name, |w| payload.iter().for_each(|&b| w.u8(b))));
+            }
+            net().resume(&file).map(|_| ())
+        };
+        let panicked = mutate("network", &section, &trace, &spaces, restore);
+        assert!(panicked.is_empty(), "{panicked:#?}");
+    }
+
+    /// The generic hostile mutator. Over the [`sampled`] fields of
+    /// `section` it writes each field's [`hostile_values`]: its kind's,
+    /// and its declared domain's edges ([`domain_edges`], with the size
+    /// of each id space in `spaces`). Each case must be refused with a
+    /// `SnapError`, or `restore` it (which runs what loads); a panic (a
+    /// debug build's overflow checks included) is returned as a line
+    /// naming the case, and counts are printed. The cases are spread
+    /// over up to four threads.
+    fn mutate(
+        name: &str,
+        section: &[u8],
+        trace: &SnapTrace,
+        spaces: &[(&str, u64)],
+        restore: impl Fn(&[u8]) -> Result<(), SnapError> + Sync,
+    ) -> Vec<String> {
+        let fields = sampled(trace, section);
+        let cases: Vec<(&SnapField, u64)> = fields
+            .iter()
+            .flat_map(|&f| {
+                hostile_values(f, section, trace, spaces)
+                    .into_iter()
+                    .map(move |v| (f, v))
+            })
+            .collect();
+        let run = |&(f, value): &(&SnapField, u64)| {
+            let hostile = f.with(section, value);
+            let run = || restore(&hostile);
+            match std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)) {
+                Ok(result) => Ok(result.is_ok()),
+                Err(e) => Err(format!(
+                    "{name} {} {:?} = {value:#x}: {}",
+                    f.path,
+                    f.kind,
+                    panic_message(&*e)
+                )),
+            }
+        };
+        let threads = std::thread::available_parallelism().map_or(1, |n| n.get().min(4));
+        let (all, run) = (&cases, &run);
+        let outcomes: Vec<Result<bool, String>> = std::thread::scope(|s| {
+            let share = |t| {
+                move || {
+                    all.iter()
+                        .skip(t)
+                        .step_by(threads)
+                        .map(run)
+                        .collect::<Vec<_>>()
+                }
+            };
+            let workers: Vec<_> = (0..threads).map(|t| s.spawn(share(t))).collect();
+            workers
+                .into_iter()
+                .flat_map(|w| w.join().unwrap())
+                .collect()
+        });
+        let ran = outcomes.iter().filter(|o| matches!(o, Ok(true))).count();
+        let refused = outcomes.iter().filter(|o| matches!(o, Ok(false))).count();
+        let panicked: Vec<String> = outcomes.into_iter().filter_map(Result::err).collect();
+        eprintln!(
+            "{name}: {} fields, {} cases: {refused} refused, {ran} ran, {} panicked",
+            fields.len(),
+            cases.len(),
+            panicked.len(),
+        );
+        assert!(
+            refused > 0 && ran > 0,
+            "{name}: {refused} refused, {ran} ran"
+        );
+        panicked
     }
 
     /// The mutator's three panic classes, one field each: a flow id in a
@@ -524,17 +679,31 @@ mod tests {
         ));
     }
 
-    /// One representative of every field the layouts reach in
-    /// `payload`: the first primitive of each index-erased path and
-    /// kind, and of a tag, the first of each variant it holds. In write
-    /// order.
-    fn firsts<'t>(trace: &'t SnapTrace, payload: &[u8]) -> Vec<&'t SnapField> {
-        let mut seen = std::collections::BTreeSet::new();
-        let mut first = |f: &&SnapField| {
+    /// The fields the mutator writes: per index-erased path and kind
+    /// (and, of a tag, per variant), in write order, the first occurrence
+    /// and the last. A sequence is written at both ends — each element
+    /// of one of two — and a sequence nested in another at the first and
+    /// last element of the whole walk; what lies between is left out, as
+    /// the debug `test` job's time asks.
+    fn sampled<'t>(trace: &'t SnapTrace, payload: &[u8]) -> Vec<&'t SnapField> {
+        let key = |f: &SnapField| {
             let variant = (f.kind == SnapKind::Tag).then(|| f.value(payload));
-            seen.insert((erased_path(f), f.kind, variant))
+            (erased_path(f), f.kind, variant)
         };
-        trace.fields().iter().filter(|f| first(f)).collect()
+        let mut count = std::collections::BTreeMap::new();
+        for f in trace.fields() {
+            *count.entry(key(f)).or_insert(0usize) += 1;
+        }
+        let mut seen = std::collections::BTreeMap::new();
+        let mut keep = |f: &&SnapField| {
+            let k = key(f);
+            let n = count[&k];
+            let i = seen.entry(k).or_insert(0usize);
+            *i += 1;
+            let at = *i - 1;
+            at == 0 || at + 1 == n
+        };
+        trace.fields().iter().filter(|f| keep(f)).collect()
     }
 
     /// `f`'s path with every sequence index erased (`flows[].size`).
@@ -549,23 +718,21 @@ mod tests {
             .join("[")
     }
 
-    /// The hostile values of `f`'s kind, each different from the value
-    /// `payload` holds: `0, 1, MAX-1, MAX` of an integer, instant or
-    /// span; `NaN, +-inf, -1, 1e308` of a float; `2` of a bool; the
-    /// neighbouring tags `n-1`, `n+1` (another variant's bytes under
-    /// this one's) and an unknown one, `0xFF`; a length of `n-1`, `n+1`
-    /// or `u64::MAX`.
-    fn hostile_values(f: &SnapField, payload: &[u8]) -> Vec<u64> {
-        let width = match f.kind {
-            SnapKind::Str => 8,
-            _ => f.span.len(),
-        };
-        let max = match width {
-            8 => u64::MAX,
-            w => (1u64 << (8 * w)) - 1,
-        };
+    /// The hostile values of `f`, each different from the value
+    /// `payload` holds: its kind's — `0, 1, MAX-1, MAX` of an integer,
+    /// instant or span; `NaN, +-inf, -1, 1e308` of a float; `2` of a
+    /// bool; the neighbouring tags `n-1`, `n+1` (another variant's bytes
+    /// under this one's) and an unknown one, `0xFF`; a length of `n-1`,
+    /// `n+1` or `u64::MAX` — and its domain's [`domain_edges`].
+    fn hostile_values(
+        f: &SnapField,
+        payload: &[u8],
+        trace: &SnapTrace,
+        spaces: &[(&str, u64)],
+    ) -> Vec<u64> {
+        let max = width_max(f);
         let n = f.value(payload);
-        let values = match f.kind {
+        let mut values = match f.kind {
             SnapKind::F64 => [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0, 1e308]
                 .map(f64::to_bits)
                 .to_vec(),
@@ -576,10 +743,112 @@ mod tests {
             }
             _ => vec![0, 1, max - 1, max],
         };
-        let mut out: Vec<u64> = values.into_iter().filter(|&v| v != n).collect();
-        out.sort_unstable();
-        out.dedup();
+        values.extend(domain_edges(f, payload, trace, spaces));
+        values.retain(|&v| v != n);
+        values.sort_unstable();
+        values.dedup();
+        values
+    }
+
+    /// The largest value `f`'s bytes hold.
+    fn width_max(f: &SnapField) -> u64 {
+        match f.kind {
+            SnapKind::Str => u64::MAX,
+            _ if f.span.len() >= 8 => u64::MAX,
+            _ => (1u64 << (8 * f.span.len())) - 1,
+        }
+    }
+
+    /// The edges of the domain `f`'s layout declared, as `f`'s bytes:
+    /// of `counter`, its bound and one past it; of `sign`, -2 to 2; of a
+    /// comparison with `b`, `b - 1`, `b`, `b + 1` (of a float, also
+    /// `b`'s neighbouring floats), `b` a literal or the nearest sibling
+    /// field's value (none when the sibling does not travel); of
+    /// `index(space)`, the space's last id and its size. A length, tag,
+    /// presence byte or string has no domain.
+    fn domain_edges(
+        f: &SnapField,
+        payload: &[u8],
+        trace: &SnapTrace,
+        spaces: &[(&str, u64)],
+    ) -> Vec<u64> {
+        use SnapKind::{Bool, Len, Str, Tag, F64};
+        if matches!(f.kind, Len | Tag | Bool | Str) {
+            return Vec::new();
+        }
+        let float = f.kind == F64;
+        let max = width_max(f);
+        let ints = |xs: &[i128]| -> Vec<u64> {
+            let ok = |x: &&i128| (0..=max as i128).contains(*x);
+            xs.iter().filter(ok).map(|&x| x as u64).collect()
+        };
+        let floats = |xs: &[f64]| -> Vec<u64> { xs.iter().map(|x| x.to_bits()).collect() };
+        let mut out = Vec::new();
+        for kind in f.domain.split('&').map(str::trim).filter(|k| !k.is_empty()) {
+            let (op, arg) = match kind.split_once('(') {
+                Some((op, rest)) => (op, rest.trim_end_matches(')').trim()),
+                None => (kind, ""),
+            };
+            out.extend(match op {
+                "counter" => ints(&[(max as i128 >> 2) + 1, (max as i128 >> 2) + 2]),
+                "finite" => Vec::new(),
+                "sign" if float => floats(&[-2.0, -1.0, 0.0, 1.0, 2.0]),
+                "index" => {
+                    let size = spaces.iter().find(|(s, _)| *s == arg);
+                    let size = size.unwrap_or_else(|| panic!("no size for {arg}")).1;
+                    ints(&[size as i128 - 1, size as i128])
+                }
+                "lt" | "le" | "eq" | "ge" | "gt" => match bound(f, arg, payload, trace) {
+                    None => Vec::new(),
+                    Some(Ok(b)) if !float => ints(&[b - 1, b, b + 1]),
+                    Some(b) => {
+                        let b = b.map_or_else(|b| b, |b| b as f64);
+                        let up = f64::from_bits(b.to_bits().wrapping_add(1));
+                        let down = f64::from_bits(b.to_bits().wrapping_sub(1));
+                        floats(&[b - 1.0, down, b, up, b + 1.0])
+                    }
+                },
+                _ => panic!("{}: unknown domain kind {kind}", f.path),
+            });
+        }
         out
+    }
+
+    /// A comparison's bound for `f`: the literal `arg`, or the value of
+    /// the sibling field `arg` written nearest `f` (an integer's exactly);
+    /// `None` for a sibling that does not travel (configuration).
+    fn bound(
+        f: &SnapField,
+        arg: &str,
+        payload: &[u8],
+        trace: &SnapTrace,
+    ) -> Option<Result<i128, f64>> {
+        let arg = arg.replace(' ', "");
+        if let Ok(b) = arg.parse::<i128>() {
+            return Some(Ok(b));
+        }
+        if let Ok(b) = arg.parse::<f64>() {
+            return Some(Err(b));
+        }
+        let parent = f
+            .path
+            .trim_end_matches(|c: char| c == ']' || c == '[' || c.is_ascii_digit());
+        let parent = parent.rsplit_once('.').map_or("", |(p, _)| p);
+        let path = if parent.is_empty() {
+            arg.to_string()
+        } else {
+            format!("{parent}.{arg}")
+        };
+        let near = |g: &&SnapField| g.span.start.abs_diff(f.span.start);
+        let sib = trace
+            .fields()
+            .iter()
+            .filter(|g| g.path == path)
+            .min_by_key(near)?;
+        Some(match sib.kind {
+            SnapKind::F64 => Err(f64::from_bits(sib.value(payload))),
+            _ => Ok(sib.value(payload).into()),
+        })
     }
 
     #[test]
@@ -589,6 +858,7 @@ mod tests {
             path: "x".into(),
             kind,
             span,
+            domain: "",
         };
         let cases = [
             (at(SnapKind::Tag, 0..1), vec![1, 3, 0xFF]),
@@ -597,19 +867,67 @@ mod tests {
             (at(SnapKind::Bool, 2..3), vec![2]),
             (at(SnapKind::U8, 0..1), vec![0, 1, 0xFE, 0xFF]),
         ];
+        let none = SnapTrace::default();
         for (f, want) in cases {
-            assert_eq!(hostile_values(&f, &payload), want, "{:?}", f.kind);
+            assert_eq!(
+                hostile_values(&f, &payload, &none, &[]),
+                want,
+                "{:?}",
+                f.kind
+            );
         }
         let x = at(SnapKind::F64, 3..11);
-        assert_eq!(hostile_values(&x, &payload).len(), 5);
+        assert_eq!(hostile_values(&x, &payload, &none, &[]).len(), 5);
         let mut w = SnapWriter::tracing();
         (vec![Some(3u16), None], 1u8).snap(&mut w);
         let (bytes, trace) = w.into_traced();
-        let erased: Vec<_> = firsts(&trace, &bytes)
+        let erased: Vec<_> = sampled(&trace, &bytes)
             .iter()
             .map(|f| erased_path(f))
             .collect();
-        assert_eq!(erased, ["0", "0[]", "0[]", "1"]);
+        assert_eq!(erased, ["0", "0[]", "0[]", "0[]", "1"]);
+    }
+
+    /// A sequence's first and last elements are sampled; a domain adds
+    /// its edges — a sibling bound's, a counter's, an index space's.
+    #[test]
+    fn sampling_and_domain_edges() {
+        let mut w = SnapWriter::tracing();
+        (0..40u32).collect::<Vec<_>>().snap(&mut w);
+        let (bytes, trace) = w.into_traced();
+        let at: Vec<_> = sampled(&trace, &bytes)
+            .iter()
+            .map(|f| f.path.clone())
+            .collect();
+        assert_eq!(at, ["", "[0]", "[39]"]);
+
+        #[derive(Debug)]
+        struct Span {
+            len: u32,
+            offset: u32,
+            seen: u64,
+            flow: u64,
+        }
+        outran_simcore::snap_fields! {
+            Span { len, offset in lt(len), seen in counter, flow in index(flows) }
+        }
+        let mut w = SnapWriter::tracing();
+        (Span {
+            len: 9,
+            offset: 2,
+            seen: 5,
+            flow: 1,
+        })
+        .snap(&mut w);
+        let (bytes, trace) = w.into_traced();
+        let spaces = [("flows", 4)];
+        let edges = |path: &str| {
+            let f = trace.fields().iter().find(|f| f.path == path).unwrap();
+            domain_edges(f, &bytes, &trace, &spaces)
+        };
+        assert_eq!(edges("offset"), [8, 9, 10]);
+        assert_eq!(edges("seen"), [1 << 62, (1 << 62) + 1]);
+        assert_eq!(edges("flow"), [3, 4]);
     }
 
     /// The message a panic was raised with.

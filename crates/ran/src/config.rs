@@ -204,7 +204,11 @@ pub struct GbrBearer {
     pub interval: Dur,
 }
 
-outran_simcore::snap_fields! { GbrBearer { ue, pkt_bytes, interval } }
+// At most a packet a microsecond (what `Cell::add_gbr_bearer` accepts),
+// and generation times that cannot overflow.
+outran_simcore::snap_fields! {
+    GbrBearer { ue in index(ues), pkt_bytes in gt(0), interval in ge(1000) & counter }
+}
 outran_simcore::snap_fields! { FlowDone { id, ue, bytes, spawn, fct } }
 
 impl GbrBearer {

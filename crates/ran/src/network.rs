@@ -206,6 +206,13 @@ impl Network {
     /// section are overlaid. The continuation is bit-identical to the
     /// uninterrupted run.
     pub fn resume(&self, file: &SnapshotFile) -> Result<NetworkRun, SnapError> {
+        let st = self.restore_state(file)?;
+        Ok(self.run_state(st, &mut |_, _| {}))
+    }
+
+    /// This configuration's state with `file` overlaid: every cell
+    /// section, then the `network` section.
+    fn restore_state(&self, file: &SnapshotFile) -> Result<NetState, SnapError> {
         let mut st = self.build_state();
         for i in 0..st.cells.len() {
             crate::checkpoint::restore_cell(file, i, &mut st.cells[i])?;
@@ -215,18 +222,17 @@ impl Network {
         if !r.is_exhausted() {
             return Err(SnapError::Malformed("trailing bytes in network section"));
         }
-        Ok(self.run_state(st, &mut |_, _| {}))
+        Ok(st)
     }
 
-    /// The field trace of `file`'s `network` section: the section is
-    /// overlaid onto this configuration's state, which a tracing writer
-    /// writes again, byte for byte. A probe for tests that address the
-    /// section's fields by path.
+    /// The field trace of `file`'s `network` section: the file is
+    /// restored onto this configuration's state, whose `network` section
+    /// a tracing writer writes again, byte for byte. A probe for tests
+    /// that address the section's fields by path.
     #[doc(hidden)]
     pub fn network_section_trace(&self, file: &SnapshotFile) -> Result<SnapTrace, SnapError> {
         let section = file.section("network")?;
-        let mut st = self.build_state();
-        st.load_snap(&mut SnapReader::new(section))?;
+        let st = self.restore_state(file)?;
         let mut w = SnapWriter::tracing();
         st.snap(&mut w);
         let (bytes, trace) = w.into_traced();
@@ -852,15 +858,19 @@ impl NetUe {
     }
 }
 
-snap_enum! { NetMobility, "unknown mobility tag" { 0 => Walk { site, walk }, 1 => Corridor(c) } }
+snap_enum! { NetMobility, "unknown mobility tag" {
+    0 => Walk { site in index(sites), walk },
+    1 => Corridor(c),
+} }
 
 // Overlay-shaped so the per-site shadowing vector keeps the configured
 // site count (`rsrp_cell` indexes it by site).
 snap_fields! {
     overlay NetUe {
-        mobility, shadow_site_db: fixed, serving, slot, a3_target, a3_count, prev_cell,
-        last_ho_epoch,
+        mobility, shadow_site_db: fixed, serving in index(cells), slot in index(slots),
+        a3_target in index(cells), a3_count, prev_cell in index(cells), last_ho_epoch,
     }
+    spaces { sites: shadow_site_db.len() }
 }
 
 /// Where a (possibly multiply-handed-over) flow originally came from:
@@ -907,9 +917,15 @@ struct NetState {
 }
 
 impl NetState {
+    /// The attach slots of each cell.
+    fn slots_per_cell(&self) -> usize {
+        self.slot_owner.first().map_or(0, Vec::len)
+    }
+
     /// Rebuild the slot-owner table from the restored UE registry,
-    /// refusing a registry that does not fit the deployment and a clock
-    /// or an arrival cursor that does not fit the configured run.
+    /// refusing two UEs in one slot, a clock or an arrival cursor that
+    /// does not fit the configured run, and a PRB count at the last
+    /// barrier past its cell's.
     fn rebuild_slot_owner(&mut self) -> Result<(), SnapError> {
         if self.epoch > self.end.as_nanos().div_ceil(EPOCH.as_nanos()) {
             return Err(SnapError::Malformed("epoch beyond the configured horizon"));
@@ -917,18 +933,13 @@ impl NetState {
         if self.cursor > self.arrivals.len() {
             return Err(SnapError::Malformed("arrival cursor beyond the schedule"));
         }
+        if (self.prev_rbs.iter().zip(&self.cells)).any(|(&p, c)| p > c.used_rbs_cum()) {
+            return Err(SnapError::Malformed("barrier PRB count past its cell's"));
+        }
         for slots in &mut self.slot_owner {
             slots.fill(None);
         }
         for (i, ue) in self.ues.iter().enumerate() {
-            if let NetMobility::Walk { site, .. } = ue.mobility {
-                if site >= ue.shadow_site_db.len() {
-                    return Err(SnapError::Malformed("UE anchor site out of range"));
-                }
-            }
-            if ue.serving >= self.slot_owner.len() || ue.slot >= self.slot_owner[ue.serving].len() {
-                return Err(SnapError::Malformed("UE slot out of range"));
-            }
             if self.slot_owner[ue.serving][ue.slot].is_some() {
                 return Err(SnapError::Malformed("two UEs share one slot"));
             }
@@ -960,6 +971,7 @@ snap_fields! {
         epoch, cursor, completed, ues: fixed, loads: fixed, prev_rbs: fixed, origins, fct, stats,
     }
     rebuilt { cells, slot_owner, arrivals, end }
+    spaces { cells: cells.len(), slots: slots_per_cell() }
     then NetState::rebuild_slot_owner
 }
 

@@ -116,7 +116,7 @@ impl DeliveryStage {
         ue: usize,
         d: &DeliveredSdu,
     ) {
-        self.delivered_bytes = self.delivered_bytes.saturating_add(d.len as u64);
+        self.delivered_bytes += d.len as u64;
         if ingress.flow_done(d.flow_id as usize) {
             return;
         }
@@ -124,7 +124,7 @@ impl DeliveryStage {
         let ul_delay = cfg.cn_delay + cfg.ul_air_delay + hk.cn_extra_delay();
         if let Some(done) = ingress.accept_sdu(now, ul_delay, d) {
             hk.forget_flow(ue, d.flow_id);
-            self.completed = self.completed.saturating_add(1);
+            self.completed += 1;
             self.completions.push(done);
         }
     }
@@ -187,5 +187,6 @@ impl DeliveryStage {
 // and completed-flows ledger terms; the reassembly output buffer is
 // drained inside every call.
 snap_fields! {
-    overlay DeliveryStage { completions, delivered_bytes, completed } rebuilt { sdus }
+    overlay DeliveryStage { completions, delivered_bytes in counter, completed in counter }
+    rebuilt { sdus }
 }

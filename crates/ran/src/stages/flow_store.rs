@@ -75,23 +75,19 @@ struct RttTail {
     probe: Option<(u64, Time)>,
 }
 
-snap_fields! { RttTail { last_rtt, probe } }
+snap_fields! { RttTail { last_rtt in counter, probe } }
 
 /// A `Done` record's last RTT sample in one word: its nanoseconds, or
-/// [`PackedRtt::NONE`]. A sample of exactly `u64::MAX` ns (585 years)
-/// would read as none, so a checkpoint holding one is refused.
+/// [`PackedRtt::NONE`]. No sample is `u64::MAX` ns: a run's clock is a
+/// `counter`, and so is every restored sample.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct PackedRtt(u64);
 
 impl PackedRtt {
     const NONE: PackedRtt = PackedRtt(u64::MAX);
 
-    /// Pack a sample the run took; one of `u64::MAX` ns (only a hostile
-    /// restored sender can hold one) reads a nanosecond shorter.
     fn new(rtt: Option<Dur>) -> PackedRtt {
-        rtt.map_or(PackedRtt::NONE, |d| {
-            PackedRtt(d.as_nanos().min(u64::MAX - 1))
-        })
+        rtt.map_or(PackedRtt::NONE, |d| PackedRtt(d.as_nanos()))
     }
 
     fn get(self) -> Option<Dur> {
@@ -144,7 +140,7 @@ const _: () = assert!(std::mem::size_of::<FlowRec>() <= 56);
 
 // The state follows the record on the wire, written by the store as a
 // [`WireState`]: its RTT tail is split between record and probe map.
-snap_fields! { FlowRec { ue, size, spawn, tuple } rebuilt { state } }
+snap_fields! { FlowRec { ue in index(ues), size, spawn, tuple } rebuilt { state } }
 
 /// Records plus the endpoint slab (see module docs).
 pub(super) struct FlowStore {
@@ -162,16 +158,15 @@ pub(super) struct FlowStore {
     stats: PoolStats,
     /// `Done` records, handover-aborted ones included.
     done: u64,
-    /// Endpoint configuration every sender is built against, the RTT
-    /// sample its connection handshake took, and the cell's UE count —
-    /// all fixed by the cell configuration.
+    /// Endpoint configuration every sender is built against and the RTT
+    /// sample its connection handshake took, both fixed by the cell
+    /// configuration.
     tcp: TcpConfig,
     handshake_rtt: Dur,
-    n_ues: usize,
 }
 
 impl FlowStore {
-    pub fn new(tcp: TcpConfig, handshake_rtt: Dur, n_ues: usize) -> FlowStore {
+    pub fn new(tcp: TcpConfig, handshake_rtt: Dur) -> FlowStore {
         FlowStore {
             recs: Vec::new(),
             slots: Vec::new(),
@@ -181,7 +176,6 @@ impl FlowStore {
             done: 0,
             tcp,
             handshake_rtt,
-            n_ues,
         }
     }
 
@@ -352,11 +346,6 @@ impl FlowStore {
         self.recs.len()
     }
 
-    /// The cell's UE count, which every record's `ue` is below.
-    pub fn n_ues(&self) -> usize {
-        self.n_ues
-    }
-
     /// Started-but-incomplete flows: the live endpoints.
     #[inline]
     pub fn open_flows(&self) -> u64 {
@@ -457,9 +446,6 @@ impl LoadSnap for FlowStore {
                 WireState::Pending => FlowState::Pending,
                 WireState::Open => FlowState::Open(UNSLOTTED),
                 WireState::Done(tail) => {
-                    if tail.last_rtt == Some(Dur(PackedRtt::NONE.0)) {
-                        return Err(SnapError::Malformed("last RTT equals the packing sentinel"));
-                    }
                     if let Some(probe) = tail.probe {
                         probes.insert(fi, probe);
                     }
@@ -475,9 +461,6 @@ impl LoadSnap for FlowStore {
         self.done = 0;
         let mut unslotted = 0;
         for rec in &self.recs {
-            if rec.ue as usize >= self.n_ues {
-                return Err(SnapError::Malformed("flow toward a UE the cell lacks"));
-            }
             match rec.state {
                 FlowState::Done(_) => self.done += 1,
                 FlowState::Open(_) => unslotted += 1,
@@ -523,7 +506,7 @@ mod tests {
     const N_UES: usize = 2;
 
     fn store() -> FlowStore {
-        FlowStore::new(TcpConfig::default(), Dur::from_millis(30), N_UES)
+        FlowStore::new(TcpConfig::default(), Dur::from_millis(30))
     }
 
     /// Five flows: 0 done with an RTT sample in flight, 1 open, 2 aborted
@@ -587,10 +570,13 @@ mod tests {
         w.into_bytes()
     }
 
+    /// Restore a store as its cell does: the cell checks the records'
+    /// UE ids against its UEs.
     fn load(bytes: &[u8]) -> Result<FlowStore, SnapError> {
         let mut s = store();
         let mut r = SnapReader::new(bytes);
         s.load_snap(&mut r)?;
+        r.check_space("ues", N_UES, "an id past the ues table")?;
         assert!(r.is_exhausted());
         Ok(s)
     }

@@ -63,7 +63,7 @@ impl IngressStage {
         let handshake_rtt =
             Dur(2 * (cfg.cn_delay.as_nanos() + cfg.ul_air_delay.as_nanos()) + tti.as_nanos() * 4);
         IngressStage {
-            flows: FlowStore::new(cfg.tcp, handshake_rtt, cfg.n_ues),
+            flows: FlowStore::new(cfg.tcp, handshake_rtt),
             events: EventQueue::new(),
             live: Vec::new(),
             scan_visits: 0,
@@ -156,7 +156,7 @@ impl IngressStage {
                 Ev::PktAtEnb { flow, seq, len } => {
                     self.cn_in_flight_bytes -= len as u64;
                     if hk.cn_loses_packet() {
-                        self.dropped_bytes = self.dropped_bytes.saturating_add(len as u64);
+                        self.dropped_bytes += len as u64;
                         hk.note_cn_dropped_data(len as u64);
                     } else {
                         self.on_pkt_at_enb(now, ues, rlc, obs, flow, seq, len);
@@ -243,7 +243,7 @@ impl IngressStage {
         let delay = cfg.cn_delay + hk.cn_extra_delay();
         let degraded = hk.cn_extra_delay() > Dur::ZERO;
         for seg in segs.drain(..) {
-            self.injected_bytes = self.injected_bytes.saturating_add(seg.len as u64);
+            self.injected_bytes += seg.len as u64;
             self.cn_in_flight_bytes += seg.len as u64;
             if degraded {
                 hk.note_cn_delayed_pkt();
@@ -488,31 +488,15 @@ impl IngressStage {
         self.events.near_footprint()
     }
 
-    /// Refuse restored events naming a flow past the table or a UE the
-    /// cell lacks (they would index out of bounds when they fire), then
+    /// Refuse restored packets that do not lie within their flow or
+    /// whose bytes are not the core network's bytes in flight, then
     /// derive the live-flow index from the restored flow table (which
     /// has already refused endpoints that contradict its records).
     fn check_events_and_rebuild_live(&mut self) -> Result<(), SnapError> {
-        let (n_flows, n_ues) = (self.flows.len(), self.flows.n_ues());
-        let in_range = |ev: &Ev| match *ev {
-            Ev::Arrival { flow } | Ev::PktAtEnb { flow, .. } | Ev::AckAtServer { flow, .. } => {
-                flow < n_flows
-            }
-            Ev::StatusAtEnb { ue, .. } => ue < n_ues,
-        };
-        let events = self.events.sorted_entries();
-        if !events.iter().all(|e| in_range(e.2)) {
-            return Err(SnapError::Malformed(
-                "ingress event names a flow or UE the cell lacks",
-            ));
-        }
-        // A packet lies within its flow, and the bytes in the core
-        // network are the queued packets' bytes.
         let mut in_flight = 0u64;
-        for e in &events {
+        for e in &self.events.sorted_entries() {
             if let Ev::PktAtEnb { flow, seq, len } = *e.2 {
-                let end = seq.checked_add(len.into());
-                if end.is_none_or(|end| end > self.flows.size(flow)) {
+                if seq + u64::from(len) > self.flows.size(flow) {
                     return Err(SnapError::Malformed("core-network packet past its flow"));
                 }
                 in_flight += u64::from(len);
@@ -530,20 +514,21 @@ impl IngressStage {
 }
 
 snap_enum! { Ev, "unknown ingress event tag" {
-    0 => Arrival { flow },
-    1 => PktAtEnb { flow, seq, len },
-    2 => AckAtServer { flow, cum },
-    3 => StatusAtEnb { ue, status },
+    0 => Arrival { flow in index(flows) },
+    1 => PktAtEnb { flow in index(flows), seq in counter, len },
+    2 => AckAtServer { flow in index(flows), cum },
+    3 => StatusAtEnb { ue in index(ues), status },
 } }
 
 // The flow table (records, and endpoints for the open flows only) plus
 // the discrete event queue (its sequence counter travels too, so
 // restored tie-breaking is exact). The open-flow count is the table's
-// own: it does not travel.
+// own: it does not travel. Every flow id read so far is checked here.
 snap_fields! {
     overlay IngressStage {
-        flows, events, injected_bytes, cn_in_flight_bytes, dropped_bytes,
+        flows, events, injected_bytes in counter, cn_in_flight_bytes, dropped_bytes in counter,
     }
     rebuilt { emit_scratch, live, scan_visits }
+    spaces { flows: flows.len() }
     then IngressStage::check_events_and_rebuild_live
 }

@@ -336,7 +336,7 @@ impl MacSchedStage {
     }
 }
 
-snap_fields! { GbrRuntime { bearer, next_gen, queue } }
+snap_fields! { GbrRuntime { bearer, next_gen in counter, queue } }
 
 // The scheduler's long-term state and the GBR runtime travel (bearers
 // are attached at runtime, not part of [`CellConfig`], so their full

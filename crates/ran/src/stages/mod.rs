@@ -394,29 +394,9 @@ impl HarqPayload {
 }
 
 snap_fields! { HarqPayload { bytes, data } then HarqPayload::check_bytes }
-snap_fields! { overlay UeContext { flow_table, rlc_tx, rlc_rx, harq, flows } }
+snap_fields! { overlay UeContext { flow_table, rlc_tx, rlc_rx, harq, flows in index(flows) } }
 
 impl UeContext {
-    /// Whether every flow this UE's state names — its flow list, its
-    /// RLC entities' SDUs, PDUs and reassemblies, its HARQ blocks — is
-    /// one of the `n_flows` in the cell's table.
-    pub(crate) fn names_only_flows_below(&self, n_flows: usize) -> bool {
-        let below = |id: u64| usize::try_from(id).is_ok_and(|fi| fi < n_flows);
-        let tx = match &self.rlc_tx {
-            RlcTx::Um(tx) => tx.flow_ids().all(below),
-            RlcTx::Am(tx) => tx.flow_ids().all(below),
-        };
-        let rx = match &self.rlc_rx {
-            RlcRx::Um(rx) => rx.flow_ids().all(below),
-            RlcRx::Am(rx) => rx.flow_ids().all(below),
-        };
-        let harq = self.harq.iter().all(|tb| match &tb.payload.data {
-            HarqData::Um(segs) => segs.iter().all(|s| below(s.flow_id)),
-            HarqData::Am(pdus) => pdus.iter().all(|p| below(p.seg.flow_id)),
-        });
-        tx && rx && harq && self.flows.iter().all(|&fi| fi < n_flows)
-    }
-
     /// Build the per-UE contexts for a configuration (one shared MLFQ
     /// config across flow tables; per-mode RLC entities).
     pub(crate) fn build_all(cfg: &CellConfig) -> Vec<UeContext> {

@@ -178,9 +178,9 @@ impl PhyTxStage {
                     } else if let Some(payload) = ctx.harq.on_failure(tb, now, tti) {
                         // Block exhausted its attempts: the payload is
                         // lost to the upper layers; its buffer recycles.
-                        self.residual_losses = self.residual_losses.saturating_add(1);
+                        self.residual_losses += 1;
                         self.harq_held_bytes -= pb;
-                        self.dropped_bytes = self.dropped_bytes.saturating_add(pb);
+                        self.dropped_bytes += pb;
                         pools.put_payload(payload);
                     }
                 }
@@ -217,7 +217,7 @@ impl PhyTxStage {
                 if !explicit_harq && !fresh_ok {
                     // Folded model: the TB would need retransmission; we
                     // model it as wasted airtime with the data left queued.
-                    self.harq_wasted_tbs = self.harq_wasted_tbs.saturating_add(1);
+                    self.harq_wasted_tbs += 1;
                     continue;
                 }
                 let budget = (budget_bits / 8.0).floor() as u64;
@@ -233,7 +233,7 @@ impl PhyTxStage {
                         self.transmitted[ue] += used as f64 * 8.0;
                         if !fresh_ok {
                             // Explicit HARQ: the whole TB awaits retx.
-                            self.harq_wasted_tbs = self.harq_wasted_tbs.saturating_add(1);
+                            self.harq_wasted_tbs += 1;
                             // The segment buffer travels into the HARQ
                             // process; the scratch slot is refilled from
                             // the pool so the next pull reuses capacity.
@@ -250,8 +250,8 @@ impl PhyTxStage {
                                 now,
                                 tti,
                             ) {
-                                self.residual_losses = self.residual_losses.saturating_add(1);
-                                self.dropped_bytes = self.dropped_bytes.saturating_add(pb);
+                                self.residual_losses += 1;
+                                self.dropped_bytes += pb;
                                 pools.put_payload(payload);
                             } else {
                                 self.harq_held_bytes += pb;
@@ -263,9 +263,8 @@ impl PhyTxStage {
                             // isolated holes that fast retransmit can
                             // repair, not whole-TB burst losses.
                             if self.rng.chance(eff_loss) {
-                                self.residual_losses = self.residual_losses.saturating_add(1);
-                                self.dropped_bytes =
-                                    self.dropped_bytes.saturating_add(seg.len as u64);
+                                self.residual_losses += 1;
+                                self.dropped_bytes += seg.len as u64;
                                 if spiking {
                                     hk.note_spiked_loss();
                                 }
@@ -286,7 +285,7 @@ impl PhyTxStage {
                         }
                         self.transmitted[ue] += used as f64 * 8.0;
                         if !fresh_ok {
-                            self.harq_wasted_tbs = self.harq_wasted_tbs.saturating_add(1);
+                            self.harq_wasted_tbs += 1;
                             if let Some(payload) = ctx.harq.on_failure(
                                 outran_phy::harq::HarqTb {
                                     payload: HarqPayload::am(pdus),
@@ -299,13 +298,13 @@ impl PhyTxStage {
                             ) {
                                 // AM recovers via NACK once the poll
                                 // machinery notices the gap.
-                                self.residual_losses = self.residual_losses.saturating_add(1);
+                                self.residual_losses += 1;
                                 pools.put_payload(payload);
                             }
                             continue;
                         }
                         if self.rng.chance(eff_loss) {
-                            self.residual_losses = self.residual_losses.saturating_add(1);
+                            self.residual_losses += 1;
                             if spiking {
                                 hk.note_spiked_loss();
                             }
@@ -396,7 +395,8 @@ impl PhyTxStage {
 // TTI and never read across a TTI boundary, so they do not travel.
 snap_fields! {
     overlay PhyTxStage {
-        channel, rng, harq_wasted_tbs, residual_losses, harq_held_bytes, dropped_bytes,
+        channel, rng, harq_wasted_tbs in counter, residual_losses in counter, harq_held_bytes,
+        dropped_bytes in counter,
     }
     rebuilt { group_bits, fresh_ok, segs, transmitted, delivered, deliveries }
 }

@@ -10,7 +10,6 @@ use crate::config::CellConfig;
 use crate::stages::{SduIngress, UeContext};
 use outran_rlc::am::StatusPdu;
 use outran_rlc::sdu::RlcSdu;
-use outran_simcore::snap::{check_counter, SnapError};
 use outran_simcore::snap_fields;
 use outran_simcore::Time;
 
@@ -83,16 +82,11 @@ impl RlcDownStage {
     }
 }
 
-impl RlcDownStage {
-    fn check_next_id(&mut self) -> Result<(), SnapError> {
-        check_counter(self.next_sdu_id, "next SDU id past 2^62")
-    }
-}
-
 snap_fields! {
-    overlay RlcDownStage { next_sdu_id, buffer_drops, dropped_bytes }
+    overlay RlcDownStage {
+        next_sdu_id in counter, buffer_drops in counter, dropped_bytes in counter,
+    }
     rebuilt { oracle_priority }
-    then RlcDownStage::check_next_id
 }
 
 /// Quantize a flow's remaining size into one of 16 strict-priority

@@ -185,7 +185,7 @@ impl AmTx {
                 break;
             };
             used += cost;
-            self.retx_count = self.retx_count.saturating_add(1);
+            self.retx_count += 1;
             pdu.poll = self.should_poll(now);
             let retx = self.flight.get(&pdu.sn).map(|(_, r)| *r).unwrap_or(0);
             self.flight.insert(pdu.sn, (pdu.clone(), retx));
@@ -232,7 +232,7 @@ impl AmTx {
     }
 
     fn should_poll(&mut self, now: Time) -> bool {
-        self.pdus_since_poll = self.pdus_since_poll.saturating_add(1);
+        self.pdus_since_poll += 1;
         if self.pdus_since_poll >= self.cfg.poll_pdu {
             self.pdus_since_poll = 0;
             self.poll_outstanding = Some(now + self.cfg.t_poll_retransmit);
@@ -298,8 +298,7 @@ impl AmTx {
                         let mut p = pdu.clone();
                         p.poll = true;
                         self.retxq.push_back(p);
-                        // Re-counted on send; diagnostic only.
-                        self.retx_count = self.retx_count.saturating_add(1);
+                        self.retx_count += 1; // will be re-counted on send; diagnostic only
                         self.poll_outstanding = Some(now + self.cfg.t_poll_retransmit);
                     }
                 }
@@ -362,17 +361,6 @@ impl AmTx {
     /// Queued Tx-Q SDUs (whole + partial; excludes retx PDUs).
     pub fn len_sdus(&self) -> usize {
         self.txq.len_sdus()
-    }
-
-    /// The flow of every SDU and PDU this entity holds: queued, awaiting
-    /// retransmission or in flight.
-    pub fn flow_ids(&self) -> impl Iterator<Item = u64> + '_ {
-        let pdus = self
-            .retxq
-            .iter()
-            .chain(self.flight.values().map(|(p, _)| p));
-        let sdus = self.txq.iter().map(|s| s.flow_id);
-        sdus.chain(pdus.map(|p| p.seg.flow_id))
     }
 
     /// Clamp the Tx Q to `capacity_sdus` (mid-run buffer shrink),
@@ -482,8 +470,7 @@ impl AmRx {
                 delivered.push(d);
             }
         }
-        let n = (delivered.len() - before) as u64;
-        self.delivered_count = self.delivered_count.saturating_add(n);
+        self.delivered_count += (delivered.len() - before) as u64;
         self.maybe_status(now)
     }
 
@@ -570,12 +557,6 @@ impl AmRx {
         self.rx_next
     }
 
-    /// The flow of every PDU and partial reassembly held here.
-    pub fn flow_ids(&self) -> impl Iterator<Item = u64> + '_ {
-        let pdus = self.window.values().map(|p| p.seg.flow_id);
-        pdus.chain(self.partials.values().map(|p| p.flow_id))
-    }
-
     /// Payload bytes currently held (out-of-order window + partial
     /// reassemblies).
     pub fn held_bytes(&self) -> u64 {
@@ -603,23 +584,7 @@ impl AmRx {
     }
 }
 
-use outran_simcore::snap::SnapError;
 use outran_simcore::snap_fields;
-
-impl RxPartial {
-    /// What in-order reassembly keeps true: the bytes received are the
-    /// next offset, short of the SDU (a complete one is delivered), and
-    /// the SDU's bytes fit the transport sequence space.
-    fn check(&mut self) -> Result<(), SnapError> {
-        if self.received != self.next_offset
-            || self.next_offset >= self.sdu_len
-            || self.seq.checked_add(self.sdu_len.into()).is_none()
-        {
-            return Err(SnapError::Malformed("AM reassembly disagrees with itself"));
-        }
-        Ok(())
-    }
-}
 
 snap_fields! { StatusPdu { ack_sn, nacks } }
 snap_fields! { AmPdu { sn, seg, poll } }
@@ -629,19 +594,27 @@ snap_fields! { AmPdu { sn, seg, poll } }
 // return.
 snap_fields! {
     overlay AmTx {
-        txq, retxq, flight, next_sn, pdus_since_poll, poll_outstanding,
-        dropped_pdus, dropped_sdus, retx_count,
+        txq, retxq, flight, next_sn, pdus_since_poll in counter, poll_outstanding,
+        dropped_pdus in counter, dropped_sdus in counter, retx_count in counter,
     }
     rebuilt { cfg, seg_scratch, ack_scratch }
 }
 
-snap_fields! { RxPartial { received, next_offset, sdu_len, flow_id, seq } then RxPartial::check }
+// What in-order reassembly keeps true: the bytes received are the next
+// offset, short of the SDU (a complete one is delivered), and the SDU's
+// bytes fit the transport sequence space.
+snap_fields! {
+    RxPartial {
+        received in eq(next_offset), next_offset in lt(sdu_len), sdu_len,
+        flow_id in index(flows), seq in counter,
+    }
+}
 
 // Both maps iterate in key order, so the byte stream is deterministic.
 snap_fields! {
     overlay AmRx {
         window, rx_next, highest_seen, partials, last_status_at, status_requested,
-        delivered_count,
+        delivered_count in counter,
     }
     rebuilt { cfg }
 }

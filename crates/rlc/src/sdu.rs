@@ -72,25 +72,21 @@ impl RlcSegment {
     }
 }
 
-use outran_simcore::snap::SnapError;
 use outran_simcore::snap_fields;
 
-impl RlcSdu {
-    /// A queued SDU has bytes left to send, and its byte range fits the
-    /// transport sequence space.
-    fn check(&mut self) -> Result<(), SnapError> {
-        if self.offset >= self.len || self.seq.checked_add(self.len.into()).is_none() {
-            return Err(SnapError::Malformed(
-                "RLC SDU offset not below its length, or its bytes past u64",
-            ));
-        }
-        Ok(())
+// A queued SDU has bytes left to send, and its byte range fits the
+// transport sequence space (a `counter` is far enough below `u64::MAX`).
+snap_fields! {
+    RlcSdu {
+        id, flow_id in index(flows), tuple, len, offset in lt(len), priority, arrival,
+        seq in counter,
     }
 }
-
-snap_fields! { RlcSdu { id, flow_id, tuple, len, offset, priority, arrival, seq } then RlcSdu::check }
 snap_fields! {
-    RlcSegment { sdu_id, flow_id, tuple, offset, len, sdu_len, seq, pdcp_sn, arrival }
+    RlcSegment {
+        sdu_id, flow_id in index(flows), tuple, offset in lt(sdu_len), len in le(sdu_len),
+        sdu_len, seq in ge(offset) & counter, pdcp_sn, arrival,
+    }
 }
 
 #[cfg(test)]

@@ -115,11 +115,6 @@ impl UmTx {
         self.queues.len_sdus()
     }
 
-    /// The flow of every SDU queued here.
-    pub fn flow_ids(&self) -> impl Iterator<Item = u64> + '_ {
-        self.queues.iter().map(|s| s.flow_id)
-    }
-
     /// Whether the tx buffer is empty.
     pub fn is_empty(&self) -> bool {
         self.queues.is_empty()
@@ -284,11 +279,6 @@ impl UmRx {
         self.partials.values().map(|p| p.received as u64).sum()
     }
 
-    /// The flow of every partial reassembly held here.
-    pub fn flow_ids(&self) -> impl Iterator<Item = u64> + '_ {
-        self.partials.values().map(|p| p.flow_id)
-    }
-
     /// RLC re-establishment: drop every partial reassembly. Returns
     /// `(sdus, bytes)` discarded.
     pub fn reestablish(&mut self) -> (u64, u64) {
@@ -301,33 +291,27 @@ impl UmRx {
     }
 }
 
-use outran_simcore::snap::SnapError;
 use outran_simcore::snap_fields;
-
-impl Partial {
-    /// What reassembly keeps true: segments arrive in offset order, so
-    /// the bytes received are the next offset, short of the SDU (a
-    /// complete one is delivered), and the SDU's bytes fit the transport
-    /// sequence space.
-    fn check(&mut self) -> Result<(), SnapError> {
-        if self.received != self.next_offset
-            || self.next_offset >= self.sdu_len
-            || self.seq.checked_add(self.sdu_len.into()).is_none()
-        {
-            return Err(SnapError::Malformed("UM reassembly disagrees with itself"));
-        }
-        Ok(())
-    }
-}
 
 // The config is re-established by the owner via [`UmTx::new`].
 snap_fields! { overlay UmTx { queues, dropped_sdus } rebuilt { cfg } }
 
-snap_fields! { Partial { received, next_offset, sdu_len, flow_id, seq, deadline } then Partial::check }
+// What reassembly keeps true: segments arrive in offset order, so the
+// bytes received are the next offset, short of the SDU (a complete one is
+// delivered), and the SDU's bytes fit the transport sequence space.
+snap_fields! {
+    Partial {
+        received in eq(next_offset), next_offset in lt(sdu_len), sdu_len,
+        flow_id in index(flows), seq in counter, deadline,
+    }
+}
 
 // BTreeMap iteration is key-ordered, so the byte stream is deterministic.
 // The window is configuration: the owner constructs the receiver from it.
-snap_fields! { overlay UmRx { partials, discarded_sdus, discarded_bytes } rebuilt { window } }
+snap_fields! {
+    overlay UmRx { partials, discarded_sdus in counter, discarded_bytes in counter }
+    rebuilt { window }
+}
 
 #[cfg(test)]
 mod tests {

@@ -14,7 +14,8 @@
 //!   [`SNAP_CHUNK`]s.
 //! * [`SnapTrace`] — what a *tracing* writer ([`SnapWriter::tracing`])
 //!   records beside the bytes: per primitive, the field path the layouts
-//!   named (`ingress.flows[3].size`), its [`SnapKind`] and its byte span.
+//!   named (`ingress.flows[3].size`), its [`SnapKind`], its byte span and
+//!   its field's domain.
 //!   The layouts stay the one description of the wire format: a test
 //!   addresses a field by path instead of by a hand-computed offset, and
 //!   a mutator can write kind-typed hostile values into each
@@ -31,12 +32,12 @@
 //!   object-safe, so `Box<dyn Scheduler>` restores through it.
 //! * [`snap_fields!`](crate::snap_fields) / [`snap_enum!`](crate::snap_enum)
 //!   — declare a type's wire layout **once**, as an ordered field (or
-//!   tagged-variant) list; writer and reader are generated from it, so
-//!   they cannot disagree, and the writer names each field
-//!   ([`SnapWriter::open`]) and each tag ([`SnapWriter::tag`]) for a
-//!   trace. The struct form destructures `Self { .. }` exhaustively: a
-//!   field that is neither persisted nor named under `rebuilt` is a
-//!   compile error.
+//!   tagged-variant) list with each field's domain; writer, reader and
+//!   restore checks are generated from it, so they cannot disagree, and
+//!   the writer names each field ([`SnapWriter::open`]) and each tag
+//!   ([`SnapWriter::tag`]) for a trace. The struct form destructures
+//!   `Self { .. }` exhaustively: a field that is neither persisted nor
+//!   named under `rebuilt` is a compile error.
 //! * [`counters!`](crate::counters) — declare a set of `u64` event
 //!   counters once: struct, `merge`, `rows`, `total_events` and layout.
 //! * [`SnapEncoder`] — the one encoder of the container: named
@@ -58,16 +59,24 @@
 //! the std containers (length-prefixed sequences, presence-byte
 //! options, field-by-field tuples); only layouts that no field list
 //! can express keep a hand-written impl, each documented where it
-//! lives ([`Rng`], [`EventQueue`], the cell channel's
-//! written-as-if-caught-up planes in `outran-phy`, and the ingress flow
-//! table's records-plus-open-endpoints form in `outran-ran`). A
-//! hand-written impl names a member through [`SnapWriter::field`] (the
-//! cell channel names each plane); what it writes bare shares its own
-//! path, and the sequences and layouts it calls name theirs.
+//! lives ([`Rng`], [`EventQueue`] and the ingress flow table's
+//! records-plus-open-endpoints form in `outran-ran`). What one writes
+//! bare shares its own path; the layouts it calls name theirs.
 //!
-//! A restore refuses a clock, id or version counter past
-//! [`COUNTER_MAX`] ([`check_counter`]): below it their increments cannot
-//! overflow.
+//! A layout names each field's legal values once, as a **domain**
+//! (`offset in lt(len)`; on a sequence or option, each element's): one
+//! or more kinds joined by `&`. `counter` is an integer, a clock's
+//! nanoseconds included, at most a quarter of its type's range (2^62 for
+//! 64 bits), so its own increments cannot overflow; `finite` and `sign`
+//! (exactly ±1) are a float's; `lt le eq ge gt (b)` compare with a
+//! literal or a sibling field; `index(space)` is an id into a table the
+//! layout does not own: the reader keeps the largest id read per space,
+//! and the table's owner checks it once after its own load (a `spaces`
+//! clause, [`SnapReader::check_space`]). Restore checks them all through
+//! one out-of-line checker ([`check_domains`]) and refuses a value
+//! outside as [`SnapError::Malformed`]; `then` hooks keep what involves
+//! several fields at once (a sum, a pairing). A trace records each
+//! number's domain, so a mutator can write its edges.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
@@ -87,21 +96,6 @@ pub const SNAP_MAGIC: [u8; 4] = *b"ORSN";
 /// Current snapshot format version. Bump on ANY layout change — the
 /// reader refuses other versions rather than misinterpreting bytes.
 pub const SNAP_VERSION: u32 = 4;
-
-/// The largest clock, id or version counter a restore accepts: 2^62.
-/// No run comes near it (a nanosecond clock passes it after 146 years),
-/// and below it a counter's own increments cannot overflow, so a larger
-/// one marks a corrupt or hostile file.
-pub const COUNTER_MAX: u64 = 1 << 62;
-
-/// Refuse a restored clock, id or version counter `v` past
-/// [`COUNTER_MAX`] as [`SnapError::Malformed`]`(what)`.
-pub fn check_counter(v: u64, what: &'static str) -> Result<(), SnapError> {
-    if v > COUNTER_MAX {
-        return Err(SnapError::Malformed(what));
-    }
-    Ok(())
-}
 
 /// Errors surfaced while reading or persisting a snapshot.
 #[derive(Debug)]
@@ -205,12 +199,14 @@ struct Tracer {
 
 /// A layout being traced: the path's length where it starts, the names
 /// of its fields still to come, each ended by a `,` (none for a
-/// sequence, whose elements are named `[i]`), and how many came before.
+/// sequence, whose elements are named `[i]` and keep its domain), how
+/// many came before, and the domain of the field being written.
 #[derive(Debug)]
 struct Frame {
     mark: usize,
     names: &'static str,
     next: usize,
+    domain: &'static str,
 }
 
 /// What one primitive of a payload is: the writer method that wrote
@@ -257,6 +253,8 @@ pub struct SnapField {
     pub kind: SnapKind,
     /// Where its bytes lie in the payload.
     pub span: Range<usize>,
+    /// The domain of the field it is written under (`counter & le(9)`).
+    pub domain: &'static str,
 }
 
 impl fmt::Debug for SnapWriter<'_> {
@@ -392,34 +390,27 @@ impl<'s> SnapWriter<'s> {
                 path: t.path.clone(),
                 kind,
                 span: at..at + len,
+                domain: t.frames.last().map_or("", |f| f.domain),
             });
         }
     }
 
-    /// Write `v` as the field `name` of the value being written, so a
-    /// trace can name it: how a hand-written layout names a member.
-    pub fn field(&mut self, name: &str, v: &dyn Snap) {
-        self.open("");
-        if let Some(t) = self.trace.as_deref_mut() {
-            push_name(&mut t.path, name);
-        }
-        v.snap(self);
-        self.close();
-    }
-
     /// Start a layout whose fields a trace names `names` (each ended by
-    /// a `,`: `"id,len,"`), in order, each as the layout writes it after
-    /// a [`next`](SnapWriter::next): what the layout macros emit. The
-    /// three calls stay out of line, so a layout costs a plain writer one
-    /// call per field.
+    /// a `,`, a domain after ` in `: `"id,len,offset in lt(len),"`), in
+    /// order, each as the layout writes it after a
+    /// [`next`](SnapWriter::next): what the layout macros emit. The three
+    /// calls stay out of line, so a layout costs a plain writer one call
+    /// per field.
     #[inline(never)]
     pub fn open(&mut self, names: &'static str) {
         if let Some(t) = self.trace.as_deref_mut() {
             let mark = t.path.len();
+            let domain = t.frames.last().map_or("", |f| f.domain);
             t.frames.push(Frame {
                 mark,
                 names,
                 next: 0,
+                domain,
             });
         }
     }
@@ -433,7 +424,13 @@ impl<'s> SnapWriter<'s> {
                 t.path.truncate(f.mark);
                 match f.names.split_once(',') {
                     Some((name, rest)) => {
+                        // `name` or `name in domain`: a name has no space.
+                        let (name, domain) = match name.split_once(' ') {
+                            Some((name, domain)) => (name, domain.trim_start_matches("in ")),
+                            None => (name, ""),
+                        };
                         push_name(&mut t.path, name);
+                        f.domain = domain;
                         f.names = rest;
                     }
                     None => t.path.push_str(&format!("[{}]", f.next)),
@@ -595,17 +592,33 @@ impl SnapField {
     }
 }
 
-/// Cursor over a snapshot payload, mirroring [`SnapWriter`].
+/// Cursor over a snapshot payload, mirroring [`SnapWriter`]. It also
+/// keeps, per named space, the largest `index(space)` id read so far.
 #[derive(Debug)]
 pub struct SnapReader<'a> {
     buf: &'a [u8],
     pos: usize,
+    ids: Vec<(&'static str, u64)>,
 }
 
 impl<'a> SnapReader<'a> {
     /// Read from the start of `buf`.
     pub fn new(buf: &'a [u8]) -> SnapReader<'a> {
-        SnapReader { buf, pos: 0 }
+        SnapReader {
+            buf,
+            pos: 0,
+            ids: Vec::new(),
+        }
+    }
+
+    /// Refuse, as [`SnapError::Malformed`]`(what)`, an `index(space)` id
+    /// read so far that is not below `n`, the size of the table `space`
+    /// names: what the table's owner calls once its own load is done.
+    pub fn check_space(&self, space: &str, n: usize, what: &'static str) -> Result<(), SnapError> {
+        let past = |&(s, max): &(&str, u64)| s == space && max >= n as u64;
+        (!self.ids.iter().any(past))
+            .then_some(())
+            .ok_or(SnapError::Malformed(what))
     }
 
     /// Whether every byte has been consumed.
@@ -728,6 +741,19 @@ impl<'a> SnapReader<'a> {
         items.iter_mut().try_for_each(|it| it.load_snap(self))
     }
 
+    /// Read a plane the configuration fixes and refuse it unless it is,
+    /// bit for bit, the one `built` holds.
+    pub fn same(&mut self, built: &mut [f64]) -> Result<(), SnapError> {
+        let mut read = built.to_vec();
+        self.fixed(&mut read)?;
+        let same = read
+            .iter()
+            .map(|x| x.to_bits())
+            .eq(built.iter().map(|x| x.to_bits()));
+        let what = "restored plane disagrees with the configuration";
+        same.then_some(()).ok_or(SnapError::Malformed(what))
+    }
+
     /// Overlay an `Option` whose presence is fixed by the configuration.
     pub fn fixed_opt<T: LoadSnap>(&mut self, slot: &mut Option<T>) -> Result<(), SnapError> {
         match (self.bool()?, slot) {
@@ -738,6 +764,126 @@ impl<'a> SnapReader<'a> {
             )),
         }
     }
+}
+
+/// A number a domain checks: an integer and its type's `MAX` (a clock
+/// counts nanoseconds), or a float.
+#[derive(Debug, Clone, Copy)]
+pub enum Num {
+    /// An integer and its type's largest value.
+    Int(i128, i128),
+    /// A float.
+    Float(f64),
+}
+
+/// A persisted value a domain applies to: each number it holds — a
+/// scalar's own, an option's if present, every element of a sequence.
+pub trait Bounded {
+    /// Call `f` on each number, stopping at the first `false`; whether
+    /// none was.
+    fn each(&self, f: &mut dyn FnMut(Num) -> bool) -> bool;
+}
+
+/// A scalar's number: a comparison's bound.
+pub fn num(v: &dyn Bounded) -> Num {
+    let mut out = Num::Float(f64::NAN);
+    v.each(&mut |n| {
+        out = n;
+        true
+    });
+    out
+}
+
+/// Scalars: `type: |x| number`.
+macro_rules! bounded {
+    ($($ty:ty: |$x:ident| $num:expr),* $(,)?) => {$(
+        impl Bounded for $ty {
+            fn each(&self, f: &mut dyn FnMut(Num) -> bool) -> bool {
+                let $x = *self;
+                f($num)
+            }
+        }
+    )*};
+}
+bounded!(
+    u8: |x| Num::Int(x.into(), u8::MAX.into()), u16: |x| Num::Int(x.into(), u16::MAX.into()),
+    u32: |x| Num::Int(x.into(), u32::MAX.into()), u64: |x| Num::Int(x.into(), u64::MAX.into()),
+    usize: |x| Num::Int(x as i128, usize::MAX as i128),
+    Time: |x| Num::Int(x.as_nanos().into(), u64::MAX.into()),
+    Dur: |x| Num::Int(x.as_nanos().into(), u64::MAX.into()), f64: |x| Num::Float(x),
+);
+
+impl<T: Bounded> Bounded for Option<T> {
+    fn each(&self, f: &mut dyn FnMut(Num) -> bool) -> bool {
+        self.as_ref().is_none_or(|x| x.each(f))
+    }
+}
+impl<T: Bounded> Bounded for Vec<T> {
+    fn each(&self, f: &mut dyn FnMut(Num) -> bool) -> bool {
+        self.iter().all(|x| x.each(f))
+    }
+}
+
+/// One kind of a field's domain (see the module docs for the grammar).
+#[derive(Debug, Clone, Copy)]
+pub enum Domain {
+    /// At most a quarter of the integer type's range (2^62 for 64 bits).
+    Counter,
+    /// Neither infinite nor NaN.
+    Finite,
+    /// Exactly −1 or +1: a direction.
+    Sign,
+    /// Compared with a bound by the operator a layout names: `"lt"`,
+    /// `"le"`, `"eq"`, `"ge"` or `"gt"`.
+    Cmp(&'static str, Num),
+    /// An id into the named space, checked by the space's owner.
+    Index(&'static str),
+}
+
+/// The one checker of every domain: each number of `v` must satisfy
+/// every kind in `domain`, or the restore fails as
+/// [`SnapError::Malformed`]`(what)`. An `index` id is noted in `r` for
+/// its space's owner.
+#[inline(never)]
+pub fn check_domains(
+    r: &mut SnapReader<'_>,
+    v: &dyn Bounded,
+    domain: &[Domain],
+    what: &'static str,
+) -> Result<(), SnapError> {
+    use std::cmp::Ordering::{Equal, Greater, Less};
+    let float = |n| match n {
+        Num::Int(v, _) => v as f64,
+        Num::Float(v) => v,
+    };
+    let holds = v.each(&mut |n| {
+        domain.iter().all(|d| match (*d, n) {
+            (Domain::Counter, Num::Int(v, max)) => v <= (max >> 2) + 1,
+            (Domain::Finite, _) => float(n).is_finite(),
+            (Domain::Sign, _) => float(n).abs() == 1.0,
+            (Domain::Cmp(op, b), _) => {
+                let ord = match (n, b) {
+                    (Num::Int(v, _), Num::Int(b, _)) => Some(v.cmp(&b)),
+                    _ => float(n).partial_cmp(&float(b)),
+                };
+                matches!(
+                    (op, ord),
+                    ("lt" | "le", Some(Less))
+                        | ("le" | "eq" | "ge", Some(Equal))
+                        | ("ge" | "gt", Some(Greater))
+                )
+            }
+            (Domain::Index(space), Num::Int(id, _)) if id >= 0 => {
+                match r.ids.iter_mut().find(|(s, _)| *s == space) {
+                    Some((_, max)) => *max = (*max).max(id as u64),
+                    None => r.ids.push((space, id as u64)),
+                }
+                true
+            }
+            (Domain::Counter | Domain::Index(_), _) => false,
+        })
+    });
+    holds.then_some(()).ok_or(SnapError::Malformed(what))
 }
 
 /// A snapshot file: named, digest-guarded sections behind a magic and
@@ -1118,40 +1264,54 @@ macro_rules! snap_tuples {
 snap_tuples!((A.0, B.1)(A.0, B.1, C.2));
 
 /// Declare a struct's snapshot layout **once**: an ordered list of the
-/// persisted fields, from which writer and reader are both generated.
+/// persisted fields, each with its domain if it has one, from which
+/// writer and reader are both generated.
 ///
 /// ```
-/// use outran_simcore::snap::{SnapReader, SnapWriter, Snap, Unsnap};
+/// use outran_simcore::snap::{SnapError, SnapReader, SnapWriter, Snap, Unsnap};
 ///
 /// #[derive(Debug, PartialEq)]
-/// struct Counter { hits: u64, label: String, scratch: Vec<u8> }
-/// outran_simcore::snap_fields! { Counter { hits, label } rebuilt { scratch } }
+/// struct Counter { hits: u64, cap: u64, label: String, scratch: Vec<u8> }
+/// outran_simcore::snap_fields! {
+///     Counter { hits in le(cap), cap in counter, label } rebuilt { scratch }
+/// }
 ///
 /// let mut w = SnapWriter::new();
-/// Counter { hits: 3, label: "x".into(), scratch: vec![9] }.snap(&mut w);
+/// Counter { hits: 3, cap: 5, label: "x".into(), scratch: vec![9] }.snap(&mut w);
 /// let bytes = w.into_bytes();
 /// let back = Counter::unsnap(&mut SnapReader::new(&bytes)).unwrap();
-/// assert_eq!(back, Counter { hits: 3, label: "x".into(), scratch: vec![] });
+/// assert_eq!(back, Counter { hits: 3, cap: 5, label: "x".into(), scratch: vec![] });
+///
+/// let mut w = SnapWriter::new();
+/// Counter { hits: 6, cap: 5, label: "x".into(), scratch: vec![] }.snap(&mut w);
+/// let refused = Counter::unsnap(&mut SnapReader::new(&w.into_bytes()));
+/// assert!(matches!(refused, Err(SnapError::Malformed("Counter.hits outside le(cap)"))));
 /// ```
 ///
 /// Two shapes, matching the two restore traits:
 ///
-/// * `Type { a, b } [rebuilt { c }] [then path]` — by value: implements
-///   [`Snap`] + [`Unsnap`]; `rebuilt` fields start as `Default` and the
-///   optional `then` step (`fn(&mut Self) -> Result<(), SnapError>`)
-///   derives them and validates cross-field conditions.
-/// * `overlay Type { a, b: fixed, c: fixed_opt } [rebuilt { d }] [then path]`
-///   — construct-then-overlay: implements [`Snap`] + [`LoadSnap`]; each
-///   field is overlaid with its own `load_snap`, or through the named
-///   [`SnapReader`] helper ([`SnapReader::fixed`] for a length the
-///   configuration fixes, [`SnapReader::fixed_opt`] for a presence).
+/// * `Type { a, b in dom } [rebuilt { c }] [then path]` — by value
+///   ([`Snap`] + [`Unsnap`]): `rebuilt` fields start as `Default`; the
+///   `then` step (`fn(&mut Self) -> Result<(), SnapError>`) derives them
+///   and checks what involves several fields at once.
+/// * `overlay Type { a, b: fixed, c: fixed_opt in dom } [rebuilt { d }]
+///   [spaces { flows: flows.len() }] [written_as method] [then path]` —
+///   construct-then-overlay ([`Snap`] + [`LoadSnap`]): each field
+///   overlays itself, or through the named [`SnapReader`] helper
+///   ([`fixed`](SnapReader::fixed), [`fixed_opt`](SnapReader::fixed_opt),
+///   [`same`](SnapReader::same)); `spaces` checks each space's `index`
+///   ids against a size read off `self` ([`SnapReader::check_space`]);
+///   `written_as` names a `fn(&self, &mut SnapWriter) -> bool` that
+///   writes a stand-in for `self` when it needs one.
 ///
-/// The writer names each field by its identifier in a trace
-/// ([`SnapWriter::open`]). Fields are named by identifier or tuple
-/// index (`Wrapper { 0 }`), and
-/// one list of type parameters is accepted (`Queue<T> { .. }`, each
-/// bounded by [`Unsnap`]). The writer destructures `Self { .. }`
-/// *exhaustively*, so a field in neither list does not build:
+/// Domains (grammar in the [module docs](self)) are checked once every
+/// field is read, before `then`: a value outside is refused as
+/// [`SnapError::Malformed`]`("Type.field outside domain")`. A trace names
+/// each field, and its domain after ` in ` ([`SnapWriter::open`]).
+/// Fields are identifiers or tuple indices (`Wrapper { 0 }`); one list
+/// of type parameters is accepted (`Queue<T> { .. }`, each bounded by
+/// [`Unsnap`]). The writer destructures `Self { .. }` *exhaustively*,
+/// so a field in neither list does not build:
 ///
 /// ```compile_fail
 /// struct Leaky { kept: u64, forgotten: u64 }
@@ -1160,17 +1320,14 @@ snap_tuples!((A.0, B.1)(A.0, B.1, C.2));
 #[macro_export]
 macro_rules! snap_fields {
     (
-        $ty:ident $(<$($g:ident),+>)? { $($f:tt),* $(,)? }
+        $ty:ident $(<$($g:ident),+>)?
+        { $($f:tt $(in $($dk:ident $(($($da:tt)+))?)&+)?),* $(,)? }
         $(rebuilt { $($d:tt),* $(,)? })?
         $(then $post:path)?
     ) => {
-        impl $(<$($g: $crate::snap::Unsnap),+>)? $crate::snap::Snap for $ty $(<$($g),+>)? {
-            fn snap(&self, w: &mut $crate::snap::SnapWriter) {
-                let Self { $($f: _,)* $($($d: _,)*)? } = self;
-                w.open(::std::concat!($(::std::stringify!($f), ","),*));
-                $(w.next(); $crate::snap::Snap::snap(&self.$f, w);)*
-                w.close();
-            }
+        $crate::snap_fields! {
+            @snap [$($($g),+)?] $ty []
+            { $($f $(in $($dk $(($($da)+))?)&+)?),* } { $($($d),*)? }
         }
         impl $(<$($g: $crate::snap::Unsnap),+>)? $crate::snap::Unsnap for $ty $(<$($g),+>)? {
             fn unsnap(
@@ -1181,6 +1338,7 @@ macro_rules! snap_fields {
                     $($f: $crate::snap::Unsnap::unsnap(r)?,)*
                     $($($d: ::std::default::Default::default(),)*)?
                 };
+                $($crate::snap_fields!(@check r [v.] $ty $f $(in $($dk $(($($da)+))?)&+)?);)*
                 $($post(&mut v)?;)?
                 Ok(v)
             }
@@ -1188,17 +1346,15 @@ macro_rules! snap_fields {
     };
     (
         overlay $ty:ident $(<$($g:ident),+>)?
-        { $($f:tt $(: $how:ident)?),* $(,)? }
+        { $($f:tt $(: $how:ident)? $(in $($dk:ident $(($($da:tt)+))?)&+)?),* $(,)? }
         $(rebuilt { $($d:tt),* $(,)? })?
+        $(spaces { $($sp:ident: $($n:ident).+ ()),* $(,)? })?
+        $(written_as $conv:ident)?
         $(then $post:path)?
     ) => {
-        impl $(<$($g: $crate::snap::Unsnap),+>)? $crate::snap::Snap for $ty $(<$($g),+>)? {
-            fn snap(&self, w: &mut $crate::snap::SnapWriter) {
-                let Self { $($f: _,)* $($($d: _,)*)? } = self;
-                w.open(::std::concat!($(::std::stringify!($f), ","),*));
-                $(w.next(); $crate::snap::Snap::snap(&self.$f, w);)*
-                w.close();
-            }
+        $crate::snap_fields! {
+            @snap [$($($g),+)?] $ty [$($conv)?]
+            { $($f $(in $($dk $(($($da)+))?)&+)?),* } { $($($d),*)? }
         }
         impl $(<$($g: $crate::snap::Unsnap),+>)? $crate::snap::LoadSnap for $ty $(<$($g),+>)? {
             fn load_snap(
@@ -1208,13 +1364,72 @@ macro_rules! snap_fields {
                 #[allow(unused_imports, reason = "unused when every field loads by helper")]
                 use $crate::snap::LoadSnap as _;
                 $($crate::snap_fields!(@load self r $f $($how)?);)*
+                $($crate::snap_fields!(@check r [self.] $ty $f $(in $($dk $(($($da)+))?)&+)?);)*
+                $($(r.check_space(
+                    ::std::stringify!($sp),
+                    self.$($n).+(),
+                    ::std::concat!("an id past the ", ::std::stringify!($sp), " table"),
+                )?;)*)?
                 $($post(self)?;)?
                 Ok(())
             }
         }
     };
+    (
+        @snap [$($g:ident),*] $ty:ident [$($conv:ident)?]
+        { $($f:tt $(in $($dk:ident $(($($da:tt)+))?)&+)?),* } { $($d:tt),* }
+    ) => {
+        impl<$($g: $crate::snap::Unsnap),*> $crate::snap::Snap for $ty<$($g),*> {
+            fn snap(&self, w: &mut $crate::snap::SnapWriter) {
+                $(if Self::$conv(self, w) {
+                    return;
+                })?
+                let Self { $($f: _,)* $($d: _,)* } = self;
+                w.open(::std::concat!($(
+                    ::std::stringify!($f),
+                    $(" in ", $crate::snap_fields!(@text $($dk $(($($da)+))?)&+),)?
+                    ","
+                ),*));
+                $(w.next(); $crate::snap::Snap::snap(&self.$f, w);)*
+                w.close();
+            }
+        }
+    };
     (@load $s:ident $r:ident $f:tt) => { $s.$f.load_snap($r)? };
     (@load $s:ident $r:ident $f:tt $how:ident) => { $r.$how(&mut $s.$f)? };
+    (@check $r:ident $at:tt $ty:ident $f:tt) => {};
+    (@check $r:ident $at:tt $ty:ident $f:tt in $($dk:ident $(($($da:tt)+))?)&+) => {
+        $crate::snap::check_domains(
+            $r,
+            &$crate::snap_fields!(@at $at $f),
+            &[$($crate::snap_fields!(@dom $at $dk $(($($da)+))?)),+],
+            ::std::concat!(
+                ::std::stringify!($ty), ".", ::std::stringify!($f), " outside ",
+                $crate::snap_fields!(@text $($dk $(($($da)+))?)&+),
+            ),
+        )?
+    };
+    (@at [$($v:tt)*] $f:tt) => { $($v)* $f };
+    (@text $dk:ident $(($($da:tt)+))? $(& $($rest:tt)+)?) => {
+        ::std::concat!(
+            ::std::stringify!($dk),
+            $("(", ::std::stringify!($($da)+), ")",)?
+            $(" & ", $crate::snap_fields!(@text $($rest)+))?
+        )
+    };
+    (@dom $at:tt counter) => { $crate::snap::Domain::Counter };
+    (@dom $at:tt finite) => { $crate::snap::Domain::Finite };
+    (@dom $at:tt sign) => { $crate::snap::Domain::Sign };
+    (@dom $at:tt index($space:ident)) => {
+        $crate::snap::Domain::Index(::std::stringify!($space))
+    };
+    (@dom $at:tt $op:ident($b:tt)) => {
+        $crate::snap::Domain::Cmp(::std::stringify!($op), $crate::snap_fields!(@bound $at $b))
+    };
+    // A literal bound is a constant, so a domain of constants is a
+    // static array: no code per field builds it.
+    (@bound $at:tt $b:literal) => { $crate::snap::Num::Float($b as f64) };
+    (@bound $at:tt $b:ident) => { $crate::snap::num(&$crate::snap_fields!(@at $at $b)) };
 }
 
 /// Declare an enum's snapshot layout once: a `u8` tag per variant, then
@@ -1225,8 +1440,9 @@ macro_rules! snap_fields {
 /// `overlay`, disagreeing) tag yields. The generated `match self` is
 /// exhaustive, so an unlisted variant does not build.
 ///
-/// * `Type, what { 0 => Unit, 1 => Tuple(a, b), 2 => Struct { x, y } }`
-///   — by value ([`Snap`] + [`Unsnap`]).
+/// * `Type, what { 0 => Unit, 1 => Tuple(a, b), 2 => Struct { x, y in dom } }`
+///   — by value ([`Snap`] + [`Unsnap`]); a struct variant's field may
+///   carry a domain, as in [`snap_fields!`](crate::snap_fields).
 /// * `overlay Type, what { 0 => A(a), 1 => B(b) }` — single-payload
 ///   variants whose payloads restore by overlay ([`Snap`] +
 ///   [`LoadSnap`]): the variant was fixed at construction, so the
@@ -1235,7 +1451,9 @@ macro_rules! snap_fields {
 macro_rules! snap_enum {
     (
         $ty:ident, $what:literal
-        { $($tag:literal => $v:ident $({ $($f:ident),* $(,)? })? $(( $($t:ident),* ))?),* $(,)? }
+        { $($tag:literal => $v:ident
+            $({ $($f:ident $(in $($dk:ident $(($($da:tt)+))?)&+)?),* $(,)? })?
+            $(( $($t:ident),* ))?),* $(,)? }
     ) => {
         impl $crate::snap::Snap for $ty {
             fn snap(&self, w: &mut $crate::snap::SnapWriter) {
@@ -1243,7 +1461,11 @@ macro_rules! snap_enum {
                     Self::$v $({ $($f),* })? $(( $($t),* ))? => {
                         w.tag($tag);
                         w.open(::std::concat!(
-                            $($(::std::stringify!($f), ","),*)?
+                            $($(
+                                ::std::stringify!($f),
+                                $(" in ", $crate::snap_fields!(@text $($dk $(($($da)+))?)&+),)?
+                                ","
+                            ),*)?
                             $($(::std::stringify!($t), ","),*)?
                         ));
                         $($(w.next(); $crate::snap::Snap::snap($f, w);)*)?
@@ -1258,9 +1480,17 @@ macro_rules! snap_enum {
                 r: &mut $crate::snap::SnapReader<'_>,
             ) -> ::std::result::Result<Self, $crate::snap::SnapError> {
                 Ok(match r.u8()? {
-                    $($tag => Self::$v
-                        $({ $($f: r.get()?),* })?
-                        $(( $($crate::snap_enum!(@get r $t)),* ))?,)*
+                    $($tag => {
+                        $(
+                            $(let $f = r.get()?;)*
+                            $($crate::snap_fields!(
+                                @check r [] $ty $f $(in $($dk $(($($da)+))?)&+)?
+                            );)*
+                        )?
+                        Self::$v
+                            $({ $($f),* })?
+                            $(( $($crate::snap_enum!(@get r $t)),* ))?
+                    })*
                     _ => return Err($crate::snap::SnapError::Malformed($what)),
                 })
             }
@@ -1272,7 +1502,10 @@ macro_rules! snap_enum {
                 match self {$(
                     Self::$v($p) => {
                         w.tag($tag);
-                        w.field(::std::stringify!($p), $p);
+                        w.open(::std::concat!(::std::stringify!($p), ","));
+                        w.next();
+                        $crate::snap::Snap::snap($p, w);
+                        w.close();
                     }
                 )*}
             }
@@ -1296,7 +1529,8 @@ macro_rules! snap_enum {
 /// `pub u64` fields, from which the derives (`Debug`, `Clone`, `Copy`,
 /// `Default`, `PartialEq`, `Eq`), `merge`, `rows`, `total_events` and
 /// the snapshot layout (through [`snap_fields!`](crate::snap_fields),
-/// in declaration order) are all generated, so no list can miss a field.
+/// in declaration order, each field a `counter`) are all generated, so
+/// no list can miss a field.
 ///
 /// ```
 /// outran_simcore::counters! {
@@ -1346,7 +1580,7 @@ macro_rules! counters {
             }
         }
 
-        $crate::snap_fields! { $ty { $($f),* } }
+        $crate::snap_fields! { $ty { $($f in counter),* } }
     };
 }
 
@@ -1376,19 +1610,11 @@ impl Unsnap for Rng {
 
 // Exact bit patterns, including the ±infinity min/max sentinels of an
 // empty accumulator.
-snap_fields! { RunningStats { n, mean, m2, min, max } }
+snap_fields! { RunningStats { n in counter, mean, m2, min, max } }
 
-impl Ewma {
-    fn check_alpha(&mut self) -> Result<(), SnapError> {
-        if !(self.alpha > 0.0 && self.alpha <= 1.0) {
-            return Err(SnapError::Malformed("ewma alpha out of range"));
-        }
-        Ok(())
-    }
-}
 // The priming flag travels: an unprimed average must stay unprimed
 // across a resume — `get()` masks the difference but `update()` does not.
-snap_fields! { Ewma { alpha, value, primed } then Ewma::check_alpha }
+snap_fields! { Ewma { alpha in gt(0) & le(1), value, primed } }
 
 // Retained samples travel in their *current* order plus the lazy-sort
 // flag: `percentile()` reorders samples in place, so capturing order is
@@ -1397,12 +1623,15 @@ snap_fields! { Percentiles { sorted, samples } }
 
 /// Irregular: which tier holds an event depends on the queue's history,
 /// so the wire form is the `(time, seq)`-sorted dump of pending events with
-/// their exact sequence numbers, behind the allocation counter — a
-/// restored queue pops in the identical order and continues numbering
-/// where the original left off.
+/// their exact sequence numbers, behind the allocation counter (a trace
+/// names it `seq_counter`, a `counter`) — a restored queue pops in the
+/// identical order and continues numbering where the original left off.
 impl<E: Snap> Snap for EventQueue<E> {
     fn snap(&self, w: &mut SnapWriter) {
+        w.open("seq_counter in counter,");
+        w.next();
         w.u64(self.seq_counter());
+        w.close();
         w.seq(self.sorted_entries().into_iter(), |w, (t, seq, e)| {
             w.time(t);
             w.u64(seq);
@@ -1413,7 +1642,8 @@ impl<E: Snap> Snap for EventQueue<E> {
 impl<E: Unsnap> Unsnap for EventQueue<E> {
     fn unsnap(r: &mut SnapReader<'_>) -> Result<EventQueue<E>, SnapError> {
         let counter = r.u64()?;
-        check_counter(counter, "event sequence counter past 2^62")?;
+        let what = "EventQueue.seq_counter outside counter";
+        check_domains(r, &counter, &[Domain::Counter], what)?;
         let mut q = EventQueue::new();
         for (t, seq, e) in r.get::<Vec<(Time, u64, E)>>()? {
             if seq >= counter {

@@ -36,7 +36,7 @@ impl RunningStats {
 
     /// Add one observation.
     pub fn push(&mut self, x: f64) {
-        self.n = self.n.saturating_add(1);
+        self.n += 1;
         let delta = x - self.mean;
         self.mean += delta / self.n as f64;
         self.m2 += delta * (x - self.mean);

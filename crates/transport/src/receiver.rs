@@ -43,7 +43,7 @@ impl TcpReceiver {
 
     /// Process an arriving segment; returns the cumulative ACK to send.
     pub fn on_segment(&mut self, seq: u64, len: u32) -> u64 {
-        self.bytes_seen = self.bytes_seen.saturating_add(len as u64);
+        self.bytes_seen += len as u64;
         let end = seq + len as u64;
         if end <= self.cum {
             return self.cum; // pure duplicate
@@ -100,7 +100,7 @@ impl TcpReceiver {
 }
 
 // BTreeMap iteration is key-ordered, so the byte stream is deterministic.
-outran_simcore::snap_fields! { TcpReceiver { flow_size, cum, bytes_seen, ooo } }
+outran_simcore::snap_fields! { TcpReceiver { flow_size, cum, bytes_seen in counter, ooo } }
 
 #[cfg(test)]
 mod tests {

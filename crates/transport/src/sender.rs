@@ -70,7 +70,7 @@ impl RttEstimator {
         RttEstimator {
             srtt: None,
             rttvar: 0.0,
-            rto: 1.0, // RFC 6298 initial RTO: 1 s
+            rto: max_rto.as_secs_f64().min(1.0), // RFC 6298 initial RTO: 1 s
             min_rto: min_rto.as_secs_f64(),
             max_rto: max_rto.as_secs_f64(),
         }
@@ -93,19 +93,6 @@ impl RttEstimator {
 
     fn backoff(&mut self) {
         self.rto = (self.rto * 2.0).min(self.max_rto);
-    }
-
-    /// Refuse restored state the next RTO arm would panic on: a
-    /// non-finite or negative estimate, or an `rto` above any this
-    /// estimator can reach (its 1 s initial value or `max_rto`).
-    fn check_restored(&mut self) -> Result<(), SnapError> {
-        let sane = |v: f64| v.is_finite() && v >= 0.0;
-        if !(self.srtt.is_none_or(sane) && sane(self.rttvar) && sane(self.rto))
-            || self.rto > self.max_rto.max(1.0)
-        {
-            return Err(SnapError::Malformed("tcp rtt estimate out of range"));
-        }
-        Ok(())
     }
 }
 
@@ -243,7 +230,7 @@ impl TcpSender {
     pub fn emit_into(&mut self, now: Time, out: &mut Vec<Segment>) {
         let before = out.len();
         if let Some(seg) = self.retx_pending.take() {
-            self.retx_bytes = self.retx_bytes.saturating_add(seg.len as u64);
+            self.retx_bytes += seg.len as u64;
             out.push(seg);
         }
         let cwnd = self.cwnd.max(self.cfg.mss as f64) as u64;
@@ -404,35 +391,20 @@ impl TcpSender {
         self.cwnd = self.cwnd.clamp(self.cfg.mss as f64, max);
     }
 
-    /// Refuse restored state the sender's own arithmetic would trip on.
-    /// Required: `snd_una ≤ snd_nxt ≤ flow_size` (`in_flight` and
-    /// `emit_into` subtract across them), an RTT sample at or past
-    /// `snd_una` (what `rtt_probe` asserts), a pending retransmission
-    /// that is non-empty and inside `[snd_una, flow_size]` (the receiver
-    /// would otherwise ACK past the flow's end, or the cell inject an
-    /// empty or already-acknowledged segment), a `recover` point not past
-    /// `flow_size` (fast recovery would never end), and a finite,
-    /// non-negative window and CUBIC state (`ssthresh` may also be +∞,
-    /// its initial value).
+    /// Refuse restored state the sender's own arithmetic would trip on,
+    /// beyond what the layout's domains refuse: an RTT sample before
+    /// `snd_una` (what `rtt_probe` asserts against), and a pending
+    /// retransmission that is empty or not inside `[snd_una, flow_size]`
+    /// (the receiver would otherwise ACK past the flow's end, or the
+    /// cell inject an empty or already-acknowledged segment).
     fn check_restored(&mut self) -> Result<(), SnapError> {
-        let sane = |v: f64| v.is_finite() && v >= 0.0;
-        let ordered = self.snd_una <= self.snd_nxt
-            && self.snd_nxt <= self.flow_size
-            && self.recover <= self.flow_size;
         let sampled = self.sample_seq.is_none_or(|(seq, _)| seq >= self.snd_una);
         let retx_inside = self.retx_pending.is_none_or(|seg| {
             seg.len > 0
                 && seg.seq >= self.snd_una
                 && seg.seq.saturating_add(u64::from(seg.len)) <= self.flow_size
         });
-        if !(ordered
-            && sampled
-            && retx_inside
-            && sane(self.cwnd)
-            && self.ssthresh >= 0.0
-            && sane(self.cubic.w_max)
-            && sane(self.cubic.k))
-        {
+        if !(sampled && retx_inside) {
             return Err(SnapError::Malformed("tcp sender state out of range"));
         }
         Ok(())
@@ -450,20 +422,24 @@ use outran_simcore::{snap_enum, snap_fields};
 
 snap_fields! { Segment { seq, len, is_retx } }
 snap_enum! { Phase, "tcp phase tag" { 0 => SlowStart, 1 => CongestionAvoidance, 2 => FastRecovery } }
+// A non-finite or negative estimate, or an `rto` past `max_rto`, would
+// panic the next RTO arm.
 snap_fields! {
-    overlay RttEstimator { srtt, rttvar, rto }
+    overlay RttEstimator {
+        srtt in ge(0) & finite, rttvar in ge(0) & finite, rto in ge(0) & le(max_rto),
+    }
     rebuilt { min_rto, max_rto }
-    then RttEstimator::check_restored
 }
-snap_fields! { CubicState { epoch_start, w_max, k } }
+snap_fields! { CubicState { epoch_start, w_max in ge(0) & finite, k in ge(0) & finite } }
 
 // The config is not serialized: the restoring side builds the sender
 // from the experiment configuration with [`TcpSender::new`], then
 // overlays the full dynamic state (flow size included).
 snap_fields! {
     overlay TcpSender {
-        flow_size, snd_una, snd_nxt, cwnd, ssthresh, phase, dup_acks, recover,
-        retx_pending, rtt, sample_seq, rto_deadline, retx_bytes, timeouts, last_rtt, cubic,
+        flow_size, snd_una in le(snd_nxt), snd_nxt in le(flow_size), cwnd in ge(0) & finite,
+        ssthresh in ge(0), phase, dup_acks, recover in le(flow_size), retx_pending, rtt,
+        sample_seq, rto_deadline, retx_bytes in counter, timeouts, last_rtt in counter, cubic,
     }
     rebuilt { cfg }
     then TcpSender::check_restored
