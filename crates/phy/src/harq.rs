@@ -169,78 +169,91 @@ snap_fields! {
 mod tests {
     use super::*;
 
-    fn tb(bits: f64) -> HarqTb<&'static str> {
-        HarqTb {
-            payload: "data",
-            bits,
-            subband: 0,
-            attempts: 1,
+    const CFG: HarqConfig = HarqConfig {
+        processes: 3,
+        rtt_ttis: 2,
+        max_tx: 4,
+        combining_gain_db: 3.0,
+    };
+    /// Retransmission budgets (bits) the TTIs offer in turn.
+    const BUDGETS: [f64; 3] = [f64::INFINITY, 250.0, 0.0];
+    /// The TTI the last block of the slowest case is delivered or dropped
+    /// at. A case that needs longer fails there.
+    const HARQ_WORST_TTI: u64 = 10;
+
+    /// Blocks `b` of `100 (b + 1)` bits go out at TTI 0, one per
+    /// process and one more; block `b`'s first `fails[b]` transmissions
+    /// fail and its next one succeeds. Returns the TTI the last block is
+    /// delivered or dropped at.
+    fn harq_case(fails: &[u8]) -> u64 {
+        let mut q = HarqQueue::new(CFG);
+        let mut due = vec![0; fails.len()];
+        let mut sent: Vec<_> = (0..fails.len())
+            .map(|b| HarqTb {
+                payload: b,
+                bits: 100.0 * (b + 1) as f64,
+                subband: 0,
+                attempts: 1,
+            })
+            .collect();
+        let (mut open, mut served, mut dropped) = (fails.len(), 0, 0);
+        for t in 0..=HARQ_WORST_TTI {
+            let now = Time::from_millis(t);
+            for tb in sent.drain(..) {
+                let b = tb.payload;
+                if tb.attempts > fails[b] {
+                    open -= 1;
+                    continue;
+                }
+                let drop = tb.attempts == CFG.max_tx || q.len() == CFG.processes;
+                let lost = q.on_failure(tb, now, Dur::from_millis(1));
+                assert_eq!(lost, drop.then_some(b), "block {b} at TTI {t}");
+                due[b] = t + u64::from(CFG.rtt_ttis);
+                dropped += u64::from(drop);
+                open -= usize::from(drop);
+            }
+            assert_eq!((q.len() <= CFG.processes, q.dropped_tbs), (true, dropped));
+            if open == 0 {
+                assert!(q.is_empty());
+                return t;
+            }
+            assert!(q.iter().map(|tb| due[tb.payload]).is_sorted());
+            let mut budget = BUDGETS[t as usize % BUDGETS.len()];
+            loop {
+                let fits = |tb: &&HarqTb<usize>| due[tb.payload] <= t && tb.bits <= budget;
+                let want = q.iter().find(fits).map(|tb| tb.payload);
+                let Some(tb) = q.pop_due(now, budget) else {
+                    assert_eq!(want, None, "a due block that fits waits at TTI {t}");
+                    break;
+                };
+                served += 1;
+                assert_eq!((Some(tb.payload), q.retx_served), (want, served));
+                let gain = CFG.combining_gain_db * f64::from(tb.attempts);
+                assert_eq!(tb.combining_gain_db(&CFG), gain);
+                budget -= tb.bits;
+                sent.push(tb);
+            }
         }
+        panic!("past the pinned worst case");
     }
 
+    /// Every outcome sequence up to `max_tx` for each of the four blocks:
+    /// 5⁴ = 625 cases.
     #[test]
-    fn failure_schedules_retx_after_rtt() {
-        let mut q = HarqQueue::new(HarqConfig::default());
-        let tti = Dur::from_millis(1);
-        assert!(q.on_failure(tb(1000.0), Time::ZERO, tti).is_none());
-        assert_eq!(q.len(), 1);
-        // Not due before the HARQ RTT.
-        assert!(q.pop_due(Time::from_millis(7), 1e9).is_none());
-        let got = q.pop_due(Time::from_millis(8), 1e9).unwrap();
-        assert_eq!(got.attempts, 2);
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn max_tx_drops() {
-        let cfg = HarqConfig {
-            max_tx: 3,
-            ..HarqConfig::default()
-        };
-        let mut q = HarqQueue::new(cfg);
-        let tti = Dur::from_millis(1);
-        let mut block = tb(100.0);
-        block.attempts = 2;
-        // 3rd transmission still allowed (max_tx = 3)...
-        assert!(q.on_failure(block, Time::ZERO, tti).is_none());
-        let block = q.pop_due(Time::from_millis(8), 1e9).unwrap();
-        assert_eq!(block.attempts, 3);
-        // ...but a 4th is not: dropped, payload returned.
-        let lost = q.on_failure(block, Time::from_millis(8), tti);
-        assert_eq!(lost, Some("data"));
-        assert_eq!(q.dropped_tbs, 1);
-    }
-
-    #[test]
-    fn process_limit_enforced() {
-        let cfg = HarqConfig {
-            processes: 2,
-            ..HarqConfig::default()
-        };
-        let mut q = HarqQueue::new(cfg);
-        let tti = Dur::from_millis(1);
-        assert!(q.on_failure(tb(1.0), Time::ZERO, tti).is_none());
-        assert!(q.on_failure(tb(1.0), Time::ZERO, tti).is_none());
-        assert!(q.on_failure(tb(1.0), Time::ZERO, tti).is_some());
-        assert_eq!(q.dropped_tbs, 1);
-    }
-
-    #[test]
-    fn budget_gates_retx() {
-        let mut q = HarqQueue::new(HarqConfig::default());
-        let tti = Dur::from_millis(1);
-        q.on_failure(tb(5000.0), Time::ZERO, tti);
-        let due = Time::from_millis(8);
-        assert!(q.pop_due(due, 4000.0).is_none(), "budget too small");
-        assert!(q.pop_due(due, 5000.0).is_some());
-    }
-
-    #[test]
-    fn combining_gain_grows_with_attempts() {
-        let cfg = HarqConfig::default();
-        let mut block = tb(1.0);
-        assert!((block.combining_gain_db(&cfg) - 3.0).abs() < 1e-9);
-        block.attempts = 3;
-        assert!((block.combining_gain_db(&cfg) - 9.0).abs() < 1e-9);
+    fn every_outcome_sequence_in_scope() {
+        let (n, blocks) = (usize::from(CFG.max_tx) + 1, CFG.processes + 1);
+        let mut worst = 0;
+        for code in 0..n.pow(blocks as u32) {
+            let fails: Vec<u8> = (0..blocks)
+                .map(|b| (code / n.pow(b as u32) % n) as u8)
+                .collect();
+            let end = std::panic::catch_unwind(|| harq_case(&fails));
+            let Ok(end) = end else {
+                panic!("counterexample: harq_case(&{fails:?})");
+            };
+            worst = worst.max(end);
+        }
+        eprintln!("HARQ: {} cases, worst TTI {worst}", n.pow(blocks as u32));
+        assert_eq!(worst, HARQ_WORST_TTI);
     }
 }

@@ -417,6 +417,7 @@ impl Cell {
             &mut self.ues,
             &mut self.rlc_down,
             &mut self.hk,
+            &mut self.phy,
             &mut self.observer,
         );
         self.observer.exit(StageId::Ingress);
@@ -697,8 +698,7 @@ impl Cell {
         let pdcp = self.ues[ue].flow_table.export();
         self.ues[ue].flow_table.clear();
         self.ues[ue].flows.clear();
-        self.hk
-            .handover_reestablish(ue, &mut self.ues[ue], &mut self.phy);
+        self.hk.reestablish_ue(ue, &mut self.ues[ue], &mut self.phy);
         self.set_slot_occupied(ue, false);
         HandoverExport { pdcp, flows }
     }

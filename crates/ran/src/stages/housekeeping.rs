@@ -152,8 +152,10 @@ impl HousekeepingStage {
 
     /// RLC re-establishment for one UE (TS 36.322 §5.4): flush both
     /// entities and the UE's HARQ processes; TCP refills by
-    /// retransmission once the link returns.
-    fn reestablish_ue(&mut self, ue: usize, ctx: &mut UeContext, phy: &mut PhyTxStage) {
+    /// retransmission once the link returns. RLF and detach edges take
+    /// it, as do a handover away from the cell and an AM PDU abandoned
+    /// at maxRetxThreshold; each counts under `reestablishments`.
+    pub fn reestablish_ue(&mut self, ue: usize, ctx: &mut UeContext, phy: &mut PhyTxStage) {
         let (tx_sdus, tx_bytes) = ctx.rlc_tx.reestablish();
         let (rx_sdus, rx_bytes) = ctx.rlc_rx.reestablish();
         // Tx flush bytes are terminal here; rx flush bytes are already
@@ -167,15 +169,6 @@ impl HousekeepingStage {
         self.fault_counters.flushed_bytes += tx_bytes + rx_bytes;
         // SDU ids restart from the flush's perspective: drop order state.
         self.auditor.forget_ue(ue);
-    }
-
-    /// RLC re-establishment on handover detach — the same TS 36.322
-    /// flush the RLF machinery performs (the network layer reuses it when
-    /// a UE leaves the cell): both RLC entities flushed, HARQ cleared,
-    /// the auditor's per-UE order state forgotten. Counted under
-    /// `reestablishments` like any other re-establishment.
-    pub fn handover_reestablish(&mut self, ue: usize, ctx: &mut UeContext, phy: &mut PhyTxStage) {
-        self.reestablish_ue(ue, ctx, phy);
     }
 
     /// Per-TTI timers: UM reassembly expiry, AM poll/status machinery,

@@ -14,7 +14,7 @@
 use crate::config::CellConfig;
 use crate::stages::flow_store::FlowStore;
 use crate::stages::{
-    HousekeepingStage, ObserverHost, RlcDownStage, SduIngress, StageId, UeContext,
+    HousekeepingStage, ObserverHost, PhyTxStage, RlcDownStage, SduIngress, StageId, UeContext,
 };
 use outran_metrics::SizeBucket;
 use outran_pdcp::FiveTuple;
@@ -124,7 +124,9 @@ impl IngressStage {
     /// CN link faults act here: an outage drops every traversing packet,
     /// a degrade window loses them with probability `cn_loss`. Packets
     /// that reach the xNodeB cross into the RLC-down stage (bracketed
-    /// for the observer, since that work belongs to the RLC layer).
+    /// for the observer, since that work belongs to the RLC layer). A
+    /// STATUS that abandons an AM PDU re-establishes its UE.
+    #[allow(clippy::too_many_arguments, reason = "stages are borrowed disjointly")]
     pub fn run(
         &mut self,
         now: Time,
@@ -132,6 +134,7 @@ impl IngressStage {
         ues: &mut [UeContext],
         rlc: &mut RlcDownStage,
         hk: &mut HousekeepingStage,
+        phy: &mut PhyTxStage,
         obs: &mut ObserverHost,
     ) {
         // 1. Event processing.
@@ -174,8 +177,13 @@ impl IngressStage {
                 }
                 Ev::StatusAtEnb { ue, status } => {
                     obs.enter(StageId::RlcDown);
-                    rlc.on_status(&mut ues[ue], &status);
+                    let abandoned = rlc.on_status(&mut ues[ue], &status);
                     obs.exit(StageId::RlcDown);
+                    if abandoned {
+                        obs.enter(StageId::Housekeeping);
+                        hk.reestablish_ue(ue, &mut ues[ue], phy);
+                        obs.exit(StageId::Housekeeping);
+                    }
                 }
             }
         }

@@ -65,9 +65,13 @@ impl RlcDownStage {
     }
 
     /// Feed an uplink AM STATUS PDU into `ue`'s AM transmit entity.
-    pub fn on_status(&mut self, ue: &mut UeContext, status: &StatusPdu) {
-        if let crate::stages::RlcTx::Am(am) = &mut ue.rlc_tx {
-            am.on_status(status);
+    /// Returns whether it abandoned a PDU (see [`AmTx::on_status`]).
+    ///
+    /// [`AmTx::on_status`]: outran_rlc::AmTx::on_status
+    pub fn on_status(&mut self, ue: &mut UeContext, status: &StatusPdu) -> bool {
+        match &mut ue.rlc_tx {
+            crate::stages::RlcTx::Am(am) => am.on_status(status),
+            crate::stages::RlcTx::Um(_) => false,
         }
     }
 

@@ -5,7 +5,7 @@
 
 use outran_metrics::FctCollector;
 use outran_ran::cell::GbrBearer;
-use outran_ran::{Cell, CellConfig, RlcMode, SchedulerKind};
+use outran_ran::{Cell, CellConfig, Experiment, RlcMode, SchedulerKind};
 use outran_simcore::{Dur, Time};
 
 fn small_cfg(kind: SchedulerKind, seed: u64) -> CellConfig {
@@ -150,6 +150,30 @@ fn am_mode_completes_flows() {
     }
     cell.run_until(Time::from_secs(10));
     assert_eq!(cell.n_completed(), 6);
+}
+
+/// An AM PDU abandoned at maxRetxThreshold re-establishes its UE's RLC,
+/// as radio link failure does, so the receiver stops waiting for that
+/// SN and the UE's later flows still complete (they stalled for good
+/// before: 566 of 686 completed).
+#[test]
+fn abandoned_am_pdu_reestablishes_the_ue() {
+    let report = Experiment::lte_default()
+        .scheduler(SchedulerKind::Pf)
+        .rlc_mode(RlcMode::Am)
+        .residual_loss(0.3)
+        .users(2)
+        .load(0.6)
+        .duration_secs(8)
+        .seed(1)
+        .run();
+    assert!(report.fault_stats.reestablishments > 0, "nothing abandoned");
+    assert!(
+        report.completed * 100 >= report.offered * 98,
+        "{} of {} flows completed",
+        report.completed,
+        report.offered
+    );
 }
 
 #[test]

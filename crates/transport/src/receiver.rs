@@ -67,11 +67,7 @@ impl TcpReceiver {
         let overlapping: Vec<u64> = self
             .ooo
             .range(..=end)
-            .filter(|(&s, &e)| e >= start || s <= end)
-            .filter(|(&s, _)| {
-                let e = self.ooo[&s];
-                s <= end && e >= start
-            })
+            .filter(|(_, &e)| e >= start)
             .map(|(&s, _)| s)
             .collect();
         for s in overlapping {
@@ -106,71 +102,46 @@ outran_simcore::snap_fields! { TcpReceiver { flow_size, cum, bytes_seen in count
 mod tests {
     use super::*;
 
-    #[test]
-    fn in_order_delivery() {
-        let mut r = TcpReceiver::new(3000);
-        assert_eq!(r.on_segment(0, 1400), 1400);
-        assert_eq!(r.on_segment(1400, 1400), 2800);
-        assert_eq!(r.on_segment(2800, 200), 3000);
-        assert!(r.complete());
-    }
+    /// Flow size of the byte grid: every arrival is one of its 21 ranges.
+    const N: u64 = 6;
 
-    #[test]
-    fn out_of_order_held_then_merged() {
-        let mut r = TcpReceiver::new(4200);
-        assert_eq!(r.on_segment(1400, 1400), 0);
-        assert_eq!(r.on_segment(2800, 1400), 0);
-        assert_eq!(r.ooo.len(), 1, "adjacent ranges merge");
-        assert_eq!(r.on_segment(0, 1400), 4200);
-        assert!(r.complete());
-    }
-
-    #[test]
-    fn duplicates_ignored() {
-        let mut r = TcpReceiver::new(2800);
-        r.on_segment(0, 1400);
-        assert_eq!(r.on_segment(0, 1400), 1400);
-        assert_eq!(r.on_segment(500, 100), 1400);
-        assert!(!r.complete());
-    }
-
-    #[test]
-    fn partial_overlap_handled() {
-        let mut r = TcpReceiver::new(3000);
-        r.on_segment(1000, 500); // [1000,1500)
-        r.on_segment(1200, 800); // extends to [1000,2000)
-        assert_eq!(r.ooo.len(), 1);
-        assert_eq!(r.on_segment(0, 1000), 2000);
-    }
-
-    #[test]
-    fn gap_keeps_cum_stalled() {
-        let mut r = TcpReceiver::new(10_000);
-        r.on_segment(0, 1400);
-        r.on_segment(4200, 1400); // hole at [1400,4200)
-        assert_eq!(r.cum(), 1400);
-        r.on_segment(1400, 1400);
-        assert_eq!(r.cum(), 2800);
-        r.on_segment(2800, 1400);
-        assert_eq!(r.cum(), 5600, "hole fill releases buffered range");
-    }
-
-    #[test]
-    fn many_random_arrivals_complete() {
-        // Deliver 100 segments in a scrambled but fixed order.
-        let n = 100u64;
-        let mut order: Vec<u64> = (0..n).collect();
-        // Deterministic scramble.
-        for i in 0..order.len() {
-            let j = (i * 37 + 11) % order.len();
-            order.swap(i, j);
+    /// Replay `segments` (`(seq, len)`) into a fresh receiver, checking
+    /// it after each against a bitmap of the bytes received: the ACK is
+    /// the first byte missing, and the out-of-order map holds exactly the
+    /// maximal received runs above it.
+    fn arrivals(segments: &[(u64, u32)]) {
+        let (mut rx, mut got, mut seen) = (TcpReceiver::new(N), 0u64, 0);
+        for &(seq, len) in segments {
+            got |= ((1 << len) - 1) << seq;
+            seen += u64::from(len);
+            let cum = u64::from(got.trailing_ones());
+            let mut runs = BTreeMap::new();
+            for b in (cum..N).filter(|b| (got >> b) & 1 == 1) {
+                match runs.last_entry() {
+                    Some(mut run) if *run.get() == b => *run.get_mut() = b + 1,
+                    _ => {
+                        runs.insert(b, b + 1);
+                    }
+                }
+            }
+            assert_eq!(rx.on_segment(seq, len), cum);
+            assert_eq!((rx.complete(), rx.bytes_seen), (cum == N, seen));
+            assert_eq!(rx.ooo, runs);
         }
-        let mut r = TcpReceiver::new(n * 1000);
-        for &i in &order {
-            r.on_segment(i * 1000, 1000);
+    }
+
+    /// Every sequence of four arrivals on the grid: 21⁴ = 194 481.
+    #[test]
+    fn every_arrival_sequence_in_scope() {
+        let ranges: Vec<(u64, u32)> = (0..N)
+            .flat_map(|s| (1..=N - s).map(move |len| (s, len as u32)))
+            .collect();
+        let n = ranges.len();
+        for code in 0..n.pow(4) {
+            let seq: Vec<_> = (0..4).map(|d| ranges[code / n.pow(d) % n]).collect();
+            let ok = std::panic::catch_unwind(|| arrivals(&seq)).is_ok();
+            assert!(ok, "counterexample: arrivals(&{seq:?})");
         }
-        assert!(r.complete());
-        assert_eq!(r.cum(), n * 1000);
-        assert_eq!(r.ooo.len(), 0);
+        eprintln!("receiver: {} arrival sequences", n.pow(4));
     }
 }

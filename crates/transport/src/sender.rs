@@ -464,17 +464,6 @@ mod tests {
     }
 
     #[test]
-    fn short_flow_fits_one_window() {
-        let mut s = TcpSender::new(cfg(), 3_000);
-        let segs = s.emit(Time::ZERO);
-        assert_eq!(segs.len(), 3);
-        assert_eq!(segs[2].len, 200);
-        s.on_ack(Time::from_millis(50), 3_000);
-        assert!(s.done());
-        assert_eq!(s.rto_deadline(), None);
-    }
-
-    #[test]
     fn slow_start_doubles_per_rtt() {
         let mut s = TcpSender::new(cfg(), 10_000_000);
         let w0 = s.cwnd();
@@ -483,22 +472,6 @@ mod tests {
             s.on_ack(Time::from_millis(50), seg.seq + seg.len as u64);
         }
         assert!((s.cwnd() - 2.0 * w0).abs() < 1.0, "cwnd={}", s.cwnd());
-    }
-
-    #[test]
-    fn triple_dupack_triggers_fast_retransmit() {
-        let mut s = TcpSender::new(cfg(), 1_000_000);
-        let _ = s.emit(Time::ZERO);
-        let w_before = s.cwnd();
-        // First segment lost; later segments generate dupacks at cum=0...
-        // but cum==snd_una==0 means in_flight>0 and dup count rises.
-        for _ in 0..3 {
-            s.on_ack(Time::from_millis(10), 0);
-        }
-        let segs = s.emit(Time::from_millis(11));
-        assert!(segs.iter().any(|g| g.is_retx && g.seq == 0));
-        assert!(s.cwnd() < w_before);
-        assert!(s.retx_bytes > 0);
     }
 
     #[test]
@@ -514,25 +487,6 @@ mod tests {
         assert_eq!(segs[0].seq, 0, "go-back-N restarts at snd_una");
         // Backed-off RTO.
         assert!(s.rto_deadline().unwrap() > deadline);
-    }
-
-    #[test]
-    fn full_transfer_completes_lossless() {
-        let mut s = TcpSender::new(cfg(), 100_000);
-        let mut now = Time::ZERO;
-        let mut delivered = 0u64;
-        let mut guard = 0;
-        while !s.done() {
-            guard += 1;
-            assert!(guard < 1000, "must converge");
-            let segs = s.emit(now);
-            for seg in segs {
-                delivered = delivered.max(seg.seq + seg.len as u64);
-            }
-            now += Dur::from_millis(20);
-            s.on_ack(now, delivered);
-        }
-        assert_eq!(delivered, 100_000);
     }
 
     #[test]

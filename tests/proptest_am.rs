@@ -1,9 +1,37 @@
-//! Property test: the RLC AM conversation delivers every SDU exactly
-//! once, in order, under arbitrary loss patterns and opportunity sizes.
+//! Bounded-exhaustive check of RLC AM (the small-scope hypothesis):
+//! every loss mask over a conversation's first ten transmissions, data
+//! PDUs, retransmissions and STATUS PDUs alike, for each SDU/opportunity
+//! shape in `SHAPES` and a STATUS that returns at once or after the
+//! cell's 4 TTI uplink delay. Each conversation must deliver every SDU
+//! exactly once, in the order its last byte was first sent, count each
+//! retransmission once and end within the scope's pinned worst case. A
+//! failure stops at its first counterexample and prints it as the
+//! `am_conversation(…)` call that replays it.
+
+use std::collections::VecDeque;
+use std::panic::catch_unwind;
 
 use outran::pdcp::{FiveTuple, Priority};
-use outran::rlc::{AmConfig, AmRx, AmTx, RlcSdu};
-use outran::simcore::{check, Dur, Time};
+use outran::rlc::{AmConfig, AmRx, AmTx, RlcSdu, StatusPdu};
+use outran::simcore::{Dur, Time};
+
+/// TTIs the longest conversation in scope takes until every SDU is
+/// delivered and acknowledged. A longer conversation fails there.
+const AM_WORST_TTIS: u64 = 489;
+
+/// Conversations in scope that abandon a PDU at `max_retx: 1`.
+const AM_ABANDONING: usize = 2155;
+
+/// SDU lengths and the opportunity sizes the TTIs take in turn: one
+/// whole SDU, one SDU in three segments, three SDUs in one opportunity,
+/// mixed segmentation, and the shape of the recorded shrunk case.
+const SHAPES: [(&[u32], &[u64]); 5] = [
+    (&[300], &[1000]),
+    (&[3000], &[1000]),
+    (&[400, 400, 400], &[2000]),
+    (&[200, 900, 100], &[500, 64]),
+    (&[1018, 1235, 64, 64, 175], &[64, 64, 2428, 64]),
+];
 
 fn sdu(id: u64, len: u32) -> RlcSdu {
     RlcSdu {
@@ -18,97 +46,133 @@ fn sdu(id: u64, len: u32) -> RlcSdu {
     }
 }
 
-/// Run one AM conversation: SDUs of `lens` bytes, transmission
-/// opportunities of `budgets` bytes in turn, and `losses` deciding (with
-/// every third PDU spared) which first transmissions are lost. Checks
-/// that every SDU is delivered exactly once.
-fn am_conversation(lens: &[u32], budgets: &[u64], losses: &[bool]) {
+/// One AM conversation, one TTI per millisecond: SDUs of `lens` bytes,
+/// opportunities of `budgets` bytes in turn, each STATUS heard `delay`
+/// TTIs after it is sent, and transmission `i` lost when bit `i` of
+/// `lost` is set. Returns the TTIs until every SDU is delivered and
+/// acknowledged, or `None` once a STATUS makes the transmitter abandon a
+/// PDU (the cell then re-establishes the UE).
+fn am_conversation(
+    lens: &[u32],
+    budgets: &[u64],
+    lost: u64,
+    delay: u64,
+    max_retx: u8,
+) -> Option<u64> {
     let cfg = AmConfig {
         header_bytes: 0,
         poll_pdu: 2,
         t_status_prohibit: Dur::from_millis(1),
+        max_retx,
         ..AmConfig::default()
     };
-    let mut tx = AmTx::new(cfg);
-    let mut rx = AmRx::new(cfg);
+    let (mut tx, mut rx) = (AmTx::new(cfg), AmRx::new(cfg));
     for (i, &len) in lens.iter().enumerate() {
         tx.write_sdu(sdu(i as u64, len)).unwrap();
     }
-    let mut delivered: Vec<u64> = Vec::new();
-    let mut now = Time::ZERO;
-    let mut bi = budgets.iter().cycle();
-    let mut li = losses.iter().cycle();
-    let mut sent = 0usize;
-    let mut idle_rounds = 0;
-    while delivered.len() < lens.len() {
-        now += Dur::from_millis(1);
-        tx.on_tick(now);
-        let (pdus, used) = tx.pull(*bi.next().unwrap(), now);
-        if used == 0 {
-            idle_rounds += 1;
-            assert!(
-                idle_rounds < 5000,
-                "AM stalled: {}/{} delivered, in-flight {}",
-                delivered.len(),
-                lens.len(),
-                tx.in_flight()
-            );
-            continue;
+    let mut sent = 0;
+    let mut lose = || {
+        sent += 1;
+        sent <= 64 && (lost >> (sent - 1)) & 1 == 1
+    };
+    // Whether `st` abandoned a PDU, which it must report.
+    let hear = |tx: &mut AmTx, st: &StatusPdu| {
+        let dropped = tx.dropped_pdus;
+        let reported = tx.on_status(st);
+        assert_eq!(reported, tx.dropped_pdus > dropped);
+        reported
+    };
+    let (mut first_sent, mut delivered, mut uplink) = (Vec::new(), Vec::new(), VecDeque::new());
+    let (mut next_sn, mut retx) = (0, 0);
+    for tti in 1..=AM_WORST_TTIS {
+        let now = Time::from_millis(tti);
+        while uplink.front().is_some_and(|&(at, _)| at <= tti) {
+            if hear(&mut tx, &uplink.pop_front().unwrap().1) {
+                return None;
+            }
         }
-        idle_rounds = 0;
-        for pdu in pdus {
-            sent += 1;
-            // First transmissions may be lost; retransmissions are
-            // recognisable because AmTx counts them.
-            let lose = *li.next().unwrap() && !sent.is_multiple_of(3);
-            if lose && tx.retx_count == 0 {
+        tx.on_tick(now);
+        let (mut fresh, mut status_sent) = (false, false);
+        for pdu in tx.pull(budgets[(tti - 1) as usize % budgets.len()], now).0 {
+            if pdu.sn == next_sn {
+                next_sn += 1;
+                fresh = true;
+                if pdu.seg.offset + pdu.seg.len == pdu.seg.sdu_len {
+                    first_sent.push((pdu.seg.sdu_id, pdu.seg.sdu_len));
+                }
+            } else {
+                assert!(!fresh, "a retransmission after fresh data");
+                retx += 1;
+            }
+            if lose() {
                 continue;
             }
             let (sdus, status) = rx.on_pdu(pdu, now);
-            delivered.extend(sdus.iter().map(|d| d.sdu_id));
-            if let Some(st) = status {
-                tx.on_status(&st);
+            delivered.extend(sdus.iter().map(|d| (d.sdu_id, d.len)));
+            let Some(st) = status else { continue };
+            assert!(!status_sent, "two STATUS PDUs within t-StatusProhibit");
+            status_sent = true;
+            if lose() {
+                continue;
+            }
+            if delay > 0 {
+                uplink.push_back((tti + delay, st));
+            } else if hear(&mut tx, &st) {
+                return None;
+            }
+        }
+        assert_eq!(tx.retx_count, retx);
+        if delivered.len() >= lens.len() && tx.in_flight() == 0 {
+            assert_eq!(delivered, first_sent, "delivered vs first sent");
+            assert!(delivered.iter().all(|&(id, len)| lens[id as usize] == len));
+            return Some(tti);
+        }
+    }
+    panic!("past the pinned worst case: {delivered:?} delivered of {lens:?}");
+}
+
+/// Every conversation in scope at `max_retx`: how many abandon a PDU and
+/// the longest that does not.
+fn enumerate(max_retx: u8) -> (usize, u64) {
+    let (mut cases, mut abandoning, mut worst) = (0, 0, 0);
+    for (lens, budgets) in SHAPES {
+        for delay in [0, 4] {
+            for lost in 0..1 << 10 {
+                let Ok(end) =
+                    catch_unwind(|| am_conversation(lens, budgets, lost, delay, max_retx))
+                else {
+                    panic!("counterexample: am_conversation(&{lens:?}, &{budgets:?}, {lost:#b}, {delay}, {max_retx})");
+                };
+                cases += 1;
+                abandoning += usize::from(end.is_none());
+                worst = worst.max(end.unwrap_or(0));
             }
         }
     }
-    // Exactly once, in order (AM delivers in SN order and SDUs were
-    // written in id order at equal..mixed priorities — the AM TxQ is
-    // MLFQ, so delivery order follows the *transmission* order;
-    // verify uniqueness and completeness).
-    let mut seen = delivered.clone();
-    seen.sort_unstable();
-    seen.dedup();
-    assert_eq!(
-        seen.len(),
-        lens.len(),
-        "duplicates or misses: {:?}",
-        delivered
+    eprintln!(
+        "AM max_retx {max_retx}: {cases} conversations, {abandoning} abandon, worst {worst} TTIs"
     );
+    assert_eq!(cases, SHAPES.len() * 2 * 1024);
+    (abandoning, worst)
 }
 
 #[test]
-fn am_delivers_everything_in_order_under_loss() {
-    check("am_delivers_everything_in_order_under_loss", 48, |rng| {
-        let lens: Vec<u32> = (0..1 + rng.index(14))
-            .map(|_| 64 + rng.below(3936) as u32)
-            .collect();
-        let budgets: Vec<u64> = (0..4 + rng.index(60))
-            .map(|_| 64 + rng.below(5936))
-            .collect();
-        // Loss pattern over first transmissions (retx always delivered,
-        // so the conversation terminates).
-        let losses: Vec<bool> = (0..64).map(|_| rng.chance(0.5)).collect();
-        am_conversation(&lens, &budgets, &losses);
-    });
+fn am_every_loss_mask_in_scope() {
+    assert_eq!(enumerate(8), (0, AM_WORST_TTIS));
 }
 
-/// A failing case once recorded, shrunk: five SDUs over four budgets,
-/// first transmissions lost at 6, 52, 53, 59 and 63 of 64.
+/// At `max_retx: 1` the report fires in exactly the conversations whose
+/// `dropped_pdus` grows (`am_conversation` asserts it at every STATUS).
+#[test]
+fn am_every_abandonment_in_scope_is_reported() {
+    assert_eq!(enumerate(1).0, AM_ABANDONING);
+}
+
+/// A failing case once recorded by the random-case test this file held,
+/// shrunk: five SDUs over four opportunity sizes. That run lost the ninth
+/// transmission only, its STATUS returning at once.
 #[test]
 fn am_delivers_the_recorded_shrunk_case() {
-    let mut losses = [false; 64];
-    for i in [6, 52, 53, 59, 63] {
-        losses[i] = true;
-    }
-    am_conversation(&[1018, 1235, 64, 64, 175], &[64, 64, 2428, 64], &losses);
+    let lens = [1018, 1235, 64, 64, 175];
+    assert!(am_conversation(&lens, &[64, 64, 2428, 64], 1 << 8, 0, 8).is_some());
 }
