@@ -59,7 +59,9 @@ pub struct HarqTb<T> {
     pub bits: f64,
     /// Subband the block is mapped to (its channel draws).
     pub subband: usize,
-    /// Transmissions so far (≥1 once it has failed the first time).
+    /// 1 as the cell builds a failed block, +1 per [`HarqQueue::on_failure`]:
+    /// transmissions so far plus one, so the combining gain is one step
+    /// (3 dB) optimistic (DESIGN.md, "Explicit HARQ is one step optimistic").
     pub attempts: u8,
 }
 

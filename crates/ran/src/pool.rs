@@ -14,10 +14,11 @@
 //!   `parallel_map` is `items.into_iter().map(f).collect()`.
 //! * **One rule for when a pool spins up:** `threads > 1` and at least
 //!   two items; otherwise the jobs run on the calling thread.
-//! * **A panicking job fails its sweep.** A worker's panic propagates
-//!   out of the pool to the caller. A retry would replay the same panic
-//!   (the job is pure), and a sweep that dropped a point would skew the
-//!   mean it feeds.
+//! * **A panicking job fails its sweep**: a release binary prints its
+//!   message and aborts (`panic = "abort"`, exit 134); where panics unwind
+//!   (debug, tests) it propagates to the caller. A retry would replay the
+//!   same panic (the job is pure), and a sweep that dropped a point would
+//!   skew the mean it feeds.
 //! * **Two entry points.** [`parallel_map`] for jobs whose cells are
 //!   built inside the job (experiment sweeps, figures), `for_each_mut`
 //!   for long-lived objects (the cells of a network).

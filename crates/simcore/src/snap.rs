@@ -72,11 +72,11 @@
 //! literal or a sibling field; `index(space)` is an id into a table the
 //! layout does not own: the reader keeps the largest id read per space,
 //! and the table's owner checks it once after its own load (a `spaces`
-//! clause, [`SnapReader::check_space`]). Restore checks them all through
-//! one out-of-line checker ([`check_domains`]) and refuses a value
-//! outside as [`SnapError::Malformed`]; `then` hooks keep what involves
-//! several fields at once (a sum, a pairing). A trace records each
-//! number's domain, so a mutator can write its edges.
+//! clause, [`SnapReader::check_space`]). Restore checks a layout's
+//! domains in one call to one out-of-line checker ([`check_domains`]),
+//! which reads each from the text it refuses a value with; `then` hooks
+//! keep what involves several fields at once (a sum, a pairing). A trace
+//! records each number's domain, so a mutator can write its edges.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
@@ -784,16 +784,6 @@ pub trait Bounded {
     fn each(&self, f: &mut dyn FnMut(Num) -> bool) -> bool;
 }
 
-/// A scalar's number: a comparison's bound.
-pub fn num(v: &dyn Bounded) -> Num {
-    let mut out = Num::Float(f64::NAN);
-    v.each(&mut |n| {
-        out = n;
-        true
-    });
-    out
-}
-
 /// Scalars: `type: |x| number`.
 macro_rules! bounded {
     ($($ty:ty: |$x:ident| $num:expr),* $(,)?) => {$(
@@ -824,66 +814,77 @@ impl<T: Bounded> Bounded for Vec<T> {
     }
 }
 
-/// One kind of a field's domain (see the module docs for the grammar).
-#[derive(Debug, Clone, Copy)]
-pub enum Domain {
-    /// At most a quarter of the integer type's range (2^62 for 64 bits).
-    Counter,
-    /// Neither infinite nor NaN.
-    Finite,
-    /// Exactly −1 or +1: a direction.
-    Sign,
-    /// Compared with a bound by the operator a layout names: `"lt"`,
-    /// `"le"`, `"eq"`, `"ge"` or `"gt"`.
-    Cmp(&'static str, Num),
-    /// An id into the named space, checked by the space's owner.
-    Index(&'static str),
-}
-
-/// The one checker of every domain: each number of `v` must satisfy
-/// every kind in `domain`, or the restore fails as
-/// [`SnapError::Malformed`]`(what)`. An `index` id is noted in `r` for
-/// its space's owner.
+/// The one checker of every domain, called once per layout: `whats` has
+/// a line per field of `values`, `Type.field outside <domain>`, what a
+/// value outside is refused with ([`SnapError::Malformed`]) and the
+/// domain read here. `bounds` has an entry per kind with an argument: a
+/// comparison's bound (`index`: none, its id is noted in `r`).
 #[inline(never)]
 pub fn check_domains(
     r: &mut SnapReader<'_>,
-    v: &dyn Bounded,
-    domain: &[Domain],
-    what: &'static str,
+    values: &[&dyn Bounded],
+    bounds: &[Option<&dyn Bounded>],
+    whats: &'static str,
 ) -> Result<(), SnapError> {
     use std::cmp::Ordering::{Equal, Greater, Less};
     let float = |n| match n {
         Num::Int(v, _) => v as f64,
         Num::Float(v) => v,
     };
-    let holds = v.each(&mut |n| {
-        domain.iter().all(|d| match (*d, n) {
-            (Domain::Counter, Num::Int(v, max)) => v <= (max >> 2) + 1,
-            (Domain::Finite, _) => float(n).is_finite(),
-            (Domain::Sign, _) => float(n).abs() == 1.0,
-            (Domain::Cmp(op, b), _) => {
-                let ord = match (n, b) {
-                    (Num::Int(v, _), Num::Int(b, _)) => Some(v.cmp(&b)),
-                    _ => float(n).partial_cmp(&float(b)),
-                };
-                matches!(
-                    (op, ord),
-                    ("lt" | "le", Some(Less))
-                        | ("le" | "eq" | "ge", Some(Equal))
-                        | ("ge" | "gt", Some(Greater))
-                )
-            }
-            (Domain::Index(space), Num::Int(id, _)) if id >= 0 => {
-                match r.ids.iter_mut().find(|(s, _)| *s == space) {
-                    Some((_, max)) => *max = (*max).max(id as u64),
-                    None => r.ids.push((space, id as u64)),
+    let (mut bounds, mut lines) = (bounds.iter(), whats);
+    for v in values {
+        let what;
+        (what, lines) = cut(lines, '\n');
+        // `Type.field outside kind & op(arg)`: no name has a space.
+        let mut kinds = cut(cut(what, ' ').1, ' ').1;
+        while !kinds.is_empty() {
+            let kind;
+            (kind, kinds) = cut(kinds, ' ');
+            let (op, arg) = cut(kind.trim_end_matches(')'), '(');
+            let bound = match (op, arg) {
+                ("&", _) => continue,
+                (_, "") => None,
+                _ => bounds.next().copied().flatten(),
+            };
+            let holds = v.each(&mut |n| match (op, n) {
+                ("counter", Num::Int(v, max)) => v <= (max >> 2) + 1,
+                ("finite", _) => float(n).is_finite(),
+                ("sign", _) => float(n).abs() == 1.0,
+                ("index", Num::Int(id, _)) if id >= 0 => {
+                    match r.ids.iter_mut().find(|(s, _)| *s == arg) {
+                        Some((_, max)) => *max = (*max).max(id as u64),
+                        None => r.ids.push((arg, id as u64)),
+                    }
+                    true
                 }
-                true
+                ("counter" | "index", _) => false,
+                _ => bound.is_some_and(|b| {
+                    b.each(&mut |b| {
+                        let ord = match (n, b) {
+                            (Num::Int(v, _), Num::Int(b, _)) => Some(v.cmp(&b)),
+                            _ => float(n).partial_cmp(&float(b)),
+                        };
+                        matches!(
+                            (op, ord),
+                            ("lt" | "le", Some(Less))
+                                | ("le" | "eq" | "ge", Some(Equal))
+                                | ("ge" | "gt", Some(Greater))
+                        )
+                    })
+                }),
+            });
+            if !holds {
+                return Err(SnapError::Malformed(what));
             }
-            (Domain::Counter | Domain::Index(_), _) => false,
-        })
-    });
-    holds.then_some(()).ok_or(SnapError::Malformed(what))
+        }
+    }
+    Ok(())
+}
+
+/// `s` up to the first `c` and what follows (`""` if none), out of line.
+#[inline(never)]
+fn cut(s: &'static str, c: char) -> (&'static str, &'static str) {
+    s.split_once(c).unwrap_or((s, ""))
 }
 
 /// A snapshot file: named, digest-guarded sections behind a magic and
@@ -1338,7 +1339,7 @@ macro_rules! snap_fields {
                     $($f: $crate::snap::Unsnap::unsnap(r)?,)*
                     $($($d: ::std::default::Default::default(),)*)?
                 };
-                $($crate::snap_fields!(@check r [v.] $ty $f $(in $($dk $(($($da)+))?)&+)?);)*
+                $crate::snap_fields!(@check r [v.] $ty { $($f $(in $($dk $(($($da)+))?)&+)?),* });
                 $($post(&mut v)?;)?
                 Ok(v)
             }
@@ -1364,7 +1365,7 @@ macro_rules! snap_fields {
                 #[allow(unused_imports, reason = "unused when every field loads by helper")]
                 use $crate::snap::LoadSnap as _;
                 $($crate::snap_fields!(@load self r $f $($how)?);)*
-                $($crate::snap_fields!(@check r [self.] $ty $f $(in $($dk $(($($da)+))?)&+)?);)*
+                $crate::snap_fields!(@check r [self.] $ty { $($f $(in $($dk $(($($da)+))?)&+)?),* });
                 $($(r.check_space(
                     ::std::stringify!($sp),
                     self.$($n).+(),
@@ -1397,18 +1398,27 @@ macro_rules! snap_fields {
     };
     (@load $s:ident $r:ident $f:tt) => { $s.$f.load_snap($r)? };
     (@load $s:ident $r:ident $f:tt $how:ident) => { $r.$how(&mut $s.$f)? };
-    (@check $r:ident $at:tt $ty:ident $f:tt) => {};
-    (@check $r:ident $at:tt $ty:ident $f:tt in $($dk:ident $(($($da:tt)+))?)&+) => {
-        $crate::snap::check_domains(
-            $r,
-            &$crate::snap_fields!(@at $at $f),
-            &[$($crate::snap_fields!(@dom $at $dk $(($($da)+))?)),+],
-            ::std::concat!(
-                ::std::stringify!($ty), ".", ::std::stringify!($f), " outside ",
-                $crate::snap_fields!(@text $($dk $(($($da)+))?)&+),
-            ),
-        )?
+    // One call per layout, none for a layout without domains: the
+    // fields, a bound per kind with an argument, a message line each.
+    (@check $r:ident $at:tt $ty:ident
+        { $($f:tt $(in $($dk:ident $(($($da:tt)+))?)&+)?),* }) => {
+        let values: &[&dyn $crate::snap::Bounded] =
+            &[$($($crate::snap_fields!(@value $at $f $($dk)+),)?)*];
+        if !values.is_empty() {
+            $crate::snap::check_domains(
+                $r, values,
+                &[$($($($($crate::snap_fields!(@bound $at $dk $($da)+),)?)+)?)*],
+                ::std::concat!($($(
+                    ::std::stringify!($ty), ".", ::std::stringify!($f), " outside ",
+                    $crate::snap_fields!(@text $($dk $(($($da)+))?)&+), "\n",
+                )?)*),
+            )?;
+        }
     };
+    (@value [$($v:tt)*] $f:tt $($dk:ident)+) => { &$($v)* $f };
+    (@bound $at:tt index $space:ident) => { None };
+    (@bound $at:tt $op:ident $b:literal) => { Some(&($b as f64) as &dyn $crate::snap::Bounded) };
+    (@bound $at:tt $op:ident $b:ident) => { Some(&$crate::snap_fields!(@at $at $b) as _) };
     (@at [$($v:tt)*] $f:tt) => { $($v)* $f };
     (@text $dk:ident $(($($da:tt)+))? $(& $($rest:tt)+)?) => {
         ::std::concat!(
@@ -1417,19 +1427,6 @@ macro_rules! snap_fields {
             $(" & ", $crate::snap_fields!(@text $($rest)+))?
         )
     };
-    (@dom $at:tt counter) => { $crate::snap::Domain::Counter };
-    (@dom $at:tt finite) => { $crate::snap::Domain::Finite };
-    (@dom $at:tt sign) => { $crate::snap::Domain::Sign };
-    (@dom $at:tt index($space:ident)) => {
-        $crate::snap::Domain::Index(::std::stringify!($space))
-    };
-    (@dom $at:tt $op:ident($b:tt)) => {
-        $crate::snap::Domain::Cmp(::std::stringify!($op), $crate::snap_fields!(@bound $at $b))
-    };
-    // A literal bound is a constant, so a domain of constants is a
-    // static array: no code per field builds it.
-    (@bound $at:tt $b:literal) => { $crate::snap::Num::Float($b as f64) };
-    (@bound $at:tt $b:ident) => { $crate::snap::num(&$crate::snap_fields!(@at $at $b)) };
 }
 
 /// Declare an enum's snapshot layout once: a `u8` tag per variant, then
@@ -1483,9 +1480,9 @@ macro_rules! snap_enum {
                     $($tag => {
                         $(
                             $(let $f = r.get()?;)*
-                            $($crate::snap_fields!(
-                                @check r [] $ty $f $(in $($dk $(($($da)+))?)&+)?
-                            );)*
+                            $crate::snap_fields!(
+                                @check r [] $ty { $($f $(in $($dk $(($($da)+))?)&+)?),* }
+                            );
                         )?
                         Self::$v
                             $({ $($f),* })?
@@ -1643,7 +1640,7 @@ impl<E: Unsnap> Unsnap for EventQueue<E> {
     fn unsnap(r: &mut SnapReader<'_>) -> Result<EventQueue<E>, SnapError> {
         let counter = r.u64()?;
         let what = "EventQueue.seq_counter outside counter";
-        check_domains(r, &counter, &[Domain::Counter], what)?;
+        check_domains(r, &[&counter], &[], what)?;
         let mut q = EventQueue::new();
         for (t, seq, e) in r.get::<Vec<(Time, u64, E)>>()? {
             if seq >= counter {
