@@ -378,6 +378,9 @@ mod tests {
         assert_eq!(dst.sent_bytes(&tuple(1)), 50_000);
         assert_eq!(dst.priority_of(&tuple(1)), Priority(1));
         assert_eq!(dst.priority_of(&tuple(2)), Priority::TOP);
+        // Importing the same state again duplicates nothing.
+        dst.import(&src.export(), Time::from_secs(2));
+        assert_eq!(dst.export(), src.export());
     }
 
     #[test]

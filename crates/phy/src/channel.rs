@@ -41,6 +41,12 @@
 //! previous per-UE-struct implementation (locked in by the golden-trace
 //! digest tests in `outran-ran`).
 //!
+//! The fading coefficients are not planes: every UE of a cell shares
+//! them. The AR(1) coefficient ρ is one `f64` that `new` computes from
+//! the configuration's Doppler and TTI, and the wideband mixing weight
+//! is the configuration's `flatness`, read in place. Neither travels in
+//! a snapshot: a restore builds the channel from the same configuration.
+//!
 //! ## Live and lagging slots
 //!
 //! A network cell is provisioned with more UE slots than it has UEs. In
@@ -253,11 +259,10 @@ pub struct CellChannel {
     fade_sb_im: Vec<f64>,
     fade_wb_re: Vec<f64>,
     fade_wb_im: Vec<f64>,
-    /// Per-UE AR(1) coefficient. Configuration: set by `new` and
-    /// never written after; a restore refuses any other value.
-    fade_rho: Vec<f64>,
-    /// Per-UE wideband mixing weight (configuration, as `fade_rho`).
-    fade_flatness: Vec<f64>,
+    /// The AR(1) coefficient every UE's taps share, a function of the
+    /// configuration's Doppler and TTI: set by `new`, never written
+    /// after, never persisted.
+    fade_rho: f64,
     fade_rng: Vec<Rng>,
     /// Scratch of [`CellChannel::fade_slots`], room for every slot's
     /// `2 · (n_subbands + 1)` innovations: their uniforms (`fade_radius`,
@@ -401,8 +406,7 @@ impl CellChannel {
             fade_sb_im: Vec::with_capacity(n_ues * n_subbands),
             fade_wb_re: Vec::with_capacity(n_ues),
             fade_wb_im: Vec::with_capacity(n_ues),
-            fade_rho: vec![rho; n_ues],
-            fade_flatness: vec![cfg.flatness; n_ues],
+            fade_rho: rho,
             fade_rng: Vec::with_capacity(n_ues),
             fade_radius: vec![0.0; n_ues * 2 * (n_subbands + 1)],
             fade_angle: vec![0.0; n_ues * 2 * (n_subbands + 1)],
@@ -517,7 +521,7 @@ impl CellChannel {
         let s = self.fade_sb_re[i] * self.fade_sb_re[i] + self.fade_sb_im[i] * self.fade_sb_im[i];
         let w =
             self.fade_wb_re[ue] * self.fade_wb_re[ue] + self.fade_wb_im[ue] * self.fade_wb_im[ue];
-        self.fade_flatness[ue] * w + (1.0 - self.fade_flatness[ue]) * s
+        self.cfg.flatness * w + (1.0 - self.cfg.flatness) * s
     }
 
     /// Instantaneous fading gain in dB for `(ue, sb)`.
@@ -551,7 +555,7 @@ impl CellChannel {
         let base = ue * n_sb;
         let w =
             self.fade_wb_re[ue] * self.fade_wb_re[ue] + self.fade_wb_im[ue] * self.fade_wb_im[ue];
-        let flat = self.fade_flatness[ue];
+        let flat = self.cfg.flatness;
         let sinr_const = self.sinr_const_db[ue];
         let scale = self.cfg.fading_scale;
         let cap = self.cfg.sinr_cap_db;
@@ -667,7 +671,7 @@ impl CellChannel {
         let reported = &self.reported[base..base + n_sb];
         let w =
             self.fade_wb_re[ue] * self.fade_wb_re[ue] + self.fade_wb_im[ue] * self.fade_wb_im[ue];
-        let flat = self.fade_flatness[ue];
+        let flat = self.cfg.flatness;
         let sinr_const = self.sinr_const_db[ue];
         let cap = self.cfg.sinr_cap_db;
         let scale = self.cfg.fading_scale;
@@ -780,19 +784,20 @@ impl CellChannel {
     /// kernels").
     fn fade_slots(&mut self, slots: &[usize], k: u64) {
         // A static channel (ρ ≥ 1) neither draws nor moves.
-        let fading = |ue: &&usize| self.fade_rho[**ue] < 1.0;
+        if self.fade_rho >= 1.0 {
+            return;
+        }
         // Per slot, in stream order: sub-band j's re is z[2j] and its im
         // z[2j + 1], for j ascending; the wideband pair sits last, at
         // z[2·n_sb].
         let per_slot = 2 * (self.n_subbands + 1);
-        let mut n = 0;
-        for &ue in slots.iter().filter(fading) {
+        let n = slots.len() * per_slot;
+        for (&ue, at) in slots.iter().zip((0..n).step_by(per_slot)) {
             Normal::uniforms(
                 &mut self.fade_rng[ue],
-                &mut self.fade_radius[n..n + per_slot],
-                &mut self.fade_angle[n..n + per_slot],
+                &mut self.fade_radius[at..at + per_slot],
+                &mut self.fade_angle[at..at + per_slot],
             );
-            n += per_slot;
         }
         Normal::new(0.0, FRAC_1_SQRT_2).transform(
             &self.fade_radius[..n],
@@ -801,21 +806,16 @@ impl CellChannel {
         );
         self.work.fading_draws += n as u64;
         let n_sb = self.n_subbands;
-        for (&ue, z) in slots
-            .iter()
-            .filter(fading)
-            .zip(self.fade_z[..n].chunks_exact(per_slot))
-        {
-            let rho = self.fade_rho[ue];
-            // k-step AR(1) composition: coefficient ρᵏ, one draw pair per
-            // tap (k == 1 keeps ρ itself, matching the historical
-            // single-step path bit for bit).
-            let rho_k = if k == 1 {
-                rho
-            } else {
-                rho.powi(k.min(i32::MAX as u64) as i32)
-            };
-            let w = (1.0 - rho_k * rho_k).sqrt();
+        // k-step AR(1) composition: coefficient ρᵏ, one draw pair per tap
+        // (k == 1 keeps ρ itself, matching the historical single-step
+        // path bit for bit).
+        let rho_k = if k == 1 {
+            self.fade_rho
+        } else {
+            self.fade_rho.powi(k.min(i32::MAX as u64) as i32)
+        };
+        let w = (1.0 - rho_k * rho_k).sqrt();
+        for (&ue, z) in slots.iter().zip(self.fade_z[..n].chunks_exact(per_slot)) {
             let (sb_z, wb_z) = z.split_at(2 * n_sb);
             let sb = ue * n_sb..(ue + 1) * n_sb;
             let taps = self.fade_sb_re[sb.clone()]
@@ -1193,13 +1193,13 @@ impl CellChannel {
 }
 
 // A lagging slot is written as if caught up: the lag state never
-// travels. Each plane must keep its constructed length, the fading
-// coefficients and flatness their constructed values. Configuration,
-// derived layout and cached large-scale terms are rebuilt.
+// travels. Each plane must keep its constructed length. Configuration
+// (the fading coefficient with it), derived layout and cached
+// large-scale terms are rebuilt.
 snap_fields! {
     overlay CellChannel {
         walkers: fixed, fade_sb_re: fixed, fade_sb_im: fixed, fade_wb_re: fixed,
-        fade_wb_im: fixed, fade_rho: same, fade_flatness: same, fade_rng: fixed,
+        fade_wb_im: fixed, fade_rng: fixed,
         shadow_db: fixed, reported: fixed, reported_rev: fixed in counter, pending: fixed,
         pending_fresh: fixed, pending_due: fixed, next_report_at: fixed, ue_rng: fixed,
         tti_index in counter, dist_since_shadow: fixed, cqi_frozen: fixed,
@@ -1208,7 +1208,7 @@ snap_fields! {
         iplusn_dbm: fixed, ext_dist_m: fixed,
     }
     rebuilt {
-        cfg, n_ues, n_subbands, rbs_per_subband, sinr_const_db, ext_geometry, fade_radius,
+        cfg, n_ues, n_subbands, rbs_per_subband, sinr_const_db, ext_geometry, fade_rho, fade_radius,
         fade_angle, fade_z, fade_live, sinr_z, rate_per_cqi, detached, live, slot_tti,
         n_lagging, lag_log, report_wake, work,
     }
@@ -1337,7 +1337,7 @@ mod tests {
         let g = Normal::new(0.0, FRAC_1_SQRT_2);
         let n_sb = ch.n_subbands;
         for ue in 0..ch.n_ues {
-            let rho = ch.fade_rho[ue];
+            let rho = ch.fade_rho;
             let w = (1.0 - rho * rho).sqrt();
             let rng = &mut ch.fade_rng[ue];
             for t in ue * n_sb..(ue + 1) * n_sb {
@@ -1444,7 +1444,7 @@ mod tests {
                     lag_k += prev * re;
                 }
             }
-            let rho_k = ch.fade_rho[0].powi(k as i32);
+            let rho_k = ch.fade_rho.powi(k as i32);
             let acf = lag_k / lag0;
             assert!(
                 (acf - rho_k).abs() < 0.01,
@@ -1480,7 +1480,7 @@ mod tests {
         let f = cfg.flatness;
         let want = f * f / (f * f + (1.0 - f) * (1.0 - f));
         let mut ch = CellChannel::new(cfg, 256, &Rng::new(3));
-        assert!(ch.fade_rho[0].powi(DECORRELATED as i32) < 1e-8);
+        assert!(ch.fade_rho.powi(DECORRELATED as i32) < 1e-8);
         let tti = ch.config().radio.tti();
         let mut rows: Vec<Vec<f64>> = Vec::new();
         for draw in 1..=100 {
@@ -1730,29 +1730,6 @@ mod tests {
                 assert_eq!(
                     ch.reported_cqi_subband(u, sb),
                     restored.reported_cqi_subband(u, sb)
-                );
-            }
-        }
-    }
-
-    /// The fading coefficients are configuration. A NaN `ρ` would make
-    /// every tap NaN and every CQI 0 — a resumed run that silently
-    /// delivers nothing — so a restore refuses any plane that is not the
-    /// constructed one.
-    #[test]
-    fn restore_refuses_foreign_fading_coefficients() {
-        for bad in [f64::NAN, 2.0] {
-            for plane in 0..2 {
-                let mut hostile = small_channel();
-                match plane {
-                    0 => hostile.fade_rho[3] = bad,
-                    _ => hostile.fade_flatness[3] = bad,
-                }
-                let bytes = snap_bytes(&hostile);
-                let got = small_channel().load_snap(&mut SnapReader::new(&bytes));
-                assert!(
-                    matches!(got, Err(SnapError::Malformed(_))),
-                    "plane {plane} value {bad}: {got:?}"
                 );
             }
         }
@@ -2033,7 +2010,7 @@ mod tests {
                 }
                 ch.fade_wb_re[0] = rng.range_f64(-2.0, 2.0);
                 ch.fade_wb_im[0] = rng.range_f64(-2.0, 2.0);
-                ch.fade_flatness[0] = if row % 4 == 0 { 0.0 } else { rng.f64() };
+                ch.cfg.flatness = if row % 4 == 0 { 0.0 } else { rng.f64() };
                 ch.sinr_const_db[0] = (row % 101) as f64 - 40.0 + rng.f64();
                 fallbacks += fast_row_is_exact_row(&mut ch) as u64;
                 rows += 1;
@@ -2056,7 +2033,7 @@ mod tests {
         let nudge = |x: f64, ulps: i64| f64::from_bits((x.to_bits() as i64 + ulps) as u64);
         let mut ch = classifier_probe(1.0, 45.0);
         let n_sb = ch.n_subbands;
-        ch.fade_flatness[0] = 0.0;
+        ch.cfg.flatness = 0.0;
         ch.fade_sb_im[..n_sb].fill(0.0);
         let mut fallbacks = 0u64;
         for &t in &CQI_THRESH_DB {

@@ -612,17 +612,6 @@ impl Cell {
         s
     }
 
-    /// Export one UE's PDCP flow state — the §7 handover path ("the flow
-    /// state of a user can also be copied along with the data").
-    pub fn export_flow_state(&self, ue: usize) -> Vec<(FiveTuple, u64)> {
-        self.ues[ue].flow_table.export()
-    }
-
-    /// Import flow state captured from a source cell at handover.
-    pub fn import_flow_state(&mut self, ue: usize, entries: &[(FiveTuple, u64)]) {
-        self.ues[ue].flow_table.import(entries, self.now);
-    }
-
     /// Cumulative RBs granted by the MAC so far (the X2 load term — see
     /// the field docs on `used_rbs_cum`).
     pub fn used_rbs_cum(&self) -> u64 {
@@ -904,24 +893,14 @@ impl Cell {
     /// entries a file holds for any other flow — one written before the
     /// audit forgot completed flows holds thousands — are dropped. The
     /// clock must be the TTIs the metrics booked (a clock far past the
-    /// channel would have it catch up for as long), and the HARQ blocks
-    /// must hold the bytes the PHY stage's ledger says.
+    /// channel would have it catch up for as long). The PHY stage's
+    /// ledger of HARQ bytes is recounted from the HARQ blocks.
     fn after_load(&mut self) -> Result<(), SnapError> {
         let (now, tti) = (self.now.as_nanos(), self.tti.as_nanos());
         if !now.is_multiple_of(tti) || now / tti != self.metrics.total_ttis() {
             return Err(SnapError::Malformed("clock disagrees with the TTIs booked"));
         }
-        let held: u64 = self
-            .ues
-            .iter()
-            .flat_map(|ue| ue.harq.iter())
-            .map(|tb| tb.payload.bytes)
-            .sum();
-        if held != self.phy.harq_held_bytes() {
-            return Err(SnapError::Malformed(
-                "HARQ bytes held disagree with the HARQ blocks",
-            ));
-        }
+        self.phy.recount_harq(&self.ues);
         self.pools = CellPools::new();
         let ingress = &self.ingress;
         self.hk.retain_order_history(|ue, flow| {

@@ -947,6 +947,15 @@ mod tests {
         firsts
     }
 
+    /// The `kind` primitive at `path` in the first open flow's sender.
+    fn first_sender_field<'t>(trace: &'t SnapTrace, path: &str, kind: SnapKind) -> &'t SnapField {
+        let path = format!("ingress.flows[].sender.{path}");
+        let mut fields = trace.fields().iter();
+        fields
+            .find(|f| f.kind == kind && erased_path(f) == path)
+            .unwrap_or_else(|| panic!("no {kind:?} at {path}"))
+    }
+
     /// Each hostile value the next RTO arm would panic on — non-finite or
     /// negative `srtt`, `rttvar`, `rto`, or an `rto` past the 60 s
     /// `max_rto` — written into the first open flow's sender: refused as
@@ -954,8 +963,7 @@ mod tests {
     #[test]
     fn hostile_rtt_estimate_is_refused() {
         let (section, trace) = traced(&mid_transfer_cell().0);
-        let sender =
-            |path: &str, kind| field(&trace, &format!("ingress.flows.sender.{path}"), kind);
+        let sender = |path: &str, kind| first_sender_field(&trace, path, kind);
         assert_eq!(
             sender("rtt.srtt", SnapKind::Bool).value(&section),
             1,
@@ -994,8 +1002,7 @@ mod tests {
     #[test]
     fn hostile_tcp_sender_is_refused() {
         let (section, trace) = traced(&mid_transfer_cell().0);
-        let sender =
-            |path: &str, kind| field(&trace, &format!("ingress.flows.sender.{path}"), kind);
+        let sender = |path: &str, kind| first_sender_field(&trace, path, kind);
         let [flow_size, snd_una, snd_nxt, recover] =
             ["flow_size", "snd_una", "snd_nxt", "recover"].map(|f| sender(f, SnapKind::U64));
         let [cwnd, ssthresh, w_max, k] =
@@ -1064,14 +1071,14 @@ mod tests {
         }
     }
 
-    /// A v3 reader refuses a v1 or v2 file by its header, whatever
+    /// A v5 reader refuses a v1 to v4 file by its header, whatever
     /// follows.
     #[test]
     fn version_1_header_is_refused() {
         let (cell, meta) = mid_transfer_cell();
         let mut bytes = snapshot_cell(&meta, &cell).to_bytes();
-        assert_eq!(bytes[4..8], 4u32.to_le_bytes());
-        for old in [1u32, 2, 3] {
+        assert_eq!(bytes[4..8], 5u32.to_le_bytes());
+        for old in [1u32, 2, 3, 4] {
             bytes[4..8].copy_from_slice(&old.to_le_bytes());
             assert!(matches!(
                 SnapshotFile::from_bytes(&bytes),

@@ -354,8 +354,8 @@ impl Network {
 
         // Arrival schedule: one global Poisson process over the whole
         // population, targeting `load` on every cell in aggregate.
-        // Precomputed so the cursor is the only arrival state a
-        // checkpoint must carry.
+        // Time-ordered and precomputed, so a checkpoint carries no
+        // arrival state: the epoch says how far the cursor got.
         let per_cell_capacity = chan.nominal_capacity_bps();
         let mut gen = PoissonFlowGen::new(
             self.dist,
@@ -895,12 +895,14 @@ struct NetState {
     slot_owner: Vec<Vec<Option<usize>>>,
     /// Last epoch's published PRB utilization per cell.
     loads: Vec<f64>,
-    /// `used_rbs_cum` at the previous barrier, per cell.
+    /// `used_rbs_cum` at the previous barrier, per cell (not serialized:
+    /// a checkpoint follows a barrier, so it is each cell's own).
     prev_rbs: Vec<u64>,
     /// Precomputed arrival schedule (not serialized; rebuilt on
     /// construct).
     arrivals: Vec<FlowArrival>,
-    /// Next arrival to inject.
+    /// Next arrival to inject (not serialized: the arrivals up to the
+    /// restored epoch's instant are the ones injected).
     cursor: usize,
     /// Network flows fully completed (continuation chains count once).
     completed: usize,
@@ -922,19 +924,21 @@ impl NetState {
         self.slot_owner.first().map_or(0, Vec::len)
     }
 
-    /// Rebuild the slot-owner table from the restored UE registry,
-    /// refusing two UEs in one slot, a clock or an arrival cursor that
-    /// does not fit the configured run, and a PRB count at the last
-    /// barrier past its cell's.
-    fn rebuild_slot_owner(&mut self) -> Result<(), SnapError> {
+    /// Rebuild what a checkpoint does not carry: the arrival cursor, the
+    /// PRB counts at the last barrier and the slot-owner table. Refused:
+    /// an epoch past the configured run, a cell whose clock is not the
+    /// epoch's instant, and two UEs in one slot.
+    fn after_load(&mut self) -> Result<(), SnapError> {
         if self.epoch > self.end.as_nanos().div_ceil(EPOCH.as_nanos()) {
             return Err(SnapError::Malformed("epoch beyond the configured horizon"));
         }
-        if self.cursor > self.arrivals.len() {
-            return Err(SnapError::Malformed("arrival cursor beyond the schedule"));
+        let t = Time(EPOCH.as_nanos() * self.epoch).min(self.end);
+        if self.cells.iter().any(|c| c.now() != t) {
+            return Err(SnapError::Malformed("a cell's clock is not the epoch's"));
         }
-        if (self.prev_rbs.iter().zip(&self.cells)).any(|(&p, c)| p > c.used_rbs_cum()) {
-            return Err(SnapError::Malformed("barrier PRB count past its cell's"));
+        self.cursor = self.arrivals.partition_point(|a| a.at <= t);
+        for (prev, cell) in self.prev_rbs.iter_mut().zip(&self.cells) {
+            *prev = cell.used_rbs_cum();
         }
         for slots in &mut self.slot_owner {
             slots.fill(None);
@@ -964,15 +968,15 @@ snap_fields! { FlowOrigin { bytes, spawn } }
 
 // The `network` section. Cells snapshot through their own `cell.<i>`
 // sections; the arrival schedule is a pure function of the
-// configuration; the slot-owner table is rebuilt from the UE registry.
-// Every per-UE and per-cell vector keeps its configured length.
+// configuration, and its cursor of the epoch; the PRB counts at the
+// last barrier are the cells'; the slot-owner table is rebuilt from the
+// UE registry. Every per-UE and per-cell vector keeps its configured
+// length.
 snap_fields! {
-    overlay NetState {
-        epoch, cursor, completed, ues: fixed, loads: fixed, prev_rbs: fixed, origins, fct, stats,
-    }
-    rebuilt { cells, slot_owner, arrivals, end }
+    overlay NetState { epoch, completed, ues: fixed, loads: fixed, origins, fct, stats }
+    rebuilt { cells, slot_owner, prev_rbs, arrivals, cursor, end }
     spaces { cells: cells.len(), slots: slots_per_cell() }
-    then NetState::rebuild_slot_owner
+    then NetState::after_load
 }
 
 /// Results of one network run.
@@ -1072,8 +1076,11 @@ mod tests {
     /// writes the file writes `0xd2e7_e89f_882c_aff9` (see
     /// `checkpoint_resume.rs`). Re-recorded once more, for format v4
     /// (PF and MT take OutRAN's scheduler layout): a copy of 91e0766
-    /// with only the v4 layout edits applied writes this digest.
-    const PIN_PACKED_FILE: u64 = 0xd29e_67e3_da8f_7822;
+    /// with only the v4 layout edits applied writes
+    /// `0xd29e_67e3_da8f_7822`. Re-recorded once more, for format v5
+    /// (derived values leave the file): a copy of 16d16a7 with only the
+    /// v5 layout edits applied writes this digest.
+    const PIN_PACKED_FILE: u64 = 0x24e4_fded_841a_3bda;
 
     /// Nine cells of four slots with three slots free in all, and fast
     /// corridor UEs under a hair-trigger A3: most handovers are blocked,

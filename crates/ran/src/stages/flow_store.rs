@@ -123,10 +123,6 @@ snap_enum! { WireState, "unknown flow state tag" {
     2 => Done(tail),
 } }
 
-/// The slot of an `Open` record read from a snapshot, until
-/// [`FlowStore::load_snap`] assigns the real one.
-const UNSLOTTED: u32 = u32::MAX;
-
 /// The record kept for every registered flow.
 struct FlowRec {
     size: u64,
@@ -416,84 +412,57 @@ impl FlowStore {
     }
 }
 
-/// Irregular: the records, each followed by its [`WireState`], then
-/// `(id, endpoints)` for the open flows only, in ascending id order.
-/// Slot numbers never travel; `load_snap` deals slots `0..` in id order,
-/// and refuses endpoints that do not pair off one to one with the `Open`
-/// records.
+/// Irregular: the records, each followed by its [`WireState`] and, for
+/// an `Open` one, by the flow's endpoints. Slot numbers never travel:
+/// `load_snap` deals slots `0..` in the order it reads endpoints, which
+/// is id order.
 impl Snap for FlowStore {
     fn snap(&self, w: &mut SnapWriter) {
         w.seq(self.recs.iter().enumerate(), |w, (fi, rec)| {
             rec.snap(w);
             self.wire_state(fi).snap(w);
+            if let FlowState::Open(slot) = rec.state {
+                self.slots[slot as usize].snap(w);
+            }
         });
-        w.u64(self.open_flows());
-        for (fi, slot) in self.open_slots() {
-            w.usize(fi);
-            self.slots[slot as usize].snap(w);
-        }
     }
 }
 
 impl LoadSnap for FlowStore {
     fn load_snap(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.probes.clear();
-        let probes = &mut self.probes;
+        self.slots.clear();
+        self.free.clear();
+        self.done = 0;
+        let (tcp, probes, slots, done) =
+            (self.tcp, &mut self.probes, &mut self.slots, &mut self.done);
         let mut fi = 0;
         self.recs = r.seq(|r| {
             let mut rec: FlowRec = r.get()?;
             rec.state = match r.get()? {
                 WireState::Pending => FlowState::Pending,
-                WireState::Open => FlowState::Open(UNSLOTTED),
+                WireState::Open => {
+                    let mut ep = FlowEndpoints::fresh(TcpSender::new(tcp, rec.size), fi, &rec);
+                    ep.load_snap(r)?;
+                    slots.push(ep);
+                    FlowState::Open(slots.len() as u32 - 1)
+                }
                 WireState::Done(tail) => {
                     if let Some(probe) = tail.probe {
                         probes.insert(fi, probe);
                     }
+                    *done += 1;
                     FlowState::Done(PackedRtt::new(tail.last_rtt))
                 }
             };
             fi += 1;
             Ok(rec)
         })?;
-        self.slots.clear();
-        self.free.clear();
-        self.stats = PoolStats::default();
-        self.done = 0;
-        let mut unslotted = 0;
-        for rec in &self.recs {
-            match rec.state {
-                FlowState::Done(_) => self.done += 1,
-                FlowState::Open(_) => unslotted += 1,
-                FlowState::Pending => {}
-            }
-        }
-        if r.usize()? != unslotted {
-            return Err(SnapError::Malformed(
-                "endpoint count disagrees with the open flow records",
-            ));
-        }
-        // Every open record is visited once, in order, or the load stops:
-        // at most `unslotted ≤ recs.len()` endpoints are ever built.
-        let mut next = 0;
-        for slot in 0..unslotted {
-            let fi = r.usize()?;
-            if fi < next || fi >= self.recs.len() {
-                return Err(SnapError::Malformed("endpoint ids not ascending flow ids"));
-            }
-            let rec = &mut self.recs[fi];
-            if rec.state != FlowState::Open(UNSLOTTED) {
-                return Err(SnapError::Malformed(
-                    "endpoints for a flow that is not open",
-                ));
-            }
-            rec.state = FlowState::Open(slot as u32);
-            let mut ep = FlowEndpoints::fresh(TcpSender::new(self.tcp, rec.size), fi, rec);
-            ep.load_snap(r)?;
-            self.slots.push(ep);
-            next = fi + 1;
-        }
-        self.free.reserve(unslotted);
-        self.stats.high_water = unslotted as u64;
+        self.free.reserve(self.slots.len());
+        self.stats = PoolStats {
+            high_water: self.slots.len() as u64,
+            ..PoolStats::default()
+        };
         Ok(())
     }
 }
@@ -550,22 +519,17 @@ mod tests {
     }
 
     /// The wire form, spelled out: `states` replaces the records' own,
-    /// `eps` is `(id written, flow whose endpoints follow)`.
-    fn wire(s: &FlowStore, states: &[WireState], count: u64, eps: &[(usize, usize)]) -> Vec<u8> {
+    /// and an `Open` one is followed by its record's endpoints.
+    fn wire(s: &FlowStore, states: &[WireState]) -> Vec<u8> {
         let mut w = SnapWriter::new();
         w.usize(s.recs.len());
         for (rec, state) in s.recs.iter().zip(states) {
             (rec.ue, rec.size, rec.spawn).snap(&mut w);
             rec.tuple.snap(&mut w);
             state.snap(&mut w);
-        }
-        w.u64(count);
-        for &(id, of) in eps {
-            w.usize(id);
-            let FlowState::Open(slot) = s.recs[of].state else {
-                panic!("flow {of} has no endpoints");
-            };
-            s.slots[slot as usize].snap(&mut w);
+            if let FlowState::Open(slot) = rec.state {
+                s.slots[slot as usize].snap(&mut w);
+            }
         }
         w.into_bytes()
     }
@@ -627,11 +591,7 @@ mod tests {
     fn snapshot_roundtrip_reslots_in_id_order() {
         let s = mixed();
         let bytes = snap_of(&s);
-        assert_eq!(
-            bytes,
-            wire(&s, &wire_states(&s), 2, &[(1, 1), (3, 3)]),
-            "layout drifted"
-        );
+        assert_eq!(bytes, wire(&s, &wire_states(&s)), "layout drifted");
         let back = load(&bytes).unwrap();
         back.check().unwrap();
         assert_eq!(snap_of(&back), bytes);
@@ -644,53 +604,21 @@ mod tests {
         }
     }
 
+    /// What a file can still get wrong now that each open record carries
+    /// its own endpoints: a last RTT equal to the packing sentinel, and a
+    /// flow toward a UE past the table.
     #[test]
     fn endpoints_that_contradict_the_records_are_malformed() {
         let s = mixed();
-        let own = wire_states(&s);
-        let with = |fi: usize, state: WireState| {
-            let mut states = own.clone();
-            states[fi] = state;
-            states
-        };
-        let sentinel = WireState::Done(RttTail {
+        let mut states = wire_states(&s);
+        states[0] = WireState::Done(RttTail {
             last_rtt: Some(Dur(u64::MAX)),
             probe: None,
         });
-        let hostile: [(&str, Vec<u8>); 10] = [
-            ("id beyond the table", wire(&s, &own, 2, &[(1, 1), (5, 3)])),
-            ("id duplicated", wire(&s, &own, 2, &[(1, 1), (1, 3)])),
-            ("ids descending", wire(&s, &own, 2, &[(3, 3), (1, 1)])),
-            (
-                "endpoints on a pending flow",
-                wire(&s, &own, 2, &[(1, 1), (4, 3)]),
-            ),
-            (
-                "endpoints on a done flow",
-                wire(&s, &own, 2, &[(0, 1), (3, 3)]),
-            ),
-            ("open flow without endpoints", wire(&s, &own, 1, &[(1, 1)])),
-            (
-                "more endpoints than open flows",
-                wire(&s, &own, 3, &[(1, 1), (3, 3), (4, 3)]),
-            ),
-            (
-                "count says fewer than the open records",
-                wire(&s, &with(4, WireState::Open), 2, &[(1, 1), (3, 3)]),
-            ),
-            ("absurd count", wire(&s, &own, u64::MAX, &[(1, 1), (3, 3)])),
-            (
-                "a last RTT equal to the packing sentinel",
-                wire(&s, &with(0, sentinel), 2, &[(1, 1), (3, 3)]),
-            ),
-        ];
-        for (what, bytes) in &hostile {
-            assert!(
-                matches!(load(bytes), Err(SnapError::Malformed(_))),
-                "{what}: {:?}",
-                load(bytes).err()
-            );
-        }
+        assert!(matches!(
+            load(&wire(&s, &states)),
+            Err(SnapError::Malformed(_))
+        ));
         let mut w = SnapWriter::tracing();
         s.snap(&mut w);
         let (bytes, trace) = w.into_traced();
@@ -716,7 +644,7 @@ mod tests {
         ] {
             let mut states = own.clone();
             states[fi] = state;
-            let mut back = load(&wire(&s, &states, 2, &[(1, 1), (3, 3)])).unwrap();
+            let mut back = load(&wire(&s, &states)).unwrap();
             back.check().unwrap();
             let now = Time::from_millis(50);
             for fi in 0..back.len() {

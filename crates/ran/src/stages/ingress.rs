@@ -496,24 +496,18 @@ impl IngressStage {
         self.events.near_footprint()
     }
 
-    /// Refuse restored packets that do not lie within their flow or
-    /// whose bytes are not the core network's bytes in flight, then
-    /// derive the live-flow index from the restored flow table (which
-    /// has already refused endpoints that contradict its records).
+    /// Refuse restored packets that do not lie within their flow, count
+    /// the core network's bytes in flight off the queued packets, then
+    /// derive the live-flow index from the restored flow table.
     fn check_events_and_rebuild_live(&mut self) -> Result<(), SnapError> {
-        let mut in_flight = 0u64;
+        self.cn_in_flight_bytes = 0;
         for e in &self.events.sorted_entries() {
             if let Ev::PktAtEnb { flow, seq, len } = *e.2 {
                 if seq + u64::from(len) > self.flows.size(flow) {
                     return Err(SnapError::Malformed("core-network packet past its flow"));
                 }
-                in_flight += u64::from(len);
+                self.cn_in_flight_bytes += u64::from(len);
             }
-        }
-        if in_flight != self.cn_in_flight_bytes {
-            return Err(SnapError::Malformed(
-                "core-network bytes in flight disagree with the queued packets",
-            ));
         }
         self.live.clear();
         self.live.extend(self.flows.open_slots());
@@ -531,12 +525,11 @@ snap_enum! { Ev, "unknown ingress event tag" {
 // The flow table (records, and endpoints for the open flows only) plus
 // the discrete event queue (its sequence counter travels too, so
 // restored tie-breaking is exact). The open-flow count is the table's
-// own: it does not travel. Every flow id read so far is checked here.
+// own, the bytes in flight the queued packets': neither travels. Every
+// flow id read so far is checked here.
 snap_fields! {
-    overlay IngressStage {
-        flows, events, injected_bytes in counter, cn_in_flight_bytes, dropped_bytes in counter,
-    }
-    rebuilt { emit_scratch, live, scan_visits }
+    overlay IngressStage { flows, events, injected_bytes in counter, dropped_bytes in counter }
+    rebuilt { cn_in_flight_bytes, emit_scratch, live, scan_visits }
     spaces { flows: flows.len() }
     then IngressStage::check_events_and_rebuild_live
 }

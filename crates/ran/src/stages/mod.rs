@@ -307,19 +307,27 @@ pub enum HarqData {
 impl HarqPayload {
     /// Wrap UM segments, caching their ledger byte count.
     pub fn um(segs: Vec<RlcSegment>) -> HarqPayload {
-        let bytes = segs.iter().map(|s| s.len as u64).sum();
-        HarqPayload {
-            bytes,
-            data: HarqData::Um(segs),
-        }
+        HarqPayload::new(HarqData::Um(segs))
     }
 
     /// Wrap AM PDUs (ledger-exempt).
     pub fn am(pdus: Vec<AmPdu>) -> HarqPayload {
-        HarqPayload {
-            bytes: 0,
-            data: HarqData::Am(pdus),
-        }
+        HarqPayload::new(HarqData::Am(pdus))
+    }
+
+    fn new(data: HarqData) -> HarqPayload {
+        let mut p = HarqPayload { bytes: 0, data };
+        p.count_bytes();
+        p
+    }
+
+    /// Cache the ledger byte count of the payload: the UM segments'
+    /// bytes, 0 for AM.
+    fn count_bytes(&mut self) {
+        self.bytes = match &self.data {
+            HarqData::Um(segs) => segs.iter().map(|s| u64::from(s.len)).sum(),
+            HarqData::Am(_) => 0,
+        };
     }
 }
 
@@ -380,20 +388,14 @@ snap_enum! { overlay RlcTx, "RLC tx mode disagrees with configuration" { 0 => Um
 snap_enum! { overlay RlcRx, "RLC rx mode disagrees with configuration" { 0 => Um(um), 1 => Am(am) } }
 snap_enum! { HarqData, "unknown HARQ payload tag" { 0 => Um(segs), 1 => Am(pdus) } }
 impl HarqPayload {
-    /// The cached ledger count is the payload's own.
-    fn check_bytes(&mut self) -> Result<(), SnapError> {
-        let bytes = match &self.data {
-            HarqData::Um(segs) => segs.iter().map(|s| u64::from(s.len)).sum(),
-            HarqData::Am(_) => 0,
-        };
-        if bytes != self.bytes {
-            return Err(SnapError::Malformed("HARQ payload byte count disagrees"));
-        }
+    /// Restore's last step: the ledger count is the payload's own.
+    fn after_load(&mut self) -> Result<(), SnapError> {
+        self.count_bytes();
         Ok(())
     }
 }
 
-snap_fields! { HarqPayload { bytes, data } then HarqPayload::check_bytes }
+snap_fields! { HarqPayload { data } rebuilt { bytes } then HarqPayload::after_load }
 snap_fields! { overlay UeContext { flow_table, rlc_tx, rlc_rx, harq, flows in index(flows) } }
 
 impl UeContext {

@@ -385,6 +385,12 @@ impl PhyTxStage {
         self.harq_held_bytes
     }
 
+    /// Restore: the bytes held are those of every UE's HARQ blocks.
+    pub fn recount_harq(&mut self, ues: &[UeContext]) {
+        let blocks = ues.iter().flat_map(|ue| ue.harq.iter());
+        self.harq_held_bytes = blocks.map(|tb| tb.payload.bytes).sum();
+    }
+
     /// Bytes terminally dropped at the air interface (ledger term).
     pub fn dropped_bytes(&self) -> u64 {
         self.dropped_bytes
@@ -392,11 +398,12 @@ impl PhyTxStage {
 }
 
 // The per-TTI scratch buffers are drained/rewritten inside every active
-// TTI and never read across a TTI boundary, so they do not travel.
+// TTI and never read across a TTI boundary, so they do not travel. The
+// HARQ bytes held are the HARQ blocks' own: the cell recounts them.
 snap_fields! {
     overlay PhyTxStage {
-        channel, rng, harq_wasted_tbs in counter, residual_losses in counter, harq_held_bytes,
+        channel, rng, harq_wasted_tbs in counter, residual_losses in counter,
         dropped_bytes in counter,
     }
-    rebuilt { group_bits, fresh_ok, segs, transmitted, delivered, deliveries }
+    rebuilt { harq_held_bytes, group_bits, fresh_ok, segs, transmitted, delivered, deliveries }
 }

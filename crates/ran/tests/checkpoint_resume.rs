@@ -21,7 +21,7 @@ use outran_simcore::{Dur, Time};
 const SECS: u64 = 4;
 const SEED: u64 = 0xD1CE;
 
-/// Wire-format pins (see `wire_format_is_pinned`), format v4.
+/// Wire-format pins (see `wire_format_is_pinned`), format v5.
 ///
 /// The `_T0` pins hash each cell straight after construction, before
 /// any TTI runs, so they see every field's position but no value a
@@ -123,17 +123,38 @@ const SEED: u64 = 0xD1CE;
 ///
 /// | pin | v4 (da097bd) | `retx_count` counted at send only |
 /// |---|---|---|
-/// | `AM_PF_CHAOS` | `1397ace07ead76bb` | below |
-const PIN_UM_OUTRAN_T0: u64 = 0xb2d8_d252_139e_3c64;
-const PIN_AM_PF_CHAOS_T0: u64 = 0x1f32_eab2_b0e4_dc2a;
-const PIN_UM_OUTRAN: u64 = 0x0410_30a9_865e_7fde;
-const PIN_AM_PF_CHAOS: u64 = 0xb7bd_eb58_047d_0670;
+/// | `AM_PF_CHAOS` | `1397ace07ead76bb` | v4 column below |
+///
+/// All eight were re-recorded once more for format v5, which leaves
+/// out every value a restore can compute (DESIGN.md "Checkpoint format
+/// v5"); the `network` section lost its arrival cursor and PRB counts,
+/// so `PIN_NETWORK` moved too. A copy of 16d16a7 with only the layout
+/// edits applied — each derived field moved to `rebuilt`, each open
+/// flow's endpoints written after its record, the header version 5 —
+/// writes exactly these digests; the untouched 16d16a7 writes the v4
+/// column:
+///
+/// | pin | v4 (16d16a7) | v5 |
+/// |---|---|---|
+/// | `UM_OUTRAN_T0` | `b2d8d252139e3c64` | below |
+/// | `AM_PF_CHAOS_T0` | `1f32eab2b0e4dc2a` | |
+/// | `UM_OUTRAN` | `041030a9865e7fde` | |
+/// | `AM_PF_CHAOS` | `b7bdeb58047d0670` | |
+/// | `NETWORK` | `6489136ea3dfeade` | |
+/// | `METRO_FILE` | `52f7fedd94822ae4` | |
+/// | `METRO_CHURN_FILE` | `010fde7c8c0e7640` | |
+/// | `METRO_CHURN_CHAOS_FILE` | `90c847f60b235beb` | |
+const PIN_UM_OUTRAN_T0: u64 = 0x4f00_d019_7b4b_41d2;
+const PIN_AM_PF_CHAOS_T0: u64 = 0xb7ea_7d3c_d054_37ea;
+const PIN_UM_OUTRAN: u64 = 0x30fd_256b_ba61_657f;
+const PIN_AM_PF_CHAOS: u64 = 0xf1c0_b84b_6aa8_2500;
 /// A 1 s metro checkpoint's `network` section (no taps, no flow table
-/// in it). Recorded at 2575d6d; formats v2, v3 and v4 left it alone.
-const PIN_NETWORK: u64 = 0x6489_136e_a3df_eade;
-const PIN_METRO_FILE: u64 = 0x52f7_fedd_9482_2ae4;
-const PIN_METRO_CHURN_FILE: u64 = 0x010f_de7c_8c0e_7640;
-const PIN_METRO_CHURN_CHAOS_FILE: u64 = 0x90c8_47f6_0b23_5beb;
+/// in it). Recorded at 2575d6d; formats v2, v3 and v4 left it alone,
+/// v5 re-recorded it.
+const PIN_NETWORK: u64 = 0xc624_de1c_ae5a_7571;
+const PIN_METRO_FILE: u64 = 0x5397_6dd3_6cbb_bfcc;
+const PIN_METRO_CHURN_FILE: u64 = 0xe618_72d2_8912_ac58;
+const PIN_METRO_CHURN_CHAOS_FILE: u64 = 0x503b_0ccf_b27e_79db;
 
 /// A chaos-active experiment, identical every call (one root seed).
 fn experiment() -> Experiment {
@@ -346,7 +367,7 @@ fn file_digest(path: &Path) -> u64 {
 #[test]
 fn wire_format_is_pinned() {
     const HINT: &str = "layout changed: bump `SNAP_VERSION` and re-record";
-    assert_eq!(SNAP_VERSION, 4, "{HINT}");
+    assert_eq!(SNAP_VERSION, 5, "{HINT}");
 
     let mut um_outran = Experiment::lte_default()
         .scheduler(SchedulerKind::OutRan)

@@ -12,9 +12,10 @@
 //! * A mid-run checkpoint restores bit-identically under handover churn.
 //! * A wall-time watchdog abort leaves a checkpoint that resumes to the
 //!   uninterrupted run's report.
-//! * A digest-valid `network` section whose per-cell vectors, epoch or
-//!   arrival cursor disagree with the configuration is refused, not
-//!   indexed out of bounds, overflowed or reported from.
+//! * A digest-valid `network` section whose per-cell vectors or epoch
+//!   disagree with the configuration or the cells, or a `cell.<i>`
+//!   section from another instant, is refused, not indexed out of
+//!   bounds, overflowed or run.
 //! * The epoch barrier's work is counted, in closed form, and the same
 //!   on any number of threads.
 
@@ -22,7 +23,7 @@ use outran_faults::FaultPlan;
 use outran_phy::Scenario;
 use outran_ran::network::Network;
 use outran_ran::{Experiment, SchedulerKind};
-use outran_simcore::snap::{SnapError, SnapField, SnapKind, SnapWriter, SnapshotFile};
+use outran_simcore::snap::{SnapError, SnapKind, SnapWriter, SnapshotFile};
 use outran_simcore::{Dur, Time};
 
 const SECS: u64 = 5;
@@ -293,51 +294,55 @@ fn single_cell_steps_every_slot_on_every_advance() {
     assert_eq!(w.fading_draws, 4 * advances * 2 * (8 + 1));
 }
 
-/// The 2 s checkpoint of `churny(9)` and the arrivals that run offers.
-fn churny_checkpoint(tag: &str) -> (SnapshotFile, usize) {
+/// The 2 s and 4 s checkpoints of `churny(9)`.
+fn churny_checkpoints(tag: &str) -> [SnapshotFile; 2] {
     let dir = std::env::temp_dir().join(format!("outran-net-{tag}-{}", std::process::id()));
     let mut ck = churny(9);
     ck.checkpoint_every = Some(Dur::from_secs(2));
     ck.checkpoint_dir = Some(dir.clone());
-    let offered = ck.run().report.offered;
-    let (_meta, good) =
-        outran_ran::checkpoint::read_checkpoint(&dir.join("metro-ckpt-2s.orsn")).unwrap();
+    ck.run();
+    let read = |secs: u64| {
+        let path = dir.join(format!("metro-ckpt-{secs}s.orsn"));
+        outran_ran::checkpoint::read_checkpoint(&path).unwrap().1
+    };
+    let files = [read(2), read(4)];
     std::fs::remove_dir_all(&dir).ok();
-    (good, offered)
+    files
 }
 
-/// `good` with its `network` section replaced. Rebuilding the file
-/// recomputes every FNV digest, so the only defence left is the
-/// layout's own checks.
-fn with_network_section(good: &SnapshotFile, network: &[u8]) -> SnapshotFile {
+/// `good` with section `name` replaced. Rebuilding the file recomputes
+/// every FNV digest, so the only defence left is the layout's own
+/// checks.
+fn with_section(good: &SnapshotFile, name: &str, payload: &[u8]) -> SnapshotFile {
     let mut bad = SnapshotFile::new();
-    for name in good.section_names() {
-        let payload = match name {
-            "network" => network,
-            _ => good.section(name).unwrap(),
+    for n in good.section_names() {
+        let bytes = if n == name {
+            payload
+        } else {
+            good.section(n).unwrap()
         };
         let mut w = SnapWriter::new();
-        payload.iter().for_each(|&b| w.u8(b));
-        bad.add(name, w);
+        bytes.iter().for_each(|&b| w.u8(b));
+        bad.add(n, w);
     }
     SnapshotFile::from_bytes(&bad.to_bytes()).expect("digests are valid")
 }
 
 #[test]
 fn short_per_cell_vector_in_network_section_is_malformed_not_a_panic() {
-    let (good, _) = churny_checkpoint("short");
+    let [good, _] = churny_checkpoints("short");
     let net = good.section("network").unwrap();
     let trace = churny(9).network_section_trace(&good).unwrap();
 
-    // Drop the last `prev_rbs` element (one per cell) and say so in the
+    // Drop the last `loads` element (one per cell) and say so in the
     // length prefix.
     let n_cells = 6u64;
-    let len = trace.get("prev_rbs", SnapKind::Len).unwrap();
+    let len = trace.get("loads", SnapKind::Len).unwrap();
     assert_eq!(len.value(net), n_cells);
-    let last = trace.get("prev_rbs[5]", SnapKind::U64).unwrap();
+    let last = trace.get("loads[5]", SnapKind::F64).unwrap();
     let mut short = len.with(net, n_cells - 1);
     short.drain(last.span.clone());
-    let bad = with_network_section(&good, &short);
+    let bad = with_section(&good, "network", &short);
 
     assert!(matches!(
         churny(9).resume(&bad),
@@ -346,40 +351,43 @@ fn short_per_cell_vector_in_network_section_is_malformed_not_a_panic() {
     assert!(churny(9).resume(&good).is_ok());
 }
 
-/// An epoch past the run's last multiplies into a wrapped clock; an
-/// arrival cursor past the schedule is reported as the flows offered.
+/// An epoch past the run's last multiplies into a wrapped clock, and
+/// one inside the run that is not the cells' would inject the wrong
+/// arrivals: each is refused.
 #[test]
 fn out_of_range_epoch_or_cursor_in_network_section_is_malformed() {
-    let (good, offered) = churny_checkpoint("clock");
+    let [good, _] = churny_checkpoints("clock");
     let net = good.section("network").unwrap();
     let trace = churny(9).network_section_trace(&good).unwrap();
     let epoch = trace.get("epoch", SnapKind::U64).unwrap();
-    let cursor = trace.get("cursor", SnapKind::Usize).unwrap();
     assert_eq!(epoch.value(net), 2);
-    assert!(cursor.value(net) > 0 && cursor.value(net) <= offered as u64);
 
     let last_epoch = SECS + 4;
-    let mutations = [
-        (epoch, last_epoch + 1),
-        (epoch, u64::MAX / 1_000_000_000 + 1),
-        (epoch, u64::MAX),
-        (cursor, offered as u64 + 1),
-        (cursor, u64::MAX),
-    ];
-    let patched =
-        |field: &SnapField, value: u64| with_network_section(&good, &field.with(net, value));
-    for (field, value) in mutations {
-        let refused = churny(9).resume(&patched(field, value));
+    for value in [
+        1,
+        3,
+        last_epoch,
+        last_epoch + 1,
+        u64::MAX / 1_000_000_000 + 1,
+        u64::MAX,
+    ] {
+        let refused = churny(9).resume(&with_section(&good, "network", &epoch.with(net, value)));
         assert!(
             matches!(refused, Err(SnapError::Malformed(_))),
-            "{value} at {}: {:?}",
-            field.path,
+            "epoch {value}: {:?}",
             refused.map(|run| run.report.offered)
         );
     }
-    // Both ends of the valid range still load: the cursor at the end of
-    // the schedule, the epoch at the end of the run (nothing left to do).
-    for (field, value) in [(epoch, last_epoch), (cursor, offered as u64)] {
-        assert!(churny(9).resume(&patched(field, value)).is_ok());
-    }
+}
+
+/// A `cell.<i>` section from another instant of the same run is refused:
+/// its clock is not the network's epoch.
+#[test]
+fn cell_section_from_a_later_checkpoint_is_malformed() {
+    let [good, later] = churny_checkpoints("splice");
+    let spliced = with_section(&good, "cell.0", later.section("cell.0").unwrap());
+    assert!(matches!(
+        churny(9).resume(&spliced),
+        Err(SnapError::Malformed(_))
+    ));
 }

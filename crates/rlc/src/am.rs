@@ -400,7 +400,7 @@ impl AmTx {
 
 #[derive(Debug, Clone)]
 struct RxPartial {
-    received: u32,
+    /// Bytes received so far: segments arrive in offset order.
     next_offset: u32,
     sdu_len: u32,
     flow_id: u64,
@@ -489,7 +489,6 @@ impl AmRx {
             });
         }
         let p = self.partials.entry(seg.sdu_id).or_insert(RxPartial {
-            received: 0,
             next_offset: 0,
             sdu_len: seg.sdu_len,
             flow_id: seg.flow_id,
@@ -502,9 +501,8 @@ impl AmRx {
             self.partials.remove(&seg.sdu_id);
             return None;
         }
-        p.received += seg.len;
         p.next_offset += seg.len;
-        if p.received == p.sdu_len {
+        if p.next_offset == p.sdu_len {
             self.partials.remove(&seg.sdu_id).map(|p| DeliveredSdu {
                 sdu_id: seg.sdu_id,
                 flow_id: p.flow_id,
@@ -564,7 +562,7 @@ impl AmRx {
             + self
                 .partials
                 .values()
-                .map(|p| p.received as u64)
+                .map(|p| p.next_offset as u64)
                 .sum::<u64>()
     }
 
@@ -600,12 +598,12 @@ snap_fields! {
     rebuilt { cfg, seg_scratch, ack_scratch }
 }
 
-// What in-order reassembly keeps true: the bytes received are the next
-// offset, short of the SDU (a complete one is delivered), and the SDU's
-// bytes fit the transport sequence space.
+// What in-order reassembly keeps true: the bytes received fall short of
+// the SDU (a complete one is delivered), and the SDU's bytes fit the
+// transport sequence space.
 snap_fields! {
     RxPartial {
-        received in eq(next_offset), next_offset in lt(sdu_len), sdu_len,
+        next_offset in lt(sdu_len), sdu_len,
         flow_id in index(flows), seq in counter,
     }
 }

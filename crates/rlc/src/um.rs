@@ -171,7 +171,7 @@ pub struct DeliveredSdu {
 
 #[derive(Debug, Clone)]
 struct Partial {
-    received: u32,
+    /// Bytes received so far: segments arrive in offset order.
     next_offset: u32,
     sdu_len: u32,
     flow_id: u64,
@@ -221,7 +221,6 @@ impl UmRx {
             });
         }
         let p = self.partials.entry(seg.sdu_id).or_insert(Partial {
-            received: 0,
             next_offset: 0,
             sdu_len: seg.sdu_len,
             flow_id: seg.flow_id,
@@ -230,15 +229,14 @@ impl UmRx {
         });
         if seg.offset != p.next_offset {
             // Gap (a middle segment was lost): reassembly cannot succeed.
-            let held = p.received;
+            let held = p.next_offset;
             self.partials.remove(&seg.sdu_id);
             self.discarded_sdus += 1;
             self.discarded_bytes += held as u64 + seg.len as u64;
             return None;
         }
-        p.received += seg.len;
         p.next_offset += seg.len;
-        if p.received == p.sdu_len {
+        if p.next_offset == p.sdu_len {
             let p = self.partials.remove(&seg.sdu_id)?;
             return Some(DeliveredSdu {
                 sdu_id: seg.sdu_id,
@@ -259,7 +257,7 @@ impl UmRx {
             if p.deadline > now {
                 true
             } else {
-                freed += p.received as u64;
+                freed += p.next_offset as u64;
                 false
             }
         });
@@ -276,7 +274,7 @@ impl UmRx {
 
     /// Payload bytes currently held in partial reassemblies.
     pub fn held_bytes(&self) -> u64 {
-        self.partials.values().map(|p| p.received as u64).sum()
+        self.partials.values().map(|p| p.next_offset as u64).sum()
     }
 
     /// RLC re-establishment: drop every partial reassembly. Returns
@@ -296,12 +294,12 @@ use outran_simcore::snap_fields;
 // The config is re-established by the owner via [`UmTx::new`].
 snap_fields! { overlay UmTx { queues, dropped_sdus } rebuilt { cfg } }
 
-// What reassembly keeps true: segments arrive in offset order, so the
-// bytes received are the next offset, short of the SDU (a complete one is
-// delivered), and the SDU's bytes fit the transport sequence space.
+// What reassembly keeps true: the bytes received fall short of the SDU
+// (a complete one is delivered), and the SDU's bytes fit the transport
+// sequence space.
 snap_fields! {
     Partial {
-        received in eq(next_offset), next_offset in lt(sdu_len), sdu_len,
+        next_offset in lt(sdu_len), sdu_len,
         flow_id in index(flows), seq in counter, deadline,
     }
 }

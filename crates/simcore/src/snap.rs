@@ -60,7 +60,7 @@
 //! options, field-by-field tuples); only layouts that no field list
 //! can express keep a hand-written impl, each documented where it
 //! lives ([`Rng`], [`EventQueue`] and the ingress flow table's
-//! records-plus-open-endpoints form in `outran-ran`). What one writes
+//! records, each open one followed by its endpoints, in `outran-ran`). What one writes
 //! bare shares its own path; the layouts it calls name theirs.
 //!
 //! A layout names each field's legal values once, as a **domain**
@@ -95,7 +95,7 @@ pub const SNAP_MAGIC: [u8; 4] = *b"ORSN";
 
 /// Current snapshot format version. Bump on ANY layout change — the
 /// reader refuses other versions rather than misinterpreting bytes.
-pub const SNAP_VERSION: u32 = 4;
+pub const SNAP_VERSION: u32 = 5;
 
 /// Errors surfaced while reading or persisting a snapshot.
 #[derive(Debug)]
@@ -741,19 +741,6 @@ impl<'a> SnapReader<'a> {
         items.iter_mut().try_for_each(|it| it.load_snap(self))
     }
 
-    /// Read a plane the configuration fixes and refuse it unless it is,
-    /// bit for bit, the one `built` holds.
-    pub fn same(&mut self, built: &mut [f64]) -> Result<(), SnapError> {
-        let mut read = built.to_vec();
-        self.fixed(&mut read)?;
-        let same = read
-            .iter()
-            .map(|x| x.to_bits())
-            .eq(built.iter().map(|x| x.to_bits()));
-        let what = "restored plane disagrees with the configuration";
-        same.then_some(()).ok_or(SnapError::Malformed(what))
-    }
-
     /// Overlay an `Option` whose presence is fixed by the configuration.
     pub fn fixed_opt<T: LoadSnap>(&mut self, slot: &mut Option<T>) -> Result<(), SnapError> {
         match (self.bool()?, slot) {
@@ -1299,11 +1286,11 @@ snap_tuples!((A.0, B.1)(A.0, B.1, C.2));
 ///   [spaces { flows: flows.len() }] [written_as method] [then path]` —
 ///   construct-then-overlay ([`Snap`] + [`LoadSnap`]): each field
 ///   overlays itself, or through the named [`SnapReader`] helper
-///   ([`fixed`](SnapReader::fixed), [`fixed_opt`](SnapReader::fixed_opt),
-///   [`same`](SnapReader::same)); `spaces` checks each space's `index`
-///   ids against a size read off `self` ([`SnapReader::check_space`]);
-///   `written_as` names a `fn(&self, &mut SnapWriter) -> bool` that
-///   writes a stand-in for `self` when it needs one.
+///   ([`fixed`](SnapReader::fixed), [`fixed_opt`](SnapReader::fixed_opt));
+///   `spaces` checks each space's `index` ids against a size read off
+///   `self` ([`SnapReader::check_space`]); `written_as` names a
+///   `fn(&self, &mut SnapWriter) -> bool` that writes a stand-in for
+///   `self` when it needs one.
 ///
 /// Domains (grammar in the [module docs](self)) are checked once every
 /// field is read, before `then`: a value outside is refused as
