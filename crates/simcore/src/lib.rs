@@ -17,7 +17,9 @@
 //!   elementary functions under [`Normal::fill`]: the second thing
 //!   implemented locally so the stream can never change underneath us.
 //!   The per-TTI fading draws go through them, so tap values no longer
-//!   depend on which libm the host ships.
+//!   depend on which libm the host ships. [`math::cbrt`], correctly
+//!   rounded, is Cubic's cube root, so the TCP sender does not depend on
+//!   whether libm was linked statically or shared.
 //! * [`EventQueue`] — a monotonic priority queue of `(Time, E)` events with
 //!   stable FIFO ordering for simultaneous events: a 64-slot near wheel
 //!   for the link-delay traffic, one `BinaryHeap` for the far future.

@@ -1,22 +1,27 @@
-//! The two elementary functions a Box–Muller draw needs, implemented
-//! locally for the same reason [`Rng`](crate::Rng) is: so the stream can
-//! never change underneath us. [`Normal::fill`](crate::Normal::fill)
-//! computes every Gaussian of the per-TTI fading advance through these
-//! kernels, so the fading taps do not depend on which libm the host
-//! ships. [`ln_positive`] is also the logarithm under the PHY channel's
+//! The elementary functions whose bits the simulation depends on,
+//! implemented locally for the same reason [`Rng`](crate::Rng) is: so the
+//! stream can never change underneath us. [`Normal::fill`](crate::Normal::fill)
+//! computes every Gaussian of the per-TTI fading advance through the two
+//! Box–Muller kernels, so the fading taps do not depend on which libm the
+//! host ships. [`ln_positive`] is also the logarithm under the PHY channel's
 //! CQI classifier, which only ever uses it as an approximation it then
 //! certifies against the host's `log10` (`outran-phy`, `channel.rs`).
+//! [`cbrt`] is Cubic's cube root (`outran-transport`): glibc's shared and
+//! static libm disagree on `cbrt` by an ulp for about half of all inputs,
+//! so a libm call would make the sender's `K` depend on how the binary
+//! was linked.
 //!
-//! Both are straight-line code (no branch, no call, no table), which is
-//! what lets the loop in `fill` pipeline: libm's `cos` spends most of its
-//! time on mispredicted range-reduction branches when its arguments are
-//! random. The polynomials and their coefficients are fdlibm's
-//! (`k_sin.c`, `k_cos.c`, `e_log.c`; Sun Microsystems, freely
+//! The Box–Muller kernels are straight-line code (no branch, no call, no
+//! table), which is what lets the loop in `fill` pipeline: libm's `cos`
+//! spends most of its time on mispredicted range-reduction branches when
+//! its arguments are random. The polynomials and their coefficients are
+//! fdlibm's (`k_sin.c`, `k_cos.c`, `e_log.c`; Sun Microsystems, freely
 //! distributable) and keep fdlibm's names; each is written as the shortest
 //! decimal that parses to fdlibm's double.
 //!
-//! Each kernel is specialised to the domain stated on it and is **not** a
-//! general replacement for `f64::cos` / `f64::ln` outside it.
+//! `cos_tau` and [`ln_positive`] are specialised to the domain stated on
+//! each and are **not** general replacements for `f64::cos` / `f64::ln`
+//! outside it; [`cbrt`] is correctly rounded for every `f64`.
 
 use std::f64::consts::TAU;
 
@@ -120,6 +125,70 @@ pub fn ln_positive(x: f64) -> f64 {
     s * (hfsq + r) + dk * LN2_LO - hfsq + f + dk * LN2_HI
 }
 
+/// The sign bit and the fraction field of an `f64`.
+const SIGN: u64 = 1 << 63;
+const FRAC: u64 = (1 << 52) - 1;
+
+/// A guess at `∛t` from `t`'s bits: a third of the biased exponent and
+/// fraction, plus two thirds of `1.0`'s bits, so that `∛1 = 1`. Within
+/// 6 % for `t ∈ [1, 8)`.
+const CBRT_GUESS: u64 = 0x2aa0_0000_0000_0000;
+
+/// `∛x`, correctly rounded (to nearest) for every `f64`: `±0`, `±∞` and
+/// NaN return themselves, and `∛−x = −∛x`.
+///
+/// `|x| = t·2³ᵏ` with `t ∈ [1, 8)`, so `∛|x| = ∛t·2ᵏ` and the doubles
+/// around `∛t ∈ [1, 2)` are the grid `n·2⁻⁵²`, `n ∈ [2⁵², 2⁵³]`. Three
+/// Halley steps from a guess read off `t`'s bits land `n` within a few
+/// ulps; then `n` moves one ulp at a time until the midpoints
+/// `(2n ± 1)·2⁻⁵³` on either side bracket `∛t`, which is decided exactly
+/// on integers, by cubing them against `t·2¹⁵⁹`. The result is exact by construction; the
+/// floating-point steps only decide how few ulps it walks. No midpoint is
+/// the cube root of a double (its cube is an odd integer above 2¹⁵⁹,
+/// times 2⁻¹⁵⁹: more than 53 significant bits), so there is never a tie.
+#[must_use]
+pub fn cbrt(x: f64) -> f64 {
+    let bits = x.to_bits() & !SIGN;
+    if bits == 0 || bits >= f64::INFINITY.to_bits() {
+        return x;
+    }
+    // |x| = m·2^(e − 52) with m ∈ [2⁵², 2⁵³); subnormals normalised.
+    let (m, e) = if bits >> 52 == 0 {
+        let shift = bits.leading_zeros() - 11;
+        (bits << shift, -1022 - shift as i32)
+    } else {
+        ((bits & FRAC) | 1 << 52, (bits >> 52) as i32 - 1023)
+    };
+    let (k, j) = (e.div_euclid(3), e.rem_euclid(3) as u64);
+    let t = f64::from_bits((1023 + j) << 52 | (m & FRAC));
+    let mut y = f64::from_bits(t.to_bits() / 3 + CBRT_GUESS);
+    for _ in 0..3 {
+        let y3 = y * y * y;
+        y *= (y3 + 2.0 * t) / (2.0 * y3 + t);
+    }
+    let mut n = ((y * 4_503_599_627_370_496.0) as u64).clamp(1 << 52, 1 << 53);
+    // t·2¹⁵⁹ = m·2^(107 + j), as (⌊·/2⁶⁴⌋, · mod 2⁶⁴).
+    let t = (u128::from(m) << (43 + j), 0);
+    while cube(2 * n + 1) < t {
+        n += 1;
+    }
+    while cube(2 * n - 1) > t {
+        n -= 1;
+    }
+    // k ∈ [−358, 341]; n = 2⁵³ carries into the exponent: 2ᵏ⁺¹.
+    let exp = (1023 + k) as u64;
+    f64::from_bits(((exp << 52) + (n - (1 << 52))) | (x.to_bits() & SIGN))
+}
+
+/// `n³` for `n < 2⁵⁵`, as `(⌊n³ / 2⁶⁴⌋, n³ mod 2⁶⁴)`, which order as
+/// `n³` does.
+fn cube(n: u64) -> (u128, u64) {
+    let n = u128::from(n);
+    let sq = n * n;
+    let lo = (sq & u128::from(u64::MAX)) * n;
+    ((sq >> 64) * n + (lo >> 64), lo as u64)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -208,6 +277,133 @@ mod tests {
         let hi = SQRT_HALF_HI << 32;
         for b in hi - 4..=hi + 4 {
             check_ln(f64::from_bits(b));
+        }
+    }
+
+    /// A positive finite double as `(m, e)`: its value is `m·2ᵉ` exactly.
+    fn decode(bits: u64) -> (u64, i32) {
+        let (exp, frac) = ((bits >> 52) as i32, bits & FRAC);
+        if exp == 0 {
+            (frac, -1074)
+        } else {
+            (frac | 1 << 52, exp - 1075)
+        }
+    }
+
+    /// A 256-bit unsigned integer, least significant limb first.
+    type Wide = [u64; 4];
+
+    fn wide_mul(a: Wide, b: u64) -> Wide {
+        let mut out = [0; 4];
+        let mut carry = 0u128;
+        for (o, &a) in out.iter_mut().zip(&a) {
+            let p = u128::from(a) * u128::from(b) + carry;
+            *o = p as u64;
+            carry = p >> 64;
+        }
+        assert_eq!(carry, 0, "product past 256 bits");
+        out
+    }
+
+    fn wide_shl(a: Wide, s: u32) -> Wide {
+        let mut out = [0; 4];
+        for bit in 0..256 {
+            if a[bit / 64] >> (bit % 64) & 1 == 1 {
+                let to = bit + s as usize;
+                assert!(to < 256, "shift past 256 bits");
+                out[to / 64] |= 1 << (to % 64);
+            }
+        }
+        out
+    }
+
+    /// Whether `x < mid³`, where `mid` is the midpoint of the adjacent
+    /// positive doubles `lo < hi`: exact, on integers only.
+    fn below_midpoint_cubed(x: u64, lo: u64, hi: u64) -> bool {
+        let ((ml, el), (mh, eh)) = (decode(lo), decode(hi));
+        let e = el.min(eh);
+        let m = (ml << (el - e)) + (mh << (eh - e)); // mid = m·2^(e − 1)
+        let (mx, ex) = decode(x);
+        let cube = wide_mul(wide_mul([m, 0, 0, 0], m), m);
+        let d = ex - 3 * (e - 1);
+        let (lhs, rhs) = if d >= 0 {
+            (wide_shl([mx, 0, 0, 0], d as u32), cube)
+        } else {
+            ([mx, 0, 0, 0], wide_shl(cube, (-d) as u32))
+        };
+        lhs.iter().rev().lt(rhs.iter().rev())
+    }
+
+    /// `y` is `∛x` rounded to nearest: the midpoints between `y` and its
+    /// neighbours bracket `∛x`, i.e. their cubes bracket `x`.
+    fn assert_correctly_rounded(x: f64) {
+        let (xb, yb) = (x.to_bits(), cbrt(x).to_bits());
+        assert!(
+            0 < yb && yb < f64::INFINITY.to_bits(),
+            "x={x:e} y bits {yb:#x}"
+        );
+        assert!(
+            !below_midpoint_cubed(xb, yb - 1, yb),
+            "x={x:e}: ∛x below the midpoint under y bits {yb:#x}"
+        );
+        assert!(
+            below_midpoint_cubed(xb, yb, yb + 1),
+            "x={x:e}: ∛x above the midpoint over y bits {yb:#x}"
+        );
+    }
+
+    #[test]
+    fn cbrt_is_correctly_rounded_on_seeded_sweep() {
+        let mut rng = Rng::new(0xCB27);
+        // Every exponent, normal and subnormal, with random fractions.
+        for _ in 0..150_000 {
+            let exp = rng.below(2047);
+            assert_correctly_rounded(f64::from_bits(exp << 52 | (rng.next_u64_raw() & FRAC)));
+        }
+        // Each of the three reductions around powers of two, both sides,
+        // and the top of [1, 8), where ∛t rounds up to 2.
+        for exp in [1, 2, 3, 1021, 1022, 1023, 1024, 1025, 2044, 2045, 2046] {
+            for frac in [0, 1, 2, FRAC - 1, FRAC] {
+                assert_correctly_rounded(f64::from_bits(exp << 52 | frac));
+            }
+        }
+        for bits in [1, 2, 3, FRAC - 1, FRAC, FRAC + 1] {
+            assert_correctly_rounded(f64::from_bits(bits));
+        }
+        assert_correctly_rounded(f64::MAX);
+        assert_correctly_rounded(f64::MIN_POSITIVE);
+        assert_eq!(cbrt(8.0 - 4.0 * f64::EPSILON), 2.0);
+    }
+
+    #[test]
+    fn cbrt_edges() {
+        assert_eq!(cbrt(0.0).to_bits(), 0.0f64.to_bits());
+        assert_eq!(cbrt(-0.0).to_bits(), (-0.0f64).to_bits());
+        assert_eq!(cbrt(f64::INFINITY), f64::INFINITY);
+        assert_eq!(cbrt(f64::NEG_INFINITY), f64::NEG_INFINITY);
+        assert!(cbrt(f64::NAN).is_nan());
+        assert!(cbrt(-f64::NAN).is_nan());
+        // Exact cubes, subnormal 2⁻¹⁰⁷⁴ = (2⁻³⁵⁸)³ included.
+        for (x, y) in [
+            (1.0, 1.0),
+            (8.0, 2.0),
+            (27.0, 3.0),
+            (0.125, 0.5),
+            (1_881_365_963_625.0, 12_345.0),
+            (2f64.powi(300), 2f64.powi(100)),
+            (2f64.powi(-300), 2f64.powi(-100)),
+            (f64::from_bits(1), 2f64.powi(-358)),
+        ] {
+            assert_eq!(cbrt(x), y, "x={x:e}");
+            assert_eq!(cbrt(-x), -y, "x={x:e}");
+        }
+        // ∛−x = −∛x, bit for bit.
+        let mut rng = Rng::new(0xCB28);
+        for _ in 0..1_000 {
+            let x = f64::from_bits(rng.next_u64_raw() & !SIGN);
+            if x.is_finite() {
+                assert_eq!(cbrt(-x).to_bits(), cbrt(x).to_bits() | SIGN, "x={x:e}");
+            }
         }
     }
 }

@@ -74,7 +74,8 @@
 //! and the table's owner checks it once after its own load (a `spaces`
 //! clause, [`SnapReader::check_space`]). Restore checks a layout's
 //! domains in one call to one out-of-line checker ([`check_domains`]),
-//! which reads each from the text it refuses a value with; `then` hooks
+//! which reads each from the text it refuses a value with, parsed once
+//! per layout ([`Domains`]); `then` hooks
 //! keep what involves several fields at once (a sum, a pairing). A trace
 //! records each number's domain, so a mutator can write its edges.
 
@@ -84,6 +85,7 @@ use std::fs::File;
 use std::io::{self, Cursor, Seek, SeekFrom, Write};
 use std::ops::Range;
 use std::path::Path;
+use std::sync::OnceLock;
 
 use crate::events::EventQueue;
 use crate::rng::Rng;
@@ -801,64 +803,118 @@ impl<T: Bounded> Bounded for Vec<T> {
     }
 }
 
-/// The one checker of every domain, called once per layout: `whats` has
-/// a line per field of `values`, `Type.field outside <domain>`, what a
-/// value outside is refused with ([`SnapError::Malformed`]) and the
-/// domain read here. `bounds` has an entry per kind with an argument: a
-/// comparison's bound (`index`: none, its id is noted in `r`).
+/// A domain kind, as [`Domains`] reads it from its message line.
+#[derive(Clone, Copy)]
+enum Kind {
+    Counter,
+    Finite,
+    Sign,
+    /// An id into the named space.
+    Index(&'static str),
+    /// The value compares with `bounds[at]` as one of the orderings set
+    /// in `accept` (bit `ordering + 1`); a kind with no known meaning
+    /// sets none, so it holds for no value.
+    Cmp {
+        accept: u8,
+        at: usize,
+    },
+}
+
+/// One layout's domains: a `Type.field outside <domain>` line per field
+/// with a domain, the message a value outside is refused with
+/// ([`SnapError::Malformed`]), and the kinds read from it. The text is
+/// parsed once, on the layout's first restore; each `snap_fields!`
+/// layout with a domain holds one in a `static`.
+pub struct Domains {
+    text: &'static str,
+    lines: OnceLock<Vec<(&'static str, Vec<Kind>)>>,
+}
+
+impl Domains {
+    /// The domains that `text`, a line per field, names.
+    #[must_use]
+    pub const fn new(text: &'static str) -> Domains {
+        Domains {
+            text,
+            lines: OnceLock::new(),
+        }
+    }
+
+    /// Each line and its kinds; a kind with an argument has a slot in
+    /// the layout's `bounds`, numbered in order across the lines.
+    #[inline(never)]
+    fn parse(text: &'static str) -> Vec<(&'static str, Vec<Kind>)> {
+        let mut slots = 0;
+        let mut kind = |kind: &'static str| {
+            let (op, arg) = cut(kind.trim_end_matches(')'), '(');
+            // An argument-less comparison has no bound: `usize::MAX`.
+            let at = if arg.is_empty() { usize::MAX } else { slots };
+            slots += usize::from(!arg.is_empty());
+            let accept = match op {
+                "counter" => return Kind::Counter,
+                "finite" => return Kind::Finite,
+                "sign" => return Kind::Sign,
+                "index" => return Kind::Index(arg),
+                "lt" => 0b001,
+                "le" => 0b011,
+                "eq" => 0b010,
+                "ge" => 0b110,
+                "gt" => 0b100,
+                _ => 0,
+            };
+            Kind::Cmp { accept, at }
+        };
+        text.lines()
+            .map(|what| {
+                // `Type.field outside kind & op(arg)`: no name has a space.
+                let kinds = cut(cut(what, ' ').1, ' ').1.split(' ');
+                (what, kinds.filter(|k| *k != "&").map(&mut kind).collect())
+            })
+            .collect()
+    }
+}
+
+/// The one checker of every domain, called once per layout: `domains`
+/// has a line per field of `values`, and `bounds` an entry per kind with
+/// an argument: a comparison's bound (`index`: none, its id is noted in
+/// `r`).
 #[inline(never)]
 pub fn check_domains(
     r: &mut SnapReader<'_>,
     values: &[&dyn Bounded],
     bounds: &[Option<&dyn Bounded>],
-    whats: &'static str,
+    domains: &'static Domains,
 ) -> Result<(), SnapError> {
-    use std::cmp::Ordering::{Equal, Greater, Less};
     let float = |n| match n {
         Num::Int(v, _) => v as f64,
         Num::Float(v) => v,
     };
-    let (mut bounds, mut lines) = (bounds.iter(), whats);
-    for v in values {
-        let what;
-        (what, lines) = cut(lines, '\n');
-        // `Type.field outside kind & op(arg)`: no name has a space.
-        let mut kinds = cut(cut(what, ' ').1, ' ').1;
-        while !kinds.is_empty() {
-            let kind;
-            (kind, kinds) = cut(kinds, ' ');
-            let (op, arg) = cut(kind.trim_end_matches(')'), '(');
-            let bound = match (op, arg) {
-                ("&", _) => continue,
-                (_, "") => None,
-                _ => bounds.next().copied().flatten(),
-            };
-            let holds = v.each(&mut |n| match (op, n) {
-                ("counter", Num::Int(v, max)) => v <= (max >> 2) + 1,
-                ("finite", _) => float(n).is_finite(),
-                ("sign", _) => float(n).abs() == 1.0,
-                ("index", Num::Int(id, _)) if id >= 0 => {
-                    match r.ids.iter_mut().find(|(s, _)| *s == arg) {
+    let lines = domains.lines.get_or_init(|| Domains::parse(domains.text));
+    for (v, (what, kinds)) in values.iter().zip(lines) {
+        for &kind in kinds {
+            let holds = v.each(&mut |n| match (kind, n) {
+                (Kind::Counter, Num::Int(v, max)) => v <= (max >> 2) + 1,
+                (Kind::Finite, _) => float(n).is_finite(),
+                (Kind::Sign, _) => float(n).abs() == 1.0,
+                (Kind::Index(space), Num::Int(id, _)) if id >= 0 => {
+                    match r.ids.iter_mut().find(|(s, _)| *s == space) {
                         Some((_, max)) => *max = (*max).max(id as u64),
-                        None => r.ids.push((arg, id as u64)),
+                        None => r.ids.push((space, id as u64)),
                     }
                     true
                 }
-                ("counter" | "index", _) => false,
-                _ => bound.is_some_and(|b| {
-                    b.each(&mut |b| {
-                        let ord = match (n, b) {
-                            (Num::Int(v, _), Num::Int(b, _)) => Some(v.cmp(&b)),
-                            _ => float(n).partial_cmp(&float(b)),
-                        };
-                        matches!(
-                            (op, ord),
-                            ("lt" | "le", Some(Less))
-                                | ("le" | "eq" | "ge", Some(Equal))
-                                | ("ge" | "gt", Some(Greater))
-                        )
+                (Kind::Counter | Kind::Index(_), _) => false,
+                (Kind::Cmp { accept, at }, _) => {
+                    bounds.get(at).copied().flatten().is_some_and(|b| {
+                        b.each(&mut |b| {
+                            let ord = match (n, b) {
+                                (Num::Int(v, _), Num::Int(b, _)) => Some(v.cmp(&b)),
+                                _ => float(n).partial_cmp(&float(b)),
+                            };
+                            ord.is_some_and(|o| accept >> (o as i8 + 1) & 1 == 1)
+                        })
                     })
-                }),
+                }
             });
             if !holds {
                 return Err(SnapError::Malformed(what));
@@ -1392,13 +1448,14 @@ macro_rules! snap_fields {
         let values: &[&dyn $crate::snap::Bounded] =
             &[$($($crate::snap_fields!(@value $at $f $($dk)+),)?)*];
         if !values.is_empty() {
+            static DOMAINS: $crate::snap::Domains = $crate::snap::Domains::new(::std::concat!($($(
+                ::std::stringify!($ty), ".", ::std::stringify!($f), " outside ",
+                $crate::snap_fields!(@text $($dk $(($($da)+))?)&+), "\n",
+            )?)*));
             $crate::snap::check_domains(
                 $r, values,
                 &[$($($($($crate::snap_fields!(@bound $at $dk $($da)+),)?)+)?)*],
-                ::std::concat!($($(
-                    ::std::stringify!($ty), ".", ::std::stringify!($f), " outside ",
-                    $crate::snap_fields!(@text $($dk $(($($da)+))?)&+), "\n",
-                )?)*),
+                &DOMAINS,
             )?;
         }
     };
@@ -1626,8 +1683,8 @@ impl<E: Snap> Snap for EventQueue<E> {
 impl<E: Unsnap> Unsnap for EventQueue<E> {
     fn unsnap(r: &mut SnapReader<'_>) -> Result<EventQueue<E>, SnapError> {
         let counter = r.u64()?;
-        let what = "EventQueue.seq_counter outside counter";
-        check_domains(r, &[&counter], &[], what)?;
+        static DOMAINS: Domains = Domains::new("EventQueue.seq_counter outside counter");
+        check_domains(r, &[&counter], &[], &DOMAINS)?;
         let mut q = EventQueue::new();
         for (t, seq, e) in r.get::<Vec<(Time, u64, E)>>()? {
             if seq >= counter {

@@ -1,5 +1,6 @@
 //! TCP sender: window management, loss recovery, RTT estimation.
 
+use outran_simcore::math::cbrt;
 use outran_simcore::snap::SnapError;
 use outran_simcore::{Dur, Time};
 
@@ -382,7 +383,7 @@ impl TcpSender {
         if self.cubic.w_max < w {
             self.cubic.w_max = w;
         }
-        self.cubic.k = ((self.cubic.w_max - w).max(0.0) / self.cfg.cubic_c).cbrt();
+        self.cubic.k = cbrt((self.cubic.w_max - w).max(0.0) / self.cfg.cubic_c);
         self.cubic.epoch_start = Some(now);
     }
 
